@@ -76,7 +76,26 @@ func TestLinkHotPathTracedAllocationBudget(t *testing.T) {
 	}
 }
 
-// batchedFixture builds a warmed-up BatchedPaced fan-out — four
+// denseMixture declares the fixtures' fan-out: a one-class mixture of
+// four virtual flows on a dense synthetic schedule with a zero-jitter
+// folded access chain, feeding next.
+func denseMixture(s *sim.Simulator, pool *packet.Pool, next packet.Handler) *flowbatch.BatchedMixture {
+	sched := &flowbatch.Schedule{}
+	for i := 0; i < 12000; i++ {
+		sched.Entries = append(sched.Entries, flowbatch.Entry{
+			At: units.Time(i) * 500 * units.Microsecond, Size: 1200,
+			FrameSeq: int32(i / 4), FragIndex: int32(i % 4), FragCount: 4,
+		})
+	}
+	return &flowbatch.BatchedMixture{
+		Sim: s, BaseFlow: 10, Next: []packet.Handler{next}, Pool: pool,
+		Classes: []flowbatch.MixtureClass{{Sched: sched, N: 4, Offset: 7 * units.Millisecond,
+			Chain: flowbatch.ChainSpec{AccessRate: 100 * units.Mbps,
+				AccessDelay: 500 * units.Microsecond}}},
+	}
+}
+
+// batchedFixture builds a warmed-up batched fan-out — four
 // virtual flows on a dense synthetic schedule, folded access chain,
 // terminal pooled sink — ready for allocation measurement. The folded
 // jitter is zero so the steady state is exactly periodic: like the
@@ -86,35 +105,23 @@ func TestLinkHotPathTracedAllocationBudget(t *testing.T) {
 // growth trickle, not a per-packet source cost; the jittered path's
 // behaviour is pinned byte-identical by the experiment package's
 // differential harness instead).
-func batchedFixture(tap *ptrace.Recorder) (*sim.Simulator, *flowbatch.BatchedPaced) {
+func batchedFixture(tap *ptrace.Recorder) (*sim.Simulator, *flowbatch.BatchedMixture) {
 	s := sim.New(1)
 	pool := packet.NewPool()
-	sched := &flowbatch.Schedule{}
-	for i := 0; i < 12000; i++ {
-		sched.Entries = append(sched.Entries, flowbatch.Entry{
-			At: units.Time(i) * 500 * units.Microsecond, Size: 1200,
-			FrameSeq: int32(i / 4), FragIndex: int32(i % 4), FragCount: 4,
-		})
-	}
 	sink := packet.Sink{Pool: pool}
-	src := &flowbatch.BatchedPaced{
-		Sim: s, Sched: sched, N: 4, BaseFlow: 10, Offset: 7 * units.Millisecond,
-		Chain: flowbatch.ChainSpec{AccessRate: 100 * units.Mbps,
-			AccessDelay: 500 * units.Microsecond},
-		Next: []packet.Handler{&sink}, Pool: pool,
-	}
+	src := denseMixture(s, pool, &sink)
 	if tap != nil {
 		tap.SetClock(s)
 		src.Tap, src.Hop = tap, tap.Hop("vflows")
 	}
 	src.Start()
-	s.RunUntil(200 * units.Millisecond) // warm pools, heaps and rings
+	s.RunUntil(200 * units.Millisecond) // warm pools, wheels and rings
 	return s, src
 }
 
 // TestBatchedSourceAllocationBudget pins the batched fan-out's hot
 // path at zero allocations: once the drawn-ahead rings, the merge
-// heaps, the event pool and the packet arena are warm, emitting N
+// wheels, the event pool and the packet arena are warm, emitting N
 // virtual flows' packets through the folded chain allocates nothing.
 func TestBatchedSourceAllocationBudget(t *testing.T) {
 	s, src := batchedFixture(nil)
@@ -158,7 +165,7 @@ func TestBatchedSourceTracedAllocationBudget(t *testing.T) {
 // run inline in the same hand-off order.
 type shardPipeline struct {
 	border   *sim.Simulator
-	src      *flowbatch.BatchedPaced
+	src      *flowbatch.BatchedMixture
 	sas      []*flowbatch.ShardArrivals
 	seq      *flowbatch.JitterSequencer
 	chunks   [][]flowbatch.Arrival
@@ -194,42 +201,32 @@ func (p *shardPipeline) step() {
 func shardedBorderFixture(tap *ptrace.Recorder) *shardPipeline {
 	s := sim.New(1)
 	pool := packet.NewPool()
-	sched := &flowbatch.Schedule{}
-	for i := 0; i < 12000; i++ {
-		sched.Entries = append(sched.Entries, flowbatch.Entry{
-			At: units.Time(i) * 500 * units.Microsecond, Size: 1200,
-			FrameSeq: int32(i / 4), FragIndex: int32(i % 4), FragCount: 4,
-		})
-	}
 	sink := packet.Sink{Pool: pool}
 	l := link.New(s, 100*units.Mbps, 500*units.Microsecond, queue.NewEFPriority(0, 0), &sink)
 	l.Pool = pool
-	chain := flowbatch.ChainSpec{AccessRate: 100 * units.Mbps,
-		AccessDelay: 500 * units.Microsecond}
-	src := &flowbatch.BatchedPaced{
-		Sim: s, Sched: sched, N: 4, BaseFlow: 10, Offset: 7 * units.Millisecond,
-		Chain: chain, Next: []packet.Handler{l}, Pool: pool,
-	}
+	src := denseMixture(s, pool, l)
 	if tap != nil {
 		tap.SetClock(s)
 		src.Tap, src.Hop = tap, tap.Hop("vflows")
 		l.Tap, l.Hop = tap, tap.Hop("border")
 	}
 	src.InitReplay()
-	base := flowbatch.BaseArrivals(sched, chain)
+	class := &src.Classes[0]
+	base := flowbatch.BaseArrivals(class.Sched, class.Chain)
 	const shards = 2
 	p := &shardPipeline{border: s, src: src, window: 10 * units.Millisecond,
 		chunks: make([][]flowbatch.Arrival, shards)}
 	for i := 0; i < shards; i++ {
-		sa := &flowbatch.ShardArrivals{Base: base}
-		for f := i; f < src.N; f += shards {
+		sa := &flowbatch.ShardArrivals{}
+		for f := i; f < class.N; f += shards {
 			sa.Flows = append(sa.Flows, int32(f))
 			sa.Start = append(sa.Start, src.StartOf(f))
+			sa.Bases = append(sa.Bases, base)
 		}
 		sa.Init()
 		p.sas = append(p.sas, sa)
 	}
-	p.seq = &flowbatch.JitterSequencer{RNG: s.RNG(), N: src.N}
+	p.seq = &flowbatch.JitterSequencer{RNG: s.RNG(), JitterMaxOf: make([]units.Time, class.N)}
 	p.seq.Init()
 	for i := 0; i < 20; i++ { // warm buffers, pools, rings
 		p.step()

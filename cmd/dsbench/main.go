@@ -27,7 +27,8 @@
 // <point>.digest behavioral summary beside each sealed trace, the
 // currency of the `dstrace -compare-golden` gate. Trace files are
 // written atomically (temp file + rename), so an interrupted run
-// never leaves a torn .ptrace.
+// never leaves a torn .ptrace; DIR is probed for writability before any
+// job starts, and an unwritable one exits 2 naming the path.
 //
 // Figure scenarios come from the experiment scenario registry and are
 // executed on the deterministic runner pool: -parallel changes only
@@ -43,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -71,12 +73,13 @@ var plotMode bool
 // parallelism is set by the -parallel flag; 0 means GOMAXPROCS.
 var parallelism int
 
-// shardCount is set by the -shards flag; > 1 runs each scenario
-// point's simulation on the intra-run sharded pipeline. Output is
-// byte-identical at any value (the shardeq harness pins this); the
-// knob trades cores-per-point against points-in-flight. Scenarios
-// whose jobs do not dispatch to a sharded pipeline are rejected up
-// front rather than silently ignoring the flag.
+// shardCount is set by the -shards flag: the requested shard workers
+// per simulation. Effective workers = min(requested, partitionable
+// batched flows), reported per point — an unbatched point has none and
+// runs serially. Output is byte-identical at any value (the shardeq
+// harness pins this); the knob trades cores-per-point against
+// points-in-flight. Scenarios that declare no shard capability are
+// rejected up front rather than silently ignoring the flag.
 var shardCount int
 
 // bucketWidth is set by the -bucket-width flag; nonzero pins every
@@ -507,6 +510,24 @@ func resolveTraceFormat(format string, explicit, spill bool) (string, error) {
 	}
 }
 
+// probeTraceDir checks, before any job starts, that -trace DIR can be
+// created and written through the same publish path the point runners
+// use — an unwritable directory is a usage error naming the path, not a
+// panic from whichever job saves its trace first.
+func probeTraceDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("-trace %s: %w", dir, err)
+	}
+	probe := filepath.Join(dir, ".dsbench-probe")
+	if err := atomicfile.WriteFile(probe, nil); err != nil {
+		return fmt.Errorf("-trace %s: directory is not writable: %w", dir, err)
+	}
+	if err := os.Remove(probe); err != nil {
+		return fmt.Errorf("-trace %s: %w", dir, err)
+	}
+	return nil
+}
+
 func main() {
 	list := flag.Bool("list", false, "list available artifacts")
 	run := flag.String("run", "all", "comma-separated artifact names, or 'all'")
@@ -515,7 +536,7 @@ func main() {
 		"compile and register a JSON scenario file (see internal/scenfile); runs it unless -run/-scenario selects otherwise")
 	parallel := flag.Int("parallel", 0, "simulation worker-pool size (0 = all cores, 1 = serial)")
 	shards := flag.Int("shards", 1,
-		"intra-run shard count per simulation (1 = serial; output is identical at any value)")
+		"requested intra-run shard workers per simulation; effective workers = min(requested, partitionable batched flows), reported per point (output is identical at any value)")
 	bucket := flag.Duration("bucket-width", 0,
 		"pin the calendar-queue bucket width, e.g. 50us, disabling width adaptation (0 = adaptive; pure perf knob)")
 	scale := flag.Int("scale", 1, "token-sweep thinning factor (1 = full resolution)")
@@ -601,6 +622,12 @@ func main() {
 		fmt.Printf("\nscenarios (runnable via -scenario): %s\n",
 			strings.Join(experiment.Names(), ", "))
 		return
+	}
+	if traceDir != "" {
+		if err := probeTraceDir(traceDir); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	if *scenario != "" {
 		s := experiment.Lookup(*scenario)

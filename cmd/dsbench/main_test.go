@@ -244,6 +244,33 @@ func TestWriteJSONAtomic(t *testing.T) {
 	}
 }
 
+// TestProbeTraceDir pins the up-front -trace check: a creatable
+// directory passes and is left empty, and a path that cannot be a
+// directory (here, one under a regular file) is an error naming it —
+// main turns that into exit 2 before any job can panic on it.
+func TestProbeTraceDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "traces", "nested")
+	if err := probeTraceDir(dir); err != nil {
+		t.Fatalf("writable directory rejected: %v", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("probe left debris in %s: %v (err %v)", dir, ents, err)
+	}
+
+	file := filepath.Join(t.TempDir(), "plain-file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(file, "traces")
+	err := probeTraceDir(bad)
+	if err == nil {
+		t.Fatalf("probeTraceDir(%s) succeeded under a regular file", bad)
+	}
+	if !strings.Contains(err.Error(), bad) {
+		t.Errorf("error does not name the path: %v", err)
+	}
+}
+
 // TestWidthBlindSelection pins which artifacts reject -bucket-width:
 // exactly the non-scenario ones (static tables, fig6, ablations, the
 // EF service report), and only when actually selected.

@@ -26,47 +26,46 @@
 //
 // Identical paced flows are batched (flowbatch): one representative
 // emission schedule per equivalence class — same encoding, rate and
-// packet sizing — cached and fanned out as N phase-offset virtual
-// flows by a single source that folds the per-flow access link
-// (exact serialization emulation) and campus jitter (root-RNG draws
-// in global arrival order) into itself. Virtual flows keep distinct
-// flow ids, policers, taps and per-flow statistics, and a batched
-// build is byte-identical to N real servers — pinned by the
-// differential harness in internal/experiment — while paying the
-// source-side cost once; the fold is exact for the multi-flow
-// topology and unavailable for random (Poisson/on-off) sources. This
-// is what lets the nflow-wide scenario sweep N ∈ {16..512} with
-// events per virtual flow falling as N grows.
+// packet sizing — cached and fanned out as phase-offset virtual flows
+// by the one batched source, flowbatch.BatchedMixture, which folds the
+// per-flow access link (exact serialization emulation) and campus
+// jitter (root-RNG draws in global arrival order) into itself. K
+// classes — each with its own schedule, access chain, policing
+// profile, phase and stagger — fan out class-major into one
+// interleaved emission stream in exact global (time, flow) order; a
+// homogeneous population (MultiFlowConfig.N) is the K = 1 case of the
+// one multi-flow build (MultiFlowConfig.Classes). Virtual flows keep
+// distinct flow ids, policers, taps and per-flow statistics, and a
+// batched build is byte-identical to N real servers — pinned by the
+// batcheq and mixeq differential harnesses in internal/experiment —
+// while paying the source-side cost once; the fold is exact for the
+// multi-flow topology and unavailable for random (Poisson/on-off)
+// sources. This is what lets the nflow-wide scenario sweep
+// N ∈ {16..512} with events per virtual flow falling as N grows.
 //
-// One big run can additionally be sharded across workers ("dsbench
-// -shards K", MultiFlowConfig.Shards / TandemConfig.Shards) with
-// byte-identical output. Sources partition round-robin into K shards
-// — batched virtual flows advance as time-shifted replays of one
-// shared base arrival sequence (flowbatch.BaseArrivals; the
-// access-chain recurrence is shift-invariant), unbatched chains clone
-// server+access-link onto shard-private simulators — and advance
-// under a conservative lookahead window derived from the minimum
-// latency of the access chain feeding the shared border, which is
-// sound because the topologies are feed-forward. A central sequencer
-// draws the root-RNG jitter stream at exactly the serial positions,
-// and the border simulator replays shard emissions in exact global
-// (time, flow) order, firing its own events strictly before each
-// emission instant, so figures, per-flow statistics, policer
-// verdicts and the merged packet trace are bit-equal to the serial
-// run at every shard count — pinned by the shardeq differential
-// harness in internal/experiment and internal/topology. Unlike flow
-// batching, sharding has no large-N divergence boundary.
+// MultiFlow.Run has two paths. Serial: the source (or the N paced
+// servers of an unbatched build) runs on the one simulator. Sharded
+// ("dsbench -shards K", MultiFlowConfig.Shards), with byte-identical
+// output: the batched virtual flows partition round-robin into
+// min(K, flows) shard workers and advance as time-shifted replays of
+// their class's base arrival sequence (flowbatch.BaseArrivals; the
+// access-chain recurrence is shift-invariant) under a conservative
+// lookahead window derived from the minimum latency of the access
+// chain feeding the shared border, which is sound because the topology
+// is feed-forward. A central sequencer draws the root-RNG jitter stream
+// at exactly the serial positions, and the border simulator replays
+// shard emissions in exact global (time, flow) order, firing its own
+// events strictly before each emission instant, so figures, per-flow
+// statistics, policer verdicts and the merged packet trace are
+// bit-equal to the serial run at every shard count — pinned by the
+// shardeq differential harness in internal/experiment and
+// internal/topology. Unlike flow batching, sharding has no large-N
+// divergence boundary. Only batched flows are partitionable: an
+// unbatched or tandem point asked for K shards runs serially and
+// reports one effective worker.
 //
-// Heterogeneous populations batch as mixtures
-// (flowbatch.BatchedMixture, MultiFlowConfig.Classes): K equivalence
-// classes — each with its own cached schedule, encoding, access
-// chain, policing profile, phase and stagger — fan out class-major
-// into one interleaved emission stream in exact global (time, flow)
-// order, so the batching contract and both differential harnesses
-// extend to mixtures unchanged (mixeq harness in
-// internal/experiment), serially and sharded. Six-figure fleets pair
-// this with aggregated statistics (MultiFlowConfig.AggregateStats):
-// one client.Aggregate per class — delivered counts, streaming delay
+// Six-figure fleets pair a batched mixture with aggregated statistics
+// (MultiFlowConfig.AggregateStats): one client.Aggregate per class — delivered counts, streaming delay
 // moments, fixed-size P² quantile sketches — keeps receive-side
 // memory and figure assembly O(classes) instead of O(flows), at the
 // price of frame-level semantics. The nflow-fleet scenario sweeps

@@ -72,10 +72,10 @@ func TestBatchedNFlowEquivalence(t *testing.T) {
 					mb.Sim.Fired(), mu.Sim.Fired())
 			}
 			// The batched source emitted the full schedule per flow.
-			for i, sent := range mb.Batched.Sent {
-				if sent != len(mb.Batched.Sched.Entries) {
-					t.Errorf("virtual flow %d emitted %d of %d scheduled packets",
-						i, sent, len(mb.Batched.Sched.Entries))
+			scheduled := len(mb.Mixture.Classes[0].Sched.Entries)
+			for i, sent := range mb.Mixture.Sent {
+				if sent != scheduled {
+					t.Errorf("virtual flow %d emitted %d of %d scheduled packets", i, sent, scheduled)
 				}
 			}
 		})

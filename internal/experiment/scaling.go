@@ -50,7 +50,8 @@ func evaluateMultiFlow(ctx *Ctx, cfg topology.MultiFlowConfig, enc *video.Encodi
 	pt.Quality /= n
 	pt.PacketLoss = m.AggregatePolicerLoss()
 	// A sharded run splits the event count between the border simulator
-	// and the shard-private ones; the sum is the comparable total.
+	// and the shard workers' arrival walks; the sum is the comparable
+	// total.
 	pt.Events = m.Sim.Fired() + m.Stats.ShardFired
 	pt.VFlows = len(pt.Flows)
 	pt.Shards = m.Stats.Shards
@@ -179,8 +180,8 @@ func (spec MultiFlowSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// SupportsShards implements ShardCapable: both the batched and the
-// unbatched multi-flow runs dispatch to the sharded pipeline.
+// SupportsShards implements ShardCapable: batched points run on the
+// fan-out pipeline, unbatched ones report one effective worker.
 func (spec MultiFlowSpec) SupportsShards() bool { return true }
 
 // Run regenerates the figure on a default-size runner pool.
@@ -196,7 +197,7 @@ func (spec MultiFlowSpec) Run() *Figure { return RunScenario(spec, 0) }
 // stagger is tightened from 331 ms to 53 ms (still coprime-ish with
 // the 33.4 ms frame interval) so large sweeps actually overlap
 // hundreds of concurrent flows instead of streaming past each other.
-// Every point runs on one BatchedPaced source, so wall time and
+// Every point runs on one batched source, so wall time and
 // simulator events grow sublinearly in N (past the knee the
 // bottleneck transmits at most a pipe's worth no matter how many
 // flows feed it, and queue drops cost no events) — the

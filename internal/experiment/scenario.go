@@ -55,10 +55,11 @@ type Ctx struct {
 	Trace *TraceRequest
 
 	// Shards is the intra-run shard count each job should request from
-	// its topology (dsbench -shards). <= 1 runs every simulation
-	// serially; the assembled figure is byte-identical either way (the
-	// shardeq harness pins this), so the knob trades cores-per-job
-	// against jobs-in-flight without touching results.
+	// its topology (dsbench -shards). Effective workers =
+	// min(requested, partitionable batched flows), reported per point;
+	// the assembled figure is byte-identical at any value (the shardeq
+	// harness pins this), so the knob trades cores-per-job against
+	// jobs-in-flight without touching results.
 	Shards int
 
 	// BucketWidth overrides the calendar-queue bucket width of each
@@ -261,14 +262,17 @@ type Scalable interface {
 	Scaled(n int) Scenario
 }
 
-// ShardCapable is implemented by scenarios whose jobs honor the
-// intra-run shard knob (RunOptions.Shards / dsbench -shards).
-// Scenarios without the method would silently run serial under
-// -shards, so dsbench rejects the combination up front instead.
+// ShardCapable is implemented by scenarios whose jobs accept the
+// intra-run shard knob (RunOptions.Shards / dsbench -shards):
+// effective workers = min(requested, partitionable batched flows),
+// reported per point. A capable scenario's unbatched points have no
+// partitionable flows and report one worker; scenarios without the
+// method cannot report it at all, so dsbench rejects -shards for them
+// up front.
 type ShardCapable interface {
 	Scenario
-	// SupportsShards reports whether the scenario's jobs dispatch to a
-	// sharded pipeline when Ctx.Shards > 1.
+	// SupportsShards reports whether the scenario's jobs pass
+	// Ctx.Shards to their topology and report the effective count.
 	SupportsShards() bool
 }
 
@@ -304,8 +308,8 @@ type RunOptions struct {
 	// Trace requests per-point packet traces.
 	Trace *TraceRequest
 	// Shards asks each job to run its simulation on the intra-run
-	// sharded pipeline with this many shards (<= 1 serial). Results
-	// are byte-identical at any value.
+	// sharded pipeline with up to this many shard workers (see
+	// Ctx.Shards). Results are byte-identical at any value.
 	Shards int
 	// BucketWidth overrides each job's calendar-queue bucket width
 	// (0 keeps defaults). Results are byte-identical at any width.

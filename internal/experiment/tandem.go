@@ -103,7 +103,8 @@ func (spec TandemSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// SupportsShards implements ShardCapable.
+// SupportsShards implements ShardCapable: every point reports one
+// effective worker (a single unbatched stream).
 func (spec TandemSpec) SupportsShards() bool { return true }
 
 // Run regenerates the figure on a default-size runner pool.
@@ -125,7 +126,7 @@ func runTandemPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth unit
 	t := topology.BuildTandem(topology.TandemConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth,
 		SecondBorder: secondBorder, Pool: ctx.Pool, Trace: rec,
-		Shards: ctx.Shards, BucketWidth: ctx.BucketWidth,
+		BucketWidth: ctx.BucketWidth,
 	})
 	t.Run()
 	if err := ctx.SaveTrace(variant+"-"+pointLabel(tok, depth, seed), rec); err != nil {
@@ -146,9 +147,10 @@ func runTandemPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth unit
 	if offered > 0 {
 		ev.PacketLoss = float64(dropped) / float64(offered)
 	}
+	// One unbatched stream has no partitionable flows, so the point runs
+	// serially at any ctx.Shards and reports one effective worker.
 	pt := Point{TokenRate: tok, Depth: depth, Evaluation: ev,
-		Events: t.Sim.Fired() + t.Stats.ShardFired,
-		Shards: t.Stats.Shards, StallRatio: t.Stats.StallRatio}
+		Events: t.Sim.Fired(), Shards: 1}
 	fillQueueStats(&pt, t.Sim)
 	return pt
 }

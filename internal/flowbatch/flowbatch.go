@@ -8,31 +8,45 @@
 // scheduling every frame closure, running a private access link and
 // jitter element per flow) is paid once instead of N times.
 //
+// # One source
+//
+// BatchedMixture is the only batched video source. It streams K
+// equivalence classes (MixtureClass: a cached schedule, a folded access
+// chain, a phase and a stagger), with global flow indices laid out
+// class-major; a homogeneous population is the K = 1 case. One arrival
+// wheel and one delivery wheel (flowWheel, a calendar of time buckets
+// over flow indices — O(1) amortized where a binary heap pays a
+// cache-hostile O(log N) sift; the heap survives in wheel_test.go as
+// the differential oracle) interleave the classes in exact global
+// (time, flow) order. TruncateSchedule caps a class's schedule to a
+// clip prefix for fleet-scale sweeps.
+//
 // # Exactness
 //
-// BatchedPaced folds the per-flow access link and campus jitter of the
+// The mixture folds the per-flow access link and campus jitter of the
 // multi-flow topology into the source and reproduces them exactly:
 //
 //   - the access link is emulated by per-flow serialization state
 //     (txStart = max(emission, busyUntil)), which is bit-identical to a
 //     dedicated link.Link that only this flow crosses;
 //   - the jitter element's uniform draw is taken from the simulator's
-//     root RNG in global arrival order across all virtual flows — the
-//     same stream positions the N real link.Jitter elements would have
-//     consumed — and the order-preserving clamp is applied per flow.
+//     root RNG in global arrival order across all virtual flows of all
+//     classes — the same stream positions the N real link.Jitter
+//     elements would have consumed — and the order-preserving clamp is
+//     applied per flow.
 //
 // Batching is therefore exact (byte-identical figures, delivered and
 // dropped counts) when the batched flows' jitter elements are the only
 // consumers of the simulator's root RNG stream during the run (forks
 // taken at build time do not matter) and no two same-instant events
 // race across virtual flows. The multi-flow topology satisfies both;
-// internal/experiment's differential harness pins the equivalence at
-// N ≤ 8 on the nflow grid and through N = 32 on the wide
-// configuration (empirically exact through N = 96). At larger N the
-// phase-offset lattice eventually realizes an exact same-instant
-// cross-flow coincidence; the fan-out resolves it in deterministic
-// (time, flow) order where a real event queue resolves it in
-// scheduling-sequence order, so past that point a batched run is a
+// internal/experiment's differential harnesses pin the equivalence at
+// N ≤ 8 on the nflow grid, through N = 32 on the wide configuration
+// (empirically exact through N = 96) and on two-class mixtures. At
+// larger N the phase-offset lattice eventually realizes an exact
+// same-instant cross-flow coincidence; the fan-out resolves it in
+// deterministic (time, flow) order where a real event queue resolves it
+// in scheduling-sequence order, so past that point a batched run is a
 // statistically equivalent sample of the same chaotic saturated
 // system rather than a bit-equal one. N = 128 is the first wide grid
 // point where that divergence is realized under the default seed —
@@ -42,34 +56,47 @@
 // traffic, and unsupported for random (Poisson, on-off) sources,
 // whose per-flow RNG forks cannot be reproduced by one shared stream.
 //
-// # Mixtures
+// # Why the delivery timer has two arming rules
 //
-// BatchedMixture generalizes the fan-out from one homogeneous
-// population to K equivalence classes (MixtureClass): each class
-// brings its own cached schedule, access chain, phase and stagger,
-// and fans out as its own set of phase-offset virtual flows, with
-// global flow indices laid out class-major. One arrival wheel and one
-// delivery wheel (flowWheel, a calendar of time buckets over flow
-// indices — O(1) amortized where a binary heap pays a cache-hostile
-// O(log N) sift) interleave the classes in exact global (time, flow)
-// order, so the jitter stream is drawn at exactly the positions K
-// separate per-flow populations would consume and the exactness
-// contract above — and both the batcheq and shardeq differential
-// harnesses — extend to mixtures unchanged. A single class with zero
-// phase is packet-for-packet identical to BatchedPaced.
-// TruncateSchedule caps a class's schedule to a clip prefix for
-// fleet-scale sweeps. Sharded execution reuses the shift-invariance
-// argument per class: ShardArrivals carries per-flow base-sequence
-// indirection (Bases) and JitterSequencer per-flow jitter bounds
-// (JitterMaxOf), so one border replay serves heterogeneous shards.
+// Until PR 12 a second source, BatchedPaced, served homogeneous
+// populations. Into a bare sink the two sources emitted the identical
+// packet sequence, but inside a topology they differed in one decision:
+// BatchedPaced armed one simulator timer per packet at the instant its
+// jitter was drawn — the scheduling sequence number a real jitter
+// element's delivery event takes — while the mixture kept a single
+// timer at the delivery wheel's minimum. The paper's token buckets are
+// two or three packets deep, so one same-nanosecond reorder against a
+// native border event (a link's tx-done, a cross-traffic arrival) flips
+// a policer or EF-queue verdict: sending the 320-flow `wide-batched`
+// benchmark workload through the single-timer rule delivered 206,454
+// packets where its golden pins 206,066. Each golden pins its own
+// tie-break — `wide-batched` and every batcheq grid pin per-packet
+// arming, `fleet-mix` / `fleet-shards2` pin the single timer — so the
+// surviving source keeps both rules behind armPerPacketMax and picks
+// one at Start from the flow count alone. A benchmark-archetype PR that
+// re-pins the two fleet goldens would let the branch collapse to
+// per-packet arming everywhere. Measured when the sources were merged,
+// ten alternating benchmark pairs against the parent commit:
+// `wide-batched` wall 1.22 → 1.07 s (ahead in 10 of 10, unclaimed),
+// mallocs 204,081 → 208,439 (+2.1 %, bound 4 %: the wheels' lazily
+// grown buckets), sim.events unchanged at 5,085,299.
+//
+// # Sharded execution
+//
+// shard.go splits the same fan-out into the three stages of the
+// sharded pipeline (see internal/topology): per-class base walks shifted
+// per flow (ShardArrivals), one JitterSequencer that draws every
+// class's jitter in global order, and border replay through
+// BatchedMixture.Inject. Only a batched mixture has partitionable
+// flows; chain-clone sharding of unbatched servers was retired in
+// PR 12 after serial beat it in every one of ten alternating pairs on
+// nflow, schedcomp and tandem (CHANGES.md has the table).
 package flowbatch
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/packet"
-	"repro/internal/ptrace"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -158,7 +185,7 @@ func CachedPacedSchedule(enc *video.Encoding) *Schedule {
 }
 
 // ChainSpec is the deterministic pre-policer path folded into a
-// BatchedPaced source: a dedicated access link (serialization at
+// batched source: a dedicated access link (serialization at
 // AccessRate plus AccessDelay propagation) followed by an
 // order-preserving uniform jitter element bounded by JitterMax. A zero
 // AccessRate means an infinitely fast access link; a zero JitterMax
@@ -167,70 +194,6 @@ type ChainSpec struct {
 	AccessRate  units.BitRate
 	AccessDelay units.Time
 	JitterMax   units.Time
-}
-
-// flowHeap is a binary min-heap of virtual-flow indices ordered by an
-// external key slice, ties broken by index so same-instant fan-out is
-// deterministic.
-type flowHeap struct {
-	idx []int32
-	key []units.Time
-}
-
-func (h *flowHeap) len() int   { return len(h.idx) }
-func (h *flowHeap) min() int32 { return h.idx[0] }
-
-func (h *flowHeap) less(a, b int32) bool {
-	if h.key[a] != h.key[b] {
-		return h.key[a] < h.key[b]
-	}
-	return a < b
-}
-
-func (h *flowHeap) push(i int32) {
-	h.idx = append(h.idx, i)
-	c := len(h.idx) - 1
-	for c > 0 {
-		p := (c - 1) / 2
-		if !h.less(h.idx[c], h.idx[p]) {
-			break
-		}
-		h.idx[c], h.idx[p] = h.idx[p], h.idx[c]
-		c = p
-	}
-}
-
-// fixMin restores heap order after the root's key changed.
-func (h *flowHeap) fixMin() { h.siftDown(0) }
-
-func (h *flowHeap) pop() int32 {
-	top := h.idx[0]
-	last := len(h.idx) - 1
-	h.idx[0] = h.idx[last]
-	h.idx = h.idx[:last]
-	if len(h.idx) > 0 {
-		h.siftDown(0)
-	}
-	return top
-}
-
-func (h *flowHeap) siftDown(i int) {
-	n := len(h.idx)
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && h.less(h.idx[l], h.idx[s]) {
-			s = l
-		}
-		if r < n && h.less(h.idx[r], h.idx[s]) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		h.idx[i], h.idx[s] = h.idx[s], h.idx[i]
-		i = s
-	}
 }
 
 // timeRing is a FIFO of timestamps on a compacting slice — the
@@ -271,207 +234,6 @@ func (r *timeRing) Pop() units.Time {
 	return t
 }
 
-// BatchedPaced streams one shared Schedule as N virtual paced flows.
-// Flow i starts at Start time + i*Offset, carries flow id BaseFlow+i,
-// and delivers into Next[i] (or Next[0] when one shared next hop is
-// given). The folded ChainSpec stands in for the per-flow access link
-// and jitter elements; see the package comment for when the fold is
-// exact.
-//
-// Two pre-bound Timers drive the whole fan-out: an arrival timer that
-// walks the merged (per-flow serialized) arrival sequence, drawing
-// each packet's jitter at its arrival instant, and a delivery timer
-// that hands materialized packets to the per-flow next hops at their
-// jittered times. Steady-state emission allocates nothing: packets
-// come from Pool, timestamps ride preallocated heaps and rings, and
-// the simulator recycles both timer events.
-type BatchedPaced struct {
-	Sim      *sim.Simulator
-	Sched    *Schedule
-	N        int
-	BaseFlow packet.FlowID
-	Offset   units.Time // start stagger between consecutive virtual flows
-	Chain    ChainSpec
-	Next     []packet.Handler // per-virtual-flow next hop; a single entry is shared
-	Pool     *packet.Pool
-
-	// Tap, when set, receives one LinkDeliver event per packet as it
-	// leaves the folded chain — the observable the real chain's last
-	// element would have emitted, with the virtual flow id preserved.
-	Tap ptrace.Tap
-	Hop ptrace.HopID
-
-	// Per-virtual-flow emission counters (delivery-ordered).
-	Sent      []int
-	SentBytes []int64
-
-	start        []units.Time
-	drawn        []int // entries whose jitter has been drawn
-	delivered    []int // entries handed to Next
-	busyUntil    []units.Time
-	lastDelivery []units.Time
-	nextArr      []units.Time
-	nextDel      []units.Time
-	pending      []timeRing
-
-	arrHeap flowHeap
-	delHeap flowHeap
-
-	arrive  sim.Timer
-	deliver sim.Timer
-}
-
-// arriveTimer and deliverTimer give the source two Fire methods
-// without per-schedule closures (the link.Link pattern).
-type (
-	arriveTimer  BatchedPaced
-	deliverTimer BatchedPaced
-)
-
-// Fire advances the merged arrival sequence.
-func (t *arriveTimer) Fire(now units.Time) { (*BatchedPaced)(t).processArrivals(now) }
-
-// Fire hands due packets to their virtual flows' next hops.
-func (t *deliverTimer) Fire(now units.Time) { (*BatchedPaced)(t).deliverDue(now) }
-
-// Start schedules the fan-out. Flow 0's first packet follows the same
-// chain timing a freshly started server.Paced would produce.
-func (s *BatchedPaced) Start() {
-	if s.N <= 0 || s.Sched == nil || len(s.Sched.Entries) == 0 {
-		return
-	}
-	if len(s.Next) != s.N && len(s.Next) != 1 {
-		panic(fmt.Sprintf("flowbatch: %d next hops for %d virtual flows (want N or 1)", len(s.Next), s.N))
-	}
-	n := s.N
-	s.Sent = make([]int, n)
-	s.SentBytes = make([]int64, n)
-	s.start = make([]units.Time, n)
-	s.drawn = make([]int, n)
-	s.delivered = make([]int, n)
-	s.busyUntil = make([]units.Time, n)
-	s.lastDelivery = make([]units.Time, n)
-	s.nextArr = make([]units.Time, n)
-	s.nextDel = make([]units.Time, n)
-	s.pending = make([]timeRing, n)
-	s.arrHeap = flowHeap{idx: make([]int32, 0, n), key: s.nextArr}
-	s.delHeap = flowHeap{idx: make([]int32, 0, n), key: s.nextDel}
-	s.arrive = (*arriveTimer)(s)
-	s.deliver = (*deliverTimer)(s)
-	now := s.Sim.Now()
-	for i := 0; i < n; i++ {
-		s.start[i] = now + units.Time(int64(i))*s.Offset
-		s.computeArrival(i)
-		s.arrHeap.push(int32(i))
-	}
-	s.Sim.AtTimer(s.nextArr[s.arrHeap.min()], s.arrive)
-}
-
-// computeArrival advances flow i's access-link emulation to its next
-// undrawn entry: serialization starts at the emission instant or when
-// the link frees up, whichever is later — exactly a dedicated
-// link.Link's FIFO.
-func (s *BatchedPaced) computeArrival(i int) {
-	e := &s.Sched.Entries[s.drawn[i]]
-	txStart := s.start[i] + e.At
-	if s.busyUntil[i] > txStart {
-		txStart = s.busyUntil[i]
-	}
-	done := txStart + s.Chain.AccessRate.TxTime(e.Size)
-	s.busyUntil[i] = done
-	s.nextArr[i] = done + s.Chain.AccessDelay
-}
-
-// processArrivals draws jitter for every virtual-flow packet arriving
-// now, in (time, flow) order — the same root-RNG consumption order N
-// real jitter elements would produce — and schedules each packet's
-// delivery at its jittered instant.
-func (s *BatchedPaced) processArrivals(now units.Time) {
-	for s.arrHeap.len() > 0 {
-		i := s.arrHeap.min()
-		a := s.nextArr[i]
-		if a > now {
-			break
-		}
-		// Uniform draw plus order-preserving clamp: link.Jitter.Handle,
-		// with the element's state held per virtual flow.
-		t := a
-		if s.Chain.JitterMax > 0 {
-			t = a + units.Time(s.Sim.RNG().Float64()*float64(s.Chain.JitterMax))
-		}
-		if t < s.lastDelivery[i] {
-			t = s.lastDelivery[i]
-		}
-		s.lastDelivery[i] = t
-		if s.pending[i].Len() == 0 {
-			s.nextDel[i] = t
-			s.delHeap.push(i)
-		}
-		s.pending[i].Push(t)
-		s.Sim.AtTimer(t, s.deliver)
-		s.drawn[i]++
-		if s.drawn[i] < len(s.Sched.Entries) {
-			s.computeArrival(int(i))
-			s.arrHeap.fixMin()
-		} else {
-			s.arrHeap.pop()
-		}
-	}
-	if s.arrHeap.len() > 0 {
-		s.Sim.AtTimer(s.nextArr[s.arrHeap.min()], s.arrive)
-	}
-}
-
-// deliverDue materializes and forwards every packet whose jittered
-// delivery instant is now, in (time, flow) order.
-func (s *BatchedPaced) deliverDue(now units.Time) {
-	for s.delHeap.len() > 0 {
-		i := s.delHeap.min()
-		if s.nextDel[i] > now {
-			break
-		}
-		s.pending[i].Pop()
-		k := s.delivered[i]
-		s.delivered[i]++
-		e := &s.Sched.Entries[k]
-		p := s.Pool.Get()
-		p.ID = traffic.NewPacketID()
-		p.Flow = s.BaseFlow + packet.FlowID(i)
-		p.Proto = packet.UDP
-		p.Size = e.Size
-		p.FrameSeq, p.FragIndex, p.FragCount = int(e.FrameSeq), int(e.FragIndex), int(e.FragCount)
-		p.SentAt = s.start[i] + e.At
-		s.Sent[i]++
-		s.SentBytes[i] += int64(e.Size)
-		if s.Tap != nil {
-			s.Tap.Emit(ptrace.Event{
-				Kind: ptrace.LinkDeliver, Hop: s.Hop, Flow: p.Flow, PktID: p.ID,
-				Size: int32(p.Size), DSCP: p.DSCP, FrameSeq: e.FrameSeq,
-			})
-		}
-		next := s.Next[0]
-		if len(s.Next) > 1 {
-			next = s.Next[i]
-		}
-		next.Handle(p)
-		if s.pending[i].Len() > 0 {
-			s.nextDel[i] = s.pending[i].Peek()
-			s.delHeap.fixMin()
-		} else {
-			s.delHeap.pop()
-		}
-	}
-}
-
-// TotalSent sums the per-virtual-flow emission counters.
-func (s *BatchedPaced) TotalSent() int {
-	total := 0
-	for _, n := range s.Sent {
-		total += n
-	}
-	return total
-}
-
 // BatchedCBR fans one constant-bit-rate emission pattern out as N
 // phase-offset virtual flows carrying ids BaseFlow..BaseFlow+N-1, all
 // feeding Next directly — the batched form of N identical traffic.CBR
@@ -494,7 +256,7 @@ type BatchedCBR struct {
 	Sent int
 
 	nextAt []units.Time
-	heap   flowHeap
+	wheel  flowWheel
 	timer  sim.Timer
 }
 
@@ -513,25 +275,26 @@ func (c *BatchedCBR) Start() {
 		c.Size = units.EthernetMTU
 	}
 	c.nextAt = make([]units.Time, c.N)
-	c.heap = flowHeap{idx: make([]int32, 0, c.N), key: c.nextAt}
+	// One emission per flow per packet time.
+	c.wheel = newFlowWheel(c.nextAt, int64(c.N), c.Rate.TxTime(c.Size))
 	c.timer = (*batchedCBRTimer)(c)
 	now := c.Sim.Now()
 	for i := 0; i < c.N; i++ {
 		c.nextAt[i] = now + units.Time(int64(i))*c.Phase
-		c.heap.push(int32(i))
+		c.wheel.push(int32(i))
 	}
-	c.Sim.AtTimer(c.nextAt[c.heap.min()], c.timer)
+	c.Sim.AtTimer(c.nextAt[c.wheel.min()], c.timer)
 }
 
 func (c *BatchedCBR) emitDue(now units.Time) {
 	step := c.Rate.TxTime(c.Size)
-	for c.heap.len() > 0 {
-		i := c.heap.min()
+	for c.wheel.len() > 0 {
+		i := c.wheel.min()
 		if c.nextAt[i] > now {
 			break
 		}
 		if c.Until > 0 && now >= c.Until {
-			c.heap.pop()
+			c.wheel.pop()
 			continue
 		}
 		p := c.Pool.Get()
@@ -540,9 +303,9 @@ func (c *BatchedCBR) emitDue(now units.Time) {
 		c.Sent++
 		c.Next.Handle(p)
 		c.nextAt[i] = now + step
-		c.heap.fixMin()
+		c.wheel.fixMin()
 	}
-	if c.heap.len() > 0 {
-		c.Sim.AtTimer(c.nextAt[c.heap.min()], c.timer)
+	if c.wheel.len() > 0 {
+		c.Sim.AtTimer(c.nextAt[c.wheel.min()], c.timer)
 	}
 }

@@ -87,7 +87,15 @@ func buildChain(s *sim.Simulator, pool *packet.Pool, spec ChainSpec, next packet
 	return l
 }
 
-// TestBatchedPacedFoldsChainExactly compares a BatchedPaced source
+// oneClass builds the homogeneous fan-out: a single-class mixture of n
+// flows started offset apart, all feeding next.
+func oneClass(s *sim.Simulator, sched *Schedule, n int, base packet.FlowID, offset units.Time,
+	chain ChainSpec, next packet.Handler, pool *packet.Pool) *BatchedMixture {
+	return &BatchedMixture{Sim: s, BaseFlow: base, Next: []packet.Handler{next}, Pool: pool,
+		Classes: []MixtureClass{{Sched: sched, N: n, Offset: offset, Chain: chain}}}
+}
+
+// TestMixtureFoldsChainExactly compares a one-class mixture
 // against per-flow server-style emissions through real link and
 // jitter elements, with a synthetic schedule that includes
 // back-to-back same-instant entries — forcing the access link to
@@ -95,7 +103,7 @@ func buildChain(s *sim.Simulator, pool *packet.Pool, spec ChainSpec, next packet
 // just the idle path. Both simulations share a seed, so the jitter
 // draws must line up in global arrival order for the outputs to
 // match.
-func TestBatchedPacedFoldsChainExactly(t *testing.T) {
+func TestMixtureFoldsChainExactly(t *testing.T) {
 	sched := &Schedule{}
 	rng := rand.New(rand.NewSource(42))
 	var at units.Time
@@ -166,8 +174,7 @@ func TestBatchedPacedFoldsChainExactly(t *testing.T) {
 	s2 := sim.New(99)
 	pool2 := packet.NewPool()
 	got := &recorder{sim: s2, pool: pool2}
-	src := &BatchedPaced{Sim: s2, Sched: sched, N: n, BaseFlow: 100, Offset: offset,
-		Chain: chain, Next: []packet.Handler{got}, Pool: pool2}
+	src := oneClass(s2, sched, n, 100, offset, chain, got, pool2)
 	src.Start()
 	s2.Run()
 
@@ -193,22 +200,21 @@ func runBatchedAtWidth(sched *Schedule, width units.Time) (*sim.Simulator, []emi
 	s := sim.NewWithBucketWidth(77, width)
 	pool := packet.NewPool()
 	got := &recorder{sim: s, pool: pool}
-	src := &BatchedPaced{Sim: s, Sched: sched, N: 4, BaseFlow: 200, Offset: 1_712_345,
-		Chain: ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond,
-			JitterMax: 3 * units.Millisecond},
-		Next: []packet.Handler{got}, Pool: pool}
+	src := oneClass(s, sched, 4, 200, 1_712_345,
+		ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond,
+			JitterMax: 3 * units.Millisecond}, got, pool)
 	src.Start()
 	s.Run()
 	return s, got.got
 }
 
-// TestBatchedPacedWidthInvariant pins calendar geometry out of the
+// TestMixtureWidthInvariant pins calendar geometry out of the
 // results: the same batched simulation run under the adaptive default
 // and under pinned widths far finer and far coarser than the traffic
 // spacing must deliver byte-identical packet streams — same instants,
 // flows, sizes and jitter draws (seeded RNG consumed in the same
 // event order). Bucket width is a performance knob only.
-func TestBatchedPacedWidthInvariant(t *testing.T) {
+func TestMixtureWidthInvariant(t *testing.T) {
 	sched := &Schedule{}
 	rng := rand.New(rand.NewSource(9))
 	var at units.Time
@@ -284,8 +290,9 @@ func TestBatchedCBREquivalence(t *testing.T) {
 	}
 }
 
-// TestFlowHeapOrdering property-tests the index heap: pops come out in
-// (key, index) order under interleaved pushes and key advances.
+// TestFlowHeapOrdering property-tests the wheel's oracle (wheel_test.go):
+// pops come out in (key, index) order under interleaved pushes and key
+// advances.
 func TestFlowHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	keys := make([]units.Time, 64)

@@ -10,14 +10,13 @@ import (
 	"repro/internal/units"
 )
 
-// This file generalizes the homogeneous fan-out to a mixture of
-// equivalence classes: K cached schedules, each fanned out as its own
-// phase-offset virtual-flow population, interleaved in one global
-// (time, flow) order. The interleaving is what makes the mixture
-// exact: the jitter draws of every class come from the simulator's
-// root RNG in the identical sequence N real per-flow jitter elements
-// would consume, which K independent BatchedPaced sources — each
-// walking its own arrival heap — could not reproduce.
+// The batched video source: K cached schedules, each fanned out as its
+// own phase-offset virtual-flow population, interleaved in one global
+// (time, flow) order. The interleaving is what makes a mixture exact:
+// the jitter draws of every class come from the simulator's root RNG in
+// the identical sequence N real per-flow jitter elements would consume,
+// which K independent sources — each walking its own arrival wheel —
+// could not reproduce.
 
 // TruncateSchedule returns the prefix of sched strictly before cutoff
 // (emission offsets, not absolute times). The entries share sched's
@@ -59,12 +58,18 @@ type MixtureClass struct {
 // Global virtual-flow indices are class-major: class 0 owns flows
 // [0, N0), class 1 owns [N0, N0+N1), and so on; flow g carries packet
 // flow id BaseFlow+g and delivers into Next[g] (or Next[0] when one
-// shared next hop is given). With a single class and zero phase it is
-// packet-for-packet identical to a BatchedPaced over the same
-// schedule — the mixture tests pin this — and the exactness contract
-// of the package comment carries over unchanged: per-flow access-link
-// serialization is folded bit-exactly, and jitter is drawn from the
-// root RNG in global (time, flow) arrival order across all classes.
+// shared next hop is given). The exactness contract of the package
+// comment holds per class: per-flow access-link serialization is folded
+// bit-exactly, and jitter is drawn from the root RNG in global
+// (time, flow) arrival order across all classes.
+//
+// Two pre-bound Timers drive the whole fan-out: an arrival timer that
+// walks the merged (per-flow serialized) arrival sequence, drawing
+// each packet's jitter at its arrival instant, and a delivery timer
+// that hands materialized packets to the per-flow next hops at their
+// jittered times. Steady-state emission allocates nothing: packets
+// come from Pool, timestamps ride preallocated wheels and rings, and
+// the simulator recycles both timer events.
 type BatchedMixture struct {
 	Sim      *sim.Simulator
 	Classes  []MixtureClass
@@ -95,24 +100,37 @@ type BatchedMixture struct {
 	arrWheel flowWheel
 	delWheel flowWheel
 
-	// delArmed is the earliest instant a delivery timer is armed for
-	// (-1: none) and delTimer its handle. The delivery wheel already
-	// orders every pending packet, so the simulator only ever needs one
-	// timer at the wheel's minimum — arming per packet would keep
-	// thousands of resident calendar events whose only effect is
-	// lengthening every bucket scan in the hot loop. When a new jitter
-	// draw undercuts the armed instant the stale timer is cancelled,
-	// not abandoned: abandoned timers re-arm on every no-op fire and
-	// accumulate without bound.
-	delArmed units.Time
-	delTimer sim.Handle
+	// perPacket selects the delivery-timer arming rule (see
+	// armPerPacketMax). Under the single-timer rule delArmed is the
+	// earliest instant a delivery timer is armed for (-1: none) and
+	// delTimer its handle; when a new jitter draw undercuts the armed
+	// instant the stale timer is cancelled, not abandoned: abandoned
+	// timers re-arm on every no-op fire and accumulate without bound.
+	perPacket bool
+	delArmed  units.Time
+	delTimer  sim.Handle
 
 	arrive  sim.Timer
 	deliver sim.Timer
 }
 
+// armPerPacketMax is the largest population whose deliveries are armed
+// one simulator timer per packet, at the instant the packet's jitter is
+// drawn. That timer takes the scheduling sequence number a real
+// link.Jitter's delivery event would take, so same-nanosecond ties
+// against native border events resolve exactly as in the unbatched
+// build, and it keeps only ≈ rate × jitter resident events (≈ 40 at 320
+// flows). Above it one timer rides the delivery wheel's minimum: the
+// wheel already orders every pending packet, and per-packet arming
+// would keep ≈ 2,000 resident calendar events at 16k flows whose only
+// effect is lengthening every bucket scan in the hot loop. The two
+// rules emit the identical sequence into a sink but break topology ties
+// differently, and the benchmark goldens pin one each: `wide-batched`
+// (320 flows) sits below the boundary, `fleet-mix` (16,000) above it.
+const armPerPacketMax = 1024
+
 // mixArriveTimer and mixDeliverTimer give the mixture two Fire methods
-// without closures (the BatchedPaced pattern).
+// without per-schedule closures (the link.Link pattern).
 type (
 	mixArriveTimer  BatchedMixture
 	mixDeliverTimer BatchedMixture
@@ -169,12 +187,18 @@ func (s *BatchedMixture) init() int {
 	return n
 }
 
-// Start schedules the interleaved fan-out.
-func (s *BatchedMixture) Start() {
+// Start schedules the interleaved fan-out. Each flow's first packet
+// follows the same chain timing a freshly started server.Paced would
+// produce.
+func (s *BatchedMixture) Start() { s.startArmed(s.TotalFlows() <= armPerPacketMax) }
+
+// startArmed is Start under an explicit arming rule.
+func (s *BatchedMixture) startArmed(perPacket bool) {
 	if s.TotalFlows() <= 0 {
 		return
 	}
 	n := s.init()
+	s.perPacket = perPacket
 	s.drawn = make([]int, n)
 	s.delivered = make([]int, n)
 	s.busyUntil = make([]units.Time, n)
@@ -215,8 +239,9 @@ func (s *BatchedMixture) Start() {
 }
 
 // computeArrival advances flow g's access-link emulation to its next
-// undrawn entry of its class schedule — BatchedPaced.computeArrival
-// with the schedule and chain looked up per class.
+// undrawn entry of its class schedule: serialization starts at the
+// emission instant or when the link frees up, whichever is later —
+// exactly a dedicated link.Link's FIFO.
 func (s *BatchedMixture) computeArrival(g int) {
 	c := &s.Classes[s.classOf[g]]
 	e := &c.Sched.Entries[s.drawn[g]]
@@ -230,8 +255,9 @@ func (s *BatchedMixture) computeArrival(g int) {
 }
 
 // processArrivals draws jitter for every packet arriving now, in
-// global (time, flow) order across all classes, and schedules each
-// packet's delivery at its jittered instant.
+// global (time, flow) order across all classes — the same root-RNG
+// consumption order N real jitter elements would produce — and
+// schedules each packet's delivery at its jittered instant.
 func (s *BatchedMixture) processArrivals(now units.Time) {
 	for s.arrWheel.len() > 0 {
 		g := s.arrWheel.min()
@@ -240,6 +266,8 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 			break
 		}
 		c := &s.Classes[s.classOf[g]]
+		// Uniform draw plus order-preserving clamp: link.Jitter.Handle,
+		// with the element's state held per virtual flow.
 		t := a
 		if c.Chain.JitterMax > 0 {
 			t = a + units.Time(s.Sim.RNG().Float64()*float64(c.Chain.JitterMax))
@@ -253,6 +281,9 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 			s.delWheel.push(g)
 		}
 		s.pending[g].Push(t)
+		if s.perPacket {
+			s.Sim.AtTimer(t, s.deliver)
+		}
 		s.drawn[g]++
 		if s.drawn[g] < len(c.Sched.Entries) {
 			s.computeArrival(int(g))
@@ -267,12 +298,13 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 	}
 }
 
-// armDeliver keeps exactly one delivery timer armed at the wheel's
-// minimum, cancelling the previous one when the minimum moved earlier
-// (the handle of a timer that already fired is stale, so Cancel is a
-// no-op in the common re-arm-after-fire case).
+// armDeliver, under the single-timer rule, keeps exactly one delivery
+// timer armed at the wheel's minimum, cancelling the previous one when
+// the minimum moved earlier (the handle of a timer that already fired
+// is stale, so Cancel is a no-op in the common re-arm-after-fire case).
+// Under per-packet arming every pending delivery already has its timer.
 func (s *BatchedMixture) armDeliver() {
-	if s.delWheel.len() == 0 {
+	if s.perPacket || s.delWheel.len() == 0 {
 		return
 	}
 	if t := s.nextDel[s.delWheel.min()]; s.delArmed < 0 || t < s.delArmed {
@@ -294,7 +326,7 @@ func (s *BatchedMixture) deliverDue(now units.Time) {
 		s.pending[g].Pop()
 		k := s.delivered[g]
 		s.delivered[g]++
-		s.emit(g, int32(k))
+		s.Inject(g, int32(k))
 		if s.pending[g].Len() > 0 {
 			s.nextDel[g] = s.pending[g].Peek()
 			s.delWheel.fixMin()
@@ -305,9 +337,12 @@ func (s *BatchedMixture) deliverDue(now units.Time) {
 	s.armDeliver()
 }
 
-// emit materializes entry k of global flow g and forwards it — shared
-// by the serial delivery loop and the sharded border replay.
-func (s *BatchedMixture) emit(g, k int32) {
+// Inject materializes entry k of global flow g at the current clock and
+// forwards it to the flow's next hop — the body of the serial delivery
+// loop, and the whole of the sharded border replay, whose caller must
+// have advanced the border simulator to the delivery instant so packet
+// ids, taps and downstream elements observe the serial timeline.
+func (s *BatchedMixture) Inject(g, k int32) {
 	c := &s.Classes[s.classOf[g]]
 	e := &c.Sched.Entries[k]
 	p := s.Pool.Get()
@@ -338,13 +373,9 @@ func (s *BatchedMixture) emit(g, k int32) {
 func (s *BatchedMixture) InitReplay() { s.init() }
 
 // StartOf reports global flow g's start time (valid after Start or
-// InitReplay).
+// InitReplay) — the shard orchestrator seeds ShardArrivals.Start from
+// it so both sides agree bit-for-bit.
 func (s *BatchedMixture) StartOf(g int) units.Time { return s.start[g] }
-
-// Inject materializes entry k of global flow g at the current border
-// clock — the mixture counterpart of BatchedPaced.Inject. The caller
-// must have advanced the border simulator to the delivery instant.
-func (s *BatchedMixture) Inject(g, k int32) { s.emit(g, k) }
 
 // TotalSent sums the per-virtual-flow emission counters.
 func (s *BatchedMixture) TotalSent() int {

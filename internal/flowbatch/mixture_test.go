@@ -29,61 +29,49 @@ func (c *captureHandler) Handle(p *packet.Packet) {
 	c.pool.Put(p)
 }
 
-// TestMixtureSingleClassMatchesBatchedPaced pins the degenerate-case
-// contract of BatchedMixture: one class with zero phase must be
-// packet-for-packet identical to a BatchedPaced over the same schedule
-// — same delivery instants, same flow ids, same sizes, same send
-// stamps, same per-flow counters.
-func TestMixtureSingleClassMatchesBatchedPaced(t *testing.T) {
+// TestArmingRulesEmitIdentically pins the one decision the source keeps
+// two forms of: into a bare sink — no native border events to tie with
+// — per-packet and single-timer delivery arming emit the identical
+// packet sequence, on either side of armPerPacketMax, and Start picks
+// the rule from the flow count alone. (Inside a topology the rules
+// break same-instant ties differently; see the package comment.)
+func TestArmingRulesEmitIdentically(t *testing.T) {
 	t.Parallel()
-	enc := video.CachedCBR(video.Lost(), 1.0e6)
-	sched := CachedPacedSchedule(enc)
+	sched := TruncateSchedule(CachedPacedSchedule(video.CachedCBR(video.Lost(), 1.0e6)), units.Second)
 	chain := ChainSpec{AccessRate: 100 * units.Mbps,
 		AccessDelay: 500 * units.Microsecond, JitterMax: 3 * units.Millisecond}
-	const n = 8
-	const offset = 53 * units.Millisecond
-	horizon := units.FromSeconds(80) + units.Time(n)*offset
-
-	runPaced := func() ([]capRec, []int) {
+	run := func(n int, start func(*BatchedMixture)) ([]capRec, bool) {
 		s := sim.New(7)
 		pool := packet.NewPool()
-		cap := &captureHandler{sim: s, pool: pool}
-		bp := &BatchedPaced{Sim: s, Sched: sched, N: n, Offset: offset,
-			Chain: chain, Next: []packet.Handler{cap}, Pool: pool}
-		bp.Start()
-		s.SetHorizon(horizon)
+		sink := &captureHandler{sim: s, pool: pool}
+		mix := &BatchedMixture{Sim: s, Next: []packet.Handler{sink}, Pool: pool,
+			Classes: []MixtureClass{
+				{Sched: sched, N: n / 2, Offset: 1_712_345, Chain: chain},
+				{Sched: sched, N: n - n/2, Phase: 170 * units.Microsecond, Offset: 2_170_001, Chain: chain},
+			}}
+		start(mix)
 		s.Run()
-		return cap.recs, bp.Sent
-	}
-	runMixture := func() ([]capRec, []int) {
-		s := sim.New(7)
-		pool := packet.NewPool()
-		cap := &captureHandler{sim: s, pool: pool}
-		mix := &BatchedMixture{Sim: s,
-			Classes: []MixtureClass{{Sched: sched, N: n, Offset: offset, Chain: chain}},
-			Next:    []packet.Handler{cap}, Pool: pool}
-		mix.Start()
-		s.SetHorizon(horizon)
-		s.Run()
-		return cap.recs, mix.Sent
-	}
-
-	pr, ps := runPaced()
-	mr, msent := runMixture()
-	if len(pr) != len(mr) {
-		t.Fatalf("emission counts differ: paced %d, mixture %d", len(pr), len(mr))
-	}
-	for i := range pr {
-		if pr[i] != mr[i] {
-			t.Fatalf("emission %d differs: paced %+v, mixture %+v", i, pr[i], mr[i])
+		if got, want := mix.TotalSent(), n*len(sched.Entries); got != want {
+			t.Fatalf("N=%d emitted %d of %d scheduled packets", n, got, want)
 		}
+		return sink.recs, mix.perPacket
 	}
-	for i := range ps {
-		if ps[i] != msent[i] {
-			t.Errorf("flow %d Sent: paced %d, mixture %d", i, ps[i], msent[i])
+	for _, n := range []int{armPerPacketMax, armPerPacketMax + 1} {
+		chosen, perPacket := run(n, (*BatchedMixture).Start)
+		if want := n <= armPerPacketMax; perPacket != want {
+			t.Errorf("N=%d: Start armed per packet = %v, want %v", n, perPacket, want)
 		}
-		if ps[i] != len(sched.Entries) {
-			t.Errorf("flow %d emitted %d of %d scheduled", i, ps[i], len(sched.Entries))
+		for _, rule := range []bool{true, false} {
+			forced, _ := run(n, func(m *BatchedMixture) { m.startArmed(rule) })
+			if len(forced) != len(chosen) {
+				t.Fatalf("N=%d perPacket=%v: %d emissions, Start's rule %d", n, rule, len(forced), len(chosen))
+			}
+			for i := range chosen {
+				if forced[i] != chosen[i] {
+					t.Fatalf("N=%d perPacket=%v: emission %d differs: %+v vs %+v",
+						n, rule, i, forced[i], chosen[i])
+				}
+			}
 		}
 	}
 }

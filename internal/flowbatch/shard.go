@@ -4,15 +4,12 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/packet"
-	"repro/internal/ptrace"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
-// This file splits BatchedPaced into the three stages of the sharded
-// execution mode (see internal/topology's sharded runs):
+// This file splits the BatchedMixture fan-out into the three stages of
+// the sharded execution mode (see internal/topology's sharded runs):
 //
 //   - ShardArrivals: the RNG-free arrival walk (per-flow access-link
 //     serialization) over a subset of the virtual flows, advanced
@@ -22,7 +19,7 @@ import (
 //     order, draws each packet's jitter from the root RNG at exactly
 //     the stream position the serial run would have used, and releases
 //     deliveries once the lookahead frontier proves them final;
-//   - BatchedPaced.InitReplay/Inject: materialization of each
+//   - BatchedMixture.InitReplay/Inject: materialization of each
 //     delivery on the border simulator, at the delivery instant, in
 //     the exact order the sequencer released them.
 //
@@ -33,24 +30,23 @@ import (
 // serial order. Sharding therefore moves work, not decisions.
 //
 // The arrival walk goes further than relocating computeArrival: every
-// virtual flow plays the same shared schedule through the same chain
-// parameters, and the serialization recurrence is shift-invariant —
-// max(a+c, b+c) = max(a, b)+c, so a flow started at s produces
-// arrival k at exactly s + base[k], where base is the walk of a flow
-// started at 0. BaseArrivals computes that base sequence once; a
-// shard then emits nothing but shifted copies of one array, with no
-// per-arrival arithmetic and no event queue at all.
+// virtual flow of a class plays the same shared schedule through the
+// same chain parameters, and the serialization recurrence is
+// shift-invariant — max(a+c, b+c) = max(a, b)+c, so a flow started at s
+// produces arrival k at exactly s + base[k], where base is the walk of
+// a flow started at 0. BaseArrivals computes that base sequence once
+// per class; a shard then emits nothing but shifted copies of those
+// arrays, with no per-arrival arithmetic and no event queue at all.
 //
 // Ordering inside a window is established by sorting, not by a merge
 // heap. Each stage's keys are unique total orders — at most one
 // arrival per (time, flow) because per-flow arrival times strictly
 // increase, and deliveries carry a per-flow draw index as the final
-// tie-break — so a plain unstable sort of the window's batch yields
-// the exact global sequence. On contiguous 16-byte records with an
-// inlined comparator this is several times cheaper than the log-N
-// sift per element that a merge heap pays (the heap was the top
-// profile entry at N=512), and the lookahead window is purely the
-// batching grain.
+// tie-break — so one sort of the window's batch yields the exact global
+// sequence. On contiguous 16-byte records with an inlined comparator
+// this is several times cheaper than the log-N sift per element that a
+// merge heap pays (the heap was the top profile entry at N=512), and
+// the lookahead window is purely the batching grain.
 
 // Arrival is one packet of one virtual flow leaving its folded access
 // chain: entry Entry of the shared schedule, owned by global virtual
@@ -63,15 +59,13 @@ type Arrival struct {
 
 // Delivery is one packet whose jittered delivery instant is final: no
 // arrival still unprocessed anywhere can deliver at or before it.
-// Deliveries are released in exact global (time, flow) order.
-type Delivery struct {
-	At    units.Time
-	Flow  int32
-	Entry int32
-}
+// Deliveries are released in exact global (time, flow) order. It is the
+// Arrival record with At moved to the jittered instant and Entry the
+// flow's draw index, so both stages share one window sort.
+type Delivery = Arrival
 
 // BaseArrivals walks one virtual flow's access-chain serialization
-// (BatchedPaced.computeArrival with start 0) over the whole schedule
+// (BatchedMixture.computeArrival with start 0) over the whole schedule
 // and returns the arrival instant of every entry. Per-flow arrival
 // times are strictly increasing (serialization time is positive), and
 // a flow started at s arrives at s + base[k] — the shift-invariance
@@ -95,23 +89,17 @@ func BaseArrivals(sched *Schedule, chain ChainSpec) []units.Time {
 }
 
 // ShardArrivals generates the merged arrival sequence of a subset of
-// a BatchedPaced's virtual flows, window by window. It is the
+// a BatchedMixture's virtual flows, window by window. It is the
 // shard-local half of processArrivals: the same per-flow access-link
-// serialization (via the shared base sequence), the same (time, flow)
+// serialization (via the class base sequences), the same (time, flow)
 // order — minus the jitter draw, which must happen centrally.
 // Arrivals accumulate in Out; the shard worker drains lookahead
 // windows with AdvanceTo and hands Out chunks to the sequencer.
 type ShardArrivals struct {
-	Base    []units.Time // shared arrival offsets (BaseArrivals)
-	Flows   []int32      // owned global virtual-flow indices, ascending
-	Start   []units.Time // start time per owned flow (parallel to Flows)
-	Horizon units.Time   // arrivals after this never fire serially; 0 = unbounded
-
-	// Bases, when set, gives each owned flow its own base sequence
-	// (parallel to Flows) — the mixture case, where every class walks
-	// its own schedule through its own chain. nil means every owned
-	// flow shares Base.
-	Bases [][]units.Time
+	Flows   []int32        // owned global virtual-flow indices, ascending
+	Start   []units.Time   // start time per owned flow (parallel to Flows)
+	Bases   [][]units.Time // class base sequence (BaseArrivals) per owned flow (parallel to Flows)
+	Horizon units.Time     // arrivals after this never fire serially; 0 = unbounded
 
 	// Out collects the arrivals of the current window in (time, flow)
 	// order. The worker swaps it out after each window.
@@ -126,14 +114,6 @@ type ShardArrivals struct {
 	scratch []Arrival // radix-sort ping-pong buffer
 }
 
-// baseOf reports the base sequence of owned flow loc.
-func (sa *ShardArrivals) baseOf(loc int32) []units.Time {
-	if sa.Bases != nil {
-		return sa.Bases[loc]
-	}
-	return sa.Base
-}
-
 // Init seeds the per-flow walk state.
 func (sa *ShardArrivals) Init() {
 	n := len(sa.Flows)
@@ -142,8 +122,7 @@ func (sa *ShardArrivals) Init() {
 	}
 	sa.pos = make([]int32, n)
 	sa.live = make([]int32, 0, n)
-	for i := range sa.Flows {
-		base := sa.baseOf(int32(i))
+	for i, base := range sa.Bases {
 		if len(base) == 0 {
 			continue
 		}
@@ -171,7 +150,7 @@ func (sa *ShardArrivals) AdvanceTo(frontier units.Time) {
 	w := 0
 	for _, loc := range sa.live {
 		start, flow := sa.Start[loc], sa.Flows[loc]
-		base := sa.baseOf(loc)
+		base := sa.Bases[loc]
 		n := int32(len(base))
 		k := sa.pos[loc]
 		for k < n {
@@ -194,20 +173,23 @@ func (sa *ShardArrivals) AdvanceTo(frontier units.Time) {
 	}
 	sa.live = sa.live[:w]
 	sa.Produced += uint64(len(sa.Out) - mark)
-	sa.scratch = sortArrivals(sa.Out[mark:], sa.scratch)
+	sa.scratch = sortWindow(sa.Out[mark:], sa.scratch)
 }
 
-// sortArrivals orders one window batch by (time, flow) — a unique key,
-// so an unstable sort is exact. The hot path is a stable LSD radix
-// sort on the packed key (at − min(at)) << fb | flow, where fb is the
-// bit width of the batch's largest flow index — sized per batch so
-// six-figure flow counts radix-sort just like small ones, and small
-// ones pay no extra passes for headroom they don't use. One window
+// sortWindow orders one window batch of either stage by
+// (time, flow, entry). The hot path is a stable LSD radix sort on the
+// packed key (at − min(at)) << fb | flow, where fb is the bit width of
+// the batch's largest flow index — sized per batch so six-figure flow
+// counts radix-sort just like small ones, and small ones pay no extra
+// passes for headroom they don't use. Arrivals are unique per
+// (time, flow); for deliveries stability supplies the draw-index
+// tie-break for free, because draws of one flow enter the buffer in
+// draw order and the partition in release preserves it. One window
 // spans at most the lookahead width, so the key fits a few bytes and
 // the sort is a handful of counting passes over contiguous records
 // instead of m·log m branchy comparisons. Returns the scratch buffer
 // for reuse.
-func sortArrivals(batch []Arrival, scratch []Arrival) []Arrival {
+func sortWindow(batch []Arrival, scratch []Arrival) []Arrival {
 	if len(batch) < radixMinLen {
 		slices.SortFunc(batch, compareArrivals)
 		return scratch
@@ -272,23 +254,17 @@ func compareArrivals(a, b Arrival) int {
 		}
 		return 1
 	}
-	return int(a.Flow) - int(b.Flow)
-}
-
-// pendingDelivery is one drawn-but-unreleased delivery: its (possibly
-// clamped) instant, owning flow, and the flow's draw index — the
-// unique (at, flow, entry) release key.
-type pendingDelivery struct {
-	at    units.Time
-	flow  int32
-	entry int32
+	if a.Flow != b.Flow {
+		return int(a.Flow) - int(b.Flow)
+	}
+	return int(a.Entry) - int(b.Entry)
 }
 
 // JitterSequencer is the serialization point of a sharded batched run.
 // It consumes the shards' arrival chunks window by window, merges them
 // into exact global (time, flow) order, draws one uniform jitter per
 // arrival from the root RNG in that order — the identical stream
-// positions the serial BatchedPaced consumes — applies the per-flow
+// positions the serial BatchedMixture consumes — applies the per-flow
 // order-preserving clamp, and releases a delivery once the frontier
 // proves nothing can precede it: every arrival still unprocessed is at
 // or after the frontier, and jitter and clamping only move times
@@ -297,28 +273,22 @@ type pendingDelivery struct {
 // finalized batch — the per-flow draw index makes the key unique and
 // reproduces the serial per-flow FIFO on same-instant deliveries.
 type JitterSequencer struct {
-	RNG       *sim.RNG
-	JitterMax units.Time
-	Horizon   units.Time // deliveries after this are dropped (the serial horizon)
-	N         int        // total virtual flows across all shards
-
-	// JitterMaxOf, when set, gives each global flow its own jitter
-	// bound (the mixture case, indexed by flow). nil means every flow
-	// shares JitterMax.
-	JitterMaxOf []units.Time
+	RNG         *sim.RNG
+	JitterMaxOf []units.Time // jitter bound of every global flow across all shards
+	Horizon     units.Time   // deliveries after this are dropped (the serial horizon)
 
 	lastDelivery []units.Time
 	drawn        []int32
-	buf          []pendingDelivery // drawn, not yet final; unsorted
-	rel          []pendingDelivery // per-window release scratch
-	scratch      []pendingDelivery // radix-sort ping-pong buffer
+	buf          []Delivery // drawn, not yet final; unsorted
+	rel          []Delivery // per-window release scratch
+	scratch      []Delivery // radix-sort ping-pong buffer
 	pos          []int
 }
 
 // Init allocates the per-flow sequencing state.
 func (q *JitterSequencer) Init() {
-	q.lastDelivery = make([]units.Time, q.N)
-	q.drawn = make([]int32, q.N)
+	q.lastDelivery = make([]units.Time, len(q.JitterMaxOf))
+	q.drawn = make([]int32, len(q.JitterMaxOf))
 }
 
 // Feed merges one window's arrival chunks — every arrival strictly
@@ -361,24 +331,20 @@ func (q *JitterSequencer) Feed(chunks [][]Arrival, frontier units.Time, out []De
 }
 
 // draw consumes one root-RNG position for arrival a and queues its
-// delivery — the jitter half of BatchedPaced.processArrivals. The
+// delivery — the jitter half of BatchedMixture.processArrivals. The
 // per-flow clamp makes delivery times non-decreasing within a flow,
 // so the draw index doubles as the flow's release order.
 func (q *JitterSequencer) draw(a Arrival) {
-	jm := q.JitterMax
-	if q.JitterMaxOf != nil {
-		jm = q.JitterMaxOf[a.Flow]
-	}
+	i := a.Flow
 	t := a.At
-	if jm > 0 {
+	if jm := q.JitterMaxOf[i]; jm > 0 {
 		t = a.At + units.Time(q.RNG.Float64()*float64(jm))
 	}
-	i := a.Flow
 	if t < q.lastDelivery[i] {
 		t = q.lastDelivery[i]
 	}
 	q.lastDelivery[i] = t
-	q.buf = append(q.buf, pendingDelivery{at: t, flow: i, entry: q.drawn[i]})
+	q.buf = append(q.buf, Delivery{At: t, Flow: i, Entry: q.drawn[i]})
 	q.drawn[i]++
 }
 
@@ -396,92 +362,20 @@ func (q *JitterSequencer) release(frontier units.Time, out []Delivery) []Deliver
 	rel := q.rel[:0]
 	keep := q.buf[:0]
 	for _, d := range q.buf {
-		if d.at < frontier {
+		if d.At < frontier {
 			rel = append(rel, d)
 		} else {
 			keep = append(keep, d) // in-place compaction; write index trails read
 		}
 	}
 	q.buf, q.rel = keep, rel
-	q.scratch = sortDeliveries(rel, q.scratch)
+	q.scratch = sortWindow(rel, q.scratch)
 	for _, d := range rel {
-		if q.Horizon <= 0 || d.at <= q.Horizon {
-			out = append(out, Delivery{At: d.at, Flow: d.flow, Entry: d.entry})
+		if q.Horizon <= 0 || d.At <= q.Horizon {
+			out = append(out, d)
 		}
 	}
 	return out
-}
-
-// sortDeliveries orders one release batch by (time, flow, draw index).
-// Like sortArrivals it radix-sorts the packed (at − min, flow) key;
-// stability supplies the draw-index tie-break for free, because draws
-// of one flow enter the buffer in draw order and the partition in
-// release preserves it.
-func sortDeliveries(batch []pendingDelivery, scratch []pendingDelivery) []pendingDelivery {
-	if len(batch) < radixMinLen {
-		slices.SortFunc(batch, compareDeliveries)
-		return scratch
-	}
-	minAt, maxAt := batch[0].at, batch[0].at
-	var maxFlow int32
-	for i := range batch {
-		d := &batch[i]
-		if d.at < minAt {
-			minAt = d.at
-		}
-		if d.at > maxAt {
-			maxAt = d.at
-		}
-		if d.flow > maxFlow {
-			maxFlow = d.flow
-		}
-	}
-	fb := bits.Len32(uint32(maxFlow))
-	if uint64(maxAt-minAt) >= 1<<(64-fb) {
-		slices.SortStableFunc(batch, compareDeliveries)
-		return scratch
-	}
-	if cap(scratch) < len(batch) {
-		scratch = make([]pendingDelivery, len(batch))
-	}
-	scratch = scratch[:len(batch)]
-	maxKey := uint64(maxAt-minAt)<<fb | (1<<fb - 1)
-	src, dst := batch, scratch
-	for shift := 0; maxKey>>shift != 0; shift += 8 {
-		var count [256]int
-		for i := range src {
-			k := uint64(src[i].at-minAt)<<fb | uint64(src[i].flow)
-			count[(k>>shift)&0xff]++
-		}
-		pos := 0
-		for b := range count {
-			pos, count[b] = pos+count[b], pos
-		}
-		for i := range src {
-			k := uint64(src[i].at-minAt)<<fb | uint64(src[i].flow)
-			b := (k >> shift) & 0xff
-			dst[count[b]] = src[i]
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &batch[0] {
-		copy(batch, src)
-	}
-	return scratch
-}
-
-func compareDeliveries(a, b pendingDelivery) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	}
-	if a.flow != b.flow {
-		return int(a.flow) - int(b.flow)
-	}
-	return int(a.entry) - int(b.entry)
 }
 
 // Flush releases every remaining pending delivery (the final frontier
@@ -489,53 +383,4 @@ func compareDeliveries(a, b pendingDelivery) int {
 func (q *JitterSequencer) Flush(out []Delivery) []Delivery {
 	const never = units.Time(int64(^uint64(0) >> 1))
 	return q.release(never, out)
-}
-
-// InitReplay prepares the fan-out for border replay: the per-flow
-// counters and start times are laid out exactly as Start would lay
-// them out, but no timers are scheduled — an external sequencer
-// replays the delivery order through Inject instead.
-func (s *BatchedPaced) InitReplay() {
-	n := s.N
-	s.Sent = make([]int, n)
-	s.SentBytes = make([]int64, n)
-	s.start = make([]units.Time, n)
-	now := s.Sim.Now()
-	for i := 0; i < n; i++ {
-		s.start[i] = now + units.Time(int64(i))*s.Offset
-	}
-}
-
-// StartOf reports virtual flow i's start time (valid after Start or
-// InitReplay) — the shard orchestrator seeds ShardArrivals.Start from
-// it so both sides agree bit-for-bit.
-func (s *BatchedPaced) StartOf(i int) units.Time { return s.start[i] }
-
-// Inject materializes entry k of virtual flow i at the current border
-// clock and forwards it to the flow's next hop — the body of
-// deliverDue for one externally sequenced delivery. The caller must
-// have advanced the border simulator to the delivery instant so packet
-// ids, taps and downstream elements observe the serial timeline.
-func (s *BatchedPaced) Inject(i, k int32) {
-	e := &s.Sched.Entries[k]
-	p := s.Pool.Get()
-	p.ID = traffic.NewPacketID()
-	p.Flow = s.BaseFlow + packet.FlowID(i)
-	p.Proto = packet.UDP
-	p.Size = e.Size
-	p.FrameSeq, p.FragIndex, p.FragCount = int(e.FrameSeq), int(e.FragIndex), int(e.FragCount)
-	p.SentAt = s.start[i] + e.At
-	s.Sent[i]++
-	s.SentBytes[i] += int64(e.Size)
-	if s.Tap != nil {
-		s.Tap.Emit(ptrace.Event{
-			Kind: ptrace.LinkDeliver, Hop: s.Hop, Flow: p.Flow, PktID: p.ID,
-			Size: int32(p.Size), DSCP: p.DSCP, FrameSeq: e.FrameSeq,
-		})
-	}
-	next := s.Next[0]
-	if len(s.Next) > 1 {
-		next = s.Next[i]
-	}
-	next.Handle(p)
 }

@@ -29,14 +29,13 @@ func clumpedSchedule(seed int64, frames int) *Schedule {
 	return sched
 }
 
-// runSerial drives a plain BatchedPaced to the horizon (0 = drain) and
+// runSerial drives a one-class mixture to the horizon (0 = drain) and
 // returns its emissions plus per-flow counters.
-func runSerial(sched *Schedule, chain ChainSpec, n int, offset, horizon units.Time) (*recorder, *BatchedPaced) {
+func runSerial(sched *Schedule, chain ChainSpec, n int, offset, horizon units.Time) (*recorder, *BatchedMixture) {
 	s := sim.New(99)
 	pool := packet.NewPool()
 	rec := &recorder{sim: s, pool: pool}
-	src := &BatchedPaced{Sim: s, Sched: sched, N: n, BaseFlow: 100, Offset: offset,
-		Chain: chain, Next: []packet.Handler{rec}, Pool: pool}
+	src := oneClass(s, sched, n, 100, offset, chain, rec, pool)
 	src.Start()
 	if horizon > 0 {
 		s.SetHorizon(horizon)
@@ -47,27 +46,31 @@ func runSerial(sched *Schedule, chain ChainSpec, n int, offset, horizon units.Ti
 
 // runSharded drives the decomposed pipeline: per-shard arrival walks
 // in lookahead windows, central jitter sequencing, border replay.
-func runSharded(t *testing.T, sched *Schedule, chain ChainSpec, n, shards int, offset, horizon, window units.Time) (*recorder, *BatchedPaced) {
+func runSharded(t *testing.T, sched *Schedule, chain ChainSpec, n, shards int, offset, horizon, window units.Time) (*recorder, *BatchedMixture) {
 	t.Helper()
 	border := sim.New(99)
 	pool := packet.NewPool()
 	rec := &recorder{sim: border, pool: pool}
-	bp := &BatchedPaced{Sim: border, Sched: sched, N: n, BaseFlow: 100, Offset: offset,
-		Chain: chain, Next: []packet.Handler{rec}, Pool: pool}
+	bp := oneClass(border, sched, n, 100, offset, chain, rec, pool)
 	bp.InitReplay()
 
 	base := BaseArrivals(sched, chain)
 	sas := make([]*ShardArrivals, shards)
 	for s := 0; s < shards; s++ {
-		sa := &ShardArrivals{Base: base, Horizon: horizon}
+		sa := &ShardArrivals{Horizon: horizon}
 		for i := s; i < n; i += shards {
 			sa.Flows = append(sa.Flows, int32(i))
 			sa.Start = append(sa.Start, bp.StartOf(i))
+			sa.Bases = append(sa.Bases, base)
 		}
 		sa.Init()
 		sas[s] = sa
 	}
-	seq := &JitterSequencer{RNG: border.RNG(), JitterMax: chain.JitterMax, Horizon: horizon, N: n}
+	jmOf := make([]units.Time, n)
+	for i := range jmOf {
+		jmOf[i] = chain.JitterMax
+	}
+	seq := &JitterSequencer{RNG: border.RNG(), JitterMaxOf: jmOf, Horizon: horizon}
 	seq.Init()
 
 	chunks := make([][]Arrival, shards)
@@ -106,7 +109,7 @@ func runSharded(t *testing.T, sched *Schedule, chain ChainSpec, n, shards int, o
 // counts 1–4 and several window widths, the sharded pipeline delivers
 // the identical packet sequence (instants, flows, sizes, frame
 // metadata, send stamps) and identical per-flow counters as the serial
-// BatchedPaced with the same seed.
+// mixture with the same seed.
 func TestShardedPipelineMatchesSerial(t *testing.T) {
 	sched := clumpedSchedule(42, 300)
 	chain := ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond,

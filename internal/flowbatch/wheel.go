@@ -4,11 +4,10 @@ import (
 	"repro/internal/units"
 )
 
-// flowWheel orders virtual-flow indices by (key[flow], flow) — the
-// same selection rule as flowHeap — on a calendar of time buckets
-// instead of a binary heap. At six-figure flow counts the heap's
-// O(log N) sift touches log N random key-array cache lines per
-// operation and dominates the mixture fan-out's profile; the wheel
+// flowWheel orders virtual-flow indices by (key[flow], flow) on a
+// calendar of time buckets instead of a binary heap. At six-figure flow
+// counts a heap's O(log N) sift touches log N random key-array cache
+// lines per operation and dominated the fan-out's profile; the wheel
 // makes every operation O(1) amortized: a push appends to the bucket
 // covering its key, the minimum is the (key, flow)-least entry of the
 // first non-empty bucket, and the cursor only moves forward. Entries
@@ -17,9 +16,9 @@ import (
 // applied to flow indices with an external key array).
 //
 // The wheel is a pure data-structure swap: selection order is
-// identical to flowHeap's, so the fan-out's emission order — and
-// every byte downstream — is unchanged (the mixture differential
-// tests pin this).
+// identical to the index heap's it replaced, which wheel_test.go keeps
+// as the differential oracle, so the fan-out's emission order — and
+// every byte downstream — is unchanged.
 type flowWheel struct {
 	key   []units.Time // external key array (nextArr or nextDel)
 	width units.Time

@@ -7,6 +7,70 @@ import (
 	"repro/internal/units"
 )
 
+// flowHeap is a binary min-heap of virtual-flow indices ordered by an
+// external key slice, ties broken by index — the structure the fan-out
+// walked before the wheel, kept as the wheel's differential oracle.
+type flowHeap struct {
+	idx []int32
+	key []units.Time
+}
+
+func (h *flowHeap) len() int   { return len(h.idx) }
+func (h *flowHeap) min() int32 { return h.idx[0] }
+
+func (h *flowHeap) less(a, b int32) bool {
+	if h.key[a] != h.key[b] {
+		return h.key[a] < h.key[b]
+	}
+	return a < b
+}
+
+func (h *flowHeap) push(i int32) {
+	h.idx = append(h.idx, i)
+	c := len(h.idx) - 1
+	for c > 0 {
+		p := (c - 1) / 2
+		if !h.less(h.idx[c], h.idx[p]) {
+			break
+		}
+		h.idx[c], h.idx[p] = h.idx[p], h.idx[c]
+		c = p
+	}
+}
+
+// fixMin restores heap order after the root's key changed.
+func (h *flowHeap) fixMin() { h.siftDown(0) }
+
+func (h *flowHeap) pop() int32 {
+	top := h.idx[0]
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	if len(h.idx) > 0 {
+		h.siftDown(0)
+	}
+	return top
+}
+
+func (h *flowHeap) siftDown(i int) {
+	n := len(h.idx)
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < n && h.less(h.idx[l], h.idx[s]) {
+			s = l
+		}
+		if r < n && h.less(h.idx[r], h.idx[s]) {
+			s = r
+		}
+		if s == i {
+			return
+		}
+		h.idx[i], h.idx[s] = h.idx[s], h.idx[i]
+		i = s
+	}
+}
+
 // TestFlowWheelMatchesFlowHeap drives a flowWheel and a flowHeap
 // through the same randomized (push, fixMin, pop) sequence over a
 // shared key array and demands identical min() answers at every step —

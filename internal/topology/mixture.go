@@ -13,20 +13,20 @@ import (
 	"repro/internal/video"
 )
 
-// Mixture builds: the N-flow topology generalized from one homogeneous
-// population to K equivalence classes — "100k Lost-clip viewers plus
-// 20k CBR-like elephants" as one run. Each class fans one cached
-// emission schedule out as its own phase-offset virtual-flow set with
-// its own policing profile; the classes' arrival sequences interleave
-// in exact global (time, flow) order inside flowbatch.BatchedMixture,
-// so the batched/unbatched and sharded/serial differential harnesses
-// extend to mixtures unchanged.
+// The one multi-flow build: the N-flow topology over K equivalence
+// classes — "100k Lost-clip viewers plus 20k CBR-like elephants" as one
+// run, and the homogeneous N-flow population as its K = 1 case. Each
+// class fans one cached emission schedule out as its own phase-offset
+// virtual-flow set with its own policing profile; the classes' arrival
+// sequences interleave in exact global (time, flow) order inside
+// flowbatch.BatchedMixture, so the batched/unbatched and sharded/serial
+// differential harnesses cover homogeneous runs and mixtures alike.
 //
 // Two receive-side modes:
 //
-//   - Exact (default): one client.UDP per flow behind the demux, as in
-//     the homogeneous topology. O(N) memory — for equivalence tests and
-//     small populations.
+//   - Exact (default): one client.UDP per flow behind the demux. O(N)
+//     memory — for frame-level evaluation, equivalence tests and small
+//     populations.
 //   - Aggregated (MultiFlowConfig.AggregateStats): one client.Aggregate
 //     per class behind an O(1) flow→class demux. Streaming moments and
 //     P² delay sketches instead of frame traces: memory and assembly
@@ -72,11 +72,12 @@ func (d *classDemux) Handle(p *packet.Packet) {
 	d.aggs[d.classOf[i]].Handle(p)
 }
 
-// buildMixtureMultiFlow is BuildMultiFlow for a Classes config: the
-// same bottleneck/demux/cross-traffic graph, with the homogeneous
-// population replaced by a class mixture and — under AggregateStats —
-// the per-flow receivers replaced by per-class accumulators.
-func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
+// buildMixtureMultiFlow is the body of BuildMultiFlow: the
+// bottleneck/demux/cross-traffic graph around a class mixture, with —
+// under AggregateStats — the per-flow receivers replaced by per-class
+// accumulators. horizon is the run's end; 0 derives it from the
+// classes' last emission.
+func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	chain := flowbatch.ChainSpec{
 		AccessRate: accessRate, AccessDelay: accessDelay, JitterMax: accessJitterMax,
 	}
@@ -107,11 +108,11 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 	}
 
 	// Class-major flow layout and per-flow start/encoding tables (the
-	// unbatched and sharded paths index these).
+	// unbatched build indexes these).
 	classOf := make([]int32, total)
 	starts := make([]units.Time, total)
 	encOf := make([]*video.Encoding, total)
-	var horizon units.Time
+	var drained units.Time
 	g := 0
 	for ci := range classes {
 		c := &classes[ci]
@@ -121,11 +122,11 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 		}
 		// +5 s drains in-flight delivery after the last emission (access
 		// chain + jitter + bottleneck queue + propagation are all
-		// millisecond-scale; the homogeneous build's 30 s tail would be
-		// paid in cross-traffic events at every point of a fleet sweep).
+		// millisecond-scale; a 30 s tail would be paid in cross-traffic
+		// events at every point of a fleet sweep).
 		end := c.Phase + units.Time(int64(c.N))*c.Offset + span + units.FromSeconds(5)
-		if end > horizon {
-			horizon = end
+		if end > drained {
+			drained = end
 		}
 		for j := 0; j < c.N; j++ {
 			classOf[g] = int32(ci)
@@ -134,13 +135,15 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 			g++
 		}
 	}
+	if horizon == 0 {
+		horizon = drained
+	}
 
 	b := NewBuilderWidth(cfg.Seed, cfg.BucketWidth)
 	b.UsePool(cfg.Pool)
 	b.UseTrace(cfg.Trace)
-	m := &MultiFlow{Sim: b.Sim(), n: total, stagger: cfg.Stagger,
-		shards: cfg.Shards, trace: cfg.Trace, ClassNames: names,
-		classOf: classOf, starts: starts, encOf: encOf, horizon: horizon}
+	m := &MultiFlow{Sim: b.Sim(), shards: cfg.Shards, ClassNames: names,
+		starts: starts, horizon: horizon}
 
 	// Receive side.
 	sink := packet.Sink{Pool: b.Pool()}
@@ -217,12 +220,11 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 			Sched: PlainFIFO(0), To: jit})
 	}
 
-	// Competing aggregates at the bottleneck (declared last, as in the
-	// homogeneous build, so the Poisson RNG forks keep their order).
-	// Their flow ids sit just past the video range — the homogeneous
-	// build's fixed 900/901 would collide with video flows once a
-	// mixture passes a few hundred flows and leak cross traffic into a
-	// class aggregate.
+	// Competing aggregates at the bottleneck (declared last, so the
+	// Poisson RNG forks keep their order). Their flow ids sit just past
+	// the video range — fixed ids such as 900/901 collide with video
+	// flows once a population passes a few hundred flows and leak cross
+	// traffic into a client's or a class aggregate's counters.
 	crossFlow := VideoFlow + packet.FlowID(total)
 	if cfg.AFLoad > 0 {
 		b.Source("af-cross", SourceSpec{
@@ -269,12 +271,14 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig) *MultiFlow {
 	return m
 }
 
-// runShardedMixture executes a batched mixture run on the fan-out
-// pipeline of shard.go: per-class base walks feed per-flow shifted
-// arrival streams, one sequencer draws the jitter of every class in
-// exact global (time, flow) order, and the border replays the merged
-// deliveries — bit-identical to the serial mixture run at any shard
-// count (the mixture shardeq tests pin this).
+// runShardedMixture executes a batched run on the fan-out pipeline of
+// shard.go: per-class base walks feed per-flow shifted arrival streams
+// (flows dealt round-robin so staggered starts spread evenly across
+// workers; any ascending per-shard assignment preserves the global
+// (time, flow) merge order), one sequencer draws the jitter of every
+// class in exact global order, and the border replays the merged
+// deliveries — bit-identical to the serial run at any shard count (the
+// shardeq tests pin this).
 func (m *MultiFlow) runShardedMixture(shards int, horizon units.Time) ShardStats {
 	mix := m.Mixture
 	mix.InitReplay()
@@ -313,8 +317,7 @@ func (m *MultiFlow) runShardedMixture(shards int, horizon units.Time) ShardStats
 		sa.Init()
 		sas[i] = sa
 	}
-	seq := &flowbatch.JitterSequencer{RNG: m.Sim.RNG(), JitterMaxOf: jmOf,
-		Horizon: horizon, N: n}
+	seq := &flowbatch.JitterSequencer{RNG: m.Sim.RNG(), JitterMaxOf: jmOf, Horizon: horizon}
 	seq.Init()
 	return runFanoutPipeline(m.Sim, sas, seq, w, horizon, mix.Inject)
 }

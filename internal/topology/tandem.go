@@ -58,14 +58,6 @@ type TandemConfig struct {
 	CampusJitter  units.Time    // default 5 ms (pre-policer jitter)
 	CrossLoad     float64       // best-effort load fraction per hop; default 0.15
 	AccessRate    units.BitRate // client access link; default 10 Mbps
-
-	// Shards > 1 runs the source chain (server + campus link) on a
-	// shard-private simulator pipelined against the border (see
-	// shard.go). The tandem topology has one partitionable chain, so
-	// the effective shard count caps at 1 worker plus the border —
-	// requests beyond that are byte-identical to 2 (the shardeq
-	// harness pins sharded == serial at every count). <= 1 is serial.
-	Shards int
 }
 
 func (c TandemConfig) withDefaults() TandemConfig {
@@ -104,13 +96,6 @@ type Tandem struct {
 	Client  *client.UDP
 	Border1 *tokenbucket.Policer
 	Border2 *tokenbucket.Policer // nil without SecondBorder
-
-	// Stats describes the sharded pipeline after Run when Shards > 1
-	// (Stats.Shards is 1 after a serial run).
-	Stats ShardStats
-
-	shards int
-	trace  *ptrace.Recorder
 }
 
 func domainHop(d, i int) string { return fmt.Sprintf("d%dhop%d", d, i) }
@@ -126,7 +111,7 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 	b := NewBuilderWidth(cfg.Seed, cfg.BucketWidth)
 	b.UsePool(cfg.Pool)
 	b.UseTrace(cfg.Trace)
-	t := &Tandem{Sim: b.Sim(), shards: cfg.Shards, trace: cfg.Trace}
+	t := &Tandem{Sim: b.Sim()}
 
 	cl := client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())
 	cl.Pool = b.Pool()
@@ -212,29 +197,11 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 	return t
 }
 
-// Run starts the server and executes the simulation to completion —
-// serially, or pipelined against a shard-hosted source chain when the
-// config asked for Shards > 1.
+// Run starts the server and executes the simulation to completion.
 func (t *Tandem) Run() {
-	horizon := units.FromSeconds(t.Server.Enc.Clip.DurationSeconds() + 30)
-	if t.shards > 1 {
-		chains := []sourceChain{{
-			enc: t.Server.Enc, flow: VideoFlow, startAt: 0,
-			rate: 100 * units.Mbps, delay: 500 * units.Microsecond,
-			sched: PlainFIFO(0), name: "campus", next: t.Net.Handler("jit"),
-		}}
-		st, results := runShardedChains(t.Sim, t.trace, chains, t.shards, horizon)
-		t.Stats = st
-		for _, r := range results {
-			copyLinkStats(t.Net.Link("campus"), r.link)
-			t.Server.Sent, t.Server.SentBytes = r.server.Sent, r.server.SentBytes
-		}
-	} else {
-		t.Server.Start()
-		t.Sim.SetHorizon(horizon)
-		t.Sim.Run()
-		t.Stats = ShardStats{Shards: 1}
-	}
+	t.Server.Start()
+	t.Sim.SetHorizon(units.FromSeconds(t.Server.Enc.Clip.DurationSeconds() + 30))
+	t.Sim.Run()
 	t.Client.Finish()
 }
 
