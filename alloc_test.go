@@ -15,9 +15,11 @@ import (
 	"repro/internal/packet"
 	"repro/internal/ptrace"
 	"repro/internal/queue"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/video"
 )
 
 // TestLinkHotPathAllocationBudget pins the tracing-disabled contract:
@@ -398,5 +400,40 @@ func TestPooledSourceAllocationBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("pooled CBR→link cycle allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestServerAllocationBudget pins the streaming servers' frame clock
+// and send ring at zero allocations: once one pass over the clip has
+// warmed the event pool, the packet arena and the ring (AllocsPerRun's
+// own first call), a pooled Paced and a pooled WMTUDP stream the whole
+// clip again, Start included, with no allocation per frame and none
+// per packet.
+func TestServerAllocationBudget(t *testing.T) {
+	cbr := video.CachedCBR(video.Lost(), 1.0e6)
+	wmv := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
+	s := sim.New(1)
+	pool := packet.NewPool()
+	sink := &packet.Sink{Pool: pool}
+	paced := &server.Paced{Sim: s, Enc: cbr, Flow: 1, Next: sink, Pool: pool}
+	wmt := &server.WMTUDP{Sim: s, Enc: wmv, Flow: 2, Next: sink, Pool: pool}
+	for _, srv := range []struct {
+		name  string
+		start func()
+		sent  *int
+	}{
+		{"Paced", paced.Start, &paced.Sent},
+		{"WMTUDP", wmt.Start, &wmt.Sent},
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			srv.start()
+			s.Run()
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.0f over a warm clip, want 0", srv.name, allocs)
+		}
+		if *srv.sent < 2*len(cbr.Frames) {
+			t.Fatalf("%s sent %d packets — budget measured an idle server", srv.name, *srv.sent)
+		}
 	}
 }

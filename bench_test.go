@@ -26,17 +26,26 @@ import (
 
 // --- Tables ---
 
+// relayFeeder offers one EF packet to a link every 6 ms, 1000 in all.
+type relayFeeder struct {
+	s    *sim.Simulator
+	l    *link.Link
+	sent int
+}
+
+func (f *relayFeeder) Fire(units.Time) {
+	f.l.Handle(&packet.Packet{ID: uint64(f.sent), Size: 1500, DSCP: packet.EF})
+	if f.sent++; f.sent < 1000 {
+		f.s.AfterTimer(6*units.Millisecond, f)
+	}
+}
+
 func BenchmarkTable1FrameRelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New(1)
 		var sink packet.Sink
 		l := link.NewFrameRelay(s, link.Table1()[0], units.Millisecond, queue.NewEFPriority(100, 100), &sink)
-		for j := 0; j < 1000; j++ {
-			j := j
-			s.At(units.Time(j)*6*units.Millisecond, func() {
-				l.Handle(&packet.Packet{ID: uint64(j), Size: 1500, DSCP: packet.EF})
-			})
-		}
+		s.AfterTimer(0, &relayFeeder{s: s, l: l})
 		s.Run()
 		if sink.Count != 1000 {
 			b.Fatalf("delivered %d", sink.Count)
@@ -216,18 +225,33 @@ func BenchmarkSRTCMMark(b *testing.B) {
 	}
 }
 
+// benchTicker is a self-re-arming Timer: each firing schedules the
+// next by the pattern's inter-event gap until limit events have been
+// scheduled in all, however many copies of it are pending at once.
+type benchTicker struct {
+	s                *sim.Simulator
+	gap              func(i int) units.Time
+	fired, scheduled int
+	limit            int
+}
+
+func (t *benchTicker) arm(i int) {
+	t.scheduled++
+	t.s.AfterTimer(t.gap(i), t)
+}
+
+func (t *benchTicker) Fire(units.Time) {
+	t.fired++
+	if t.scheduled < t.limit {
+		t.arm(t.scheduled + 1)
+	}
+}
+
 func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	s := sim.New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			s.After(units.Microsecond, tick)
-		}
-	}
+	t := &benchTicker{s: s, limit: b.N, gap: func(int) units.Time { return units.Microsecond }}
 	b.ResetTimer()
-	s.After(0, tick)
+	t.arm(0)
 	s.Run()
 }
 
@@ -285,23 +309,14 @@ func BenchmarkConceal(b *testing.B) {
 func benchBucketWidth(b *testing.B, width units.Time, gap func(i int) units.Time) {
 	s := sim.NewWithBucketWidth(1, width)
 	const working = 512
-	fired, scheduled := 0, 0
-	var tick func()
-	tick = func() {
-		fired++
-		if scheduled < b.N {
-			scheduled++
-			s.After(gap(scheduled), tick)
-		}
-	}
+	t := &benchTicker{s: s, limit: b.N, gap: gap}
 	b.ResetTimer()
-	for i := 0; i < working && scheduled < b.N; i++ {
-		scheduled++
-		s.After(gap(i), tick)
+	for i := 0; i < working && t.scheduled < b.N; i++ {
+		t.arm(i)
 	}
 	s.Run()
-	if fired != scheduled {
-		b.Fatalf("fired %d of %d", fired, scheduled)
+	if t.fired != t.scheduled {
+		b.Fatalf("fired %d of %d", t.fired, t.scheduled)
 	}
 }
 
@@ -352,29 +367,12 @@ func BenchmarkCalendarBucketWidth(b *testing.B) {
 	}
 }
 
-// legacyWidthFor is the retired PR 7 fleet width rule — the anchor
-// width at N=10000 shrinking inversely with N, floored at 500 ns —
-// kept here so the width-policy bake-off can compare the adaptive
-// policy against what it replaced.
-func legacyWidthFor(n int) units.Time {
-	w := 50 * units.Microsecond
-	if n > 10000 {
-		w = 50 * units.Microsecond * 10000 / units.Time(n)
-	}
-	if w < 500 {
-		w = 500
-	}
-	return w
-}
-
 // BenchmarkWidthPolicy is the end-to-end width bake-off: three real
 // workloads — a wide batched nflow point (dense homogeneous), a fleet
 // mixture point (dense two-class), and a tcp local-testbed point
 // (sparse, cancel-heavy RTO schedules) — each run with the static
-// default width, the retired widthFor rule, and the adaptive policy.
-// Output is byte-identical across the three policies (width is never
-// semantic); only the wall clock moves. BENCH_PR8.json records this
-// matrix as the evidence behind shipping the adaptive default.
+// default width and the adaptive policy. Output is byte-identical
+// across the two (width is never semantic); only the wall clock moves.
 func BenchmarkWidthPolicy(b *testing.B) {
 	lost := video.CachedCBR(video.Lost(), 1.0e6)
 	dark := video.CachedCBR(video.Dark(), 1.5e6)
@@ -382,10 +380,9 @@ func BenchmarkWidthPolicy(b *testing.B) {
 
 	workloads := []struct {
 		name string
-		n    int // flow count the widthFor rule sees
 		run  func(b *testing.B, width units.Time)
 	}{
-		{"nflow-wide", 512, func(b *testing.B, width units.Time) {
+		{"nflow-wide", func(b *testing.B, width units.Time) {
 			m := topology.BuildMultiFlow(topology.MultiFlowConfig{
 				Seed: experiment.DefaultSeed, Enc: lost, N: 512,
 				TokenRate: 1.3e6, Depth: 4500, BottleneckRate: 24e6,
@@ -397,7 +394,7 @@ func BenchmarkWidthPolicy(b *testing.B) {
 				b.Fatal("bottleneck carried nothing")
 			}
 		}},
-		{"fleet", 20000, func(b *testing.B, width units.Time) {
+		{"fleet", func(b *testing.B, width units.Time) {
 			vn := 17000
 			en := 3000
 			m := topology.BuildMultiFlow(topology.MultiFlowConfig{
@@ -419,7 +416,7 @@ func BenchmarkWidthPolicy(b *testing.B) {
 				b.Fatal("viewer class delivered nothing")
 			}
 		}},
-		{"tcp-heavy", 1, func(b *testing.B, width units.Time) {
+		{"tcp-heavy", func(b *testing.B, width units.Time) {
 			l := topology.BuildLocal(topology.LocalConfig{
 				Seed: experiment.DefaultSeed, Enc: wmv,
 				TokenRate: 1.3e6, Depth: 3000, UseTCP: true,
@@ -431,15 +428,14 @@ func BenchmarkWidthPolicy(b *testing.B) {
 			}
 		}},
 	}
+	policies := []struct {
+		name  string
+		width units.Time
+	}{
+		{"static-default", sim.DefaultBucketWidth},
+		{"adaptive", 0},
+	}
 	for _, wl := range workloads {
-		policies := []struct {
-			name  string
-			width units.Time
-		}{
-			{"static-default", sim.DefaultBucketWidth},
-			{"widthfor", legacyWidthFor(wl.n)},
-			{"adaptive", 0},
-		}
 		for _, pol := range policies {
 			wl, pol := wl, pol
 			b.Run(wl.name+"/"+pol.name, func(b *testing.B) {

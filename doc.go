@@ -4,8 +4,8 @@
 // deterministic packet-level simulation study in pure Go.
 //
 // The library lives under internal/: a discrete-event simulator (sim —
-// pooled events on a calendar-queue scheduler, with a closure-free
-// Timer API beside the At/After closures), the DiffServ data plane
+// pooled events on a calendar-queue scheduler behind one Timer
+// scheduling API), the DiffServ data plane
 // (packet, tokenbucket, queue, link, node — with strict-priority, DRR,
 // WFQ and RED/RIO schedulers behind one per-class-accounted Scheduler
 // interface), traffic sources (traffic),

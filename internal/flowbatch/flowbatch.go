@@ -5,7 +5,7 @@
 // its own policer, its own client and its own per-flow statistics —
 // downstream elements cannot tell a batched source from N real
 // servers — but the source-side work (fragmenting every frame,
-// scheduling every frame closure, running a private access link and
+// stepping a frame clock, running a private access link and
 // jitter element per flow) is paid once instead of N times.
 //
 // # One source
@@ -99,7 +99,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -298,7 +297,7 @@ func (c *BatchedCBR) emitDue(now units.Time) {
 			continue
 		}
 		p := c.Pool.Get()
-		p.ID, p.Flow, p.Size = traffic.NewPacketID(), c.BaseFlow+packet.FlowID(i), c.Size
+		p.ID, p.Flow, p.Size = packet.NewID(), c.BaseFlow+packet.FlowID(i), c.Size
 		p.DSCP, p.SentAt, p.FrameSeq = c.DSCP, now, -1
 		c.Sent++
 		c.Next.Handle(p)

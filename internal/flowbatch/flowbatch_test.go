@@ -15,6 +15,12 @@ import (
 	"repro/internal/video"
 )
 
+// timerFunc adapts a closure to sim.Timer. Tests only: production code
+// schedules through long-lived Timer values.
+type timerFunc func()
+
+func (f timerFunc) Fire(units.Time) { f() }
+
 // emission is what the comparison tests record at a chain's exit.
 type emission struct {
 	at       units.Time
@@ -159,14 +165,14 @@ func TestMixtureFoldsChainExactly(t *testing.T) {
 	})
 	for _, m := range ems {
 		m := m
-		s1.At(m.at, func() {
+		s1.AtTimer(m.at, timerFunc(func() {
 			p := pool1.Get()
 			p.Flow = 100 + packet.FlowID(m.flow)
 			p.Size = m.e.Size
 			p.FrameSeq = int(m.e.FrameSeq)
 			p.SentAt = s1.Now()
 			chains[m.flow].Handle(p)
-		})
+		}))
 	}
 	s1.Run()
 

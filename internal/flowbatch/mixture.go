@@ -6,7 +6,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/ptrace"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
@@ -346,7 +345,7 @@ func (s *BatchedMixture) Inject(g, k int32) {
 	c := &s.Classes[s.classOf[g]]
 	e := &c.Sched.Entries[k]
 	p := s.Pool.Get()
-	p.ID = traffic.NewPacketID()
+	p.ID = packet.NewID()
 	p.Flow = s.BaseFlow + packet.FlowID(g)
 	p.Proto = packet.UDP
 	p.Size = e.Size

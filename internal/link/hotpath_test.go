@@ -23,9 +23,9 @@ func TestInflightStaysBounded(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		i := i
-		s.At(units.Time(i)*2*units.Millisecond, func() {
+		s.AtTimer(units.Time(i)*2*units.Millisecond, timerFunc(func() {
 			l.Handle(&packet.Packet{ID: uint64(i + 1), Size: 1500})
-		})
+		}))
 	}
 	s.Run()
 	if sink.Count != n {

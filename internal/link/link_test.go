@@ -9,11 +9,17 @@ import (
 	"repro/internal/units"
 )
 
+// timerFunc adapts a closure to sim.Timer. Tests only: production code
+// schedules through long-lived Timer values.
+type timerFunc func()
+
+func (f timerFunc) Fire(units.Time) { f() }
+
 func TestLinkSerializationTiming(t *testing.T) {
 	s := sim.New(1)
 	var at units.Time
 	l := New(s, 2*units.Mbps, 0, nil, packet.HandlerFunc(func(*packet.Packet) { at = s.Now() }))
-	s.At(0, func() { l.Handle(&packet.Packet{Size: 1500}) })
+	s.AtTimer(0, timerFunc(func() { l.Handle(&packet.Packet{Size: 1500}) }))
 	s.Run()
 	// 1500B at 2Mbps = 6ms.
 	if at != 6*units.Millisecond {
@@ -26,7 +32,7 @@ func TestLinkPropagationDelay(t *testing.T) {
 	var at units.Time
 	l := New(s, 2*units.Mbps, 10*units.Millisecond, nil,
 		packet.HandlerFunc(func(*packet.Packet) { at = s.Now() }))
-	s.At(0, func() { l.Handle(&packet.Packet{Size: 1500}) })
+	s.AtTimer(0, timerFunc(func() { l.Handle(&packet.Packet{Size: 1500}) }))
 	s.Run()
 	if at != 16*units.Millisecond {
 		t.Errorf("delivery at %v, want 16ms", at)
@@ -38,11 +44,11 @@ func TestLinkQueuesBackToBack(t *testing.T) {
 	var times []units.Time
 	l := New(s, 2*units.Mbps, 0, nil,
 		packet.HandlerFunc(func(*packet.Packet) { times = append(times, s.Now()) }))
-	s.At(0, func() {
+	s.AtTimer(0, timerFunc(func() {
 		l.Handle(&packet.Packet{Size: 1500})
 		l.Handle(&packet.Packet{Size: 1500})
 		l.Handle(&packet.Packet{Size: 1500})
-	})
+	}))
 	s.Run()
 	if len(times) != 3 {
 		t.Fatalf("delivered %d", len(times))
@@ -62,13 +68,13 @@ func TestLinkEFPriority(t *testing.T) {
 	var order []packet.DSCP
 	l := New(s, 2*units.Mbps, 0, queue.NewEFPriority(0, 0),
 		packet.HandlerFunc(func(p *packet.Packet) { order = append(order, p.DSCP) }))
-	s.At(0, func() {
+	s.AtTimer(0, timerFunc(func() {
 		// First BE packet grabs the wire; the queued EF packet must
 		// jump ahead of the remaining BE packets.
 		l.Handle(&packet.Packet{Size: 1500, DSCP: packet.BestEffort})
 		l.Handle(&packet.Packet{Size: 1500, DSCP: packet.BestEffort})
 		l.Handle(&packet.Packet{Size: 1500, DSCP: packet.EF})
-	})
+	}))
 	s.Run()
 	want := []packet.DSCP{packet.BestEffort, packet.EF, packet.BestEffort}
 	for i := range want {
@@ -82,8 +88,8 @@ func TestLinkUtilization(t *testing.T) {
 	s := sim.New(1)
 	var sink packet.Sink
 	l := New(s, units.Mbps, 0, nil, &sink)
-	s.At(0, func() { l.Handle(&packet.Packet{Size: 12500}) }) // 100ms at 1Mbps
-	s.At(200*units.Millisecond, func() {})                    // extend the clock
+	s.AtTimer(0, timerFunc(func() { l.Handle(&packet.Packet{Size: 12500}) })) // 100ms at 1Mbps
+	s.AtTimer(200*units.Millisecond, timerFunc(func() {}))                    // extend the clock
 	s.Run()
 	u := l.Utilization()
 	if u < 0.49 || u > 0.51 {
@@ -118,7 +124,7 @@ func TestFrameRelayEmulatesCIR(t *testing.T) {
 	var at units.Time
 	fr := NewFrameRelay(s, Table1()[0], 0, nil,
 		packet.HandlerFunc(func(*packet.Packet) { at = s.Now() }))
-	s.At(0, func() { fr.Handle(&packet.Packet{Size: 2500}) }) // 10ms at 2Mbps
+	s.AtTimer(0, timerFunc(func() { fr.Handle(&packet.Packet{Size: 2500}) })) // 10ms at 2Mbps
 	s.Run()
 	if at != 10*units.Millisecond {
 		t.Errorf("delivered at %v, want 10ms", at)
@@ -132,9 +138,9 @@ func TestJitterPreservesOrder(t *testing.T) {
 		Next: packet.HandlerFunc(func(p *packet.Packet) { ids = append(ids, p.ID) })}
 	for i := 1; i <= 200; i++ {
 		i := i
-		s.At(units.Time(i)*units.Millisecond, func() {
+		s.AtTimer(units.Time(i)*units.Millisecond, timerFunc(func() {
 			j.Handle(&packet.Packet{ID: uint64(i), Size: 100})
-		})
+		}))
 	}
 	s.Run()
 	if len(ids) != 200 {
@@ -152,7 +158,7 @@ func TestJitterZeroMaxPassthrough(t *testing.T) {
 	var at units.Time
 	j := &Jitter{Sim: s, Max: 0,
 		Next: packet.HandlerFunc(func(*packet.Packet) { at = s.Now() })}
-	s.At(units.Second, func() { j.Handle(&packet.Packet{Size: 1}) })
+	s.AtTimer(units.Second, timerFunc(func() { j.Handle(&packet.Packet{Size: 1}) }))
 	s.Run()
 	if at != units.Second {
 		t.Errorf("zero jitter delayed to %v", at)
@@ -164,11 +170,11 @@ func TestLossDropsFraction(t *testing.T) {
 	var sink packet.Sink
 	l := &Loss{Sim: s, P: 0.3, Next: &sink}
 	n := 20000
-	s.At(0, func() {
+	s.AtTimer(0, timerFunc(func() {
 		for i := 0; i < n; i++ {
 			l.Handle(&packet.Packet{Size: 1})
 		}
-	})
+	}))
 	s.Run()
 	frac := float64(l.Dropped) / float64(n)
 	if frac < 0.28 || frac > 0.32 {

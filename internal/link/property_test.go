@@ -29,9 +29,9 @@ func TestLinkNeverReorders(t *testing.T) {
 				size = int(sizes[i])%1436 + 64
 			}
 			id := uint64(i + 1)
-			s.At(now, func() {
+			s.AtTimer(now, timerFunc(func() {
 				l.Handle(&packet.Packet{ID: id, Size: size})
-			})
+			}))
 		}
 		s.Run()
 		if len(got) != len(gaps) {
@@ -62,7 +62,7 @@ func TestLinkConservesBytes(t *testing.T) {
 		now += units.Time(rng.Intn(20000)) * units.Microsecond
 		size := rng.Intn(1400) + 100
 		sent += int64(size)
-		s.At(now, func() { l.Handle(&packet.Packet{Size: size}) })
+		s.AtTimer(now, timerFunc(func() { l.Handle(&packet.Packet{Size: size}) }))
 	}
 	s.Run()
 	if sink.Bytes != sent {

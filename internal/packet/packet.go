@@ -33,8 +33,8 @@ import (
 )
 
 // nextID hands out packet ids. There is exactly one counter in the
-// process: ids stamped by servers, background sources, and batched
-// fan-outs never collide, so a trace's id → packet mapping is
+// process: ids stamped by servers, TCP endpoints, background sources
+// and batched fan-outs never collide, so a trace's id → packet mapping is
 // injective and ptrace.CanonicalizePacketIDs can relabel equivalent
 // captures to identical bytes. (Two counters — the historical layout
 // — aliased a server packet and a source packet whenever their
@@ -46,9 +46,6 @@ var nextID atomic.Uint64
 
 // NewID returns a process-unique non-zero packet id.
 func NewID() uint64 { return nextID.Add(1) }
-
-// ResetIDs restarts the id counter (tests and experiment isolation).
-func ResetIDs() { nextID.Store(0) }
 
 // DSCP is a Differentiated Services Code Point (RFC 2474).
 type DSCP uint8

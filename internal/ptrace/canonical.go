@@ -3,10 +3,10 @@ package ptrace
 // CanonicalizePacketIDs relabels a capture's packet ids densely
 // (1, 2, 3, …) in order of first appearance, in place.
 //
-// Absolute packet ids are process-global atomic counters (see
-// traffic.NewPacketID and the server package's counter), so two runs
-// of the same simulation in one process — or the shards of one
-// sharded run racing on the counters — produce different absolute ids
+// Absolute packet ids come from one process-global atomic counter
+// (see packet.NewID), so two runs of the same simulation in one
+// process — or the shards of one sharded run racing on the counter —
+// produce different absolute ids
 // for the same packets. Everything else about a trace is a pure
 // function of the simulation, so canonicalizing the ids is exactly
 // what makes two equivalent captures byte-comparable: after

@@ -8,7 +8,14 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/units"
 )
+
+// timerFunc adapts a closure to sim.Timer. Tests only: production code
+// schedules through long-lived Timer values.
+type timerFunc func()
+
+func (f timerFunc) Fire(units.Time) { f() }
 
 func TestMapEmpty(t *testing.T) {
 	if got := Map[int](4, nil); len(got) != 0 {
@@ -100,7 +107,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 				s := sim.New(uint64(1000 + i))
 				var acc uint64
 				for k := 0; k < 50; k++ {
-					s.After(1, func() { acc = acc*31 + s.RNG().Uint64()%997 })
+					s.AfterTimer(1, timerFunc(func() { acc = acc*31 + s.RNG().Uint64()%997 }))
 				}
 				s.Run()
 				return acc

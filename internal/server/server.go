@@ -14,6 +14,27 @@
 //     message sizes that fit single packets, streamed over UDP (bursty)
 //     or over TCP with server-side stream thinning. Used for the local
 //     testbed experiments.
+//
+// # Frame clock and send ring
+//
+// The servers differ in how they cut a frame into packets and when
+// each packet leaves; how they are scheduled is one mechanism. A clock
+// is a self-re-arming sim.Timer that steps a server once per frame
+// interval (and, for the two adaptive servers, once per feedback
+// period), so a stream keeps one pending event however long the clip.
+// A sendRing is the UDP send path: a frame step pushes its stamped
+// fragments in send order, each push arms one event, and each event
+// transmits the ring head.
+//
+// Two ordering rules make this equal to scheduling every frame and
+// every packet as its own callback. The clock arms step i+1 before it
+// runs step i, so the next frame's event carries a lower sequence
+// number than anything frame i's sends schedule, and same-instant ties
+// resolve as if the whole clip had been scheduled up front. The ring
+// is FIFO, so fragment send instants must not decrease in push order:
+// a frame's fragments must all leave before the next frame's first.
+// Every shipped encoding meets that at the default pacing and host
+// rates; push panics on a configuration that does not.
 package server
 
 import (
@@ -31,11 +52,107 @@ const UDPHeader = 28
 // MaxUDPPayload is the payload that fits one Ethernet MTU.
 const MaxUDPPayload = units.EthernetMTU - UDPHeader
 
-// nextID stamps server packets from the process-wide counter shared
-// with the traffic sources (see packet.NewID): one counter means a
-// server packet and a source packet never carry the same id, which is
-// what keeps canonicalized trace captures run-order independent.
-func nextID() uint64 { return packet.NewID() }
+// stepper is what a clock drives.
+type stepper interface{ step(i int) }
+
+// clock calls src.step(i) at first + i·every for i in [0, n), or
+// without end when n < 0.
+type clock struct {
+	sim          *sim.Simulator
+	src          stepper
+	first, every units.Time
+	next, n      int
+}
+
+func (c *clock) start(s *sim.Simulator, src stepper, first, every units.Time, n int) {
+	*c = clock{sim: s, src: src, first: first, every: every, n: n}
+	if n != 0 {
+		s.AtTimer(first, c)
+	}
+}
+
+// Fire arms the following step, then runs this one (see the package
+// comment for why in that order).
+func (c *clock) Fire(units.Time) {
+	i := c.next
+	c.next++
+	if c.next != c.n {
+		c.sim.AtTimer(c.first+units.Time(int64(c.next))*c.every, c)
+	}
+	c.src.step(i)
+}
+
+// sendRing is the UDP send path of one server: pending fragments in
+// send order, one armed event per fragment.
+type sendRing struct {
+	sim     *sim.Simulator
+	pool    *packet.Pool
+	flow    packet.FlowID
+	next    packet.Handler
+	sent    *int
+	bytes   *int64 // nil when the server keeps no byte count
+	pending packet.Ring
+	last    units.Time // send instant of the newest fragment pushed
+}
+
+func (r *sendRing) start(s *sim.Simulator, pool *packet.Pool, flow packet.FlowID, next packet.Handler, sent *int, bytes *int64) {
+	r.sim, r.pool, r.flow, r.next, r.sent, r.bytes = s, pool, flow, next, sent, bytes
+}
+
+// push stamps fragment j of frags of a frame and queues it to leave
+// after from now.
+func (r *sendRing) push(frame, j, frags, payload int, after units.Time) {
+	at := r.sim.Now() + after
+	if at < r.last {
+		panic("server: a frame's packets outlast its frame interval; the send ring needs non-decreasing send instants")
+	}
+	r.last = at
+	p := r.pool.Get()
+	p.ID, p.Flow, p.Proto = packet.NewID(), r.flow, packet.UDP
+	p.Size = payload + UDPHeader
+	p.FrameSeq, p.FragIndex, p.FragCount = frame, j, frags
+	r.pending.Push(p)
+	r.sim.AtTimer(at, r)
+}
+
+// Fire transmits the oldest pending fragment.
+func (r *sendRing) Fire(now units.Time) {
+	p := r.pending.Pop()
+	p.SentAt = now
+	*r.sent++
+	if r.bytes != nil {
+		*r.bytes += int64(p.Size)
+	}
+	r.next.Handle(p)
+}
+
+// pushPaced cuts a size-byte frame into msg-byte messages and spaces
+// their sends evenly across spread.
+func (r *sendRing) pushPaced(frame, size, msg int, spread units.Time) {
+	frags := fragments(size, msg)
+	for j := 0; j < frags; j++ {
+		r.push(frame, j, frags, fragPayload(size, msg, j, frags),
+			units.Time(int64(spread)*int64(j)/int64(frags)))
+	}
+}
+
+// fragments reports how many msg-byte messages carry a size-byte frame;
+// an empty frame still sends one.
+func fragments(size, msg int) int {
+	if n := (size + msg - 1) / msg; n > 0 {
+		return n
+	}
+	return 1
+}
+
+// fragPayload is the size of message j of frags: msg bytes, the
+// remainder for the last.
+func fragPayload(size, msg, j, frags int) int {
+	if j == frags-1 {
+		return size - j*msg
+	}
+	return msg
+}
 
 // Paced streams an encoding over UDP, sending each frame's packets
 // evenly spaced across a fraction of the frame interval — the
@@ -54,31 +171,23 @@ type Paced struct {
 	MsgSize int
 	// PaceSpread is the fraction of the frame interval across which a
 	// frame's packets are spread (default 0.95). Values above 1 panic
-	// in Start: the send ring relies on a frame's fragments finishing
-	// before the next frame starts, which holds for any spread ≤ 1
-	// (the last fragment leaves at spread·(frags-1)/frags of the
-	// interval, strictly inside it).
+	// in StartAt: a frame's fragments must finish before the next frame
+	// starts, which holds for any spread ≤ 1 (the last fragment leaves
+	// at spread·(frags-1)/frags of the interval, strictly inside it).
 	PaceSpread float64
 
 	Sent      int
 	SentBytes int64
 
-	// Pending fragment sends, delivery order. Fragment send times are
-	// strictly increasing (within a frame by construction, across
-	// frames because a frame's spread never reaches the next frame
-	// time), so a FIFO ring plus one Timer replaces the per-fragment
-	// closures.
-	pending packet.Ring
+	frames clock
+	out    sendRing
 }
 
-// pacedSendTimer is the pointer-conversion Timer of a Paced server.
-type pacedSendTimer Paced
+// Start schedules the whole clip's transmission from now.
+func (s *Paced) Start() { s.StartAt(s.Sim.Now()) }
 
-// Fire transmits the oldest pending fragment.
-func (s *pacedSendTimer) Fire(units.Time) { (*Paced)(s).sendHead() }
-
-// Start schedules the whole clip's transmission.
-func (s *Paced) Start() {
+// StartAt schedules the whole clip's transmission from time t.
+func (s *Paced) StartAt(t units.Time) {
 	if s.MsgSize <= 0 {
 		s.MsgSize = MaxUDPPayload
 	}
@@ -88,46 +197,13 @@ func (s *Paced) Start() {
 	if s.PaceSpread > 1 {
 		panic("server: Paced.PaceSpread > 1 would overlap adjacent frames' sends")
 	}
-	interval := video.FrameInterval()
-	for i := range s.Enc.Frames {
-		i := i
-		s.Sim.At(s.Sim.Now()+units.Time(int64(i))*interval, func() { s.sendFrame(i) })
-	}
+	s.out.start(s.Sim, s.Pool, s.Flow, s.Next, &s.Sent, &s.SentBytes)
+	s.frames.start(s.Sim, s, t, video.FrameInterval(), len(s.Enc.Frames))
 }
 
-func (s *Paced) sendFrame(i int) {
-	size := s.Enc.Frames[i].Size
-	frags := (size + s.MsgSize - 1) / s.MsgSize
-	if frags == 0 {
-		frags = 1
-	}
-	interval := video.FrameInterval()
-	spread := units.Time(float64(interval) * s.PaceSpread)
-	for j := 0; j < frags; j++ {
-		payload := s.MsgSize
-		if j == frags-1 {
-			payload = size - (frags-1)*s.MsgSize
-		}
-		p := s.Pool.Get()
-		p.ID, p.Flow, p.Proto = nextID(), s.Flow, packet.UDP
-		p.Size = payload + UDPHeader
-		p.FrameSeq, p.FragIndex, p.FragCount = i, j, frags
-		var at units.Time
-		if frags > 1 {
-			at = units.Time(int64(spread) * int64(j) / int64(frags))
-		}
-		s.pending.Push(p)
-		s.Sim.AfterTimer(at, (*pacedSendTimer)(s))
-	}
-}
-
-// sendHead transmits the ring head at its scheduled instant.
-func (s *Paced) sendHead() {
-	p := s.pending.Pop()
-	p.SentAt = s.Sim.Now()
-	s.Sent++
-	s.SentBytes += int64(p.Size)
-	s.Next.Handle(p)
+func (s *Paced) step(i int) {
+	s.out.pushPaced(i, s.Enc.Frames[i].Size, s.MsgSize,
+		units.Time(float64(video.FrameInterval())*s.PaceSpread))
 }
 
 // MaxDatagram is the largest application datagram the bursty servers
@@ -159,8 +235,14 @@ type Burst struct {
 	SentBytes   int64
 	Multipliers []float64 // rate multiplier history, one per feedback tick
 
-	frame int
+	frames, feedback clock
+	out              sendRing
 }
+
+// burstFeedback steps a Burst's adaptation loop.
+type burstFeedback Burst
+
+func (b *burstFeedback) step(int) { (*Burst)(b).adaptTick() }
 
 // SetFeedback wires the client-side probe the adaptation loop polls.
 func (b *Burst) SetFeedback(probe func() (float64, units.Time)) { b.lossProbe = probe }
@@ -174,13 +256,11 @@ func (b *Burst) Start() {
 		b.FeedbackEvery = units.Second
 	}
 	b.rateMultiplier = 1
-	interval := video.FrameInterval()
-	for i := range b.Enc.Frames {
-		i := i
-		b.Sim.At(b.Sim.Now()+units.Time(int64(i))*interval, func() { b.sendFrame(i) })
-	}
+	b.out.start(b.Sim, b.Pool, b.Flow, b.Next, &b.Sent, &b.SentBytes)
+	now := b.Sim.Now()
+	b.frames.start(b.Sim, b, now, video.FrameInterval(), len(b.Enc.Frames))
 	if b.Adapt && b.lossProbe != nil {
-		b.Sim.After(b.FeedbackEvery, b.adaptTick)
+		b.feedback.start(b.Sim, (*burstFeedback)(b), now+b.FeedbackEvery, b.FeedbackEvery, -1)
 	}
 }
 
@@ -203,10 +283,9 @@ func (b *Burst) adaptTick() {
 		b.rateMultiplier = 0.8*b.rateMultiplier + 0.2
 	}
 	b.Multipliers = append(b.Multipliers, b.rateMultiplier)
-	b.Sim.After(b.FeedbackEvery, b.adaptTick)
 }
 
-func (b *Burst) sendFrame(i int) {
+func (b *Burst) step(i int) {
 	size := int(float64(b.Enc.Frames[i].Size) * b.rateMultiplier)
 	if size < 200 {
 		size = 200
@@ -225,9 +304,6 @@ func (b *Burst) sendFrame(i int) {
 		frags += (dg + MaxUDPPayload - 1) / MaxUDPPayload
 		remaining -= dg
 	}
-	if frags == 0 {
-		frags = 1
-	}
 	var at units.Time
 	sent := 0
 	remaining = size
@@ -236,21 +312,11 @@ func (b *Burst) sendFrame(i int) {
 		if payload > MaxUDPPayload {
 			payload = MaxUDPPayload
 		}
-		p := b.Pool.Get()
-		p.ID, p.Flow, p.Proto = nextID(), b.Flow, packet.UDP
-		p.Size = payload + UDPHeader
-		p.FrameSeq, p.FragIndex, p.FragCount = i, sent, frags
-		b.Sim.After(at, func() {
-			p.SentAt = b.Sim.Now()
-			b.Sent++
-			b.SentBytes += int64(p.Size)
-			b.Next.Handle(p)
-		})
-		at += b.HostRate.TxTime(p.Size)
+		b.out.push(i, sent, frags, payload, at)
+		at += b.HostRate.TxTime(payload + UDPHeader)
 		sent++
 		remaining -= payload
 	}
-	b.frame = i
 }
 
 // WMTUDP streams a capped-VBR encoding over UDP with reduced message
@@ -267,6 +333,9 @@ type WMTUDP struct {
 
 	Sent      int
 	SentBytes int64
+
+	frames clock
+	out    sendRing
 }
 
 // Start schedules the transmission.
@@ -274,36 +343,18 @@ func (s *WMTUDP) Start() {
 	if s.HostRate <= 0 {
 		s.HostRate = 10 * units.Mbps
 	}
-	interval := video.FrameInterval()
-	for i := range s.Enc.Frames {
-		i := i
-		s.Sim.At(s.Sim.Now()+units.Time(int64(i))*interval, func() { s.sendFrame(i) })
-	}
+	s.out.start(s.Sim, s.Pool, s.Flow, s.Next, &s.Sent, &s.SentBytes)
+	s.frames.start(s.Sim, s, s.Sim.Now(), video.FrameInterval(), len(s.Enc.Frames))
 }
 
-func (s *WMTUDP) sendFrame(i int) {
+func (s *WMTUDP) step(i int) {
 	size := s.Enc.Frames[i].Size
-	frags := (size + MaxUDPPayload - 1) / MaxUDPPayload
-	if frags == 0 {
-		frags = 1
-	}
+	frags := fragments(size, MaxUDPPayload)
 	var at units.Time
 	for j := 0; j < frags; j++ {
-		payload := MaxUDPPayload
-		if j == frags-1 {
-			payload = size - (frags-1)*MaxUDPPayload
-		}
-		p := s.Pool.Get()
-		p.ID, p.Flow, p.Proto = nextID(), s.Flow, packet.UDP
-		p.Size = payload + UDPHeader
-		p.FrameSeq, p.FragIndex, p.FragCount = i, j, frags
-		s.Sim.After(at, func() {
-			p.SentAt = s.Sim.Now()
-			s.Sent++
-			s.SentBytes += int64(p.Size)
-			s.Next.Handle(p)
-		})
-		at += s.HostRate.TxTime(p.Size)
+		n := fragPayload(size, MaxUDPPayload, j, frags)
+		s.out.push(i, j, frags, n, at)
+		at += s.HostRate.TxTime(n + UDPHeader)
 	}
 }
 
@@ -328,6 +379,8 @@ type WMTTCP struct {
 
 	FramesSent    int
 	FramesThinned int
+
+	frames clock
 }
 
 // Start schedules the clip's frame writes.
@@ -335,14 +388,11 @@ func (s *WMTTCP) Start() {
 	if s.ThinningBacklog == 0 {
 		s.ThinningBacklog = int64(float64(s.Enc.Target) / 8 / 2)
 	}
-	interval := video.FrameInterval()
-	for i := range s.Enc.Frames {
-		i := i
-		s.Sim.At(s.Sim.Now()+units.Time(int64(i))*interval, func() { s.writeFrame(i) })
-	}
+	s.frames.start(s.Sim, s, s.Sim.Now(), video.FrameInterval(), len(s.Enc.Frames))
 }
 
-func (s *WMTTCP) writeFrame(i int) {
+// step writes frame i to the connection, or thins it.
+func (s *WMTTCP) step(i int) {
 	if s.Sender.Backlog() > s.ThinningBacklog {
 		s.FramesThinned++
 		return
@@ -372,7 +422,15 @@ type Adaptive struct {
 	Switches int
 	Sent     int
 	Levels   []int // level history per feedback tick
+
+	frames, feedback clock
+	out              sendRing
 }
+
+// adaptiveFeedback steps an Adaptive's level selection.
+type adaptiveFeedback Adaptive
+
+func (a *adaptiveFeedback) step(int) { (*Adaptive)(a).adaptTick() }
 
 // SetFeedback wires the loss probe.
 func (a *Adaptive) SetFeedback(probe func() float64) { a.lossProbe = probe }
@@ -386,14 +444,11 @@ func (a *Adaptive) Start() {
 		a.FeedbackEvery = units.Second
 	}
 	a.level = len(a.Encs) - 1
-	interval := video.FrameInterval()
-	n := a.Encs[0].Clip.FrameCount()
-	for i := 0; i < n; i++ {
-		i := i
-		a.Sim.At(a.Sim.Now()+units.Time(int64(i))*interval, func() { a.sendFrame(i) })
-	}
+	a.out.start(a.Sim, a.Pool, a.Flow, a.Next, &a.Sent, nil)
+	now := a.Sim.Now()
+	a.frames.start(a.Sim, a, now, video.FrameInterval(), a.Encs[0].Clip.FrameCount())
 	if a.lossProbe != nil {
-		a.Sim.After(a.FeedbackEvery, a.adaptTick)
+		a.feedback.start(a.Sim, (*adaptiveFeedback)(a), now+a.FeedbackEvery, a.FeedbackEvery, -1)
 	}
 }
 
@@ -408,31 +463,8 @@ func (a *Adaptive) adaptTick() {
 		a.Switches++
 	}
 	a.Levels = append(a.Levels, a.level)
-	a.Sim.After(a.FeedbackEvery, a.adaptTick)
 }
 
-func (a *Adaptive) sendFrame(i int) {
-	enc := a.Encs[a.level]
-	size := enc.Frames[i].Size
-	frags := (size + MaxUDPPayload - 1) / MaxUDPPayload
-	if frags == 0 {
-		frags = 1
-	}
-	interval := video.FrameInterval()
-	for j := 0; j < frags; j++ {
-		payload := MaxUDPPayload
-		if j == frags-1 {
-			payload = size - (frags-1)*MaxUDPPayload
-		}
-		p := a.Pool.Get()
-		p.ID, p.Flow, p.Proto = nextID(), a.Flow, packet.UDP
-		p.Size = payload + UDPHeader
-		p.FrameSeq, p.FragIndex, p.FragCount = i, j, frags
-		at := units.Time(int64(interval) * 8 / 10 * int64(j) / int64(frags))
-		a.Sim.After(at, func() {
-			p.SentAt = a.Sim.Now()
-			a.Sent++
-			a.Next.Handle(p)
-		})
-	}
+func (a *Adaptive) step(i int) {
+	a.out.pushPaced(i, a.Encs[a.level].Frames[i].Size, MaxUDPPayload, video.FrameInterval()*8/10)
 }

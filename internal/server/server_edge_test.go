@@ -11,6 +11,12 @@ import (
 	"repro/internal/video"
 )
 
+// timerFunc adapts a closure to sim.Timer. Tests only: production code
+// schedules through long-lived Timer values.
+type timerFunc func()
+
+func (f timerFunc) Fire(units.Time) { f() }
+
 func TestPacedCustomMsgSize(t *testing.T) {
 	s := sim.New(1)
 	maxPayload := 0
@@ -83,7 +89,7 @@ func TestWMTTCPNoThinningOnFastPath(t *testing.T) {
 	snd = tcpsim.NewSender(s, 1, packet.HandlerFunc(func(p *packet.Packet) {
 		ack := &packet.Packet{Flow: 1, Proto: packet.TCP, Size: tcpsim.HeaderSize,
 			Ack: p.Seq + int64(p.Size-tcpsim.HeaderSize), IsAck: true}
-		s.After(units.Microsecond, func() { snd.HandleAck(ack) })
+		s.AfterTimer(units.Microsecond, timerFunc(func() { snd.HandleAck(ack) }))
 	}))
 	asm := &client.StreamAssembler{}
 	srv := &WMTTCP{Sim: s, Enc: enc, Sender: snd, Asm: asm}

@@ -5,22 +5,15 @@
 // instant fire in scheduling order, which keeps every experiment
 // bit-for-bit reproducible for a given seed.
 //
-// # Scheduling APIs
+// # Scheduling
 //
-// There are two ways to schedule work:
-//
-//   - At / After take a closure. Convenient, but each call heap
-//     allocates the closure (plus whatever it captures), so they are
-//     meant for setup-time and low-rate scheduling.
-//   - AtTimer / AfterTimer take a Timer — any value with a
-//     Fire(now units.Time) method. A component that keeps one
-//     long-lived Timer value (typically a pointer-conversion type of
-//     the component itself) schedules with zero allocations per
-//     event, which is what the per-packet hot paths use.
-//
-// Both return a Handle. Events themselves are pooled: once fired or
-// cancelled an Event is recycled, so steady-state scheduling performs
-// no allocation at all. Handles are generation-checked, so a stale
+// AtTimer / AfterTimer schedule a Timer — any value with a
+// Fire(now units.Time) method — and return a Handle. A component keeps
+// one long-lived Timer value (typically a pointer-conversion type of
+// the component itself) and re-arms it, so scheduling allocates
+// nothing per event; periodic work is a Timer that re-arms itself from
+// Fire. Events themselves are pooled: once fired or cancelled an Event
+// is recycled. Handles are generation-checked, so a stale
 // Handle held after its event fired is inert — Cancel on it is a
 // no-op and Active reports false — never a corruption of whichever
 // event happens to be reusing the same slot.
@@ -48,8 +41,8 @@ import (
 	"repro/internal/units"
 )
 
-// Timer is the closure-free scheduling interface: Fire runs at the
-// scheduled instant with the simulator clock already advanced to it.
+// Timer is the scheduling interface: Fire runs at the scheduled
+// instant with the simulator clock already advanced to it.
 // Components implement Fire on cheap pointer-conversion types (e.g.
 // `type txDoneTimer Link`) so one long-lived interface value serves
 // every scheduling of that callback.
@@ -62,7 +55,6 @@ type Timer interface {
 type Event struct {
 	when      units.Time
 	seq       uint64
-	fn        func()
 	timer     Timer
 	gen       uint32
 	cancelled bool
@@ -77,7 +69,6 @@ func (s *Simulator) release(e *Event) {
 		s.qPurged++
 	}
 	e.gen++
-	e.fn = nil
 	e.timer = nil
 	e.cancelled = false
 	e.inHeap = false
@@ -107,8 +98,8 @@ func (h Handle) When() units.Time {
 	return h.e.when
 }
 
-// Cancel prevents a pending event from firing. The closure or Timer
-// is released immediately — a cancelled event pins nothing until its
+// Cancel prevents a pending event from firing. The Timer is released
+// immediately — a cancelled event pins nothing until its
 // timestamp — and Pending() drops at once. Safe to call any number of
 // times, on the zero Handle, and after the event has fired (all
 // no-ops).
@@ -118,7 +109,6 @@ func (h Handle) Cancel() {
 		return
 	}
 	e.cancelled = true
-	e.fn = nil
 	e.timer = nil
 	e.sim.live--
 	if e.inHeap {
@@ -302,34 +292,14 @@ func (s *Simulator) schedule(e *Event) {
 	s.nBuckets++
 }
 
-func (s *Simulator) checkPast(t units.Time) {
+// AtTimer schedules tm.Fire at absolute simulated time t without
+// allocating. Scheduling in the past panics: that is always a logic
+// error in a discrete-event model and silently reordering time would
+// corrupt the run.
+func (s *Simulator) AtTimer(t units.Time, tm Timer) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
-}
-
-// At schedules fn to run at absolute simulated time t. Scheduling in
-// the past panics: that is always a logic error in a discrete-event
-// model and silently reordering time would corrupt the run.
-func (s *Simulator) At(t units.Time, fn func()) Handle {
-	s.checkPast(t)
-	e := s.alloc(t)
-	e.fn = fn
-	s.schedule(e)
-	return Handle{e: e, gen: e.gen}
-}
-
-// After schedules fn to run d from now.
-func (s *Simulator) After(d units.Time, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
-
-// AtTimer schedules tm.Fire at absolute time t without allocating.
-func (s *Simulator) AtTimer(t units.Time, tm Timer) Handle {
-	s.checkPast(t)
 	e := s.alloc(t)
 	e.timer = tm
 	s.schedule(e)
@@ -474,15 +444,11 @@ func (s *Simulator) Run() units.Time {
 		s.popMin()
 		s.now = e.when
 		s.fired++
-		fn, tm := e.fn, e.timer
+		tm := e.timer
 		// Recycle before firing so a periodic Timer's re-schedule
 		// reuses this very event — the steady state allocates nothing.
 		s.release(e)
-		if tm != nil {
-			tm.Fire(s.now)
-		} else {
-			fn()
-		}
+		tm.Fire(s.now)
 	}
 	return s.now
 }
@@ -525,13 +491,9 @@ func (s *Simulator) RunBefore(t units.Time) units.Time {
 		s.popMin()
 		s.now = e.when
 		s.fired++
-		fn, tm := e.fn, e.timer
+		tm := e.timer
 		s.release(e)
-		if tm != nil {
-			tm.Fire(s.now)
-		} else {
-			fn()
-		}
+		tm.Fire(s.now)
 	}
 	return s.now
 }

@@ -8,12 +8,18 @@ import (
 	"repro/internal/units"
 )
 
+// timerFunc adapts a closure to sim.Timer. Tests only: production code
+// schedules through long-lived Timer values.
+type timerFunc func()
+
+func (f timerFunc) Fire(units.Time) { f() }
+
 func TestEventOrdering(t *testing.T) {
 	s := New(1)
 	var order []int
-	s.At(30*units.Millisecond, func() { order = append(order, 3) })
-	s.At(10*units.Millisecond, func() { order = append(order, 1) })
-	s.At(20*units.Millisecond, func() { order = append(order, 2) })
+	s.AtTimer(30*units.Millisecond, timerFunc(func() { order = append(order, 3) }))
+	s.AtTimer(10*units.Millisecond, timerFunc(func() { order = append(order, 1) }))
+	s.AtTimer(20*units.Millisecond, timerFunc(func() { order = append(order, 2) }))
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -30,7 +36,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.At(units.Second, func() { order = append(order, i) })
+		s.AtTimer(units.Second, timerFunc(func() { order = append(order, i) }))
 	}
 	s.Run()
 	for i, v := range order {
@@ -65,7 +71,7 @@ func TestCalendarMatchesReferenceOrder(t *testing.T) {
 		}
 		i := i
 		w := when
-		s.At(when, func() { got = append(got, key{w, i}) })
+		s.AtTimer(when, timerFunc(func() { got = append(got, key{w, i}) }))
 		want = append(want, key{when, i})
 	}
 	sort.SliceStable(want, func(a, b int) bool { return want[a].when < want[b].when })
@@ -83,7 +89,7 @@ func TestCalendarMatchesReferenceOrder(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
-	e := s.At(units.Second, func() { fired = true })
+	e := s.AtTimer(units.Second, timerFunc(func() { fired = true }))
 	if !e.Active() {
 		t.Fatal("fresh handle not active")
 	}
@@ -101,7 +107,7 @@ func TestCancelStopsCountingInPending(t *testing.T) {
 	s := New(1)
 	events := make([]Handle, 100)
 	for i := range events {
-		events[i] = s.At(units.Time(i+1)*units.Millisecond, func() {})
+		events[i] = s.AtTimer(units.Time(i+1)*units.Millisecond, timerFunc(func() {}))
 	}
 	for i, e := range events {
 		if i%2 == 1 {
@@ -124,7 +130,7 @@ func TestCancelStopsCountingInPending(t *testing.T) {
 func TestCancelAfterFireIsInert(t *testing.T) {
 	s := New(1)
 	n := 0
-	e := s.At(units.Millisecond, func() { n++ })
+	e := s.AtTimer(units.Millisecond, timerFunc(func() { n++ }))
 	s.Run()
 	if n != 1 {
 		t.Fatalf("event did not fire")
@@ -139,7 +145,7 @@ func TestCancelAfterFireIsInert(t *testing.T) {
 	}
 	// The recycled slot is likely reused by the next schedule; the
 	// stale handle must not be able to cancel the new occupant.
-	e2 := s.At(2*units.Millisecond, func() { n++ })
+	e2 := s.AtTimer(2*units.Millisecond, timerFunc(func() { n++ }))
 	e.Cancel()
 	if !e2.Active() {
 		t.Fatal("stale Cancel deactivated a recycled event")
@@ -151,14 +157,14 @@ func TestCancelAfterFireIsInert(t *testing.T) {
 }
 
 // TestCancelReleasesClosure verifies a cancelled event does not pin
-// its closure until its timestamp: the event's fn is nilled at Cancel
-// time even though the slot is reclaimed lazily.
+// its Timer (here a closure) until its timestamp: the event's timer is
+// nilled at Cancel time even though the slot is reclaimed lazily.
 func TestCancelReleasesClosure(t *testing.T) {
 	s := New(1)
 	big := make([]byte, 1<<20)
-	h := s.At(3600*units.Second, func() { _ = big })
+	h := s.AtTimer(3600*units.Second, timerFunc(func() { _ = big }))
 	h.Cancel()
-	if h.e.fn != nil || h.e.timer != nil {
+	if h.e.timer != nil {
 		t.Fatal("cancelled event still pins its callback")
 	}
 }
@@ -171,7 +177,7 @@ func TestCancelInterleavedKeepsOrdering(t *testing.T) {
 	var cancels []Handle
 	for i := 0; i < 50; i++ {
 		i := i
-		e := s.At(units.Time(50-i)*units.Millisecond, func() { order = append(order, 50-i) })
+		e := s.AtTimer(units.Time(50-i)*units.Millisecond, timerFunc(func() { order = append(order, 50-i) }))
 		if i%3 == 0 {
 			cancels = append(cancels, e)
 		}
@@ -233,23 +239,23 @@ func TestTimerSteadyStateAllocFree(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New(1)
-	s.At(units.Second, func() {
+	s.AtTimer(units.Second, timerFunc(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		s.At(0, func() {})
-	})
+		s.AtTimer(0, timerFunc(func() {}))
+	}))
 	s.Run()
 }
 
 func TestAfterFromWithinEvent(t *testing.T) {
 	s := New(1)
 	var at units.Time
-	s.After(units.Second, func() {
-		s.After(500*units.Millisecond, func() { at = s.Now() })
-	})
+	s.AfterTimer(units.Second, timerFunc(func() {
+		s.AfterTimer(500*units.Millisecond, timerFunc(func() { at = s.Now() }))
+	}))
 	s.Run()
 	if at != 1500*units.Millisecond {
 		t.Errorf("nested After fired at %v", at)
@@ -262,7 +268,7 @@ func TestAfterFromWithinEvent(t *testing.T) {
 func TestHorizonKeepsFutureEvents(t *testing.T) {
 	s := New(1)
 	fired := false
-	s.At(2*units.Second, func() { fired = true })
+	s.AtTimer(2*units.Second, timerFunc(func() { fired = true }))
 	s.RunUntil(units.Second)
 	if fired {
 		t.Fatal("event fired before its time")
@@ -285,9 +291,9 @@ func TestHorizonKeepsFutureEvents(t *testing.T) {
 func TestScheduleBehindAdvancedWindow(t *testing.T) {
 	s := New(1)
 	var order []string
-	s.At(10*units.Second, func() { order = append(order, "far") })
+	s.AtTimer(10*units.Second, timerFunc(func() { order = append(order, "far") }))
 	s.RunUntil(units.Second) // advances the window toward the far event
-	s.At(2*units.Second, func() { order = append(order, "near") })
+	s.AtTimer(2*units.Second, timerFunc(func() { order = append(order, "near") }))
 	s.Run()
 	if len(order) != 2 || order[0] != "near" || order[1] != "far" {
 		t.Fatalf("order = %v", order)
@@ -301,10 +307,10 @@ func TestRunUntilRepeatedBoundaries(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 50 {
-			s.After(100*units.Millisecond, tick)
+			s.AfterTimer(100*units.Millisecond, timerFunc(tick))
 		}
 	}
-	s.After(100*units.Millisecond, tick)
+	s.AfterTimer(100*units.Millisecond, timerFunc(tick))
 	for sec := 1; sec <= 6; sec++ {
 		s.RunUntil(units.Time(sec) * units.Second)
 	}
@@ -317,12 +323,12 @@ func TestHalt(t *testing.T) {
 	s := New(1)
 	n := 0
 	for i := 1; i <= 10; i++ {
-		s.At(units.Time(i)*units.Second, func() {
+		s.AtTimer(units.Time(i)*units.Second, timerFunc(func() {
 			n++
 			if n == 3 {
 				s.Halt()
 			}
-		})
+		}))
 	}
 	s.Run()
 	if n != 3 {
@@ -338,7 +344,7 @@ func TestHalt(t *testing.T) {
 func TestFiredCount(t *testing.T) {
 	s := New(1)
 	for i := 0; i < 7; i++ {
-		s.After(units.Time(i)*units.Millisecond, func() {})
+		s.AfterTimer(units.Time(i)*units.Millisecond, timerFunc(func() {}))
 	}
 	s.Run()
 	if s.Fired() != 7 {
@@ -359,7 +365,7 @@ func TestZeroHandle(t *testing.T) {
 
 func TestHandleWhen(t *testing.T) {
 	s := New(1)
-	h := s.At(3*units.Second, func() {})
+	h := s.AtTimer(3*units.Second, timerFunc(func() {}))
 	if h.When() != 3*units.Second {
 		t.Errorf("When = %v", h.When())
 	}

@@ -41,7 +41,7 @@ func TestCalendarSparseLongRTOSchedule(t *testing.T) {
 	add := func(when units.Time, cancelled bool) {
 		id := seq
 		seq++
-		h := s.At(when, func() { got = append(got, rtoEvent{when, id}) })
+		h := s.AtTimer(when, timerFunc(func() { got = append(got, rtoEvent{when, id}) }))
 		if cancelled {
 			h.Cancel()
 			return
@@ -105,7 +105,7 @@ func TestCalendarCancelStormPurgesHeap(t *testing.T) {
 	add := func(when units.Time, cancel bool) {
 		k := rtoEvent{when, id}
 		id++
-		h := s.At(when, func() { got = append(got, k) })
+		h := s.AtTimer(when, timerFunc(func() { got = append(got, k) }))
 		if cancel {
 			h.Cancel()
 			return
@@ -170,7 +170,7 @@ func TestCalendarBimodalWidthTransitions(t *testing.T) {
 	add := func(when units.Time, cancel bool) {
 		k := rtoEvent{when, id}
 		id++
-		h := s.At(when, func() { got = append(got, k) })
+		h := s.AtTimer(when, timerFunc(func() { got = append(got, k) }))
 		if cancel {
 			h.Cancel()
 			return
@@ -244,7 +244,7 @@ func TestCalendarBurstGapAdaptiveSchedule(t *testing.T) {
 	add := func(when units.Time, cancel bool) {
 		k := rtoEvent{when, id}
 		id++
-		h := s.At(when, func() { got = append(got, k) })
+		h := s.AtTimer(when, timerFunc(func() { got = append(got, k) }))
 		if cancel {
 			h.Cancel()
 			return
@@ -318,7 +318,7 @@ func TestCalendarRebaseInterleavedWithDense(t *testing.T) {
 		}
 		i := i
 		w := when
-		s.At(when, func() { got = append(got, key{w, i}) })
+		s.AtTimer(when, timerFunc(func() { got = append(got, key{w, i}) }))
 		want = append(want, key{when, i})
 	}
 	sort.SliceStable(want, func(a, b int) bool { return want[a].when < want[b].when })

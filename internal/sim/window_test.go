@@ -14,7 +14,7 @@ func TestRunBeforeStrictBound(t *testing.T) {
 	var fired []units.Time
 	for _, at := range []units.Time{10, 20, 30, 40} {
 		at := at
-		s.At(at, func() { fired = append(fired, at) })
+		s.AtTimer(at, timerFunc(func() { fired = append(fired, at) }))
 	}
 	now := s.RunBefore(30)
 	if now != 20 {
@@ -42,8 +42,8 @@ func TestRunBeforeStrictBound(t *testing.T) {
 func TestRunBeforeIgnoresHorizon(t *testing.T) {
 	s := New(1)
 	n := 0
-	s.At(10, func() { n++ })
-	s.At(20, func() { n++ })
+	s.AtTimer(10, timerFunc(func() { n++ }))
+	s.AtTimer(20, timerFunc(func() { n++ }))
 	s.SetHorizon(15)
 	s.RunBefore(25)
 	if n != 2 {
@@ -54,7 +54,7 @@ func TestRunBeforeIgnoresHorizon(t *testing.T) {
 // TestAdvanceTo pins the clock-only advance and both of its panics.
 func TestAdvanceTo(t *testing.T) {
 	s := New(1)
-	s.At(50, func() {})
+	s.AtTimer(50, timerFunc(func() {}))
 	s.AdvanceTo(40)
 	if s.Now() != 40 {
 		t.Errorf("Now = %v, want 40", s.Now())
@@ -68,7 +68,7 @@ func TestAdvanceTo(t *testing.T) {
 	mustPanic(t, "skip a pending event", func() { s.AdvanceTo(60) })
 	mustPanic(t, "move backwards", func() {
 		s2 := New(1)
-		s2.At(5, func() {})
+		s2.AtTimer(5, timerFunc(func() {}))
 		s2.Run()
 		s2.AdvanceTo(1)
 	})
@@ -96,7 +96,7 @@ func TestBucketWidthIsNotSemantic(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			at := units.Time(int64((i*997)%1000)) * units.Microsecond
 			at += units.Time(i%3) * 40 * units.Millisecond
-			s.At(at, func() { fired = append(fired, s.Now()) })
+			s.AtTimer(at, timerFunc(func() { fired = append(fired, s.Now()) }))
 		}
 		s.Run()
 		return fired

@@ -66,7 +66,7 @@ func TestLimitedTransmitReducesTimeouts(t *testing.T) {
 		// whose tiny windows starve fast retransmit of dupacks.
 		for i := 0; i < 900; i++ {
 			i := i
-			s.At(units.Time(i)*33*units.Millisecond, func() { snd.Write(3000) })
+			s.AtTimer(units.Time(i)*33*units.Millisecond, timerFunc(func() { snd.Write(3000) }))
 		}
 		s.RunUntil(60 * units.Second)
 		return snd.Timeouts

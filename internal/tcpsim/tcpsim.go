@@ -13,8 +13,6 @@
 package tcpsim
 
 import (
-	"sync/atomic"
-
 	"repro/internal/packet"
 	"repro/internal/ptrace"
 	"repro/internal/sim"
@@ -135,7 +133,7 @@ func (t *Sender) trySend() {
 
 func (t *Sender) sendSegment(seq int64, size int, retrans bool) {
 	p := t.Pool.Get()
-	p.ID, p.Flow, p.Proto = nextID(), t.Flow, packet.TCP
+	p.ID, p.Flow, p.Proto = packet.NewID(), t.Flow, packet.TCP
 	p.Size, p.Seq = size+HeaderSize, seq
 	p.SentAt, p.FrameSeq = t.Sim.Now(), -1
 	t.Sent++
@@ -154,13 +152,6 @@ func (t *Sender) sendSegment(seq int64, size int, retrans bool) {
 	}
 	t.Out.Handle(p)
 }
-
-// idCounter is atomic because independent simulations run
-// concurrently on the experiment runner pool; ids only need to be
-// unique and non-zero.
-var idCounter atomic.Uint64
-
-func nextID() uint64 { return idCounter.Add(1) }
 
 // rtoFire is the Sender's retransmission-timeout Timer (a pointer
 // conversion, so arming the RTO never allocates a closure).
@@ -442,7 +433,7 @@ func (r *Receiver) Handle(p *packet.Packet) {
 func (r *Receiver) sendAck() {
 	r.Acked++
 	ack := r.Pool.Get()
-	ack.ID, ack.Flow, ack.Proto = nextID(), r.Flow, packet.TCP
+	ack.ID, ack.Flow, ack.Proto = packet.NewID(), r.Flow, packet.TCP
 	ack.Size, ack.Ack, ack.IsAck = HeaderSize, r.rcvNxt, true
 	ack.SentAt, ack.FrameSeq = r.Sim.Now(), -1
 	r.AckOut.Handle(ack)

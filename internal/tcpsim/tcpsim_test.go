@@ -8,6 +8,12 @@ import (
 	"repro/internal/units"
 )
 
+// timerFunc adapts a closure to sim.Timer. Tests only: production code
+// schedules through long-lived Timer values.
+type timerFunc func()
+
+func (f timerFunc) Fire(units.Time) { f() }
+
 // pipe delivers packets to a receiver after a fixed delay, optionally
 // dropping chosen packet ids.
 type pipe struct {
@@ -25,7 +31,7 @@ func (p *pipe) Handle(pkt *packet.Packet) {
 		p.lost++
 		return
 	}
-	p.s.After(p.delay, func() { p.to(pkt) })
+	p.s.AfterTimer(p.delay, timerFunc(func() { p.to(pkt) }))
 }
 
 func newPair(t *testing.T, s *sim.Simulator, dropData func(*packet.Packet) bool) (*Sender, *Receiver, *int64) {

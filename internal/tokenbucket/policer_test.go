@@ -8,6 +8,12 @@ import (
 	"repro/internal/units"
 )
 
+// timerFunc adapts a closure to sim.Timer. Tests only: production code
+// schedules through long-lived Timer values.
+type timerFunc func()
+
+func (f timerFunc) Fire(units.Time) { f() }
+
 func mkPkt(size int) *packet.Packet {
 	return &packet.Packet{Size: size, FrameSeq: -1}
 }
@@ -57,7 +63,7 @@ func TestPolicerConservation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		now += units.Time(rng.Intn(3000)) * units.Microsecond
 		final := now
-		s.At(final, func() { p.Handle(mkPkt(1500)) })
+		s.AtTimer(final, timerFunc(func() { p.Handle(mkPkt(1500)) }))
 	}
 	s.Run()
 	if p.Passed+p.Dropped != n {
@@ -78,11 +84,11 @@ func TestShaperDelaysInsteadOfDropping(t *testing.T) {
 	}))
 	// Three back-to-back 1500B packets: the first two conform (bucket
 	// 3000), the third must be delayed ~1500µs (1 B/µs refill).
-	s.At(0, func() {
+	s.AtTimer(0, timerFunc(func() {
 		sh.Handle(mkPkt(1500))
 		sh.Handle(mkPkt(1500))
 		sh.Handle(mkPkt(1500))
-	})
+	}))
 	s.Run()
 	if sink.Count != 3 {
 		t.Fatalf("delivered %d of 3", sink.Count)
@@ -104,13 +110,13 @@ func TestShaperPreservesOrder(t *testing.T) {
 	sh := NewShaper(s, units.Mbps, 3000, packet.EF, packet.HandlerFunc(func(p *packet.Packet) {
 		got = append(got, p.ID)
 	}))
-	s.At(0, func() {
+	s.AtTimer(0, timerFunc(func() {
 		for i := 1; i <= 20; i++ {
 			pk := mkPkt(1000)
 			pk.ID = uint64(i)
 			sh.Handle(pk)
 		}
-	})
+	}))
 	s.Run()
 	if len(got) != 20 {
 		t.Fatalf("delivered %d of 20", len(got))
@@ -126,10 +132,10 @@ func TestShaperDropsOversized(t *testing.T) {
 	s := sim.New(1)
 	var sink packet.Sink
 	sh := NewShaper(s, units.Mbps, 3000, packet.EF, &sink)
-	s.At(0, func() {
+	s.AtTimer(0, timerFunc(func() {
 		sh.Handle(mkPkt(3000)) // drain so the next goes to the queue path
 		sh.Handle(mkPkt(4000)) // can never conform
-	})
+	}))
 	s.Run()
 	if sh.Dropped != 1 {
 		t.Errorf("Dropped = %d, want 1", sh.Dropped)
@@ -144,11 +150,11 @@ func TestShaperQueueLimit(t *testing.T) {
 	var sink packet.Sink
 	sh := NewShaper(s, 100*units.Kbps, 3000, packet.EF, &sink)
 	sh.SetQueueLimit(5)
-	s.At(0, func() {
+	s.AtTimer(0, timerFunc(func() {
 		for i := 0; i < 20; i++ {
 			sh.Handle(mkPkt(1500))
 		}
-	})
+	}))
 	s.RunUntil(100 * units.Millisecond)
 	if sh.Dropped == 0 {
 		t.Error("queue limit never enforced")
@@ -173,7 +179,7 @@ func TestShaperOutputConforms(t *testing.T) {
 	now := units.Time(0)
 	for i := 0; i < 500; i++ {
 		now += units.Time(rng.Intn(5000)) * units.Microsecond
-		s.At(now, func() { sh.Handle(mkPkt(1500)) })
+		s.AtTimer(now, timerFunc(func() { sh.Handle(mkPkt(1500)) }))
 	}
 	s.Run()
 	if violations != 0 {

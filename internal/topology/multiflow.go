@@ -237,7 +237,7 @@ func (m *MultiFlow) Run() {
 			m.Mixture.Start()
 		}
 		for i, srv := range m.Servers {
-			m.Sim.At(m.starts[i], srv.Start)
+			srv.StartAt(m.starts[i])
 		}
 		m.Sim.SetHorizon(m.horizon)
 		m.Sim.Run()

@@ -4,7 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/client"
-
+	"repro/internal/packet"
+	"repro/internal/ptrace"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -185,5 +186,43 @@ func TestQBoneEFDelayIsSmallAndStable(t *testing.T) {
 	}
 	if q.Delay.Jitter.Mean() > 0.01 {
 		t.Errorf("mean jitter %.4fs too large for EF", q.Delay.Jitter.Mean())
+	}
+}
+
+// TestPacketIDsDoNotAliasAcrossTransports: a TCP-mode local run with
+// cross traffic stamps TCP segments, ACKs and the on-off source's UDP
+// packets from one counter, so in its trace no id appears under two
+// flows and ids rise in order of first appearance across flows.
+func TestPacketIDsDoNotAliasAcrossTransports(t *testing.T) {
+	enc := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
+	const keep = 1 << 16
+	rec := ptrace.NewRecorder(ptrace.Config{Capacity: keep, Head: keep})
+	l := BuildLocal(LocalConfig{
+		Seed: 1, Enc: enc, TokenRate: 1.8e6, Depth: 4500,
+		UseTCP: true, CrossTraffic: true, Trace: rec,
+	})
+	l.Run()
+	flowOf := map[uint64]packet.FlowID{}
+	perFlow := map[packet.FlowID]int{}
+	var last uint64
+	for _, e := range rec.Events() {
+		if e.PktID == 0 {
+			continue
+		}
+		if f, seen := flowOf[e.PktID]; seen {
+			if f != e.Flow {
+				t.Fatalf("packet id %d carried by flow %d and flow %d", e.PktID, f, e.Flow)
+			}
+			continue
+		}
+		if e.PktID < last {
+			t.Fatalf("new packet id %d (flow %d) after id %d: more than one counter", e.PktID, e.Flow, last)
+		}
+		last = e.PktID
+		flowOf[e.PktID] = e.Flow
+		perFlow[e.Flow]++
+	}
+	if perFlow[VideoFlow] == 0 || perFlow[99] == 0 {
+		t.Fatalf("trace holds %d TCP and %d cross-traffic packets; want both", perFlow[VideoFlow], perFlow[99])
 	}
 }

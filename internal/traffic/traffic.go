@@ -15,16 +15,6 @@ import (
 	"repro/internal/units"
 )
 
-// NewPacketID hands out globally unique packet ids across all sources
-// in a process — the single process-wide counter in the packet
-// package, shared with the server-side stampers so source and server
-// packets never alias in a trace.
-func NewPacketID() uint64 { return packet.NewID() }
-
-// ResetPacketIDs restarts the id counter (tests and experiment
-// isolation).
-func ResetPacketIDs() { packet.ResetIDs() }
-
 // CBR emits fixed-size packets at a constant bit rate.
 type CBR struct {
 	Sim   *sim.Simulator
@@ -58,7 +48,7 @@ func (c *CBR) emit() {
 		return
 	}
 	p := c.Pool.Get()
-	p.ID, p.Flow, p.Size = NewPacketID(), c.Flow, c.Size
+	p.ID, p.Flow, p.Size = packet.NewID(), c.Flow, c.Size
 	p.DSCP, p.SentAt, p.FrameSeq = c.DSCP, c.Sim.Now(), -1
 	c.Sent++
 	c.Next.Handle(p)
@@ -107,7 +97,7 @@ func (p *Poisson) arrive() {
 		return
 	}
 	pkt := p.Pool.Get()
-	pkt.ID, pkt.Flow, pkt.Size = NewPacketID(), p.Flow, p.Size
+	pkt.ID, pkt.Flow, pkt.Size = packet.NewID(), p.Flow, p.Size
 	pkt.DSCP, pkt.SentAt, pkt.FrameSeq = p.DSCP, p.Sim.Now(), -1
 	p.Sent++
 	p.Next.Handle(pkt)
@@ -176,7 +166,7 @@ func (o *OnOff) emit() {
 		return
 	}
 	p := o.Pool.Get()
-	p.ID, p.Flow, p.Size = NewPacketID(), o.Flow, o.Size
+	p.ID, p.Flow, p.Size = packet.NewID(), o.Flow, o.Size
 	p.DSCP, p.SentAt, p.FrameSeq = o.DSCP, o.Sim.Now(), -1
 	o.Sent++
 	o.Next.Handle(p)

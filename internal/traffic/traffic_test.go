@@ -98,14 +98,25 @@ func TestOnOffAlternates(t *testing.T) {
 	}
 }
 
+// TestPacketIDsUnique: two sources interleaving in one run stamp
+// non-zero ids that rise in emission order, so none repeats. The
+// counter is process-wide and never reset, so only relative ids are
+// asserted.
 func TestPacketIDsUnique(t *testing.T) {
-	ResetPacketIDs()
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		id := NewPacketID()
-		if seen[id] {
-			t.Fatal("duplicate id")
+	s := sim.New(1)
+	var last uint64
+	n := 0
+	next := packet.HandlerFunc(func(p *packet.Packet) {
+		if p.ID <= last {
+			t.Fatalf("packet %d: id %d after id %d", n, p.ID, last)
 		}
-		seen[id] = true
+		last = p.ID
+		n++
+	})
+	(&CBR{Sim: s, Rate: 2 * units.Mbps, Size: 1500, Flow: 1, Next: next}).Start()
+	(&Poisson{Sim: s, Rate: 2 * units.Mbps, Size: 1500, Flow: 2, Next: next}).Start()
+	s.RunUntil(3 * units.Second)
+	if n < 1000 {
+		t.Fatalf("only %d packets emitted", n)
 	}
 }
