@@ -75,7 +75,7 @@ var parallelism int
 
 // shardCount is set by the -shards flag: the requested shard workers
 // per simulation. Effective workers = min(requested, partitionable
-// batched flows), reported per point — an unbatched point has none and
+// batched flows), reported per run — an unbatched point has none and
 // runs serially. Output is byte-identical at any value (the shardeq
 // harness pins this); the knob trades cores-per-point against
 // points-in-flight. Scenarios that declare no shard capability are
@@ -119,36 +119,30 @@ type jsonPoint struct {
 	FrameLoss    float64 `json:"frame_loss"`
 	Quality      float64 `json:"quality"`
 	PacketLoss   float64 `json:"packet_loss"`
-	// Events and VirtualFlows expose the per-point scaling trajectory:
-	// for the batched wide sweeps, events per virtual flow falling as N
-	// grows is the recorded sublinearity evidence.
-	Events       uint64 `json:"events,omitempty"`
-	VirtualFlows int    `json:"virtual_flows,omitempty"`
-	// Shards and ShardStallRatio describe the intra-run sharded
-	// pipeline when -shards ran the point on it: the effective worker
-	// count and the fraction of border replay wall-clock spent blocked
-	// on shard chunks.
-	Shards          int     `json:"shards,omitempty"`
-	ShardStallRatio float64 `json:"shard_stall_ratio,omitempty"`
-	// PeakHeapBytes is the live heap sampled right after the point's
-	// simulation (meaningful at -parallel 1), and BytesPerVFlow divides
-	// it by the point's virtual-flow count: the fleet sweeps record it
-	// staying ~flat as N grows into six figures.
-	PeakHeapBytes uint64  `json:"peak_heap_bytes,omitempty"`
-	BytesPerVFlow float64 `json:"bytes_per_vflow,omitempty"`
-	// RunMS is the point's own simulation wall-clock (scenarios that
-	// sample it; meaningful at -parallel 1) — the fleet sweeps' direct
-	// sublinear-wall-clock evidence.
-	RunMS float64 `json:"run_ms,omitempty"`
-	// Calendar-queue telemetry: window rebases, the final bucket width
-	// (the adaptive policy's converged choice, or the -bucket-width
-	// pin) and the share of schedules that landed in the overflow heap.
-	QueueRebases       uint64  `json:"queue_rebases,omitempty"`
-	QueueWidthUS       float64 `json:"queue_width_us,omitempty"`
-	QueueOverflowRatio float64 `json:"queue_overflow_ratio,omitempty"`
 	// Classes carries the per-equivalence-class aggregated statistics
 	// of mixture points (aggregated-stats mode).
 	Classes []jsonClass `json:"classes,omitempty"`
+}
+
+// jsonRun is one job's engine telemetry — an experiment.RunStats, which
+// documents the fields — once per simulation job, in job order: apart
+// from the series, where one job's result may appear on several curves.
+// BytesPerVFlow = PeakHeapBytes / VirtualFlows is derived here: the
+// fleet sweeps record it staying ~flat as N grows into six figures.
+type jsonRun struct {
+	TokenRateBps       float64 `json:"token_rate_bps"`
+	DepthBytes         int64   `json:"depth_bytes"`
+	Label              string  `json:"label,omitempty"`
+	Events             uint64  `json:"events,omitempty"`
+	VirtualFlows       int     `json:"virtual_flows,omitempty"`
+	Shards             int     `json:"shards,omitempty"`
+	ShardStallRatio    float64 `json:"shard_stall_ratio,omitempty"`
+	PeakHeapBytes      uint64  `json:"peak_heap_bytes,omitempty"`
+	BytesPerVFlow      float64 `json:"bytes_per_vflow,omitempty"`
+	RunMS              float64 `json:"run_ms,omitempty"`
+	QueueRebases       uint64  `json:"queue_rebases,omitempty"`
+	QueueWidthUS       float64 `json:"queue_width_us,omitempty"`
+	QueueOverflowRatio float64 `json:"queue_overflow_ratio,omitempty"`
 }
 
 // jsonClass is one equivalence class's aggregated statistics in a
@@ -178,26 +172,28 @@ type scenarioRecord struct {
 	Parallel int    `json:"parallel"`
 	Scale    int    `json:"scale"`
 	// Shards is the requested intra-run shard count (-shards);
-	// ShardStallRatio averages the per-point border stall fractions of
-	// the points that actually ran sharded.
+	// ShardStallRatio averages the border stall fractions of the jobs
+	// that actually ran sharded.
 	Shards          int     `json:"shards,omitempty"`
 	ShardStallRatio float64 `json:"shard_stall_ratio,omitempty"`
 	WallMS          float64 `json:"wall_ms"`
-	// Events is the total simulator events executed across every point
-	// of the scenario; EventsPerSec = Events / wall time is the
+	// Events is the total simulator events executed across every job of
+	// the scenario; EventsPerSec = Events / wall time is the
 	// throughput number the perf trajectory tracks, and AllocsPerEvent
 	// is the process-wide heap allocations attributed to each event —
 	// the pooled hot paths drive it toward zero.
 	Events         uint64  `json:"events"`
 	EventsPerSec   float64 `json:"events_per_sec"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
-	// VirtualFlows totals the flows simulated across the scenario
-	// (each simulation counted once); EventsPerVFlow = Events /
-	// VirtualFlows is the per-flow cost the batched sources drive down
-	// as aggregates widen.
+	// VirtualFlows totals the flows simulated across the scenario;
+	// EventsPerVFlow = Events / VirtualFlows is the per-flow cost the
+	// batched sources drive down as aggregates widen.
 	VirtualFlows   int          `json:"virtual_flows,omitempty"`
 	EventsPerVFlow float64      `json:"events_per_vflow,omitempty"`
 	Series         []jsonSeries `json:"series"`
+	// Runs is the per-job telemetry, in job order; the scenario-level
+	// totals above are sums over it.
+	Runs []jsonRun `json:"runs"`
 }
 
 func makeRecord(name string, fig *experiment.Figure, wall time.Duration, scale int, allocs uint64) scenarioRecord {
@@ -206,29 +202,13 @@ func makeRecord(name string, fig *experiment.Figure, wall time.Duration, scale i
 		Shards: shardCount,
 		WallMS: float64(wall.Microseconds()) / 1000,
 	}
-	var stallSum float64
-	var stallN int
 	for _, s := range fig.Series {
 		js := jsonSeries{Label: s.Label}
 		for _, p := range s.Points {
-			rec.Events += p.Events
-			rec.VirtualFlows += p.VFlows
-			if p.Shards > 1 {
-				stallSum += p.StallRatio
-				stallN++
-			}
 			jp := jsonPoint{
 				TokenRateBps: float64(p.TokenRate), DepthBytes: int64(p.Depth),
 				Label: p.Label, FrameLoss: p.FrameLoss, Quality: p.Quality,
-				PacketLoss: p.PacketLoss, Events: p.Events, VirtualFlows: p.VFlows,
-				Shards: p.Shards, ShardStallRatio: p.StallRatio,
-				PeakHeapBytes: p.HeapBytes, RunMS: p.RunMS,
-				QueueRebases:       p.QRebases,
-				QueueWidthUS:       float64(p.QWidth) / float64(units.Microsecond),
-				QueueOverflowRatio: p.QOverflow,
-			}
-			if p.VFlows > 0 && p.HeapBytes > 0 {
-				jp.BytesPerVFlow = float64(p.HeapBytes) / float64(p.VFlows)
+				PacketLoss: p.PacketLoss,
 			}
 			for _, c := range p.Classes {
 				jp.Classes = append(jp.Classes, jsonClass{
@@ -243,6 +223,29 @@ func makeRecord(name string, fig *experiment.Figure, wall time.Duration, scale i
 			js.Points = append(js.Points, jp)
 		}
 		rec.Series = append(rec.Series, js)
+	}
+	var stallSum float64
+	var stallN int
+	for _, r := range fig.Runs {
+		rec.Events += r.Events
+		rec.VirtualFlows += r.VFlows
+		if r.Shards > 1 {
+			stallSum += r.StallRatio
+			stallN++
+		}
+		jr := jsonRun{
+			TokenRateBps: float64(r.TokenRate), DepthBytes: int64(r.Depth), Label: r.Label,
+			Events: r.Events, VirtualFlows: r.VFlows,
+			Shards: r.Shards, ShardStallRatio: r.StallRatio,
+			PeakHeapBytes: r.HeapBytes, RunMS: r.RunMS,
+			QueueRebases:       r.QRebases,
+			QueueWidthUS:       float64(r.QWidth) / float64(units.Microsecond),
+			QueueOverflowRatio: r.QOverflow,
+		}
+		if r.VFlows > 0 && r.HeapBytes > 0 {
+			jr.BytesPerVFlow = float64(r.HeapBytes) / float64(r.VFlows)
+		}
+		rec.Runs = append(rec.Runs, jr)
 	}
 	if stallN > 0 {
 		rec.ShardStallRatio = stallSum / float64(stallN)
@@ -536,7 +539,7 @@ func main() {
 		"compile and register a JSON scenario file (see internal/scenfile); runs it unless -run/-scenario selects otherwise")
 	parallel := flag.Int("parallel", 0, "simulation worker-pool size (0 = all cores, 1 = serial)")
 	shards := flag.Int("shards", 1,
-		"requested intra-run shard workers per simulation; effective workers = min(requested, partitionable batched flows), reported per point (output is identical at any value)")
+		"requested intra-run shard workers per simulation; effective workers = min(requested, partitionable batched flows), reported per run (output is identical at any value)")
 	bucket := flag.Duration("bucket-width", 0,
 		"pin the calendar-queue bucket width, e.g. 50us, disabling width adaptation (0 = adaptive; pure perf knob)")
 	scale := flag.Int("scale", 1, "token-sweep thinning factor (1 = full resolution)")

@@ -2,12 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -79,29 +83,63 @@ func TestStaticArtifactsRender(t *testing.T) {
 	}
 }
 
-// fakeScenario is a no-simulation scenario for exercising the JSON
-// recording path.
+// fakeScenario is a two-job scenario for exercising the JSON recording
+// path: each job runs a small scripted simulation, and Assemble places
+// every result in two series — what nflow, nflow-wide and every graph
+// file do.
 type fakeScenario struct{}
+
+// fakeEvents is how many events each fake job fires; fakeRebases is the
+// window rebases its simulator then reported.
+var (
+	fakeEvents  = []int{1000, 250}
+	fakeRebases [2]uint64
+)
+
+// fakeTick fires once a millisecond until left events have fired.
+type fakeTick struct {
+	s    *sim.Simulator
+	left int
+}
+
+func (f *fakeTick) Fire(units.Time) {
+	if f.left--; f.left > 0 {
+		f.s.AfterTimer(units.Millisecond, f)
+	}
+}
 
 func (fakeScenario) Name() string     { return "fake" }
 func (fakeScenario) Describe() string { return "fake scenario" }
 func (fakeScenario) Jobs() []experiment.Job {
-	return []experiment.Job{
-		func(*experiment.Ctx) experiment.Point {
+	var jobs []experiment.Job
+	for i, n := range fakeEvents {
+		i, n := i, n
+		jobs = append(jobs, func(ctx *experiment.Ctx) experiment.Point {
+			// A pinned 32 µs calendar under 1 ms event spacing: the run
+			// outlives its first window, so it rebases.
+			s := sim.NewWithBucketWidth(1, 32*units.Microsecond)
+			s.AfterTimer(units.Millisecond, &fakeTick{s, n})
+			s.Run()
+			fakeRebases[i] = s.QueueStats().Rebases
+			ctx.Finish("job", nil, s, topology.ShardStats{Shards: 1}, 2, time.Time{})
 			return experiment.Point{
-				TokenRate: 1.5e6, Depth: 3000, Label: "N=2",
+				TokenRate: 1.5e6, Depth: 3000, Label: fmt.Sprintf("N=%d", 2+i),
 				Evaluation: experiment.Evaluation{FrameLoss: 0.25, Quality: 0.5, PacketLoss: 0.1},
-				Events:     1000,
-				QRebases:   7, QWidth: 32 * units.Microsecond, QOverflow: 0.125,
 			}
-		},
+		})
 	}
+	return jobs
 }
 func (fakeScenario) Assemble(results []experiment.Point) *experiment.Figure {
 	return &experiment.Figure{ID: "F", Title: "fake title", XLabel: "Flows",
-		Series: []experiment.Series{{Label: "s", Points: results}}}
+		Series: []experiment.Series{{Label: "mean", Points: results}, {Label: "worst", Points: results}}}
 }
 
+// TestJSONRecording pins the -json record: figure results under
+// series[].points[], engine telemetry once per job under runs[] in job
+// order — never on a series point, where a result folded into two
+// series would count its simulation twice — and the scenario-level
+// totals equal to the sums over runs[].
 func TestJSONRecording(t *testing.T) {
 	oldPath, oldRecords, oldParallel := jsonPath, jsonRecords, parallelism
 	defer func() { jsonPath, jsonRecords, parallelism = oldPath, oldRecords, oldParallel }()
@@ -136,13 +174,56 @@ func TestJSONRecording(t *testing.T) {
 	if rec.Name != "fake" || rec.Parallel != 2 || rec.Scale != 1 || rec.WallMS < 0 {
 		t.Errorf("bad record: %+v", rec)
 	}
-	p := rec.Series[0].Points[0]
+	if len(rec.Series) != 2 || len(rec.Series[1].Points) != len(fakeEvents) {
+		t.Fatalf("bad series shape: %+v", rec.Series)
+	}
+	p := rec.Series[1].Points[0]
 	if p.TokenRateBps != 1.5e6 || p.DepthBytes != 3000 || p.Label != "N=2" ||
 		p.FrameLoss != 0.25 || p.Quality != 0.5 || p.PacketLoss != 0.1 {
 		t.Errorf("bad point: %+v", p)
 	}
-	if p.QueueRebases != 7 || p.QueueWidthUS != 32 || p.QueueOverflowRatio != 0.125 {
-		t.Errorf("queue telemetry not recorded: %+v", p)
+
+	if len(rec.Runs) != len(fakeEvents) {
+		t.Fatalf("recorded %d runs for %d jobs", len(rec.Runs), len(fakeEvents))
+	}
+	var events uint64
+	for i, r := range rec.Runs {
+		if r.Events != uint64(fakeEvents[i]) || r.Label != fmt.Sprintf("N=%d", 2+i) ||
+			r.TokenRateBps != 1.5e6 || r.DepthBytes != 3000 {
+			t.Errorf("run %d is not job %d's: %+v", i, i, r)
+		}
+		if r.QueueRebases == 0 || r.QueueRebases != fakeRebases[i] ||
+			r.QueueWidthUS != 32 || r.VirtualFlows != 2 || r.Shards != 1 {
+			t.Errorf("run %d telemetry not recorded (job rebased %d times): %+v", i, fakeRebases[i], r)
+		}
+		events += r.Events
+	}
+	if events != 1250 || rec.Events != events || rec.VirtualFlows != 4 {
+		t.Errorf("scenario totals count a simulation other than once: events %d (runs sum %d), vflows %d",
+			rec.Events, events, rec.VirtualFlows)
+	}
+
+	// No telemetry key may appear under series[].points[].
+	var raw struct {
+		Scenarios []struct {
+			Series []struct {
+				Points []map[string]json.RawMessage `json:"points"`
+			} `json:"series"`
+		} `json:"scenarios"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range raw.Scenarios[0].Series {
+		for _, pt := range s.Points {
+			for _, key := range []string{"events", "virtual_flows", "shards", "shard_stall_ratio",
+				"peak_heap_bytes", "bytes_per_vflow", "run_ms",
+				"queue_rebases", "queue_width_us", "queue_overflow_ratio"} {
+				if _, ok := pt[key]; ok {
+					t.Errorf("telemetry key %q under series[].points[]: %v", key, pt)
+				}
+			}
+		}
 	}
 }
 

@@ -85,8 +85,9 @@
 // positive width (sim.NewWithBucketWidth, the topology configs'
 // BucketWidth, "dsbench -bucket-width") pins the geometry and
 // disables adaptation; per-run telemetry (rebases, final width,
-// overflow ratio) rides on experiment.Point into "dsbench -json",
-// and BENCH_PR8.json records the bake-off — the adaptive policy
+// overflow ratio) is filed as experiment.RunStats — one per job, in
+// Figure.Runs and under "runs" in "dsbench -json", never on the
+// figure's Points — and BENCH_PR8.json records the bake-off — the adaptive policy
 // tracks the best hand-tuned width per workload and retires the
 // fleet's per-N width heuristic.
 //

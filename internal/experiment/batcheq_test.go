@@ -215,16 +215,17 @@ func TestNFlowWideRegistered(t *testing.T) {
 	// (same figure as an unbatched run, strictly fewer events).
 	reduced := spec
 	reduced.Ns = []int{4}
-	batchedPt := reduced.Jobs()[0](&Ctx{})
+	var batched, unbatched Ctx
+	batchedPt := reduced.Jobs()[0](&batched)
 	unb := reduced
 	unb.Batch = false
-	unbatchedPt := unb.Jobs()[0](&Ctx{})
+	unbatchedPt := unb.Jobs()[0](&unbatched)
 	if batchedPt.Quality != unbatchedPt.Quality || batchedPt.FrameLoss != unbatchedPt.FrameLoss {
 		t.Errorf("registered spec's batched point diverged: batched %+v vs unbatched %+v",
 			batchedPt.Evaluation, unbatchedPt.Evaluation)
 	}
-	if batchedPt.Events >= unbatchedPt.Events {
+	if batched.Run.Events >= unbatched.Run.Events {
 		t.Errorf("registered spec's jobs fired %d events, unbatched %d — Batch knob not reaching the topology",
-			batchedPt.Events, unbatchedPt.Events)
+			batched.Run.Events, unbatched.Run.Events)
 	}
 }

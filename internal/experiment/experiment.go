@@ -8,11 +8,10 @@ package experiment
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/client"
-	"repro/internal/packet"
 	"repro/internal/render"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -45,10 +44,13 @@ func Evaluate(tr *trace.Trace, recv, ref *video.Encoding) Evaluation {
 	}
 }
 
-// Point is one sweep sample. Label optionally overrides the row label
-// for scenarios whose x-axis is not a token rate (flow count, cross
-// load); Flows carries per-flow evaluations for multi-flow scenarios
-// (the embedded Evaluation is then the across-flow mean).
+// Point is one sweep sample: the paper's relation from network
+// parameters (token rate, bucket depth) to application quality. Label
+// optionally replaces the row label for scenarios whose x-axis is not
+// a token rate (flow count, cross load); Flows carries per-flow
+// evaluations for multi-flow scenarios (the embedded Evaluation is then
+// the across-flow mean). What the simulator did to produce the point is
+// not here: jobs report that through Ctx.Finish into Figure.Runs.
 type Point struct {
 	TokenRate units.BitRate
 	Depth     units.ByteSize
@@ -56,58 +58,9 @@ type Point struct {
 	Evaluation
 	Flows []Evaluation
 
-	// Events counts the simulator events executed to produce this
-	// point (summed across seed-averaged runs) — the denominator of
-	// the events/sec and allocs/event throughput metrics dsbench
-	// reports. It never appears in figure output. Assemble
-	// implementations that place one result into several series must
-	// keep Events on exactly one copy, so summing over every series
-	// point of a figure counts each simulation once.
-	Events uint64
-
-	// VFlows counts the virtual flows this point simulated (len(Flows)
-	// for multi-flow scenarios, 0 for the single-flow figures). Like
-	// Events it rides exactly one series copy, so dsbench's
-	// events-per-virtual-flow scaling metric counts each simulation
-	// once.
-	VFlows int
-
-	// Shards is the effective intra-run shard count the point's
-	// simulations executed with (1 for serial runs, 0 for scenarios
-	// that do not report it). Diagnostic only — sharding never changes
-	// figure output.
-	Shards int
-	// StallRatio is the border goroutine's blocked fraction when the
-	// point ran sharded (averaged across seed-averaged runs): near 0
-	// means the border replay dominates, near 1 means the shard
-	// workers do.
-	StallRatio float64
-
 	// Classes carries per-equivalence-class delivery statistics for
-	// mixture points run in aggregated-stats mode (nil otherwise). Like
-	// Events it rides exactly one series copy of the assembled figure.
+	// mixture points run in aggregated-stats mode (nil otherwise).
 	Classes []ClassStat
-	// HeapBytes is the process heap in use (runtime.ReadMemStats
-	// HeapAlloc) sampled right after the point's simulation — a peak
-	// proxy that is meaningful at -parallel 1, where no other job's
-	// allocations mix in. 0 when the scenario does not sample it.
-	HeapBytes uint64
-	// RunMS is the point's simulation wall-clock in milliseconds (build
-	// + run, excluding trace I/O), for scenarios that record it: the
-	// fleet sweeps use it as direct evidence that wall time grows
-	// sublinearly in N. 0 when not sampled; meaningful at -parallel 1.
-	RunMS float64
-
-	// Calendar-queue telemetry from the point's (border) simulator,
-	// sampled after the run: window rebases performed, the final bucket
-	// width (the adaptive policy's converged choice, or the manual
-	// pin), and the share of schedules that landed in the overflow
-	// heap. Diagnostic only — never figure output. For seed-averaged
-	// points QRebases sums across runs and the others are last-run
-	// samples; zero-valued when the scenario does not sample them.
-	QRebases  uint64
-	QWidth    units.Time
-	QOverflow float64
 }
 
 // ClassStat summarizes one equivalence class of an aggregated-stats
@@ -156,6 +109,27 @@ type Figure struct {
 	Title  string
 	XLabel string // first-column header; "" means "TokenRate"
 	Series []Series
+
+	// Runs is the engine telemetry of the run that produced the figure:
+	// Runs[i] is what Jobs()[i] reported through Ctx.Finish, filed by
+	// RunScenarioOpts, so each simulation appears once however many
+	// series its Point was folded into. Never figure output.
+	Runs []RunStats
+}
+
+// foldRows is the row-major fold the grid scenarios' Assemble methods
+// share: job-ordered results chunked into rows series of cols points.
+func foldRows(fig *Figure, rows, cols int, results []Point, label func(row int) string) *Figure {
+	for r := 0; r < rows; r++ {
+		fig.Series = append(fig.Series, Series{Label: label(r),
+			Points: append([]Point(nil), results[r*cols:(r+1)*cols]...)})
+	}
+	return fig
+}
+
+// depthLabel names a per-depth series.
+func depthLabel(depths []units.ByteSize) func(int) string {
+	return func(i int) string { return fmt.Sprintf("B=%d", int64(depths[i])) }
 }
 
 // Format renders the figure as an aligned text table, one row per
@@ -213,7 +187,7 @@ type QBoneSpec struct {
 	// 0 means 3. The paper repeated runs for the same reason: jitter
 	// makes individual runs noisy (§4 "there is some variability").
 	Runs int
-	// CrossLoad overrides the default background load (0 keeps it).
+	// CrossLoad replaces the default background load (0 keeps it).
 	CrossLoad float64
 }
 
@@ -236,7 +210,7 @@ func (spec QBoneSpec) Jobs() []Job {
 		for _, tok := range spec.Tokens {
 			depth, tok := depth, tok
 			jobs = append(jobs, func(ctx *Ctx) Point {
-				return runQBonePointAvg(ctx, enc, enc, tok, depth, spec.Seed, spec.CrossLoad, runs)
+				return runQBonePointAvgLabeled(ctx, "", enc, enc, tok, depth, spec.Seed, spec.CrossLoad, runs)
 			})
 		}
 	}
@@ -246,13 +220,8 @@ func (spec QBoneSpec) Jobs() []Job {
 // Assemble implements Scenario: one series per depth, points in token
 // order.
 func (spec QBoneSpec) Assemble(results []Point) *Figure {
-	fig := &Figure{ID: spec.ID, Title: spec.Title}
-	for di, depth := range spec.Depths {
-		s := Series{Label: fmt.Sprintf("B=%d", int64(depth))}
-		s.Points = append(s.Points, results[di*len(spec.Tokens):(di+1)*len(spec.Tokens)]...)
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
+		len(spec.Depths), len(spec.Tokens), results, depthLabel(spec.Depths))
 }
 
 // Scaled implements Scalable.
@@ -266,85 +235,63 @@ func (spec QBoneSpec) Run() *Figure { return RunScenario(spec, 0) }
 
 // RunQBonePointAvg averages RunQBonePoint over consecutive seeds.
 func RunQBonePointAvg(enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
-	return RunQBonePointAvgArena(nil, enc, ref, tok, depth, seed, crossLoad, runs)
+	return runQBonePointAvgLabeled(&Ctx{}, "", enc, ref, tok, depth, seed, crossLoad, runs)
 }
 
-// RunQBonePointAvgArena is RunQBonePointAvg on a caller-owned packet
-// arena (the runner worker's pool).
-func RunQBonePointAvgArena(pool *packet.Pool, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
-	return runQBonePointAvg(&Ctx{Pool: pool}, enc, ref, tok, depth, seed, crossLoad, runs)
-}
-
-// runQBonePointAvg averages runQBonePoint over consecutive seeds (see
-// averagePoint for the averaging and tracing conventions).
-func runQBonePointAvg(ctx *Ctx, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
-	return runQBonePointAvgLabeled(ctx, "", enc, ref, tok, depth, seed, crossLoad, runs)
-}
-
-// runQBonePointAvgLabeled is runQBonePointAvg with a trace-file label
-// prefix for scenarios whose grids differ in something other than
-// (token, depth, seed).
+// runQBonePointAvgLabeled averages runQBonePointLabeled over
+// consecutive seeds (see averagePoint for the averaging and tracing
+// conventions). The trace-file label prefix is for scenarios whose
+// grids differ in something other than (token, depth, seed).
 func runQBonePointAvgLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
-	return averagePoint(ctx, tok, depth, seed, runs, func(c *Ctx, s uint64) Point {
-		return runQBonePointLabeled(c, labelPrefix, enc, ref, tok, depth, s, crossLoad)
+	return averagePoint(ctx, tok, depth, seed, runs, func(s uint64) Point {
+		return runQBonePointLabeled(ctx, labelPrefix, enc, ref, tok, depth, s, crossLoad)
 	})
 }
 
 // averagePoint averages a single-run point function over consecutive
-// seeds. When the ctx requests tracing, only the first seed's run is
-// traced: one representative capture per grid point keeps -trace
-// output proportional to the figure, not to the seed averaging.
-// Events accumulates (the events/sec denominator counts every
-// simulation) and Calibration accumulates by the same convention the
-// serial harness used.
-func averagePoint(ctx *Ctx, tok units.BitRate, depth units.ByteSize, seed uint64, runs int, run func(c *Ctx, seed uint64) Point) Point {
+// seeds; Calibration accumulates by the same convention the serial
+// harness used. When the ctx requests tracing, only the first seed's
+// run is traced: one representative capture per grid point keeps -trace
+// output proportional to the figure, not to the seed averaging. Every
+// run reports into the same ctx.Run (see Ctx.Finish for how telemetry
+// combines across them).
+func averagePoint(ctx *Ctx, tok units.BitRate, depth units.ByteSize, seed uint64, runs int, run func(seed uint64) Point) Point {
 	if runs <= 1 {
-		return run(ctx, seed)
+		return run(seed)
 	}
-	untraced := &Ctx{Pool: ctx.Pool, Shards: ctx.Shards, BucketWidth: ctx.BucketWidth}
+	tr := ctx.Trace
 	var acc Point
 	for r := 0; r < runs; r++ {
-		c := untraced
-		if r == 0 {
-			c = ctx
-		}
-		p := run(c, seed+uint64(r))
+		p := run(seed + uint64(r))
+		ctx.Trace = nil // the remaining seeds run untraced
 		acc.FrameLoss += p.FrameLoss
 		acc.Quality += p.Quality
 		acc.PacketLoss += p.PacketLoss
 		acc.Calibration += p.Calibration
-		acc.Events += p.Events
-		acc.Shards = p.Shards
-		acc.StallRatio += p.StallRatio
-		acc.QRebases += p.QRebases
-		acc.QWidth, acc.QOverflow = p.QWidth, p.QOverflow
 	}
+	ctx.Trace = tr
 	acc.TokenRate, acc.Depth = tok, depth
 	acc.FrameLoss /= float64(runs)
 	acc.Quality /= float64(runs)
 	acc.PacketLoss /= float64(runs)
-	acc.StallRatio /= float64(runs)
 	return acc
 }
 
 // RunQBonePoint streams enc across the QBone with the given profile
 // and evaluates the received video against ref.
 func RunQBonePoint(enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
-	return RunQBonePointArena(nil, enc, ref, tok, depth, seed, crossLoad)
+	return RunQBonePointArena(&Ctx{}, enc, ref, tok, depth, seed, crossLoad)
 }
 
-// RunQBonePointArena is RunQBonePoint on a caller-owned packet arena.
-func RunQBonePointArena(pool *packet.Pool, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
-	return runQBonePoint(&Ctx{Pool: pool}, enc, ref, tok, depth, seed, crossLoad)
+// RunQBonePointArena is RunQBonePoint on a caller-owned Ctx: the
+// simulation builds on ctx.Pool and reports its telemetry into ctx.Run.
+func RunQBonePointArena(ctx *Ctx, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
+	return runQBonePointLabeled(ctx, "", enc, ref, tok, depth, seed, crossLoad)
 }
 
 // pointLabel names a grid point's trace file.
 func pointLabel(tok units.BitRate, depth units.ByteSize, seed uint64) string {
 	return fmt.Sprintf("tok%d-B%d-s%d", int64(tok), int64(depth), seed)
-}
-
-func runQBonePoint(ctx *Ctx, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
-	return runQBonePointLabeled(ctx, "", enc, ref, tok, depth, seed, crossLoad)
 }
 
 func runQBonePointLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
@@ -355,25 +302,12 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding
 	})
 	q.Client.Tolerance = client.SliceTolerance
 	q.Run()
-	if err := ctx.SaveTrace(labelPrefix+pointLabel(tok, depth, seed), rec); err != nil {
-		panic(fmt.Sprintf("experiment: saving packet trace: %v", err))
-	}
+	ctx.Finish(labelPrefix+pointLabel(tok, depth, seed), rec, q.Sim, topology.ShardStats{}, 0, time.Time{})
 	ev := Evaluate(q.Client.Trace(), enc, ref)
 	if q.Policer != nil {
 		ev.PacketLoss = q.Policer.LossFraction()
 	}
-	pt := Point{TokenRate: tok, Depth: depth, Evaluation: ev, Events: q.Sim.Fired()}
-	fillQueueStats(&pt, q.Sim)
-	return pt
-}
-
-// fillQueueStats copies a run simulator's calendar-queue telemetry
-// into the point's diagnostic fields.
-func fillQueueStats(pt *Point, s *sim.Simulator) {
-	qs := s.QueueStats()
-	pt.QRebases = qs.Rebases
-	pt.QWidth = qs.Width
-	pt.QOverflow = qs.OverflowRatio()
+	return Point{TokenRate: tok, Depth: depth, Evaluation: ev}
 }
 
 // RelativeSpec parameterizes the Figs. 13–14 experiments: three
@@ -426,13 +360,9 @@ func (spec RelativeSpec) Jobs() []Job {
 
 // Assemble implements Scenario: one series per encoding rate.
 func (spec RelativeSpec) Assemble(results []Point) *Figure {
-	fig := &Figure{ID: spec.ID, Title: spec.Title}
-	for ei, er := range spec.EncRates {
-		s := Series{Label: er.String()}
-		s.Points = append(s.Points, results[ei*len(spec.Tokens):(ei+1)*len(spec.Tokens)]...)
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
+		len(spec.EncRates), len(spec.Tokens), results,
+		func(i int) string { return spec.EncRates[i].String() })
 }
 
 // Scaled implements Scalable.
@@ -483,13 +413,8 @@ func (spec LocalSpec) Jobs() []Job {
 
 // Assemble implements Scenario: one series per depth.
 func (spec LocalSpec) Assemble(results []Point) *Figure {
-	fig := &Figure{ID: spec.ID, Title: spec.Title}
-	for di, depth := range spec.Depths {
-		s := Series{Label: fmt.Sprintf("B=%d", int64(depth))}
-		s.Points = append(s.Points, results[di*len(spec.Tokens):(di+1)*len(spec.Tokens)]...)
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
+		len(spec.Depths), len(spec.Tokens), results, depthLabel(spec.Depths))
 }
 
 // Scaled implements Scalable.
@@ -503,12 +428,7 @@ func (spec LocalSpec) Run() *Figure { return RunScenario(spec, 0) }
 
 // RunLocalPoint streams enc through the local testbed and evaluates.
 func RunLocalPoint(enc *video.Encoding, tok units.BitRate, depth units.ByteSize, useShaper, useTCP bool, seed uint64) Point {
-	return RunLocalPointArena(nil, enc, tok, depth, useShaper, useTCP, seed)
-}
-
-// RunLocalPointArena is RunLocalPoint on a caller-owned packet arena.
-func RunLocalPointArena(pool *packet.Pool, enc *video.Encoding, tok units.BitRate, depth units.ByteSize, useShaper, useTCP bool, seed uint64) Point {
-	return runLocalPoint(&Ctx{Pool: pool}, enc, tok, depth, useShaper, useTCP, seed)
+	return runLocalPoint(&Ctx{}, enc, tok, depth, useShaper, useTCP, seed)
 }
 
 func runLocalPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units.ByteSize, useShaper, useTCP bool, seed uint64) Point {
@@ -524,14 +444,10 @@ func runLocalPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units
 		l.UDPClient.Tolerance = client.SliceTolerance
 	}
 	l.Run()
-	if err := ctx.SaveTrace(pointLabel(tok, depth, seed), rec); err != nil {
-		panic(fmt.Sprintf("experiment: saving packet trace: %v", err))
-	}
+	ctx.Finish(pointLabel(tok, depth, seed), rec, l.Sim, topology.ShardStats{}, 0, time.Time{})
 	ev := Evaluate(l.Trace(), enc, enc)
 	if l.Policer != nil {
 		ev.PacketLoss = l.Policer.LossFraction()
 	}
-	pt := Point{TokenRate: tok, Depth: depth, Evaluation: ev, Events: l.Sim.Fired()}
-	fillQueueStats(&pt, l.Sim)
-	return pt
+	return Point{TokenRate: tok, Depth: depth, Evaluation: ev}
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/topology"
@@ -162,10 +161,7 @@ func evaluateFleet(ctx *Ctx, cfg topology.MultiFlowConfig, label, traceLabel str
 	start := time.Now()
 	m := topology.BuildMultiFlow(cfg)
 	m.Run()
-	runWall := time.Since(start)
-	if err := ctx.SaveTrace(traceLabel, rec); err != nil {
-		panic(fmt.Sprintf("experiment: saving packet trace: %v", err))
-	}
+	ctx.Finish(traceLabel, rec, m.Sim, m.Stats, m.Mixture.TotalFlows(), start)
 	pt := Point{Label: label}
 	var scheduled, delivered int64
 	for ci, agg := range m.Aggregates {
@@ -189,17 +185,6 @@ func evaluateFleet(ctx *Ctx, cfg topology.MultiFlowConfig, label, traceLabel str
 		pt.FrameLoss = 1 - float64(delivered)/float64(scheduled)
 	}
 	pt.PacketLoss = m.AggregatePolicerLoss()
-	pt.Events = m.Sim.Fired() + m.Stats.ShardFired
-	pt.VFlows = m.Mixture.TotalFlows()
-	pt.Shards = m.Stats.Shards
-	pt.StallRatio = m.Stats.StallRatio
-	// Sampled after the run so the reading covers the simulation's live
-	// set; a peak proxy that is meaningful at -parallel 1.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	pt.HeapBytes = ms.HeapAlloc
-	pt.RunMS = float64(runWall.Microseconds()) / 1000
-	fillQueueStats(&pt, m.Sim)
 	return pt
 }
 

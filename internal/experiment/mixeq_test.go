@@ -348,33 +348,35 @@ func TestFleetEventsPerVFlowFall(t *testing.T) {
 	// Knee at ~4000 flows: ~1000 active × ~1.1 Mbps ≈ 1.1 Gbps.
 	spec.BottleneckRate = 1.1e9
 	fig := RunScenarioOpts(spec, RunOptions{Parallel: 1})
-	pts := fig.Series[0].Points
-	small, large := pts[0], pts[1]
-	if small.VFlows != 2000 || large.VFlows != 8000 {
-		t.Fatalf("unexpected vflow counts: %d, %d", small.VFlows, large.VFlows)
+	// The figure rows carry the delivery shortfall; the jobs' run records
+	// carry what the simulator did.
+	small, large := fig.Series[0].Points[0], fig.Series[0].Points[1]
+	smallRun, largeRun := fig.Runs[0], fig.Runs[1]
+	if smallRun.VFlows != 2000 || largeRun.VFlows != 8000 {
+		t.Fatalf("unexpected vflow counts: %d, %d", smallRun.VFlows, largeRun.VFlows)
 	}
-	evS := float64(small.Events) / float64(small.VFlows)
-	evL := float64(large.Events) / float64(large.VFlows)
+	evS := float64(smallRun.Events) / float64(smallRun.VFlows)
+	evL := float64(largeRun.Events) / float64(largeRun.VFlows)
 	if evL >= evS {
 		t.Errorf("events per vflow grew with N: %.1f at N=%d vs %.1f at N=%d",
-			evS, small.VFlows, evL, large.VFlows)
+			evS, smallRun.VFlows, evL, largeRun.VFlows)
 	}
 	// Past the knee the large point must actually be lossy — otherwise
 	// the grid is not crossing the provisioning knee it claims to.
 	if large.FrameLoss <= small.FrameLoss || large.FrameLoss <= 0.01 {
 		t.Errorf("delivery shortfall did not rise past the knee: %.4f at N=%d vs %.4f at N=%d",
-			small.FrameLoss, small.VFlows, large.FrameLoss, large.VFlows)
+			small.FrameLoss, smallRun.VFlows, large.FrameLoss, largeRun.VFlows)
 	}
 	// Fleet points run width-adaptive and report queue telemetry: the
 	// final width is the policy's converged choice, and the denser
 	// point must not have converged wider than the sparser one.
-	if small.QWidth <= 0 || large.QWidth <= 0 || small.QRebases == 0 {
+	if smallRun.QWidth <= 0 || largeRun.QWidth <= 0 || smallRun.QRebases == 0 {
 		t.Errorf("queue telemetry missing: QWidth %v/%v, QRebases %d",
-			small.QWidth, large.QWidth, small.QRebases)
+			smallRun.QWidth, largeRun.QWidth, smallRun.QRebases)
 	}
-	if large.QWidth > small.QWidth {
+	if largeRun.QWidth > smallRun.QWidth {
 		t.Errorf("adaptive width grew with density: %v at N=%d vs %v at N=%d",
-			small.QWidth, small.VFlows, large.QWidth, large.VFlows)
+			smallRun.QWidth, smallRun.VFlows, largeRun.QWidth, largeRun.VFlows)
 	}
 }
 
@@ -391,25 +393,26 @@ func TestFleetAdaptiveNoSlowerThanStatic(t *testing.T) {
 	}
 	spec := NFlowFleetSpec()
 	const n = 200000
-	run := func(width units.Time) Point {
+	run := func(width units.Time) (Point, RunStats) {
 		ctx := &Ctx{Pool: packet.NewPool(), BucketWidth: width}
-		return evaluateFleet(ctx, topology.MultiFlowConfig{
+		pt := evaluateFleet(ctx, topology.MultiFlowConfig{
 			Seed: spec.Seed, Classes: spec.classesFor(n),
 			Depth:          spec.Depth,
 			BottleneckRate: spec.BottleneckRate, Sched: spec.Sched,
 			BELoad: spec.BELoad, Pool: ctx.Pool,
 			Batch: true, AggregateStats: true,
 		}, "N=200000", "N200000")
+		return pt, ctx.Run
 	}
-	static := run(sim.DefaultBucketWidth)
-	adaptive := run(0)
+	static, staticRun := run(sim.DefaultBucketWidth)
+	adaptive, adaptiveRun := run(0)
 
 	// Same simulation, different geometry: every semantic output must
 	// match exactly.
-	if adaptive.Events != static.Events || adaptive.VFlows != static.VFlows ||
+	if adaptiveRun.Events != staticRun.Events || adaptiveRun.VFlows != staticRun.VFlows ||
 		adaptive.FrameLoss != static.FrameLoss || adaptive.PacketLoss != static.PacketLoss {
-		t.Errorf("adaptive vs static results diverged:\nadaptive %+v\nstatic   %+v",
-			adaptive, static)
+		t.Errorf("adaptive vs static results diverged:\nadaptive %+v %+v\nstatic   %+v %+v",
+			adaptive, adaptiveRun, static, staticRun)
 	}
 	if len(adaptive.Classes) != len(static.Classes) {
 		t.Fatalf("class counts diverged: %d vs %d", len(adaptive.Classes), len(static.Classes))
@@ -422,11 +425,11 @@ func TestFleetAdaptiveNoSlowerThanStatic(t *testing.T) {
 	}
 	// The dense point must have converged below the static default —
 	// that is the whole premise of retiring the widthFor heuristic.
-	if adaptive.QWidth >= sim.DefaultBucketWidth {
-		t.Errorf("adaptive width did not narrow on the dense point: %v", adaptive.QWidth)
+	if adaptiveRun.QWidth >= sim.DefaultBucketWidth {
+		t.Errorf("adaptive width did not narrow on the dense point: %v", adaptiveRun.QWidth)
 	}
-	if adaptive.RunMS > static.RunMS*1.15 {
+	if adaptiveRun.RunMS > staticRun.RunMS*1.15 {
 		t.Errorf("adaptive slower than static default: %.1f ms vs %.1f ms",
-			adaptive.RunMS, static.RunMS)
+			adaptiveRun.RunMS, staticRun.RunMS)
 	}
 }

@@ -2,7 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
+	"time"
 
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -34,9 +34,7 @@ func evaluateMultiFlow(ctx *Ctx, cfg topology.MultiFlowConfig, enc *video.Encodi
 	}
 	m := topology.BuildMultiFlow(cfg)
 	m.Run()
-	if err := ctx.SaveTrace(traceLabel, rec); err != nil {
-		panic(fmt.Sprintf("experiment: saving packet trace: %v", err))
-	}
+	ctx.Finish(traceLabel, rec, m.Sim, m.Stats, len(m.Clients), time.Time{})
 	pt := Point{TokenRate: tok, Depth: depth, Label: label}
 	for _, cl := range m.Clients {
 		ev := Evaluate(cl.Trace(), enc, enc)
@@ -49,20 +47,6 @@ func evaluateMultiFlow(ctx *Ctx, cfg topology.MultiFlowConfig, enc *video.Encodi
 	pt.FrameLoss /= n
 	pt.Quality /= n
 	pt.PacketLoss = m.AggregatePolicerLoss()
-	// A sharded run splits the event count between the border simulator
-	// and the shard workers' arrival walks; the sum is the comparable
-	// total.
-	pt.Events = m.Sim.Fired() + m.Stats.ShardFired
-	pt.VFlows = len(pt.Flows)
-	pt.Shards = m.Stats.Shards
-	pt.StallRatio = m.Stats.StallRatio
-	// Live-heap sample right after the run (a peak proxy, meaningful at
-	// -parallel 1): dsbench reports it per point as bytes per virtual
-	// flow alongside the fleet sweeps'.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	pt.HeapBytes = ms.HeapAlloc
-	fillQueueStats(&pt, m.Sim)
 	return pt
 }
 
@@ -102,7 +86,7 @@ type MultiFlowSpec struct {
 	// points pay the source-side cost once, which is what lets the
 	// wide sweep reach hundreds of flows.
 	Batch bool
-	// Stagger overrides the per-flow start offset (0 keeps the
+	// Stagger replaces the per-flow start offset (0 keeps the
 	// topology default of 331 ms).
 	Stagger units.Time
 }
@@ -162,11 +146,6 @@ func (spec MultiFlowSpec) Assemble(results []Point) *Figure {
 		wp := p
 		wp.Evaluation = worstFlow(p)
 		wp.Flows = nil
-		// Both series view the same simulation; only the mean series
-		// carries its event and flow counts so figure-wide sums stay
-		// exact.
-		wp.Events = 0
-		wp.VFlows = 0
 		worst.Points = append(worst.Points, wp)
 	}
 	fig.Series = append(fig.Series, mean, worst)
@@ -284,13 +263,10 @@ func (spec SchedCompareSpec) Jobs() []Job {
 
 // Assemble implements Scenario: one series per scheduler.
 func (spec SchedCompareSpec) Assemble(results []Point) *Figure {
-	fig := &Figure{ID: spec.ID, Title: spec.Title, XLabel: "CrossLoad"}
-	for si, sched := range topology.BottleneckSchedulers() {
-		s := Series{Label: sched.String()}
-		s.Points = append(s.Points, results[si*len(spec.Loads):(si+1)*len(spec.Loads)]...)
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	scheds := topology.BottleneckSchedulers()
+	return foldRows(&Figure{ID: spec.ID, Title: spec.Title, XLabel: "CrossLoad"},
+		len(scheds), len(spec.Loads), results,
+		func(i int) string { return scheds[i].String() })
 }
 
 // Scaled implements Scalable: thin the load sweep.

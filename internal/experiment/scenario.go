@@ -6,14 +6,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/atomicfile"
 	"repro/internal/packet"
 	"repro/internal/ptrace"
 	"repro/internal/runner"
+	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -26,7 +30,9 @@ import (
 // results[i] is what Jobs()[i] returned — and folds them back into the
 // figure. Because the fold only depends on the (deterministic) results
 // and their order, a Scenario produces byte-identical output at every
-// parallelism level.
+// parallelism level. Assemble never sees telemetry: what the simulator
+// did is filed by the runner as Figure.Runs, one entry per job, so a
+// fold that places one result into several series has nothing to zero.
 type Scenario interface {
 	// Name is the registry key, e.g. "fig7".
 	Name() string
@@ -45,8 +51,8 @@ type Scenario interface {
 // goroutines and steady-state jobs allocate no packets; its Trace is
 // the run-wide trace request (nil in the common untraced case). Jobs
 // must build their simulation on the given pool (or ignore it and pay
-// the allocations), and may save a bounded packet trace through the
-// Ctx when tracing is requested.
+// the allocations) and call Ctx.Finish once per simulation: the
+// epilogue is the only way a job reports telemetry or saves a trace.
 type Job func(ctx *Ctx) Point
 
 // Ctx is what the runner hands each job.
@@ -54,19 +60,63 @@ type Ctx struct {
 	Pool  *packet.Pool
 	Trace *TraceRequest
 
+	// Run is the running job's telemetry record, written only by Finish.
+	// The runner zeroes it before each job and files it afterwards; a
+	// caller that owns its Ctx reads it directly.
+	Run RunStats
+
 	// Shards is the intra-run shard count each job should request from
 	// its topology (dsbench -shards). Effective workers =
-	// min(requested, partitionable batched flows), reported per point;
+	// min(requested, partitionable batched flows), reported per run;
 	// the assembled figure is byte-identical at any value (the shardeq
 	// harness pins this), so the knob trades cores-per-job against
 	// jobs-in-flight without touching results.
 	Shards int
 
-	// BucketWidth overrides the calendar-queue bucket width of each
+	// BucketWidth pins the calendar-queue bucket width of each
 	// job's simulator (dsbench -bucket-width; 0 keeps the scenario's or
 	// simulator's default). A pure performance knob: results are
 	// byte-identical at any width.
 	BucketWidth units.Time
+}
+
+// RunStats is what the simulator did to run one job: engine telemetry,
+// never figure output. Label, TokenRate and Depth identify the job (the
+// runner copies them from the job's Point); the rest is written by
+// Ctx.Finish.
+type RunStats struct {
+	Label     string
+	TokenRate units.BitRate
+	Depth     units.ByteSize
+
+	// Events counts the simulator events executed, border simulator plus
+	// shard workers — the denominator of dsbench's events/sec and
+	// allocs/event. VFlows is the virtual flows simulated (0 for the
+	// single-flow figures).
+	Events uint64
+	VFlows int
+	// Shards is the effective intra-run shard count (1 for serial
+	// multi-flow runs, 0 where the topology does not report it), and
+	// StallRatio the border goroutine's blocked fraction when sharded:
+	// near 0 the border replay dominates, near 1 the shard workers do.
+	Shards     int
+	StallRatio float64
+	// HeapBytes is the process heap in use (HeapAlloc) sampled right
+	// after a multi-flow simulation, and RunMS the build + run
+	// wall-clock in milliseconds where the job times it (the fleet
+	// sweeps, as evidence that wall time grows sublinearly in N). Both
+	// are meaningful at -parallel 1, where no other job mixes in.
+	HeapBytes uint64
+	RunMS     float64
+	// Calendar-queue telemetry from the (border) simulator: window
+	// rebases performed, the final bucket width (the adaptive policy's
+	// converged choice, or the manual pin) and the share of schedules
+	// that landed in the overflow heap.
+	QRebases  uint64
+	QWidth    units.Time
+	QOverflow float64
+
+	sims int // simulations finished into this record
 }
 
 // NewRecorder returns a bounded packet-trace recorder per the run's
@@ -74,7 +124,7 @@ type Ctx struct {
 // nil Tap the topology layer interprets as "disabled". When the
 // request asks for spilling, the recorder streams its capture to a
 // temporary file in the trace directory as the run progresses;
-// SaveTrace seals and renames it into place.
+// Finish seals and renames it into place.
 func (c *Ctx) NewRecorder() *ptrace.Recorder {
 	if c == nil || c.Trace == nil {
 		return nil
@@ -88,14 +138,36 @@ func (c *Ctx) NewRecorder() *ptrace.Recorder {
 	return rec
 }
 
-// SaveTrace writes rec under the trace directory as
-// "<scenario>-<label>.ptrace". A nil recorder is a no-op, so call
-// sites need no tracing-enabled guard of their own.
-func (c *Ctx) SaveTrace(label string, rec *ptrace.Recorder) error {
-	if rec == nil || c == nil || c.Trace == nil {
-		return nil
+// Finish is the one epilogue of a simulation: call it right after the
+// simulator stops. It seals rec (nil when tracing is off) under the
+// trace directory as "<scenario>-<label>.ptrace" and records the run
+// in c.Run. A seed-averaged job finishes several simulations into the
+// same record: Events, QRebases and RunMS sum, StallRatio is the mean,
+// and the rest are last-run samples. start is when the job began
+// building the simulation, or zero when it does not time itself; the
+// heap is sampled for multi-flow runs only (vflows > 0).
+func (c *Ctx) Finish(label string, rec *ptrace.Recorder, s *sim.Simulator, shard topology.ShardStats, vflows int, start time.Time) {
+	r := &c.Run
+	if !start.IsZero() {
+		r.RunMS += float64(time.Since(start).Microseconds()) / 1000
 	}
-	return c.Trace.save(label, rec)
+	if rec != nil {
+		if err := c.Trace.save(label, rec); err != nil {
+			panic(fmt.Sprintf("experiment: saving packet trace: %v", err))
+		}
+	}
+	r.sims++
+	r.Events += s.Fired() + shard.ShardFired
+	r.VFlows, r.Shards = vflows, shard.Shards
+	r.StallRatio += (shard.StallRatio - r.StallRatio) / float64(r.sims)
+	qs := s.QueueStats()
+	r.QRebases += qs.Rebases
+	r.QWidth, r.QOverflow = qs.Width, qs.OverflowRatio()
+	if vflows > 0 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		r.HeapBytes = ms.HeapAlloc
+	}
 }
 
 // TraceRequest asks a scenario run to dump per-point packet traces:
@@ -133,7 +205,7 @@ type TraceRequest struct {
 	spills   map[*ptrace.Recorder]*spillState
 }
 
-// spillState is one recorder's open spill file, held until SaveTrace
+// spillState is one recorder's open spill file, held until Finish
 // seals and renames it.
 type spillState struct {
 	f  *os.File
@@ -265,7 +337,7 @@ type Scalable interface {
 // ShardCapable is implemented by scenarios whose jobs accept the
 // intra-run shard knob (RunOptions.Shards / dsbench -shards):
 // effective workers = min(requested, partitionable batched flows),
-// reported per point. A capable scenario's unbatched points have no
+// reported per run. A capable scenario's unbatched points have no
 // partitionable flows and report one worker; scenarios without the
 // method cannot report it at all, so dsbench rejects -shards for them
 // up front.
@@ -311,15 +383,16 @@ type RunOptions struct {
 	// sharded pipeline with up to this many shard workers (see
 	// Ctx.Shards). Results are byte-identical at any value.
 	Shards int
-	// BucketWidth overrides each job's calendar-queue bucket width
+	// BucketWidth pins each job's calendar-queue bucket width
 	// (0 keeps defaults). Results are byte-identical at any width.
 	BucketWidth units.Time
 }
 
 // RunScenarioOpts executes the scenario's jobs under the given
-// options and assembles the figure. This is the single execution path
-// for every figure: parallelism level, tracing, and intra-run
-// sharding never change the assembled result.
+// options, files each job's telemetry as Figure.Runs in job order, and
+// assembles the figure. This is the single execution path for every
+// figure: parallelism level, tracing, and intra-run sharding never
+// change the assembled series.
 func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 	if tr := opts.Trace; tr != nil {
 		tr.scenario = s.Name()
@@ -328,15 +401,25 @@ func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 		}
 	}
 	jobs := s.Jobs()
+	runs := make([]RunStats, len(jobs))
 	fns := make([]func(*Ctx) Point, len(jobs))
 	for i, j := range jobs {
-		fns[i] = j
+		i, j := i, j
+		fns[i] = func(ctx *Ctx) Point {
+			ctx.Run = RunStats{}
+			p := j(ctx)
+			runs[i] = ctx.Run
+			runs[i].Label, runs[i].TokenRate, runs[i].Depth = p.Label, p.TokenRate, p.Depth
+			return p
+		}
 	}
 	newCtx := func() *Ctx {
 		return &Ctx{Pool: packet.NewPool(), Trace: opts.Trace, Shards: opts.Shards,
 			BucketWidth: opts.BucketWidth}
 	}
-	return s.Assemble(runner.MapArena(opts.Parallel, newCtx, fns))
+	fig := s.Assemble(runner.MapArena(opts.Parallel, newCtx, fns))
+	fig.Runs = runs
+	return fig
 }
 
 // The scenario registry. Scenarios register at init time (figures.go);

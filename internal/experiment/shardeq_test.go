@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ptrace"
 	"repro/internal/topology"
+	"repro/internal/units"
 	"repro/internal/video"
 )
 
@@ -144,18 +145,19 @@ func TestShardedNFlowWideEquivalence(t *testing.T) {
 }
 
 // TestShardedTandemEquivalence pins the same rule on the tandem grid:
-// one unbatched stream, so a job asked for 4 shards — through
-// averagePoint's untraced sibling contexts too — reports one effective
-// worker and the point a serial job assembles.
+// one unbatched stream, so a job asked for 4 shards — every seed of the
+// averaged point included — reports one effective worker and returns
+// the point a serial job returns.
 func TestShardedTandemEquivalence(t *testing.T) {
 	t.Parallel()
 	spec := TandemSweepSpec()
 	spec.Tokens = spec.Tokens[:1]
 	spec.Runs = 2
 	for i, job := range spec.Jobs() {
-		serial, sharded := job(&Ctx{}), job(&Ctx{Shards: 4})
-		if sharded.Shards != 1 {
-			t.Errorf("job %d: sharded point reports Shards=%d, want 1 (single stream)", i, sharded.Shards)
+		ctx := &Ctx{Shards: 4}
+		serial, sharded := job(&Ctx{}), job(ctx)
+		if ctx.Run.Shards != 1 {
+			t.Errorf("job %d: sharded run reports Shards=%d, want 1 (single stream)", i, ctx.Run.Shards)
 		}
 		if !reflect.DeepEqual(serial, sharded) {
 			t.Errorf("job %d: sharded point diverged from serial:\nserial  %+v\nsharded %+v", i, serial, sharded)
@@ -165,27 +167,64 @@ func TestShardedTandemEquivalence(t *testing.T) {
 
 // TestShardsKnobReachesJobs pins the plumbing from RunOptions through
 // Ctx into the topology configs: a sharded scenario job reports its
-// effective shard count and stays figure-identical to the serial job.
+// effective shard count and returns the very Point the serial job does.
 func TestShardsKnobReachesJobs(t *testing.T) {
 	t.Parallel()
 	spec := NFlowWideSpec()
 	spec.Ns = []int{8}
-	serial := spec.Jobs()[0](&Ctx{})
-	sharded := spec.Jobs()[0](&Ctx{Shards: 4})
-	if sharded.Shards != 4 {
-		t.Errorf("sharded point reports Shards=%d, want 4", sharded.Shards)
+	serialCtx, shardedCtx := &Ctx{}, &Ctx{Shards: 4}
+	serial := spec.Jobs()[0](serialCtx)
+	sharded := spec.Jobs()[0](shardedCtx)
+	if shardedCtx.Run.Shards != 4 {
+		t.Errorf("sharded run reports Shards=%d, want 4", shardedCtx.Run.Shards)
 	}
-	if serial.Shards != 1 {
-		t.Errorf("serial point reports Shards=%d, want 1", serial.Shards)
+	if serialCtx.Run.Shards != 1 {
+		t.Errorf("serial run reports Shards=%d, want 1", serialCtx.Run.Shards)
 	}
-	if serial.Quality != sharded.Quality || serial.FrameLoss != sharded.FrameLoss ||
-		serial.PacketLoss != sharded.PacketLoss {
-		t.Errorf("sharded job diverged from serial:\nserial  %+v\nsharded %+v",
-			serial.Evaluation, sharded.Evaluation)
+	if !reflect.DeepEqual(serial, sharded) {
+		t.Errorf("sharded job diverged from serial:\nserial  %+v\nsharded %+v", serial, sharded)
 	}
-	for i := range serial.Flows {
-		if serial.Flows[i] != sharded.Flows[i] {
-			t.Errorf("flow %d evaluation diverged under sharding", i)
-		}
+}
+
+// TestRunSettingsEquivalence pins what makes the execution knobs pure
+// performance knobs at the figure level: the assembled Series — whole
+// Points, not a hand-picked subset of their fields — are identical
+// across the job-pool size, the intra-run shard count and the calendar
+// bucket width, on one scenario of each multi-job family.
+func TestRunSettingsEquivalence(t *testing.T) {
+	t.Parallel()
+	wide := NFlowWideSpec()
+	wide.Ns = []int{4, 8}
+	fleet := NFlowFleetSpec()
+	fleet.Ns = []int{1000, 2000}
+	fleet.BottleneckRate = 0.5e9 // knee between the two points
+	tandem := TandemSweepSpec()
+	tandem.Tokens = tandem.Tokens[:1]
+	tandem.Runs = 2
+
+	settings := []struct {
+		name string
+		opts RunOptions
+	}{
+		{"parallel=2", RunOptions{Parallel: 2}},
+		{"shards=4", RunOptions{Parallel: 1, Shards: 4}},
+		{"bucket-width=50us", RunOptions{Parallel: 1, BucketWidth: 50 * units.Microsecond}},
+	}
+	for _, s := range []Scenario{wide, fleet, tandem} {
+		s := s
+		t.Run(s.Name(), func(t *testing.T) {
+			t.Parallel()
+			ref := RunScenarioOpts(s, RunOptions{Parallel: 1})
+			if len(ref.Runs) != len(s.Jobs()) {
+				t.Fatalf("%d runs filed for %d jobs", len(ref.Runs), len(s.Jobs()))
+			}
+			for _, set := range settings {
+				got := RunScenarioOpts(s, set.opts)
+				if !reflect.DeepEqual(ref.Series, got.Series) {
+					t.Errorf("%s: series diverged from the serial reference:\nref %+v\ngot %+v",
+						set.name, ref.Series, got.Series)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"fmt"
+	"time"
 
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -88,13 +88,9 @@ func (spec TandemSpec) Jobs() []Job {
 
 // Assemble implements Scenario: one series per variant.
 func (spec TandemSpec) Assemble(results []Point) *Figure {
-	fig := &Figure{ID: spec.ID, Title: spec.Title}
-	for vi, v := range tandemVariants {
-		s := Series{Label: v.label}
-		s.Points = append(s.Points, results[vi*len(spec.Tokens):(vi+1)*len(spec.Tokens)]...)
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
+		len(tandemVariants), len(spec.Tokens), results,
+		func(i int) string { return tandemVariants[i].label })
 }
 
 // Scaled implements Scalable.
@@ -113,8 +109,8 @@ func (spec TandemSpec) Run() *Figure { return RunScenario(spec, 0) }
 // runTandemPointAvg averages runTandemPoint over consecutive seeds
 // through the shared averagePoint helper.
 func runTandemPointAvg(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units.ByteSize, secondBorder bool, variant string, seed uint64, runs int) Point {
-	return averagePoint(ctx, tok, depth, seed, runs, func(c *Ctx, s uint64) Point {
-		return runTandemPoint(c, enc, tok, depth, secondBorder, variant, s)
+	return averagePoint(ctx, tok, depth, seed, runs, func(s uint64) Point {
+		return runTandemPoint(ctx, enc, tok, depth, secondBorder, variant, s)
 	})
 }
 
@@ -129,9 +125,10 @@ func runTandemPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth unit
 		BucketWidth: ctx.BucketWidth,
 	})
 	t.Run()
-	if err := ctx.SaveTrace(variant+"-"+pointLabel(tok, depth, seed), rec); err != nil {
-		panic(fmt.Sprintf("experiment: saving packet trace: %v", err))
-	}
+	// One unbatched stream has no partitionable flows, so the point runs
+	// serially at any ctx.Shards and reports one effective worker.
+	ctx.Finish(variant+"-"+pointLabel(tok, depth, seed), rec, t.Sim,
+		topology.ShardStats{Shards: 1}, 0, time.Time{})
 	ev := Evaluate(t.Client.Trace(), enc, enc)
 	// PacketLoss is the border-drop fraction of everything offered to
 	// the policed path: both variants share the denominator
@@ -147,10 +144,5 @@ func runTandemPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth unit
 	if offered > 0 {
 		ev.PacketLoss = float64(dropped) / float64(offered)
 	}
-	// One unbatched stream has no partitionable flows, so the point runs
-	// serially at any ctx.Shards and reports one effective worker.
-	pt := Point{TokenRate: tok, Depth: depth, Evaluation: ev,
-		Events: t.Sim.Fired(), Shards: 1}
-	fillQueueStats(&pt, t.Sim)
-	return pt
+	return Point{TokenRate: tok, Depth: depth, Evaluation: ev}
 }

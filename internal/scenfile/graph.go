@@ -2,6 +2,7 @@ package scenfile
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/experiment"
@@ -437,17 +438,14 @@ func (s graphScenario) Jobs() []experiment.Job {
 }
 
 // Assemble implements Scenario: like the multiflow presets, a "mean"
-// series (across-flow mean evaluation, carrying the run accounting)
-// and a "worst" series (the worst flow's evaluation, accounting
-// zeroed so figure-wide sums count each simulation once).
+// series (across-flow mean evaluation) and a "worst" series (the worst
+// flow's evaluation).
 func (s graphScenario) Assemble(results []experiment.Point) *experiment.Figure {
 	fig := &experiment.Figure{ID: s.id, Title: s.title}
 	mean := experiment.Series{Label: "mean", Points: results}
 	worst := experiment.Series{Label: "worst"}
 	for _, pt := range results {
 		w := pt
-		w.Events = 0
-		w.VFlows = 0
 		for _, ev := range pt.Flows {
 			if ev.Quality > w.Quality {
 				w.Evaluation = ev
@@ -515,9 +513,7 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	if tok > 0 {
 		label = fmt.Sprintf("tok%d", int64(tok))
 	}
-	if err := ctx.SaveTrace(label, rec); err != nil {
-		panic(fmt.Sprintf("experiment: saving packet trace: %v", err))
-	}
+	ctx.Finish(label, rec, b.Sim(), topology.ShardStats{}, len(clients), time.Time{})
 
 	pt := experiment.Point{TokenRate: tok, Depth: s.depth}
 	if tok == 0 {
@@ -543,12 +539,6 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	if passed+dropped > 0 {
 		pt.PacketLoss = float64(dropped) / float64(passed+dropped)
 	}
-	pt.Events = b.Sim().Fired()
-	pt.VFlows = len(clients)
-	qs := b.Sim().QueueStats()
-	pt.QRebases = qs.Rebases
-	pt.QWidth = qs.Width
-	pt.QOverflow = qs.OverflowRatio()
 	return pt
 }
 

@@ -30,18 +30,6 @@ func runTraced(t *testing.T, s experiment.Scenario) (*experiment.Figure, string)
 	return fig, dir
 }
 
-// stripAccounting zeroes the per-point fields that are sampled from
-// the process, not the simulation (heap and wall clock), so the
-// remaining comparison is exact.
-func stripAccounting(fig *experiment.Figure) {
-	for si := range fig.Series {
-		for pi := range fig.Series[si].Points {
-			fig.Series[si].Points[pi].HeapBytes = 0
-			fig.Series[si].Points[pi].RunMS = 0
-		}
-	}
-}
-
 // tracesByLabel maps "<label>.ptrace" (scenario prefix stripped) to
 // the canonicalized decoded trace.
 func tracesByLabel(t *testing.T, dir, scenario string) map[string]*ptrace.Data {
@@ -91,8 +79,6 @@ func assertParity(t *testing.T, preset experiment.Scenario, path string) {
 	if got, want := figF.Format(), figP.Format(); got != want {
 		t.Errorf("figure text diverged:\nfile:\n%s\npreset:\n%s", got, want)
 	}
-	stripAccounting(figP)
-	stripAccounting(figF)
 	if !reflect.DeepEqual(figF.Series, figP.Series) {
 		t.Errorf("per-point stats diverged:\nfile:   %+v\npreset: %+v", figF.Series, figP.Series)
 	}
