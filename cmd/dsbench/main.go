@@ -34,9 +34,9 @@
 // executed on the deterministic runner pool: -parallel changes only
 // wall-clock time, never a byte of output. -scenario-file compiles a
 // JSON scenario file (internal/scenfile) into the same registry and
-// runs it under the identical contract — -shards and -bucket-width
-// are honored when the file's declared capabilities allow them and
-// rejected up front otherwise.
+// runs it under the identical contract — -shards is honored when the
+// file's declared capabilities allow it and rejected up front
+// otherwise.
 package main
 
 import (
@@ -81,14 +81,6 @@ var parallelism int
 // points-in-flight. Scenarios that declare no shard capability are
 // rejected up front rather than silently ignoring the flag.
 var shardCount int
-
-// bucketWidth is set by the -bucket-width flag; nonzero pins every
-// simulation's calendar-queue bucket width, disabling the simulator's
-// density-adaptive policy (zero, the default, leaves it adaptive). A
-// pure perf knob: event order — and therefore every byte of output —
-// is width-invariant. Artifacts that cannot honor the pin reject it
-// up front (see rejectWidthBlind).
-var bucketWidth units.Time
 
 // jsonPath is set by the -json flag; scenario artifacts then record
 // machine-readable results (points, wall time, parallelism) that main
@@ -310,7 +302,6 @@ func scenarioArtifact(s experiment.Scenario) artifact {
 		start := time.Now()
 		fig := experiment.RunScenarioOpts(sc, experiment.RunOptions{
 			Parallel: parallelism, Trace: tr, Shards: shardCount,
-			BucketWidth: bucketWidth,
 		})
 		wall := time.Since(start)
 		if jsonPath != "" {
@@ -420,43 +411,6 @@ func rejectUnshardable(names map[string]bool, runAll bool) {
 	}
 }
 
-// rejectWidthBlind exits with a clear error when -bucket-width was
-// combined with artifacts that cannot honor it: everything that is
-// not a registered scenario (the static tables, fig6's encoder dump,
-// the ablations and the EF service report run fixed internal
-// configurations with no width plumbing). Mirrors rejectUnshardable:
-// only the artifacts actually selected for this invocation are
-// checked, so e.g. `-run nflow-fleet -bucket-width 50us` never trips
-// over table1.
-func rejectWidthBlind(all []artifact, names map[string]bool, runAll bool) {
-	if bucketWidth == 0 {
-		return
-	}
-	if bad := widthBlindSelected(all, names, runAll); len(bad) > 0 {
-		fmt.Fprintf(os.Stderr,
-			"-bucket-width %v is not honored by: %s (these artifacts run fixed internal configurations; drop -bucket-width or select registered scenarios: %s)\n",
-			time.Duration(bucketWidth), strings.Join(bad, ", "), strings.Join(experiment.Names(), ", "))
-		os.Exit(2)
-	}
-}
-
-// widthBlindSelected returns the selected artifact names that would
-// silently ignore a -bucket-width pin — everything selected that is
-// not a registered scenario.
-func widthBlindSelected(all []artifact, names map[string]bool, runAll bool) []string {
-	scen := map[string]bool{}
-	for _, s := range experiment.Scenarios() {
-		scen[s.Name()] = true
-	}
-	var bad []string
-	for _, a := range all {
-		if (runAll || names[a.name]) && !scen[a.name] {
-			bad = append(bad, a.name)
-		}
-	}
-	return bad
-}
-
 // shardableNames lists the registered scenarios whose jobs dispatch to
 // the intra-run sharded pipeline.
 func shardableNames() []string {
@@ -486,6 +440,29 @@ func validateScale(n int) error {
 func validateTraceFlow(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-trace-flow must be >= 0 (0 = every flow), got %d", n)
+	}
+	return nil
+}
+
+// validateRunFlags rejects integer flag values a run would otherwise
+// silently rewrite: ptrace turns a non-positive -trace-cap into its own
+// 65536 default and clamps a negative -trace-head / -trace-sample, and
+// a negative -shards or -parallel runs serially or on all cores. The
+// error names the flag and the value.
+func validateRunFlags(parallel, shards, traceCap, traceHead, traceSample int) error {
+	for _, f := range []struct {
+		name   string
+		n, min int
+	}{
+		{"parallel", parallel, 0},
+		{"shards", shards, 1},
+		{"trace-cap", traceCap, 1},
+		{"trace-head", traceHead, 0},
+		{"trace-sample", traceSample, 1},
+	} {
+		if f.n < f.min {
+			return fmt.Errorf("-%s must be >= %d, got %d", f.name, f.min, f.n)
+		}
 	}
 	return nil
 }
@@ -540,8 +517,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "simulation worker-pool size (0 = all cores, 1 = serial)")
 	shards := flag.Int("shards", 1,
 		"requested intra-run shard workers per simulation; effective workers = min(requested, partitionable batched flows), reported per run (output is identical at any value)")
-	bucket := flag.Duration("bucket-width", 0,
-		"pin the calendar-queue bucket width, e.g. 50us, disabling width adaptation (0 = adaptive; pure perf knob)")
 	scale := flag.Int("scale", 1, "token-sweep thinning factor (1 = full resolution)")
 	plot := flag.Bool("plot", false, "render figures as ASCII charts too")
 	jsonFlag := flag.String("json", "", "write per-scenario results as JSON to this file (\"-\" = stdout)")
@@ -567,16 +542,15 @@ func main() {
 	plotMode = *plot
 	parallelism = *parallel
 	shardCount = *shards
-	if *bucket < 0 {
-		fmt.Fprintf(os.Stderr, "-bucket-width must be >= 0, got %v\n", *bucket)
-		os.Exit(2)
-	}
-	bucketWidth = units.Time(*bucket)
 	if err := validateScale(*scale); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if err := validateTraceFlow(*traceFlow); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := validateRunFlags(*parallel, *shards, *traceCap, *traceHead, *traceSample); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -673,7 +647,6 @@ func main() {
 		}
 	}
 	rejectUnshardable(want, *run == "all")
-	rejectWidthBlind(all, want, *run == "all")
 	for _, a := range all {
 		if *run != "all" && !want[a.name] {
 			continue

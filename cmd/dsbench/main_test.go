@@ -89,11 +89,11 @@ func TestStaticArtifactsRender(t *testing.T) {
 // file do.
 type fakeScenario struct{}
 
-// fakeEvents is how many events each fake job fires; fakeRebases is the
-// window rebases its simulator then reported.
+// fakeEvents is how many events each fake job fires; fakeQueue is the
+// calendar-queue telemetry its simulator then reported.
 var (
-	fakeEvents  = []int{1000, 250}
-	fakeRebases [2]uint64
+	fakeEvents = []int{1000, 250}
+	fakeQueue  [2]sim.QueueStats
 )
 
 // fakeTick fires once a millisecond until left events have fired.
@@ -115,12 +115,12 @@ func (fakeScenario) Jobs() []experiment.Job {
 	for i, n := range fakeEvents {
 		i, n := i, n
 		jobs = append(jobs, func(ctx *experiment.Ctx) experiment.Point {
-			// A pinned 32 µs calendar under 1 ms event spacing: the run
-			// outlives its first window, so it rebases.
-			s := sim.NewWithBucketWidth(1, 32*units.Microsecond)
+			// 1 ms event spacing: the run outlives its first calendar
+			// window, so it rebases.
+			s := sim.New(1)
 			s.AfterTimer(units.Millisecond, &fakeTick{s, n})
 			s.Run()
-			fakeRebases[i] = s.QueueStats().Rebases
+			fakeQueue[i] = s.QueueStats()
 			ctx.Finish("job", nil, s, topology.ShardStats{Shards: 1}, 2, time.Time{})
 			return experiment.Point{
 				TokenRate: 1.5e6, Depth: 3000, Label: fmt.Sprintf("N=%d", 2+i),
@@ -192,9 +192,11 @@ func TestJSONRecording(t *testing.T) {
 			r.TokenRateBps != 1.5e6 || r.DepthBytes != 3000 {
 			t.Errorf("run %d is not job %d's: %+v", i, i, r)
 		}
-		if r.QueueRebases == 0 || r.QueueRebases != fakeRebases[i] ||
-			r.QueueWidthUS != 32 || r.VirtualFlows != 2 || r.Shards != 1 {
-			t.Errorf("run %d telemetry not recorded (job rebased %d times): %+v", i, fakeRebases[i], r)
+		q := fakeQueue[i]
+		if r.QueueRebases == 0 || r.QueueRebases != q.Rebases ||
+			r.QueueWidthUS != float64(q.Width)/float64(units.Microsecond) ||
+			r.VirtualFlows != 2 || r.Shards != 1 {
+			t.Errorf("run %d telemetry not recorded (job's queue: %+v): %+v", i, q, r)
 		}
 		events += r.Events
 	}
@@ -352,34 +354,37 @@ func TestProbeTraceDir(t *testing.T) {
 	}
 }
 
-// TestWidthBlindSelection pins which artifacts reject -bucket-width:
-// exactly the non-scenario ones (static tables, fig6, ablations, the
-// EF service report), and only when actually selected.
-func TestWidthBlindSelection(t *testing.T) {
-	all := artifacts()
-
-	// A pure scenario selection is clean.
-	if bad := widthBlindSelected(all, map[string]bool{"fig7": true, "nflow-fleet": true}, false); len(bad) != 0 {
-		t.Errorf("scenario-only selection flagged: %v", bad)
+// TestRunFlagValidation pins the parse-time contract of the integer
+// run flags: a value below the flag's minimum is a usage error naming
+// the flag and the value, never a silently rewritten run.
+func TestRunFlagValidation(t *testing.T) {
+	// parallel, shards, trace-cap, trace-head, trace-sample
+	ok := [5]int{0, 1, 1, 0, 1}
+	if err := validateRunFlags(ok[0], ok[1], ok[2], ok[3], ok[4]); err != nil {
+		t.Errorf("minimum values rejected: %v", err)
 	}
-	// Static artifacts are width-blind.
-	bad := widthBlindSelected(all, map[string]bool{"table1": true, "fig7": true}, false)
-	if len(bad) != 1 || bad[0] != "table1" {
-		t.Errorf("want [table1], got %v", bad)
+	if err := validateRunFlags(8, 4, 1<<17, 4096, 10); err != nil {
+		t.Errorf("ordinary values rejected: %v", err)
 	}
-	// -run all trips over every non-scenario artifact.
-	bad = widthBlindSelected(all, nil, true)
-	want := map[string]bool{
-		"table1": true, "table2": true, "table3": true, "table4": true,
-		"fig6": true, "abl-shape": true, "abl-hops": true, "abl-jitter": true,
-		"abl-af": true, "abl-tcp": true, "ef-service": true,
-	}
-	if len(bad) != len(want) {
-		t.Fatalf("run-all width-blind set: got %v, want keys of %v", bad, want)
-	}
-	for _, n := range bad {
-		if !want[n] {
-			t.Errorf("unexpectedly width-blind: %q", n)
+	for i, tc := range []struct {
+		flag string
+		bad  int
+	}{
+		{"-parallel", -1},
+		{"-shards", 0},
+		{"-trace-cap", 0},
+		{"-trace-head", -9},
+		{"-trace-sample", 0},
+	} {
+		v := ok
+		v[i] = tc.bad
+		err := validateRunFlags(v[0], v[1], v[2], v[3], v[4])
+		if err == nil {
+			t.Errorf("%s %d accepted", tc.flag, tc.bad)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, tc.flag+" ") || !strings.HasSuffix(msg, fmt.Sprintf("got %d", tc.bad)) {
+			t.Errorf("%s %d: error does not name flag and value: %v", tc.flag, tc.bad, err)
 		}
 	}
 }

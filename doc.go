@@ -81,15 +81,14 @@
 // onto narrow buckets and sparse cancel-heavy TCP timer schedules
 // onto wide ones with zero effect on firing order — event order, and
 // output, stay width-invariant at every geometry, and rebases also
-// compact cancel-storm dead weight out of the overflow heap. A
-// positive width (sim.NewWithBucketWidth, the topology configs'
-// BucketWidth, "dsbench -bucket-width") pins the geometry and
-// disables adaptation; per-run telemetry (rebases, final width,
-// overflow ratio) is filed as experiment.RunStats — one per job, in
-// Figure.Runs and under "runs" in "dsbench -json", never on the
-// figure's Points — and BENCH_PR8.json records the bake-off — the adaptive policy
-// tracks the best hand-tuned width per workload and retires the
-// fleet's per-N width heuristic.
+// compact cancel-storm dead weight out of the overflow heap. Nothing
+// above the engine sets a width: sim.NewWithBucketWidth pins the
+// geometry only for the engine's own width-invariance tests and
+// benchmark. Per-run telemetry (rebases, final width, overflow ratio)
+// is filed as experiment.RunStats — one per job, in Figure.Runs and
+// under "runs" in "dsbench -json", never on the figure's Points — and
+// BENCH_PR8.json records the bake-off that settled it: the adaptive
+// policy tracks the best hand-tuned width per workload.
 //
 // Below the frame layer, the packet tracing subsystem (ptrace) makes
 // the datapath observable: every component carries a nil-by-default
@@ -125,8 +124,8 @@
 // builder, so workloads like the dumbbell (two edge bottlenecks, a
 // shared core, cross-directional EF video) exist only as config
 // files. Validation rejects malformed files up front with errors that
-// name the offending field, and declared capabilities gate -shards /
-// -bucket-width. Config-file-only workloads are pinned by digest
+// name the offending field, and the declared shard capability gates
+// -shards. Config-file-only workloads are pinned by digest
 // goldens: "dsbench -trace-digest" writes a behavioral summary
 // (.digest) beside each sealed trace and "dstrace -compare-golden
 // GOLDEN.digest RUN.ptrace" gates a run against the stored baseline.

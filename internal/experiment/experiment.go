@@ -298,7 +298,7 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding
 	rec := ctx.NewRecorder()
 	q := topology.BuildQBone(topology.QBoneConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth, CrossLoad: crossLoad,
-		Pool: ctx.Pool, Trace: rec, BucketWidth: ctx.BucketWidth,
+		Pool: ctx.Pool, Trace: rec,
 	})
 	q.Client.Tolerance = client.SliceTolerance
 	q.Run()
@@ -436,7 +436,6 @@ func runLocalPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units
 	l := topology.BuildLocal(topology.LocalConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth,
 		UseTCP: useTCP, UseShaper: useShaper, Pool: ctx.Pool, Trace: rec,
-		BucketWidth: ctx.BucketWidth,
 	})
 	if l.UDPClient != nil {
 		// WMT's reduced message sizes mean one lost packet damages a

@@ -126,9 +126,8 @@ func (spec FleetSpec) classesFor(n int) []topology.FlowClass {
 }
 
 // Jobs enumerates one mixture simulation per total flow count. The
-// calendar width is left adaptive (the PR 7 widthFor 1/N heuristic is
-// retired): the simulator converges on the observed event spacing at
-// every N, and dsbench -bucket-width still pins it manually.
+// calendar width is the simulator's own: it converges on the observed
+// event spacing at every N.
 func (spec FleetSpec) Jobs() []Job {
 	var jobs []Job
 	for _, n := range spec.Ns {
@@ -155,9 +154,6 @@ func evaluateFleet(ctx *Ctx, cfg topology.MultiFlowConfig, label, traceLabel str
 	rec := ctx.NewRecorder()
 	cfg.Trace = rec
 	cfg.Shards = ctx.Shards
-	if ctx.BucketWidth != 0 {
-		cfg.BucketWidth = ctx.BucketWidth
-	}
 	start := time.Now()
 	m := topology.BuildMultiFlow(cfg)
 	m.Run()

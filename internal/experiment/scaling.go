@@ -29,9 +29,6 @@ func evaluateMultiFlow(ctx *Ctx, cfg topology.MultiFlowConfig, enc *video.Encodi
 	rec := ctx.NewRecorder()
 	cfg.Trace = rec
 	cfg.Shards = ctx.Shards
-	if cfg.BucketWidth == 0 {
-		cfg.BucketWidth = ctx.BucketWidth
-	}
 	m := topology.BuildMultiFlow(cfg)
 	m.Run()
 	ctx.Finish(traceLabel, rec, m.Sim, m.Stats, len(m.Clients), time.Time{})

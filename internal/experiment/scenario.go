@@ -72,12 +72,6 @@ type Ctx struct {
 	// harness pins this), so the knob trades cores-per-job against
 	// jobs-in-flight without touching results.
 	Shards int
-
-	// BucketWidth pins the calendar-queue bucket width of each
-	// job's simulator (dsbench -bucket-width; 0 keeps the scenario's or
-	// simulator's default). A pure performance knob: results are
-	// byte-identical at any width.
-	BucketWidth units.Time
 }
 
 // RunStats is what the simulator did to run one job: engine telemetry,
@@ -110,8 +104,8 @@ type RunStats struct {
 	RunMS     float64
 	// Calendar-queue telemetry from the (border) simulator: window
 	// rebases performed, the final bucket width (the adaptive policy's
-	// converged choice, or the manual pin) and the share of schedules
-	// that landed in the overflow heap.
+	// converged choice) and the share of schedules that landed in the
+	// overflow heap.
 	QRebases  uint64
 	QWidth    units.Time
 	QOverflow float64
@@ -383,9 +377,6 @@ type RunOptions struct {
 	// sharded pipeline with up to this many shard workers (see
 	// Ctx.Shards). Results are byte-identical at any value.
 	Shards int
-	// BucketWidth pins each job's calendar-queue bucket width
-	// (0 keeps defaults). Results are byte-identical at any width.
-	BucketWidth units.Time
 }
 
 // RunScenarioOpts executes the scenario's jobs under the given
@@ -414,8 +405,7 @@ func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 		}
 	}
 	newCtx := func() *Ctx {
-		return &Ctx{Pool: packet.NewPool(), Trace: opts.Trace, Shards: opts.Shards,
-			BucketWidth: opts.BucketWidth}
+		return &Ctx{Pool: packet.NewPool(), Trace: opts.Trace, Shards: opts.Shards}
 	}
 	fig := s.Assemble(runner.MapArena(opts.Parallel, newCtx, fns))
 	fig.Runs = runs

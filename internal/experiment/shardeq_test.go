@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/ptrace"
 	"repro/internal/topology"
-	"repro/internal/units"
 	"repro/internal/video"
 )
 
@@ -189,8 +188,8 @@ func TestShardsKnobReachesJobs(t *testing.T) {
 // TestRunSettingsEquivalence pins what makes the execution knobs pure
 // performance knobs at the figure level: the assembled Series — whole
 // Points, not a hand-picked subset of their fields — are identical
-// across the job-pool size, the intra-run shard count and the calendar
-// bucket width, on one scenario of each multi-job family.
+// across the job-pool size and the intra-run shard count, on one
+// scenario of each multi-job family.
 func TestRunSettingsEquivalence(t *testing.T) {
 	t.Parallel()
 	wide := NFlowWideSpec()
@@ -208,7 +207,6 @@ func TestRunSettingsEquivalence(t *testing.T) {
 	}{
 		{"parallel=2", RunOptions{Parallel: 2}},
 		{"shards=4", RunOptions{Parallel: 1, Shards: 4}},
-		{"bucket-width=50us", RunOptions{Parallel: 1, BucketWidth: 50 * units.Microsecond}},
 	}
 	for _, s := range []Scenario{wide, fleet, tandem} {
 		s := s

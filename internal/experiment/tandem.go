@@ -122,7 +122,6 @@ func runTandemPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth unit
 	t := topology.BuildTandem(topology.TandemConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth,
 		SecondBorder: secondBorder, Pool: ctx.Pool, Trace: rec,
-		BucketWidth: ctx.BucketWidth,
 	})
 	t.Run()
 	// One unbatched stream has no partitionable flows, so the point runs

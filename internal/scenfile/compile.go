@@ -108,7 +108,7 @@ func LoadScenario(path string) (experiment.Scenario, error) {
 
 // LoadAndRegister loads, compiles, and registers a scenario file so
 // the usual registry-driven machinery (dsbench -scenario/-run/-list,
-// shard and width capability probes) sees it like any preset. A name
+// the shard capability probe) sees it like any preset. A name
 // collision with an already registered scenario is an error, not a
 // panic: the file's "name" field is user input.
 func LoadAndRegister(path string) (experiment.Scenario, error) {

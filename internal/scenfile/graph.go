@@ -462,7 +462,7 @@ func (s graphScenario) Assemble(results []experiment.Point) *experiment.Figure {
 // (0 = declared rates) and reduces it to a Point.
 func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok units.BitRate) experiment.Point {
 	rec := ctx.NewRecorder()
-	b := topology.NewBuilderWidth(s.g.Seed, ctx.BucketWidth)
+	b := topology.NewBuilder(s.g.Seed)
 	b.UsePool(ctx.Pool)
 	b.UseTrace(rec)
 

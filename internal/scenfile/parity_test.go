@@ -12,20 +12,26 @@ import (
 )
 
 // The parity harness: a checked-in scenario file must be a faithful
-// spelling of its Go preset, so running both must produce
-// byte-identical figures, identical per-flow stats, and identical
-// canonicalized traces. The file and the preset register under
-// different names, so trace file names differ by exactly that prefix
-// — everything after it must match.
+// spelling of its Go preset. Compile's contract — the preset shapes
+// compile to the preset's own spec type, so equal spec values give
+// equal output bytes — is checked as stated: the compiled spec must
+// DeepEqual the preset in every field but the registry key. The file
+// and the preset are then both run traced on the Scaled(4) grid and
+// must produce byte-identical figures, identical per-flow stats, and
+// identical canonicalized traces. They register under different names,
+// so trace file names differ by exactly that prefix — everything after
+// it must match.
 
 // runTraced executes s with per-point traces into a temp dir and
-// returns the figure plus the trace dir.
+// returns the figure plus the trace dir. Traces are written as binary
+// v2: it decodes to the same events as JSONL (ptrace's round-trip tests
+// pin that) and decoding JSONL was half the harness's wall.
 func runTraced(t *testing.T, s experiment.Scenario) (*experiment.Figure, string) {
 	t.Helper()
 	dir := t.TempDir()
 	tr := &experiment.TraceRequest{Dir: dir, Config: ptrace.Config{
 		Capacity: 1 << 17, Head: 4096, Sample: 1,
-	}}
+	}, Format: "v2"}
 	fig := experiment.RunScenarioOpts(s, experiment.RunOptions{Parallel: 2, Trace: tr})
 	return fig, dir
 }
@@ -60,18 +66,35 @@ func tracesByLabel(t *testing.T, dir, scenario string) map[string]*ptrace.Data {
 	return out
 }
 
-// assertParity runs the preset and the file-compiled scenario and
-// compares figures, per-flow stats, and canonicalized traces.
+// rekeyed returns the compiled spec under the given registry key.
+func rekeyed(t *testing.T, s experiment.Scenario, key string) experiment.Scenario {
+	t.Helper()
+	switch spec := s.(type) {
+	case experiment.MultiFlowSpec:
+		spec.Key = key
+		return spec
+	case experiment.TandemSpec:
+		spec.Key = key
+		return spec
+	}
+	t.Fatalf("file compiled to %T, not a preset spec type", s)
+	return nil
+}
+
+// assertParity compares the file-compiled spec with the preset, then
+// runs both and compares figures, per-flow stats, and canonicalized
+// traces.
 func assertParity(t *testing.T, preset experiment.Scenario, path string) {
 	t.Helper()
 	file, err := LoadScenario(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if testing.Short() {
-		preset = preset.(experiment.Scalable).Scaled(4)
-		file = file.(experiment.Scalable).Scaled(4)
+	if got := rekeyed(t, file, preset.Name()); !reflect.DeepEqual(got, preset) {
+		t.Errorf("compiled spec diverged from the preset:\nfile:   %+v\npreset: %+v", got, preset)
 	}
+	preset = preset.(experiment.Scalable).Scaled(4)
+	file = file.(experiment.Scalable).Scaled(4)
 
 	figP, dirP := runTraced(t, preset)
 	figF, dirF := runTraced(t, file)

@@ -60,9 +60,10 @@ type File struct {
 	Graph     *GraphShape     `json:"graph,omitempty"`
 }
 
-// Capabilities mirrors the runner's capability probes: Shards ↔
-// experiment.ShardCapable (dsbench -shards), BucketWidth ↔ the
-// -bucket-width knob (every Builder-based scenario honors it).
+// Capabilities mirrors the runner's capability probe: Shards ↔
+// experiment.ShardCapable (dsbench -shards). The bucket_width key is
+// accepted for version-1 compatibility — existing files carry it — and
+// not read: the calendar queue sizes itself.
 type Capabilities struct {
 	Shards      bool `json:"shards"`
 	BucketWidth bool `json:"bucket_width"`
@@ -246,9 +247,6 @@ func (f *File) Validate() error {
 		case sh.name != f.Shape && sh.present:
 			return errf(sh.name, "section present but shape is %q", f.Shape)
 		}
-	}
-	if !f.Capabilities.BucketWidth {
-		return errf("capabilities.bucket_width", "must be true: every compiled scenario honors -bucket-width")
 	}
 	wantShards := f.Shape != "graph"
 	if f.Capabilities.Shards != wantShards {

@@ -119,6 +119,10 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := Parse([]byte(good)); err != nil {
 		t.Fatalf("valid fleet rejected: %v", err)
 	}
+	// bucket_width is a version-1 compatibility key: parsed, never read.
+	if _, err := Parse([]byte(strings.Replace(good, `"bucket_width": true`, `"bucket_width": false`, 1))); err != nil {
+		t.Errorf("bucket_width: false rejected: %v", err)
+	}
 	cases := []struct{ name, old, new, want string }{
 		{"poisson mixture class",
 			`"source": "cbr"`, `"source": "poisson"`,

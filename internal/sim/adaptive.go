@@ -33,8 +33,7 @@ import "repro/internal/units"
 // Rebase is the only mutation point because the lattice is provably
 // empty there: changing width is a slice-header swap, never an event
 // move, so the (time, seq) firing order is untouched by construction.
-// Widths pinned via NewWithBucketWidth (the -bucket-width escape
-// hatch) disable the policy entirely.
+// Widths pinned via NewWithBucketWidth disable the policy entirely.
 
 const (
 	// adaptMinWidth / adaptMaxWidth clamp adaptive width targets.

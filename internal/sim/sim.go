@@ -217,9 +217,10 @@ func New(seed uint64) *Simulator {
 // one: selection is always by the unique (time, seq) key, so two
 // simulators differing only in width fire the same events in the same
 // order. A positive width pins the calendar geometry and disables
-// adaptation — the -bucket-width escape hatch; non-positive widths
-// start at the default and let the density-adaptive policy re-derive
-// the width at window rebases.
+// adaptation; non-positive widths start at the default and let the
+// density-adaptive policy re-derive the width at window rebases. No
+// production build pins: this is the seam the width-invariance tests
+// and the engine-level width benchmark drive the queue through.
 func NewWithBucketWidth(seed uint64, width units.Time) *Simulator {
 	adaptive := width <= 0
 	if adaptive {

@@ -86,7 +86,9 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 // TestBucketWidthIsNotSemantic pins the calendar-width contract: the
 // same event workload fires in the same order at every width, because
-// selection is by (time, seq), never by bucket geometry.
+// selection is by (time, seq), never by bucket geometry. Width 0 is the
+// adaptive policy every production simulator runs; the positive widths
+// are pinned.
 func TestBucketWidthIsNotSemantic(t *testing.T) {
 	run := func(width units.Time) []units.Time {
 		s := NewWithBucketWidth(7, width)
@@ -98,11 +100,20 @@ func TestBucketWidthIsNotSemantic(t *testing.T) {
 			at += units.Time(i%3) * 40 * units.Millisecond
 			s.AtTimer(at, timerFunc(func() { fired = append(fired, s.Now()) }))
 		}
+		// A long dense stretch, in shuffled schedule order: several
+		// windows of evidence, so the adaptive row really moves its width.
+		for i := 0; i < 8000; i++ {
+			at := 100*units.Millisecond + units.Time(int64((i*7919)%8000))*25*units.Microsecond
+			s.AtTimer(at, timerFunc(func() { fired = append(fired, s.Now()) }))
+		}
 		s.Run()
+		if width == 0 && s.QueueStats().WidthMoves == 0 {
+			t.Error("adaptive run never moved its width: the row compares nothing")
+		}
 		return fired
 	}
 	ref := run(DefaultBucketWidth)
-	for _, w := range []units.Time{units.Microsecond, 50 * units.Microsecond, 4 * units.Millisecond, 500 * units.Millisecond} {
+	for _, w := range []units.Time{0, units.Microsecond, 50 * units.Microsecond, 4 * units.Millisecond, 500 * units.Millisecond} {
 		got := run(w)
 		if len(got) != len(ref) {
 			t.Fatalf("width %v fired %d events, want %d", w, len(got), len(ref))

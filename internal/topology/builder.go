@@ -202,16 +202,7 @@ type Builder struct {
 // seed and a fresh packet arena. The simulator's calendar width is
 // density-adaptive.
 func NewBuilder(seed uint64) *Builder {
-	return NewBuilderWidth(seed, 0)
-}
-
-// NewBuilderWidth is NewBuilder with an explicit calendar-queue bucket
-// width: a positive width pins the geometry and disables adaptation,
-// <= 0 keeps the adaptive default. Width is a pure performance knob —
-// the simulator fires events in the identical order at any width — so
-// topologies plumb it through without touching determinism contracts.
-func NewBuilderWidth(seed uint64, width units.Time) *Builder {
-	return &Builder{sim: sim.NewWithBucketWidth(seed, width), pool: packet.NewPool(), byName: map[string]*elem{}}
+	return &Builder{sim: sim.New(seed), pool: packet.NewPool(), byName: map[string]*elem{}}
 }
 
 // Sim exposes the simulator so endpoints (servers, clients) can be

@@ -27,10 +27,6 @@ type LocalConfig struct {
 	// Trace, when set, records packet-level events (including the TCP
 	// sender's send/ACK/RTO in TCP mode) into the bounded recorder.
 	Trace *ptrace.Recorder
-	// BucketWidth pins the simulator's calendar bucket width and
-	// disables width adaptation; 0 (the default) is adaptive. Purely a
-	// perf knob — results are width-invariant.
-	BucketWidth units.Time
 
 	UseTCP bool // TCP streaming with server-side thinning (the usable mode)
 
@@ -89,7 +85,7 @@ type Local struct {
 // the port link alone.
 func BuildLocal(cfg LocalConfig) *Local {
 	cfg = cfg.withDefaults()
-	b := NewBuilderWidth(cfg.Seed, cfg.BucketWidth)
+	b := NewBuilder(cfg.Seed)
 	b.UsePool(cfg.Pool)
 	b.UseTrace(cfg.Trace)
 	l := &Local{Sim: b.Sim(), enc: cfg.Enc}

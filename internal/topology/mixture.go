@@ -139,7 +139,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		horizon = drained
 	}
 
-	b := NewBuilderWidth(cfg.Seed, cfg.BucketWidth)
+	b := NewBuilder(cfg.Seed)
 	b.UsePool(cfg.Pool)
 	b.UseTrace(cfg.Trace)
 	m := &MultiFlow{Sim: b.Sim(), shards: cfg.Shards, ClassNames: names,

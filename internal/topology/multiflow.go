@@ -137,13 +137,6 @@ type MultiFlowConfig struct {
 	// evaluation (VQM, decode dependencies) is unavailable in this
 	// mode; delivery is measured at packet granularity.
 	AggregateStats bool
-
-	// BucketWidth overrides the simulator's calendar-queue bucket
-	// width (0 keeps sim.DefaultBucketWidth). A pure performance knob:
-	// event order — and therefore every figure — is identical at any
-	// width. Dense six-figure-flow schedules want narrower buckets
-	// (see BenchmarkCalendarBucketWidth).
-	BucketWidth units.Time
 }
 
 func (c MultiFlowConfig) withDefaults() MultiFlowConfig {

@@ -39,10 +39,6 @@ type QBoneConfig struct {
 	// Trace, when set, records packet-level events from every element
 	// of the path (and the client) into the given bounded recorder.
 	Trace *ptrace.Recorder
-	// BucketWidth pins the simulator's calendar bucket width and
-	// disables width adaptation; 0 (the default) is adaptive. Purely a
-	// perf knob — results are width-invariant.
-	BucketWidth units.Time
 
 	Hops         int           // backbone hops; default 4
 	HopRate      units.BitRate // default 45 Mbps
@@ -102,7 +98,7 @@ type QBone struct {
 // its access link.
 func BuildQBone(cfg QBoneConfig) *QBone {
 	cfg = cfg.withDefaults()
-	b := NewBuilderWidth(cfg.Seed, cfg.BucketWidth)
+	b := NewBuilder(cfg.Seed)
 	b.UsePool(cfg.Pool)
 	b.UseTrace(cfg.Trace)
 	q := &QBone{Sim: b.Sim()}

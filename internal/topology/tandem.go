@@ -34,11 +34,6 @@ type TandemConfig struct {
 	TokenRate units.BitRate  // APS profile rate, applied at both borders
 	Depth     units.ByteSize // APS profile burst, applied at both borders
 
-	// BucketWidth pins the simulator's calendar bucket width and
-	// disables width adaptation; 0 (the default) is adaptive. Purely a
-	// perf knob — results are width-invariant.
-	BucketWidth units.Time
-
 	// SecondBorder inserts the second domain's ingress policer. With
 	// it false the second domain trusts the first (the single-border
 	// baseline the tandem series is compared against).
@@ -108,7 +103,7 @@ func domainHop(d, i int) string { return fmt.Sprintf("d%dhop%d", d, i) }
 // spacing border2 measures.
 func BuildTandem(cfg TandemConfig) *Tandem {
 	cfg = cfg.withDefaults()
-	b := NewBuilderWidth(cfg.Seed, cfg.BucketWidth)
+	b := NewBuilder(cfg.Seed)
 	b.UsePool(cfg.Pool)
 	b.UseTrace(cfg.Trace)
 	t := &Tandem{Sim: b.Sim()}
