@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/experiment"
 	"repro/internal/flowbatch"
 	"repro/internal/link"
 	"repro/internal/packet"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/units"
 	"repro/internal/video"
@@ -435,5 +437,121 @@ func TestServerAllocationBudget(t *testing.T) {
 		if *srv.sent < 2*len(cbr.Frames) {
 			t.Fatalf("%s sent %d packets — budget measured an idle server", srv.name, *srv.sent)
 		}
+	}
+}
+
+// wholeClipReceive delivers a clip of three fragments a frame, in order
+// and without loss, to c.
+func wholeClipReceive(c *client.UDP, clipFrames int, pool *packet.Pool) {
+	for seq := 0; seq < clipFrames; seq++ {
+		for fi := 0; fi < 3; fi++ {
+			p := pool.Get()
+			p.Size, p.FrameSeq, p.FragIndex, p.FragCount = 1200, seq, fi, 3
+			c.Handle(p)
+		}
+	}
+}
+
+// TestUDPReceiveAllocationBudget pins the slot-table receiver: a whole
+// clip costs a few dozen allocations in total — the receiver, its slot
+// table, and the O(log frames) doublings of the slab and of the trace
+// (30 today) — and a packet costs none once the slab has its final
+// capacity.
+func TestUDPReceiveAllocationBudget(t *testing.T) {
+	pool := packet.NewPool()
+	pool.Put(pool.Get()) // one packet circulates
+	clk := sim.New(1)
+	clipFrames := video.Lost().FrameCount() // 2,150
+	var c *client.UDP
+	total := testing.AllocsPerRun(5, func() {
+		c = client.NewUDP(clk, clipFrames)
+		c.Pool = pool
+		wholeClipReceive(c, clipFrames, pool)
+	})
+	if total > 40 {
+		t.Errorf("whole-clip UDP receive allocates %.0f, want <= 40", total)
+	}
+	if got := len(c.Finish().Records); got != clipFrames {
+		t.Fatalf("reassembled %d of %d frames — budget measured a broken receiver", got, clipFrames)
+	}
+	// Every frame is in the slab now, so any further packet — a late
+	// fragment here — finds its entry and allocates nothing.
+	perPacket := testing.AllocsPerRun(100, func() { wholeClipReceive(c, clipFrames, pool) })
+	if perPacket != 0 {
+		t.Errorf("UDP receive on a full-grown slab allocates %.2f per clip, want 0", perPacket)
+	}
+}
+
+// TestClassifyAllocationBudget pins the DSCP lookup tables and the DRR
+// service ring at zero allocations: classification is an array index,
+// and the ring rotates in place instead of marching down its backing
+// array.
+func TestClassifyAllocationBudget(t *testing.T) {
+	prio := queue.NewEFPriority(0, 0)
+	match := queue.MatchDSCP(packet.AF11, packet.AF12, packet.AF13)
+	drr := queue.NewDRR(
+		queue.ClassSpec{Name: "ef", Match: queue.MatchDSCP(packet.EF), Quantum: 300},
+		queue.ClassSpec{Name: "af", Match: match, Quantum: 300},
+		queue.ClassSpec{Name: "be", Quantum: 300},
+	)
+	pkts := []*packet.Packet{
+		{Size: 1500, DSCP: packet.EF}, {Size: 1500, DSCP: packet.AF12}, {Size: 1500, DSCP: packet.BestEffort},
+	}
+	// Three backlogged classes with quanta a fifth of a packet: four
+	// visits in five only rotate the ring, 15 rotations a cycle.
+	cycle := func() {
+		for _, p := range pkts {
+			prio.Enqueue(p)
+			drr.Enqueue(p)
+		}
+		for range pkts {
+			if prio.Dequeue() == nil || drr.Dequeue() == nil {
+				t.Fatal("scheduler lost a packet")
+			}
+		}
+	}
+	cycle() // FIFO rings and the service ring reach their capacity
+	matched := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 10000/15; i++ {
+			cycle()
+		}
+		for d := 0; d < 256; d++ {
+			if match(packet.DSCP(d)) {
+				matched++
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("classify + DRR rotation allocates %.0f per 10,000 rotations, want 0", allocs)
+	}
+	if matched == 0 || matched%3 != 0 {
+		t.Fatalf("MatchDSCP matched %d code points per sweep, want the three AF1x", matched)
+	}
+}
+
+// TestEvaluatorAllocationBudget pins the reusable evaluation scratch:
+// once an Evaluator has scored one clip, scoring another of the same
+// length — MPEG decode, concealment, VQM — runs on the buffers it
+// already has (0 allocations today).
+func TestEvaluatorAllocationBudget(t *testing.T) {
+	enc := video.CachedCBR(video.Lost(), 1.0e6)
+	tr := &trace.Trace{ClipFrames: len(enc.Frames)}
+	for i := range enc.Frames {
+		if i%50 == 7 {
+			continue // a lost frame every 50: freezes, and a damaged GoP
+		}
+		at := units.Time(i) * video.FrameInterval()
+		tr.Add(trace.FrameRecord{Seq: i, Arrival: at, Presentation: at, Frags: 3})
+	}
+	var ev experiment.Evaluator
+	want := ev.Evaluate(tr, enc, enc)
+	var got experiment.Evaluation
+	allocs := testing.AllocsPerRun(10, func() { got = ev.Evaluate(tr, enc, enc) })
+	if allocs > 8 {
+		t.Errorf("warm Evaluator allocates %.0f per clip, want <= 8", allocs)
+	}
+	if got != want || got.FrameLoss == 0 || got.Quality == 1 {
+		t.Fatalf("warm evaluation %+v, first %+v — budget measured a degenerate clip", got, want)
 	}
 }

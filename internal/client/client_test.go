@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -227,4 +228,63 @@ func TestStreamReceiver(t *testing.T) {
 	if tr.LostFrames() != 8 {
 		t.Errorf("lost = %d (thinned frames must count as lost)", tr.LostFrames())
 	}
+}
+
+// TestTablesStayInRange: the slot table and the decoder's frame index
+// are sized from a clip length, but a scenario file can wire any source
+// to any client, so every way a packet or a record can fall outside
+// that length must behave as the map-based receiver did.
+func TestTablesStayInRange(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		clipFrames int
+		pkts       []*packet.Packet
+		wantSeqs   []int
+	}{
+		{"seq past the clip grows the table", 4,
+			[]*packet.Packet{frag(4, 0, 1), frag(900, 0, 2), frag(900, 1, 2), frag(3, 0, 1)}, []int{3, 4, 900}},
+		{"negative seq is counted, released, ignored", 4,
+			[]*packet.Packet{frag(-1, 0, 1), frag(-7, 0, 1), frag(2, 0, 1)}, []int{2}},
+		{"zero clip length", 0, []*packet.Packet{frag(0, 0, 1), frag(5, 0, 1)}, []int{0, 5}},
+		{"negative clip length", -3, []*packet.Packet{frag(1, 0, 1)}, []int{1}},
+		{"zero-fragment frame emits on first arrival", 4,
+			[]*packet.Packet{frag(1, 0, 0), frag(1, 1, 0), frag(2, 0, -3)}, []int{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := packet.NewPool()
+			c := NewUDP(&fakeClock{}, tc.clipFrames)
+			c.Pool = pool
+			var bytes int64
+			for _, p := range tc.pkts {
+				bytes += int64(p.Size)
+				c.Handle(p)
+			}
+			if c.Packets != len(tc.pkts) || c.PacketsBytes != bytes {
+				t.Errorf("counted %d packets / %d bytes, want %d / %d", c.Packets, c.PacketsBytes, len(tc.pkts), bytes)
+			}
+			if pool.Free() != len(tc.pkts) {
+				t.Errorf("%d of %d packets returned to the pool", pool.Free(), len(tc.pkts))
+			}
+			var got []int
+			for _, r := range c.Finish().Records {
+				got = append(got, r.Seq)
+			}
+			if !slices.Equal(got, tc.wantSeqs) {
+				t.Errorf("emitted frames %v, want %v", got, tc.wantSeqs)
+			}
+		})
+	}
+
+	t.Run("DecodeMPEG skips records outside the encoding", func(t *testing.T) {
+		enc := mkCBREnc()
+		n := len(enc.Frames)
+		tr := &trace.Trace{ClipFrames: n}
+		for _, seq := range []int{-2, 0, 1, n, n + 40} {
+			tr.Add(trace.FrameRecord{Seq: seq, Frags: 1})
+		}
+		out := DecodeMPEG(tr, enc)
+		if len(out.Records) != 2 || out.Records[0].Seq != 0 || out.Records[1].Seq != 1 {
+			t.Errorf("decoded %+v, want frames 0 and 1 only", out.Records)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
+	"repro/internal/video"
 )
 
 // TestReassemblyOrderInvariance: a frame's delivery verdict must not
@@ -99,4 +102,196 @@ func newRandomTrace(rng *sim.RNG, n int, lossP float64) *trace.Trace {
 		tr.Add(trace.FrameRecord{Seq: i, Frags: 1})
 	}
 	return tr
+}
+
+// mapUDP is the two-map reassembly UDP replaced with a slot table and
+// a slab, kept as the oracle of TestUDPMatchesMapOracle.
+type mapUDP struct {
+	clock     Clock
+	tr        *trace.Trace
+	base      units.Time
+	started   bool
+	frames    map[int]*mapFragState
+	emitted   map[int]bool
+	tolerance func(frags int) int
+
+	packets      int
+	packetsBytes int64
+}
+
+type mapFragState struct {
+	total, received int
+	gotFirst        bool
+	last            units.Time
+}
+
+func newMapUDP(clock Clock, clipFrames int) *mapUDP {
+	return &mapUDP{clock: clock, tr: &trace.Trace{ClipFrames: clipFrames},
+		frames: map[int]*mapFragState{}, emitted: map[int]bool{}}
+}
+
+func (c *mapUDP) handle(p *packet.Packet) {
+	now := c.clock.Now()
+	if !c.started {
+		c.started, c.base = true, now
+	}
+	c.packets++
+	c.packetsBytes += int64(p.Size)
+	seq := p.FrameSeq
+	if seq < 0 || c.emitted[seq] {
+		return
+	}
+	st := c.frames[seq]
+	if st == nil {
+		st = &mapFragState{total: p.FragCount}
+		c.frames[seq] = st
+	}
+	st.received++
+	st.last = now
+	if p.FragIndex == 0 {
+		st.gotFirst = true
+	}
+	if st.received >= st.total {
+		c.emit(seq, st)
+	}
+}
+
+func (c *mapUDP) emit(seq int, st *mapFragState) {
+	c.emitted[seq] = true
+	delete(c.frames, seq)
+	c.tr.Add(trace.FrameRecord{
+		Seq: seq, Arrival: st.last,
+		Presentation: c.base + units.Time(int64(seq))*video.FrameInterval(),
+		Frags:        st.total, LostFrags: st.total - st.received,
+	})
+}
+
+func (c *mapUDP) finish() *trace.Trace {
+	if c.tolerance != nil {
+		for seq, st := range c.frames {
+			if st.gotFirst && st.total-st.received <= c.tolerance(st.total) {
+				c.emit(seq, st)
+			}
+		}
+	}
+	c.tr.SortBySeq()
+	return c.tr
+}
+
+// randomFragmentStream draws one receiver's arrivals: frames of 1–8
+// fragments, each fragment lost with probability lossP, survivors
+// displaced by up to eight frames' worth of positions, one in ten
+// duplicated late enough to land after its frame was emitted, plus the
+// odd cross-traffic packet and frames past the declared clip length.
+func randomFragmentStream(rng *sim.RNG, clipFrames int, lossP float64) []packet.Packet {
+	type keyed struct {
+		key int
+		p   packet.Packet
+	}
+	var ks []keyed
+	pos := 0
+	for seq := 0; seq < clipFrames+3; seq++ {
+		n := 1 + rng.Intn(8)
+		for fi := 0; fi < n; fi++ {
+			pos++
+			if rng.Float64() < lossP {
+				continue
+			}
+			p := packet.Packet{FrameSeq: seq, FragIndex: fi, FragCount: n, Size: 200 + rng.Intn(1300)}
+			ks = append(ks, keyed{pos + rng.Intn(8*5), p})
+			if rng.Intn(10) == 0 {
+				ks = append(ks, keyed{pos + 40 + rng.Intn(80), p})
+			}
+		}
+		if rng.Intn(16) == 0 {
+			ks = append(ks, keyed{pos, packet.Packet{FrameSeq: -1, Size: 64}})
+		}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int { return a.key - b.key })
+	out := make([]packet.Packet, len(ks))
+	for i, k := range ks {
+		out[i] = k.p
+	}
+	return out
+}
+
+// TestUDPMatchesMapOracle drives the slot-table receiver and the
+// two-map reference with the same lossy, reordered, duplicated
+// fragment streams: traces, packet and byte counts must be identical,
+// with and without a concealment model.
+func TestUDPMatchesMapOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 240; seed++ {
+		rng := sim.NewRNG(seed)
+		clipFrames := 20 + rng.Intn(60)
+		stream := randomFragmentStream(rng, clipFrames, 0.3*rng.Float64())
+		clk := &fakeClock{}
+		got, want := NewUDP(clk, clipFrames), newMapUDP(clk, clipFrames)
+		if seed%2 == 1 {
+			got.Tolerance, want.tolerance = SliceTolerance, SliceTolerance
+		}
+		for i := range stream {
+			clk.now += units.Time(1+rng.Intn(5)) * units.Millisecond
+			p, q := stream[i], stream[i]
+			got.Handle(&p)
+			want.handle(&q)
+		}
+		if !reflect.DeepEqual(got.Finish(), want.finish()) {
+			t.Fatalf("seed %d: slot-table trace differs from the map oracle's", seed)
+		}
+		if got.Packets != want.packets || got.PacketsBytes != want.packetsBytes {
+			t.Fatalf("seed %d: counted %d pkts / %d B, oracle %d / %d", seed,
+				got.Packets, got.PacketsBytes, want.packets, want.packetsBytes)
+		}
+		if len(got.Finish().Records) == 0 {
+			t.Fatalf("seed %d: nothing reassembled — the comparison was vacuous", seed)
+		}
+	}
+}
+
+// decodeMPEGMap is DecodeMPEG in its map-indexed form, the oracle of
+// TestDecodeMPEGMatchesMapOracle.
+func decodeMPEGMap(tr *trace.Trace, enc *video.Encoding) *trace.Trace {
+	received := make(map[int]trace.FrameRecord, len(tr.Records))
+	for _, r := range tr.Records {
+		received[r.Seq] = r
+	}
+	out := &trace.Trace{ClipFrames: tr.ClipFrames}
+	anchorOK := false
+	for i := range enc.Frames {
+		r, ok := received[i]
+		switch enc.Frames[i].Type {
+		case video.IFrame:
+			anchorOK = ok
+		case video.PFrame:
+			ok = ok && anchorOK
+			anchorOK = ok
+		default:
+			ok = ok && anchorOK
+		}
+		if ok {
+			out.Add(r)
+		}
+	}
+	return out
+}
+
+// TestDecodeMPEGMatchesMapOracle: one reused MPEGDecoder against the
+// map form over random traces, including records outside the encoding
+// and repeated sequence numbers (the last one wins in both).
+func TestDecodeMPEGMatchesMapOracle(t *testing.T) {
+	enc := mkCBREnc()
+	n := enc.Clip.FrameCount()
+	var dec MPEGDecoder
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := sim.NewRNG(seed)
+		tr := newRandomTrace(rng, n-rng.Intn(n/2), 0.6*rng.Float64())
+		for k := rng.Intn(4); k > 0; k-- {
+			tr.Add(trace.FrameRecord{Seq: rng.Intn(n+50) - 25, Arrival: units.Time(seed), Frags: 2})
+		}
+		got, want := dec.Decode(tr, enc), decodeMPEGMap(tr, enc)
+		if !slices.Equal(got.Records, want.Records) || got.ClipFrames != want.ClipFrames {
+			t.Fatalf("seed %d: dense-index decode kept %d frames, map oracle %d",
+				seed, len(got.Records), len(want.Records))
+		}
+	}
 }

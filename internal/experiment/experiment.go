@@ -28,20 +28,39 @@ type Evaluation struct {
 	Calibration int     // VQM segments that failed temporal calibration
 }
 
+// Evaluator is the offline pipeline's scratch — the decoder's frame
+// index and output trace, the displayed sequence, the VQM feature
+// vectors — kept from one Evaluate to the next. A runner worker owns
+// one through its Ctx, so the flows of a multi-flow point and
+// consecutive grid points score on the same buffers. The zero value is
+// ready to use; an Evaluation is plain values, so nothing it returns
+// aliases the scratch.
+type Evaluator struct {
+	dec   client.MPEGDecoder
+	disp  render.Displayed
+	score vqm.Scorer
+}
+
 // Evaluate runs the offline pipeline of §3.1 on a frame trace:
 // MPEG decode dependencies (for CBR/MPEG content), renderer
 // concealment, then VQM scoring of the displayed sequence against ref.
-func Evaluate(tr *trace.Trace, recv, ref *video.Encoding) Evaluation {
+func (e *Evaluator) Evaluate(tr *trace.Trace, recv, ref *video.Encoding) Evaluation {
 	if recv.CBR {
-		tr = client.DecodeMPEG(tr, recv)
+		tr = e.dec.Decode(tr, recv)
 	}
-	d := render.Conceal(tr, render.DefaultOptions())
-	res := vqm.Score(d, recv, ref, vqm.Options{})
+	d := &e.disp
+	render.ConcealInto(d, tr, render.DefaultOptions())
+	res := e.score.Score(d, recv, ref, vqm.Options{})
 	return Evaluation{
 		FrameLoss:   tr.FrameLossFraction(),
 		Quality:     res.Index,
 		Calibration: res.CalibrationFailures,
 	}
+}
+
+// Evaluate is the one-shot form of Evaluator.Evaluate.
+func Evaluate(tr *trace.Trace, recv, ref *video.Encoding) Evaluation {
+	return new(Evaluator).Evaluate(tr, recv, ref)
 }
 
 // Point is one sweep sample: the paper's relation from network
@@ -303,7 +322,7 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding
 	q.Client.Tolerance = client.SliceTolerance
 	q.Run()
 	ctx.Finish(labelPrefix+pointLabel(tok, depth, seed), rec, q.Sim, topology.ShardStats{}, 0, time.Time{})
-	ev := Evaluate(q.Client.Trace(), enc, ref)
+	ev := ctx.Eval.Evaluate(q.Client.Trace(), enc, ref)
 	if q.Policer != nil {
 		ev.PacketLoss = q.Policer.LossFraction()
 	}
@@ -444,7 +463,7 @@ func runLocalPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units
 	}
 	l.Run()
 	ctx.Finish(pointLabel(tok, depth, seed), rec, l.Sim, topology.ShardStats{}, 0, time.Time{})
-	ev := Evaluate(l.Trace(), enc, enc)
+	ev := ctx.Eval.Evaluate(l.Trace(), enc, enc)
 	if l.Policer != nil {
 		ev.PacketLoss = l.Policer.LossFraction()
 	}

@@ -34,7 +34,7 @@ func evaluateMultiFlow(ctx *Ctx, cfg topology.MultiFlowConfig, enc *video.Encodi
 	ctx.Finish(traceLabel, rec, m.Sim, m.Stats, len(m.Clients), time.Time{})
 	pt := Point{TokenRate: tok, Depth: depth, Label: label}
 	for _, cl := range m.Clients {
-		ev := Evaluate(cl.Trace(), enc, enc)
+		ev := ctx.Eval.Evaluate(cl.Trace(), enc, enc)
 		pt.Flows = append(pt.Flows, ev)
 		pt.FrameLoss += ev.FrameLoss
 		pt.Quality += ev.Quality

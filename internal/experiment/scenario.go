@@ -48,7 +48,8 @@ type Scenario interface {
 // seed-averaged) experiment and reduces it to a Point. The Ctx is
 // owned by the executing worker: its Pool is the worker's packet
 // arena, reused across consecutive jobs so pools never cross
-// goroutines and steady-state jobs allocate no packets; its Trace is
+// goroutines and steady-state jobs allocate no packets; its Eval is
+// the worker's evaluation scratch, reused the same way; its Trace is
 // the run-wide trace request (nil in the common untraced case). Jobs
 // must build their simulation on the given pool (or ignore it and pay
 // the allocations) and call Ctx.Finish once per simulation: the
@@ -58,6 +59,7 @@ type Job func(ctx *Ctx) Point
 // Ctx is what the runner hands each job.
 type Ctx struct {
 	Pool  *packet.Pool
+	Eval  Evaluator
 	Trace *TraceRequest
 
 	// Run is the running job's telemetry record, written only by Finish.

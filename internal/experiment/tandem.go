@@ -128,7 +128,7 @@ func runTandemPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth unit
 	// serially at any ctx.Shards and reports one effective worker.
 	ctx.Finish(variant+"-"+pointLabel(tok, depth, seed), rec, t.Sim,
 		topology.ShardStats{Shards: 1}, 0, time.Time{})
-	ev := Evaluate(t.Client.Trace(), enc, enc)
+	ev := ctx.Eval.Evaluate(t.Client.Trace(), enc, enc)
 	// PacketLoss is the border-drop fraction of everything offered to
 	// the policed path: both variants share the denominator
 	// (border 1's input), so the series difference is exactly border

@@ -21,10 +21,7 @@ type ClassSpec struct {
 
 // MatchDSCP builds a class matcher for a set of code points.
 func MatchDSCP(ds ...packet.DSCP) func(packet.DSCP) bool {
-	set := make(map[packet.DSCP]bool, len(ds))
-	for _, d := range ds {
-		set[d] = true
-	}
+	set := newDSCPSet(ds)
 	return func(d packet.DSCP) bool { return set[d] }
 }
 
@@ -42,7 +39,10 @@ type drrClass struct {
 // and work-conserving.
 type DRR struct {
 	classes []*drrClass
-	ring    []int // backlogged class indices, service order
+	// ring holds the backlogged class indices in service order. It
+	// never exceeds len(classes) and rotates in place, so it settles
+	// on one backing array.
+	ring []int
 }
 
 // NewDRR builds a DRR scheduler over the given classes. It panics on
@@ -101,14 +101,15 @@ func (d *DRR) Dequeue() *packet.Packet {
 				// anti-burst rule).
 				c.deficit = 0
 				c.credited = false
-				d.ring = d.ring[1:]
+				d.ring = d.ring[:copy(d.ring, d.ring[1:])]
 			}
 			return p
 		}
 		// Visit exhausted: move to the back of the ring, keeping the
 		// residual deficit for the next round.
 		c.credited = false
-		d.ring = append(d.ring[1:], i)
+		copy(d.ring, d.ring[1:])
+		d.ring[len(d.ring)-1] = i
 	}
 	return nil
 }

@@ -117,6 +117,18 @@ type Scheduler interface {
 	Classes() []ClassStats
 }
 
+// dscpSet is a set of code points as a lookup table: DSCP is one byte,
+// so membership is an index, not a hash.
+type dscpSet [256]bool
+
+func newDSCPSet(ds []packet.DSCP) dscpSet {
+	var set dscpSet
+	for _, d := range ds {
+		set[d] = true
+	}
+	return set
+}
+
 // Priority is a strict two-level priority scheduler: packets whose
 // DSCP is in the high set are always served before anything else.
 // This is exactly the paper's core configuration: "the high priority
@@ -125,20 +137,16 @@ type Priority struct {
 	High FIFO
 	Low  FIFO
 
-	isHigh func(packet.DSCP) bool
+	isHigh dscpSet
 }
 
 // NewPriority returns a priority scheduler that treats the given code
 // points as high priority, with per-class packet limits (0 = unbounded).
 func NewPriority(highLimit, lowLimit int, high ...packet.DSCP) *Priority {
-	set := make(map[packet.DSCP]bool, len(high))
-	for _, d := range high {
-		set[d] = true
-	}
 	return &Priority{
 		High:   FIFO{MaxPackets: highLimit},
 		Low:    FIFO{MaxPackets: lowLimit},
-		isHigh: func(d packet.DSCP) bool { return set[d] },
+		isHigh: newDSCPSet(high),
 	}
 }
 
@@ -150,7 +158,7 @@ func NewEFPriority(highLimit, lowLimit int) *Priority {
 
 // Enqueue admits p to its class queue.
 func (s *Priority) Enqueue(p *packet.Packet) bool {
-	if s.isHigh(p.DSCP) {
+	if s.isHigh[p.DSCP] {
 		return s.High.Push(p)
 	}
 	return s.Low.Push(p)

@@ -75,9 +75,17 @@ func (d *Displayed) LongestFreeze() int {
 // is precisely what the VQM temporal-calibration stage has to chase.
 func Conceal(tr *trace.Trace, opt Options) *Displayed {
 	d := &Displayed{}
+	ConcealInto(d, tr, opt)
+	return d
+}
+
+// ConcealInto is Conceal writing over d, reusing the capacity of its
+// slices: the form for a caller that conceals trace after trace.
+func ConcealInto(d *Displayed, tr *trace.Trace, opt Options) {
+	*d = Displayed{Frames: d.Frames[:0], Damage: d.Damage[:0], Freezes: d.Freezes[:0]}
 	recs := tr.Records
 	if len(recs) == 0 {
-		return d
+		return
 	}
 	interval := video.FrameInterval()
 	start := recs[0].Arrival + opt.StartupDelay
@@ -131,5 +139,4 @@ func Conceal(tr *trace.Trace, opt Options) *Displayed {
 		}
 	}
 	endFreeze()
-	return d
 }

@@ -521,7 +521,7 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	}
 	for i, cl := range clients {
 		cl.Finish()
-		ev := experiment.Evaluate(cl.Trace(), encs[i], encs[i])
+		ev := ctx.Eval.Evaluate(cl.Trace(), encs[i], encs[i])
 		pt.Flows = append(pt.Flows, ev)
 		pt.FrameLoss += ev.FrameLoss
 		pt.Quality += ev.Quality

@@ -7,9 +7,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/units"
@@ -47,9 +48,13 @@ type Trace struct {
 func (t *Trace) Add(r FrameRecord) { t.Records = append(t.Records, r) }
 
 // SortBySeq orders records by frame sequence (receivers can complete
-// frames out of order when fragments interleave).
+// frames out of order when fragments interleave; most traces arrive
+// already in order).
 func (t *Trace) SortBySeq() {
-	sort.Slice(t.Records, func(i, j int) bool { return t.Records[i].Seq < t.Records[j].Seq })
+	bySeq := func(a, b FrameRecord) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(t.Records, bySeq) {
+		slices.SortFunc(t.Records, bySeq)
+	}
 }
 
 // LostFrames reports how many of the clip's frames never arrived.

@@ -22,6 +22,7 @@ package vqm
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/render"
 	"repro/internal/units"
@@ -88,10 +89,10 @@ func (r *Result) MOS() float64 {
 }
 
 // featureStreams derives the output feature histories from a displayed
-// sequence. outTI[s] is the motion energy the viewer saw at slot s:
-// zero during a freeze, the sum of the skipped frames' TI after a jump.
-func featureStreams(d *render.Displayed, clip *video.Clip) (outTI []float64) {
-	outTI = make([]float64, len(d.Frames))
+// sequence into outTI, which must have one element per slot. outTI[s]
+// is the motion energy the viewer saw at slot s: zero during a freeze,
+// the sum of the skipped frames' TI after a jump.
+func featureStreams(d *render.Displayed, clip *video.Clip, outTI []float64) {
 	prev := -1
 	for s, f := range d.Frames {
 		switch {
@@ -112,7 +113,6 @@ func featureStreams(d *render.Displayed, clip *video.Clip) (outTI []float64) {
 		}
 		prev = f
 	}
-	return outTI
 }
 
 // correlation computes the Pearson correlation of two equal-length
@@ -151,6 +151,16 @@ func refTIAt(clip *video.Clip, i int) float64 {
 	return clip.TI[i]
 }
 
+// Scorer is Score with its scratch kept between calls — the output
+// feature history, the calibration window and the result's segment
+// list — for a caller that scores sequence after sequence. The zero
+// value is ready to use.
+type Scorer struct {
+	outTI  []float64
+	refVec []float64
+	res    Result
+}
+
 // Score runs the tool on a displayed sequence.
 //
 // recv is the encoding that was actually streamed; ref is the encoding
@@ -159,17 +169,26 @@ func refTIAt(clip *video.Clip, i int) float64 {
 // (Figs. 13–14) ref is the 1.7 Mbps encoding, so coding distortion of
 // the lower-rate stream contributes to the score.
 func Score(d *render.Displayed, recv, ref *video.Encoding, opt Options) *Result {
+	return new(Scorer).Score(d, recv, ref, opt)
+}
+
+// Score is the package-level Score on the scorer's scratch; the
+// returned result is valid until the next call.
+func (sc *Scorer) Score(d *render.Displayed, recv, ref *video.Encoding, opt Options) *Result {
 	opt = opt.withDefaults()
 	clip := recv.Clip
-	res := &Result{}
+	res := &sc.res
+	*res = Result{Segments: res.Segments[:0]}
 	if len(d.Frames) == 0 {
 		// Nothing was ever displayed: total failure.
 		res.Index = 1
 		res.CalibrationFailures = 1
-		res.Segments = []SegmentScore{{Aligned: false, Index: 1}}
+		res.Segments = append(res.Segments, SegmentScore{Aligned: false, Index: 1})
 		return res
 	}
-	outTI := featureStreams(d, clip)
+	sc.outTI = slices.Grow(sc.outTI[:0], len(d.Frames))[:len(d.Frames)]
+	featureStreams(d, clip, sc.outTI)
+	sc.refVec = slices.Grow(sc.refVec[:0], opt.OverlapFrames)[:opt.OverlapFrames]
 
 	step := opt.SegmentFrames - opt.OverlapFrames
 	// Rolling anchor: each segment searches around where the previous
@@ -184,7 +203,7 @@ func Score(d *render.Displayed, recv, ref *video.Encoding, opt Options) *Result 
 		if segLen < opt.OverlapFrames/2 {
 			break
 		}
-		seg := scoreSegment(d, outTI, recv, ref, start, segLen, anchor, opt)
+		seg := sc.scoreSegment(d, recv, ref, start, segLen, anchor, opt)
 		res.Segments = append(res.Segments, seg)
 		if seg.Aligned {
 			anchor = seg.Shift
@@ -213,9 +232,10 @@ func Score(d *render.Displayed, recv, ref *video.Encoding, opt Options) *Result 
 
 // scoreSegment calibrates and scores one segment. anchor is the
 // playback shift (ref frame minus slot index) the previous segment
-// established.
-func scoreSegment(d *render.Displayed, outTI []float64, recv, ref *video.Encoding, start, segLen, anchor int, opt Options) SegmentScore {
-	clip := recv.Clip
+// established; sc.outTI holds d's feature history and sc.refVec
+// OverlapFrames elements of calibration scratch.
+func (sc *Scorer) scoreSegment(d *render.Displayed, recv, ref *video.Encoding, start, segLen, anchor int, opt Options) SegmentScore {
+	clip, outTI := recv.Clip, sc.outTI
 	best, bestShift := math.Inf(-1), 0
 	// The tool aligns on the overlap region then scores the frames
 	// that follow; use the first OverlapFrames slots for calibration.
@@ -224,7 +244,7 @@ func scoreSegment(d *render.Displayed, outTI []float64, recv, ref *video.Encodin
 		calLen = segLen
 	}
 	out := outTI[start : start+calLen]
-	refVec := make([]float64, calLen)
+	refVec := sc.refVec[:calLen]
 	for delta := -opt.AlignUncertainty; delta <= opt.AlignUncertainty; delta++ {
 		shift := anchor + delta
 		for s := 0; s < calLen; s++ {
