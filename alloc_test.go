@@ -100,45 +100,89 @@ func denseMixture(s *sim.Simulator, pool *packet.Pool, next packet.Handler) *flo
 }
 
 // batchedFixture builds a warmed-up batched fan-out — four
-// virtual flows on a dense synthetic schedule, folded access chain,
-// terminal pooled sink — ready for allocation measurement. The folded
-// jitter is zero so the steady state is exactly periodic: like the
-// CBR fixture below, an AllocsPerRun=0 pin needs a deterministic
-// occupancy envelope (random jitter makes calendar-bucket and
-// event-pool capacities chase occasional new maxima — a simulator
-// growth trickle, not a per-packet source cost; the jittered path's
-// behaviour is pinned byte-identical by the experiment package's
-// differential harness instead).
-func batchedFixture(tap *ptrace.Recorder) (*sim.Simulator, *flowbatch.BatchedMixture) {
+// virtual flows on a dense synthetic schedule, folded access chain
+// with the given jitter bound, terminal pooled sink — ready for
+// allocation measurement. With zero jitter the steady state is exactly
+// periodic. With jitter it is not, and still pins at zero: calendar
+// buckets and wheel buckets are chains with no capacity to outgrow, and
+// what does have a high-water mark — pooled events and pending-delivery
+// nodes, at most one per packet inside the jitter bound — reaches it
+// during the warm-up.
+func batchedFixture(tap *ptrace.Recorder, jitterMax units.Time) (*sim.Simulator, *flowbatch.BatchedMixture) {
 	s := sim.New(1)
 	pool := packet.NewPool()
 	sink := packet.Sink{Pool: pool}
 	src := denseMixture(s, pool, &sink)
+	src.Classes[0].Chain.JitterMax = jitterMax
 	if tap != nil {
 		tap.SetClock(s)
 		src.Tap, src.Hop = tap, tap.Hop("vflows")
 	}
 	src.Start()
-	s.RunUntil(200 * units.Millisecond) // warm pools, wheels and rings
+	s.RunUntil(200 * units.Millisecond) // warm the event pool, the pending-delivery slab and the packet arena
 	return s, src
 }
 
 // TestBatchedSourceAllocationBudget pins the batched fan-out's hot
-// path at zero allocations: once the drawn-ahead rings, the merge
-// wheels, the event pool and the packet arena are warm, emitting N
-// virtual flows' packets through the folded chain allocates nothing.
+// path at zero allocations, with the folded jitter off and on: once
+// the pending-delivery slab, the event pool and the packet arena are
+// warm, emitting N virtual flows' packets through the folded chain
+// allocates nothing.
 func TestBatchedSourceAllocationBudget(t *testing.T) {
-	s, src := batchedFixture(nil)
-	var at units.Time = 200 * units.Millisecond
-	allocs := testing.AllocsPerRun(200, func() {
-		at += 10 * units.Millisecond
-		s.RunUntil(at)
-	})
-	if allocs != 0 {
-		t.Errorf("batched emission hot path allocates %.2f/op, want 0", allocs)
+	for _, jitterMax := range []units.Time{0, 2 * units.Millisecond} {
+		s, src := batchedFixture(nil, jitterMax)
+		var at units.Time = 200 * units.Millisecond
+		allocs := testing.AllocsPerRun(200, func() {
+			at += 10 * units.Millisecond
+			s.RunUntil(at)
+		})
+		if allocs != 0 {
+			t.Errorf("jitter %v: batched emission hot path allocates %.2f/op, want 0", jitterMax, allocs)
+		}
+		if src.TotalSent() == 0 {
+			t.Fatalf("jitter %v: fixture emitted nothing — budget measured an idle simulator", jitterMax)
+		}
 	}
-	if src.TotalSent() == 0 {
-		t.Fatal("fixture emitted nothing — budget measured an idle simulator")
+}
+
+// TestBatchedSourceWholeRunAllocationsIndependentOfN states the
+// fan-out's allocation invariant for a whole run, set-up included:
+// Start makes a fixed number of per-flow arrays and two arrays per
+// wheel, the pending-delivery slab grows O(log) times, and nothing is
+// allocated per flow or per wheel bucket — so a 500-flow and a
+// 4,000-flow run on fresh simulators, sharing one warmed packet pool,
+// differ by a few dozen allocations (event-pool and slab high-water
+// marks), where the bucket-of-slices wheels differed by about ten per
+// flow.
+func TestBatchedSourceWholeRunAllocationsIndependentOfN(t *testing.T) {
+	sched := &flowbatch.Schedule{}
+	for i := 0; i < 25; i++ {
+		sched.Entries = append(sched.Entries, flowbatch.Entry{
+			At: units.Time(i) * 40 * units.Millisecond, Size: 1200, FragCount: 1,
+		})
+	}
+	pool := packet.NewPool()
+	sink := packet.Sink{Pool: pool}
+	run := func(n int) {
+		src := &flowbatch.BatchedMixture{
+			Sim: sim.New(1), BaseFlow: 10, Next: []packet.Handler{&sink}, Pool: pool,
+			Classes: []flowbatch.MixtureClass{{Sched: sched, N: n, Offset: units.Second / units.Time(n),
+				Chain: flowbatch.ChainSpec{AccessRate: 100 * units.Mbps,
+					AccessDelay: 500 * units.Microsecond, JitterMax: 2 * units.Millisecond}}},
+		}
+		src.Start()
+		src.Sim.Run()
+		if src.TotalSent() != n*len(sched.Entries) {
+			t.Fatalf("%d flows delivered %d packets, want %d", n, src.TotalSent(), n*len(sched.Entries))
+		}
+	}
+	run(500) // warm the shared pool
+	small := testing.AllocsPerRun(2, func() { run(500) })
+	large := testing.AllocsPerRun(2, func() { run(4000) })
+	t.Logf("whole-run allocations: %.0f at 500 flows, %.0f at 4,000", small, large)
+	if d := large - small; d > 64 || d < -64 {
+		t.Errorf("whole-run allocations differ by %.0f between 500 and 4,000 flows (%.0f vs %.0f), want within 64",
+			d, small, large)
 	}
 }
 
@@ -147,7 +191,7 @@ func TestBatchedSourceAllocationBudget(t *testing.T) {
 // the traced budget is still zero.
 func TestBatchedSourceTracedAllocationBudget(t *testing.T) {
 	rec := ptrace.NewRecorder(ptrace.Config{Capacity: 8192})
-	s, src := batchedFixture(rec)
+	s, src := batchedFixture(rec, 0)
 	var at units.Time = 200 * units.Millisecond
 	allocs := testing.AllocsPerRun(200, func() {
 		at += 10 * units.Millisecond

@@ -21,6 +21,19 @@
 // (time, flow) order. TruncateSchedule caps a class's schedule to a
 // clip prefix for fleet-scale sweeps.
 //
+// None of the fan-out's structures allocates per bucket or per flow. A
+// wheel's buckets and its overflow are intrusive chains over two fixed
+// arrays — one head per bucket, one successor link per flow — which is
+// sufficient on the precondition that a flow is in a given wheel at
+// most once (every caller re-files a flow only by popping it first),
+// and singly linked is enough because only the located minimum, whose
+// predecessor min() remembers, is ever removed. The drawn-but-undelivered
+// jitter times of all flows are FIFOs chained through one shared,
+// free-listed slab (timeFIFOs), sized by how many deliveries are
+// pending at once rather than by N. A run's allocation count is
+// therefore Start's fixed set of arrays plus O(log) slab growth,
+// whatever the flow count.
+//
 // # Exactness
 //
 // The mixture folds the per-flow access link and campus jitter of the
@@ -193,44 +206,6 @@ type ChainSpec struct {
 	AccessRate  units.BitRate
 	AccessDelay units.Time
 	JitterMax   units.Time
-}
-
-// timeRing is a FIFO of timestamps on a compacting slice — the
-// packet.Ring pattern, holding the drawn-but-undelivered jitter
-// delivery times of one virtual flow. Steady-state push/pop never
-// allocates.
-type timeRing struct {
-	items []units.Time
-	head  int
-}
-
-func (r *timeRing) Len() int { return len(r.items) - r.head }
-
-func (r *timeRing) Push(t units.Time) {
-	if r.head == len(r.items) {
-		r.items = r.items[:0]
-		r.head = 0
-	}
-	r.items = append(r.items, t)
-}
-
-func (r *timeRing) Peek() units.Time { return r.items[r.head] }
-
-func (r *timeRing) Pop() units.Time {
-	t := r.items[r.head]
-	r.head++
-	if r.head == len(r.items) {
-		r.items = r.items[:0]
-		r.head = 0
-	} else if r.head >= 32 && r.head*2 >= len(r.items) {
-		// Compact the consumed prefix once it dominates, so a ring that
-		// never fully drains still keeps memory proportional to
-		// occupancy, not to total packets pushed.
-		n := copy(r.items, r.items[r.head:])
-		r.items = r.items[:n]
-		r.head = 0
-	}
-	return t
 }
 
 // BatchedCBR fans one constant-bit-rate emission pattern out as N

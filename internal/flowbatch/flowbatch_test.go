@@ -326,48 +326,67 @@ func TestFlowHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestTimeRingFIFO pins the drawn-ahead ring's FIFO behaviour and its
-// slot reuse (no growth once drained).
-func TestTimeRingFIFO(t *testing.T) {
-	var r timeRing
-	for round := 0; round < 100; round++ {
-		for i := 0; i < 3; i++ {
-			r.Push(units.Time(round*10 + i))
-		}
-		for i := 0; i < 3; i++ {
-			if got := r.Pop(); got != units.Time(round*10+i) {
-				t.Fatalf("round %d pop %d = %v", round, i, got)
+// TestTimeFIFOsMatchSlices drives the shared-slab per-flow FIFOs and
+// plain per-flow slices through the same random interleaved push/pop
+// sequence over 64 flows, and pins node reuse: the slab never grows
+// past the high-water mark of simultaneously pending entries.
+func TestTimeFIFOsMatchSlices(t *testing.T) {
+	const flows = 64
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := newTimeFIFOs(flows)
+		ref := make([][]units.Time, flows)
+		pending, highWater := 0, 0
+		// Phases alternate between filling and draining so the free
+		// chain is exercised at every depth, including fully drained.
+		for step := 0; step < 20_000; step++ {
+			g := int32(rng.Intn(flows))
+			fill := (step/500)%2 == 0
+			if len(ref[g]) == 0 || (fill && rng.Intn(3) > 0) || (!fill && rng.Intn(3) == 0) {
+				at := units.Time(rng.Int63n(1 << 40))
+				f.push(g, at)
+				ref[g] = append(ref[g], at)
+				pending++
+				if pending > highWater {
+					highWater = pending
+				}
+			} else {
+				if got := f.peek(g); got != ref[g][0] {
+					t.Fatalf("seed %d step %d: peek(%d) = %v, want %v", seed, step, g, got, ref[g][0])
+				}
+				if got := f.pop(g); got != ref[g][0] {
+					t.Fatalf("seed %d step %d: pop(%d) = %v, want %v", seed, step, g, got, ref[g][0])
+				}
+				ref[g] = ref[g][1:]
+				pending--
+			}
+			if f.empty(g) != (len(ref[g]) == 0) {
+				t.Fatalf("seed %d step %d: empty(%d) = %v with %d pending", seed, step, g, f.empty(g), len(ref[g]))
+			}
+			if len(f.nodes) > highWater {
+				t.Fatalf("seed %d step %d: slab holds %d nodes, high-water of pending entries is %d",
+					seed, step, len(f.nodes), highWater)
 			}
 		}
-	}
-	if r.Len() != 0 {
-		t.Errorf("ring not drained: %d", r.Len())
-	}
-	if cap(r.items) > 8 {
-		t.Errorf("ring grew to %d slots for occupancy 3", cap(r.items))
-	}
-
-	// Sustained backlog: the ring never fully drains, so the consumed
-	// prefix must be compacted away — memory stays proportional to
-	// occupancy, not to total pushes.
-	var b timeRing
-	next, want := 0, 0
-	for i := 0; i < 3; i++ {
-		b.Push(units.Time(next))
-		next++
-	}
-	for i := 0; i < 10000; i++ {
-		b.Push(units.Time(next))
-		next++
-		if got := b.Pop(); got != units.Time(want) {
-			t.Fatalf("backlogged pop %d = %v, want %v", i, got, want)
+		// Every node is on exactly one chain: a flow's FIFO or the free
+		// chain.
+		seen := make([]bool, len(f.nodes))
+		walk := func(what string, i int32) {
+			for ; i >= 0; i = f.nodes[i].next {
+				if seen[i] {
+					t.Fatalf("seed %d: node %d reached twice (%s)", seed, i, what)
+				}
+				seen[i] = true
+			}
 		}
-		want++
-	}
-	if b.Len() != 3 {
-		t.Errorf("backlogged ring length %d, want 3", b.Len())
-	}
-	if cap(b.items) > 128 {
-		t.Errorf("backlogged ring grew to %d slots for occupancy 3", cap(b.items))
+		for g := range f.ends {
+			walk("fifo", f.ends[g].head)
+		}
+		walk("free", f.free)
+		for i, ok := range seen {
+			if !ok {
+				t.Fatalf("seed %d: node %d is on no chain", seed, i)
+			}
+		}
 	}
 }

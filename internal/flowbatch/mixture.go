@@ -67,8 +67,9 @@ type MixtureClass struct {
 // each packet's jitter at its arrival instant, and a delivery timer
 // that hands materialized packets to the per-flow next hops at their
 // jittered times. Steady-state emission allocates nothing: packets
-// come from Pool, timestamps ride preallocated wheels and rings, and
-// the simulator recycles both timer events.
+// come from Pool, the wheels are chains over fixed arrays, pending
+// timestamps recycle the nodes of one shared slab, and the simulator
+// recycles both timer events.
 type BatchedMixture struct {
 	Sim      *sim.Simulator
 	Classes  []MixtureClass
@@ -94,7 +95,7 @@ type BatchedMixture struct {
 	lastDelivery []units.Time
 	nextArr      []units.Time
 	nextDel      []units.Time
-	pending      []timeRing
+	pending      timeFIFOs
 
 	arrWheel flowWheel
 	delWheel flowWheel
@@ -127,6 +128,67 @@ type BatchedMixture struct {
 // differently, and the benchmark goldens pin one each: `wide-batched`
 // (320 flows) sits below the boundary, `fleet-mix` (16,000) above it.
 const armPerPacketMax = 1024
+
+// timeFIFOs holds one FIFO of timestamps per virtual flow — the
+// drawn-but-undelivered jitter delivery times — as chains through a
+// single slab of nodes. Popped nodes go on a free chain and are reused
+// before the slab grows, so its length is the high-water mark of
+// simultaneously pending deliveries across all flows (≈ rate × jitter),
+// not a per-flow allocation, and steady-state push/pop never allocates.
+type timeFIFOs struct {
+	ends  []fifoEnds // per flow
+	nodes []timeNode
+	free  int32 // head of the recycled-node chain; -1 when none
+}
+
+// fifoEnds is one flow's oldest and newest node; head is -1 when the
+// flow has nothing pending (tail is then meaningless).
+type fifoEnds struct{ head, tail int32 }
+
+type timeNode struct {
+	t    units.Time
+	next int32 // following node of the same FIFO, or of the free chain
+}
+
+func newTimeFIFOs(flows int) timeFIFOs {
+	ends := make([]fifoEnds, flows)
+	for i := range ends {
+		ends[i].head = -1
+	}
+	return timeFIFOs{ends: ends, free: -1}
+}
+
+func (f *timeFIFOs) empty(g int32) bool { return f.ends[g].head < 0 }
+
+func (f *timeFIFOs) peek(g int32) units.Time { return f.nodes[f.ends[g].head].t }
+
+func (f *timeFIFOs) push(g int32, t units.Time) {
+	i := f.free
+	if i >= 0 {
+		f.free = f.nodes[i].next
+		f.nodes[i] = timeNode{t: t, next: -1}
+	} else {
+		i = int32(len(f.nodes))
+		f.nodes = append(f.nodes, timeNode{t: t, next: -1})
+	}
+	e := &f.ends[g]
+	if e.head < 0 {
+		e.head = i
+	} else {
+		f.nodes[e.tail].next = i
+	}
+	e.tail = i
+}
+
+func (f *timeFIFOs) pop(g int32) units.Time {
+	e := &f.ends[g]
+	i := e.head
+	n := &f.nodes[i]
+	e.head = n.next
+	n.next = f.free
+	f.free = i
+	return n.t
+}
 
 // mixArriveTimer and mixDeliverTimer give the mixture two Fire methods
 // without per-schedule closures (the link.Link pattern).
@@ -204,7 +266,7 @@ func (s *BatchedMixture) startArmed(perPacket bool) {
 	s.lastDelivery = make([]units.Time, n)
 	s.nextArr = make([]units.Time, n)
 	s.nextDel = make([]units.Time, n)
-	s.pending = make([]timeRing, n)
+	s.pending = newTimeFIFOs(n)
 	// Size the merge wheels from the mixture's event density: total
 	// scheduled packets spread over the fan-out's full span.
 	var events int64
@@ -275,11 +337,11 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 			t = s.lastDelivery[g]
 		}
 		s.lastDelivery[g] = t
-		if s.pending[g].Len() == 0 {
+		if s.pending.empty(g) {
 			s.nextDel[g] = t
 			s.delWheel.push(g)
 		}
-		s.pending[g].Push(t)
+		s.pending.push(g, t)
 		if s.perPacket {
 			s.Sim.AtTimer(t, s.deliver)
 		}
@@ -322,12 +384,12 @@ func (s *BatchedMixture) deliverDue(now units.Time) {
 		if s.nextDel[g] > now {
 			break
 		}
-		s.pending[g].Pop()
+		s.pending.pop(g)
 		k := s.delivered[g]
 		s.delivered[g]++
 		s.Inject(g, int32(k))
-		if s.pending[g].Len() > 0 {
-			s.nextDel[g] = s.pending[g].Peek()
+		if !s.pending.empty(g) {
+			s.nextDel[g] = s.pending.peek(g)
 			s.delWheel.fixMin()
 		} else {
 			s.delWheel.pop()

@@ -8,12 +8,19 @@ import (
 // calendar of time buckets instead of a binary heap. At six-figure flow
 // counts a heap's O(log N) sift touches log N random key-array cache
 // lines per operation and dominated the fan-out's profile; the wheel
-// makes every operation O(1) amortized: a push appends to the bucket
-// covering its key, the minimum is the (key, flow)-least entry of the
-// first non-empty bucket, and the cursor only moves forward. Entries
-// beyond the bucket window park in an overflow list that is
-// redistributed when the window drains (the sim calendar's design,
-// applied to flow indices with an external key array).
+// makes every operation O(1) amortized: a push links the flow at the
+// head of the bucket covering its key, the minimum is the
+// (key, flow)-least entry of the first non-empty bucket, and the cursor
+// only moves forward. Entries beyond the bucket window park on an
+// overflow chain that is redistributed when the window drains (the sim
+// calendar's design, applied to flow indices with an external key
+// array).
+//
+// Buckets and the overflow are intrusive chains over two fixed arrays:
+// head[b] is the first flow of bucket b, next[g] the flow after g on
+// whichever chain holds it, -1 ending both. A flow may be in the wheel
+// at most once (the package comment says why that and a single link
+// are enough). Nothing in the wheel allocates after construction.
 //
 // The wheel is a pure data-structure swap: selection order is
 // identical to the index heap's it replaced, which wheel_test.go keeps
@@ -25,13 +32,15 @@ type flowWheel struct {
 	base  units.Time // start instant of bucket 0
 	cur   int        // first possibly non-empty bucket
 
-	buckets [][]int32
-	over    []int32 // entries with key >= base + window
-	inBuck  int     // live entries across buckets
+	head   []int32 // per bucket: first flow of its chain
+	next   []int32 // per flow: successor on its bucket or overflow chain
+	over   int32   // overflow chain head: entries with key >= base + window
+	nOver  int     // entries on the overflow chain
+	inBuck int     // live entries across buckets
 
 	cachedMin    int32 // -1 when invalid
+	cachedPrev   int32 // cachedMin's chain predecessor; -1 when it heads its bucket
 	cachedBucket int
-	cachedSlot   int
 }
 
 const (
@@ -62,14 +71,33 @@ func newFlowWheel(key []units.Time, events int64, span units.Time) flowWheel {
 	for n < wheelMaxBuckets && n < 2*len(key) {
 		n <<= 1
 	}
-	return flowWheel{key: key, width: width, buckets: make([][]int32, n), cachedMin: -1}
+	head := make([]int32, n)
+	for i := range head {
+		head[i] = -1
+	}
+	return flowWheel{key: key, width: width, head: head, next: make([]int32, len(key)), over: -1, cachedMin: -1}
 }
 
-func (w *flowWheel) len() int { return w.inBuck + len(w.over) }
+func (w *flowWheel) len() int { return w.inBuck + w.nOver }
 
-func (w *flowWheel) window() units.Time { return w.width * units.Time(len(w.buckets)) }
+func (w *flowWheel) window() units.Time { return w.width * units.Time(len(w.head)) }
 
-// push inserts flow g keyed at key[g].
+// toBucket links g at the head of bucket b.
+func (w *flowWheel) toBucket(b int, g int32) {
+	w.next[g] = w.head[b]
+	w.head[b] = g
+	w.inBuck++
+}
+
+// toOverflow links g at the head of the overflow chain.
+func (w *flowWheel) toOverflow(g int32) {
+	w.next[g] = w.over
+	w.over = g
+	w.nOver++
+}
+
+// push inserts flow g keyed at key[g]; g must not already be in the
+// wheel.
 func (w *flowWheel) push(g int32) {
 	t := w.key[g]
 	if w.len() == 0 {
@@ -87,17 +115,21 @@ func (w *flowWheel) push(g int32) {
 		w.redistribute()
 	}
 	b := int((t - w.base) / w.width)
-	if b >= len(w.buckets) {
-		w.over = append(w.over, g)
+	if b >= len(w.head) {
+		w.toOverflow(g)
 		return
 	}
-	w.buckets[b] = append(w.buckets[b], g)
-	w.inBuck++
+	w.toBucket(b, g)
 	if b < w.cur {
 		w.cur = b
 	}
-	if m := w.cachedMin; m >= 0 && (t < w.key[m] || (t == w.key[m] && g < m)) {
-		w.cachedMin = -1
+	if m := w.cachedMin; m >= 0 {
+		if t < w.key[m] || (t == w.key[m] && g < m) {
+			w.cachedMin = -1
+		} else if b == w.cachedBucket && w.cachedPrev < 0 {
+			// The minimum headed this bucket; g now precedes it.
+			w.cachedPrev = g
+		}
 	}
 }
 
@@ -110,21 +142,20 @@ func (w *flowWheel) min() int32 {
 		return w.cachedMin
 	}
 	for {
-		for b := w.cur; b < len(w.buckets); b++ {
-			bucket := w.buckets[b]
-			if len(bucket) == 0 {
+		for b := w.cur; b < len(w.head); b++ {
+			best := w.head[b]
+			if best < 0 {
 				w.cur = b + 1
 				continue
 			}
-			best, slot := bucket[0], 0
-			for i := 1; i < len(bucket); i++ {
-				g := bucket[i]
+			bestPrev := int32(-1)
+			for prev, g := best, w.next[best]; g >= 0; prev, g = g, w.next[g] {
 				if w.key[g] < w.key[best] || (w.key[g] == w.key[best] && g < best) {
-					best, slot = g, i
+					best, bestPrev = g, prev
 				}
 			}
 			w.cur = b
-			w.cachedMin, w.cachedBucket, w.cachedSlot = best, b, slot
+			w.cachedMin, w.cachedPrev, w.cachedBucket = best, bestPrev, b
 			return best
 		}
 		w.rebase()
@@ -134,10 +165,11 @@ func (w *flowWheel) min() int32 {
 // pop removes and returns the minimum.
 func (w *flowWheel) pop() int32 {
 	g := w.min()
-	bucket := w.buckets[w.cachedBucket]
-	last := len(bucket) - 1
-	bucket[w.cachedSlot] = bucket[last]
-	w.buckets[w.cachedBucket] = bucket[:last]
+	if w.cachedPrev < 0 {
+		w.head[w.cachedBucket] = w.next[g]
+	} else {
+		w.next[w.cachedPrev] = w.next[g]
+	}
 	w.inBuck--
 	w.cachedMin = -1
 	return g
@@ -152,8 +184,8 @@ func (w *flowWheel) fixMin() {
 // every overflow entry now inside the window into its bucket. Only
 // called with all buckets empty.
 func (w *flowWheel) rebase() {
-	minT := w.key[w.over[0]]
-	for _, g := range w.over[1:] {
+	minT := w.key[w.over]
+	for g := w.next[w.over]; g >= 0; g = w.next[g] {
 		if w.key[g] < minT {
 			minT = w.key[g]
 		}
@@ -168,26 +200,29 @@ func (w *flowWheel) rebase() {
 // at or beyond the window end.
 func (w *flowWheel) redistribute() {
 	win := w.window()
-	kept := w.over[:0]
-	for _, g := range w.over {
+	g := w.over
+	w.over, w.nOver = -1, 0
+	for g >= 0 {
+		next := w.next[g]
 		if d := w.key[g] - w.base; d < win {
-			w.buckets[d/w.width] = append(w.buckets[d/w.width], g)
-			w.inBuck++
+			w.toBucket(int(d/w.width), g)
 		} else {
-			kept = append(kept, g)
+			w.toOverflow(g)
 		}
+		g = next
 	}
-	w.over = kept
 }
 
 // spillAll moves every bucketed entry to overflow (rare rebase-down
 // path).
 func (w *flowWheel) spillAll() {
-	for b := w.cur; b < len(w.buckets); b++ {
-		if len(w.buckets[b]) > 0 {
-			w.over = append(w.over, w.buckets[b]...)
-			w.buckets[b] = w.buckets[b][:0]
+	for b := w.cur; b < len(w.head); b++ {
+		for g := w.head[b]; g >= 0; {
+			next := w.next[g]
+			w.toOverflow(g)
+			g = next
 		}
+		w.head[b] = -1
 	}
 	w.inBuck = 0
 	w.cachedMin = -1

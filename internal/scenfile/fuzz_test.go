@@ -29,6 +29,11 @@ func FuzzScenarioFile(f *testing.F) {
 	}
 	f.Add([]byte(`{"version": 1, "name": "x", "shape": "tandem"}`))
 	f.Add([]byte(`{]`))
+	// A flow count past the int32 the batched source indexes flows with.
+	f.Add([]byte(`{"version": 1, "name": "x", "id": "X", "title": "t", "shape": "fleet",
+  "capabilities": {"shards": true}, "fleet": {"flows": [3000000000],
+  "classes": [{"name": "v", "clip": "lost", "enc_rate_bps": 1000000, "share": 1, "token_rate_bps": 1300000}],
+  "depth_bytes": 4500, "bottleneck_rate_bps": 13000000000, "sched": "priority"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := Parse(data)

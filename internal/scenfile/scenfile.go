@@ -268,13 +268,16 @@ func (f *File) Validate() error {
 	return nil
 }
 
+// validateFlowCounts bounds every flow count to [1, MaxInt32]: the
+// batched source, the shard border and the class tables index flows as
+// int32, and a fleet count's per-class split never exceeds the count.
 func validateFlowCounts(field string, ns []int) error {
 	if len(ns) == 0 {
 		return errf(field, "at least one flow count is required")
 	}
 	for i, n := range ns {
-		if n < 1 {
-			return errf(fmt.Sprintf("%s[%d]", field, i), "flow count must be >= 1, got %d", n)
+		if n < 1 || n > math.MaxInt32 {
+			return errf(fmt.Sprintf("%s[%d]", field, i), "flow count must be in [1, %d], got %d", math.MaxInt32, n)
 		}
 	}
 	return nil

@@ -83,6 +83,9 @@ func TestValidationNamesOffendingField(t *testing.T) {
 		{"irrelevant knob rejected", dumbbell,
 			`"name": "e-jit", "max_jitter_us": 5000`, `"name": "e-jit", "loss_p": 0.5, "max_jitter_us": 5000`,
 			`graph.elements[13].loss_p: does not apply to kind "jitter"`},
+		{"flow count beyond int32", nflow,
+			`"flows": [1, 2,`, `"flows": [3000000000, 2,`,
+			"multiflow.flows[0]: flow count must be in [1, 2147483647], got 3000000000"},
 		{"bad version", nflow,
 			`"version": 1`, `"version": 2`,
 			"version: unsupported scenario file version 2"},
@@ -139,6 +142,9 @@ func TestFleetValidation(t *testing.T) {
 		{"zero token rate",
 			`"token_rate_bps": 1950000`, `"token_rate_bps": 0`,
 			"fleet.classes[1].token_rate_bps: policer rate must be positive"},
+		{"flow count beyond int32",
+			`"flows": [100]`, `"flows": [3000000000]`,
+			"fleet.flows[0]: flow count must be in [1, 2147483647], got 3000000000"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -57,23 +57,7 @@ const (
 	// the heap only once at least this many cancelled events are
 	// resident and they make up a quarter of the heap.
 	compactMinDead = 64
-
-	// bucketSeedCap is the per-bucket capacity pre-carved out of one
-	// shared backing array when a lattice is (re)built, so post-move
-	// warm-up appends at the target occupancy of ~1 do not allocate.
-	bucketSeedCap = 4
 )
-
-// makeLattice allocates an n-bucket lattice whose bucket slices share
-// one pre-capped backing array.
-func makeLattice(n int) [][]*Event {
-	lat := make([][]*Event, n)
-	backing := make([]*Event, n*bucketSeedCap)
-	for i := range lat {
-		lat[i] = backing[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
-	}
-	return lat
-}
 
 // widthForSpacing rounds a mean event spacing up to the next power of
 // two, clamped to the adaptive range.
@@ -116,8 +100,9 @@ func (s *Simulator) adaptWidth(nextBase units.Time) {
 }
 
 // setWidth moves the calendar to a new bucket width, re-deriving the
-// lattice size. Reached only with an empty lattice, so resizing is a
-// slice operation; a previously grown backing array is re-sliced
+// lattice size. Reached only with an empty lattice — every chain head,
+// including those beyond len that a re-slice exposes, is nil — so
+// resizing is a slice operation; a previously grown array is re-sliced
 // rather than reallocated, keeping repeated grow/shrink transitions
 // allocation-free after the first.
 func (s *Simulator) setWidth(w units.Time) {
@@ -129,7 +114,7 @@ func (s *Simulator) setWidth(w units.Time) {
 	case n <= cap(s.buckets):
 		s.buckets = s.buckets[:n]
 	default:
-		s.buckets = makeLattice(n)
+		s.buckets = make([]*Event, n)
 	}
 }
 

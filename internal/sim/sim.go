@@ -33,6 +33,17 @@
 // order is exactly the order a single global heap would produce — the
 // structure, including its width, is a performance choice, never a
 // semantic one.
+//
+// A bucket is an intrusive chain: the lattice holds one head pointer
+// per bucket and every Event carries its successor, so filing an event
+// is a prepend and no bucket owns storage that could grow. Singly
+// linked is enough because the only event ever removed by position is
+// the located minimum, and the scan that locates it remembers its
+// predecessor. Cancel stays lazy for the same reason — unlinking an
+// arbitrary event would need a chain walk or a second link per event —
+// so a cancelled event keeps its place until the next scan of its
+// bucket (or a heap pop, or a compaction) unlinks and recycles it. The
+// free list of recycled events runs through the same link field.
 package sim
 
 import (
@@ -56,6 +67,7 @@ type Event struct {
 	when      units.Time
 	seq       uint64
 	timer     Timer
+	next      *Event // successor in a bucket chain or on the free list
 	gen       uint32
 	cancelled bool
 	inHeap    bool // currently resident in the overflow heap
@@ -72,7 +84,8 @@ func (s *Simulator) release(e *Event) {
 	e.timer = nil
 	e.cancelled = false
 	e.inHeap = false
-	s.free = append(s.free, e)
+	e.next = s.free
+	s.free = e
 }
 
 // Handle identifies a scheduled event. The zero Handle is valid and
@@ -133,7 +146,7 @@ func (h Handle) Cancel() {
 const numBuckets = 256
 
 // maxBuckets caps the lattice growth for very narrow widths: 2^17
-// slice headers are ~3 MB, and below ~500 ns granularity the window
+// chain heads are 1 MB, and below ~500 ns granularity the window
 // already spans tens of milliseconds.
 const maxBuckets = 1 << 17
 
@@ -166,7 +179,7 @@ type Simulator struct {
 	// when < base + (i+1)*bucketWidth (an event may sit in an earlier
 	// bucket than its natural one, never a later one). Events at or
 	// beyond the window end wait in the overflow heap.
-	buckets  [][]*Event // lattice; len is bucketCount(width), re-derived on width moves
+	buckets  []*Event   // chain heads; len is bucketCount(width), re-derived on width moves
 	width    units.Time // bucket granularity (adaptive unless pinned at construction)
 	base     units.Time
 	cur      int // lowest possibly non-empty bucket
@@ -190,16 +203,17 @@ type Simulator struct {
 	qCompactions uint64     // overflow-heap compactions
 	qPurged      uint64     // cancelled events reclaimed before firing
 
-	// min() caches the located minimum so the Run loop's
-	// peek-then-pop costs one scan, not two. The minimum always lives
-	// in a bucket: the window-advance path migrates at least the
-	// overflow top into the window before returning.
+	// min() caches the located minimum, with its chain predecessor
+	// (nil when it heads its bucket), so the Run loop's peek-then-pop
+	// costs one scan, not two, and the pop unlinks in O(1). The minimum
+	// always lives in a bucket: the window-advance path migrates at
+	// least the overflow top into the window before returning.
 	cachedMin    *Event
+	cachedPrev   *Event
 	cachedBucket int
-	cachedSlot   int
 
-	live   int // pending, non-cancelled events (Pending)
-	free   []*Event
+	live   int    // pending, non-cancelled events (Pending)
+	free   *Event // recycled events, chained through next
 	fired  uint64
 	maxT   units.Time // horizon; 0 means none
 	halted bool
@@ -227,7 +241,7 @@ func NewWithBucketWidth(seed uint64, width units.Time) *Simulator {
 		width = DefaultBucketWidth
 	}
 	return &Simulator{rng: NewRNG(seed), width: width, adaptive: adaptive,
-		buckets: makeLattice(bucketCount(width))}
+		buckets: make([]*Event, bucketCount(width))}
 }
 
 // Now reports the current simulated time.
@@ -247,11 +261,10 @@ func (s *Simulator) Pending() int { return s.live }
 // alloc takes an event from the free list (or the heap allocator on a
 // cold start) and initializes it for scheduling at t.
 func (s *Simulator) alloc(t units.Time) *Event {
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	e := s.free
+	if e != nil {
+		s.free = e.next
+		e.next = nil
 	} else {
 		e = &Event{sim: s}
 	}
@@ -289,7 +302,8 @@ func (s *Simulator) schedule(e *Event) {
 	if i < s.cur {
 		s.cur = i
 	}
-	s.buckets[i] = append(s.buckets[i], e)
+	e.next = s.buckets[i]
+	s.buckets[i] = e
 	s.nBuckets++
 }
 
@@ -327,32 +341,34 @@ func (s *Simulator) min() *Event {
 		// physically in it, so draining the queue does not walk every
 		// empty bucket.
 		for b := s.cur; s.nBuckets > 0 && b < len(s.buckets); b++ {
-			bucket := s.buckets[b]
-			var best *Event
-			slot := -1
-			for i := 0; i < len(bucket); {
-				e := bucket[i]
+			// prev trails the walk over live events only, so bestPrev
+			// stays linked to best however many cancelled events are
+			// unlinked around them.
+			var best, bestPrev, prev *Event
+			for e := s.buckets[b]; e != nil; {
+				next := e.next
 				if e.cancelled {
-					// Swap-delete and recycle; selection is by the
-					// unique (when, seq) key, so storage order within
-					// a bucket is irrelevant.
-					last := len(bucket) - 1
-					bucket[i] = bucket[last]
-					bucket[last] = nil
-					bucket = bucket[:last]
+					// Unlink and recycle; selection is by the unique
+					// (when, seq) key, so chain order within a bucket
+					// is irrelevant.
+					if prev == nil {
+						s.buckets[b] = next
+					} else {
+						prev.next = next
+					}
 					s.nBuckets--
 					s.release(e)
-					continue
+				} else {
+					if best == nil || e.when < best.when || (e.when == best.when && e.seq < best.seq) {
+						best, bestPrev = e, prev
+					}
+					prev = e
 				}
-				if best == nil || e.when < best.when || (e.when == best.when && e.seq < best.seq) {
-					best, slot = e, i
-				}
-				i++
+				e = next
 			}
-			s.buckets[b] = bucket
 			if best != nil {
 				s.cur = b
-				s.cachedMin, s.cachedBucket, s.cachedSlot = best, b, slot
+				s.cachedMin, s.cachedPrev, s.cachedBucket = best, bestPrev, b
 				return best
 			}
 			s.cur = b + 1
@@ -394,7 +410,8 @@ func (s *Simulator) rebase() {
 			continue
 		}
 		i := int((e.when - s.base) / s.width)
-		s.buckets[i] = append(s.buckets[i], e)
+		e.next = s.buckets[i]
+		s.buckets[i] = e
 		s.nBuckets++
 	}
 }
@@ -406,11 +423,11 @@ func (s *Simulator) popMin() *Event {
 	if e == nil {
 		return nil
 	}
-	bucket := s.buckets[s.cachedBucket]
-	last := len(bucket) - 1
-	bucket[s.cachedSlot] = bucket[last]
-	bucket[last] = nil
-	s.buckets[s.cachedBucket] = bucket[:last]
+	if s.cachedPrev == nil {
+		s.buckets[s.cachedBucket] = e.next
+	} else {
+		s.cachedPrev.next = e.next
+	}
 	s.nBuckets--
 	s.cachedMin = nil
 	s.live--

@@ -107,11 +107,12 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		total += fc.N
 	}
 
-	// Class-major flow layout and per-flow start/encoding tables (the
-	// unbatched build indexes these).
+	// Class-major flow layout and per-flow start table. A flow's
+	// encoding is its class's, read through classOf by the two branches
+	// that need it (exact receive, unbatched servers); the fleet never
+	// does.
 	classOf := make([]int32, total)
 	starts := make([]units.Time, total)
-	encOf := make([]*video.Encoding, total)
 	var drained units.Time
 	g := 0
 	for ci := range classes {
@@ -131,7 +132,6 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		for j := 0; j < c.N; j++ {
 			classOf[g] = int32(ci)
 			starts[g] = c.Phase + units.Time(int64(j))*c.Offset
-			encOf[g] = cfg.Classes[ci].Enc
 			g++
 		}
 	}
@@ -164,7 +164,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	} else {
 		b.Router("demux", "sink")
 		for i := 0; i < total; i++ {
-			cl := client.NewUDP(b.Sim(), encOf[i].Clip.FrameCount())
+			cl := client.NewUDP(b.Sim(), cfg.Classes[classOf[i]].Enc.Clip.FrameCount())
 			cl.Pool = b.Pool()
 			cl.Tolerance = client.SliceTolerance
 			m.Clients = append(m.Clients, cl)
@@ -262,7 +262,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	} else {
 		for i := 0; i < total; i++ {
 			m.Servers = append(m.Servers, &server.Paced{
-				Sim: m.Sim, Enc: encOf[i], Flow: flowID(i),
+				Sim: m.Sim, Enc: cfg.Classes[classOf[i]].Enc, Flow: flowID(i),
 				Next: net.Handler(fmt.Sprintf("hub%d", i)),
 				Pool: net.Pool,
 			})
