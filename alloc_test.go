@@ -18,6 +18,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/units"
@@ -497,10 +498,11 @@ func wholeClipReceive(c *client.UDP, clipFrames int, pool *packet.Pool) {
 }
 
 // TestUDPReceiveAllocationBudget pins the slot-table receiver: a whole
-// clip costs a few dozen allocations in total — the receiver, its slot
-// table, and the O(log frames) doublings of the slab and of the trace
-// (30 today) — and a packet costs none once the slab has its final
-// capacity.
+// clip costs a few dozen allocations in total — the receiver, its trace
+// header, its slot table, and the O(log frames) doublings of the slab
+// and of the trace (31 today) — a packet costs none once the slab has
+// its final capacity, and on a Scratch another receiver has warmed a
+// whole clip costs the receiver and its trace header, nothing else.
 func TestUDPReceiveAllocationBudget(t *testing.T) {
 	pool := packet.NewPool()
 	pool.Put(pool.Get()) // one packet circulates
@@ -523,6 +525,129 @@ func TestUDPReceiveAllocationBudget(t *testing.T) {
 	perPacket := testing.AllocsPerRun(100, func() { wholeClipReceive(c, clipFrames, pool) })
 	if perPacket != 0 {
 		t.Errorf("UDP receive on a full-grown slab allocates %.2f per clip, want 0", perPacket)
+	}
+
+	// AllocsPerRun's own warm-up call is the job that grows the storage;
+	// every measured one borrows it back.
+	var sc client.Scratch
+	lent := testing.AllocsPerRun(5, func() {
+		c = client.NewUDP(clk, clipFrames)
+		c.Pool, c.Scratch = pool, &sc
+		wholeClipReceive(c, clipFrames, pool)
+		if got := len(c.Finish().Records); got != clipFrames {
+			t.Fatalf("reassembled %d of %d frames on lent storage", got, clipFrames)
+		}
+		sc.Reset()
+	})
+	if lent > 2 {
+		t.Errorf("whole-clip UDP receive on a warmed Scratch allocates %.0f, want <= 2 (the receiver and its trace header)", lent)
+	}
+}
+
+// TestWarmWorkerJobAllocatesNoReceiveStorage pins what Ctx.Recv is for:
+// the second and later grid points a worker runs receive on the storage
+// the first one grew. A local-testbed job on a warm Ctx is measured
+// against building its topology alone: what remains above the build is
+// the run's own warm-up — FIFO and in-flight rings doubling to their
+// high-water marks (19 on the UDP path, 26 on the TCP path), the
+// overflow heap (3 / 7), one event chunk, the trace label (2–3), the TCP
+// endpoints' segment bookkeeping (≈ 40) and the assembler's three-entry
+// result buffer (2–3) — 27 and 80 allocations today, none of them in
+// trace.Add, client.Handle or RegisterMessage. The same job on a Ctx
+// without Recv pays the O(log frames) doublings on top (28 on either
+// path), which is what keeps this test from passing vacuously.
+func TestWarmWorkerJobAllocatesNoReceiveStorage(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		useTCP   bool
+		overhead float64 // allowed above the topology build
+	}{
+		{"UDP", false, 32},
+		{"TCP", true, 88},
+	} {
+		spec := experiment.Figure15Spec()
+		spec.UseTCP = tc.useTCP
+		// The last point delivers the whole clip: the most any receiver
+		// grows, so the worst case for storage that was not lent.
+		spec.Tokens = []units.BitRate{1.1e6, 2.5e6}
+		spec.Depths = spec.Depths[:1]
+		jobs := spec.Jobs()
+
+		warm := &experiment.Ctx{Pool: packet.NewPool(), Recv: new(client.Scratch)}
+		jobs[0](warm) // the worker's first grid point, a lossy one
+		warm.Recv.Reset()
+		var p experiment.Point
+		job := testing.AllocsPerRun(3, func() {
+			p = jobs[1](warm)
+			warm.Recv.Reset()
+		})
+		if p.FrameLoss != 0 {
+			t.Fatalf("%s: the measured point lost %.3f of its frames — budget measured a thinned clip", tc.name, p.FrameLoss)
+		}
+		enc := video.CachedVBR(spec.Clip, units.BitRate(spec.CapKbps)*units.Kbps)
+		build := testing.AllocsPerRun(3, func() {
+			topology.BuildLocal(topology.LocalConfig{Seed: spec.Seed, Enc: enc, TokenRate: spec.Tokens[1],
+				Depth: spec.Depths[0], UseTCP: tc.useTCP, Pool: warm.Pool, Recv: warm.Recv})
+		})
+		bare := &experiment.Ctx{Pool: packet.NewPool()}
+		unlent := testing.AllocsPerRun(3, func() { jobs[1](bare) })
+		t.Logf("%s: warm job %.0f, topology build %.0f, same job without Recv %.0f", tc.name, job, build, unlent)
+		if job > build+tc.overhead {
+			t.Errorf("%s: a job on a warm Ctx allocates %.0f, %.0f above its topology build (%.0f); want <= %.0f above",
+				tc.name, job, job-build, build, tc.overhead)
+		}
+		if unlent < job+20 {
+			t.Errorf("%s: the job costs %.0f without Recv and %.0f with — lending saved under 20 allocations, so the budget proves nothing",
+				tc.name, unlent, job)
+		}
+	}
+}
+
+// countdown is a Timer that does nothing: cold-start fodder.
+type countdown struct{ fired int }
+
+func (c *countdown) Fire(units.Time) { c.fired++ }
+
+// TestColdStartsAllocateInChunks pins the two arenas' cold paths: a
+// thousand packets taken from an empty pool, and a thousand events
+// scheduled on a new simulator inside its calendar window, cost one
+// allocation per 64 — ceil(1000/64) = 16 chunks, and nothing else.
+func TestColdStartsAllocateInChunks(t *testing.T) {
+	const n, budget = 1000, 1000/64 + 2
+	held := make([]*packet.Packet, n)
+	var pool *packet.Pool
+	gets := testing.AllocsPerRun(5, func() {
+		pool = packet.NewPool() // one more allocation, inside the budget
+		for i := range held {
+			held[i] = pool.Get()
+		}
+	})
+	if gets > budget {
+		t.Errorf("%d cold Pool.Gets allocate %.0f, want <= %d", n, gets, budget)
+	}
+	if pool.News != n || pool.Free() != 0 {
+		t.Errorf("after %d cold Gets News = %d, Free = %d; want %d and 0", n, pool.News, pool.Free(), n)
+	}
+	for _, p := range held {
+		pool.Put(p)
+	}
+	if pool.Free() != n {
+		t.Errorf("%d packets returned, Free = %d", n, pool.Free())
+	}
+
+	var s *sim.Simulator
+	tm := &countdown{}
+	scheduled := testing.AllocsPerRun(5, func() {
+		s = sim.New(1) // the simulator, its RNG and the lattice: three more
+		for i := 0; i < n; i++ {
+			s.AfterTimer(units.Time(i)*units.Microsecond, tm)
+		}
+	})
+	if scheduled > budget+3 {
+		t.Errorf("%d cold schedules allocate %.0f, want <= %d", n, scheduled, budget+3)
+	}
+	if s.Run(); tm.fired != n {
+		t.Fatalf("%d events fired, want the last simulator's %d", tm.fired, n)
 	}
 }
 

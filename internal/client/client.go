@@ -6,18 +6,35 @@
 // (§3.1.1–3.1.2).
 //
 // UDP reassembly hashes nothing and allocates nothing per frame. A slot
-// table of one int32 per clip frame — sized from the clip length when
-// the receiver is built, grown if a source sends a later frame — points
-// into a slab of 24-byte fragStates appended in first-seen order; the
-// slab entry also carries the frame's "already emitted" bit, and Finish
-// walks the slab. The slab is deliberately not a dense per-frame array.
-// On the benchmark's wide-batched workload, where ≈ 92 % of packets die
-// at the bottleneck and each of 320 clients sees a small fraction of
-// its 2,150 frames, a []fragState of clipFrames entries (with the trace
-// pre-capped the same way) took alloc_mb from 24.6 to 64.9 and
-// peak_rss_mb from 28.1 to 73.5. Four bytes per clip frame plus 24 per
-// frame seen keeps memory flat in that lossy regime and costs O(log
-// frames) allocations per client.
+// table of one int32 per clip frame — grown if a source sends a later
+// frame — points into a slab of 24-byte fragStates appended in
+// first-seen order; the slab entry also carries the frame's "already
+// emitted" bit, and Finish walks the slab. The slab is deliberately not
+// a dense per-frame array, and nothing is pre-sized to the clip. On the
+// benchmark's wide-batched workload, where ≈ 92 % of packets die at the
+// bottleneck and each of 320 clients sees a small fraction of its 2,150
+// frames, a []fragState of clipFrames entries (with the trace pre-capped
+// the same way) took alloc_mb from 24.6 to 64.9 and peak_rss_mb from
+// 28.1 to 73.5. Four bytes per clip frame plus 24 per frame seen keeps
+// memory flat in that lossy regime.
+//
+// # Storage is lent
+//
+// A figure is a sweep: the same clip through a freshly built testbed at
+// dozens of grid points, so a receiver's trace, slab and slot table
+// would be regrown by append once per client per point and thrown away.
+// Instead the storage belongs to the runner worker. A receiver with a
+// Scratch borrows from it on its first packet (a UDP or Stream) or first
+// registered message (a StreamAssembler) — one that never hears from the
+// network borrows nothing — and grows what it got by append as always,
+// so what is lent is what an earlier job grew, never more. The owner
+// calls Scratch.Reset when the job's results have been reduced to plain
+// values (experiment.RunScenarioOpts does, after every job): every
+// buffer goes back at its high-water capacity and the borrowers are left
+// empty. That is why a *trace.Trace from Trace or Finish must not
+// outlive the job that built the receiver: after Reset its records
+// belong to the next one. Without a Scratch the same code grows the same
+// buffers from the heap and nothing is ever taken back.
 package client
 
 import (
@@ -63,6 +80,10 @@ type UDP struct {
 	// the frame trace (values, never packet pointers).
 	Pool *packet.Pool
 
+	// Scratch, when set, lends the trace records, the slab and the slot
+	// table (see the package comment); nil grows them from the heap.
+	Scratch *Scratch
+
 	// Tap, when set, receives a Deliver event per packet with the
 	// one-way delay since the sender stamped it.
 	Tap ptrace.Tap
@@ -91,7 +112,6 @@ func NewUDP(clock Clock, clipFrames int) *UDP {
 		clock:         clock,
 		tr:            &trace.Trace{ClipFrames: clipFrames},
 		frameInterval: video.FrameInterval(),
-		slots:         make([]int32, max(clipFrames, 0)),
 	}
 }
 
@@ -118,6 +138,7 @@ func (c *UDP) Handle(p *packet.Packet) {
 	if !c.started {
 		c.started = true
 		c.base = now
+		c.Scratch.lendUDP(c)
 	}
 	c.Packets++
 	c.PacketsBytes += int64(p.Size)
@@ -254,6 +275,10 @@ type Stream struct {
 
 	frameInterval units.Time
 
+	// Scratch, when set, lends the trace records; nil grows them from
+	// the heap.
+	Scratch *Scratch
+
 	Bytes int64
 }
 
@@ -284,6 +309,10 @@ type message struct {
 // completed frames. It is shared between the tcpsim sender and the
 // Stream receiver; payload contents never exist, only lengths.
 type StreamAssembler struct {
+	// Scratch, when set, lends the message list; nil grows it from the
+	// heap.
+	Scratch *Scratch
+
 	msgs      []message
 	cur       int
 	curLeft   int64
@@ -293,6 +322,9 @@ type StreamAssembler struct {
 // RegisterMessage appends a frame message of length bytes (including
 // header) for frame seq.
 func (a *StreamAssembler) RegisterMessage(seq int, length int64) {
+	if a.msgs == nil {
+		a.Scratch.lendMessages(a)
+	}
 	a.msgs = append(a.msgs, message{seq: seq, len: length})
 }
 
@@ -336,6 +368,7 @@ func (c *Stream) OnDelivered(asm *StreamAssembler, newBytes int64) {
 	if !c.started {
 		c.started = true
 		c.base = now
+		c.Scratch.lendTrace(c.tr)
 	}
 	c.Bytes += newBytes
 	for _, seq := range asm.Consume(newBytes) {

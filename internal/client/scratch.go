@@ -1,0 +1,128 @@
+package client
+
+import (
+	"slices"
+
+	"repro/internal/trace"
+)
+
+// Scratch is the receive storage a runner worker owns and lends, job
+// after job, to the receivers of whichever simulation it is running:
+// frame-trace record arrays, reassembly slabs, slot tables and TCP
+// message lists, each at the capacity its last borrower grew it to. See
+// the package comment for the lending contract. The zero value is ready
+// to use and every method is nil-safe: a receiver with a nil Scratch
+// gets nil buffers and grows them from the heap, on the same code path.
+// Until Reset a Scratch keeps its borrowers reachable, and through their
+// clock the simulator they ran on, so the owner resets as soon as a
+// simulation's traces have been read. A Scratch is not goroutine-safe;
+// it belongs to one worker.
+type Scratch struct {
+	records [][]trace.FrameRecord
+	slabs   [][]fragState
+	slots   [][]int32
+	msgs    [][]message
+
+	// What is out on loan since the last Reset, in borrowing order.
+	traces []*trace.Trace
+	udps   []*UDP
+	asms   []*StreamAssembler
+}
+
+// pop takes the top buffer off a free list, emptied; nil when the list
+// is.
+func pop[T any](free *[][]T) []T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	b := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return b[:0]
+}
+
+// push returns a buffer to a free list; one that never grew has nothing
+// to keep.
+func push[T any](free *[][]T, b []T) {
+	if cap(b) > 0 {
+		*free = append(*free, b[:0])
+	}
+}
+
+// empty truncates a list, dropping what it pointed at.
+func empty[T any](list *[]T) {
+	clear(*list)
+	*list = (*list)[:0]
+}
+
+// lendTrace gives t a record array and notes the loan.
+func (s *Scratch) lendTrace(t *trace.Trace) {
+	if s == nil {
+		return
+	}
+	t.Records = pop(&s.records)
+	s.traces = append(s.traces, t)
+}
+
+// lendUDP gives c its trace records, its slab and a slot table of the
+// clip's length. The table is cleared whoever had it before: a previous
+// borrower may have run a longer clip, or grown the table past its own,
+// and its slab indices mean nothing here.
+func (s *Scratch) lendUDP(c *UDP) {
+	var slots []int32
+	if s != nil {
+		s.lendTrace(c.tr)
+		c.slab, slots = pop(&s.slabs), pop(&s.slots)
+		s.udps = append(s.udps, c)
+	}
+	n := max(c.tr.ClipFrames, 0)
+	c.slots = slices.Grow(slots, n)[:n]
+	clear(c.slots)
+}
+
+// lendMessages gives a its message list.
+func (s *Scratch) lendMessages(a *StreamAssembler) {
+	if s == nil {
+		return
+	}
+	a.msgs = pop(&s.msgs)
+	s.asms = append(s.asms, a)
+}
+
+// Reset takes back everything lent since the last Reset, at whatever
+// capacity the borrowers grew it to, and leaves them empty-handed: a
+// trace read after this point has no records rather than another job's.
+// Buffers the ending job did not borrow are dropped, so between jobs a
+// Scratch holds only what the last one used. Loans return in reverse, so
+// the next job's first borrower draws what this job's first borrower
+// held — a sweep rebuilds the same receivers in the same order, and like
+// meets like.
+func (s *Scratch) Reset() {
+	if s == nil {
+		return
+	}
+	empty(&s.records)
+	empty(&s.slabs)
+	empty(&s.slots)
+	empty(&s.msgs)
+	for i := len(s.traces) - 1; i >= 0; i-- {
+		t := s.traces[i]
+		push(&s.records, t.Records)
+		t.Records = nil
+	}
+	for i := len(s.udps) - 1; i >= 0; i-- {
+		c := s.udps[i]
+		push(&s.slabs, c.slab)
+		push(&s.slots, c.slots)
+		c.slab, c.slots = nil, nil
+	}
+	for i := len(s.asms) - 1; i >= 0; i-- {
+		a := s.asms[i]
+		push(&s.msgs, a.msgs)
+		a.msgs = nil
+	}
+	empty(&s.traces)
+	empty(&s.udps)
+	empty(&s.asms)
+}

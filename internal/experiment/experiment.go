@@ -282,7 +282,8 @@ func averagePoint(ctx *Ctx, tok units.BitRate, depth units.ByteSize, seed uint64
 	var acc Point
 	for r := 0; r < runs; r++ {
 		p := run(seed + uint64(r))
-		ctx.Trace = nil // the remaining seeds run untraced
+		ctx.Recv.Reset() // p is plain values: the next seed receives on this one's storage
+		ctx.Trace = nil  // the remaining seeds run untraced
 		acc.FrameLoss += p.FrameLoss
 		acc.Quality += p.Quality
 		acc.PacketLoss += p.PacketLoss
@@ -317,7 +318,7 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding
 	rec := ctx.NewRecorder()
 	q := topology.BuildQBone(topology.QBoneConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth, CrossLoad: crossLoad,
-		Pool: ctx.Pool, Trace: rec,
+		Pool: ctx.Pool, Recv: ctx.Recv, Trace: rec,
 	})
 	q.Client.Tolerance = client.SliceTolerance
 	q.Run()
@@ -454,7 +455,7 @@ func runLocalPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units
 	rec := ctx.NewRecorder()
 	l := topology.BuildLocal(topology.LocalConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth,
-		UseTCP: useTCP, UseShaper: useShaper, Pool: ctx.Pool, Trace: rec,
+		UseTCP: useTCP, UseShaper: useShaper, Pool: ctx.Pool, Recv: ctx.Recv, Trace: rec,
 	})
 	if l.UDPClient != nil {
 		// WMT's reduced message sizes mean one lost packet damages a

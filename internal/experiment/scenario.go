@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/atomicfile"
+	"repro/internal/client"
 	"repro/internal/packet"
 	"repro/internal/ptrace"
 	"repro/internal/runner"
@@ -45,21 +46,30 @@ type Scenario interface {
 }
 
 // Job is one independent simulation: it runs a full (possibly
-// seed-averaged) experiment and reduces it to a Point. The Ctx is
-// owned by the executing worker: its Pool is the worker's packet
-// arena, reused across consecutive jobs so pools never cross
-// goroutines and steady-state jobs allocate no packets; its Eval is
-// the worker's evaluation scratch, reused the same way; its Trace is
-// the run-wide trace request (nil in the common untraced case). Jobs
-// must build their simulation on the given pool (or ignore it and pay
-// the allocations) and call Ctx.Finish once per simulation: the
-// epilogue is the only way a job reports telemetry or saves a trace.
+// seed-averaged) experiment and reduces it to a Point. Jobs must build
+// their simulation on what the Ctx offers (or ignore it and pay the
+// allocations) and call Ctx.Finish once per simulation: the epilogue is
+// the only way a job reports telemetry or saves a trace.
 type Job func(ctx *Ctx) Point
 
-// Ctx is what the runner hands each job.
+// Ctx is what the runner hands each job. It is owned by the executing
+// worker, and with it the storage that consecutive jobs on that worker
+// reuse, so none of it ever crosses goroutines: Pool is the packet
+// arena, Eval the evaluation scratch, and Recv the receive storage —
+// frame traces, reassembly tables, TCP message lists — that the job's
+// receivers borrow and grow (see package client for the lending
+// contract). The runner takes Recv's loans back the moment a job
+// returns (a seed-averaged job does so itself between seeds), so a job
+// must reduce every frame trace to plain values — an Evaluation, a
+// Point — before it does: a *trace.Trace kept past the job reads empty,
+// and the storage behind it serves the next grid point. A steady-state
+// job therefore allocates no packets and no receive storage, only what
+// differs from the point before. Trace is the run-wide trace request
+// (nil in the common untraced case).
 type Ctx struct {
 	Pool  *packet.Pool
 	Eval  Evaluator
+	Recv  *client.Scratch
 	Trace *TraceRequest
 
 	// Run is the running job's telemetry record, written only by Finish.
@@ -401,13 +411,14 @@ func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 		fns[i] = func(ctx *Ctx) Point {
 			ctx.Run = RunStats{}
 			p := j(ctx)
+			ctx.Recv.Reset()
 			runs[i] = ctx.Run
 			runs[i].Label, runs[i].TokenRate, runs[i].Depth = p.Label, p.TokenRate, p.Depth
 			return p
 		}
 	}
 	newCtx := func() *Ctx {
-		return &Ctx{Pool: packet.NewPool(), Trace: opts.Trace, Shards: opts.Shards}
+		return &Ctx{Pool: packet.NewPool(), Recv: new(client.Scratch), Trace: opts.Trace, Shards: opts.Shards}
 	}
 	fig := s.Assemble(runner.MapArena(opts.Parallel, newCtx, fns))
 	fig.Runs = runs

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ptrace"
 	"repro/internal/topology"
+	"repro/internal/units"
 	"repro/internal/video"
 )
 
@@ -189,7 +190,11 @@ func TestShardsKnobReachesJobs(t *testing.T) {
 // performance knobs at the figure level: the assembled Series — whole
 // Points, not a hand-picked subset of their fields — are identical
 // across the job-pool size and the intra-run shard count, on one
-// scenario of each multi-job family.
+// scenario of each multi-job family. The job-pool size is also how much
+// storage a job inherits: at Parallel 1 one worker's Ctx serves every
+// job, so each receives on the buffers the point before it grew (UDP
+// receivers on three families, the TCP stream and its assembler on the
+// fourth), and at Parallel 2 the jobs split over two colder workers.
 func TestRunSettingsEquivalence(t *testing.T) {
 	t.Parallel()
 	wide := NFlowWideSpec()
@@ -200,6 +205,13 @@ func TestRunSettingsEquivalence(t *testing.T) {
 	tandem := TandemSweepSpec()
 	tandem.Tokens = tandem.Tokens[:1]
 	tandem.Runs = 2
+	// Token rates either side of the stream's cap: the first points thin
+	// most of the clip at the server, the last deliver it whole, so the
+	// lent trace and message list are outgrown along the sweep.
+	tcp := Figure15Spec()
+	tcp.Key, tcp.UseTCP = "fig15-tcp", true
+	tcp.Tokens = []units.BitRate{500e3, 900e3, 1300e3, 2500e3}
+	tcp.Depths = tcp.Depths[:1]
 
 	settings := []struct {
 		name string
@@ -208,7 +220,7 @@ func TestRunSettingsEquivalence(t *testing.T) {
 		{"parallel=2", RunOptions{Parallel: 2}},
 		{"shards=4", RunOptions{Parallel: 1, Shards: 4}},
 	}
-	for _, s := range []Scenario{wide, fleet, tandem} {
+	for _, s := range []Scenario{wide, fleet, tandem, tcp} {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()

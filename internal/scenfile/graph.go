@@ -471,7 +471,7 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	clients := make([]*client.UDP, len(s.g.Flows))
 	for i, gf := range s.g.Flows {
 		cl := client.NewUDP(b.Sim(), encs[i].Clip.FrameCount())
-		cl.Pool = b.Pool()
+		cl.Pool, cl.Scratch = b.Pool(), ctx.Recv
 		cl.Tolerance = client.SliceTolerance
 		name := gf.Name + "-client"
 		if rec != nil {

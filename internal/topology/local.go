@@ -23,7 +23,8 @@ type LocalConfig struct {
 	Enc       *video.Encoding
 	TokenRate units.BitRate
 	Depth     units.ByteSize
-	Pool      *packet.Pool // packet arena; nil builds a fresh one
+	Pool      *packet.Pool    // packet arena; nil builds a fresh one
+	Recv      *client.Scratch // receive storage lent by the worker; nil allocates
 	// Trace, when set, records packet-level events (including the TCP
 	// sender's send/ACK/RTO in TCP mode) into the bounded recorder.
 	Trace *ptrace.Recorder
@@ -98,10 +99,11 @@ func BuildLocal(cfg LocalConfig) *Local {
 	var deliver packet.Handler
 	if cfg.UseTCP {
 		l.TCPClient = client.NewStream(b.Sim(), frames)
+		l.TCPClient.Scratch = cfg.Recv
 		deliver = packet.HandlerFunc(func(p *packet.Packet) { l.Receiver.Handle(p) })
 	} else {
 		l.UDPClient = client.NewUDP(b.Sim(), frames)
-		l.UDPClient.Pool = b.Pool()
+		l.UDPClient.Pool, l.UDPClient.Scratch = b.Pool(), cfg.Recv
 		if cfg.Trace != nil {
 			l.UDPClient.Tap, l.UDPClient.Hop = cfg.Trace, cfg.Trace.Hop("client")
 		}
@@ -163,7 +165,7 @@ func BuildLocal(cfg LocalConfig) *Local {
 		if cfg.Trace != nil {
 			l.Sender.Tap, l.Sender.Hop = cfg.Trace, cfg.Trace.Hop("tcp-sender")
 		}
-		asm := &client.StreamAssembler{}
+		asm := &client.StreamAssembler{Scratch: cfg.Recv}
 		l.Receiver = tcpsim.NewReceiver(l.Sim, VideoFlow, net.Handler("ackback"), func(n int64) {
 			l.TCPClient.OnDelivered(asm, n)
 		})

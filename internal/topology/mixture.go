@@ -165,7 +165,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		b.Router("demux", "sink")
 		for i := 0; i < total; i++ {
 			cl := client.NewUDP(b.Sim(), cfg.Classes[classOf[i]].Enc.Clip.FrameCount())
-			cl.Pool = b.Pool()
+			cl.Pool, cl.Scratch = b.Pool(), cfg.Recv
 			cl.Tolerance = client.SliceTolerance
 			m.Clients = append(m.Clients, cl)
 			name := fmt.Sprintf("client%d", i)

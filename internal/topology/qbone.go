@@ -32,10 +32,11 @@ const VideoFlow packet.FlowID = 1
 type QBoneConfig struct {
 	Seed      uint64
 	Enc       *video.Encoding
-	TokenRate units.BitRate  // APS profile peak rate
-	Depth     units.ByteSize // APS profile burst size (3000 or 4500)
-	Shape     bool           // shape instead of drop at the border
-	Pool      *packet.Pool   // packet arena; nil builds a fresh one
+	TokenRate units.BitRate   // APS profile peak rate
+	Depth     units.ByteSize  // APS profile burst size (3000 or 4500)
+	Shape     bool            // shape instead of drop at the border
+	Pool      *packet.Pool    // packet arena; nil builds a fresh one
+	Recv      *client.Scratch // receive storage lent by the worker; nil allocates
 	// Trace, when set, records packet-level events from every element
 	// of the path (and the client) into the given bounded recorder.
 	Trace *ptrace.Recorder
@@ -104,7 +105,7 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 	q := &QBone{Sim: b.Sim()}
 
 	cl := client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())
-	cl.Pool = b.Pool()
+	cl.Pool, cl.Scratch = b.Pool(), cfg.Recv
 	if cfg.Trace != nil {
 		cl.Tap, cl.Hop = cfg.Trace, cfg.Trace.Hop("client")
 	}

@@ -25,7 +25,8 @@ import (
 type TandemConfig struct {
 	Seed uint64
 	Enc  *video.Encoding
-	Pool *packet.Pool // packet arena; nil builds a fresh one
+	Pool *packet.Pool    // packet arena; nil builds a fresh one
+	Recv *client.Scratch // receive storage lent by the worker; nil allocates
 	// Trace, when set, records packet-level events from every element
 	// (both policers, every hop, the client) into the bounded
 	// recorder — the natural input for cmd/dstrace.
@@ -109,7 +110,7 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 	t := &Tandem{Sim: b.Sim()}
 
 	cl := client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())
-	cl.Pool = b.Pool()
+	cl.Pool, cl.Scratch = b.Pool(), cfg.Recv
 	cl.Tolerance = client.SliceTolerance
 	if cfg.Trace != nil {
 		cl.Tap, cl.Hop = cfg.Trace, cfg.Trace.Hop("client")
