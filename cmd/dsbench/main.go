@@ -18,17 +18,18 @@
 // Tracing is pure observation: figure output is byte-identical with
 // and without it. -trace-cap/-trace-head/-trace-sample bound each
 // capture; -trace-verdicts restricts it to conditioner verdicts,
-// drops and deliveries so the bound covers the whole run.
-// -trace-format picks the on-disk encoding (jsonl, the default, or
-// the ~5× denser binary v2); -trace-spill streams the complete
-// filtered capture to disk during the run, unbounded by -trace-cap
-// (always binary v2 — sampling still applies, so -trace-sample
-// bounds the file size). -trace-digest additionally writes a
-// <point>.digest behavioral summary beside each sealed trace, the
-// currency of the `dstrace -compare-golden` gate. Trace files are
-// written atomically (temp file + rename), so an interrupted run
-// never leaves a torn .ptrace; DIR is probed for writability before any
-// job starts, and an unwritable one exits 2 naming the path.
+// drops and deliveries so the bound covers the whole run. Every trace
+// is in the binary v2 encoding (internal/ptrace); -trace-spill streams
+// the complete filtered capture to disk during the run, unbounded by
+// -trace-cap (sampling still applies, so -trace-sample bounds the file
+// size). -trace-digest additionally writes a <point>.digest behavioral
+// summary beside each sealed trace, the currency of the `dstrace
+// -compare-golden` gate. Trace files are written atomically (temp file
+// + rename), so an interrupted run never leaves a torn .ptrace; DIR is
+// probed for writability before any job starts, and an unwritable one
+// exits 2 naming the path. A trace that still fails to write mid-run
+// leaves the figure intact: dsbench prints it, names the failed path
+// and exits 1.
 //
 // Figure scenarios come from the experiment scenario registry and are
 // executed on the deterministic runner pool: -parallel changes only
@@ -93,13 +94,11 @@ var jsonRecords []scenarioRecord
 
 // traceDir and traceCfg are set by the -trace* flags; when traceDir is
 // non-empty every scenario artifact dumps per-point packet traces.
-// traceFormat picks the encoding ("jsonl" or "v2"), traceSpill
-// streams complete captures during the run (implies v2), and
+// traceSpill streams complete captures during the run, and
 // traceDigest writes a behavioral .digest beside each sealed trace.
 var (
 	traceDir    string
 	traceCfg    ptrace.Config
-	traceFormat string
 	traceSpill  bool
 	traceDigest bool
 )
@@ -297,7 +296,7 @@ func scenarioArtifact(s experiment.Scenario) artifact {
 		var tr *experiment.TraceRequest
 		if traceDir != "" {
 			tr = &experiment.TraceRequest{Dir: traceDir, Config: traceCfg,
-				Format: traceFormat, Spill: traceSpill, Digest: traceDigest}
+				Spill: traceSpill, Digest: traceDigest}
 		}
 		start := time.Now()
 		fig := experiment.RunScenarioOpts(sc, experiment.RunOptions{
@@ -312,6 +311,11 @@ func scenarioArtifact(s experiment.Scenario) artifact {
 		}
 		out := render(fig)
 		if tr != nil {
+			if err := tr.Err(); err != nil {
+				fmt.Println(out)
+				fmt.Fprintf(os.Stderr, "dsbench: %v\n", err)
+				os.Exit(1)
+			}
 			out += fmt.Sprintf("\n[%d packet traces written to %s]\n", len(tr.Files()), traceDir)
 		}
 		return out
@@ -467,29 +471,6 @@ func validateRunFlags(parallel, shards, traceCap, traceHead, traceSample int) er
 	return nil
 }
 
-// resolveTraceFormat decides the on-disk trace encoding. Spilled
-// traces are always binary v2 (JSONL's header carries the event count
-// up front, so it cannot be streamed during a run): when -trace-format
-// was left at its default the upgrade is silent and documented, but an
-// explicitly requested jsonl combined with -trace-spill is a
-// contradiction, rejected rather than silently overridden.
-func resolveTraceFormat(format string, explicit, spill bool) (string, error) {
-	switch format {
-	case "jsonl":
-		if spill {
-			if explicit {
-				return "", fmt.Errorf("-trace-format jsonl cannot be combined with -trace-spill: spilled traces stream binary v2 (drop one of the flags)")
-			}
-			return "v2", nil
-		}
-		return "jsonl", nil
-	case "v2":
-		return "v2", nil
-	default:
-		return "", fmt.Errorf("-trace-format must be jsonl or v2, got %q", format)
-	}
-}
-
 // probeTraceDir checks, before any job starts, that -trace DIR can be
 // created and written through the same publish path the point runners
 // use — an unwritable directory is a usage error naming the path, not a
@@ -527,16 +508,14 @@ func main() {
 	traceVerdicts := flag.Bool("trace-verdicts", false,
 		"capture only conditioner verdicts, drops, deliveries and TCP events")
 	traceFlow := flag.Int("trace-flow", 0, "capture only this flow id (0 = every flow)")
-	traceFormatFlag := flag.String("trace-format", "jsonl",
-		"trace encoding: jsonl (line-oriented v1) or v2 (binary, ~5x denser)")
 	traceSpillFlag := flag.Bool("trace-spill", false,
-		"stream the complete filtered capture to disk during the run, unbounded by -trace-cap (implies -trace-format v2)")
+		"stream the complete filtered capture to disk during the run, unbounded by -trace-cap")
 	traceDigestFlag := flag.Bool("trace-digest", false,
 		"write a behavioral .digest beside each sealed trace (requires -trace; input to dstrace -compare-golden)")
 	flag.Parse()
 	// explicit records which flags the user actually set, so defaults
-	// and deliberate choices can be told apart (resolveTraceFormat,
-	// scenario-file auto-selection).
+	// and deliberate choices can be told apart (scenario-file
+	// auto-selection).
 	explicit := map[string]bool{}
 	flag.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 	plotMode = *plot
@@ -564,12 +543,6 @@ func main() {
 		traceCfg.Flows = []packet.FlowID{packet.FlowID(*traceFlow)}
 	}
 	traceSpill = *traceSpillFlag
-	var formatErr error
-	traceFormat, formatErr = resolveTraceFormat(*traceFormatFlag, explicit["trace-format"], traceSpill)
-	if formatErr != nil {
-		fmt.Fprintln(os.Stderr, formatErr)
-		os.Exit(2)
-	}
 	traceDigest = *traceDigestFlag
 	if traceDigest && traceDir == "" {
 		fmt.Fprintln(os.Stderr,

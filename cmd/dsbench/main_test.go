@@ -258,34 +258,6 @@ func TestTraceFlowValidation(t *testing.T) {
 	}
 }
 
-// TestResolveTraceFormat pins the spill/format interaction: the
-// default format silently upgrades to v2 under -trace-spill, but an
-// explicitly requested jsonl combined with spill is a contradiction
-// and must be rejected, not overridden.
-func TestResolveTraceFormat(t *testing.T) {
-	cases := []struct {
-		format          string
-		explicit, spill bool
-		want            string
-		wantErr         bool
-	}{
-		{"jsonl", false, false, "jsonl", false},
-		{"jsonl", true, false, "jsonl", false},
-		{"jsonl", false, true, "v2", false}, // silent upgrade at default
-		{"jsonl", true, true, "", true},     // explicit contradiction
-		{"v2", false, true, "v2", false},
-		{"v2", true, false, "v2", false},
-		{"proto", true, false, "", true},
-	}
-	for _, c := range cases {
-		got, err := resolveTraceFormat(c.format, c.explicit, c.spill)
-		if (err != nil) != c.wantErr || got != c.want {
-			t.Errorf("resolveTraceFormat(%q, explicit=%v, spill=%v) = (%q, %v), want (%q, err=%v)",
-				c.format, c.explicit, c.spill, got, err, c.want, c.wantErr)
-		}
-	}
-}
-
 // TestWriteJSONAtomic pins the -json publish path: the file appears
 // whole under its final name with no temp debris, and a failed write
 // (unwritable directory) leaves no destination file at all.

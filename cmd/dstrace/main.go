@@ -1,12 +1,11 @@
-// Command dstrace summarizes a packet-level trace produced by
-// `dsbench -trace` (or any ptrace.Data writer): per-hop forwarding
-// and drop breakdown, residence-delay percentiles, conditioner
-// verdict counts and timeline, and per-flow one-way latency. Both
-// trace encodings — JSONL v1 and binary v2 — are accepted
-// transparently, and the summary path streams the file through a
-// bounded-memory digest, so fleet-scale spilled traces summarize in
-// constant space. With -frames it joins the packet trace against the
-// client's frame trace and attributes each lost video frame to the
+// Command dstrace summarizes a binary v2 packet trace produced by
+// `dsbench -trace`: per-hop forwarding and drop breakdown,
+// residence-delay percentiles, conditioner verdict counts and
+// timeline, and per-flow one-way latency. Every mode streams the file
+// through bounded-memory state and never holds the capture, so
+// fleet-scale spilled traces summarize in constant space. With -frames
+// it makes a second streaming pass that joins the packet trace against
+// the client's frame trace and attributes each lost video frame to the
 // hop that dropped its fragments — the "why did this point score what
 // it did" question the figure tables cannot answer. With -compare it
 // diffs two traces' digests per hop and per flow and exits non-zero
@@ -26,7 +25,7 @@
 //
 // Exit codes: 0 success, 1 unreadable input or a -compare /
 // -compare-golden breach, 2 usage error or unreadable/truncated/
-// garbage trace or digest file.
+// garbage/stale trace or digest file.
 package main
 
 import (
@@ -109,75 +108,63 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *frames != "" {
-		// Frame-loss attribution walks the events twice, so this path
-		// materializes the trace; the plain summary below streams it.
-		d, format, code := readTrace(*in, stderr)
-		if code != 0 {
-			return code
-		}
-		fmt.Fprintf(stdout, "trace: %s (%s, %d events, %d hops)\n",
-			*in, format, len(d.Events), len(d.Hops))
-		fmt.Fprint(stdout, ptrace.Analyze(d, units.FromDuration(*bucket)).Format())
-		ff, err := os.Open(*frames)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		ft, err := trace.Read(ff)
-		ff.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "\nframe-loss attribution against %s:\n", *frames)
-		fmt.Fprint(stdout, ptrace.AttributeFrameLoss(d, ft).Format(*top))
-		return 0
-	}
-
 	s, info, code := analyzeFile(*in, units.FromDuration(*bucket), stderr)
 	if code != 0 {
 		return code
 	}
-	fmt.Fprintf(stdout, "trace: %s (%s, %d events, %d hops)\n",
-		*in, info.Format, info.Events, info.Hops)
+	fmt.Fprintf(stdout, "trace: %s (%d events, %d hops)\n", *in, info.Events, info.Hops)
 	fmt.Fprint(stdout, s.Format())
+	if *frames == "" {
+		return 0
+	}
+	ff, err := os.Open(*frames)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	ft, err := trace.Read(ff)
+	ff.Close()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	var a *ptrace.Attribution
+	if code := streamFile(*in, stderr, func(r io.Reader) (err error) {
+		a, err = ptrace.AttributeFrameLoss(r, ft)
+		return err
+	}); code != 0 {
+		return code
+	}
+	fmt.Fprintf(stdout, "\nframe-loss attribution against %s:\n", *frames)
+	fmt.Fprint(stdout, a.Format(*top))
 	return 0
 }
 
-// readTrace opens and fully decodes a trace. The non-zero return is
-// the process exit code: 1 when the file cannot be opened, 2 when it
-// opens but is not a readable trace (garbage or truncated).
-func readTrace(path string, stderr io.Writer) (*ptrace.Data, ptrace.Format, int) {
+// streamFile opens a trace and makes one streaming pass over it. The
+// non-zero return is the process exit code: 1 when the file cannot be
+// opened, 2 when it opens but is not a readable trace (garbage,
+// truncated, or recorded in a retired encoding).
+func streamFile(path string, stderr io.Writer, pass func(io.Reader) error) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
-		return nil, ptrace.FormatUnknown, 1
+		return 1
 	}
 	defer f.Close()
-	d, format, err := ptrace.ReadFormat(f)
-	if err != nil {
+	if err := pass(f); err != nil {
 		fmt.Fprintf(stderr, "dstrace: %s: unreadable or truncated trace: %v\n", path, err)
-		return nil, format, 2
+		return 2
 	}
-	return d, format, 0
+	return 0
 }
 
-// analyzeFile streams a trace file through the bounded-memory digest,
-// with the same exit-code convention as readTrace.
-func analyzeFile(path string, bucket units.Time, stderr io.Writer) (*ptrace.Summary, ptrace.StreamInfo, int) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return nil, ptrace.StreamInfo{}, 1
-	}
-	defer f.Close()
-	s, info, err := ptrace.AnalyzeStream(f, bucket)
-	if err != nil {
-		fmt.Fprintf(stderr, "dstrace: %s: unreadable or truncated trace: %v\n", path, err)
-		return nil, info, 2
-	}
-	return s, info, 0
+// analyzeFile streams a trace file through the bounded-memory digest.
+func analyzeFile(path string, bucket units.Time, stderr io.Writer) (s *ptrace.Summary, info ptrace.StreamInfo, code int) {
+	code = streamFile(path, stderr, func(r io.Reader) (err error) {
+		s, info, err = ptrace.AnalyzeStream(r, bucket)
+		return err
+	})
+	return s, info, code
 }
 
 // runCompareGolden diffs one trace against a stored digest file: the
@@ -204,8 +191,7 @@ func runCompareGolden(goldenPath, tracePath string, th ptrace.Thresholds, rows i
 	if code != 0 {
 		return code
 	}
-	fmt.Fprintf(stdout, "golden: %s\nrun:    %s (%s, %d events)\n",
-		goldenPath, tracePath, info.Format, info.Events)
+	fmt.Fprintf(stdout, "golden: %s\nrun:    %s (%d events)\n", goldenPath, tracePath, info.Events)
 	diff := ptrace.CompareSummaries(golden, s, th)
 	fmt.Fprint(stdout, diff.Format(rows))
 	if diff.Breaches > 0 {
@@ -215,8 +201,8 @@ func runCompareGolden(goldenPath, tracePath string, th ptrace.Thresholds, rows i
 	return 0
 }
 
-// runCompare digests two traces (any format mix) and renders their
-// per-hop/per-flow delta table. Exit 1 on any threshold breach.
+// runCompare digests two traces and renders their per-hop/per-flow
+// delta table. Exit 1 on any threshold breach.
 func runCompare(pathA, pathB string, th ptrace.Thresholds, bucket units.Time, rows int, stdout, stderr io.Writer) int {
 	sa, ia, code := analyzeFile(pathA, bucket, stderr)
 	if code != 0 {
@@ -226,8 +212,7 @@ func runCompare(pathA, pathB string, th ptrace.Thresholds, bucket units.Time, ro
 	if code != 0 {
 		return code
 	}
-	fmt.Fprintf(stdout, "a: %s (%s, %d events)\nb: %s (%s, %d events)\n",
-		pathA, ia.Format, ia.Events, pathB, ib.Format, ib.Events)
+	fmt.Fprintf(stdout, "a: %s (%d events)\nb: %s (%d events)\n", pathA, ia.Events, pathB, ib.Events)
 	diff := ptrace.CompareSummaries(sa, sb, th)
 	fmt.Fprint(stdout, diff.Format(rows))
 	if diff.Breaches > 0 {

@@ -54,33 +54,38 @@ func TestRunMissingFile(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonTrace: garbage, and a trace recorded in the retired
+// line-oriented encoding (first byte '{'), both exit 2; the stale one
+// is named as such, with the command that replaces it.
 func TestRunRejectsNonTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk.ptrace")
-	if err := os.WriteFile(path, []byte("not a trace\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, errOut := runCapture(t, "-in", path)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "unreadable or truncated trace") {
-		t.Errorf("stderr %q does not identify the decode failure", errOut)
+	for _, c := range []struct{ name, in, want string }{
+		{"junk", "not a trace\n", "bad magic"},
+		{"stale", `{"format":"ptrace","version":1,"seen":3,"events":0,"hops":["border"]}` + "\n",
+			"JSONL v1 traces are no longer read; re-record with dsbench -trace"},
+	} {
+		path := filepath.Join(t.TempDir(), c.name+".ptrace")
+		if err := os.WriteFile(path, []byte(c.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, _, errOut := runCapture(t, "-in", path)
+		if code != 2 {
+			t.Fatalf("%s: exit %d, want 2", c.name, code)
+		}
+		if !strings.Contains(errOut, "unreadable or truncated trace") || !strings.Contains(errOut, c.want) {
+			t.Errorf("%s: stderr %q does not identify the decode failure (%q)", c.name, errOut, c.want)
+		}
 	}
 }
 
 func TestRunRejectsTruncatedV2(t *testing.T) {
 	dir := t.TempDir()
 	pt, _ := traceTandem(t, dir)
-	d, err := readData(pt)
+	whole, err := os.ReadFile(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := d.WriteV2To(&buf); err != nil {
-		t.Fatal(err)
-	}
 	cut := filepath.Join(dir, "cut.ptrace")
-	if err := os.WriteFile(cut, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
+	if err := os.WriteFile(cut, whole[:len(whole)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, _, errOut := runCapture(t, "-in", cut)
@@ -99,6 +104,21 @@ func readData(path string) (*ptrace.Data, error) {
 	}
 	defer f.Close()
 	return ptrace.Read(f)
+}
+
+// writeData encodes d into dir/name and returns the path.
+func writeData(t *testing.T, d *ptrace.Data, dir, name string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := d.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // traceTandem runs one traced tandem simulation and writes both the
@@ -154,10 +174,15 @@ func TestRunSummarizesTandemTrace(t *testing.T) {
 	}
 
 	// Join against the frame trace: losses must be attributed, and
-	// with two tight borders at least one frame kill lands on one.
+	// with two tight borders at least one frame kill lands on one. The
+	// join is a second pass, so the summary ahead of it is unchanged.
+	summary := out
 	code, out, errOut = runCapture(t, "-in", pt, "-frames", ft, "-top", "5")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	if !strings.HasPrefix(out, summary) {
+		t.Errorf("-frames changed the summary pass:\n%s", out)
 	}
 	if !strings.Contains(out, "frame-loss attribution") ||
 		!strings.Contains(out, "frame kills by hop:") {
@@ -168,8 +193,8 @@ func TestRunSummarizesTandemTrace(t *testing.T) {
 	}
 }
 
-// TestRunHeaderShowsFormat pins the satellite: the header line names
-// the detected encoding and the decoded event count for both formats.
+// TestRunHeaderShowsFormat pins the header line: the trace path, the
+// decoded event count and the hop-table size.
 func TestRunHeaderShowsFormat(t *testing.T) {
 	dir := t.TempDir()
 	pt, _ := traceTandem(t, dir)
@@ -177,31 +202,13 @@ func TestRunHeaderShowsFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := filepath.Join(dir, "run-v2.ptrace")
-	f, err := os.Create(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.WriteV2To(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
 	code, out, errOut := runCapture(t, "-in", pt)
 	if code != 0 {
-		t.Fatalf("jsonl: exit %d: %s", code, errOut)
+		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	wantEvents := fmt.Sprintf("%d events", len(d.Events))
-	if !strings.Contains(out, "(jsonl, ") || !strings.Contains(out, wantEvents) {
-		t.Errorf("jsonl header lacks format/count: %q", firstLine(out))
-	}
-
-	code, out, errOut = runCapture(t, "-in", v2)
-	if code != 0 {
-		t.Fatalf("v2: exit %d: %s", code, errOut)
-	}
-	if !strings.Contains(out, "(binary-v2, ") || !strings.Contains(out, wantEvents) {
-		t.Errorf("v2 header lacks format/count: %q", firstLine(out))
+	want := fmt.Sprintf("trace: %s (%d events, %d hops)", pt, len(d.Events), len(d.Hops))
+	if firstLine(out) != want {
+		t.Errorf("header %q, want %q", firstLine(out), want)
 	}
 }
 
@@ -221,9 +228,9 @@ func TestCompareUsage(t *testing.T) {
 	}
 }
 
-// TestCompareSelfAndPerturbed pins the tentpole acceptance criteria:
-// a run compared against itself (across formats) reports zero deltas
-// and exits 0; a perturbed run breaches and exits non-zero.
+// TestCompareSelfAndPerturbed: a run compared against its own
+// re-encoding reports zero deltas and exits 0; a perturbed run
+// breaches and exits non-zero.
 func TestCompareSelfAndPerturbed(t *testing.T) {
 	dir := t.TempDir()
 	pt, _ := traceTandem(t, dir)
@@ -231,18 +238,10 @@ func TestCompareSelfAndPerturbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := filepath.Join(dir, "run-v2.ptrace")
-	f, err := os.Create(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.WriteV2To(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	again := writeData(t, d, dir, "again.ptrace")
 
-	// Self-compare, mixing encodings: the digest must be identical.
-	code, out, errOut := runCapture(t, "-compare", pt, v2)
+	// Self-compare through a decode and re-encode: the digest must be identical.
+	code, out, errOut := runCapture(t, "-compare", pt, again)
 	if code != 0 {
 		t.Fatalf("self-compare exit %d: %s\n%s", code, errOut, out)
 	}
@@ -252,17 +251,8 @@ func TestCompareSelfAndPerturbed(t *testing.T) {
 
 	// Perturb: drop the last quarter of the events. Counts shift, so
 	// the exact (zero-threshold) gate must breach.
-	perturbed := &ptrace.Data{Hops: d.Hops, Seen: d.Seen,
-		Events: d.Events[:len(d.Events)*3/4]}
-	pp := filepath.Join(dir, "perturbed.ptrace")
-	pf, err := os.Create(pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := perturbed.WriteV2To(pf); err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
+	pp := writeData(t, &ptrace.Data{Hops: d.Hops, Seen: d.Seen,
+		Events: d.Events[:len(d.Events)*3/4]}, dir, "perturbed.ptrace")
 
 	code, out, errOut = runCapture(t, "-compare", pt, pp)
 	if code != 1 {
@@ -343,17 +333,8 @@ func TestCompareGoldenGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturbed := &ptrace.Data{Hops: d.Hops, Seen: d.Seen,
-		Events: d.Events[:len(d.Events)*3/4]}
-	pp := filepath.Join(dir, "perturbed.ptrace")
-	pf, err := os.Create(pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := perturbed.WriteV2To(pf); err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
+	pp := writeData(t, &ptrace.Data{Hops: d.Hops, Seen: d.Seen,
+		Events: d.Events[:len(d.Events)*3/4]}, dir, "perturbed.ptrace")
 
 	code, out, errOut = runCapture(t, "-compare-golden", golden, pp)
 	if code != 1 {

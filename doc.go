@@ -98,20 +98,20 @@
 // bounded per-run Recorder (ring + head pinning + sampling + kind and
 // flow filters). Disabled tracing is a pointer comparison per tap
 // point and the hot paths keep their zero-allocation budget; enabled
-// tracing writes into preallocated storage. Traces export in two
-// sniffed-on-read formats — versioned JSONL and the ~5×-denser
-// delta-packed binary v2, whose trailer-placed totals let the
-// Recorder spill a complete filtered capture to disk during the run
-// ("dsbench -trace DIR -trace-spill"), unbounded by the in-RAM ring
-// and atomically published. cmd/dstrace summarizes either format in
-// one bounded-memory streaming pass (counts, Welford moments and P²
-// sketches per hop and flow, never the event slice): per-hop drop and
-// residence-delay breakdown, policer verdict timelines, per-flow
-// latency percentiles, frame-loss attribution by joining against the
-// client's frame trace, and behavioral regression diffing ("dstrace
-// -compare a.ptrace b.ptrace"), which joins two runs' digests into a
-// per-hop/per-flow delta table and exits non-zero on a threshold
-// breach — a CI gate for drift the figure goldens summarize away.
+// tracing writes into preallocated storage. Traces are written in one
+// encoding, the delta-packed binary v2 (~10 bytes/event), whose
+// trailer-placed totals let the Recorder spill a complete filtered
+// capture to disk during the run ("dsbench -trace DIR -trace-spill"),
+// unbounded by the in-RAM ring and atomically published. cmd/dstrace
+// reads traces only in bounded-memory streaming passes (counts,
+// Welford moments and P² sketches per hop and flow, never the event
+// slice): per-hop drop and residence-delay breakdown, policer verdict
+// timelines, per-flow latency percentiles, frame-loss attribution by a
+// second pass joined against the client's frame trace, and behavioral
+// regression diffing ("dstrace -compare a.ptrace b.ptrace"), which
+// joins two runs' digests into a per-hop/per-flow delta table and
+// exits non-zero on a threshold breach — a CI gate for drift the
+// figure goldens summarize away.
 //
 // Scenarios are also data: internal/scenfile compiles versioned JSON
 // scenario files into the same experiment.Scenario registry the Go

@@ -130,7 +130,9 @@ type RunStats struct {
 // nil Tap the topology layer interprets as "disabled". When the
 // request asks for spilling, the recorder streams its capture to a
 // temporary file in the trace directory as the run progresses;
-// Finish seals and renames it into place.
+// Finish seals and renames it into place. A spill file that cannot be
+// created is filed on the request (TraceRequest.Err) and the job runs
+// untraced.
 func (c *Ctx) NewRecorder() *ptrace.Recorder {
 	if c == nil || c.Trace == nil {
 		return nil
@@ -138,7 +140,8 @@ func (c *Ctx) NewRecorder() *ptrace.Recorder {
 	rec := ptrace.NewRecorder(c.Trace.Config)
 	if c.Trace.Spill {
 		if err := c.Trace.startSpill(rec); err != nil {
-			panic(fmt.Sprintf("experiment: trace spill: %v", err))
+			c.Trace.fail(fmt.Errorf("experiment: trace spill: %w", err))
+			return nil
 		}
 	}
 	return rec
@@ -159,7 +162,7 @@ func (c *Ctx) Finish(label string, rec *ptrace.Recorder, s *sim.Simulator, shard
 	}
 	if rec != nil {
 		if err := c.Trace.save(label, rec); err != nil {
-			panic(fmt.Sprintf("experiment: saving packet trace: %v", err))
+			c.Trace.fail(fmt.Errorf("experiment: saving packet trace: %w", err))
 		}
 	}
 	r.sims++
@@ -178,18 +181,18 @@ func (c *Ctx) Finish(label string, rec *ptrace.Recorder, s *sim.Simulator, shard
 
 // TraceRequest asks a scenario run to dump per-point packet traces:
 // each traced job records into a bounded ptrace.Recorder and writes
-// one .ptrace file per point into Dir. The request is shared by every
-// worker; concurrent saves are safe because every grid point labels a
-// distinct file (jobs must include any extra grid dimension in the
-// label), and the shared file list is mutex-guarded.
+// one binary v2 .ptrace file per point into Dir. The request is shared
+// by every worker; concurrent saves are safe because every grid point
+// labels a distinct file (jobs must include any extra grid dimension
+// in the label), and the shared file list is mutex-guarded. Tracing
+// never fails a run: a trace that cannot be written is left out, the
+// figure is unchanged, and Err reports the first such failure.
 type TraceRequest struct {
 	Dir    string
 	Config ptrace.Config
 
-	// Format selects the on-disk encoding: "jsonl" (the default,
-	// ptrace v1) or "v2" (binary). Spilled traces are always v2 — the
-	// JSONL header carries the event count up front, so it cannot be
-	// streamed during a run.
+	// Format is ignored: every trace is binary v2. It stays only for
+	// source compatibility with the benchmark harness, which sets it.
 	Format string
 
 	// Spill streams every capture-surviving event to disk as the run
@@ -209,6 +212,23 @@ type TraceRequest struct {
 	mu       sync.Mutex
 	files    []string
 	spills   map[*ptrace.Recorder]*spillState
+	err      error
+}
+
+// Err reports the first trace-I/O failure of the run, or nil.
+func (tr *TraceRequest) Err() error {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.err
+}
+
+// fail files err unless an earlier failure already holds the slot.
+func (tr *TraceRequest) fail(err error) {
+	tr.mu.Lock()
+	if tr.err == nil {
+		tr.err = err
+	}
+	tr.mu.Unlock()
 }
 
 // spillState is one recorder's open spill file, held until Finish
@@ -288,15 +308,9 @@ func (tr *TraceRequest) save(label string, rec *ptrace.Recorder) error {
 			return err
 		}
 	} else {
-		d := rec.Data()
 		err := atomicfile.WriteTo(path, func(w io.Writer) error {
-			var werr error
-			if tr.Format == "v2" {
-				_, werr = d.WriteV2To(w)
-			} else {
-				_, werr = d.WriteTo(w)
-			}
-			return werr
+			_, err := rec.Data().WriteTo(w)
+			return err
 		})
 		if err != nil {
 			return err
@@ -400,7 +414,8 @@ func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 	if tr := opts.Trace; tr != nil {
 		tr.scenario = s.Name()
 		if err := os.MkdirAll(tr.Dir, 0o755); err != nil {
-			panic(fmt.Sprintf("experiment: trace dir: %v", err))
+			tr.fail(fmt.Errorf("experiment: trace dir %s: %w", tr.Dir, err))
+			opts.Trace = nil
 		}
 	}
 	jobs := s.Jobs()

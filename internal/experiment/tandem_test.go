@@ -1,12 +1,17 @@
 package experiment
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/packet"
 	"repro/internal/ptrace"
+	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -58,13 +63,17 @@ func TestTandemScenarioRegisteredAndScalable(t *testing.T) {
 
 // TestTandemTraceFiles drives the dsbench -trace plumbing end to end:
 // a traced scenario run writes one readable .ptrace file per grid
-// point, and the figure is byte-identical to the untraced run.
+// point, and the figure is byte-identical to the untraced run. The
+// same points spilled must give the same files: with no sampling and a
+// ring that overwrote nothing, the ring save and the spill are one
+// capture through one writer.
 func TestTandemTraceFiles(t *testing.T) {
 	t.Parallel()
 	spec := reducedTandem()
 	dir := t.TempDir()
+	const ringCap = 1 << 15
 	tr := &TraceRequest{Dir: dir, Config: ptrace.Config{
-		Capacity: 1 << 15, Kinds: ptrace.VerdictKinds(),
+		Capacity: ringCap, Kinds: ptrace.VerdictKinds(), Flows: []packet.FlowID{topology.VideoFlow},
 	}}
 	traced := RunScenarioTrace(spec, 2, tr)
 	plain := RunScenario(spec, 0)
@@ -91,17 +100,96 @@ func TestTandemTraceFiles(t *testing.T) {
 		if len(d.Events) == 0 || d.Seen == 0 {
 			t.Errorf("%s: empty capture", name)
 		}
-		if len(d.Events) > 1<<15 {
-			t.Errorf("%s: %d events exceed the configured bound", name, len(d.Events))
+		if len(d.Events) >= ringCap {
+			t.Errorf("%s: %d events fill the %d-event ring, so it may have overwritten some", name, len(d.Events), ringCap)
+		}
+	}
+
+	spillDir := t.TempDir()
+	spilled := &TraceRequest{Dir: spillDir, Config: tr.Config, Spill: true}
+	RunScenarioTrace(spec, 2, spilled)
+	if got := spilled.Files(); len(got) != len(files) {
+		t.Fatalf("spilled %d files, ring saved %d", len(got), len(files))
+	}
+	for _, name := range files {
+		ring, spill := canonicalTrace(t, filepath.Join(dir, name)), canonicalTrace(t, filepath.Join(spillDir, name))
+		if !bytes.Equal(ring, spill) {
+			t.Errorf("%s: ring-saved and spilled traces differ (%d vs %d bytes)", name, len(ring), len(spill))
+		}
+	}
+}
+
+// canonicalTrace re-encodes a trace file with its packet ids relabelled
+// (ptrace.CanonicalizePacketIDs): absolute ids come from a
+// process-global counter, so two runs of one point differ only there.
+// The encoding is byte-stable, so equal results mean equal files up to
+// that relabelling.
+func canonicalTrace(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ptrace.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	ptrace.CanonicalizePacketIDs(d)
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceDirFailureIsReported: a trace directory that cannot be
+// created (here, one under a regular file) is an error naming the path
+// on the request, never a panic, and the run completes untraced with
+// the figure of the untraced run.
+func TestTraceDirFailureIsReported(t *testing.T) {
+	t.Parallel()
+	spec := reducedTandem()
+	file := filepath.Join(t.TempDir(), "afile")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(file, "traces")
+	plain := RunScenario(spec, 0).Format()
+	for _, spill := range []bool{false, true} {
+		tr := &TraceRequest{Dir: dir, Spill: spill}
+		if traced := RunScenarioTrace(spec, 2, tr).Format(); traced != plain {
+			t.Errorf("spill=%v: a failed trace changed the figure:\n%s\nvs\n%s", spill, traced, plain)
+		}
+		if err := tr.Err(); err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("spill=%v: Err() = %v, want an error naming %s", spill, err, dir)
+		}
+		if files := tr.Files(); len(files) != 0 {
+			t.Errorf("spill=%v: files %v recorded for a failed trace", spill, files)
+		}
+	}
+
+	// The per-job paths, reached when the directory goes bad after the
+	// run started: a spill that cannot open leaves the job untraced, and
+	// a ring save that cannot publish is filed, not thrown.
+	for _, spill := range []bool{false, true} {
+		ctx := &Ctx{Trace: &TraceRequest{Dir: dir, Spill: spill}}
+		rec := ctx.NewRecorder()
+		if (rec == nil) != spill {
+			t.Errorf("spill=%v: NewRecorder = %v", spill, rec)
+		}
+		ctx.Finish("p", rec, sim.New(1), topology.ShardStats{}, 0, time.Time{})
+		if err := ctx.Trace.Err(); err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("spill=%v: per-job Err() = %v, want an error naming %s", spill, err, dir)
 		}
 	}
 }
 
 // TestTandemTraceSpill drives the spill plumbing end to end: with
 // Spill set, every trace file holds the *complete* filtered capture —
-// past the tiny configured ring — in the binary v2 encoding, written
-// atomically (no temporary files survive), and the figure stays
-// byte-identical to the untraced run.
+// past the tiny configured ring — written atomically (no temporary
+// files survive), and the figure stays byte-identical to the untraced
+// run.
 func TestTandemTraceSpill(t *testing.T) {
 	t.Parallel()
 	spec := reducedTandem()
@@ -125,13 +213,10 @@ func TestTandemTraceSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, format, err := ptrace.ReadFormat(f)
+		d, err := ptrace.Read(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if format != ptrace.FormatV2 {
-			t.Errorf("%s: spilled as %v, want binary v2", name, format)
 		}
 		if len(d.Events) > ringCap {
 			spilledPastCap = true

@@ -2,6 +2,7 @@ package ptrace
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -58,18 +59,6 @@ type Summary struct {
 	Flows    []FlowStats
 	// Timeline buckets policer/marker verdicts per hop over time.
 	Timeline []VerdictBucket
-}
-
-// Analyze digests a capture. bucket sets the verdict-timeline
-// granularity (<= 0 means 1 s). It is a single pass over the events
-// through the same bounded-memory Digester that AnalyzeStream feeds
-// straight from a file, so the two agree exactly on any trace.
-func Analyze(d *Data, bucket units.Time) *Summary {
-	g := NewDigester(bucket)
-	for _, e := range d.Events {
-		g.Add(e)
-	}
-	return g.Summarize(d.Hops, d.Seen)
 }
 
 // Format renders the summary as aligned text tables.
@@ -155,31 +144,37 @@ type Attribution struct {
 	ByHop map[string]int
 }
 
-// AttributeFrameLoss joins the packet trace against the client's frame
-// trace: for every clip frame the client never produced, find the hop
-// whose drop events claimed that frame's fragments. Frames whose drops
-// fell outside the bounded capture window come back unattributed.
-func AttributeFrameLoss(d *Data, ft *trace.Trace) *Attribution {
+// AttributeFrameLoss joins a packet trace against the client's frame
+// trace in one streaming pass: for every clip frame the client never
+// produced, find the hop whose drop events claimed that frame's
+// fragments. It holds only the frame → hop → dropped-fragment counts of
+// lost frames, never the events. Frames whose drops fell outside the
+// capture come back unattributed.
+func AttributeFrameLoss(r io.Reader, ft *trace.Trace) (*Attribution, error) {
 	received := make(map[int]bool, len(ft.Records))
-	for _, r := range ft.Records {
-		received[r.Seq] = true
+	for _, rec := range ft.Records {
+		received[rec.Seq] = true
 	}
-	// frame -> hop -> dropped fragment count
+	lost := func(seq int) bool { return seq >= 0 && seq < ft.ClipFrames && !received[seq] }
 	drops := map[int]map[HopID]int{}
-	for _, e := range d.Events {
-		if !e.Kind.IsDrop() || e.FrameSeq < 0 {
-			continue
+	hops, _, err := streamV2(r, func(e Event) {
+		seq := int(e.FrameSeq)
+		if !e.Kind.IsDrop() || !lost(seq) {
+			return
 		}
-		m := drops[int(e.FrameSeq)]
+		m := drops[seq]
 		if m == nil {
 			m = map[HopID]int{}
-			drops[int(e.FrameSeq)] = m
+			drops[seq] = m
 		}
 		m[e.Hop]++
+	})
+	if err != nil {
+		return nil, err
 	}
 	a := &Attribution{ByHop: map[string]int{}}
 	for seq := 0; seq < ft.ClipFrames; seq++ {
-		if received[seq] {
+		if !lost(seq) {
 			continue
 		}
 		a.LostFrames++
@@ -195,12 +190,11 @@ func AttributeFrameLoss(d *Data, ft *trace.Trace) *Attribution {
 				best, bestN = hop, n
 			}
 		}
-		name := d.HopName(best)
+		name := hopName(hops, best)
 		a.Attributed = append(a.Attributed, FrameLossCause{FrameSeq: seq, Hop: name, Frags: total})
 		a.ByHop[name]++
 	}
-	sort.Slice(a.Attributed, func(i, j int) bool { return a.Attributed[i].FrameSeq < a.Attributed[j].FrameSeq })
-	return a
+	return a, nil
 }
 
 // Format renders the attribution; top bounds the per-frame listing

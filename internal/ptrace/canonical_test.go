@@ -63,7 +63,7 @@ func TestCanonicalizePacketIDs(t *testing.T) {
 // TestCanonicalizeV2FixedPoint composes canonicalization with the
 // binary encoding: canonicalize → encode v2 → decode → canonicalize
 // must be a fixed point, so golden comparisons can route traces
-// through either format without the relabeling drifting.
+// through a file without the relabeling drifting.
 func TestCanonicalizeV2FixedPoint(t *testing.T) {
 	d := &Data{Hops: []string{"", "hub", "edge"}, Seen: 17}
 	ids := []uint64{901, 44, 901, 7000, 44, 0, 7000, 12345}
@@ -77,7 +77,7 @@ func TestCanonicalizeV2FixedPoint(t *testing.T) {
 	first := append([]Event(nil), d.Events...)
 
 	var enc bytes.Buffer
-	if _, err := d.WriteV2To(&enc); err != nil {
+	if _, err := d.WriteTo(&enc); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(bytes.NewReader(enc.Bytes()))
@@ -95,7 +95,7 @@ func TestCanonicalizeV2FixedPoint(t *testing.T) {
 		}
 	}
 	var enc2 bytes.Buffer
-	if _, err := got.WriteV2To(&enc2); err != nil {
+	if _, err := got.WriteTo(&enc2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {

@@ -1,6 +1,7 @@
 package ptrace_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -12,7 +13,10 @@ import (
 // tandem capture: a summary diffed against itself has no deltas and no
 // breaches at the strictest (zero) thresholds.
 func TestCompareSelfIsClean(t *testing.T) {
-	s := ptrace.Analyze(corpusData(t), units.Second)
+	s, _, err := ptrace.AnalyzeStream(bytes.NewReader(tandemSeed()), units.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := ptrace.CompareSummaries(s, s, ptrace.Thresholds{})
 	if !d.Clean() || d.Breaches != 0 {
 		t.Fatalf("self-compare not clean: %d breaches\n%s", d.Breaches, d.Format(0))

@@ -1,10 +1,9 @@
 package ptrace
 
-// Streaming trace analysis. Analyze used to keep every residence and
-// one-way delay sample in RAM and sort for percentiles — fine for a
-// bounded ring capture, hopeless for a spilled fleet-scale trace whose
-// event count is unbounded. The Digester replaces the sample slices
-// with constant-size accumulators per hop and per flow: counts,
+// Streaming trace analysis. A spilled fleet-scale trace has an
+// unbounded event count, so no analysis may keep delay samples in RAM
+// and sort them for percentiles. The Digester keeps constant-size
+// accumulators per hop and per flow instead: counts,
 // Welford moments (stats.Moments, exact mean/min/max) and P² quantile
 // sketches (stats.P2Quantile, estimated p50/p90/p99), so digesting a
 // trace costs O(hops + flows + timeline buckets) memory no matter how
@@ -15,8 +14,6 @@ package ptrace
 // bounds the error against the retired exact implementation.
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -82,7 +79,7 @@ type timelineKey struct {
 
 // Digester folds a trace into a Summary one event at a time. Feed it
 // with Add (any order the trace supplies) and seal it with Summarize;
-// Analyze and AnalyzeStream are both thin wrappers over it.
+// AnalyzeStream is a thin wrapper over it.
 type Digester struct {
 	bucket units.Time
 
@@ -170,19 +167,12 @@ func (g *Digester) Add(e Event) {
 func (g *Digester) Events() uint64 { return g.count }
 
 // Summarize seals the digest into the Summary form, resolving hop ids
-// against the trace's name table (ids beyond it get numeric names, the
-// same fallback Data.HopName applies). seen is the run's total emitted
-// count from the trace header or trailer.
+// against the trace's name table (ids beyond it get numeric names).
+// seen is the run's total emitted count from the trace trailer.
 func (g *Digester) Summarize(hopNames []string, seen uint64) *Summary {
 	s := &Summary{Seen: seen, Retained: int(g.count)}
 	if g.count > 0 {
 		s.Span = g.last - g.first
-	}
-	name := func(id HopID) string {
-		if int(id) < len(hopNames) {
-			return hopNames[id]
-		}
-		return fmt.Sprintf("hop#%d", id)
 	}
 	for id := range g.hops {
 		h := &g.hops[id]
@@ -194,7 +184,7 @@ func (g *Digester) Summarize(hopNames []string, seen uint64) *Summary {
 			continue // interned but never hit, or a hole in the id space
 		}
 		s.Hops = append(s.Hops, HopStats{
-			Name: name(HopID(id)), Counts: h.counts, Drops: h.drops,
+			Name: hopName(hopNames, HopID(id)), Counts: h.counts, Drops: h.drops,
 			MaxQLen: h.maxQLen, Residence: h.residence.quantiles(),
 		})
 	}
@@ -211,7 +201,7 @@ func (g *Digester) Summarize(hopNames []string, seen uint64) *Summary {
 		})
 	}
 	for k, b := range g.timeline {
-		b.Hop = name(k.hop)
+		b.Hop = hopName(hopNames, k.hop)
 		s.Timeline = append(s.Timeline, *b)
 	}
 	sort.Slice(s.Timeline, func(i, j int) bool {
@@ -225,46 +215,19 @@ func (g *Digester) Summarize(hopNames []string, seen uint64) *Summary {
 
 // StreamInfo describes what AnalyzeStream read.
 type StreamInfo struct {
-	Format Format
 	Events uint64 // events decoded and digested
 	Hops   int    // size of the trace's hop name table
 	Seen   uint64 // events emitted during the traced run
 }
 
 // AnalyzeStream digests a trace in one pass directly from its encoded
-// form — either format, sniffed like Read — without ever materializing
-// the event slice, so peak memory is bounded by the digest state, not
-// the trace length. This is dstrace's summarize path; Read+Analyze
-// remains for consumers that need the events themselves (frame-loss
-// attribution).
+// form, without ever materialising the event slice, so peak memory is
+// bounded by the digest state, not the trace length.
 func AnalyzeStream(r io.Reader, bucket units.Time) (*Summary, StreamInfo, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
 	g := NewDigester(bucket)
-	format, err := sniff(br)
+	hops, seen, err := streamV2(r, g.Add)
 	if err != nil {
 		return nil, StreamInfo{}, err
 	}
-	info := StreamInfo{Format: format}
-	digest := func(e Event) error {
-		g.Add(e)
-		return nil
-	}
-	var hops []string
-	switch format {
-	case FormatV2:
-		v2Hops, seen, _, err := streamV2(br, digest)
-		if err != nil {
-			return nil, info, err
-		}
-		hops, info.Seen = v2Hops, seen
-	default:
-		hdr, err := streamJSONL(br, digest)
-		if err != nil {
-			return nil, info, err
-		}
-		hops, info.Seen = hdr.Hops, hdr.Seen
-	}
-	info.Events = g.Events()
-	info.Hops = len(hops)
-	return g.Summarize(hops, info.Seen), info, nil
+	return g.Summarize(hops, seen), StreamInfo{Events: g.Events(), Hops: len(hops), Seen: seen}, nil
 }

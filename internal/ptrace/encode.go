@@ -2,187 +2,54 @@ package ptrace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-
-	"repro/internal/packet"
-	"repro/internal/units"
 )
 
-// Version is the trace format version this package writes and reads.
-const Version = 1
-
-// Data is the exportable form of a capture: the hop name table plus
-// the retained events. It is what cmd/dstrace reads back.
+// Data is the materialised form of a capture: the hop name table plus
+// the retained events. The tools never build one — they stream
+// (AnalyzeStream, AttributeFrameLoss) — so it is the reference the
+// equivalence tests compare captures with, and what a ring save writes.
 type Data struct {
 	Hops   []string
 	Seen   uint64 // total events emitted during the run
 	Events []Event
 }
 
-// HopName resolves an event's hop against the data's name table.
-func (d *Data) HopName(id HopID) string {
-	if int(id) < len(d.Hops) {
-		return d.Hops[id]
+// hopName resolves id against a trace's hop table; ids beyond it get a
+// numeric name, so resolving is total on whatever ids a file carries.
+func hopName(hops []string, id HopID) string {
+	if int(id) < len(hops) {
+		return hops[id]
 	}
 	return fmt.Sprintf("hop#%d", id)
 }
 
-// header is the first JSONL line: everything but the events.
-type header struct {
-	Format  string   `json:"format"`
-	Version int      `json:"version"`
-	Seen    uint64   `json:"seen"`
-	Events  int      `json:"events"`
-	Hops    []string `json:"hops"`
-}
+// HopName resolves an event's hop against the data's name table.
+func (d *Data) HopName(id HopID) string { return hopName(d.Hops, id) }
 
-// eventFields is the number of values per event line.
-const eventFields = 11
-
-// WriteTo emits the versioned JSONL encoding: one header object line,
-// then one compact JSON array per event —
-// [t, kind, flag, hop, flow, pkt, size, dscp, qlen, frame, delay].
+// WriteTo emits the capture in the binary v2 encoding (encode_v2.go),
+// through the same block writer the Recorder's spill mode uses.
 func (d *Data) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
-	var n int64
-	hdr, err := json.Marshal(header{
-		Format: "ptrace", Version: Version,
-		Seen: d.Seen, Events: len(d.Events), Hops: d.Hops,
-	})
-	if err != nil {
-		return 0, err
+	v := newV2Writer(bw)
+	for _, e := range d.Events {
+		v.add(e)
 	}
-	c, err := fmt.Fprintf(bw, "%s\n", hdr)
-	n += int64(c)
+	n, err := v.finish(d.Hops, d.Seen)
 	if err != nil {
 		return n, err
-	}
-	for _, e := range d.Events {
-		c, err := fmt.Fprintf(bw, "[%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d]\n",
-			int64(e.T), e.Kind, e.Flag, e.Hop, e.Flow, e.PktID,
-			e.Size, e.DSCP, e.QLen, e.FrameSeq, int64(e.Delay))
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
 	}
 	return n, bw.Flush()
 }
 
-// Read parses either trace encoding — the JSONL v1 produced by
-// WriteTo or the binary v2 produced by WriteV2To — sniffing the
-// format from the leading bytes, so every consumer accepts both
-// transparently.
+// Read decodes a whole v2 trace into memory.
 func Read(r io.Reader) (*Data, error) {
-	d, _, err := ReadFormat(r)
-	return d, err
-}
-
-// ReadFormat is Read, also reporting which encoding the input used.
-func ReadFormat(r io.Reader) (*Data, Format, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	format, err := sniff(br)
-	if err != nil {
-		return nil, FormatUnknown, err
-	}
 	d := &Data{}
-	collect := func(e Event) error {
-		d.Events = append(d.Events, e)
-		return nil
-	}
-	switch format {
-	case FormatV2:
-		hops, seen, _, err := streamV2(br, collect)
-		if err != nil {
-			return nil, format, err
-		}
-		d.Hops, d.Seen = hops, seen
-	default:
-		hdr, err := streamJSONL(br, collect)
-		if err != nil {
-			return nil, format, err
-		}
-		d.Hops, d.Seen = hdr.Hops, hdr.Seen
-	}
-	return d, format, nil
-}
-
-// sniff identifies the trace encoding from the buffered input's
-// leading bytes without consuming them.
-func sniff(br *bufio.Reader) (Format, error) {
-	lead, err := br.Peek(1)
+	hops, seen, err := streamV2(r, func(e Event) { d.Events = append(d.Events, e) })
 	if err != nil {
-		return FormatUnknown, fmt.Errorf("ptrace: empty input")
+		return nil, err
 	}
-	switch {
-	case lead[0] == magicV2[0]:
-		return FormatV2, nil
-	case lead[0] == '{':
-		return FormatJSONL, nil
-	}
-	return FormatUnknown, fmt.Errorf("ptrace: not a packet trace (leading byte 0x%02x is neither JSONL nor v2 magic)", lead[0])
-}
-
-// streamJSONL decodes the JSONL encoding, feeding each event to fn in
-// order. Unlike v2, the header — hop table, seen count — leads the
-// stream, so it is returned immediately usable.
-func streamJSONL(br *bufio.Reader, fn func(Event) error) (header, error) {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	if !sc.Scan() {
-		return header{}, fmt.Errorf("ptrace: empty input")
-	}
-	var hdr header
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return hdr, fmt.Errorf("ptrace: bad header: %w", err)
-	}
-	if hdr.Format != "ptrace" {
-		return hdr, fmt.Errorf("ptrace: not a packet trace (format %q)", hdr.Format)
-	}
-	if hdr.Version != Version {
-		return hdr, fmt.Errorf("ptrace: unsupported version %d (want %d)", hdr.Version, Version)
-	}
-	line := 1
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var raw []json.Number
-		if err := json.Unmarshal(sc.Bytes(), &raw); err != nil {
-			return hdr, fmt.Errorf("ptrace: line %d: %w", line, err)
-		}
-		if len(raw) != eventFields {
-			return hdr, fmt.Errorf("ptrace: line %d: %d fields, want %d", line, len(raw), eventFields)
-		}
-		var f [eventFields]int64
-		var pkt uint64
-		for i, v := range raw {
-			var err error
-			if i == 5 { // PktID is the one unsigned 64-bit field
-				pkt, err = strconv.ParseUint(v.String(), 10, 64)
-			} else {
-				f[i], err = v.Int64()
-			}
-			if err != nil {
-				return hdr, fmt.Errorf("ptrace: line %d field %d: %w", line, i, err)
-			}
-		}
-		err := fn(Event{
-			T: units.Time(f[0]), Kind: Kind(f[1]), Flag: uint8(f[2]),
-			Hop: HopID(f[3]), Flow: packet.FlowID(f[4]), PktID: pkt,
-			Size: int32(f[6]), DSCP: packet.DSCP(f[7]), QLen: int32(f[8]),
-			FrameSeq: int32(f[9]), Delay: units.Time(f[10]),
-		})
-		if err != nil {
-			return hdr, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return hdr, err
-	}
-	return hdr, nil
+	d.Hops, d.Seen = hops, seen
+	return d, nil
 }

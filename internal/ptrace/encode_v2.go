@@ -1,9 +1,9 @@
 package ptrace
 
-// The binary v2 trace encoding. JSONL (encode.go) spends ~50 bytes
-// per event on decimal digits and separators; a fleet-scale capture
-// (PR 7's N=200k mixtures emit tens of millions of verdicts) needs a
-// format whose cost per event is a small constant. v2 is that format:
+// The binary v2 trace encoding, the one on-disk form of a packet trace.
+// A fleet-scale capture (the N = 200k mixtures emit tens of millions of
+// verdicts) needs a format whose cost per event is a small constant; v2
+// is that format:
 //
 //	magic (8 bytes, 0x89 "PTRC2" CR LF)
 //	blocks:
@@ -22,10 +22,9 @@ package ptrace
 // of the *same kind* — and then one zigzag-varint delta per named
 // field. Consecutive same-kind events share hop, DSCP, size and near
 // ids, so most fields are absent and a steady-state event costs ~8-12
-// bytes against JSONL's ~50 (the encoding ratio test pins ≤ 1/3 on
-// the fuzz-corpus seeds). Deltas use wrapping int64 arithmetic, so
-// every field round-trips exactly at the full range the JSONL decoder
-// accepts, extreme values included.
+// bytes (TestV2Density bounds the tandem corpus). Deltas use wrapping
+// int64 arithmetic, so every field round-trips exactly at its full
+// range, extreme values included.
 //
 // The hop table and totals live in the *trailer*, not a header, so the
 // format can be written incrementally while a simulation runs — the
@@ -38,6 +37,7 @@ package ptrace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -45,36 +45,10 @@ import (
 	"repro/internal/units"
 )
 
-// VersionV2 is the binary trace format version this file implements.
-const VersionV2 = 2
-
-// magicV2 opens every binary v2 trace. The 0x89 lead byte keeps it
-// disjoint from JSONL ('{') and from plain text; CR LF catches
-// line-ending mangling the way PNG's signature does.
+// magicV2 opens every trace. The 0x89 lead byte keeps it disjoint from
+// plain text; CR LF catches line-ending mangling the way PNG's
+// signature does.
 var magicV2 = [8]byte{0x89, 'P', 'T', 'R', 'C', '2', '\r', '\n'}
-
-// Format identifies a trace file's wire encoding.
-type Format uint8
-
-const (
-	// FormatUnknown is returned alongside sniffing errors.
-	FormatUnknown Format = iota
-	// FormatJSONL is the versioned JSONL v1 encoding (encode.go).
-	FormatJSONL
-	// FormatV2 is the length-prefixed binary v2 encoding (this file).
-	FormatV2
-)
-
-// String names the format the way dstrace reports it.
-func (f Format) String() string {
-	switch f {
-	case FormatJSONL:
-		return "jsonl"
-	case FormatV2:
-		return "binary-v2"
-	}
-	return "unknown"
-}
 
 // Presence-bitmap bits of one packed record. Frequently-changing
 // fields sit in the low seven bits so the uvarint bitmap of a typical
@@ -108,7 +82,7 @@ func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // v2Writer packs events into blocks on the fly. It backs both the
-// one-shot Data.WriteV2To and the Recorder's spill mode; after the
+// one-shot Data.WriteTo and the Recorder's spill mode; after the
 // last event, finish seals the trailer. All state is O(1): the block
 // buffer tops out around blockEvents packed records and is reused.
 type v2Writer struct {
@@ -250,30 +224,18 @@ func (v *v2Writer) finish(hops []string, seen uint64) (int64, error) {
 	return v.written, v.err
 }
 
-// WriteV2To emits the binary v2 encoding. Read accepts either format
-// transparently; pick v2 when the trace is big enough that bytes per
-// event matter (it is ~5× denser than JSONL) and JSONL when a human
-// or a line-oriented tool needs to look inside.
-func (d *Data) WriteV2To(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	v := newV2Writer(bw)
-	for _, e := range d.Events {
-		v.add(e)
-	}
-	n, err := v.finish(d.Hops, d.Seen)
-	if err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
-}
-
-// streamV2 decodes a v2 stream, feeding each event to fn in order.
-// The hop table and totals arrive only with the trailer, so they are
+// streamV2 decodes a trace, feeding each event to fn in order: Read,
+// AnalyzeStream and AttributeFrameLoss are all one pass through it. The
+// hop table and totals arrive only with the trailer, so they are
 // returned rather than available up front; fn must not need them.
-func streamV2(br *bufio.Reader, fn func(Event) error) (hops []string, seen, total uint64, err error) {
+func streamV2(r io.Reader, fn func(Event)) (hops []string, seen uint64, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != magicV2 {
-		return nil, 0, 0, fmt.Errorf("ptrace: not a v2 trace (bad magic)")
+		if magic[0] == '{' { // the one foreign input users hold: a pre-v2 recording
+			return nil, 0, errors.New("ptrace: JSONL v1 traces are no longer read; re-record with dsbench -trace")
+		}
+		return nil, 0, fmt.Errorf("ptrace: not a packet trace (bad magic)")
 	}
 	var (
 		prevT    int64
@@ -284,35 +246,35 @@ func streamV2(br *bufio.Reader, fn func(Event) error) (hops []string, seen, tota
 	for {
 		count, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("ptrace: truncated v2 trace (block header): %w", err)
+			return nil, 0, fmt.Errorf("ptrace: truncated v2 trace (block header): %w", err)
 		}
 		if count == 0 {
 			break // trailer follows
 		}
 		byteLen, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("ptrace: truncated v2 trace (block length): %w", err)
+			return nil, 0, fmt.Errorf("ptrace: truncated v2 trace (block length): %w", err)
 		}
 		if byteLen > maxBlockBytes || count > byteLen {
-			return nil, 0, 0, fmt.Errorf("ptrace: corrupt v2 block (%d events in %d bytes)", count, byteLen)
+			return nil, 0, fmt.Errorf("ptrace: corrupt v2 block (%d events in %d bytes)", count, byteLen)
 		}
 		if uint64(cap(payload)) < byteLen {
 			payload = make([]byte, byteLen)
 		}
 		payload = payload[:byteLen]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, 0, 0, fmt.Errorf("ptrace: truncated v2 block: %w", err)
+			return nil, 0, fmt.Errorf("ptrace: truncated v2 block: %w", err)
 		}
 		c := fieldCursor{p: payload, ok: true}
 		for i := uint64(0); i < count; i++ {
 			if len(c.p) == 0 {
-				return nil, 0, 0, fmt.Errorf("ptrace: v2 block underruns its payload")
+				return nil, 0, fmt.Errorf("ptrace: v2 block underruns its payload")
 			}
 			kind := c.p[0]
 			c.p = c.p[1:]
 			bits, n := binary.Uvarint(c.p)
 			if n <= 0 || bits&^uint64(knownBits) != 0 {
-				return nil, 0, 0, fmt.Errorf("ptrace: corrupt v2 record bitmap")
+				return nil, 0, fmt.Errorf("ptrace: corrupt v2 record bitmap")
 			}
 			c.p = c.p[n:]
 			// An absent field decodes as a zero delta, so every field is
@@ -332,52 +294,51 @@ func streamV2(br *bufio.Reader, fn func(Event) error) (hops []string, seen, tota
 				Flag:     uint8(int64(ref.Flag) + c.take(bits, bitFlag)),
 			}
 			if !c.ok {
-				return nil, 0, 0, fmt.Errorf("ptrace: truncated v2 record")
+				return nil, 0, fmt.Errorf("ptrace: truncated v2 record")
 			}
 			prevT = int64(e.T)
 			*ref = e
 			decoded++
-			if err := fn(e); err != nil {
-				return nil, 0, 0, err
-			}
+			fn(e)
 		}
 		if len(c.p) != 0 {
-			return nil, 0, 0, fmt.Errorf("ptrace: v2 block has %d trailing payload bytes", len(c.p))
+			return nil, 0, fmt.Errorf("ptrace: v2 block has %d trailing payload bytes", len(c.p))
 		}
 	}
 	nHops, err := binary.ReadUvarint(br)
 	if err != nil || nHops > maxHopNames {
-		return nil, 0, 0, fmt.Errorf("ptrace: corrupt v2 trailer (hop count)")
+		return nil, 0, fmt.Errorf("ptrace: corrupt v2 trailer (hop count)")
 	}
 	hops = make([]string, 0, min(nHops, 256))
 	name := make([]byte, 0, 64)
 	for i := uint64(0); i < nHops; i++ {
 		ln, err := binary.ReadUvarint(br)
 		if err != nil || ln > maxHopNameLen {
-			return nil, 0, 0, fmt.Errorf("ptrace: corrupt v2 trailer (hop name length)")
+			return nil, 0, fmt.Errorf("ptrace: corrupt v2 trailer (hop name length)")
 		}
 		if uint64(cap(name)) < ln {
 			name = make([]byte, ln)
 		}
 		name = name[:ln]
 		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, 0, 0, fmt.Errorf("ptrace: truncated v2 trailer (hop names): %w", err)
+			return nil, 0, fmt.Errorf("ptrace: truncated v2 trailer (hop names): %w", err)
 		}
 		hops = append(hops, string(name))
 	}
 	if seen, err = binary.ReadUvarint(br); err != nil {
-		return nil, 0, 0, fmt.Errorf("ptrace: truncated v2 trailer (seen): %w", err)
+		return nil, 0, fmt.Errorf("ptrace: truncated v2 trailer (seen): %w", err)
 	}
-	if total, err = binary.ReadUvarint(br); err != nil {
-		return nil, 0, 0, fmt.Errorf("ptrace: truncated v2 trailer (event count): %w", err)
+	total, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, 0, fmt.Errorf("ptrace: truncated v2 trailer (event count): %w", err)
 	}
 	if total != decoded {
-		return nil, 0, 0, fmt.Errorf("ptrace: truncated v2 trace: trailer promises %d events, decoded %d", total, decoded)
+		return nil, 0, fmt.Errorf("ptrace: truncated v2 trace: trailer promises %d events, decoded %d", total, decoded)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, 0, 0, fmt.Errorf("ptrace: trailing data after v2 trailer")
+		return nil, 0, fmt.Errorf("ptrace: trailing data after v2 trailer")
 	}
-	return hops, seen, total, nil
+	return hops, seen, nil
 }
 
 // fieldCursor walks a block payload's varint fields, latching the

@@ -276,12 +276,7 @@ func (r *Recorder) Hop(name string) HopID {
 }
 
 // HopName resolves an interned id; unknown ids get a numeric name.
-func (r *Recorder) HopName(id HopID) string {
-	if int(id) < len(r.hops) {
-		return r.hops[id]
-	}
-	return fmt.Sprintf("hop#%d", id)
-}
+func (r *Recorder) HopName(id HopID) string { return hopName(r.hops, id) }
 
 // Emit records e, stamping its time. Steady-state cost is a bounds
 // check and a 48-byte copy into preallocated storage — no allocation.

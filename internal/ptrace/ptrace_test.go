@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
@@ -160,7 +161,8 @@ func randomEvent(rng *rand.Rand) Event {
 }
 
 // TestEncodeDecodeRoundTrip is the property test for the trace
-// format: any capture survives WriteTo → Read bit-exactly.
+// format: any capture of well-formed events survives WriteTo → Read
+// bit-exactly (TestV2RoundTripRandomEvents covers full field range).
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -194,20 +196,31 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRejectsBadInput pins that only a v2 trace decodes, and that a
+// trace recorded before v2 became the only encoding (its first byte is
+// '{') is named as such by both readers rather than called garbage.
 func TestReadRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"empty":       "",
-		"not ptrace":  `{"format":"other","version":1}` + "\n",
-		"bad version": `{"format":"ptrace","version":99}` + "\n",
-		"short line":  `{"format":"ptrace","version":1,"hops":[]}` + "\n[1,2,3]\n",
+	const stale = "JSONL v1 traces are no longer read; re-record with dsbench -trace"
+	cases := []struct{ name, in, want string }{
+		{"empty", "", "bad magic"},
+		{"zip file", "PK\x03\x04zipfile", "bad magic"},
+		{"magic only", "\x89PTRC2\r\n", "truncated"},
+		{"stale header", `{"format":"ptrace","version":1,"seen":0,"events":0,"hops":[]}` + "\n", stale},
+		{"stale lead byte", "{", stale},
 	}
-	for name, in := range cases {
-		if _, err := Read(bytes.NewReader([]byte(in))); err == nil {
-			t.Errorf("%s: Read accepted bad input", name)
+	for _, c := range cases {
+		if _, err := Read(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Read err %v, want %q", c.name, err, c.want)
+		}
+		if _, _, err := AnalyzeStream(strings.NewReader(c.in), 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: AnalyzeStream err %v, want %q", c.name, err, c.want)
 		}
 	}
 }
 
+// TestAnalyzeAndAttribute runs both streaming passes dstrace makes — the
+// digest and the frame-loss join — over the v2 bytes of a hand-built
+// capture whose answers can be read off the event list.
 func TestAnalyzeAndAttribute(t *testing.T) {
 	d := &Data{Hops: []string{"policer", "bottleneck", "client"}, Seen: 9}
 	ms := func(n int64) units.Time { return units.Time(n) * units.Millisecond }
@@ -221,8 +234,22 @@ func TestAnalyzeAndAttribute(t *testing.T) {
 		{T: ms(6), Kind: QueueDrop, Hop: 1, Flow: 1, PktID: 4, FrameSeq: 2},
 		{T: ms(7), Kind: PolicerPass, Hop: 0, Flow: 1, PktID: 5, FrameSeq: 3},
 		{T: ms(8), Kind: Deliver, Hop: 2, Flow: 1, PktID: 5, FrameSeq: 3, Delay: ms(4)},
+		// A drop of a frame that arrived anyway, and one past the clip:
+		// neither is a lost frame, so the join must not count them.
+		{T: ms(9), Kind: QueueDrop, Hop: 1, Flow: 1, PktID: 6, FrameSeq: 3},
+		{T: ms(9), Kind: Loss, Hop: 1, Flow: 1, PktID: 7, FrameSeq: 9},
 	}
-	s := Analyze(d, units.Second)
+	var enc bytes.Buffer
+	if _, err := d.WriteTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := AnalyzeStream(bytes.NewReader(enc.Bytes()), units.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Events != uint64(len(d.Events)) || info.Hops != 3 || info.Seen != 9 {
+		t.Errorf("stream info %+v", info)
+	}
 	if len(s.Hops) != 3 {
 		t.Fatalf("hops %d, want 3", len(s.Hops))
 	}
@@ -230,17 +257,16 @@ func TestAnalyzeAndAttribute(t *testing.T) {
 	if pol.Counts[PolicerPass] != 2 || pol.Counts[PolicerDrop] != 2 || pol.Drops != 2 {
 		t.Errorf("policer stats wrong: %+v", pol)
 	}
-	if s.Hops[1].MaxQLen != 2 || s.Hops[1].Residence.N != 1 {
+	if s.Hops[1].MaxQLen != 2 || s.Hops[1].Residence.N != 1 || s.Hops[1].Drops != 3 {
 		t.Errorf("bottleneck stats wrong: %+v", s.Hops[1])
 	}
-	if len(s.Flows) != 1 || s.Flows[0].Delivered != 2 || s.Flows[0].Drops != 3 {
+	if len(s.Flows) != 1 || s.Flows[0].Delivered != 2 || s.Flows[0].Drops != 5 {
 		t.Fatalf("flow stats wrong: %+v", s.Flows)
 	}
 	if len(s.Timeline) != 1 || s.Timeline[0].Pass != 2 || s.Timeline[0].Drops != 2 {
 		t.Errorf("timeline wrong: %+v", s.Timeline)
 	}
-	out := s.Format()
-	if out == "" {
+	if s.Format() == "" {
 		t.Error("empty summary")
 	}
 
@@ -248,14 +274,17 @@ func TestAnalyzeAndAttribute(t *testing.T) {
 	ft := &trace.Trace{ClipFrames: 4}
 	ft.Add(trace.FrameRecord{Seq: 0})
 	ft.Add(trace.FrameRecord{Seq: 3})
-	a := AttributeFrameLoss(d, ft)
+	a, err := AttributeFrameLoss(bytes.NewReader(enc.Bytes()), ft)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.LostFrames != 2 || len(a.Attributed) != 2 || a.Unattributed != 0 {
 		t.Fatalf("attribution wrong: %+v", a)
 	}
 	if a.Attributed[0].Hop != "policer" || a.Attributed[0].Frags != 2 {
 		t.Errorf("frame 1 attribution wrong: %+v", a.Attributed[0])
 	}
-	if a.Attributed[1].Hop != "bottleneck" {
+	if a.Attributed[1].Hop != "bottleneck" || a.Attributed[1].Frags != 1 {
 		t.Errorf("frame 2 attribution wrong: %+v", a.Attributed[1])
 	}
 	if a.ByHop["policer"] != 1 || a.ByHop["bottleneck"] != 1 {
@@ -263,5 +292,16 @@ func TestAnalyzeAndAttribute(t *testing.T) {
 	}
 	if a.Format(10) == "" {
 		t.Error("empty attribution format")
+	}
+
+	// A frame trace is outside input: a negative clip length is no lost
+	// frames, not a crash.
+	if a, err := AttributeFrameLoss(bytes.NewReader(enc.Bytes()), &trace.Trace{ClipFrames: -1}); err != nil || a.LostFrames != 0 {
+		t.Errorf("negative clip length: %+v, %v", a, err)
+	}
+
+	// The join is a decoder pass like any other: a cut file fails.
+	if _, err := AttributeFrameLoss(bytes.NewReader(enc.Bytes()[:enc.Len()-1]), ft); err == nil {
+		t.Error("truncated trace attributed without error")
 	}
 }

@@ -23,15 +23,13 @@ import (
 // it must match.
 
 // runTraced executes s with per-point traces into a temp dir and
-// returns the figure plus the trace dir. Traces are written as binary
-// v2: it decodes to the same events as JSONL (ptrace's round-trip tests
-// pin that) and decoding JSONL was half the harness's wall.
+// returns the figure plus the trace dir.
 func runTraced(t *testing.T, s experiment.Scenario) (*experiment.Figure, string) {
 	t.Helper()
 	dir := t.TempDir()
 	tr := &experiment.TraceRequest{Dir: dir, Config: ptrace.Config{
 		Capacity: 1 << 17, Head: 4096, Sample: 1,
-	}, Format: "v2"}
+	}}
 	fig := experiment.RunScenarioOpts(s, experiment.RunOptions{Parallel: 2, Trace: tr})
 	return fig, dir
 }
@@ -55,7 +53,7 @@ func tracesByLabel(t *testing.T, dir, scenario string) map[string]*ptrace.Data {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, _, err := ptrace.ReadFormat(f)
+		d, err := ptrace.Read(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
