@@ -188,7 +188,8 @@ func (sa *ShardArrivals) AdvanceTo(frontier units.Time) {
 // spans at most the lookahead width, so the key fits a few bytes and
 // the sort is a handful of counting passes over contiguous records
 // instead of m·log m branchy comparisons. Returns the scratch buffer
-// for reuse.
+// for reuse; it grows geometrically, so a ramp of ever-longer windows
+// re-makes it a few times rather than once per new high water.
 func sortWindow(batch []Arrival, scratch []Arrival) []Arrival {
 	if len(batch) < radixMinLen {
 		slices.SortFunc(batch, compareArrivals)
@@ -213,10 +214,7 @@ func sortWindow(batch []Arrival, scratch []Arrival) []Arrival {
 		slices.SortFunc(batch, compareArrivals)
 		return scratch
 	}
-	if cap(scratch) < len(batch) {
-		scratch = make([]Arrival, len(batch))
-	}
-	scratch = scratch[:len(batch)]
+	scratch = slices.Grow(scratch[:0], len(batch))[:len(batch)]
 	maxKey := uint64(maxAt-minAt)<<fb | (1<<fb - 1)
 	src, dst := batch, scratch
 	for shift := 0; maxKey>>shift != 0; shift += 8 {

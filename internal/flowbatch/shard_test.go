@@ -1,7 +1,9 @@
 package flowbatch
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -176,6 +178,62 @@ func compareEmissions(t *testing.T, ref, got *recorder, shards int, window units
 		if w != g {
 			t.Fatalf("shards=%d window=%v packet %d diverged:\nserial  %+v\nsharded %+v",
 				shards, window, i, w, g)
+		}
+	}
+}
+
+// TestSortWindowScratchReuse is a property test of sortWindow over
+// both branches — radix at or above radixMinLen, comparator below it
+// and for spans too wide to pack — with a scratch that is nil, shorter
+// than, as long as or longer than the batch. The result must equal a
+// stable sort by (At, Flow, Entry): records of one flow enter in draw
+// order, as in the sequencer. The returned scratch must not alias the
+// batch, must hold a radix-sized batch without growing, and must sort
+// the next batch correctly.
+func TestSortWindowScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	batch := func(n int, span units.Time, flows int32) []Arrival {
+		b := make([]Arrival, n)
+		drawn := make(map[int32]int32)
+		for i := range b {
+			f := rng.Int31n(flows)
+			b[i] = Arrival{At: units.Time(rng.Int63n(int64(span))), Flow: f, Entry: drawn[f]}
+			drawn[f]++
+		}
+		return b
+	}
+	check := func(label string, b, scratch []Arrival, radix bool) []Arrival {
+		t.Helper()
+		want := slices.Clone(b)
+		slices.SortStableFunc(want, compareArrivals)
+		got := sortWindow(b, scratch)
+		if !slices.Equal(b, want) {
+			t.Fatalf("%s: order differs from the stable (At, Flow, Entry) sort", label)
+		}
+		if radix && len(b) >= radixMinLen && cap(got) < len(b) {
+			t.Fatalf("%s: returned scratch cap %d cannot hold the batch of %d", label, cap(got), len(b))
+		}
+		if cap(got) > 0 && len(b) > 0 && &got[:1][0] == &b[0] {
+			t.Fatalf("%s: returned scratch aliases the batch", label)
+		}
+		return got
+	}
+	wide := units.Time(1) << 62
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(4*radixMinLen)
+		span, flows := units.Time(1+rng.Intn(50_000)), int32(1+rng.Intn(1<<17))
+		if trial%10 == 0 {
+			span = wide // forces the comparator fallback at any length
+		}
+		for _, sc := range []int{-1, 0, n / 2, n, 2 * n} {
+			var scratch []Arrival
+			if sc >= 0 {
+				scratch = make([]Arrival, sc, sc+rng.Intn(3))
+			}
+			label := fmt.Sprintf("trial %d n=%d span=%d flows=%d scratch=%d", trial, n, span, flows, sc)
+			scratch = check(label, batch(n, span, flows), scratch, span != wide)
+			next := 1 + rng.Intn(cap(scratch)+radixMinLen)
+			check(label+" reused", batch(next, span, flows), scratch, span != wide)
 		}
 	}
 }

@@ -280,6 +280,14 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 // deliveries — bit-identical to the serial run at any shard count (the
 // shardeq tests pin this).
 func (m *MultiFlow) runShardedMixture(shards int, horizon units.Time) ShardStats {
+	sas, seq, w := m.fanoutStages(shards, horizon)
+	return runFanoutPipeline(m.Sim, sas, seq, w, horizon, m.Mixture.Inject)
+}
+
+// fanoutStages readies the mixture for replay and builds the
+// pipeline's stages: the initialized per-shard arrival walks, the
+// sequencer and the lookahead window width.
+func (m *MultiFlow) fanoutStages(shards int, horizon units.Time) ([]*flowbatch.ShardArrivals, *flowbatch.JitterSequencer, units.Time) {
 	mix := m.Mixture
 	mix.InitReplay()
 	n := mix.TotalFlows()
@@ -308,7 +316,9 @@ func (m *MultiFlow) runShardedMixture(shards int, horizon units.Time) ShardStats
 
 	sas := make([]*flowbatch.ShardArrivals, s)
 	for i := 0; i < s; i++ {
-		sa := &flowbatch.ShardArrivals{Horizon: horizon}
+		k := (n - i + s - 1) / s
+		sa := &flowbatch.ShardArrivals{Horizon: horizon, Flows: make([]int32, 0, k),
+			Start: make([]units.Time, 0, k), Bases: make([][]units.Time, 0, k)}
 		for f := i; f < n; f += s {
 			sa.Flows = append(sa.Flows, int32(f))
 			sa.Start = append(sa.Start, mix.StartOf(f))
@@ -319,5 +329,5 @@ func (m *MultiFlow) runShardedMixture(shards int, horizon units.Time) ShardStats
 	}
 	seq := &flowbatch.JitterSequencer{RNG: m.Sim.RNG(), JitterMaxOf: jmOf, Horizon: horizon}
 	seq.Init()
-	return runFanoutPipeline(m.Sim, sas, seq, w, horizon, mix.Inject)
+	return sas, seq, w
 }
