@@ -1,10 +1,11 @@
 package repro_test
 
-// One benchmark per table and figure of the paper (DESIGN.md carries
-// the index). Figure benchmarks run scaled-down sweeps (thinned token
-// grids, single seed) so `go test -bench=. -benchmem` finishes in
-// minutes while still exercising the full pipeline; cmd/dsbench runs
-// the full-resolution versions.
+// One benchmark per table and figure of the paper (README.md's "The
+// scenario registry" and `dsbench -list` carry the index). Figure
+// benchmarks run scaled-down sweeps (thinned token grids, single seed)
+// so `go test -bench=. -benchmem` finishes in minutes while still
+// exercising the full pipeline; cmd/dsbench runs the full-resolution
+// versions.
 
 import (
 	"fmt"
@@ -142,7 +143,8 @@ func benchLocal(b *testing.B, spec experiment.LocalSpec) {
 func BenchmarkFigure15LocalDrop(b *testing.B)   { benchLocal(b, experiment.Figure15Spec()) }
 func BenchmarkFigure16LocalShaped(b *testing.B) { benchLocal(b, experiment.Figure16Spec()) }
 
-// --- Ablations called out in DESIGN.md ---
+// --- Ablations (internal/experiment/ablations.go; their findings are
+// asserted in internal/experiment/ablations_test.go) ---
 
 func BenchmarkAblationShaperVsDropper(b *testing.B) {
 	enc := video.EncodeCBR(video.Lost(), 1.7e6)

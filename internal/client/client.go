@@ -7,34 +7,43 @@
 //
 // UDP reassembly hashes nothing and allocates nothing per frame. A slot
 // table of one int32 per clip frame — grown if a source sends a later
-// frame — points into a slab of 24-byte fragStates appended in
-// first-seen order; the slab entry also carries the frame's "already
-// emitted" bit, and Finish walks the slab. The slab is deliberately not
-// a dense per-frame array, and nothing is pre-sized to the clip. On the
+// frame — points into a fragSlab of 16-byte fragStates taken in
+// first-seen order from fixed chunks of 1,024, so the slab grows without
+// ever copying. Handle only marks a frame complete; Finish walks the
+// slot table in frame order, applies the Tolerance model, counts the
+// frames it will emit and writes them, already sorted, into one record
+// array sized once. The slab is deliberately not a dense per-frame
+// array, and nothing but the slot table is sized to the clip. On the
 // benchmark's wide-batched workload, where ≈ 92 % of packets die at the
 // bottleneck and each of 320 clients sees a small fraction of its 2,150
 // frames, a []fragState of clipFrames entries (with the trace pre-capped
 // the same way) took alloc_mb from 24.6 to 64.9 and peak_rss_mb from
-// 28.1 to 73.5. Four bytes per clip frame plus 24 per frame seen keeps
-// memory flat in that lossy regime.
+// 28.1 to 73.5. Four bytes per clip frame, 16 per frame seen and one
+// 40-byte record per frame kept holds memory to what the receiver keeps
+// in that lossy regime.
 //
 // # Storage is lent
 //
 // A figure is a sweep: the same clip through a freshly built testbed at
-// dozens of grid points, so a receiver's trace, slab and slot table
-// would be regrown by append once per client per point and thrown away.
+// dozens of grid points, so a receiver's trace, reassembly states and
+// slot table would be rebuilt once per client per point and thrown away.
 // Instead the storage belongs to the runner worker. A receiver with a
 // Scratch borrows from it on its first packet (a UDP or Stream) or first
 // registered message (a StreamAssembler) — one that never hears from the
-// network borrows nothing — and grows what it got by append as always,
-// so what is lent is what an earlier job grew, never more. The owner
-// calls Scratch.Reset when the job's results have been reduced to plain
-// values (experiment.RunScenarioOpts does, after every job): every
-// buffer goes back at its high-water capacity and the borrowers are left
-// empty. That is why a *trace.Trace from Trace or Finish must not
-// outlive the job that built the receiver: after Reset its records
-// belong to the next one. Without a Scratch the same code grows the same
-// buffers from the heap and nothing is ever taken back.
+// network borrows nothing. A UDP takes a slot table, and its reassembly
+// states come from the one fragSlab every receiver of the job shares, so
+// the job's receivers fill the same chunks rather than each growing its
+// own; its record array is lent at Finish, exactly sized if the lent one
+// is too small. A Stream and a StreamAssembler grow what they got by
+// append. So what is lent is what an earlier job used, never more. The
+// owner calls Scratch.Reset when the job's results have been reduced to
+// plain values (experiment.RunScenarioOpts does, after every job): every
+// buffer goes back at its capacity, the slab keeps the chunks the job
+// filled, and the borrowers are left empty. That is why a *trace.Trace
+// from Trace or Finish must not outlive the job that built the receiver:
+// after Reset its records belong to the next one. Without a Scratch the
+// same code takes a receiver-private fragSlab and makes the rest from the
+// heap, and nothing is ever taken back.
 package client
 
 import (
@@ -52,16 +61,58 @@ type Clock interface {
 	Now() units.Time
 }
 
-// fragState accumulates one frame's reassembly progress: one 24-byte
-// slab entry per frame seen. emitted stays set once the frame is in the
-// trace, so late fragments of it are ignored.
+// fragState accumulates one frame's reassembly progress: 16 bytes per
+// frame seen. The frame's sequence number is the slot that points here.
 type fragState struct {
-	seq      int32
-	total    int32
-	received int32
-	gotFirst bool
-	emitted  bool
-	last     units.Time
+	last  units.Time // arrival of the latest counted fragment
+	total int32      // the fragment count the sender declared
+	got   uint32     // fragments counted (the fragsGot bits), plus fragFirst and fragDone
+}
+
+const (
+	fragFirst uint32 = 1 << 30 // the frame's first fragment arrived
+	fragDone  uint32 = 1 << 31 // complete, or concealed by Finish: later fragments are ignored
+	fragsGot         = fragFirst - 1
+)
+
+func (st *fragState) received() int32 { return int32(st.got & fragsGot) }
+
+// fragChunk is how many fragStates a fragSlab chunk holds (16 KB).
+const fragChunk = 1024
+
+// fragSlab hands out fragStates from fixed chunks that never move, so
+// growing it copies nothing and a reset can keep chunks for the next
+// job. A Scratch's slab serves every receiver of a job.
+type fragSlab struct {
+	chunks []*[fragChunk]fragState
+	n      int // states taken since the last reset
+}
+
+// take hands out a fresh state for a frame of total fragments and
+// returns 1 + its index, the slot-table form.
+func (s *fragSlab) take(total int32) int32 {
+	i := s.n
+	if i/fragChunk == len(s.chunks) {
+		s.chunks = append(s.chunks, new([fragChunk]fragState))
+	}
+	s.chunks[i/fragChunk][i%fragChunk] = fragState{total: total}
+	s.n++
+	return int32(s.n)
+}
+
+// at returns the state a slot-table entry points at.
+func (s *fragSlab) at(slot int32) *fragState {
+	i := int(slot) - 1
+	return &s.chunks[i/fragChunk][i%fragChunk]
+}
+
+// reset forgets every state, keeps the chunks they filled and lets the
+// rest be collected.
+func (s *fragSlab) reset() {
+	used := (s.n + fragChunk - 1) / fragChunk
+	clear(s.chunks[used:])
+	s.chunks = s.chunks[:used]
+	s.n = 0
 }
 
 // UDP is a datagram receiver. By default a frame is usable only when
@@ -80,8 +131,9 @@ type UDP struct {
 	// the frame trace (values, never packet pointers).
 	Pool *packet.Pool
 
-	// Scratch, when set, lends the trace records, the slab and the slot
-	// table (see the package comment); nil grows them from the heap.
+	// Scratch, when set, lends the trace records, the reassembly slab
+	// and the slot table (see the package comment); nil makes them from
+	// the heap.
 	Scratch *Scratch
 
 	// Tap, when set, receives a Deliver event per packet with the
@@ -93,10 +145,11 @@ type UDP struct {
 	started bool
 
 	frameInterval units.Time
-	// slots[seq] is 1 + the frame's index in slab, 0 while no fragment
-	// of it has arrived; slab grows by one entry per frame seen.
+	// slots[seq] is 1 + the frame's state index in slab, 0 while no
+	// fragment of it has arrived. slab is the Scratch's, or own.
 	slots []int32
-	slab  []fragState
+	slab  *fragSlab
+	own   fragSlab
 
 	// Tolerance reports how many lost fragments of a frame with the
 	// given fragment count the decoder can conceal. nil means zero.
@@ -160,48 +213,60 @@ func (c *UDP) Handle(p *packet.Packet) {
 		c.slots = append(c.slots, make([]int32, seq+1-len(c.slots))...)
 	}
 	if c.slots[seq] == 0 {
-		c.slab = append(c.slab, fragState{seq: int32(seq), total: int32(fragCount)})
-		c.slots[seq] = int32(len(c.slab))
+		c.slots[seq] = c.slab.take(int32(fragCount))
 	}
-	st := &c.slab[c.slots[seq]-1]
-	if st.emitted {
+	st := c.slab.at(c.slots[seq])
+	if st.got&fragDone != 0 {
 		return
 	}
-	st.received++
+	st.got++
 	st.last = now
 	if fragIndex == 0 {
-		st.gotFirst = true
+		st.got |= fragFirst
 	}
-	if st.received >= st.total {
-		// Fully reassembled: emit immediately with exact timing.
-		c.emit(st)
+	if st.received() >= st.total {
+		// Fully reassembled: the arrival time is final.
+		st.got |= fragDone
 	}
-}
-
-func (c *UDP) emit(st *fragState) {
-	st.emitted = true
-	c.tr.Add(trace.FrameRecord{
-		Seq:          int(st.seq),
-		Arrival:      st.last,
-		Presentation: c.base + units.Time(st.seq)*c.frameInterval,
-		Frags:        int(st.total),
-		LostFrags:    int(st.total - st.received),
-	})
 }
 
 // Finish resolves partially received frames through the Tolerance
-// model, sorts the trace, and returns it.
+// model and returns the trace: one record per complete or concealed
+// frame, in frame order. Calling it again returns the same trace.
 func (c *UDP) Finish() *trace.Trace {
-	if c.Tolerance != nil {
-		for i := range c.slab {
-			st := &c.slab[i]
-			lost := int(st.total - st.received)
-			if !st.emitted && st.gotFirst && lost <= c.Tolerance(int(st.total)) {
-				c.emit(st)
-			}
+	n := 0
+	for _, slot := range c.slots {
+		if slot == 0 {
+			continue
+		}
+		st := c.slab.at(slot)
+		if st.got&fragDone == 0 && c.Tolerance != nil && st.got&fragFirst != 0 &&
+			int(st.total-st.received()) <= c.Tolerance(int(st.total)) {
+			st.got |= fragDone
+		}
+		if st.got&fragDone != 0 {
+			n++
 		}
 	}
-	c.tr.SortBySeq()
+	if cap(c.tr.Records) < n {
+		c.Scratch.lendRecords(c.tr, n)
+	}
+	recs := c.tr.Records[:0]
+	for seq, slot := range c.slots {
+		if slot == 0 {
+			continue
+		}
+		if st := c.slab.at(slot); st.got&fragDone != 0 {
+			recs = append(recs, trace.FrameRecord{
+				Seq:          seq,
+				Arrival:      st.last,
+				Presentation: c.base + units.Time(seq)*c.frameInterval,
+				Frags:        int(st.total),
+				LostFrags:    int(st.total - st.received()),
+			})
+		}
+	}
+	c.tr.Records = recs
 	return c.tr
 }
 
@@ -368,7 +433,7 @@ func (c *Stream) OnDelivered(asm *StreamAssembler, newBytes int64) {
 	if !c.started {
 		c.started = true
 		c.base = now
-		c.Scratch.lendTrace(c.tr)
+		c.Scratch.lendRecords(c.tr, 0)
 	}
 	c.Bytes += newBytes
 	for _, seq := range asm.Consume(newBytes) {

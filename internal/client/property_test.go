@@ -105,7 +105,8 @@ func newRandomTrace(rng *sim.RNG, n int, lossP float64) *trace.Trace {
 }
 
 // mapUDP is the two-map reassembly UDP replaced with a slot table and
-// a slab, kept as the oracle of TestUDPMatchesMapOracle.
+// a slab, kept as the oracle of TestUDPMatchesMapOracle and
+// TestScratchServedReceiversMatchFresh.
 type mapUDP struct {
 	clock     Clock
 	tr        *trace.Trace
@@ -182,7 +183,8 @@ func (c *mapUDP) finish() *trace.Trace {
 // fragments, each fragment lost with probability lossP, survivors
 // displaced by up to eight frames' worth of positions, one in ten
 // duplicated late enough to land after its frame was emitted, plus the
-// odd cross-traffic packet and frames past the declared clip length.
+// odd cross-traffic packet, the odd frame whose header declares zero or
+// fewer fragments, and frames past the declared clip length.
 func randomFragmentStream(rng *sim.RNG, clipFrames int, lossP float64) []packet.Packet {
 	type keyed struct {
 		key int
@@ -192,12 +194,16 @@ func randomFragmentStream(rng *sim.RNG, clipFrames int, lossP float64) []packet.
 	pos := 0
 	for seq := 0; seq < clipFrames+3; seq++ {
 		n := 1 + rng.Intn(8)
+		declared := n
+		if rng.Intn(32) == 0 {
+			declared = -rng.Intn(3)
+		}
 		for fi := 0; fi < n; fi++ {
 			pos++
 			if rng.Float64() < lossP {
 				continue
 			}
-			p := packet.Packet{FrameSeq: seq, FragIndex: fi, FragCount: n, Size: 200 + rng.Intn(1300)}
+			p := packet.Packet{FrameSeq: seq, FragIndex: fi, FragCount: declared, Size: 200 + rng.Intn(1300)}
 			ks = append(ks, keyed{pos + rng.Intn(8*5), p})
 			if rng.Intn(10) == 0 {
 				ks = append(ks, keyed{pos + 40 + rng.Intn(80), p})
@@ -235,14 +241,18 @@ func TestUDPMatchesMapOracle(t *testing.T) {
 			got.Handle(&p)
 			want.handle(&q)
 		}
-		if !reflect.DeepEqual(got.Finish(), want.finish()) {
+		ref := want.finish()
+		if !reflect.DeepEqual(got.Finish(), ref) {
 			t.Fatalf("seed %d: slot-table trace differs from the map oracle's", seed)
 		}
 		if got.Packets != want.packets || got.PacketsBytes != want.packetsBytes {
 			t.Fatalf("seed %d: counted %d pkts / %d B, oracle %d / %d", seed,
 				got.Packets, got.PacketsBytes, want.packets, want.packetsBytes)
 		}
-		if len(got.Finish().Records) == 0 {
+		if again := got.Finish(); !reflect.DeepEqual(again, ref) {
+			t.Fatalf("seed %d: a second Finish changed the trace", seed)
+		}
+		if len(ref.Records) == 0 {
 			t.Fatalf("seed %d: nothing reassembled — the comparison was vacuous", seed)
 		}
 	}

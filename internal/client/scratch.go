@@ -1,27 +1,24 @@
 package client
 
-import (
-	"slices"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Scratch is the receive storage a runner worker owns and lends, job
 // after job, to the receivers of whichever simulation it is running:
-// frame-trace record arrays, reassembly slabs, slot tables and TCP
-// message lists, each at the capacity its last borrower grew it to. See
-// the package comment for the lending contract. The zero value is ready
-// to use and every method is nil-safe: a receiver with a nil Scratch
-// gets nil buffers and grows them from the heap, on the same code path.
-// Until Reset a Scratch keeps its borrowers reachable, and through their
-// clock the simulator they ran on, so the owner resets as soon as a
-// simulation's traces have been read. A Scratch is not goroutine-safe;
-// it belongs to one worker.
+// frame-trace record arrays, slot tables and TCP message lists, each at
+// the capacity its last borrower left it, and one fragSlab whose chunks
+// hold the reassembly states of every UDP receiver of the job. See the
+// package comment for the lending contract. The zero value is ready to
+// use and every method is nil-safe: a receiver with a nil Scratch gets
+// nil buffers and a private slab, and makes them from the heap, on the
+// same code path. Until Reset a Scratch keeps its borrowers reachable,
+// and through their clock the simulator they ran on, so the owner resets
+// as soon as a simulation's traces have been read. A Scratch is not
+// goroutine-safe; it belongs to one worker.
 type Scratch struct {
 	records [][]trace.FrameRecord
-	slabs   [][]fragState
 	slots   [][]int32
 	msgs    [][]message
+	slab    fragSlab
 
 	// What is out on loan since the last Reset, in borrowing order.
 	traces []*trace.Trace
@@ -56,28 +53,38 @@ func empty[T any](list *[]T) {
 	*list = (*list)[:0]
 }
 
-// lendTrace gives t a record array and notes the loan.
-func (s *Scratch) lendTrace(t *trace.Trace) {
-	if s == nil {
-		return
+// lendRecords gives t an empty record array with room for n records —
+// the top of the free list if it has the room, else an exact new one —
+// and notes the loan. A Stream borrows with n = 0 and grows what it got;
+// a UDP borrows from Finish, once it knows n.
+func (s *Scratch) lendRecords(t *trace.Trace, n int) {
+	var b []trace.FrameRecord
+	if s != nil {
+		b = pop(&s.records)
+		s.traces = append(s.traces, t)
 	}
-	t.Records = pop(&s.records)
-	s.traces = append(s.traces, t)
+	if cap(b) < n {
+		b = make([]trace.FrameRecord, 0, n)
+	}
+	t.Records = b
 }
 
-// lendUDP gives c its trace records, its slab and a slot table of the
-// clip's length. The table is cleared whoever had it before: a previous
+// lendUDP gives c its reassembly slab and a slot table of the clip's
+// length. The table is cleared whoever had it before: a previous
 // borrower may have run a longer clip, or grown the table past its own,
 // and its slab indices mean nothing here.
 func (s *Scratch) lendUDP(c *UDP) {
 	var slots []int32
+	c.slab = &c.own
 	if s != nil {
-		s.lendTrace(c.tr)
-		c.slab, slots = pop(&s.slabs), pop(&s.slots)
+		c.slab, slots = &s.slab, pop(&s.slots)
 		s.udps = append(s.udps, c)
 	}
 	n := max(c.tr.ClipFrames, 0)
-	c.slots = slices.Grow(slots, n)[:n]
+	if cap(slots) < n {
+		slots = make([]int32, n)
+	}
+	c.slots = slots[:n]
 	clear(c.slots)
 }
 
@@ -91,19 +98,18 @@ func (s *Scratch) lendMessages(a *StreamAssembler) {
 }
 
 // Reset takes back everything lent since the last Reset, at whatever
-// capacity the borrowers grew it to, and leaves them empty-handed: a
-// trace read after this point has no records rather than another job's.
-// Buffers the ending job did not borrow are dropped, so between jobs a
-// Scratch holds only what the last one used. Loans return in reverse, so
-// the next job's first borrower draws what this job's first borrower
-// held — a sweep rebuilds the same receivers in the same order, and like
-// meets like.
+// capacity the borrowers left it, and leaves them empty-handed: a trace
+// read after this point has no records rather than another job's.
+// Buffers the ending job did not borrow are dropped, and the slab keeps
+// only the chunks the job filled, so between jobs a Scratch holds only
+// what the last one used. Loans return in reverse, so the next job's
+// first borrower draws what this job's first borrower held — a sweep
+// rebuilds the same receivers in the same order, and like meets like.
 func (s *Scratch) Reset() {
 	if s == nil {
 		return
 	}
 	empty(&s.records)
-	empty(&s.slabs)
 	empty(&s.slots)
 	empty(&s.msgs)
 	for i := len(s.traces) - 1; i >= 0; i-- {
@@ -113,15 +119,17 @@ func (s *Scratch) Reset() {
 	}
 	for i := len(s.udps) - 1; i >= 0; i-- {
 		c := s.udps[i]
-		push(&s.slabs, c.slab)
 		push(&s.slots, c.slots)
-		c.slab, c.slots = nil, nil
+		// A straggling packet reassembles on the receiver's own slab,
+		// never in the next job's states.
+		c.slots, c.slab = nil, &c.own
 	}
 	for i := len(s.asms) - 1; i >= 0; i-- {
 		a := s.asms[i]
 		push(&s.msgs, a.msgs)
 		a.msgs = nil
 	}
+	s.slab.reset()
 	empty(&s.traces)
 	empty(&s.udps)
 	empty(&s.asms)

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -31,9 +32,9 @@ func TestBorrowedSlotTableIsClearedAndResliced(t *testing.T) {
 		t.Fatalf("slot table not taken back at its grown capacity: %d tables", len(sc.slots))
 	}
 
-	// Frame 2 was the first receiver's slab entry 2, frame 6 its entry 3
-	// (half received) and frame 900 its entry 4: every one of them a
-	// stale index into a slab that is now empty.
+	// Frame 2 was the first receiver's state 2, frame 6 its state 3 (half
+	// received) and frame 900 its state 4: every one of them a stale index
+	// into a slab whose kept chunk still holds the old, completed states.
 	second := NewUDP(&fakeClock{}, 4)
 	second.Scratch = &sc
 	second.Handle(frag(2, 0, 2))
@@ -54,9 +55,9 @@ func TestBorrowedSlotTableIsClearedAndResliced(t *testing.T) {
 
 // TestSilentReceiverBorrowsNothing: a receiver the network never reaches
 // — every packet policed, or a flow the demux never matches — takes no
-// buffer off the free lists, allocates no slot table, still answers
-// Trace with an empty trace of its clip's length, and gives Reset
-// nothing to file.
+// buffer off the free lists, no reassembly state, allocates no slot
+// table, still answers Trace with an empty trace of its clip's length,
+// and gives Reset nothing to file.
 func TestSilentReceiverBorrowsNothing(t *testing.T) {
 	var sc Scratch
 	warm := NewUDP(&fakeClock{}, 10)
@@ -74,13 +75,13 @@ func TestSilentReceiverBorrowsNothing(t *testing.T) {
 	if tr := silent.Finish(); tr.ClipFrames != 10 || len(tr.Records) != 0 || tr.FrameLossFraction() != 1 {
 		t.Errorf("silent receiver's trace = %+v, want 10 frames, none received", tr)
 	}
-	if silent.slots != nil || len(sc.traces) != 0 || len(sc.udps) != 0 || len(sc.asms) != 0 {
-		t.Errorf("silent receivers borrowed: slots %v, %d trace, %d UDP and %d assembler loans",
-			silent.slots, len(sc.traces), len(sc.udps), len(sc.asms))
+	if silent.slots != nil || sc.slab.n != 0 || len(sc.traces) != 0 || len(sc.udps) != 0 || len(sc.asms) != 0 {
+		t.Errorf("silent receivers borrowed: slots %v, %d states, %d trace, %d UDP and %d assembler loans",
+			silent.slots, sc.slab.n, len(sc.traces), len(sc.udps), len(sc.asms))
 	}
-	if len(sc.records) != 1 || len(sc.slabs) != 1 || len(sc.slots) != 1 {
+	if len(sc.records) != 1 || len(sc.slab.chunks) != 1 || len(sc.slots) != 1 {
 		t.Errorf("free lists moved under silent receivers: %d/%d/%d buffers, want 1/1/1",
-			len(sc.records), len(sc.slabs), len(sc.slots))
+			len(sc.records), len(sc.slab.chunks), len(sc.slots))
 	}
 
 	// A receiver that heard only cross traffic borrowed, grew nothing but
@@ -91,9 +92,9 @@ func TestSilentReceiverBorrowsNothing(t *testing.T) {
 	idle.Handle(frag(-1, 0, 1))
 	idle.Finish()
 	fresh.Reset()
-	if len(fresh.records) != 0 || len(fresh.slabs) != 0 || len(fresh.slots) != 1 {
+	if len(fresh.records) != 0 || len(fresh.slab.chunks) != 0 || len(fresh.slots) != 1 {
 		t.Errorf("idle receiver returned %d/%d/%d buffers, want only its slot table",
-			len(fresh.records), len(fresh.slabs), len(fresh.slots))
+			len(fresh.records), len(fresh.slab.chunks), len(fresh.slots))
 	}
 }
 
@@ -114,9 +115,9 @@ func judge(tr *trace.Trace) verdict {
 }
 
 // poison overwrites every buffer on the free lists, to its full
-// capacity, with values no receiver would survive reading: slab indices
-// far out of range, frames already emitted, records of frames that do
-// not exist.
+// capacity, and every state in the slab's kept chunks, with values no
+// receiver would survive reading: slab indices far out of range, frames
+// already complete, records of frames that do not exist.
 func (s *Scratch) poison() {
 	for _, b := range s.records {
 		b = b[:cap(b)]
@@ -124,10 +125,9 @@ func (s *Scratch) poison() {
 			b[i] = trace.FrameRecord{Seq: -7, Arrival: -1, Presentation: -1, Frags: 99, LostFrags: 99}
 		}
 	}
-	for _, b := range s.slabs {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = fragState{seq: -7, total: 1, received: 1, gotFirst: true, emitted: true, last: -1}
+	for _, ch := range s.slab.chunks {
+		for i := range ch {
+			ch[i] = fragState{total: 1, got: 1 | fragFirst | fragDone, last: -1}
 		}
 	}
 	for _, b := range s.slots {
@@ -145,15 +145,24 @@ func (s *Scratch) poison() {
 }
 
 // TestScratchServedReceiversMatchFresh is the lending contract as a
-// property: a sequence of jobs — each a few UDP receivers and a TCP
+// property: a sequence of jobs — each some UDP receivers and a TCP
 // stream, over alternating clip lengths, under random loss, reordering,
-// late duplicates, cross traffic and frames past the clip, with and
-// without concealment — served by one Scratch with a Reset between jobs
-// yields the traces fresh receivers yield. The poisoned variant scribbles
-// over every returned buffer at each Reset: the next job must not read a
-// byte of it, the verdicts already taken from earlier traces must stand,
-// and a trace kept past its job must read empty, never as the next job's.
+// late duplicates, cross traffic, malformed fragment counts and frames
+// past the clip, with and without concealment — served by one Scratch
+// with a Reset between jobs yields the traces fresh receivers and the
+// map oracle yield. A job's UDP receivers hear their packets interleaved,
+// so their states share the slab's chunks, and every third job has
+// enough receivers to fill more than one chunk. Finish is called twice.
+// The poisoned variant scribbles over every returned buffer and kept
+// chunk at each Reset: the next job must not read a byte of it, the
+// verdicts already taken from earlier traces must stand, and a trace
+// kept past its job must read empty, never as the next job's.
 func TestScratchServedReceiversMatchFresh(t *testing.T) {
+	type receiver struct {
+		lent, fresh *UDP
+		oracle      *mapUDP
+		stream      []packet.Packet
+	}
 	for _, poisoned := range []bool{false, true} {
 		for seed := uint64(1); seed <= 40; seed++ {
 			rng := sim.NewRNG(seed)
@@ -167,29 +176,55 @@ func TestScratchServedReceiversMatchFresh(t *testing.T) {
 				if job%2 == 1 {
 					clipFrames += 60
 				}
-				tolerant := rng.Intn(2) == 0
 				clients := rng.Intn(4) // some jobs have no UDP receiver at all
-				for c := 0; c < clients; c++ {
-					stream := randomFragmentStream(rng, clipFrames, 0.4*rng.Float64())
-					if rng.Intn(5) == 0 {
-						stream = nil // policed to nothing
+				big := job%3 == 2
+				if big {
+					clients = 2*fragChunk/clipFrames + rng.Intn(8)
+				}
+				clk := &fakeClock{}
+				rxs := make([]receiver, clients)
+				var live []int
+				for c := range rxs {
+					r := &rxs[c]
+					r.lent, r.fresh, r.oracle = NewUDP(clk, clipFrames), NewUDP(clk, clipFrames), newMapUDP(clk, clipFrames)
+					r.lent.Scratch = &sc
+					if rng.Intn(2) == 0 {
+						r.lent.Tolerance, r.fresh.Tolerance, r.oracle.tolerance = SliceTolerance, SliceTolerance, SliceTolerance
 					}
-					clk := &fakeClock{}
-					lent, fresh := NewUDP(clk, clipFrames), NewUDP(clk, clipFrames)
-					lent.Scratch = &sc
-					if tolerant {
-						lent.Tolerance, fresh.Tolerance = SliceTolerance, SliceTolerance
+					if rng.Intn(5) != 0 { // otherwise policed to nothing
+						r.stream = randomFragmentStream(rng, clipFrames, 0.4*rng.Float64())
+						live = append(live, c)
 					}
-					for i := range stream {
-						clk.now += units.Time(1+rng.Intn(5)) * units.Millisecond
-						p, q := stream[i], stream[i]
-						lent.Handle(&p)
-						fresh.Handle(&q)
+				}
+				for len(live) > 0 {
+					i := rng.Intn(len(live))
+					r := &rxs[live[i]]
+					clk.now += units.Time(rng.Intn(3)) * units.Millisecond
+					p, q, o := r.stream[0], r.stream[0], r.stream[0]
+					r.lent.Handle(&p)
+					r.fresh.Handle(&q)
+					r.oracle.handle(&o)
+					if r.stream = r.stream[1:]; len(r.stream) == 0 {
+						live[i] = live[len(live)-1]
+						live = live[:len(live)-1]
 					}
-					got, ref := lent.Finish(), fresh.Finish()
-					if !slices.Equal(got.Records, ref.Records) {
-						t.Fatalf("poisoned=%v seed %d job %d client %d: lent receiver's trace differs from a fresh one's (%d vs %d frames)",
-							poisoned, seed, job, c, len(got.Records), len(ref.Records))
+				}
+				if big && sc.slab.n <= fragChunk {
+					t.Fatalf("seed %d job %d: %d receivers took %d states, not enough to cross a chunk", seed, job, clients, sc.slab.n)
+				}
+				for c := range rxs {
+					r := &rxs[c]
+					got, ref := r.lent.Finish(), r.oracle.finish()
+					if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(r.fresh.Finish(), ref) {
+						t.Fatalf("poisoned=%v seed %d job %d client %d: lent %d, fresh %d and oracle %d frames differ",
+							poisoned, seed, job, c, len(got.Records), len(r.fresh.Trace().Records), len(ref.Records))
+					}
+					if again := r.lent.Finish(); again != got || !reflect.DeepEqual(again, ref) {
+						t.Fatalf("poisoned=%v seed %d job %d client %d: a second Finish changed the trace", poisoned, seed, job, c)
+					}
+					if r.lent.Packets != r.oracle.packets || r.lent.PacketsBytes != r.oracle.packetsBytes {
+						t.Fatalf("poisoned=%v seed %d job %d client %d: counted %d pkts / %d B, oracle %d / %d", poisoned, seed, job, c,
+							r.lent.Packets, r.lent.PacketsBytes, r.oracle.packets, r.oracle.packetsBytes)
 					}
 					kept = append(kept, got)
 					verdicts = append(verdicts, judge(got))
@@ -198,7 +233,6 @@ func TestScratchServedReceiversMatchFresh(t *testing.T) {
 
 				// The TCP side: the server thins some frames, the rest
 				// arrive in order in random-sized deliveries.
-				clk := &fakeClock{}
 				lentS, freshS := NewStream(clk, clipFrames), NewStream(clk, clipFrames)
 				lentS.Scratch = &sc
 				lentA, freshA := &StreamAssembler{Scratch: &sc}, &StreamAssembler{}
@@ -242,7 +276,7 @@ func TestScratchServedReceiversMatchFresh(t *testing.T) {
 			if !slices.Equal(verdicts, want) {
 				t.Fatalf("poisoned=%v seed %d: verdicts taken before Reset differ from fresh receivers'", poisoned, seed)
 			}
-			if len(sc.traces)+len(sc.udps)+len(sc.asms) != 0 {
+			if len(sc.traces)+len(sc.udps)+len(sc.asms) != 0 || sc.slab.n != 0 {
 				t.Fatalf("seed %d: loans outstanding after Reset", seed)
 			}
 		}
@@ -250,26 +284,35 @@ func TestScratchServedReceiversMatchFresh(t *testing.T) {
 }
 
 // TestScratchKeepsOnlyTheLastJob: what a Scratch holds between jobs is
-// what the job just ended borrowed and grew, not the high-water mark of
-// every job before it.
+// what the job just ended borrowed and filled, not the high-water mark
+// of every job before it — down to the slab's chunks, whose references
+// past the last job's are dropped so the collector can take them.
 func TestScratchKeepsOnlyTheLastJob(t *testing.T) {
 	var sc Scratch
-	job := func(receivers int) {
+	job := func(receivers, frames int) {
 		for i := 0; i < receivers; i++ {
-			c := NewUDP(&fakeClock{}, 10)
+			c := NewUDP(&fakeClock{}, frames)
 			c.Scratch = &sc
-			c.Handle(frag(i%10, 0, 1))
+			for seq := 0; seq < frames; seq++ {
+				c.Handle(frag(seq, 0, 1))
+			}
 			c.Finish()
 		}
 		sc.Reset()
 	}
-	job(8)
-	if len(sc.records) != 8 || len(sc.slabs) != 8 || len(sc.slots) != 8 {
-		t.Fatalf("after 8 receivers the free lists hold %d/%d/%d", len(sc.records), len(sc.slabs), len(sc.slots))
+	job(8, 300) // 2,400 states: three chunks
+	if len(sc.records) != 8 || len(sc.slots) != 8 || len(sc.slab.chunks) != 3 {
+		t.Fatalf("after 8 receivers of 300 frames the Scratch holds %d/%d buffers and %d chunks",
+			len(sc.records), len(sc.slots), len(sc.slab.chunks))
 	}
-	job(2)
-	if len(sc.records) != 2 || len(sc.slabs) != 2 || len(sc.slots) != 2 {
-		t.Errorf("after a 2-receiver job the free lists hold %d/%d/%d, want 2/2/2",
-			len(sc.records), len(sc.slabs), len(sc.slots))
+	job(2, 10)
+	if len(sc.records) != 2 || len(sc.slots) != 2 || len(sc.slab.chunks) != 1 {
+		t.Errorf("after a 2-receiver job the Scratch holds %d/%d buffers and %d chunks, want 2/2 and 1",
+			len(sc.records), len(sc.slots), len(sc.slab.chunks))
+	}
+	for i, ch := range sc.slab.chunks[1:cap(sc.slab.chunks)] {
+		if ch != nil {
+			t.Errorf("chunk %d, unused by the last job, is still referenced", i+1)
+		}
 	}
 }

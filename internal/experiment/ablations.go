@@ -12,11 +12,12 @@ import (
 	"repro/internal/vqm"
 )
 
-// This file holds the extension experiments DESIGN.md calls out beyond
-// the paper's published figures: the shaper-vs-dropper ablation, the
-// multi-hop EF burst-accumulation sweep, the pre-policer jitter sweep
-// (the §3.2 CDV-tolerance discussion made quantitative), and the
-// Assured Forwarding experiment the paper deferred.
+// This file holds the extension experiments beyond the paper's
+// published figures, whose findings ablations_test.go asserts: the
+// shaper-vs-dropper ablation, the multi-hop EF burst-accumulation
+// sweep, the pre-policer jitter sweep (the §3.2 CDV-tolerance
+// discussion made quantitative), and the Assured Forwarding experiment
+// the paper deferred.
 
 // AblationShaperVsDrop compares drop policing against shaping at the
 // QBone border across token rates, at both depths.

@@ -2,7 +2,8 @@
 // experiments over the simulated testbeds, feeds the resulting frame
 // traces through the renderer-concealment and VQM pipeline, and
 // regenerates every table and figure of the paper's evaluation
-// (Section 4). See DESIGN.md for the experiment index.
+// (Section 4). README.md's "The scenario registry" and `dsbench -list`
+// carry the experiment index.
 package experiment
 
 import (

@@ -78,8 +78,8 @@ func TestSeedRobustness(t *testing.T) {
 }
 
 // TestDeterministicFigures: the same spec run twice gives identical
-// output, byte for byte — the property that makes EXPERIMENTS.md
-// reproducible.
+// output, byte for byte — the property that makes every figure dsbench
+// prints reproducible.
 func TestDeterministicFigures(t *testing.T) {
 	t.Parallel()
 	spec := Figure9Spec()

@@ -9,9 +9,9 @@ import (
 )
 
 // The tests in this file are the acceptance criteria of the
-// reproduction: each asserts one of the paper's qualitative findings
-// (see DESIGN.md "shape targets"). They run full simulations, so the
-// heavier ones are skipped under -short.
+// reproduction: each asserts one of the paper's qualitative findings,
+// and its name states that shape target. They run full simulations, so
+// the heavier ones are skipped under -short.
 
 func TestShapeTokenRateBelowEncodingRateIsUseless(t *testing.T) {
 	t.Parallel()

@@ -54,7 +54,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Composite model weights, calibrated once against the behavioural
-// targets in DESIGN.md (see vqm tests): a clean stream scores ≈0, a
+// targets vqm_test.go pins: a clean stream scores ≈0, a
 // segment frozen half the time scores ≈0.8.
 const (
 	wLostMotion  = 1.30
