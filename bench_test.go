@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/experiment"
 	"repro/internal/link"
 	"repro/internal/packet"
@@ -45,7 +46,7 @@ func BenchmarkTable1FrameRelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New(1)
 		var sink packet.Sink
-		l := link.NewFrameRelay(s, link.Table1()[0], units.Millisecond, queue.NewEFPriority(100, 100), &sink)
+		l := link.New(s, link.Table1()[0].CIR, units.Millisecond, queue.NewEFPriority(100, 100), &sink)
 		s.AfterTimer(0, &relayFeeder{s: s, l: l})
 		s.Run()
 		if sink.Count != 1000 {
@@ -98,7 +99,7 @@ func benchQBone(b *testing.B, spec experiment.QBoneSpec) {
 	spec.Runs = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig := spec.Run()
+		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})
 		if len(fig.Series) != 2 {
 			b.Fatal("bad figure")
 		}
@@ -118,7 +119,7 @@ func benchRelative(b *testing.B, spec experiment.RelativeSpec) {
 	spec.Runs = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig := spec.Run()
+		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})
 		if len(fig.Series) != 3 {
 			b.Fatal("bad figure")
 		}
@@ -133,7 +134,7 @@ func benchLocal(b *testing.B, spec experiment.LocalSpec) {
 	spec.Tokens = experiment.Scale(spec.Tokens, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig := spec.Run()
+		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})
 		if len(fig.Series) != 2 {
 			b.Fatal("bad figure")
 		}
@@ -146,20 +147,36 @@ func BenchmarkFigure16LocalShaped(b *testing.B) { benchLocal(b, experiment.Figur
 // --- Ablations (internal/experiment/ablations.go; their findings are
 // asserted in internal/experiment/ablations_test.go) ---
 
+// qbonePoint streams enc across the QBone at one (token rate, depth)
+// at DefaultSeed, builds on pool (nil: a fresh one), scores the
+// received video with ev and returns the simulator events it fired.
+func qbonePoint(ev *experiment.Evaluator, pool *packet.Pool, enc *video.Encoding, tok units.BitRate, depth units.ByteSize, crossLoad float64) uint64 {
+	q := topology.BuildQBone(topology.QBoneConfig{
+		Seed: experiment.DefaultSeed, Enc: enc, TokenRate: tok, Depth: depth,
+		CrossLoad: crossLoad, Pool: pool,
+	})
+	q.Client.Tolerance = client.SliceTolerance
+	q.Run()
+	ev.Evaluate(q.Client.Trace(), enc, enc)
+	return q.Sim.Fired()
+}
+
 func BenchmarkAblationShaperVsDropper(b *testing.B) {
 	enc := video.EncodeCBR(video.Lost(), 1.7e6)
+	var ev experiment.Evaluator
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = experiment.RunQBonePoint(enc, enc, 1.75e6, 3000, experiment.DefaultSeed, 0)
+		qbonePoint(&ev, nil, enc, 1.75e6, 3000, 0)
 	}
 }
 
 func BenchmarkAblationHopCount(b *testing.B) {
 	// Multi-hop EF burst accumulation: same profile, more hops.
 	enc := video.EncodeCBR(video.Lost(), 1.0e6)
+	var ev experiment.Evaluator
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = experiment.RunQBonePoint(enc, enc, 1.1e6, 4500, experiment.DefaultSeed, 0.02)
+		qbonePoint(&ev, nil, enc, 1.1e6, 4500, 0.02)
 	}
 }
 
@@ -170,15 +187,16 @@ func BenchmarkAblationHopCount(b *testing.B) {
 // end-to-end number BENCH_PR3.json tracks.
 func BenchmarkEndToEndQBone(b *testing.B) {
 	enc := video.EncodeCBR(video.Lost(), 1.7e6)
-	ctx := &experiment.Ctx{Pool: packet.NewPool()}
+	pool := packet.NewPool()
+	var ev experiment.Evaluator
+	var events uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = experiment.RunQBonePointArena(ctx, enc, enc, 1.9e6, 3000, experiment.DefaultSeed, 0.15)
+		events += qbonePoint(&ev, pool, enc, 1.9e6, 3000, 0.15)
 	}
-	// Every run finished into the same record, so Events is the total.
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(ctx.Run.Events)/secs, "events/sec")
+		b.ReportMetric(float64(events)/secs, "events/sec")
 	}
 }
 

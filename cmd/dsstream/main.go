@@ -9,10 +9,9 @@
 //	dsstream -testbed local -clip Lost -token 1.3M -depth 4500 -shape
 //	dsstream -testbed local -tcp -token 1.5M -trace out.trace
 //
-// With -scenario it instead regenerates a whole registered figure
-// scenario on the parallel runner:
-//
-//	dsstream -scenario fig7 -parallel 8
+// -rate applies to the qbone testbed only and -tcp to the local one;
+// setting either on the other testbed exits 2. A whole registered
+// figure is regenerated by dsbench -scenario, not here.
 package main
 
 import (
@@ -21,8 +20,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/client"
 	"repro/internal/experiment"
 	"repro/internal/render"
@@ -44,46 +43,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	testbed := fs.String("testbed", "qbone", "qbone or local")
 	clipName := fs.String("clip", "Lost", "Lost or Dark")
-	rateStr := fs.String("rate", "1.7M", "encoding rate (qbone: CBR target; local uses the WMV cap)")
+	rateStr := fs.String("rate", "1.7M", "qbone testbed: CBR encoding rate (local streams the WMV-capped VBR encoding)")
 	tokenStr := fs.String("token", "1.9M", "policer token rate")
 	depth := fs.Int64("depth", 3000, "token bucket depth in bytes")
 	shape := fs.Bool("shape", false, "shape instead of (qbone) / ahead of (local) the dropping policer")
 	tcp := fs.Bool("tcp", false, "local testbed: stream over TCP")
 	seed := fs.Uint64("seed", experiment.DefaultSeed, "simulation seed")
 	traceOut := fs.String("trace", "", "write the frame timing trace to this file")
-	scenario := fs.String("scenario", "", "run a registered figure scenario instead of a single stream")
-	parallel := fs.Int("parallel", 0, "scenario worker-pool size (0 = all cores, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-
-	if *scenario != "" {
-		// The single-stream flags have no effect on a registered
-		// scenario; reject them rather than silently ignore them.
-		var conflicts []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scenario", "parallel":
-			default:
-				conflicts = append(conflicts, "-"+f.Name)
-			}
-		})
-		if len(conflicts) > 0 {
-			fmt.Fprintf(stderr, "-scenario runs a fixed figure configuration; %s cannot be combined with it\n",
-				strings.Join(conflicts, ", "))
-			return 2
+	// A flag the chosen testbed has no use for is an error, not a no-op.
+	misplaced := ""
+	fs.Visit(func(f *flag.Flag) {
+		if (*testbed == "qbone" && f.Name == "tcp") || (*testbed == "local" && f.Name == "rate") {
+			misplaced = f.Name
 		}
-		s := experiment.Lookup(*scenario)
-		if s == nil {
-			fmt.Fprintf(stderr, "unknown scenario %q (known: %s)\n",
-				*scenario, strings.Join(experiment.Names(), ", "))
-			return 2
-		}
-		fmt.Fprint(stdout, experiment.RunScenario(s, *parallel).Format())
-		return 0
+	})
+	if misplaced != "" {
+		fmt.Fprintf(stderr, "-%s does not apply to -testbed %s\n", misplaced, *testbed)
+		return 2
 	}
 
 	clip := video.ByName(*clipName)
@@ -154,13 +136,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "calib failures: %d of %d segments\n", res.CalibrationFailures, len(res.Segments))
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+		err := atomicfile.WriteTo(*traceOut, func(w io.Writer) error {
+			_, err := tr.WriteTo(w)
+			return err
+		})
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		defer f.Close()
-		if _, err := tr.WriteTo(f); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}

@@ -26,8 +26,8 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown clip", []string{"-clip", "Nosuch"}, "unknown clip"},
 		{"bad token rate", []string{"-token", "fast"}, ""},
 		{"bad encoding rate", []string{"-testbed", "qbone", "-rate", "x"}, ""},
-		{"unknown scenario", []string{"-scenario", "fig99"}, "unknown scenario"},
-		{"scenario flag conflict", []string{"-scenario", "fig7", "-token", "1M"}, "cannot be combined"},
+		{"tcp on qbone", []string{"-testbed", "qbone", "-tcp"}, "-tcp does not apply to -testbed qbone"},
+		{"rate on local", []string{"-testbed", "local", "-rate", "0.5M"}, "-rate does not apply to -testbed local"},
 		{"undefined flag", []string{"-bogus"}, ""},
 	}
 	for _, tc := range cases {
@@ -67,18 +67,29 @@ func TestSingleStreamSmoke(t *testing.T) {
 	}
 }
 
-// TestScenarioSmoke exercises the -scenario path. The full figure grid
-// is benchmark-scale, so this runs only without -short.
-func TestScenarioSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure scenario is too heavy for -short")
+// TestTraceWriteFailureLeavesNoFile: when the trace cannot be
+// published — here its path names a directory — the command exits 1
+// and leaves no partial or temporary file beside it.
+func TestTraceWriteFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "out.trace")
+	if err := os.Mkdir(tracePath, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	code, stdout, stderr := runCmd("-scenario", "fig9", "-parallel", "0")
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, stderr)
+	code, _, stderr := runCmd("-testbed", "local", "-token", "2M", "-depth", "4500", "-trace", tracePath)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, stderr)
 	}
-	if !strings.Contains(stdout, "Figure 9") {
-		t.Errorf("scenario output missing figure header:\n%s", stdout)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "out.trace" || !entries[0].IsDir() {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("failed trace write left %v behind", names)
 	}
 }
 

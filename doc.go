@@ -7,8 +7,8 @@
 // pooled events on a calendar-queue scheduler behind one Timer
 // scheduling API), the DiffServ data plane
 // (packet, tokenbucket, queue, link, node — with strict-priority, DRR,
-// WFQ and RED/RIO schedulers behind one per-class-accounted Scheduler
-// interface), traffic sources (traffic),
+// WFQ and RIO schedulers behind one per-class-accounted Scheduler
+// interface, and one srTCM marker for AF), traffic sources (traffic),
 // the video content and encoder models (video), streaming servers
 // (server, tcpsim), the instrumented client and renderer-concealment
 // pipeline (client, render, trace), the objective quality model (vqm),
@@ -138,11 +138,15 @@
 // comments for the two contracts (packet ownership; Timer scheduling
 // and generation-checked event Handles).
 //
-// Entry points: cmd/dsbench regenerates all artifacts, cmd/dsstream
-// runs one experiment, cmd/vqmtool scores stored frame traces,
-// cmd/dstrace analyzes packet traces, and examples/ holds runnable
-// walkthroughs. bench_test.go in this directory carries one benchmark
-// per paper artifact.
+// Entry points: cmd/dsbench regenerates all artifacts (every figure
+// through "dsbench -scenario", programmatically
+// experiment.RunScenarioOpts), cmd/dsstream runs one experiment,
+// cmd/vqmtool scores stored frame traces, and cmd/dstrace analyzes
+// packet traces. internal/experiment's Example walks one stream from
+// server to VQM score. bench_test.go in this directory carries one
+// benchmark per paper artifact, and census_test.go keeps every
+// exported name under internal/ reached by product code or listed,
+// with its reason, in testdata/census.allow.
 //
 // See README.md for the repository layout, the scenario registry, and
 // the verification commands.

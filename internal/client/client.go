@@ -393,15 +393,6 @@ func (a *StreamAssembler) RegisterMessage(seq int, length int64) {
 	a.msgs = append(a.msgs, message{seq: seq, len: length})
 }
 
-// TotalBytes reports the total registered stream length.
-func (a *StreamAssembler) TotalBytes() int64 {
-	var t int64
-	for _, m := range a.msgs {
-		t += m.len
-	}
-	return t
-}
-
 // Consume advances the assembler by n in-order delivered bytes and
 // returns the frame sequence numbers completed by those bytes. The
 // slice is the assembler's own buffer, valid until the next call.

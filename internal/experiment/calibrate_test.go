@@ -20,7 +20,7 @@ func TestCalibrationQBoneLost17(t *testing.T) {
 	t.Logf("enc stats: max=%.0f avg=%.0f min=%.0f avgFrame=%.0f", max, avg, min, enc.AvgFrameSize())
 	for _, depth := range []units.ByteSize{3000, 4500} {
 		for _, tok := range []units.BitRate{1.2e6, 1.5e6, 1.7e6, 1.9e6, 2.1e6, 2.2e6} {
-			p := RunQBonePoint(enc, enc, tok, depth, DefaultSeed, 0)
+			p := qbonePoint(enc, enc, tok, depth, DefaultSeed, 0, 1)
 			t.Logf("B=%d tok=%v: pktloss=%.4f frameloss=%.4f quality=%.3f calfail=%d",
 				int64(depth), tok, p.PacketLoss, p.FrameLoss, p.Quality, p.Calibration)
 		}

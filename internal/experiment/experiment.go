@@ -101,14 +101,6 @@ type ClassStat struct {
 	DelayP99Ms       float64
 }
 
-// DeliveredFraction is the class's packet delivery ratio.
-func (c ClassStat) DeliveredFraction() float64 {
-	if c.ScheduledPackets == 0 {
-		return 0
-	}
-	return float64(c.Packets) / float64(c.ScheduledPackets)
-}
-
 // rowLabel is what the figure table prints in the first column.
 func (p Point) rowLabel() string {
 	if p.Label != "" {
@@ -250,14 +242,6 @@ func (spec QBoneSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// Run regenerates the figure on a default-size runner pool.
-func (spec QBoneSpec) Run() *Figure { return RunScenario(spec, 0) }
-
-// RunQBonePointAvg averages RunQBonePoint over consecutive seeds.
-func RunQBonePointAvg(enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
-	return runQBonePointAvgLabeled(&Ctx{}, "", enc, ref, tok, depth, seed, crossLoad, runs)
-}
-
 // runQBonePointAvgLabeled averages runQBonePointLabeled over
 // consecutive seeds (see averagePoint for the averaging and tracing
 // conventions). The trace-file label prefix is for scenarios whose
@@ -298,23 +282,14 @@ func averagePoint(ctx *Ctx, tok units.BitRate, depth units.ByteSize, seed uint64
 	return acc
 }
 
-// RunQBonePoint streams enc across the QBone with the given profile
-// and evaluates the received video against ref.
-func RunQBonePoint(enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
-	return RunQBonePointArena(&Ctx{}, enc, ref, tok, depth, seed, crossLoad)
-}
-
-// RunQBonePointArena is RunQBonePoint on a caller-owned Ctx: the
-// simulation builds on ctx.Pool and reports its telemetry into ctx.Run.
-func RunQBonePointArena(ctx *Ctx, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
-	return runQBonePointLabeled(ctx, "", enc, ref, tok, depth, seed, crossLoad)
-}
-
 // pointLabel names a grid point's trace file.
 func pointLabel(tok units.BitRate, depth units.ByteSize, seed uint64) string {
 	return fmt.Sprintf("tok%d-B%d-s%d", int64(tok), int64(depth), seed)
 }
 
+// runQBonePointLabeled streams enc across the QBone with the given
+// profile on ctx — building on ctx.Pool, reporting into ctx.Run — and
+// evaluates the received video against ref.
 func runQBonePointLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
 	rec := ctx.NewRecorder()
 	q := topology.BuildQBone(topology.QBoneConfig{
@@ -392,9 +367,6 @@ func (spec RelativeSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// Run regenerates the figure on a default-size runner pool.
-func (spec RelativeSpec) Run() *Figure { return RunScenario(spec, 0) }
-
 // LocalSpec parameterizes the Figs. 15–16 experiments: the WMV-encoded
 // Lost clip streamed over TCP through the local testbed, with or
 // without the Linux shaping router ahead of the dropping policer.
@@ -444,14 +416,8 @@ func (spec LocalSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// Run regenerates the figure on a default-size runner pool.
-func (spec LocalSpec) Run() *Figure { return RunScenario(spec, 0) }
-
-// RunLocalPoint streams enc through the local testbed and evaluates.
-func RunLocalPoint(enc *video.Encoding, tok units.BitRate, depth units.ByteSize, useShaper, useTCP bool, seed uint64) Point {
-	return runLocalPoint(&Ctx{}, enc, tok, depth, useShaper, useTCP, seed)
-}
-
+// runLocalPoint streams enc through the local testbed on ctx and
+// evaluates it against itself.
 func runLocalPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units.ByteSize, useShaper, useTCP bool, seed uint64) Point {
 	rec := ctx.NewRecorder()
 	l := topology.BuildLocal(topology.LocalConfig{

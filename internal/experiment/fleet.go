@@ -202,6 +202,3 @@ func (spec FleetSpec) Scaled(n int) Scenario {
 // SupportsShards implements ShardCapable: fleet points dispatch to the
 // sharded mixture pipeline.
 func (spec FleetSpec) SupportsShards() bool { return true }
-
-// Run regenerates the figure on a default-size runner pool.
-func (spec FleetSpec) Run() *Figure { return RunScenario(spec, 0) }

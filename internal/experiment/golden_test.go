@@ -59,7 +59,7 @@ func goldenQBoneSpec() QBoneSpec {
 }
 
 func TestGoldenQBonePreset(t *testing.T) {
-	checkGolden(t, "golden_qbone.txt", RunScenario(goldenQBoneSpec(), 0).Format())
+	checkGolden(t, "golden_qbone.txt", RunScenarioOpts(goldenQBoneSpec(), RunOptions{}).Format())
 }
 
 func TestGoldenQBoneShapedPreset(t *testing.T) {
@@ -97,12 +97,12 @@ func goldenLocalSpec() LocalSpec {
 }
 
 func TestGoldenLocalPreset(t *testing.T) {
-	checkGolden(t, "golden_local.txt", RunScenario(goldenLocalSpec(), 0).Format())
+	checkGolden(t, "golden_local.txt", RunScenarioOpts(goldenLocalSpec(), RunOptions{}).Format())
 }
 
 func TestGoldenLocalTCPShapedPreset(t *testing.T) {
 	enc := video.CachedVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
-	p := RunLocalPoint(enc, 1.5e6, 4500, true, true, DefaultSeed)
+	p := runLocalPoint(&Ctx{}, enc, 1.5e6, 4500, true, true, DefaultSeed)
 	got := fmt.Sprintf(
 		"Golden Local TCP shaped — WMV Lost, token 1.5M, B=4500\n"+
 			"frameloss=%.6f quality=%.6f pktloss=%.6f calib=%d\n",

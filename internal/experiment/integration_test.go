@@ -66,8 +66,8 @@ func TestSeedRobustness(t *testing.T) {
 	wins := 0
 	const seeds = 4
 	for s := uint64(0); s < seeds; s++ {
-		p3 := RunQBonePoint(enc, enc, 1.75e6, 3000, 100+s, 0)
-		p45 := RunQBonePoint(enc, enc, 1.75e6, 4500, 100+s, 0)
+		p3 := qbonePoint(enc, enc, 1.75e6, 3000, 100+s, 0, 1)
+		p45 := qbonePoint(enc, enc, 1.75e6, 4500, 100+s, 0, 1)
 		if p45.Quality < p3.Quality {
 			wins++
 		}
@@ -88,8 +88,8 @@ func TestDeterministicFigures(t *testing.T) {
 	if testing.Short() {
 		spec.Tokens = spec.Tokens[:1]
 	}
-	a := spec.Run().Format()
-	b := spec.Run().Format()
+	a := RunScenarioOpts(spec, RunOptions{}).Format()
+	b := RunScenarioOpts(spec, RunOptions{}).Format()
 	if a != b {
 		t.Errorf("figure not reproducible:\n%s\nvs\n%s", a, b)
 	}

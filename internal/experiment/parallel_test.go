@@ -23,8 +23,8 @@ func quickQBone() Scenario {
 func TestRunScenarioParallelMatchesSerial(t *testing.T) {
 	t.Parallel()
 	s := quickQBone()
-	serial := RunScenario(s, 1).Format()
-	parallel := RunScenario(s, 8).Format()
+	serial := RunScenarioOpts(s, RunOptions{Parallel: 1}).Format()
+	parallel := RunScenarioOpts(s, RunOptions{Parallel: 8}).Format()
 	if serial != parallel {
 		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
 	}
@@ -37,8 +37,8 @@ func TestRunScenarioParallelMatchesSerialLocal(t *testing.T) {
 	}
 	spec := Figure15Spec()
 	spec.Tokens = []units.BitRate{1.3e6}
-	serial := RunScenario(spec, 1).Format()
-	parallel := RunScenario(spec, 8).Format()
+	serial := RunScenarioOpts(spec, RunOptions{Parallel: 1}).Format()
+	parallel := RunScenarioOpts(spec, RunOptions{Parallel: 8}).Format()
 	if serial != parallel {
 		t.Errorf("local testbed parallel output differs from serial:\n%s\nvs\n%s", serial, parallel)
 	}
@@ -52,8 +52,8 @@ func TestRunScenarioParallelMatchesSerialRelative(t *testing.T) {
 	spec := Figure13Spec()
 	spec.Tokens = []units.BitRate{1.2e6}
 	spec.Runs = 1
-	serial := RunScenario(spec, 1).Format()
-	parallel := RunScenario(spec, 8).Format()
+	serial := RunScenarioOpts(spec, RunOptions{Parallel: 1}).Format()
+	parallel := RunScenarioOpts(spec, RunOptions{Parallel: 8}).Format()
 	if serial != parallel {
 		t.Errorf("relative parallel output differs from serial:\n%s\nvs\n%s", serial, parallel)
 	}

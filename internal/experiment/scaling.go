@@ -161,9 +161,6 @@ func (spec MultiFlowSpec) Scaled(n int) Scenario {
 // fan-out pipeline, unbatched ones report one effective worker.
 func (spec MultiFlowSpec) SupportsShards() bool { return true }
 
-// Run regenerates the figure on a default-size runner pool.
-func (spec MultiFlowSpec) Run() *Figure { return RunScenario(spec, 0) }
-
 // NFlowWideSpec is the wide-aggregate N-flow scenario the paper's
 // fixed testbeds (and the unbatched simulator) could not reach: the
 // nflow configuration re-tuned for the batched fan-out source, N ∈
@@ -275,9 +272,6 @@ func (spec SchedCompareSpec) Scaled(n int) Scenario {
 
 // SupportsShards implements ShardCapable.
 func (spec SchedCompareSpec) SupportsShards() bool { return true }
-
-// Run regenerates the figure on a default-size runner pool.
-func (spec SchedCompareSpec) Run() *Figure { return RunScenario(spec, 0) }
 
 // scaleInts keeps every n-th entry, always keeping the endpoints.
 func scaleInts(xs []int, n int) []int {

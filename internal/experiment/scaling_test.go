@@ -23,7 +23,7 @@ func reducedSchedCompare() SchedCompareSpec {
 
 func TestNFlowScenarioShape(t *testing.T) {
 	t.Parallel()
-	fig := RunScenario(reducedNFlow(), 0)
+	fig := RunScenarioOpts(reducedNFlow(), RunOptions{})
 	if len(fig.Series) != 2 || fig.Series[0].Label != "mean" || fig.Series[1].Label != "worst" {
 		t.Fatalf("series = %+v", fig.Series)
 	}
@@ -58,8 +58,8 @@ func TestNFlowScenarioShape(t *testing.T) {
 func TestNFlowDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	spec := reducedNFlow()
-	serial := RunScenario(spec, 1).Format()
-	parallel := RunScenario(spec, 8).Format()
+	serial := RunScenarioOpts(spec, RunOptions{Parallel: 1}).Format()
+	parallel := RunScenarioOpts(spec, RunOptions{Parallel: 8}).Format()
 	if serial != parallel {
 		t.Errorf("nflow output depends on parallelism:\n%s\nvs\n%s", serial, parallel)
 	}
@@ -67,7 +67,7 @@ func TestNFlowDeterministicAcrossParallelism(t *testing.T) {
 
 func TestSchedCompareScenarioShape(t *testing.T) {
 	t.Parallel()
-	fig := RunScenario(reducedSchedCompare(), 0)
+	fig := RunScenarioOpts(reducedSchedCompare(), RunOptions{})
 	if len(fig.Series) != 3 {
 		t.Fatalf("series = %d, want 3 (priority/drr/wfq)", len(fig.Series))
 	}

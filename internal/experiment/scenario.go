@@ -374,22 +374,6 @@ func SupportsSharding(s Scenario) bool {
 	return ok && sc.SupportsShards()
 }
 
-// RunScenario executes the scenario's jobs on a runner pool of the
-// given size (<= 0 means GOMAXPROCS, 1 means strictly serial) and
-// assembles the figure. This is the single execution path for every
-// figure: the serial and parallel cases differ only in worker count,
-// never in result.
-func RunScenario(s Scenario, parallel int) *Figure {
-	return RunScenarioTrace(s, parallel, nil)
-}
-
-// RunScenarioTrace is RunScenario with an optional per-point packet
-// trace request (dsbench -trace). Tracing is pure observation: the
-// assembled figure is byte-identical with tr nil or set.
-func RunScenarioTrace(s Scenario, parallel int, tr *TraceRequest) *Figure {
-	return RunScenarioOpts(s, RunOptions{Parallel: parallel, Trace: tr})
-}
-
 // RunOptions bundles the execution knobs of a scenario run. The
 // zero value is the default serial-result configuration: a
 // GOMAXPROCS-sized job pool, no tracing, serial (unsharded) jobs.

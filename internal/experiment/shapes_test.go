@@ -19,7 +19,7 @@ func TestShapeTokenRateBelowEncodingRateIsUseless(t *testing.T) {
 		t.Skip("full simulation")
 	}
 	enc := video.EncodeCBR(video.Lost(), 1.7e6)
-	p := RunQBonePoint(enc, enc, 1.2e6, 3000, DefaultSeed, 0)
+	p := qbonePoint(enc, enc, 1.2e6, 3000, DefaultSeed, 0, 1)
 	if p.Quality < 0.85 {
 		t.Errorf("quality %v at 1.2M for a 1.7M stream — should be near worst", p.Quality)
 	}
@@ -35,8 +35,8 @@ func TestShapeDepth3000NeedsMaxRate(t *testing.T) {
 	}
 	enc := video.EncodeCBR(video.Lost(), 1.7e6)
 	max, avg, _ := enc.RateStats()
-	atAvg := RunQBonePoint(enc, enc, units.BitRate(avg), 3000, DefaultSeed, 0)
-	atMax := RunQBonePoint(enc, enc, units.BitRate(max*1.05), 3000, DefaultSeed, 0)
+	atAvg := qbonePoint(enc, enc, units.BitRate(avg), 3000, DefaultSeed, 0, 1)
+	atMax := qbonePoint(enc, enc, units.BitRate(max*1.05), 3000, DefaultSeed, 0, 1)
 	if atAvg.Quality < 0.12 {
 		t.Errorf("B=3000 at the average rate scored %v — too good (§4.1 says it needs ≈max)", atAvg.Quality)
 	}
@@ -54,12 +54,12 @@ func TestShapeDepth4500AverageRateSuffices(t *testing.T) {
 	_, avg, _ := enc.RateStats()
 	// "a token rate set to the average (constant) encoding rate is
 	// typically sufficient" — allow the ~3% IP-header overhead margin.
-	p := RunQBonePoint(enc, enc, units.BitRate(avg*1.03), 4500, DefaultSeed, 0)
+	p := qbonePoint(enc, enc, units.BitRate(avg*1.03), 4500, DefaultSeed, 0, 1)
 	if p.Quality > 0.15 {
 		t.Errorf("B=4500 near the average rate scored %v, want ≈0", p.Quality)
 	}
 	// And B=3000 at the same rate must be clearly worse.
-	p3 := RunQBonePoint(enc, enc, units.BitRate(avg*1.03), 3000, DefaultSeed, 0)
+	p3 := qbonePoint(enc, enc, units.BitRate(avg*1.03), 3000, DefaultSeed, 0, 1)
 	if p3.Quality < p.Quality+0.05 {
 		t.Errorf("depth made no difference at avg rate: B3000=%v B4500=%v", p3.Quality, p.Quality)
 	}
@@ -73,9 +73,9 @@ func TestShapeNonlinearQualityVsLoss(t *testing.T) {
 	// §4.1: below the cutoff, big frame-loss improvements barely move
 	// quality (both poor); past it, quality improves much faster.
 	enc := video.EncodeCBR(video.Dark(), 1.7e6)
-	low := RunQBonePoint(enc, enc, 1.3e6, 3000, DefaultSeed, 0)
-	mid := RunQBonePoint(enc, enc, 1.5e6, 3000, DefaultSeed, 0)
-	high := RunQBonePoint(enc, enc, 2.0e6, 3000, DefaultSeed, 0)
+	low := qbonePoint(enc, enc, 1.3e6, 3000, DefaultSeed, 0, 1)
+	mid := qbonePoint(enc, enc, 1.5e6, 3000, DefaultSeed, 0, 1)
+	high := qbonePoint(enc, enc, 2.0e6, 3000, DefaultSeed, 0, 1)
 	lossDrop1 := low.FrameLoss - mid.FrameLoss
 	qualDrop1 := low.Quality - mid.Quality
 	if lossDrop1 > 0.03 && qualDrop1 > 0.5*lossDrop1+0.3 {
@@ -104,7 +104,7 @@ func TestShapeBestEncodingIsLargestBelowTokenRate(t *testing.T) {
 		"1.7M": ref,
 	}
 	score := func(name string, tok units.BitRate) float64 {
-		return RunQBonePoint(encs[name], ref, tok, 3000, DefaultSeed, 0).Quality
+		return qbonePoint(encs[name], ref, tok, 3000, DefaultSeed, 0, 1).Quality
 	}
 	// At 1.2 Mbps the 1.0M encoding must win.
 	if q10, q15 := score("1.0M", 1.2e6), score("1.5M", 1.2e6); q10 >= q15 {
@@ -134,8 +134,8 @@ func TestShapeLocalDepthGapIsLarge(t *testing.T) {
 	// VBR server than on the QBone; B=3000 never reaches 0 even at
 	// twice the cap, B=4500 is near 0 from moderate rates.
 	enc := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
-	b3 := RunLocalPoint(enc, 2.1e6, 3000, false, false, DefaultSeed)
-	b45 := RunLocalPoint(enc, 2.1e6, 4500, false, false, DefaultSeed)
+	b3 := runLocalPoint(&Ctx{}, enc, 2.1e6, 3000, false, false, DefaultSeed)
+	b45 := runLocalPoint(&Ctx{}, enc, 2.1e6, 4500, false, false, DefaultSeed)
 	if b3.Quality < 0.15 {
 		t.Errorf("B=3000 at 2.1M scored %v — paper could not reach 0 there", b3.Quality)
 	}
@@ -153,8 +153,8 @@ func TestShapeShapingHelps(t *testing.T) {
 		t.Skip("full simulation")
 	}
 	enc := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
-	dropOnly := RunLocalPoint(enc, 1.3e6, 3000, false, false, DefaultSeed)
-	shaped := RunLocalPoint(enc, 1.3e6, 3000, true, false, DefaultSeed)
+	dropOnly := runLocalPoint(&Ctx{}, enc, 1.3e6, 3000, false, false, DefaultSeed)
+	shaped := runLocalPoint(&Ctx{}, enc, 1.3e6, 3000, true, false, DefaultSeed)
 	if shaped.Quality >= dropOnly.Quality {
 		t.Errorf("shaping did not help: %v vs %v", shaped.Quality, dropOnly.Quality)
 	}
@@ -174,7 +174,7 @@ func TestFigureSpecsRunScaled(t *testing.T) {
 		spec.Tokens = Scale(spec.Tokens, len(spec.Tokens))
 		spec.Runs = 1
 	}
-	fig := spec.Run()
+	fig := RunScenarioOpts(spec, RunOptions{})
 	if len(fig.Series) != 2 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -201,7 +201,7 @@ func TestLocalSpecRunScaled(t *testing.T) {
 	if testing.Short() {
 		spec.Tokens = Scale(spec.Tokens, len(spec.Tokens))
 	}
-	fig := spec.Run()
+	fig := RunScenarioOpts(spec, RunOptions{})
 	if len(fig.Series) != 2 || len(fig.Series[0].Points) == 0 {
 		t.Fatal("malformed local figure")
 	}
@@ -215,7 +215,7 @@ func TestRelativeSpecRunScaled(t *testing.T) {
 		spec.Tokens = spec.Tokens[:1]
 		spec.Runs = 1
 	}
-	fig := spec.Run()
+	fig := RunScenarioOpts(spec, RunOptions{})
 	if len(fig.Series) != 3 {
 		t.Fatalf("series = %d, want one per encoding", len(fig.Series))
 	}
@@ -257,16 +257,8 @@ func TestFigure6Output(t *testing.T) {
 
 func TestEvaluatePipelinePerfect(t *testing.T) {
 	enc := video.EncodeCBR(video.Lost(), 1.0e6)
-	q := RunQBonePointFastPath(t, enc)
-	if q > 0.02 {
+	// A generous profile: the pipeline runs even under -short.
+	if q := qbonePoint(enc, enc, 3e6, 9000, DefaultSeed, 0, 1).Quality; q > 0.02 {
 		t.Errorf("clean pipeline scored %v", q)
 	}
-}
-
-// RunQBonePointFastPath evaluates a generous-profile run; split out so
-// the pipeline is exercised even under -short.
-func RunQBonePointFastPath(t *testing.T, enc *video.Encoding) float64 {
-	t.Helper()
-	p := RunQBonePoint(enc, enc, 3e6, 9000, DefaultSeed, 0)
-	return p.Quality
 }

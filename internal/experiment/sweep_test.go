@@ -7,14 +7,21 @@ import (
 	"repro/internal/video"
 )
 
+// qbonePoint is one QBone grid point on a fresh Ctx: enc streamed at
+// (tok, depth) and scored against ref, averaged over runs consecutive
+// seeds from seed. runs ≤ 1 is the single run at seed.
+func qbonePoint(enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
+	return runQBonePointAvgLabeled(&Ctx{}, "", enc, ref, tok, depth, seed, crossLoad, runs)
+}
+
 func TestRunQBonePointAvgSingleRunEqualsPoint(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
 	enc := video.EncodeCBR(video.Lost(), 1.0e6)
-	a := RunQBonePointAvg(enc, enc, 1.05e6, 3000, DefaultSeed, 0, 1)
-	b := RunQBonePoint(enc, enc, 1.05e6, 3000, DefaultSeed, 0)
+	a := qbonePoint(enc, enc, 1.05e6, 3000, DefaultSeed, 0, 1)
+	b := runQBonePointLabeled(&Ctx{}, "", enc, enc, 1.05e6, 3000, DefaultSeed, 0)
 	if a.Quality != b.Quality || a.FrameLoss != b.FrameLoss {
 		t.Errorf("runs=1 average differs from single point: %+v vs %+v", a.Evaluation, b.Evaluation)
 	}
@@ -29,10 +36,10 @@ func TestRunQBonePointAvgReducesVariance(t *testing.T) {
 	// Averages over overlapping windows move less than single seeds.
 	singles := make([]float64, 4)
 	for i := range singles {
-		singles[i] = RunQBonePoint(enc, enc, 1.0e6, 3000, DefaultSeed+uint64(i), 0).Quality
+		singles[i] = qbonePoint(enc, enc, 1.0e6, 3000, DefaultSeed+uint64(i), 0, 1).Quality
 	}
-	avg1 := RunQBonePointAvg(enc, enc, 1.0e6, 3000, DefaultSeed, 0, 3).Quality
-	avg2 := RunQBonePointAvg(enc, enc, 1.0e6, 3000, DefaultSeed+1, 0, 3).Quality
+	avg1 := qbonePoint(enc, enc, 1.0e6, 3000, DefaultSeed, 0, 3).Quality
+	avg2 := qbonePoint(enc, enc, 1.0e6, 3000, DefaultSeed+1, 0, 3).Quality
 	spreadSingles := maxMin(singles)
 	spreadAvgs := avg1 - avg2
 	if spreadAvgs < 0 {

@@ -103,9 +103,6 @@ func (spec TandemSpec) Scaled(n int) Scenario {
 // effective worker (a single unbatched stream).
 func (spec TandemSpec) SupportsShards() bool { return true }
 
-// Run regenerates the figure on a default-size runner pool.
-func (spec TandemSpec) Run() *Figure { return RunScenario(spec, 0) }
-
 // runTandemPointAvg averages runTandemPoint over consecutive seeds
 // through the shared averagePoint helper.
 func runTandemPointAvg(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units.ByteSize, secondBorder bool, variant string, seed uint64, runs int) Point {

@@ -24,7 +24,7 @@ func reducedTandem() TandemSpec {
 
 func TestTandemScenarioShape(t *testing.T) {
 	t.Parallel()
-	fig := RunScenario(reducedTandem(), 0)
+	fig := RunScenarioOpts(reducedTandem(), RunOptions{})
 	if len(fig.Series) != 2 || fig.Series[0].Label != "1border" || fig.Series[1].Label != "2border" {
 		t.Fatalf("series = %+v", fig.Series)
 	}
@@ -75,8 +75,8 @@ func TestTandemTraceFiles(t *testing.T) {
 	tr := &TraceRequest{Dir: dir, Config: ptrace.Config{
 		Capacity: ringCap, Kinds: ptrace.VerdictKinds(), Flows: []packet.FlowID{topology.VideoFlow},
 	}}
-	traced := RunScenarioTrace(spec, 2, tr)
-	plain := RunScenario(spec, 0)
+	traced := RunScenarioOpts(spec, RunOptions{Parallel: 2, Trace: tr})
+	plain := RunScenarioOpts(spec, RunOptions{})
 	if traced.Format() != plain.Format() {
 		t.Errorf("tracing changed the figure:\n%s\nvs\n%s", traced.Format(), plain.Format())
 	}
@@ -107,7 +107,7 @@ func TestTandemTraceFiles(t *testing.T) {
 
 	spillDir := t.TempDir()
 	spilled := &TraceRequest{Dir: spillDir, Config: tr.Config, Spill: true}
-	RunScenarioTrace(spec, 2, spilled)
+	RunScenarioOpts(spec, RunOptions{Parallel: 2, Trace: spilled})
 	if got := spilled.Files(); len(got) != len(files) {
 		t.Fatalf("spilled %d files, ring saved %d", len(got), len(files))
 	}
@@ -155,10 +155,10 @@ func TestTraceDirFailureIsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(file, "traces")
-	plain := RunScenario(spec, 0).Format()
+	plain := RunScenarioOpts(spec, RunOptions{}).Format()
 	for _, spill := range []bool{false, true} {
 		tr := &TraceRequest{Dir: dir, Spill: spill}
-		if traced := RunScenarioTrace(spec, 2, tr).Format(); traced != plain {
+		if traced := RunScenarioOpts(spec, RunOptions{Parallel: 2, Trace: tr}).Format(); traced != plain {
 			t.Errorf("spill=%v: a failed trace changed the figure:\n%s\nvs\n%s", spill, traced, plain)
 		}
 		if err := tr.Err(); err == nil || !strings.Contains(err.Error(), dir) {
@@ -198,8 +198,8 @@ func TestTandemTraceSpill(t *testing.T) {
 	tr := &TraceRequest{Dir: dir, Config: ptrace.Config{
 		Capacity: ringCap, Kinds: ptrace.VerdictKinds(),
 	}, Spill: true}
-	traced := RunScenarioTrace(spec, 2, tr)
-	plain := RunScenario(spec, 0)
+	traced := RunScenarioOpts(spec, RunOptions{Parallel: 2, Trace: tr})
+	plain := RunScenarioOpts(spec, RunOptions{})
 	if traced.Format() != plain.Format() {
 		t.Errorf("spill tracing changed the figure:\n%s\nvs\n%s", traced.Format(), plain.Format())
 	}

@@ -212,15 +212,6 @@ func (s *BatchedMixture) TotalFlows() int {
 	return n
 }
 
-// FlowBase reports the first global flow index of class c.
-func (s *BatchedMixture) FlowBase(c int) int {
-	base := 0
-	for i := 0; i < c; i++ {
-		base += s.Classes[i].N
-	}
-	return base
-}
-
 // ClassOf reports the class owning global flow g (valid after Start or
 // InitReplay).
 func (s *BatchedMixture) ClassOf(g int) int { return int(s.classOf[g]) }

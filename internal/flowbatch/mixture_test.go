@@ -93,9 +93,6 @@ func TestMixtureClassLayout(t *testing.T) {
 	if got := mix.TotalFlows(); got != 5 {
 		t.Fatalf("TotalFlows = %d, want 5", got)
 	}
-	if got := mix.FlowBase(1); got != 3 {
-		t.Errorf("FlowBase(1) = %d, want 3", got)
-	}
 	wantClass := []int{0, 0, 0, 1, 1}
 	wantStart := []units.Time{0, 10 * units.Millisecond, 20 * units.Millisecond,
 		units.Second, units.Second + 20*units.Millisecond}

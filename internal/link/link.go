@@ -184,17 +184,11 @@ type FrameRelayConfig struct {
 	Kind string        // "HSSI" or "V.35"
 }
 
-// Tc reports the committed measurement interval Bc/CIR.
-func (c FrameRelayConfig) Tc() units.Time {
-	if c.CIR <= 0 {
-		return 0
-	}
-	return units.Time(float64(c.Bc) / float64(c.CIR) * float64(units.Second))
-}
-
 // Table1 reproduces the paper's Table 1: every interface at CIR =
 // 2 Mbps, Bc = 2 Mbit, Be = 0 — i.e. the FR network emulates constant
-// 2 Mbps pipes, with the V.35 E1 interface as the bottleneck.
+// 2 Mbps pipes, with the V.35 E1 interface as the bottleneck. A
+// CIR-limited PVC with Be = 0 serializes exactly as a constant-rate
+// Link at CIR, so New(s, cfg.CIR, …) is the whole FR model.
 func Table1() []FrameRelayConfig {
 	return []FrameRelayConfig{
 		{Name: "router2/FR1", CIR: 2e6, Bc: 2e6, Be: 0, Kind: "V.35"},
@@ -202,14 +196,6 @@ func Table1() []FrameRelayConfig {
 		{Name: "router1/FR1", CIR: 2e6, Bc: 2e6, Be: 0, Kind: "HSSI"},
 		{Name: "router3/FR1", CIR: 2e6, Bc: 2e6, Be: 0, Kind: "V.35"},
 	}
-}
-
-// NewFrameRelay builds a Link whose effective rate is the FR CIR with
-// Be=0 — the paper's configuration "to emulate a set of constant rate
-// links". The serialization behaviour of a CIR-limited PVC with Be=0
-// is exactly a constant-rate link at CIR.
-func NewFrameRelay(s *sim.Simulator, cfg FrameRelayConfig, delay units.Time, sched queue.Scheduler, next packet.Handler) *Link {
-	return New(s, cfg.CIR, delay, sched, next)
 }
 
 // Jitter perturbs inter-packet spacing by a random delay in [0, Max],

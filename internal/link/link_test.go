@@ -106,9 +106,6 @@ func TestTable1(t *testing.T) {
 		if r.CIR != 2e6 || r.Bc != 2e6 || r.Be != 0 {
 			t.Errorf("row %s: CIR=%v Bc=%d Be=%d", r.Name, r.CIR, r.Bc, r.Be)
 		}
-		if r.Tc() != units.Second {
-			t.Errorf("row %s: Tc = %v, want 1s", r.Name, r.Tc())
-		}
 	}
 	kinds := map[string]int{}
 	for _, r := range rows {
@@ -122,7 +119,7 @@ func TestTable1(t *testing.T) {
 func TestFrameRelayEmulatesCIR(t *testing.T) {
 	s := sim.New(1)
 	var at units.Time
-	fr := NewFrameRelay(s, Table1()[0], 0, nil,
+	fr := New(s, Table1()[0].CIR, 0, nil,
 		packet.HandlerFunc(func(*packet.Packet) { at = s.Now() }))
 	s.AtTimer(0, timerFunc(func() { fr.Handle(&packet.Packet{Size: 2500}) })) // 10ms at 2Mbps
 	s.Run()

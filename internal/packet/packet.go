@@ -59,7 +59,7 @@ const (
 	// constant here follows the RFC value — only equality matters.)
 	EF DSCP = 0x2E
 	// AF11..AF13 are the Assured Forwarding class-1 drop precedences
-	// (RFC 2597), used by the srTCM/trTCM markers: green, yellow, red.
+	// (RFC 2597), used by the srTCM marker: green, yellow, red.
 	AF11 DSCP = 0x0A
 	AF12 DSCP = 0x0C
 	AF13 DSCP = 0x0E

@@ -13,7 +13,7 @@ func afPkt(d packet.DSCP, c packet.Color) *packet.Packet {
 
 func TestAFSchedulerClassifies(t *testing.T) {
 	rng := sim.NewRNG(1)
-	s := NewAFScheduler(DefaultREDConfig(), DefaultREDConfig(), rng.Float64, 10)
+	s := NewAFScheduler(testRED, testRED, rng.Float64, 10)
 	s.Enqueue(afPkt(packet.AF11, packet.Green))
 	s.Enqueue(afPkt(packet.BestEffort, packet.Green))
 	if s.AF.Len() != 1 || s.BE.Len() != 1 {
@@ -26,7 +26,7 @@ func TestAFSchedulerClassifies(t *testing.T) {
 
 func TestAFSchedulerServesAFFirst(t *testing.T) {
 	rng := sim.NewRNG(2)
-	s := NewAFScheduler(DefaultREDConfig(), DefaultREDConfig(), rng.Float64, 10)
+	s := NewAFScheduler(testRED, testRED, rng.Float64, 10)
 	be := afPkt(packet.BestEffort, packet.Green)
 	af := afPkt(packet.AF12, packet.Yellow)
 	s.Enqueue(be)
@@ -41,7 +41,7 @@ func TestAFSchedulerServesAFFirst(t *testing.T) {
 
 func TestAFSchedulerAllAFClassesShareQueue(t *testing.T) {
 	rng := sim.NewRNG(3)
-	s := NewAFScheduler(DefaultREDConfig(), DefaultREDConfig(), rng.Float64, 10)
+	s := NewAFScheduler(testRED, testRED, rng.Float64, 10)
 	for _, d := range []packet.DSCP{packet.AF11, packet.AF12, packet.AF13} {
 		if !s.Enqueue(afPkt(d, packet.Green)) {
 			t.Fatalf("%v rejected at empty queue", d)
@@ -54,7 +54,7 @@ func TestAFSchedulerAllAFClassesShareQueue(t *testing.T) {
 
 func TestAFSchedulerBELimit(t *testing.T) {
 	rng := sim.NewRNG(4)
-	s := NewAFScheduler(DefaultREDConfig(), DefaultREDConfig(), rng.Float64, 2)
+	s := NewAFScheduler(testRED, testRED, rng.Float64, 2)
 	s.Enqueue(afPkt(packet.BestEffort, packet.Green))
 	s.Enqueue(afPkt(packet.BestEffort, packet.Green))
 	if s.Enqueue(afPkt(packet.BestEffort, packet.Green)) {

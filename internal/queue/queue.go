@@ -8,8 +8,8 @@
 //   - deficit round robin (DRR) and self-clocked weighted fair queueing
 //     (WFQ), for class-isolated sharing of a bottleneck among several
 //     behavior aggregates;
-//   - RED / RIO active queue management for the Assured Forwarding
-//     extension.
+//   - RIO (RED with In and Out) active queue management for the
+//     Assured Forwarding extension.
 //
 // Every scheduler reports per-class accounting through Classes(), so
 // the measurement harness can ask any port "what did each class
@@ -96,7 +96,7 @@ func (q *FIFO) Stats(name string) ClassStats {
 }
 
 // Tapped is implemented by schedulers that can annotate their drop
-// decisions on a packet trace (the RED/RIO AQMs, whose probabilistic
+// decisions on a packet trace (the RIO AQM, whose probabilistic
 // drops are otherwise indistinguishable from tail drops in the owning
 // link's QueueDrop events). The topology builder wires the tap into
 // any scheduler that supports it.

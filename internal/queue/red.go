@@ -16,107 +16,6 @@ type REDConfig struct {
 	MaxSize int     // hard buffer limit in packets
 }
 
-// DefaultREDConfig mirrors the classic 1993 recommendations scaled for
-// a small router buffer.
-func DefaultREDConfig() REDConfig {
-	return REDConfig{MinTh: 5, MaxTh: 15, MaxP: 0.1, Wq: 0.002, MaxSize: 60}
-}
-
-// RED is a single-class RED queue. Randomness comes from an injected
-// source so experiments stay deterministic.
-type RED struct {
-	cfg   REDConfig
-	rand  func() float64
-	fifo  FIFO
-	avg   float64
-	count int // packets since last drop, for the uniformization trick
-
-	tap ptrace.Tap
-	hop ptrace.HopID
-
-	Enqueued    int
-	EarlyDrops  int
-	ForcedDrops int
-}
-
-// SetTap implements Tapped: AQM drop decisions emit REDEarly
-// annotations alongside the owning link's QueueDrop events.
-func (r *RED) SetTap(t ptrace.Tap, hop ptrace.HopID) { r.tap, r.hop = t, hop }
-
-// annotate emits the RED-decision annotation for a rejected packet.
-func (r *RED) annotate(p *packet.Packet) {
-	if r.tap != nil {
-		r.tap.Emit(ptrace.Event{
-			Kind: ptrace.REDEarly, Hop: r.hop, Flow: p.Flow, PktID: p.ID,
-			Size: int32(p.Size), DSCP: p.DSCP, FrameSeq: int32(p.FrameSeq),
-			QLen: int32(r.fifo.Len()),
-		})
-	}
-}
-
-// NewRED returns a RED queue using cfg and the given uniform [0,1)
-// source.
-func NewRED(cfg REDConfig, rand func() float64) *RED {
-	if rand == nil {
-		panic("queue: RED needs a random source")
-	}
-	r := &RED{cfg: cfg, rand: rand, count: -1}
-	r.fifo.MaxPackets = cfg.MaxSize
-	return r
-}
-
-// AvgQueue reports the current EWMA queue estimate.
-func (r *RED) AvgQueue() float64 { return r.avg }
-
-// Len reports the instantaneous queue length.
-func (r *RED) Len() int { return r.fifo.Len() }
-
-// Enqueue applies the RED drop test and admits p if it survives.
-func (r *RED) Enqueue(p *packet.Packet) bool {
-	r.avg = (1-r.cfg.Wq)*r.avg + r.cfg.Wq*float64(r.fifo.Len())
-	switch {
-	case r.avg < r.cfg.MinTh:
-		r.count = -1
-	case r.avg >= r.cfg.MaxTh:
-		r.ForcedDrops++
-		r.count = 0
-		r.annotate(p)
-		return false
-	default:
-		r.count++
-		pb := r.cfg.MaxP * (r.avg - r.cfg.MinTh) / (r.cfg.MaxTh - r.cfg.MinTh)
-		pa := pb / math.Max(1e-9, 1-float64(r.count)*pb)
-		if pa < 0 || pa > 1 {
-			pa = 1
-		}
-		if r.rand() < pa {
-			r.EarlyDrops++
-			r.count = 0
-			r.annotate(p)
-			return false
-		}
-	}
-	if !r.fifo.Push(p) {
-		r.ForcedDrops++
-		return false
-	}
-	r.Enqueued++
-	return true
-}
-
-// Dequeue removes the head packet.
-func (r *RED) Dequeue() *packet.Packet { return r.fifo.Pop() }
-
-// Classes reports the single RED class, folding early and forced
-// drops into one count.
-func (r *RED) Classes() []ClassStats {
-	return []ClassStats{{
-		Name: "red", Queued: r.fifo.Len(), QueuedBytes: r.fifo.Bytes(),
-		Enqueued: r.Enqueued, Dropped: r.EarlyDrops + r.ForcedDrops,
-		Bytes: r.fifo.EnqueuedBytes,
-	}}
-}
-
 // RIO ("RED with In and Out") gives marked-in (green) packets a more
 // permissive RED profile than out-of-profile (yellow/red) packets in
 // the same physical queue — the droppers behind the AF PHB group.
@@ -158,9 +57,13 @@ func NewRIO(in, out REDConfig, rand func() float64) *RIO {
 // Len reports the instantaneous queue length.
 func (r *RIO) Len() int { return r.fifo.Len() }
 
-// SetTap implements Tapped (see RED.SetTap).
+// SetTap implements Tapped: AQM drop decisions emit REDEarly
+// annotations alongside the owning link's QueueDrop events.
 func (r *RIO) SetTap(t ptrace.Tap, hop ptrace.HopID) { r.tap, r.hop = t, hop }
 
+// redTest is the Floyd–Jacobson drop decision for one arrival: never
+// below MinTh, always from MaxTh, and in between with a probability
+// ramping to MaxP, spread by the count since the last drop.
 func redTest(avg float64, cfg REDConfig, count *int, rand func() float64) bool {
 	switch {
 	case avg < cfg.MinTh:

@@ -7,9 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
+// testRED is the classic 1993 profile scaled for a small router buffer.
+var testRED = REDConfig{MinTh: 5, MaxTh: 15, MaxP: 0.1, Wq: 0.002, MaxSize: 60}
+
+// The TestRED* tests check redTest, the drop decision, through a RIO
+// whose two profiles are equal: every packet is then judged by one RED
+// profile against the whole queue's average.
+
 func TestREDNoDropsWhenIdle(t *testing.T) {
 	rng := sim.NewRNG(1)
-	r := NewRED(DefaultREDConfig(), rng.Float64)
+	r := NewRIO(testRED, testRED, rng.Float64)
 	// Alternate enqueue/dequeue: average queue stays ~0.
 	for i := 0; i < 1000; i++ {
 		if !r.Enqueue(pk(1500, 0)) {
@@ -17,14 +24,14 @@ func TestREDNoDropsWhenIdle(t *testing.T) {
 		}
 		r.Dequeue()
 	}
-	if r.EarlyDrops != 0 || r.ForcedDrops != 0 {
-		t.Errorf("drops at idle: early=%d forced=%d", r.EarlyDrops, r.ForcedDrops)
+	if r.DropsIn != 0 || r.DropsOut != 0 {
+		t.Errorf("drops at idle: in=%d out=%d", r.DropsIn, r.DropsOut)
 	}
 }
 
 func TestREDDropsUnderSustainedLoad(t *testing.T) {
 	rng := sim.NewRNG(2)
-	r := NewRED(DefaultREDConfig(), rng.Float64)
+	r := NewRIO(testRED, testRED, rng.Float64)
 	drops := 0
 	for i := 0; i < 2000; i++ {
 		// Two arrivals per departure: queue builds.
@@ -39,21 +46,21 @@ func TestREDDropsUnderSustainedLoad(t *testing.T) {
 	if drops == 0 {
 		t.Error("RED never dropped under overload")
 	}
-	if r.Len() > DefaultREDConfig().MaxSize {
+	if r.Len() > testRED.MaxSize {
 		t.Errorf("queue exceeded hard limit: %d", r.Len())
 	}
 }
 
 func TestREDAverageTracksQueue(t *testing.T) {
 	rng := sim.NewRNG(3)
-	cfg := DefaultREDConfig()
+	cfg := testRED
 	cfg.Wq = 0.5 // fast EWMA for the test
-	r := NewRED(cfg, rng.Float64)
+	r := NewRIO(cfg, cfg, rng.Float64)
 	for i := 0; i < 10; i++ {
 		r.Enqueue(pk(1, 0))
 	}
-	if r.AvgQueue() <= 0 {
-		t.Error("average did not rise")
+	if r.avgIn <= 0 || r.avgAll <= 0 {
+		t.Errorf("averages did not rise: in=%v all=%v", r.avgIn, r.avgAll)
 	}
 }
 
@@ -63,7 +70,7 @@ func TestREDNeedsRand(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewRED(DefaultREDConfig(), nil)
+	NewRIO(testRED, testRED, nil)
 }
 
 func TestRIOProtectsGreen(t *testing.T) {
@@ -98,7 +105,7 @@ func TestRIOProtectsGreen(t *testing.T) {
 
 func TestRIODequeueTracksGreenCount(t *testing.T) {
 	rng := sim.NewRNG(5)
-	r := NewRIO(DefaultREDConfig(), DefaultREDConfig(), rng.Float64)
+	r := NewRIO(testRED, testRED, rng.Float64)
 	g := pk(1, packet.AF11)
 	g.Color = packet.Green
 	r.Enqueue(g)

@@ -8,11 +8,11 @@
 // can execute on any number of goroutines without changing a single
 // bit of any result. The runner exploits that: it fans a job slice out
 // across a bounded pool of workers and collects results **by job
-// index**, never by completion order, so the output of Map is
+// index**, never by completion order, so the output of MapArena is
 // byte-for-byte identical whether it ran on one worker or sixty-four.
 //
 // The experiment layer (internal/experiment) builds every figure
-// through Map; cmd/dsbench, cmd/dsstream and the examples expose the
+// through MapArena, one arena per worker; cmd/dsbench exposes the
 // worker count as -parallel.
 package runner
 
@@ -32,38 +32,27 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map runs every job and returns their results indexed exactly like
-// jobs, regardless of the order in which workers finish them. At most
-// Workers(workers) jobs execute concurrently; workers <= 1 runs the
-// jobs serially on the calling goroutine in index order, which is the
-// reference execution the concurrent path must (and does) match.
+// MapArena runs every job and returns their results indexed exactly
+// like jobs, regardless of the order in which workers finish them. At
+// most Workers(workers) jobs execute concurrently; workers <= 1 runs
+// the jobs serially on the calling goroutine in index order, which is
+// the reference execution the concurrent path must (and does) match.
+// Output is therefore byte-identical at every parallelism level
+// provided jobs are deterministic functions of their inputs.
 //
-// If a job panics, Map stops dispatching further jobs, waits for the
-// in-flight ones to drain, and re-panics on the calling goroutine with
-// the job index attached, so a crash inside a simulation surfaces
+// newArena is called once per worker goroutine (once total in the
+// serial case) and the worker passes its arena to every job it
+// executes. An arena therefore never crosses goroutines and never sees
+// two jobs concurrently — the contract that lets simulations reuse
+// packet and event pools across jobs without any locking. Jobs must
+// not let the arena outlive their call, and arena reuse must not leak
+// state between jobs (pools hand out zeroed objects).
+//
+// If a job panics, MapArena stops dispatching further jobs, waits for
+// the in-flight ones to drain, and re-panics on the calling goroutine
+// with the job index attached, so a crash inside a simulation surfaces
 // promptly and is attributable rather than silently swallowed by a
 // worker goroutine.
-func Map[T any](workers int, jobs []func() T) []T {
-	wrapped := make([]func(struct{}) T, len(jobs))
-	for i, job := range jobs {
-		job := job
-		wrapped[i] = func(struct{}) T { return job() }
-	}
-	return MapArena(workers, func() struct{} { return struct{}{} }, wrapped)
-}
-
-// MapArena is Map for jobs that want a per-worker arena: newArena is
-// called once per worker goroutine (once total in the serial case)
-// and the worker passes its arena to every job it executes. An arena
-// therefore never crosses goroutines and never sees two jobs
-// concurrently — the contract that lets simulations reuse packet and
-// event pools across jobs without any locking. Jobs must not let the
-// arena outlive their call.
-//
-// Everything else matches Map: results are collected by job index, so
-// output is byte-identical at every parallelism level provided jobs
-// are deterministic functions of their inputs (arena reuse must not
-// leak state between jobs — pools hand out zeroed objects).
 func MapArena[A, T any](workers int, newArena func() A, jobs []func(A) T) []T {
 	results := make([]T, len(jobs))
 	if len(jobs) == 0 {

@@ -17,9 +17,20 @@ type timerFunc func()
 
 func (f timerFunc) Fire(units.Time) { f() }
 
+// mapJobs runs arena-free jobs through MapArena; the TestMap* tests
+// check MapArena's ordering, bounding and panic contract through it.
+func mapJobs[T any](workers int, jobs []func() T) []T {
+	wrapped := make([]func(struct{}) T, len(jobs))
+	for i, job := range jobs {
+		job := job
+		wrapped[i] = func(struct{}) T { return job() }
+	}
+	return MapArena(workers, func() struct{} { return struct{}{} }, wrapped)
+}
+
 func TestMapEmpty(t *testing.T) {
-	if got := Map[int](4, nil); len(got) != 0 {
-		t.Errorf("Map(nil) = %v", got)
+	if got := mapJobs[int](4, nil); len(got) != 0 {
+		t.Errorf("mapJobs(nil) = %v", got)
 	}
 }
 
@@ -33,7 +44,7 @@ func TestMapSerialOrder(t *testing.T) {
 			return i * i
 		}
 	}
-	got := Map(1, jobs)
+	got := mapJobs(1, jobs)
 	for i, v := range got {
 		if v != i*i {
 			t.Errorf("result[%d] = %d, want %d", i, v, i*i)
@@ -62,7 +73,7 @@ func TestMapOrderedByIndex(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 7, n} {
-		got := Map(workers, jobs)
+		got := mapJobs(workers, jobs)
 		for i, v := range got {
 			if v != i {
 				t.Errorf("workers=%d: result[%d] = %d — collected by arrival, not index", workers, i, v)
@@ -89,7 +100,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 			return 0
 		}
 	}
-	Map(workers, jobs)
+	mapJobs(workers, jobs)
 	if p := peak.Load(); p > workers {
 		t.Errorf("observed %d concurrent jobs, want <= %d", p, workers)
 	}
@@ -115,9 +126,9 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return jobs
 	}
-	ref := Map(1, mk())
+	ref := mapJobs(1, mk())
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got := Map(w, mk())
+		got := mapJobs(w, mk())
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: job %d produced %d, serial produced %d", w, i, got[i], ref[i])
@@ -146,7 +157,7 @@ func TestMapPanicPropagates(t *testing.T) {
 			return i
 		}
 	}
-	Map(4, jobs)
+	mapJobs(4, jobs)
 }
 
 func TestMapPanicPropagatesSerial(t *testing.T) {
@@ -159,7 +170,7 @@ func TestMapPanicPropagatesSerial(t *testing.T) {
 			t.Errorf("serial panic value %v does not name the job", r)
 		}
 	}()
-	Map(1, []func() int{
+	mapJobs(1, []func() int{
 		func() int { return 0 },
 		func() int { panic("boom") },
 	})

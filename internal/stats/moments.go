@@ -108,12 +108,6 @@ func (s *P2Quantile) Init(p float64) {
 	s.dwant = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
 }
 
-// P reports the quantile this sketch targets.
-func (s *P2Quantile) P() float64 { return s.p }
-
-// N reports the number of observations.
-func (s *P2Quantile) N() int64 { return s.n }
-
 // Add records one observation.
 func (s *P2Quantile) Add(v float64) {
 	s.n++

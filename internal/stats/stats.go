@@ -1,5 +1,5 @@
 // Package stats provides the summary statistics the measurement
-// harness reports: running moments, percentiles, histograms, and
+// harness reports: running moments, percentiles, and
 // per-packet delay/jitter collectors for characterizing what the EF
 // service actually delivered (the network-level side of the paper's
 // quality story: small delay and jitter inside the EF aggregate).
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/packet"
 	"repro/internal/units"
@@ -124,69 +123,6 @@ func (s *Summary) CI95() float64 {
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p99=%.4g max=%.4g",
 		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Percentile(50), s.Percentile(99), s.Max())
-}
-
-// Histogram counts samples into fixed-width bins over [Lo, Hi); out of
-// range samples land in the clamping edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	count  int
-}
-
-// NewHistogram returns a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: bad histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-	h.count++
-}
-
-// N reports total samples.
-func (h *Histogram) N() int { return h.count }
-
-// Fraction reports the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.count)
-}
-
-// Render draws a crude text histogram.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	max := 0
-	for _, b := range h.Bins {
-		if b > max {
-			max = b
-		}
-	}
-	var out strings.Builder
-	binW := (h.Hi - h.Lo) / float64(len(h.Bins))
-	for i, b := range h.Bins {
-		bar := 0
-		if max > 0 {
-			bar = b * width / max
-		}
-		fmt.Fprintf(&out, "%10.4g |%s %d\n", h.Lo+float64(i)*binW, strings.Repeat("#", bar), b)
-	}
-	return out.String()
 }
 
 // DelayCollector is a packet.Handler wrapper that records one-way

@@ -97,38 +97,6 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := range h.Bins {
-		if h.Bins[i] != 1 {
-			t.Errorf("bin %d = %d", i, h.Bins[i])
-		}
-	}
-	h.Add(-5) // clamps low
-	h.Add(50) // clamps high
-	if h.Bins[0] != 2 || h.Bins[9] != 2 {
-		t.Error("edge clamping wrong")
-	}
-	if h.N() != 12 || h.Fraction(0) != 2.0/12 {
-		t.Errorf("N=%d frac=%v", h.N(), h.Fraction(0))
-	}
-	if h.Render(20) == "" {
-		t.Error("empty render")
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 type fakeClock struct{ now units.Time }
 
 func (c *fakeClock) Now() units.Time { return c.now }

@@ -73,8 +73,6 @@ type Sender struct {
 	Sent        int
 	Retransmits int
 	Timeouts    int
-
-	onDeliverable func() // kicked when window may have opened
 }
 
 // emit records a TCP endpoint event; flight is reported in segments.
@@ -209,10 +207,6 @@ func (t *Sender) onRTO() {
 	t.armRTO()
 }
 
-// OnDeliverable registers a callback fired whenever acked progress may
-// allow the application to push more data (used by thinning servers).
-func (t *Sender) OnDeliverable(fn func()) { t.onDeliverable = fn }
-
 // HandleAck processes — and consumes — a cumulative acknowledgment
 // arriving from the receiver's reverse path: the ACK packet is
 // released to the sender's pool before returning.
@@ -289,9 +283,6 @@ func (t *Sender) HandleAck(p *packet.Packet) {
 		}
 		t.restartRTO()
 		t.trySend()
-		if t.onDeliverable != nil {
-			t.onDeliverable()
-		}
 	case ack == t.sndUna && t.sndNxt > t.sndUna:
 		t.dupAcks++
 		if t.LimitedTransmit && t.dupAcks < 3 && !t.inRecovery && !t.rtoRecovering {

@@ -1,7 +1,7 @@
 // Package tokenbucket implements the traffic conditioning elements the
 // paper's experiments revolve around: the token bucket itself, a
-// dropping policer, a delaying shaper, and the RFC 2697/2698 single-
-// and two-rate three-color markers used for Assured Forwarding.
+// dropping policer, a delaying shaper, and the RFC 2697 single-rate
+// three-color marker used for Assured Forwarding.
 //
 // Token arithmetic is done in integer token-nanoseconds so that two
 // runs of the same experiment produce identical conformance decisions:

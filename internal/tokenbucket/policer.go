@@ -66,9 +66,6 @@ func (p *Policer) OnDrop(h packet.Handler) { p.drop = h }
 // not for use once packets are flowing).
 func (p *Policer) SetNext(h packet.Handler) { p.next = h }
 
-// Bucket exposes the underlying bucket (for tests and inspection).
-func (p *Policer) Bucket() *Bucket { return &p.bucket }
-
 // Handle applies the profile to pkt.
 func (p *Policer) Handle(pkt *packet.Packet) {
 	now := p.clock.Now()

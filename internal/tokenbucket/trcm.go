@@ -69,66 +69,6 @@ func (m *SRTCM) Mark(now units.Time, n int) packet.Color {
 	return packet.Red
 }
 
-// TRTCM is the Two Rate Three Color Marker of RFC 2698: a peak bucket
-// (PIR, PBS) and a committed bucket (CIR, CBS). A packet is red if it
-// violates the peak profile, yellow if it only violates the committed
-// profile, green otherwise. Color-blind mode.
-type TRTCM struct {
-	cir, pir units.BitRate
-
-	scaledC, scaledP     int64
-	scaledCBS, scaledPBS int64
-	lastUpdate           units.Time
-}
-
-// NewTRTCM returns a two-rate marker. pir must be ≥ cir (RFC 2698 §2).
-func NewTRTCM(cir, pir units.BitRate, cbs, pbs units.ByteSize) *TRTCM {
-	if cir <= 0 || pir < cir || cbs <= 0 || pbs <= 0 {
-		panic("tokenbucket: bad trTCM parameters")
-	}
-	m := &TRTCM{cir: cir, pir: pir}
-	m.scaledCBS = int64(cbs) * tokenScale
-	m.scaledPBS = int64(pbs) * tokenScale
-	m.scaledC = m.scaledCBS
-	m.scaledP = m.scaledPBS
-	return m
-}
-
-func (m *TRTCM) refill(now units.Time) {
-	if now <= m.lastUpdate {
-		return
-	}
-	dt := now - m.lastUpdate
-	m.lastUpdate = now
-	gc := int64(float64(dt) * float64(m.cir) / 8)
-	gp := int64(float64(dt) * float64(m.pir) / 8)
-	m.scaledC += gc
-	if m.scaledC > m.scaledCBS {
-		m.scaledC = m.scaledCBS
-	}
-	m.scaledP += gp
-	if m.scaledP > m.scaledPBS {
-		m.scaledP = m.scaledPBS
-	}
-}
-
-// Mark colors a packet of n bytes arriving at now per RFC 2698 §3
-// (color-blind).
-func (m *TRTCM) Mark(now units.Time, n int) packet.Color {
-	m.refill(now)
-	need := int64(n) * tokenScale
-	if m.scaledP < need {
-		return packet.Red
-	}
-	if m.scaledC < need {
-		m.scaledP -= need
-		return packet.Yellow
-	}
-	m.scaledP -= need
-	m.scaledC -= need
-	return packet.Green
-}
-
 // ColorToDSCP maps a marker verdict to the AF class-1 drop precedence
 // code points, the mapping an AF ingress would apply.
 func ColorToDSCP(c packet.Color) packet.DSCP {
@@ -148,7 +88,6 @@ func ColorToDSCP(c packet.Color) packet.DSCP {
 type AFMarker struct {
 	clock Clock
 	srtcm *SRTCM
-	trtcm *TRTCM
 	next  packet.Handler
 
 	// Tap, when set, receives a verdict per packet: PolicerPass for
@@ -164,24 +103,13 @@ func NewAFMarkerSR(clock Clock, m *SRTCM, next packet.Handler) *AFMarker {
 	return &AFMarker{clock: clock, srtcm: m, next: next}
 }
 
-// NewAFMarkerTR returns an AF marker driven by a trTCM profile.
-func NewAFMarkerTR(clock Clock, m *TRTCM, next packet.Handler) *AFMarker {
-	return &AFMarker{clock: clock, trtcm: m, next: next}
-}
-
 // SetNext redirects marked traffic to h (topology-builder wiring; not
 // for use once packets are flowing).
 func (a *AFMarker) SetNext(h packet.Handler) { a.next = h }
 
 // Handle colors and forwards pkt.
 func (a *AFMarker) Handle(pkt *packet.Packet) {
-	now := a.clock.Now()
-	var c packet.Color
-	if a.srtcm != nil {
-		c = a.srtcm.Mark(now, pkt.Size)
-	} else {
-		c = a.trtcm.Mark(now, pkt.Size)
-	}
+	c := a.srtcm.Mark(a.clock.Now(), pkt.Size)
 	pkt.Color = c
 	pkt.DSCP = ColorToDSCP(c)
 	switch c {

@@ -42,37 +42,6 @@ func TestSRTCMCommittedRefillFeedsExcess(t *testing.T) {
 	}
 }
 
-func TestTRTCMPeakDominates(t *testing.T) {
-	// PIR 16 Mbps / PBS 1500, CIR 8 Mbps / CBS 6000: a burst violating
-	// the peak profile is red even though committed tokens remain.
-	m := NewTRTCM(8*units.Mbps, 16*units.Mbps, 6000, 1500)
-	if c := m.Mark(0, 1500); c != packet.Green {
-		t.Errorf("first %v, want green", c)
-	}
-	if c := m.Mark(0, 1500); c != packet.Red {
-		t.Errorf("second %v, want red (peak violated)", c)
-	}
-}
-
-func TestTRTCMYellowWhenCommittedExhausted(t *testing.T) {
-	m := NewTRTCM(units.Mbps, 8*units.Mbps, 1500, 6000)
-	if c := m.Mark(0, 1500); c != packet.Green {
-		t.Errorf("first %v", c)
-	}
-	if c := m.Mark(0, 1500); c != packet.Yellow {
-		t.Errorf("second %v, want yellow (committed gone, peak ok)", c)
-	}
-}
-
-func TestTRTCMValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for pir < cir")
-		}
-	}()
-	NewTRTCM(2*units.Mbps, units.Mbps, 1000, 1000)
-}
-
 func TestColorToDSCP(t *testing.T) {
 	if ColorToDSCP(packet.Green) != packet.AF11 ||
 		ColorToDSCP(packet.Yellow) != packet.AF12 ||
@@ -96,17 +65,6 @@ func TestAFMarkerRemarksAndCounts(t *testing.T) {
 	}
 	if sink.Last.DSCP != packet.AF13 {
 		t.Errorf("last DSCP = %v, want AF13", sink.Last.DSCP)
-	}
-}
-
-func TestAFMarkerTR(t *testing.T) {
-	s := sim.New(1)
-	var sink packet.Sink
-	m := NewAFMarkerTR(s, NewTRTCM(units.Mbps, 8*units.Mbps, 1500, 6000), &sink)
-	m.Handle(mkPkt(1500))
-	m.Handle(mkPkt(1500))
-	if m.Green != 1 || m.Yellow != 1 {
-		t.Errorf("counts G=%d Y=%d R=%d", m.Green, m.Yellow, m.Red)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 // SchedulerSpec builds a scheduler for a link at Build time. Specs
-// that need randomness (RED/RIO) fork the simulator's RNG when
+// that need randomness (RIO) fork the simulator's RNG when
 // invoked, so the fork order is the declaration order of the links
 // that use them — which keeps builder-made networks bit-identical to
 // hand-wired ones.
@@ -612,31 +612,4 @@ func (n *Network) Poisson(name string) *traffic.Poisson {
 		panic(fmt.Sprintf("topology: %q is not a Poisson source", name))
 	}
 	return e.poisson
-}
-
-// OnOff returns the named on-off source.
-func (n *Network) OnOff(name string) *traffic.OnOff {
-	e := n.get(name)
-	if e.onoff == nil {
-		panic(fmt.Sprintf("topology: %q is not an on-off source", name))
-	}
-	return e.onoff
-}
-
-// CBR returns the named CBR source.
-func (n *Network) CBR(name string) *traffic.CBR {
-	e := n.get(name)
-	if e.cbr == nil {
-		panic(fmt.Sprintf("topology: %q is not a CBR source", name))
-	}
-	return e.cbr
-}
-
-// BatchedCBR returns the named batched CBR source.
-func (n *Network) BatchedCBR(name string) *flowbatch.BatchedCBR {
-	e := n.get(name)
-	if e.bcbr == nil {
-		panic(fmt.Sprintf("topology: %q is not a batched CBR source", name))
-	}
-	return e.bcbr
 }

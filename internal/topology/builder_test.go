@@ -128,8 +128,8 @@ func TestBuilderSourcesDeterministic(t *testing.T) {
 		net := b.MustBuild()
 		net.Sim.SetHorizon(units.FromSeconds(2))
 		net.Sim.Run()
-		if net.Poisson("p").Sent == 0 || net.OnOff("o").Sent == 0 {
-			t.Fatal("sources idle")
+		if net.Poisson("p").Sent == 0 {
+			t.Fatal("Poisson source idle")
 		}
 		return sink.Count, sink.Bytes
 	}
@@ -183,9 +183,6 @@ func TestBuilderBatchedCBRSource(t *testing.T) {
 		net := b.MustBuild()
 		net.Sim.SetHorizon(units.FromSeconds(2))
 		net.Sim.Run()
-		if batched && net.BatchedCBR("c").Sent == 0 {
-			t.Fatal("batched source idle")
-		}
 		return sink.Count, sink.Bytes
 	}
 	uc, ub := build(false)

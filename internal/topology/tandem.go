@@ -200,13 +200,3 @@ func (t *Tandem) Run() {
 	t.Sim.Run()
 	t.Client.Finish()
 }
-
-// PolicerLoss reports each border's drop fraction (border2 is 0
-// without a second border).
-func (t *Tandem) PolicerLoss() (b1, b2 float64) {
-	b1 = t.Border1.LossFraction()
-	if t.Border2 != nil {
-		b2 = t.Border2.LossFraction()
-	}
-	return b1, b2
-}

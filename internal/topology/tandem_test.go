@@ -36,7 +36,7 @@ func TestTandemSecondBorderReDrops(t *testing.T) {
 		t.Fatal("second border missing")
 	}
 	tn.Run()
-	b1, b2 := tn.PolicerLoss()
+	b1, b2 := tn.Border1.LossFraction(), tn.Border2.LossFraction()
 	// The whole point of the topology: traffic that conformed at
 	// border 1 is re-clocked by domain 1's queues and re-dropped at
 	// border 2 against the identical profile.

@@ -27,9 +27,6 @@ const (
 	Second           = 1000 * Millisecond
 )
 
-// Duration converts a simulated time to a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
@@ -92,13 +89,8 @@ type ByteSize int64
 const (
 	Byte ByteSize = 1
 	KB            = 1000 * Byte
-	KiB           = 1024 * Byte
 	MB            = 1000 * KB
-	MiB           = 1024 * KiB
 )
-
-// Bits reports the size in bits.
-func (s ByteSize) Bits() int64 { return int64(s) * 8 }
 
 // String formats the size with an SI suffix.
 func (s ByteSize) String() string {

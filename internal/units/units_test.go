@@ -82,12 +82,6 @@ func TestBitRateString(t *testing.T) {
 }
 
 func TestByteSize(t *testing.T) {
-	if KB.Bits() != 8000 {
-		t.Errorf("KB.Bits() = %d", KB.Bits())
-	}
-	if KiB != 1024 {
-		t.Errorf("KiB = %d", KiB)
-	}
 	if s := (3 * KB).String(); s != "3KB" {
 		t.Errorf("String = %q", s)
 	}

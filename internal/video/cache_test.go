@@ -39,7 +39,7 @@ func TestCachedCustomClipNoNameCollision(t *testing.T) {
 	defer ResetEncodingCache()
 	builtin := CachedCBR(Lost(), 1.7e6)
 	n := Lost().FrameCount()
-	impostor := Custom("Lost", []Scene{{Frames: n, Motion: 0.9, Detail: 0.9, Color: 0.5}}, 7)
+	impostor := customClip("Lost", []Scene{{Frames: n, Motion: 0.9, Detail: 0.9, Color: 0.5}}, 7)
 	if impostor.FrameCount() != n {
 		t.Fatalf("impostor has %d frames, want %d", impostor.FrameCount(), n)
 	}

@@ -176,16 +176,6 @@ func Dark() *Clip {
 	return c
 }
 
-// Custom builds a clip model from an explicit scene list, for
-// workloads beyond the two paper clips. Scene lengths are taken as
-// given; the per-frame feature streams are derived deterministically
-// from seed exactly as for the built-in clips.
-func Custom(name string, scenes []Scene, seed uint64) *Clip {
-	c := &Clip{Name: name, Scenes: scenes}
-	c.build(seed)
-	return c
-}
-
 // ByName returns a built-in clip model.
 func ByName(name string) *Clip {
 	switch name {

@@ -238,23 +238,6 @@ func (e *Encoding) RateStats() (max, avg, min float64) {
 	return max, sum / float64(len(e.Frames)), min
 }
 
-// WindowRate reports the rate over a sliding w-frame window ending at
-// frame i (used by examples for smoother Fig. 6-style traces).
-func (e *Encoding) WindowRate(i, w int) float64 {
-	if w <= 0 {
-		w = 1
-	}
-	lo := i - w + 1
-	if lo < 0 {
-		lo = 0
-	}
-	var bytes int64
-	for j := lo; j <= i; j++ {
-		bytes += int64(e.Frames[j].Size)
-	}
-	return float64(bytes) * 8 * FPS / float64(i-lo+1)
-}
-
 // MeanDistortion reports the average per-frame coding penalty.
 func (e *Encoding) MeanDistortion() float64 {
 	if len(e.Frames) == 0 {

@@ -213,17 +213,6 @@ func TestDistortionOrdering(t *testing.T) {
 	}
 }
 
-func TestWindowRate(t *testing.T) {
-	e := EncodeCBR(Lost(), 1.5e6)
-	r := e.WindowRate(100, 30)
-	if math.Abs(r-1.5e6)/1.5e6 > 0.25 {
-		t.Errorf("window rate %v far from target", r)
-	}
-	if e.WindowRate(0, 30) != e.FrameRate(0) {
-		t.Error("window at frame 0 should be the single-frame rate")
-	}
-}
-
 func TestTable2Rows(t *testing.T) {
 	rows := Table2(Lost())
 	if len(rows) != 3 {
@@ -270,12 +259,20 @@ func TestEncodingDeterminism(t *testing.T) {
 	}
 }
 
+// customClip builds a clip model from an explicit scene list, deriving
+// the per-frame feature streams from seed exactly as the paper clips do.
+func customClip(name string, scenes []Scene, seed uint64) *Clip {
+	c := &Clip{Name: name, Scenes: scenes}
+	c.build(seed)
+	return c
+}
+
 func TestCustomClip(t *testing.T) {
 	scenes := []Scene{
 		{Frames: 90, Motion: 0.2, Detail: 0.6, Color: 0.3},
 		{Frames: 60, Motion: 0.9, Detail: 0.4, Color: 0.7},
 	}
-	c := Custom("myclip", scenes, 42)
+	c := customClip("myclip", scenes, 42)
 	if c.FrameCount() != 150 {
 		t.Fatalf("frames = %d", c.FrameCount())
 	}
@@ -291,9 +288,9 @@ func TestCustomClip(t *testing.T) {
 		t.Errorf("scene motion not reflected: %.3f vs %.3f", a/90, b/60)
 	}
 	// Deterministic and encodable.
-	c2 := Custom("myclip", scenes, 42)
+	c2 := customClip("myclip", scenes, 42)
 	if c2.TI[37] != c.TI[37] {
-		t.Error("Custom not deterministic")
+		t.Error("scene-list clip not deterministic")
 	}
 	e := EncodeCBR(c, 800*units.Kbps)
 	_, avg, _ := e.RateStats()
