@@ -96,7 +96,6 @@ func BenchmarkFigure6TransmissionRates(b *testing.B) {
 func benchQBone(b *testing.B, spec experiment.QBoneSpec) {
 	b.Helper()
 	spec.Tokens = experiment.Scale(spec.Tokens, 5)
-	spec.Runs = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})
@@ -116,7 +115,6 @@ func BenchmarkFigure12QBoneDark10(b *testing.B) { benchQBone(b, experiment.Figur
 func benchRelative(b *testing.B, spec experiment.RelativeSpec) {
 	b.Helper()
 	spec.Tokens = experiment.Scale(spec.Tokens, 5)
-	spec.Runs = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})
@@ -293,10 +291,10 @@ func BenchmarkVQMScore(b *testing.B) {
 		at := units.Time(int64(i)) * iv
 		tr.Add(trace.FrameRecord{Seq: i, Arrival: at, Presentation: at, Frags: 1})
 	}
-	d := render.Conceal(tr, render.DefaultOptions())
+	d := render.Conceal(tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = vqm.ScoreSame(d, enc, vqm.Options{})
+		_ = vqm.Score(d, enc, enc)
 	}
 }
 
@@ -310,7 +308,7 @@ func BenchmarkConceal(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = render.Conceal(tr, render.DefaultOptions())
+		_ = render.Conceal(tr)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -35,11 +36,24 @@ const censusAllow = "testdata/census.allow"
 // reason, in testdata/census.allow. An allowlist entry that is no longer
 // flagged fails as well, so the list cannot outlive what it excuses.
 //
+// A second pass does the same for configuration knobs: every exported
+// field of an exported *Config, *Spec, *Options or *Class struct under
+// internal/ must be set by some product file — as a composite-literal
+// key, as the target of an assignment or inc/dec, or by &x.F. A
+// method's write through its own receiver (withDefaults filling in a
+// default) is not a caller choosing a value and does not count. A
+// field with a json: tag counts as set, since encoding/json writes it
+// from user files. A knob with one value in use is a constant.
+//
 // The check is go/parser plus go/types with the source importer for the
 // standard library: it needs no network, no go list and no build cache.
 func TestReachabilityCensus(t *testing.T) {
 	c := newCensus(t)
 	flagged := c.flag()
+	fields := c.flagFields()
+	for key, obj := range fields {
+		flagged[key] = obj
+	}
 	allow := readCensusAllow(t)
 
 	var unexcused []string
@@ -48,19 +62,22 @@ func TestReachabilityCensus(t *testing.T) {
 			continue
 		}
 		obj := flagged[key]
-		users := c.testUsers(obj.Pos())
+		missing, testVerb, testers := "reached", "used", c.testUsers
+		if _, ok := fields[key]; ok {
+			missing, testVerb, testers = "set", "set", c.testSetters
+		}
 		where := "no test either"
-		if len(users) > 0 {
+		if users := testers(obj.Pos()); len(users) > 0 {
 			where = "only tests: " + strings.Join(users, ", ")
 		}
-		unexcused = append(unexcused, fmt.Sprintf("%s (%s) is reached by no product file; used by %s",
-			key, c.fset.Position(obj.Pos()), where))
+		unexcused = append(unexcused, fmt.Sprintf("%s (%s) is %s by no product file; %s by %s",
+			key, c.fset.Position(obj.Pos()), missing, testVerb, where))
 	}
 	for _, msg := range unexcused {
 		t.Error(msg)
 	}
 	if len(unexcused) > 0 {
-		t.Errorf("delete what nothing reaches, or list it with a reason in %s", censusAllow)
+		t.Errorf("delete what nothing reaches and make a knob nothing sets a constant, or list it with a reason in %s", censusAllow)
 	}
 	for _, key := range sortedKeys(allow) {
 		if _, ok := flagged[key]; !ok {
@@ -84,9 +101,12 @@ type census struct {
 	// reached holds the declaration position of every object some
 	// product file refers to.
 	reached map[token.Pos]bool
-	// testRefs maps a declaration position to the test packages that
-	// refer to it; nil until a failure asks.
-	testRefs map[token.Pos][]string
+	// set holds the declaration position of every struct field some
+	// product file writes.
+	set map[token.Pos]bool
+	// testRefs and testSets map a declaration position to the test
+	// packages that refer to it or write it; nil until a failure asks.
+	testRefs, testSets map[token.Pos][]string
 }
 
 type censusDir struct {
@@ -103,6 +123,7 @@ func newCensus(t *testing.T) *census {
 		dirs:    map[string]*censusDir{},
 		pkgs:    map[string]*types.Package{},
 		reached: map[token.Pos]bool{},
+		set:     map[token.Pos]bool{},
 	}
 	c.std = importer.ForCompiler(c.fset, "source", nil)
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -177,11 +198,134 @@ func (c *census) Import(ip string) (*types.Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", ip, err)
 	}
-	for _, obj := range info.Uses {
-		c.reached[obj.Pos()] = true
+	// A method's receiver names its own type; that is a declaration,
+	// not a use, or a type only tests construct would count as reached.
+	inRecv := map[*ast.Ident]bool{}
+	for _, f := range dir.product {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						inRecv[id] = true
+					}
+					return true
+				})
+			}
+		}
 	}
+	for id, obj := range info.Uses {
+		if !inRecv[id] {
+			c.reached[obj.Pos()] = true
+		}
+	}
+	fieldWrites(dir.product, info, func(_ *ast.Ident, fld *types.Var) { c.set[fld.Pos()] = true })
 	c.pkgs[ip] = pkg
 	return pkg, nil
+}
+
+// fieldWrites calls fn for every struct field the files write: a
+// composite-literal key, an assignment or inc/dec target x.F, or &x.F.
+// A write through a method's own receiver is skipped.
+func fieldWrites(files []*ast.File, info *types.Info, fn func(*ast.Ident, *types.Var)) {
+	field := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			fn(id, v)
+		}
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			recv := token.NoPos
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 {
+				recv = fd.Recv.List[0].Names[0].Pos()
+			}
+			target := func(e ast.Expr) {
+				sel, ok := unparen(e).(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				if x, ok := unparen(sel.X).(*ast.Ident); ok && recv.IsValid() {
+					if obj := info.Uses[x]; obj != nil && obj.Pos() == recv {
+						return
+					}
+				}
+				field(sel.Sel)
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								field(id)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// flagFields returns every exported field of an exported configuration
+// struct under internal/ that no product file sets, keyed
+// pkg.Type.Field. A json:-tagged field is set by its decoder.
+func (c *census) flagFields() map[string]types.Object {
+	flagged := map[string]types.Object{}
+	for ip, pkg := range c.pkgs {
+		if !strings.HasPrefix(ip, censusModule+"/internal/") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !isConfigName(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				fld := st.Field(i)
+				_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+				if fld.Exported() && !tagged && !c.set[fld.Pos()] {
+					flagged[pkg.Name()+"."+name+"."+fld.Name()] = fld
+				}
+			}
+		}
+	}
+	return flagged
+}
+
+// unparen is ast.Unparen, which Go 1.21 lacks.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
+func isConfigName(name string) bool {
+	for _, suffix := range []string{"Config", "Spec", "Options", "Class"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 // flag returns every exported package-level name and exported method
@@ -266,37 +410,61 @@ func implementsAny(named *types.Named, name string, ifaces []*types.Interface) b
 // at pos. Only a failure needs it, so the test files are type-checked
 // on first call and a passing census never pays for them.
 func (c *census) testUsers(pos token.Pos) []string {
-	if c.testRefs == nil {
-		c.testRefs = map[token.Pos][]string{}
-		for _, ip := range sortedKeys(c.dirs) {
-			dir := c.dirs[ip]
-			if len(dir.inTest) > 0 {
-				c.checkTests(ip, append(append([]*ast.File{}, dir.product...), dir.inTest...))
-			}
-			if len(dir.extTest) > 0 {
-				c.checkTests(ip+"_test", dir.extTest)
-			}
-		}
-	}
+	c.checkAllTests()
 	return c.testRefs[pos]
 }
 
+// testSetters names the test packages that write the field declared at
+// pos, on the same lazy terms as testUsers.
+func (c *census) testSetters(pos token.Pos) []string {
+	c.checkAllTests()
+	return c.testSets[pos]
+}
+
+func (c *census) checkAllTests() {
+	if c.testRefs != nil {
+		return
+	}
+	c.testRefs, c.testSets = map[token.Pos][]string{}, map[token.Pos][]string{}
+	for _, ip := range sortedKeys(c.dirs) {
+		dir := c.dirs[ip]
+		if len(dir.inTest) > 0 {
+			c.checkTests(ip, append(append([]*ast.File{}, dir.product...), dir.inTest...))
+		}
+		if len(dir.extTest) > 0 {
+			c.checkTests(ip+"_test", dir.extTest)
+		}
+	}
+}
+
 // checkTests type-checks files as package ip and files ip under every
-// object a _test.go file among them refers to. Type errors are
-// ignored: an external test may use a helper only its package's tests
-// export.
+// object a _test.go file among them refers to or, for a field, writes.
+// Type errors are ignored: an external test may use a helper only its
+// package's tests export.
 func (c *census) checkTests(ip string, files []*ast.File) {
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: c, Error: func(error) {}}
 	conf.Check(ip, c.fset, files, info)
-	seen := map[token.Pos]bool{}
-	for id, obj := range info.Uses {
-		pos := obj.Pos()
-		if !seen[pos] && strings.HasSuffix(c.fset.Position(id.Pos()).Filename, "_test.go") {
+	inTest := func(id *ast.Ident) bool {
+		return strings.HasSuffix(c.fset.Position(id.Pos()).Filename, "_test.go")
+	}
+	record := func(into map[token.Pos][]string, seen map[token.Pos]bool, pos token.Pos) {
+		if !seen[pos] {
 			seen[pos] = true
-			c.testRefs[pos] = append(c.testRefs[pos], ip)
+			into[pos] = append(into[pos], ip)
 		}
 	}
+	refs, sets := map[token.Pos]bool{}, map[token.Pos]bool{}
+	for id, obj := range info.Uses {
+		if inTest(id) {
+			record(c.testRefs, refs, obj.Pos())
+		}
+	}
+	fieldWrites(files, info, func(id *ast.Ident, fld *types.Var) {
+		if inTest(id) {
+			record(c.testSets, sets, fld.Pos())
+		}
+	})
 }
 
 // readCensusAllow parses the allowlist: one "pkg.Name[.Method]  reason"

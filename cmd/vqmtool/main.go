@@ -96,8 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if enc.CBR {
 		decoded = client.DecodeMPEG(tr, enc)
 	}
-	d := render.Conceal(decoded, render.DefaultOptions())
-	res := vqm.Score(d, enc, ref, vqm.Options{})
+	d := render.Conceal(decoded)
+	res := vqm.Score(d, enc, ref)
 
 	fmt.Fprintf(stdout, "trace:          %s (%d/%d frames received)\n", *in, len(tr.Records), tr.ClipFrames)
 	fmt.Fprintf(stdout, "decodable:      %d (frame loss %.4f)\n",

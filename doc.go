@@ -39,9 +39,9 @@
 // batched build is byte-identical to N real servers — pinned by the
 // batcheq and mixeq differential harnesses in internal/experiment —
 // while paying the source-side cost once; the fold is exact for the
-// multi-flow topology and unavailable for random (Poisson/on-off)
-// sources. This is what lets the nflow-wide scenario sweep
-// N ∈ {16..512} with events per virtual flow falling as N grows.
+// multi-flow topology and unavailable for random (Poisson) sources.
+// This is what lets the nflow-wide scenario sweep N ∈ {16..512} with
+// events per virtual flow falling as N grows.
 //
 // MultiFlow.Run has two paths. Serial: the source (or the N paced
 // servers of an unbatched build) runs on the one simulator. Sharded

@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/client"
-	"repro/internal/render"
 	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/video"
-	"repro/internal/vqm"
 )
 
 // This file holds the extension experiments beyond the paper's
@@ -177,17 +175,10 @@ func AblationAFGrid(seed uint64, loads []float64, cirs []units.BitRate) []AFPoin
 				Seed: seed, Enc: enc, CIR: cir, AFLoad: load,
 			})
 			a.Run()
-			tr := client.DecodeMPEG(a.Client.Trace(), enc)
-			d := render.Conceal(tr, render.DefaultOptions())
-			res := vqm.ScoreSame(d, enc, vqm.Options{})
 			out = append(out, AFPoint{
 				CIR: cir, AFLoad: load,
 				Green: a.Marker.Green, Yellow: a.Marker.Yellow, Red: a.Marker.Red,
-				Evaluation: Evaluation{
-					FrameLoss:   tr.FrameLossFraction(),
-					Quality:     res.Index,
-					Calibration: res.CalibrationFailures,
-				},
+				Evaluation: Evaluate(a.Client.Trace(), enc, enc),
 			})
 		}
 	}

@@ -67,7 +67,7 @@ func TestEvaluatorReuseMatchesFresh(t *testing.T) {
 		if pair[0].CBR {
 			dtr = client.DecodeMPEG(tr, pair[0])
 		}
-		d := render.Conceal(dtr, render.DefaultOptions())
+		d := render.Conceal(dtr)
 		if !slices.Equal(ev.disp.Frames, d.Frames) || !slices.Equal(ev.disp.Damage, d.Damage) ||
 			!slices.Equal(ev.disp.Freezes, d.Freezes) || ev.disp.Repeats != d.Repeats {
 			t.Fatalf("trace %d: reused displayed sequence differs from a fresh Conceal", i)

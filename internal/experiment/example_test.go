@@ -38,8 +38,8 @@ func Example() {
 	// 4. The offline pipeline of §3.1: decode dependencies, renderer
 	//    concealment, VQM scoring.
 	tr := client.DecodeMPEG(q.Client.Trace(), enc)
-	displayed := render.Conceal(tr, render.DefaultOptions())
-	result := vqm.ScoreSame(displayed, enc, vqm.Options{})
+	displayed := render.Conceal(tr)
+	result := vqm.Score(displayed, enc, enc)
 	fmt.Printf("frame loss: %.2f%%\n", 100*tr.FrameLossFraction())
 	fmt.Printf("freezes: %d slots (longest %d)\n", displayed.Repeats, displayed.LongestFreeze())
 	fmt.Printf("VQM quality index: %.3f (0 = perfect, 1 = worst)\n", result.Index)

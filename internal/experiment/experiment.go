@@ -50,8 +50,8 @@ func (e *Evaluator) Evaluate(tr *trace.Trace, recv, ref *video.Encoding) Evaluat
 		tr = e.dec.Decode(tr, recv)
 	}
 	d := &e.disp
-	render.ConcealInto(d, tr, render.DefaultOptions())
-	res := e.score.Score(d, recv, ref, vqm.Options{})
+	render.ConcealInto(d, tr)
+	res := e.score.Score(d, recv, ref)
 	return Evaluation{
 		FrameLoss:   tr.FrameLossFraction(),
 		Quality:     res.Index,
@@ -196,8 +196,7 @@ type QBoneSpec struct {
 	Depths  []units.ByteSize
 	Seed    uint64
 	// Runs averages each point over this many seeds (seed, seed+1, …);
-	// 0 means 3. The paper repeated runs for the same reason: jitter
-	// makes individual runs noisy (§4 "there is some variability").
+	// 0 means seedRuns.
 	Runs int
 	// CrossLoad replaces the default background load (0 keeps it).
 	CrossLoad float64
@@ -215,7 +214,7 @@ func (spec QBoneSpec) Jobs() []Job {
 	enc := video.CachedCBR(spec.Clip, spec.EncRate)
 	runs := spec.Runs
 	if runs <= 0 {
-		runs = 3
+		runs = seedRuns
 	}
 	var jobs []Job
 	for _, depth := range spec.Depths {
@@ -241,6 +240,11 @@ func (spec QBoneSpec) Scaled(n int) Scenario {
 	spec.Tokens = Scale(spec.Tokens, n)
 	return spec
 }
+
+// seedRuns is how many consecutive seeds a figure point averages unless
+// its spec says otherwise. The paper repeated runs for the same reason:
+// jitter makes individual runs noisy (§4 "there is some variability").
+const seedRuns = 3
 
 // runQBonePointAvgLabeled averages runQBonePointLabeled over
 // consecutive seeds (see averagePoint for the averaging and tracing
@@ -319,7 +323,6 @@ type RelativeSpec struct {
 	Tokens   []units.BitRate
 	Depth    units.ByteSize
 	Seed     uint64
-	Runs     int // seeds averaged per point; 0 means 3
 }
 
 // Name implements Scenario.
@@ -334,10 +337,6 @@ func (spec RelativeSpec) Describe() string { return spec.Title }
 // serial code did.
 func (spec RelativeSpec) Jobs() []Job {
 	ref := video.CachedCBR(spec.Clip, spec.RefRate)
-	runs := spec.Runs
-	if runs <= 0 {
-		runs = 3
-	}
 	var jobs []Job
 	for _, er := range spec.EncRates {
 		enc := video.CachedCBR(spec.Clip, er)
@@ -347,7 +346,7 @@ func (spec RelativeSpec) Jobs() []Job {
 				// The encoding rate disambiguates trace files: every
 				// series shares the same (token, depth, seed) grid.
 				return runQBonePointAvgLabeled(ctx, fmt.Sprintf("enc%d-", int64(er)),
-					enc, ref, tok, spec.Depth, spec.Seed, 0, runs)
+					enc, ref, tok, spec.Depth, spec.Seed, 0, seedRuns)
 			})
 		}
 	}

@@ -33,18 +33,19 @@ func init() {
 // StandardDepths are the two APS burst sizes of the QBone experiments.
 func StandardDepths() []units.ByteSize { return []units.ByteSize{3000, 4500} }
 
-// Scale thins a token sweep for quick runs (benchmarks): keep every
-// n-th point, always keeping the endpoints.
-func Scale(tokens []units.BitRate, n int) []units.BitRate {
-	if n <= 1 || len(tokens) <= 2 {
-		return tokens
+// Scale thins a sweep — token rates, flow counts, loads — for quick
+// runs: keep every n-th point, always keeping the endpoints. A last
+// point equal to the last kept one is not repeated.
+func Scale[T comparable](xs []T, n int) []T {
+	if n <= 1 || len(xs) <= 2 {
+		return xs
 	}
-	var out []units.BitRate
-	for i := 0; i < len(tokens); i += n {
-		out = append(out, tokens[i])
+	var out []T
+	for i := 0; i < len(xs); i += n {
+		out = append(out, xs[i])
 	}
-	if out[len(out)-1] != tokens[len(tokens)-1] {
-		out = append(out, tokens[len(tokens)-1])
+	if out[len(out)-1] != xs[len(xs)-1] {
+		out = append(out, xs[len(xs)-1])
 	}
 	return out
 }

@@ -195,7 +195,7 @@ func (spec FleetSpec) Assemble(results []Point) *Figure {
 // Scaled implements Scalable: thin the flow-count sweep (endpoints
 // always kept).
 func (spec FleetSpec) Scaled(n int) Scenario {
-	spec.Ns = scaleInts(spec.Ns, n)
+	spec.Ns = Scale(spec.Ns, n)
 	return spec
 }
 

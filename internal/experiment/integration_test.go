@@ -42,8 +42,8 @@ func TestOfflinePipelineViaTraceFile(t *testing.T) {
 
 	score := func(tr *trace.Trace) float64 {
 		dec := client.DecodeMPEG(tr, enc)
-		d := render.Conceal(dec, render.DefaultOptions())
-		return vqm.ScoreSame(d, enc, vqm.Options{}).Index
+		d := render.Conceal(dec)
+		return vqm.Score(d, enc, enc).Index
 	}
 	a, b := score(orig), score(loaded)
 	if math.Abs(a-b) > 1e-12 {

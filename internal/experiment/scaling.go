@@ -153,7 +153,7 @@ func (spec MultiFlowSpec) Assemble(results []Point) *Figure {
 // Scaled implements Scalable: keep every n-th flow count (endpoints
 // always).
 func (spec MultiFlowSpec) Scaled(n int) Scenario {
-	spec.Ns = scaleInts(spec.Ns, n)
+	spec.Ns = Scale(spec.Ns, n)
 	return spec
 }
 
@@ -266,39 +266,9 @@ func (spec SchedCompareSpec) Assemble(results []Point) *Figure {
 
 // Scaled implements Scalable: thin the load sweep.
 func (spec SchedCompareSpec) Scaled(n int) Scenario {
-	spec.Loads = scaleFloats(spec.Loads, n)
+	spec.Loads = Scale(spec.Loads, n)
 	return spec
 }
 
 // SupportsShards implements ShardCapable.
 func (spec SchedCompareSpec) SupportsShards() bool { return true }
-
-// scaleInts keeps every n-th entry, always keeping the endpoints.
-func scaleInts(xs []int, n int) []int {
-	if n <= 1 || len(xs) <= 2 {
-		return xs
-	}
-	var out []int
-	for i := 0; i < len(xs); i += n {
-		out = append(out, xs[i])
-	}
-	if out[len(out)-1] != xs[len(xs)-1] {
-		out = append(out, xs[len(xs)-1])
-	}
-	return out
-}
-
-// scaleFloats keeps every n-th entry, always keeping the endpoints.
-func scaleFloats(xs []float64, n int) []float64 {
-	if n <= 1 || len(xs) <= 2 {
-		return xs
-	}
-	var out []float64
-	for i := 0; i < len(xs); i += n {
-		out = append(out, xs[i])
-	}
-	if out[len(out)-1] != xs[len(xs)-1] {
-		out = append(out, xs[len(xs)-1])
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/units"
@@ -63,17 +64,34 @@ func maxMin(v []float64) float64 {
 	return hi - lo
 }
 
+// TestScaleEdgeCases pins Scale over every sweep type it thins: every
+// n-th point plus the last, and the input itself when n ≤ 1 or there
+// are at most two points.
 func TestScaleEdgeCases(t *testing.T) {
-	if got := Scale(nil, 3); got != nil {
-		t.Errorf("Scale(nil) = %v", got)
-	}
-	two := []units.BitRate{1, 2}
-	if got := Scale(two, 10); len(got) != 2 {
-		t.Errorf("Scale of 2 points = %v", got)
-	}
-	s := TokenSweep(100, 1000, 100) // 10 points
-	got := Scale(s, 3)              // 100, 400, 700, 1000
-	if len(got) != 4 || got[3] != s[9] {
-		t.Errorf("Scale(10pts, 3) = %v", got)
+	tokens := TokenSweep(100, 1000, 100) // 10 points
+	ns := []int{1, 2, 4, 8, 16, 32, 64}
+	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"tokens/3", Scale(tokens, 3), []units.BitRate{tokens[0], tokens[3], tokens[6], tokens[9]}},
+		{"tokens/9", Scale(tokens, 9), []units.BitRate{tokens[0], tokens[9]}},
+		{"tokens/20", Scale(tokens, 20), []units.BitRate{tokens[0], tokens[9]}},
+		{"tokens/1", Scale(tokens, 1), tokens},
+		{"tokens/0", Scale(tokens, 0), tokens},
+		{"two tokens", Scale(tokens[:2], 10), tokens[:2]},
+		{"nil tokens", Scale([]units.BitRate(nil), 3), []units.BitRate(nil)},
+		{"ns/2", Scale(ns, 2), []int{1, 4, 16, 64}},
+		{"ns/4", Scale(ns, 4), []int{1, 16, 64}},
+		{"ns/-1", Scale(ns, -1), ns},
+		{"one n", Scale(ns[:1], 5), ns[:1]},
+		{"loads/2", Scale(loads, 2), []float64{0.1, 0.3, 0.5}},
+		{"loads/3", Scale(loads, 3), []float64{0.1, 0.4, 0.5}},
+		{"two loads", Scale(loads[3:], 2), loads[3:]},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: Scale = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }

@@ -35,7 +35,7 @@ type TandemSpec struct {
 	Tokens  []units.BitRate
 	Depth   units.ByteSize
 	Seed    uint64
-	Runs    int // seeds averaged per point; 0 means 3
+	Runs    int // seeds averaged per point; 0 means seedRuns
 }
 
 // TandemSweepSpec is the registered two-border scenario.
@@ -71,7 +71,7 @@ func (spec TandemSpec) Jobs() []Job {
 	enc := video.CachedCBR(spec.Clip, spec.EncRate)
 	runs := spec.Runs
 	if runs <= 0 {
-		runs = 3
+		runs = seedRuns
 	}
 	var jobs []Job
 	for _, v := range tandemVariants {

@@ -1,12 +1,11 @@
 // Package flowbatch batches identical paced flows: one representative
-// flow's emission schedule, computed once per equivalence class (same
-// encoding, message size, pacing spread) and cached, fans out as N
-// phase-offset virtual flows. Each virtual flow keeps its own flow id,
-// its own policer, its own client and its own per-flow statistics —
-// downstream elements cannot tell a batched source from N real
-// servers — but the source-side work (fragmenting every frame,
-// stepping a frame clock, running a private access link and
-// jitter element per flow) is paid once instead of N times.
+// flow's emission schedule, computed once per encoding and cached, fans
+// out as N phase-offset virtual flows. Each virtual flow keeps its own
+// flow id, its own policer, its own client and its own per-flow
+// statistics — downstream elements cannot tell a batched source from N
+// real servers — but the source-side work (fragmenting every frame,
+// stepping a frame clock, running a private access link and jitter
+// element per flow) is paid once instead of N times.
 //
 // # One source
 //
@@ -66,7 +65,7 @@
 // TestBatchedWideTieDivergence in internal/experiment pins both
 // sides of the boundary as a regression witness. Batching is approximate for
 // topologies where batched flows share a pre-policer queue with other
-// traffic, and unsupported for random (Poisson, on-off) sources,
+// traffic, and unsupported for random (Poisson) sources,
 // whose per-flow RNG forks cannot be reproduced by one shared stream.
 //
 // # Why the delivery timer has two arming rules
@@ -134,22 +133,16 @@ type Schedule struct {
 	Bytes   int64 // total wire bytes per flow
 }
 
+// paceSpread is server.Paced's: the fraction of the frame interval a
+// frame's fragments are spread across.
+const paceSpread = 0.95
+
 // PacedSchedule computes the emission plan of a server.Paced streaming
-// enc: frame i starts at i*FrameInterval, its fragments spread across
-// paceSpread of the interval with the exact integer arithmetic the
-// server uses. msgSize <= 0 means one MTU's worth of payload;
-// paceSpread <= 0 means the server's 0.95 default. Spreads above 1
-// panic, as they do in server.Paced.Start.
-func PacedSchedule(enc *video.Encoding, msgSize int, paceSpread float64) *Schedule {
-	if msgSize <= 0 {
-		msgSize = server.MaxUDPPayload
-	}
-	if paceSpread <= 0 {
-		paceSpread = 0.95
-	}
-	if paceSpread > 1 {
-		panic("flowbatch: paceSpread > 1 would overlap adjacent frames' sends")
-	}
+// enc: frame i starts at i*FrameInterval, its MTU-payload fragments
+// spread across paceSpread of the interval with the exact integer
+// arithmetic the server uses.
+func PacedSchedule(enc *video.Encoding) *Schedule {
+	const msgSize = server.MaxUDPPayload
 	interval := video.FrameInterval()
 	spread := units.Time(float64(interval) * paceSpread)
 	sched := &Schedule{}
@@ -180,18 +173,18 @@ func PacedSchedule(enc *video.Encoding, msgSize int, paceSpread float64) *Schedu
 	return sched
 }
 
-// schedCache memoizes default-parameter schedules per encoding, the
-// same sharing discipline video.CachedCBR applies to encodings: every
-// grid point of a sweep reuses one plan.
+// schedCache memoizes schedules per encoding, the same sharing
+// discipline video.CachedCBR applies to encodings: every grid point of
+// a sweep reuses one plan.
 var schedCache sync.Map // *video.Encoding -> *Schedule
 
-// CachedPacedSchedule returns the shared default-parameter schedule
-// for enc, computing it on first use.
+// CachedPacedSchedule returns the shared schedule for enc, computing it
+// on first use.
 func CachedPacedSchedule(enc *video.Encoding) *Schedule {
 	if s, ok := schedCache.Load(enc); ok {
 		return s.(*Schedule)
 	}
-	s := PacedSchedule(enc, 0, 0)
+	s := PacedSchedule(enc)
 	actual, _ := schedCache.LoadOrStore(enc, s)
 	return actual.(*Schedule)
 }
@@ -209,12 +202,10 @@ type ChainSpec struct {
 }
 
 // BatchedCBR fans one constant-bit-rate emission pattern out as N
-// phase-offset virtual flows carrying ids BaseFlow..BaseFlow+N-1, all
-// feeding Next directly — the batched form of N identical traffic.CBR
-// declarations. With Phase 0 it is packet-for-packet identical to N
-// CBR sources started in flow-id order (same tick, same emission
-// order, same id counter); a non-zero Phase staggers the virtual
-// flows' starts, which plain CBR sources cannot express.
+// virtual flows carrying ids BaseFlow..BaseFlow+N-1, all feeding Next
+// directly — the batched form of N identical traffic.CBR declarations,
+// packet-for-packet identical to N CBR sources started in flow-id order
+// (same tick, same emission order, same id counter).
 type BatchedCBR struct {
 	Sim      *sim.Simulator
 	Rate     units.BitRate
@@ -222,10 +213,8 @@ type BatchedCBR struct {
 	BaseFlow packet.FlowID
 	DSCP     packet.DSCP
 	N        int
-	Phase    units.Time // start stagger between consecutive virtual flows
 	Next     packet.Handler
 	Pool     *packet.Pool
-	Until    units.Time // stop time; 0 = run to horizon
 
 	Sent int
 
@@ -254,23 +243,15 @@ func (c *BatchedCBR) Start() {
 	c.timer = (*batchedCBRTimer)(c)
 	now := c.Sim.Now()
 	for i := 0; i < c.N; i++ {
-		c.nextAt[i] = now + units.Time(int64(i))*c.Phase
+		c.nextAt[i] = now
 		c.wheel.push(int32(i))
 	}
-	c.Sim.AtTimer(c.nextAt[c.wheel.min()], c.timer)
+	c.Sim.AtTimer(now, c.timer)
 }
 
 func (c *BatchedCBR) emitDue(now units.Time) {
 	step := c.Rate.TxTime(c.Size)
-	for c.wheel.len() > 0 {
-		i := c.wheel.min()
-		if c.nextAt[i] > now {
-			break
-		}
-		if c.Until > 0 && now >= c.Until {
-			c.wheel.pop()
-			continue
-		}
+	for i := c.wheel.min(); c.nextAt[i] <= now; i = c.wheel.min() {
 		p := c.Pool.Get()
 		p.ID, p.Flow, p.Size = packet.NewID(), c.BaseFlow+packet.FlowID(i), c.Size
 		p.DSCP, p.SentAt, p.FrameSeq = c.DSCP, now, -1
@@ -279,7 +260,5 @@ func (c *BatchedCBR) emitDue(now units.Time) {
 		c.nextAt[i] = now + step
 		c.wheel.fixMin()
 	}
-	if c.wheel.len() > 0 {
-		c.Sim.AtTimer(c.nextAt[c.wheel.min()], c.timer)
-	}
+	c.Sim.AtTimer(c.nextAt[c.wheel.min()], c.timer)
 }

@@ -46,7 +46,7 @@ func (r *recorder) Handle(p *packet.Packet) {
 // real server.Paced emits: same instants, sizes and frame metadata.
 func TestPacedScheduleMatchesServer(t *testing.T) {
 	enc := video.CachedCBR(video.Lost(), 1.0e6)
-	sched := PacedSchedule(enc, 0, 0)
+	sched := PacedSchedule(enc)
 	if len(sched.Entries) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -257,30 +257,32 @@ func TestMixtureWidthInvariant(t *testing.T) {
 	}
 }
 
-// TestBatchedCBREquivalence pins BatchedCBR with Phase 0 to N plain
-// CBR sources started in flow-id order: same ticks, same per-flow
-// packets, same Until cutoff.
+// TestBatchedCBREquivalence pins BatchedCBR to N plain CBR sources
+// started in flow-id order: same ticks, same per-flow packets up to the
+// same simulator horizon.
 func TestBatchedCBREquivalence(t *testing.T) {
 	const n = 4
 	rate := 2 * units.Mbps
-	until := 500 * units.Millisecond
+	horizon := 500 * units.Millisecond
 
 	s1 := sim.New(5)
 	pool1 := packet.NewPool()
 	ref := &recorder{sim: s1, pool: pool1}
 	for i := 0; i < n; i++ {
 		src := &traffic.CBR{Sim: s1, Rate: rate, Size: 1200, Flow: 50 + packet.FlowID(i),
-			DSCP: packet.AF12, Next: ref, Pool: pool1, Until: until}
+			DSCP: packet.AF12, Next: ref, Pool: pool1}
 		src.Start()
 	}
+	s1.SetHorizon(horizon)
 	s1.Run()
 
 	s2 := sim.New(5)
 	pool2 := packet.NewPool()
 	got := &recorder{sim: s2, pool: pool2}
 	src := &BatchedCBR{Sim: s2, Rate: rate, Size: 1200, BaseFlow: 50, DSCP: packet.AF12,
-		N: n, Next: got, Pool: pool2, Until: until}
+		N: n, Next: got, Pool: pool2}
 	src.Start()
+	s2.SetHorizon(horizon)
 	s2.Run()
 
 	if len(got.got) != len(ref.got) || len(got.got) == 0 {

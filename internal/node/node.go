@@ -35,18 +35,6 @@ type DSCPMatch packet.DSCP
 // Match reports whether p carries the code point.
 func (d DSCPMatch) Match(p *packet.Packet) bool { return p.DSCP == packet.DSCP(d) }
 
-// MatchAll matches every packet.
-type MatchAll struct{}
-
-// Match always reports true.
-func (MatchAll) Match(*packet.Packet) bool { return true }
-
-// MatchFunc adapts a predicate to Classifier.
-type MatchFunc func(*packet.Packet) bool
-
-// Match calls the predicate.
-func (f MatchFunc) Match(p *packet.Packet) bool { return f(p) }
-
 // Rule pairs a classifier with the conditioning element that handles
 // matching packets. The element is any Handler: a tokenbucket.Policer,
 // a tokenbucket.Shaper, an AF marker, or the output port directly.

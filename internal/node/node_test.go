@@ -10,7 +10,7 @@ func TestFirstMatchWins(t *testing.T) {
 	var a, b, d packet.Sink
 	r := NewRouter("r", &d)
 	ra := r.AddRule("flow1", FlowMatch(1), &a)
-	rb := r.AddRule("all", MatchAll{}, &b)
+	rb := r.AddRule("best-effort", DSCPMatch(packet.BestEffort), &b)
 	r.Handle(&packet.Packet{Flow: 1})
 	r.Handle(&packet.Packet{Flow: 2})
 	if a.Count != 1 || b.Count != 1 || d.Count != 0 {
@@ -46,13 +46,6 @@ func TestDSCPMatch(t *testing.T) {
 	m := DSCPMatch(packet.EF)
 	if !m.Match(&packet.Packet{DSCP: packet.EF}) || m.Match(&packet.Packet{DSCP: packet.AF11}) {
 		t.Error("DSCPMatch wrong")
-	}
-}
-
-func TestMatchFunc(t *testing.T) {
-	m := MatchFunc(func(p *packet.Packet) bool { return p.Size > 1000 })
-	if !m.Match(&packet.Packet{Size: 1500}) || m.Match(&packet.Packet{Size: 64}) {
-		t.Error("MatchFunc wrong")
 	}
 }
 

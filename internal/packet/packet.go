@@ -152,8 +152,6 @@ type Packet struct {
 	Seq   int64 // first payload byte sequence number
 	Ack   int64 // cumulative ack carried (for ACK segments Size is hdr only)
 	IsAck bool
-	SYN   bool
-	FIN   bool
 
 	SentAt     units.Time // stamped by the sender
 	EnqueuedAt units.Time // last queue admission time, for delay stats
@@ -337,40 +335,4 @@ func (s *Sink) Handle(p *Packet) {
 	s.Bytes += int64(p.Size)
 	s.Last = *p
 	s.Pool.Put(p)
-}
-
-// Tee forwards to an observer A and then to the owner B: A borrows
-// the packet for the duration of its Handle call (it must neither
-// retain nor release it), B takes ownership. With pooling in play a
-// Tee must never point A at a terminal handler.
-type Tee struct{ A, B Handler }
-
-// Handle lends p to A, then hands ownership to B.
-func (t Tee) Handle(p *Packet) {
-	if t.A != nil {
-		t.A.Handle(p)
-	}
-	if t.B != nil {
-		t.B.Handle(p)
-	}
-}
-
-// Counter wraps a next hop and counts what passes through. With a nil
-// Next it is terminal and releases to Pool (when set).
-type Counter struct {
-	Next  Handler
-	Pool  *Pool
-	Count int
-	Bytes int64
-}
-
-// Handle counts p then forwards it, or terminates it when Next is nil.
-func (c *Counter) Handle(p *Packet) {
-	c.Count++
-	c.Bytes += int64(p.Size)
-	if c.Next != nil {
-		c.Next.Handle(p)
-		return
-	}
-	c.Pool.Put(p)
 }

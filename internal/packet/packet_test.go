@@ -49,32 +49,6 @@ func TestSink(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	var a, b Sink
-	tee := Tee{A: &a, B: &b}
-	tee.Handle(&Packet{Size: 10})
-	if a.Count != 1 || b.Count != 1 {
-		t.Error("tee did not duplicate")
-	}
-	// Nil halves are tolerated.
-	Tee{A: &a}.Handle(&Packet{})
-	Tee{B: &b}.Handle(&Packet{})
-	if a.Count != 2 || b.Count != 2 {
-		t.Error("tee with nil half misbehaved")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var sink Sink
-	c := Counter{Next: &sink}
-	c.Handle(&Packet{Size: 50})
-	if c.Count != 1 || c.Bytes != 50 || sink.Count != 1 {
-		t.Error("counter miscounted")
-	}
-	// Counter without next must not panic.
-	(&Counter{}).Handle(&Packet{})
-}
-
 func TestHandlerFunc(t *testing.T) {
 	called := false
 	HandlerFunc(func(*Packet) { called = true }).Handle(&Packet{})

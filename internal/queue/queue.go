@@ -21,13 +21,12 @@ import (
 	"repro/internal/ptrace"
 )
 
-// FIFO is a bounded drop-tail queue measured in packets and bytes.
-// Either limit may be zero to disable it. The zero value is an
-// unbounded queue. The packets ride a packet.Ring, so the
-// steady-state push/pop cycle of a busy port performs no allocation.
+// FIFO is a drop-tail queue bounded in packets; a zero MaxPackets
+// disables the limit, so the zero value is an unbounded queue. The
+// packets ride a packet.Ring, so the steady-state push/pop cycle of a
+// busy port performs no allocation.
 type FIFO struct {
 	MaxPackets int
-	MaxBytes   int64
 
 	ring  packet.Ring
 	bytes int64
@@ -44,15 +43,9 @@ func (q *FIFO) Len() int { return q.ring.Len() }
 // Bytes reports the queued byte count.
 func (q *FIFO) Bytes() int64 { return q.bytes }
 
-// Push appends p, or drops it (returning false) if a limit would be
-// exceeded.
+// Push appends p, or drops it (returning false) if the queue is full.
 func (q *FIFO) Push(p *packet.Packet) bool {
 	if q.MaxPackets > 0 && q.ring.Len() >= q.MaxPackets {
-		q.Dropped++
-		q.DroppedBytes += int64(p.Size)
-		return false
-	}
-	if q.MaxBytes > 0 && q.bytes+int64(p.Size) > q.MaxBytes {
 		q.Dropped++
 		q.DroppedBytes += int64(p.Size)
 		return false

@@ -37,7 +37,7 @@ func TestConcealProperties(t *testing.T) {
 		// Arrival order may be perturbed by delays; records stay
 		// sorted by seq (the client sorts before handing off).
 		sort.Slice(tr.Records, func(a, b int) bool { return tr.Records[a].Seq < tr.Records[b].Seq })
-		d := Conceal(tr, DefaultOptions())
+		d := Conceal(tr)
 
 		if len(tr.Records) == 0 {
 			return len(d.Frames) == 0

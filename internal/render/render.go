@@ -14,18 +14,10 @@ import (
 	"repro/internal/video"
 )
 
-// Options configures playout.
-type Options struct {
-	// StartupDelay is the client's initial buffering time after the
-	// first frame arrives before playback starts. Streaming clients of
-	// the era buffered a few seconds; the default is 2 s.
-	StartupDelay units.Time
-}
-
-// DefaultOptions returns the standard playout configuration.
-func DefaultOptions() Options {
-	return Options{StartupDelay: 2 * units.Second}
-}
+// startupDelay is the client's initial buffering time after the first
+// frame arrives before playback starts. Streaming clients of the era
+// buffered a few seconds.
+const startupDelay = 2 * units.Second
 
 // Displayed is the concealed output sequence.
 type Displayed struct {
@@ -64,7 +56,7 @@ func (d *Displayed) LongestFreeze() int {
 // Conceal converts a received-frame trace into the displayed sequence.
 //
 // The model follows Fig. 2's offset mechanism: playback starts
-// StartupDelay after the first frame arrives; at each uniform display
+// startupDelay after the first frame arrives; at each uniform display
 // slot the renderer shows the next received frame in sequence order if
 // it has arrived, and otherwise repeats the last shown frame (the
 // playback buffer is empty — a negative offset in the paper's terms).
@@ -73,22 +65,22 @@ func (d *Displayed) LongestFreeze() int {
 // or a delivery stall therefore shows up as a freeze whose length
 // matches the outage, after which playback resumes time-shifted, which
 // is precisely what the VQM temporal-calibration stage has to chase.
-func Conceal(tr *trace.Trace, opt Options) *Displayed {
+func Conceal(tr *trace.Trace) *Displayed {
 	d := &Displayed{}
-	ConcealInto(d, tr, opt)
+	ConcealInto(d, tr)
 	return d
 }
 
 // ConcealInto is Conceal writing over d, reusing the capacity of its
 // slices: the form for a caller that conceals trace after trace.
-func ConcealInto(d *Displayed, tr *trace.Trace, opt Options) {
+func ConcealInto(d *Displayed, tr *trace.Trace) {
 	*d = Displayed{Frames: d.Frames[:0], Damage: d.Damage[:0], Freezes: d.Freezes[:0]}
 	recs := tr.Records
 	if len(recs) == 0 {
 		return
 	}
 	interval := video.FrameInterval()
-	start := recs[0].Arrival + opt.StartupDelay
+	start := recs[0].Arrival + startupDelay
 	p0 := recs[0].Presentation
 	var shift units.Time // accumulated playback pause from stalls
 	i := 0               // next record to show

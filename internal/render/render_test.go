@@ -21,7 +21,7 @@ func perfectTrace(n int) *trace.Trace {
 }
 
 func TestConcealPerfectPlayback(t *testing.T) {
-	d := Conceal(perfectTrace(300), DefaultOptions())
+	d := Conceal(perfectTrace(300))
 	if d.Repeats != 0 {
 		t.Errorf("repeats = %d on perfect trace", d.Repeats)
 	}
@@ -36,7 +36,7 @@ func TestConcealPerfectPlayback(t *testing.T) {
 }
 
 func TestConcealEmptyTrace(t *testing.T) {
-	d := Conceal(&trace.Trace{ClipFrames: 10}, DefaultOptions())
+	d := Conceal(&trace.Trace{ClipFrames: 10})
 	if len(d.Frames) != 0 || d.FreezeFraction() != 0 {
 		t.Error("empty trace must produce empty output")
 	}
@@ -52,7 +52,7 @@ func TestConcealIsolatedLossSingleRepeat(t *testing.T) {
 		}
 	}
 	tr.Records = recs
-	d := Conceal(tr, DefaultOptions())
+	d := Conceal(tr)
 	if d.Repeats != 1 {
 		t.Errorf("repeats = %d, want 1 for an isolated loss", d.Repeats)
 	}
@@ -74,7 +74,7 @@ func TestConcealBurstLossFreeze(t *testing.T) {
 		}
 	}
 	tr.Records = recs
-	d := Conceal(tr, DefaultOptions())
+	d := Conceal(tr)
 	if d.Repeats != 30 {
 		t.Errorf("repeats = %d, want 30", d.Repeats)
 	}
@@ -104,7 +104,7 @@ func TestConcealDeliveryStallShiftsTimeline(t *testing.T) {
 		}
 		tr.Add(trace.FrameRecord{Seq: i, Arrival: arr, Presentation: at, Frags: 1})
 	}
-	d := Conceal(tr, DefaultOptions())
+	d := Conceal(tr)
 	if d.Repeats == 0 {
 		t.Fatal("stall produced no repeats")
 	}
@@ -128,7 +128,7 @@ func TestConcealDamagePropagates(t *testing.T) {
 	tr := perfectTrace(10)
 	tr.Records[4].Frags = 4
 	tr.Records[4].LostFrags = 1
-	d := Conceal(tr, DefaultOptions())
+	d := Conceal(tr)
 	if d.Damage[4] != 0.25 {
 		t.Errorf("damage[4] = %v", d.Damage[4])
 	}
@@ -146,7 +146,7 @@ func TestFreezeFractionAndBookkeeping(t *testing.T) {
 		}
 	}
 	tr.Records = recs
-	d := Conceal(tr, DefaultOptions())
+	d := Conceal(tr)
 	if d.Repeats != 3 {
 		t.Fatalf("repeats = %d", d.Repeats)
 	}

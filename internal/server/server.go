@@ -165,17 +165,6 @@ type Paced struct {
 	Next packet.Handler
 	Pool *packet.Pool // packet arena; nil falls back to the heap
 
-	// MsgSize is the application message payload per packet; the
-	// VideoCharger "allows smaller message sizes" (§2.2). Default:
-	// one MTU's worth.
-	MsgSize int
-	// PaceSpread is the fraction of the frame interval across which a
-	// frame's packets are spread (default 0.95). Values above 1 panic
-	// in StartAt: a frame's fragments must finish before the next frame
-	// starts, which holds for any spread ≤ 1 (the last fragment leaves
-	// at spread·(frags-1)/frags of the interval, strictly inside it).
-	PaceSpread float64
-
 	Sent      int
 	SentBytes int64
 
@@ -183,27 +172,26 @@ type Paced struct {
 	out    sendRing
 }
 
+// paceSpread is the fraction of the frame interval across which Paced
+// spreads a frame's packets, each carrying one MTU's worth of payload.
+// A frame's fragments finish before the next frame starts, as they do
+// for any spread ≤ 1: the last fragment leaves at
+// spread·(frags-1)/frags of the interval, strictly inside it.
+// flowbatch.PacedSchedule precomputes the same plan.
+const paceSpread = 0.95
+
 // Start schedules the whole clip's transmission from now.
 func (s *Paced) Start() { s.StartAt(s.Sim.Now()) }
 
 // StartAt schedules the whole clip's transmission from time t.
 func (s *Paced) StartAt(t units.Time) {
-	if s.MsgSize <= 0 {
-		s.MsgSize = MaxUDPPayload
-	}
-	if s.PaceSpread <= 0 {
-		s.PaceSpread = 0.95
-	}
-	if s.PaceSpread > 1 {
-		panic("server: Paced.PaceSpread > 1 would overlap adjacent frames' sends")
-	}
 	s.out.start(s.Sim, s.Pool, s.Flow, s.Next, &s.Sent, &s.SentBytes)
 	s.frames.start(s.Sim, s, t, video.FrameInterval(), len(s.Enc.Frames))
 }
 
 func (s *Paced) step(i int) {
-	s.out.pushPaced(i, s.Enc.Frames[i].Size, s.MsgSize,
-		units.Time(float64(video.FrameInterval())*s.PaceSpread))
+	s.out.pushPaced(i, s.Enc.Frames[i].Size, MaxUDPPayload,
+		units.Time(float64(video.FrameInterval())*paceSpread))
 }
 
 // MaxDatagram is the largest application datagram the bursty servers
@@ -360,9 +348,9 @@ func (s *WMTUDP) step(i int) {
 
 // WMTTCP streams a capped-VBR encoding over the simulated TCP
 // connection, with server-side stream thinning: when the unsent
-// backlog exceeds ThinningBacklog (the connection cannot sustain the
-// encoding rate), frames are skipped instead of queued, which is how
-// the real server kept a live stream live. Thinned frames are the
+// backlog exceeds the thinning threshold (the connection cannot sustain
+// the encoding rate), frames are skipped instead of queued, which is
+// how the real server kept a live stream live. Thinned frames are the
 // "lost frames" of the TCP experiments.
 type WMTTCP struct {
 	Sim    *sim.Simulator
@@ -370,30 +358,27 @@ type WMTTCP struct {
 	Sender *tcpsim.Sender
 	Asm    *client.StreamAssembler
 
-	// ThinningBacklog in bytes of queued-but-unsent data above which
-	// frames are dropped. A streaming server must stay "live", so the
-	// default is only half a second of content at the encoding cap —
-	// once the connection falls further behind than that, frames are
-	// skipped rather than queued.
-	ThinningBacklog int64
-
 	FramesSent    int
 	FramesThinned int
 
-	frames clock
+	// thinningBacklog in bytes of queued-but-unsent data above which
+	// frames are dropped. A streaming server must stay "live", so it is
+	// only half a second of content at the encoding cap — once the
+	// connection falls further behind than that, frames are skipped
+	// rather than queued.
+	thinningBacklog int64
+	frames          clock
 }
 
 // Start schedules the clip's frame writes.
 func (s *WMTTCP) Start() {
-	if s.ThinningBacklog == 0 {
-		s.ThinningBacklog = int64(float64(s.Enc.Target) / 8 / 2)
-	}
+	s.thinningBacklog = int64(float64(s.Enc.Target) / 8 / 2)
 	s.frames.start(s.Sim, s, s.Sim.Now(), video.FrameInterval(), len(s.Enc.Frames))
 }
 
 // step writes frame i to the connection, or thins it.
 func (s *WMTTCP) step(i int) {
-	if s.Sender.Backlog() > s.ThinningBacklog {
+	if s.Sender.Backlog() > s.thinningBacklog {
 		s.FramesThinned++
 		return
 	}

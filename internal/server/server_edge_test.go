@@ -17,24 +17,6 @@ type timerFunc func()
 
 func (f timerFunc) Fire(units.Time) { f() }
 
-func TestPacedCustomMsgSize(t *testing.T) {
-	s := sim.New(1)
-	maxPayload := 0
-	enc := tiny(t, 1.0e6)
-	srv := &Paced{Sim: s, Enc: enc, Flow: 1, MsgSize: 512,
-		Next: packet.HandlerFunc(func(p *packet.Packet) {
-			if pl := p.Size - UDPHeader; pl > maxPayload {
-				maxPayload = pl
-			}
-		})}
-	srv.Start()
-	s.SetHorizon(units.FromSeconds(2))
-	s.Run()
-	if maxPayload > 512 {
-		t.Errorf("payload %d exceeds configured message size", maxPayload)
-	}
-}
-
 func TestPacedFragmentSizesSumToFrame(t *testing.T) {
 	s := sim.New(1)
 	sizes := map[int]int{}

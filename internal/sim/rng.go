@@ -79,16 +79,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Pareto returns a bounded Pareto-ish heavy-tailed variate with the
-// given shape alpha and scale xm; used for on-off cross traffic bursts.
-func (r *RNG) Pareto(alpha, xm float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Fork derives an independent child generator; used so each traffic
 // source gets its own stream while remaining a pure function of the
 // experiment seed.

@@ -119,26 +119,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	r := NewRNG(13)
-	n := 100000
-	over := 0
-	for i := 0; i < n; i++ {
-		v := r.Pareto(1.5, 1.0)
-		if v < 1 {
-			t.Fatalf("Pareto below scale: %v", v)
-		}
-		if v > 10 {
-			over++
-		}
-	}
-	// P(X > 10) = 10^-1.5 ≈ 0.0316.
-	frac := float64(over) / float64(n)
-	if math.Abs(frac-0.0316) > 0.01 {
-		t.Errorf("tail fraction = %v, want ~0.0316", frac)
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	parent := NewRNG(21)
 	child := parent.Fork()

@@ -25,30 +25,21 @@ type AFConfig struct {
 	Seed uint64
 	Enc  *video.Encoding
 
-	CIR units.BitRate  // committed rate of the video's srTCM profile
-	CBS units.ByteSize // committed burst; default 3000
-	EBS units.ByteSize // excess burst; default 6000
-
-	BottleneckRate units.BitRate // default 5 Mbps
-	AFLoad         float64       // competing in-class AF load fraction; default 0.3
-	BELoad         float64       // best-effort load fraction; default 0.4
+	CIR    units.BitRate // committed rate of the video's srTCM profile
+	AFLoad float64       // competing in-class AF load fraction; default 0.3
 }
 
+// The AF experiment's fixed parameters.
+const (
+	afCBS        units.ByteSize = 3000 // srTCM committed burst
+	afEBS        units.ByteSize = 6000 // srTCM excess burst
+	afBottleneck                = 5 * units.Mbps
+	afBELoad                    = 0.4 // best-effort load fraction of the bottleneck
+)
+
 func (c AFConfig) withDefaults() AFConfig {
-	if c.CBS == 0 {
-		c.CBS = 3000
-	}
-	if c.EBS == 0 {
-		c.EBS = 6000
-	}
-	if c.BottleneckRate == 0 {
-		c.BottleneckRate = 5 * units.Mbps
-	}
 	if c.AFLoad == 0 {
 		c.AFLoad = 0.3
-	}
-	if c.BELoad == 0 {
-		c.BELoad = 0.4
 	}
 	return c
 }
@@ -85,26 +76,24 @@ func BuildAF(cfg AFConfig) *AF {
 	// permissive RIO profile, yellow/red exposed to the congestion.
 	in := queue.REDConfig{MinTh: 40, MaxTh: 60, MaxP: 0.02, Wq: 0.002, MaxSize: 80}
 	out := queue.REDConfig{MinTh: 8, MaxTh: 25, MaxP: 0.3, Wq: 0.002, MaxSize: 80}
-	b.Link("bottleneck", LinkSpec{Rate: cfg.BottleneckRate, Delay: 5 * units.Millisecond,
+	b.Link("bottleneck", LinkSpec{Rate: afBottleneck, Delay: 5 * units.Millisecond,
 		Sched: AFRIO(in, out, 100), To: "access"})
 
 	// Competing traffic: an AF-marked aggregate (alternating colors —
 	// someone else's partially conformant traffic) and best effort.
 	if cfg.AFLoad > 0 {
 		b.Source("af-cross", SourceSpec{
-			Kind: PoissonSource, Rate: units.BitRate(cfg.AFLoad * float64(cfg.BottleneckRate)),
+			Kind: PoissonSource, Rate: units.BitRate(cfg.AFLoad * float64(afBottleneck)),
 			Size: units.EthernetMTU, Flow: 900, DSCP: packet.AF12, To: "bottleneck",
 		})
 	}
-	if cfg.BELoad > 0 {
-		b.Source("be-cross", SourceSpec{
-			Kind: PoissonSource, Rate: units.BitRate(cfg.BELoad * float64(cfg.BottleneckRate)),
-			Size: units.EthernetMTU, Flow: 901, DSCP: packet.BestEffort, To: "bottleneck",
-		})
-	}
+	b.Source("be-cross", SourceSpec{
+		Kind: PoissonSource, Rate: afBELoad * afBottleneck,
+		Size: units.EthernetMTU, Flow: 901, DSCP: packet.BestEffort, To: "bottleneck",
+	})
 
 	// Edge: classify the video flow into the srTCM marker.
-	b.AFMarkerSR("marker", cfg.CIR, cfg.CBS, cfg.EBS, "bottleneck")
+	b.AFMarkerSR("marker", cfg.CIR, afCBS, afEBS, "bottleneck")
 	b.Router("af-edge", "bottleneck")
 	b.Rule("af-edge", "video-af", node.FlowMatch(VideoFlow), "marker")
 

@@ -66,34 +66,26 @@ type SourceKind int
 const (
 	PoissonSource SourceKind = iota
 	CBRSource
-	OnOffSource
 )
 
 // SourceSpec declares a background traffic source.
 type SourceSpec struct {
 	Kind SourceKind
-	Rate units.BitRate // mean rate (Poisson/CBR) or peak rate (OnOff)
+	Rate units.BitRate // mean rate
 	Size int           // packet size; 0 = Ethernet MTU
 	Flow packet.FlowID
 	DSCP packet.DSCP
 
-	MeanOn  units.Time // OnOff only
-	MeanOff units.Time // OnOff only
-
-	// Batch > 1 fans the source out as Batch phase-offset virtual
-	// flows (ids Flow..Flow+Batch-1) driven by one timer — see
-	// internal/flowbatch. Only deterministic kinds support batching:
-	// declaring Batch on a Poisson or on-off source is a Build error,
-	// because their per-flow RNG forks cannot be reproduced exactly by
-	// a shared stream. Rate and Size are per virtual flow.
+	// Batch > 1 fans the source out as Batch virtual flows (ids
+	// Flow..Flow+Batch-1) driven by one timer — see internal/flowbatch —
+	// packet-for-packet identical to declaring Batch separate CBR
+	// sources in flow-id order. Only CBR supports batching: declaring
+	// Batch on a Poisson source is a Build error, because per-flow RNG
+	// forks cannot be reproduced exactly by a shared stream. Rate and
+	// Size are per virtual flow.
 	Batch int
-	// BatchPhase staggers consecutive virtual flows' starts (0 starts
-	// them together, which is packet-for-packet identical to declaring
-	// Batch separate CBR sources in flow-id order).
-	BatchPhase units.Time
 
-	Until units.Time // stop time; 0 = run to horizon
-	To    string
+	To string
 }
 
 type elemKind int
@@ -147,7 +139,6 @@ type elem struct {
 	tap     *stats.DelayCollector
 	poisson *traffic.Poisson
 	cbr     *traffic.CBR
-	onoff   *traffic.OnOff
 	bcbr    *flowbatch.BatchedCBR
 }
 
@@ -390,17 +381,14 @@ func (b *Builder) Build() (*Network, error) {
 					return nil, fmt.Errorf("topology: source %q: only CBR sources support batching (kind %d is random per flow)", e.name, sp.Kind)
 				}
 				e.bcbr = &flowbatch.BatchedCBR{Sim: s, Rate: sp.Rate, Size: sp.Size,
-					BaseFlow: sp.Flow, DSCP: sp.DSCP, N: sp.Batch, Phase: sp.BatchPhase,
-					Until: sp.Until, Pool: b.pool}
+					BaseFlow: sp.Flow, DSCP: sp.DSCP, N: sp.Batch, Pool: b.pool}
 				continue
 			}
 			switch sp.Kind {
 			case PoissonSource:
-				e.poisson = &traffic.Poisson{Sim: s, Rate: sp.Rate, Size: sp.Size, Flow: sp.Flow, DSCP: sp.DSCP, Until: sp.Until, Pool: b.pool}
+				e.poisson = &traffic.Poisson{Sim: s, Rate: sp.Rate, Size: sp.Size, Flow: sp.Flow, DSCP: sp.DSCP, Pool: b.pool}
 			case CBRSource:
-				e.cbr = &traffic.CBR{Sim: s, Rate: sp.Rate, Size: sp.Size, Flow: sp.Flow, DSCP: sp.DSCP, Until: sp.Until, Pool: b.pool}
-			case OnOffSource:
-				e.onoff = &traffic.OnOff{Sim: s, PeakRate: sp.Rate, Size: sp.Size, Flow: sp.Flow, DSCP: sp.DSCP, MeanOn: sp.MeanOn, MeanOff: sp.MeanOff, Until: sp.Until, Pool: b.pool}
+				e.cbr = &traffic.CBR{Sim: s, Rate: sp.Rate, Size: sp.Size, Flow: sp.Flow, DSCP: sp.DSCP, Pool: b.pool}
 			default:
 				return nil, fmt.Errorf("topology: source %q has unknown kind %d", e.name, sp.Kind)
 			}
@@ -446,8 +434,6 @@ func (b *Builder) Build() (*Network, error) {
 				e.poisson.Next = next
 			case e.cbr != nil:
 				e.cbr.Next = next
-			case e.onoff != nil:
-				e.onoff.Next = next
 			case e.bcbr != nil:
 				e.bcbr.Next = next
 			}
@@ -499,8 +485,6 @@ func (b *Builder) Build() (*Network, error) {
 			e.poisson.Start()
 		case e.cbr != nil:
 			e.cbr.Start()
-		case e.onoff != nil:
-			e.onoff.Start()
 		case e.bcbr != nil:
 			e.bcbr.Start()
 		}

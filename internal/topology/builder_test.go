@@ -50,7 +50,7 @@ func TestBuilderDuplicateName(t *testing.T) {
 
 func TestBuilderRuleOnUnknownRouter(t *testing.T) {
 	b := NewBuilder(1)
-	b.Rule("ghost", "r", node.MatchAll{}, "ghost")
+	b.Rule("ghost", "r", node.FlowMatch(1), "ghost")
 	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "unknown router") {
 		t.Errorf("want unknown-router error, got %v", err)
 	}
@@ -123,8 +123,7 @@ func TestBuilderSourcesDeterministic(t *testing.T) {
 		b.Handler("sink", &sink)
 		b.Link("l", LinkSpec{Rate: 10 * units.Mbps, Delay: units.Millisecond, To: "sink"})
 		b.Source("p", SourceSpec{Kind: PoissonSource, Rate: 2 * units.Mbps, Flow: 5, To: "l"})
-		b.Source("o", SourceSpec{Kind: OnOffSource, Rate: units.Mbps,
-			MeanOn: 10 * units.Millisecond, MeanOff: 20 * units.Millisecond, Flow: 6, To: "l"})
+		b.Source("q", SourceSpec{Kind: PoissonSource, Rate: units.Mbps, Flow: 6, To: "l"})
 		net := b.MustBuild()
 		net.Sim.SetHorizon(units.FromSeconds(2))
 		net.Sim.Run()
@@ -172,12 +171,11 @@ func TestBuilderBatchedCBRSource(t *testing.T) {
 		b.Link("l", LinkSpec{Rate: 20 * units.Mbps, Delay: units.Millisecond, To: "sink"})
 		if batched {
 			b.Source("c", SourceSpec{Kind: CBRSource, Rate: units.Mbps, Size: 1000,
-				Flow: 30, Batch: 3, Until: units.Second, To: "l"})
+				Flow: 30, Batch: 3, To: "l"})
 		} else {
 			for i := 0; i < 3; i++ {
 				b.Source(fmt.Sprintf("c%d", i), SourceSpec{Kind: CBRSource,
-					Rate: units.Mbps, Size: 1000, Flow: 30 + packet.FlowID(i),
-					Until: units.Second, To: "l"})
+					Rate: units.Mbps, Size: 1000, Flow: 30 + packet.FlowID(i), To: "l"})
 			}
 		}
 		net := b.MustBuild()
@@ -196,14 +194,11 @@ func TestBuilderBatchedCBRSource(t *testing.T) {
 // source whose per-flow behaviour needs its own RNG fork is a Build
 // error, not a silent approximation.
 func TestBuilderBatchRejectsRandomSources(t *testing.T) {
-	for _, kind := range []SourceKind{PoissonSource, OnOffSource} {
-		b := NewBuilder(1)
-		var sink packet.Sink
-		b.Handler("sink", &sink)
-		b.Source("s", SourceSpec{Kind: kind, Rate: units.Mbps, Flow: 9, Batch: 2,
-			MeanOn: units.Millisecond, MeanOff: units.Millisecond, To: "sink"})
-		if _, err := b.Build(); err == nil {
-			t.Errorf("kind %d: batched random source built without error", kind)
-		}
+	b := NewBuilder(1)
+	var sink packet.Sink
+	b.Handler("sink", &sink)
+	b.Source("s", SourceSpec{Kind: PoissonSource, Rate: units.Mbps, Flow: 9, Batch: 2, To: "sink"})
+	if _, err := b.Build(); err == nil {
+		t.Error("batched Poisson source built without error")
 	}
 }

@@ -35,28 +35,14 @@ type LocalConfig struct {
 	// the 2001 testbed stacks predate it).
 	LimitedTransmit bool
 
-	// UseShaper inserts the Linux shaping router between the server
-	// and router 1 (Fig. 4 / Table 4 "Shape – Linux router").
-	UseShaper   bool
-	ShaperRate  units.BitRate  // default: the policer token rate
-	ShaperDepth units.ByteSize // default: the policer depth
-
-	HostRate     units.BitRate // server NIC; default 10 Mbps
-	CrossTraffic bool          // inject best-effort cross traffic at router 2
+	// UseShaper inserts the Linux shaping router, configured with the
+	// policer's profile, between the server and router 1 (Fig. 4 /
+	// Table 4 "Shape – Linux router").
+	UseShaper bool
 }
 
-func (c LocalConfig) withDefaults() LocalConfig {
-	if c.HostRate == 0 {
-		c.HostRate = 10 * units.Mbps
-	}
-	if c.ShaperRate == 0 {
-		c.ShaperRate = c.TokenRate
-	}
-	if c.ShaperDepth == 0 {
-		c.ShaperDepth = c.Depth
-	}
-	return c
-}
+// hostRate is the server NIC's rate on the 10 Mbps hub of Fig. 4.
+const hostRate = 10 * units.Mbps
 
 // Local is a built local-testbed experiment.
 type Local struct {
@@ -85,7 +71,6 @@ type Local struct {
 // goes to its port — so it needs no policy rules and is represented by
 // the port link alone.
 func BuildLocal(cfg LocalConfig) *Local {
-	cfg = cfg.withDefaults()
 	b := NewBuilder(cfg.Seed)
 	b.UsePool(cfg.Pool)
 	b.UseTrace(cfg.Trace)
@@ -128,20 +113,12 @@ func BuildLocal(cfg LocalConfig) *Local {
 	ingress := "router1"
 	if cfg.UseShaper {
 		ingress = "shaper"
-		b.Shaper("shaper", cfg.ShaperRate, cfg.ShaperDepth, packet.BestEffort, 200, "router1")
+		b.Shaper("shaper", cfg.TokenRate, cfg.Depth, packet.BestEffort, 200, "router1")
 	}
 
 	// Server hub: host NIC serialization.
-	b.Link("hub1", LinkSpec{Rate: cfg.HostRate, Delay: 200 * units.Microsecond,
+	b.Link("hub1", LinkSpec{Rate: hostRate, Delay: 200 * units.Microsecond,
 		Sched: PlainFIFO(0), To: ingress})
-
-	if cfg.CrossTraffic {
-		b.Source("cross", SourceSpec{
-			Kind: OnOffSource, Rate: 1.5 * units.Mbps,
-			MeanOn: 200 * units.Millisecond, MeanOff: 400 * units.Millisecond,
-			Flow: 99, DSCP: packet.BestEffort, To: "r2port",
-		})
-	}
 
 	if cfg.UseTCP {
 		// ACKs return over an uncongested reverse path.
@@ -173,7 +150,7 @@ func BuildLocal(cfg LocalConfig) *Local {
 		l.TCPServer = &server.WMTTCP{Sim: l.Sim, Enc: cfg.Enc, Sender: l.Sender, Asm: asm}
 	} else {
 		l.UDPServer = &server.WMTUDP{
-			Sim: l.Sim, Enc: cfg.Enc, Flow: VideoFlow, Next: hub1, HostRate: cfg.HostRate,
+			Sim: l.Sim, Enc: cfg.Enc, Flow: VideoFlow, Next: hub1, HostRate: hostRate,
 			Pool: net.Pool,
 		}
 	}

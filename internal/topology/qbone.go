@@ -41,33 +41,30 @@ type QBoneConfig struct {
 	// of the path (and the client) into the given bounded recorder.
 	Trace *ptrace.Recorder
 
-	Hops         int           // backbone hops; default 4
-	HopRate      units.BitRate // default 45 Mbps
-	HopDelay     units.Time    // default 5 ms per hop
-	CampusJitter units.Time    // default 3 ms (pre-policer jitter, §3.2)
-	CrossLoad    float64       // best-effort load fraction per hop; default 0.15
-	AccessRate   units.BitRate // client access link; default 10 Mbps
-	MsgSize      int           // server message payload; default one MTU
+	Hops         int        // backbone hops; default 4
+	CampusJitter units.Time // pre-policer jitter (§3.2); default campusJitter
+	CrossLoad    float64    // best-effort load fraction per hop; default crossLoad
 }
+
+// The wide-area path's fixed parameters (Fig. 5), shared by the tandem
+// preset that extends it to two domains.
+const (
+	hopRate      = 45 * units.Mbps       // backbone hop
+	hopDelay     = 5 * units.Millisecond // propagation per backbone hop
+	campusJitter = 5 * units.Millisecond // campus segment ahead of the border
+	crossLoad    = 0.15                  // best-effort load fraction per hop
+	clientAccess = 10 * units.Mbps       // client access link
+)
 
 func (c QBoneConfig) withDefaults() QBoneConfig {
 	if c.Hops == 0 {
 		c.Hops = 4
 	}
-	if c.HopRate == 0 {
-		c.HopRate = 45 * units.Mbps
-	}
-	if c.HopDelay == 0 {
-		c.HopDelay = 5 * units.Millisecond
-	}
 	if c.CampusJitter == 0 {
-		c.CampusJitter = 5 * units.Millisecond
+		c.CampusJitter = campusJitter
 	}
 	if c.CrossLoad == 0 {
-		c.CrossLoad = 0.15
-	}
-	if c.AccessRate == 0 {
-		c.AccessRate = 10 * units.Mbps
+		c.CrossLoad = crossLoad
 	}
 	return c
 }
@@ -112,7 +109,7 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 	q.Client = cl
 	b.Handler("client", cl)
 	b.DelayTap("delay", func(p *packet.Packet) bool { return p.Flow == VideoFlow }, "client")
-	b.Link("access", LinkSpec{Rate: cfg.AccessRate, Delay: units.Millisecond,
+	b.Link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
 		Sched: EFPriority(0, 200), To: "delay"})
 
 	// Backbone hops, declared client-side first so cross sources start
@@ -125,12 +122,12 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 		if i < cfg.Hops-1 {
 			to = hopName(i + 1)
 		}
-		b.Link(hopName(i), LinkSpec{Rate: cfg.HopRate, Delay: cfg.HopDelay,
+		b.Link(hopName(i), LinkSpec{Rate: hopRate, Delay: hopDelay,
 			Sched: EFPriority(400, 400), To: to})
 		if cfg.CrossLoad > 0 {
 			b.Source(crossName(i), SourceSpec{
 				Kind: PoissonSource,
-				Rate: units.BitRate(cfg.CrossLoad * float64(cfg.HopRate)),
+				Rate: units.BitRate(cfg.CrossLoad * float64(hopRate)),
 				Size: units.EthernetMTU, Flow: packet.FlowID(1000 + i),
 				DSCP: packet.BestEffort, To: hopName(i),
 			})
@@ -172,8 +169,7 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 
 	q.Server = &server.Paced{
 		Sim: q.Sim, Enc: cfg.Enc, Flow: VideoFlow,
-		Next: net.Handler("campus"), MsgSize: cfg.MsgSize,
-		Pool: net.Pool,
+		Next: net.Handler("campus"), Pool: net.Pool,
 	}
 	return q
 }

@@ -35,54 +35,23 @@ type TandemConfig struct {
 	TokenRate units.BitRate  // APS profile rate, applied at both borders
 	Depth     units.ByteSize // APS profile burst, applied at both borders
 
-	// SecondBorder inserts the second domain's ingress policer. With
-	// it false the second domain trusts the first (the single-border
-	// baseline the tandem series is compared against).
+	// SecondBorder inserts the second domain's ingress policer, with
+	// the same contracted profile as the first. With it false the
+	// second domain trusts the first (the single-border baseline the
+	// tandem series is compared against).
 	SecondBorder bool
-	// Border2Scale scales the second border's token rate relative to
-	// the first (default 1.0 — the same contracted profile).
-	Border2Scale float64
-	// InterJitter models the uncontrolled peering segment between the
-	// domains (default 3 ms) — the tandem analog of the campus jitter
-	// ahead of border 1: clumping it introduces is what pushes
-	// border-1-conformant traffic out of profile at border 2.
-	InterJitter units.Time
-
-	HopsPerDomain int           // backbone hops per domain; default 2
-	HopRate       units.BitRate // default 45 Mbps
-	HopDelay      units.Time    // default 5 ms
-	CampusJitter  units.Time    // default 5 ms (pre-policer jitter)
-	CrossLoad     float64       // best-effort load fraction per hop; default 0.15
-	AccessRate    units.BitRate // client access link; default 10 Mbps
 }
 
-func (c TandemConfig) withDefaults() TandemConfig {
-	if c.Border2Scale == 0 {
-		c.Border2Scale = 1
-	}
-	if c.HopsPerDomain == 0 {
-		c.HopsPerDomain = 2
-	}
-	if c.InterJitter == 0 {
-		c.InterJitter = 3 * units.Millisecond
-	}
-	if c.HopRate == 0 {
-		c.HopRate = 45 * units.Mbps
-	}
-	if c.HopDelay == 0 {
-		c.HopDelay = 5 * units.Millisecond
-	}
-	if c.CampusJitter == 0 {
-		c.CampusJitter = 5 * units.Millisecond
-	}
-	if c.CrossLoad == 0 {
-		c.CrossLoad = 0.15
-	}
-	if c.AccessRate == 0 {
-		c.AccessRate = 10 * units.Mbps
-	}
-	return c
-}
+// The tandem path's own parameters; the rest are QBone's.
+const (
+	// interJitter models the uncontrolled peering segment between the
+	// domains — the tandem analog of the campus jitter ahead of border
+	// 1: clumping it introduces is what pushes border-1-conformant
+	// traffic out of profile at border 2.
+	interJitter   = 3 * units.Millisecond
+	hopsPerDomain = 2                                           // backbone hops per domain
+	crossRate     = units.BitRate(crossLoad * float64(hopRate)) // best-effort load per hop
+)
 
 // Tandem is a built two-domain experiment.
 type Tandem struct {
@@ -103,7 +72,6 @@ func domainHop(d, i int) string { return fmt.Sprintf("d%dhop%d", d, i) }
 // every hop of both domains, so domain-1 queueing perturbs the EF
 // spacing border2 measures.
 func BuildTandem(cfg TandemConfig) *Tandem {
-	cfg = cfg.withDefaults()
 	b := NewBuilder(cfg.Seed)
 	b.UsePool(cfg.Pool)
 	b.UseTrace(cfg.Trace)
@@ -117,26 +85,28 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 	}
 	t.Client = cl
 	b.Handler("client", cl)
-	b.Link("access", LinkSpec{Rate: cfg.AccessRate, Delay: units.Millisecond,
+	b.Link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
 		Sched: EFPriority(0, 200), To: "client"})
 
-	// Domain 2, client side first.
-	for i := cfg.HopsPerDomain - 1; i >= 0; i-- {
-		to := "access"
-		if i < cfg.HopsPerDomain-1 {
-			to = domainHop(2, i+1)
-		}
-		b.Link(domainHop(2, i), LinkSpec{Rate: cfg.HopRate, Delay: cfg.HopDelay,
-			Sched: EFPriority(400, 400), To: to})
-		if cfg.CrossLoad > 0 {
-			b.Source(domainHop(2, i)+"-cross", SourceSpec{
-				Kind: PoissonSource,
-				Rate: units.BitRate(cfg.CrossLoad * float64(cfg.HopRate)),
-				Size: units.EthernetMTU, Flow: packet.FlowID(2000 + i),
-				DSCP: packet.BestEffort, To: domainHop(2, i),
+	// hops declares domain d's backbone hops client side first, the
+	// last handing off to next, each loaded by best-effort cross
+	// traffic with flow ids from flowBase.
+	hops := func(d int, next string, flowBase packet.FlowID) {
+		for i := hopsPerDomain - 1; i >= 0; i-- {
+			to := next
+			if i < hopsPerDomain-1 {
+				to = domainHop(d, i+1)
+			}
+			b.Link(domainHop(d, i), LinkSpec{Rate: hopRate, Delay: hopDelay,
+				Sched: EFPriority(400, 400), To: to})
+			b.Source(domainHop(d, i)+"-cross", SourceSpec{
+				Kind: PoissonSource, Rate: crossRate,
+				Size: units.EthernetMTU, Flow: flowBase + packet.FlowID(i),
+				DSCP: packet.BestEffort, To: domainHop(d, i),
 			})
 		}
 	}
+	hops(2, "access", 2000)
 
 	// Border 2: the second domain's ingress re-polices the EF
 	// aggregate against the contracted profile (or trusts domain 1
@@ -145,38 +115,22 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 	// policer itself.
 	domain2 := domainHop(2, 0)
 	if cfg.SecondBorder {
-		b.Policer("border2", units.BitRate(cfg.Border2Scale*float64(cfg.TokenRate)),
-			cfg.Depth, packet.EF, domain2)
+		b.Policer("border2", cfg.TokenRate, cfg.Depth, packet.EF, domain2)
 		b.Router("interdomain", domain2)
 		b.Rule("interdomain", "ef-resign", node.DSCPMatch(packet.EF), "border2")
 		domain2 = "interdomain"
 	}
-	b.Jitter("peering", cfg.InterJitter, domain2)
+	b.Jitter("peering", interJitter, domain2)
 	domain2 = "peering"
 
-	// Domain 1, client side first; its last hop hands off to domain 2.
-	for i := cfg.HopsPerDomain - 1; i >= 0; i-- {
-		to := domain2
-		if i < cfg.HopsPerDomain-1 {
-			to = domainHop(1, i+1)
-		}
-		b.Link(domainHop(1, i), LinkSpec{Rate: cfg.HopRate, Delay: cfg.HopDelay,
-			Sched: EFPriority(400, 400), To: to})
-		if cfg.CrossLoad > 0 {
-			b.Source(domainHop(1, i)+"-cross", SourceSpec{
-				Kind: PoissonSource,
-				Rate: units.BitRate(cfg.CrossLoad * float64(cfg.HopRate)),
-				Size: units.EthernetMTU, Flow: packet.FlowID(1000 + i),
-				DSCP: packet.BestEffort, To: domainHop(1, i),
-			})
-		}
-	}
+	// Domain 1 hands off to domain 2.
+	hops(1, domain2, 1000)
 
 	// Border 1: the sender-side campus edge, exactly the QBone CAR.
 	b.Policer("border1", cfg.TokenRate, cfg.Depth, packet.EF, domainHop(1, 0))
 	b.Router("border", domainHop(1, 0))
 	b.Rule("border", "video-aps", node.FlowMatch(VideoFlow), "border1")
-	b.Jitter("jit", cfg.CampusJitter, "border")
+	b.Jitter("jit", campusJitter, "border")
 	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond,
 		Sched: PlainFIFO(0), To: "jit"})
 

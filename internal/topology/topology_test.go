@@ -3,9 +3,10 @@ package topology
 import (
 	"testing"
 
-	"repro/internal/client"
+	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/ptrace"
+	"repro/internal/tcpsim"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -144,26 +145,6 @@ func TestLocalDeterminism(t *testing.T) {
 	}
 }
 
-func TestLocalCrossTrafficDoesNotHurtEF(t *testing.T) {
-	// The paper's finding: once packets are EF-marked, best-effort
-	// cross traffic causes only minor variations (§4). Frames are lost
-	// at the policer, not to the congested V.35 link.
-	enc := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
-	run := func(cross bool) float64 {
-		l := BuildLocal(LocalConfig{
-			Seed: 2, Enc: enc, TokenRate: 1.8e6, Depth: 4500,
-			UseTCP: false, CrossTraffic: cross,
-		})
-		l.UDPClient.Tolerance = client.SliceTolerance
-		l.Run()
-		return l.Trace().FrameLossFraction()
-	}
-	quiet, busy := run(false), run(true)
-	if busy > quiet+0.02 {
-		t.Errorf("EF frame loss rose from %v to %v under cross traffic", quiet, busy)
-	}
-}
-
 func TestQBoneEFDelayIsSmallAndStable(t *testing.T) {
 	// The EF promise the paper leans on: conformant packets see small,
 	// stable delay even with cross traffic — which is also why the
@@ -189,19 +170,36 @@ func TestQBoneEFDelayIsSmallAndStable(t *testing.T) {
 	}
 }
 
-// TestPacketIDsDoNotAliasAcrossTransports: a TCP-mode local run with
-// cross traffic stamps TCP segments, ACKs and the on-off source's UDP
-// packets from one counter, so in its trace no id appears under two
-// flows and ids rise in order of first appearance across flows.
+// TestPacketIDsDoNotAliasAcrossTransports: a traced Builder graph
+// carrying a TCP connection's segments and ACKs beside a Poisson
+// source's UDP packets stamps all three from one counter, so in its
+// trace no id appears under two flows and ids rise in order of first
+// appearance across flows.
 func TestPacketIDsDoNotAliasAcrossTransports(t *testing.T) {
-	enc := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
 	const keep = 1 << 16
 	rec := ptrace.NewRecorder(ptrace.Config{Capacity: keep, Head: keep})
-	l := BuildLocal(LocalConfig{
-		Seed: 1, Enc: enc, TokenRate: 1.8e6, Depth: 4500,
-		UseTCP: true, CrossTraffic: true, Trace: rec,
-	})
-	l.Run()
+	b := NewBuilder(1)
+	b.UseTrace(rec)
+	var snd *tcpsim.Sender
+	var rcv *tcpsim.Receiver
+	var cross packet.Sink
+	b.Handler("rcv", packet.HandlerFunc(func(p *packet.Packet) { rcv.Handle(p) }))
+	b.Handler("cross-sink", &cross)
+	b.Handler("sender-ack", packet.HandlerFunc(func(p *packet.Packet) { snd.HandleAck(p) }))
+	b.Router("demux", "cross-sink")
+	b.Rule("demux", "tcp", node.FlowMatch(VideoFlow), "rcv")
+	b.Link("fwd", LinkSpec{Rate: 2 * units.Mbps, Delay: units.Millisecond, To: "demux"})
+	b.Link("ackback", LinkSpec{Rate: 10 * units.Mbps, Delay: 2 * units.Millisecond, To: "sender-ack"})
+	b.Source("cross", SourceSpec{Kind: PoissonSource, Rate: 500 * units.Kbps, Flow: 99, To: "fwd"})
+	net := b.MustBuild()
+	snd = tcpsim.NewSender(net.Sim, VideoFlow, net.Handler("fwd"))
+	snd.Pool, snd.Tap, snd.Hop = net.Pool, rec, rec.Hop("tcp-sender")
+	rcv = tcpsim.NewReceiver(net.Sim, VideoFlow, net.Handler("ackback"), func(int64) {})
+	rcv.Pool = net.Pool
+	snd.Write(1 << 20)
+	net.Sim.SetHorizon(5 * units.Second)
+	net.Sim.Run()
+
 	flowOf := map[uint64]packet.FlowID{}
 	perFlow := map[packet.FlowID]int{}
 	var last uint64

@@ -12,7 +12,7 @@ import (
 func TestCBRRate(t *testing.T) {
 	s := sim.New(1)
 	var sink packet.Sink
-	c := &CBR{Sim: s, Rate: 2 * units.Mbps, Size: 1500, Next: &sink, Until: 10 * units.Second}
+	c := &CBR{Sim: s, Rate: 2 * units.Mbps, Size: 1500, Next: &sink}
 	c.Start()
 	s.SetHorizon(10 * units.Second)
 	s.Run()
@@ -25,7 +25,7 @@ func TestCBRRate(t *testing.T) {
 func TestCBRDefaultSize(t *testing.T) {
 	s := sim.New(1)
 	var sink packet.Sink
-	c := &CBR{Sim: s, Rate: units.Mbps, Next: &sink, Until: units.Second}
+	c := &CBR{Sim: s, Rate: units.Mbps, Next: &sink}
 	c.Start()
 	s.SetHorizon(units.Second)
 	s.Run()
@@ -37,7 +37,7 @@ func TestCBRDefaultSize(t *testing.T) {
 func TestPoissonMeanRate(t *testing.T) {
 	s := sim.New(2)
 	var sink packet.Sink
-	p := &Poisson{Sim: s, Rate: 5 * units.Mbps, Size: 1500, Next: &sink, Until: 60 * units.Second}
+	p := &Poisson{Sim: s, Rate: 5 * units.Mbps, Size: 1500, Next: &sink}
 	p.Start()
 	s.SetHorizon(60 * units.Second)
 	s.Run()
@@ -50,7 +50,7 @@ func TestPoissonMeanRate(t *testing.T) {
 func TestPoissonInterArrivalVariability(t *testing.T) {
 	s := sim.New(3)
 	var times []units.Time
-	p := &Poisson{Sim: s, Rate: units.Mbps, Size: 1500, Until: 30 * units.Second,
+	p := &Poisson{Sim: s, Rate: units.Mbps, Size: 1500,
 		Next: packet.HandlerFunc(func(*packet.Packet) { times = append(times, s.Now()) })}
 	p.Start()
 	s.SetHorizon(30 * units.Second)
@@ -74,27 +74,6 @@ func TestPoissonInterArrivalVariability(t *testing.T) {
 	cv := math.Sqrt(sumSq/float64(len(gaps))) / mean
 	if cv < 0.8 || cv > 1.2 {
 		t.Errorf("CV = %v, want ~1 (exponential)", cv)
-	}
-}
-
-func TestOnOffAlternates(t *testing.T) {
-	s := sim.New(4)
-	var sink packet.Sink
-	o := &OnOff{
-		Sim: s, PeakRate: 10 * units.Mbps, Size: 1500,
-		MeanOn: 100 * units.Millisecond, MeanOff: 300 * units.Millisecond,
-		Next: &sink, Until: 30 * units.Second,
-	}
-	o.Start()
-	s.SetHorizon(30 * units.Second)
-	s.Run()
-	if sink.Count == 0 {
-		t.Fatal("on-off source never sent")
-	}
-	// Average rate must be well below peak (off periods dominate).
-	avgRate := float64(sink.Bytes) * 8 / 30
-	if avgRate > 8e6 {
-		t.Errorf("avg rate %v too close to peak; no off periods?", avgRate)
 	}
 }
 

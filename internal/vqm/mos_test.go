@@ -27,8 +27,8 @@ func TestMOSMapping(t *testing.T) {
 
 func TestColorTermZeroWhenAligned(t *testing.T) {
 	enc := lostEnc()
-	d := render.Conceal(perfectTrace(enc.Clip.FrameCount()), render.DefaultOptions())
-	res := ScoreSame(d, enc, Options{})
+	d := render.Conceal(perfectTrace(enc.Clip.FrameCount()))
+	res := Score(d, enc, enc)
 	if res.Index > 0.02 {
 		t.Errorf("aligned stream picked up color penalty: %v", res.Index)
 	}

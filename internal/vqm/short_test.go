@@ -21,8 +21,8 @@ func TestNearTotalLossScoresWorst(t *testing.T) {
 			Presentation: units.Time(seq) * units.Millisecond, Frags: 1,
 		})
 	}
-	d := render.Conceal(tr, render.DefaultOptions())
-	res := ScoreSame(d, enc, Options{})
+	d := render.Conceal(tr)
+	res := Score(d, enc, enc)
 	if res.Index < 0.9 {
 		t.Errorf("near-total loss scored %v, want ≈1", res.Index)
 	}
@@ -33,8 +33,8 @@ func TestSingleFrameDisplayScoresWorst(t *testing.T) {
 	enc := lostEnc()
 	tr := &trace.Trace{ClipFrames: enc.Clip.FrameCount()}
 	tr.Add(trace.FrameRecord{Seq: 0, Frags: 1})
-	d := render.Conceal(tr, render.DefaultOptions())
-	res := ScoreSame(d, enc, Options{})
+	d := render.Conceal(tr)
+	res := Score(d, enc, enc)
 	if res.Index != 1 {
 		t.Errorf("single-frame display scored %v, want 1", res.Index)
 	}

@@ -9,9 +9,10 @@
 //  1. segmenting the displayed stream into 300-frame (10 s) segments
 //     whose first 100 frames overlap the previous segment (Fig. 3),
 //  2. temporally calibrating each segment — searching an alignment
-//     shift within the Alignment Uncertainty window by maximizing the
-//     correlation of the TI feature histories; segments that cannot be
-//     calibrated get the worst quality index 1.0 (§3.1.3),
+//     shift within the ±100-frame Alignment Uncertainty window by
+//     maximizing the correlation of the TI feature histories; a segment
+//     whose best correlation stays under 0.35 cannot be calibrated and
+//     gets the worst quality index 1.0 (§3.1.3),
 //  3. computing perception-based parameters (lost motion energy from
 //     freezes, added motion from skips, spatial coding distortion) on
 //     the frames following the alignment point, and
@@ -29,29 +30,13 @@ import (
 	"repro/internal/video"
 )
 
-// Options configures the tool; zero fields take the paper's defaults.
-type Options struct {
-	SegmentFrames    int     // segment length, default 300 (10 s)
-	OverlapFrames    int     // inter-segment overlap, default 100
-	AlignUncertainty int     // calibration search half-window, default 100
-	CalibThreshold   float64 // min TI correlation to accept alignment
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentFrames == 0 {
-		o.SegmentFrames = 300
-	}
-	if o.OverlapFrames == 0 {
-		o.OverlapFrames = 100
-	}
-	if o.AlignUncertainty == 0 {
-		o.AlignUncertainty = 100
-	}
-	if o.CalibThreshold == 0 {
-		o.CalibThreshold = 0.35
-	}
-	return o
-}
+// The tool's segmentation and calibration (Fig. 3, §3.1.3).
+const (
+	segmentFrames    = 300  // segment length (10 s)
+	overlapFrames    = 100  // inter-segment overlap
+	alignUncertainty = 100  // calibration search half-window
+	calibThreshold   = 0.35 // min TI correlation to accept alignment
+)
 
 // Composite model weights, calibrated once against the behavioural
 // targets vqm_test.go pins: a clean stream scores ≈0, a
@@ -168,14 +153,13 @@ type Scorer struct {
 // recv == ref: network impairments only. For the relative experiments
 // (Figs. 13–14) ref is the 1.7 Mbps encoding, so coding distortion of
 // the lower-rate stream contributes to the score.
-func Score(d *render.Displayed, recv, ref *video.Encoding, opt Options) *Result {
-	return new(Scorer).Score(d, recv, ref, opt)
+func Score(d *render.Displayed, recv, ref *video.Encoding) *Result {
+	return new(Scorer).Score(d, recv, ref)
 }
 
 // Score is the package-level Score on the scorer's scratch; the
 // returned result is valid until the next call.
-func (sc *Scorer) Score(d *render.Displayed, recv, ref *video.Encoding, opt Options) *Result {
-	opt = opt.withDefaults()
+func (sc *Scorer) Score(d *render.Displayed, recv, ref *video.Encoding) *Result {
 	clip := recv.Clip
 	res := &sc.res
 	*res = Result{Segments: res.Segments[:0]}
@@ -188,22 +172,22 @@ func (sc *Scorer) Score(d *render.Displayed, recv, ref *video.Encoding, opt Opti
 	}
 	sc.outTI = slices.Grow(sc.outTI[:0], len(d.Frames))[:len(d.Frames)]
 	featureStreams(d, clip, sc.outTI)
-	sc.refVec = slices.Grow(sc.refVec[:0], opt.OverlapFrames)[:opt.OverlapFrames]
+	sc.refVec = slices.Grow(sc.refVec[:0], overlapFrames)[:overlapFrames]
 
-	step := opt.SegmentFrames - opt.OverlapFrames
+	step := segmentFrames - overlapFrames
 	// Rolling anchor: each segment searches around where the previous
 	// segment left off, which is how the sequential tool tracked the
 	// cumulative playback shift introduced by stalls.
 	anchor := 0
-	for start := 0; start == 0 || start+opt.OverlapFrames <= len(d.Frames); start += step {
-		segLen := opt.SegmentFrames
+	for start := 0; start == 0 || start+overlapFrames <= len(d.Frames); start += step {
+		segLen := segmentFrames
 		if start+segLen > len(d.Frames) {
 			segLen = len(d.Frames) - start
 		}
-		if segLen < opt.OverlapFrames/2 {
+		if segLen < overlapFrames/2 {
 			break
 		}
-		seg := sc.scoreSegment(d, recv, ref, start, segLen, anchor, opt)
+		seg := sc.scoreSegment(d, recv, ref, start, segLen, anchor)
 		res.Segments = append(res.Segments, seg)
 		if seg.Aligned {
 			anchor = seg.Shift
@@ -233,19 +217,19 @@ func (sc *Scorer) Score(d *render.Displayed, recv, ref *video.Encoding, opt Opti
 // scoreSegment calibrates and scores one segment. anchor is the
 // playback shift (ref frame minus slot index) the previous segment
 // established; sc.outTI holds d's feature history and sc.refVec
-// OverlapFrames elements of calibration scratch.
-func (sc *Scorer) scoreSegment(d *render.Displayed, recv, ref *video.Encoding, start, segLen, anchor int, opt Options) SegmentScore {
+// overlapFrames elements of calibration scratch.
+func (sc *Scorer) scoreSegment(d *render.Displayed, recv, ref *video.Encoding, start, segLen, anchor int) SegmentScore {
 	clip, outTI := recv.Clip, sc.outTI
 	best, bestShift := math.Inf(-1), 0
 	// The tool aligns on the overlap region then scores the frames
-	// that follow; use the first OverlapFrames slots for calibration.
-	calLen := opt.OverlapFrames
+	// that follow; use the first overlapFrames slots for calibration.
+	calLen := overlapFrames
 	if calLen > segLen {
 		calLen = segLen
 	}
 	out := outTI[start : start+calLen]
 	refVec := sc.refVec[:calLen]
-	for delta := -opt.AlignUncertainty; delta <= opt.AlignUncertainty; delta++ {
+	for delta := -alignUncertainty; delta <= alignUncertainty; delta++ {
 		shift := anchor + delta
 		for s := 0; s < calLen; s++ {
 			refVec[s] = refTIAt(clip, start+s-shift)
@@ -257,7 +241,7 @@ func (sc *Scorer) scoreSegment(d *render.Displayed, recv, ref *video.Encoding, s
 		}
 	}
 	seg := SegmentScore{StartSlot: start, Shift: bestShift}
-	if best < opt.CalibThreshold {
+	if best < calibThreshold {
 		// Temporal calibration failed: worst index, per §3.1.3.
 		seg.Aligned = false
 		seg.Index = 1
@@ -338,10 +322,4 @@ func (sc *Scorer) scoreSegment(d *render.Displayed, recv, ref *video.Encoding, s
 		wResidual*(residual/float64(n))*30
 	seg.Index = units.Clamp(idx, 0, 1)
 	return seg
-}
-
-// ScoreSame scores a displayed sequence against the encoding that was
-// streamed (the Figs. 7–12 configuration).
-func ScoreSame(d *render.Displayed, enc *video.Encoding, opt Options) *Result {
-	return Score(d, enc, enc, opt)
 }

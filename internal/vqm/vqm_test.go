@@ -23,8 +23,8 @@ func lostEnc() *video.Encoding { return video.EncodeCBR(video.Lost(), 1.7e6) }
 
 func TestPerfectStreamScoresNearZero(t *testing.T) {
 	enc := lostEnc()
-	d := render.Conceal(perfectTrace(enc.Clip.FrameCount()), render.DefaultOptions())
-	res := ScoreSame(d, enc, Options{})
+	d := render.Conceal(perfectTrace(enc.Clip.FrameCount()))
+	res := Score(d, enc, enc)
 	if res.Index > 0.02 {
 		t.Errorf("perfect stream index = %v, want ≈0", res.Index)
 	}
@@ -35,7 +35,7 @@ func TestPerfectStreamScoresNearZero(t *testing.T) {
 
 func TestEmptyDisplayScoresWorst(t *testing.T) {
 	enc := lostEnc()
-	res := ScoreSame(&render.Displayed{}, enc, Options{})
+	res := Score(&render.Displayed{}, enc, enc)
 	if res.Index != 1 {
 		t.Errorf("empty display index = %v, want 1", res.Index)
 	}
@@ -55,8 +55,8 @@ func TestQualityMonotoneInBurstLoss(t *testing.T) {
 			recs = append(recs, r)
 		}
 		tr.Records = recs
-		d := render.Conceal(tr, render.DefaultOptions())
-		return ScoreSame(d, enc, Options{}).Index
+		d := render.Conceal(tr)
+		return Score(d, enc, enc).Index
 	}
 	s0, s5, s30, s120 := score(0), score(5), score(30), score(120)
 	if !(s0 <= s5 && s5 < s30 && s30 < s120) {
@@ -81,8 +81,8 @@ func TestLongFreezeFailsCalibration(t *testing.T) {
 		recs = append(recs, r)
 	}
 	tr.Records = recs
-	d := render.Conceal(tr, render.DefaultOptions())
-	res := ScoreSame(d, enc, Options{})
+	d := render.Conceal(tr)
+	res := Score(d, enc, enc)
 	if res.CalibrationFailures == 0 {
 		t.Error("12s outage did not break temporal calibration")
 	}
@@ -112,8 +112,8 @@ func TestCalibrationRecoversAfterStall(t *testing.T) {
 		}
 		tr.Add(trace.FrameRecord{Seq: i, Arrival: arr, Presentation: at, Frags: 1})
 	}
-	d := render.Conceal(tr, render.DefaultOptions())
-	res := ScoreSame(d, enc, Options{})
+	d := render.Conceal(tr)
+	res := Score(d, enc, enc)
 	if len(res.Segments) < 5 {
 		t.Fatalf("segments = %d", len(res.Segments))
 	}
@@ -134,9 +134,9 @@ func TestCrossEncodingOffset(t *testing.T) {
 	ref := video.EncodeCBR(clip, 1.7e6)
 	low := video.EncodeCBR(clip, 1.0e6)
 	n := clip.FrameCount()
-	d := render.Conceal(perfectTrace(n), render.DefaultOptions())
-	same := Score(d, ref, ref, Options{}).Index
-	rel := Score(d, low, ref, Options{}).Index
+	d := render.Conceal(perfectTrace(n))
+	same := Score(d, ref, ref).Index
+	rel := Score(d, low, ref).Index
 	if rel <= same+0.05 {
 		t.Errorf("1.0M vs 1.7M reference scored %v, same-ref %v: no coding offset", rel, same)
 	}
@@ -155,8 +155,8 @@ func TestDamageRaisesScore(t *testing.T) {
 			tr.Records[i].LostFrags = 1
 		}
 	}
-	d := render.Conceal(tr, render.DefaultOptions())
-	res := ScoreSame(d, enc, Options{})
+	d := render.Conceal(tr)
+	res := Score(d, enc, enc)
 	if res.Index < 0.1 {
 		t.Errorf("pervasive slice damage scored %v, want clearly > 0.1", res.Index)
 	}
@@ -182,21 +182,10 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.SegmentFrames != 300 || o.OverlapFrames != 100 || o.AlignUncertainty != 100 {
-		t.Errorf("defaults: %+v", o)
-	}
-	o2 := Options{SegmentFrames: 150}.withDefaults()
-	if o2.SegmentFrames != 150 || o2.OverlapFrames != 100 {
-		t.Errorf("partial defaults: %+v", o2)
-	}
-}
-
 func TestSegmentationCoversStream(t *testing.T) {
 	enc := lostEnc()
-	d := render.Conceal(perfectTrace(enc.Clip.FrameCount()), render.DefaultOptions())
-	res := ScoreSame(d, enc, Options{})
+	d := render.Conceal(perfectTrace(enc.Clip.FrameCount()))
+	res := Score(d, enc, enc)
 	// 2150 frames, stride 200: ≈10-11 segments.
 	if len(res.Segments) < 9 || len(res.Segments) > 12 {
 		t.Errorf("segments = %d for 2150 frames", len(res.Segments))
