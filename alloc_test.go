@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/client"
@@ -621,31 +622,31 @@ func TestUDPReceiveAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestWarmWorkerJobAllocatesNoReceiveStorage pins what Ctx.Recv is for:
-// the second and later grid points a worker runs receive on the storage
-// the first one grew. A local-testbed job on a warm Ctx is measured
-// against building its topology alone: what remains above the build is
-// the run's own warm-up — FIFO and in-flight rings doubling to their
-// high-water marks (19 on the UDP path, 26 on the TCP path), the
-// overflow heap (3 / 7), one event chunk, the trace label (2–3), the TCP
-// endpoints' segment bookkeeping (≈ 40) and the assembler's three-entry
-// result buffer (2–3) — 27 and 79 allocations today, none of them in
-// trace.Add, client.Handle, UDP.Finish or RegisterMessage. What keeps
-// this test from passing vacuously is the same job on a Ctx without
-// Recv, which must pay the receive storage on top: on the UDP path the
-// slot table, the slab chunks and their index, and the record array (8
-// for the whole clip), on the TCP path the O(log frames) doublings of
-// the record array and the message list (29).
+// TestWarmWorkerJobAllocatesNoReceiveStorage pins what a worker's Ctx
+// lends: the second and later grid points a worker runs build on the
+// simulator, the ring storage and the receive storage the first one
+// grew. A local-testbed job on a warm Ctx is measured against building
+// its topology alone (on the same Ctx, so on the Reset simulator): what
+// remains above the build is the trace label (2–3), and on the TCP path
+// the endpoints' segment bookkeeping (≈ 40) and the assembler's
+// three-entry result buffer (2–3) — 4 and 45 allocations today, none of
+// them a simulator, a lattice, an event chunk, overflow-heap growth,
+// ring growth or receive storage. (Before the engine was lent these
+// budgets were 32 and 88: rings doubling to their high-water marks, 19
+// and 26, the overflow heap, 3 and 7, and an event chunk.) What keeps
+// this test from passing vacuously is the same job on a Ctx without the
+// engine arena — no Sim, and a new Pool per job, so no lent rings — which
+// must pay at least the simulator, its RNG and lattice, an event chunk,
+// the overflow heap's and the rings' growth on top: 64 and 76 today.
 func TestWarmWorkerJobAllocatesNoReceiveStorage(t *testing.T) {
-	udpStorage := float64(1 + slabAllocs(video.Lost().FrameCount()) + 1)
 	for _, tc := range []struct {
 		name     string
 		useTCP   bool
 		overhead float64 // allowed above the topology build
-		storage  float64 // the least the job must allocate without Recv on top of its cost with it
+		engine   float64 // the least the job must allocate without the engine arena on top of its cost with it
 	}{
-		{"UDP", false, 32, udpStorage},
-		{"TCP", true, 88, 20},
+		{"UDP", false, 6, 26},
+		{"TCP", true, 50, 37},
 	} {
 		spec := experiment.Figure15Spec()
 		spec.UseTCP = tc.useTCP
@@ -655,34 +656,85 @@ func TestWarmWorkerJobAllocatesNoReceiveStorage(t *testing.T) {
 		spec.Depths = spec.Depths[:1]
 		jobs := spec.Jobs()
 
-		warm := &experiment.Ctx{Pool: packet.NewPool(), Recv: new(client.Scratch)}
+		warm := &experiment.Ctx{Sim: sim.New(0), Pool: packet.NewPool(), Recv: new(client.Scratch)}
+		reclaim := func(c *experiment.Ctx) {
+			c.Recv.Reset()
+			c.Pool.Reset()
+		}
 		jobs[0](warm) // the worker's first grid point, a lossy one
-		warm.Recv.Reset()
+		reclaim(warm)
 		var p experiment.Point
 		job := testing.AllocsPerRun(3, func() {
 			p = jobs[1](warm)
-			warm.Recv.Reset()
+			reclaim(warm)
 		})
 		if p.FrameLoss != 0 {
 			t.Fatalf("%s: the measured point lost %.3f of its frames — budget measured a thinned clip", tc.name, p.FrameLoss)
 		}
 		enc := video.CachedVBR(spec.Clip, units.BitRate(spec.CapKbps)*units.Kbps)
+		cfg := topology.LocalConfig{Seed: spec.Seed, Enc: enc, TokenRate: spec.Tokens[1],
+			Depth: spec.Depths[0], UseTCP: tc.useTCP, Pool: warm.Pool, Sim: warm.Sim, Recv: warm.Recv}
 		build := testing.AllocsPerRun(3, func() {
-			topology.BuildLocal(topology.LocalConfig{Seed: spec.Seed, Enc: enc, TokenRate: spec.Tokens[1],
-				Depth: spec.Depths[0], UseTCP: tc.useTCP, Pool: warm.Pool, Recv: warm.Recv})
+			topology.BuildLocal(cfg)
+			reclaim(warm)
 		})
-		bare := &experiment.Ctx{Pool: packet.NewPool()}
-		unlent := testing.AllocsPerRun(3, func() { jobs[1](bare) })
-		t.Logf("%s: warm job %.0f, topology build %.0f, same job without Recv %.0f", tc.name, job, build, unlent)
+		// Without the engine arena: a new simulator and a new packet
+		// arena (so no lent rings) for every job, receive storage lent.
+		recv := new(client.Scratch)
+		unlent := testing.AllocsPerRun(3, func() {
+			jobs[1](&experiment.Ctx{Pool: packet.NewPool(), Recv: recv})
+			recv.Reset()
+		})
+		t.Logf("%s: warm job %.0f, topology build %.0f, same job without the engine arena %.0f", tc.name, job, build, unlent)
 		if job > build+tc.overhead {
 			t.Errorf("%s: a job on a warm Ctx allocates %.0f, %.0f above its topology build (%.0f); want <= %.0f above",
 				tc.name, job, job-build, build, tc.overhead)
 		}
-		if unlent < job+tc.storage {
-			t.Errorf("%s: the job costs %.0f without Recv and %.0f with — lending saved under %.0f allocations, so the budget proves nothing",
-				tc.name, unlent, job, tc.storage)
+		if unlent < job+tc.engine {
+			t.Errorf("%s: the job costs %.0f without the engine arena and %.0f with — lending saved under %.0f allocations, so the budget proves nothing",
+				tc.name, unlent, job, tc.engine)
+		}
+
+		// Nothing of a finished job outlives the next one on the same Ctx:
+		// once that has built and run, the previous job's elements are
+		// garbage — even when the job stopped at its horizon mid-stream,
+		// with packets in flight and their events pending. The finalizer
+		// sits on the bottleneck link's scheduler, which nothing but the
+		// link reaches: the Link itself points at itself through its
+		// pre-bound timers, and Go does not finalize an object on a cycle.
+		prev := topology.BuildLocal(cfg)
+		if prev.TCPServer != nil {
+			prev.TCPServer.Start()
+		} else {
+			prev.UDPServer.Start()
+		}
+		prev.Sim.RunUntil(5 * units.Second)
+		if prev.Sim.Pending() == 0 {
+			t.Fatalf("%s: the stopped job left no event pending", tc.name)
+		}
+		collected := make(chan struct{})
+		runtime.SetFinalizer(prev.Net.Link("r3port").Sched, func(any) { close(collected) })
+		prev = nil
+		reclaim(warm)
+		jobs[1](warm)
+		reclaim(warm)
+		if !finalized(collected) {
+			t.Errorf("%s: the previous job's bottleneck link is still reachable after the next job ran on the same Ctx", tc.name)
 		}
 	}
+}
+
+// finalized collects garbage until done closes, for up to a second.
+func finalized(done <-chan struct{}) bool {
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-done:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
 }
 
 // countdown is a Timer that does nothing: cold-start fodder.

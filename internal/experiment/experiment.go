@@ -271,8 +271,8 @@ func averagePoint(ctx *Ctx, tok units.BitRate, depth units.ByteSize, seed uint64
 	var acc Point
 	for r := 0; r < runs; r++ {
 		p := run(seed + uint64(r))
-		ctx.Recv.Reset() // p is plain values: the next seed receives on this one's storage
-		ctx.Trace = nil  // the remaining seeds run untraced
+		ctx.reclaim()   // p is plain values: the next seed runs on this one's storage
+		ctx.Trace = nil // the remaining seeds run untraced
 		acc.FrameLoss += p.FrameLoss
 		acc.Quality += p.Quality
 		acc.PacketLoss += p.PacketLoss
@@ -292,13 +292,13 @@ func pointLabel(tok units.BitRate, depth units.ByteSize, seed uint64) string {
 }
 
 // runQBonePointLabeled streams enc across the QBone with the given
-// profile on ctx — building on ctx.Pool, reporting into ctx.Run — and
-// evaluates the received video against ref.
+// profile on ctx — building on ctx.Sim and ctx.Pool, reporting into
+// ctx.Run — and evaluates the received video against ref.
 func runQBonePointLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
 	rec := ctx.NewRecorder()
 	q := topology.BuildQBone(topology.QBoneConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth, CrossLoad: crossLoad,
-		Pool: ctx.Pool, Recv: ctx.Recv, Trace: rec,
+		Pool: ctx.Pool, Sim: ctx.Sim, Recv: ctx.Recv, Trace: rec,
 	})
 	q.Client.Tolerance = client.SliceTolerance
 	q.Run()
@@ -421,7 +421,7 @@ func runLocalPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units
 	rec := ctx.NewRecorder()
 	l := topology.BuildLocal(topology.LocalConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth,
-		UseTCP: useTCP, UseShaper: useShaper, Pool: ctx.Pool, Recv: ctx.Recv, Trace: rec,
+		UseTCP: useTCP, UseShaper: useShaper, Pool: ctx.Pool, Sim: ctx.Sim, Recv: ctx.Recv, Trace: rec,
 	})
 	if l.UDPClient != nil {
 		// WMT's reduced message sizes mean one lost packet damages a

@@ -154,6 +154,7 @@ func evaluateFleet(ctx *Ctx, cfg topology.MultiFlowConfig, label, traceLabel str
 	rec := ctx.NewRecorder()
 	cfg.Trace = rec
 	cfg.Shards = ctx.Shards
+	cfg.Sim = ctx.Sim
 	start := time.Now()
 	m := topology.BuildMultiFlow(cfg)
 	m.Run()

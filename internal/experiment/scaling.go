@@ -29,7 +29,7 @@ func evaluateMultiFlow(ctx *Ctx, cfg topology.MultiFlowConfig, enc *video.Encodi
 	rec := ctx.NewRecorder()
 	cfg.Trace = rec
 	cfg.Shards = ctx.Shards
-	cfg.Recv = ctx.Recv
+	cfg.Sim, cfg.Recv = ctx.Sim, ctx.Recv
 	m := topology.BuildMultiFlow(cfg)
 	m.Run()
 	ctx.Finish(traceLabel, rec, m.Sim, m.Stats, len(m.Clients), time.Time{})

@@ -26,10 +26,11 @@ import (
 // (or figure family) whose points are independent simulation jobs.
 //
 // Jobs returns one closure per point of the figure grid; each closure
-// builds its own simulator, so the slice can be executed on any number
-// of goroutines. Assemble receives the results **in job order** —
-// results[i] is what Jobs()[i] returned — and folds them back into the
-// figure. Because the fold only depends on the (deterministic) results
+// builds its own simulation, on the storage its worker's Ctx lends, so
+// the slice can be executed on any number of goroutines. Assemble
+// receives the results **in job order** — results[i] is what Jobs()[i]
+// returned — and folds them back into the figure. Because the fold
+// only depends on the (deterministic) results
 // and their order, a Scenario produces byte-identical output at every
 // parallelism level. Assemble never sees telemetry: what the simulator
 // did is filed by the runner as Figure.Runs, one entry per job, so a
@@ -54,19 +55,25 @@ type Job func(ctx *Ctx) Point
 
 // Ctx is what the runner hands each job. It is owned by the executing
 // worker, and with it the storage that consecutive jobs on that worker
-// reuse, so none of it ever crosses goroutines: Pool is the packet
-// arena, Eval the evaluation scratch, and Recv the receive storage —
-// frame traces, reassembly tables, TCP message lists — that the job's
-// receivers borrow and grow (see package client for the lending
-// contract). The runner takes Recv's loans back the moment a job
-// returns (a seed-averaged job does so itself between seeds), so a job
-// must reduce every frame trace to plain values — an Evaluation, a
-// Point — before it does: a *trace.Trace kept past the job reads empty,
-// and the storage behind it serves the next grid point. A steady-state
-// job therefore allocates no packets and no receive storage, only what
-// differs from the point before. Trace is the run-wide trace request
-// (nil in the common untraced case).
+// reuse, so none of it ever crosses goroutines: Sim is the simulator,
+// Pool the packet arena and the lender of the ring storage its links,
+// queues and senders grow, Eval the evaluation scratch, and Recv the
+// receive storage — frame traces, reassembly tables, TCP message lists
+// — that the job's receivers borrow and grow (see package client for
+// the lending contract). A job hands Sim and Pool to its topology, whose
+// builder Resets Sim to the job's seed, so the run is the one a new
+// simulator would give. The runner takes Recv's and Pool's loans back
+// the moment a job returns (a seed-averaged job does so itself between
+// seeds), so a job must reduce every frame trace to plain values — an
+// Evaluation, a Point — before it does: a *trace.Trace kept past the
+// job reads empty, and the storage behind it serves the next grid
+// point. Once the next job has built on the Ctx, nothing of the last
+// one's topology is reachable from it. A steady-state job therefore
+// allocates no simulator, events, packets, ring or receive storage, only
+// what differs from the point before. Trace is the run-wide trace
+// request (nil in the common untraced case).
 type Ctx struct {
+	Sim   *sim.Simulator
 	Pool  *packet.Pool
 	Eval  Evaluator
 	Recv  *client.Scratch
@@ -123,6 +130,13 @@ type RunStats struct {
 	QOverflow float64
 
 	sims int // simulations finished into this record
+}
+
+// reclaim takes back what the finished simulation borrowed from the
+// Ctx, its receive storage and its ring storage, for the next one.
+func (c *Ctx) reclaim() {
+	c.Recv.Reset()
+	c.Pool.Reset()
 }
 
 // NewRecorder returns a bounded packet-trace recorder per the run's
@@ -410,14 +424,15 @@ func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 		fns[i] = func(ctx *Ctx) Point {
 			ctx.Run = RunStats{}
 			p := j(ctx)
-			ctx.Recv.Reset()
+			ctx.reclaim()
 			runs[i] = ctx.Run
 			runs[i].Label, runs[i].TokenRate, runs[i].Depth = p.Label, p.TokenRate, p.Depth
 			return p
 		}
 	}
 	newCtx := func() *Ctx {
-		return &Ctx{Pool: packet.NewPool(), Recv: new(client.Scratch), Trace: opts.Trace, Shards: opts.Shards}
+		return &Ctx{Sim: sim.New(0), Pool: packet.NewPool(), Recv: new(client.Scratch),
+			Trace: opts.Trace, Shards: opts.Shards}
 	}
 	fig := s.Assemble(runner.MapArena(opts.Parallel, newCtx, fns))
 	fig.Runs = runs

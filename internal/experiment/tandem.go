@@ -118,7 +118,7 @@ func runTandemPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth unit
 	rec := ctx.NewRecorder()
 	t := topology.BuildTandem(topology.TandemConfig{
 		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth,
-		SecondBorder: secondBorder, Pool: ctx.Pool, Recv: ctx.Recv, Trace: rec,
+		SecondBorder: secondBorder, Pool: ctx.Pool, Sim: ctx.Sim, Recv: ctx.Recv, Trace: rec,
 	})
 	t.Run()
 	// One unbatched stream has no partitionable flows, so the point runs

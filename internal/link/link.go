@@ -78,6 +78,17 @@ func New(s *sim.Simulator, rate units.BitRate, delay units.Time, sched queue.Sch
 	return l
 }
 
+// SetPool makes pl the link's packet arena: the release target of its
+// drops, and the lender of its in-flight ring's storage and, when the
+// scheduler is queue.Pooled, its queues'.
+func (l *Link) SetPool(pl *packet.Pool) {
+	l.Pool = pl
+	pl.Lend(&l.inflight)
+	if q, ok := l.Sched.(queue.Pooled); ok {
+		q.SetPool(pl)
+	}
+}
+
 // bind materializes the Timer interface values exactly once.
 func (l *Link) bind() {
 	l.txDone = (*txDoneTimer)(l)
@@ -242,6 +253,9 @@ func (j *Jitter) Handle(p *packet.Packet) {
 	j.pending.Push(p)
 	j.Sim.AtTimer(t, j.timer)
 }
+
+// SetPool lends the jitter's in-flight ring its storage from pl.
+func (j *Jitter) SetPool(pl *packet.Pool) { pl.Lend(&j.pending) }
 
 func (j *Jitter) deliverHead() {
 	j.Next.Handle(j.pending.Pop())

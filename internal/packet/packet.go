@@ -27,6 +27,7 @@ package packet
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/units"
@@ -178,10 +179,117 @@ type Pool struct {
 	free []*Packet
 	cold []Packet // the rest of the newest chunk, never yet handed out
 
+	// Ring storage (see Lend): the rings lent since the last Reset, and
+	// the free arrays. The first untouched free arrays have not been
+	// taken since the last Reset; the rest came back since.
+	rings     []*Ring
+	arrays    [][]*Packet
+	untouched int
+
 	// Gets counts Get calls, News the subset that found the free list
 	// empty and took a never-used packet, Puts the packets returned.
 	// Gets - News is the recycle hit count.
 	Gets, News, Puts uint64
+}
+
+// minRing is the smallest lent ring array. Lent arrays come in
+// power-of-two size classes: class c holds arrays of minRing<<c slots.
+const minRing = 16
+
+// ringClass is the largest class an array of n >= minRing slots can
+// serve.
+func ringClass(n int) int { return bits.Len(uint(n/minRing)) - 1 }
+
+// Lend makes pl the lender of r's backing arrays until the next Reset:
+// r then grows through pl's size classes rather than by append. Lending
+// a ring twice is a no-op, and a nil Pool lends nothing. A lent ring is
+// only ever touched by the goroutine that owns pl.
+func (pl *Pool) Lend(r *Ring) {
+	if pl == nil || r.pool == pl {
+		return
+	}
+	r.pool = pl
+	pl.rings = append(pl.rings, r)
+}
+
+// grow makes room in a full ring r lent by pl: it moves r's queued
+// packets into an array of the next size class up and frees the
+// outgrown one. A ring lent by no pool (pl nil) grows as append grows
+// it. Push calls grow only when full, and this — not Push — carries the
+// nil check, which keeps Push within the inlining budget.
+func (pl *Pool) grow(r *Ring) {
+	if pl == nil {
+		r.items = append(r.items, nil)[:len(r.items)]
+		return
+	}
+	c := bits.Len(uint(cap(r.items) / minRing)) // the smallest class above cap
+	b := pl.take(c)
+	if b == nil {
+		b = make([]*Packet, 0, minRing<<c)
+	}
+	b = append(b, r.items[r.head:]...)
+	pl.give(r.items)
+	r.items, r.head = b, 0
+}
+
+// take removes a free array of class c, the most recently freed first,
+// keeping the untouched ones a prefix; nil when there is none. The
+// search is linear, but a simulation frees tens of arrays and grows a
+// ring only on a new high-water mark.
+func (pl *Pool) take(c int) []*Packet {
+	for i := len(pl.arrays) - 1; i >= 0; i-- {
+		b := pl.arrays[i]
+		if ringClass(cap(b)) != c {
+			continue
+		}
+		if i < pl.untouched {
+			pl.untouched--
+			pl.arrays[i] = pl.arrays[pl.untouched]
+			i = pl.untouched
+		}
+		last := len(pl.arrays) - 1
+		pl.arrays[i] = pl.arrays[last]
+		pl.arrays[last] = nil
+		pl.arrays = pl.arrays[:last]
+		return b
+	}
+	return nil
+}
+
+// give frees b, emptied; an array below the smallest class is dropped.
+// Slots past len(b) are already nil: Pop and the compaction clear every
+// slot they give up.
+func (pl *Pool) give(b []*Packet) {
+	if cap(b) < minRing {
+		return
+	}
+	clear(b)
+	pl.arrays = append(pl.arrays, b[:0])
+}
+
+// Reset takes back the ring storage lent since the last Reset. Every
+// lent ring's array is freed, and the ring is left empty and unlent:
+// touched again, it reads empty and grows by append, never into the
+// next simulation's arrays. Free arrays the ending simulation did not
+// take are dropped, so between simulations a Pool keeps only the ring
+// storage the last one used. Packets are not affected. The owner resets
+// once a simulation's elements are done with, as the experiment runner
+// does after every job.
+func (pl *Pool) Reset() {
+	if pl == nil {
+		return
+	}
+	n := copy(pl.arrays, pl.arrays[pl.untouched:])
+	clear(pl.arrays[n:])
+	pl.arrays = pl.arrays[:n]
+	for i := len(pl.rings) - 1; i >= 0; i-- {
+		r := pl.rings[i]
+		pl.give(r.items)
+		*r = Ring{}
+	}
+	pl.untouched = len(pl.arrays)
+	clear(pl.rings)
+	pl.rings = pl.rings[:0]
 }
 
 // poolChunk is how many packets a cold Get allocates at once. A run's
@@ -244,25 +352,29 @@ func (pl *Pool) Free() int {
 // Ring is a FIFO of packets on a compacting slice: Pop nils the
 // consumed slot and advances a head index, the backing array restarts
 // once empty, and the consumed prefix is compacted away when it
-// dominates, so memory stays proportional to occupancy and the
-// steady-state push/pop cycle never allocates. It is the shared
-// in-flight/pending structure of queues, links, jitter elements and
-// paced senders. The zero value is an empty ring.
+// dominates, so the steady-state push/pop cycle never allocates. It is
+// the shared in-flight/pending structure of queues, links, jitter
+// elements and paced senders. The zero value is an empty ring that
+// grows its backing array by append; a ring lent to a Pool (see
+// Pool.Lend) grows through the pool's size classes instead, and the
+// array it reached goes back to the pool at Reset, so the next
+// simulation's rings find storage at the high-water mark this one's
+// reached.
 type Ring struct {
 	items []*Packet
 	head  int
+	pool  *Pool // lender of the backing arrays; nil grows by append
 }
 
 // Len reports the packets currently queued.
 func (r *Ring) Len() int { return len(r.items) - r.head }
 
-// Push appends p.
+// Push appends p. An empty ring always starts at the front — the Pop
+// that empties it restarts it — so a ping-pong push/pop reuses slot zero
+// forever.
 func (r *Ring) Push(p *Packet) {
-	if r.head == len(r.items) {
-		// Empty: restart at the front so a ping-pong push/pop reuses
-		// slot zero forever.
-		r.items = r.items[:0]
-		r.head = 0
+	if len(r.items) == cap(r.items) {
+		r.pool.grow(r)
 	}
 	r.items = append(r.items, p)
 }

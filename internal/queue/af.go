@@ -27,6 +27,12 @@ func NewAFScheduler(in, out REDConfig, rand func() float64, beLimit int) *AFSche
 // SetTap implements Tapped by forwarding to the RIO queue.
 func (s *AFScheduler) SetTap(t ptrace.Tap, hop ptrace.HopID) { s.AF.SetTap(t, hop) }
 
+// SetPool implements Pooled.
+func (s *AFScheduler) SetPool(pl *packet.Pool) {
+	pl.Lend(&s.AF.fifo.ring)
+	pl.Lend(&s.BE.ring)
+}
+
 func isAF(d packet.DSCP) bool {
 	return d == packet.AF11 || d == packet.AF12 || d == packet.AF13
 }

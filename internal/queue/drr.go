@@ -123,6 +123,13 @@ func (d *DRR) Len() int {
 	return n
 }
 
+// SetPool implements Pooled.
+func (d *DRR) SetPool(pl *packet.Pool) {
+	for _, c := range d.classes {
+		pl.Lend(&c.fifo.ring)
+	}
+}
+
 // Classes reports per-class counters in configuration order.
 func (d *DRR) Classes() []ClassStats {
 	out := make([]ClassStats, len(d.classes))

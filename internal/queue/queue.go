@@ -97,6 +97,13 @@ type Tapped interface {
 	SetTap(t ptrace.Tap, hop ptrace.HopID)
 }
 
+// Pooled is implemented by schedulers whose queues can borrow their
+// ring storage from a packet arena (see packet.Pool.Lend). A link wires
+// its arena into any scheduler that supports it.
+type Pooled interface {
+	SetPool(pl *packet.Pool)
+}
+
 // Scheduler selects the next packet to transmit from a set of queues.
 type Scheduler interface {
 	// Enqueue admits p to the appropriate queue; reports false on drop.
@@ -168,6 +175,12 @@ func (s *Priority) Dequeue() *packet.Packet {
 // Len reports total queued packets.
 func (s *Priority) Len() int { return s.High.Len() + s.Low.Len() }
 
+// SetPool implements Pooled.
+func (s *Priority) SetPool(pl *packet.Pool) {
+	pl.Lend(&s.High.ring)
+	pl.Lend(&s.Low.ring)
+}
+
 // Classes reports the high and low class counters.
 func (s *Priority) Classes() []ClassStats {
 	return []ClassStats{s.High.Stats("high"), s.Low.Stats("low")}
@@ -190,6 +203,9 @@ func (s *SingleFIFO) Dequeue() *packet.Packet { return s.Q.Pop() }
 
 // Len reports queued packets.
 func (s *SingleFIFO) Len() int { return s.Q.Len() }
+
+// SetPool implements Pooled.
+func (s *SingleFIFO) SetPool(pl *packet.Pool) { pl.Lend(&s.Q.ring) }
 
 // Classes reports the single class's counters.
 func (s *SingleFIFO) Classes() []ClassStats {

@@ -128,6 +128,13 @@ func (w *WFQ) Len() int {
 	return n
 }
 
+// SetPool implements Pooled.
+func (w *WFQ) SetPool(pl *packet.Pool) {
+	for _, c := range w.classes {
+		pl.Lend(&c.fifo.ring)
+	}
+}
+
 // Classes reports per-class counters in configuration order.
 func (w *WFQ) Classes() []ClassStats {
 	out := make([]ClassStats, len(w.classes))

@@ -2,9 +2,10 @@
 // independent simulation jobs.
 //
 // Every point of every paper figure is one self-contained run of the
-// discrete-event simulator: the job builds its own sim.Simulator (and
-// therefore its own RNG stream), runs it to completion, and reduces
-// the outcome to a small value. Jobs share no mutable state, so they
+// discrete-event simulator: the job builds its own simulation — on a
+// sim.Simulator its worker lends and resets to the job's seed, so with
+// its own RNG stream — runs it to completion, and reduces the outcome
+// to a small value. Jobs share no mutable state, so they
 // can execute on any number of goroutines without changing a single
 // bit of any result. The runner exploits that: it fans a job slice out
 // across a bounded pool of workers and collects results **by job

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -26,6 +27,19 @@ func FuzzScenarioFile(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	// Wires into a source element, which validation must refuse: Build
+	// cannot resolve them.
+	dumbbell, err := os.ReadFile(filepath.Join("testdata", "dumbbell.scenario.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, wire := range [][2]string{
+		{`"to": "east-client"`, `"to": "core-cross"`},
+		{`"flow": 1, "to": "e-access"`, `"flow": 1, "to": "core-cross"`},
+		{`"entry": "e-campus"`, `"entry": "core-cross"`},
+	} {
+		f.Add([]byte(strings.Replace(string(dumbbell), wire[0], wire[1], 1)))
 	}
 	f.Add([]byte(`{"version": 1, "name": "x", "shape": "tandem"}`))
 	f.Add([]byte(`{]`))

@@ -132,7 +132,9 @@ func (g *GraphShape) validate() error {
 		return errf("graph.flows", "at least one measured video flow is required")
 	}
 	// Known targets: the auto-declared sink and clients, then every
-	// element. Collect names first — wiring may reference forward.
+	// element. Collect names first — wiring may reference forward. The
+	// value says whether the name takes input: a source has no entry
+	// point, so nothing may be wired to it.
 	known := map[string]bool{"sink": true}
 	for i, gf := range g.Flows {
 		field := fmt.Sprintf("graph.flows[%d]", i)
@@ -140,7 +142,7 @@ func (g *GraphShape) validate() error {
 			return errf(field+".name", "required")
 		}
 		cl := gf.Name + "-client"
-		if known[cl] {
+		if _, dup := known[cl]; dup {
 			return errf(field+".name", "duplicate flow name %q", gf.Name)
 		}
 		known[cl] = true
@@ -150,10 +152,10 @@ func (g *GraphShape) validate() error {
 		if el.Name == "" {
 			return errf(field+".name", "required")
 		}
-		if known[el.Name] {
+		if _, dup := known[el.Name]; dup {
 			return errf(field+".name", "duplicate element name %q", el.Name)
 		}
-		known[el.Name] = true
+		known[el.Name] = el.Kind != "source"
 	}
 	flowIDs := map[int64]bool{}
 	for i, gf := range g.Flows {
@@ -171,8 +173,8 @@ func (g *GraphShape) validate() error {
 			return errf(field+".flow", "duplicate flow id %d", gf.Flow)
 		}
 		flowIDs[gf.Flow] = true
-		if !known[gf.Entry] {
-			return errf(field+".entry", "unknown element %q", gf.Entry)
+		if err := checkTarget(field+".entry", gf.Entry, known); err != nil {
+			return err
 		}
 	}
 	policers := map[string]bool{}
@@ -210,6 +212,19 @@ func (g *GraphShape) validate() error {
 	return nil
 }
 
+// checkTarget checks where a wire ends: at a name the graph declares,
+// and one that takes input (see known in GraphShape.validate).
+func checkTarget(field, name string, known map[string]bool) error {
+	input, ok := known[name]
+	switch {
+	case !ok:
+		return errf(field, "unknown element %q", name)
+	case !input:
+		return errf(field, "%q is a source; sources take no input", name)
+	}
+	return nil
+}
+
 // validate checks one element's kind-specific contract. Fields that
 // do not apply to the kind must be unset — a knob that would be
 // silently ignored is rejected instead.
@@ -218,10 +233,7 @@ func (el *Element) validate(field string, known map[string]bool) error {
 		if el.To == "" {
 			return errf(field+".to", "required for kind %q", el.Kind)
 		}
-		if !known[el.To] {
-			return errf(field+".to", "unknown element %q", el.To)
-		}
-		return nil
+		return checkTarget(field+".to", el.To, known)
 	}
 	type knob struct {
 		set  bool
@@ -319,8 +331,8 @@ func (el *Element) validate(field string, known map[string]bool) error {
 					return err
 				}
 			}
-			if !known[r.To] {
-				return errf(rf+".to", "unknown element %q", r.To)
+			if err := checkTarget(rf+".to", r.To, known); err != nil {
+				return err
 			}
 		}
 		return needTo()
@@ -462,8 +474,7 @@ func (s graphScenario) Assemble(results []experiment.Point) *experiment.Figure {
 // (0 = declared rates) and reduces it to a Point.
 func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok units.BitRate) experiment.Point {
 	rec := ctx.NewRecorder()
-	b := topology.NewBuilder(s.g.Seed)
-	b.UsePool(ctx.Pool)
+	b := topology.NewBuilder(s.g.Seed, ctx.Sim, ctx.Pool)
 	b.UseTrace(rec)
 
 	sink := packet.Sink{Pool: b.Pool()}
@@ -492,7 +503,10 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	}
 	net, err := b.Build()
 	if err != nil {
-		// Validate admitted the graph; a Build failure is a compiler
+		// Validate admitted the graph: every wire ends at an element
+		// with an entry point (the "is a source" rows of
+		// TestValidationNamesOffendingField show it refusing the last
+		// files that reached here), so a Build failure is a compiler
 		// bug, not bad user input.
 		panic(fmt.Sprintf("scenfile: building validated graph %q: %v", s.name, err))
 	}

@@ -80,6 +80,17 @@ func TestValidationNamesOffendingField(t *testing.T) {
 		{"unknown flow entry", dumbbell,
 			`"flow": 2, "entry": "w-campus"`, `"flow": 2, "entry": "w-campus2"`,
 			`graph.flows[1].entry: unknown element "w-campus2"`},
+		// A source has no entry point: these three once passed validation
+		// and panicked in Build (see runPoint).
+		{"link into a source", dumbbell,
+			`"to": "east-client"`, `"to": "core-cross"`,
+			`graph.elements[0].to: "core-cross" is a source; sources take no input`},
+		{"rule into a source", dumbbell,
+			`{"name": "east", "flow": 1, "to": "e-access"}`, `{"name": "east", "flow": 1, "to": "core-cross"}`,
+			`graph.elements[2].rules[0].to: "core-cross" is a source; sources take no input`},
+		{"flow entry at a source", dumbbell,
+			`"flow": 1, "entry": "e-campus"`, `"flow": 1, "entry": "core-cross"`,
+			`graph.flows[0].entry: "core-cross" is a source; sources take no input`},
 		{"irrelevant knob rejected", dumbbell,
 			`"name": "e-jit", "max_jitter_us": 5000`, `"name": "e-jit", "loss_p": 0.5, "max_jitter_us": 5000`,
 			`graph.elements[13].loss_p: does not apply to kind "jitter"`},

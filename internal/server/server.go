@@ -97,6 +97,7 @@ type sendRing struct {
 
 func (r *sendRing) start(s *sim.Simulator, pool *packet.Pool, flow packet.FlowID, next packet.Handler, sent *int, bytes *int64) {
 	r.sim, r.pool, r.flow, r.next, r.sent, r.bytes = s, pool, flow, next, sent, bytes
+	pool.Lend(&r.pending)
 }
 
 // push stamps fragment j of frags of a frame and queues it to leave

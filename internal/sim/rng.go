@@ -14,6 +14,12 @@ type RNG struct {
 // nearby seeds produce unrelated streams.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed restarts r, in place, on the stream NewRNG(seed) returns.
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9e3779b97f4a7c15
@@ -29,7 +35,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -245,6 +245,39 @@ func NewWithBucketWidth(seed uint64, width units.Time) *Simulator {
 		buckets: make([]*Event, bucketCount(width))}
 }
 
+// Reset puts s back in the state the constructor that made it builds
+// for seed — New(seed), or NewWithBucketWidth(seed, w) for a pinned
+// width — while keeping every allocation: the clock, sequence, counters,
+// adaptive-width state, lattice length and horizon are restored and the
+// RNG is reseeded in place. Every pending event is reclaimed onto the
+// free list with its generation bumped, so a Handle taken before Reset
+// is inert, and its Timer dropped, so nothing of the previous run stays
+// reachable from s. The lattice, the overflow heap and the event pool
+// keep their capacity. This is how a runner worker runs job after job on
+// one simulator; Reset must not be called from inside an event.
+func (s *Simulator) Reset(seed uint64) {
+	for _, head := range s.buckets {
+		for e := head; e != nil; {
+			next := e.next
+			s.release(e)
+			e = next
+		}
+	}
+	for _, e := range s.overflow {
+		s.release(e)
+	}
+	clear(s.buckets[:cap(s.buckets)])
+	clear(s.overflow)
+	width := s.width
+	if s.adaptive {
+		width = DefaultBucketWidth
+	}
+	*s = Simulator{rng: s.rng, width: width, adaptive: s.adaptive,
+		buckets: s.buckets[:bucketCount(width)], overflow: s.overflow[:0],
+		free: s.free, cold: s.cold}
+	s.rng.seed(seed)
+}
+
 // Now reports the current simulated time.
 func (s *Simulator) Now() units.Time { return s.now }
 
@@ -261,8 +294,9 @@ func (s *Simulator) Pending() int { return s.live }
 
 // eventChunk is how many events a cold start allocates at once: the
 // event pool warms up to the run's pending high-water mark one schedule
-// at a time, and a fresh simulator per grid point paid that in one heap
-// object per event. 64 events are 3.5 KB.
+// at a time, which cost one heap object per event. A Reset simulator
+// keeps its warmed pool, so a runner worker pays the warm-up once, and
+// a cold one pays it 64 events (3.5 KB) to an allocation.
 const eventChunk = 64
 
 // alloc takes an event from the free list (or, on a cold start, the

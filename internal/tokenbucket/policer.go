@@ -153,6 +153,13 @@ func NewShaper(s *sim.Simulator, rate units.BitRate, depth units.ByteSize, mark 
 // wiring; not for use once packets are flowing).
 func (sh *Shaper) SetNext(h packet.Handler) { sh.next = h }
 
+// SetPool makes pl the shaper's packet arena: the release target of its
+// drops and the lender of its waiting room's storage.
+func (sh *Shaper) SetPool(pl *packet.Pool) {
+	sh.Pool = pl
+	pl.Lend(&sh.queue)
+}
+
 // SetQueueLimit bounds the shaper's waiting room.
 func (sh *Shaper) SetQueueLimit(n int) {
 	if n > 0 {

@@ -62,7 +62,7 @@ type AF struct {
 // conformance only changes the drop precedence inside the network.
 func BuildAF(cfg AFConfig) *AF {
 	cfg = cfg.withDefaults()
-	b := NewBuilder(cfg.Seed)
+	b := NewBuilder(cfg.Seed, nil, nil)
 	a := &AF{Sim: b.Sim()}
 
 	a.Client = client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())

@@ -189,11 +189,24 @@ type Builder struct {
 	errs   []error
 }
 
-// NewBuilder returns a builder owning a fresh simulator seeded with
-// seed and a fresh packet arena. The simulator's calendar width is
+// NewBuilder returns a builder for a simulation seeded with seed, built
+// on s and pool. The experiment runner lends each worker one simulator
+// and one packet arena for job after job: s is Reset to seed here, so
+// the build is bit-identical to one on New(seed), and the elements Build
+// makes borrow their ring storage from pool. Neither may belong to
+// another live simulation. A nil s builds on a new simulator and a nil
+// pool on a new arena. The simulator's calendar width is
 // density-adaptive.
-func NewBuilder(seed uint64) *Builder {
-	return &Builder{sim: sim.New(seed), pool: packet.NewPool(), byName: map[string]*elem{}}
+func NewBuilder(seed uint64, s *sim.Simulator, pool *packet.Pool) *Builder {
+	if s == nil {
+		s = sim.New(seed)
+	} else {
+		s.Reset(seed)
+	}
+	if pool == nil {
+		pool = packet.NewPool()
+	}
+	return &Builder{sim: s, pool: pool, byName: map[string]*elem{}}
 }
 
 // Sim exposes the simulator so endpoints (servers, clients) can be
@@ -203,16 +216,6 @@ func (b *Builder) Sim() *sim.Simulator { return b.sim }
 // Pool exposes the builder's packet arena so endpoints built outside
 // the builder (servers, clients, TCP endpoints) can share it.
 func (b *Builder) Pool() *packet.Pool { return b.pool }
-
-// UsePool replaces the builder's packet arena — the experiment runner
-// hands each worker a persistent arena so consecutive jobs on the
-// same worker recycle each other's packets. Must be called before
-// Build and never with an arena owned by another live simulation.
-func (b *Builder) UsePool(p *packet.Pool) {
-	if p != nil {
-		b.pool = p
-	}
-}
 
 // UseTrace attaches a packet-trace recorder: Build wires every
 // traceable element's Tap to it, with the element's declared name as
@@ -354,9 +357,10 @@ func (b *Builder) Build() (*Network, error) {
 				sched = PlainFIFO(0)
 			}
 			e.link = link.New(s, e.linkSpec.Rate, e.linkSpec.Delay, sched(s), nil)
-			e.link.Pool = b.pool
+			e.link.SetPool(b.pool)
 		case kindJitter:
 			e.jitter = &link.Jitter{Sim: s, Max: e.maxJitter}
+			e.jitter.SetPool(b.pool)
 		case kindLoss:
 			e.loss = &link.Loss{Sim: s, P: e.lossP, Pool: b.pool}
 		case kindRouter:
@@ -366,7 +370,7 @@ func (b *Builder) Build() (*Network, error) {
 			e.policer.Pool = b.pool
 		case kindShaper:
 			e.shaper = tokenbucket.NewShaper(s, e.rate, e.depth, e.mark, nil)
-			e.shaper.Pool = b.pool
+			e.shaper.SetPool(b.pool)
 			if e.queueLimit > 0 {
 				e.shaper.SetQueueLimit(e.queueLimit)
 			}

@@ -24,6 +24,7 @@ type LocalConfig struct {
 	TokenRate units.BitRate
 	Depth     units.ByteSize
 	Pool      *packet.Pool    // packet arena; nil builds a fresh one
+	Sim       *sim.Simulator  // simulator lent by the worker, Reset to Seed; nil builds a fresh one
 	Recv      *client.Scratch // receive storage lent by the worker; nil allocates
 	// Trace, when set, records packet-level events (including the TCP
 	// sender's send/ACK/RTO in TCP mode) into the bounded recorder.
@@ -71,8 +72,7 @@ type Local struct {
 // goes to its port — so it needs no policy rules and is represented by
 // the port link alone.
 func BuildLocal(cfg LocalConfig) *Local {
-	b := NewBuilder(cfg.Seed)
-	b.UsePool(cfg.Pool)
+	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
 	b.UseTrace(cfg.Trace)
 	l := &Local{Sim: b.Sim(), enc: cfg.Enc}
 	frames := cfg.Enc.Clip.FrameCount()

@@ -139,8 +139,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		horizon = drained
 	}
 
-	b := NewBuilder(cfg.Seed)
-	b.UsePool(cfg.Pool)
+	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
 	b.UseTrace(cfg.Trace)
 	m := &MultiFlow{Sim: b.Sim(), shards: cfg.Shards, ClassNames: names,
 		starts: starts, horizon: horizon}

@@ -83,6 +83,7 @@ type MultiFlowConfig struct {
 	Enc  *video.Encoding // shared by every flow (use the cached encodings)
 	N    int             // video flow count; default 2
 	Pool *packet.Pool    // packet arena; nil builds a fresh one
+	Sim  *sim.Simulator  // simulator lent by the worker, Reset to Seed; nil builds a fresh one
 	Recv *client.Scratch // receive storage lent by the worker; nil allocates
 	// Trace, when set, records packet-level events from every element
 	// (and every per-flow client) into the bounded recorder.

@@ -36,6 +36,7 @@ type QBoneConfig struct {
 	Depth     units.ByteSize  // APS profile burst size (3000 or 4500)
 	Shape     bool            // shape instead of drop at the border
 	Pool      *packet.Pool    // packet arena; nil builds a fresh one
+	Sim       *sim.Simulator  // simulator lent by the worker, Reset to Seed; nil builds a fresh one
 	Recv      *client.Scratch // receive storage lent by the worker; nil allocates
 	// Trace, when set, records packet-level events from every element
 	// of the path (and the client) into the given bounded recorder.
@@ -96,8 +97,7 @@ type QBone struct {
 // its access link.
 func BuildQBone(cfg QBoneConfig) *QBone {
 	cfg = cfg.withDefaults()
-	b := NewBuilder(cfg.Seed)
-	b.UsePool(cfg.Pool)
+	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
 	b.UseTrace(cfg.Trace)
 	q := &QBone{Sim: b.Sim()}
 

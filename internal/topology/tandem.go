@@ -26,6 +26,7 @@ type TandemConfig struct {
 	Seed uint64
 	Enc  *video.Encoding
 	Pool *packet.Pool    // packet arena; nil builds a fresh one
+	Sim  *sim.Simulator  // simulator lent by the worker, Reset to Seed; nil builds a fresh one
 	Recv *client.Scratch // receive storage lent by the worker; nil allocates
 	// Trace, when set, records packet-level events from every element
 	// (both policers, every hop, the client) into the bounded
@@ -72,8 +73,7 @@ func domainHop(d, i int) string { return fmt.Sprintf("d%dhop%d", d, i) }
 // every hop of both domains, so domain-1 queueing perturbs the EF
 // spacing border2 measures.
 func BuildTandem(cfg TandemConfig) *Tandem {
-	b := NewBuilder(cfg.Seed)
-	b.UsePool(cfg.Pool)
+	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
 	b.UseTrace(cfg.Trace)
 	t := &Tandem{Sim: b.Sim()}
 

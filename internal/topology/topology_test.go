@@ -178,7 +178,7 @@ func TestQBoneEFDelayIsSmallAndStable(t *testing.T) {
 func TestPacketIDsDoNotAliasAcrossTransports(t *testing.T) {
 	const keep = 1 << 16
 	rec := ptrace.NewRecorder(ptrace.Config{Capacity: keep, Head: keep})
-	b := NewBuilder(1)
+	b := NewBuilder(1, nil, nil)
 	b.UseTrace(rec)
 	var snd *tcpsim.Sender
 	var rcv *tcpsim.Receiver
