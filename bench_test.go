@@ -142,8 +142,9 @@ func benchLocal(b *testing.B, spec experiment.LocalSpec) {
 func BenchmarkFigure15LocalDrop(b *testing.B)   { benchLocal(b, experiment.Figure15Spec()) }
 func BenchmarkFigure16LocalShaped(b *testing.B) { benchLocal(b, experiment.Figure16Spec()) }
 
-// --- Ablations (internal/experiment/ablations.go; their findings are
-// asserted in internal/experiment/ablations_test.go) ---
+// --- Ablations: one QBone point each at the profiles of the abl-shape
+// and abl-hops scenarios (registered in internal/experiment/ablations.go,
+// their findings asserted in internal/experiment/ablations_test.go) ---
 
 // qbonePoint streams enc across the QBone at one (token rate, depth)
 // at DefaultSeed, builds on pool (nil: a fresh one), scores the

@@ -112,7 +112,13 @@ type jsonPoint struct {
 	PacketLoss   float64 `json:"packet_loss"`
 	// Classes carries the per-equivalence-class aggregated statistics
 	// of mixture points (aggregated-stats mode).
-	Classes []jsonClass `json:"classes,omitempty"`
+	Classes []experiment.ClassStat `json:"classes,omitempty"`
+	// The ablation columns, on the points that measure them: ef-service's
+	// EF delay statistics (seconds) and abl-af's srTCM colour counts.
+	DelayMeanS float64 `json:"delay_mean_s,omitempty"`
+	DelayP99S  float64 `json:"delay_p99_s,omitempty"`
+	JitterS    float64 `json:"jitter_s,omitempty"`
+	ColorsGYR  *[3]int `json:"colors_gyr,omitempty"`
 }
 
 // jsonRun is one job's engine telemetry — an experiment.RunStats, which
@@ -134,22 +140,6 @@ type jsonRun struct {
 	QueueRebases       uint64  `json:"queue_rebases,omitempty"`
 	QueueWidthUS       float64 `json:"queue_width_us,omitempty"`
 	QueueOverflowRatio float64 `json:"queue_overflow_ratio,omitempty"`
-}
-
-// jsonClass is one equivalence class's aggregated statistics in a
-// mixture point.
-type jsonClass struct {
-	Name             string  `json:"name"`
-	Flows            int     `json:"flows"`
-	ScheduledPackets int64   `json:"scheduled_packets"`
-	ScheduledBytes   int64   `json:"scheduled_bytes"`
-	Packets          int64   `json:"packets"`
-	Bytes            int64   `json:"bytes"`
-	DelayMeanMs      float64 `json:"delay_mean_ms"`
-	DelayStdMs       float64 `json:"delay_std_ms"`
-	DelayP50Ms       float64 `json:"delay_p50_ms"`
-	DelayP95Ms       float64 `json:"delay_p95_ms"`
-	DelayP99Ms       float64 `json:"delay_p99_ms"`
 }
 
 type jsonSeries struct {
@@ -199,17 +189,11 @@ func makeRecord(name string, fig *experiment.Figure, wall time.Duration, scale i
 			jp := jsonPoint{
 				TokenRateBps: float64(p.TokenRate), DepthBytes: int64(p.Depth),
 				Label: p.Label, FrameLoss: p.FrameLoss, Quality: p.Quality,
-				PacketLoss: p.PacketLoss,
+				PacketLoss: p.PacketLoss, Classes: p.Classes,
+				DelayMeanS: p.DelayMean, DelayP99S: p.DelayP99, JitterS: p.Jitter,
 			}
-			for _, c := range p.Classes {
-				jp.Classes = append(jp.Classes, jsonClass{
-					Name: c.Name, Flows: c.Flows,
-					ScheduledPackets: c.ScheduledPackets, ScheduledBytes: c.ScheduledBytes,
-					Packets: c.Packets, Bytes: c.Bytes,
-					DelayMeanMs: c.DelayMeanMs, DelayStdMs: c.DelayStdMs,
-					DelayP50Ms: c.DelayP50Ms, DelayP95Ms: c.DelayP95Ms,
-					DelayP99Ms: c.DelayP99Ms,
-				})
+			if p.Green+p.Yellow+p.Red > 0 {
+				jp.ColorsGYR = &[3]int{p.Green, p.Yellow, p.Red}
 			}
 			js.Points = append(js.Points, jp)
 		}
@@ -275,8 +259,8 @@ func writeJSON(path string) error {
 
 func render(f *experiment.Figure) string {
 	out := f.Format()
-	if plotMode {
-		out += "\n" + f.Plot(64, 16, false)
+	if plot := f.Plot(64, 16, false); plotMode && plot != "" {
+		out += "\n" + plot
 	}
 	return out
 }
@@ -328,8 +312,8 @@ func artifacts() []artifact {
 			var b strings.Builder
 			b.WriteString("Table 1 — Frame Relay interface configuration\n")
 			fmt.Fprintf(&b, "%-14s %-10s %-10s %-6s %-6s\n", "Interface", "CIR", "Bc", "Be", "Type")
-			for _, r := range videoTable1() {
-				fmt.Fprintf(&b, "%-14s %-10.0f %-10d %-6d %-6s\n", r.name, r.cir, r.bc, r.be, r.kind)
+			for _, c := range link.Table1() {
+				fmt.Fprintf(&b, "%-14s %-10.0f %-10d %-6d %-6s\n", c.Name, float64(c.CIR), c.Bc, c.Be, c.Kind)
 			}
 			return b.String()
 		}},
@@ -350,47 +334,12 @@ func artifacts() []artifact {
 			return experiment.Figure6(video.Lost(), every) + "\n" + experiment.Figure6(video.Dark(), every)
 		}},
 	}
-	// Scenarios() is already in natural paper order (fig7 … fig16).
+	// Scenarios() is in listing order: fig7 … fig16 and the scaling
+	// scenarios, then the ablations.
 	for _, s := range experiment.Scenarios() {
 		all = append(all, scenarioArtifact(s))
 	}
-	all = append(all,
-		artifact{"abl-shape", "Ablation: drop vs shape at the QBone border", func(int) string {
-			return experiment.AblationShaperVsDrop(experiment.DefaultSeed).Format()
-		}},
-		artifact{"abl-hops", "Ablation: EF burst accumulation over hop count", func(int) string {
-			return experiment.AblationHopCount(experiment.DefaultSeed)
-		}},
-		artifact{"abl-jitter", "Ablation: pre-policer jitter vs conformance", func(int) string {
-			return experiment.AblationJitter(experiment.DefaultSeed)
-		}},
-		artifact{"abl-af", "Ablation: Assured Forwarding (srTCM + RIO)", func(int) string {
-			return experiment.FormatAF(experiment.AblationAF(experiment.DefaultSeed))
-		}},
-		artifact{"abl-tcp", "Ablation: local TCP, era stack vs RFC 3042", func(int) string {
-			return experiment.AblationLocalTCP(experiment.DefaultSeed)
-		}},
-		artifact{"ef-service", "EF delay/jitter/loss vs cross load", func(int) string {
-			return experiment.EFServiceReport(experiment.DefaultSeed)
-		}},
-	)
 	return all
-}
-
-type frRow struct {
-	name string
-	cir  float64
-	bc   int64
-	be   int64
-	kind string
-}
-
-func videoTable1() []frRow {
-	var rows []frRow
-	for _, c := range link.Table1() {
-		rows = append(rows, frRow{c.Name, float64(c.CIR), c.Bc, c.Be, c.Kind})
-	}
-	return rows
 }
 
 // rejectUnshardable exits with a clear error when -shards > 1 was
@@ -427,42 +376,33 @@ func shardableNames() []string {
 	return out
 }
 
-// validateScale rejects non-positive -scale values at parse time
-// rather than letting a zero or negative thinning factor produce an
-// empty sweep deep inside a scenario.
-func validateScale(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-scale must be >= 1, got %d", n)
-	}
-	return nil
-}
-
-// validateTraceFlow rejects negative -trace-flow values: 0 means
-// "every flow" by documented contract, but a negative id used to
-// silently mean the same thing, turning typos like `-trace-flow -1`
-// into unfiltered captures.
-func validateTraceFlow(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-trace-flow must be >= 0 (0 = every flow), got %d", n)
+// validateSelection rejects -scenario together with an explicit -run:
+// both select what to run, and neither may silently win.
+func validateSelection(explicit map[string]bool) error {
+	if explicit["scenario"] && explicit["run"] {
+		return fmt.Errorf("-scenario and -run both select what to run; give one of them")
 	}
 	return nil
 }
 
 // validateRunFlags rejects integer flag values a run would otherwise
 // silently rewrite: ptrace turns a non-positive -trace-cap into its own
-// 65536 default and clamps a negative -trace-head / -trace-sample, and
-// a negative -shards or -parallel runs serially or on all cores. The
-// error names the flag and the value.
-func validateRunFlags(parallel, shards, traceCap, traceHead, traceSample int) error {
+// 65536 default and clamps a negative -trace-head / -trace-sample, a
+// negative -shards or -parallel runs serially or on all cores, a -scale
+// below 1 empties the sweep, and a negative -trace-flow would mean
+// "every flow" like 0 does. The error names the flag and the value.
+func validateRunFlags(parallel, shards, scale, traceCap, traceHead, traceSample, traceFlow int) error {
 	for _, f := range []struct {
 		name   string
 		n, min int
 	}{
 		{"parallel", parallel, 0},
 		{"shards", shards, 1},
+		{"scale", scale, 1},
 		{"trace-cap", traceCap, 1},
 		{"trace-head", traceHead, 0},
 		{"trace-sample", traceSample, 1},
+		{"trace-flow", traceFlow, 0},
 	} {
 		if f.n < f.min {
 			return fmt.Errorf("-%s must be >= %d, got %d", f.name, f.min, f.n)
@@ -521,15 +461,11 @@ func main() {
 	plotMode = *plot
 	parallelism = *parallel
 	shardCount = *shards
-	if err := validateScale(*scale); err != nil {
+	if err := validateRunFlags(*parallel, *shards, *scale, *traceCap, *traceHead, *traceSample, *traceFlow); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := validateTraceFlow(*traceFlow); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := validateRunFlags(*parallel, *shards, *traceCap, *traceHead, *traceSample); err != nil {
+	if err := validateSelection(explicit); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -588,44 +524,30 @@ func main() {
 		}
 		rejectUnshardable(map[string]bool{s.Name(): true}, false)
 		fmt.Println(scenarioArtifact(s).run(*scale))
-		if jsonPath != "" {
-			if err := writeJSON(jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+	} else {
+		want := map[string]bool{}
+		if *run != "all" {
+			var known []string
+			for _, a := range all {
+				known = append(known, a.name)
 			}
-		}
-		return
-	}
-	want := map[string]bool{}
-	if *run != "all" {
-		for _, n := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		var known []string
-		for _, a := range all {
-			known = append(known, a.name)
-		}
-		sort.Strings(known)
-		for n := range want {
-			found := false
-			for _, k := range known {
-				if k == n {
-					found = true
+			sort.Strings(known)
+			for _, n := range strings.Split(*run, ",") {
+				n = strings.TrimSpace(n)
+				if i := sort.SearchStrings(known, n); i == len(known) || known[i] != n {
+					fmt.Fprintf(os.Stderr, "unknown artifact %q (known: %s)\n", n, strings.Join(known, ", "))
+					os.Exit(2)
 				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "unknown artifact %q (known: %s)\n", n, strings.Join(known, ", "))
-				os.Exit(2)
+				want[n] = true
 			}
 		}
-	}
-	rejectUnshardable(want, *run == "all")
-	for _, a := range all {
-		if *run != "all" && !want[a.name] {
-			continue
+		rejectUnshardable(want, *run == "all")
+		for _, a := range all {
+			if *run == "all" || want[a.name] {
+				fmt.Println(strings.Repeat("=", 72))
+				fmt.Println(a.run(*scale))
+			}
 		}
-		fmt.Println(strings.Repeat("=", 72))
-		fmt.Println(a.run(*scale))
 	}
 	if jsonPath != "" {
 		if err := writeJSON(jsonPath); err != nil {

@@ -30,6 +30,19 @@ func TestArtifactRegistry(t *testing.T) {
 		}
 		seen[a.name] = true
 	}
+	// -run all and -list keep one order: the static artifacts, the
+	// figures and scaling scenarios, then the ablations in sequence.
+	var names []string
+	for _, a := range all {
+		names = append(names, a.name)
+	}
+	if got, want := strings.Join(names[:5], ","), "table1,table2,table3,table4,fig6"; got != want {
+		t.Errorf("artifacts start %s, want %s", got, want)
+	}
+	if got, want := strings.Join(names[len(names)-6:], ","),
+		"abl-shape,abl-hops,abl-jitter,abl-af,abl-tcp,ef-service"; got != want {
+		t.Errorf("artifacts end %s, want the ablations %s", got, want)
+	}
 	// Every paper artifact must be present.
 	for _, want := range []string{
 		"table1", "table2", "table3", "table4",
@@ -42,33 +55,27 @@ func TestArtifactRegistry(t *testing.T) {
 	}
 }
 
-// TestScenarioArtifactsComeFromRegistry: every registered scenario
-// must be runnable through the artifact table, in natural figure
-// order, so `-run figN` and `-scenario figN` reach the same code.
+// TestScenarioArtifactsComeFromRegistry: after the five static
+// artifacts, the artifact table is the scenario registry in listing
+// order — so `-run X` and `-scenario X` reach the same code — with the
+// figures in natural order and the ablations last.
 func TestScenarioArtifactsComeFromRegistry(t *testing.T) {
-	byName := map[string]artifact{}
-	var order []string
-	for _, a := range artifacts() {
-		byName[a.name] = a
-		order = append(order, a.name)
+	all, scenarios := artifacts(), experiment.Scenarios()
+	if len(all) != 5+len(scenarios) {
+		t.Fatalf("%d artifacts for %d scenarios and 5 static artifacts", len(all), len(scenarios))
 	}
-	for _, s := range experiment.Scenarios() {
-		a, ok := byName[s.Name()]
-		if !ok {
-			t.Errorf("registered scenario %q missing from artifact table", s.Name())
-			continue
-		}
-		if a.desc != s.Describe() {
-			t.Errorf("%s: artifact desc %q != scenario desc %q", s.Name(), a.desc, s.Describe())
-		}
-	}
-	// fig7 must precede fig10 despite lexicographic order.
 	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
+	for i, s := range scenarios {
+		a := all[5+i]
+		if a.name != s.Name() || a.desc != s.Describe() {
+			t.Errorf("artifact %d is %s (%q), scenario is %s (%q)", 5+i, a.name, a.desc, s.Name(), s.Describe())
+		}
+		pos[s.Name()] = i
 	}
-	if pos["fig7"] > pos["fig10"] {
-		t.Errorf("artifact order not natural: %v", order)
+	// fig7 must precede fig10 despite lexicographic order, and the
+	// ablations follow everything else although "abl-" sorts first.
+	if pos["fig7"] > pos["fig10"] || pos["abl-shape"] != len(scenarios)-6 || pos["ef-service"] != len(scenarios)-1 {
+		t.Errorf("scenario order: %v", pos)
 	}
 }
 
@@ -229,16 +236,28 @@ func TestJSONRecording(t *testing.T) {
 	}
 }
 
+// runFlagsMin holds each integer run flag at its minimum, in
+// validateRunFlags' parameter order: parallel, shards, scale,
+// trace-cap, trace-head, trace-sample, trace-flow.
+var runFlagsMin = [7]int{0, 1, 1, 1, 0, 1, 0}
+
+// validateRunFlag validates the minimum values with flag i set to n.
+func validateRunFlag(i, n int) error {
+	v := runFlagsMin
+	v[i] = n
+	return validateRunFlags(v[0], v[1], v[2], v[3], v[4], v[5], v[6])
+}
+
 // TestScaleValidation pins the parse-time -scale contract: a thinning
 // factor below 1 is a usage error, never an empty sweep.
 func TestScaleValidation(t *testing.T) {
 	for _, n := range []int{1, 2, 1000} {
-		if err := validateScale(n); err != nil {
+		if err := validateRunFlag(2, n); err != nil {
 			t.Errorf("-scale %d rejected: %v", n, err)
 		}
 	}
 	for _, n := range []int{0, -1, -1000} {
-		if err := validateScale(n); err == nil {
+		if err := validateRunFlag(2, n); err == nil {
 			t.Errorf("-scale %d accepted", n)
 		}
 	}
@@ -249,11 +268,11 @@ func TestScaleValidation(t *testing.T) {
 // meaning the same thing.
 func TestTraceFlowValidation(t *testing.T) {
 	for _, n := range []int{0, 1, 7} {
-		if err := validateTraceFlow(n); err != nil {
+		if err := validateRunFlag(6, n); err != nil {
 			t.Errorf("-trace-flow %d rejected: %v", n, err)
 		}
 	}
-	if err := validateTraceFlow(-1); err == nil {
+	if err := validateRunFlag(6, -1); err == nil {
 		t.Error("-trace-flow -1 accepted")
 	}
 }
@@ -330,12 +349,10 @@ func TestProbeTraceDir(t *testing.T) {
 // run flags: a value below the flag's minimum is a usage error naming
 // the flag and the value, never a silently rewritten run.
 func TestRunFlagValidation(t *testing.T) {
-	// parallel, shards, trace-cap, trace-head, trace-sample
-	ok := [5]int{0, 1, 1, 0, 1}
-	if err := validateRunFlags(ok[0], ok[1], ok[2], ok[3], ok[4]); err != nil {
+	if err := validateRunFlag(0, runFlagsMin[0]); err != nil {
 		t.Errorf("minimum values rejected: %v", err)
 	}
-	if err := validateRunFlags(8, 4, 1<<17, 4096, 10); err != nil {
+	if err := validateRunFlags(8, 4, 4, 1<<17, 4096, 10, 3); err != nil {
 		t.Errorf("ordinary values rejected: %v", err)
 	}
 	for i, tc := range []struct {
@@ -344,19 +361,48 @@ func TestRunFlagValidation(t *testing.T) {
 	}{
 		{"-parallel", -1},
 		{"-shards", 0},
+		{"-scale", 0},
 		{"-trace-cap", 0},
 		{"-trace-head", -9},
 		{"-trace-sample", 0},
+		{"-trace-flow", -1},
 	} {
-		v := ok
-		v[i] = tc.bad
-		err := validateRunFlags(v[0], v[1], v[2], v[3], v[4])
+		err := validateRunFlag(i, tc.bad)
 		if err == nil {
 			t.Errorf("%s %d accepted", tc.flag, tc.bad)
 			continue
 		}
 		if msg := err.Error(); !strings.HasPrefix(msg, tc.flag+" ") || !strings.HasSuffix(msg, fmt.Sprintf("got %d", tc.bad)) {
 			t.Errorf("%s %d: error does not name flag and value: %v", tc.flag, tc.bad, err)
+		}
+	}
+}
+
+// TestSelectionValidation pins that -scenario and an explicit -run
+// cannot both select what runs (-scenario used to win silently), while
+// -scenario-file's default selection still gives way to -run.
+func TestSelectionValidation(t *testing.T) {
+	for _, c := range []struct {
+		set []string
+		bad bool
+	}{
+		{nil, false},
+		{[]string{"run"}, false},
+		{[]string{"scenario"}, false},
+		{[]string{"scenario-file", "run"}, false},
+		{[]string{"scenario-file", "scenario"}, false},
+		{[]string{"scenario", "run"}, true},
+	} {
+		explicit := map[string]bool{}
+		for _, f := range c.set {
+			explicit[f] = true
+		}
+		err := validateSelection(explicit)
+		if (err != nil) != c.bad {
+			t.Errorf("flags %v: err = %v, want error %v", c.set, err, c.bad)
+		}
+		if err != nil && !(strings.Contains(err.Error(), "-scenario") && strings.Contains(err.Error(), "-run")) {
+			t.Errorf("flags %v: error does not name both flags: %v", c.set, err)
 		}
 	}
 }

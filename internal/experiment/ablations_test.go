@@ -1,6 +1,12 @@
 package experiment
 
-import "testing"
+import (
+	"os"
+	"testing"
+
+	"repro/internal/ptrace"
+	"repro/internal/units"
+)
 
 // TestAblationAFCrossTrafficDependence asserts the reason the paper
 // deferred AF (§2.1): outcomes depend on the in-class cross traffic.
@@ -12,15 +18,21 @@ func TestAblationAFCrossTrafficDependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
-	pts := AblationAF(DefaultSeed)
-	t.Log("\n" + FormatAF(pts))
-	byKey := map[[2]int]AFPoint{}
-	for _, p := range pts {
-		byKey[[2]int{int(p.AFLoad * 100), int(p.CIR)}] = p
+	fig := RunScenarioOpts(Lookup("abl-af"), RunOptions{})
+	t.Log("\n" + fig.Format())
+	// Series are in-class loads, points CIRs (as TokenRate).
+	byKey := map[[2]string]Point{}
+	for _, s := range fig.Series {
+		for _, p := range s.Points {
+			byKey[[2]string{s.Label, p.TokenRate.String()}] = p
+		}
 	}
-	lowLoadSmallCIR := byKey[[2]int{15, 600000}]
-	highLoadSmallCIR := byKey[[2]int{75, 600000}]
-	highLoadBigCIR := byKey[[2]int{75, 1400000}]
+	lowLoadSmallCIR := byKey[[2]string{"0.15", "600Kbps"}]
+	highLoadSmallCIR := byKey[[2]string{"0.75", "600Kbps"}]
+	highLoadBigCIR := byKey[[2]string{"0.75", "1.4Mbps"}]
+	if lowLoadSmallCIR.Green == 0 || highLoadBigCIR.Green == 0 {
+		t.Fatalf("grid points missing: %v", byKey)
+	}
 	if lowLoadSmallCIR.Quality > 0.05 {
 		t.Errorf("light AF class: quality %v despite red marking — RIO should not drop", lowLoadSmallCIR.Quality)
 	}
@@ -35,33 +47,9 @@ func TestAblationAFCrossTrafficDependence(t *testing.T) {
 		t.Error("CIR made no difference under congestion")
 	}
 	// Marking itself must be monotone in CIR.
-	if !(byKey[[2]int{15, 600000}].Red > byKey[[2]int{15, 1000000}].Red &&
-		byKey[[2]int{15, 1000000}].Red >= byKey[[2]int{15, 1400000}].Red) {
+	if !(byKey[[2]string{"0.15", "600Kbps"}].Red > byKey[[2]string{"0.15", "1Mbps"}].Red &&
+		byKey[[2]string{"0.15", "1Mbps"}].Red >= byKey[[2]string{"0.15", "1.4Mbps"}].Red) {
 		t.Error("red packet count not monotone in CIR")
-	}
-}
-
-func TestAblationJitterRuns(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("full simulation")
-	}
-	out := AblationJitter(DefaultSeed)
-	t.Log("\n" + out)
-	if out == "" {
-		t.Fatal("empty ablation output")
-	}
-}
-
-func TestAblationHopCountRuns(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("full simulation")
-	}
-	out := AblationHopCount(DefaultSeed)
-	t.Log("\n" + out)
-	if out == "" {
-		t.Fatal("empty ablation output")
 	}
 }
 
@@ -70,7 +58,7 @@ func TestAblationShaperVsDrop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
-	fig := AblationShaperVsDrop(DefaultSeed)
+	fig := RunScenarioOpts(Lookup("abl-shape"), RunOptions{})
 	if len(fig.Series) != 4 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -103,14 +91,31 @@ func TestAblationShaperVsDrop(t *testing.T) {
 	}
 }
 
-func TestEFServiceReport(t *testing.T) {
+// TestAblationTraceFilePerJob pins -trace on the ablations: every job
+// writes its own .ptrace, including cells that differ only in their
+// series (drop vs shape, era vs RFC 3042 stack).
+func TestAblationTraceFilePerJob(t *testing.T) {
 	t.Parallel()
-	if testing.Short() {
-		t.Skip("full simulation")
-	}
-	out := EFServiceReport(DefaultSeed)
-	t.Log("\n" + out)
-	if out == "" {
-		t.Fatal("empty report")
+	for _, s := range []Scenario{
+		shapeAblation([]units.BitRate{1.9e6}),
+		afAblation([]float64{0.45}, []units.BitRate{0.6e6, 1.0e6}),
+		tcpAblation([]units.BitRate{1.3e6}),
+	} {
+		s := s
+		t.Run(s.Name(), func(t *testing.T) {
+			t.Parallel()
+			tr := &TraceRequest{Dir: t.TempDir(), Config: ptrace.Config{Capacity: 1 << 12, Kinds: ptrace.VerdictKinds()}}
+			RunScenarioOpts(s, RunOptions{Parallel: 2, Trace: tr})
+			if err := tr.Err(); err != nil {
+				t.Fatal(err)
+			}
+			ents, err := os.ReadDir(tr.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(s.Jobs()); len(tr.Files()) != n || len(ents) != n {
+				t.Errorf("%d jobs wrote %d traces, %d distinct files: %v", n, len(tr.Files()), len(ents), tr.Files())
+			}
+		})
 	}
 }

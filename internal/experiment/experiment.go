@@ -81,24 +81,29 @@ type Point struct {
 	// Classes carries per-equivalence-class delivery statistics for
 	// mixture points run in aggregated-stats mode (nil otherwise).
 	Classes []ClassStat
+
+	// The ablations' own columns: ef-service's one-way EF delay mean,
+	// p99 and mean jitter in seconds, and abl-af's srTCM colour counts.
+	DelayMean, DelayP99, Jitter float64
+	Green, Yellow, Red          int
 }
 
 // ClassStat summarizes one equivalence class of an aggregated-stats
 // mixture point: packet-level delivery counts and one-way delay
 // statistics from the class's streaming accumulator (exact moments,
-// P²-sketched quantiles).
+// P²-sketched quantiles). The tags are its dsbench -json field names.
 type ClassStat struct {
-	Name             string
-	Flows            int
-	ScheduledPackets int64 // per-flow schedule length × class population
-	ScheduledBytes   int64
-	Packets          int64 // delivered
-	Bytes            int64
-	DelayMeanMs      float64
-	DelayStdMs       float64
-	DelayP50Ms       float64
-	DelayP95Ms       float64
-	DelayP99Ms       float64
+	Name             string  `json:"name"`
+	Flows            int     `json:"flows"`
+	ScheduledPackets int64   `json:"scheduled_packets"` // per-flow schedule length × class population
+	ScheduledBytes   int64   `json:"scheduled_bytes"`
+	Packets          int64   `json:"packets"` // delivered
+	Bytes            int64   `json:"bytes"`
+	DelayMeanMs      float64 `json:"delay_mean_ms"`
+	DelayStdMs       float64 `json:"delay_std_ms"`
+	DelayP50Ms       float64 `json:"delay_p50_ms"`
+	DelayP95Ms       float64 `json:"delay_p95_ms"`
+	DelayP99Ms       float64 `json:"delay_p99_ms"`
 }
 
 // rowLabel is what the figure table prints in the first column.
@@ -127,6 +132,11 @@ type Figure struct {
 	// RunScenarioOpts, so each simulation appears once however many
 	// series its Point was folded into. Never figure output.
 	Runs []RunStats
+
+	// layout, when set at Assemble, prints the rows under the title line
+	// in place of gridTable; a figure with a layout is a table, not a
+	// chart (see Plot).
+	layout func(b *strings.Builder, f *Figure)
 }
 
 // foldRows is the row-major fold the grid scenarios' Assemble methods
@@ -144,34 +154,48 @@ func depthLabel(depths []units.ByteSize) func(int) string {
 	return func(i int) string { return fmt.Sprintf("B=%d", int64(depths[i])) }
 }
 
-// Format renders the figure as an aligned text table, one row per
-// token rate, one (loss, quality) column pair per series.
+// Format renders the figure as an aligned text table under its
+// "ID — Title" line (the title alone when ID is empty), in the layout
+// set at Assemble or else in gridTable's.
 func (f *Figure) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", f.ID, f.Title)
+	if f.ID != "" {
+		b.WriteString(f.ID + " — ")
+	}
+	b.WriteString(f.Title + "\n")
+	layout := f.layout
+	if layout == nil {
+		layout = gridTable
+	}
+	layout(&b, f)
+	return b.String()
+}
+
+// gridTable is the default layout: one row per token rate (or point
+// label), one (loss, quality) column pair per series.
+func gridTable(b *strings.Builder, f *Figure) {
 	x := f.XLabel
 	if x == "" {
 		x = "TokenRate"
 	}
-	fmt.Fprintf(&b, "%-12s", x)
+	fmt.Fprintf(b, "%-12s", x)
 	for _, s := range f.Series {
-		fmt.Fprintf(&b, " | %-10s %-10s", "Loss("+s.Label+")", "QI("+s.Label+")")
+		fmt.Fprintf(b, " | %-10s %-10s", "Loss("+s.Label+")", "QI("+s.Label+")")
 	}
 	b.WriteString("\n")
-	if len(f.Series) == 0 || len(f.Series[0].Points) == 0 {
-		return b.String()
+	if len(f.Series) == 0 {
+		return
 	}
 	for i := range f.Series[0].Points {
-		fmt.Fprintf(&b, "%-12s", f.Series[0].Points[i].rowLabel())
+		fmt.Fprintf(b, "%-12s", f.Series[0].Points[i].rowLabel())
 		for _, s := range f.Series {
 			if i < len(s.Points) {
 				p := s.Points[i]
-				fmt.Fprintf(&b, " | %-10.3f %-10.3f", p.FrameLoss, p.Quality)
+				fmt.Fprintf(b, " | %-10.3f %-10.3f", p.FrameLoss, p.Quality)
 			}
 		}
 		b.WriteString("\n")
 	}
-	return b.String()
 }
 
 // TokenSweep builds an inclusive token-rate range in kbps steps.
@@ -221,7 +245,8 @@ func (spec QBoneSpec) Jobs() []Job {
 		for _, tok := range spec.Tokens {
 			depth, tok := depth, tok
 			jobs = append(jobs, func(ctx *Ctx) Point {
-				return runQBonePointAvgLabeled(ctx, "", enc, enc, tok, depth, spec.Seed, spec.CrossLoad, runs)
+				return runQBonePointAvgLabeled(ctx, "", topology.QBoneConfig{Seed: spec.Seed, Enc: enc,
+					TokenRate: tok, Depth: depth, CrossLoad: spec.CrossLoad}, enc, runs)
 			})
 		}
 	}
@@ -247,12 +272,13 @@ func (spec QBoneSpec) Scaled(n int) Scenario {
 const seedRuns = 3
 
 // runQBonePointAvgLabeled averages runQBonePointLabeled over
-// consecutive seeds (see averagePoint for the averaging and tracing
-// conventions). The trace-file label prefix is for scenarios whose
-// grids differ in something other than (token, depth, seed).
-func runQBonePointAvgLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
-	return averagePoint(ctx, tok, depth, seed, runs, func(s uint64) Point {
-		return runQBonePointLabeled(ctx, labelPrefix, enc, ref, tok, depth, s, crossLoad)
+// consecutive seeds from cfg.Seed (see averagePoint for the averaging
+// and tracing conventions).
+func runQBonePointAvgLabeled(ctx *Ctx, labelPrefix string, cfg topology.QBoneConfig, ref *video.Encoding, runs int) Point {
+	return averagePoint(ctx, cfg.TokenRate, cfg.Depth, cfg.Seed, runs, func(s uint64) Point {
+		cfg.Seed = s
+		p, _ := runQBonePointLabeled(ctx, labelPrefix, cfg, ref)
+		return p
 	})
 }
 
@@ -291,23 +317,24 @@ func pointLabel(tok units.BitRate, depth units.ByteSize, seed uint64) string {
 	return fmt.Sprintf("tok%d-B%d-s%d", int64(tok), int64(depth), seed)
 }
 
-// runQBonePointLabeled streams enc across the QBone with the given
-// profile on ctx — building on ctx.Sim and ctx.Pool, reporting into
-// ctx.Run — and evaluates the received video against ref.
-func runQBonePointLabeled(ctx *Ctx, labelPrefix string, enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64) Point {
+// runQBonePointLabeled streams cfg.Enc across the QBone configured by
+// cfg on ctx — building on ctx.Sim, ctx.Pool and ctx.Recv, reporting
+// into ctx.Run — and evaluates the received video against ref. The
+// trace-file label prefix is for grids that differ in something other
+// than (token, depth, seed). The topology is returned for counters the
+// Point does not carry; it is the job's to read until the job returns.
+func runQBonePointLabeled(ctx *Ctx, labelPrefix string, cfg topology.QBoneConfig, ref *video.Encoding) (Point, *topology.QBone) {
 	rec := ctx.NewRecorder()
-	q := topology.BuildQBone(topology.QBoneConfig{
-		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth, CrossLoad: crossLoad,
-		Pool: ctx.Pool, Sim: ctx.Sim, Recv: ctx.Recv, Trace: rec,
-	})
+	cfg.Pool, cfg.Sim, cfg.Recv, cfg.Trace = ctx.Pool, ctx.Sim, ctx.Recv, rec
+	q := topology.BuildQBone(cfg)
 	q.Client.Tolerance = client.SliceTolerance
 	q.Run()
-	ctx.Finish(labelPrefix+pointLabel(tok, depth, seed), rec, q.Sim, topology.ShardStats{}, 0, time.Time{})
-	ev := ctx.Eval.Evaluate(q.Client.Trace(), enc, ref)
+	ctx.Finish(labelPrefix+pointLabel(cfg.TokenRate, cfg.Depth, cfg.Seed), rec, q.Sim, topology.ShardStats{}, 0, time.Time{})
+	ev := ctx.Eval.Evaluate(q.Client.Trace(), cfg.Enc, ref)
 	if q.Policer != nil {
 		ev.PacketLoss = q.Policer.LossFraction()
 	}
-	return Point{TokenRate: tok, Depth: depth, Evaluation: ev}
+	return Point{TokenRate: cfg.TokenRate, Depth: cfg.Depth, Evaluation: ev}, q
 }
 
 // RelativeSpec parameterizes the Figs. 13–14 experiments: three
@@ -345,8 +372,8 @@ func (spec RelativeSpec) Jobs() []Job {
 			jobs = append(jobs, func(ctx *Ctx) Point {
 				// The encoding rate disambiguates trace files: every
 				// series shares the same (token, depth, seed) grid.
-				return runQBonePointAvgLabeled(ctx, fmt.Sprintf("enc%d-", int64(er)),
-					enc, ref, tok, spec.Depth, spec.Seed, 0, seedRuns)
+				return runQBonePointAvgLabeled(ctx, fmt.Sprintf("enc%d-", int64(er)), topology.QBoneConfig{
+					Seed: spec.Seed, Enc: enc, TokenRate: tok, Depth: spec.Depth}, ref, seedRuns)
 			})
 		}
 	}
@@ -396,7 +423,8 @@ func (spec LocalSpec) Jobs() []Job {
 		for _, tok := range spec.Tokens {
 			depth, tok := depth, tok
 			jobs = append(jobs, func(ctx *Ctx) Point {
-				return runLocalPoint(ctx, enc, tok, depth, spec.UseShaper, spec.UseTCP, spec.Seed)
+				return runLocalPoint(ctx, "", topology.LocalConfig{Seed: spec.Seed, Enc: enc,
+					TokenRate: tok, Depth: depth, UseTCP: spec.UseTCP, UseShaper: spec.UseShaper})
 			})
 		}
 	}
@@ -415,24 +443,23 @@ func (spec LocalSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// runLocalPoint streams enc through the local testbed on ctx and
-// evaluates it against itself.
-func runLocalPoint(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units.ByteSize, useShaper, useTCP bool, seed uint64) Point {
+// runLocalPoint streams cfg.Enc through the local testbed configured
+// by cfg on ctx and evaluates it against itself; the label prefix is
+// runQBonePointLabeled's.
+func runLocalPoint(ctx *Ctx, labelPrefix string, cfg topology.LocalConfig) Point {
 	rec := ctx.NewRecorder()
-	l := topology.BuildLocal(topology.LocalConfig{
-		Seed: seed, Enc: enc, TokenRate: tok, Depth: depth,
-		UseTCP: useTCP, UseShaper: useShaper, Pool: ctx.Pool, Sim: ctx.Sim, Recv: ctx.Recv, Trace: rec,
-	})
+	cfg.Pool, cfg.Sim, cfg.Recv, cfg.Trace = ctx.Pool, ctx.Sim, ctx.Recv, rec
+	l := topology.BuildLocal(cfg)
 	if l.UDPClient != nil {
 		// WMT's reduced message sizes mean one lost packet damages a
 		// frame instead of voiding a whole fragmented datagram (§2.2).
 		l.UDPClient.Tolerance = client.SliceTolerance
 	}
 	l.Run()
-	ctx.Finish(pointLabel(tok, depth, seed), rec, l.Sim, topology.ShardStats{}, 0, time.Time{})
-	ev := ctx.Eval.Evaluate(l.Trace(), enc, enc)
+	ctx.Finish(labelPrefix+pointLabel(cfg.TokenRate, cfg.Depth, cfg.Seed), rec, l.Sim, topology.ShardStats{}, 0, time.Time{})
+	ev := ctx.Eval.Evaluate(l.Trace(), cfg.Enc, cfg.Enc)
 	if l.Policer != nil {
 		ev.PacketLoss = l.Policer.LossFraction()
 	}
-	return Point{TokenRate: tok, Depth: depth, Evaluation: ev}
+	return Point{TokenRate: cfg.TokenRate, Depth: cfg.Depth, Evaluation: ev}
 }

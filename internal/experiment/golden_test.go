@@ -102,7 +102,7 @@ func TestGoldenLocalPreset(t *testing.T) {
 
 func TestGoldenLocalTCPShapedPreset(t *testing.T) {
 	enc := video.CachedVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
-	p := runLocalPoint(&Ctx{}, enc, 1.5e6, 4500, true, true, DefaultSeed)
+	p := localPoint(enc, topology.LocalConfig{TokenRate: 1.5e6, Depth: 4500, UseShaper: true, UseTCP: true})
 	got := fmt.Sprintf(
 		"Golden Local TCP shaped — WMV Lost, token 1.5M, B=4500\n"+
 			"frameloss=%.6f quality=%.6f pktloss=%.6f calib=%d\n",
@@ -111,6 +111,29 @@ func TestGoldenLocalTCPShapedPreset(t *testing.T) {
 }
 
 func TestGoldenAFPreset(t *testing.T) {
-	pts := AblationAFGrid(DefaultSeed, []float64{0.45}, []units.BitRate{1.0e6})
-	checkGolden(t, "golden_af.txt", FormatAF(pts))
+	af := afAblation([]float64{0.45}, []units.BitRate{1.0e6})
+	checkGolden(t, "golden_af.txt", RunScenarioOpts(af, RunOptions{}).Format())
+}
+
+// TestGoldenAblations pins each remaining ablation on a reduced grid.
+// The files were written by the serial ablation functions the
+// scenarios replaced, with only their grids cut down, so they prove
+// the scenarios print what those functions printed.
+func TestGoldenAblations(t *testing.T) {
+	for _, c := range []struct {
+		file string
+		s    Scenario
+	}{
+		{"golden_abl_shape.txt", shapeAblation(TokenSweep(1500, 1900, 400))},
+		{"golden_abl_hops.txt", hopsAblation([]int{1, 2})},
+		{"golden_abl_jitter.txt", jitterAblation([]int{1, 8})},
+		{"golden_abl_tcp.txt", tcpAblation(TokenSweep(1300, 2100, 800))},
+		{"golden_ef_service.txt", efServiceAblation([]float64{0.02, 0.8})},
+	} {
+		c := c
+		t.Run(c.s.Name(), func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, c.file, RunScenarioOpts(c.s, RunOptions{Parallel: 1}).Format())
+		})
+	}
 }

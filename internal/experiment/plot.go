@@ -7,8 +7,13 @@ import (
 
 // Plot renders a figure as an ASCII chart: token rate on the x axis,
 // quality index (or frame loss) on the y axis, one glyph per series —
-// a terminal-friendly stand-in for the paper's figure plots.
+// a terminal-friendly stand-in for the paper's figure plots. A figure
+// with its own layout (an ablation's table) has no chart: Plot returns
+// the empty string.
 func (f *Figure) Plot(width, height int, lossInstead bool) string {
+	if f.layout != nil {
+		return ""
+	}
 	if width <= 0 {
 		width = 64
 	}

@@ -506,12 +506,15 @@ func splitTrailingInt(s string) (prefix string, n int, ok bool) {
 	return s[:i], n, true
 }
 
-// Scenarios returns the registered scenarios sorted by name.
+// Scenarios returns the registered scenarios in listing order: by
+// name as Names sorts them, except that the ablations come last, in
+// their own order.
 func Scenarios() []Scenario {
-	names := Names()
-	out := make([]Scenario, len(names))
-	for i, n := range names {
-		out[i] = Lookup(n)
+	var out []Scenario
+	for _, n := range Names() {
+		if _, last := Lookup(n).(ablation); !last {
+			out = append(out, Lookup(n))
+		}
 	}
-	return out
+	return append(out, ablations...)
 }

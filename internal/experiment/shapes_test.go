@@ -4,9 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/video"
 )
+
+// localPoint runs cfg with enc at DefaultSeed on a fresh Ctx.
+func localPoint(enc *video.Encoding, cfg topology.LocalConfig) Point {
+	cfg.Seed, cfg.Enc = DefaultSeed, enc
+	return runLocalPoint(&Ctx{}, "", cfg)
+}
 
 // The tests in this file are the acceptance criteria of the
 // reproduction: each asserts one of the paper's qualitative findings,
@@ -134,8 +141,8 @@ func TestShapeLocalDepthGapIsLarge(t *testing.T) {
 	// VBR server than on the QBone; B=3000 never reaches 0 even at
 	// twice the cap, B=4500 is near 0 from moderate rates.
 	enc := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
-	b3 := runLocalPoint(&Ctx{}, enc, 2.1e6, 3000, false, false, DefaultSeed)
-	b45 := runLocalPoint(&Ctx{}, enc, 2.1e6, 4500, false, false, DefaultSeed)
+	b3 := localPoint(enc, topology.LocalConfig{TokenRate: 2.1e6, Depth: 3000})
+	b45 := localPoint(enc, topology.LocalConfig{TokenRate: 2.1e6, Depth: 4500})
 	if b3.Quality < 0.15 {
 		t.Errorf("B=3000 at 2.1M scored %v — paper could not reach 0 there", b3.Quality)
 	}
@@ -153,8 +160,8 @@ func TestShapeShapingHelps(t *testing.T) {
 		t.Skip("full simulation")
 	}
 	enc := video.EncodeVBR(video.Lost(), units.BitRate(video.WMVCapKbps)*units.Kbps)
-	dropOnly := runLocalPoint(&Ctx{}, enc, 1.3e6, 3000, false, false, DefaultSeed)
-	shaped := runLocalPoint(&Ctx{}, enc, 1.3e6, 3000, true, false, DefaultSeed)
+	dropOnly := localPoint(enc, topology.LocalConfig{TokenRate: 1.3e6, Depth: 3000})
+	shaped := localPoint(enc, topology.LocalConfig{TokenRate: 1.3e6, Depth: 3000, UseShaper: true})
 	if shaped.Quality >= dropOnly.Quality {
 		t.Errorf("shaping did not help: %v vs %v", shaped.Quality, dropOnly.Quality)
 	}

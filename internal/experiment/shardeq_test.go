@@ -190,11 +190,12 @@ func TestShardsKnobReachesJobs(t *testing.T) {
 // performance knobs at the figure level: the assembled Series — whole
 // Points, not a hand-picked subset of their fields — are identical
 // across the job-pool size and the intra-run shard count, on one
-// scenario of each multi-job family. The job-pool size is also how much
-// storage a job inherits: at Parallel 1 one worker's Ctx serves every
-// job, so each receives on the buffers the point before it grew (UDP
-// receivers on three families, the TCP stream and its assembler on the
-// fourth), and at Parallel 2 the jobs split over two colder workers.
+// scenario of each multi-job family and on three ablations. The
+// job-pool size is also how much storage a job inherits: at Parallel 1
+// one worker's Ctx serves every job, so each receives on the buffers
+// the point before it grew (UDP receivers on three families, the TCP
+// stream and its assembler on the fourth), and at Parallel 2 the jobs
+// split over two colder workers.
 func TestRunSettingsEquivalence(t *testing.T) {
 	t.Parallel()
 	wide := NFlowWideSpec()
@@ -212,6 +213,11 @@ func TestRunSettingsEquivalence(t *testing.T) {
 	tcp.Key, tcp.UseTCP = "fig15-tcp", true
 	tcp.Tokens = []units.BitRate{500e3, 900e3, 1300e3, 2500e3}
 	tcp.Depths = tcp.Depths[:1]
+	// The ablations carry their own Point columns: EF delay statistics,
+	// srTCM colour counts, and the TCP stack series.
+	ef := efServiceAblation([]float64{0.02, 0.8})
+	af := afAblation([]float64{0.75}, []units.BitRate{0.6e6, 1.4e6})
+	tcpAbl := tcpAblation([]units.BitRate{1.3e6})
 
 	settings := []struct {
 		name string
@@ -220,7 +226,7 @@ func TestRunSettingsEquivalence(t *testing.T) {
 		{"parallel=2", RunOptions{Parallel: 2}},
 		{"shards=4", RunOptions{Parallel: 1, Shards: 4}},
 	}
-	for _, s := range []Scenario{wide, fleet, tandem, tcp} {
+	for _, s := range []Scenario{wide, fleet, tandem, tcp, ef, af, tcpAbl} {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()

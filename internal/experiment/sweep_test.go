@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -12,7 +13,8 @@ import (
 // (tok, depth) and scored against ref, averaged over runs consecutive
 // seeds from seed. runs ≤ 1 is the single run at seed.
 func qbonePoint(enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
-	return runQBonePointAvgLabeled(&Ctx{}, "", enc, ref, tok, depth, seed, crossLoad, runs)
+	return runQBonePointAvgLabeled(&Ctx{}, "", topology.QBoneConfig{Seed: seed, Enc: enc,
+		TokenRate: tok, Depth: depth, CrossLoad: crossLoad}, ref, runs)
 }
 
 func TestRunQBonePointAvgSingleRunEqualsPoint(t *testing.T) {
@@ -22,7 +24,8 @@ func TestRunQBonePointAvgSingleRunEqualsPoint(t *testing.T) {
 	}
 	enc := video.EncodeCBR(video.Lost(), 1.0e6)
 	a := qbonePoint(enc, enc, 1.05e6, 3000, DefaultSeed, 0, 1)
-	b := runQBonePointLabeled(&Ctx{}, "", enc, enc, 1.05e6, 3000, DefaultSeed, 0)
+	b, _ := runQBonePointLabeled(&Ctx{}, "", topology.QBoneConfig{Seed: DefaultSeed, Enc: enc,
+		TokenRate: 1.05e6, Depth: 3000}, enc)
 	if a.Quality != b.Quality || a.FrameLoss != b.FrameLoss {
 		t.Errorf("runs=1 average differs from single point: %+v vs %+v", a.Evaluation, b.Evaluation)
 	}

@@ -5,6 +5,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/node"
 	"repro/internal/packet"
+	"repro/internal/ptrace"
 	"repro/internal/queue"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -22,8 +23,12 @@ import (
 // AFLoad knob controls how much *other* AF traffic competes inside the
 // class.
 type AFConfig struct {
-	Seed uint64
-	Enc  *video.Encoding
+	Seed  uint64
+	Enc   *video.Encoding
+	Pool  *packet.Pool     // packet arena; nil builds a fresh one
+	Sim   *sim.Simulator   // simulator lent by the worker, Reset to Seed; nil builds a fresh one
+	Recv  *client.Scratch  // receive storage lent by the worker; nil allocates
+	Trace *ptrace.Recorder // packet-level recorder for every element and the client; nil disables
 
 	CIR    units.BitRate // committed rate of the video's srTCM profile
 	AFLoad float64       // competing in-class AF load fraction; default 0.3
@@ -62,12 +67,16 @@ type AF struct {
 // conformance only changes the drop precedence inside the network.
 func BuildAF(cfg AFConfig) *AF {
 	cfg = cfg.withDefaults()
-	b := NewBuilder(cfg.Seed, nil, nil)
+	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
+	b.UseTrace(cfg.Trace)
 	a := &AF{Sim: b.Sim()}
 
 	a.Client = client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())
-	a.Client.Pool = b.Pool()
+	a.Client.Pool, a.Client.Scratch = b.Pool(), cfg.Recv
 	a.Client.Tolerance = client.SliceTolerance
+	if cfg.Trace != nil {
+		a.Client.Tap, a.Client.Hop = cfg.Trace, cfg.Trace.Hop("client")
+	}
 	b.Handler("client", a.Client)
 	b.Link("access", LinkSpec{Rate: 10 * units.Mbps, Delay: units.Millisecond,
 		Sched: PlainFIFO(0), To: "client"})
