@@ -7,6 +7,7 @@ package repro_test
 // BenchmarkLinkHotPath's 0 allocs/op.
 
 import (
+	"io"
 	"math/bits"
 	"runtime"
 	"testing"
@@ -58,7 +59,8 @@ func TestLinkHotPathAllocationBudget(t *testing.T) {
 // TestLinkHotPathTracedAllocationBudget pins the tracing-enabled
 // budget: with a ring Recorder attached the same path must stay at
 // ≤ 1 amortized allocation per simulator event — and in fact stays at
-// 0, because Emit writes into storage preallocated at construction.
+// 0, because Emit writes into a ring allocated once, at its first
+// write, during the warm-up.
 func TestLinkHotPathTracedAllocationBudget(t *testing.T) {
 	s := sim.New(1)
 	rec := ptrace.NewRecorder(ptrace.Config{Capacity: 4096})
@@ -192,8 +194,8 @@ func TestBatchedSourceWholeRunAllocationsIndependentOfN(t *testing.T) {
 }
 
 // TestBatchedSourceTracedAllocationBudget pins the same path with a
-// ring Recorder attached: Emit writes into preallocated storage, so
-// the traced budget is still zero.
+// ring Recorder attached: Emit writes into a ring allocated at its
+// first write, so the traced budget is still zero.
 func TestBatchedSourceTracedAllocationBudget(t *testing.T) {
 	rec := ptrace.NewRecorder(ptrace.Config{Capacity: 8192})
 	s, src := batchedFixture(rec, 0)
@@ -207,6 +209,45 @@ func TestBatchedSourceTracedAllocationBudget(t *testing.T) {
 	}
 	if src.TotalSent() == 0 || rec.Seen() == 0 {
 		t.Fatal("fixture emitted nothing or tap not wired")
+	}
+}
+
+// TestSpillingRecorderAllocationBudget pins what a spilling capture
+// costs in memory: the spill stream is the capture, so a default-Config
+// recorder (a 64 Ki-event, 3 MiB ring if it kept one) that spills and
+// digests 200 k events allocates only its block buffer, its same-kind
+// references and the digest state — under 256 KiB in total, however
+// long the run.
+func TestSpillingRecorderAllocationBudget(t *testing.T) {
+	const events = 200000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := ptrace.NewRecorder(ptrace.Config{})
+	rec.DigestWrites()
+	rec.SpillTo(io.Discard)
+	hops := [3]ptrace.HopID{rec.Hop("border"), rec.Hop("core"), rec.Hop("client")}
+	kinds := [4]ptrace.Kind{ptrace.LinkEnqueue, ptrace.LinkTx, ptrace.PolicerPass, ptrace.Deliver}
+	for i := 0; i < events; i++ {
+		rec.Emit(ptrace.Event{
+			T: units.Time(i) * units.Microsecond, Delay: units.Time(i%977) * units.Microsecond,
+			PktID: uint64(i / 4), Flow: packet.FlowID(1 + i%8), Size: 1200, QLen: int32(i % 31),
+			FrameSeq: int32(i / 40), Hop: hops[i%3], Kind: kinds[i%4],
+		})
+	}
+	spilled := rec.Spilled()
+	if err := rec.FinishSpill(); err != nil {
+		t.Fatal(err)
+	}
+	sum := rec.Summary()
+	runtime.ReadMemStats(&after)
+	if spilled != events || sum.Retained != events {
+		t.Fatalf("spilled %d and digested %d events, want %d", spilled, sum.Retained, events)
+	}
+	total := after.TotalAlloc - before.TotalAlloc
+	t.Logf("spilling and digesting %d events allocated %d KiB", events, total>>10)
+	if total >= 256<<10 {
+		t.Errorf("a spilling recorder allocated %d KiB for %d events, want < 256 KiB", total>>10, events)
 	}
 }
 

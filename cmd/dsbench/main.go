@@ -22,14 +22,16 @@
 // is in the binary v2 encoding (internal/ptrace); -trace-spill streams
 // the complete filtered capture to disk during the run, unbounded by
 // -trace-cap (sampling still applies, so -trace-sample bounds the file
-// size). -trace-digest additionally writes a <point>.digest behavioral
+// size); the file is then the capture, and no ring is kept in RAM.
+// -trace-digest additionally writes a <point>.digest behavioral
 // summary beside each sealed trace, the currency of the `dstrace
-// -compare-golden` gate. Trace files are written atomically (temp file
-// + rename), so an interrupted run never leaves a torn .ptrace; DIR is
-// probed for writability before any job starts, and an unwritable one
-// exits 2 naming the path. A trace that still fails to write mid-run
-// leaves the figure intact: dsbench prints it, names the failed path
-// and exits 1.
+// -compare-golden` gate, folded while the trace is written. Any
+// -trace-* flag without -trace DIR exits 2 naming it. Trace files
+// are written atomically (temp file + rename), so an interrupted run
+// never leaves a torn .ptrace; DIR is probed for writability before
+// any job starts, and an unwritable one exits 2 naming the path. A
+// trace that still fails to write mid-run leaves the figure intact:
+// dsbench prints it, names the failed path and exits 1.
 //
 // Figure scenarios come from the experiment scenario registry and are
 // executed on the deterministic runner pool: -parallel changes only
@@ -385,6 +387,23 @@ func validateSelection(explicit map[string]bool) error {
 	return nil
 }
 
+// validateTraceFlags rejects a -trace-* flag given without -trace DIR:
+// every one of them shapes the traces -trace writes, so without a
+// directory the run would silently go untraced. The error names the
+// first such flag in alphabetical order.
+func validateTraceFlags(explicit map[string]bool, dir string) error {
+	first := ""
+	for name := range explicit {
+		if strings.HasPrefix(name, "trace-") && (first == "" || name < first) {
+			first = name
+		}
+	}
+	if dir != "" || first == "" {
+		return nil
+	}
+	return fmt.Errorf("-%s requires -trace DIR (it shapes the traces written there)", first)
+}
+
 // validateRunFlags rejects integer flag values a run would otherwise
 // silently rewrite: ptrace turns a non-positive -trace-cap into its own
 // 65536 default and clamps a negative -trace-head / -trace-sample, a
@@ -449,7 +468,7 @@ func main() {
 		"capture only conditioner verdicts, drops, deliveries and TCP events")
 	traceFlow := flag.Int("trace-flow", 0, "capture only this flow id (0 = every flow)")
 	traceSpillFlag := flag.Bool("trace-spill", false,
-		"stream the complete filtered capture to disk during the run, unbounded by -trace-cap")
+		"stream the complete filtered capture to disk during the run, unbounded by -trace-cap; the file is the capture and no ring is kept in RAM")
 	traceDigestFlag := flag.Bool("trace-digest", false,
 		"write a behavioral .digest beside each sealed trace (requires -trace; input to dstrace -compare-golden)")
 	flag.Parse()
@@ -469,6 +488,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := validateTraceFlags(explicit, *trace); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	jsonPath = *jsonFlag
 	traceDir = *trace
 	traceCfg = ptrace.Config{Capacity: *traceCap, Head: *traceHead, Sample: *traceSample}
@@ -480,11 +503,6 @@ func main() {
 	}
 	traceSpill = *traceSpillFlag
 	traceDigest = *traceDigestFlag
-	if traceDigest && traceDir == "" {
-		fmt.Fprintln(os.Stderr,
-			"-trace-digest requires -trace DIR (digests are written beside the traces they summarize)")
-		os.Exit(2)
-	}
 	if *scenarioFile != "" {
 		s, err := scenfile.LoadAndRegister(*scenarioFile)
 		if err != nil {

@@ -376,6 +376,29 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Errorf("%s %d: error does not name flag and value: %v", tc.flag, tc.bad, err)
 		}
 	}
+
+	// A -trace-* flag without -trace DIR would shape no trace: the run
+	// used to go untraced and exit 0. Each one alone is a usage error
+	// naming it; with -trace DIR, or with no trace flag, all pass.
+	for _, name := range []string{"trace-cap", "trace-head", "trace-sample",
+		"trace-verdicts", "trace-flow", "trace-spill", "trace-digest"} {
+		explicit := map[string]bool{name: true, "scenario": true, "scale": true}
+		err := validateTraceFlags(explicit, "")
+		if err == nil || !strings.HasPrefix(err.Error(), "-"+name+" requires -trace DIR") {
+			t.Errorf("-%s without -trace: err = %v, want a usage error naming it", name, err)
+		}
+		explicit["trace"] = true
+		if err := validateTraceFlags(explicit, "traces"); err != nil {
+			t.Errorf("-%s with -trace traces rejected: %v", name, err)
+		}
+	}
+	if err := validateTraceFlags(map[string]bool{"scenario": true, "parallel": true}, ""); err != nil {
+		t.Errorf("an untraced run rejected: %v", err)
+	}
+	err := validateTraceFlags(map[string]bool{"trace-spill": true, "trace-digest": true}, "")
+	if err == nil || !strings.HasPrefix(err.Error(), "-trace-digest ") {
+		t.Errorf("two trace flags without -trace: err = %v, want the first by name, -trace-digest", err)
+	}
 }
 
 // TestSelectionValidation pins that -scenario and an explicit -run

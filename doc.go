@@ -98,11 +98,13 @@
 // bounded per-run Recorder (ring + head pinning + sampling + kind and
 // flow filters). Disabled tracing is a pointer comparison per tap
 // point and the hot paths keep their zero-allocation budget; enabled
-// tracing writes into preallocated storage. Traces are written in one
-// encoding, the delta-packed binary v2 (~10 bytes/event), whose
-// trailer-placed totals let the Recorder spill a complete filtered
-// capture to disk during the run ("dsbench -trace DIR -trace-spill"),
-// unbounded by the in-RAM ring and atomically published. cmd/dstrace
+// tracing writes into storage allocated at the first write. Traces are
+// written in one encoding, the delta-packed binary v2 (~10
+// bytes/event), whose trailer-placed totals let the Recorder spill a
+// complete filtered capture to disk during the run ("dsbench -trace
+// DIR -trace-spill"): the file is then the capture, no ring is kept in
+// RAM, and the file is atomically published. A run's .digest is folded
+// while the trace is encoded, never read back from it. cmd/dstrace
 // reads traces only in bounded-memory streaming passes (counts,
 // Welford moments and P² sketches per hop and flow, never the event
 // slice): per-hop drop and residence-delay breakdown, policer verdict

@@ -144,14 +144,18 @@ func (c *Ctx) reclaim() {
 // nil Tap the topology layer interprets as "disabled". When the
 // request asks for spilling, the recorder streams its capture to a
 // temporary file in the trace directory as the run progresses;
-// Finish seals and renames it into place. A spill file that cannot be
-// created is filed on the request (TraceRequest.Err) and the job runs
-// untraced.
+// Finish seals and renames it into place. When it asks for a digest,
+// the recorder digests each event as it encodes it. A spill file that
+// cannot be created is filed on the request (TraceRequest.Err) and the
+// job runs untraced.
 func (c *Ctx) NewRecorder() *ptrace.Recorder {
 	if c == nil || c.Trace == nil {
 		return nil
 	}
 	rec := ptrace.NewRecorder(c.Trace.Config)
+	if c.Trace.Digest {
+		rec.DigestWrites()
+	}
 	if c.Trace.Spill {
 		if err := c.Trace.startSpill(rec); err != nil {
 			c.Trace.fail(fmt.Errorf("experiment: trace spill: %w", err))
@@ -210,16 +214,17 @@ type TraceRequest struct {
 	Format string
 
 	// Spill streams every capture-surviving event to disk as the run
-	// progresses, unbounded by Config.Capacity: the complete filtered
-	// capture lands in the .ptrace file while the in-RAM ring stays at
-	// its fixed size. Sampling (Config.Sample) still applies, which is
-	// what keeps a fleet-scale spill file's size in hand.
+	// progresses, unbounded by Config.Capacity: the .ptrace file is the
+	// capture, and the recorder keeps no ring in RAM. Sampling
+	// (Config.Sample) still applies, which is what keeps a fleet-scale
+	// spill file's size in hand.
 	Spill bool
 
 	// Digest writes a "<scenario>-<label>.digest" beside every sealed
 	// .ptrace — the bounded ptrace.Summary serialized by
 	// ptrace.WriteSummary — so a run can be gated against a stored
-	// golden with `dstrace -compare-golden`.
+	// golden with `dstrace -compare-golden`. The recorder folds the
+	// digest while it encodes the trace; the file is never read back.
 	Digest bool
 
 	scenario string
@@ -296,7 +301,8 @@ func sanitizeLabel(s string) string {
 // os.Rename publishes them, so a crashed or interrupted run never
 // leaves a half-written .ptrace that a later dstrace would trip over.
 // Spilled recorders already streamed their events; save seals the v2
-// trailer and renames the spill file into place.
+// trailer and renames the spill file into place. The digest, when
+// asked for, is the Summary the recorder folded while it encoded.
 func (tr *TraceRequest) save(label string, rec *ptrace.Recorder) error {
 	name := sanitizeLabel(tr.scenario + "-" + label + ".ptrace")
 	path := filepath.Join(tr.Dir, name)
@@ -323,7 +329,7 @@ func (tr *TraceRequest) save(label string, rec *ptrace.Recorder) error {
 		}
 	} else {
 		err := atomicfile.WriteTo(path, func(w io.Writer) error {
-			_, err := rec.Data().WriteTo(w)
+			_, err := rec.WriteTo(w)
 			return err
 		})
 		if err != nil {
@@ -331,7 +337,11 @@ func (tr *TraceRequest) save(label string, rec *ptrace.Recorder) error {
 		}
 	}
 	if tr.Digest {
-		if err := tr.writeDigest(path); err != nil {
+		digestPath := strings.TrimSuffix(path, ".ptrace") + ".digest"
+		err := atomicfile.WriteTo(digestPath, func(w io.Writer) error {
+			return ptrace.WriteSummary(w, rec.Summary())
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -339,25 +349,6 @@ func (tr *TraceRequest) save(label string, rec *ptrace.Recorder) error {
 	tr.files = append(tr.files, name)
 	tr.mu.Unlock()
 	return nil
-}
-
-// writeDigest re-reads the sealed trace (spilled traces never held the
-// full capture in memory, so the file is the only complete source) and
-// publishes its bounded summary beside it.
-func (tr *TraceRequest) writeDigest(tracePath string) error {
-	f, err := os.Open(tracePath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	s, _, err := ptrace.AnalyzeStream(f, 0)
-	if err != nil {
-		return err
-	}
-	digestPath := strings.TrimSuffix(tracePath, ".ptrace") + ".digest"
-	return atomicfile.WriteTo(digestPath, func(w io.Writer) error {
-		return ptrace.WriteSummary(w, s)
-	})
 }
 
 // Scalable is implemented by scenarios whose token sweep can be

@@ -249,3 +249,77 @@ func TestTandemTraceSpill(t *testing.T) {
 		t.Errorf("trace dir holds %v, want exactly the 4 sealed traces", names)
 	}
 }
+
+// TestRunDigestMatchesSealedTrace: the .digest a traced run writes is
+// folded while the trace is encoded, never read back from the file, so
+// it must be exactly the digest of the sealed file — byte for byte what
+// `dstrace` computes from it. It covers ring-saved and spilled traces,
+// with and without sampling and a pinned head, on the tandem's
+// conditioner verdicts and every event kind of a batched nflow point.
+// The ring is small enough to overwrite, so a digest of the events
+// emitted rather than the events written would differ too.
+func TestRunDigestMatchesSealedTrace(t *testing.T) {
+	t.Parallel()
+	tandem := reducedTandem()
+	tandem.Tokens = tandem.Tokens[:1]
+	nflow := NFlowSweepSpec()
+	nflow.Ns, nflow.Batch = []int{4}, true
+	for _, spill := range []bool{false, true} {
+		for _, sample := range []int{1, 3} {
+			for _, head := range []int{0, 512} {
+				for _, s := range []Scenario{tandem, nflow} {
+					cfg := ptrace.Config{Capacity: 4096, Head: head, Sample: sample}
+					if s.Name() == "tandem" {
+						cfg.Kinds = ptrace.VerdictKinds()
+					}
+					dir := t.TempDir()
+					tr := &TraceRequest{Dir: dir, Config: cfg, Spill: spill, Digest: true}
+					RunScenarioOpts(s, RunOptions{Parallel: 2, Trace: tr})
+					if err := tr.Err(); err != nil {
+						t.Fatal(err)
+					}
+					files := tr.Files()
+					if len(files) != len(s.Jobs()) {
+						t.Fatalf("%s spill=%v: %d trace files for %d jobs", s.Name(), spill, len(files), len(s.Jobs()))
+					}
+					for _, name := range files {
+						path := filepath.Join(dir, name)
+						got, err := os.ReadFile(strings.TrimSuffix(path, ".ptrace") + ".digest")
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := sealedDigest(t, path); !bytes.Equal(got, want) {
+							g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+							i := 0
+							for i < len(g) && i < len(w) && g[i] == w[i] {
+								i++
+							}
+							t.Errorf("%s spill=%v sample=%d head=%d: the run's digest is not the sealed file's; first difference at line %d:\n%q\nwant\n%q",
+								name, spill, sample, head, i+1, strings.Join(g[i:min(i+3, len(g))], "\n"), strings.Join(w[i:min(i+3, len(w))], "\n"))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sealedDigest is what dstrace reads off a sealed trace: one streaming
+// pass to a Summary, serialized as a .digest.
+func sealedDigest(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, _, err := ptrace.AnalyzeStream(f, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	var buf bytes.Buffer
+	if err := ptrace.WriteSummary(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}

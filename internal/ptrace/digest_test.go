@@ -108,7 +108,7 @@ func TestDigestQuantileTolerance(t *testing.T) {
 // events total events round-robined across them over hops hops —
 // straight into w without ever materializing an event slice.
 func fleetTrace(w *bytes.Buffer, flows, events, hops int) error {
-	rec := ptrace.NewRecorder(ptrace.Config{Capacity: 1}) // ring stays tiny; spill carries the trace
+	rec := ptrace.NewRecorder(ptrace.Config{}) // a spilling recorder keeps no ring; the spill is the trace
 	rec.SpillTo(w)
 	names := make([]ptrace.HopID, hops)
 	for i := range names {

@@ -14,6 +14,8 @@ type Data struct {
 	Hops   []string
 	Seen   uint64 // total events emitted during the run
 	Events []Event
+
+	fold *Digester // set by Recorder.WriteTo: digest what is written
 }
 
 // hopName resolves id against a trace's hop table; ids beyond it get a
@@ -33,6 +35,7 @@ func (d *Data) HopName(id HopID) string { return hopName(d.Hops, id) }
 func (d *Data) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	v := newV2Writer(bw)
+	v.fold = d.fold
 	for _, e := range d.Events {
 		v.add(e)
 	}

@@ -82,8 +82,10 @@ func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // v2Writer packs events into blocks on the fly. It backs both the
-// one-shot Data.WriteTo and the Recorder's spill mode; after the
-// last event, finish seals the trailer. All state is O(1): the block
+// one-shot Data.WriteTo and the Recorder's spill mode, so it is the one
+// place every written event passes, and where a Recorder that digests
+// its writes folds them; after the last event, finish seals the
+// trailer. All state is O(1): the block
 // buffer tops out around blockEvents packed records and is reused.
 type v2Writer struct {
 	w       io.Writer
@@ -96,6 +98,9 @@ type v2Writer struct {
 
 	prevT    int64
 	prevKind [256]Event // same-kind field references
+
+	// fold, when set, digests every event as it is encoded.
+	fold *Digester
 }
 
 func newV2Writer(w io.Writer) *v2Writer {
@@ -187,6 +192,9 @@ func (v *v2Writer) add(e Event) {
 	*ref = e
 	v.n++
 	v.total++
+	if v.fold != nil {
+		v.fold.Add(e)
+	}
 	if v.n >= blockEvents {
 		v.flushBlock()
 	}

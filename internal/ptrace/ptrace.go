@@ -10,8 +10,8 @@
 // nil-check on a Tap field, and the Event value is only constructed
 // inside the guarded branch, so the per-packet hot paths keep their
 // 0 allocs/op budget (see TestLinkHotPathAllocationBudget). When a
-// Recorder is attached, Emit writes into storage preallocated at
-// construction — the steady state records events without allocating
+// Recorder is attached, Emit writes into storage allocated at its
+// first write — the steady state records events without allocating
 // either.
 //
 // Events never retain a *packet.Packet: hook sites copy the handful
@@ -20,8 +20,8 @@
 //
 // # Bounded capture
 //
-// A Recorder holds at most Config.Capacity events. Three capture
-// shapes compose:
+// A Recorder that keeps its capture in RAM holds at most
+// Config.Capacity events. Three capture shapes compose:
 //
 //   - plain ring (the default): the last Capacity events survive;
 //   - head/tail: Config.Head pins the first Head events of the run
@@ -29,6 +29,14 @@
 //     keeps the tail;
 //   - sampling: Config.Sample keeps one event in N once the head is
 //     full, stretching the ring's time coverage N-fold.
+//
+// A spilling Recorder (SpillTo) keeps nothing in RAM: the spill stream
+// is the capture. Every event that survives the filters, the head and
+// the sampling stride is encoded once, straight to the stream, unbounded
+// by Capacity; the ring is never allocated and the head is a count.
+// When DigestWrites asks for it, the writer also folds each event it
+// encodes into the capture's Summary, so a run's .digest never needs
+// its own trace read back.
 //
 // Total emitted events are always counted (Seen), so an analyzer can
 // report how much of the run the retained window covers.
@@ -229,7 +237,8 @@ type Recorder struct {
 	clock Clock
 	cfg   Config
 
-	head        []Event // first cfg.Head events, pinned
+	pinned      int     // head-phase events taken, at most cfg.Head
+	head        []Event // the pinned events, in RAM mode
 	ring        []Event // circular tail over the rest of the capacity
 	start       int
 	count       int
@@ -242,21 +251,19 @@ type Recorder struct {
 	hops    []string
 	hopByID map[string]HopID
 
-	// spill, when set, streams every capture-eligible event to an
-	// external writer in the binary v2 encoding, unbounded by Capacity.
+	// spill, when set, takes every captured event in the binary v2
+	// encoding instead of the head and the ring.
 	spill *v2Writer
+	// fold, when set, digests every event the recorder encodes.
+	fold *Digester
 }
 
-// NewRecorder returns a recorder with cfg's bounds, storage fully
-// preallocated. Attach a clock with SetClock before the run starts.
+// NewRecorder returns a recorder with cfg's bounds. The head and the
+// ring are allocated at their first write, so a recorder that spills
+// never allocates them. Attach a clock with SetClock before the run
+// starts.
 func NewRecorder(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
-	return &Recorder{
-		cfg:     cfg,
-		head:    make([]Event, 0, cfg.Head),
-		ring:    make([]Event, cfg.Capacity-cfg.Head),
-		hopByID: make(map[string]HopID),
-	}
+	return &Recorder{cfg: cfg.withDefaults(), hopByID: make(map[string]HopID)}
 }
 
 // SetClock attaches the time source that stamps Event.T. The topology
@@ -279,7 +286,8 @@ func (r *Recorder) Hop(name string) HopID {
 func (r *Recorder) HopName(id HopID) string { return hopName(r.hops, id) }
 
 // Emit records e, stamping its time. Steady-state cost is a bounds
-// check and a 48-byte copy into preallocated storage — no allocation.
+// check and a 48-byte copy into the ring, or one packed record on the
+// spill stream — no allocation.
 func (r *Recorder) Emit(e Event) {
 	r.seen++
 	if r.cfg.Kinds != 0 && r.cfg.Kinds&(1<<e.Kind) == 0 {
@@ -300,11 +308,16 @@ func (r *Recorder) Emit(e Event) {
 	if r.clock != nil {
 		e.T = r.clock.Now()
 	}
-	if len(r.head) < cap(r.head) {
-		r.head = append(r.head, e)
+	if r.pinned < r.cfg.Head {
+		r.pinned++
 		if r.spill != nil {
 			r.spill.add(e)
+			return
 		}
+		if r.head == nil {
+			r.head = make([]Event, 0, r.cfg.Head)
+		}
+		r.head = append(r.head, e)
 		return
 	}
 	if e.Kind < numKinds { // out-of-range kinds fall through unsampled
@@ -313,14 +326,19 @@ func (r *Recorder) Emit(e Event) {
 			return
 		}
 	}
-	// The spill stream gets every event the ring is offered — including
-	// the ones a full ring would overwrite — so a spilled capture is
-	// complete past Capacity while the in-RAM window stays bounded.
+	// The spill stream gets every event the ring would be offered,
+	// including the ones a full ring would overwrite, so a spilled
+	// capture is complete past Capacity.
 	if r.spill != nil {
 		r.spill.add(e)
+		return
 	}
-	if len(r.ring) == 0 {
-		return // head-only capture
+	if r.ring == nil {
+		n := r.cfg.Capacity - r.cfg.Head
+		if n == 0 {
+			return // head-only capture
+		}
+		r.ring = make([]Event, n)
 	}
 	if r.count < len(r.ring) {
 		r.ring[(r.start+r.count)%len(r.ring)] = e
@@ -335,14 +353,16 @@ func (r *Recorder) Emit(e Event) {
 // Seen reports the total events emitted, retained or not.
 func (r *Recorder) Seen() uint64 { return r.seen }
 
-// Retained reports how many events are currently held.
+// Retained reports how many events are currently held in RAM; a
+// spilling recorder holds none.
 func (r *Recorder) Retained() int { return len(r.head) + r.count }
 
 // Overwritten reports ring events displaced by newer ones.
 func (r *Recorder) Overwritten() uint64 { return r.overwritten }
 
 // Events returns the retained events in emission (and therefore time)
-// order: the pinned head, then the surviving tail window.
+// order: the pinned head, then the surviving tail window. A spilling
+// recorder retains none; its capture is the spill stream.
 func (r *Recorder) Events() []Event {
 	out := make([]Event, 0, r.Retained())
 	out = append(out, r.head...)
@@ -357,10 +377,37 @@ func (r *Recorder) Data() *Data {
 	return &Data{Hops: append([]string(nil), r.hops...), Seen: r.seen, Events: r.Events()}
 }
 
-// SpillTo streams every subsequently captured event to w in the binary
-// v2 encoding as it is emitted, unbounded by Config.Capacity: the ring
-// keeps its fixed in-RAM window while the spill stream gets the whole
-// filtered capture. The spill honors the Kind and Flow filters and the
+// WriteTo saves the retained capture in the binary v2 encoding: the
+// ring save of a recorder that did not spill.
+func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
+	d := r.Data()
+	d.fold = r.fold
+	return d.WriteTo(w)
+}
+
+// DigestWrites makes the recorder fold every event it encodes, to its
+// spill stream or through WriteTo, into a streaming Digester at the
+// moment it is encoded: the capture's Summary then comes from the one
+// pass that writes it, never from reading the trace back. Call it
+// before SpillTo and before the run starts, and read the digest with
+// Summary once FinishSpill or WriteTo has sealed the capture.
+func (r *Recorder) DigestWrites() { r.fold = NewDigester(0) }
+
+// Summary seals the digest of everything the recorder has encoded. It
+// equals AnalyzeStream(trace, 0) over the sealed trace, since it folds
+// the same events in the same order against the hop table and seen
+// count the trailer carries. Nil unless DigestWrites was called.
+func (r *Recorder) Summary() *Summary {
+	if r.fold == nil {
+		return nil
+	}
+	return r.fold.Summarize(r.hops, r.seen)
+}
+
+// SpillTo makes w the capture: every subsequently captured event is
+// encoded to it in the binary v2 encoding as it is emitted, unbounded
+// by Config.Capacity, and nothing is kept in RAM (Events and Retained
+// report none). The spill honors the Kind and Flow filters and the
 // per-kind sampling stride (head-phase events are always written), so
 // -trace-sample still bounds a fleet-scale spill file's size. Call
 // before the run starts, and seal the stream with FinishSpill after it
@@ -368,6 +415,7 @@ func (r *Recorder) Data() *Data {
 // time.
 func (r *Recorder) SpillTo(w io.Writer) {
 	r.spill = newV2Writer(w)
+	r.spill.fold = r.fold
 }
 
 // Spilled reports the events written to the spill stream so far (0

@@ -128,6 +128,44 @@ func TestRecorderHopInterning(t *testing.T) {
 	}
 }
 
+// TestSpillingRecorderRetainsNothing pins what a spilling recorder
+// reports: the spill stream is the capture, so Events and Retained
+// report nothing, no ring or head storage is ever allocated, and the
+// stream holds exactly the head plus the sampled tail — the events a
+// RAM recorder of the same Config would have been offered.
+func TestSpillingRecorderRetainsNothing(t *testing.T) {
+	var buf bytes.Buffer
+	r := NewRecorder(Config{Capacity: 8, Head: 3, Sample: 2})
+	r.SpillTo(&buf)
+	for i := 0; i < 20; i++ {
+		r.Emit(Event{PktID: uint64(i)})
+	}
+	if r.Retained() != 0 || len(r.Events()) != 0 || r.Overwritten() != 0 {
+		t.Errorf("spilling recorder retains %d, returns %d events, overwrote %d; want 0, 0, 0",
+			r.Retained(), len(r.Events()), r.Overwritten())
+	}
+	if r.head != nil || r.ring != nil {
+		t.Errorf("spilling recorder allocated a head of %d or a ring of %d events", cap(r.head), len(r.ring))
+	}
+	if r.Seen() != 20 || r.Spilled() != 11 {
+		t.Fatalf("seen %d, spilled %d; want 20, 11 (3 pinned + 8 of 17 sampled)", r.Seen(), r.Spilled())
+	}
+	if err := r.FinishSpill(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, e := range d.Events {
+		got = append(got, e.PktID)
+	}
+	if want := []uint64{0, 1, 2, 4, 6, 8, 10, 12, 14, 16, 18}; !reflect.DeepEqual(got, want) {
+		t.Errorf("spilled ids %v, want %v", got, want)
+	}
+}
+
 func TestEmitDoesNotAllocate(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 1024})
 	clk := &fakeClock{}
