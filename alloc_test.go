@@ -451,7 +451,7 @@ func TestAdaptiveWidthAllocationBudget(t *testing.T) {
 	if !qs.Adaptive {
 		t.Fatal("sim.New did not produce an adaptive queue")
 	}
-	if qs.WidthMoves == 0 || qs.Width >= sim.DefaultBucketWidth {
+	if qs.WidthMoves == 0 || qs.Width >= sim.New(1).QueueStats().Width {
 		t.Fatalf("width did not converge below the default during warm-up: %+v", qs)
 	}
 	var at units.Time = 400 * units.Millisecond

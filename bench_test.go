@@ -18,7 +18,6 @@ import (
 	"repro/internal/queue"
 	"repro/internal/render"
 	"repro/internal/sim"
-	"repro/internal/tokenbucket"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -93,54 +92,30 @@ func BenchmarkFigure6TransmissionRates(b *testing.B) {
 	}
 }
 
-func benchQBone(b *testing.B, spec experiment.QBoneSpec) {
+// benchFigure runs the registered figure scenario name with its token
+// sweep thinned to every thin-th point and checks its series count.
+func benchFigure(b *testing.B, name string, thin, series int) {
 	b.Helper()
-	spec.Tokens = experiment.Scale(spec.Tokens, 5)
+	spec := experiment.Lookup(name).(experiment.Scalable).Scaled(thin)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})
-		if len(fig.Series) != 2 {
+		if len(fig.Series) != series {
 			b.Fatal("bad figure")
 		}
 	}
 }
 
-func BenchmarkFigure7QBoneLost17(b *testing.B)  { benchQBone(b, experiment.Figure7Spec()) }
-func BenchmarkFigure8QBoneLost15(b *testing.B)  { benchQBone(b, experiment.Figure8Spec()) }
-func BenchmarkFigure9QBoneLost10(b *testing.B)  { benchQBone(b, experiment.Figure9Spec()) }
-func BenchmarkFigure10QBoneDark17(b *testing.B) { benchQBone(b, experiment.Figure10Spec()) }
-func BenchmarkFigure11QBoneDark15(b *testing.B) { benchQBone(b, experiment.Figure11Spec()) }
-func BenchmarkFigure12QBoneDark10(b *testing.B) { benchQBone(b, experiment.Figure12Spec()) }
-
-func benchRelative(b *testing.B, spec experiment.RelativeSpec) {
-	b.Helper()
-	spec.Tokens = experiment.Scale(spec.Tokens, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})
-		if len(fig.Series) != 3 {
-			b.Fatal("bad figure")
-		}
-	}
-}
-
-func BenchmarkFigure13DarkRelative(b *testing.B) { benchRelative(b, experiment.Figure13Spec()) }
-func BenchmarkFigure14LostRelative(b *testing.B) { benchRelative(b, experiment.Figure14Spec()) }
-
-func benchLocal(b *testing.B, spec experiment.LocalSpec) {
-	b.Helper()
-	spec.Tokens = experiment.Scale(spec.Tokens, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})
-		if len(fig.Series) != 2 {
-			b.Fatal("bad figure")
-		}
-	}
-}
-
-func BenchmarkFigure15LocalDrop(b *testing.B)   { benchLocal(b, experiment.Figure15Spec()) }
-func BenchmarkFigure16LocalShaped(b *testing.B) { benchLocal(b, experiment.Figure16Spec()) }
+func BenchmarkFigure7QBoneLost17(b *testing.B)   { benchFigure(b, "fig7", 5, 2) }
+func BenchmarkFigure8QBoneLost15(b *testing.B)   { benchFigure(b, "fig8", 5, 2) }
+func BenchmarkFigure9QBoneLost10(b *testing.B)   { benchFigure(b, "fig9", 5, 2) }
+func BenchmarkFigure10QBoneDark17(b *testing.B)  { benchFigure(b, "fig10", 5, 2) }
+func BenchmarkFigure11QBoneDark15(b *testing.B)  { benchFigure(b, "fig11", 5, 2) }
+func BenchmarkFigure12QBoneDark10(b *testing.B)  { benchFigure(b, "fig12", 5, 2) }
+func BenchmarkFigure13DarkRelative(b *testing.B) { benchFigure(b, "fig13", 5, 3) }
+func BenchmarkFigure14LostRelative(b *testing.B) { benchFigure(b, "fig14", 5, 3) }
+func BenchmarkFigure15LocalDrop(b *testing.B)    { benchFigure(b, "fig15", 3, 2) }
+func BenchmarkFigure16LocalShaped(b *testing.B)  { benchFigure(b, "fig16", 3, 2) }
 
 // --- Ablations: one QBone point each at the profiles of the abl-shape
 // and abl-hops scenarios (registered in internal/experiment/ablations.go,
@@ -220,26 +195,6 @@ func BenchmarkLinkHotPath(b *testing.B) {
 	}
 	if sink.Count != b.N {
 		b.Fatalf("delivered %d of %d", sink.Count, b.N)
-	}
-}
-
-func BenchmarkTokenBucketConform(b *testing.B) {
-	tb := tokenbucket.NewBucket(2*units.Mbps, 3000)
-	now := units.Time(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now += 6 * units.Millisecond
-		tb.Conform(now, 1500)
-	}
-}
-
-func BenchmarkSRTCMMark(b *testing.B) {
-	m := tokenbucket.NewSRTCM(2*units.Mbps, 3000, 6000)
-	now := units.Time(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now += 2 * units.Millisecond
-		m.Mark(now, 1500)
 	}
 }
 
@@ -369,7 +324,7 @@ func BenchmarkCalendarBucketWidth(b *testing.B) {
 	}{
 		{"w=1us", units.Microsecond},
 		{"w=50us", 50 * units.Microsecond},
-		{"w=default", sim.DefaultBucketWidth},
+		{"w=default", sim.New(0).QueueStats().Width},
 		{"w=4ms", 4 * units.Millisecond},
 		// Width 0 = the density-adaptive policy: it should track the
 		// best pinned column of each pattern once the width converges.

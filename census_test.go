@@ -24,26 +24,37 @@ const censusModule = "repro"
 // censusAllow is the written record of what the census lets stay.
 const censusAllow = "testdata/census.allow"
 
-// TestReachabilityCensus: every exported package-level name and every
-// exported method under internal/ is referenced by product code — any
+// TestReachabilityCensus runs three passes over the product code — any
 // non-_test.go file of the module: cmd/, internal/, benchmark/ or the
-// root. A method that implements a method of an interface the code
-// satisfies counts as reached, since interface calls name the interface
-// method, not the concrete one. Names used only inside their own
-// package count as reached too: over-exported is not dead.
+// root.
 //
-// What is reached only from tests is either deleted or listed, with a
-// reason, in testdata/census.allow. An allowlist entry that is no longer
-// flagged fails as well, so the list cannot outlive what it excuses.
+// The name pass: every package-level name under internal/, exported or
+// not, and every exported method there is referenced by product code. A
+// method that implements a method of an interface the code satisfies
+// counts as reached, since interface calls name the interface method,
+// not the concrete one.
 //
-// A second pass does the same for configuration knobs: every exported
-// field of an exported *Config, *Spec, *Options or *Class struct under
-// internal/ must be set by some product file — as a composite-literal
-// key, as the target of an assignment or inc/dec, or by &x.F. A
-// method's write through its own receiver (withDefaults filling in a
-// default) is not a caller choosing a value and does not count. A
-// field with a json: tag counts as set, since encoding/json writes it
-// from user files. A knob with one value in use is a constant.
+// The field pass: every exported field of an exported *Config, *Spec,
+// *Options or *Class struct under internal/ must be set by some product
+// file — as a composite-literal key, as the target of an assignment or
+// inc/dec, or by &x.F. A method's write through its own receiver
+// (withDefaults filling in a default) is not a caller choosing a value
+// and does not count. A field with a json: tag counts as set, since
+// encoding/json writes it from user files. A knob with one value in use
+// is a constant.
+//
+// The surface pass: every exported package-level name and exported
+// method under internal/ that product code reaches is reached from
+// outside its own package, or is exposed — a type in the signature,
+// field type or var type of a name that is, and so on through those
+// types' own fields and underlying types (topology.AF is exposed by
+// BuildAF). Interface implementations are exempt as in the name pass.
+// What only its own package uses is unexported.
+//
+// What a pass flags is fixed or listed, with a reason, in
+// testdata/census.allow; that is the place for a name only another
+// package's tests use. An allowlist entry that is no longer flagged
+// fails as well, so the list cannot outlive what it excuses.
 //
 // The check is go/parser plus go/types with the source importer for the
 // standard library: it needs no network, no go list and no build cache.
@@ -51,8 +62,11 @@ func TestReachabilityCensus(t *testing.T) {
 	c := newCensus(t)
 	flagged := c.flag()
 	fields := c.flagFields()
-	for key, obj := range fields {
-		flagged[key] = obj
+	surface := c.flagSurface()
+	for _, pass := range []map[string]types.Object{fields, surface} {
+		for key, obj := range pass {
+			flagged[key] = obj
+		}
 	}
 	allow := readCensusAllow(t)
 
@@ -62,22 +76,24 @@ func TestReachabilityCensus(t *testing.T) {
 			continue
 		}
 		obj := flagged[key]
-		missing, testVerb, testers := "reached", "used", c.testUsers
+		what, testVerb, testers := "is reached by no product file", "used", c.testUsers
 		if _, ok := fields[key]; ok {
-			missing, testVerb, testers = "set", "set", c.testSetters
+			what, testVerb, testers = "is set by no product file", "set", c.testSetters
+		} else if _, ok := surface[key]; ok {
+			what = "is exported but used by no product file outside " + obj.Pkg().Name() + " nor exposed by a name that is"
 		}
 		where := "no test either"
 		if users := testers(obj.Pos()); len(users) > 0 {
-			where = "only tests: " + strings.Join(users, ", ")
+			where = "tests: " + strings.Join(users, ", ")
 		}
-		unexcused = append(unexcused, fmt.Sprintf("%s (%s) is %s by no product file; %s by %s",
-			key, c.fset.Position(obj.Pos()), missing, testVerb, where))
+		unexcused = append(unexcused, fmt.Sprintf("%s (%s) %s; %s by %s",
+			key, c.fset.Position(obj.Pos()), what, testVerb, where))
 	}
 	for _, msg := range unexcused {
 		t.Error(msg)
 	}
 	if len(unexcused) > 0 {
-		t.Errorf("delete what nothing reaches and make a knob nothing sets a constant, or list it with a reason in %s", censusAllow)
+		t.Errorf("delete what nothing reaches, make a knob nothing sets a constant and unexport what only its package uses, or list it with a reason in %s", censusAllow)
 	}
 	for _, key := range sortedKeys(allow) {
 		if _, ok := flagged[key]; !ok {
@@ -99,8 +115,11 @@ type census struct {
 	// store for repro/... imports.
 	pkgs map[string]*types.Package
 	// reached holds the declaration position of every object some
-	// product file refers to.
-	reached map[token.Pos]bool
+	// product file refers to; crossed those a product file of another
+	// package refers to.
+	reached, crossed map[token.Pos]bool
+	// ifaces memoises interfaces().
+	ifaces []*types.Interface
 	// set holds the declaration position of every struct field some
 	// product file writes.
 	set map[token.Pos]bool
@@ -116,16 +135,10 @@ type censusDir struct {
 	inTest, extTest []*ast.File
 }
 
+// newCensus parses the module's files and type-checks its product
+// packages.
 func newCensus(t *testing.T) *census {
-	c := &census{
-		t:       t,
-		fset:    token.NewFileSet(),
-		dirs:    map[string]*censusDir{},
-		pkgs:    map[string]*types.Package{},
-		reached: map[token.Pos]bool{},
-		set:     map[token.Pos]bool{},
-	}
-	c.std = importer.ForCompiler(c.fset, "source", nil)
+	c := emptyCensus(t)
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -139,25 +152,7 @@ func newCensus(t *testing.T) *census {
 		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(c.fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ip := path.Join(censusModule, filepath.ToSlash(filepath.Dir(p)))
-		dir := c.dirs[ip]
-		if dir == nil {
-			dir = &censusDir{}
-			c.dirs[ip] = dir
-		}
-		switch {
-		case !strings.HasSuffix(p, "_test.go"):
-			dir.product = append(dir.product, f)
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			dir.extTest = append(dir.extTest, f)
-		default:
-			dir.inTest = append(dir.inTest, f)
-		}
-		return nil
+		return c.parse(p, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,14 +160,57 @@ func newCensus(t *testing.T) *census {
 	if len(c.dirs) < 20 {
 		t.Fatalf("found %d packages — the walk missed the tree", len(c.dirs))
 	}
+	c.checkProduct()
+	return c
+}
+
+func emptyCensus(t *testing.T) *census {
+	c := &census{
+		t:       t,
+		fset:    token.NewFileSet(),
+		dirs:    map[string]*censusDir{},
+		pkgs:    map[string]*types.Package{},
+		reached: map[token.Pos]bool{},
+		crossed: map[token.Pos]bool{},
+		set:     map[token.Pos]bool{},
+	}
+	c.std = importer.ForCompiler(c.fset, "source", nil)
+	return c
+}
+
+// parse adds the file at the module-relative path p, read from disk
+// when src is nil, to its directory's product or test files.
+func (c *census) parse(p string, src any) error {
+	f, err := parser.ParseFile(c.fset, p, src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	ip := path.Join(censusModule, filepath.ToSlash(filepath.Dir(p)))
+	dir := c.dirs[ip]
+	if dir == nil {
+		dir = &censusDir{}
+		c.dirs[ip] = dir
+	}
+	switch {
+	case !strings.HasSuffix(p, "_test.go"):
+		dir.product = append(dir.product, f)
+	case strings.HasSuffix(f.Name.Name, "_test"):
+		dir.extTest = append(dir.extTest, f)
+	default:
+		dir.inTest = append(dir.inTest, f)
+	}
+	return nil
+}
+
+// checkProduct type-checks every package that has product files.
+func (c *census) checkProduct() {
 	for _, ip := range sortedKeys(c.dirs) {
 		if len(c.dirs[ip].product) > 0 {
 			if _, err := c.Import(ip); err != nil {
-				t.Fatal(err)
+				c.t.Fatal(err)
 			}
 		}
 	}
-	return c
 }
 
 // Import serves repro/... from the census's own product checks, in
@@ -214,8 +252,12 @@ func (c *census) Import(ip string) (*types.Package, error) {
 		}
 	}
 	for id, obj := range info.Uses {
-		if !inRecv[id] {
-			c.reached[obj.Pos()] = true
+		if inRecv[id] {
+			continue
+		}
+		c.reached[obj.Pos()] = true
+		if obj.Pkg() != nil && obj.Pkg().Path() != ip {
+			c.crossed[obj.Pos()] = true
 		}
 	}
 	fieldWrites(dir.product, info, func(_ *ast.Ident, fld *types.Var) { c.set[fld.Pos()] = true })
@@ -328,12 +370,11 @@ func isConfigName(name string) bool {
 	return false
 }
 
-// flag returns every exported package-level name and exported method
-// under internal/ that no product file reaches, keyed as in the
-// allowlist: pkg.Name or pkg.Type.Method.
-func (c *census) flag() map[string]types.Object {
-	ifaces := c.interfaces()
-	flagged := map[string]types.Object{}
+// eachInternal calls fn for every package-level name under internal/
+// and every method of a named type declared there, with its allowlist
+// key — pkg.Name or pkg.Type.Method — and, for a method, its
+// receiver's type.
+func (c *census) eachInternal(fn func(key string, obj types.Object, recv *types.Named)) {
 	for ip, pkg := range c.pkgs {
 		if !strings.HasPrefix(ip, censusModule+"/internal/") {
 			continue
@@ -341,9 +382,7 @@ func (c *census) flag() map[string]types.Object {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() && !c.reached[obj.Pos()] {
-				flagged[pkg.Name()+"."+name] = obj
-			}
+			fn(pkg.Name()+"."+name, obj, nil)
 			tn, ok := obj.(*types.TypeName)
 			if !ok {
 				continue
@@ -354,13 +393,118 @@ func (c *census) flag() map[string]types.Object {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !c.reached[m.Pos()] && !implementsAny(named, m.Name(), ifaces) {
-					flagged[pkg.Name()+"."+name+"."+m.Name()] = m
-				}
+				fn(pkg.Name()+"."+name+"."+m.Name(), m, named)
 			}
 		}
 	}
+}
+
+// flag returns every package-level name, exported or not, and every
+// exported method under internal/ that no product file reaches.
+func (c *census) flag() map[string]types.Object {
+	flagged := map[string]types.Object{}
+	c.eachInternal(func(key string, obj types.Object, recv *types.Named) {
+		if c.reached[obj.Pos()] {
+			return
+		}
+		if recv == nil || obj.Exported() && !c.implementsAny(recv, obj.Name()) {
+			flagged[key] = obj
+		}
+	})
 	return flagged
+}
+
+// flagSurface returns every exported package-level name and exported
+// method under internal/ that product code reaches only from inside its
+// own package and that no crossing name exposes.
+func (c *census) flagSurface() map[string]types.Object {
+	exposed := c.exposed()
+	flagged := map[string]types.Object{}
+	c.eachInternal(func(key string, obj types.Object, recv *types.Named) {
+		if !obj.Exported() || !c.reached[obj.Pos()] || c.crossed[obj.Pos()] || exposed[obj.Pos()] {
+			return
+		}
+		if recv == nil || !c.implementsAny(recv, obj.Name()) {
+			flagged[key] = obj
+		}
+	})
+	return flagged
+}
+
+// exposed holds the declaration position of every module type another
+// package can hold a value of without naming it: a type in the type of
+// a crossing name — a signature, a struct's fields, a var's type —
+// and, recursively, in the fields and underlying types of those.
+func (c *census) exposed() map[token.Pos]bool {
+	exposed := map[token.Pos]bool{}
+	var mark func(t types.Type)
+	mark = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Named:
+			obj := t.Obj()
+			if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), censusModule+"/") || exposed[obj.Pos()] {
+				return
+			}
+			exposed[obj.Pos()] = true
+			mark(t.Underlying())
+		case *types.Pointer:
+			mark(t.Elem())
+		case *types.Slice:
+			mark(t.Elem())
+		case *types.Array:
+			mark(t.Elem())
+		case *types.Map:
+			mark(t.Key())
+			mark(t.Elem())
+		case *types.Chan:
+			mark(t.Elem())
+		case *types.Tuple:
+			for i := 0; i < t.Len(); i++ {
+				mark(t.At(i).Type())
+			}
+		case *types.Signature:
+			mark(t.Params())
+			mark(t.Results())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if t.Field(i).Exported() {
+					mark(t.Field(i).Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				mark(t.Method(i).Type())
+			}
+		}
+	}
+	c.eachInternal(func(_ string, obj types.Object, _ *types.Named) {
+		if !c.crossed[obj.Pos()] {
+			return
+		}
+		if _, ok := obj.(*types.TypeName); ok {
+			mark(obj.Type().Underlying())
+		} else {
+			mark(obj.Type())
+		}
+	})
+	return exposed
+}
+
+// implementsAny reports whether T or *T implements an interface that
+// has a method called name.
+func (c *census) implementsAny(named *types.Named, name string) bool {
+	if c.ifaces == nil {
+		c.ifaces = c.interfaces()
+	}
+	ptr := types.NewPointer(named)
+	for _, it := range c.ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == name && (types.Implements(named, it) || types.Implements(ptr, it)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // interfaces lists every interface declared in the module's product
@@ -390,20 +534,6 @@ func (c *census) interfaces() []*types.Interface {
 		add(pkg.Scope().Lookup(name))
 	}
 	return out
-}
-
-// implementsAny reports whether T or *T implements an interface that
-// has a method called name.
-func implementsAny(named *types.Named, name string, ifaces []*types.Interface) bool {
-	ptr := types.NewPointer(named)
-	for _, it := range ifaces {
-		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == name && (types.Implements(named, it) || types.Implements(ptr, it)) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // testUsers names the test packages that refer to the object declared
@@ -505,4 +635,80 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// TestCensusSurfacePass feeds the passes a two-package module parsed
+// from source: internal/shape, and a command that uses part of it.
+func TestCensusSurfacePass(t *testing.T) {
+	c := emptyCensus(t)
+	for p, src := range map[string]string{
+		"internal/shape/shape.go": `package shape
+
+// Shape is exposed: Total, which the command calls, takes one.
+type Shape interface{ Area() float64 }
+
+// Square is exposed: New returns one. Length is exposed through
+// Square's exported field.
+type Square struct{ Side Length }
+
+type Length float64
+
+// Area satisfies Shape, so its own-package call does not flag it.
+func (s *Square) Area() float64 { return float64(s.Side * s.Side) }
+
+// Grow is called only from New: flagged.
+func (s *Square) Grow() { s.Side++ }
+
+func New() *Square {
+	sq := &Square{Side: 1}
+	sq.Grow()
+	_ = sq.Area()
+	return sq
+}
+
+func Total(s Shape) float64 { return s.Area() + Unit() }
+
+// Unit is used only inside the package: flagged.
+func Unit() float64 { return 1 }
+
+// orphan is unexported and unreached: the name pass flags it.
+func orphan() {}
+`,
+		"cmd/draw/main.go": `package main
+
+import "repro/internal/shape"
+
+func main() { _ = shape.Total(shape.New()) }
+`,
+	} {
+		if err := c.parse(p, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.checkProduct()
+
+	surface := c.flagSurface()
+	for _, key := range []string{"shape.Unit", "shape.Square.Grow"} {
+		if _, ok := surface[key]; !ok {
+			t.Errorf("%s is used only in its own package but not flagged", key)
+		}
+	}
+	for key, why := range map[string]string{
+		"shape.New":         "the command calls it",
+		"shape.Total":       "the command calls it",
+		"shape.Square":      "New, which crosses, returns it",
+		"shape.Shape":       "Total, which crosses, takes it",
+		"shape.Length":      "the exposed Square's field has it",
+		"shape.Square.Area": "it implements Shape",
+	} {
+		if _, ok := surface[key]; ok {
+			t.Errorf("%s is flagged although %s", key, why)
+		}
+	}
+	if len(surface) != 2 {
+		t.Errorf("surface pass flagged %v, want exactly shape.Unit and shape.Square.Grow", sortedKeys(surface))
+	}
+	if got := sortedKeys(c.flag()); !reflect.DeepEqual(got, []string{"shape.orphan"}) {
+		t.Errorf("name pass flagged %v, want [shape.orphan]", got)
+	}
 }

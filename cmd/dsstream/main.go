@@ -10,8 +10,9 @@
 //	dsstream -testbed local -tcp -token 1.5M -trace out.trace
 //
 // -rate applies to the qbone testbed only and -tcp to the local one;
-// setting either on the other testbed exits 2. A whole registered
-// figure is regenerated by dsbench -scenario, not here.
+// setting either on the other testbed exits 2, as does a -token, -depth
+// or -rate that is not positive. A whole registered figure is
+// regenerated by dsbench -scenario, not here.
 package main
 
 import (
@@ -78,6 +79,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	// The token bucket cannot take a non-positive rate or depth.
+	err = positive("token", *tokenStr, float64(token))
+	if err == nil {
+		err = positive("depth", fmt.Sprint(*depth), float64(*depth))
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	var tr *trace.Trace
 	var enc *video.Encoding
@@ -86,6 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *testbed {
 	case "qbone":
 		rate, err := units.ParseBitRate(*rateStr)
+		if err == nil {
+			err = positive("rate", *rateStr, float64(rate))
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -147,4 +160,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trace written:  %s\n", *traceOut)
 	}
 	return 0
+}
+
+// positive rejects a non-positive value of flag -name, given as text,
+// with an error that names the flag and the value.
+func positive(name, text string, v float64) error {
+	if v <= 0 {
+		return fmt.Errorf("-%s must be > 0, got %s", name, text)
+	}
+	return nil
 }

@@ -29,6 +29,12 @@ func TestFlagValidation(t *testing.T) {
 		{"tcp on qbone", []string{"-testbed", "qbone", "-tcp"}, "-tcp does not apply to -testbed qbone"},
 		{"rate on local", []string{"-testbed", "local", "-rate", "0.5M"}, "-rate does not apply to -testbed local"},
 		{"undefined flag", []string{"-bogus"}, ""},
+		{"zero token rate", []string{"-token", "0"}, "-token must be > 0, got 0"},
+		{"zero depth on qbone", []string{"-testbed", "qbone", "-depth", "0"}, "-depth must be > 0, got 0"},
+		{"negative depth on qbone", []string{"-testbed", "qbone", "-depth", "-1"}, "-depth must be > 0, got -1"},
+		{"zero depth on local", []string{"-testbed", "local", "-depth", "0"}, "-depth must be > 0, got 0"},
+		{"negative depth on local", []string{"-testbed", "local", "-depth", "-1"}, "-depth must be > 0, got -1"},
+		{"zero encoding rate", []string{"-testbed", "qbone", "-rate", "0"}, "-rate must be > 0, got 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,6 +44,10 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if tc.wantErr != "" && !strings.Contains(stderr, tc.wantErr) {
 				t.Errorf("stderr %q does not mention %q", stderr, tc.wantErr)
+			}
+			// A panic exits 2 as well; a usage error must not be one.
+			if strings.Contains(stderr, "goroutine") {
+				t.Errorf("exit 2 came from a panic:\n%s", stderr)
 			}
 		})
 	}

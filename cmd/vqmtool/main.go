@@ -57,7 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown clip %q\n", *clipName)
 		return 2
 	}
-	encode := func(s string) (*video.Encoding, error) {
+	// encode builds the encoding flag -name asks for; a non-positive
+	// rate would score against an empty stream.
+	encode := func(name, s string) (*video.Encoding, error) {
 		if s == "wmv" {
 			return video.EncodeVBR(clip, units.BitRate(video.WMVCapKbps)*units.Kbps), nil
 		}
@@ -65,16 +67,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return nil, err
 		}
+		if r <= 0 {
+			return nil, fmt.Errorf("-%s must be > 0, got %s", name, s)
+		}
 		return video.EncodeCBR(clip, r), nil
 	}
-	enc, err := encode(*rateStr)
+	enc, err := encode("rate", *rateStr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	ref := enc
 	if *refStr != "" {
-		if ref, err = encode(*refStr); err != nil {
+		if ref, err = encode("ref", *refStr); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}

@@ -58,6 +58,8 @@ func TestFlagValidation(t *testing.T) {
 		{"bad rate", []string{"-in", tracePath, "-rate", "fast"}, ""},
 		{"bad ref rate", []string{"-in", tracePath, "-ref", "x"}, ""},
 		{"undefined flag", []string{"-bogus"}, ""},
+		{"zero rate", []string{"-in", tracePath, "-rate", "0"}, "-rate must be > 0, got 0"},
+		{"zero ref rate", []string{"-in", tracePath, "-ref", "0"}, "-ref must be > 0, got 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,6 +69,10 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if tc.wantErr != "" && !strings.Contains(stderr, tc.wantErr) {
 				t.Errorf("stderr %q does not mention %q", stderr, tc.wantErr)
+			}
+			// A panic exits 2 as well; a usage error must not be one.
+			if strings.Contains(stderr, "goroutine") {
+				t.Errorf("exit 2 came from a panic:\n%s", stderr)
 			}
 		})
 	}

@@ -146,9 +146,12 @@
 // cmd/vqmtool scores stored frame traces, and cmd/dstrace analyzes
 // packet traces. internal/experiment's Example walks one stream from
 // server to VQM score. bench_test.go in this directory carries one
-// benchmark per paper artifact, and census_test.go keeps every
-// exported name under internal/ reached by product code or listed,
-// with its reason, in testdata/census.allow.
+// benchmark per paper artifact. census_test.go runs three passes over
+// internal/: every package-level name and exported method is reached by
+// product code, every exported configuration field is set by it, and
+// every exported name is reached from outside its package or exposed
+// by the type of a name that is; an exception is listed, with its
+// reason, in testdata/census.allow.
 //
 // See README.md for the repository layout, the scenario registry, and
 // the verification commands.

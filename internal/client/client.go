@@ -381,7 +381,7 @@ type StreamAssembler struct {
 	msgs      []message
 	cur       int
 	curLeft   int64
-	completed []int // Consume's result buffer
+	completed []int // consume's result buffer
 }
 
 // RegisterMessage appends a frame message of length bytes (including
@@ -393,10 +393,10 @@ func (a *StreamAssembler) RegisterMessage(seq int, length int64) {
 	a.msgs = append(a.msgs, message{seq: seq, len: length})
 }
 
-// Consume advances the assembler by n in-order delivered bytes and
+// consume advances the assembler by n in-order delivered bytes and
 // returns the frame sequence numbers completed by those bytes. The
 // slice is the assembler's own buffer, valid until the next call.
-func (a *StreamAssembler) Consume(n int64) []int {
+func (a *StreamAssembler) consume(n int64) []int {
 	completed := a.completed[:0]
 	for n > 0 && a.cur < len(a.msgs) {
 		if a.curLeft == 0 {
@@ -427,7 +427,7 @@ func (c *Stream) OnDelivered(asm *StreamAssembler, newBytes int64) {
 		c.Scratch.lendRecords(c.tr, 0)
 	}
 	c.Bytes += newBytes
-	for _, seq := range asm.Consume(newBytes) {
+	for _, seq := range asm.consume(newBytes) {
 		c.tr.Add(trace.FrameRecord{
 			Seq:          seq,
 			Arrival:      now,

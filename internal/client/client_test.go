@@ -195,16 +195,16 @@ func TestStreamAssembler(t *testing.T) {
 	if len(a.msgs) != 3 {
 		t.Errorf("registered %d messages, want 3", len(a.msgs))
 	}
-	if got := a.Consume(99); len(got) != 0 {
+	if got := a.consume(99); len(got) != 0 {
 		t.Errorf("early completion: %v", got)
 	}
-	if got := a.Consume(1); len(got) != 1 || got[0] != 0 {
+	if got := a.consume(1); len(got) != 1 || got[0] != 0 {
 		t.Errorf("frame 0 completion: %v", got)
 	}
-	if got := a.Consume(250); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := a.consume(250); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("remaining completions: %v", got)
 	}
-	if got := a.Consume(1000); len(got) != 0 {
+	if got := a.consume(1000); len(got) != 0 {
 		t.Errorf("overconsumption: %v", got)
 	}
 }

@@ -89,7 +89,7 @@ func lostCBR(rate units.BitRate) func() *video.Encoding {
 // border across token rates, at both depths. It prints the default
 // table but, as an ablation, no chart.
 func shapeAblation(tokens []units.BitRate) ablation {
-	depths := StandardDepths()
+	depths := standardDepths()
 	return ablation{key: "abl-shape", desc: "Ablation: drop vs shape at the QBone border",
 		id: "Ablation A", title: "QBone border: drop policing vs shaping (Lost @ 1.7M)",
 		enc:    lostCBR(1.7e6),
@@ -130,7 +130,7 @@ func hopsAblation(hops []int) ablation {
 // before the policing point pushes otherwise conformant packets out of
 // profile (the ATM CDV-tolerance analogy).
 func jitterAblation(jitterMs []int) ablation {
-	depths := StandardDepths()
+	depths := standardDepths()
 	return ablation{key: "abl-jitter", desc: "Ablation: pre-policer jitter vs conformance",
 		id: "Ablation C", title: "pre-policer jitter vs conformance (Lost @ 1.7M, token=avg)",
 		enc: lostCBR(1.7e6), series: labels("B=%d", depths), rows: labels("%dms", jitterMs),

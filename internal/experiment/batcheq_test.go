@@ -17,7 +17,7 @@ import (
 // runNFlowPoint builds and runs one nflow grid point at the
 // registered scenario's configuration, batched or not.
 func runNFlowPoint(n int, batch bool) (*topology.MultiFlow, []Evaluation) {
-	spec := NFlowSweepSpec()
+	spec := nflowSweepSpec()
 	enc := video.CachedCBR(spec.Clip, spec.EncRate)
 	m := topology.BuildMultiFlow(topology.MultiFlowConfig{
 		Seed: spec.Seed, Enc: enc, N: n,
@@ -96,7 +96,7 @@ func TestBatchedNFlowEquivalence(t *testing.T) {
 // grid point.
 func TestBatchedWideConfigEquivalence(t *testing.T) {
 	t.Parallel()
-	spec := NFlowWideSpec()
+	spec := nflowWideSpec()
 	enc := video.CachedCBR(spec.Clip, spec.EncRate)
 	run := func(n int, batch bool) *topology.MultiFlow {
 		m := topology.BuildMultiFlow(topology.MultiFlowConfig{
@@ -163,7 +163,7 @@ func TestBatchedWideTieDivergence(t *testing.T) {
 		t.Skip("unbatched N=128 wide run is slow; run without -short")
 	}
 	t.Parallel()
-	spec := NFlowWideSpec()
+	spec := nflowWideSpec()
 	enc := video.CachedCBR(spec.Clip, spec.EncRate)
 	run := func(n int, batch bool) *topology.MultiFlow {
 		m := topology.BuildMultiFlow(topology.MultiFlowConfig{

@@ -17,7 +17,7 @@ func TestCalibrationQBoneLost17(t *testing.T) {
 	clip := video.Lost()
 	enc := video.EncodeCBR(clip, 1.7e6)
 	max, avg, min := enc.RateStats()
-	t.Logf("enc stats: max=%.0f avg=%.0f min=%.0f avgFrame=%.0f", max, avg, min, enc.AvgFrameSize())
+	t.Logf("enc stats: max=%.0f avg=%.0f min=%.0f", max, avg, min)
 	for _, depth := range []units.ByteSize{3000, 4500} {
 		for _, tok := range []units.BitRate{1.2e6, 1.5e6, 1.7e6, 1.9e6, 2.1e6, 2.2e6} {
 			p := qbonePoint(enc, enc, tok, depth, DefaultSeed, 0, 1)

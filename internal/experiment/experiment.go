@@ -337,10 +337,10 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, cfg topology.QBoneConfig
 	return Point{TokenRate: cfg.TokenRate, Depth: cfg.Depth, Evaluation: ev}, q
 }
 
-// RelativeSpec parameterizes the Figs. 13–14 experiments: three
+// relativeSpec parameterizes the Figs. 13–14 experiments: three
 // encodings of the same clip streamed at each token rate with a fixed
 // depth, all scored against the highest-quality (1.7 Mbps) encoding.
-type RelativeSpec struct {
+type relativeSpec struct {
 	Key      string // registry name, e.g. "fig13"
 	ID       string
 	Title    string
@@ -353,16 +353,16 @@ type RelativeSpec struct {
 }
 
 // Name implements Scenario.
-func (spec RelativeSpec) Name() string { return spec.Key }
+func (spec relativeSpec) Name() string { return spec.Key }
 
 // Describe implements Scenario.
-func (spec RelativeSpec) Describe() string { return spec.Title }
+func (spec relativeSpec) Describe() string { return spec.Title }
 
 // Jobs enumerates one seed-averaged job per (encoding, token) grid
 // point. The cached-encoding layer guarantees the reference-rate
 // series streams the very *Encoding it is scored against, as the
 // serial code did.
-func (spec RelativeSpec) Jobs() []Job {
+func (spec relativeSpec) Jobs() []Job {
 	ref := video.CachedCBR(spec.Clip, spec.RefRate)
 	var jobs []Job
 	for _, er := range spec.EncRates {
@@ -381,14 +381,14 @@ func (spec RelativeSpec) Jobs() []Job {
 }
 
 // Assemble implements Scenario: one series per encoding rate.
-func (spec RelativeSpec) Assemble(results []Point) *Figure {
+func (spec relativeSpec) Assemble(results []Point) *Figure {
 	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
 		len(spec.EncRates), len(spec.Tokens), results,
 		func(i int) string { return spec.EncRates[i].String() })
 }
 
 // Scaled implements Scalable.
-func (spec RelativeSpec) Scaled(n int) Scenario {
+func (spec relativeSpec) Scaled(n int) Scenario {
 	spec.Tokens = Scale(spec.Tokens, n)
 	return spec
 }

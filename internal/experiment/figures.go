@@ -19,19 +19,19 @@ const DefaultSeed uint64 = 2001
 // Jobs() call.
 func init() {
 	Register(Figure7Spec())
-	Register(Figure8Spec())
-	Register(Figure9Spec())
-	Register(Figure10Spec())
-	Register(Figure11Spec())
-	Register(Figure12Spec())
-	Register(Figure13Spec())
-	Register(Figure14Spec())
+	Register(figure8Spec())
+	Register(figure9Spec())
+	Register(figure10Spec())
+	Register(figure11Spec())
+	Register(figure12Spec())
+	Register(figure13Spec())
+	Register(figure14Spec())
 	Register(Figure15Spec())
 	Register(Figure16Spec())
 }
 
-// StandardDepths are the two APS burst sizes of the QBone experiments.
-func StandardDepths() []units.ByteSize { return []units.ByteSize{3000, 4500} }
+// standardDepths are the two APS burst sizes of the QBone experiments.
+func standardDepths() []units.ByteSize { return []units.ByteSize{3000, 4500} }
 
 // Scale thins a sweep — token rates, flow counts, loads — for quick
 // runs: keep every n-th point, always keeping the endpoints. A last
@@ -56,59 +56,59 @@ func Figure7Spec() QBoneSpec {
 	return QBoneSpec{
 		Key: "fig7", ID: "Figure 7", Title: "QBone, Lost clip @ 1.7 Mbps: quality & frame loss vs token rate",
 		Clip: video.Lost(), EncRate: 1.7e6,
-		Tokens: TokenSweep(1200, 2200, 100), Depths: StandardDepths(), Seed: DefaultSeed,
+		Tokens: TokenSweep(1200, 2200, 100), Depths: standardDepths(), Seed: DefaultSeed,
 	}
 }
 
-// Figure8Spec is the 1.5 Mbps Lost variant.
-func Figure8Spec() QBoneSpec {
+// figure8Spec is the 1.5 Mbps Lost variant.
+func figure8Spec() QBoneSpec {
 	return QBoneSpec{
 		Key: "fig8", ID: "Figure 8", Title: "QBone, Lost clip @ 1.5 Mbps: quality & frame loss vs token rate",
 		Clip: video.Lost(), EncRate: 1.5e6,
-		Tokens: TokenSweep(1200, 2200, 100), Depths: StandardDepths(), Seed: DefaultSeed,
+		Tokens: TokenSweep(1200, 2200, 100), Depths: standardDepths(), Seed: DefaultSeed,
 	}
 }
 
-// Figure9Spec is the 1.0 Mbps Lost variant.
-func Figure9Spec() QBoneSpec {
+// figure9Spec is the 1.0 Mbps Lost variant.
+func figure9Spec() QBoneSpec {
 	return QBoneSpec{
 		Key: "fig9", ID: "Figure 9", Title: "QBone, Lost clip @ 1.0 Mbps: quality & frame loss vs token rate",
 		Clip: video.Lost(), EncRate: 1.0e6,
-		Tokens: TokenSweep(700, 1100, 50), Depths: StandardDepths(), Seed: DefaultSeed,
+		Tokens: TokenSweep(700, 1100, 50), Depths: standardDepths(), Seed: DefaultSeed,
 	}
 }
 
-// Figure10Spec is the 1.7 Mbps Dark variant.
-func Figure10Spec() QBoneSpec {
+// figure10Spec is the 1.7 Mbps Dark variant.
+func figure10Spec() QBoneSpec {
 	return QBoneSpec{
 		Key: "fig10", ID: "Figure 10", Title: "QBone, Dark clip @ 1.7 Mbps: quality & frame loss vs token rate",
 		Clip: video.Dark(), EncRate: 1.7e6,
-		Tokens: TokenSweep(1200, 2200, 100), Depths: StandardDepths(), Seed: DefaultSeed,
+		Tokens: TokenSweep(1200, 2200, 100), Depths: standardDepths(), Seed: DefaultSeed,
 	}
 }
 
-// Figure11Spec is the 1.5 Mbps Dark variant.
-func Figure11Spec() QBoneSpec {
+// figure11Spec is the 1.5 Mbps Dark variant.
+func figure11Spec() QBoneSpec {
 	return QBoneSpec{
 		Key: "fig11", ID: "Figure 11", Title: "QBone, Dark clip @ 1.5 Mbps: quality & frame loss vs token rate",
 		Clip: video.Dark(), EncRate: 1.5e6,
-		Tokens: TokenSweep(1200, 2200, 100), Depths: StandardDepths(), Seed: DefaultSeed,
+		Tokens: TokenSweep(1200, 2200, 100), Depths: standardDepths(), Seed: DefaultSeed,
 	}
 }
 
-// Figure12Spec is the 1.0 Mbps Dark variant.
-func Figure12Spec() QBoneSpec {
+// figure12Spec is the 1.0 Mbps Dark variant.
+func figure12Spec() QBoneSpec {
 	return QBoneSpec{
 		Key: "fig12", ID: "Figure 12", Title: "QBone, Dark clip @ 1.0 Mbps: quality & frame loss vs token rate",
 		Clip: video.Dark(), EncRate: 1.0e6,
-		Tokens: TokenSweep(700, 1100, 50), Depths: StandardDepths(), Seed: DefaultSeed,
+		Tokens: TokenSweep(700, 1100, 50), Depths: standardDepths(), Seed: DefaultSeed,
 	}
 }
 
-// Figure13Spec is "Frame Loss and Relative (compared to 1.7Mbps
+// figure13Spec is "Frame Loss and Relative (compared to 1.7Mbps
 // version) Quality for Dark Clip".
-func Figure13Spec() RelativeSpec {
-	return RelativeSpec{
+func figure13Spec() relativeSpec {
+	return relativeSpec{
 		Key: "fig13", ID: "Figure 13", Title: "Dark clip: relative quality vs 1.7 Mbps reference, B=3000",
 		Clip:     video.Dark(),
 		EncRates: []units.BitRate{1.5e6, 1.0e6, 1.7e6},
@@ -118,9 +118,9 @@ func Figure13Spec() RelativeSpec {
 	}
 }
 
-// Figure14Spec is the Lost-clip variant of Figure 13.
-func Figure14Spec() RelativeSpec {
-	return RelativeSpec{
+// figure14Spec is the Lost-clip variant of Figure 13.
+func figure14Spec() relativeSpec {
+	return relativeSpec{
 		Key: "fig14", ID: "Figure 14", Title: "Lost clip: relative quality vs 1.7 Mbps reference, B=3000",
 		Clip:     video.Lost(),
 		EncRates: []units.BitRate{1.5e6, 1.0e6, 1.7e6},
@@ -136,7 +136,7 @@ func Figure15Spec() LocalSpec {
 	return LocalSpec{
 		Key: "fig15", ID: "Figure 15", Title: "Local testbed, WMV Lost @ ~1 Mbps cap, drop policing",
 		Clip: video.Lost(), CapKbps: video.WMVCapKbps,
-		Tokens: TokenSweep(500, 2500, 200), Depths: StandardDepths(),
+		Tokens: TokenSweep(500, 2500, 200), Depths: standardDepths(),
 		UseShaper: false, UseTCP: false, Seed: DefaultSeed,
 	}
 }
@@ -147,7 +147,7 @@ func Figure16Spec() LocalSpec {
 	return LocalSpec{
 		Key: "fig16", ID: "Figure 16", Title: "Local testbed, WMV Lost @ ~1 Mbps cap, shaper + drop policing",
 		Clip: video.Lost(), CapKbps: video.WMVCapKbps,
-		Tokens: TokenSweep(500, 2500, 200), Depths: StandardDepths(),
+		Tokens: TokenSweep(500, 2500, 200), Depths: standardDepths(),
 		UseShaper: true, UseTCP: false, Seed: DefaultSeed,
 	}
 }

@@ -20,7 +20,7 @@ import (
 // transmits at most a pipe's worth no matter how many flows feed it.
 
 func init() {
-	Register(NFlowFleetSpec())
+	Register(nflowFleetSpec())
 }
 
 // FleetClass parameterizes one equivalence class of the fleet: its
@@ -61,7 +61,7 @@ type FleetSpec struct {
 	StartWindow units.Time
 }
 
-// NFlowFleetSpec is the registered fleet scenario: 85% "viewers"
+// nflowFleetSpec is the registered fleet scenario: 85% "viewers"
 // (Lost @ 1.0 Mbps, policed at 1.3 Mbps) + 15% "elephants" (Dark @
 // 1.5 Mbps, policed at 1.95 Mbps), N ∈ {10k … 200k} total flows, each
 // streaming a 1 s clip prefix with starts spread over 4 s. With ~N/4
@@ -71,7 +71,7 @@ type FleetSpec struct {
 // flow falling past the knee (dropped packets cost no dequeue events)
 // while bytes per virtual flow stay ~flat (O(K) receivers, O(1)
 // per-flow source state).
-func NFlowFleetSpec() FleetSpec {
+func nflowFleetSpec() FleetSpec {
 	return FleetSpec{
 		Key: "nflow-fleet", ID: "Scaling A3",
 		Title: "Six-figure mixed fleets: batched viewer+elephant classes, aggregated stats",
@@ -200,6 +200,6 @@ func (spec FleetSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// SupportsShards implements ShardCapable: fleet points dispatch to the
+// shardable implements shardCapable: fleet points dispatch to the
 // sharded mixture pipeline.
-func (spec FleetSpec) SupportsShards() bool { return true }
+func (FleetSpec) shardable() {}

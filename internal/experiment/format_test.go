@@ -49,8 +49,8 @@ func TestEvaluationFieldsPropagate(t *testing.T) {
 }
 
 func TestStandardDepths(t *testing.T) {
-	d := StandardDepths()
+	d := standardDepths()
 	if len(d) != 2 || d[0] != 3000 || d[1] != 4500 {
-		t.Errorf("StandardDepths = %v", d)
+		t.Errorf("standardDepths = %v", d)
 	}
 }

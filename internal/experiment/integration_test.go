@@ -82,7 +82,7 @@ func TestSeedRobustness(t *testing.T) {
 // prints reproducible.
 func TestDeterministicFigures(t *testing.T) {
 	t.Parallel()
-	spec := Figure9Spec()
+	spec := figure9Spec()
 	spec.Tokens = Scale(spec.Tokens, 8)
 	spec.Runs = 1
 	if testing.Short() {

@@ -225,7 +225,7 @@ func TestMixtureAggregatedMatchesExact(t *testing.T) {
 	// Delays: reconstruct the exact per-class delay samples from the
 	// exact run's Deliver events.
 	delays := [2][]float64{}
-	for _, ev := range rec.Events() {
+	for _, ev := range rec.Data().Events {
 		if ev.Kind != ptrace.Deliver {
 			continue
 		}
@@ -257,8 +257,9 @@ func TestMixtureAggregatedMatchesExact(t *testing.T) {
 		if rel := math.Abs(a.Delay.Mean()-mean) / mean; rel > 1e-9 {
 			t.Errorf("class %d mean: aggregate %v, exact %v (rel err %g)", ci, a.Delay.Mean(), mean, rel)
 		}
-		if rel := math.Abs(a.Delay.Var()-variance) / variance; rel > 1e-6 {
-			t.Errorf("class %d variance: aggregate %v, exact %v (rel err %g)", ci, a.Delay.Var(), variance, rel)
+		sd := a.Delay.Stddev()
+		if rel := math.Abs(sd*sd-variance) / variance; rel > 1e-6 {
+			t.Errorf("class %d variance: aggregate %v, exact %v (rel err %g)", ci, sd*sd, variance, rel)
 		}
 		if a.Delay.Min() != min || a.Delay.Max() != max {
 			t.Errorf("class %d extremes: aggregate [%v, %v], exact [%v, %v]",
@@ -320,7 +321,7 @@ func TestNFlowFleetRegistered(t *testing.T) {
 // bottleneck transmits at most a pipe's worth).
 func TestFleetEventsPerVFlowFall(t *testing.T) {
 	t.Parallel()
-	spec := NFlowFleetSpec()
+	spec := nflowFleetSpec()
 	spec.Ns = []int{2000, 8000}
 	// Knee at ~4000 flows: ~1000 active × ~1.1 Mbps ≈ 1.1 Gbps.
 	spec.BottleneckRate = 1.1e9

@@ -14,7 +14,7 @@ import (
 // quickQBone is a thinned QBone scenario small enough to run (twice)
 // even under -short.
 func quickQBone() Scenario {
-	spec := Figure9Spec()
+	spec := figure9Spec()
 	spec.Tokens = []units.BitRate{1.05e6}
 	spec.Runs = 1
 	return spec
@@ -49,7 +49,7 @@ func TestRunScenarioParallelMatchesSerialRelative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
-	spec := Figure13Spec()
+	spec := figure13Spec()
 	spec.Tokens = []units.BitRate{1.2e6}
 	spec.EncRates = spec.EncRates[1:] // one relative series beside the reference's own
 	serial := RunScenarioOpts(spec, RunOptions{Parallel: 1}).Format()
@@ -85,7 +85,7 @@ func TestJobsAssembleGridShape(t *testing.T) {
 		}
 	}
 
-	rel := Figure13Spec()
+	rel := figure13Spec()
 	if n := len(rel.Jobs()); n != len(rel.EncRates)*len(rel.Tokens) {
 		t.Errorf("relative jobs = %d, want %d", n, len(rel.EncRates)*len(rel.Tokens))
 	}

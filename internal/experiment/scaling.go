@@ -16,8 +16,8 @@ import (
 // runner exactly like the paper figures.
 
 func init() {
-	Register(NFlowSweepSpec())
-	Register(NFlowWideSpec())
+	Register(nflowSweepSpec())
+	Register(nflowWideSpec())
 	Register(SchedCompareSpecDefault())
 }
 
@@ -89,14 +89,14 @@ type MultiFlowSpec struct {
 	Stagger units.Time
 }
 
-// NFlowSweepSpec is the registered N-flow scenario: 1 Mbps Lost
+// nflowSweepSpec is the registered N-flow scenario: 1 Mbps Lost
 // streams, each policed into EF at 1.3 Mbps, sharing a 6 Mbps strictly
 // prioritized bottleneck — the sweep crosses the point where the EF
 // aggregate overruns the link. The grid was re-tuned for the pooled
 // post-PR3 core (~3.4× faster end to end): twice the N points of the
 // original sweep, extending well past the overrun knee, for the same
 // wall-clock budget the old grid cost on the slower engine.
-func NFlowSweepSpec() MultiFlowSpec {
+func nflowSweepSpec() MultiFlowSpec {
 	return MultiFlowSpec{
 		Key: "nflow", ID: "Scaling A",
 		Title: "N Lost @ 1.0M flows through one 6 Mbps EF bottleneck",
@@ -157,11 +157,11 @@ func (spec MultiFlowSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// SupportsShards implements ShardCapable: batched points run on the
+// shardable implements shardCapable: batched points run on the
 // fan-out pipeline, unbatched ones report one effective worker.
-func (spec MultiFlowSpec) SupportsShards() bool { return true }
+func (MultiFlowSpec) shardable() {}
 
-// NFlowWideSpec is the wide-aggregate N-flow scenario the paper's
+// nflowWideSpec is the wide-aggregate N-flow scenario the paper's
 // fixed testbeds (and the unbatched simulator) could not reach: the
 // nflow configuration re-tuned for the batched fan-out source, N ∈
 // {16, 64, 128, 256, 512} virtual flows into one 24 Mbps EF
@@ -177,7 +177,7 @@ func (spec MultiFlowSpec) SupportsShards() bool { return true }
 // flows feed it, and queue drops cost no events) — the
 // BENCH_PR5.json trajectory records events per virtual flow falling
 // as N grows.
-func NFlowWideSpec() MultiFlowSpec {
+func nflowWideSpec() MultiFlowSpec {
 	return MultiFlowSpec{
 		Key: "nflow-wide", ID: "Scaling A2",
 		Title: "Wide EF aggregates: N batched Lost @ 1.0M flows, one 24 Mbps bottleneck",
@@ -270,5 +270,5 @@ func (spec SchedCompareSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// SupportsShards implements ShardCapable.
-func (spec SchedCompareSpec) SupportsShards() bool { return true }
+// shardable implements shardCapable.
+func (SchedCompareSpec) shardable() {}

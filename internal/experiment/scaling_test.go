@@ -9,7 +9,7 @@ import (
 )
 
 func reducedNFlow() MultiFlowSpec {
-	spec := NFlowSweepSpec()
+	spec := nflowSweepSpec()
 	spec.Ns = []int{1, 2}
 	return spec
 }
@@ -106,8 +106,8 @@ func TestScalingScenariosRegistered(t *testing.T) {
 		}
 	}
 	// Scaled must thin interior points and keep endpoints.
-	nf := NFlowSweepSpec().Scaled(2).(MultiFlowSpec)
-	if len(nf.Ns) >= len(NFlowSweepSpec().Ns) || nf.Ns[len(nf.Ns)-1] != 16 {
+	nf := nflowSweepSpec().Scaled(2).(MultiFlowSpec)
+	if len(nf.Ns) >= len(nflowSweepSpec().Ns) || nf.Ns[len(nf.Ns)-1] != 16 {
 		t.Errorf("nflow Scaled wrong: %v", nf.Ns)
 	}
 	sc := SchedCompareSpecDefault().Scaled(2).(SchedCompareSpec)

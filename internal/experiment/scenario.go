@@ -359,24 +359,24 @@ type Scalable interface {
 	Scaled(n int) Scenario
 }
 
-// ShardCapable is implemented by scenarios whose jobs accept the
+// shardCapable is implemented by scenarios whose jobs accept the
 // intra-run shard knob (RunOptions.Shards / dsbench -shards):
 // effective workers = min(requested, partitionable batched flows),
 // reported per run. A capable scenario's unbatched points have no
 // partitionable flows and report one worker; scenarios without the
-// method cannot report it at all, so dsbench rejects -shards for them
+// marker cannot report it at all, so dsbench rejects -shards for them
 // up front.
-type ShardCapable interface {
+type shardCapable interface {
 	Scenario
-	// SupportsShards reports whether the scenario's jobs pass
-	// Ctx.Shards to their topology and report the effective count.
-	SupportsShards() bool
+	// shardable marks a scenario whose jobs pass Ctx.Shards to their
+	// topology and report the effective count.
+	shardable()
 }
 
 // SupportsSharding reports whether s honors the intra-run shard knob.
 func SupportsSharding(s Scenario) bool {
-	sc, ok := s.(ShardCapable)
-	return ok && sc.SupportsShards()
+	_, ok := s.(shardCapable)
+	return ok
 }
 
 // RunOptions bundles the execution knobs of a scenario run. The

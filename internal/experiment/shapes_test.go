@@ -175,7 +175,7 @@ func TestFigureSpecsRunScaled(t *testing.T) {
 	// Every figure spec must run end to end (scaled down) and produce
 	// well-formed, plottable output. Under -short the grid shrinks to
 	// the sweep endpoints with a single seed, so the path still runs.
-	spec := Figure9Spec()
+	spec := figure9Spec()
 	spec.Tokens = Scale(spec.Tokens, 4)
 	if testing.Short() {
 		spec.Tokens = Scale(spec.Tokens, len(spec.Tokens))
@@ -216,7 +216,7 @@ func TestLocalSpecRunScaled(t *testing.T) {
 
 func TestRelativeSpecRunScaled(t *testing.T) {
 	t.Parallel()
-	spec := Figure14Spec()
+	spec := figure14Spec()
 	spec.Tokens = []units.BitRate{900 * units.Kbps, 2.1e6}
 	if testing.Short() {
 		spec.Tokens = spec.Tokens[:1]

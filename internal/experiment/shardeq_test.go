@@ -105,7 +105,7 @@ func requireMultiFlowIdentical(t *testing.T, label string, ref, got *topology.Mu
 // byte-identical to the serial point.
 func TestShardedNFlowEquivalence(t *testing.T) {
 	t.Parallel()
-	spec := NFlowSweepSpec()
+	spec := nflowSweepSpec()
 	for _, n := range []int{3, 6} {
 		n := n
 		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
@@ -125,7 +125,7 @@ func TestShardedNFlowEquivalence(t *testing.T) {
 // nflow-wide (batched, three-stage pipeline) grid at 2–8 shards.
 func TestShardedNFlowWideEquivalence(t *testing.T) {
 	t.Parallel()
-	spec := NFlowWideSpec()
+	spec := nflowWideSpec()
 	ns := []int{16}
 	if !testing.Short() {
 		ns = append(ns, 64)
@@ -150,7 +150,7 @@ func TestShardedNFlowWideEquivalence(t *testing.T) {
 // the point a serial job returns.
 func TestShardedTandemEquivalence(t *testing.T) {
 	t.Parallel()
-	spec := TandemSweepSpec()
+	spec := tandemSweepSpec()
 	spec.Tokens = spec.Tokens[:1]
 	spec.Runs = 2
 	for i, job := range spec.Jobs() {
@@ -170,7 +170,7 @@ func TestShardedTandemEquivalence(t *testing.T) {
 // effective shard count and returns the very Point the serial job does.
 func TestShardsKnobReachesJobs(t *testing.T) {
 	t.Parallel()
-	spec := NFlowWideSpec()
+	spec := nflowWideSpec()
 	spec.Ns = []int{8}
 	serialCtx, shardedCtx := &Ctx{}, &Ctx{Shards: 4}
 	serial := spec.Jobs()[0](serialCtx)
@@ -198,12 +198,12 @@ func TestShardsKnobReachesJobs(t *testing.T) {
 // split over two colder workers.
 func TestRunSettingsEquivalence(t *testing.T) {
 	t.Parallel()
-	wide := NFlowWideSpec()
+	wide := nflowWideSpec()
 	wide.Ns = []int{4, 8}
-	fleet := NFlowFleetSpec()
+	fleet := nflowFleetSpec()
 	fleet.Ns = []int{1000, 2000}
 	fleet.BottleneckRate = 0.5e9 // knee between the two points
-	tandem := TandemSweepSpec()
+	tandem := tandemSweepSpec()
 	tandem.Tokens = tandem.Tokens[:1]
 	tandem.Runs = 2
 	// Token rates either side of the stream's cap: the first points thin

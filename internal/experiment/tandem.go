@@ -16,7 +16,7 @@ import (
 // or dropped what.
 
 func init() {
-	Register(TandemSweepSpec())
+	Register(tandemSweepSpec())
 }
 
 // TandemSpec sweeps the APS token rate through the two-border tandem
@@ -38,8 +38,8 @@ type TandemSpec struct {
 	Runs    int // seeds averaged per point; 0 means seedRuns
 }
 
-// TandemSweepSpec is the registered two-border scenario.
-func TandemSweepSpec() TandemSpec {
+// tandemSweepSpec is the registered two-border scenario.
+func tandemSweepSpec() TandemSpec {
 	return TandemSpec{
 		Key: "tandem", ID: "Scaling C",
 		Title: "Tandem policed borders: burst accumulation vs one border (Lost @ 1.0M)",
@@ -99,9 +99,9 @@ func (spec TandemSpec) Scaled(n int) Scenario {
 	return spec
 }
 
-// SupportsShards implements ShardCapable: every point reports one
+// shardable implements shardCapable: every point reports one
 // effective worker (a single unbatched stream).
-func (spec TandemSpec) SupportsShards() bool { return true }
+func (TandemSpec) shardable() {}
 
 // runTandemPointAvg averages runTandemPoint over consecutive seeds
 // through the shared averagePoint helper.

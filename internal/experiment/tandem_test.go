@@ -16,7 +16,7 @@ import (
 )
 
 func reducedTandem() TandemSpec {
-	spec := TandemSweepSpec()
+	spec := tandemSweepSpec()
 	spec.Tokens = []units.BitRate{1100 * units.Kbps, 1400 * units.Kbps}
 	spec.Runs = 1
 	return spec
@@ -53,8 +53,8 @@ func TestTandemScenarioRegisteredAndScalable(t *testing.T) {
 	if _, ok := s.(Scalable); !ok {
 		t.Fatal("tandem is not Scalable")
 	}
-	sc := TandemSweepSpec().Scaled(3).(TandemSpec)
-	full := TandemSweepSpec()
+	sc := tandemSweepSpec().Scaled(3).(TandemSpec)
+	full := tandemSweepSpec()
 	if len(sc.Tokens) >= len(full.Tokens) ||
 		sc.Tokens[len(sc.Tokens)-1] != full.Tokens[len(full.Tokens)-1] {
 		t.Errorf("Scaled grid wrong: %v", sc.Tokens)
@@ -262,7 +262,7 @@ func TestRunDigestMatchesSealedTrace(t *testing.T) {
 	t.Parallel()
 	tandem := reducedTandem()
 	tandem.Tokens = tandem.Tokens[:1]
-	nflow := NFlowSweepSpec()
+	nflow := nflowSweepSpec()
 	nflow.Ns, nflow.Batch = []int{4}, true
 	for _, spill := range []bool{false, true} {
 		for _, sample := range []int{1, 3} {

@@ -137,11 +137,11 @@ type Schedule struct {
 // frame's fragments are spread across.
 const paceSpread = 0.95
 
-// PacedSchedule computes the emission plan of a server.Paced streaming
+// pacedSchedule computes the emission plan of a server.Paced streaming
 // enc: frame i starts at i*FrameInterval, its MTU-payload fragments
 // spread across paceSpread of the interval with the exact integer
 // arithmetic the server uses.
-func PacedSchedule(enc *video.Encoding) *Schedule {
+func pacedSchedule(enc *video.Encoding) *Schedule {
 	const msgSize = server.MaxUDPPayload
 	interval := video.FrameInterval()
 	spread := units.Time(float64(interval) * paceSpread)
@@ -184,7 +184,7 @@ func CachedPacedSchedule(enc *video.Encoding) *Schedule {
 	if s, ok := schedCache.Load(enc); ok {
 		return s.(*Schedule)
 	}
-	s := PacedSchedule(enc)
+	s := pacedSchedule(enc)
 	actual, _ := schedCache.LoadOrStore(enc, s)
 	return actual.(*Schedule)
 }

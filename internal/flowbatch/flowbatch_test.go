@@ -46,7 +46,7 @@ func (r *recorder) Handle(p *packet.Packet) {
 // real server.Paced emits: same instants, sizes and frame metadata.
 func TestPacedScheduleMatchesServer(t *testing.T) {
 	enc := video.CachedCBR(video.Lost(), 1.0e6)
-	sched := PacedSchedule(enc)
+	sched := pacedSchedule(enc)
 	if len(sched.Entries) == 0 {
 		t.Fatal("empty schedule")
 	}

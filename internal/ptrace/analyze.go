@@ -25,7 +25,7 @@ func ms(t units.Time) float64 { return float64(t) / float64(units.Millisecond) }
 type HopStats struct {
 	Name   string
 	Counts [numKinds]int
-	// Drops is the terminal drops at this hop (Kind.IsDrop kinds).
+	// Drops is the terminal drops at this hop (Kind.isDrop kinds).
 	Drops int
 	// MaxQLen is the deepest queue observed at enqueue.
 	MaxQLen int32
@@ -159,7 +159,7 @@ func AttributeFrameLoss(r io.Reader, ft *trace.Trace) (*Attribution, error) {
 	drops := map[int]map[HopID]int{}
 	hops, _, err := streamV2(r, func(e Event) {
 		seq := int(e.FrameSeq)
-		if !e.Kind.IsDrop() || !lost(seq) {
+		if !e.Kind.isDrop() || !lost(seq) {
 			return
 		}
 		m := drops[seq]

@@ -2,7 +2,7 @@ package ptrace
 
 // Streaming trace analysis. A spilled fleet-scale trace has an
 // unbounded event count, so no analysis may keep delay samples in RAM
-// and sort them for percentiles. The Digester keeps constant-size
+// and sort them for percentiles. The digester keeps constant-size
 // accumulators per hop and per flow instead: counts,
 // Welford moments (stats.Moments, exact mean/min/max) and P² quantile
 // sketches (stats.P2Quantile, estimated p50/p90/p99), so digesting a
@@ -77,10 +77,10 @@ type timelineKey struct {
 	t   int64
 }
 
-// Digester folds a trace into a Summary one event at a time. Feed it
-// with Add (any order the trace supplies) and seal it with Summarize;
+// digester folds a trace into a Summary one event at a time. Feed it
+// with add (any order the trace supplies) and seal it with summarize;
 // AnalyzeStream is a thin wrapper over it.
-type Digester struct {
+type digester struct {
 	bucket units.Time
 
 	count       uint64
@@ -91,20 +91,20 @@ type Digester struct {
 	timeline map[timelineKey]*VerdictBucket
 }
 
-// NewDigester returns an empty digester; bucket sets the
+// newDigester returns an empty digester; bucket sets the
 // verdict-timeline granularity (<= 0 means 1 s).
-func NewDigester(bucket units.Time) *Digester {
+func newDigester(bucket units.Time) *digester {
 	if bucket <= 0 {
 		bucket = units.Second
 	}
-	return &Digester{
+	return &digester{
 		bucket:   bucket,
 		flows:    map[packet.FlowID]*flowDigest{},
 		timeline: map[timelineKey]*VerdictBucket{},
 	}
 }
 
-func (g *Digester) flow(id packet.FlowID) *flowDigest {
+func (g *digester) flow(id packet.FlowID) *flowDigest {
 	f := g.flows[id]
 	if f == nil {
 		f = &flowDigest{}
@@ -114,8 +114,8 @@ func (g *Digester) flow(id packet.FlowID) *flowDigest {
 	return f
 }
 
-// Add digests one event.
-func (g *Digester) Add(e Event) {
+// add digests one event.
+func (g *digester) add(e Event) {
 	if e.Kind >= numKinds {
 		return // corrupt kind; skip rather than crash the tool
 	}
@@ -130,7 +130,7 @@ func (g *Digester) Add(e Event) {
 	}
 	h := &g.hops[e.Hop]
 	h.counts[e.Kind]++
-	if e.Kind.IsDrop() {
+	if e.Kind.isDrop() {
 		h.drops++
 		g.flow(e.Flow).drops++
 	}
@@ -163,13 +163,13 @@ func (g *Digester) Add(e Event) {
 	}
 }
 
-// Events reports how many events have been digested.
-func (g *Digester) Events() uint64 { return g.count }
+// events reports how many events have been digested.
+func (g *digester) events() uint64 { return g.count }
 
-// Summarize seals the digest into the Summary form, resolving hop ids
+// summarize seals the digest into the Summary form, resolving hop ids
 // against the trace's name table (ids beyond it get numeric names).
 // seen is the run's total emitted count from the trace trailer.
-func (g *Digester) Summarize(hopNames []string, seen uint64) *Summary {
+func (g *digester) summarize(hopNames []string, seen uint64) *Summary {
 	s := &Summary{Seen: seen, Retained: int(g.count)}
 	if g.count > 0 {
 		s.Span = g.last - g.first
@@ -224,10 +224,10 @@ type StreamInfo struct {
 // form, without ever materialising the event slice, so peak memory is
 // bounded by the digest state, not the trace length.
 func AnalyzeStream(r io.Reader, bucket units.Time) (*Summary, StreamInfo, error) {
-	g := NewDigester(bucket)
-	hops, seen, err := streamV2(r, g.Add)
+	g := newDigester(bucket)
+	hops, seen, err := streamV2(r, g.add)
 	if err != nil {
 		return nil, StreamInfo{}, err
 	}
-	return g.Summarize(hops, seen), StreamInfo{Events: g.Events(), Hops: len(hops), Seen: seen}, nil
+	return g.summarize(hops, seen), StreamInfo{Events: g.events(), Hops: len(hops), Seen: seen}, nil
 }

@@ -15,7 +15,7 @@ import (
 
 // TestAnalyzeStreamMatchesAnalyze pins that the streaming analysis is
 // the analysis of the materialised capture: AnalyzeStream over the v2
-// bytes equals a Digester fed the events Read decodes, on the real
+// bytes equals a digester fed the events Read decodes, on the real
 // tandem capture.
 func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	seed := tandemSeed()
@@ -23,11 +23,7 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ptrace.NewDigester(units.Second)
-	for _, e := range d.Events {
-		g.Add(e)
-	}
-	want := g.Summarize(d.Hops, d.Seen)
+	want := ptrace.DigestEvents(d.Events, units.Second, d.Hops, d.Seen)
 
 	got, info, err := ptrace.AnalyzeStream(bytes.NewReader(seed), units.Second)
 	if err != nil {
@@ -67,17 +63,17 @@ func TestDigestQuantileTolerance(t *testing.T) {
 		}, 0.05},
 	}
 	for _, dist := range dists {
-		g := ptrace.NewDigester(units.Second)
 		exact := make([]float64, n)
-		for i := 0; i < n; i++ {
+		evs := make([]ptrace.Event, n)
+		for i := range evs {
 			// Delay is integer nanoseconds, so the exact reference gets
 			// the same truncated value the digest sees.
 			v := units.Time(dist.gen())
 			exact[i] = float64(v)
-			g.Add(ptrace.Event{Kind: ptrace.Deliver, Flow: 1, Delay: v})
+			evs[i] = ptrace.Event{Kind: ptrace.Deliver, Flow: 1, Delay: v}
 		}
 		sort.Float64s(exact)
-		s := g.Summarize([]string{"src"}, n)
+		s := ptrace.DigestEvents(evs, units.Second, []string{"src"}, n)
 		if len(s.Flows) != 1 {
 			t.Fatalf("%s: %d flows, want 1", dist.name, len(s.Flows))
 		}

@@ -10,21 +10,21 @@ import (
 )
 
 // digestFixture builds a small deterministic summary through the same
-// Digester the analysis paths use.
+// digester the analysis paths use.
 func digestFixture() *Summary {
-	g := NewDigester(units.Second)
+	g := newDigester(units.Second)
 	for i := 0; i < 50; i++ {
-		g.Add(Event{T: units.Time(i) * units.Millisecond, Kind: LinkEnqueue, Hop: 0,
+		g.add(Event{T: units.Time(i) * units.Millisecond, Kind: LinkEnqueue, Hop: 0,
 			Flow: 1, QLen: int32(i % 7)})
-		g.Add(Event{T: units.Time(i) * units.Millisecond, Kind: LinkTx, Hop: 0,
+		g.add(Event{T: units.Time(i) * units.Millisecond, Kind: LinkTx, Hop: 0,
 			Flow: 1, Delay: units.Time(100+i) * units.Microsecond})
-		g.Add(Event{T: units.Time(i) * units.Millisecond, Kind: Deliver, Hop: 1,
+		g.add(Event{T: units.Time(i) * units.Millisecond, Kind: Deliver, Hop: 1,
 			Flow: 1, Delay: units.Time(900+i) * units.Microsecond})
 		if i%5 == 0 {
-			g.Add(Event{T: units.Time(i) * units.Millisecond, Kind: PolicerDrop, Hop: 2, Flow: 1})
+			g.add(Event{T: units.Time(i) * units.Millisecond, Kind: PolicerDrop, Hop: 2, Flow: 1})
 		}
 	}
-	return g.Summarize([]string{"hop0", "client", "policer"}, 200)
+	return g.summarize([]string{"hop0", "client", "policer"}, 200)
 }
 
 func TestDigestFileRoundTrip(t *testing.T) {

@@ -15,7 +15,7 @@ type Data struct {
 	Seen   uint64 // total events emitted during the run
 	Events []Event
 
-	fold *Digester // set by Recorder.WriteTo: digest what is written
+	fold *digester // set by Recorder.WriteTo: digest what is written
 }
 
 // hopName resolves id against a trace's hop table; ids beyond it get a
@@ -26,9 +26,6 @@ func hopName(hops []string, id HopID) string {
 	}
 	return fmt.Sprintf("hop#%d", id)
 }
-
-// HopName resolves an event's hop against the data's name table.
-func (d *Data) HopName(id HopID) string { return hopName(d.Hops, id) }
 
 // WriteTo emits the capture in the binary v2 encoding (encode_v2.go),
 // through the same block writer the Recorder's spill mode uses.

@@ -100,7 +100,7 @@ type v2Writer struct {
 	prevKind [256]Event // same-kind field references
 
 	// fold, when set, digests every event as it is encoded.
-	fold *Digester
+	fold *digester
 }
 
 func newV2Writer(w io.Writer) *v2Writer {
@@ -193,7 +193,7 @@ func (v *v2Writer) add(e Event) {
 	v.n++
 	v.total++
 	if v.fold != nil {
-		v.fold.Add(e)
+		v.fold.add(e)
 	}
 	if v.n >= blockEvents {
 		v.flushBlock()

@@ -117,10 +117,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// IsDrop reports whether the event terminates the packet. REDEarly is
+// isDrop reports whether the event terminates the packet. REDEarly is
 // excluded: it annotates a QueueDrop the owning link also emits, so
 // counting both would double-book the drop.
-func (k Kind) IsDrop() bool {
+func (k Kind) isDrop() bool {
 	switch k {
 	case QueueDrop, PolicerDrop, ShaperDrop, Loss:
 		return true
@@ -182,7 +182,7 @@ type Config struct {
 	// one kind on a stride phase that discards it entirely.
 	Sample int
 	// Kinds restricts capture to the masked kinds (build the mask
-	// with KindMask); 0 captures everything. Filtering the bulk
+	// with kindMask); 0 captures everything. Filtering the bulk
 	// enqueue/tx/deliver kinds stretches a bounded ring across a whole
 	// run's verdicts and drops — the mode frame-loss attribution
 	// wants.
@@ -195,8 +195,8 @@ type Config struct {
 	Flows []packet.FlowID
 }
 
-// KindMask builds a Config.Kinds mask.
-func KindMask(ks ...Kind) uint32 {
+// kindMask builds a Config.Kinds mask.
+func kindMask(ks ...Kind) uint32 {
 	var m uint32
 	for _, k := range ks {
 		m |= 1 << k
@@ -209,7 +209,7 @@ func KindMask(ks ...Kind) uint32 {
 // everything dstrace needs to attribute loss, without the bulk
 // per-hop forwarding events.
 func VerdictKinds() uint32 {
-	return KindMask(QueueDrop, REDEarly, PolicerPass, PolicerDemote, PolicerDrop,
+	return kindMask(QueueDrop, REDEarly, PolicerPass, PolicerDemote, PolicerDrop,
 		ShaperRelease, ShaperDrop, Loss, Deliver, TCPSend, TCPAck, TCPRTO)
 }
 
@@ -255,7 +255,7 @@ type Recorder struct {
 	// encoding instead of the head and the ring.
 	spill *v2Writer
 	// fold, when set, digests every event the recorder encodes.
-	fold *Digester
+	fold *digester
 }
 
 // NewRecorder returns a recorder with cfg's bounds. The head and the
@@ -353,18 +353,18 @@ func (r *Recorder) Emit(e Event) {
 // Seen reports the total events emitted, retained or not.
 func (r *Recorder) Seen() uint64 { return r.seen }
 
-// Retained reports how many events are currently held in RAM; a
+// retained reports how many events are currently held in RAM; a
 // spilling recorder holds none.
-func (r *Recorder) Retained() int { return len(r.head) + r.count }
+func (r *Recorder) retained() int { return len(r.head) + r.count }
 
 // Overwritten reports ring events displaced by newer ones.
 func (r *Recorder) Overwritten() uint64 { return r.overwritten }
 
-// Events returns the retained events in emission (and therefore time)
+// events returns the retained events in emission (and therefore time)
 // order: the pinned head, then the surviving tail window. A spilling
 // recorder retains none; its capture is the spill stream.
-func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, r.Retained())
+func (r *Recorder) events() []Event {
+	out := make([]Event, 0, r.retained())
 	out = append(out, r.head...)
 	for i := 0; i < r.count; i++ {
 		out = append(out, r.ring[(r.start+i)%len(r.ring)])
@@ -374,7 +374,7 @@ func (r *Recorder) Events() []Event {
 
 // Data snapshots the recorder into the exportable form.
 func (r *Recorder) Data() *Data {
-	return &Data{Hops: append([]string(nil), r.hops...), Seen: r.seen, Events: r.Events()}
+	return &Data{Hops: append([]string(nil), r.hops...), Seen: r.seen, Events: r.events()}
 }
 
 // WriteTo saves the retained capture in the binary v2 encoding: the
@@ -386,12 +386,12 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 }
 
 // DigestWrites makes the recorder fold every event it encodes, to its
-// spill stream or through WriteTo, into a streaming Digester at the
+// spill stream or through WriteTo, into a streaming digester at the
 // moment it is encoded: the capture's Summary then comes from the one
 // pass that writes it, never from reading the trace back. Call it
 // before SpillTo and before the run starts, and read the digest with
 // Summary once FinishSpill or WriteTo has sealed the capture.
-func (r *Recorder) DigestWrites() { r.fold = NewDigester(0) }
+func (r *Recorder) DigestWrites() { r.fold = newDigester(0) }
 
 // Summary seals the digest of everything the recorder has encoded. It
 // equals AnalyzeStream(trace, 0) over the sealed trace, since it folds
@@ -401,12 +401,12 @@ func (r *Recorder) Summary() *Summary {
 	if r.fold == nil {
 		return nil
 	}
-	return r.fold.Summarize(r.hops, r.seen)
+	return r.fold.summarize(r.hops, r.seen)
 }
 
 // SpillTo makes w the capture: every subsequently captured event is
 // encoded to it in the binary v2 encoding as it is emitted, unbounded
-// by Config.Capacity, and nothing is kept in RAM (Events and Retained
+// by Config.Capacity, and nothing is kept in RAM (events and retained
 // report none). The spill honors the Kind and Flow filters and the
 // per-kind sampling stride (head-phase events are always written), so
 // -trace-sample still bounds a fleet-scale spill file's size. Call

@@ -27,10 +27,10 @@ func TestRecorderRingBounds(t *testing.T) {
 	if r.Seen() != 20 {
 		t.Fatalf("seen %d, want 20", r.Seen())
 	}
-	if r.Retained() != 8 {
-		t.Fatalf("retained %d, want 8", r.Retained())
+	if r.retained() != 8 {
+		t.Fatalf("retained %d, want 8", r.retained())
 	}
-	evs := r.Events()
+	evs := r.events()
 	for i, e := range evs {
 		if want := uint64(12 + i); e.PktID != want {
 			t.Errorf("event %d id %d, want %d (last-8 window)", i, e.PktID, want)
@@ -46,7 +46,7 @@ func TestRecorderHeadTail(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.Emit(Event{PktID: uint64(i)})
 	}
-	evs := r.Events()
+	evs := r.events()
 	if len(evs) != 8 {
 		t.Fatalf("retained %d, want 8", len(evs))
 	}
@@ -68,7 +68,7 @@ func TestRecorderSampling(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		r.Emit(Event{PktID: uint64(i)})
 	}
-	if got := r.Retained(); got != 100 {
+	if got := r.retained(); got != 100 {
 		t.Fatalf("retained %d with 1-in-10 sampling, want 100", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestRecorderSamplingPerKind(t *testing.T) {
 		r.Emit(Event{Kind: k})
 	}
 	got := map[Kind]int{}
-	for _, e := range r.Events() {
+	for _, e := range r.events() {
 		got[e.Kind]++
 	}
 	if got[PolicerPass] != 100 || got[Deliver] != 100 {
@@ -98,7 +98,7 @@ func TestRecorderSamplingPerKind(t *testing.T) {
 func TestRecorderKindAndFlowFilters(t *testing.T) {
 	r := NewRecorder(Config{
 		Capacity: 100,
-		Kinds:    KindMask(PolicerDrop, Deliver),
+		Kinds:    kindMask(PolicerDrop, Deliver),
 		Flows:    []packet.FlowID{1},
 	})
 	r.Emit(Event{Kind: PolicerDrop, Flow: 1})  // kept
@@ -108,7 +108,7 @@ func TestRecorderKindAndFlowFilters(t *testing.T) {
 	if r.Seen() != 4 {
 		t.Errorf("seen %d, want 4 (filters still count emissions)", r.Seen())
 	}
-	evs := r.Events()
+	evs := r.events()
 	if len(evs) != 2 || evs[0].Kind != PolicerDrop || evs[1].Kind != Deliver {
 		t.Fatalf("retained %+v, want the two flow-1 masked kinds", evs)
 	}
@@ -129,7 +129,7 @@ func TestRecorderHopInterning(t *testing.T) {
 }
 
 // TestSpillingRecorderRetainsNothing pins what a spilling recorder
-// reports: the spill stream is the capture, so Events and Retained
+// reports: the spill stream is the capture, so events and retained
 // report nothing, no ring or head storage is ever allocated, and the
 // stream holds exactly the head plus the sampled tail — the events a
 // RAM recorder of the same Config would have been offered.
@@ -140,9 +140,9 @@ func TestSpillingRecorderRetainsNothing(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.Emit(Event{PktID: uint64(i)})
 	}
-	if r.Retained() != 0 || len(r.Events()) != 0 || r.Overwritten() != 0 {
+	if r.retained() != 0 || len(r.events()) != 0 || r.Overwritten() != 0 {
 		t.Errorf("spilling recorder retains %d, returns %d events, overwrote %d; want 0, 0, 0",
-			r.Retained(), len(r.Events()), r.Overwritten())
+			r.retained(), len(r.events()), r.Overwritten())
 	}
 	if r.head != nil || r.ring != nil {
 		t.Errorf("spilling recorder allocated a head of %d or a ring of %d events", cap(r.head), len(r.ring))

@@ -19,7 +19,7 @@ type AFScheduler struct {
 // best-effort queue limit.
 func NewAFScheduler(in, out REDConfig, rand func() float64, beLimit int) *AFScheduler {
 	return &AFScheduler{
-		AF: NewRIO(in, out, rand),
+		AF: newRIO(in, out, rand),
 		BE: FIFO{MaxPackets: beLimit},
 	}
 }
@@ -42,7 +42,7 @@ func (s *AFScheduler) Enqueue(p *packet.Packet) bool {
 	if isAF(p.DSCP) {
 		return s.AF.Enqueue(p)
 	}
-	return s.BE.Push(p)
+	return s.BE.push(p)
 }
 
 // Dequeue serves the AF class first.
@@ -50,13 +50,13 @@ func (s *AFScheduler) Dequeue() *packet.Packet {
 	if p := s.AF.Dequeue(); p != nil {
 		return p
 	}
-	return s.BE.Pop()
+	return s.BE.pop()
 }
 
 // Len reports total queued packets.
-func (s *AFScheduler) Len() int { return s.AF.Len() + s.BE.Len() }
+func (s *AFScheduler) Len() int { return s.AF.Len() + s.BE.len() }
 
 // Classes reports the RIO in/out classes followed by best effort.
 func (s *AFScheduler) Classes() []ClassStats {
-	return append(s.AF.Classes(), s.BE.Stats("be"))
+	return append(s.AF.Classes(), s.BE.stats("be"))
 }

@@ -16,8 +16,8 @@ func TestAFSchedulerClassifies(t *testing.T) {
 	s := NewAFScheduler(testRED, testRED, rng.Float64, 10)
 	s.Enqueue(afPkt(packet.AF11, packet.Green))
 	s.Enqueue(afPkt(packet.BestEffort, packet.Green))
-	if s.AF.Len() != 1 || s.BE.Len() != 1 {
-		t.Errorf("classification wrong: af=%d be=%d", s.AF.Len(), s.BE.Len())
+	if s.AF.Len() != 1 || s.BE.len() != 1 {
+		t.Errorf("classification wrong: af=%d be=%d", s.AF.Len(), s.BE.len())
 	}
 	if s.Len() != 2 {
 		t.Errorf("Len = %d", s.Len())

@@ -2,10 +2,10 @@ package queue
 
 import "repro/internal/packet"
 
-// DefaultQuantum is the DRR per-round byte credit when a ClassSpec
+// defaultQuantum is the DRR per-round byte credit when a ClassSpec
 // leaves Quantum zero: one MTU, so a class can always send at least
 // one full-size packet per round.
-const DefaultQuantum = 1500
+const defaultQuantum = 1500
 
 // ClassSpec configures one class of a multi-class scheduler (DRR or
 // WFQ). A nil Match matches every packet, which makes the class a
@@ -15,7 +15,7 @@ type ClassSpec struct {
 	Name    string
 	Match   func(packet.DSCP) bool
 	Limit   int     // per-class packet cap (0 = unbounded)
-	Quantum int     // DRR bytes credited per round (0 = DefaultQuantum)
+	Quantum int     // DRR bytes credited per round (0 = defaultQuantum)
 	Weight  float64 // WFQ service share (0 = 1)
 }
 
@@ -55,7 +55,7 @@ func NewDRR(specs ...ClassSpec) *DRR {
 	d := &DRR{}
 	for _, sp := range specs {
 		if sp.Quantum <= 0 {
-			sp.Quantum = DefaultQuantum
+			sp.Quantum = defaultQuantum
 		}
 		d.classes = append(d.classes, &drrClass{
 			spec: sp,
@@ -70,8 +70,8 @@ func NewDRR(specs ...ClassSpec) *DRR {
 func (d *DRR) Enqueue(p *packet.Packet) bool {
 	i := d.classify(p.DSCP)
 	c := d.classes[i]
-	wasEmpty := c.fifo.Len() == 0
-	if !c.fifo.Push(p) {
+	wasEmpty := c.fifo.len() == 0
+	if !c.fifo.push(p) {
 		return false
 	}
 	if wasEmpty {
@@ -92,11 +92,11 @@ func (d *DRR) Dequeue() *packet.Packet {
 			c.deficit += c.spec.Quantum
 			c.credited = true
 		}
-		head := c.fifo.Peek()
+		head := c.fifo.peek()
 		if head != nil && head.Size <= c.deficit {
 			c.deficit -= head.Size
-			p := c.fifo.Pop()
-			if c.fifo.Len() == 0 {
+			p := c.fifo.pop()
+			if c.fifo.len() == 0 {
 				// An idle class must not bank credit (DRR's
 				// anti-burst rule).
 				c.deficit = 0
@@ -118,7 +118,7 @@ func (d *DRR) Dequeue() *packet.Packet {
 func (d *DRR) Len() int {
 	n := 0
 	for _, c := range d.classes {
-		n += c.fifo.Len()
+		n += c.fifo.len()
 	}
 	return n
 }
@@ -134,7 +134,7 @@ func (d *DRR) SetPool(pl *packet.Pool) {
 func (d *DRR) Classes() []ClassStats {
 	out := make([]ClassStats, len(d.classes))
 	for i, c := range d.classes {
-		out[i] = c.fifo.Stats(c.spec.Name)
+		out[i] = c.fifo.stats(c.spec.Name)
 	}
 	return out
 }

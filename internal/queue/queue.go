@@ -37,14 +37,11 @@ type FIFO struct {
 	DroppedBytes  int64
 }
 
-// Len reports the number of queued packets.
-func (q *FIFO) Len() int { return q.ring.Len() }
+// len reports the number of queued packets.
+func (q *FIFO) len() int { return q.ring.Len() }
 
-// Bytes reports the queued byte count.
-func (q *FIFO) Bytes() int64 { return q.bytes }
-
-// Push appends p, or drops it (returning false) if the queue is full.
-func (q *FIFO) Push(p *packet.Packet) bool {
+// push appends p, or drops it (returning false) if the queue is full.
+func (q *FIFO) push(p *packet.Packet) bool {
 	if q.MaxPackets > 0 && q.ring.Len() >= q.MaxPackets {
 		q.Dropped++
 		q.DroppedBytes += int64(p.Size)
@@ -57,8 +54,8 @@ func (q *FIFO) Push(p *packet.Packet) bool {
 	return true
 }
 
-// Pop removes and returns the head packet, or nil if empty.
-func (q *FIFO) Pop() *packet.Packet {
+// pop removes and returns the head packet, or nil if empty.
+func (q *FIFO) pop() *packet.Packet {
 	p := q.ring.Pop()
 	if p != nil {
 		q.bytes -= int64(p.Size)
@@ -66,8 +63,8 @@ func (q *FIFO) Pop() *packet.Packet {
 	return p
 }
 
-// Peek returns the head packet without removing it, or nil.
-func (q *FIFO) Peek() *packet.Packet { return q.ring.Peek() }
+// peek returns the head packet without removing it, or nil.
+func (q *FIFO) peek() *packet.Packet { return q.ring.Peek() }
 
 // ClassStats is the uniform per-class counter set every Scheduler
 // exposes: what the class admitted, dropped, and currently holds.
@@ -80,10 +77,10 @@ type ClassStats struct {
 	Bytes       int64 // bytes admitted since start
 }
 
-// Stats snapshots the FIFO's counters as a named class.
-func (q *FIFO) Stats(name string) ClassStats {
+// stats snapshots the FIFO's counters as a named class.
+func (q *FIFO) stats(name string) ClassStats {
 	return ClassStats{
-		Name: name, Queued: q.Len(), QueuedBytes: q.Bytes(),
+		Name: name, Queued: q.len(), QueuedBytes: q.bytes,
 		Enqueued: q.Enqueued, Dropped: q.Dropped, Bytes: q.EnqueuedBytes,
 	}
 }
@@ -140,9 +137,9 @@ type Priority struct {
 	isHigh dscpSet
 }
 
-// NewPriority returns a priority scheduler that treats the given code
+// newPriority returns a priority scheduler that treats the given code
 // points as high priority, with per-class packet limits (0 = unbounded).
-func NewPriority(highLimit, lowLimit int, high ...packet.DSCP) *Priority {
+func newPriority(highLimit, lowLimit int, high ...packet.DSCP) *Priority {
 	return &Priority{
 		High:   FIFO{MaxPackets: highLimit},
 		Low:    FIFO{MaxPackets: lowLimit},
@@ -153,27 +150,27 @@ func NewPriority(highLimit, lowLimit int, high ...packet.DSCP) *Priority {
 // NewEFPriority is the common case: EF is high priority, everything
 // else best effort.
 func NewEFPriority(highLimit, lowLimit int) *Priority {
-	return NewPriority(highLimit, lowLimit, packet.EF)
+	return newPriority(highLimit, lowLimit, packet.EF)
 }
 
 // Enqueue admits p to its class queue.
 func (s *Priority) Enqueue(p *packet.Packet) bool {
 	if s.isHigh[p.DSCP] {
-		return s.High.Push(p)
+		return s.High.push(p)
 	}
-	return s.Low.Push(p)
+	return s.Low.push(p)
 }
 
 // Dequeue serves the high queue exhaustively before the low queue.
 func (s *Priority) Dequeue() *packet.Packet {
-	if p := s.High.Pop(); p != nil {
+	if p := s.High.pop(); p != nil {
 		return p
 	}
-	return s.Low.Pop()
+	return s.Low.pop()
 }
 
 // Len reports total queued packets.
-func (s *Priority) Len() int { return s.High.Len() + s.Low.Len() }
+func (s *Priority) Len() int { return s.High.len() + s.Low.len() }
 
 // SetPool implements Pooled.
 func (s *Priority) SetPool(pl *packet.Pool) {
@@ -183,7 +180,7 @@ func (s *Priority) SetPool(pl *packet.Pool) {
 
 // Classes reports the high and low class counters.
 func (s *Priority) Classes() []ClassStats {
-	return []ClassStats{s.High.Stats("high"), s.Low.Stats("low")}
+	return []ClassStats{s.High.stats("high"), s.Low.stats("low")}
 }
 
 // SingleFIFO adapts a FIFO to the Scheduler interface (a best-effort
@@ -196,18 +193,18 @@ func NewSingleFIFO(limit int) *SingleFIFO {
 }
 
 // Enqueue admits p.
-func (s *SingleFIFO) Enqueue(p *packet.Packet) bool { return s.Q.Push(p) }
+func (s *SingleFIFO) Enqueue(p *packet.Packet) bool { return s.Q.push(p) }
 
 // Dequeue removes the head packet.
-func (s *SingleFIFO) Dequeue() *packet.Packet { return s.Q.Pop() }
+func (s *SingleFIFO) Dequeue() *packet.Packet { return s.Q.pop() }
 
 // Len reports queued packets.
-func (s *SingleFIFO) Len() int { return s.Q.Len() }
+func (s *SingleFIFO) Len() int { return s.Q.len() }
 
 // SetPool implements Pooled.
 func (s *SingleFIFO) SetPool(pl *packet.Pool) { pl.Lend(&s.Q.ring) }
 
 // Classes reports the single class's counters.
 func (s *SingleFIFO) Classes() []ClassStats {
-	return []ClassStats{s.Q.Stats("fifo")}
+	return []ClassStats{s.Q.stats("fifo")}
 }

@@ -16,25 +16,25 @@ func TestFIFOOrder(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		p := pk(i, packet.BestEffort)
 		p.ID = uint64(i)
-		if !q.Push(p) {
+		if !q.push(p) {
 			t.Fatal("unbounded FIFO refused a packet")
 		}
 	}
 	for i := 1; i <= 5; i++ {
-		if got := q.Pop(); got.ID != uint64(i) {
+		if got := q.pop(); got.ID != uint64(i) {
 			t.Fatalf("pop %d: got id %d", i, got.ID)
 		}
 	}
-	if q.Pop() != nil {
+	if q.pop() != nil {
 		t.Error("empty pop != nil")
 	}
 }
 
 func TestFIFOPacketLimit(t *testing.T) {
 	q := FIFO{MaxPackets: 2}
-	q.Push(pk(1, 0))
-	q.Push(pk(1, 0))
-	if q.Push(pk(1, 0)) {
+	q.push(pk(1, 0))
+	q.push(pk(1, 0))
+	if q.push(pk(1, 0)) {
 		t.Error("limit not enforced")
 	}
 	if q.Dropped != 1 || q.Enqueued != 2 {
@@ -42,27 +42,27 @@ func TestFIFOPacketLimit(t *testing.T) {
 	}
 }
 
-// TestFIFOByteCount: Bytes tracks what is queued across pushes and
+// TestFIFOByteCount: the byte count tracks what is queued across pushes and
 // pops.
 func TestFIFOByteCount(t *testing.T) {
 	var q FIFO
-	q.Push(pk(1500, 0))
-	q.Push(pk(1500, 0))
-	q.Pop()
-	q.Push(pk(1500, 0))
-	if q.Bytes() != 3000 {
-		t.Errorf("Bytes = %d", q.Bytes())
+	q.push(pk(1500, 0))
+	q.push(pk(1500, 0))
+	q.pop()
+	q.push(pk(1500, 0))
+	if q.bytes != 3000 {
+		t.Errorf("Bytes = %d", q.bytes)
 	}
 }
 
 func TestFIFOPeek(t *testing.T) {
 	var q FIFO
-	if q.Peek() != nil {
+	if q.peek() != nil {
 		t.Error("peek on empty")
 	}
 	p := pk(9, 0)
-	q.Push(p)
-	if q.Peek() != p || q.Len() != 1 {
+	q.push(p)
+	if q.peek() != p || q.len() != 1 {
 		t.Error("peek must not remove")
 	}
 }
@@ -98,13 +98,13 @@ func TestPriorityStrictStarvation(t *testing.T) {
 }
 
 func TestPriorityCustomHighSet(t *testing.T) {
-	s := NewPriority(0, 0, packet.AF11, packet.EF)
+	s := newPriority(0, 0, packet.AF11, packet.EF)
 	s.Enqueue(pk(1, packet.AF11))
-	if s.High.Len() != 1 {
+	if s.High.len() != 1 {
 		t.Error("AF11 not classified high")
 	}
 	s.Enqueue(pk(1, packet.AF13))
-	if s.Low.Len() != 1 {
+	if s.Low.len() != 1 {
 		t.Error("AF13 not classified low")
 	}
 }
@@ -143,15 +143,15 @@ func TestFIFOConservation(t *testing.T) {
 				p := pk(1, 0)
 				p.ID = next
 				next++
-				q.Push(p)
-			} else if p := q.Pop(); p != nil {
+				q.push(p)
+			} else if p := q.pop(); p != nil {
 				if p.ID != wantNext {
 					return false
 				}
 				wantNext++
 			}
 		}
-		for p := q.Pop(); p != nil; p = q.Pop() {
+		for p := q.pop(); p != nil; p = q.pop() {
 			if p.ID != wantNext {
 				return false
 			}

@@ -44,8 +44,8 @@ type RIO struct {
 	DropsOut    int
 }
 
-// NewRIO returns a RIO queue. in should be more permissive than out.
-func NewRIO(in, out REDConfig, rand func() float64) *RIO {
+// newRIO returns a RIO queue. in should be more permissive than out.
+func newRIO(in, out REDConfig, rand func() float64) *RIO {
 	if rand == nil {
 		panic("queue: RIO needs a random source")
 	}
@@ -55,7 +55,7 @@ func NewRIO(in, out REDConfig, rand func() float64) *RIO {
 }
 
 // Len reports the instantaneous queue length.
-func (r *RIO) Len() int { return r.fifo.Len() }
+func (r *RIO) Len() int { return r.fifo.len() }
 
 // SetTap implements Tapped: AQM drop decisions emit REDEarly
 // annotations alongside the owning link's QueueDrop events.
@@ -91,7 +91,7 @@ func redTest(avg float64, cfg REDConfig, count *int, rand func() float64) bool {
 // profile (driven by the total average) otherwise.
 func (r *RIO) Enqueue(p *packet.Packet) bool {
 	in := p.Color == packet.Green
-	r.avgAll = (1-r.out.Wq)*r.avgAll + r.out.Wq*float64(r.fifo.Len())
+	r.avgAll = (1-r.out.Wq)*r.avgAll + r.out.Wq*float64(r.fifo.len())
 	r.avgIn = (1-r.in.Wq)*r.avgIn + r.in.Wq*float64(r.inQueued)
 	var dropped bool
 	if in {
@@ -105,10 +105,10 @@ func (r *RIO) Enqueue(p *packet.Packet) bool {
 		r.tap.Emit(ptrace.Event{
 			Kind: ptrace.REDEarly, Hop: r.hop, Flow: p.Flow, PktID: p.ID,
 			Size: int32(p.Size), DSCP: p.DSCP, FrameSeq: int32(p.FrameSeq),
-			QLen: int32(r.fifo.Len()), Flag: uint8(p.Color),
+			QLen: int32(r.fifo.len()), Flag: uint8(p.Color),
 		})
 	}
-	if dropped || !r.fifo.Push(p) {
+	if dropped || !r.fifo.push(p) {
 		if in {
 			r.DropsIn++
 		} else {
@@ -131,7 +131,7 @@ func (r *RIO) Enqueue(p *packet.Packet) bool {
 
 // Dequeue removes the head packet.
 func (r *RIO) Dequeue() *packet.Packet {
-	p := r.fifo.Pop()
+	p := r.fifo.pop()
 	if p != nil && p.Color == packet.Green {
 		r.inQueued--
 		r.inQueuedBytes -= int64(p.Size)
@@ -148,8 +148,8 @@ func (r *RIO) Classes() []ClassStats {
 			Enqueued: r.EnqueuedIn, Dropped: r.DropsIn, Bytes: r.BytesIn,
 		},
 		{
-			Name: "out", Queued: r.fifo.Len() - r.inQueued,
-			QueuedBytes: r.fifo.Bytes() - r.inQueuedBytes,
+			Name: "out", Queued: r.fifo.len() - r.inQueued,
+			QueuedBytes: r.fifo.bytes - r.inQueuedBytes,
 			Enqueued:    r.EnqueuedOut, Dropped: r.DropsOut, Bytes: r.BytesOut,
 		},
 	}

@@ -16,7 +16,7 @@ var testRED = REDConfig{MinTh: 5, MaxTh: 15, MaxP: 0.1, Wq: 0.002, MaxSize: 60}
 
 func TestREDNoDropsWhenIdle(t *testing.T) {
 	rng := sim.NewRNG(1)
-	r := NewRIO(testRED, testRED, rng.Float64)
+	r := newRIO(testRED, testRED, rng.Float64)
 	// Alternate enqueue/dequeue: average queue stays ~0.
 	for i := 0; i < 1000; i++ {
 		if !r.Enqueue(pk(1500, 0)) {
@@ -31,7 +31,7 @@ func TestREDNoDropsWhenIdle(t *testing.T) {
 
 func TestREDDropsUnderSustainedLoad(t *testing.T) {
 	rng := sim.NewRNG(2)
-	r := NewRIO(testRED, testRED, rng.Float64)
+	r := newRIO(testRED, testRED, rng.Float64)
 	drops := 0
 	for i := 0; i < 2000; i++ {
 		// Two arrivals per departure: queue builds.
@@ -55,7 +55,7 @@ func TestREDAverageTracksQueue(t *testing.T) {
 	rng := sim.NewRNG(3)
 	cfg := testRED
 	cfg.Wq = 0.5 // fast EWMA for the test
-	r := NewRIO(cfg, cfg, rng.Float64)
+	r := newRIO(cfg, cfg, rng.Float64)
 	for i := 0; i < 10; i++ {
 		r.Enqueue(pk(1, 0))
 	}
@@ -70,14 +70,14 @@ func TestREDNeedsRand(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewRIO(testRED, testRED, nil)
+	newRIO(testRED, testRED, nil)
 }
 
 func TestRIOProtectsGreen(t *testing.T) {
 	rng := sim.NewRNG(4)
 	in := REDConfig{MinTh: 40, MaxTh: 55, MaxP: 0.02, Wq: 0.02, MaxSize: 60}
 	out := REDConfig{MinTh: 5, MaxTh: 15, MaxP: 0.5, Wq: 0.02, MaxSize: 60}
-	r := NewRIO(in, out, rng.Float64)
+	r := newRIO(in, out, rng.Float64)
 	greenDrops, yellowDrops := 0, 0
 	for i := 0; i < 4000; i++ {
 		g := pk(1500, packet.AF11)
@@ -105,7 +105,7 @@ func TestRIOProtectsGreen(t *testing.T) {
 
 func TestRIODequeueTracksGreenCount(t *testing.T) {
 	rng := sim.NewRNG(5)
-	r := NewRIO(testRED, testRED, rng.Float64)
+	r := newRIO(testRED, testRED, rng.Float64)
 	g := pk(1, packet.AF11)
 	g.Color = packet.Green
 	r.Enqueue(g)

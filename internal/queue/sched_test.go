@@ -255,9 +255,9 @@ func TestWFQTagsStayBounded(t *testing.T) {
 			t.Errorf("class %s tags grew to %d (head %d) — compaction ineffective",
 				c.spec.Name, len(c.tags), c.head)
 		}
-		if len(c.tags)-c.head != c.fifo.Len() {
+		if len(c.tags)-c.head != c.fifo.len() {
 			t.Errorf("class %s outstanding tags %d != backlog %d",
-				c.spec.Name, len(c.tags)-c.head, c.fifo.Len())
+				c.spec.Name, len(c.tags)-c.head, c.fifo.len())
 		}
 	}
 }

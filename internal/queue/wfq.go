@@ -57,7 +57,7 @@ func (w *WFQ) classify(dscp packet.DSCP) int {
 // Enqueue admits p to its class and stamps its virtual finish tag.
 func (w *WFQ) Enqueue(p *packet.Packet) bool {
 	c := w.classes[w.classify(p.DSCP)]
-	if !c.fifo.Push(p) {
+	if !c.fifo.push(p) {
 		return false
 	}
 	start := c.lastF
@@ -90,7 +90,7 @@ func (w *WFQ) Dequeue() *packet.Packet {
 	best := -1
 	var bestTag float64
 	for i, c := range w.classes {
-		if c.fifo.Len() == 0 {
+		if c.fifo.len() == 0 {
 			continue
 		}
 		tag := c.tags[c.head]
@@ -102,7 +102,7 @@ func (w *WFQ) Dequeue() *packet.Packet {
 		return nil
 	}
 	c := w.classes[best]
-	p := c.fifo.Pop()
+	p := c.fifo.pop()
 	c.head++
 	c.compact()
 	w.vtime = bestTag
@@ -123,7 +123,7 @@ func (w *WFQ) Dequeue() *packet.Packet {
 func (w *WFQ) Len() int {
 	n := 0
 	for _, c := range w.classes {
-		n += c.fifo.Len()
+		n += c.fifo.len()
 	}
 	return n
 }
@@ -139,7 +139,7 @@ func (w *WFQ) SetPool(pl *packet.Pool) {
 func (w *WFQ) Classes() []ClassStats {
 	out := make([]ClassStats, len(w.classes))
 	for i, c := range w.classes {
-		out[i] = c.fifo.Stats(c.spec.Name)
+		out[i] = c.fifo.stats(c.spec.Name)
 	}
 	return out
 }

@@ -33,15 +33,6 @@ type Displayed struct {
 	Freezes []int
 }
 
-// FreezeFraction reports the fraction of displayed slots that were
-// concealment repeats.
-func (d *Displayed) FreezeFraction() float64 {
-	if len(d.Frames) == 0 {
-		return 0
-	}
-	return float64(d.Repeats) / float64(len(d.Frames))
-}
-
 // LongestFreeze reports the longest repeat run in slots.
 func (d *Displayed) LongestFreeze() int {
 	max := 0

@@ -109,8 +109,7 @@ func TestConcealDeliveryStallShiftsTimeline(t *testing.T) {
 		t.Fatal("stall produced no repeats")
 	}
 	// ~1 s worth of repeat slots (3 s late minus 2 s buffer).
-	fps := video.FPS // force non-constant conversion
-	wantRepeats := int(fps)
+	wantRepeats := int(units.Second / video.FrameInterval())
 	if d.Repeats < wantRepeats-3 || d.Repeats > wantRepeats+3 {
 		t.Errorf("repeats = %d, want ≈%d", d.Repeats, wantRepeats)
 	}

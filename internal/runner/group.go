@@ -30,14 +30,14 @@ type groupFailure struct {
 // NewGroup returns an empty group.
 func NewGroup() *Group { return &Group{quit: make(chan struct{})} }
 
-// Quit is closed when any shard panics (or Abort is called); shard
+// Quit is closed when any shard panics (or abort is called); shard
 // workers must select on it wherever they block on a channel, or a
 // faulting sibling would deadlock them.
 func (g *Group) Quit() <-chan struct{} { return g.quit }
 
-// Abort closes Quit without recording a failure — the orchestrator's
+// abort closes Quit without recording a failure — the orchestrator's
 // own early exit path.
-func (g *Group) Abort() { g.once.Do(func() { close(g.quit) }) }
+func (g *Group) abort() { g.once.Do(func() { close(g.quit) }) }
 
 // Go runs fn as shard worker i on its own goroutine.
 func (g *Group) Go(i int, fn func()) {
@@ -51,7 +51,7 @@ func (g *Group) Go(i int, fn func()) {
 					g.err = &groupFailure{shard: i, err: r}
 				}
 				g.mu.Unlock()
-				g.Abort()
+				g.abort()
 			}
 		}()
 		fn()

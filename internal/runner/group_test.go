@@ -47,7 +47,7 @@ func TestGroupPanicUnblocksSiblings(t *testing.T) {
 func TestGroupAbort(t *testing.T) {
 	g := NewGroup()
 	g.Go(0, func() { <-g.Quit() })
-	g.Abort()
-	g.Abort() // idempotent
+	g.abort()
+	g.abort() // idempotent
 	g.Wait()  // must not panic
 }

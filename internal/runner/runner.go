@@ -24,9 +24,9 @@ import (
 	"sync/atomic"
 )
 
-// Workers normalizes a requested worker count: n if positive,
+// workerCount normalizes a requested worker count: n if positive,
 // otherwise GOMAXPROCS (the default "use the machine" setting).
-func Workers(n int) int {
+func workerCount(n int) int {
 	if n > 0 {
 		return n
 	}
@@ -35,7 +35,7 @@ func Workers(n int) int {
 
 // MapArena runs every job and returns their results indexed exactly
 // like jobs, regardless of the order in which workers finish them. At
-// most Workers(workers) jobs execute concurrently; workers <= 1 runs
+// most workerCount(workers) jobs execute concurrently; workers <= 1 runs
 // the jobs serially on the calling goroutine in index order, which is
 // the reference execution the concurrent path must (and does) match.
 // Output is therefore byte-identical at every parallelism level
@@ -59,7 +59,7 @@ func MapArena[A, T any](workers int, newArena func() A, jobs []func(A) T) []T {
 	if len(jobs) == 0 {
 		return results
 	}
-	w := Workers(workers)
+	w := workerCount(workers)
 	if w > len(jobs) {
 		w = len(jobs)
 	}

@@ -118,7 +118,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 				s := sim.New(uint64(1000 + i))
 				var acc uint64
 				for k := 0; k < 50; k++ {
-					s.AfterTimer(1, timerFunc(func() { acc = acc*31 + s.RNG().Uint64()%997 }))
+					s.AfterTimer(1, timerFunc(func() { acc = acc*31 + uint64(s.RNG().Intn(997)) }))
 				}
 				s.Run()
 				return acc
@@ -177,10 +177,10 @@ func TestMapPanicPropagatesSerial(t *testing.T) {
 }
 
 func TestWorkers(t *testing.T) {
-	if Workers(5) != 5 {
+	if workerCount(5) != 5 {
 		t.Error("Workers(5) != 5")
 	}
-	if Workers(0) != runtime.GOMAXPROCS(0) || Workers(-1) != runtime.GOMAXPROCS(0) {
+	if workerCount(0) != runtime.GOMAXPROCS(0) || workerCount(-1) != runtime.GOMAXPROCS(0) {
 		t.Error("Workers(<=0) should default to GOMAXPROCS")
 	}
 }

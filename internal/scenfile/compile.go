@@ -79,8 +79,8 @@ func encodingFor(clip string, rateBps float64) *video.Encoding {
 	return video.CachedCBR(clips[clip](), units.BitRate(rateBps))
 }
 
-// Load reads and parses a scenario file from disk.
-func Load(path string) (*File, error) {
+// load reads and parses a scenario file from disk.
+func load(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -95,11 +95,11 @@ func Load(path string) (*File, error) {
 // LoadScenario loads and compiles a scenario file without
 // registering it.
 func LoadScenario(path string) (experiment.Scenario, error) {
-	f, err := Load(path)
+	f, err := load(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := f.Compile()
+	s, err := f.compile()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

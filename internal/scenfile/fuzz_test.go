@@ -54,7 +54,7 @@ func FuzzScenarioFile(f *testing.F) {
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
-		if _, err := parsed.Compile(); err != nil {
+		if _, err := parsed.compile(); err != nil {
 			t.Fatalf("validated file failed to compile: %v", err)
 		}
 		out, err := parsed.Marshal()

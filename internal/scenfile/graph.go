@@ -411,8 +411,8 @@ func (f *File) compileGraph() experiment.Scenario {
 		tokens: tokens, depth: depth}
 }
 
-// graphScenario implements experiment.Scenario (and Scalable, but not
-// ShardCapable: a graph point is one unpartitioned simulator, so
+// graphScenario implements experiment.Scenario (and Scalable, but is
+// not shard-capable: a graph point is one unpartitioned simulator, so
 // dsbench -shards is rejected up front through the capability probe).
 type graphScenario struct {
 	name, id, title string
@@ -503,7 +503,7 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	}
 	net, err := b.Build()
 	if err != nil {
-		// Validate admitted the graph: every wire ends at an element
+		// validate admitted the graph: every wire ends at an element
 		// with an entry point (the "is a source" rows of
 		// TestValidationNamesOffendingField show it refusing the last
 		// files that reached here), so a Build failure is a compiler

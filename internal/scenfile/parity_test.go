@@ -12,7 +12,7 @@ import (
 )
 
 // The parity harness: a checked-in scenario file must be a faithful
-// spelling of its Go preset. Compile's contract — the preset shapes
+// spelling of its Go preset. compile's contract — the preset shapes
 // compile to the preset's own spec type, so equal spec values give
 // equal output bytes — is checked as stated: the compiled spec must
 // DeepEqual the preset in every field but the registry key. The file
@@ -129,9 +129,9 @@ func assertParity(t *testing.T, preset experiment.Scenario, path string) {
 }
 
 func TestNFlowFileParity(t *testing.T) {
-	assertParity(t, experiment.NFlowSweepSpec(), "testdata/nflow.scenario.json")
+	assertParity(t, experiment.Lookup("nflow"), "testdata/nflow.scenario.json")
 }
 
 func TestTandemFileParity(t *testing.T) {
-	assertParity(t, experiment.TandemSweepSpec(), "testdata/tandem.scenario.json")
+	assertParity(t, experiment.Lookup("tandem"), "testdata/tandem.scenario.json")
 }

@@ -31,8 +31,8 @@ import (
 	"repro/internal/video"
 )
 
-// Version is the scenario file format version this build parses.
-const Version = 1
+// version is the scenario file format version this build parses.
+const version = 1
 
 // File is the root of a scenario file. Exactly one shape section —
 // matching the Shape selector — must be present.
@@ -61,7 +61,7 @@ type File struct {
 }
 
 // Capabilities mirrors the runner's capability probe: Shards ↔
-// experiment.ShardCapable (dsbench -shards). The bucket_width key is
+// experiment.SupportsSharding (dsbench -shards). The bucket_width key is
 // accepted for version-1 compatibility — existing files carry it — and
 // not read: the calendar queue sizes itself.
 type Capabilities struct {
@@ -148,7 +148,7 @@ func Parse(data []byte) (*File, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("scenfile: trailing data after the scenario object")
 	}
-	if err := f.Validate(); err != nil {
+	if err := f.validate(); err != nil {
 		return nil, err
 	}
 	return &f, nil
@@ -209,11 +209,11 @@ func checkRate(field string, bps float64) error {
 	return nil
 }
 
-// Validate checks the whole file; Parse calls it, and Compile refuses
+// validate checks the whole file; Parse calls it, and compile refuses
 // files that have not passed it.
-func (f *File) Validate() error {
-	if f.Version != Version {
-		return errf("version", "unsupported scenario file version %d (this build reads %d)", f.Version, Version)
+func (f *File) validate() error {
+	if f.Version != version {
+		return errf("version", "unsupported scenario file version %d (this build reads %d)", f.Version, version)
 	}
 	if f.Name == "" {
 		return errf("name", "required (the scenario registry key)")
@@ -416,11 +416,11 @@ func (t *TandemShape) validate() error {
 	return nil
 }
 
-// Compile turns a validated file into a runnable scenario. The preset
+// compile turns a validated file into a runnable scenario. The preset
 // shapes compile to the same spec types the Go presets construct, so
 // equality of the spec values is equality of every output byte.
-func (f *File) Compile() (experiment.Scenario, error) {
-	if err := f.Validate(); err != nil {
+func (f *File) compile() (experiment.Scenario, error) {
+	if err := f.validate(); err != nil {
 		return nil, err
 	}
 	switch f.Shape {
@@ -430,7 +430,7 @@ func (f *File) Compile() (experiment.Scenario, error) {
 		return f.compileFleet(), nil
 	case "tandem":
 		return f.compileTandem(), nil
-	default: // "graph"; Validate admits nothing else
+	default: // "graph"; validate admits nothing else
 		return f.compileGraph(), nil
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // mutate parses a known-good testdata file, applies edit to the raw
@@ -189,14 +191,14 @@ func TestFleetCompilesToPresetSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := f.Compile()
+	s, err := f.compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Name() != "fleet-x" {
 		t.Errorf("name %q", s.Name())
 	}
-	if !s.(interface{ SupportsShards() bool }).SupportsShards() {
+	if !experiment.SupportsSharding(s) {
 		t.Error("fleet spec lost shard capability")
 	}
 }

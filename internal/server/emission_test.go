@@ -62,13 +62,13 @@ func TestEmissionMatchesClosedForm(t *testing.T) {
 			(&Paced{Sim: s, Enc: enc, Flow: 1, Next: next}).Start()
 		}, pacedAcross(units.Time(float64(interval) * 0.95))},
 		{"Burst", func(s *sim.Simulator, next packet.Handler) {
-			(&Burst{Sim: s, Enc: enc, Flow: 1, Next: next}).Start()
+			(&burst{Sim: s, Enc: enc, Flow: 1, Next: next}).start()
 		}, backToBack(100 * units.Mbps)},
 		{"WMTUDP", func(s *sim.Simulator, next packet.Handler) {
 			(&WMTUDP{Sim: s, Enc: enc, Flow: 1, Next: next}).Start()
 		}, backToBack(10 * units.Mbps)},
 		{"Adaptive", func(s *sim.Simulator, next packet.Handler) {
-			(&Adaptive{Sim: s, Encs: []*video.Encoding{enc}, Flow: 1, Next: next}).Start()
+			(&adaptive{Sim: s, Encs: []*video.Encoding{enc}, Flow: 1, Next: next}).start()
 		}, pacedAcross(interval * 8 / 10)},
 	}
 	const frames = 40

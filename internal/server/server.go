@@ -4,12 +4,13 @@
 //   - Paced: the IBM VideoCharger™ profile — small application
 //     messages, transmission of each frame paced across the frame
 //     interval. Used for the QBone experiments.
-//   - Burst: the Microsoft Netshow Theater™ / 2netfx ThunderCastIP™
+//   - burst: the Microsoft Netshow Theater™ / 2netfx ThunderCastIP™
 //     profile — application datagrams up to 16280 bytes that the IP
 //     stack fragments into back-to-back 1500-byte packets, plus the
 //     naive rate-adaptation loop that misreads policing losses and
 //     spirals (the paper found these servers unusable behind an EF
-//     policer and excluded them from the main experiments).
+//     policer and excluded them from the main experiments, so no
+//     scenario builds one; this package's tests pin the §4 spiral).
 //   - WMT: the Windows Media™ profile — capped-VBR content, reduced
 //     message sizes that fit single packets, streamed over UDP (bursty)
 //     or over TCP with server-side stream thinning. Used for the local
@@ -178,7 +179,7 @@ type Paced struct {
 // A frame's fragments finish before the next frame starts, as they do
 // for any spread ≤ 1: the last fragment leaves at
 // spread·(frags-1)/frags of the interval, strictly inside it.
-// flowbatch.PacedSchedule precomputes the same plan.
+// flowbatch's pacedSchedule precomputes the same plan.
 const paceSpread = 0.95
 
 // Start schedules the whole clip's transmission from now.
@@ -195,18 +196,18 @@ func (s *Paced) step(i int) {
 		units.Time(float64(video.FrameInterval())*paceSpread))
 }
 
-// MaxDatagram is the largest application datagram the bursty servers
+// maxDatagram is the largest application datagram the bursty servers
 // generate (§2.2: "up to 16280 bytes long").
-const MaxDatagram = 16280
+const maxDatagram = 16280
 
-// Burst streams an encoding the way the large-datagram servers did:
-// each frame becomes one application datagram (up to MaxDatagram)
+// burst streams an encoding the way the large-datagram servers did:
+// each frame becomes one application datagram (up to maxDatagram)
 // whose IP fragments leave the host back-to-back at the access-link
 // rate. Its Adaptation loop reproduces the §4 death spiral: policing
 // losses with low delivery delay are read as "more bandwidth needed",
 // the rate multiplier rises, losses get worse, and the server
 // eventually collapses to a minimal rate and starts over.
-type Burst struct {
+type burst struct {
 	Sim      *sim.Simulator
 	Enc      *video.Encoding
 	Flow     packet.FlowID
@@ -228,16 +229,16 @@ type Burst struct {
 	out              sendRing
 }
 
-// burstFeedback steps a Burst's adaptation loop.
-type burstFeedback Burst
+// burstFeedback steps a burst's adaptation loop.
+type burstFeedback burst
 
-func (b *burstFeedback) step(int) { (*Burst)(b).adaptTick() }
+func (b *burstFeedback) step(int) { (*burst)(b).adaptTick() }
 
-// SetFeedback wires the client-side probe the adaptation loop polls.
-func (b *Burst) SetFeedback(probe func() (float64, units.Time)) { b.lossProbe = probe }
+// setFeedback wires the client-side probe the adaptation loop polls.
+func (b *burst) setFeedback(probe func() (float64, units.Time)) { b.lossProbe = probe }
 
-// Start schedules the transmission.
-func (b *Burst) Start() {
+// start schedules the transmission.
+func (b *burst) start() {
 	if b.HostRate <= 0 {
 		b.HostRate = 100 * units.Mbps
 	}
@@ -253,7 +254,7 @@ func (b *Burst) Start() {
 	}
 }
 
-func (b *Burst) adaptTick() {
+func (b *burst) adaptTick() {
 	loss, delay := b.lossProbe()
 	switch {
 	case loss > 0.35:
@@ -274,7 +275,7 @@ func (b *Burst) adaptTick() {
 	b.Multipliers = append(b.Multipliers, b.rateMultiplier)
 }
 
-func (b *Burst) step(i int) {
+func (b *burst) step(i int) {
 	size := int(float64(b.Enc.Frames[i].Size) * b.rateMultiplier)
 	if size < 200 {
 		size = 200
@@ -287,8 +288,8 @@ func (b *Burst) step(i int) {
 	remaining := size
 	for remaining > 0 {
 		dg := remaining
-		if dg > MaxDatagram {
-			dg = MaxDatagram
+		if dg > maxDatagram {
+			dg = maxDatagram
 		}
 		frags += (dg + MaxUDPPayload - 1) / MaxUDPPayload
 		remaining -= dg
@@ -389,12 +390,12 @@ func (s *WMTTCP) step(i int) {
 	s.Sender.Write(length)
 }
 
-// Adaptive selects among multiple encodings of the same clip (the WMV
+// adaptive selects among multiple encodings of the same clip (the WMV
 // multi-rate feature, §2.2/§3.3.2) based on client loss feedback, and
 // streams the current selection frame by frame over UDP with pacing.
-// It demonstrates "intelligent streaming": unlike Burst's estimator it
+// It demonstrates "intelligent streaming": unlike burst's estimator it
 // treats loss as congestion and steps *down*.
-type Adaptive struct {
+type adaptive struct {
 	Sim  *sim.Simulator
 	Encs []*video.Encoding // ordered low rate -> high rate
 	Flow packet.FlowID
@@ -413,19 +414,16 @@ type Adaptive struct {
 	out              sendRing
 }
 
-// adaptiveFeedback steps an Adaptive's level selection.
-type adaptiveFeedback Adaptive
+// adaptiveFeedback steps an adaptive's level selection.
+type adaptiveFeedback adaptive
 
-func (a *adaptiveFeedback) step(int) { (*Adaptive)(a).adaptTick() }
+func (a *adaptiveFeedback) step(int) { (*adaptive)(a).adaptTick() }
 
-// SetFeedback wires the loss probe.
-func (a *Adaptive) SetFeedback(probe func() float64) { a.lossProbe = probe }
+// setFeedback wires the loss probe.
+func (a *adaptive) setFeedback(probe func() float64) { a.lossProbe = probe }
 
-// Level reports the current encoding level.
-func (a *Adaptive) Level() int { return a.level }
-
-// Start begins streaming at the highest level.
-func (a *Adaptive) Start() {
+// start begins streaming at the highest level.
+func (a *adaptive) start() {
 	if a.FeedbackEvery <= 0 {
 		a.FeedbackEvery = units.Second
 	}
@@ -438,7 +436,7 @@ func (a *Adaptive) Start() {
 	}
 }
 
-func (a *Adaptive) adaptTick() {
+func (a *adaptive) adaptTick() {
 	loss := a.lossProbe()
 	switch {
 	case loss > 0.02 && a.level > 0:
@@ -451,6 +449,6 @@ func (a *Adaptive) adaptTick() {
 	a.Levels = append(a.Levels, a.level)
 }
 
-func (a *Adaptive) step(i int) {
+func (a *adaptive) step(i int) {
 	a.out.pushPaced(i, a.Encs[a.level].Frames[i].Size, MaxUDPPayload, video.FrameInterval()*8/10)
 }

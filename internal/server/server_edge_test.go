@@ -36,7 +36,7 @@ func TestPacedFragmentSizesSumToFrame(t *testing.T) {
 }
 
 func TestBurstLargeFrameSpansDatagrams(t *testing.T) {
-	// A frame larger than MaxDatagram must still be sent completely,
+	// A frame larger than maxDatagram must still be sent completely,
 	// as multiple datagrams whose fragments share the frame's fate.
 	s := sim.New(1)
 	clip := video.Lost()
@@ -48,13 +48,13 @@ func TestBurstLargeFrameSpansDatagrams(t *testing.T) {
 	big.Frames = append([]video.EncodedFrame(nil), enc.Frames...)
 	big.Frames[0].Size = 40000 // 3 datagrams
 	var got int
-	srv := &Burst{Sim: s, Enc: &big, Flow: 1,
+	srv := &burst{Sim: s, Enc: &big, Flow: 1,
 		Next: packet.HandlerFunc(func(p *packet.Packet) {
 			if p.FrameSeq == 0 {
 				got += p.Size - UDPHeader
 			}
 		})}
-	srv.Start()
+	srv.start()
 	s.SetHorizon(units.FromSeconds(1))
 	s.Run()
 	if got != 40000 {

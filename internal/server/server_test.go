@@ -27,8 +27,12 @@ func TestPacedSendsWholeClip(t *testing.T) {
 	srv.Start()
 	s.SetHorizon(units.FromSeconds(80))
 	s.Run()
-	if srv.SentBytes < enc.TotalBytes() {
-		t.Errorf("sent %d bytes < clip %d", srv.SentBytes, enc.TotalBytes())
+	var clip int64
+	for _, f := range enc.Frames {
+		clip += int64(f.Size)
+	}
+	if srv.SentBytes < clip {
+		t.Errorf("sent %d bytes < clip %d", srv.SentBytes, clip)
 	}
 	// Every frame's fragments must cover its size.
 	if sink.Count != srv.Sent {
@@ -106,12 +110,12 @@ func TestBurstFragmentsDatagramSemantics(t *testing.T) {
 	counts := map[int]int{}
 	fragTotals := map[int]int{}
 	enc := tiny(t, 1.7e6)
-	srv := &Burst{Sim: s, Enc: enc, Flow: 1,
+	srv := &burst{Sim: s, Enc: enc, Flow: 1,
 		Next: packet.HandlerFunc(func(p *packet.Packet) {
 			counts[p.FrameSeq]++
 			fragTotals[p.FrameSeq] = p.FragCount
 		})}
-	srv.Start()
+	srv.start()
 	s.SetHorizon(units.FromSeconds(2))
 	s.Run()
 	for seq, n := range counts {
@@ -129,7 +133,7 @@ func TestBurstAdaptationDeathSpiral(t *testing.T) {
 	enc := tiny(t, 1.0e6)
 	received := 0
 	// A crude inline policer: 1.1 Mbps, 3000B depth.
-	var srv *Burst
+	var srv *burst
 	bucketRate := 1.1e6
 	level := 3000.0
 	last := units.Time(0)
@@ -145,9 +149,9 @@ func TestBurstAdaptationDeathSpiral(t *testing.T) {
 			received++
 		}
 	})
-	srv = &Burst{Sim: s, Enc: enc, Flow: 1, Next: pol, Adapt: true}
+	srv = &burst{Sim: s, Enc: enc, Flow: 1, Next: pol, Adapt: true}
 	sent := 0
-	srv.SetFeedback(func() (float64, units.Time) {
+	srv.setFeedback(func() (float64, units.Time) {
 		loss := 0.0
 		if srv.Sent > sent {
 			loss = 1 - float64(received)/float64(srv.Sent)
@@ -155,7 +159,7 @@ func TestBurstAdaptationDeathSpiral(t *testing.T) {
 		sent = srv.Sent
 		return loss, 10 * units.Millisecond
 	})
-	srv.Start()
+	srv.start()
 	s.SetHorizon(units.FromSeconds(70))
 	s.Run()
 	// The multiplier history must show both escalation above 1.5 and
@@ -209,21 +213,21 @@ func TestAdaptiveStepsDownOnLoss(t *testing.T) {
 		video.EncodeCBR(clip, 1.5e6),
 	}
 	var sink packet.Sink
-	srv := &Adaptive{Sim: s, Encs: encs, Flow: 1, Next: &sink}
+	srv := &adaptive{Sim: s, Encs: encs, Flow: 1, Next: &sink}
 	loss := 0.10
-	srv.SetFeedback(func() float64 { return loss })
-	srv.Start()
-	if srv.Level() != 2 {
-		t.Fatalf("must start at the top level, got %d", srv.Level())
+	srv.setFeedback(func() float64 { return loss })
+	srv.start()
+	if srv.level != 2 {
+		t.Fatalf("must start at the top level, got %d", srv.level)
 	}
 	s.RunUntil(units.FromSeconds(5))
-	if srv.Level() != 0 {
-		t.Errorf("level = %d after sustained loss, want 0", srv.Level())
+	if srv.level != 0 {
+		t.Errorf("level = %d after sustained loss, want 0", srv.level)
 	}
 	loss = 0.0
 	s.RunUntil(units.FromSeconds(15))
-	if srv.Level() != 2 {
-		t.Errorf("level = %d after loss cleared, want 2", srv.Level())
+	if srv.level != 2 {
+		t.Errorf("level = %d after loss cleared, want 2", srv.level)
 	}
 	if srv.Switches < 4 {
 		t.Errorf("switches = %d", srv.Switches)

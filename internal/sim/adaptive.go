@@ -114,7 +114,7 @@ func (s *Simulator) setWidth(w units.Time) {
 	case n <= cap(s.buckets):
 		s.buckets = s.buckets[:n]
 	default:
-		s.buckets = make([]*Event, n)
+		s.buckets = make([]*event, n)
 	}
 }
 

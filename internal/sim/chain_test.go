@@ -176,9 +176,9 @@ func (h *chainHarness) checkChains(what string) {
 // length are nil, the counters (nBuckets, heapDead, Pending) equal the
 // walked counts, and the peek cache names a real predecessor. It
 // returns the pending (bucketed or heaped) events it reached.
-func checkCalendarChains(t *testing.T, what string, s *Simulator) map[*Event]bool {
+func checkCalendarChains(t *testing.T, what string, s *Simulator) map[*event]bool {
 	t.Helper()
-	seen := make(map[*Event]bool)
+	seen := make(map[*event]bool)
 	walked, live := 0, 0
 	all := s.buckets[:cap(s.buckets)]
 	for b, head := range all {

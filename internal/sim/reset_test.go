@@ -152,7 +152,7 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 		sameEngine(t, "after the probe", s, fresh)
 		for i := 0; i < 8; i++ {
-			if a, b := s.RNG().Uint64(), fresh.RNG().Uint64(); a != b {
+			if a, b := s.RNG().next(), fresh.RNG().next(); a != b {
 				t.Fatalf("trial %d: RNG draw %d is %x, fresh %x", trial, i, a, b)
 			}
 		}

@@ -39,8 +39,8 @@ func (r *RNG) seed(seed uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
+// next returns the next 64 random bits.
+func (r *RNG) next() uint64 {
 	result := rotl(r.s[1]*5, 7) * 9
 	t := r.s[1] << 17
 	r.s[2] ^= r.s[0]
@@ -54,7 +54,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.next()>>11) / (1 << 53)
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -62,7 +62,7 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
 	}
-	return int(r.Uint64() % uint64(n))
+	return int(r.next() % uint64(n))
 }
 
 // Norm returns a standard normal variate (Box–Muller).
@@ -88,5 +88,5 @@ func (r *RNG) Exp(mean float64) float64 {
 // source gets its own stream while remaining a pure function of the
 // experiment seed.
 func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
+	return NewRNG(r.next())
 }

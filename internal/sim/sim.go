@@ -12,7 +12,7 @@
 // one long-lived Timer value (typically a pointer-conversion type of
 // the component itself) and re-arms it, so scheduling allocates
 // nothing per event; periodic work is a Timer that re-arms itself from
-// Fire. Events themselves are pooled: once fired or cancelled an Event
+// Fire. Events themselves are pooled: once fired or cancelled an event
 // is recycled. Handles are generation-checked, so a stale
 // Handle held after its event fired is inert — Cancel on it is a
 // no-op and Active reports false — never a corruption of whichever
@@ -35,7 +35,7 @@
 // semantic one.
 //
 // A bucket is an intrusive chain: the lattice holds one head pointer
-// per bucket and every Event carries its successor, so filing an event
+// per bucket and every event carries its successor, so filing an event
 // is a prepend and no bucket owns storage that could grow. Singly
 // linked is enough because the only event ever removed by position is
 // the located minimum, and the scan that locates it remembers its
@@ -61,13 +61,13 @@ type Timer interface {
 	Fire(now units.Time)
 }
 
-// Event is one pending callback. Events are owned and recycled by the
+// event is one pending callback. Events are owned and recycled by the
 // Simulator; user code only ever holds Handles.
-type Event struct {
+type event struct {
 	when      units.Time
 	seq       uint64
 	timer     Timer
-	next      *Event // successor in a bucket chain or on the free list
+	next      *event // successor in a bucket chain or on the free list
 	gen       uint32
 	cancelled bool
 	inHeap    bool // currently resident in the overflow heap
@@ -76,7 +76,7 @@ type Event struct {
 
 // release clears an event's payload and returns it to the free list.
 // Bumping the generation invalidates every Handle pointing at it.
-func (s *Simulator) release(e *Event) {
+func (s *Simulator) release(e *event) {
 	if e.cancelled {
 		s.qPurged++
 	}
@@ -92,7 +92,7 @@ func (s *Simulator) release(e *Event) {
 // inactive. Handles are generation-checked: once the event fires or
 // is cancelled, the handle goes stale and every method is a no-op.
 type Handle struct {
-	e   *Event
+	e   *event
 	gen uint32
 }
 
@@ -100,15 +100,6 @@ type Handle struct {
 // and not cancelled.
 func (h Handle) Active() bool {
 	return h.e != nil && h.e.gen == h.gen && !h.e.cancelled
-}
-
-// When reports the scheduled time of a still-active event; 0 for a
-// stale or cancelled handle.
-func (h Handle) When() units.Time {
-	if !h.Active() {
-		return 0
-	}
-	return h.e.when
 }
 
 // Cancel prevents a pending event from firing. The Timer is released
@@ -151,10 +142,10 @@ const numBuckets = 256
 const maxBuckets = 1 << 17
 
 // bucketCount picks the lattice size for a width: enough buckets to
-// keep the window at numBuckets × DefaultBucketWidth, rounded up to a
+// keep the window at numBuckets × defaultBucketWidth, rounded up to a
 // power of two, within [numBuckets, maxBuckets].
 func bucketCount(width units.Time) int {
-	span := units.Time(numBuckets) * DefaultBucketWidth
+	span := units.Time(numBuckets) * defaultBucketWidth
 	n := numBuckets
 	for n < maxBuckets && units.Time(n)*width < span {
 		n <<= 1
@@ -162,11 +153,11 @@ func bucketCount(width units.Time) int {
 	return n
 }
 
-// DefaultBucketWidth is the default calendar bucket granularity. The
+// defaultBucketWidth is the default calendar bucket granularity. The
 // bucket-width microbenchmarks in the repo root sweep widths around
 // this value over dense, sparse and bimodal schedules; 250 µs sits on
 // the flat part of all three curves.
-const DefaultBucketWidth = 250 * units.Microsecond
+const defaultBucketWidth = 250 * units.Microsecond
 
 // Simulator owns the event structures, the virtual clock, and the
 // run's random number source. The zero value is not usable; call New.
@@ -179,12 +170,12 @@ type Simulator struct {
 	// when < base + (i+1)*bucketWidth (an event may sit in an earlier
 	// bucket than its natural one, never a later one). Events at or
 	// beyond the window end wait in the overflow heap.
-	buckets  []*Event   // chain heads; len is bucketCount(width), re-derived on width moves
+	buckets  []*event   // chain heads; len is bucketCount(width), re-derived on width moves
 	width    units.Time // bucket granularity (adaptive unless pinned at construction)
 	base     units.Time
 	cur      int // lowest possibly non-empty bucket
 	nBuckets int // events physically present in buckets
-	overflow []*Event
+	overflow []*event
 	heapDead int // cancelled events still resident in the overflow heap
 
 	// Density-adaptive width policy state (see adaptive.go). The
@@ -208,20 +199,20 @@ type Simulator struct {
 	// costs one scan, not two, and the pop unlinks in O(1). The minimum
 	// always lives in a bucket: the window-advance path migrates at
 	// least the overflow top into the window before returning.
-	cachedMin    *Event
-	cachedPrev   *Event
+	cachedMin    *event
+	cachedPrev   *event
 	cachedBucket int
 
 	live   int     // pending, non-cancelled events (Pending)
-	free   *Event  // recycled events, chained through next
-	cold   []Event // the rest of the newest chunk, never yet scheduled
+	free   *event  // recycled events, chained through next
+	cold   []event // the rest of the newest chunk, never yet scheduled
 	fired  uint64
 	maxT   units.Time // horizon; 0 means none
 	halted bool
 }
 
 // New returns a simulator whose random source is seeded with seed.
-// The calendar width starts at DefaultBucketWidth and adapts to the
+// The calendar width starts at defaultBucketWidth and adapts to the
 // observed event density (see adaptive.go).
 func New(seed uint64) *Simulator {
 	return NewWithBucketWidth(seed, 0)
@@ -239,10 +230,10 @@ func New(seed uint64) *Simulator {
 func NewWithBucketWidth(seed uint64, width units.Time) *Simulator {
 	adaptive := width <= 0
 	if adaptive {
-		width = DefaultBucketWidth
+		width = defaultBucketWidth
 	}
 	return &Simulator{rng: NewRNG(seed), width: width, adaptive: adaptive,
-		buckets: make([]*Event, bucketCount(width))}
+		buckets: make([]*event, bucketCount(width))}
 }
 
 // Reset puts s back in the state the constructor that made it builds
@@ -270,7 +261,7 @@ func (s *Simulator) Reset(seed uint64) {
 	clear(s.overflow)
 	width := s.width
 	if s.adaptive {
-		width = DefaultBucketWidth
+		width = defaultBucketWidth
 	}
 	*s = Simulator{rng: s.rng, width: width, adaptive: s.adaptive,
 		buckets: s.buckets[:bucketCount(width)], overflow: s.overflow[:0],
@@ -302,14 +293,14 @@ const eventChunk = 64
 // alloc takes an event from the free list (or, on a cold start, the
 // next of a freshly allocated chunk) and initializes it for scheduling
 // at t.
-func (s *Simulator) alloc(t units.Time) *Event {
+func (s *Simulator) alloc(t units.Time) *event {
 	e := s.free
 	if e != nil {
 		s.free = e.next
 		e.next = nil
 	} else {
 		if len(s.cold) == 0 {
-			s.cold = make([]Event, eventChunk)
+			s.cold = make([]event, eventChunk)
 		}
 		e = &s.cold[0]
 		s.cold = s.cold[1:]
@@ -324,7 +315,7 @@ func (s *Simulator) alloc(t units.Time) *Event {
 // schedule inserts e into the calendar window or the overflow heap,
 // feeding the density sampler on the way (every 8th call, shift-based
 // EWMA — no divisions, no allocation).
-func (s *Simulator) schedule(e *Event) {
+func (s *Simulator) schedule(e *event) {
 	s.live++
 	s.cachedMin = nil
 	s.qScheduled++
@@ -379,7 +370,7 @@ func (s *Simulator) AfterTimer(d units.Time, tm Timer) Handle {
 // min locates (and caches) the earliest pending event, lazily purging
 // cancelled events it passes over. Returns nil when nothing is
 // pending.
-func (s *Simulator) min() *Event {
+func (s *Simulator) min() *event {
 	if s.cachedMin != nil {
 		return s.cachedMin
 	}
@@ -391,7 +382,7 @@ func (s *Simulator) min() *Event {
 			// prev trails the walk over live events only, so bestPrev
 			// stays linked to best however many cancelled events are
 			// unlinked around them.
-			var best, bestPrev, prev *Event
+			var best, bestPrev, prev *event
 			for e := s.buckets[b]; e != nil; {
 				next := e.next
 				if e.cancelled {
@@ -465,7 +456,7 @@ func (s *Simulator) rebase() {
 
 // popMin removes the event min() located (always bucket-resident —
 // see the cachedMin field comment).
-func (s *Simulator) popMin() *Event {
+func (s *Simulator) popMin() *event {
 	e := s.min()
 	if e == nil {
 		return nil
@@ -480,10 +471,6 @@ func (s *Simulator) popMin() *Event {
 	s.live--
 	return e
 }
-
-// Halt stops Run before the next event fires. Intended to be called
-// from inside an event callback.
-func (s *Simulator) Halt() { s.halted = true }
 
 // SetHorizon makes Run stop once the clock would pass t. Zero removes
 // the horizon.
@@ -525,16 +512,6 @@ func (s *Simulator) RunUntil(t units.Time) units.Time {
 	s.maxT = t
 	defer func() { s.maxT = old }()
 	return s.Run()
-}
-
-// NextEventTime peeks at the earliest pending event without firing
-// it. The second result is false when nothing is pending.
-func (s *Simulator) NextEventTime() (units.Time, bool) {
-	e := s.min()
-	if e == nil {
-		return 0, false
-	}
-	return e.when, true
 }
 
 // RunBefore executes every pending event scheduled strictly before t
@@ -583,14 +560,14 @@ func (s *Simulator) AdvanceTo(t units.Time) {
 // Hand-rolled rather than container/heap to avoid the interface
 // boxing on every push/pop of the hot path.
 
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
 	return a.seq < b.seq
 }
 
-func (s *Simulator) heapPush(e *Event) {
+func (s *Simulator) heapPush(e *event) {
 	e.inHeap = true
 	s.overflow = append(s.overflow, e)
 	i := len(s.overflow) - 1
@@ -604,7 +581,7 @@ func (s *Simulator) heapPush(e *Event) {
 	}
 }
 
-func (s *Simulator) heapPop() *Event {
+func (s *Simulator) heapPop() *event {
 	h := s.overflow
 	top := h[0]
 	top.inHeap = false

@@ -63,9 +63,9 @@ func TestCalendarMatchesReferenceOrder(t *testing.T) {
 		var when units.Time
 		switch rng.Intn(3) {
 		case 0:
-			when = units.Time(rng.Int63n(int64(DefaultBucketWidth)))
+			when = units.Time(rng.Int63n(int64(defaultBucketWidth)))
 		case 1:
-			when = units.Time(rng.Int63n(int64(numBuckets * DefaultBucketWidth)))
+			when = units.Time(rng.Int63n(int64(numBuckets * defaultBucketWidth)))
 		default:
 			when = units.Time(rng.Int63n(int64(10 * units.Second)))
 		}
@@ -124,7 +124,7 @@ func TestCancelStopsCountingInPending(t *testing.T) {
 }
 
 // TestCancelAfterFireIsInert is the regression test for the stale
-// handle hazard: once an event fired (and its Event slot was
+// handle hazard: once an event fired (and its event slot was
 // recycled), Cancel through the old handle must not touch whatever
 // event is now using the slot, and the closure must not stay pinned.
 func TestCancelAfterFireIsInert(t *testing.T) {

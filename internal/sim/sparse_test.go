@@ -214,10 +214,10 @@ func TestCalendarBimodalWidthTransitions(t *testing.T) {
 	}
 	var shrank, grew bool
 	for _, w := range widths {
-		if w < DefaultBucketWidth {
+		if w < defaultBucketWidth {
 			shrank = true
 		}
-		if w > DefaultBucketWidth {
+		if w > defaultBucketWidth {
 			grew = true
 		}
 	}
@@ -278,10 +278,10 @@ func TestCalendarBurstGapAdaptiveSchedule(t *testing.T) {
 			t.Fatalf("position %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if wideWidth <= DefaultBucketWidth {
+	if wideWidth <= defaultBucketWidth {
 		t.Errorf("burst-gap phase did not widen: width %v after bursts", wideWidth)
 	}
-	if s.width >= DefaultBucketWidth {
+	if s.width >= defaultBucketWidth {
 		t.Errorf("dense tail did not narrow: width %v at drain", s.width)
 	}
 	if s.Pending() != 0 {
@@ -308,10 +308,10 @@ func TestCalendarRebaseInterleavedWithDense(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0:
 			// Dense sub-window traffic.
-			when = units.Time(rng.Int63n(int64(numBuckets * DefaultBucketWidth)))
+			when = units.Time(rng.Int63n(int64(numBuckets * defaultBucketWidth)))
 		case 1:
 			// Just past the window edge: migrates on the first rebase.
-			when = units.Time(numBuckets*DefaultBucketWidth) + units.Time(rng.Int63n(int64(DefaultBucketWidth)))
+			when = units.Time(numBuckets*defaultBucketWidth) + units.Time(rng.Int63n(int64(defaultBucketWidth)))
 		default:
 			// Long-RTO silence: seconds to minutes out.
 			when = units.Time(rng.Int63n(int64(120 * units.Second)))

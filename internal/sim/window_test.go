@@ -112,7 +112,7 @@ func TestBucketWidthIsNotSemantic(t *testing.T) {
 		}
 		return fired
 	}
-	ref := run(DefaultBucketWidth)
+	ref := run(defaultBucketWidth)
 	for _, w := range []units.Time{0, units.Microsecond, 50 * units.Microsecond, 4 * units.Millisecond, 500 * units.Millisecond} {
 		got := run(w)
 		if len(got) != len(ref) {

@@ -47,8 +47,8 @@ func (m *Moments) N() int64 { return m.n }
 // Mean reports the sample mean (0 for no samples).
 func (m *Moments) Mean() float64 { return m.mean }
 
-// Var reports the population variance, matching Summary.Var.
-func (m *Moments) Var() float64 {
+// variance reports the population variance, matching Summary.variance.
+func (m *Moments) variance() float64 {
 	if m.n == 0 {
 		return 0
 	}
@@ -60,7 +60,7 @@ func (m *Moments) Var() float64 {
 }
 
 // Stddev reports the population standard deviation.
-func (m *Moments) Stddev() float64 { return math.Sqrt(m.Var()) }
+func (m *Moments) Stddev() float64 { return math.Sqrt(m.variance()) }
 
 // Min reports the smallest sample (0 for none).
 func (m *Moments) Min() float64 { return m.min }

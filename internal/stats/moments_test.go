@@ -47,10 +47,10 @@ func TestMomentsMatchSummary(t *testing.T) {
 		var s Summary
 		for _, x := range xs {
 			m.Add(x)
-			s.Add(x)
+			s.add(x)
 		}
-		if m.N() != int64(s.N()) {
-			t.Errorf("%s: n %d vs %d", name, m.N(), s.N())
+		if m.N() != int64(s.n()) {
+			t.Errorf("%s: n %d vs %d", name, m.N(), s.n())
 		}
 		close := func(what string, a, b float64) {
 			if math.Abs(a-b) > 1e-9*(1+math.Abs(b)) {
@@ -58,10 +58,10 @@ func TestMomentsMatchSummary(t *testing.T) {
 			}
 		}
 		close("mean", m.Mean(), s.Mean())
-		close("var", m.Var(), s.Var())
-		close("stddev", m.Stddev(), s.Stddev())
-		close("min", m.Min(), s.Min())
-		close("max", m.Max(), s.Max())
+		close("var", m.variance(), s.variance())
+		close("stddev", m.Stddev(), s.stddev())
+		close("min", m.Min(), s.min())
+		close("max", m.Max(), s.max())
 	}
 }
 
@@ -76,10 +76,10 @@ func TestP2QuantileWithinErrorBounds(t *testing.T) {
 			var s Summary
 			for _, x := range xs {
 				sk.Add(x)
-				s.Add(x)
+				s.add(x)
 			}
 			exact := s.Percentile(p * 100)
-			tol := 0.02 * (s.Max() - s.Min())
+			tol := 0.02 * (s.max() - s.min())
 			if got := sk.Value(); math.Abs(got-exact) > tol {
 				t.Errorf("%s p%.0f: sketch %g vs exact %g (tol %g)", name, p*100, got, exact, tol)
 			}

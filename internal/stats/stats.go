@@ -25,16 +25,16 @@ type Summary struct {
 	sorted  bool
 }
 
-// Add records one sample.
-func (s *Summary) Add(v float64) {
+// add records one sample.
+func (s *Summary) add(v float64) {
 	s.samples = append(s.samples, v)
 	s.sum += v
 	s.sumSq += v * v
 	s.sorted = false
 }
 
-// N reports the sample count.
-func (s *Summary) N() int { return len(s.samples) }
+// n reports the sample count.
+func (s *Summary) n() int { return len(s.samples) }
 
 // Mean reports the sample mean (0 for no samples).
 func (s *Summary) Mean() float64 {
@@ -44,8 +44,8 @@ func (s *Summary) Mean() float64 {
 	return s.sum / float64(len(s.samples))
 }
 
-// Var reports the population variance.
-func (s *Summary) Var() float64 {
+// variance reports the population variance.
+func (s *Summary) variance() float64 {
 	n := float64(len(s.samples))
 	if n == 0 {
 		return 0
@@ -58,11 +58,11 @@ func (s *Summary) Var() float64 {
 	return v
 }
 
-// Stddev reports the population standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
+// stddev reports the population standard deviation.
+func (s *Summary) stddev() float64 { return math.Sqrt(s.variance()) }
 
-// Min reports the smallest sample (0 for none).
-func (s *Summary) Min() float64 {
+// min reports the smallest sample (0 for none).
+func (s *Summary) min() float64 {
 	if len(s.samples) == 0 {
 		return 0
 	}
@@ -70,8 +70,8 @@ func (s *Summary) Min() float64 {
 	return s.samples[0]
 }
 
-// Max reports the largest sample (0 for none).
-func (s *Summary) Max() float64 {
+// max reports the largest sample (0 for none).
+func (s *Summary) max() float64 {
 	if len(s.samples) == 0 {
 		return 0
 	}
@@ -109,20 +109,10 @@ func (s *Summary) Percentile(p float64) float64 {
 	return s.samples[lo]*(1-frac) + s.samples[lo+1]*frac
 }
 
-// CI95 reports the half-width of the 95% confidence interval of the
-// mean under the normal approximation.
-func (s *Summary) CI95() float64 {
-	n := float64(len(s.samples))
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * s.Stddev() / math.Sqrt(n)
-}
-
 // String renders a one-line summary.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p99=%.4g max=%.4g",
-		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Percentile(50), s.Percentile(99), s.Max())
+		s.n(), s.Mean(), s.stddev(), s.min(), s.Percentile(50), s.Percentile(99), s.max())
 }
 
 // DelayCollector is a packet.Handler wrapper that records one-way
@@ -155,7 +145,7 @@ func (d *DelayCollector) Handle(p *packet.Packet) {
 	}
 	now := d.Clock.Now()
 	if p.SentAt > 0 || p.ID != 0 {
-		d.Delay.Add((now - p.SentAt).Seconds())
+		d.Delay.add((now - p.SentAt).Seconds())
 	}
 	if d.haveArrival {
 		gap := now - d.lastArrival
@@ -164,7 +154,7 @@ func (d *DelayCollector) Handle(p *packet.Packet) {
 			if diff < 0 {
 				diff = -diff
 			}
-			d.Jitter.Add(diff.Seconds())
+			d.Jitter.add(diff.Seconds())
 		}
 		d.lastGap = gap
 		d.haveGap = true

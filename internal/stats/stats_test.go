@@ -12,22 +12,22 @@ import (
 func TestSummaryMoments(t *testing.T) {
 	var s Summary
 	for _, v := range []float64{1, 2, 3, 4, 5} {
-		s.Add(v)
+		s.add(v)
 	}
-	if s.N() != 5 || s.Mean() != 3 {
-		t.Errorf("n=%d mean=%v", s.N(), s.Mean())
+	if s.n() != 5 || s.Mean() != 3 {
+		t.Errorf("n=%d mean=%v", s.n(), s.Mean())
 	}
-	if math.Abs(s.Var()-2) > 1e-9 {
-		t.Errorf("var = %v, want 2", s.Var())
+	if math.Abs(s.variance()-2) > 1e-9 {
+		t.Errorf("var = %v, want 2", s.variance())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("min/max: %v %v", s.Min(), s.Max())
+	if s.min() != 1 || s.max() != 5 {
+		t.Errorf("min/max: %v %v", s.min(), s.max())
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Stddev() != 0 || s.Percentile(50) != 0 || s.CI95() != 0 {
+	if s.Mean() != 0 || s.stddev() != 0 || s.Percentile(50) != 0 || s.CI95() != 0 {
 		t.Error("empty summary must report zeros")
 	}
 }
@@ -35,7 +35,7 @@ func TestSummaryEmpty(t *testing.T) {
 func TestPercentiles(t *testing.T) {
 	var s Summary
 	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
+		s.add(float64(i))
 	}
 	if got := s.Percentile(50); math.Abs(got-50.5) > 0.01 {
 		t.Errorf("p50 = %v", got)
@@ -61,7 +61,7 @@ func TestPercentileMonotone(t *testing.T) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return true
 			}
-			s.Add(v)
+			s.add(v)
 		}
 		pa, pb := float64(a%101), float64(b%101)
 		if pa > pb {
@@ -76,10 +76,10 @@ func TestPercentileMonotone(t *testing.T) {
 
 func TestAddAfterSortStillCorrect(t *testing.T) {
 	var s Summary
-	s.Add(5)
+	s.add(5)
 	_ = s.Percentile(50) // forces sort
-	s.Add(1)
-	if s.Min() != 1 {
+	s.add(1)
+	if s.min() != 1 {
 		t.Error("sample added after sort lost")
 	}
 }
@@ -87,10 +87,10 @@ func TestAddAfterSortStillCorrect(t *testing.T) {
 func TestCI95ShrinksWithN(t *testing.T) {
 	var a, b Summary
 	for i := 0; i < 10; i++ {
-		a.Add(float64(i % 3))
+		a.add(float64(i % 3))
 	}
 	for i := 0; i < 1000; i++ {
-		b.Add(float64(i % 3))
+		b.add(float64(i % 3))
 	}
 	if b.CI95() >= a.CI95() {
 		t.Errorf("CI did not shrink: %v vs %v", a.CI95(), b.CI95())
@@ -115,7 +115,7 @@ func TestDelayCollector(t *testing.T) {
 	if sink.Count != 3 {
 		t.Fatal("not forwarded")
 	}
-	if n := d.Delay.N(); n != 3 {
+	if n := d.Delay.n(); n != 3 {
 		t.Fatalf("delay samples = %d", n)
 	}
 	wantMean := (0.005 + 0.006 + 0.008) / 3
@@ -123,7 +123,7 @@ func TestDelayCollector(t *testing.T) {
 		t.Errorf("delay mean = %v, want %v", d.Delay.Mean(), wantMean)
 	}
 	// Gaps: 11ms, 12ms -> one jitter sample of 1ms.
-	if d.Jitter.N() != 1 || math.Abs(d.Jitter.Mean()-0.001) > 1e-9 {
-		t.Errorf("jitter: n=%d mean=%v", d.Jitter.N(), d.Jitter.Mean())
+	if d.Jitter.n() != 1 || math.Abs(d.Jitter.Mean()-0.001) > 1e-9 {
+		t.Errorf("jitter: n=%d mean=%v", d.Jitter.n(), d.Jitter.Mean())
 	}
 }

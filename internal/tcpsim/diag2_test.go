@@ -19,7 +19,7 @@ func TestDiagStall(t *testing.T) {
 		}
 		return false
 	})
-	total := int64(3000 * MSS)
+	total := int64(3000 * mss)
 	snd.Write(total)
 	for sec := 1; sec <= 40; sec++ {
 		s.RunUntil(units.Time(sec) * units.Second)

@@ -35,7 +35,7 @@ func TestDeliveryProperties(t *testing.T) {
 			}
 			delivered += n
 		})
-		total := int64(500 * MSS)
+		total := int64(500 * mss)
 		snd.Write(total)
 		s.RunUntil(600 * units.Second)
 		if delivered > total {
@@ -80,7 +80,7 @@ func TestLimitedTransmitReducesTimeouts(t *testing.T) {
 func TestRTTEstimation(t *testing.T) {
 	s := sim.New(1)
 	snd, _, _ := newPair(t, s, nil)
-	snd.Write(100 * MSS)
+	snd.Write(100 * mss)
 	s.RunUntil(30 * units.Second)
 	// Path RTT is exactly 10 ms (5 ms each way); srtt must converge.
 	if snd.srtt < 9*units.Millisecond || snd.srtt > 12*units.Millisecond {
@@ -97,19 +97,19 @@ func TestReceiverDuplicateData(t *testing.T) {
 	var acks int
 	rcv := NewReceiver(s, 1, packet.HandlerFunc(func(p *packet.Packet) {
 		acks++
-		if p.Ack > 2*MSS {
+		if p.Ack > 2*mss {
 			t.Fatalf("ack %d beyond delivered data", p.Ack)
 		}
 	}), func(n int64) { delivered += n })
 	seg := func(seq int64) *packet.Packet {
-		return &packet.Packet{Flow: 1, Proto: packet.TCP, Size: MSS + HeaderSize, Seq: seq}
+		return &packet.Packet{Flow: 1, Proto: packet.TCP, Size: mss + HeaderSize, Seq: seq}
 	}
 	rcv.Handle(seg(0))
 	rcv.Handle(seg(0)) // exact duplicate
-	rcv.Handle(seg(MSS))
-	rcv.Handle(seg(MSS)) // duplicate again
-	if delivered != 2*MSS {
-		t.Errorf("delivered %d, want %d (duplicates must not double-count)", delivered, 2*MSS)
+	rcv.Handle(seg(mss))
+	rcv.Handle(seg(mss)) // duplicate again
+	if delivered != 2*mss {
+		t.Errorf("delivered %d, want %d (duplicates must not double-count)", delivered, 2*mss)
 	}
 	if acks != 4 {
 		t.Errorf("every segment must be acked: %d", acks)
@@ -121,16 +121,16 @@ func TestReceiverOutOfOrderReassembly(t *testing.T) {
 	var delivered int64
 	rcv := NewReceiver(s, 1, packet.HandlerFunc(func(*packet.Packet) {}), func(n int64) { delivered += n })
 	seg := func(seq int64) *packet.Packet {
-		return &packet.Packet{Flow: 1, Proto: packet.TCP, Size: MSS + HeaderSize, Seq: seq}
+		return &packet.Packet{Flow: 1, Proto: packet.TCP, Size: mss + HeaderSize, Seq: seq}
 	}
-	rcv.Handle(seg(2 * MSS))
-	rcv.Handle(seg(MSS))
+	rcv.Handle(seg(2 * mss))
+	rcv.Handle(seg(mss))
 	if delivered != 0 {
 		t.Fatalf("delivered %d before the stream head arrived", delivered)
 	}
 	rcv.Handle(seg(0))
-	if delivered != 3*MSS {
-		t.Errorf("delivered %d after hole filled, want %d", delivered, 3*MSS)
+	if delivered != 3*mss {
+		t.Errorf("delivered %d after hole filled, want %d", delivered, 3*mss)
 	}
 }
 
@@ -139,10 +139,10 @@ func TestBacklogAccounting(t *testing.T) {
 	snd := NewSender(s, 1, packet.HandlerFunc(func(*packet.Packet) {}))
 	snd.Write(100_000)
 	// cwnd 2*MSS: only 2920 bytes leave immediately.
-	if got := snd.Backlog(); got != 100_000-2*MSS {
+	if got := snd.Backlog(); got != 100_000-2*mss {
 		t.Errorf("backlog = %d", got)
 	}
-	if snd.Unacked() != 2*MSS {
+	if snd.Unacked() != 2*mss {
 		t.Errorf("unacked = %d", snd.Unacked())
 	}
 }

@@ -19,10 +19,10 @@ import (
 	"repro/internal/units"
 )
 
-// MSS is the maximum segment payload; with the 40-byte TCP/IP header
+// mss is the maximum segment payload; with the 40-byte TCP/IP header
 // a full segment fills one 1500-byte Ethernet MTU.
 const (
-	MSS        = 1460
+	mss        = 1460
 	HeaderSize = 40
 )
 
@@ -65,7 +65,7 @@ type Sender struct {
 	// Tap, when set, receives TCPSend (Flag=1 for retransmissions),
 	// TCPAck (Flag=1 for duplicates, Delay=smoothed RTT) and TCPRTO
 	// (Delay=the expired timeout) events; QLen carries the flight in
-	// MSS-sized segments.
+	// mss-sized segments.
 	Tap ptrace.Tap
 	Hop ptrace.HopID
 
@@ -80,7 +80,7 @@ func (t *Sender) emit(k ptrace.Kind, pktID uint64, size int, flag uint8, delay u
 	t.Tap.Emit(ptrace.Event{
 		Kind: k, Hop: t.Hop, Flow: t.Flow, PktID: pktID,
 		Size: int32(size), FrameSeq: -1, Flag: flag, Delay: delay,
-		QLen: int32((t.sndNxt - t.sndUna + MSS - 1) / MSS),
+		QLen: int32((t.sndNxt - t.sndUna + mss - 1) / mss),
 	})
 }
 
@@ -88,7 +88,7 @@ func (t *Sender) emit(k ptrace.Kind, pktID uint64, size int, flag uint8, delay u
 func NewSender(s *sim.Simulator, flow packet.FlowID, out packet.Handler) *Sender {
 	return &Sender{
 		Sim: s, Flow: flow, Out: out,
-		cwnd:        2 * MSS,
+		cwnd:        2 * mss,
 		ssthresh:    17520, // Windows-2000-era default window
 		rwnd:        17520,
 		rto:         1 * units.Second,
@@ -120,8 +120,8 @@ func (t *Sender) trySend() {
 	for t.sndNxt < t.appBytes && float64(t.sndNxt-t.sndUna) < t.cwnd &&
 		t.sndNxt-t.sndUna < t.rwnd {
 		size := t.appBytes - t.sndNxt
-		if size > MSS {
-			size = MSS
+		if size > mss {
+			size = mss
 		}
 		t.sendSegment(t.sndNxt, int(size), false)
 		t.sndNxt += size
@@ -187,8 +187,8 @@ func (t *Sender) onRTO() {
 	if t.Tap != nil {
 		t.emit(ptrace.TCPRTO, 0, 0, 0, t.rto)
 	}
-	t.ssthresh = maxf(float64(t.sndNxt-t.sndUna)/2, 2*MSS)
-	t.cwnd = MSS
+	t.ssthresh = maxf(float64(t.sndNxt-t.sndUna)/2, 2*mss)
+	t.cwnd = mss
 	t.rto *= 2
 	if t.rto > 60*units.Second {
 		t.rto = 60 * units.Second
@@ -200,8 +200,8 @@ func (t *Sender) onRTO() {
 	t.rtoRecovering = true
 	t.rtoRecover = t.sndNxt
 	size := t.sndNxt - t.sndUna
-	if size > MSS {
-		size = MSS
+	if size > mss {
+		size = mss
 	}
 	t.sendSegment(t.sndUna, int(size), true)
 	t.armRTO()
@@ -250,11 +250,11 @@ func (t *Sender) HandleAck(p *packet.Packet) {
 				// NewReno partial ACK: retransmit the next hole and
 				// deflate the window by the amount acknowledged, so
 				// a long recovery cannot snowball the inflation.
-				size := minI64(MSS, t.sndNxt-t.sndUna)
+				size := minI64(mss, t.sndNxt-t.sndUna)
 				if size > 0 {
 					t.sendSegment(t.sndUna, int(size), true)
 				}
-				t.cwnd = maxf(t.ssthresh, t.cwnd-float64(acked)+MSS)
+				t.cwnd = maxf(t.ssthresh, t.cwnd-float64(acked)+mss)
 			}
 		case t.rtoRecovering:
 			if ack >= t.rtoRecover {
@@ -266,7 +266,7 @@ func (t *Sender) HandleAck(p *packet.Packet) {
 				// back-to-back pair would be re-dropped and the
 				// recovery would never converge. cwnd stays at one
 				// segment until the hole field is drained.
-				size := minI64(MSS, t.sndNxt-t.sndUna)
+				size := minI64(mss, t.sndNxt-t.sndUna)
 				if size > 0 {
 					t.sendSegment(t.sndUna, int(size), true)
 				}
@@ -277,9 +277,9 @@ func (t *Sender) HandleAck(p *packet.Packet) {
 			// never filled must not grow — otherwise a later backlog
 			// burst dumps an unvalidated window onto the policer.
 		case t.cwnd < t.ssthresh:
-			t.cwnd += float64(minI64(acked, MSS)) // slow start
+			t.cwnd += float64(minI64(acked, mss)) // slow start
 		default:
-			t.cwnd += float64(MSS) * float64(MSS) / t.cwnd // CA
+			t.cwnd += float64(mss) * float64(mss) / t.cwnd // CA
 		}
 		t.restartRTO()
 		t.trySend()
@@ -292,8 +292,8 @@ func (t *Sender) HandleAck(p *packet.Packet) {
 			// generate the third duplicate ACK that triggers fast
 			// retransmit instead of stalling into an RTO.
 			size := t.appBytes - t.sndNxt
-			if size > MSS {
-				size = MSS
+			if size > mss {
+				size = mss
 			}
 			if size > 0 && t.sndNxt-t.sndUna < t.rwnd {
 				t.sendSegment(t.sndNxt, int(size), false)
@@ -305,13 +305,13 @@ func (t *Sender) HandleAck(p *packet.Packet) {
 			// Fast retransmit + fast recovery (Reno).
 			t.inRecovery = true
 			t.recoverSeq = t.sndNxt
-			t.ssthresh = maxf(float64(t.sndNxt-t.sndUna)/2, 2*MSS)
-			t.cwnd = t.ssthresh + 3*MSS
-			size := minI64(MSS, t.sndNxt-t.sndUna)
+			t.ssthresh = maxf(float64(t.sndNxt-t.sndUna)/2, 2*mss)
+			t.cwnd = t.ssthresh + 3*mss
+			size := minI64(mss, t.sndNxt-t.sndUna)
 			t.sendSegment(t.sndUna, int(size), true)
 			t.armRTO()
 		} else if t.inRecovery {
-			t.cwnd += MSS // inflate per extra dupack
+			t.cwnd += mss // inflate per extra dupack
 			t.trySend()
 		}
 	}

@@ -63,17 +63,17 @@ func TestSingleLossRecovers(t *testing.T) {
 	s := sim.New(1)
 	dropped := false
 	snd, _, delivered := newPair(t, s, func(p *packet.Packet) bool {
-		if !dropped && p.Seq == 5*MSS {
+		if !dropped && p.Seq == 5*mss {
 			dropped = true
 			return true
 		}
 		return false
 	})
-	snd.Write(200 * MSS)
+	snd.Write(200 * mss)
 	s.RunUntil(60 * units.Second)
-	if *delivered != 200*MSS {
+	if *delivered != 200*mss {
 		t.Fatalf("delivered %d of %d bytes (rexmit=%d timeouts=%d una=%d)",
-			*delivered, 200*MSS, snd.Retransmits, snd.Timeouts, snd.Delivered())
+			*delivered, 200*mss, snd.Retransmits, snd.Timeouts, snd.Delivered())
 	}
 	if snd.Retransmits == 0 {
 		t.Error("expected at least one retransmission")
@@ -85,17 +85,17 @@ func TestBurstLossRecovers(t *testing.T) {
 	// Drop a contiguous run of 10 segments on first transmission.
 	seen := map[int64]bool{}
 	snd, _, delivered := newPair(t, s, func(p *packet.Packet) bool {
-		if p.Seq >= 20*MSS && p.Seq < 30*MSS && !seen[p.Seq] {
+		if p.Seq >= 20*mss && p.Seq < 30*mss && !seen[p.Seq] {
 			seen[p.Seq] = true
 			return true
 		}
 		return false
 	})
-	snd.Write(500 * MSS)
+	snd.Write(500 * mss)
 	s.RunUntil(120 * units.Second)
-	if *delivered != 500*MSS {
+	if *delivered != 500*mss {
 		t.Fatalf("delivered %d of %d bytes (rexmit=%d timeouts=%d una=%d cwnd=%.0f)",
-			*delivered, 500*MSS, snd.Retransmits, snd.Timeouts, snd.Delivered(), snd.Cwnd())
+			*delivered, 500*mss, snd.Retransmits, snd.Timeouts, snd.Delivered(), snd.Cwnd())
 	}
 }
 
@@ -106,7 +106,7 @@ func TestRandomLossSustainsThroughput(t *testing.T) {
 		return rng.Float64() < 0.02
 	})
 	// Keep the app writing continuously.
-	total := int64(3000 * MSS)
+	total := int64(3000 * mss)
 	snd.Write(total)
 	s.RunUntil(300 * units.Second)
 	if *delivered != total {

@@ -16,10 +16,10 @@ import (
 	"repro/internal/units"
 )
 
-// Bucket is a classic token bucket: tokens (bytes of credit) arrive at
-// Rate up to Depth. Conform(n) answers whether n bytes may pass now and
-// debits them if so. The zero value is unusable; call NewBucket.
-type Bucket struct {
+// bucket is a classic token bucket: tokens (bytes of credit) arrive at
+// rate up to depth. conform(n) answers whether n bytes may pass now and
+// debits them if so. The zero value is unusable; call newBucket.
+type bucket struct {
 	rate  units.BitRate
 	depth units.ByteSize
 
@@ -32,37 +32,31 @@ type Bucket struct {
 
 const tokenScale = 1e9
 
-// NewBucket returns a bucket that starts full, which matches both the
+// newBucket returns a bucket that starts full, which matches both the
 // router implementations in the paper's testbed and RFC 2697/2698.
-func NewBucket(rate units.BitRate, depth units.ByteSize) *Bucket {
-	b := new(Bucket)
-	b.Init(rate, depth)
+func newBucket(rate units.BitRate, depth units.ByteSize) *bucket {
+	b := new(bucket)
+	b.reset(rate, depth)
 	return b
 }
 
-// Init (re)initializes b in place to a full bucket — NewBucket over
+// reset (re)initializes b in place to a full bucket — newBucket over
 // caller-owned storage, so six-figure fan-outs can lay their buckets
 // out contiguously instead of as N scattered allocations.
-func (b *Bucket) Init(rate units.BitRate, depth units.ByteSize) {
+func (b *bucket) reset(rate units.BitRate, depth units.ByteSize) {
 	if rate <= 0 {
 		panic("tokenbucket: non-positive rate")
 	}
 	if depth <= 0 {
 		panic("tokenbucket: non-positive depth")
 	}
-	*b = Bucket{rate: rate, depth: depth}
+	*b = bucket{rate: rate, depth: depth}
 	b.scaledMax = int64(depth) * tokenScale
 	b.scaled = b.scaledMax
 }
 
-// Rate reports the token arrival rate.
-func (b *Bucket) Rate() units.BitRate { return b.rate }
-
-// Depth reports the bucket depth in bytes.
-func (b *Bucket) Depth() units.ByteSize { return b.depth }
-
 // refill advances the bucket state to time now.
-func (b *Bucket) refill(now units.Time) {
+func (b *bucket) refill(now units.Time) {
 	if now <= b.lastUpdate {
 		return
 	}
@@ -76,16 +70,10 @@ func (b *Bucket) refill(now units.Time) {
 	}
 }
 
-// Tokens reports the whole bytes of credit available at time now.
-func (b *Bucket) Tokens(now units.Time) int64 {
-	b.refill(now)
-	return b.scaled / tokenScale
-}
-
-// Conform reports whether n bytes conform at time now, debiting the
+// conform reports whether n bytes conform at time now, debiting the
 // bucket if they do. Packets larger than the bucket depth can never
 // conform (the EF small-depth pathology the paper studies).
-func (b *Bucket) Conform(now units.Time, n int) bool {
+func (b *bucket) conform(now units.Time, n int) bool {
 	b.refill(now)
 	need := int64(n) * tokenScale
 	if need > b.scaled {
@@ -95,17 +83,17 @@ func (b *Bucket) Conform(now units.Time, n int) bool {
 	return true
 }
 
-// Debit unconditionally removes n bytes of credit (may go negative);
+// debit unconditionally removes n bytes of credit (may go negative);
 // used by shapers that have already committed to sending.
-func (b *Bucket) Debit(now units.Time, n int) {
+func (b *bucket) debit(now units.Time, n int) {
 	b.refill(now)
 	b.scaled -= int64(n) * tokenScale
 }
 
-// NextConformTime reports the earliest time ≥ now at which n bytes
+// nextConformTime reports the earliest time ≥ now at which n bytes
 // would conform, assuming no intervening debits. If n exceeds the
 // depth it reports ok=false: the packet can never conform.
-func (b *Bucket) NextConformTime(now units.Time, n int) (t units.Time, ok bool) {
+func (b *bucket) nextConformTime(now units.Time, n int) (t units.Time, ok bool) {
 	if int64(n) > int64(b.depth) {
 		return 0, false
 	}
@@ -121,6 +109,6 @@ func (b *Bucket) NextConformTime(now units.Time, n int) (t units.Time, ok bool) 
 }
 
 // String describes the bucket configuration.
-func (b *Bucket) String() string {
+func (b *bucket) String() string {
 	return fmt.Sprintf("bucket{r=%v b=%v}", b.rate, b.depth)
 }

@@ -23,7 +23,7 @@ type Policer struct {
 	// object, not a policer plus a pointed-to bucket — at six-figure
 	// flow counts, where the policer working set is far past cache,
 	// that second dependent line is measurable.
-	bucket Bucket
+	bucket bucket
 	mark   packet.DSCP
 	next   packet.Handler
 	drop   packet.Handler // optional observer for dropped packets
@@ -56,7 +56,7 @@ func NewPolicer(clock Clock, rate units.BitRate, depth units.ByteSize, mark pack
 // scattered objects.
 func (p *Policer) Init(clock Clock, rate units.BitRate, depth units.ByteSize, mark packet.DSCP, next packet.Handler) {
 	*p = Policer{clock: clock, mark: mark, next: next}
-	p.bucket.Init(rate, depth)
+	p.bucket.reset(rate, depth)
 }
 
 // OnDrop registers an observer that receives each dropped packet.
@@ -69,7 +69,7 @@ func (p *Policer) SetNext(h packet.Handler) { p.next = h }
 // Handle applies the profile to pkt.
 func (p *Policer) Handle(pkt *packet.Packet) {
 	now := p.clock.Now()
-	if p.bucket.Conform(now, pkt.Size) {
+	if p.bucket.conform(now, pkt.Size) {
 		pkt.DSCP = p.mark
 		p.Passed++
 		p.PassedBytes += int64(pkt.Size)
@@ -115,7 +115,7 @@ func (p *Policer) LossFraction() float64 {
 // finite buffering of the Linux shaping router.
 type Shaper struct {
 	sim    *sim.Simulator
-	bucket *Bucket
+	bucket *bucket
 	mark   packet.DSCP
 	next   packet.Handler
 
@@ -146,7 +146,7 @@ func (sh *shaperTimer) Fire(units.Time) { (*Shaper)(sh).releaseHead() }
 // NewShaper returns a shaper with the given profile. maxQueue bounds
 // the number of waiting packets; 0 means a generous default (1024).
 func NewShaper(s *sim.Simulator, rate units.BitRate, depth units.ByteSize, mark packet.DSCP, next packet.Handler) *Shaper {
-	return &Shaper{sim: s, bucket: NewBucket(rate, depth), mark: mark, next: next, maxQueue: 1024}
+	return &Shaper{sim: s, bucket: newBucket(rate, depth), mark: mark, next: next, maxQueue: 1024}
 }
 
 // SetNext redirects the shaper's output to h (topology-builder
@@ -167,13 +167,10 @@ func (sh *Shaper) SetQueueLimit(n int) {
 	}
 }
 
-// QueueLen reports the number of packets waiting in the shaper.
-func (sh *Shaper) QueueLen() int { return sh.queue.Len() }
-
 // Handle shapes pkt.
 func (sh *Shaper) Handle(pkt *packet.Packet) {
 	now := sh.sim.Now()
-	if !sh.busy && sh.queue.Len() == 0 && sh.bucket.Conform(now, pkt.Size) {
+	if !sh.busy && sh.queue.Len() == 0 && sh.bucket.conform(now, pkt.Size) {
 		pkt.DSCP = sh.mark
 		sh.Passed++
 		if sh.Tap != nil {
@@ -182,7 +179,7 @@ func (sh *Shaper) Handle(pkt *packet.Packet) {
 		sh.next.Handle(pkt)
 		return
 	}
-	if int64(pkt.Size) > int64(sh.bucket.Depth()) {
+	if int64(pkt.Size) > int64(sh.bucket.depth) {
 		sh.Dropped++ // can never conform
 		if sh.Tap != nil {
 			sh.Tap.Emit(sh.event(ptrace.ShaperDrop, pkt, 0))
@@ -211,7 +208,7 @@ func (sh *Shaper) scheduleNext() {
 		sh.busy = false
 		return
 	}
-	t, ok := sh.bucket.NextConformTime(sh.sim.Now(), head.Size)
+	t, ok := sh.bucket.nextConformTime(sh.sim.Now(), head.Size)
 	if !ok {
 		// Unreachable given the Handle guard, but keep the queue moving.
 		sh.queue.Pop()
@@ -234,7 +231,7 @@ func (sh *Shaper) releaseHead() {
 		sh.busy = false
 		return
 	}
-	sh.bucket.Debit(sh.sim.Now(), p.Size)
+	sh.bucket.debit(sh.sim.Now(), p.Size)
 	p.DSCP = sh.mark
 	sh.Passed++
 	if sh.Tap != nil {

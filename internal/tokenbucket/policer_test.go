@@ -168,10 +168,10 @@ func TestShaperQueueLimit(t *testing.T) {
 // released stream itself conforms to the shaping profile.
 func TestShaperOutputConforms(t *testing.T) {
 	s := sim.New(1)
-	check := NewBucket(units.Mbps, 3001) // +1: release rounding slack
+	check := newBucket(units.Mbps, 3001) // +1: release rounding slack
 	violations := 0
 	sh := NewShaper(s, units.Mbps, 3000, packet.EF, packet.HandlerFunc(func(p *packet.Packet) {
-		if !check.Conform(s.Now(), p.Size) {
+		if !check.conform(s.Now(), p.Size) {
 			violations++
 		}
 	}))

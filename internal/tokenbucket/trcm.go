@@ -15,7 +15,7 @@ import (
 type SRTCM struct {
 	cir units.BitRate
 
-	// Committed (C) and excess (E) token counts, scaled like Bucket.
+	// Committed (C) and excess (E) token counts, scaled like bucket.
 	scaledC, scaledE     int64
 	scaledCBS, scaledEBS int64
 	lastUpdate           units.Time
@@ -53,9 +53,9 @@ func (m *SRTCM) refill(now units.Time) {
 	}
 }
 
-// Mark colors a packet of n bytes arriving at now, debiting the
+// mark colors a packet of n bytes arriving at now, debiting the
 // appropriate bucket per RFC 2697 §3 (color-blind).
-func (m *SRTCM) Mark(now units.Time, n int) packet.Color {
+func (m *SRTCM) mark(now units.Time, n int) packet.Color {
 	m.refill(now)
 	need := int64(n) * tokenScale
 	if m.scaledC >= need {
@@ -69,9 +69,9 @@ func (m *SRTCM) Mark(now units.Time, n int) packet.Color {
 	return packet.Red
 }
 
-// ColorToDSCP maps a marker verdict to the AF class-1 drop precedence
+// colorToDSCP maps a marker verdict to the AF class-1 drop precedence
 // code points, the mapping an AF ingress would apply.
-func ColorToDSCP(c packet.Color) packet.DSCP {
+func colorToDSCP(c packet.Color) packet.DSCP {
 	switch c {
 	case packet.Green:
 		return packet.AF11
@@ -109,9 +109,9 @@ func (a *AFMarker) SetNext(h packet.Handler) { a.next = h }
 
 // Handle colors and forwards pkt.
 func (a *AFMarker) Handle(pkt *packet.Packet) {
-	c := a.srtcm.Mark(a.clock.Now(), pkt.Size)
+	c := a.srtcm.mark(a.clock.Now(), pkt.Size)
 	pkt.Color = c
-	pkt.DSCP = ColorToDSCP(c)
+	pkt.DSCP = colorToDSCP(c)
 	switch c {
 	case packet.Green:
 		a.Green++

@@ -11,13 +11,13 @@ import (
 func TestSRTCMColorsInOrder(t *testing.T) {
 	// CIR 8 Mbps (1 B/µs), CBS 3000, EBS 3000. Both buckets full at 0.
 	m := NewSRTCM(8*units.Mbps, 3000, 3000)
-	if c := m.Mark(0, 3000); c != packet.Green {
+	if c := m.mark(0, 3000); c != packet.Green {
 		t.Errorf("first packet %v, want green", c)
 	}
-	if c := m.Mark(0, 3000); c != packet.Yellow {
+	if c := m.mark(0, 3000); c != packet.Yellow {
 		t.Errorf("second packet %v, want yellow (excess bucket)", c)
 	}
-	if c := m.Mark(0, 3000); c != packet.Red {
+	if c := m.mark(0, 3000); c != packet.Red {
 		t.Errorf("third packet %v, want red", c)
 	}
 }
@@ -25,27 +25,27 @@ func TestSRTCMColorsInOrder(t *testing.T) {
 func TestSRTCMCommittedRefillFeedsExcess(t *testing.T) {
 	m := NewSRTCM(8*units.Mbps, 1000, 2000)
 	// Drain both.
-	m.Mark(0, 1000)
-	m.Mark(0, 1000)
-	m.Mark(0, 1000)
+	m.mark(0, 1000)
+	m.mark(0, 1000)
+	m.mark(0, 1000)
 	// After 4 ms (4000 bytes of tokens at 1B/µs): C refills to 1000,
 	// overflow 3000 goes to E capped at 2000.
 	now := 4 * units.Millisecond
-	if c := m.Mark(now, 1000); c != packet.Green {
+	if c := m.mark(now, 1000); c != packet.Green {
 		t.Errorf("want green after refill, got %v", c)
 	}
-	if c := m.Mark(now, 2000); c != packet.Yellow {
+	if c := m.mark(now, 2000); c != packet.Yellow {
 		t.Errorf("want yellow from excess, got %v", c)
 	}
-	if c := m.Mark(now, 500); c != packet.Red {
+	if c := m.mark(now, 500); c != packet.Red {
 		t.Errorf("want red when both drained, got %v", c)
 	}
 }
 
 func TestColorToDSCP(t *testing.T) {
-	if ColorToDSCP(packet.Green) != packet.AF11 ||
-		ColorToDSCP(packet.Yellow) != packet.AF12 ||
-		ColorToDSCP(packet.Red) != packet.AF13 {
+	if colorToDSCP(packet.Green) != packet.AF11 ||
+		colorToDSCP(packet.Yellow) != packet.AF12 ||
+		colorToDSCP(packet.Red) != packet.AF13 {
 		t.Error("AF mapping wrong")
 	}
 }
@@ -76,7 +76,7 @@ func TestSRTCMLongRunRates(t *testing.T) {
 	now := units.Time(0)
 	for i := 0; i < 100000; i++ {
 		now += 200 * units.Microsecond // 60 Mbps offered
-		if m.Mark(now, 1500) == packet.Green {
+		if m.mark(now, 1500) == packet.Green {
 			green += 1500
 		}
 		total += 1500
@@ -85,5 +85,15 @@ func TestSRTCMLongRunRates(t *testing.T) {
 	ratio := float64(green) / float64(wantGreen)
 	if ratio < 0.98 || ratio > 1.02 {
 		t.Errorf("green bytes %d, want ≈%d (ratio %.3f)", green, wantGreen, ratio)
+	}
+}
+
+func BenchmarkSRTCMMark(b *testing.B) {
+	m := NewSRTCM(2*units.Mbps, 3000, 6000)
+	now := units.Time(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 2 * units.Millisecond
+		m.mark(now, 1500)
 	}
 }

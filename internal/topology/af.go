@@ -86,7 +86,7 @@ func BuildAF(cfg AFConfig) *AF {
 	in := queue.REDConfig{MinTh: 40, MaxTh: 60, MaxP: 0.02, Wq: 0.002, MaxSize: 80}
 	out := queue.REDConfig{MinTh: 8, MaxTh: 25, MaxP: 0.3, Wq: 0.002, MaxSize: 80}
 	b.Link("bottleneck", LinkSpec{Rate: afBottleneck, Delay: 5 * units.Millisecond,
-		Sched: AFRIO(in, out, 100), To: "access"})
+		Sched: afRIO(in, out, 100), To: "access"})
 
 	// Competing traffic: an AF-marked aggregate (alternating colors —
 	// someone else's partially conformant traffic) and best effort.
@@ -102,7 +102,7 @@ func BuildAF(cfg AFConfig) *AF {
 	})
 
 	// Edge: classify the video flow into the srTCM marker.
-	b.AFMarkerSR("marker", cfg.CIR, afCBS, afEBS, "bottleneck")
+	b.afMarkerSR("marker", cfg.CIR, afCBS, afEBS, "bottleneck")
 	b.Router("af-edge", "bottleneck")
 	b.Rule("af-edge", "video-af", node.FlowMatch(VideoFlow), "marker")
 
@@ -110,9 +110,9 @@ func BuildAF(cfg AFConfig) *AF {
 	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond,
 		Sched: PlainFIFO(0), To: "jit"})
 
-	net := b.MustBuild()
+	net := b.mustBuild()
 	a.Net = net
-	a.Marker = net.AFMarker("marker")
+	a.Marker = net.afMarker("marker")
 	a.Bottleneck = net.Link("bottleneck")
 	a.Sched = a.Bottleneck.Sched.(*queue.AFScheduler)
 

@@ -33,19 +33,19 @@ func PlainFIFO(limit int) SchedulerSpec {
 	return func(*sim.Simulator) queue.Scheduler { return queue.NewSingleFIFO(limit) }
 }
 
-// DRRSched is a deficit-round-robin scheduler spec.
-func DRRSched(classes ...queue.ClassSpec) SchedulerSpec {
+// drrSched is a deficit-round-robin scheduler spec.
+func drrSched(classes ...queue.ClassSpec) SchedulerSpec {
 	return func(*sim.Simulator) queue.Scheduler { return queue.NewDRR(classes...) }
 }
 
-// WFQSched is a weighted-fair-queueing scheduler spec.
-func WFQSched(classes ...queue.ClassSpec) SchedulerSpec {
+// wfqSched is a weighted-fair-queueing scheduler spec.
+func wfqSched(classes ...queue.ClassSpec) SchedulerSpec {
 	return func(*sim.Simulator) queue.Scheduler { return queue.NewWFQ(classes...) }
 }
 
-// AFRIO is an AF-class RIO-over-best-effort scheduler spec; it forks
+// afRIO is an AF-class RIO-over-best-effort scheduler spec; it forks
 // the simulator RNG for the RED drop tests.
-func AFRIO(in, out queue.REDConfig, beLimit int) SchedulerSpec {
+func afRIO(in, out queue.REDConfig, beLimit int) SchedulerSpec {
 	return func(s *sim.Simulator) queue.Scheduler {
 		return queue.NewAFScheduler(in, out, s.RNG().Fork().Float64, beLimit)
 	}
@@ -259,9 +259,9 @@ func (b *Builder) Link(name string, spec LinkSpec) {
 	b.add(&elem{kind: kindLink, name: name, to: spec.To, linkSpec: spec})
 }
 
-// FrameRelayLink declares a link emulating a Frame Relay PVC (CIR with
+// frameRelayLink declares a link emulating a Frame Relay PVC (CIR with
 // Be=0 behaves as a constant-rate pipe at CIR).
-func (b *Builder) FrameRelayLink(name string, cfg link.FrameRelayConfig, delay units.Time, sched SchedulerSpec, to string) {
+func (b *Builder) frameRelayLink(name string, cfg link.FrameRelayConfig, delay units.Time, sched SchedulerSpec, to string) {
 	b.Link(name, LinkSpec{Rate: cfg.CIR, Delay: delay, Sched: sched, To: to})
 }
 
@@ -305,15 +305,15 @@ func (b *Builder) Shaper(name string, rate units.BitRate, depth units.ByteSize, 
 	b.add(&elem{kind: kindShaper, name: name, to: to, rate: rate, depth: depth, mark: mark, queueLimit: queueLimit})
 }
 
-// AFMarkerSR declares an srTCM three-color marker (green/yellow/red →
+// afMarkerSR declares an srTCM three-color marker (green/yellow/red →
 // AF11/12/13).
-func (b *Builder) AFMarkerSR(name string, cir units.BitRate, cbs, ebs units.ByteSize, to string) {
+func (b *Builder) afMarkerSR(name string, cir units.BitRate, cbs, ebs units.ByteSize, to string) {
 	b.add(&elem{kind: kindAFMarker, name: name, to: to, rate: cir, cbs: cbs, ebs: ebs})
 }
 
-// DelayTap declares a pass-through delay/jitter collector. A nil match
+// delayTap declares a pass-through delay/jitter collector. A nil match
 // measures every packet.
-func (b *Builder) DelayTap(name string, match func(*packet.Packet) bool, to string) {
+func (b *Builder) delayTap(name string, match func(*packet.Packet) bool, to string) {
 	b.add(&elem{kind: kindDelayTap, name: name, to: to, match: match})
 }
 
@@ -497,8 +497,8 @@ func (b *Builder) Build() (*Network, error) {
 	return &Network{Sim: s, Pool: b.pool, Trace: b.trace, byName: b.byName}, nil
 }
 
-// MustBuild is Build for preset code where a wiring error is a bug.
-func (b *Builder) MustBuild() *Network {
+// mustBuild is Build for preset code where a wiring error is a bug.
+func (b *Builder) mustBuild() *Network {
 	n, err := b.Build()
 	if err != nil {
 		panic(err)
@@ -566,8 +566,8 @@ func (n *Network) Policer(name string) *tokenbucket.Policer {
 	return e.policer
 }
 
-// Shaper returns the named shaper.
-func (n *Network) Shaper(name string) *tokenbucket.Shaper {
+// shaper returns the named shaper.
+func (n *Network) shaper(name string) *tokenbucket.Shaper {
 	e := n.get(name)
 	if e.shaper == nil {
 		panic(fmt.Sprintf("topology: %q is not a shaper", name))
@@ -575,8 +575,8 @@ func (n *Network) Shaper(name string) *tokenbucket.Shaper {
 	return e.shaper
 }
 
-// AFMarker returns the named three-color marker.
-func (n *Network) AFMarker(name string) *tokenbucket.AFMarker {
+// afMarker returns the named three-color marker.
+func (n *Network) afMarker(name string) *tokenbucket.AFMarker {
 	e := n.get(name)
 	if e.marker == nil {
 		panic(fmt.Sprintf("topology: %q is not an AF marker", name))
@@ -584,8 +584,8 @@ func (n *Network) AFMarker(name string) *tokenbucket.AFMarker {
 	return e.marker
 }
 
-// DelayTap returns the named delay collector.
-func (n *Network) DelayTap(name string) *stats.DelayCollector {
+// delayTap returns the named delay collector.
+func (n *Network) delayTap(name string) *stats.DelayCollector {
 	e := n.get(name)
 	if e.tap == nil {
 		panic(fmt.Sprintf("topology: %q is not a delay tap", name))

@@ -66,7 +66,7 @@ func TestBuilderRouterPolicy(t *testing.T) {
 	b.Policer("pol", 10*units.Mbps, 3000, packet.EF, "matched")
 	b.Router("edge", "rest")
 	b.Rule("edge", "video", node.FlowMatch(7), "pol")
-	net := b.MustBuild()
+	net := b.mustBuild()
 
 	net.Handler("edge").Handle(&packet.Packet{Flow: 7, Size: 100})
 	net.Handler("edge").Handle(&packet.Packet{Flow: 8, Size: 100})
@@ -89,13 +89,13 @@ func TestBuilderMultiClassLink(t *testing.T) {
 	b.Handler("sink", &sink)
 	b.Link("bottleneck", LinkSpec{
 		Rate: units.Mbps, Delay: units.Millisecond,
-		Sched: DRRSched(
+		Sched: drrSched(
 			queue.ClassSpec{Name: "ef", Match: queue.MatchDSCP(packet.EF), Limit: 100},
 			queue.ClassSpec{Name: "be", Limit: 100},
 		),
 		To: "sink",
 	})
-	net := b.MustBuild()
+	net := b.mustBuild()
 	in := net.Handler("bottleneck")
 	for i := 0; i < 40; i++ {
 		d := packet.BestEffort
@@ -124,7 +124,7 @@ func TestBuilderSourcesDeterministic(t *testing.T) {
 		b.Link("l", LinkSpec{Rate: 10 * units.Mbps, Delay: units.Millisecond, To: "sink"})
 		b.Source("p", SourceSpec{Kind: PoissonSource, Rate: 2 * units.Mbps, Flow: 5, To: "l"})
 		b.Source("q", SourceSpec{Kind: PoissonSource, Rate: units.Mbps, Flow: 6, To: "l"})
-		net := b.MustBuild()
+		net := b.mustBuild()
 		net.Sim.SetHorizon(units.FromSeconds(2))
 		net.Sim.Run()
 		if net.Poisson("p").Sent == 0 {
@@ -143,7 +143,7 @@ func TestNetworkAccessorPanics(t *testing.T) {
 	b := NewBuilder(1, nil, nil)
 	var sink packet.Sink
 	b.Handler("sink", &sink)
-	net := b.MustBuild()
+	net := b.mustBuild()
 	for name, fn := range map[string]func(){
 		"missing element": func() { net.Handler("ghost") },
 		"kind mismatch":   func() { net.Link("sink") },
@@ -178,7 +178,7 @@ func TestBuilderBatchedCBRSource(t *testing.T) {
 					Rate: units.Mbps, Size: 1000, Flow: 30 + packet.FlowID(i), To: "l"})
 			}
 		}
-		net := b.MustBuild()
+		net := b.mustBuild()
 		net.Sim.SetHorizon(units.FromSeconds(2))
 		net.Sim.Run()
 		return sink.Count, sink.Bytes

@@ -99,9 +99,9 @@ func BuildLocal(cfg LocalConfig) *Local {
 	// Router 3 → client hub (fast Ethernet), then the FR chain.
 	b.Link("hub2", LinkSpec{Rate: 10 * units.Mbps, Delay: 200 * units.Microsecond,
 		Sched: PlainFIFO(0), To: "deliver"})
-	b.FrameRelayLink("r3port", fr[3], units.Millisecond, EFPriority(100, 100), "hub2")
-	b.FrameRelayLink("r2port", fr[0], units.Millisecond, EFPriority(100, 100), "r3port")
-	b.FrameRelayLink("r1port", fr[2], units.Millisecond, EFPriority(100, 100), "r2port")
+	b.frameRelayLink("r3port", fr[3], units.Millisecond, EFPriority(100, 100), "hub2")
+	b.frameRelayLink("r2port", fr[0], units.Millisecond, EFPriority(100, 100), "r3port")
+	b.frameRelayLink("r1port", fr[2], units.Millisecond, EFPriority(100, 100), "r2port")
 
 	// Router 1: EF policer on the video flow, everything else straight
 	// to the HSSI port.
@@ -127,11 +127,11 @@ func BuildLocal(cfg LocalConfig) *Local {
 			Sched: PlainFIFO(0), To: "sender-ack"})
 	}
 
-	net := b.MustBuild()
+	net := b.mustBuild()
 	l.Net = net
 	l.Policer = net.Policer("policer")
 	if cfg.UseShaper {
-		l.Shaper = net.Shaper("shaper")
+		l.Shaper = net.shaper("shaper")
 	}
 
 	hub1 := net.Handler("hub1")

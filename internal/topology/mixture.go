@@ -238,7 +238,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		})
 	}
 
-	net := b.MustBuild()
+	net := b.mustBuild()
 	m.Net = net
 	m.Bottleneck = net.Link("bottleneck")
 	bottleneck := net.Handler("bottleneck")

@@ -57,13 +57,13 @@ func (k BottleneckSched) spec(classLimit int) SchedulerSpec {
 	afMatch := queue.MatchDSCP(packet.AF11, packet.AF12, packet.AF13)
 	switch k {
 	case DRRBottleneck:
-		return DRRSched(
+		return drrSched(
 			queue.ClassSpec{Name: "ef", Match: queue.MatchDSCP(packet.EF), Quantum: 4500, Limit: classLimit},
 			queue.ClassSpec{Name: "af", Match: afMatch, Quantum: 3000, Limit: classLimit},
 			queue.ClassSpec{Name: "be", Quantum: 1500, Limit: classLimit},
 		)
 	case WFQBottleneck:
-		return WFQSched(
+		return wfqSched(
 			queue.ClassSpec{Name: "ef", Match: queue.MatchDSCP(packet.EF), Weight: 3, Limit: classLimit},
 			queue.ClassSpec{Name: "af", Match: afMatch, Weight: 2, Limit: classLimit},
 			queue.ClassSpec{Name: "be", Weight: 1, Limit: classLimit},

@@ -108,7 +108,7 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 	}
 	q.Client = cl
 	b.Handler("client", cl)
-	b.DelayTap("delay", func(p *packet.Packet) bool { return p.Flow == VideoFlow }, "client")
+	b.delayTap("delay", func(p *packet.Packet) bool { return p.Flow == VideoFlow }, "client")
 	b.Link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
 		Sched: EFPriority(0, 200), To: "delay"})
 
@@ -152,11 +152,11 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond,
 		Sched: PlainFIFO(0), To: "jit"})
 
-	net := b.MustBuild()
+	net := b.mustBuild()
 	q.Net = net
-	q.Delay = net.DelayTap("delay")
+	q.Delay = net.delayTap("delay")
 	if cfg.Shape {
-		q.Shaper = net.Shaper("shaper")
+		q.Shaper = net.shaper("shaper")
 	} else {
 		q.Policer = net.Policer("policer")
 	}

@@ -134,7 +134,7 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond,
 		Sched: PlainFIFO(0), To: "jit"})
 
-	net := b.MustBuild()
+	net := b.mustBuild()
 	t.Net = net
 	t.Border1 = net.Policer("border1")
 	if cfg.SecondBorder {

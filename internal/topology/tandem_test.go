@@ -63,7 +63,7 @@ func TestTandemTraceCapturesBothBorders(t *testing.T) {
 		t.Fatal("recorder saw nothing")
 	}
 	counts := map[string]map[ptrace.Kind]int{}
-	for _, e := range rec.Events() {
+	for _, e := range rec.Data().Events {
 		m := counts[rec.HopName(e.Hop)]
 		if m == nil {
 			m = map[ptrace.Kind]int{}
@@ -83,7 +83,7 @@ func TestTandemTraceCapturesBothBorders(t *testing.T) {
 		t.Error("client recorded no deliveries")
 	}
 	// Delivery events must carry a positive one-way delay.
-	for _, e := range rec.Events() {
+	for _, e := range rec.Data().Events {
 		if e.Kind == ptrace.Deliver && e.Delay <= 0 {
 			t.Fatalf("delivery with non-positive delay: %+v", e)
 		}

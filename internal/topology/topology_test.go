@@ -154,7 +154,7 @@ func TestQBoneEFDelayIsSmallAndStable(t *testing.T) {
 		Seed: 7, Enc: enc, TokenRate: 1.3e6, Depth: 4500, CrossLoad: 0.4,
 	})
 	q.Run()
-	if q.Delay.Delay.N() == 0 {
+	if q.Delay.Delay.Mean() == 0 {
 		t.Fatal("no delay samples")
 	}
 	p99 := q.Delay.Delay.Percentile(99)
@@ -191,7 +191,7 @@ func TestPacketIDsDoNotAliasAcrossTransports(t *testing.T) {
 	b.Link("fwd", LinkSpec{Rate: 2 * units.Mbps, Delay: units.Millisecond, To: "demux"})
 	b.Link("ackback", LinkSpec{Rate: 10 * units.Mbps, Delay: 2 * units.Millisecond, To: "sender-ack"})
 	b.Source("cross", SourceSpec{Kind: PoissonSource, Rate: 500 * units.Kbps, Flow: 99, To: "fwd"})
-	net := b.MustBuild()
+	net := b.mustBuild()
 	snd = tcpsim.NewSender(net.Sim, VideoFlow, net.Handler("fwd"))
 	snd.Pool, snd.Tap, snd.Hop = net.Pool, rec, rec.Hop("tcp-sender")
 	rcv = tcpsim.NewReceiver(net.Sim, VideoFlow, net.Handler("ackback"), func(int64) {})
@@ -203,7 +203,7 @@ func TestPacketIDsDoNotAliasAcrossTransports(t *testing.T) {
 	flowOf := map[uint64]packet.FlowID{}
 	perFlow := map[packet.FlowID]int{}
 	var last uint64
-	for _, e := range rec.Events() {
+	for _, e := range rec.Data().Events {
 		if e.PktID == 0 {
 			continue
 		}

@@ -44,10 +44,10 @@ type BitRate float64
 
 // Common rates.
 const (
-	BitPerSecond BitRate = 1
-	Kbps                 = 1e3 * BitPerSecond
-	Mbps                 = 1e6 * BitPerSecond
-	Gbps                 = 1e9 * BitPerSecond
+	bitPerSecond BitRate = 1
+	Kbps                 = 1e3 * bitPerSecond
+	Mbps                 = 1e6 * bitPerSecond
+	Gbps                 = 1e9 * bitPerSecond
 )
 
 // String formats the rate with an appropriate SI suffix.
@@ -74,31 +74,23 @@ func (r BitRate) TxTime(n int) Time {
 	return Time(bits / float64(r) * float64(Second))
 }
 
-// BytesIn reports how many whole bytes rate r delivers in dt.
-func (r BitRate) BytesIn(dt Time) int64 {
-	if r <= 0 || dt <= 0 {
-		return 0
-	}
-	return int64(float64(r) / 8 * dt.Seconds())
-}
-
 // ByteSize is a size in bytes.
 type ByteSize int64
 
 // Common sizes.
 const (
-	Byte ByteSize = 1
-	KB            = 1000 * Byte
-	MB            = 1000 * KB
+	oneByte ByteSize = 1
+	kb               = 1000 * oneByte
+	mb               = 1000 * kb
 )
 
 // String formats the size with an SI suffix.
 func (s ByteSize) String() string {
 	switch {
-	case s >= MB:
-		return fmt.Sprintf("%.4gMB", float64(s)/float64(MB))
-	case s >= KB:
-		return fmt.Sprintf("%.4gKB", float64(s)/float64(KB))
+	case s >= mb:
+		return fmt.Sprintf("%.4gMB", float64(s)/float64(mb))
+	case s >= kb:
+		return fmt.Sprintf("%.4gKB", float64(s)/float64(kb))
 	default:
 		return fmt.Sprintf("%dB", int64(s))
 	}

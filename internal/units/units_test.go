@@ -82,7 +82,7 @@ func TestBitRateString(t *testing.T) {
 }
 
 func TestByteSize(t *testing.T) {
-	if s := (3 * KB).String(); s != "3KB" {
+	if s := (3 * kb).String(); s != "3KB" {
 		t.Errorf("String = %q", s)
 	}
 	if s := ByteSize(42).String(); s != "42B" {

@@ -48,9 +48,9 @@ func TestCachedCustomClipNoNameCollision(t *testing.T) {
 		t.Fatal("custom clip colliding on name+length was served the built-in's encoding")
 	}
 	direct := EncodeCBR(impostor, 1.7e6)
-	if got.TotalBytes() != direct.TotalBytes() {
+	if got.totalBytes() != direct.totalBytes() {
 		t.Errorf("cached custom encoding differs from direct encode: %d vs %d bytes",
-			got.TotalBytes(), direct.TotalBytes())
+			got.totalBytes(), direct.totalBytes())
 	}
 }
 
@@ -66,8 +66,8 @@ func TestCachedVBRDistinctFromCBR(t *testing.T) {
 		t.Error("cache returned the wrong mode")
 	}
 	direct := EncodeVBR(Lost(), 1.0e6)
-	if v.TotalBytes() != direct.TotalBytes() {
-		t.Errorf("cached VBR differs from direct encode: %d vs %d bytes", v.TotalBytes(), direct.TotalBytes())
+	if v.totalBytes() != direct.totalBytes() {
+		t.Errorf("cached VBR differs from direct encode: %d vs %d bytes", v.totalBytes(), direct.totalBytes())
 	}
 }
 

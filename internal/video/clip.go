@@ -30,23 +30,13 @@ const (
 	FPSDen = 1001
 )
 
-// FPS is the frame rate as a float.
-const FPS = float64(FPSNum) / float64(FPSDen)
+// fps is the frame rate as a float.
+const fps = float64(FPSNum) / float64(FPSDen)
 
 // FrameInterval is the simulated time between frames.
 func FrameInterval() units.Time {
 	return units.Time(int64(FPSDen) * int64(units.Second) / int64(FPSNum))
 }
-
-// Frame dimensions used throughout the experiments (§3.2.1.1).
-const (
-	Width  = 320
-	Height = 240
-)
-
-// BigYUVFrameBytes is the size of one decoded frame in the BigYUV
-// 4:2:2 format: 2 bytes per pixel = 153.6 kB (§3.2.1.1).
-const BigYUVFrameBytes = Width * Height * 2
 
 // Scene is a contiguous run of frames sharing content statistics.
 type Scene struct {
@@ -75,7 +65,7 @@ type Clip struct {
 func (c *Clip) FrameCount() int { return len(c.TI) }
 
 // DurationSeconds reports the playback duration.
-func (c *Clip) DurationSeconds() float64 { return float64(c.FrameCount()) / FPS }
+func (c *Clip) DurationSeconds() float64 { return float64(c.FrameCount()) / fps }
 
 // build expands scenes into feature streams using a deterministic RNG.
 func (c *Clip) build(seed uint64) {
@@ -123,7 +113,7 @@ func sceneSplit(total int, seed uint64, profile func(pos float64, rng *sim.RNG) 
 	var scenes []Scene
 	used := 0
 	for used < total {
-		dur := int((2 + 6*rng.Float64()) * FPS)
+		dur := int((2 + 6*rng.Float64()) * fps)
 		const minScene = 2 * FPSNum / FPSDen // ≈ 2 s in frames
 		if total-used < dur || total-used-dur < minScene {
 			dur = total - used

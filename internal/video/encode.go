@@ -15,7 +15,7 @@ type FrameType uint8
 const (
 	IFrame FrameType = iota
 	PFrame
-	BFrame
+	bFrame
 )
 
 // String names the frame type.
@@ -54,18 +54,18 @@ type Encoding struct {
 // GoP structure used by the CBR encoder: N=12, M=3 (IBBPBBPBBPBB),
 // the classic MPEG-1 pattern.
 const (
-	GoPSize    = 12
-	GoPPattern = "IBBPBBPBBPBB"
+	gopSize    = 12
+	gopPattern = "IBBPBBPBBPBB"
 )
 
 func frameTypeAt(i int) FrameType {
-	switch GoPPattern[i%GoPSize] {
+	switch gopPattern[i%gopSize] {
 	case 'I':
 		return IFrame
 	case 'P':
 		return PFrame
 	default:
-		return BFrame
+		return bFrame
 	}
 }
 
@@ -115,13 +115,13 @@ func EncodeCBR(c *Clip, rate units.BitRate) *Encoding {
 		Target: rate, CBR: true,
 		Frames: make([]EncodedFrame, n),
 	}
-	avgB := float64(rate) / 8 / FPS
+	avgB := float64(rate) / 8 / fps
 	capB := avgB * frameCapRatio
 	floorB := avgB * frameFloorRatio
 	rng := sim.NewRNG(uint64(rate) ^ 0xC0DEC)
 	carry := 0.0
-	for g := 0; g < n; g += GoPSize {
-		end := g + GoPSize
+	for g := 0; g < n; g += gopSize {
+		end := g + gopSize
 		if end > n {
 			end = n
 		}
@@ -178,7 +178,7 @@ func EncodeVBR(c *Clip, cap units.BitRate) *Encoding {
 		Target: cap, CBR: false,
 		Frames: make([]EncodedFrame, n),
 	}
-	capB := float64(cap) / 8 / FPS
+	capB := float64(cap) / 8 / fps
 	rng := sim.NewRNG(uint64(cap) ^ 0x3731)
 	for i := 0; i < n; i++ {
 		// Content-driven size, hard-capped at the requested bandwidth.
@@ -193,8 +193,8 @@ func EncodeVBR(c *Clip, cap units.BitRate) *Encoding {
 	return e
 }
 
-// TotalBytes reports the coded size of the whole clip.
-func (e *Encoding) TotalBytes() int64 {
+// totalBytes reports the coded size of the whole clip.
+func (e *Encoding) totalBytes() int64 {
 	var t int64
 	for _, f := range e.Frames {
 		t += int64(f.Size)
@@ -202,19 +202,19 @@ func (e *Encoding) TotalBytes() int64 {
 	return t
 }
 
-// AvgFrameSize reports the mean coded frame size in bytes.
-func (e *Encoding) AvgFrameSize() float64 {
+// avgFrameSize reports the mean coded frame size in bytes.
+func (e *Encoding) avgFrameSize() float64 {
 	if len(e.Frames) == 0 {
 		return 0
 	}
-	return float64(e.TotalBytes()) / float64(len(e.Frames))
+	return float64(e.totalBytes()) / float64(len(e.Frames))
 }
 
 // FrameRate reports the instantaneous per-frame transmission rate in
 // bits per second, the quantity MPEG_stat reports and Fig. 6 plots:
 // frame bits × frame rate.
 func (e *Encoding) FrameRate(i int) float64 {
-	return float64(e.Frames[i].Size) * 8 * FPS
+	return float64(e.Frames[i].Size) * 8 * fps
 }
 
 // RateStats reports the (max, avg, min) of the per-frame rate trace,
@@ -236,16 +236,4 @@ func (e *Encoding) RateStats() (max, avg, min float64) {
 		}
 	}
 	return max, sum / float64(len(e.Frames)), min
-}
-
-// MeanDistortion reports the average per-frame coding penalty.
-func (e *Encoding) MeanDistortion() float64 {
-	if len(e.Frames) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, f := range e.Frames {
-		s += f.Distortion
-	}
-	return s / float64(len(e.Frames))
 }

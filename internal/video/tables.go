@@ -29,10 +29,10 @@ func Table2(c *Clip) []MPEGRow {
 		max, avg, min := e.RateStats()
 		rows = append(rows, MPEGRow{
 			EncodingRate: r,
-			BytesRead:    e.TotalBytes(),
+			BytesRead:    e.totalBytes(),
 			Frames:       c.FrameCount(),
 			LengthSec:    c.DurationSeconds(),
-			AvgFrameSize: e.AvgFrameSize(),
+			AvgFrameSize: e.avgFrameSize(),
 			MaxRate:      max,
 			AvgRate:      avg,
 			MinRate:      min,
@@ -74,15 +74,15 @@ const WMVCapKbps = 1015.5
 // zero and is ignored).
 func Table3(c *Clip) WMVRow {
 	e := EncodeVBR(c, units.BitRate(WMVCapKbps*1000))
-	avgKbps := float64(e.TotalBytes()) * 8 / c.DurationSeconds() / 1000
+	avgKbps := float64(e.totalBytes()) * 8 / c.DurationSeconds() / 1000
 	return WMVRow{
 		Clip:         c.Name,
-		BytesEncoded: e.TotalBytes(),
+		BytesEncoded: e.totalBytes(),
 		ExpectedKbps: WMVCapKbps,
 		AverageKbps:  avgKbps,
 		FramesTotal:  c.FrameCount(),
 		FPSExpected:  30.0,
-		FPSAverage:   FPS,
+		FPSAverage:   fps,
 	}
 }
 

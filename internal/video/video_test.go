@@ -26,8 +26,8 @@ func TestClipDimensionsMatchPaper(t *testing.T) {
 }
 
 func TestFPSAndFrameInterval(t *testing.T) {
-	if math.Abs(FPS-29.97) > 0.01 {
-		t.Errorf("FPS = %v", FPS)
+	if math.Abs(fps-29.97) > 0.01 {
+		t.Errorf("FPS = %v", fps)
 	}
 	iv := FrameInterval()
 	if iv < 33*units.Millisecond || iv > 34*units.Millisecond {
@@ -110,7 +110,7 @@ func TestCBRStatsShapeMatchTable2(t *testing.T) {
 		t.Errorf("min rate %v not small relative to avg %v", min, avg)
 	}
 	// Avg frame size ≈ 7101 bytes for the 1.7M encoding.
-	if afs := e.AvgFrameSize(); math.Abs(afs-7101) > 150 {
+	if afs := e.avgFrameSize(); math.Abs(afs-7101) > 150 {
 		t.Errorf("avg frame size = %v, want ≈7101", afs)
 	}
 }
@@ -123,17 +123,17 @@ func TestGoPPattern(t *testing.T) {
 			t.Fatalf("frame %d type %v, want %v", i, e.Frames[i].Type, want)
 		}
 	}
-	if frameTypeAt(0) != IFrame || frameTypeAt(3) != PFrame || frameTypeAt(1) != BFrame {
+	if frameTypeAt(0) != IFrame || frameTypeAt(3) != PFrame || frameTypeAt(1) != bFrame {
 		t.Error("GoP pattern wrong")
 	}
-	if IFrame.String() != "I" || PFrame.String() != "P" || BFrame.String() != "B" {
+	if IFrame.String() != "I" || PFrame.String() != "P" || bFrame.String() != "B" {
 		t.Error("type names wrong")
 	}
 }
 
 func TestFrameSizeCapAndFloor(t *testing.T) {
 	e := EncodeCBR(Dark(), 1.7e6)
-	avgB := 1.7e6 / 8 / FPS
+	avgB := 1.7e6 / 8 / fps
 	for i, f := range e.Frames {
 		if float64(f.Size) > avgB*frameCapRatio+1 {
 			t.Fatalf("frame %d size %d exceeds cap", i, f.Size)
@@ -153,7 +153,7 @@ func TestIFramesLargerThanBFrames(t *testing.T) {
 		case IFrame:
 			iSum += float64(f.Size)
 			iN++
-		case BFrame:
+		case bFrame:
 			bSum += float64(f.Size)
 			bN++
 		}

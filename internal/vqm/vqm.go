@@ -66,13 +66,6 @@ type Result struct {
 	CalibrationFailures int
 }
 
-// MOS maps the 0..1 quality index onto the ITU-T five-point mean
-// opinion score scale the subjective studies behind the tool used
-// (§2.3): index 0 ⇒ MOS 5 (excellent), index 1 ⇒ MOS 1 (bad).
-func (r *Result) MOS() float64 {
-	return units.Clamp(5-4*r.Index, 1, 5)
-}
-
 // featureStreams derives the output feature histories from a displayed
 // sequence into outTI, which must have one element per slot. outTI[s]
 // is the motion energy the viewer saw at slot s: zero during a freeze,
