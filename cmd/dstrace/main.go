@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -75,33 +76,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dstrace: -compare and -compare-golden are mutually exclusive")
 		return 2
 	}
-	if *compareGolden != "" {
-		if fs.NArg() != 1 {
-			fmt.Fprintln(stderr, "dstrace: -compare-golden needs exactly one trace file")
+	if *compare || *compareGolden != "" {
+		th, err := thresholds(*rel, *absMS)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		if *rel < 0 || *absMS < 0 {
-			fmt.Fprintln(stderr, "dstrace: -rel and -abs-ms must be non-negative")
-			return 2
+		if *compareGolden != "" {
+			if fs.NArg() != 1 {
+				fmt.Fprintln(stderr, "dstrace: -compare-golden needs exactly one trace file")
+				return 2
+			}
+			return runCompareGolden(*compareGolden, fs.Arg(0), th, *rows, stdout, stderr)
 		}
-		return runCompareGolden(*compareGolden, fs.Arg(0), ptrace.Thresholds{
-			Rel:     *rel,
-			AbsTime: units.Time(*absMS * float64(units.Millisecond)),
-		}, *rows, stdout, stderr)
-	}
-	if *compare {
 		if fs.NArg() != 2 {
 			fmt.Fprintln(stderr, "dstrace: -compare needs exactly two trace files")
 			return 2
 		}
-		if *rel < 0 || *absMS < 0 {
-			fmt.Fprintln(stderr, "dstrace: -rel and -abs-ms must be non-negative")
-			return 2
-		}
-		return runCompare(fs.Arg(0), fs.Arg(1), ptrace.Thresholds{
-			Rel:     *rel,
-			AbsTime: units.Time(*absMS * float64(units.Millisecond)),
-		}, units.FromDuration(*bucket), *rows, stdout, stderr)
+		return runCompare(fs.Arg(0), fs.Arg(1), th, units.FromDuration(*bucket), *rows, stdout, stderr)
 	}
 	if *in == "" {
 		fmt.Fprintln(stderr, "dstrace: -in is required")
@@ -165,6 +157,21 @@ func analyzeFile(path string, bucket units.Time, stderr io.Writer) (s *ptrace.Su
 		return err
 	})
 	return s, info, code
+}
+
+// thresholds checks the -compare and -compare-golden tolerances. Each
+// must be a finite number >= 0: every comparison against NaN or +Inf
+// passes, so either would open the gate, and -abs-ms must also fit the
+// simulator clock once converted.
+func thresholds(rel, absMS float64) (ptrace.Thresholds, error) {
+	maxMS := float64(math.MaxInt64) / float64(units.Millisecond)
+	switch {
+	case !(rel >= 0 && rel <= math.MaxFloat64):
+		return ptrace.Thresholds{}, fmt.Errorf("dstrace: -rel must be a finite number >= 0, got %v", rel)
+	case !(absMS >= 0 && absMS < maxMS):
+		return ptrace.Thresholds{}, fmt.Errorf("dstrace: -abs-ms must be a finite number in [0, %.3g), got %v", maxMS, absMS)
+	}
+	return ptrace.Thresholds{Rel: rel, AbsTime: units.Time(absMS * float64(units.Millisecond))}, nil
 }
 
 // runCompareGolden diffs one trace against a stored digest file: the

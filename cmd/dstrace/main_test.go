@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,8 +224,22 @@ func TestCompareUsage(t *testing.T) {
 	if code, _, _ := runCapture(t, "-compare", "one.ptrace"); code != 2 {
 		t.Errorf("one arg: exit %d, want 2", code)
 	}
-	if code, _, _ := runCapture(t, "-compare", "-rel", "-0.5", "a", "b"); code != 2 {
-		t.Errorf("negative rel: exit %d, want 2", code)
+	checkToleranceUsage(t, []string{"-compare"}, "a", "b")
+}
+
+// checkToleranceUsage: a negative, NaN or infinite -rel or -abs-ms is
+// a usage error naming the flag, whichever comparison mode reads it.
+func checkToleranceUsage(t *testing.T, mode []string, files ...string) {
+	t.Helper()
+	for _, tol := range [][2]string{
+		{"-rel", "-0.5"}, {"-rel", "NaN"}, {"-rel", "+Inf"},
+		{"-abs-ms", "-1"}, {"-abs-ms", "NaN"}, {"-abs-ms", "+Inf"}, {"-abs-ms", "1e300"},
+	} {
+		args := append(append(slices.Clone(mode), tol[:]...), files...)
+		code, _, errOut := runCapture(t, args...)
+		if code != 2 || !strings.Contains(errOut, tol[0]+" must be") {
+			t.Errorf("%v: exit %d (%q), want 2 naming the flag", args, code, errOut)
+		}
 	}
 }
 
@@ -300,9 +315,7 @@ func TestCompareGoldenUsage(t *testing.T) {
 	if code, _, _ := runCapture(t, "-compare-golden", "g.digest", "a.ptrace", "b.ptrace"); code != 2 {
 		t.Errorf("two traces: exit %d, want 2", code)
 	}
-	if code, _, _ := runCapture(t, "-compare-golden", "g.digest", "-rel", "-1", "a.ptrace"); code != 2 {
-		t.Errorf("negative rel: exit %d, want 2", code)
-	}
+	checkToleranceUsage(t, []string{"-compare-golden", "g.digest"}, "a.ptrace")
 	code, _, errOut := runCapture(t, "-compare", "-compare-golden", "g.digest", "a.ptrace", "b.ptrace")
 	if code != 2 || !strings.Contains(errOut, "mutually exclusive") {
 		t.Errorf("compare+compare-golden: exit %d (%q), want 2 with conflict message", code, errOut)
@@ -342,6 +355,11 @@ func TestCompareGoldenGate(t *testing.T) {
 	}
 	if !strings.Contains(out, "BREACH") || !strings.Contains(errOut, "breach") {
 		t.Errorf("perturbed gate did not flag breaches:\nstdout:\n%s\nstderr:\n%s", out, errOut)
+	}
+	// A NaN tolerance compares false against every delta; it must not
+	// open the gate.
+	if code, _, _ = runCapture(t, "-compare-golden", golden, "-rel", "NaN", pp); code == 0 {
+		t.Error("perturbed gate with -rel NaN exit 0")
 	}
 
 	// Garbage digest: opens fine, is not a digest — usage-class 2.

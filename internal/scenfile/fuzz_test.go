@@ -41,6 +41,15 @@ func FuzzScenarioFile(f *testing.F) {
 	} {
 		f.Add([]byte(strings.Replace(string(dumbbell), wire[0], wire[1], 1)))
 	}
+	// Wiring cycles, which validation must refuse: a router into itself,
+	// a policer back to its border router, two elements into each other.
+	for _, wire := range [][2]string{
+		{`"name": "demux", "to": "sink"`, `"name": "demux", "to": "demux"`},
+		{`"mark": "ef", "to": "e-bneck"`, `"mark": "ef", "to": "e-border"`},
+		{`"name": "demux", "to": "sink"`, `"name": "demux", "to": "core"`},
+	} {
+		f.Add([]byte(strings.Replace(string(dumbbell), wire[0], wire[1], 1)))
+	}
 	f.Add([]byte(`{"version": 1, "name": "x", "shape": "tandem"}`))
 	f.Add([]byte(`{]`))
 	// A flow count past the int32 the batched source indexes flows with.

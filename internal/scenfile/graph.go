@@ -2,12 +2,15 @@ package scenfile
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/experiment"
 	"repro/internal/node"
 	"repro/internal/packet"
+	"repro/internal/queue"
 	"repro/internal/server"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -187,6 +190,9 @@ func (g *GraphShape) validate() error {
 			policers[el.Name] = true
 		}
 	}
+	if err := g.checkAcyclic(); err != nil {
+		return err
+	}
 	for i, name := range g.Borders {
 		if !policers[name] {
 			return errf(fmt.Sprintf("graph.borders[%d]", i), "%q does not name a policer element", name)
@@ -207,6 +213,49 @@ func (g *GraphShape) validate() error {
 		if err := (&Sweep{FromKbps: g.Sweep.FromKbps, ToKbps: g.Sweep.ToKbps,
 			StepKbps: g.Sweep.StepKbps}).validate("graph.sweep"); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkAcyclic rejects a directed cycle over the element and rule "to"
+// wires: a packet on one circulates until the horizon, or, through
+// routers alone, recurses until the stack overflows. The error names
+// the field whose wire closes the cycle.
+func (g *GraphShape) checkAcyclic() error {
+	at := make(map[string]int, len(g.Elements))
+	for i, el := range g.Elements {
+		at[el.Name] = i
+	}
+	done := make([]bool, len(g.Elements))
+	var path []string // the elements visit is inside, outermost first
+	var visit func(i int) error
+	visit = func(i int) error {
+		el := &g.Elements[i]
+		path = append(path, el.Name)
+		field := fmt.Sprintf("graph.elements[%d]", i)
+		wires := [][2]string{{field + ".to", el.To}}
+		for j, r := range el.Rules {
+			wires = append(wires, [2]string{fmt.Sprintf("%s.rules[%d].to", field, j), r.To})
+		}
+		for _, w := range wires {
+			if k := slices.Index(path, w[1]); k >= 0 {
+				return errf(w[0], "wiring cycle %s", strings.Join(append(path[k:], w[1]), " → "))
+			}
+			if k, ok := at[w[1]]; ok && !done[k] {
+				if err := visit(k); err != nil {
+					return err
+				}
+			}
+		}
+		path, done[i] = path[:len(path)-1], true
+		return nil
+	}
+	for i := range g.Elements {
+		if !done[i] {
+			if err := visit(i); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -564,7 +613,7 @@ func declareElement(b *topology.Builder, el *Element, tok units.BitRate, swept m
 		b.Link(el.Name, topology.LinkSpec{
 			Rate:  units.BitRate(el.RateBps),
 			Delay: units.Time(el.DelayUS) * units.Microsecond,
-			Sched: schedSpec(el.Sched),
+			Sched: scheduler(el.Sched),
 			To:    el.To,
 		})
 	case "jitter":
@@ -598,16 +647,16 @@ func declareElement(b *topology.Builder, el *Element, tok units.BitRate, swept m
 	}
 }
 
-// schedSpec maps a validated scheduler declaration to the Builder's
-// constructor; nil stays nil (the Builder's unbounded FIFO default).
-func schedSpec(s *SchedJSON) topology.SchedulerSpec {
-	if s == nil {
+// scheduler builds a validated scheduler declaration; nil stays nil
+// (the Builder's unbounded FIFO default).
+func scheduler(s *SchedJSON) queue.Scheduler {
+	switch {
+	case s == nil:
 		return nil
+	case s.Kind == "ef_priority":
+		return queue.NewEFPriority(s.High, s.Low)
 	}
-	if s.Kind == "ef_priority" {
-		return topology.EFPriority(s.High, s.Low)
-	}
-	return topology.PlainFIFO(s.Limit)
+	return queue.NewSingleFIFO(s.Limit)
 }
 
 // classifier builds the rule's match from its validated flow/dscp

@@ -93,6 +93,18 @@ func TestValidationNamesOffendingField(t *testing.T) {
 		{"flow entry at a source", dumbbell,
 			`"flow": 1, "entry": "e-campus"`, `"flow": 1, "entry": "core-cross"`,
 			`graph.flows[0].entry: "core-cross" is a source; sources take no input`},
+		// A wiring cycle once crashed Build's caller (a router into
+		// itself overflows the stack) or ran with packets circulating
+		// until the horizon.
+		{"router wired into itself", dumbbell,
+			`"name": "demux", "to": "sink"`, `"name": "demux", "to": "demux"`,
+			`graph.elements[2].to: wiring cycle demux → demux`},
+		{"policer wired back to its border", dumbbell,
+			`"mark": "ef", "to": "e-bneck"`, `"mark": "ef", "to": "e-border"`,
+			`graph.elements[11].rules[0].to: wiring cycle e-policer → e-border → e-policer`},
+		{"core and demux wired into each other", dumbbell,
+			`"name": "demux", "to": "sink"`, `"name": "demux", "to": "core"`,
+			`graph.elements[3].to: wiring cycle demux → core → demux`},
 		{"irrelevant knob rejected", dumbbell,
 			`"name": "e-jit", "max_jitter_us": 5000`, `"name": "e-jit", "loss_p": 0.5, "max_jitter_us": 5000`,
 			`graph.elements[13].loss_p: does not apply to kind "jitter"`},

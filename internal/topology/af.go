@@ -78,15 +78,14 @@ func BuildAF(cfg AFConfig) *AF {
 		a.Client.Tap, a.Client.Hop = cfg.Trace, cfg.Trace.Hop("client")
 	}
 	b.Handler("client", a.Client)
-	b.Link("access", LinkSpec{Rate: 10 * units.Mbps, Delay: units.Millisecond,
-		Sched: PlainFIFO(0), To: "client"})
+	b.Link("access", LinkSpec{Rate: 10 * units.Mbps, Delay: units.Millisecond, To: "client"})
 
 	// Bottleneck with the AF PHB: in-profile (green) protected by the
 	// permissive RIO profile, yellow/red exposed to the congestion.
 	in := queue.REDConfig{MinTh: 40, MaxTh: 60, MaxP: 0.02, Wq: 0.002, MaxSize: 80}
 	out := queue.REDConfig{MinTh: 8, MaxTh: 25, MaxP: 0.3, Wq: 0.002, MaxSize: 80}
 	b.Link("bottleneck", LinkSpec{Rate: afBottleneck, Delay: 5 * units.Millisecond,
-		Sched: afRIO(in, out, 100), To: "access"})
+		Sched: queue.NewAFScheduler(in, out, b.Sim().RNG().Fork().Float64, 100), To: "access"})
 
 	// Competing traffic: an AF-marked aggregate (alternating colors —
 	// someone else's partially conformant traffic) and best effort.
@@ -107,8 +106,7 @@ func BuildAF(cfg AFConfig) *AF {
 	b.Rule("af-edge", "video-af", node.FlowMatch(VideoFlow), "marker")
 
 	b.Jitter("jit", 3*units.Millisecond, "af-edge")
-	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond,
-		Sched: PlainFIFO(0), To: "jit"})
+	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond, To: "jit"})
 
 	net := b.mustBuild()
 	a.Net = net

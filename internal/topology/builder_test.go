@@ -89,7 +89,7 @@ func TestBuilderMultiClassLink(t *testing.T) {
 	b.Handler("sink", &sink)
 	b.Link("bottleneck", LinkSpec{
 		Rate: units.Mbps, Delay: units.Millisecond,
-		Sched: drrSched(
+		Sched: queue.NewDRR(
 			queue.ClassSpec{Name: "ef", Match: queue.MatchDSCP(packet.EF), Limit: 100},
 			queue.ClassSpec{Name: "be", Limit: 100},
 		),
@@ -139,23 +139,49 @@ func TestBuilderSourcesDeterministic(t *testing.T) {
 	}
 }
 
+// TestNetworkAccessorPanics: every typed accessor panics on a missing
+// name and on an element of another kind.
 func TestNetworkAccessorPanics(t *testing.T) {
 	b := NewBuilder(1, nil, nil)
 	var sink packet.Sink
 	b.Handler("sink", &sink)
+	b.Source("src", SourceSpec{Kind: CBRSource, Rate: units.Mbps, Flow: 1, To: "sink"})
 	net := b.mustBuild()
-	for name, fn := range map[string]func(){
-		"missing element": func() { net.Handler("ghost") },
-		"kind mismatch":   func() { net.Link("sink") },
+	for name, fn := range map[string]func(string){
+		"Handler":  func(n string) { net.Handler(n) },
+		"Link":     func(n string) { net.Link(n) },
+		"Router":   func(n string) { net.Router(n) },
+		"Policer":  func(n string) { net.Policer(n) },
+		"shaper":   func(n string) { net.shaper(n) },
+		"afMarker": func(n string) { net.afMarker(n) },
+		"delayTap": func(n string) { net.delayTap(n) },
+		"Poisson":  func(n string) { net.Poisson(n) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
+		for _, el := range []string{"ghost", "src"} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%q): expected panic", name, el)
+					}
+				}()
+				fn(el)
 			}()
-			fn()
-		}()
+		}
+	}
+}
+
+// TestBuilderWireIntoSource: a source takes no input, so wiring into
+// one is a Build error naming both ends.
+func TestBuilderWireIntoSource(t *testing.T) {
+	b := NewBuilder(1, nil, nil)
+	var sink packet.Sink
+	b.Handler("sink", &sink)
+	b.Source("src", SourceSpec{Kind: CBRSource, Rate: units.Mbps, Flow: 1, To: "sink"})
+	b.Link("l", LinkSpec{Rate: units.Mbps, To: "src"})
+	_, err := b.Build()
+	if err == nil || !strings.Contains(err.Error(), `"l"`) || !strings.Contains(err.Error(), `"src"`) ||
+		!strings.Contains(err.Error(), "takes no input") {
+		t.Errorf("want a takes-no-input error naming l and src, got %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/ptrace"
+	"repro/internal/queue"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
@@ -97,11 +98,15 @@ func BuildLocal(cfg LocalConfig) *Local {
 	b.Handler("deliver", deliver)
 
 	// Router 3 → client hub (fast Ethernet), then the FR chain.
-	b.Link("hub2", LinkSpec{Rate: 10 * units.Mbps, Delay: 200 * units.Microsecond,
-		Sched: PlainFIFO(0), To: "deliver"})
-	b.frameRelayLink("r3port", fr[3], units.Millisecond, EFPriority(100, 100), "hub2")
-	b.frameRelayLink("r2port", fr[0], units.Millisecond, EFPriority(100, 100), "r3port")
-	b.frameRelayLink("r1port", fr[2], units.Millisecond, EFPriority(100, 100), "r2port")
+	b.Link("hub2", LinkSpec{Rate: 10 * units.Mbps, Delay: 200 * units.Microsecond, To: "deliver"})
+	// Each router port is a Frame Relay PVC: CIR with Be=0 behaves as a
+	// constant-rate pipe at CIR.
+	b.Link("r3port", LinkSpec{Rate: fr[3].CIR, Delay: units.Millisecond,
+		Sched: queue.NewEFPriority(100, 100), To: "hub2"})
+	b.Link("r2port", LinkSpec{Rate: fr[0].CIR, Delay: units.Millisecond,
+		Sched: queue.NewEFPriority(100, 100), To: "r3port"})
+	b.Link("r1port", LinkSpec{Rate: fr[2].CIR, Delay: units.Millisecond,
+		Sched: queue.NewEFPriority(100, 100), To: "r2port"})
 
 	// Router 1: EF policer on the video flow, everything else straight
 	// to the HSSI port.
@@ -117,14 +122,12 @@ func BuildLocal(cfg LocalConfig) *Local {
 	}
 
 	// Server hub: host NIC serialization.
-	b.Link("hub1", LinkSpec{Rate: hostRate, Delay: 200 * units.Microsecond,
-		Sched: PlainFIFO(0), To: ingress})
+	b.Link("hub1", LinkSpec{Rate: hostRate, Delay: 200 * units.Microsecond, To: ingress})
 
 	if cfg.UseTCP {
 		// ACKs return over an uncongested reverse path.
 		b.Handler("sender-ack", packet.HandlerFunc(func(p *packet.Packet) { l.Sender.HandleAck(p) }))
-		b.Link("ackback", LinkSpec{Rate: 10 * units.Mbps, Delay: 2 * units.Millisecond,
-			Sched: PlainFIFO(0), To: "sender-ack"})
+		b.Link("ackback", LinkSpec{Rate: 10 * units.Mbps, Delay: 2 * units.Millisecond, To: "sender-ack"})
 	}
 
 	net := b.mustBuild()

@@ -178,7 +178,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 
 	b.Link("bottleneck", LinkSpec{
 		Rate: cfg.BottleneckRate, Delay: 5 * units.Millisecond,
-		Sched: cfg.Sched.spec(400), To: "demux",
+		Sched: cfg.Sched.scheduler(400), To: "demux",
 	})
 
 	// Send side: per-flow EF policers, constructed directly rather than
@@ -215,8 +215,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		hub := fmt.Sprintf("hub%d", i)
 		b.Handler(fmt.Sprintf("policer%d", i), pol)
 		b.Jitter(jit, accessJitterMax, fmt.Sprintf("policer%d", i))
-		b.Link(hub, LinkSpec{Rate: accessRate, Delay: accessDelay,
-			Sched: PlainFIFO(0), To: jit})
+		b.Link(hub, LinkSpec{Rate: accessRate, Delay: accessDelay, To: jit})
 	}
 
 	// Competing aggregates at the bottleneck (declared last, so the

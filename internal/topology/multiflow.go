@@ -53,23 +53,23 @@ func BottleneckSchedulers() []BottleneckSched {
 	return []BottleneckSched{PriorityBottleneck, DRRBottleneck, WFQBottleneck}
 }
 
-func (k BottleneckSched) spec(classLimit int) SchedulerSpec {
+func (k BottleneckSched) scheduler(classLimit int) queue.Scheduler {
 	afMatch := queue.MatchDSCP(packet.AF11, packet.AF12, packet.AF13)
 	switch k {
 	case DRRBottleneck:
-		return drrSched(
+		return queue.NewDRR(
 			queue.ClassSpec{Name: "ef", Match: queue.MatchDSCP(packet.EF), Quantum: 4500, Limit: classLimit},
 			queue.ClassSpec{Name: "af", Match: afMatch, Quantum: 3000, Limit: classLimit},
 			queue.ClassSpec{Name: "be", Quantum: 1500, Limit: classLimit},
 		)
 	case WFQBottleneck:
-		return wfqSched(
+		return queue.NewWFQ(
 			queue.ClassSpec{Name: "ef", Match: queue.MatchDSCP(packet.EF), Weight: 3, Limit: classLimit},
 			queue.ClassSpec{Name: "af", Match: afMatch, Weight: 2, Limit: classLimit},
 			queue.ClassSpec{Name: "be", Weight: 1, Limit: classLimit},
 		)
 	default:
-		return EFPriority(classLimit, classLimit)
+		return queue.NewEFPriority(classLimit, classLimit)
 	}
 }
 

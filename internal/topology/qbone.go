@@ -16,6 +16,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/ptrace"
+	"repro/internal/queue"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -110,7 +111,7 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 	b.Handler("client", cl)
 	b.delayTap("delay", func(p *packet.Packet) bool { return p.Flow == VideoFlow }, "client")
 	b.Link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
-		Sched: EFPriority(0, 200), To: "delay"})
+		Sched: queue.NewEFPriority(0, 200), To: "delay"})
 
 	// Backbone hops, declared client-side first so cross sources start
 	// in the same order the hand-wired constructor used. Core routers
@@ -123,7 +124,7 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 			to = hopName(i + 1)
 		}
 		b.Link(hopName(i), LinkSpec{Rate: hopRate, Delay: hopDelay,
-			Sched: EFPriority(400, 400), To: to})
+			Sched: queue.NewEFPriority(400, 400), To: to})
 		if cfg.CrossLoad > 0 {
 			b.Source(crossName(i), SourceSpec{
 				Kind: PoissonSource,
@@ -149,8 +150,7 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 	// Campus segment: fast LAN plus the jitter the paper identifies as
 	// the reason conformance at the policer is perturbed.
 	b.Jitter("jit", cfg.CampusJitter, "border")
-	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond,
-		Sched: PlainFIFO(0), To: "jit"})
+	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond, To: "jit"})
 
 	net := b.mustBuild()
 	q.Net = net

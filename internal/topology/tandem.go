@@ -7,6 +7,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/ptrace"
+	"repro/internal/queue"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/tokenbucket"
@@ -86,7 +87,7 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 	t.Client = cl
 	b.Handler("client", cl)
 	b.Link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
-		Sched: EFPriority(0, 200), To: "client"})
+		Sched: queue.NewEFPriority(0, 200), To: "client"})
 
 	// hops declares domain d's backbone hops client side first, the
 	// last handing off to next, each loaded by best-effort cross
@@ -98,7 +99,7 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 				to = domainHop(d, i+1)
 			}
 			b.Link(domainHop(d, i), LinkSpec{Rate: hopRate, Delay: hopDelay,
-				Sched: EFPriority(400, 400), To: to})
+				Sched: queue.NewEFPriority(400, 400), To: to})
 			b.Source(domainHop(d, i)+"-cross", SourceSpec{
 				Kind: PoissonSource, Rate: crossRate,
 				Size: units.EthernetMTU, Flow: flowBase + packet.FlowID(i),
@@ -131,8 +132,7 @@ func BuildTandem(cfg TandemConfig) *Tandem {
 	b.Router("border", domainHop(1, 0))
 	b.Rule("border", "video-aps", node.FlowMatch(VideoFlow), "border1")
 	b.Jitter("jit", campusJitter, "border")
-	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond,
-		Sched: PlainFIFO(0), To: "jit"})
+	b.Link("campus", LinkSpec{Rate: 100 * units.Mbps, Delay: 500 * units.Microsecond, To: "jit"})
 
 	net := b.mustBuild()
 	t.Net = net
