@@ -35,6 +35,11 @@ func TestFlagValidation(t *testing.T) {
 		{"zero depth on local", []string{"-testbed", "local", "-depth", "0"}, "-depth must be > 0, got 0"},
 		{"negative depth on local", []string{"-testbed", "local", "-depth", "-1"}, "-depth must be > 0, got -1"},
 		{"zero encoding rate", []string{"-testbed", "qbone", "-rate", "0"}, "-rate must be > 0, got 0"},
+		{"NaN encoding rate", []string{"-testbed", "qbone", "-rate", "NaN"}, `-rate: units: bit rate "NaN" is not finite`},
+		{"infinite token rate", []string{"-token", "Inf"}, `-token: units: bit rate "Inf" is not finite`},
+		{"token rate past float64", []string{"-token", "1e306G"}, `-token: units: bit rate "1e306G" is not finite`},
+		{"negative encoding rate", []string{"-testbed", "qbone", "-rate", "-1M"}, `-rate: units: negative bit rate "-1M"`},
+		{"bad token rate named", []string{"-token", "fast"}, `-token: units: bad bit rate "fast"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		r, err := units.ParseBitRate(s)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-%s: %w", name, err)
 		}
 		if r <= 0 {
 			return nil, fmt.Errorf("-%s must be > 0, got %s", name, s)

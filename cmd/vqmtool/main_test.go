@@ -60,6 +60,10 @@ func TestFlagValidation(t *testing.T) {
 		{"undefined flag", []string{"-bogus"}, ""},
 		{"zero rate", []string{"-in", tracePath, "-rate", "0"}, "-rate must be > 0, got 0"},
 		{"zero ref rate", []string{"-in", tracePath, "-ref", "0"}, "-ref must be > 0, got 0"},
+		{"NaN rate", []string{"-in", tracePath, "-rate", "NaN"}, `-rate: units: bit rate "NaN" is not finite`},
+		{"infinite ref rate", []string{"-in", tracePath, "-ref", "Inf"}, `-ref: units: bit rate "Inf" is not finite`},
+		{"negative rate", []string{"-in", tracePath, "-rate", "-1M"}, `-rate: units: negative bit rate "-1M"`},
+		{"ref rate past float64", []string{"-in", tracePath, "-ref", "1e306G"}, `-ref: units: bit rate "1e306G" is not finite`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -35,7 +35,9 @@
 // the job's receivers fill the same chunks rather than each growing its
 // own; its record array is lent at Finish, exactly sized if the lent one
 // is too small. A Stream and a StreamAssembler grow what they got by
-// append. So what is lent is what an earlier job used, never more. The
+// append. A testbed's delay tap (a stats.DelayCollector) borrows the
+// array its delay samples fill through LendDelays when it is built. So
+// what is lent is what an earlier job used, never more. The
 // owner calls Scratch.Reset when the job's results have been reduced to
 // plain values (experiment.RunScenarioOpts does, after every job): every
 // buffer goes back at its capacity, the slab keeps the chunks the job

@@ -1,10 +1,14 @@
 package client
 
-import "repro/internal/trace"
+import (
+	"repro/internal/stats"
+	"repro/internal/trace"
+)
 
 // Scratch is the receive storage a runner worker owns and lends, job
 // after job, to the receivers of whichever simulation it is running:
-// frame-trace record arrays, slot tables and TCP message lists, each at
+// frame-trace record arrays, slot tables, TCP message lists and delay
+// sample arrays, each at
 // the capacity its last borrower left it, and one fragSlab whose chunks
 // hold the reassembly states of every UDP receiver of the job. See the
 // package comment for the lending contract. The zero value is ready to
@@ -18,12 +22,14 @@ type Scratch struct {
 	records [][]trace.FrameRecord
 	slots   [][]int32
 	msgs    [][]message
+	delays  [][]float64
 	slab    fragSlab
 
 	// What is out on loan since the last Reset, in borrowing order.
 	traces []*trace.Trace
 	udps   []*UDP
 	asms   []*StreamAssembler
+	taps   []*stats.DelayCollector
 }
 
 // pop takes the top buffer off a free list, emptied; nil when the list
@@ -97,9 +103,20 @@ func (s *Scratch) lendMessages(a *StreamAssembler) {
 	s.asms = append(s.asms, a)
 }
 
+// LendDelays gives d's Delay summary an empty sample array to grow by
+// append. A nil Scratch leaves the summary to grow one from the heap.
+func (s *Scratch) LendDelays(d *stats.DelayCollector) {
+	if s == nil {
+		return
+	}
+	d.Delay.Swap(pop(&s.delays))
+	s.taps = append(s.taps, d)
+}
+
 // Reset takes back everything lent since the last Reset, at whatever
 // capacity the borrowers left it, and leaves them empty-handed: a trace
-// read after this point has no records rather than another job's.
+// read after this point has no records, and a delay tap no samples,
+// rather than another job's.
 // Buffers the ending job did not borrow are dropped, and the slab keeps
 // only the chunks the job filled, so between jobs a Scratch holds only
 // what the last one used. Loans return in reverse, so the next job's
@@ -112,6 +129,7 @@ func (s *Scratch) Reset() {
 	empty(&s.records)
 	empty(&s.slots)
 	empty(&s.msgs)
+	empty(&s.delays)
 	for i := len(s.traces) - 1; i >= 0; i-- {
 		t := s.traces[i]
 		push(&s.records, t.Records)
@@ -129,8 +147,12 @@ func (s *Scratch) Reset() {
 		push(&s.msgs, a.msgs)
 		a.msgs = nil
 	}
+	for i := len(s.taps) - 1; i >= 0; i-- {
+		push(&s.delays, s.taps[i].Delay.Swap(nil))
+	}
 	s.slab.reset()
 	empty(&s.traces)
 	empty(&s.udps)
 	empty(&s.asms)
+	empty(&s.taps)
 }

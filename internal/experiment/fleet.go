@@ -97,17 +97,32 @@ func (spec FleetSpec) Name() string { return spec.Key }
 // Describe implements Scenario.
 func (spec FleetSpec) Describe() string { return spec.Title }
 
-// classesFor splits a total flow count by the class shares (the last
-// class absorbs rounding) and lays out the per-class topology config.
-func (spec FleetSpec) classesFor(n int) []topology.FlowClass {
-	out := make([]topology.FlowClass, len(spec.Classes))
+// SplitFlows splits a total of n flows by the class shares, in class
+// order: each class takes its share of n rounded to nearest, capped at
+// what the classes before it left, and the last class takes the rest.
+// A small n can leave a class with none, which a mixture cannot build,
+// so scenario-file validation rejects such an n through this same split.
+func SplitFlows(n int, classes []FleetClass) []int {
+	counts := make([]int, len(classes))
 	rem := n
-	for ci, fc := range spec.Classes {
+	for ci, fc := range classes {
 		cn := int(float64(n)*fc.Share + 0.5)
-		if ci == len(spec.Classes)-1 || cn > rem {
+		if ci == len(classes)-1 || cn > rem {
 			cn = rem
 		}
 		rem -= cn
+		counts[ci] = cn
+	}
+	return counts
+}
+
+// classesFor splits a total flow count by the class shares and lays out
+// the per-class topology config.
+func (spec FleetSpec) classesFor(n int) []topology.FlowClass {
+	out := make([]topology.FlowClass, len(spec.Classes))
+	counts := SplitFlows(n, spec.Classes)
+	for ci, fc := range spec.Classes {
+		cn := counts[ci]
 		stagger := units.Time(1)
 		if cn > 0 {
 			if stagger = spec.StartWindow / units.Time(cn); stagger <= 0 {

@@ -1,6 +1,7 @@
 package scenfile
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,6 +58,19 @@ func FuzzScenarioFile(f *testing.F) {
   "capabilities": {"shards": true}, "fleet": {"flows": [3000000000],
   "classes": [{"name": "v", "clip": "lost", "enc_rate_bps": 1000000, "share": 1, "token_rate_bps": 1300000}],
   "depth_bytes": 4500, "bottleneck_rate_bps": 13000000000, "sched": "priority"}}`))
+	// Flow counts the class split leaves a class empty with, which
+	// validation must refuse: a mixture class of no flows cannot build.
+	fleet := `{"version": 1, "name": "x", "id": "X", "title": "t", "shape": "fleet",
+  "capabilities": {"shards": true}, "fleet": {"flows": %s,
+  "classes": [{"name": "v", "clip": "lost", "enc_rate_bps": 1000000, "share": %s, "token_rate_bps": 1300000},
+    {"name": "e", "clip": "dark", "enc_rate_bps": 1500000, "share": %s, "token_rate_bps": 1950000}],
+  "depth_bytes": 4500, "bottleneck_rate_bps": 13000000000, "sched": "priority"}}`
+	for _, c := range [][3]string{
+		{"[3]", "0.85", "0.15"}, {"[1]", "0.85", "0.15"}, {"[2]", "0.85", "0.15"},
+		{"[200, 3]", "0.85", "0.15"}, {"[2]", "0.1", "0.9"},
+	} {
+		f.Add([]byte(fmt.Sprintf(fleet, c[0], c[1], c[2])))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := Parse(data)

@@ -360,6 +360,18 @@ func (fl *FleetShape) validate() error {
 	if math.Abs(share-1) > 1e-9 {
 		return errf("fleet.classes", "class shares must sum to 1, got %v", share)
 	}
+	classes := make([]experiment.FleetClass, len(fl.Classes))
+	for i, c := range fl.Classes {
+		classes[i] = experiment.FleetClass{Name: c.Name, Share: c.Share}
+	}
+	for i, n := range fl.Flows {
+		for ci, cn := range experiment.SplitFlows(n, classes) {
+			if cn == 0 {
+				return errf(fmt.Sprintf("fleet.flows[%d]", i),
+					"splitting %d flows by share leaves class %q (share %v) with none; every class needs at least one flow", n, classes[ci].Name, classes[ci].Share)
+			}
+		}
+	}
 	if fl.DepthBytes <= 0 {
 		return errf("fleet.depth_bytes", "bucket depth must be positive, got %d", fl.DepthBytes)
 	}

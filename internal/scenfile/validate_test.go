@@ -170,6 +170,20 @@ func TestFleetValidation(t *testing.T) {
 		{"flow count beyond int32",
 			`"flows": [100]`, `"flows": [3000000000]`,
 			"fleet.flows[0]: flow count must be in [1, 2147483647], got 3000000000"},
+		// Counts the class split leaves a class empty with: a mixture
+		// class of no flows cannot be built.
+		{"3 flows leave the 0.15 class empty",
+			`"flows": [100]`, `"flows": [3]`,
+			`fleet.flows[0]: splitting 3 flows by share leaves class "elephants" (share 0.15) with none`},
+		{"2 flows leave the 0.15 class empty",
+			`"flows": [100]`, `"flows": [2]`,
+			`fleet.flows[0]: splitting 2 flows by share leaves class "elephants" (share 0.15) with none`},
+		{"1 flow leaves the 0.15 class empty",
+			`"flows": [100]`, `"flows": [1]`,
+			`fleet.flows[0]: splitting 1 flows by share leaves class "elephants" (share 0.15) with none`},
+		{"an empty class at the second count",
+			`"flows": [100]`, `"flows": [200, 3]`,
+			`fleet.flows[1]: splitting 3 flows by share leaves class "elephants" (share 0.15) with none`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -181,6 +195,17 @@ func TestFleetValidation(t *testing.T) {
 				t.Errorf("error %q\ndoes not contain %q", err, c.want)
 			}
 		})
+	}
+	// At shares 0.1/0.9, 2 flows round the first class down to none.
+	tenth := strings.NewReplacer(`"share": 0.85`, `"share": 0.1`, `"share": 0.15`, `"share": 0.9`,
+		`"flows": [100]`, `"flows": [2]`).Replace(good)
+	want := `fleet.flows[0]: splitting 2 flows by share leaves class "viewers" (share 0.1) with none`
+	if _, err := Parse([]byte(tenth)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("shares 0.1/0.9 at 2 flows: error %v, want %q", err, want)
+	}
+	// The smallest count that leaves neither class empty still parses.
+	if _, err := Parse([]byte(strings.Replace(good, `"flows": [100]`, `"flows": [4]`, 1))); err != nil {
+		t.Errorf("4 flows rejected: %v", err)
 	}
 }
 

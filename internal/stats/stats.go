@@ -14,10 +14,12 @@ import (
 	"repro/internal/units"
 )
 
-// Summary accumulates running moments plus the full sample set for
-// exact percentiles. For the experiment sizes in this repository
-// (≤ a few hundred thousand samples) keeping samples is cheap and
-// avoids quantile-sketch approximations.
+// Summary accumulates running moments plus the full sample set, which
+// is what an exact percentile needs: it costs one float64 per sample,
+// so it is kept only for a series whose percentiles are read. A series
+// read only for its mean is a RunningMean, and one too long to keep is
+// a Moments or a P2Quantile. Swap lets the owner of a reused sample
+// array lend it in and take it back.
 type Summary struct {
 	samples []float64
 	sum     float64
@@ -35,6 +37,15 @@ func (s *Summary) add(v float64) {
 
 // n reports the sample count.
 func (s *Summary) n() int { return len(s.samples) }
+
+// Swap empties s onto buf's storage and returns the sample array s held
+// before, at the capacity it grew to. A nil buf makes the next add grow
+// a fresh array from the heap.
+func (s *Summary) Swap(buf []float64) []float64 {
+	old := s.samples
+	*s = Summary{samples: buf[:0]}
+	return old
+}
 
 // Mean reports the sample mean (0 for no samples).
 func (s *Summary) Mean() float64 {
@@ -115,9 +126,36 @@ func (s *Summary) String() string {
 		s.n(), s.Mean(), s.stddev(), s.min(), s.Percentile(50), s.Percentile(99), s.max())
 }
 
+// RunningMean is the mean of a sample stream that keeps no samples: a
+// sum in arrival order and a count, so Mean is bit-identical to
+// Summary.Mean over the same stream (Welford's Moments would round
+// differently). The zero value is ready to use.
+type RunningMean struct {
+	sum float64
+	n   int
+}
+
+// add records one sample.
+func (m *RunningMean) add(v float64) {
+	m.sum += v
+	m.n++
+}
+
+// Mean reports the sample mean (0 for no samples).
+func (m *RunningMean) Mean() float64 {
+	if m.n == 0 {
+		return 0
+	}
+	return m.sum / float64(m.n)
+}
+
 // DelayCollector is a packet.Handler wrapper that records one-way
 // delay (now minus SentAt) and inter-arrival jitter of everything
-// passing through it, then forwards to Next.
+// passing through it, then forwards to Next. Delay keeps one sample
+// per measured packet, because its exact 99th percentile is read;
+// Jitter is read only for its mean and keeps none. A worker that runs
+// job after job lends Delay its sample array through Swap (see
+// client.Scratch.LendDelays) and takes it back at the job boundary.
 type DelayCollector struct {
 	Clock interface{ Now() units.Time }
 	Next  packet.Handler
@@ -126,8 +164,8 @@ type DelayCollector struct {
 	// still forwarded). nil measures every packet.
 	Match func(*packet.Packet) bool
 
-	Delay  Summary // seconds
-	Jitter Summary // seconds, |gap - prevGap| (RFC 3550 style, unsmoothed)
+	Delay  Summary     // seconds
+	Jitter RunningMean // seconds, |gap - prevGap| (RFC 3550 style, unsmoothed)
 
 	lastArrival units.Time
 	lastGap     units.Time

@@ -123,7 +123,7 @@ func TestDelayCollector(t *testing.T) {
 		t.Errorf("delay mean = %v, want %v", d.Delay.Mean(), wantMean)
 	}
 	// Gaps: 11ms, 12ms -> one jitter sample of 1ms.
-	if d.Jitter.n() != 1 || math.Abs(d.Jitter.Mean()-0.001) > 1e-9 {
-		t.Errorf("jitter: n=%d mean=%v", d.Jitter.n(), d.Jitter.Mean())
+	if d.Jitter.n != 1 || math.Abs(d.Jitter.Mean()-0.001) > 1e-9 {
+		t.Errorf("jitter: n=%d mean=%v", d.Jitter.n, d.Jitter.Mean())
 	}
 }

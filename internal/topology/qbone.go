@@ -155,6 +155,7 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 	net := b.mustBuild()
 	q.Net = net
 	q.Delay = net.delayTap("delay")
+	cfg.Recv.LendDelays(q.Delay)
 	if cfg.Shape {
 		q.Shaper = net.shaper("shaper")
 	} else {

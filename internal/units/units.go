@@ -10,6 +10,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -101,7 +102,11 @@ func (s ByteSize) String() string {
 const EthernetMTU = 1500
 
 // ParseBitRate parses a human-friendly rate: "1.7M", "900k", "250000".
+// A negative or non-finite rate (NaN, ±Inf, or a suffix product past
+// the float64 range, such as "1e306G") is an error; errors quote the
+// input as given.
 func ParseBitRate(s string) (BitRate, error) {
+	in := s
 	s = strings.TrimSpace(s)
 	mult := 1.0
 	switch {
@@ -114,12 +119,16 @@ func ParseBitRate(s string) (BitRate, error) {
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		return 0, fmt.Errorf("units: bad bit rate %q: %w", s, err)
+		return 0, fmt.Errorf("units: bad bit rate %q: %w", in, err)
+	}
+	v *= mult
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("units: bit rate %q is not finite", in)
 	}
 	if v < 0 {
-		return 0, fmt.Errorf("units: negative bit rate %q", s)
+		return 0, fmt.Errorf("units: negative bit rate %q", in)
 	}
-	return BitRate(v * mult), nil
+	return BitRate(v), nil
 }
 
 // Clamp returns v limited to the closed interval [lo, hi].

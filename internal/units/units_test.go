@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -124,6 +125,26 @@ func TestParseBitRate(t *testing.T) {
 	for _, bad := range []string{"", "fast", "-3M", "1.2X"} {
 		if _, err := ParseBitRate(bad); err == nil {
 			t.Errorf("ParseBitRate(%q) accepted", bad)
+		}
+	}
+	// Non-finite rates, a suffix product past float64, and a negative
+	// rate; each error quotes the input as given, suffix included.
+	for in, want := range map[string]string{
+		"NaN":    `units: bit rate "NaN" is not finite`,
+		"nanM":   `units: bit rate "nanM" is not finite`,
+		"Inf":    `units: bit rate "Inf" is not finite`,
+		"+Inf":   `units: bit rate "+Inf" is not finite`,
+		"-Inf":   `units: bit rate "-Inf" is not finite`,
+		"infk":   `units: bit rate "infk" is not finite`,
+		"1e306G": `units: bit rate "1e306G" is not finite`,
+		"-1M":    `units: negative bit rate "-1M"`,
+		"1e400":  `units: bad bit rate "1e400"`,
+	} {
+		got, err := ParseBitRate(in)
+		if err == nil {
+			t.Errorf("ParseBitRate(%q) = %v, accepted", in, got)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseBitRate(%q) error %q, want %q", in, err, want)
 		}
 	}
 }
