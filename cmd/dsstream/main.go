@@ -100,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed: *seed, Enc: enc, TokenRate: token,
 			Depth: units.ByteSize(*depth), Shape: *shape,
 		})
-		q.Client.Tolerance = client.SliceTolerance
 		q.Run()
 		tr = q.Client.Trace()
 		if q.Policer != nil {
@@ -112,9 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed: *seed, Enc: enc, TokenRate: token,
 			Depth: units.ByteSize(*depth), UseShaper: *shape, UseTCP: *tcp,
 		})
-		if l.UDPClient != nil {
-			l.UDPClient.Tolerance = client.SliceTolerance
-		}
 		l.Run()
 		tr = l.Trace()
 		pktLoss = l.Policer.LossFraction()

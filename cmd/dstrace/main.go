@@ -23,9 +23,10 @@
 //	dstrace -compare base.ptrace candidate.ptrace -rel 0.02 -abs-ms 0.1
 //	dstrace -compare-golden golden.digest run.ptrace
 //
-// Exit codes: 0 success, 1 unreadable input or a -compare /
-// -compare-golden breach, 2 usage error or unreadable/truncated/
-// garbage/stale trace or digest file.
+// Exit codes: 0 success, 1 unopenable input or a -compare /
+// -compare-golden breach, 2 usage error (a flag the chosen mode does
+// not read included) or unreadable/truncated/garbage/stale trace,
+// frame-trace or digest file.
 package main
 
 import (
@@ -35,6 +36,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/ptrace"
@@ -72,8 +74,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dstrace: -bucket must be positive")
 		return 2
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"top", *top}, {"rows", *rows}} {
+		if f.v < 0 {
+			fmt.Fprintf(stderr, "dstrace: -%s must be >= 0 (0 = all), got %d\n", f.name, f.v)
+			return 2
+		}
+	}
 	if *compare && *compareGolden != "" {
 		fmt.Fprintln(stderr, "dstrace: -compare and -compare-golden are mutually exclusive")
+		return 2
+	}
+	// A flag the chosen mode does not read is an error, not a no-op.
+	mode, reads := "-in", []string{"in", "frames", "bucket", "top"}
+	switch {
+	case *compare:
+		mode, reads = "-compare", []string{"compare", "bucket", "rel", "abs-ms", "rows"}
+	case *compareGolden != "":
+		mode, reads = "-compare-golden", []string{"compare-golden", "rel", "abs-ms", "rows"}
+	case *frames == "":
+		mode, reads = "-in without -frames", reads[:3]
+	}
+	misplaced := ""
+	fs.Visit(func(f *flag.Flag) {
+		if misplaced == "" && !slices.Contains(reads, f.Name) {
+			misplaced = f.Name
+		}
+	})
+	if misplaced != "" {
+		fmt.Fprintf(stderr, "dstrace: -%s does not apply to %s\n", misplaced, mode)
 		return 2
 	}
 	if *compare || *compareGolden != "" {
@@ -100,25 +131,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The frame trace is read before any output, under the file-kind
+	// convention of streamFile.
+	var ft *trace.Trace
+	if *frames != "" {
+		ff, err := os.Open(*frames)
+		if err != nil {
+			fmt.Fprintf(stderr, "dstrace: -frames: %v\n", err)
+			return 1
+		}
+		ft, err = trace.Read(ff)
+		ff.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "dstrace: -frames %s: unreadable frame trace: %v\n", *frames, err)
+			return 2
+		}
+	}
 	s, info, code := analyzeFile(*in, units.FromDuration(*bucket), stderr)
 	if code != 0 {
 		return code
 	}
 	fmt.Fprintf(stdout, "trace: %s (%d events, %d hops)\n", *in, info.Events, info.Hops)
 	fmt.Fprint(stdout, s.Format())
-	if *frames == "" {
+	if ft == nil {
 		return 0
-	}
-	ff, err := os.Open(*frames)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	ft, err := trace.Read(ff)
-	ff.Close()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
 	}
 	var a *ptrace.Attribution
 	if code := streamFile(*in, stderr, func(r io.Reader) (err error) {

@@ -194,6 +194,53 @@ func TestRunSummarizesTandemTrace(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFlagsItDoesNotRead: a flag the chosen mode does not
+// read, a negative -top or -rows, and a -frames file that cannot be
+// opened or read each fail before any output, naming the flag — exit 2
+// for usage and unreadable files, 1 for an unopenable one.
+func TestRunRejectsFlagsItDoesNotRead(t *testing.T) {
+	dir := t.TempDir()
+	pt, ft := traceTandem(t, dir)
+	garbage := filepath.Join(dir, "garbage.trace")
+	if err := os.WriteFile(garbage, []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	absent := filepath.Join(dir, "absent.trace")
+	for _, c := range []struct {
+		args []string
+		code int
+		want []string // stderr must name each
+	}{
+		{[]string{"-in", pt, "-rel", "0.5"}, 2, []string{"-rel"}},
+		{[]string{"-in", pt, "-rows", "3"}, 2, []string{"-rows"}},
+		{[]string{"-in", pt, "-top", "3"}, 2, []string{"-top"}},
+		{[]string{"-in", pt, "-abs-ms", "1"}, 2, []string{"-abs-ms"}},
+		{[]string{"-compare", "-in", pt, pt, pt}, 2, []string{"-in"}},
+		{[]string{"-compare", "-frames", ft, pt, pt}, 2, []string{"-frames"}},
+		{[]string{"-compare", "-top", "3", pt, pt}, 2, []string{"-top"}},
+		{[]string{"-compare-golden", "golden.digest", "-bucket", "5ms", pt}, 2, []string{"-bucket"}},
+		{[]string{"-compare-golden", "golden.digest", "-in", pt, pt}, 2, []string{"-in"}},
+		{[]string{"-in", pt, "-frames", ft, "-top", "-1"}, 2, []string{"-top"}},
+		{[]string{"-compare", "-rows", "-1", pt, pt}, 2, []string{"-rows"}},
+		{[]string{"-compare-golden", "golden.digest", "-rows", "-1", pt}, 2, []string{"-rows"}},
+		{[]string{"-in", pt, "-frames", garbage}, 2, []string{"-frames", garbage}},
+		{[]string{"-in", pt, "-frames", absent}, 1, []string{"-frames", absent}},
+	} {
+		code, out, errOut := runCapture(t, c.args...)
+		if code != c.code {
+			t.Errorf("%v: exit %d, want %d (%q)", c.args, code, c.code, errOut)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(errOut, w) {
+				t.Errorf("%v: stderr %q does not name %q", c.args, errOut, w)
+			}
+		}
+		if out != "" {
+			t.Errorf("%v: wrote %d bytes to stdout before failing", c.args, len(out))
+		}
+	}
+}
+
 // TestRunHeaderShowsFormat pins the header line: the trace path, the
 // decoded event count and the hop-table size.
 func TestRunHeaderShowsFormat(t *testing.T) {

@@ -327,7 +327,6 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, cfg topology.QBoneConfig
 	rec := ctx.NewRecorder()
 	cfg.Pool, cfg.Sim, cfg.Recv, cfg.Trace = ctx.Pool, ctx.Sim, ctx.Recv, rec
 	q := topology.BuildQBone(cfg)
-	q.Client.Tolerance = client.SliceTolerance
 	q.Run()
 	ctx.Finish(labelPrefix+pointLabel(cfg.TokenRate, cfg.Depth, cfg.Seed), rec, q.Sim, topology.ShardStats{}, 0, time.Time{})
 	ev := ctx.Eval.Evaluate(q.Client.Trace(), cfg.Enc, ref)
@@ -450,11 +449,6 @@ func runLocalPoint(ctx *Ctx, labelPrefix string, cfg topology.LocalConfig) Point
 	rec := ctx.NewRecorder()
 	cfg.Pool, cfg.Sim, cfg.Recv, cfg.Trace = ctx.Pool, ctx.Sim, ctx.Recv, rec
 	l := topology.BuildLocal(cfg)
-	if l.UDPClient != nil {
-		// WMT's reduced message sizes mean one lost packet damages a
-		// frame instead of voiding a whole fragmented datagram (§2.2).
-		l.UDPClient.Tolerance = client.SliceTolerance
-	}
 	l.Run()
 	ctx.Finish(labelPrefix+pointLabel(cfg.TokenRate, cfg.Depth, cfg.Seed), rec, l.Sim, topology.ShardStats{}, 0, time.Time{})
 	ev := ctx.Eval.Evaluate(l.Trace(), cfg.Enc, cfg.Enc)

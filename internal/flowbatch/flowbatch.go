@@ -108,9 +108,7 @@ package flowbatch
 import (
 	"sync"
 
-	"repro/internal/packet"
 	"repro/internal/server"
-	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -199,66 +197,4 @@ type ChainSpec struct {
 	AccessRate  units.BitRate
 	AccessDelay units.Time
 	JitterMax   units.Time
-}
-
-// BatchedCBR fans one constant-bit-rate emission pattern out as N
-// virtual flows carrying ids BaseFlow..BaseFlow+N-1, all feeding Next
-// directly — the batched form of N identical traffic.CBR declarations,
-// packet-for-packet identical to N CBR sources started in flow-id order
-// (same tick, same emission order, same id counter).
-type BatchedCBR struct {
-	Sim      *sim.Simulator
-	Rate     units.BitRate
-	Size     int
-	BaseFlow packet.FlowID
-	DSCP     packet.DSCP
-	N        int
-	Next     packet.Handler
-	Pool     *packet.Pool
-
-	Sent int
-
-	nextAt []units.Time
-	wheel  flowWheel
-	timer  sim.Timer
-}
-
-// batchedCBRTimer is the pointer-conversion Timer of a BatchedCBR.
-type batchedCBRTimer BatchedCBR
-
-// Fire emits every virtual flow due now.
-func (t *batchedCBRTimer) Fire(now units.Time) { (*BatchedCBR)(t).emitDue(now) }
-
-// Start schedules the first emissions.
-func (c *BatchedCBR) Start() {
-	if c.N <= 0 {
-		return
-	}
-	if c.Size <= 0 {
-		c.Size = units.EthernetMTU
-	}
-	c.nextAt = make([]units.Time, c.N)
-	// One emission per flow per packet time.
-	c.wheel = newFlowWheel(c.nextAt, int64(c.N), c.Rate.TxTime(c.Size))
-	c.timer = (*batchedCBRTimer)(c)
-	now := c.Sim.Now()
-	for i := 0; i < c.N; i++ {
-		c.nextAt[i] = now
-		c.wheel.push(int32(i))
-	}
-	c.Sim.AtTimer(now, c.timer)
-}
-
-func (c *BatchedCBR) emitDue(now units.Time) {
-	step := c.Rate.TxTime(c.Size)
-	for i := c.wheel.min(); c.nextAt[i] <= now; i = c.wheel.min() {
-		p := c.Pool.Get()
-		p.ID, p.Flow, p.Size = packet.NewID(), c.BaseFlow+packet.FlowID(i), c.Size
-		p.DSCP, p.SentAt, p.FrameSeq = c.DSCP, now, -1
-		c.Sent++
-		c.Next.Handle(p)
-		c.nextAt[i] = now + step
-		c.wheel.fixMin()
-	}
-	c.Sim.AtTimer(c.nextAt[c.wheel.min()], c.timer)
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/queue"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -254,47 +253,6 @@ func TestMixtureWidthInvariant(t *testing.T) {
 					width, i, adaptive[i], pinned[i])
 			}
 		}
-	}
-}
-
-// TestBatchedCBREquivalence pins BatchedCBR to N plain CBR sources
-// started in flow-id order: same ticks, same per-flow packets up to the
-// same simulator horizon.
-func TestBatchedCBREquivalence(t *testing.T) {
-	const n = 4
-	rate := 2 * units.Mbps
-	horizon := 500 * units.Millisecond
-
-	s1 := sim.New(5)
-	pool1 := packet.NewPool()
-	ref := &recorder{sim: s1, pool: pool1}
-	for i := 0; i < n; i++ {
-		src := &traffic.CBR{Sim: s1, Rate: rate, Size: 1200, Flow: 50 + packet.FlowID(i),
-			DSCP: packet.AF12, Next: ref, Pool: pool1}
-		src.Start()
-	}
-	s1.SetHorizon(horizon)
-	s1.Run()
-
-	s2 := sim.New(5)
-	pool2 := packet.NewPool()
-	got := &recorder{sim: s2, pool: pool2}
-	src := &BatchedCBR{Sim: s2, Rate: rate, Size: 1200, BaseFlow: 50, DSCP: packet.AF12,
-		N: n, Next: got, Pool: pool2}
-	src.Start()
-	s2.SetHorizon(horizon)
-	s2.Run()
-
-	if len(got.got) != len(ref.got) || len(got.got) == 0 {
-		t.Fatalf("batched emitted %d packets, reference %d", len(got.got), len(ref.got))
-	}
-	for i := range ref.got {
-		if ref.got[i] != got.got[i] {
-			t.Fatalf("packet %d diverged:\nreference %+v\nbatched   %+v", i, ref.got[i], got.got[i])
-		}
-	}
-	if src.Sent != len(got.got) {
-		t.Errorf("Sent = %d, want %d", src.Sent, len(got.got))
 	}
 }
 

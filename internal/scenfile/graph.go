@@ -21,10 +21,11 @@ import (
 // topology.Builder. This is the shape with no Go preset behind it —
 // dumbbells, parking lots, asymmetric multi-bottleneck paths — so the
 // compiler here owns the full determinism contract: elements are
-// declared in file order (the Builder forks the simulator RNG per
-// element in declaration order), clients are declared before them in
-// flow order, and servers start in flow order after Build. Two runs of
-// the same file are therefore bit-identical, like every preset.
+// declared in file order (the Builder forks the simulator RNG and
+// numbers trace hops per element in declaration order), the clients
+// before them in flow order and then the sink, and servers start in
+// flow order after Build. Two runs of the same file are therefore
+// bit-identical, like every preset.
 
 // GraphShape declares an element graph plus the video flows that
 // traverse it.
@@ -523,60 +524,14 @@ func (s graphScenario) Assemble(results []experiment.Point) *experiment.Figure {
 // (0 = declared rates) and reduces it to a Point.
 func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok units.BitRate) experiment.Point {
 	rec := ctx.NewRecorder()
-	b := topology.NewBuilder(s.g.Seed, ctx.Sim, ctx.Pool)
-	b.UseTrace(rec)
-
-	sink := packet.Sink{Pool: b.Pool()}
-	b.Handler("sink", &sink)
-	clients := make([]*client.UDP, len(s.g.Flows))
-	for i, gf := range s.g.Flows {
-		cl := client.NewUDP(b.Sim(), encs[i].Clip.FrameCount())
-		cl.Pool, cl.Scratch = b.Pool(), ctx.Recv
-		cl.Tolerance = client.SliceTolerance
-		name := gf.Name + "-client"
-		if rec != nil {
-			cl.Tap, cl.Hop = rec, rec.Hop(name)
-		}
-		clients[i] = cl
-		b.Handler(name, cl)
-	}
-
-	swept := map[string]bool{}
-	if s.g.Sweep != nil {
-		for _, t := range s.g.Sweep.Targets {
-			swept[t] = true
-		}
-	}
-	for i := range s.g.Elements {
-		declareElement(b, &s.g.Elements[i], tok, swept)
-	}
-	net, err := b.Build()
-	if err != nil {
-		// validate admitted the graph: every wire ends at an element
-		// with an entry point (the "is a source" rows of
-		// TestValidationNamesOffendingField show it refusing the last
-		// files that reached here), so a Build failure is a compiler
-		// bug, not bad user input.
-		panic(fmt.Sprintf("scenfile: building validated graph %q: %v", s.name, err))
-	}
-
-	var horizon units.Time
-	for i, gf := range s.g.Flows {
-		srv := &server.Paced{Sim: b.Sim(), Enc: encs[i], Flow: packet.FlowID(gf.Flow),
-			Next: net.Handler(gf.Entry), Pool: net.Pool}
-		srv.Start()
-		if h := units.FromSeconds(encs[i].Clip.DurationSeconds() + 30); h > horizon {
-			horizon = h
-		}
-	}
-	b.Sim().SetHorizon(horizon)
-	b.Sim().Run()
+	net, clients := s.build(topology.Env{Sim: ctx.Sim, Pool: ctx.Pool, Recv: ctx.Recv, Trace: rec}, encs, tok)
+	net.Sim.Run()
 
 	label := "declared"
 	if tok > 0 {
 		label = fmt.Sprintf("tok%d", int64(tok))
 	}
-	ctx.Finish(label, rec, b.Sim(), topology.ShardStats{}, len(clients), time.Time{})
+	ctx.Finish(label, rec, net.Sim, topology.ShardStats{}, len(clients), time.Time{})
 
 	pt := experiment.Point{TokenRate: tok, Depth: s.depth}
 	if tok == 0 {
@@ -603,6 +558,50 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 		pt.PacketLoss = float64(dropped) / float64(passed+dropped)
 	}
 	return pt
+}
+
+// build declares the graph in env at the given token rate, wires it and
+// starts the flows' servers. It returns the network, its horizon set,
+// and the flows' clients.
+func (s graphScenario) build(env topology.Env, encs []*video.Encoding, tok units.BitRate) (*topology.Network, []*client.UDP) {
+	b := topology.NewBuilder(s.g.Seed, env)
+	clients := make([]*client.UDP, len(s.g.Flows))
+	for i, gf := range s.g.Flows {
+		clients[i] = client.NewUDP(b.Sim(), encs[i].Clip.FrameCount())
+		b.Handler(gf.Name+"-client", clients[i])
+	}
+	sink := packet.Sink{Pool: b.Pool()}
+	b.Handler("sink", &sink)
+	swept := map[string]bool{}
+	if s.g.Sweep != nil {
+		for _, t := range s.g.Sweep.Targets {
+			swept[t] = true
+		}
+	}
+	for i := range s.g.Elements {
+		declareElement(b, &s.g.Elements[i], tok, swept)
+	}
+	net, err := b.Build()
+	if err != nil {
+		// validate admitted the graph: every wire ends at an element
+		// with an entry point (the "is a source" rows of
+		// TestValidationNamesOffendingField show it refusing the last
+		// files that reached here), so a Build failure is a compiler
+		// bug, not bad user input.
+		panic(fmt.Sprintf("scenfile: building validated graph %q: %v", s.name, err))
+	}
+
+	var horizon units.Time
+	for i, gf := range s.g.Flows {
+		srv := &server.Paced{Sim: net.Sim, Enc: encs[i], Flow: packet.FlowID(gf.Flow),
+			Next: net.Handler(gf.Entry), Pool: net.Pool}
+		srv.Start()
+		if h := units.FromSeconds(encs[i].Clip.DurationSeconds() + 30); h > horizon {
+			horizon = h
+		}
+	}
+	net.Sim.SetHorizon(horizon)
+	return net, clients
 }
 
 // declareElement declares one validated element on the Builder,

@@ -16,10 +16,7 @@ import "repro/internal/units"
 // simulator measures it: every window rebase knows exactly how many
 // events fired since the last width decision and how much simulated
 // time they covered, so mean firing spacing is two counters and one
-// division on a path that runs once per window, not per event. A
-// sampled EWMA of inter-schedule spacing (fed in schedule(), every
-// 8th call) is kept alongside as telemetry: it resolves burst-level
-// density that the window-mean hides, and QueueStats exposes both.
+// division on a path that runs once per window, not per event.
 //
 // The decision is deliberately sluggish — geometry changes cost a
 // lattice re-derivation, so width only moves on sustained pressure:
@@ -153,7 +150,6 @@ func (s *Simulator) compactOverflow() {
 // lattice and the overflow heap.
 type QueueStats struct {
 	Width    units.Time // current bucket width
-	Buckets  int        // current lattice size
 	Adaptive bool       // false when the width was pinned at construction
 
 	Rebases    uint64 // window rebases performed
@@ -163,21 +159,15 @@ type QueueStats struct {
 
 	Compactions     uint64 // overflow-heap compactions
 	PurgedCancelled uint64 // cancelled events reclaimed before firing
-
-	// SampledSpacing is the EWMA of |Δwhen| between sampled schedule
-	// calls — a burst-resolved density diagnostic complementing the
-	// window-mean spacing the width decision uses.
-	SampledSpacing units.Time
 }
 
 // QueueStats returns the simulator's calendar-queue telemetry.
 func (s *Simulator) QueueStats() QueueStats {
 	return QueueStats{
-		Width: s.width, Buckets: len(s.buckets), Adaptive: s.adaptive,
+		Width: s.width, Adaptive: s.adaptive,
 		Rebases: s.qRebases, WidthMoves: s.qWidthMoves,
 		Scheduled: s.qScheduled, Overflowed: s.qOverflowed,
 		Compactions: s.qCompactions, PurgedCancelled: s.qPurged,
-		SampledSpacing: units.Time(s.spacingEWMA),
 	}
 }
 

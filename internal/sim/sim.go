@@ -185,8 +185,6 @@ type Simulator struct {
 	decideFired  uint64     // s.fired at the last width decision
 	decideTime   units.Time // window base at the last width decision
 	lastDir      int8       // direction of the previous decision's pressure
-	lastSched    units.Time // previous schedule() timestamp (spacing sampler)
-	spacingEWMA  int64      // EWMA of sampled |Δwhen| between schedules, ns
 	qScheduled   uint64     // events ever scheduled
 	qOverflowed  uint64     // schedules that landed in the overflow heap
 	qRebases     uint64     // window rebases
@@ -312,21 +310,11 @@ func (s *Simulator) alloc(t units.Time) *event {
 	return e
 }
 
-// schedule inserts e into the calendar window or the overflow heap,
-// feeding the density sampler on the way (every 8th call, shift-based
-// EWMA — no divisions, no allocation).
+// schedule inserts e into the calendar window or the overflow heap.
 func (s *Simulator) schedule(e *event) {
 	s.live++
 	s.cachedMin = nil
 	s.qScheduled++
-	if s.qScheduled&7 == 0 {
-		d := int64(e.when - s.lastSched)
-		if d < 0 {
-			d = -d
-		}
-		s.spacingEWMA += (d - s.spacingEWMA) >> 3
-	}
-	s.lastSched = e.when
 	end := s.base + units.Time(len(s.buckets))*s.width
 	if e.when >= end {
 		s.qOverflowed++

@@ -67,16 +67,8 @@ type AF struct {
 // conformance only changes the drop precedence inside the network.
 func BuildAF(cfg AFConfig) *AF {
 	cfg = cfg.withDefaults()
-	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
-	b.UseTrace(cfg.Trace)
-	a := &AF{Sim: b.Sim()}
-
-	a.Client = client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())
-	a.Client.Pool, a.Client.Scratch = b.Pool(), cfg.Recv
-	a.Client.Tolerance = client.SliceTolerance
-	if cfg.Trace != nil {
-		a.Client.Tap, a.Client.Hop = cfg.Trace, cfg.Trace.Hop("client")
-	}
+	b := NewBuilder(cfg.Seed, Env{Sim: cfg.Sim, Pool: cfg.Pool, Recv: cfg.Recv, Trace: cfg.Trace})
+	a := &AF{Sim: b.Sim(), Client: client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())}
 	b.Handler("client", a.Client)
 	b.Link("access", LinkSpec{Rate: 10 * units.Mbps, Delay: units.Millisecond, To: "client"})
 

@@ -14,7 +14,7 @@ import (
 // TestBuilderForwardReferences: declaration order is free — an element
 // may target one declared later.
 func TestBuilderForwardReferences(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	b.Link("up", LinkSpec{Rate: units.Mbps, Delay: 0, To: "down"})
 	b.Link("down", LinkSpec{Rate: units.Mbps, Delay: 0, To: "sink"})
 	var sink packet.Sink
@@ -31,7 +31,7 @@ func TestBuilderForwardReferences(t *testing.T) {
 }
 
 func TestBuilderUnknownReference(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	b.Link("l", LinkSpec{Rate: units.Mbps, To: "nowhere"})
 	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "nowhere") {
 		t.Errorf("want unknown-reference error, got %v", err)
@@ -39,7 +39,7 @@ func TestBuilderUnknownReference(t *testing.T) {
 }
 
 func TestBuilderDuplicateName(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	var sink packet.Sink
 	b.Handler("x", &sink)
 	b.Link("x", LinkSpec{Rate: units.Mbps, To: "x"})
@@ -49,7 +49,7 @@ func TestBuilderDuplicateName(t *testing.T) {
 }
 
 func TestBuilderRuleOnUnknownRouter(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	b.Rule("ghost", "r", node.FlowMatch(1), "ghost")
 	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "unknown router") {
 		t.Errorf("want unknown-router error, got %v", err)
@@ -59,7 +59,7 @@ func TestBuilderRuleOnUnknownRouter(t *testing.T) {
 // TestBuilderRouterPolicy: rules classify, unmatched traffic takes the
 // default, and conditioning elements re-mark.
 func TestBuilderRouterPolicy(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	var matched, rest packet.Sink
 	b.Handler("matched", &matched)
 	b.Handler("rest", &rest)
@@ -84,7 +84,7 @@ func TestBuilderRouterPolicy(t *testing.T) {
 // TestBuilderMultiClassLink: a DRR-scheduled link built declaratively
 // shares a bottleneck by class.
 func TestBuilderMultiClassLink(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	var sink packet.Sink
 	b.Handler("sink", &sink)
 	b.Link("bottleneck", LinkSpec{
@@ -118,7 +118,7 @@ func TestBuilderMultiClassLink(t *testing.T) {
 // identical traffic, and source handles are reachable by name.
 func TestBuilderSourcesDeterministic(t *testing.T) {
 	build := func() (int, int64) {
-		b := NewBuilder(42, nil, nil)
+		b := NewBuilder(42, Env{})
 		var sink packet.Sink
 		b.Handler("sink", &sink)
 		b.Link("l", LinkSpec{Rate: 10 * units.Mbps, Delay: units.Millisecond, To: "sink"})
@@ -142,7 +142,7 @@ func TestBuilderSourcesDeterministic(t *testing.T) {
 // TestNetworkAccessorPanics: every typed accessor panics on a missing
 // name and on an element of another kind.
 func TestNetworkAccessorPanics(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	var sink packet.Sink
 	b.Handler("sink", &sink)
 	b.Source("src", SourceSpec{Kind: CBRSource, Rate: units.Mbps, Flow: 1, To: "sink"})
@@ -173,7 +173,7 @@ func TestNetworkAccessorPanics(t *testing.T) {
 // TestBuilderWireIntoSource: a source takes no input, so wiring into
 // one is a Build error naming both ends.
 func TestBuilderWireIntoSource(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	var sink packet.Sink
 	b.Handler("sink", &sink)
 	b.Source("src", SourceSpec{Kind: CBRSource, Rate: units.Mbps, Flow: 1, To: "sink"})
@@ -191,7 +191,7 @@ func TestBuilderWireIntoSource(t *testing.T) {
 // link.
 func TestBuilderBatchedCBRSource(t *testing.T) {
 	build := func(batched bool) (int, int64) {
-		b := NewBuilder(7, nil, nil)
+		b := NewBuilder(7, Env{})
 		var sink packet.Sink
 		b.Handler("sink", &sink)
 		b.Link("l", LinkSpec{Rate: 20 * units.Mbps, Delay: units.Millisecond, To: "sink"})
@@ -220,7 +220,7 @@ func TestBuilderBatchedCBRSource(t *testing.T) {
 // source whose per-flow behaviour needs its own RNG fork is a Build
 // error, not a silent approximation.
 func TestBuilderBatchRejectsRandomSources(t *testing.T) {
-	b := NewBuilder(1, nil, nil)
+	b := NewBuilder(1, Env{})
 	var sink packet.Sink
 	b.Handler("sink", &sink)
 	b.Source("s", SourceSpec{Kind: PoissonSource, Rate: units.Mbps, Flow: 9, Batch: 2, To: "sink"})

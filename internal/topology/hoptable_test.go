@@ -9,9 +9,10 @@ import (
 )
 
 // TestPresetHopTables pins the ordered hop table of every traced
-// preset. Hop ids are bytes of every .ptrace, so a change in the order
-// in which presets register hops by hand, or in which Build registers
-// the declared elements, shows here by name.
+// preset. Hop ids are bytes of every .ptrace, and each declaration
+// registers its element's hop where it is declared, so a change in the
+// order in which a preset declares its elements, or registers the hops
+// of the objects it taps by hand, shows here by name.
 func TestPresetHopTables(t *testing.T) {
 	enc := video.CachedCBR(video.Lost(), 1.0e6)
 	classes := []FlowClass{

@@ -73,29 +73,24 @@ type Local struct {
 // goes to its port — so it needs no policy rules and is represented by
 // the port link alone.
 func BuildLocal(cfg LocalConfig) *Local {
-	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
-	b.UseTrace(cfg.Trace)
+	b := NewBuilder(cfg.Seed, Env{Sim: cfg.Sim, Pool: cfg.Pool, Recv: cfg.Recv, Trace: cfg.Trace})
 	l := &Local{Sim: b.Sim(), enc: cfg.Enc}
 	frames := cfg.Enc.Clip.FrameCount()
 
 	fr := link.Table1()
 
-	// Receive-side endpoint: the UDP client directly, or a late-bound
-	// hook into the TCP receiver (constructed after Build).
-	var deliver packet.Handler
+	// Receive-side endpoint: a hook into the UDP client, declared once
+	// as "client", or a late-bound one into the TCP receiver
+	// (constructed after Build).
 	if cfg.UseTCP {
 		l.TCPClient = client.NewStream(b.Sim(), frames)
 		l.TCPClient.Scratch = cfg.Recv
-		deliver = packet.HandlerFunc(func(p *packet.Packet) { l.Receiver.Handle(p) })
+		b.Handler("deliver", packet.HandlerFunc(func(p *packet.Packet) { l.Receiver.Handle(p) }))
 	} else {
 		l.UDPClient = client.NewUDP(b.Sim(), frames)
-		l.UDPClient.Pool, l.UDPClient.Scratch = b.Pool(), cfg.Recv
-		if cfg.Trace != nil {
-			l.UDPClient.Tap, l.UDPClient.Hop = cfg.Trace, cfg.Trace.Hop("client")
-		}
-		deliver = l.UDPClient
+		b.Handler("client", l.UDPClient)
+		b.Handler("deliver", packet.HandlerFunc(l.UDPClient.Handle))
 	}
-	b.Handler("deliver", deliver)
 
 	// Router 3 → client hub (fast Ethernet), then the FR chain.
 	b.Link("hub2", LinkSpec{Rate: 10 * units.Mbps, Delay: 200 * units.Microsecond, To: "deliver"})

@@ -139,60 +139,43 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		horizon = drained
 	}
 
-	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
-	b.UseTrace(cfg.Trace)
+	b := NewBuilder(cfg.Seed, Env{Sim: cfg.Sim, Pool: cfg.Pool, Recv: cfg.Recv, Trace: cfg.Trace})
 	m := &MultiFlow{Sim: b.Sim(), shards: cfg.Shards, ClassNames: names,
 		starts: starts, horizon: horizon}
 
-	// Receive side.
-	sink := packet.Sink{Pool: b.Pool()}
-	b.Handler("sink", &sink)
+	// Hop ids follow declaration order: the receivers (one aggregate
+	// per class, or one client per flow), the policers, sink, demux and
+	// bottleneck, then the unbatched access chains.
+	var clientNames []string
 	if cfg.AggregateStats {
 		m.Aggregates = make([]*client.Aggregate, k)
 		for ci := range m.Aggregates {
-			agg := client.NewAggregate(b.Sim())
-			agg.Pool = b.Pool()
-			if cfg.Trace != nil {
-				agg.Tap, agg.Hop = cfg.Trace, cfg.Trace.Hop("agg-"+names[ci])
-			}
-			m.Aggregates[ci] = agg
+			m.Aggregates[ci] = client.NewAggregate(b.Sim())
+			b.Handler("agg-"+names[ci], m.Aggregates[ci])
 		}
-		b.Handler("demux", &classDemux{
-			base: VideoFlow, classOf: classOf, aggs: m.Aggregates, sink: &sink,
-		})
 	} else {
-		b.Router("demux", "sink")
-		for i := 0; i < total; i++ {
-			cl := client.NewUDP(b.Sim(), cfg.Classes[classOf[i]].Enc.Clip.FrameCount())
-			cl.Pool, cl.Scratch = b.Pool(), cfg.Recv
-			cl.Tolerance = client.SliceTolerance
-			m.Clients = append(m.Clients, cl)
-			name := fmt.Sprintf("client%d", i)
-			if cfg.Trace != nil {
-				cl.Tap, cl.Hop = cfg.Trace, cfg.Trace.Hop(name)
-			}
-			b.Handler(name, cl)
-			b.Rule("demux", name, node.FlowMatch(flowID(i)), name)
+		m.Clients = make([]*client.UDP, total)
+		clientNames = make([]string, total)
+		for i := range m.Clients {
+			m.Clients[i] = client.NewUDP(b.Sim(), cfg.Classes[classOf[i]].Enc.Clip.FrameCount())
+			clientNames[i] = fmt.Sprintf("client%d", i)
+			b.Handler(clientNames[i], m.Clients[i])
 		}
 	}
-
-	b.Link("bottleneck", LinkSpec{
-		Rate: cfg.BottleneckRate, Delay: 5 * units.Millisecond,
-		Sched: cfg.Sched.scheduler(400), To: "demux",
-	})
 
 	// Send side: per-flow EF policers, constructed directly rather than
 	// through the builder's name map — at six-figure flow counts the
 	// O(N) string-keyed declarations dominate build time, and policers
 	// consume no RNG, so direct construction preserves bit-identity
-	// with a builder declaration. Their next hop (the bottleneck) is
-	// wired after Build. Unbatched builds still declare the per-flow
-	// jitter + access-hub chains by name so the jitter targets resolve.
-	// The policers live in one contiguous slice (with their buckets
-	// embedded) — class-major flow order means a burst of
-	// near-simultaneous arrivals from neighbouring flows hits adjacent
-	// cache lines, which at 200k flows is the difference between a
-	// policer check that costs a cache miss and one that doesn't.
+	// with a builder declaration. A batched build therefore lends and
+	// taps them by hand; an unbatched one declares each by name, since
+	// its per-flow access chain targets it. Their next hop (the
+	// bottleneck) is wired after Build. The policers live in one
+	// contiguous slice (with their buckets embedded) — class-major flow
+	// order means a burst of near-simultaneous arrivals from
+	// neighbouring flows hits adjacent cache lines, which at 200k flows
+	// is the difference between a policer check that costs a cache miss
+	// and one that doesn't.
 	m.Policers = make([]*tokenbucket.Policer, total)
 	pols := make([]tokenbucket.Policer, total)
 	for i := 0; i < total; i++ {
@@ -204,18 +187,43 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 		pol := &pols[i]
 		pol.Init(b.Sim(), fc.TokenRate, depth, packet.EF, nil)
 		pol.Pool = b.Pool()
-		if cfg.Trace != nil {
+		m.Policers[i] = pol
+		switch {
+		case !cfg.Batch:
+			b.Handler(fmt.Sprintf("policer%d", i), pol)
+		case cfg.Trace != nil:
 			pol.Tap, pol.Hop = cfg.Trace, cfg.Trace.Hop(fmt.Sprintf("policer%d", i))
 		}
-		m.Policers[i] = pol
-		if cfg.Batch {
-			continue
+	}
+
+	// Receive side: the demux hands each video flow to its receiver
+	// and the cross traffic to the sink.
+	sink := packet.Sink{Pool: b.Pool()}
+	b.Handler("sink", &sink)
+	if cfg.AggregateStats {
+		b.Handler("demux", &classDemux{
+			base: VideoFlow, classOf: classOf, aggs: m.Aggregates, sink: &sink,
+		})
+	} else {
+		b.Router("demux", "sink")
+		for i, name := range clientNames {
+			b.Rule("demux", name, node.FlowMatch(flowID(i)), name)
 		}
-		jit := fmt.Sprintf("jit%d", i)
-		hub := fmt.Sprintf("hub%d", i)
-		b.Handler(fmt.Sprintf("policer%d", i), pol)
-		b.Jitter(jit, accessJitterMax, fmt.Sprintf("policer%d", i))
-		b.Link(hub, LinkSpec{Rate: accessRate, Delay: accessDelay, To: jit})
+	}
+
+	b.Link("bottleneck", LinkSpec{
+		Rate: cfg.BottleneckRate, Delay: 5 * units.Millisecond,
+		Sched: cfg.Sched.scheduler(400), To: "demux",
+	})
+
+	// Unbatched builds declare the per-flow jitter + access-hub chains
+	// by name, so the jitter targets resolve.
+	if !cfg.Batch {
+		for i := 0; i < total; i++ {
+			jit := fmt.Sprintf("jit%d", i)
+			b.Jitter(jit, accessJitterMax, fmt.Sprintf("policer%d", i))
+			b.Link(fmt.Sprintf("hub%d", i), LinkSpec{Rate: accessRate, Delay: accessDelay, To: jit})
+		}
 	}
 
 	// Competing aggregates at the bottleneck (declared last, so the

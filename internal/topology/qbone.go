@@ -98,17 +98,9 @@ type QBone struct {
 // its access link.
 func BuildQBone(cfg QBoneConfig) *QBone {
 	cfg = cfg.withDefaults()
-	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
-	b.UseTrace(cfg.Trace)
-	q := &QBone{Sim: b.Sim()}
-
-	cl := client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())
-	cl.Pool, cl.Scratch = b.Pool(), cfg.Recv
-	if cfg.Trace != nil {
-		cl.Tap, cl.Hop = cfg.Trace, cfg.Trace.Hop("client")
-	}
-	q.Client = cl
-	b.Handler("client", cl)
+	b := NewBuilder(cfg.Seed, Env{Sim: cfg.Sim, Pool: cfg.Pool, Recv: cfg.Recv, Trace: cfg.Trace})
+	q := &QBone{Sim: b.Sim(), Client: client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())}
+	b.Handler("client", q.Client)
 	b.delayTap("delay", func(p *packet.Packet) bool { return p.Flow == VideoFlow }, "client")
 	b.Link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
 		Sched: queue.NewEFPriority(0, 200), To: "delay"})

@@ -74,18 +74,9 @@ func domainHop(d, i int) string { return fmt.Sprintf("d%dhop%d", d, i) }
 // every hop of both domains, so domain-1 queueing perturbs the EF
 // spacing border2 measures.
 func BuildTandem(cfg TandemConfig) *Tandem {
-	b := NewBuilder(cfg.Seed, cfg.Sim, cfg.Pool)
-	b.UseTrace(cfg.Trace)
-	t := &Tandem{Sim: b.Sim()}
-
-	cl := client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())
-	cl.Pool, cl.Scratch = b.Pool(), cfg.Recv
-	cl.Tolerance = client.SliceTolerance
-	if cfg.Trace != nil {
-		cl.Tap, cl.Hop = cfg.Trace, cfg.Trace.Hop("client")
-	}
-	t.Client = cl
-	b.Handler("client", cl)
+	b := NewBuilder(cfg.Seed, Env{Sim: cfg.Sim, Pool: cfg.Pool, Recv: cfg.Recv, Trace: cfg.Trace})
+	t := &Tandem{Sim: b.Sim(), Client: client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())}
+	b.Handler("client", t.Client)
 	b.Link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
 		Sched: queue.NewEFPriority(0, 200), To: "client"})
 
