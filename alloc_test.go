@@ -251,115 +251,6 @@ func TestSpillingRecorderAllocationBudget(t *testing.T) {
 	}
 }
 
-// shardPipeline drives the three-stage sharded pipeline of
-// internal/flowbatch synchronously — shard arrival walks, jitter
-// sequencing, border replay — one lookahead window per step. The
-// goroutine pipelining of the real runner is irrelevant to the
-// allocation budget (AllocsPerRun is process-global), so the stages
-// run inline in the same hand-off order.
-type shardPipeline struct {
-	border   *sim.Simulator
-	src      *flowbatch.BatchedMixture
-	sas      []*flowbatch.ShardArrivals
-	seq      *flowbatch.JitterSequencer
-	chunks   [][]flowbatch.Arrival
-	dels     []flowbatch.Delivery
-	frontier units.Time
-	window   units.Time
-}
-
-func (p *shardPipeline) step() {
-	p.frontier += p.window
-	for i, sa := range p.sas {
-		sa.AdvanceTo(p.frontier)
-		p.chunks[i] = sa.Out
-	}
-	p.dels = p.seq.Feed(p.chunks, p.frontier, p.dels[:0])
-	for i := range p.dels {
-		d := &p.dels[i]
-		p.border.RunBefore(d.At)
-		p.border.AdvanceTo(d.At)
-		p.src.Inject(d.Flow, d.Entry)
-	}
-	for _, sa := range p.sas {
-		sa.Out = sa.Out[:0]
-	}
-	p.border.RunBefore(p.frontier)
-}
-
-// shardedBorderFixture assembles the warmed pipeline: four virtual
-// flows dealt round-robin over two shard walkers, the zero-jitter
-// degenerate sequencer (periodic steady state — same rationale as
-// batchedFixture), and a border link so replay exercises the real
-// event path, not just the fan-out.
-func shardedBorderFixture(tap *ptrace.Recorder) *shardPipeline {
-	s := sim.New(1)
-	pool := packet.NewPool()
-	sink := packet.Sink{Pool: pool}
-	l := link.New(s, 100*units.Mbps, 500*units.Microsecond, queue.NewEFPriority(0, 0), &sink)
-	l.Pool = pool
-	src := denseMixture(s, pool, l)
-	if tap != nil {
-		tap.SetClock(s)
-		src.Tap, src.Hop = tap, tap.Hop("vflows")
-		l.Tap, l.Hop = tap, tap.Hop("border")
-	}
-	src.InitReplay()
-	class := &src.Classes[0]
-	base := flowbatch.BaseArrivals(class.Sched, class.Chain)
-	const shards = 2
-	p := &shardPipeline{border: s, src: src, window: 10 * units.Millisecond,
-		chunks: make([][]flowbatch.Arrival, shards)}
-	for i := 0; i < shards; i++ {
-		sa := &flowbatch.ShardArrivals{}
-		for f := i; f < class.N; f += shards {
-			sa.Flows = append(sa.Flows, int32(f))
-			sa.Start = append(sa.Start, src.StartOf(f))
-			sa.Bases = append(sa.Bases, base)
-		}
-		sa.Init()
-		p.sas = append(p.sas, sa)
-	}
-	p.seq = &flowbatch.JitterSequencer{RNG: s.RNG(), JitterMaxOf: make([]units.Time, class.N)}
-	p.seq.Init()
-	for i := 0; i < 20; i++ { // warm buffers, pools, rings
-		p.step()
-	}
-	return p
-}
-
-// TestShardBorderMergeAllocationBudget pins the sharded border-merge
-// hot path at zero allocations once warm: walking arrivals, merging
-// and releasing deliveries, and replaying them through the border
-// link must all run on reused buffers, pooled packets and pooled
-// events.
-func TestShardBorderMergeAllocationBudget(t *testing.T) {
-	p := shardedBorderFixture(nil)
-	allocs := testing.AllocsPerRun(100, p.step)
-	if allocs != 0 {
-		t.Errorf("sharded border-merge hot path allocates %.2f/op, want 0", allocs)
-	}
-	if p.src.TotalSent() == 0 {
-		t.Fatal("fixture injected nothing — budget measured an idle pipeline")
-	}
-}
-
-// TestShardBorderMergeTracedAllocationBudget pins the same path with a
-// ring Recorder tapping both the fan-out and the border link: Emit
-// writes into preallocated storage, so the traced budget is still
-// zero.
-func TestShardBorderMergeTracedAllocationBudget(t *testing.T) {
-	rec := ptrace.NewRecorder(ptrace.Config{Capacity: 8192})
-	p := shardedBorderFixture(rec)
-	allocs := testing.AllocsPerRun(100, p.step)
-	if allocs != 0 {
-		t.Errorf("traced sharded border-merge hot path allocates %.2f/op, want 0", allocs)
-	}
-	if p.src.TotalSent() == 0 || rec.Seen() == 0 {
-		t.Fatal("fixture injected nothing or tap not wired")
-	}
-}
-
 // aggregateFixture warms a class-level Aggregate receiver on a pooled
 // delivery stream with varied delays, so the P² sketch markers have
 // settled into steady-state interpolation before measurement.

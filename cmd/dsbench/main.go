@@ -46,6 +46,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -409,7 +410,8 @@ func validateTraceFlags(explicit map[string]bool, dir string) error {
 // 65536 default and clamps a negative -trace-head / -trace-sample, a
 // negative -shards or -parallel runs serially or on all cores, a -scale
 // below 1 empties the sweep, and a negative -trace-flow would mean
-// "every flow" like 0 does. The error names the flag and the value.
+// "every flow" like 0 does, and a -trace-flow past the largest flow id
+// would wrap onto a small one. The error names the flag and the value.
 func validateRunFlags(parallel, shards, scale, traceCap, traceHead, traceSample, traceFlow int) error {
 	for _, f := range []struct {
 		name   string
@@ -426,6 +428,9 @@ func validateRunFlags(parallel, shards, scale, traceCap, traceHead, traceSample,
 		if f.n < f.min {
 			return fmt.Errorf("-%s must be >= %d, got %d", f.name, f.min, f.n)
 		}
+	}
+	if uint64(traceFlow) > math.MaxUint32 {
+		return fmt.Errorf("-trace-flow must be <= %d (the largest flow id), got %d", uint64(math.MaxUint32), traceFlow)
 	}
 	return nil
 }
@@ -444,6 +449,28 @@ func probeTraceDir(dir string) error {
 	}
 	if err := os.Remove(probe); err != nil {
 		return fmt.Errorf("-trace %s: %w", dir, err)
+	}
+	return nil
+}
+
+// probeJSONPath checks, before any job starts, that -json PATH can be
+// published: PATH is not a directory, and its directory takes a file
+// through the same publish path writeJSON uses. Without it an
+// unwritable PATH failed only after every job had run. "-" is stdout
+// and needs no probe.
+func probeJSONPath(path string) error {
+	if path == "-" {
+		return nil
+	}
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		return fmt.Errorf("-json %s: is a directory", path)
+	}
+	probe := filepath.Join(filepath.Dir(path), ".dsbench-probe")
+	if err := atomicfile.WriteFile(probe, nil); err != nil {
+		return fmt.Errorf("-json %s: cannot write into its directory: %w", path, err)
+	}
+	if err := os.Remove(probe); err != nil {
+		return fmt.Errorf("-json %s: %w", path, err)
 	}
 	return nil
 }
@@ -529,6 +556,12 @@ func main() {
 	}
 	if traceDir != "" {
 		if err := probeTraceDir(traceDir); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
+	if jsonPath != "" {
+		if err := probeJSONPath(jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}

@@ -3,8 +3,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -345,6 +347,31 @@ func TestProbeTraceDir(t *testing.T) {
 	}
 }
 
+// TestProbeJSONPath pins the up-front -json check: a path in a
+// writable directory passes and leaves nothing behind, stdout needs no
+// probe, and a path whose directory is missing, or which is itself a
+// directory, is an error naming -json and the path — main turns that
+// into exit 2 before any job runs, where the write used to fail only
+// after the whole run.
+func TestProbeJSONPath(t *testing.T) {
+	dir := t.TempDir()
+	if err := probeJSONPath(filepath.Join(dir, "out.json")); err != nil {
+		t.Fatalf("writable path rejected: %v", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("probe left debris in %s: %v (err %v)", dir, ents, err)
+	}
+	if err := probeJSONPath("-"); err != nil {
+		t.Errorf("-json - rejected: %v", err)
+	}
+	for _, bad := range []string{filepath.Join(dir, "missing", "out.json"), dir} {
+		err := probeJSONPath(bad)
+		if err == nil || !strings.HasPrefix(err.Error(), "-json "+bad+": ") {
+			t.Errorf("probeJSONPath(%s): err = %v, want an error naming -json and the path", bad, err)
+		}
+	}
+}
+
 // TestRunFlagValidation pins the parse-time contract of the integer
 // run flags: a value below the flag's minimum is a usage error naming
 // the flag and the value, never a silently rewritten run.
@@ -374,6 +401,19 @@ func TestRunFlagValidation(t *testing.T) {
 		}
 		if msg := err.Error(); !strings.HasPrefix(msg, tc.flag+" ") || !strings.HasSuffix(msg, fmt.Sprintf("got %d", tc.bad)) {
 			t.Errorf("%s %d: error does not name flag and value: %v", tc.flag, tc.bad, err)
+		}
+	}
+	// A flow id past 32 bits once wrapped onto a small one: 1<<32 + 1
+	// captured flow 1. Only a 64-bit int can hold one.
+	if strconv.IntSize == 64 {
+		largest := uint64(math.MaxUint32)
+		if err := validateRunFlag(6, int(largest)); err != nil {
+			t.Errorf("-trace-flow at the largest flow id rejected: %v", err)
+		}
+		wide := largest + 2
+		err := validateRunFlag(6, int(wide))
+		if err == nil || !strings.HasPrefix(err.Error(), "-trace-flow ") || !strings.HasSuffix(err.Error(), fmt.Sprintf("got %d", wide)) {
+			t.Errorf("-trace-flow %d: err = %v, want a usage error naming flag and value", wide, err)
 		}
 	}
 

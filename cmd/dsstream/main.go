@@ -150,8 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// positive rejects a non-positive value of flag -name, given as text,
-// with an error that names the flag and the value.
 // bitRate parses the rate flag -name, which must be positive.
 func bitRate(name, text string) (units.BitRate, error) {
 	r, err := units.ParseBitRate(text)
@@ -161,6 +159,8 @@ func bitRate(name, text string) (units.BitRate, error) {
 	return r, positive(name, text, float64(r))
 }
 
+// positive rejects a non-positive value of flag -name, given as text,
+// with an error that names the flag and the value.
 func positive(name, text string, v float64) error {
 	if v <= 0 {
 		return fmt.Errorf("-%s must be > 0, got %s", name, text)

@@ -96,6 +96,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	// A trace scored against another clip's encoding would print a
+	// plausible, meaningless figure.
+	if n := clip.FrameCount(); tr.ClipFrames != n {
+		fmt.Fprintf(stderr, "vqmtool: -clip %s has %d frames, but %s traces a %d-frame clip\n",
+			*clipName, n, *in, tr.ClipFrames)
+		return 2
+	}
 
 	decoded := tr
 	if enc.CBR {

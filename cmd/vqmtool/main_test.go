@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +25,12 @@ func runCmd(args ...string) (int, string, string) {
 // clip (every 50th frame missing) and returns its path.
 func writeTrace(t *testing.T) string {
 	t.Helper()
-	clip := video.Lost()
+	return writeClipTrace(t, video.Lost())
+}
+
+// writeClipTrace is writeTrace for any clip.
+func writeClipTrace(t *testing.T, clip *video.Clip) string {
+	t.Helper()
 	tr := &trace.Trace{ClipFrames: clip.FrameCount()}
 	iv := video.FrameInterval()
 	for i := 0; i < clip.FrameCount(); i++ {
@@ -48,6 +54,8 @@ func writeTrace(t *testing.T) string {
 
 func TestFlagValidation(t *testing.T) {
 	tracePath := writeTrace(t)
+	darkPath := writeClipTrace(t, video.Dark())
+	lost, dark := video.Lost().FrameCount(), video.Dark().FrameCount()
 	cases := []struct {
 		name    string
 		args    []string
@@ -64,12 +72,21 @@ func TestFlagValidation(t *testing.T) {
 		{"infinite ref rate", []string{"-in", tracePath, "-ref", "Inf"}, `-ref: units: bit rate "Inf" is not finite`},
 		{"negative rate", []string{"-in", tracePath, "-rate", "-1M"}, `-rate: units: negative bit rate "-1M"`},
 		{"ref rate past float64", []string{"-in", tracePath, "-ref", "1e306G"}, `-ref: units: bit rate "1e306G" is not finite`},
+		// Traces scored against the other clip once printed a figure and
+		// exited 0.
+		{"Lost trace as Dark", []string{"-in", tracePath, "-clip", "Dark", "-rate", "1.5M"},
+			fmt.Sprintf("-clip Dark has %d frames, but %s traces a %d-frame clip", dark, tracePath, lost)},
+		{"Dark trace as Lost", []string{"-in", darkPath, "-clip", "Lost", "-rate", "1.5M"},
+			fmt.Sprintf("-clip Lost has %d frames, but %s traces a %d-frame clip", lost, darkPath, dark)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _, stderr := runCmd(tc.args...)
+			code, stdout, stderr := runCmd(tc.args...)
 			if code != 2 {
 				t.Fatalf("exit = %d, want 2 (stderr: %s)", code, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("a usage error printed to stdout: %q", stdout)
 			}
 			if tc.wantErr != "" && !strings.Contains(stderr, tc.wantErr) {
 				t.Errorf("stderr %q does not mention %q", stderr, tc.wantErr)

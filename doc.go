@@ -45,24 +45,26 @@
 //
 // MultiFlow.Run has two paths. Serial: the source (or the N paced
 // servers of an unbatched build) runs on the one simulator. Sharded
-// ("dsbench -shards K", MultiFlowConfig.Shards), with byte-identical
-// output: the batched virtual flows partition round-robin into
-// min(K, flows) shard workers and advance as time-shifted replays of
-// their class's base arrival sequence (flowbatch.BaseArrivals; the
-// access-chain recurrence is shift-invariant) under a conservative
-// lookahead window derived from the minimum latency of the access
-// chain feeding the shared border, which is sound because the topology
-// is feed-forward. A central sequencer draws the root-RNG jitter stream
-// at exactly the serial positions, and the border simulator replays
-// shard emissions in exact global (time, flow) order, firing its own
-// events strictly before each emission instant, so figures, per-flow
-// statistics, policer verdicts and the merged packet trace are
-// bit-equal to the serial run at every shard count — pinned by the
-// shardeq differential harness in internal/experiment and
-// internal/topology. Unlike flow batching, sharding has no large-N
-// divergence boundary. Only batched flows are partitionable: an
-// unbatched or tandem point asked for K shards runs serially and
-// reports one effective worker.
+// ("dsbench -shards K", MultiFlowConfig.Shards), through
+// flowbatch.BatchedMixture.RunSharded: the batched virtual flows
+// partition round-robin into min(K, flows) shard workers and advance
+// as time-shifted copies of their class's base arrival sequence — the
+// same per-class arrays the serial walk reads, since the access-chain
+// recurrence is shift-invariant — under a conservative lookahead
+// window derived from the minimum latency of the access chain feeding
+// the shared border, which is sound because the topology is
+// feed-forward. A central sequencer takes every jitter through the
+// mixture's one draw, at exactly the serial root-RNG positions, and
+// the border simulator replays shard emissions in exact global
+// (time, flow) order, firing its own events strictly before each
+// emission instant. Figures, per-flow statistics, policer verdicts and
+// the merged packet trace are bit-equal to the serial run on the grids
+// the shardeq differential harness in internal/experiment pins (up to
+// 64 flows byte for byte, fleet series at 1,000 and 2,000 flows); at
+// 320 and 16 k flows a same-instant tie at the border has been seen to
+// resolve differently (ROADMAP.md, finding (a)). Only batched flows
+// are partitionable: an unbatched or tandem point asked for K shards
+// runs serially and reports one effective worker.
 //
 // Six-figure fleets pair a batched mixture with aggregated statistics
 // (MultiFlowConfig.AggregateStats): one client.Aggregate per class — delivered counts, streaming delay

@@ -112,10 +112,13 @@ func TestMixtureBatchedEquivalence(t *testing.T) {
 					mb.Sim.Fired(), mu.Sim.Fired())
 			}
 			// Every virtual flow emitted its full class schedule.
-			for g, sent := range mb.Mixture.Sent {
-				want := len(mb.Mixture.Classes[mb.Mixture.ClassOf(g)].Sched.Entries)
-				if sent != want {
-					t.Errorf("virtual flow %d emitted %d of %d scheduled packets", g, sent, want)
+			g := 0
+			for _, c := range mb.Mixture.Classes {
+				for j := 0; j < c.N; j++ {
+					if sent, want := mb.Mixture.Sent[g], len(c.Sched.Entries); sent != want {
+						t.Errorf("virtual flow %d emitted %d of %d scheduled packets", g, sent, want)
+					}
+					g++
 				}
 			}
 		})

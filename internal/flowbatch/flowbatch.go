@@ -38,9 +38,10 @@
 // The mixture folds the per-flow access link and campus jitter of the
 // multi-flow topology into the source and reproduces them exactly:
 //
-//   - the access link is emulated by per-flow serialization state
-//     (txStart = max(emission, busyUntil)), which is bit-identical to a
-//     dedicated link.Link that only this flow crosses;
+//   - the access link is emulated by serialization arithmetic
+//     (txStart = max(emission, link free)), walked once per class and
+//     shifted per flow (see Sharded execution), which is bit-identical
+//     to a dedicated link.Link that only this flow crosses;
 //   - the jitter element's uniform draw is taken from the simulator's
 //     root RNG in global arrival order across all virtual flows of all
 //     classes — the same stream positions the N real link.Jitter
@@ -95,14 +96,73 @@
 //
 // # Sharded execution
 //
-// shard.go splits the same fan-out into the three stages of the
-// sharded pipeline (see internal/topology): per-class base walks shifted
-// per flow (ShardArrivals), one JitterSequencer that draws every
-// class's jitter in global order, and border replay through
-// BatchedMixture.Inject. Only a batched mixture has partitionable
-// flows; chain-clone sharding of unbatched servers was retired in
-// PR 12 after serial beat it in every one of ten alternating pairs on
-// nflow, schedcomp and tandem (CHANGES.md has the table).
+// BatchedMixture.RunSharded partitions one big batched run across
+// cores. Both run modes share one arrival arithmetic and one jitter
+// draw. Every virtual flow of a class plays the same schedule through
+// the same folded access link, and the serialization recurrence is
+// shift-invariant — max(a+c, b+c) = max(a, b)+c — so a flow started at
+// s arrives with entry k at exactly s + base[k], where base, one array
+// per class that init computes, is the walk of a flow started at 0.
+// The serial arrival wheel and the shard walks both read arrivals that
+// way, and the serial walk and the sequencer both take jitter through
+// the mixture's one draw, into the mixture's own per-flow clamp state.
+//
+// The pipeline has three stages:
+//
+//   - shard walks (shardArrivals): the virtual flows, dealt round-robin,
+//     advance on one goroutine per shard in conservative lookahead
+//     windows, emitting shifted copies of their class base sequences —
+//     no RNG, no cross-flow coupling, no event queue;
+//   - the sequencer (jitterSequencer): the single serialization point,
+//     on its own goroutine, merges the shards' chunks back into exact
+//     global (time, flow) order, draws each packet's jitter at exactly
+//     the root-RNG stream position the serial run would have used, and
+//     releases a delivery once the frontier proves it final;
+//   - border replay: the calling goroutine materializes each released
+//     delivery on the mixture's simulator, the border, at its instant
+//     (inject), so policers, taps and everything downstream observe the
+//     serial timeline.
+//
+// Sharding therefore moves work, not decisions — up to the border
+// ties described below. The shardeq harness in internal/experiment
+// pins a sharded run byte-identical to the serial one on nflow-wide at
+// 16 flows (64 without -short) and the figure series identical on
+// fleet points of 1,000 and 2,000 flows. Past that nothing pins it, and
+// it does not hold everywhere: a 16 k-flow fleet run and the 320-flow
+// wide-batched workload at seed 117 deliver differently sharded and
+// serial (finding (a) in ROADMAP.md).
+//
+// Windows are sized from the minimum latency of an access chain: a
+// packet emitted at t cannot reach the border before t + minLatency
+// (propagation delay plus the wire time of the smallest packet), so
+// once every shard has advanced past a frontier F, every border arrival
+// before F is known. The topology is feed-forward — nothing flows from
+// the border back into a chain — so the window width governs pipelining
+// grain and buffering, never correctness; it is a multiple of the chain
+// latency (lookaheadScale) so each hand-off carries a meaningful batch.
+//
+// Ordering inside a window is established by sorting, not by a merge
+// heap. Each stage's keys are unique total orders — at most one arrival
+// per (time, flow), because per-flow arrival times strictly increase,
+// and deliveries carry a per-flow draw index as the final tie-break —
+// so one radix sort of the window's batch yields the exact global
+// sequence, several times cheaper than the log-N sift per element a
+// merge heap pays (the heap was the top profile entry at N = 512).
+//
+// Before applying a delivery at t the border fires every event strictly
+// before t and advances its clock to exactly t. Same-instant ties
+// between an injected packet and a native border event resolve
+// injection-first where a serial run resolves them in event-sequence
+// order. The tie set was taken to be measure-zero (jittered delivery
+// instants against lattice-valued link events), the standard batching
+// set above; the harness pins its absence on the tested grids, and the
+// larger runs named above realize it.
+//
+// Only a batched mixture has flows to partition. An unbatched build
+// given more than one shard runs serially; chain-clone sharding of
+// unbatched servers was retired after serial beat it in every one of
+// ten alternating pairs on nflow, schedcomp and tandem (CHANGES.md has
+// the table).
 package flowbatch
 
 import (

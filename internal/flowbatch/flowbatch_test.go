@@ -104,7 +104,7 @@ func oneClass(s *sim.Simulator, sched *Schedule, n int, base packet.FlowID, offs
 // against per-flow server-style emissions through real link and
 // jitter elements, with a synthetic schedule that includes
 // back-to-back same-instant entries — forcing the access link to
-// queue, so the busyUntil serialization emulation is exercised, not
+// queue, so the base arrivals' serialization emulation is exercised, not
 // just the idle path. Both simulations share a seed, so the jitter
 // draws must line up in global arrival order for the outputs to
 // match.

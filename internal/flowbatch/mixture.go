@@ -87,15 +87,23 @@ type BatchedMixture struct {
 	Sent      []int
 	SentBytes []int64
 
-	classOf      []int32 // global flow -> class index
-	start        []units.Time
-	drawn        []int
-	delivered    []int
-	busyUntil    []units.Time
-	lastDelivery []units.Time
-	nextArr      []units.Time
-	nextDel      []units.Time
-	pending      timeFIFOs
+	// Shared by both run modes; init lays them out.
+	classOf      []int32        // global flow -> class index
+	start        []units.Time   // global flow -> start instant
+	base         [][]units.Time // class -> arrival walk of a flow started at 0 (baseArrivals)
+	drawn        []int32        // global flow -> jitter draws taken, the next entry to arrive
+	lastDelivery []units.Time   // global flow -> the jitter clamp
+	// rng is Sim.RNG(), read once: the sharded pipeline draws on the
+	// sequencer's goroutine, and the pointer shares a cache line with
+	// the clock the border simulator writes on every event (reading it
+	// per draw cost the two-shard fleet ~10 % of its wall time).
+	rng *sim.RNG
+
+	// The serial walk's own state; startArmed lays it out.
+	delivered []int
+	nextArr   []units.Time
+	nextDel   []units.Time
+	pending   timeFIFOs
 
 	arrWheel flowWheel
 	delWheel flowWheel
@@ -212,11 +220,9 @@ func (s *BatchedMixture) TotalFlows() int {
 	return n
 }
 
-// ClassOf reports the class owning global flow g (valid after Start or
-// InitReplay).
-func (s *BatchedMixture) ClassOf(g int) int { return int(s.classOf[g]) }
-
-// init lays out the per-flow state arrays in class-major flow order.
+// init lays out the state both run modes share, in class-major flow
+// order: the counters, the flow layout, each class's base arrivals and
+// the per-flow jitter state.
 func (s *BatchedMixture) init() int {
 	n := s.TotalFlows()
 	if len(s.Next) != n && len(s.Next) != 1 {
@@ -226,10 +232,15 @@ func (s *BatchedMixture) init() int {
 	s.SentBytes = make([]int64, n)
 	s.classOf = make([]int32, n)
 	s.start = make([]units.Time, n)
+	s.base = make([][]units.Time, len(s.Classes))
+	s.drawn = make([]int32, n)
+	s.lastDelivery = make([]units.Time, n)
+	s.rng = s.Sim.RNG()
 	now := s.Sim.Now()
 	g := 0
 	for ci := range s.Classes {
 		c := &s.Classes[ci]
+		s.base[ci] = baseArrivals(c.Sched, c.Chain)
 		for j := 0; j < c.N; j++ {
 			s.classOf[g] = int32(ci)
 			s.start[g] = now + c.Phase + units.Time(int64(j))*c.Offset
@@ -251,10 +262,7 @@ func (s *BatchedMixture) startArmed(perPacket bool) {
 	}
 	n := s.init()
 	s.perPacket = perPacket
-	s.drawn = make([]int, n)
 	s.delivered = make([]int, n)
-	s.busyUntil = make([]units.Time, n)
-	s.lastDelivery = make([]units.Time, n)
 	s.nextArr = make([]units.Time, n)
 	s.nextDel = make([]units.Time, n)
 	s.pending = newTimeFIFOs(n)
@@ -278,32 +286,62 @@ func (s *BatchedMixture) startArmed(perPacket bool) {
 	s.delArmed = -1
 	s.arrive = (*mixArriveTimer)(s)
 	s.deliver = (*mixDeliverTimer)(s)
-	for g := 0; g < n; g++ {
-		if len(s.Classes[s.classOf[g]].Sched.Entries) == 0 {
-			continue
+	for g := int32(0); g < int32(n); g++ {
+		if base := s.base[s.classOf[g]]; len(base) > 0 {
+			s.nextArr[g] = s.start[g] + base[0]
+			s.arrWheel.push(g)
 		}
-		s.computeArrival(g)
-		s.arrWheel.push(int32(g))
 	}
 	if s.arrWheel.len() > 0 {
 		s.Sim.AtTimer(s.nextArr[s.arrWheel.min()], s.arrive)
 	}
 }
 
-// computeArrival advances flow g's access-link emulation to its next
-// undrawn entry of its class schedule: serialization starts at the
-// emission instant or when the link frees up, whichever is later —
-// exactly a dedicated link.Link's FIFO.
-func (s *BatchedMixture) computeArrival(g int) {
-	c := &s.Classes[s.classOf[g]]
-	e := &c.Sched.Entries[s.drawn[g]]
-	txStart := s.start[g] + e.At
-	if s.busyUntil[g] > txStart {
-		txStart = s.busyUntil[g]
+// baseArrivals walks one virtual flow's access-chain serialization,
+// started at 0, over the whole schedule and returns the arrival instant
+// of every entry: serialization starts at the emission instant or when
+// the link frees up, whichever is later — exactly a dedicated
+// link.Link's FIFO. Per-flow arrival times strictly increase
+// (serialization time is positive), and the recurrence is
+// shift-invariant, max(a+c, b+c) = max(a, b)+c, so a flow started at s
+// arrives at s + base[k]. Both run modes read every arrival that way.
+func baseArrivals(sched *Schedule, chain ChainSpec) []units.Time {
+	if sched == nil {
+		return nil
 	}
-	done := txStart + c.Chain.AccessRate.TxTime(e.Size)
-	s.busyUntil[g] = done
-	s.nextArr[g] = done + c.Chain.AccessDelay
+	base := make([]units.Time, len(sched.Entries))
+	var busy units.Time
+	for k := range sched.Entries {
+		e := &sched.Entries[k]
+		tx := e.At
+		if busy > tx {
+			tx = busy
+		}
+		busy = tx + chain.AccessRate.TxTime(e.Size)
+		base[k] = busy + chain.AccessDelay
+	}
+	return base
+}
+
+// draw takes the jitter of flow g's packet arriving at a and returns
+// its delivery instant and draw index — the one jitter draw of both run
+// modes: link.Jitter.Handle's uniform draw from the root RNG plus its
+// order-preserving clamp, with the element's state held per virtual
+// flow. The clamp makes a flow's delivery instants non-decreasing, so
+// the draw index is also the flow's delivery order and, since every
+// entry is drawn once, the schedule entry the packet carries.
+func (s *BatchedMixture) draw(g int32, a units.Time) (units.Time, int32) {
+	t := a
+	if jm := s.Classes[s.classOf[g]].Chain.JitterMax; jm > 0 {
+		t = a + units.Time(s.rng.Float64()*float64(jm))
+	}
+	if t < s.lastDelivery[g] {
+		t = s.lastDelivery[g]
+	}
+	s.lastDelivery[g] = t
+	k := s.drawn[g]
+	s.drawn[g]++
+	return t, k
 }
 
 // processArrivals draws jitter for every packet arriving now, in
@@ -313,21 +351,10 @@ func (s *BatchedMixture) computeArrival(g int) {
 func (s *BatchedMixture) processArrivals(now units.Time) {
 	for s.arrWheel.len() > 0 {
 		g := s.arrWheel.min()
-		a := s.nextArr[g]
-		if a > now {
+		if s.nextArr[g] > now {
 			break
 		}
-		c := &s.Classes[s.classOf[g]]
-		// Uniform draw plus order-preserving clamp: link.Jitter.Handle,
-		// with the element's state held per virtual flow.
-		t := a
-		if c.Chain.JitterMax > 0 {
-			t = a + units.Time(s.Sim.RNG().Float64()*float64(c.Chain.JitterMax))
-		}
-		if t < s.lastDelivery[g] {
-			t = s.lastDelivery[g]
-		}
-		s.lastDelivery[g] = t
+		t, _ := s.draw(g, s.nextArr[g])
 		if s.pending.empty(g) {
 			s.nextDel[g] = t
 			s.delWheel.push(g)
@@ -336,9 +363,8 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 		if s.perPacket {
 			s.Sim.AtTimer(t, s.deliver)
 		}
-		s.drawn[g]++
-		if s.drawn[g] < len(c.Sched.Entries) {
-			s.computeArrival(int(g))
+		if base := s.base[s.classOf[g]]; int(s.drawn[g]) < len(base) {
+			s.nextArr[g] = s.start[g] + base[s.drawn[g]]
 			s.arrWheel.fixMin()
 		} else {
 			s.arrWheel.pop()
@@ -378,7 +404,7 @@ func (s *BatchedMixture) deliverDue(now units.Time) {
 		s.pending.pop(g)
 		k := s.delivered[g]
 		s.delivered[g]++
-		s.Inject(g, int32(k))
+		s.inject(g, int32(k))
 		if !s.pending.empty(g) {
 			s.nextDel[g] = s.pending.peek(g)
 			s.delWheel.fixMin()
@@ -389,12 +415,12 @@ func (s *BatchedMixture) deliverDue(now units.Time) {
 	s.armDeliver()
 }
 
-// Inject materializes entry k of global flow g at the current clock and
+// inject materializes entry k of global flow g at the current clock and
 // forwards it to the flow's next hop — the body of the serial delivery
 // loop, and the whole of the sharded border replay, whose caller must
 // have advanced the border simulator to the delivery instant so packet
 // ids, taps and downstream elements observe the serial timeline.
-func (s *BatchedMixture) Inject(g, k int32) {
+func (s *BatchedMixture) inject(g, k int32) {
 	c := &s.Classes[s.classOf[g]]
 	e := &c.Sched.Entries[k]
 	p := s.Pool.Get()
@@ -418,16 +444,6 @@ func (s *BatchedMixture) Inject(g, k int32) {
 	}
 	next.Handle(p)
 }
-
-// InitReplay prepares the mixture for sharded border replay: flow
-// layout and counters as Start would build them, but no timers — an
-// external sequencer replays the delivery order through Inject.
-func (s *BatchedMixture) InitReplay() { s.init() }
-
-// StartOf reports global flow g's start time (valid after Start or
-// InitReplay) — the shard orchestrator seeds ShardArrivals.Start from
-// it so both sides agree bit-for-bit.
-func (s *BatchedMixture) StartOf(g int) units.Time { return s.start[g] }
 
 // TotalSent sums the per-virtual-flow emission counters.
 func (s *BatchedMixture) TotalSent() int {

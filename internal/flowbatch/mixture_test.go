@@ -89,19 +89,18 @@ func TestMixtureClassLayout(t *testing.T) {
 		{Sched: sched, N: 3, Offset: 10 * units.Millisecond, Chain: ChainSpec{AccessRate: units.Mbps}},
 		{Sched: sched, N: 2, Phase: units.Second, Offset: 20 * units.Millisecond, Chain: ChainSpec{AccessRate: units.Mbps}},
 	}, Next: []packet.Handler{sink}, Pool: pool}
-	mix.InitReplay()
-	if got := mix.TotalFlows(); got != 5 {
-		t.Fatalf("TotalFlows = %d, want 5", got)
+	if got := mix.init(); got != 5 {
+		t.Fatalf("init laid out %d flows, want 5", got)
 	}
-	wantClass := []int{0, 0, 0, 1, 1}
+	wantClass := []int32{0, 0, 0, 1, 1}
 	wantStart := []units.Time{0, 10 * units.Millisecond, 20 * units.Millisecond,
 		units.Second, units.Second + 20*units.Millisecond}
 	for g := 0; g < 5; g++ {
-		if mix.ClassOf(g) != wantClass[g] {
-			t.Errorf("ClassOf(%d) = %d, want %d", g, mix.ClassOf(g), wantClass[g])
+		if mix.classOf[g] != wantClass[g] {
+			t.Errorf("classOf[%d] = %d, want %d", g, mix.classOf[g], wantClass[g])
 		}
-		if mix.StartOf(g) != wantStart[g] {
-			t.Errorf("StartOf(%d) = %v, want %v", g, mix.StartOf(g), wantStart[g])
+		if mix.start[g] != wantStart[g] {
+			t.Errorf("start[%d] = %v, want %v", g, mix.start[g], wantStart[g])
 		}
 	}
 }

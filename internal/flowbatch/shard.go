@@ -3,166 +3,107 @@ package flowbatch
 import (
 	"math/bits"
 	"slices"
+	"time"
 
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
 
-// This file splits the BatchedMixture fan-out into the three stages of
-// the sharded execution mode (see internal/topology's sharded runs):
-//
-//   - ShardArrivals: the RNG-free arrival walk (per-flow access-link
-//     serialization) over a subset of the virtual flows, advanced
-//     directly in conservative lookahead windows;
-//   - JitterSequencer: the single serialization point that merges the
-//     shards' arrival streams back into exact global (time, flow)
-//     order, draws each packet's jitter from the root RNG at exactly
-//     the stream position the serial run would have used, and releases
-//     deliveries once the lookahead frontier proves them final;
-//   - BatchedMixture.InitReplay/Inject: materialization of each
-//     delivery on the border simulator, at the delivery instant, in
-//     the exact order the sequencer released them.
-//
-// The decomposition is exact because the arrival walk of one virtual
-// flow depends only on that flow's own serialization state (pure
-// integer arithmetic — no RNG, no cross-flow coupling), while every
-// RNG draw and every downstream side effect happens on the border in
-// serial order. Sharding therefore moves work, not decisions.
-//
-// The arrival walk goes further than relocating computeArrival: every
-// virtual flow of a class plays the same shared schedule through the
-// same chain parameters, and the serialization recurrence is
-// shift-invariant — max(a+c, b+c) = max(a, b)+c, so a flow started at s
-// produces arrival k at exactly s + base[k], where base is the walk of
-// a flow started at 0. BaseArrivals computes that base sequence once
-// per class; a shard then emits nothing but shifted copies of those
-// arrays, with no per-arrival arithmetic and no event queue at all.
-//
-// Ordering inside a window is established by sorting, not by a merge
-// heap. Each stage's keys are unique total orders — at most one
-// arrival per (time, flow) because per-flow arrival times strictly
-// increase, and deliveries carry a per-flow draw index as the final
-// tie-break — so one sort of the window's batch yields the exact global
-// sequence. On contiguous 16-byte records with an inlined comparator
-// this is several times cheaper than the log-N sift per element that a
-// merge heap pays (the heap was the top profile entry at N=512), and
-// the lookahead window is purely the batching grain.
+// The sharded pipeline's stages, its goroutine plumbing and the
+// constructor that builds both from a mixture; the package comment
+// describes the design.
 
-// Arrival is one packet of one virtual flow leaving its folded access
-// chain: entry Entry of the shared schedule, owned by global virtual
-// flow Flow, arriving at the jitter element at At.
-type Arrival struct {
-	At    units.Time
-	Flow  int32
-	Entry int32
+// arrival is one packet leaving a virtual flow's folded access chain:
+// at is its instant at the jitter element, flow its global virtual
+// flow and entry its index in the flow's class schedule.
+type arrival struct {
+	at    units.Time
+	flow  int32
+	entry int32
 }
 
-// Delivery is one packet whose jittered delivery instant is final: no
-// arrival still unprocessed anywhere can deliver at or before it.
-// Deliveries are released in exact global (time, flow) order. It is the
-// Arrival record with At moved to the jittered instant and Entry the
-// flow's draw index, so both stages share one window sort.
-type Delivery = Arrival
+// delivery is one packet whose jittered delivery instant is final: no
+// arrival still unprocessed anywhere can deliver at or before it. It is
+// the arrival record with at moved to the jittered instant and entry
+// the flow's draw index, so both stages share one window sort.
+type delivery = arrival
 
-// BaseArrivals walks one virtual flow's access-chain serialization
-// (BatchedMixture.computeArrival with start 0) over the whole schedule
-// and returns the arrival instant of every entry. Per-flow arrival
-// times are strictly increasing (serialization time is positive), and
-// a flow started at s arrives at s + base[k] — the shift-invariance
-// every sharded walk relies on.
-func BaseArrivals(sched *Schedule, chain ChainSpec) []units.Time {
-	if sched == nil {
-		return nil
-	}
-	base := make([]units.Time, len(sched.Entries))
-	var busy units.Time
-	for k := range sched.Entries {
-		e := &sched.Entries[k]
-		tx := e.At
-		if busy > tx {
-			tx = busy
-		}
-		busy = tx + chain.AccessRate.TxTime(e.Size)
-		base[k] = busy + chain.AccessDelay
-	}
-	return base
-}
+// shardArrivals generates the merged arrival sequence of a subset of
+// a mixture's virtual flows, window by window: the serial walk's
+// arrivals, read from the same class base sequences, in the same
+// (time, flow) order — minus the jitter draw, which happens centrally.
+// Arrivals accumulate in out; the shard worker drains lookahead windows
+// with advanceTo and hands out chunks to the sequencer.
+type shardArrivals struct {
+	mix     *BatchedMixture
+	flows   []int32    // owned global virtual-flow indices, ascending
+	horizon units.Time // arrivals after this never fire serially; 0 = unbounded
 
-// ShardArrivals generates the merged arrival sequence of a subset of
-// a BatchedMixture's virtual flows, window by window. It is the
-// shard-local half of processArrivals: the same per-flow access-link
-// serialization (via the class base sequences), the same (time, flow)
-// order — minus the jitter draw, which must happen centrally.
-// Arrivals accumulate in Out; the shard worker drains lookahead
-// windows with AdvanceTo and hands Out chunks to the sequencer.
-type ShardArrivals struct {
-	Flows   []int32        // owned global virtual-flow indices, ascending
-	Start   []units.Time   // start time per owned flow (parallel to Flows)
-	Bases   [][]units.Time // class base sequence (BaseArrivals) per owned flow (parallel to Flows)
-	Horizon units.Time     // arrivals after this never fire serially; 0 = unbounded
-
-	// Out collects the arrivals of the current window in (time, flow)
+	// out collects the arrivals of the current window in (time, flow)
 	// order. The worker swaps it out after each window.
-	Out []Arrival
+	out []arrival
 
-	// Produced counts arrivals generated so far — the shard-side work
+	// produced counts arrivals generated so far — the shard-side work
 	// metric ShardStats aggregates.
-	Produced uint64
+	produced uint64
 
 	pos     []int32   // next schedule entry per owned flow
 	live    []int32   // owned-flow indices not yet exhausted
-	scratch []Arrival // radix-sort ping-pong buffer
+	scratch []arrival // radix-sort ping-pong buffer
 }
 
-// Init seeds the per-flow walk state.
-func (sa *ShardArrivals) Init() {
-	n := len(sa.Flows)
+// init seeds the per-flow walk state.
+func (sa *shardArrivals) init() {
+	n := len(sa.flows)
 	if n == 0 {
 		return
 	}
 	sa.pos = make([]int32, n)
 	sa.live = make([]int32, 0, n)
-	for i, base := range sa.Bases {
+	m := sa.mix
+	for i, g := range sa.flows {
+		base := m.base[m.classOf[g]]
 		if len(base) == 0 {
 			continue
 		}
-		first := sa.Start[i] + base[0]
-		if sa.Horizon > 0 && first > sa.Horizon {
+		if first := m.start[g] + base[0]; sa.horizon > 0 && first > sa.horizon {
 			continue
 		}
 		sa.live = append(sa.live, int32(i))
 	}
 }
 
-// Done reports whether every owned flow's schedule has been walked to
+// done reports whether every owned flow's schedule has been walked to
 // the end (or past the horizon).
-func (sa *ShardArrivals) Done() bool { return len(sa.live) == 0 }
+func (sa *shardArrivals) done() bool { return len(sa.live) == 0 }
 
-// AdvanceTo appends to Out every arrival strictly before frontier, in
+// advanceTo appends to out every arrival strictly before frontier, in
 // (time, global flow) order: each live flow contributes a contiguous
 // run of its shifted base sequence, and one sort of the window batch
 // interleaves the runs. Arrivals past the horizon are never produced:
 // the serial run's event loop would never fire them, and per-flow
 // arrival times are strictly increasing, so a flow whose next arrival
 // passes the horizon is finished.
-func (sa *ShardArrivals) AdvanceTo(frontier units.Time) {
-	mark := len(sa.Out)
+func (sa *shardArrivals) advanceTo(frontier units.Time) {
+	mark := len(sa.out)
 	w := 0
+	m := sa.mix
 	for _, loc := range sa.live {
-		start, flow := sa.Start[loc], sa.Flows[loc]
-		base := sa.Bases[loc]
+		flow := sa.flows[loc]
+		start, base := m.start[flow], m.base[m.classOf[flow]]
 		n := int32(len(base))
 		k := sa.pos[loc]
 		for k < n {
 			at := start + base[k]
-			if sa.Horizon > 0 && at > sa.Horizon {
+			if sa.horizon > 0 && at > sa.horizon {
 				k = n
 				break
 			}
 			if at >= frontier {
 				break
 			}
-			sa.Out = append(sa.Out, Arrival{At: at, Flow: flow, Entry: k})
+			sa.out = append(sa.out, arrival{at: at, flow: flow, entry: k})
 			k++
 		}
 		sa.pos[loc] = k
@@ -172,8 +113,8 @@ func (sa *ShardArrivals) AdvanceTo(frontier units.Time) {
 		}
 	}
 	sa.live = sa.live[:w]
-	sa.Produced += uint64(len(sa.Out) - mark)
-	sa.scratch = sortWindow(sa.Out[mark:], sa.scratch)
+	sa.produced += uint64(len(sa.out) - mark)
+	sa.scratch = sortWindow(sa.out[mark:], sa.scratch)
 }
 
 // sortWindow orders one window batch of either stage by
@@ -190,23 +131,23 @@ func (sa *ShardArrivals) AdvanceTo(frontier units.Time) {
 // instead of m·log m branchy comparisons. Returns the scratch buffer
 // for reuse; it grows geometrically, so a ramp of ever-longer windows
 // re-makes it a few times rather than once per new high water.
-func sortWindow(batch []Arrival, scratch []Arrival) []Arrival {
+func sortWindow(batch []arrival, scratch []arrival) []arrival {
 	if len(batch) < radixMinLen {
 		slices.SortFunc(batch, compareArrivals)
 		return scratch
 	}
-	minAt, maxAt := batch[0].At, batch[0].At
+	minAt, maxAt := batch[0].at, batch[0].at
 	var maxFlow int32
 	for i := range batch {
 		a := &batch[i]
-		if a.At < minAt {
-			minAt = a.At
+		if a.at < minAt {
+			minAt = a.at
 		}
-		if a.At > maxAt {
-			maxAt = a.At
+		if a.at > maxAt {
+			maxAt = a.at
 		}
-		if a.Flow > maxFlow {
-			maxFlow = a.Flow
+		if a.flow > maxFlow {
+			maxFlow = a.flow
 		}
 	}
 	fb := bits.Len32(uint32(maxFlow))
@@ -220,7 +161,7 @@ func sortWindow(batch []Arrival, scratch []Arrival) []Arrival {
 	for shift := 0; maxKey>>shift != 0; shift += 8 {
 		var count [256]int
 		for i := range src {
-			k := uint64(src[i].At-minAt)<<fb | uint64(src[i].Flow)
+			k := uint64(src[i].at-minAt)<<fb | uint64(src[i].flow)
 			count[(k>>shift)&0xff]++
 		}
 		pos := 0
@@ -228,7 +169,7 @@ func sortWindow(batch []Arrival, scratch []Arrival) []Arrival {
 			pos, count[b] = pos+count[b], pos
 		}
 		for i := range src {
-			k := uint64(src[i].At-minAt)<<fb | uint64(src[i].Flow)
+			k := uint64(src[i].at-minAt)<<fb | uint64(src[i].flow)
 			b := (k >> shift) & 0xff
 			dst[count[b]] = src[i]
 			count[b]++
@@ -245,56 +186,47 @@ func sortWindow(batch []Arrival, scratch []Arrival) []Arrival {
 // lower constant wins over the radix passes.
 const radixMinLen = 64
 
-func compareArrivals(a, b Arrival) int {
-	if a.At != b.At {
-		if a.At < b.At {
+func compareArrivals(a, b arrival) int {
+	if a.at != b.at {
+		if a.at < b.at {
 			return -1
 		}
 		return 1
 	}
-	if a.Flow != b.Flow {
-		return int(a.Flow) - int(b.Flow)
+	if a.flow != b.flow {
+		return int(a.flow) - int(b.flow)
 	}
-	return int(a.Entry) - int(b.Entry)
+	return int(a.entry) - int(b.entry)
 }
 
-// JitterSequencer is the serialization point of a sharded batched run.
-// It consumes the shards' arrival chunks window by window, merges them
-// into exact global (time, flow) order, draws one uniform jitter per
-// arrival from the root RNG in that order — the identical stream
-// positions the serial BatchedMixture consumes — applies the per-flow
-// order-preserving clamp, and releases a delivery once the frontier
-// proves nothing can precede it: every arrival still unprocessed is at
-// or after the frontier, and jitter and clamping only move times
-// later, so any pending delivery strictly before the frontier is
-// final. Released deliveries are ordered by one sort of the window's
-// finalized batch — the per-flow draw index makes the key unique and
-// reproduces the serial per-flow FIFO on same-instant deliveries.
-type JitterSequencer struct {
-	RNG         *sim.RNG
-	JitterMaxOf []units.Time // jitter bound of every global flow across all shards
-	Horizon     units.Time   // deliveries after this are dropped (the serial horizon)
+// jitterSequencer is the serialization point of a sharded run. It
+// consumes the shards' arrival chunks window by window, merges them
+// into exact global (time, flow) order, takes each arrival's jitter
+// through the mixture's draw in that order — the identical root-RNG
+// stream positions and per-flow clamp state the serial walk uses — and
+// releases a delivery once the frontier proves nothing can precede it:
+// every arrival still unprocessed is at or after the frontier, and
+// jitter and clamping only move times later, so any pending delivery
+// strictly before the frontier is final. Released deliveries are
+// ordered by one sort of the window's finalized batch — the per-flow
+// draw index makes the key unique and reproduces the serial per-flow
+// FIFO on same-instant deliveries.
+type jitterSequencer struct {
+	mix     *BatchedMixture
+	horizon units.Time // deliveries after this are dropped (the serial horizon)
 
-	lastDelivery []units.Time
-	drawn        []int32
-	buf          []Delivery // drawn, not yet final; unsorted
-	rel          []Delivery // per-window release scratch
-	scratch      []Delivery // radix-sort ping-pong buffer
-	pos          []int
+	buf     []delivery // drawn, not yet final; unsorted
+	rel     []delivery // per-window release scratch
+	scratch []delivery // radix-sort ping-pong buffer
+	pos     []int
 }
 
-// Init allocates the per-flow sequencing state.
-func (q *JitterSequencer) Init() {
-	q.lastDelivery = make([]units.Time, len(q.JitterMaxOf))
-	q.drawn = make([]int32, len(q.JitterMaxOf))
-}
-
-// Feed merges one window's arrival chunks — every arrival strictly
+// feed merges one window's arrival chunks — every arrival strictly
 // before frontier, one sorted chunk per shard — draws their jitter in
 // global order, and appends to out every delivery that became final.
 // It returns the extended out slice; released deliveries are in exact
 // (time, flow) order across calls.
-func (q *JitterSequencer) Feed(chunks [][]Arrival, frontier units.Time, out []Delivery) []Delivery {
+func (q *jitterSequencer) feed(chunks [][]arrival, frontier units.Time, out []delivery) []delivery {
 	if cap(q.pos) < len(chunks) {
 		q.pos = make([]int, len(chunks))
 	}
@@ -314,7 +246,7 @@ func (q *JitterSequencer) Feed(chunks [][]Arrival, frontier units.Time, out []De
 				continue
 			}
 			b := &chunks[best][pos[best]]
-			if h.At < b.At || (h.At == b.At && h.Flow < b.Flow) {
+			if h.at < b.at || (h.at == b.at && h.flow < b.flow) {
 				best = s
 			}
 		}
@@ -323,27 +255,10 @@ func (q *JitterSequencer) Feed(chunks [][]Arrival, frontier units.Time, out []De
 		}
 		a := chunks[best][pos[best]]
 		pos[best]++
-		q.draw(a)
+		t, k := q.mix.draw(a.flow, a.at)
+		q.buf = append(q.buf, delivery{at: t, flow: a.flow, entry: k})
 	}
 	return q.release(frontier, out)
-}
-
-// draw consumes one root-RNG position for arrival a and queues its
-// delivery — the jitter half of BatchedMixture.processArrivals. The
-// per-flow clamp makes delivery times non-decreasing within a flow,
-// so the draw index doubles as the flow's release order.
-func (q *JitterSequencer) draw(a Arrival) {
-	i := a.Flow
-	t := a.At
-	if jm := q.JitterMaxOf[i]; jm > 0 {
-		t = a.At + units.Time(q.RNG.Float64()*float64(jm))
-	}
-	if t < q.lastDelivery[i] {
-		t = q.lastDelivery[i]
-	}
-	q.lastDelivery[i] = t
-	q.buf = append(q.buf, Delivery{At: t, Flow: i, Entry: q.drawn[i]})
-	q.drawn[i]++
 }
 
 // release emits every pending delivery strictly before frontier in
@@ -353,14 +268,14 @@ func (q *JitterSequencer) draw(a Arrival) {
 // serial run's event loop would never fire them. Deliveries at or
 // after the frontier are carried; everything drawn later is at or
 // after the frontier as well, so ordering holds across calls.
-func (q *JitterSequencer) release(frontier units.Time, out []Delivery) []Delivery {
+func (q *jitterSequencer) release(frontier units.Time, out []delivery) []delivery {
 	if len(q.buf) == 0 {
 		return out
 	}
 	rel := q.rel[:0]
 	keep := q.buf[:0]
 	for _, d := range q.buf {
-		if d.At < frontier {
+		if d.at < frontier {
 			rel = append(rel, d)
 		} else {
 			keep = append(keep, d) // in-place compaction; write index trails read
@@ -369,16 +284,264 @@ func (q *JitterSequencer) release(frontier units.Time, out []Delivery) []Deliver
 	q.buf, q.rel = keep, rel
 	q.scratch = sortWindow(rel, q.scratch)
 	for _, d := range rel {
-		if q.Horizon <= 0 || d.At <= q.Horizon {
+		if q.horizon <= 0 || d.at <= q.horizon {
 			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// Flush releases every remaining pending delivery (the final frontier
+// flush releases every remaining pending delivery (the final frontier
 // is past every drawn time).
-func (q *JitterSequencer) Flush(out []Delivery) []Delivery {
+func (q *jitterSequencer) flush(out []delivery) []delivery {
 	const never = units.Time(int64(^uint64(0) >> 1))
 	return q.release(never, out)
+}
+
+// ShardStats describes a sharded run's pipeline.
+type ShardStats struct {
+	// Shards is the effective shard-worker count: min(requested,
+	// partitionable batched flows), 1 after a serial run.
+	Shards int
+	// ShardFired counts work done off the border simulator: arrivals
+	// walked by the shard workers' direct generators. The border
+	// simulator's own count is reported by Sim.Fired() as usual.
+	ShardFired uint64
+	// Injected counts shard emissions replayed at the border.
+	Injected int
+	// StallRatio is the fraction of the border goroutine's replay
+	// wall-clock spent blocked waiting on shard chunks — near 0 means
+	// the border is the bottleneck (healthy pipelining), near 1 means
+	// the shards are.
+	StallRatio float64
+}
+
+// lookaheadScale sizes windows as a multiple of the minimum chain
+// latency: wide enough to amortize the per-window channel hand-off and
+// heap maintenance, narrow enough that a few windows of buffering keep
+// every worker busy.
+const lookaheadScale = 64
+
+// Each chunk stream — a shard's arrivals, the sequencer's deliveries —
+// keeps at most chunkChanCap+3 buffers alive: chunkChanCap queued, one
+// being filled, one blocked in the send and one being drained. Buffers
+// are made only when the free list is empty or its head is short, so
+// the free list has room for every buffer not in flight and giveBuf
+// drops none. By the takeBuf rule each buffer has room for about twice
+// the longest window seen so far, so a stream's memory follows its
+// peak window, not the ramp that led to it. Four queued windows: two
+// saved a further 10 % of the fleet workload's allocation but raised
+// the border's stall ratio and the run's CPU time.
+const (
+	chunkChanCap = 4
+	freeChanCap  = chunkChanCap + 2
+)
+
+// lookaheadWindow derives the shard window width from the minimum
+// latency of an access chain: propagation delay plus the wire time of
+// the smallest schedulable packet.
+func lookaheadWindow(rate units.BitRate, delay units.Time, minSize int) units.Time {
+	l := delay + rate.TxTime(minSize)
+	if l <= 0 {
+		l = units.Millisecond
+	}
+	w := l * lookaheadScale
+	if w > 100*units.Millisecond {
+		w = 100 * units.Millisecond
+	}
+	return w
+}
+
+// minEntrySize scans a schedule for its smallest wire size.
+func minEntrySize(sched *Schedule) int {
+	min := units.EthernetMTU
+	for i := range sched.Entries {
+		if s := sched.Entries[i].Size; s < min {
+			min = s
+		}
+	}
+	return min
+}
+
+// takeBuf recycles a chunk buffer from a free-list channel for a
+// window expected to hold about want records: a shard's previous
+// chunk, or the arrivals the sequencer is about to draw. A buffer that
+// already fits is reused as is. A short one, or none when the list is
+// empty, is replaced by a fresh buffer of twice want, so during a ramp
+// of widening windows each buffer is re-made once per doubling instead
+// of re-grown by append from zero or in small steps.
+func takeBuf[T any](free chan []T, want int) []T {
+	select {
+	case b := <-free:
+		if cap(b) >= want {
+			return b[:0]
+		}
+	default:
+	}
+	return make([]T, 0, 2*want)
+}
+
+// giveBuf returns a drained chunk buffer to the free list with its
+// capacity, the high water of the windows it carried, for takeBuf to
+// reuse. A full list drops it.
+func giveBuf[T any](free chan []T, b []T) {
+	if b == nil {
+		return
+	}
+	select {
+	case free <- b:
+	default:
+	}
+}
+
+// RunSharded executes the mixture on the sharded pipeline and runs its
+// simulator, the border, to horizon: bit-identical to Start followed by
+// a serial run to the same horizon at any shard count.
+func (s *BatchedMixture) RunSharded(shards int, horizon units.Time) ShardStats {
+	sas, seq, w := s.stages(shards, horizon)
+	return runPipeline(s.Sim, sas, seq, w, horizon, s.inject)
+}
+
+// stages readies the mixture for border replay and builds the
+// pipeline's stages: one arrival walk per shard, the sequencer and the
+// lookahead window. Flows are dealt round-robin so staggered starts
+// spread evenly across workers; any ascending per-shard assignment
+// preserves the global (time, flow) merge order. The window is the
+// narrowest any class requires, so every class's arrivals are final at
+// the shared frontier.
+func (s *BatchedMixture) stages(shards int, horizon units.Time) ([]*shardArrivals, *jitterSequencer, units.Time) {
+	n := s.init()
+	if shards > n {
+		shards = n
+	}
+	var w units.Time
+	for ci := range s.Classes {
+		c := &s.Classes[ci]
+		cw := lookaheadWindow(c.Chain.AccessRate, c.Chain.AccessDelay, minEntrySize(c.Sched))
+		if w == 0 || cw < w {
+			w = cw
+		}
+	}
+	sas := make([]*shardArrivals, shards)
+	for i := range sas {
+		sa := &shardArrivals{mix: s, horizon: horizon, flows: make([]int32, 0, (n-i+shards-1)/shards)}
+		for g := i; g < n; g += shards {
+			sa.flows = append(sa.flows, int32(g))
+		}
+		sa.init()
+		sas[i] = sa
+	}
+	return sas, &jitterSequencer{mix: s, horizon: horizon}, w
+}
+
+// runPipeline runs the stages on goroutines: each shard's arrival walk
+// advances in lookahead windows w on its own, a sequencer goroutine
+// merges and jitters their chunks, and the calling goroutine replays
+// the released deliveries through inject on the border simulator in
+// exact serial order, then runs the border to horizon.
+func runPipeline(border *sim.Simulator, sas []*shardArrivals, seq *jitterSequencer,
+	w, horizon units.Time, inject func(flow, entry int32)) ShardStats {
+
+	s := len(sas)
+	g := runner.NewGroup()
+	arrCh := make([]chan []arrival, s)
+	arrFree := make([]chan []arrival, s)
+	for i := range arrCh {
+		arrCh[i] = make(chan []arrival, chunkChanCap)
+		arrFree[i] = make(chan []arrival, freeChanCap)
+	}
+	delCh := make(chan []delivery, chunkChanCap)
+	delFree := make(chan []delivery, freeChanCap)
+
+	for i := 0; i < s; i++ {
+		i := i
+		sa := sas[i]
+		g.Go(i, func() {
+			defer close(arrCh[i])
+			for frontier := w; ; frontier += w {
+				sa.advanceTo(frontier)
+				chunk := sa.out
+				sa.out = takeBuf(arrFree[i], len(chunk))
+				select {
+				case arrCh[i] <- chunk:
+				case <-g.Quit():
+					return
+				}
+				if sa.done() {
+					return
+				}
+			}
+		})
+	}
+	g.Go(s, func() {
+		defer close(delCh)
+		chunks := make([][]arrival, s)
+		emit := func(dels []delivery) bool {
+			select {
+			case delCh <- dels:
+				return true
+			case <-g.Quit():
+				return false
+			}
+		}
+		live := s
+		for frontier := w; live > 0; frontier += w {
+			want := 0
+			for i := 0; i < s; i++ {
+				chunks[i] = nil
+				if arrCh[i] == nil {
+					continue
+				}
+				select {
+				case c, ok := <-arrCh[i]:
+					if !ok {
+						arrCh[i] = nil
+						live--
+						continue
+					}
+					chunks[i] = c
+					want += len(c)
+				case <-g.Quit():
+					return
+				}
+			}
+			if !emit(seq.feed(chunks, frontier, takeBuf(delFree, want))) {
+				return
+			}
+			for i := 0; i < s; i++ {
+				giveBuf(arrFree[i], chunks[i])
+			}
+		}
+		emit(seq.flush(takeBuf(delFree, 0)))
+	})
+
+	st := ShardStats{Shards: s}
+	var stall time.Duration
+	wall := time.Now()
+	for {
+		t0 := time.Now()
+		dels, ok := <-delCh
+		stall += time.Since(t0)
+		if !ok {
+			break
+		}
+		for _, d := range dels {
+			border.RunBefore(d.at)
+			border.AdvanceTo(d.at)
+			inject(d.flow, d.entry)
+		}
+		st.Injected += len(dels)
+		giveBuf(delFree, dels)
+	}
+	g.Wait()
+	border.SetHorizon(horizon)
+	border.Run()
+
+	for _, sa := range sas {
+		st.ShardFired += sa.produced
+	}
+	if el := time.Since(wall); el > 0 {
+		st.StallRatio = float64(stall) / float64(el)
+	}
+	return st
 }

@@ -3,12 +3,18 @@ package flowbatch
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
+	"repro/internal/link"
 	"repro/internal/packet"
+	"repro/internal/ptrace"
+	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/units"
+	"repro/internal/video"
 )
 
 // clumpedSchedule builds the same kind of adversarial plan the fold
@@ -46,60 +52,67 @@ func runSerial(sched *Schedule, chain ChainSpec, n int, offset, horizon units.Ti
 	return rec, src
 }
 
-// runSharded drives the decomposed pipeline: per-shard arrival walks
-// in lookahead windows, central jitter sequencing, border replay.
+// syncPipeline drives the stages inline, one lookahead window per
+// step, in the hand-off order of runPipeline's goroutines: shard
+// arrival walks, jitter sequencing, border replay.
+type syncPipeline struct {
+	mix      *BatchedMixture
+	sas      []*shardArrivals
+	seq      *jitterSequencer
+	chunks   [][]arrival
+	dels     []delivery
+	frontier units.Time
+	window   units.Time
+}
+
+func newSyncPipeline(mix *BatchedMixture, shards int, horizon, window units.Time) *syncPipeline {
+	sas, seq, _ := mix.stages(shards, horizon)
+	return &syncPipeline{mix: mix, sas: sas, seq: seq, window: window,
+		chunks: make([][]arrival, len(sas))}
+}
+
+// step walks, sequences and replays one window and reports whether
+// every shard's walk is done.
+func (p *syncPipeline) step() bool {
+	p.frontier += p.window
+	done := true
+	for i, sa := range p.sas {
+		sa.advanceTo(p.frontier)
+		p.chunks[i] = sa.out
+		done = done && sa.done()
+	}
+	p.replay(p.seq.feed(p.chunks, p.frontier, p.dels[:0]))
+	for _, sa := range p.sas {
+		sa.out = sa.out[:0]
+	}
+	return done
+}
+
+// replay injects released deliveries on the mixture's simulator, the
+// border, at their instants.
+func (p *syncPipeline) replay(dels []delivery) {
+	p.dels = dels
+	border := p.mix.Sim
+	for i := range dels {
+		d := &dels[i]
+		border.RunBefore(d.at)
+		border.AdvanceTo(d.at)
+		p.mix.inject(d.flow, d.entry)
+	}
+}
+
+// runSharded drives a one-class mixture through the stages in windows
+// of the given width to the horizon (0 = drain).
 func runSharded(t *testing.T, sched *Schedule, chain ChainSpec, n, shards int, offset, horizon, window units.Time) (*recorder, *BatchedMixture) {
 	t.Helper()
 	border := sim.New(99)
 	pool := packet.NewPool()
 	rec := &recorder{sim: border, pool: pool}
 	bp := oneClass(border, sched, n, 100, offset, chain, rec, pool)
-	bp.InitReplay()
-
-	base := BaseArrivals(sched, chain)
-	sas := make([]*ShardArrivals, shards)
-	for s := 0; s < shards; s++ {
-		sa := &ShardArrivals{Horizon: horizon}
-		for i := s; i < n; i += shards {
-			sa.Flows = append(sa.Flows, int32(i))
-			sa.Start = append(sa.Start, bp.StartOf(i))
-			sa.Bases = append(sa.Bases, base)
-		}
-		sa.Init()
-		sas[s] = sa
+	p := newSyncPipeline(bp, shards, horizon, window)
+	for !p.step() {
 	}
-	jmOf := make([]units.Time, n)
-	for i := range jmOf {
-		jmOf[i] = chain.JitterMax
-	}
-	seq := &JitterSequencer{RNG: border.RNG(), JitterMaxOf: jmOf, Horizon: horizon}
-	seq.Init()
-
-	chunks := make([][]Arrival, shards)
-	var dels []Delivery
-	replay := func(dels []Delivery) {
-		for _, d := range dels {
-			border.RunBefore(d.At)
-			border.AdvanceTo(d.At)
-			bp.Inject(d.Flow, d.Entry)
-		}
-	}
-	for frontier := window; ; frontier += window {
-		done := true
-		for s, sa := range sas {
-			sa.AdvanceTo(frontier)
-			chunks[s], sa.Out = sa.Out, chunks[s][:0]
-			if !sa.Done() {
-				done = false
-			}
-		}
-		dels = seq.Feed(chunks, frontier, dels[:0])
-		replay(dels)
-		if done {
-			break
-		}
-	}
-	replay(seq.Flush(dels[:0]))
+	p.replay(p.seq.flush(p.dels[:0]))
 	if horizon > 0 {
 		border.SetHorizon(horizon)
 	}
@@ -192,17 +205,17 @@ func compareEmissions(t *testing.T, ref, got *recorder, shards int, window units
 // the next batch correctly.
 func TestSortWindowScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	batch := func(n int, span units.Time, flows int32) []Arrival {
-		b := make([]Arrival, n)
+	batch := func(n int, span units.Time, flows int32) []arrival {
+		b := make([]arrival, n)
 		drawn := make(map[int32]int32)
 		for i := range b {
 			f := rng.Int31n(flows)
-			b[i] = Arrival{At: units.Time(rng.Int63n(int64(span))), Flow: f, Entry: drawn[f]}
+			b[i] = arrival{at: units.Time(rng.Int63n(int64(span))), flow: f, entry: drawn[f]}
 			drawn[f]++
 		}
 		return b
 	}
-	check := func(label string, b, scratch []Arrival, radix bool) []Arrival {
+	check := func(label string, b, scratch []arrival, radix bool) []arrival {
 		t.Helper()
 		want := slices.Clone(b)
 		slices.SortStableFunc(want, compareArrivals)
@@ -226,14 +239,151 @@ func TestSortWindowScratchReuse(t *testing.T) {
 			span = wide // forces the comparator fallback at any length
 		}
 		for _, sc := range []int{-1, 0, n / 2, n, 2 * n} {
-			var scratch []Arrival
+			var scratch []arrival
 			if sc >= 0 {
-				scratch = make([]Arrival, sc, sc+rng.Intn(3))
+				scratch = make([]arrival, sc, sc+rng.Intn(3))
 			}
 			label := fmt.Sprintf("trial %d n=%d span=%d flows=%d scratch=%d", trial, n, span, flows, sc)
 			scratch = check(label, batch(n, span, flows), scratch, span != wide)
 			next := 1 + rng.Intn(cap(scratch)+radixMinLen)
 			check(label+" reused", batch(next, span, flows), scratch, span != wide)
+		}
+	}
+}
+
+// denseBorderFixture assembles a warmed pipeline for allocation
+// measurement: a one-class mixture of four virtual flows on a dense
+// synthetic schedule dealt round-robin over two shard walkers, the
+// zero-jitter degenerate sequencer (an exactly periodic steady state),
+// and a border link so replay exercises the real event path, not just
+// the fan-out.
+func denseBorderFixture(tap *ptrace.Recorder) *syncPipeline {
+	sched := &Schedule{}
+	for i := 0; i < 12000; i++ {
+		sched.Entries = append(sched.Entries, Entry{
+			At: units.Time(i) * 500 * units.Microsecond, Size: 1200,
+			FrameSeq: int32(i / 4), FragIndex: int32(i % 4), FragCount: 4,
+		})
+	}
+	s := sim.New(1)
+	pool := packet.NewPool()
+	sink := packet.Sink{Pool: pool}
+	l := link.New(s, 100*units.Mbps, 500*units.Microsecond, queue.NewEFPriority(0, 0), &sink)
+	l.Pool = pool
+	mix := oneClass(s, sched, 4, 10, 7*units.Millisecond,
+		ChainSpec{AccessRate: 100 * units.Mbps, AccessDelay: 500 * units.Microsecond}, l, pool)
+	if tap != nil {
+		tap.SetClock(s)
+		mix.Tap, mix.Hop = tap, tap.Hop("vflows")
+		l.Tap, l.Hop = tap, tap.Hop("border")
+	}
+	p := newSyncPipeline(mix, 2, 0, 10*units.Millisecond)
+	for i := 0; i < 20; i++ { // warm buffers, pools, rings
+		p.stepBorder()
+	}
+	return p
+}
+
+// stepBorder is one step that also runs the border up to the frontier.
+func (p *syncPipeline) stepBorder() {
+	p.step()
+	p.mix.Sim.RunBefore(p.frontier)
+}
+
+// TestShardBorderMergeAllocationBudget pins the sharded border-merge
+// hot path at zero allocations once warm: walking arrivals, merging
+// and releasing deliveries, and replaying them through the border
+// link must all run on reused buffers, pooled packets and pooled
+// events.
+func TestShardBorderMergeAllocationBudget(t *testing.T) {
+	p := denseBorderFixture(nil)
+	allocs := testing.AllocsPerRun(100, p.stepBorder)
+	if allocs != 0 {
+		t.Errorf("sharded border-merge hot path allocates %.2f/op, want 0", allocs)
+	}
+	if p.mix.TotalSent() == 0 {
+		t.Fatal("fixture injected nothing — budget measured an idle pipeline")
+	}
+}
+
+// TestShardBorderMergeTracedAllocationBudget pins the same path with a
+// ring Recorder tapping both the fan-out and the border link: Emit
+// writes into preallocated storage, so the traced budget is still
+// zero.
+func TestShardBorderMergeTracedAllocationBudget(t *testing.T) {
+	rec := ptrace.NewRecorder(ptrace.Config{Capacity: 8192})
+	p := denseBorderFixture(rec)
+	allocs := testing.AllocsPerRun(100, p.stepBorder)
+	if allocs != 0 {
+		t.Errorf("traced sharded border-merge hot path allocates %.2f/op, want 0", allocs)
+	}
+	if p.mix.TotalSent() == 0 || rec.Seen() == 0 {
+		t.Fatal("fixture injected nothing or tap not wired")
+	}
+}
+
+// rampPipelineAlloc builds a one-class mixture whose n flows start
+// evenly over startWindow and each play play of the clip, runs its
+// pipeline on two shards into a bare border simulator, and reports the
+// bytes the pipeline allocated and its largest window in deliveries.
+// With startWindow ≤ play every flow is live at the plateau, so the
+// peak window is set by n alone and startWindow sets only how many
+// windows the ramp takes. The chain and the horizon (the last flow's
+// last emission plus a 5 s drain) are the multi-flow topology's.
+func rampPipelineAlloc(t *testing.T, n int, startWindow, play units.Time) (bytes, mallocs uint64, peak int) {
+	t.Helper()
+	sched := TruncateSchedule(CachedPacedSchedule(video.CachedCBR(video.Lost(), 1.0e6)), play)
+	offset := startWindow / units.Time(n)
+	mix := &BatchedMixture{Sim: sim.New(3), Next: []packet.Handler{&packet.Sink{}},
+		Classes: []MixtureClass{{Sched: sched, N: n, Offset: offset,
+			Chain: ChainSpec{AccessRate: 100 * units.Mbps, AccessDelay: 500 * units.Microsecond,
+				JitterMax: 3 * units.Millisecond}}}}
+	horizon := units.Time(int64(n))*offset + sched.Entries[len(sched.Entries)-1].At + units.FromSeconds(5)
+	sas, seq, w := mix.stages(2, horizon)
+	border := sim.New(1)
+	counts := make([]int, horizon/w+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := runPipeline(border, sas, seq, w, horizon, func(flow, entry int32) {
+		counts[border.Now()/w]++
+	})
+	runtime.ReadMemStats(&after)
+	if st.Injected == 0 {
+		t.Fatal("ramp run injected nothing")
+	}
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, slices.Max(counts)
+}
+
+// TestShardedRampAllocationFollowsPeak pins the pipeline's buffers to
+// its peak window rather than its ramp, which the warmed, periodic
+// fixture of TestShardBorderMergeAllocationBudget cannot see. A ramp
+// 4× longer at the same peak has 4× the windows that set a new high
+// water: a sort scratch re-made at exact length for each of them
+// allocates in proportion (~90 peak windows' worth of records on the
+// longer ramp), and chunk buffers grown by append from nil pay a dozen
+// small steps per buffer (~380 objects). Sized from the windows already
+// seen, each buffer is re-made a few times over the whole ramp: ~40–47
+// peak windows in ~150–170 objects at either ramp length. The bounds
+// are 64 windows, 220 objects and 25 % growth from the shorter ramp.
+func TestShardedRampAllocationFollowsPeak(t *testing.T) {
+	const n = 1500
+	play := 1500 * units.Millisecond
+	rec := uint64(unsafe.Sizeof(arrival{}))
+	var short uint64
+	for _, ramp := range []units.Time{play / 4, play} {
+		bytes, mallocs, peak := rampPipelineAlloc(t, n, ramp, play)
+		windows := float64(bytes) / float64(uint64(peak)*rec)
+		t.Logf("%v ramp: pipeline allocated %d B in %d objects, %.1f peak windows of %d deliveries", ramp, bytes, mallocs, windows, peak)
+		if windows > 64 {
+			t.Errorf("%v ramp: pipeline allocated %.1f peak windows' worth of records, want ≤ 64", ramp, windows)
+		}
+		if mallocs > 220 {
+			t.Errorf("%v ramp: pipeline allocated %d objects, want ≤ 220", ramp, mallocs)
+		}
+		if short == 0 {
+			short = bytes
+		} else if float64(bytes) > 1.25*float64(short) {
+			t.Errorf("4× longer ramp at the same peak allocates %d B against %d B (> 1.25×)", bytes, short)
 		}
 	}
 }

@@ -51,6 +51,16 @@ func FuzzScenarioFile(f *testing.F) {
 	} {
 		f.Add([]byte(strings.Replace(string(dumbbell), wire[0], wire[1], 1)))
 	}
+	// Flow ids past 32 bits, which validation must refuse: they would
+	// wrap onto small ones.
+	for _, wide := range [][2]string{
+		{`"flow": 2, "entry": "w-campus"`, `"flow": 4294967297, "entry": "w-campus"`},
+		{`{"name": "west", "flow": 2, "to": "w-access"}`, `{"name": "west", "flow": 4294967297, "to": "w-access"}`},
+		{`"model": "poisson", "rate_bps": 300000, "size": 1500, "flow": 1003, "dscp": "be"`,
+			`"model": "cbr", "rate_bps": 300000, "size": 1500, "flow": 4294967290, "dscp": "be", "batch": 7`},
+	} {
+		f.Add([]byte(strings.Replace(string(dumbbell), wide[0], wide[1], 1)))
+	}
 	f.Add([]byte(`{"version": 1, "name": "x", "shape": "tandem"}`))
 	f.Add([]byte(`{]`))
 	// A flow count past the int32 the batched source indexes flows with.

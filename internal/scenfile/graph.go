@@ -2,6 +2,7 @@ package scenfile
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -170,8 +171,8 @@ func (g *GraphShape) validate() error {
 		if err := checkRate(field+".enc_rate_bps", gf.EncRateBps); err != nil {
 			return err
 		}
-		if gf.Flow <= 0 {
-			return errf(field+".flow", "flow id must be positive, got %d", gf.Flow)
+		if err := checkFlowID(field+".flow", gf.Flow); err != nil {
+			return err
 		}
 		if flowIDs[gf.Flow] {
 			return errf(field+".flow", "duplicate flow id %d", gf.Flow)
@@ -372,10 +373,12 @@ func (el *Element) validate(field string, known map[string]bool) error {
 			switch {
 			case r.Flow != 0 && r.DSCP != "":
 				return errf(rf, "declare flow or dscp, not both")
-			case r.Flow < 0:
-				return errf(rf+".flow", "flow id must be positive, got %d", r.Flow)
 			case r.Flow == 0 && r.DSCP == "":
 				return errf(rf, "a rule needs a flow or dscp match")
+			case r.Flow != 0:
+				if err := checkFlowID(rf+".flow", r.Flow); err != nil {
+					return err
+				}
 			case r.DSCP != "":
 				if err := checkDSCP(rf+".dscp", r.DSCP); err != nil {
 					return err
@@ -426,8 +429,12 @@ func (el *Element) validate(field string, known map[string]bool) error {
 		if s.Size < 0 {
 			return errf(field+".source.size", "packet size must be >= 0 (0 = Ethernet MTU), got %d", s.Size)
 		}
-		if s.Flow <= 0 {
-			return errf(field+".source.flow", "flow id must be positive, got %d", s.Flow)
+		if err := checkFlowID(field+".source.flow", s.Flow); err != nil {
+			return err
+		}
+		if s.Batch > 1 && int64(s.Batch)-1 > maxFlowID-s.Flow {
+			return errf(field+".source.batch", "a batch of %d from flow %d passes the largest flow id %d",
+				s.Batch, s.Flow, int64(maxFlowID))
 		}
 		if err := checkDSCP(field+".source.dscp", s.DSCP); err != nil {
 			return err
@@ -436,6 +443,18 @@ func (el *Element) validate(field string, known map[string]bool) error {
 	default:
 		return errf(field+".kind", "unknown element kind %q (have \"link\", \"jitter\", \"loss\", \"router\", \"policer\", \"shaper\", \"source\")", el.Kind)
 	}
+}
+
+// maxFlowID is the largest packet.FlowID: a larger id would wrap onto a
+// small one and silently merge two flows.
+const maxFlowID = math.MaxUint32
+
+// checkFlowID validates a declared packet flow id.
+func checkFlowID(field string, id int64) error {
+	if id <= 0 || id > maxFlowID {
+		return errf(field, "flow id must be in [1, %d], got %d", int64(maxFlowID), id)
+	}
+	return nil
 }
 
 // compileGraph builds the runnable scenario. The token axis is the

@@ -111,6 +111,21 @@ func TestValidationNamesOffendingField(t *testing.T) {
 		{"flow count beyond int32", nflow,
 			`"flows": [1, 2,`, `"flows": [3000000000, 2,`,
 			"multiflow.flows[0]: flow count must be in [1, 2147483647], got 3000000000"},
+		// A flow id past 32 bits once wrapped onto a small one: west at
+		// 4294967297 ran as east's flow 1.
+		{"flow id beyond 32 bits", dumbbell,
+			`"flow": 2, "entry": "w-campus"`, `"flow": 4294967297, "entry": "w-campus"`,
+			"graph.flows[1].flow: flow id must be in [1, 4294967295], got 4294967297"},
+		{"rule flow id beyond 32 bits", dumbbell,
+			`{"name": "west", "flow": 2, "to": "w-access"}`, `{"name": "west", "flow": 4294967297, "to": "w-access"}`,
+			"graph.elements[2].rules[1].flow: flow id must be in [1, 4294967295], got 4294967297"},
+		{"source flow id beyond 32 bits", dumbbell,
+			`"flow": 1003, "dscp": "be"`, `"flow": 4294967296, "dscp": "be"`,
+			"graph.elements[4].source.flow: flow id must be in [1, 4294967295], got 4294967296"},
+		{"batch past the largest flow id", dumbbell,
+			`"model": "poisson", "rate_bps": 300000, "size": 1500, "flow": 1003, "dscp": "be"`,
+			`"model": "cbr", "rate_bps": 300000, "size": 1500, "flow": 4294967290, "dscp": "be", "batch": 7`,
+			"graph.elements[4].source.batch: a batch of 7 from flow 4294967290 passes the largest flow id 4294967295"},
 		{"bad version", nflow,
 			`"version": 1`, `"version": 2`,
 			"version: unsupported scenario file version 2"},

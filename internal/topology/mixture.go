@@ -276,64 +276,3 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	}
 	return m
 }
-
-// runShardedMixture executes a batched run on the fan-out pipeline of
-// shard.go: per-class base walks feed per-flow shifted arrival streams
-// (flows dealt round-robin so staggered starts spread evenly across
-// workers; any ascending per-shard assignment preserves the global
-// (time, flow) merge order), one sequencer draws the jitter of every
-// class in exact global order, and the border replays the merged
-// deliveries — bit-identical to the serial run at any shard count (the
-// shardeq tests pin this).
-func (m *MultiFlow) runShardedMixture(shards int, horizon units.Time) ShardStats {
-	sas, seq, w := m.fanoutStages(shards, horizon)
-	return runFanoutPipeline(m.Sim, sas, seq, w, horizon, m.Mixture.Inject)
-}
-
-// fanoutStages readies the mixture for replay and builds the
-// pipeline's stages: the initialized per-shard arrival walks, the
-// sequencer and the lookahead window width.
-func (m *MultiFlow) fanoutStages(shards int, horizon units.Time) ([]*flowbatch.ShardArrivals, *flowbatch.JitterSequencer, units.Time) {
-	mix := m.Mixture
-	mix.InitReplay()
-	n := mix.TotalFlows()
-	s := shards
-	if s > n {
-		s = n
-	}
-
-	// One base walk per class (shift-invariance within a class); the
-	// lookahead window is the narrowest any class requires, so every
-	// class's arrivals are final at the shared frontier.
-	bases := make([][]units.Time, len(mix.Classes))
-	jmOf := make([]units.Time, n)
-	var w units.Time
-	for ci := range mix.Classes {
-		c := &mix.Classes[ci]
-		bases[ci] = flowbatch.BaseArrivals(c.Sched, c.Chain)
-		cw := lookaheadWindow(c.Chain.AccessRate, c.Chain.AccessDelay, minEntrySize(c.Sched))
-		if w == 0 || cw < w {
-			w = cw
-		}
-	}
-	for g := 0; g < n; g++ {
-		jmOf[g] = mix.Classes[mix.ClassOf(g)].Chain.JitterMax
-	}
-
-	sas := make([]*flowbatch.ShardArrivals, s)
-	for i := 0; i < s; i++ {
-		k := (n - i + s - 1) / s
-		sa := &flowbatch.ShardArrivals{Horizon: horizon, Flows: make([]int32, 0, k),
-			Start: make([]units.Time, 0, k), Bases: make([][]units.Time, 0, k)}
-		for f := i; f < n; f += s {
-			sa.Flows = append(sa.Flows, int32(f))
-			sa.Start = append(sa.Start, mix.StartOf(f))
-			sa.Bases = append(sa.Bases, bases[mix.ClassOf(f)])
-		}
-		sa.Init()
-		sas[i] = sa
-	}
-	seq := &flowbatch.JitterSequencer{RNG: m.Sim.RNG(), JitterMaxOf: jmOf, Horizon: horizon}
-	seq.Init()
-	return sas, seq, w
-}

@@ -113,12 +113,13 @@ type MultiFlowConfig struct {
 	// source-side cost once instead of N times.
 	Batch bool
 
-	// Shards > 1 executes a batched run on the intra-run sharded
-	// pipeline (see shard.go): the virtual flows' arrival walks advance
-	// on shard workers under conservative lookahead windows and the
-	// border replays their emissions in exact serial order, so a
-	// sharded run is bit-identical to a serial one at any shard count
-	// (the shardeq harness pins this). Effective workers =
+	// Shards > 1 executes a batched run on the mixture's sharded
+	// pipeline (flowbatch.BatchedMixture.RunSharded): the virtual
+	// flows' arrival walks advance on shard workers under conservative
+	// lookahead windows and the border replays their emissions in exact
+	// serial order, so a sharded run is bit-identical to a serial one on
+	// the grids the shardeq harness pins (the flowbatch package comment
+	// says where it is not). Effective workers =
 	// min(Shards, partitionable batched flows), reported in Stats: an
 	// unbatched build has no partitionable flows and runs serially.
 	Shards int
@@ -159,6 +160,9 @@ func (c MultiFlowConfig) withDefaults() MultiFlowConfig {
 	}
 	return c
 }
+
+// ShardStats describes the pipeline of a sharded run.
+type ShardStats = flowbatch.ShardStats
 
 // MultiFlow is a built N-flow experiment. Exactly one of Servers
 // (unbatched: one paced server per flow) or Mixture (one fan-out source
@@ -226,7 +230,7 @@ const (
 // serially otherwise.
 func (m *MultiFlow) Run() {
 	if m.shards > 1 && m.Mixture != nil {
-		m.Stats = m.runShardedMixture(m.shards, m.horizon)
+		m.Stats = m.Mixture.RunSharded(m.shards, m.horizon)
 	} else {
 		if m.Mixture != nil {
 			m.Mixture.Start()

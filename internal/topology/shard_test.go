@@ -3,14 +3,9 @@ package topology
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"slices"
 	"testing"
-	"unsafe"
 
-	"repro/internal/flowbatch"
 	"repro/internal/ptrace"
-	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -165,71 +160,6 @@ func TestCrossTrafficFlowIDsClearVideoRange(t *testing.T) {
 	for _, name := range []string{"af-cross", "be-cross"} {
 		if f := m.Net.Poisson(name).Flow; f >= VideoFlow && f < VideoFlow+n {
 			t.Errorf("%s flow id %d falls inside the video range [%d, %d)", name, f, VideoFlow, VideoFlow+n)
-		}
-	}
-}
-
-// rampPipelineAlloc builds a one-class batched, aggregated mixture
-// whose n flows start evenly over startWindow and each play play of
-// the clip, runs its fan-out pipeline on two shards into a bare border
-// simulator, and reports the bytes the pipeline allocated and its
-// largest window in deliveries. With startWindow ≤ play every flow is
-// live at the plateau, so the peak window is set by n alone and
-// startWindow sets only how many windows the ramp takes.
-func rampPipelineAlloc(t *testing.T, n int, startWindow, play units.Time) (bytes, mallocs uint64, peak int) {
-	t.Helper()
-	m := BuildMultiFlow(MultiFlowConfig{
-		Seed: 3, Batch: true, Shards: 2, AggregateStats: true,
-		Classes: []FlowClass{{
-			Enc: video.CachedCBR(video.Lost(), 1.0e6), N: n, TokenRate: 1.3e6,
-			Truncate: play, Stagger: startWindow / units.Time(n),
-		}},
-	})
-	sas, seq, w := m.fanoutStages(2, m.horizon)
-	border := sim.New(1)
-	counts := make([]int, m.horizon/w+1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	st := runFanoutPipeline(border, sas, seq, w, m.horizon, func(flow, entry int32) {
-		counts[border.Now()/w]++
-	})
-	runtime.ReadMemStats(&after)
-	if st.Injected == 0 {
-		t.Fatal("ramp run injected nothing")
-	}
-	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, slices.Max(counts)
-}
-
-// TestShardedRampAllocationFollowsPeak pins the pipeline's buffers to
-// its peak window rather than its ramp, which the warmed, periodic
-// fixture of TestShardBorderMergeAllocationBudget cannot see. A ramp
-// 4× longer at the same peak has 4× the windows that set a new high
-// water: a sort scratch re-made at exact length for each of them
-// allocates in proportion (~90 peak windows' worth of records on the
-// longer ramp), and chunk buffers grown by append from nil pay a dozen
-// small steps per buffer (~380 objects). Sized from the windows already
-// seen, each buffer is re-made a few times over the whole ramp: ~40–47
-// peak windows in ~150–170 objects at either ramp length. The bounds
-// are 64 windows, 220 objects and 25 % growth from the shorter ramp.
-func TestShardedRampAllocationFollowsPeak(t *testing.T) {
-	const n = 1500
-	play := 1500 * units.Millisecond
-	rec := uint64(unsafe.Sizeof(flowbatch.Arrival{}))
-	var short uint64
-	for _, ramp := range []units.Time{play / 4, play} {
-		bytes, mallocs, peak := rampPipelineAlloc(t, n, ramp, play)
-		windows := float64(bytes) / float64(uint64(peak)*rec)
-		t.Logf("%v ramp: pipeline allocated %d B in %d objects, %.1f peak windows of %d deliveries", ramp, bytes, mallocs, windows, peak)
-		if windows > 64 {
-			t.Errorf("%v ramp: pipeline allocated %.1f peak windows' worth of records, want ≤ 64", ramp, windows)
-		}
-		if mallocs > 220 {
-			t.Errorf("%v ramp: pipeline allocated %d objects, want ≤ 220", ramp, mallocs)
-		}
-		if short == 0 {
-			short = bytes
-		} else if float64(bytes) > 1.25*float64(short) {
-			t.Errorf("4× longer ramp at the same peak allocates %d B against %d B (> 1.25×)", bytes, short)
 		}
 	}
 }
