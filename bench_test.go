@@ -96,7 +96,7 @@ func BenchmarkFigure6TransmissionRates(b *testing.B) {
 // sweep thinned to every thin-th point and checks its series count.
 func benchFigure(b *testing.B, name string, thin, series int) {
 	b.Helper()
-	spec := experiment.Lookup(name).(experiment.Scalable).Scaled(thin)
+	spec := experiment.Scaled(experiment.Lookup(name), thin)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fig := experiment.RunScenarioOpts(spec, experiment.RunOptions{})

@@ -525,7 +525,7 @@ func (c *census) interfaces() []*types.Interface {
 		}
 	}
 	add(types.Universe.Lookup("error"))
-	for _, ref := range []string{"fmt.Stringer", "io.Writer", "io.WriterTo", "sort.Interface", "flag.Value"} {
+	for _, ref := range []string{"fmt.Stringer", "io.Writer", "io.WriterTo", "sort.Interface", "flag.Value", "encoding/json.Unmarshaler"} {
 		pkgPath, name, _ := strings.Cut(ref, ".")
 		pkg, err := c.std.Import(pkgPath)
 		if err != nil {

@@ -139,6 +139,9 @@ func (fakeScenario) Jobs() []experiment.Job {
 	}
 	return jobs
 }
+func (fakeScenario) Grid() *experiment.Grid {
+	return &experiment.Grid{Key: "fake", Points: len(fakeEvents)}
+}
 func (fakeScenario) Assemble(results []experiment.Point) *experiment.Figure {
 	return &experiment.Figure{ID: "F", Title: "fake title", XLabel: "Flows",
 		Series: []experiment.Series{{Label: "mean", Points: results}, {Label: "worst", Points: results}}}

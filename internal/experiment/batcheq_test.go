@@ -197,7 +197,7 @@ func TestNFlowWideRegistered(t *testing.T) {
 	if s == nil {
 		t.Fatal("nflow-wide not registered")
 	}
-	spec, ok := s.(MultiFlowSpec)
+	spec, ok := s.Grid().Params.(MultiFlowSpec)
 	if !ok {
 		t.Fatalf("nflow-wide is %T, want MultiFlowSpec", s)
 	}
@@ -207,7 +207,7 @@ func TestNFlowWideRegistered(t *testing.T) {
 	if max := spec.Ns[len(spec.Ns)-1]; max < 256 {
 		t.Errorf("nflow-wide tops out at N=%d, want >= 256", max)
 	}
-	if _, ok := s.(Scalable); !ok {
+	if s.Grid().Thin == nil {
 		t.Error("nflow-wide is not Scalable")
 	}
 	// The spec's own Jobs must actually run on the batched source —
@@ -216,10 +216,10 @@ func TestNFlowWideRegistered(t *testing.T) {
 	reduced := spec
 	reduced.Ns = []int{4}
 	var batched, unbatched Ctx
-	batchedPt := reduced.Jobs()[0](&batched)
+	batchedPt := reduced.Grid().Jobs()[0](&batched)
 	unb := reduced
 	unb.Batch = false
-	unbatchedPt := unb.Jobs()[0](&unbatched)
+	unbatchedPt := unb.Grid().Jobs()[0](&unbatched)
 	if batchedPt.Quality != unbatchedPt.Quality || batchedPt.FrameLoss != unbatchedPt.FrameLoss {
 		t.Errorf("registered spec's batched point diverged: batched %+v vs unbatched %+v",
 			batchedPt.Evaluation, unbatchedPt.Evaluation)

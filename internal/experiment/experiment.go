@@ -128,30 +128,16 @@ type Figure struct {
 	Series []Series
 
 	// Runs is the engine telemetry of the run that produced the figure:
-	// Runs[i] is what Jobs()[i] reported through Ctx.Finish, filed by
-	// RunScenarioOpts, so each simulation appears once however many
-	// series its Point was folded into. Never figure output.
+	// Runs[i] is what grid point i's seeds reported through Ctx.Finish,
+	// folded and filed by RunScenarioOpts, so each point appears once
+	// however many series its Point was folded into. Never figure
+	// output.
 	Runs []RunStats
 
 	// layout, when set at Assemble, prints the rows under the title line
 	// in place of gridTable; a figure with a layout is a table, not a
 	// chart (see Plot).
 	layout func(b *strings.Builder, f *Figure)
-}
-
-// foldRows is the row-major fold the grid scenarios' Assemble methods
-// share: job-ordered results chunked into rows series of cols points.
-func foldRows(fig *Figure, rows, cols int, results []Point, label func(row int) string) *Figure {
-	for r := 0; r < rows; r++ {
-		fig.Series = append(fig.Series, Series{Label: label(r),
-			Points: append([]Point(nil), results[r*cols:(r+1)*cols]...)})
-	}
-	return fig
-}
-
-// depthLabel names a per-depth series.
-func depthLabel(depths []units.ByteSize) func(int) string {
-	return func(i int) string { return fmt.Sprintf("B=%d", int64(depths[i])) }
 }
 
 // Format renders the figure as an aligned text table under its
@@ -226,90 +212,39 @@ type QBoneSpec struct {
 	CrossLoad float64
 }
 
-// Name implements Scenario.
-func (spec QBoneSpec) Name() string { return spec.Key }
+// seedRuns is how many consecutive seeds a figure point averages unless
+// its spec says otherwise.
+const seedRuns = 3
 
-// Describe implements Scenario.
-func (spec QBoneSpec) Describe() string { return spec.Title }
+// Name, Describe, Jobs and Assemble implement Scenario: the record's.
+func (spec QBoneSpec) Name() string                     { return spec.Grid().Name() }
+func (spec QBoneSpec) Describe() string                 { return spec.Grid().Describe() }
+func (spec QBoneSpec) Jobs() []Job                      { return spec.Grid().Jobs() }
+func (spec QBoneSpec) Assemble(results []Point) *Figure { return spec.Grid().Assemble(results) }
 
-// Jobs enumerates one seed-averaged job per (depth, token) grid point,
-// in the figure's row-major order.
-func (spec QBoneSpec) Jobs() []Job {
-	enc := video.CachedCBR(spec.Clip, spec.EncRate)
+// Grid implements Scenario: one point per (depth, token), depth-major,
+// at Runs seeds (0 means seedRuns), folded into one curve per depth.
+func (spec QBoneSpec) Grid() *Grid {
 	runs := spec.Runs
 	if runs <= 0 {
 		runs = seedRuns
 	}
-	var jobs []Job
-	for _, depth := range spec.Depths {
-		for _, tok := range spec.Tokens {
-			depth, tok := depth, tok
-			jobs = append(jobs, func(ctx *Ctx) Point {
-				return runQBonePointAvgLabeled(ctx, "", topology.QBoneConfig{Seed: spec.Seed, Enc: enc,
-					TokenRate: tok, Depth: depth, CrossLoad: spec.CrossLoad}, enc, runs)
-			})
-		}
+	return &Grid{Key: spec.Key, ID: spec.ID, Title: spec.Title,
+		Points: len(spec.Depths) * len(spec.Tokens), Seed: spec.Seed, Seeds: runs,
+		Run: func(ctx *Ctx, i int, seed uint64) Point {
+			enc := video.CachedCBR(spec.Clip, spec.EncRate)
+			p, _ := runQBonePointLabeled(ctx, "", topology.QBoneConfig{Seed: seed, Enc: enc,
+				TokenRate: spec.Tokens[i%len(spec.Tokens)], Depth: spec.Depths[i/len(spec.Tokens)],
+				CrossLoad: spec.CrossLoad}, enc)
+			return p
+		},
+		Fold: func(rs []Point) []Series { return byRows(rs, labels("B=%d", spec.Depths)...) },
+		Thin: func(n int) Scenario {
+			spec := spec
+			spec.Tokens = Scale(spec.Tokens, n)
+			return spec
+		},
 	}
-	return jobs
-}
-
-// Assemble implements Scenario: one series per depth, points in token
-// order.
-func (spec QBoneSpec) Assemble(results []Point) *Figure {
-	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
-		len(spec.Depths), len(spec.Tokens), results, depthLabel(spec.Depths))
-}
-
-// Scaled implements Scalable.
-func (spec QBoneSpec) Scaled(n int) Scenario {
-	spec.Tokens = Scale(spec.Tokens, n)
-	return spec
-}
-
-// seedRuns is how many consecutive seeds a figure point averages unless
-// its spec says otherwise. The paper repeated runs for the same reason:
-// jitter makes individual runs noisy (§4 "there is some variability").
-const seedRuns = 3
-
-// runQBonePointAvgLabeled averages runQBonePointLabeled over
-// consecutive seeds from cfg.Seed (see averagePoint for the averaging
-// and tracing conventions).
-func runQBonePointAvgLabeled(ctx *Ctx, labelPrefix string, cfg topology.QBoneConfig, ref *video.Encoding, runs int) Point {
-	return averagePoint(ctx, cfg.TokenRate, cfg.Depth, cfg.Seed, runs, func(s uint64) Point {
-		cfg.Seed = s
-		p, _ := runQBonePointLabeled(ctx, labelPrefix, cfg, ref)
-		return p
-	})
-}
-
-// averagePoint averages a single-run point function over consecutive
-// seeds; Calibration accumulates by the same convention the serial
-// harness used. When the ctx requests tracing, only the first seed's
-// run is traced: one representative capture per grid point keeps -trace
-// output proportional to the figure, not to the seed averaging. Every
-// run reports into the same ctx.Run (see Ctx.Finish for how telemetry
-// combines across them).
-func averagePoint(ctx *Ctx, tok units.BitRate, depth units.ByteSize, seed uint64, runs int, run func(seed uint64) Point) Point {
-	if runs <= 1 {
-		return run(seed)
-	}
-	tr := ctx.Trace
-	var acc Point
-	for r := 0; r < runs; r++ {
-		p := run(seed + uint64(r))
-		ctx.reclaim()   // p is plain values: the next seed runs on this one's storage
-		ctx.Trace = nil // the remaining seeds run untraced
-		acc.FrameLoss += p.FrameLoss
-		acc.Quality += p.Quality
-		acc.PacketLoss += p.PacketLoss
-		acc.Calibration += p.Calibration
-	}
-	ctx.Trace = tr
-	acc.TokenRate, acc.Depth = tok, depth
-	acc.FrameLoss /= float64(runs)
-	acc.Quality /= float64(runs)
-	acc.PacketLoss /= float64(runs)
-	return acc
 }
 
 // pointLabel names a grid point's trace file.
@@ -336,60 +271,28 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, cfg topology.QBoneConfig
 	return Point{TokenRate: cfg.TokenRate, Depth: cfg.Depth, Evaluation: ev}, q
 }
 
-// relativeSpec parameterizes the Figs. 13–14 experiments: three
-// encodings of the same clip streamed at each token rate with a fixed
-// depth, all scored against the highest-quality (1.7 Mbps) encoding.
-type relativeSpec struct {
-	Key      string // registry name, e.g. "fig13"
-	ID       string
-	Title    string
-	Clip     *video.Clip
-	EncRates []units.BitRate
-	RefRate  units.BitRate
-	Tokens   []units.BitRate
-	Depth    units.ByteSize
-	Seed     uint64
-}
-
-// Name implements Scenario.
-func (spec relativeSpec) Name() string { return spec.Key }
-
-// Describe implements Scenario.
-func (spec relativeSpec) Describe() string { return spec.Title }
-
-// Jobs enumerates one seed-averaged job per (encoding, token) grid
-// point. The cached-encoding layer guarantees the reference-rate
-// series streams the very *Encoding it is scored against, as the
-// serial code did.
-func (spec relativeSpec) Jobs() []Job {
-	ref := video.CachedCBR(spec.Clip, spec.RefRate)
-	var jobs []Job
-	for _, er := range spec.EncRates {
-		enc := video.CachedCBR(spec.Clip, er)
-		for _, tok := range spec.Tokens {
-			enc, tok, er := enc, tok, er
-			jobs = append(jobs, func(ctx *Ctx) Point {
-				// The encoding rate disambiguates trace files: every
-				// series shares the same (token, depth, seed) grid.
-				return runQBonePointAvgLabeled(ctx, fmt.Sprintf("enc%d-", int64(er)), topology.QBoneConfig{
-					Seed: spec.Seed, Enc: enc, TokenRate: tok, Depth: spec.Depth}, ref, seedRuns)
-			})
-		}
+// relativeGrid is the Figs. 13–14 experiment: encodings of the same
+// clip streamed at each token rate with a fixed depth, all scored
+// against the highest-quality (1.7 Mbps) encoding, one curve per
+// encoding rate. The cached-encoding layer guarantees the
+// reference-rate series streams the very *Encoding it is scored
+// against.
+func relativeGrid(key, id, title string, clip *video.Clip, encRates, tokens []units.BitRate) *Grid {
+	const refRate, depth = 1.7e6, 3000
+	return &Grid{Key: key, ID: id, Title: title,
+		Points: len(encRates) * len(tokens), Seed: DefaultSeed, Seeds: seedRuns,
+		Run: func(ctx *Ctx, i int, seed uint64) Point {
+			er := encRates[i/len(tokens)]
+			// The encoding rate disambiguates trace files: every series
+			// shares the same (token, depth, seed) grid.
+			p, _ := runQBonePointLabeled(ctx, fmt.Sprintf("enc%d-", int64(er)), topology.QBoneConfig{
+				Seed: seed, Enc: video.CachedCBR(clip, er), TokenRate: tokens[i%len(tokens)], Depth: depth},
+				video.CachedCBR(clip, refRate))
+			return p
+		},
+		Fold: func(rs []Point) []Series { return byRows(rs, labels("%s", encRates)...) },
+		Thin: func(n int) Scenario { return relativeGrid(key, id, title, clip, encRates, Scale(tokens, n)) },
 	}
-	return jobs
-}
-
-// Assemble implements Scenario: one series per encoding rate.
-func (spec relativeSpec) Assemble(results []Point) *Figure {
-	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
-		len(spec.EncRates), len(spec.Tokens), results,
-		func(i int) string { return spec.EncRates[i].String() })
-}
-
-// Scaled implements Scalable.
-func (spec relativeSpec) Scaled(n int) Scenario {
-	spec.Tokens = Scale(spec.Tokens, n)
-	return spec
 }
 
 // LocalSpec parameterizes the Figs. 15–16 experiments: the WMV-encoded
@@ -408,38 +311,30 @@ type LocalSpec struct {
 	Seed      uint64
 }
 
-// Name implements Scenario.
-func (spec LocalSpec) Name() string { return spec.Key }
+// Name, Describe, Jobs and Assemble implement Scenario: the record's.
+func (spec LocalSpec) Name() string                     { return spec.Grid().Name() }
+func (spec LocalSpec) Describe() string                 { return spec.Grid().Describe() }
+func (spec LocalSpec) Jobs() []Job                      { return spec.Grid().Jobs() }
+func (spec LocalSpec) Assemble(results []Point) *Figure { return spec.Grid().Assemble(results) }
 
-// Describe implements Scenario.
-func (spec LocalSpec) Describe() string { return spec.Title }
-
-// Jobs enumerates one job per (depth, token) grid point.
-func (spec LocalSpec) Jobs() []Job {
-	enc := video.CachedVBR(spec.Clip, units.BitRate(spec.CapKbps)*units.Kbps)
-	var jobs []Job
-	for _, depth := range spec.Depths {
-		for _, tok := range spec.Tokens {
-			depth, tok := depth, tok
-			jobs = append(jobs, func(ctx *Ctx) Point {
-				return runLocalPoint(ctx, "", topology.LocalConfig{Seed: spec.Seed, Enc: enc,
-					TokenRate: tok, Depth: depth, UseTCP: spec.UseTCP, UseShaper: spec.UseShaper})
-			})
-		}
+// Grid implements Scenario: one single-seed point per (depth, token),
+// depth-major, folded into one curve per depth.
+func (spec LocalSpec) Grid() *Grid {
+	return &Grid{Key: spec.Key, ID: spec.ID, Title: spec.Title,
+		Points: len(spec.Depths) * len(spec.Tokens), Seed: spec.Seed,
+		Run: func(ctx *Ctx, i int, seed uint64) Point {
+			return runLocalPoint(ctx, "", topology.LocalConfig{Seed: seed,
+				Enc:       video.CachedVBR(spec.Clip, units.BitRate(spec.CapKbps)*units.Kbps),
+				TokenRate: spec.Tokens[i%len(spec.Tokens)], Depth: spec.Depths[i/len(spec.Tokens)],
+				UseTCP: spec.UseTCP, UseShaper: spec.UseShaper})
+		},
+		Fold: func(rs []Point) []Series { return byRows(rs, labels("B=%d", spec.Depths)...) },
+		Thin: func(n int) Scenario {
+			spec := spec
+			spec.Tokens = Scale(spec.Tokens, n)
+			return spec
+		},
 	}
-	return jobs
-}
-
-// Assemble implements Scenario: one series per depth.
-func (spec LocalSpec) Assemble(results []Point) *Figure {
-	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
-		len(spec.Depths), len(spec.Tokens), results, depthLabel(spec.Depths))
-}
-
-// Scaled implements Scalable.
-func (spec LocalSpec) Scaled(n int) Scenario {
-	spec.Tokens = Scale(spec.Tokens, n)
-	return spec
 }
 
 // runLocalPoint streams cfg.Enc through the local testbed configured

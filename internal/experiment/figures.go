@@ -15,8 +15,8 @@ const DefaultSeed uint64 = 2001
 // The figure scenarios register here so commands can enumerate and
 // run them by name (dsbench -scenario fig7 -parallel 8). Clip models
 // are rebuilt per spec constructor, so registration costs no
-// simulation work — encodings happen lazily via the cache on first
-// Jobs() call.
+// simulation work — encodings happen lazily via the cache when a job
+// first asks for one.
 func init() {
 	Register(Figure7Spec())
 	Register(figure8Spec())
@@ -105,29 +105,21 @@ func figure12Spec() QBoneSpec {
 	}
 }
 
+// relativeEncRates are the encodings Figs. 13–14 compare, the
+// 1.7 Mbps reference last.
+var relativeEncRates = []units.BitRate{1.5e6, 1.0e6, 1.7e6}
+
 // figure13Spec is "Frame Loss and Relative (compared to 1.7Mbps
 // version) Quality for Dark Clip".
-func figure13Spec() relativeSpec {
-	return relativeSpec{
-		Key: "fig13", ID: "Figure 13", Title: "Dark clip: relative quality vs 1.7 Mbps reference, B=3000",
-		Clip:     video.Dark(),
-		EncRates: []units.BitRate{1.5e6, 1.0e6, 1.7e6},
-		RefRate:  1.7e6,
-		Tokens:   TokenSweep(600, 2100, 150),
-		Depth:    3000, Seed: DefaultSeed,
-	}
+func figure13Spec() *Grid {
+	return relativeGrid("fig13", "Figure 13", "Dark clip: relative quality vs 1.7 Mbps reference, B=3000",
+		video.Dark(), relativeEncRates, TokenSweep(600, 2100, 150))
 }
 
 // figure14Spec is the Lost-clip variant of Figure 13.
-func figure14Spec() relativeSpec {
-	return relativeSpec{
-		Key: "fig14", ID: "Figure 14", Title: "Lost clip: relative quality vs 1.7 Mbps reference, B=3000",
-		Clip:     video.Lost(),
-		EncRates: []units.BitRate{1.5e6, 1.0e6, 1.7e6},
-		RefRate:  1.7e6,
-		Tokens:   TokenSweep(600, 2100, 150),
-		Depth:    3000, Seed: DefaultSeed,
-	}
+func figure14Spec() *Grid {
+	return relativeGrid("fig14", "Figure 14", "Lost clip: relative quality vs 1.7 Mbps reference, B=3000",
+		video.Lost(), relativeEncRates, TokenSweep(600, 2100, 150))
 }
 
 // Figure15Spec is "Local Testbed Experiments (Lost clip at 1Mbps) –

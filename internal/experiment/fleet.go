@@ -20,7 +20,7 @@ import (
 // transmits at most a pipe's worth no matter how many flows feed it.
 
 func init() {
-	Register(nflowFleetSpec())
+	Register(nflowFleetSpec().Grid())
 }
 
 // FleetClass parameterizes one equivalence class of the fleet: its
@@ -91,12 +91,6 @@ func nflowFleetSpec() FleetSpec {
 	}
 }
 
-// Name implements Scenario.
-func (spec FleetSpec) Name() string { return spec.Key }
-
-// Describe implements Scenario.
-func (spec FleetSpec) Describe() string { return spec.Title }
-
 // SplitFlows splits a total of n flows by the class shares, in class
 // order: each class takes its share of n rounded to nearest, capped at
 // what the classes before it left, and the last class takes the rest.
@@ -140,24 +134,31 @@ func (spec FleetSpec) classesFor(n int) []topology.FlowClass {
 	return out
 }
 
-// Jobs enumerates one mixture simulation per total flow count. The
-// calendar width is the simulator's own: it converges on the observed
-// event spacing at every N.
-func (spec FleetSpec) Jobs() []Job {
-	var jobs []Job
-	for _, n := range spec.Ns {
-		n := n
-		jobs = append(jobs, func(ctx *Ctx) Point {
+// Grid is the scenario the spec describes: one mixture simulation per
+// total flow count, one row each, on the sharded mixture pipeline under
+// Ctx.Shards. The calendar width is the simulator's own: it converges on
+// the observed event spacing at every N.
+func (spec FleetSpec) Grid() *Grid {
+	return &Grid{Key: spec.Key, ID: spec.ID, Title: spec.Title, XLabel: "Flows",
+		Points: len(spec.Ns), Params: spec, Seed: spec.Seed, Shards: true,
+		Run: func(ctx *Ctx, i int, seed uint64) Point {
+			n := spec.Ns[i]
 			return evaluateFleet(ctx, topology.MultiFlowConfig{
-				Seed: spec.Seed, Classes: spec.classesFor(n),
+				Seed: seed, Classes: spec.classesFor(n),
 				Depth:          spec.Depth,
 				BottleneckRate: spec.BottleneckRate, Sched: spec.Sched,
 				BELoad: spec.BELoad, Pool: ctx.Pool,
 				Batch: true, AggregateStats: true,
 			}, fmt.Sprintf("N=%d", n), fmt.Sprintf("N%d", n))
-		})
+		},
+		// The Loss column is the packet-level delivery shortfall.
+		Fold: func(rs []Point) []Series { return []Series{{Label: "fleet", Points: rs}} },
+		Thin: func(n int) Scenario {
+			spec := spec
+			spec.Ns = Scale(spec.Ns, n)
+			return spec.Grid()
+		},
 	}
-	return jobs
 }
 
 // evaluateFleet runs one aggregated-stats mixture simulation and folds
@@ -199,22 +200,3 @@ func evaluateFleet(ctx *Ctx, cfg topology.MultiFlowConfig, label, traceLabel str
 	pt.PacketLoss = m.AggregatePolicerLoss()
 	return pt
 }
-
-// Assemble implements Scenario: one row per total flow count. The
-// Loss column is the packet-level delivery shortfall.
-func (spec FleetSpec) Assemble(results []Point) *Figure {
-	fig := &Figure{ID: spec.ID, Title: spec.Title, XLabel: "Flows"}
-	fig.Series = append(fig.Series, Series{Label: "fleet", Points: results})
-	return fig
-}
-
-// Scaled implements Scalable: thin the flow-count sweep (endpoints
-// always kept).
-func (spec FleetSpec) Scaled(n int) Scenario {
-	spec.Ns = Scale(spec.Ns, n)
-	return spec
-}
-
-// shardable implements shardCapable: fleet points dispatch to the
-// sharded mixture pipeline.
-func (FleetSpec) shardable() {}

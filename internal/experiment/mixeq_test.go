@@ -294,7 +294,7 @@ func TestNFlowFleetRegistered(t *testing.T) {
 	if s == nil {
 		t.Fatal("nflow-fleet not registered")
 	}
-	spec, ok := s.(FleetSpec)
+	spec, ok := s.Grid().Params.(FleetSpec)
 	if !ok {
 		t.Fatalf("nflow-fleet is %T, want FleetSpec", s)
 	}
@@ -304,10 +304,10 @@ func TestNFlowFleetRegistered(t *testing.T) {
 	if len(spec.Classes) < 2 {
 		t.Errorf("nflow-fleet has %d classes, want >= 2", len(spec.Classes))
 	}
-	if !SupportsSharding(s) {
+	if !s.Grid().Shards {
 		t.Error("nflow-fleet does not support shards")
 	}
-	if _, ok := s.(Scalable); !ok {
+	if s.Grid().Thin == nil {
 		t.Error("nflow-fleet is not Scalable")
 	}
 	// The PR 7 per-N widthFor heuristic is retired: fleet jobs leave
@@ -328,7 +328,7 @@ func TestFleetEventsPerVFlowFall(t *testing.T) {
 	spec.Ns = []int{2000, 8000}
 	// Knee at ~4000 flows: ~1000 active × ~1.1 Mbps ≈ 1.1 Gbps.
 	spec.BottleneckRate = 1.1e9
-	fig := RunScenarioOpts(spec, RunOptions{Parallel: 1})
+	fig := RunScenarioOpts(spec.Grid(), RunOptions{Parallel: 1})
 	// The figure rows carry the delivery shortfall; the jobs' run records
 	// carry what the simulator did.
 	small, large := fig.Series[0].Points[0], fig.Series[0].Points[1]

@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/units"
+	"repro/internal/video"
 )
 
 // The determinism contract of the runner-based experiment layer: for a
@@ -49,9 +51,9 @@ func TestRunScenarioParallelMatchesSerialRelative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
-	spec := figure13Spec()
-	spec.Tokens = []units.BitRate{1.2e6}
-	spec.EncRates = spec.EncRates[1:] // one relative series beside the reference's own
+	fig13 := figure13Spec()
+	// one relative series beside the reference's own
+	spec := relativeGrid(fig13.Key, fig13.ID, fig13.Title, video.Dark(), relativeEncRates[1:], []units.BitRate{1.2e6})
 	serial := RunScenarioOpts(spec, RunOptions{Parallel: 1}).Format()
 	parallel := RunScenarioOpts(spec, RunOptions{Parallel: 8}).Format()
 	if serial != parallel {
@@ -60,13 +62,14 @@ func TestRunScenarioParallelMatchesSerialRelative(t *testing.T) {
 }
 
 // TestJobsAssembleGridShape pins the job-index ↔ grid-cell mapping the
-// Assemble implementations rely on.
+// Assemble implementations rely on: one job per (point, seed), and one
+// result per point reaching Assemble.
 func TestJobsAssembleGridShape(t *testing.T) {
 	spec := Figure7Spec()
 	jobs := spec.Jobs()
 	want := len(spec.Depths) * len(spec.Tokens)
-	if len(jobs) != want {
-		t.Fatalf("QBone jobs = %d, want %d", len(jobs), want)
+	if len(jobs) != want*seedRuns {
+		t.Fatalf("QBone jobs = %d, want %d", len(jobs), want*seedRuns)
 	}
 	// Assemble a synthetic result set and check placement.
 	results := make([]Point, want)
@@ -85,9 +88,9 @@ func TestJobsAssembleGridShape(t *testing.T) {
 		}
 	}
 
-	rel := figure13Spec()
-	if n := len(rel.Jobs()); n != len(rel.EncRates)*len(rel.Tokens) {
-		t.Errorf("relative jobs = %d, want %d", n, len(rel.EncRates)*len(rel.Tokens))
+	rel, tokens := figure13Spec(), TokenSweep(600, 2100, 150)
+	if n := len(rel.Jobs()); n != len(relativeEncRates)*len(tokens)*seedRuns {
+		t.Errorf("relative jobs = %d, want %d", n, len(relativeEncRates)*len(tokens)*seedRuns)
 	}
 	loc := Figure15Spec()
 	if n := len(loc.Jobs()); n != len(loc.Depths)*len(loc.Tokens) {
@@ -109,7 +112,7 @@ func TestRegistryHasAllFigures(t *testing.T) {
 		if s.Describe() == "" {
 			t.Errorf("scenario %q has no description", name)
 		}
-		if _, ok := s.(Scalable); !ok {
+		if s.Grid().Thin == nil {
 			t.Errorf("scenario %q is not Scalable", name)
 		}
 	}
@@ -154,11 +157,42 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 
 func TestScaledReturnsThinnedCopy(t *testing.T) {
 	spec := Figure7Spec()
-	thin := spec.Scaled(4).(QBoneSpec)
+	thin := Scaled(spec, 4).(QBoneSpec)
 	if len(thin.Tokens) >= len(spec.Tokens) {
 		t.Errorf("Scaled did not thin: %d vs %d", len(thin.Tokens), len(spec.Tokens))
 	}
 	if len(Figure7Spec().Tokens) != len(spec.Tokens) {
 		t.Error("Scaled mutated the source spec")
+	}
+}
+
+// TestSeedFoldIndependentOfParallelism pins the runner's seed fold: a
+// point's seeds run as separate jobs, on whichever workers take them,
+// and fold in seed order, so the figure and the per-point telemetry do
+// not depend on the job-pool size, and Figure.Runs holds one entry per
+// grid point, not one per seed.
+func TestSeedFoldIndependentOfParallelism(t *testing.T) {
+	t.Parallel()
+	spec := Figure7Spec()
+	spec.Tokens, spec.Depths, spec.Runs = spec.Tokens[:1], spec.Depths[:1], 3
+	var ref *Figure
+	for _, parallel := range []int{1, 2, 8} {
+		fig := RunScenarioOpts(spec, RunOptions{Parallel: parallel})
+		if len(fig.Runs) != spec.Grid().Points {
+			t.Fatalf("parallel=%d: %d runs filed for %d grid points", parallel, len(fig.Runs), spec.Grid().Points)
+		}
+		for i := range fig.Runs {
+			fig.Runs[i].RunMS = 0
+		}
+		if ref == nil {
+			ref = fig
+			continue
+		}
+		if got, want := fig.Format(), ref.Format(); got != want {
+			t.Errorf("parallel=%d: figure diverged from parallel=1:\n%s\nvs\n%s", parallel, got, want)
+		}
+		if !reflect.DeepEqual(fig.Runs, ref.Runs) {
+			t.Errorf("parallel=%d: runs diverged from parallel=1:\n%+v\nvs\n%+v", parallel, fig.Runs, ref.Runs)
+		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // runner exactly like the paper figures.
 
 func init() {
-	Register(nflowSweepSpec())
-	Register(nflowWideSpec())
+	Register(nflowSweepSpec().Grid())
+	Register(nflowWideSpec().Grid())
 	Register(SchedCompareSpecDefault())
 }
 
@@ -79,10 +79,11 @@ type MultiFlowSpec struct {
 
 	// Batch runs every point on the flow-batched fan-out source (one
 	// simulated flow covering N virtual flows) instead of N paced
-	// servers. Batched and unbatched points are byte-identical — the
-	// differential harness in batcheq_test.go pins this — but batched
-	// points pay the source-side cost once, which is what lets the
-	// wide sweep reach hundreds of flows.
+	// servers. Batched points pay the source-side cost once, which is
+	// what lets the wide sweep reach hundreds of flows. They are
+	// byte-identical to unbatched ones below flowbatch's tie boundary
+	// (batcheq_test.go pins N ≤ 32; N = 128 is the first point that
+	// diverges).
 	Batch bool
 	// Stagger replaces the per-flow start offset (0 keeps the
 	// topology default of 331 ms).
@@ -108,35 +109,36 @@ func nflowSweepSpec() MultiFlowSpec {
 	}
 }
 
-// Name implements Scenario.
-func (spec MultiFlowSpec) Name() string { return spec.Key }
-
-// Describe implements Scenario.
-func (spec MultiFlowSpec) Describe() string { return spec.Title }
-
-// Jobs enumerates one simulation per flow count.
-func (spec MultiFlowSpec) Jobs() []Job {
-	enc := video.CachedCBR(spec.Clip, spec.EncRate)
-	var jobs []Job
-	for _, n := range spec.Ns {
-		n := n
-		jobs = append(jobs, func(ctx *Ctx) Point {
+// Grid is the scenario the spec describes: one simulation per flow
+// count, folded into a mean-across-flows curve and a worst-flow curve.
+// Batched points run on the fan-out pipeline under Ctx.Shards;
+// unbatched ones report one effective worker.
+func (spec MultiFlowSpec) Grid() *Grid {
+	return &Grid{Key: spec.Key, ID: spec.ID, Title: spec.Title, XLabel: "Flows",
+		Points: len(spec.Ns), Params: spec, Seed: spec.Seed, Shards: true,
+		Run: func(ctx *Ctx, i int, seed uint64) Point {
+			enc := video.CachedCBR(spec.Clip, spec.EncRate)
+			n := spec.Ns[i]
 			return evaluateMultiFlow(ctx, topology.MultiFlowConfig{
-				Seed: spec.Seed, Enc: enc, N: n,
+				Seed: seed, Enc: enc, N: n,
 				TokenRate: spec.TokenRate, Depth: spec.Depth,
 				BottleneckRate: spec.BottleneckRate, Sched: spec.Sched,
 				BELoad: spec.BELoad, Pool: ctx.Pool,
 				Batch: spec.Batch, Stagger: spec.Stagger,
 			}, enc, fmt.Sprintf("N=%d", n), fmt.Sprintf("N%d", n), spec.TokenRate, spec.Depth)
-		})
+		},
+		Fold: meanAndWorst,
+		Thin: func(n int) Scenario {
+			spec := spec
+			spec.Ns = Scale(spec.Ns, n)
+			return spec.Grid()
+		},
 	}
-	return jobs
 }
 
-// Assemble implements Scenario: a mean-across-flows series and a
-// worst-flow series, one row per N.
-func (spec MultiFlowSpec) Assemble(results []Point) *Figure {
-	fig := &Figure{ID: spec.ID, Title: spec.Title, XLabel: "Flows"}
+// meanAndWorst folds multi-flow points into a mean-across-flows curve
+// and a worst-flow curve, one row per point.
+func meanAndWorst(results []Point) []Series {
 	mean := Series{Label: "mean"}
 	worst := Series{Label: "worst"}
 	for _, p := range results {
@@ -146,20 +148,8 @@ func (spec MultiFlowSpec) Assemble(results []Point) *Figure {
 		wp.Flows = nil
 		worst.Points = append(worst.Points, wp)
 	}
-	fig.Series = append(fig.Series, mean, worst)
-	return fig
+	return []Series{mean, worst}
 }
-
-// Scaled implements Scalable: keep every n-th flow count (endpoints
-// always).
-func (spec MultiFlowSpec) Scaled(n int) Scenario {
-	spec.Ns = Scale(spec.Ns, n)
-	return spec
-}
-
-// shardable implements shardCapable: batched points run on the
-// fan-out pipeline, unbatched ones report one effective worker.
-func (MultiFlowSpec) shardable() {}
 
 // nflowWideSpec is the wide-aggregate N-flow scenario the paper's
 // fixed testbeds (and the unbatched simulator) could not reach: the
@@ -228,47 +218,34 @@ func SchedCompareSpecDefault() SchedCompareSpec {
 	}
 }
 
-// Name implements Scenario.
-func (spec SchedCompareSpec) Name() string { return spec.Key }
+// Name, Describe, Jobs and Assemble implement Scenario: the record's.
+func (spec SchedCompareSpec) Name() string                     { return spec.Grid().Name() }
+func (spec SchedCompareSpec) Describe() string                 { return spec.Grid().Describe() }
+func (spec SchedCompareSpec) Jobs() []Job                      { return spec.Grid().Jobs() }
+func (spec SchedCompareSpec) Assemble(results []Point) *Figure { return spec.Grid().Assemble(results) }
 
-// Describe implements Scenario.
-func (spec SchedCompareSpec) Describe() string { return spec.Title }
-
-// Jobs enumerates one simulation per (scheduler, load) grid point, in
-// scheduler-major order.
-func (spec SchedCompareSpec) Jobs() []Job {
-	enc := video.CachedCBR(spec.Clip, spec.EncRate)
-	var jobs []Job
-	for _, sched := range topology.BottleneckSchedulers() {
-		for _, load := range spec.Loads {
-			sched, load := sched, load
-			jobs = append(jobs, func(ctx *Ctx) Point {
-				return evaluateMultiFlow(ctx, topology.MultiFlowConfig{
-					Seed: spec.Seed, Enc: enc, N: spec.N,
-					TokenRate: spec.TokenRate, Depth: spec.Depth,
-					BottleneckRate: spec.BottleneckRate, Sched: sched,
-					AFLoad: load / 2, BELoad: load / 2, Pool: ctx.Pool,
-				}, enc, fmt.Sprintf("load=%.2f", load),
-					fmt.Sprintf("%s-load%.2f", sched, load), spec.TokenRate, spec.Depth)
-			})
-		}
-	}
-	return jobs
-}
-
-// Assemble implements Scenario: one series per scheduler.
-func (spec SchedCompareSpec) Assemble(results []Point) *Figure {
+// Grid implements Scenario: one simulation per (scheduler, load),
+// scheduler-major, folded into one curve per scheduler.
+func (spec SchedCompareSpec) Grid() *Grid {
 	scheds := topology.BottleneckSchedulers()
-	return foldRows(&Figure{ID: spec.ID, Title: spec.Title, XLabel: "CrossLoad"},
-		len(scheds), len(spec.Loads), results,
-		func(i int) string { return scheds[i].String() })
+	return &Grid{Key: spec.Key, ID: spec.ID, Title: spec.Title, XLabel: "CrossLoad",
+		Points: len(scheds) * len(spec.Loads), Seed: spec.Seed, Shards: true,
+		Run: func(ctx *Ctx, i int, seed uint64) Point {
+			enc := video.CachedCBR(spec.Clip, spec.EncRate)
+			sched, load := scheds[i/len(spec.Loads)], spec.Loads[i%len(spec.Loads)]
+			return evaluateMultiFlow(ctx, topology.MultiFlowConfig{
+				Seed: seed, Enc: enc, N: spec.N,
+				TokenRate: spec.TokenRate, Depth: spec.Depth,
+				BottleneckRate: spec.BottleneckRate, Sched: sched,
+				AFLoad: load / 2, BELoad: load / 2, Pool: ctx.Pool,
+			}, enc, fmt.Sprintf("load=%.2f", load),
+				fmt.Sprintf("%s-load%.2f", sched, load), spec.TokenRate, spec.Depth)
+		},
+		Fold: func(rs []Point) []Series { return byRows(rs, labels("%s", scheds)...) },
+		Thin: func(n int) Scenario {
+			spec := spec
+			spec.Loads = Scale(spec.Loads, n)
+			return spec
+		},
+	}
 }
-
-// Scaled implements Scalable: thin the load sweep.
-func (spec SchedCompareSpec) Scaled(n int) Scenario {
-	spec.Loads = Scale(spec.Loads, n)
-	return spec
-}
-
-// shardable implements shardCapable.
-func (SchedCompareSpec) shardable() {}

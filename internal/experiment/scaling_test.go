@@ -23,7 +23,7 @@ func reducedSchedCompare() SchedCompareSpec {
 
 func TestNFlowScenarioShape(t *testing.T) {
 	t.Parallel()
-	fig := RunScenarioOpts(reducedNFlow(), RunOptions{})
+	fig := RunScenarioOpts(reducedNFlow().Grid(), RunOptions{})
 	if len(fig.Series) != 2 || fig.Series[0].Label != "mean" || fig.Series[1].Label != "worst" {
 		t.Fatalf("series = %+v", fig.Series)
 	}
@@ -57,7 +57,7 @@ func TestNFlowScenarioShape(t *testing.T) {
 
 func TestNFlowDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
-	spec := reducedNFlow()
+	spec := reducedNFlow().Grid()
 	serial := RunScenarioOpts(spec, RunOptions{Parallel: 1}).Format()
 	parallel := RunScenarioOpts(spec, RunOptions{Parallel: 8}).Format()
 	if serial != parallel {
@@ -101,16 +101,16 @@ func TestScalingScenariosRegistered(t *testing.T) {
 			t.Errorf("scenario %q not registered", name)
 			continue
 		}
-		if _, ok := s.(Scalable); !ok {
+		if s.Grid().Thin == nil {
 			t.Errorf("scenario %q is not Scalable", name)
 		}
 	}
 	// Scaled must thin interior points and keep endpoints.
-	nf := nflowSweepSpec().Scaled(2).(MultiFlowSpec)
+	nf := Scaled(nflowSweepSpec().Grid(), 2).Grid().Params.(MultiFlowSpec)
 	if len(nf.Ns) >= len(nflowSweepSpec().Ns) || nf.Ns[len(nf.Ns)-1] != 16 {
 		t.Errorf("nflow Scaled wrong: %v", nf.Ns)
 	}
-	sc := SchedCompareSpecDefault().Scaled(2).(SchedCompareSpec)
+	sc := Scaled(SchedCompareSpecDefault(), 2).(SchedCompareSpec)
 	if sc.Loads[len(sc.Loads)-1] != 2.0 {
 		t.Errorf("schedcomp Scaled dropped the overload endpoint: %v", sc.Loads)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,36 +23,134 @@ import (
 	"repro/internal/units"
 )
 
-// Scenario is a paper experiment decomposed for the runner: a figure
-// (or figure family) whose points are independent simulation jobs.
+// Scenario is a paper experiment decomposed for the runner: a Grid, or
+// a spec that produces one (Grid returns it).
 //
-// Jobs returns one closure per point of the figure grid; each closure
-// builds its own simulation, on the storage its worker's Ctx lends, so
-// the slice can be executed on any number of goroutines. Assemble
-// receives the results **in job order** — results[i] is what Jobs()[i]
-// returned — and folds them back into the figure. Because the fold
-// only depends on the (deterministic) results
-// and their order, a Scenario produces byte-identical output at every
-// parallelism level. Assemble never sees telemetry: what the simulator
-// did is filed by the runner as Figure.Runs, one entry per job, so a
-// fold that places one result into several series has nothing to zero.
+// Jobs returns one closure per (point, seed), point-major; each builds
+// its own simulation, on the storage its worker's Ctx lends, so the
+// slice can be executed on any number of goroutines. The runner folds
+// each point's seeds in seed order and hands Assemble one result per
+// grid point, **in point order**. Because the folds only depend on the
+// (deterministic) results and their order, a Scenario produces
+// byte-identical output at every parallelism level. Assemble never
+// sees telemetry: the runner files it as Figure.Runs, one entry per
+// grid point, so a fold that places one result into several series has
+// nothing to zero.
 type Scenario interface {
 	// Name is the registry key, e.g. "fig7".
 	Name() string
 	// Describe is a one-line summary for listings.
 	Describe() string
-	// Jobs enumerates the independent simulation jobs of the grid.
+	// Jobs enumerates the independent simulations of the grid.
 	Jobs() []Job
-	// Assemble folds job results (ordered by job index) into the figure.
+	// Assemble folds the per-point results (in point order) into the
+	// figure.
 	Assemble(results []Point) *Figure
+	// Grid is the record the scenario is: the runner reads its seed
+	// count, dsbench its thinning rule and shard capability.
+	Grid() *Grid
 }
 
-// Job is one independent simulation: it runs a full (possibly
-// seed-averaged) experiment and reduces it to a Point. Jobs must build
-// their simulation on what the Ctx offers (or ignore it and pay the
-// allocations) and call Ctx.Finish once per simulation: the epilogue is
-// the only way a job reports telemetry or saves a trace.
+// Job is one independent simulation: one grid point at one seed,
+// reduced to a Point. Jobs must build their simulation on what the Ctx
+// offers (or ignore it and pay the allocations) and call Ctx.Finish
+// once: the epilogue is the only way a job reports telemetry or saves a
+// trace.
 type Job func(ctx *Ctx) Point
+
+// Grid is a scenario as one record: what differs between scenarios is
+// what Run builds, Fold's labels and the layout; the seed loop, the
+// seed fold, thinning and the shard capability are the record's.
+type Grid struct {
+	// Key is the registry name ("fig7"); ID and Title head the figure,
+	// and XLabel names its first column ("" means "TokenRate").
+	Key, ID, Title, XLabel string
+
+	// Points is the number of grid points. Run simulates point i at
+	// seed on ctx and reduces it to a Point, calling ctx.Finish once.
+	Points int
+	Run    func(ctx *Ctx, point int, seed uint64) Point
+
+	// Seed is the first seed; every point runs at Seeds consecutive
+	// seeds from it (0 counts as 1), and the runner averages them, as
+	// the paper repeated its runs (§4 "there is some variability").
+	Seed  uint64
+	Seeds int
+
+	// Fold builds the figure's curves from one result per point, in
+	// point order.
+	Fold func(results []Point) []Series
+
+	// Thin returns the scenario with its x axis thinned to every n-th
+	// point, endpoints kept (dsbench -scale); nil leaves the grid whole.
+	Thin func(n int) Scenario
+
+	// Shards marks a grid whose points pass Ctx.Shards to their
+	// topology and report the effective worker count; dsbench rejects
+	// -shards up front for the other grids.
+	Shards bool
+
+	// Params is the MultiFlowSpec, FleetSpec or TandemSpec the grid was
+	// made from, if any: grids hold funcs, so they compare by Params.
+	Params any
+
+	desc   string                              // Describe's line, when it is not Title
+	layout func(b *strings.Builder, f *Figure) // see Figure.layout
+}
+
+// Name implements Scenario.
+func (g *Grid) Name() string { return g.Key }
+
+// Describe implements Scenario.
+func (g *Grid) Describe() string {
+	if g.desc != "" {
+		return g.desc
+	}
+	return g.Title
+}
+
+// Grid implements Scenario.
+func (g *Grid) Grid() *Grid { return g }
+
+func (g *Grid) seeds() int { return max(g.Seeds, 1) }
+
+// Jobs implements Scenario: one job per (point, seed), point-major.
+func (g *Grid) Jobs() []Job {
+	seeds := g.seeds()
+	jobs := make([]Job, 0, g.Points*seeds)
+	for i := 0; i < g.Points; i++ {
+		for k := 0; k < seeds; k++ {
+			i, seed := i, g.Seed+uint64(k)
+			jobs = append(jobs, func(ctx *Ctx) Point { return g.Run(ctx, i, seed) })
+		}
+	}
+	return jobs
+}
+
+// Assemble implements Scenario.
+func (g *Grid) Assemble(results []Point) *Figure {
+	return &Figure{ID: g.ID, Title: g.Title, XLabel: g.XLabel, Series: g.Fold(results), layout: g.layout}
+}
+
+// Scaled returns s with its x axis thinned to every n-th point, or s
+// itself when its grid does not thin or n ≤ 1.
+func Scaled(s Scenario, n int) Scenario {
+	if g := s.Grid(); g.Thin != nil && n > 1 {
+		return g.Thin(n)
+	}
+	return s
+}
+
+// byRows chunks point-ordered results row-major into one curve per
+// label: the fold of every grid that sweeps one x axis per series.
+func byRows(results []Point, labels ...string) []Series {
+	out := make([]Series, len(labels))
+	cols := len(results) / len(labels)
+	for r, l := range labels {
+		out[r] = Series{Label: l, Points: append([]Point(nil), results[r*cols:(r+1)*cols]...)}
+	}
+	return out
+}
 
 // Ctx is what the runner hands each job. It is owned by the executing
 // worker, and with it the storage that consecutive jobs on that worker
@@ -63,15 +162,14 @@ type Job func(ctx *Ctx) Point
 // the lending contract). A job hands Sim and Pool to its topology, whose
 // builder Resets Sim to the job's seed, so the run is the one a new
 // simulator would give. The runner takes Recv's and Pool's loans back
-// the moment a job returns (a seed-averaged job does so itself between
-// seeds), so a job must reduce every frame trace to plain values — an
-// Evaluation, a Point — before it does: a *trace.Trace kept past the
-// job reads empty, and the storage behind it serves the next grid
-// point. Once the next job has built on the Ctx, nothing of the last
-// one's topology is reachable from it. A steady-state job therefore
-// allocates no simulator, events, packets, ring or receive storage, only
-// what differs from the point before. Trace is the run-wide trace
-// request (nil in the common untraced case).
+// the moment a job returns, so a job must reduce every frame trace to
+// plain values — an Evaluation, a Point — before it does: a
+// *trace.Trace kept past the job reads empty, and the storage behind it
+// serves the next job. Once the next job has built on the Ctx, nothing
+// of the last one's topology is reachable from it. A steady-state job
+// therefore allocates no simulator, events, packets, ring or receive
+// storage, only what differs from the job before. Trace is the run-wide
+// trace request (nil in the common untraced case).
 type Ctx struct {
 	Sim   *sim.Simulator
 	Pool  *packet.Pool
@@ -86,17 +184,22 @@ type Ctx struct {
 
 	// Shards is the intra-run shard count each job should request from
 	// its topology (dsbench -shards). Effective workers =
-	// min(requested, partitionable batched flows), reported per run;
-	// the assembled figure is byte-identical at any value (the shardeq
-	// harness pins this), so the knob trades cores-per-job against
-	// jobs-in-flight without touching results.
+	// min(requested, partitionable batched flows), reported per run.
+	// The knob trades cores-per-job against jobs-in-flight, and on the
+	// grids the shardeq harness runs it leaves results alone: a sharded
+	// run is byte-identical to the serial one on nflow-wide at 16 flows
+	// (64 without -short), and the figure series match on fleet points
+	// of 1,000 and 2,000 flows. Past those grids nothing pins it, and a
+	// 16 k-flow fleet run or nflow-wide's 256-flow point at full scale
+	// assembles differently sharded and serial (see package flowbatch).
 	Shards int
 }
 
-// RunStats is what the simulator did to run one job: engine telemetry,
-// never figure output. Label, TokenRate and Depth identify the job (the
-// runner copies them from the job's Point); the rest is written by
-// Ctx.Finish.
+// RunStats is what the simulator did to run one grid point: engine
+// telemetry, never figure output. Label, TokenRate and Depth identify
+// the point (the runner copies them from its folded Point); the rest is
+// written by Ctx.Finish, once per seed, and folded across the point's
+// seeds by the runner.
 type RunStats struct {
 	Label     string
 	TokenRate units.BitRate
@@ -167,33 +270,43 @@ func (c *Ctx) NewRecorder() *ptrace.Recorder {
 
 // Finish is the one epilogue of a simulation: call it right after the
 // simulator stops. It seals rec (nil when tracing is off) under the
-// trace directory as "<scenario>-<label>.ptrace" and records the run
-// in c.Run. A seed-averaged job finishes several simulations into the
-// same record: Events, QRebases and RunMS sum, StallRatio is the mean,
-// and the rest are last-run samples. start is when the job began
-// building the simulation, or zero when it does not time itself; the
-// heap is sampled for multi-flow runs only (vflows > 0).
+// trace directory as "<scenario>-<label>.ptrace" and adds the run to
+// c.Run (see RunStats.add). start is when the job began building the
+// simulation, or zero when it does not time itself; the heap is
+// sampled for multi-flow runs only (vflows > 0).
 func (c *Ctx) Finish(label string, rec *ptrace.Recorder, s *sim.Simulator, shard topology.ShardStats, vflows int, start time.Time) {
-	r := &c.Run
+	run := RunStats{Events: s.Fired() + shard.ShardFired, VFlows: vflows, Shards: shard.Shards, StallRatio: shard.StallRatio}
 	if !start.IsZero() {
-		r.RunMS += float64(time.Since(start).Microseconds()) / 1000
+		run.RunMS = float64(time.Since(start).Microseconds()) / 1000
 	}
 	if rec != nil {
 		if err := c.Trace.save(label, rec); err != nil {
 			c.Trace.fail(fmt.Errorf("experiment: saving packet trace: %w", err))
 		}
 	}
-	r.sims++
-	r.Events += s.Fired() + shard.ShardFired
-	r.VFlows, r.Shards = vflows, shard.Shards
-	r.StallRatio += (shard.StallRatio - r.StallRatio) / float64(r.sims)
 	qs := s.QueueStats()
-	r.QRebases += qs.Rebases
-	r.QWidth, r.QOverflow = qs.Width, qs.OverflowRatio()
+	run.QRebases, run.QWidth, run.QOverflow = qs.Rebases, qs.Width, qs.OverflowRatio()
 	if vflows > 0 {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		r.HeapBytes = ms.HeapAlloc
+		run.HeapBytes = ms.HeapAlloc
+	}
+	c.Run.add(run)
+}
+
+// add folds one simulation's record r into acc, the one rule for
+// several simulations finished into one job's record and for a grid
+// point's seeds: Events, QRebases and RunMS sum, StallRatio is the
+// running mean, and the rest are r's (HeapBytes where r sampled it).
+func (acc *RunStats) add(r RunStats) {
+	acc.sims++
+	acc.Events += r.Events
+	acc.QRebases += r.QRebases
+	acc.RunMS += r.RunMS
+	acc.StallRatio += (r.StallRatio - acc.StallRatio) / float64(acc.sims)
+	acc.VFlows, acc.Shards, acc.QWidth, acc.QOverflow = r.VFlows, r.Shards, r.QWidth, r.QOverflow
+	if r.HeapBytes != 0 {
+		acc.HeapBytes = r.HeapBytes
 	}
 }
 
@@ -351,34 +464,6 @@ func (tr *TraceRequest) save(label string, rec *ptrace.Recorder) error {
 	return nil
 }
 
-// Scalable is implemented by scenarios whose token sweep can be
-// thinned for quick passes (dsbench -scale).
-type Scalable interface {
-	Scenario
-	// Scaled returns a copy keeping every n-th token-sweep point.
-	Scaled(n int) Scenario
-}
-
-// shardCapable is implemented by scenarios whose jobs accept the
-// intra-run shard knob (RunOptions.Shards / dsbench -shards):
-// effective workers = min(requested, partitionable batched flows),
-// reported per run. A capable scenario's unbatched points have no
-// partitionable flows and report one worker; scenarios without the
-// marker cannot report it at all, so dsbench rejects -shards for them
-// up front.
-type shardCapable interface {
-	Scenario
-	// shardable marks a scenario whose jobs pass Ctx.Shards to their
-	// topology and report the effective count.
-	shardable()
-}
-
-// SupportsSharding reports whether s honors the intra-run shard knob.
-func SupportsSharding(s Scenario) bool {
-	_, ok := s.(shardCapable)
-	return ok
-}
-
 // RunOptions bundles the execution knobs of a scenario run. The
 // zero value is the default serial-result configuration: a
 // GOMAXPROCS-sized job pool, no tracing, serial (unsharded) jobs.
@@ -390,15 +475,18 @@ type RunOptions struct {
 	Trace *TraceRequest
 	// Shards asks each job to run its simulation on the intra-run
 	// sharded pipeline with up to this many shard workers (see
-	// Ctx.Shards). Results are byte-identical at any value.
+	// Ctx.Shards for what the value does and does not change).
 	Shards int
 }
 
 // RunScenarioOpts executes the scenario's jobs under the given
-// options, files each job's telemetry as Figure.Runs in job order, and
-// assembles the figure. This is the single execution path for every
-// figure: parallelism level, tracing, and intra-run sharding never
-// change the assembled series.
+// options, folds each grid point's seeds in seed order, files each
+// point's telemetry as Figure.Runs in point order, and assembles the
+// figure. This is the single execution path for every figure:
+// parallelism level and tracing never change the assembled series.
+// Seeds after a point's first run untraced: one representative capture
+// per grid point keeps -trace output proportional to the figure, not to
+// the seed count.
 func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 	if tr := opts.Trace; tr != nil {
 		tr.scenario = s.Name()
@@ -407,6 +495,7 @@ func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 			opts.Trace = nil
 		}
 	}
+	seeds := s.Grid().seeds()
 	jobs := s.Jobs()
 	runs := make([]RunStats, len(jobs))
 	fns := make([]func(*Ctx) Point, len(jobs))
@@ -414,10 +503,13 @@ func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 		i, j := i, j
 		fns[i] = func(ctx *Ctx) Point {
 			ctx.Run = RunStats{}
+			if i%seeds != 0 {
+				ctx.Trace = nil
+			}
 			p := j(ctx)
+			ctx.Trace = opts.Trace
 			ctx.reclaim()
 			runs[i] = ctx.Run
-			runs[i].Label, runs[i].TokenRate, runs[i].Depth = p.Label, p.TokenRate, p.Depth
 			return p
 		}
 	}
@@ -425,9 +517,54 @@ func RunScenarioOpts(s Scenario, opts RunOptions) *Figure {
 		return &Ctx{Sim: sim.New(0), Pool: packet.NewPool(), Recv: new(client.Scratch),
 			Trace: opts.Trace, Shards: opts.Shards}
 	}
-	fig := s.Assemble(runner.MapArena(opts.Parallel, newCtx, fns))
+	points, runs := foldSeeds(runner.MapArena(opts.Parallel, newCtx, fns), runs, seeds)
+	fig := s.Assemble(points)
 	fig.Runs = runs
 	return fig
+}
+
+// foldSeeds folds each run of seeds consecutive results — one grid
+// point's seeds, in seed order — into one Point and one RunStats, in
+// place, and labels each RunStats with its point. One seed keeps its
+// Point and RunStats verbatim.
+func foldSeeds(results []Point, runs []RunStats, seeds int) ([]Point, []RunStats) {
+	if seeds > 1 {
+		n := len(results) / seeds
+		for i := 0; i < n; i++ {
+			results[i] = meanPoint(results[i*seeds : (i+1)*seeds])
+			var acc RunStats
+			for _, r := range runs[i*seeds : (i+1)*seeds] {
+				acc.add(r)
+			}
+			runs[i] = acc
+		}
+		results, runs = results[:n], runs[:n]
+	}
+	for i, p := range results {
+		runs[i].Label, runs[i].TokenRate, runs[i].Depth = p.Label, p.TokenRate, p.Depth
+	}
+	return results, runs
+}
+
+// meanPoint averages one grid point's per-seed results: FrameLoss,
+// Quality and PacketLoss are summed in seed order and divided by the
+// count, Calibration is summed, TokenRate and Depth are the point's,
+// and every other column is zero. A single result is kept verbatim.
+func meanPoint(ps []Point) Point {
+	if len(ps) == 1 {
+		return ps[0]
+	}
+	acc := Point{TokenRate: ps[0].TokenRate, Depth: ps[0].Depth}
+	for _, p := range ps {
+		acc.FrameLoss += p.FrameLoss
+		acc.Quality += p.Quality
+		acc.PacketLoss += p.PacketLoss
+		acc.Calibration += p.Calibration
+	}
+	acc.FrameLoss /= float64(len(ps))
+	acc.Quality /= float64(len(ps))
+	acc.PacketLoss /= float64(len(ps))
+	return acc
 }
 
 // The scenario registry. Scenarios register at init time (figures.go);
@@ -503,7 +640,7 @@ func splitTrailingInt(s string) (prefix string, n int, ok bool) {
 func Scenarios() []Scenario {
 	var out []Scenario
 	for _, n := range Names() {
-		if _, last := Lookup(n).(ablation); !last {
+		if !slices.ContainsFunc(ablations, func(a Scenario) bool { return a.Name() == n }) {
 			out = append(out, Lookup(n))
 		}
 	}

@@ -216,14 +216,15 @@ func TestLocalSpecRunScaled(t *testing.T) {
 
 func TestRelativeSpecRunScaled(t *testing.T) {
 	t.Parallel()
-	spec := figure14Spec()
-	spec.Tokens = []units.BitRate{900 * units.Kbps, 2.1e6}
+	fig14 := figure14Spec()
+	tokens, encRates := []units.BitRate{900 * units.Kbps, 2.1e6}, relativeEncRates
 	if testing.Short() {
-		spec.Tokens = spec.Tokens[:1]
-		spec.EncRates = spec.EncRates[1:]
+		tokens = tokens[:1]
+		encRates = encRates[1:]
 	}
+	spec := relativeGrid(fig14.Key, fig14.ID, fig14.Title, video.Lost(), encRates, tokens)
 	fig := RunScenarioOpts(spec, RunOptions{})
-	if len(fig.Series) != len(spec.EncRates) {
+	if len(fig.Series) != len(encRates) {
 		t.Fatalf("series = %d, want one per encoding", len(fig.Series))
 	}
 }

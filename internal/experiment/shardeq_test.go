@@ -145,15 +145,15 @@ func TestShardedNFlowWideEquivalence(t *testing.T) {
 }
 
 // TestShardedTandemEquivalence pins the same rule on the tandem grid:
-// one unbatched stream, so a job asked for 4 shards — every seed of the
-// averaged point included — reports one effective worker and returns
+// one unbatched stream, so a job asked for 4 shards — the job of every
+// seed of the point included — reports one effective worker and returns
 // the point a serial job returns.
 func TestShardedTandemEquivalence(t *testing.T) {
 	t.Parallel()
 	spec := tandemSweepSpec()
 	spec.Tokens = spec.Tokens[:1]
 	spec.Runs = 2
-	for i, job := range spec.Jobs() {
+	for i, job := range spec.Grid().Jobs() {
 		ctx := &Ctx{Shards: 4}
 		serial, sharded := job(&Ctx{}), job(ctx)
 		if ctx.Run.Shards != 1 {
@@ -173,8 +173,8 @@ func TestShardsKnobReachesJobs(t *testing.T) {
 	spec := nflowWideSpec()
 	spec.Ns = []int{8}
 	serialCtx, shardedCtx := &Ctx{}, &Ctx{Shards: 4}
-	serial := spec.Jobs()[0](serialCtx)
-	sharded := spec.Jobs()[0](shardedCtx)
+	serial := spec.Grid().Jobs()[0](serialCtx)
+	sharded := spec.Grid().Jobs()[0](shardedCtx)
 	if shardedCtx.Run.Shards != 4 {
 		t.Errorf("sharded run reports Shards=%d, want 4", shardedCtx.Run.Shards)
 	}
@@ -226,13 +226,13 @@ func TestRunSettingsEquivalence(t *testing.T) {
 		{"parallel=2", RunOptions{Parallel: 2}},
 		{"shards=4", RunOptions{Parallel: 1, Shards: 4}},
 	}
-	for _, s := range []Scenario{wide, fleet, tandem, tcp, ef, af, tcpAbl} {
+	for _, s := range []Scenario{wide.Grid(), fleet.Grid(), tandem.Grid(), tcp, ef, af, tcpAbl} {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
 			ref := RunScenarioOpts(s, RunOptions{Parallel: 1})
-			if len(ref.Runs) != len(s.Jobs()) {
-				t.Fatalf("%d runs filed for %d jobs", len(ref.Runs), len(s.Jobs()))
+			if len(ref.Runs) != s.Grid().Points {
+				t.Fatalf("%d runs filed for %d grid points", len(ref.Runs), s.Grid().Points)
 			}
 			for _, set := range settings {
 				got := RunScenarioOpts(s, set.opts)

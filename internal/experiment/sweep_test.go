@@ -9,12 +9,17 @@ import (
 	"repro/internal/video"
 )
 
-// qbonePoint is one QBone grid point on a fresh Ctx: enc streamed at
-// (tok, depth) and scored against ref, averaged over runs consecutive
-// seeds from seed. runs ≤ 1 is the single run at seed.
+// qbonePoint is one QBone grid point on fresh Ctxs: enc streamed at
+// (tok, depth) and scored against ref, averaged by the runner's seed
+// fold over runs consecutive seeds from seed. runs ≤ 1 is the single
+// run at seed.
 func qbonePoint(enc, ref *video.Encoding, tok units.BitRate, depth units.ByteSize, seed uint64, crossLoad float64, runs int) Point {
-	return runQBonePointAvgLabeled(&Ctx{}, "", topology.QBoneConfig{Seed: seed, Enc: enc,
-		TokenRate: tok, Depth: depth, CrossLoad: crossLoad}, ref, runs)
+	ps := make([]Point, max(runs, 1))
+	for r := range ps {
+		ps[r], _ = runQBonePointLabeled(&Ctx{}, "", topology.QBoneConfig{Seed: seed + uint64(r), Enc: enc,
+			TokenRate: tok, Depth: depth, CrossLoad: crossLoad}, ref)
+	}
+	return meanPoint(ps)
 }
 
 func TestRunQBonePointAvgSingleRunEqualsPoint(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // or dropped what.
 
 func init() {
-	Register(tandemSweepSpec())
+	Register(tandemSweepSpec().Grid())
 }
 
 // TandemSpec sweeps the APS token rate through the two-border tandem
@@ -35,7 +35,7 @@ type TandemSpec struct {
 	Tokens  []units.BitRate
 	Depth   units.ByteSize
 	Seed    uint64
-	Runs    int // seeds averaged per point; 0 means seedRuns
+	Runs    int // seeds per point; 0 means seedRuns
 }
 
 // tandemSweepSpec is the registered two-border scenario.
@@ -59,56 +59,29 @@ var tandemVariants = []struct {
 	{"2border", true},
 }
 
-// Name implements Scenario.
-func (spec TandemSpec) Name() string { return spec.Key }
-
-// Describe implements Scenario.
-func (spec TandemSpec) Describe() string { return spec.Title }
-
-// Jobs enumerates one seed-averaged job per (variant, token) grid
-// point, variant-major.
-func (spec TandemSpec) Jobs() []Job {
-	enc := video.CachedCBR(spec.Clip, spec.EncRate)
+// Grid is the scenario the spec describes: one point per (variant,
+// token), variant-major, at Runs seeds (0 means seedRuns), folded into
+// one curve per variant. Every point is a single unbatched stream, so
+// it runs serially at any Ctx.Shards and reports one effective worker.
+func (spec TandemSpec) Grid() *Grid {
 	runs := spec.Runs
 	if runs <= 0 {
 		runs = seedRuns
 	}
-	var jobs []Job
-	for _, v := range tandemVariants {
-		for _, tok := range spec.Tokens {
-			v, tok := v, tok
-			jobs = append(jobs, func(ctx *Ctx) Point {
-				return runTandemPointAvg(ctx, enc, tok, spec.Depth, v.secondBorder,
-					v.label, spec.Seed, runs)
-			})
-		}
+	return &Grid{Key: spec.Key, ID: spec.ID, Title: spec.Title,
+		Points: len(tandemVariants) * len(spec.Tokens), Params: spec, Seed: spec.Seed, Seeds: runs, Shards: true,
+		Run: func(ctx *Ctx, i int, seed uint64) Point {
+			v := tandemVariants[i/len(spec.Tokens)]
+			return runTandemPoint(ctx, video.CachedCBR(spec.Clip, spec.EncRate), spec.Tokens[i%len(spec.Tokens)],
+				spec.Depth, v.secondBorder, v.label, seed)
+		},
+		Fold: func(rs []Point) []Series { return byRows(rs, tandemVariants[0].label, tandemVariants[1].label) },
+		Thin: func(n int) Scenario {
+			spec := spec
+			spec.Tokens = Scale(spec.Tokens, n)
+			return spec.Grid()
+		},
 	}
-	return jobs
-}
-
-// Assemble implements Scenario: one series per variant.
-func (spec TandemSpec) Assemble(results []Point) *Figure {
-	return foldRows(&Figure{ID: spec.ID, Title: spec.Title},
-		len(tandemVariants), len(spec.Tokens), results,
-		func(i int) string { return tandemVariants[i].label })
-}
-
-// Scaled implements Scalable.
-func (spec TandemSpec) Scaled(n int) Scenario {
-	spec.Tokens = Scale(spec.Tokens, n)
-	return spec
-}
-
-// shardable implements shardCapable: every point reports one
-// effective worker (a single unbatched stream).
-func (TandemSpec) shardable() {}
-
-// runTandemPointAvg averages runTandemPoint over consecutive seeds
-// through the shared averagePoint helper.
-func runTandemPointAvg(ctx *Ctx, enc *video.Encoding, tok units.BitRate, depth units.ByteSize, secondBorder bool, variant string, seed uint64, runs int) Point {
-	return averagePoint(ctx, tok, depth, seed, runs, func(s uint64) Point {
-		return runTandemPoint(ctx, enc, tok, depth, secondBorder, variant, s)
-	})
 }
 
 // runTandemPoint streams one clip through the tandem topology.

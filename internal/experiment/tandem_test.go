@@ -24,7 +24,7 @@ func reducedTandem() TandemSpec {
 
 func TestTandemScenarioShape(t *testing.T) {
 	t.Parallel()
-	fig := RunScenarioOpts(reducedTandem(), RunOptions{})
+	fig := RunScenarioOpts(reducedTandem().Grid(), RunOptions{})
 	if len(fig.Series) != 2 || fig.Series[0].Label != "1border" || fig.Series[1].Label != "2border" {
 		t.Fatalf("series = %+v", fig.Series)
 	}
@@ -50,10 +50,10 @@ func TestTandemScenarioRegisteredAndScalable(t *testing.T) {
 	if s == nil {
 		t.Fatal("tandem not registered")
 	}
-	if _, ok := s.(Scalable); !ok {
+	if s.Grid().Thin == nil {
 		t.Fatal("tandem is not Scalable")
 	}
-	sc := tandemSweepSpec().Scaled(3).(TandemSpec)
+	sc := Scaled(tandemSweepSpec().Grid(), 3).Grid().Params.(TandemSpec)
 	full := tandemSweepSpec()
 	if len(sc.Tokens) >= len(full.Tokens) ||
 		sc.Tokens[len(sc.Tokens)-1] != full.Tokens[len(full.Tokens)-1] {
@@ -69,7 +69,7 @@ func TestTandemScenarioRegisteredAndScalable(t *testing.T) {
 // capture through one writer.
 func TestTandemTraceFiles(t *testing.T) {
 	t.Parallel()
-	spec := reducedTandem()
+	spec := reducedTandem().Grid()
 	dir := t.TempDir()
 	const ringCap = 1 << 15
 	tr := &TraceRequest{Dir: dir, Config: ptrace.Config{
@@ -149,7 +149,7 @@ func canonicalTrace(t *testing.T, path string) []byte {
 // the figure of the untraced run.
 func TestTraceDirFailureIsReported(t *testing.T) {
 	t.Parallel()
-	spec := reducedTandem()
+	spec := reducedTandem().Grid()
 	file := filepath.Join(t.TempDir(), "afile")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestTraceDirFailureIsReported(t *testing.T) {
 // run.
 func TestTandemTraceSpill(t *testing.T) {
 	t.Parallel()
-	spec := reducedTandem()
+	spec := reducedTandem().Grid()
 	dir := t.TempDir()
 	const ringCap = 512 // far below the runs' verdict counts
 	tr := &TraceRequest{Dir: dir, Config: ptrace.Config{
@@ -267,7 +267,7 @@ func TestRunDigestMatchesSealedTrace(t *testing.T) {
 	for _, spill := range []bool{false, true} {
 		for _, sample := range []int{1, 3} {
 			for _, head := range []int{0, 512} {
-				for _, s := range []Scenario{tandem, nflow} {
+				for _, s := range []Scenario{tandem.Grid(), nflow.Grid()} {
 					cfg := ptrace.Config{Capacity: 4096, Head: head, Sample: sample}
 					if s.Name() == "tandem" {
 						cfg.Kinds = ptrace.VerdictKinds()
@@ -279,8 +279,8 @@ func TestRunDigestMatchesSealedTrace(t *testing.T) {
 						t.Fatal(err)
 					}
 					files := tr.Files()
-					if len(files) != len(s.Jobs()) {
-						t.Fatalf("%s spill=%v: %d trace files for %d jobs", s.Name(), spill, len(files), len(s.Jobs()))
+					if len(files) != s.Grid().Points {
+						t.Fatalf("%s spill=%v: %d trace files for %d grid points", s.Name(), spill, len(files), s.Grid().Points)
 					}
 					for _, name := range files {
 						path := filepath.Join(dir, name)

@@ -11,13 +11,13 @@ import (
 
 // This file holds the preset-shape compilers and the load/register
 // entry points. The preset shapes do not re-implement anything: they
-// populate the exact spec types the Go presets construct
-// (experiment.MultiFlowSpec / FleetSpec / TandemSpec), so a scenario
-// file that spells out a preset's parameters produces byte-identical
-// figures, stats, and traces — the parity tests in this package run
-// both and compare.
+// populate the exact parameter structs the Go presets construct
+// (experiment.MultiFlowSpec / FleetSpec / TandemSpec), which produce
+// the scenario's grid, so a scenario file that spells out a preset's
+// parameters produces byte-identical figures, stats, and traces — the
+// parity tests in this package compare the structs, then run both.
 
-func (f *File) compileMultiflow() experiment.Scenario {
+func (f *File) multiflowSpec() experiment.MultiFlowSpec {
 	m := f.Multiflow
 	return experiment.MultiFlowSpec{
 		Key: f.Name, ID: f.ID, Title: f.Title,
@@ -35,7 +35,7 @@ func (f *File) compileMultiflow() experiment.Scenario {
 	}
 }
 
-func (f *File) compileFleet() experiment.Scenario {
+func (f *File) fleetSpec() experiment.FleetSpec {
 	fl := f.Fleet
 	spec := experiment.FleetSpec{
 		Key: f.Name, ID: f.ID, Title: f.Title,
@@ -60,7 +60,7 @@ func (f *File) compileFleet() experiment.Scenario {
 	return spec
 }
 
-func (f *File) compileTandem() experiment.Scenario {
+func (f *File) tandemSpec() experiment.TandemSpec {
 	t := f.Tandem
 	return experiment.TandemSpec{
 		Key: f.Name, ID: f.ID, Title: f.Title,
@@ -69,7 +69,7 @@ func (f *File) compileTandem() experiment.Scenario {
 		Tokens:  experiment.TokenSweep(t.TokenSweep.FromKbps, t.TokenSweep.ToKbps, t.TokenSweep.StepKbps),
 		Depth:   units.ByteSize(t.DepthBytes),
 		Seed:    t.Seed,
-		Runs:    t.Runs,
+		Runs:    int(t.Runs),
 	}
 }
 

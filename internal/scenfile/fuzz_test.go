@@ -68,6 +68,14 @@ func FuzzScenarioFile(f *testing.F) {
   "capabilities": {"shards": true}, "fleet": {"flows": [3000000000],
   "classes": [{"name": "v", "clip": "lost", "enc_rate_bps": 1000000, "share": 1, "token_rate_bps": 1300000}],
   "depth_bytes": 4500, "bottleneck_rate_bps": 13000000000, "sched": "priority"}}`))
+	// Seed counts at and past the cap on tandem.runs.
+	tandem, err := os.ReadFile(filepath.Join("testdata", "tandem.scenario.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, runs := range []string{"100", "101", "3000000000"} {
+		f.Add([]byte(strings.Replace(string(tandem), `"seed": 2001`, `"seed": 2001, "runs": `+runs, 1)))
+	}
 	// Flow counts the class split leaves a class empty with, which
 	// validation must refuse: a mixture class of no flows cannot build.
 	fleet := `{"version": 1, "name": "x", "id": "X", "title": "t", "shape": "fleet",

@@ -24,7 +24,7 @@ func TestDumbbellGoldenDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled := s.(experiment.Scalable).Scaled(1000)
+	scaled := experiment.Scaled(s, 1000)
 	dir := t.TempDir()
 	tr := &experiment.TraceRequest{Dir: dir, Config: ptrace.Config{
 		Capacity: 1 << 17, Head: 4096, Sample: 1,
@@ -80,10 +80,10 @@ func TestDumbbellRegisters(t *testing.T) {
 	if experiment.Lookup("dumbbell") == nil {
 		t.Fatal("dumbbell not in the registry after LoadAndRegister")
 	}
-	if experiment.SupportsSharding(s) {
+	if s.Grid().Shards {
 		t.Error("graph scenario claims shard support")
 	}
-	if _, ok := s.(experiment.Scalable); !ok {
+	if s.Grid().Thin == nil {
 		t.Error("graph scenario does not honor -scale")
 	}
 	if _, err := LoadAndRegister("testdata/dumbbell.scenario.json"); err == nil {

@@ -476,54 +476,30 @@ func (f *File) compileGraph() experiment.Scenario {
 			}
 		}
 	}
-	return graphScenario{name: f.Name, id: f.ID, title: f.Title, g: g,
-		tokens: tokens, depth: depth}
+	return graphGrid(f.Name, f.ID, f.Title, g, tokens, depth)
 }
 
-// graphScenario implements experiment.Scenario (and Scalable, but is
-// not shard-capable: a graph point is one unpartitioned simulator, so
-// dsbench -shards is rejected up front through the capability probe).
-type graphScenario struct {
-	name, id, title string
-	g               *GraphShape
-	tokens          []units.BitRate
-	depth           units.ByteSize
-}
-
-// Name implements Scenario.
-func (s graphScenario) Name() string { return s.name }
-
-// Describe implements Scenario.
-func (s graphScenario) Describe() string { return s.title }
-
-// Scaled implements experiment.Scalable.
-func (s graphScenario) Scaled(n int) experiment.Scenario {
-	s.tokens = experiment.Scale(s.tokens, n)
-	return s
-}
-
-// Jobs implements Scenario: one job per token-axis point.
-func (s graphScenario) Jobs() []experiment.Job {
-	encs := make([]*video.Encoding, len(s.g.Flows))
-	for i, gf := range s.g.Flows {
-		encs[i] = encodingFor(gf.Clip, gf.EncRateBps)
+// graphGrid is a graph file's scenario: one point per token-axis point,
+// folded into a "mean" curve (the across-flow mean evaluation) and a
+// "worst" curve (the worst flow's). It is not shard-capable: a graph
+// point is one unpartitioned simulator, so dsbench -shards is rejected
+// up front through the capability probe.
+func graphGrid(name, id, title string, g *GraphShape, tokens []units.BitRate, depth units.ByteSize) *experiment.Grid {
+	return &experiment.Grid{Key: name, ID: id, Title: title, Points: len(tokens), Seed: g.Seed,
+		Run: func(ctx *experiment.Ctx, i int, seed uint64) experiment.Point {
+			return g.runPoint(ctx, tokens[i], depth, seed)
+		},
+		Fold: meanAndWorst,
+		Thin: func(n int) experiment.Scenario {
+			return graphGrid(name, id, title, g, experiment.Scale(tokens, n), depth)
+		},
 	}
-	jobs := make([]experiment.Job, 0, len(s.tokens))
-	for _, tok := range s.tokens {
-		tok := tok
-		jobs = append(jobs, func(ctx *experiment.Ctx) experiment.Point {
-			return s.runPoint(ctx, encs, tok)
-		})
-	}
-	return jobs
 }
 
-// Assemble implements Scenario: like the multiflow presets, a "mean"
-// series (across-flow mean evaluation) and a "worst" series (the worst
-// flow's evaluation).
-func (s graphScenario) Assemble(results []experiment.Point) *experiment.Figure {
-	fig := &experiment.Figure{ID: s.id, Title: s.title}
-	mean := experiment.Series{Label: "mean", Points: results}
+// meanAndWorst is the graph fold: the points as they are, and each
+// point with the evaluation of its worst flow in place of the mean —
+// the mean itself where no flow's quality index exceeds it.
+func meanAndWorst(results []experiment.Point) []experiment.Series {
 	worst := experiment.Series{Label: "worst"}
 	for _, pt := range results {
 		w := pt
@@ -535,15 +511,25 @@ func (s graphScenario) Assemble(results []experiment.Point) *experiment.Figure {
 		w.Flows = nil
 		worst.Points = append(worst.Points, w)
 	}
-	fig.Series = []experiment.Series{mean, worst}
-	return fig
+	return []experiment.Series{{Label: "mean", Points: results}, worst}
+}
+
+// encodings resolves each flow's clip and rate to the shared encoding
+// cache.
+func (g *GraphShape) encodings() []*video.Encoding {
+	encs := make([]*video.Encoding, len(g.Flows))
+	for i, gf := range g.Flows {
+		encs[i] = encodingFor(gf.Clip, gf.EncRateBps)
+	}
+	return encs
 }
 
 // runPoint builds and runs the graph once at the given token rate
-// (0 = declared rates) and reduces it to a Point.
-func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok units.BitRate) experiment.Point {
+// (0 = declared rates) and seed, and reduces it to a Point.
+func (g *GraphShape) runPoint(ctx *experiment.Ctx, tok units.BitRate, depth units.ByteSize, seed uint64) experiment.Point {
+	encs := g.encodings()
 	rec := ctx.NewRecorder()
-	net, clients := s.build(topology.Env{Sim: ctx.Sim, Pool: ctx.Pool, Recv: ctx.Recv, Trace: rec}, encs, tok)
+	net, clients := g.build(topology.Env{Sim: ctx.Sim, Pool: ctx.Pool, Recv: ctx.Recv, Trace: rec}, encs, tok, seed)
 	net.Sim.Run()
 
 	label := "declared"
@@ -552,7 +538,7 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	}
 	ctx.Finish(label, rec, net.Sim, topology.ShardStats{}, len(clients), time.Time{})
 
-	pt := experiment.Point{TokenRate: tok, Depth: s.depth}
+	pt := experiment.Point{TokenRate: tok, Depth: depth}
 	if tok == 0 {
 		pt.Label = label
 	}
@@ -568,7 +554,7 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	pt.FrameLoss /= n
 	pt.Quality /= n
 	var passed, dropped int
-	for _, name := range s.g.Borders {
+	for _, name := range g.Borders {
 		p := net.Policer(name)
 		passed += p.Passed
 		dropped += p.Dropped
@@ -579,26 +565,26 @@ func (s graphScenario) runPoint(ctx *experiment.Ctx, encs []*video.Encoding, tok
 	return pt
 }
 
-// build declares the graph in env at the given token rate, wires it and
-// starts the flows' servers. It returns the network, its horizon set,
-// and the flows' clients.
-func (s graphScenario) build(env topology.Env, encs []*video.Encoding, tok units.BitRate) (*topology.Network, []*client.UDP) {
-	b := topology.NewBuilder(s.g.Seed, env)
-	clients := make([]*client.UDP, len(s.g.Flows))
-	for i, gf := range s.g.Flows {
+// build declares the graph in env at the given token rate and seed,
+// wires it and starts the flows' servers. It returns the network, its
+// horizon set, and the flows' clients.
+func (g *GraphShape) build(env topology.Env, encs []*video.Encoding, tok units.BitRate, seed uint64) (*topology.Network, []*client.UDP) {
+	b := topology.NewBuilder(seed, env)
+	clients := make([]*client.UDP, len(g.Flows))
+	for i, gf := range g.Flows {
 		clients[i] = client.NewUDP(b.Sim(), encs[i].Clip.FrameCount())
 		b.Handler(gf.Name+"-client", clients[i])
 	}
 	sink := packet.Sink{Pool: b.Pool()}
 	b.Handler("sink", &sink)
 	swept := map[string]bool{}
-	if s.g.Sweep != nil {
-		for _, t := range s.g.Sweep.Targets {
+	if g.Sweep != nil {
+		for _, t := range g.Sweep.Targets {
 			swept[t] = true
 		}
 	}
-	for i := range s.g.Elements {
-		declareElement(b, &s.g.Elements[i], tok, swept)
+	for i := range g.Elements {
+		declareElement(b, &g.Elements[i], tok, swept)
 	}
 	net, err := b.Build()
 	if err != nil {
@@ -607,11 +593,11 @@ func (s graphScenario) build(env topology.Env, encs []*video.Encoding, tok units
 		// TestValidationNamesOffendingField show it refusing the last
 		// files that reached here), so a Build failure is a compiler
 		// bug, not bad user input.
-		panic(fmt.Sprintf("scenfile: building validated graph %q: %v", s.name, err))
+		panic(fmt.Sprintf("scenfile: building validated graph: %v", err))
 	}
 
 	var horizon units.Time
-	for i, gf := range s.g.Flows {
+	for i, gf := range g.Flows {
 		srv := &server.Paced{Sim: net.Sim, Enc: encs[i], Flow: packet.FlowID(gf.Flow),
 			Next: net.Handler(gf.Entry), Pool: net.Pool}
 		srv.Start()

@@ -13,9 +13,10 @@ import (
 
 // The parity harness: a checked-in scenario file must be a faithful
 // spelling of its Go preset. compile's contract — the preset shapes
-// compile to the preset's own spec type, so equal spec values give
-// equal output bytes — is checked as stated: the compiled spec must
-// DeepEqual the preset in every field but the registry key. The file
+// compile through the preset's own parameter struct, so equal struct
+// values give equal output bytes — is checked as stated: the struct the
+// compiled grid was made from must DeepEqual the preset's in every field
+// but the registry key. The file
 // and the preset are then both run traced on the Scaled(4) grid and
 // must produce byte-identical figures, identical per-flow stats, and
 // identical canonicalized traces. They register under different names,
@@ -64,10 +65,11 @@ func tracesByLabel(t *testing.T, dir, scenario string) map[string]*ptrace.Data {
 	return out
 }
 
-// rekeyed returns the compiled spec under the given registry key.
-func rekeyed(t *testing.T, s experiment.Scenario, key string) experiment.Scenario {
+// rekeyed returns the parameter struct the compiled grid was made from,
+// under the given registry key.
+func rekeyed(t *testing.T, s experiment.Scenario, key string) any {
 	t.Helper()
-	switch spec := s.(type) {
+	switch spec := s.Grid().Params.(type) {
 	case experiment.MultiFlowSpec:
 		spec.Key = key
 		return spec
@@ -75,7 +77,7 @@ func rekeyed(t *testing.T, s experiment.Scenario, key string) experiment.Scenari
 		spec.Key = key
 		return spec
 	}
-	t.Fatalf("file compiled to %T, not a preset spec type", s)
+	t.Fatalf("file compiled from %T, not a preset spec type", s.Grid().Params)
 	return nil
 }
 
@@ -88,11 +90,11 @@ func assertParity(t *testing.T, preset experiment.Scenario, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rekeyed(t, file, preset.Name()); !reflect.DeepEqual(got, preset) {
-		t.Errorf("compiled spec diverged from the preset:\nfile:   %+v\npreset: %+v", got, preset)
+	if got, want := rekeyed(t, file, preset.Name()), preset.Grid().Params; !reflect.DeepEqual(got, want) {
+		t.Errorf("compiled spec diverged from the preset:\nfile:   %+v\npreset: %+v", got, want)
 	}
-	preset = preset.(experiment.Scalable).Scaled(4)
-	file = file.(experiment.Scalable).Scaled(4)
+	preset = experiment.Scaled(preset, 4)
+	file = experiment.Scaled(file, 4)
 
 	figP, dirP := runTraced(t, preset)
 	figF, dirF := runTraced(t, file)

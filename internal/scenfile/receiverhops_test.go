@@ -70,19 +70,16 @@ func TestReceiverDeliveriesUnderOwnHop(t *testing.T) {
 			return got
 		}},
 		{"dumbbell-file", func(r *ptrace.Recorder) map[string]int64 {
-			s, err := LoadScenario("testdata/dumbbell.scenario.json")
+			f, err := load("testdata/dumbbell.scenario.json")
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := s.(graphScenario)
-			encs := make([]*video.Encoding, len(g.g.Flows))
-			for i, gf := range g.g.Flows {
-				encs[i] = encodingFor(gf.Clip, gf.EncRateBps)
-			}
-			net, clients := g.build(topology.Env{Trace: r}, encs, 1000*units.Kbps)
+			g := f.Graph
+			encs := g.encodings()
+			net, clients := g.build(topology.Env{Trace: r}, encs, 1000*units.Kbps, g.Seed)
 			net.Sim.Run()
 			got := map[string]int64{}
-			for i, gf := range g.g.Flows {
+			for i, gf := range g.Flows {
 				got[gf.Name+"-client"] = int64(clients[i].Packets)
 			}
 			return got

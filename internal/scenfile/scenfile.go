@@ -22,8 +22,11 @@ package scenfile
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 
 	"repro/internal/experiment"
 	"repro/internal/packet"
@@ -61,7 +64,7 @@ type File struct {
 }
 
 // Capabilities mirrors the runner's capability probe: Shards ↔
-// experiment.SupportsSharding (dsbench -shards). The bucket_width key is
+// experiment.Grid.Shards (dsbench -shards). The bucket_width key is
 // accepted for version-1 compatibility — existing files carry it — and
 // not read: the calendar queue sizes itself.
 type Capabilities struct {
@@ -78,16 +81,16 @@ type Contract struct {
 // MultiflowShape compiles to experiment.MultiFlowSpec: N policed
 // video flows through one shared bottleneck, sweeping N.
 type MultiflowShape struct {
-	Clip              string    `json:"clip"` // "lost" or "dark"
-	EncRateBps        float64   `json:"enc_rate_bps"`
-	Flows             []int     `json:"flows"` // flow counts to sweep
-	Policer           *Contract `json:"policer"`
-	BottleneckRateBps float64   `json:"bottleneck_rate_bps"`
-	Sched             string    `json:"sched"` // "priority", "drr", "wfq"
-	BELoad            float64   `json:"be_load"`
-	Seed              uint64    `json:"seed"`
-	Batch             bool      `json:"batch,omitempty"`
-	StaggerUS         int64     `json:"stagger_us,omitempty"`
+	Clip              string     `json:"clip"` // "lost" or "dark"
+	EncRateBps        float64    `json:"enc_rate_bps"`
+	Flows             FlowCounts `json:"flows"` // flow counts to sweep
+	Policer           *Contract  `json:"policer"`
+	BottleneckRateBps float64    `json:"bottleneck_rate_bps"`
+	Sched             string     `json:"sched"` // "priority", "drr", "wfq"
+	BELoad            float64    `json:"be_load"`
+	Seed              uint64     `json:"seed"`
+	Batch             bool       `json:"batch,omitempty"`
+	StaggerUS         int64      `json:"stagger_us,omitempty"`
 }
 
 // MixtureClass is one equivalence class of a fleet mixture. Source
@@ -105,7 +108,7 @@ type MixtureClass struct {
 // FleetShape compiles to experiment.FleetSpec: class-batched mixtures
 // swept across total flow count, with truncation and start windows.
 type FleetShape struct {
-	Flows             []int          `json:"flows"` // total virtual flows per point
+	Flows             FlowCounts     `json:"flows"` // total virtual flows per point
 	Classes           []MixtureClass `json:"classes"`
 	DepthBytes        int64          `json:"depth_bytes"`
 	BottleneckRateBps float64        `json:"bottleneck_rate_bps"`
@@ -126,12 +129,63 @@ type Sweep struct {
 // TandemShape compiles to experiment.TandemSpec: the two-border
 // burst-accumulation sweep.
 type TandemShape struct {
-	Clip       string  `json:"clip"`
-	EncRateBps float64 `json:"enc_rate_bps"`
-	TokenSweep *Sweep  `json:"token_sweep"`
-	DepthBytes int64   `json:"depth_bytes"`
-	Seed       uint64  `json:"seed"`
-	Runs       int     `json:"runs,omitempty"`
+	Clip       string   `json:"clip"`
+	EncRateBps float64  `json:"enc_rate_bps"`
+	TokenSweep *Sweep   `json:"token_sweep"`
+	DepthBytes int64    `json:"depth_bytes"`
+	Seed       uint64   `json:"seed"`
+	Runs       SeedRuns `json:"runs,omitempty"`
+}
+
+// FlowCounts is a flow-count axis (multiflow.flows, fleet.flows).
+// It decodes through int64, so that where int has 32 bits a count past
+// int32 is refused naming its field, as validateFlowCounts words it,
+// instead of failing in the decoder's conversion to int.
+type FlowCounts []int
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (c *FlowCounts) UnmarshalJSON(b []byte) error {
+	var wide []int64
+	if err := json.Unmarshal(b, &wide); err != nil {
+		return err
+	}
+	out := make(FlowCounts, len(wide))
+	for i, n := range wide {
+		if int64(int(n)) != n {
+			return wideCount(fmt.Sprintf("[%d]", i), flowCountRange(n))
+		}
+		out[i] = int(n)
+	}
+	*c = out
+	return nil
+}
+
+// SeedRuns is tandem.runs, decoded through int64 like FlowCounts.
+type SeedRuns int
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (r *SeedRuns) UnmarshalJSON(b []byte) error {
+	var n int64
+	if err := json.Unmarshal(b, &n); err != nil {
+		return err
+	}
+	if int64(int(n)) != n {
+		return wideCount("", runsRange(n))
+	}
+	*r = SeedRuns(n)
+	return nil
+}
+
+// wideCountType marks the decoder errors of the count types: a value
+// this platform's int cannot hold.
+var wideCountType = reflect.TypeOf(struct{ wideCount bool }{})
+
+// wideCount is a count decoder's refusal of a value int cannot hold, as
+// a json.UnmarshalTypeError: the decoder completes its Field with the
+// path to the count (index holds the element's "[i]", if any), and
+// Parse restates it in validation's words, problem.
+func wideCount(index, problem string) error {
+	return &json.UnmarshalTypeError{Value: problem, Type: wideCountType, Field: index}
 }
 
 // Parse decodes and validates a scenario file. Unknown fields are
@@ -142,6 +196,10 @@ func Parse(data []byte) (*File, error) {
 	dec.DisallowUnknownFields()
 	var f File
 	if err := dec.Decode(&f); err != nil {
+		var wide *json.UnmarshalTypeError
+		if errors.As(err, &wide) && wide.Type == wideCountType {
+			return nil, errf(strings.Replace(wide.Field, ".[", "[", 1), "%s", wide.Value)
+		}
 		return nil, fmt.Errorf("scenfile: %w", err)
 	}
 	// A second document after the first is a malformed file, not data.
@@ -277,10 +335,24 @@ func validateFlowCounts(field string, ns []int) error {
 	}
 	for i, n := range ns {
 		if n < 1 || n > math.MaxInt32 {
-			return errf(fmt.Sprintf("%s[%d]", field, i), "flow count must be in [1, %d], got %d", math.MaxInt32, n)
+			return errf(fmt.Sprintf("%s[%d]", field, i), "%s", flowCountRange(int64(n)))
 		}
 	}
 	return nil
+}
+
+func flowCountRange(n int64) string {
+	return fmt.Sprintf("flow count must be in [1, %d], got %d", math.MaxInt32, n)
+}
+
+// maxSeedRuns caps tandem.runs. Every seed of every point is one job
+// the runner allocates before any runs, and one full simulation; the
+// published figures use 3 seeds, and 100 already makes a full tandem
+// sweep a thousand-odd simulations.
+const maxSeedRuns = 100
+
+func runsRange(n int64) string {
+	return fmt.Sprintf("seed runs must be in [0, %d] (0 means the preset default), got %d", maxSeedRuns, n)
 }
 
 func (m *MultiflowShape) validate() error {
@@ -422,26 +494,27 @@ func (t *TandemShape) validate() error {
 	if t.DepthBytes <= 0 {
 		return errf("tandem.depth_bytes", "bucket depth must be positive, got %d", t.DepthBytes)
 	}
-	if t.Runs < 0 {
-		return errf("tandem.runs", "seed-averaged runs must be >= 0 (0 means the preset default), got %d", t.Runs)
+	if t.Runs < 0 || t.Runs > maxSeedRuns {
+		return errf("tandem.runs", "%s", runsRange(int64(t.Runs)))
 	}
 	return nil
 }
 
 // compile turns a validated file into a runnable scenario. The preset
-// shapes compile to the same spec types the Go presets construct, so
-// equality of the spec values is equality of every output byte.
+// shapes compile through the same parameter structs the Go presets
+// construct, so equality of the struct values is equality of every
+// output byte.
 func (f *File) compile() (experiment.Scenario, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
 	}
 	switch f.Shape {
 	case "multiflow":
-		return f.compileMultiflow(), nil
+		return f.multiflowSpec().Grid(), nil
 	case "fleet":
-		return f.compileFleet(), nil
+		return f.fleetSpec().Grid(), nil
 	case "tandem":
-		return f.compileTandem(), nil
+		return f.tandemSpec().Grid(), nil
 	default: // "graph"; validate admits nothing else
 		return f.compileGraph(), nil
 	}

@@ -108,6 +108,14 @@ func TestValidationNamesOffendingField(t *testing.T) {
 		{"irrelevant knob rejected", dumbbell,
 			`"name": "e-jit", "max_jitter_us": 5000`, `"name": "e-jit", "loss_p": 0.5, "max_jitter_us": 5000`,
 			`graph.elements[13].loss_p: does not apply to kind "jitter"`},
+		// Every seed is one job the runner allocates up front and one
+		// simulation: an unbounded count ran that many per point.
+		{"seed runs beyond the cap", tandem,
+			`"seed": 2001`, `"seed": 2001, "runs": 101`,
+			"tandem.runs: seed runs must be in [0, 100] (0 means the preset default), got 101"},
+		{"seed runs beyond int32", tandem,
+			`"seed": 2001`, `"seed": 2001, "runs": 3000000000`,
+			"tandem.runs: seed runs must be in [0, 100] (0 means the preset default), got 3000000000"},
 		{"flow count beyond int32", nflow,
 			`"flows": [1, 2,`, `"flows": [3000000000, 2,`,
 			"multiflow.flows[0]: flow count must be in [1, 2147483647], got 3000000000"},
@@ -225,8 +233,8 @@ func TestFleetValidation(t *testing.T) {
 }
 
 // TestFleetCompilesToPresetSpec pins the fleet shape's compilation
-// target: the file above compiles to the same spec type the Go preset
-// uses, with every field carried over.
+// target: the file above compiles through the same parameter struct the
+// Go preset uses.
 func TestFleetCompilesToPresetSpec(t *testing.T) {
 	f, err := Parse([]byte(`{
   "version": 1, "name": "fleet-x", "id": "X", "title": "t", "shape": "fleet",
@@ -250,7 +258,10 @@ func TestFleetCompilesToPresetSpec(t *testing.T) {
 	if s.Name() != "fleet-x" {
 		t.Errorf("name %q", s.Name())
 	}
-	if !experiment.SupportsSharding(s) {
+	if _, ok := s.Grid().Params.(experiment.FleetSpec); !ok {
+		t.Errorf("fleet file compiled from %T, want experiment.FleetSpec", s.Grid().Params)
+	}
+	if !s.Grid().Shards {
 		t.Error("fleet spec lost shard capability")
 	}
 }

@@ -107,10 +107,12 @@ type MultiFlowConfig struct {
 	// access-link + jitter chains with one flowbatch.BatchedMixture
 	// that fans each class's shared cached emission schedule out as
 	// phase-offset virtual flows. Policers, the bottleneck, the demux
-	// and the per-flow clients are declared identically, so a batched
-	// build is byte-identical to an unbatched one (the experiment
-	// package's differential harness pins this) while paying the
-	// source-side cost once instead of N times.
+	// and the per-flow clients are declared identically, and the
+	// source-side cost is paid once instead of N times. A batched build
+	// is byte-identical to an unbatched one below the tie boundary
+	// package flowbatch describes: the batcheq harness pins it at N ≤ 8
+	// on nflow and through N = 32 on nflow-wide, and N = 128 is the
+	// first nflow-wide point where the two diverge.
 	Batch bool
 
 	// Shards > 1 executes a batched run on the mixture's sharded
