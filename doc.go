@@ -123,7 +123,7 @@
 // (multiflow, fleet, tandem) mirror the sweep specs field for field —
 // checked-in files re-expressing nflow and tandem are pinned
 // byte-identical to their Go twins, figures, per-flow stats and
-// canonicalized packet traces alike — and the graph shape describes
+// packet traces alike — and the graph shape describes
 // arbitrary element topologies compiled straight onto the topology
 // builder, so workloads like the dumbbell (two edge bottlenecks, a
 // shared core, cross-directional EF video) exist only as config

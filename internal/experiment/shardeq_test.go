@@ -15,8 +15,8 @@ import (
 // The sharding differential harness: an intra-run sharded grid point
 // must be byte-identical to the serial one — same per-flow delivered
 // packet and byte counts, same per-flow policer verdicts, same
-// bottleneck totals, bit-equal quality figures, and an identical
-// canonicalized .ptrace capture. This is the contract that makes
+// bottleneck totals, bit-equal quality figures, and a byte-identical
+// .ptrace capture. This is the contract that makes
 // `dsbench -shards` a pure throughput knob: the figure a sharded run
 // assembles is the figure a serial run assembles, at every shard
 // count. The tie standard is the flow-batching one (see
@@ -25,18 +25,16 @@ import (
 // tested grids.
 
 // shardTrace builds the bounded verdict-masked recorder every harness
-// run records into; canonicalized, two equivalent runs encode to
-// identical bytes despite the process-global packet-id counters.
+// run records into. Packet ids are numbered by the run's own pool, so
+// two equivalent runs encode to identical bytes as recorded.
 func shardTrace() *ptrace.Recorder {
 	return ptrace.NewRecorder(ptrace.Config{Capacity: 1 << 16, Kinds: ptrace.VerdictKinds()})
 }
 
 func shardTraceBytes(t *testing.T, rec *ptrace.Recorder) []byte {
 	t.Helper()
-	d := rec.Data()
-	ptrace.CanonicalizePacketIDs(d)
 	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
+	if _, err := rec.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -44,7 +42,7 @@ func shardTraceBytes(t *testing.T, rec *ptrace.Recorder) []byte {
 
 // runShardedNFlowPoint builds and runs one multi-flow grid point at
 // the given scenario spec's configuration with the given shard count
-// (0 serial), recording a canonicalized trace.
+// (0 serial), recording its trace.
 func runShardedNFlowPoint(t *testing.T, spec MultiFlowSpec, n, shards int) (*topology.MultiFlow, []Evaluation, []byte) {
 	t.Helper()
 	enc := video.CachedCBR(spec.Clip, spec.EncRate)
@@ -94,7 +92,7 @@ func requireMultiFlowIdentical(t *testing.T, label string, ref, got *topology.Mu
 			got.Bottleneck.Sent, got.Bottleneck.SentBytes)
 	}
 	if !bytes.Equal(refTrace, gotTrace) {
-		t.Errorf("%s: canonicalized .ptrace captures differ (%d vs %d bytes)",
+		t.Errorf("%s: .ptrace captures differ (%d vs %d bytes)",
 			label, len(refTrace), len(gotTrace))
 	}
 }

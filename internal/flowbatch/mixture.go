@@ -424,7 +424,6 @@ func (s *BatchedMixture) inject(g, k int32) {
 	c := &s.Classes[s.classOf[g]]
 	e := &c.Sched.Entries[k]
 	p := s.Pool.Get()
-	p.ID = packet.NewID()
 	p.Flow = s.BaseFlow + packet.FlowID(g)
 	p.Proto = packet.UDP
 	p.Size = e.Size

@@ -262,9 +262,9 @@ func (q *jitterSequencer) feed(chunks [][]arrival, frontier units.Time, out []de
 }
 
 // release emits every pending delivery strictly before frontier in
-// (time, flow, draw-index) order — the exact serial sequence, since
-// same-instant deliveries of one flow leave in FIFO draw order there
-// too. Deliveries past the horizon are consumed but not emitted: the
+// (time, flow, draw-index) order — the serial walk's sequence up to the
+// border ties the package comment describes, since same-instant
+// deliveries of one flow leave in FIFO draw order there too. Deliveries past the horizon are consumed but not emitted: the
 // serial run's event loop would never fire them. Deliveries at or
 // after the frontier are carried; everything drawn later is at or
 // after the frontier as well, so ordering holds across calls.
@@ -395,8 +395,10 @@ func giveBuf[T any](free chan []T, b []T) {
 }
 
 // RunSharded executes the mixture on the sharded pipeline and runs its
-// simulator, the border, to horizon: bit-identical to Start followed by
-// a serial run to the same horizon at any shard count.
+// simulator, the border, to horizon. The shardeq harness pins the run
+// bit-identical to Start followed by a serial run to the same horizon
+// on the grids the package comment names; past them the two can
+// deliver differently.
 func (s *BatchedMixture) RunSharded(shards int, horizon units.Time) ShardStats {
 	sas, seq, w := s.stages(shards, horizon)
 	return runPipeline(s.Sim, sas, seq, w, horizon, s.inject)
@@ -438,7 +440,8 @@ func (s *BatchedMixture) stages(shards int, horizon units.Time) ([]*shardArrival
 // advances in lookahead windows w on its own, a sequencer goroutine
 // merges and jitters their chunks, and the calling goroutine replays
 // the released deliveries through inject on the border simulator in
-// exact serial order, then runs the border to horizon.
+// the sequencer's (time, flow) order, the serial order up to border
+// ties, then runs the border to horizon.
 func runPipeline(border *sim.Simulator, sas []*shardArrivals, seq *jitterSequencer,
 	w, horizon units.Time, inject func(flow, entry int32)) ShardStats {
 

@@ -33,19 +33,13 @@ import (
 	"repro/internal/units"
 )
 
-// nextID hands out packet ids. There is exactly one counter in the
-// process: ids stamped by servers, TCP endpoints, background sources
-// and batched fan-outs never collide, so a trace's id → packet mapping is
-// injective and ptrace.CanonicalizePacketIDs can relabel equivalent
-// captures to identical bytes. (Two counters — the historical layout
-// — aliased a server packet and a source packet whenever their
-// independent counts crossed, which made canonicalized full captures
-// compare differently from run to run.) The counter is atomic because
-// independent simulations run concurrently on the experiment runner
-// pool; ids only need to be unique and non-zero, not dense.
+// nextID backs NewID, a process-wide counter that no simulation uses:
+// a run's packets are numbered by its Pool (see Pool.Get). It stays
+// only because the benchmark harness times NewID as its packet-id
+// kernel.
 var nextID atomic.Uint64
 
-// NewID returns a process-unique non-zero packet id.
+// NewID returns a process-unique non-zero id.
 func NewID() uint64 { return nextID.Add(1) }
 
 // DSCP is a Differentiated Services Code Point (RFC 2474).
@@ -133,7 +127,7 @@ type FlowID uint32
 
 // Packet is one IP datagram in flight.
 type Packet struct {
-	ID    uint64 // unique per simulation, in send order
+	ID    uint64 // 1, 2, 3, … in the order the run's Pool handed packets out
 	Flow  FlowID // classifier key
 	Proto Proto  // transport protocol
 	Size  int    // bytes on the wire, including headers
@@ -173,10 +167,17 @@ func (p *Packet) String() string {
 // each simulation (and therefore each runner worker at any given
 // moment) owns its own arena, so packets never cross goroutines.
 //
+// A Pool also numbers the run's packets: Get stamps each one with the
+// next id, starting at 1 after NewPool, Reset or Rewind, so a
+// simulation's ids depend on that simulation alone, never on what else
+// the process ran or runs beside it.
+//
 // All methods are nil-safe: a nil *Pool allocates from the heap on
-// Get and discards on Put, so pooling is strictly opt-in.
+// Get and discards on Put, so pooling is strictly opt-in. Its packets
+// belong to no run and carry id 0, unnumbered.
 type Pool struct {
 	free []*Packet
+	id   uint64   // the id of the last packet handed out
 	cold []Packet // the rest of the newest chunk, never yet handed out
 
 	// Ring storage (see Lend): the rings lent since the last Reset, and
@@ -267,14 +268,14 @@ func (pl *Pool) give(b []*Packet) {
 	pl.arrays = append(pl.arrays, b[:0])
 }
 
-// Reset takes back the ring storage lent since the last Reset. Every
-// lent ring's array is freed, and the ring is left empty and unlent:
-// touched again, it reads empty and grows by append, never into the
-// next simulation's arrays. Free arrays the ending simulation did not
-// take are dropped, so between simulations a Pool keeps only the ring
-// storage the last one used. Packets are not affected. The owner resets
-// once a simulation's elements are done with, as the experiment runner
-// does after every job.
+// Reset takes back the ring storage lent since the last Reset and
+// rewinds the numbering. Every lent ring's array is freed, and the ring
+// is left empty and unlent: touched again, it reads empty and grows by
+// append, never into the next simulation's arrays. Free arrays the
+// ending simulation did not take are dropped, so between simulations a
+// Pool keeps only the ring storage the last one used. Packets are not
+// affected. The owner resets once a simulation's elements are done
+// with, as the experiment runner does after every job.
 func (pl *Pool) Reset() {
 	if pl == nil {
 		return
@@ -290,6 +291,16 @@ func (pl *Pool) Reset() {
 	pl.untouched = len(pl.arrays)
 	clear(pl.rings)
 	pl.rings = pl.rings[:0]
+	pl.Rewind()
+}
+
+// Rewind restarts the numbering: the next Get stamps id 1. A builder
+// rewinds the pool it is lent, so each simulation numbers its own
+// packets from 1.
+func (pl *Pool) Rewind() {
+	if pl != nil {
+		pl.id = 0
+	}
 }
 
 // poolChunk is how many packets a cold Get allocates at once. A run's
@@ -302,17 +313,19 @@ const poolChunk = 64
 // NewPool returns an empty arena.
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns a zeroed packet, recycled if possible.
+// Get returns a packet, recycled if possible, zeroed but for its ID:
+// the next in the pool's numbering, or 0 from a nil Pool.
 func (pl *Pool) Get() *Packet {
 	if pl == nil {
 		return &Packet{}
 	}
 	pl.Gets++
+	pl.id++
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
-		*p = Packet{}
+		*p = Packet{ID: pl.id}
 		return p
 	}
 	pl.News++
@@ -321,6 +334,7 @@ func (pl *Pool) Get() *Packet {
 	}
 	p := &pl.cold[0]
 	pl.cold = pl.cold[1:]
+	p.ID = pl.id
 	return p
 }
 

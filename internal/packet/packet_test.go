@@ -56,3 +56,38 @@ func TestHandlerFunc(t *testing.T) {
 		t.Error("HandlerFunc not invoked")
 	}
 }
+
+// TestPoolNumbersItsPackets pins the run-local numbering: a pool
+// stamps 1, 2, 3, … in Get order, a recycled packet takes the next id
+// rather than keeping its old one, Reset and Rewind restart at 1, and
+// a nil pool's packets are unnumbered.
+func TestPoolNumbersItsPackets(t *testing.T) {
+	pl := NewPool()
+	a, b := pl.Get(), pl.Get()
+	if a.ID != 1 || b.ID != 2 {
+		t.Fatalf("first ids %d, %d; want 1, 2", a.ID, b.ID)
+	}
+	pl.Put(a)
+	if c := pl.Get(); c != a || c.ID != 3 {
+		t.Errorf("recycled packet: same=%v id %d; want the freed packet with id 3", c == a, c.ID)
+	}
+	pl.Reset()
+	if p := pl.Get(); p.ID != 1 {
+		t.Errorf("after Reset: id %d, want 1", p.ID)
+	}
+	pl.Get()
+	pl.Rewind()
+	if p := pl.Get(); p.ID != 1 {
+		t.Errorf("after Rewind: id %d, want 1", p.ID)
+	}
+	other := NewPool()
+	other.Get()
+	if p := pl.Get(); p.ID != 2 {
+		t.Errorf("another pool's Get moved this pool's numbering: id %d, want 2", p.ID)
+	}
+	var none *Pool
+	none.Rewind()
+	if p := none.Get(); p.ID != 0 {
+		t.Errorf("nil pool: id %d, want 0", p.ID)
+	}
+}

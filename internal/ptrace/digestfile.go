@@ -5,9 +5,8 @@ package ptrace
 // so a scenario can pin its expected behavior once and every later
 // run can be gated against it ("dstrace -compare-golden FILE.digest
 // run.ptrace") without storing the full golden trace. Digests carry
-// no packet ids, so no canonicalization is needed before comparing,
-// and CompareSummaries ignores the capture-size fields (Seen,
-// Retained), so the gate keys on behavior, not on trace length.
+// no packet ids, and CompareSummaries ignores the capture-size fields
+// (Seen, Retained), so the gate keys on behavior, not on trace length.
 
 import (
 	"encoding/json"

@@ -1,6 +1,7 @@
 package scenfile
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,7 +20,7 @@ import (
 // but the registry key. The file
 // and the preset are then both run traced on the Scaled(4) grid and
 // must produce byte-identical figures, identical per-flow stats, and
-// identical canonicalized traces. They register under different names,
+// byte-identical traces. They register under different names,
 // so trace file names differ by exactly that prefix — everything after
 // it must match.
 
@@ -36,31 +37,24 @@ func runTraced(t *testing.T, s experiment.Scenario) (*experiment.Figure, string)
 }
 
 // tracesByLabel maps "<label>.ptrace" (scenario prefix stripped) to
-// the canonicalized decoded trace.
-func tracesByLabel(t *testing.T, dir, scenario string) map[string]*ptrace.Data {
+// the trace file's bytes.
+func tracesByLabel(t *testing.T, dir, scenario string) map[string][]byte {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]*ptrace.Data{}
+	out := map[string][]byte{}
 	for _, e := range ents {
 		name := e.Name()
 		if !strings.HasSuffix(name, ".ptrace") {
 			continue
 		}
-		label := strings.TrimPrefix(name, scenario+"-")
-		f, err := os.Open(filepath.Join(dir, name))
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := ptrace.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		ptrace.CanonicalizePacketIDs(d)
-		out[label] = d
+		out[strings.TrimPrefix(name, scenario+"-")] = b
 	}
 	return out
 }
@@ -82,8 +76,7 @@ func rekeyed(t *testing.T, s experiment.Scenario, key string) any {
 }
 
 // assertParity compares the file-compiled spec with the preset, then
-// runs both and compares figures, per-flow stats, and canonicalized
-// traces.
+// runs both and compares figures, per-flow stats, and trace bytes.
 func assertParity(t *testing.T, preset experiment.Scenario, path string) {
 	t.Helper()
 	file, err := LoadScenario(path)
@@ -120,12 +113,8 @@ func assertParity(t *testing.T, preset experiment.Scenario, path string) {
 			t.Errorf("file run missing trace %q", label)
 			continue
 		}
-		if !reflect.DeepEqual(df.Hops, dp.Hops) {
-			t.Errorf("%s: hop tables diverged: %v vs %v", label, df.Hops, dp.Hops)
-		}
-		if !reflect.DeepEqual(df.Events, dp.Events) {
-			t.Errorf("%s: canonicalized events diverged (%d vs %d events)",
-				label, len(df.Events), len(dp.Events))
+		if !bytes.Equal(df, dp) {
+			t.Errorf("%s: traces diverged (%d vs %d bytes)", label, len(df), len(dp))
 		}
 	}
 }

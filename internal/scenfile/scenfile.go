@@ -9,7 +9,7 @@
 //
 // The compiler is held to the same determinism contract as the Go
 // presets: the checked-in nflow and tandem scenario files in testdata/
-// compile to byte-identical figures, per-flow stats, and canonicalized
+// compile to byte-identical figures, per-flow stats, and packet
 // traces (the parity tests pin this), so a scenario file is a faithful
 // spelling of a preset, not an approximation of one.
 //

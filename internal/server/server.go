@@ -110,7 +110,7 @@ func (r *sendRing) push(frame, j, frags, payload int, after units.Time) {
 	}
 	r.last = at
 	p := r.pool.Get()
-	p.ID, p.Flow, p.Proto = packet.NewID(), r.flow, packet.UDP
+	p.Flow, p.Proto = r.flow, packet.UDP
 	p.Size = payload + UDPHeader
 	p.FrameSeq, p.FragIndex, p.FragCount = frame, j, frags
 	r.pending.Push(p)

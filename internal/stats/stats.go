@@ -150,8 +150,9 @@ func (m *RunningMean) Mean() float64 {
 }
 
 // DelayCollector is a packet.Handler wrapper that records one-way
-// delay (now minus SentAt) and inter-arrival jitter of everything
-// passing through it, then forwards to Next. Delay keeps one sample
+// delay (now minus SentAt, which every sender stamps, so a packet sent
+// at t = 0 counts too) and inter-arrival jitter of everything passing
+// through it, then forwards to Next. Delay keeps one sample
 // per measured packet, because its exact 99th percentile is read;
 // Jitter is read only for its mean and keeps none. A worker that runs
 // job after job lends Delay its sample array through Swap (see
@@ -182,9 +183,7 @@ func (d *DelayCollector) Handle(p *packet.Packet) {
 		return
 	}
 	now := d.Clock.Now()
-	if p.SentAt > 0 || p.ID != 0 {
-		d.Delay.add((now - p.SentAt).Seconds())
-	}
+	d.Delay.add((now - p.SentAt).Seconds())
 	if d.haveArrival {
 		gap := now - d.lastArrival
 		if d.haveGap {

@@ -127,3 +127,18 @@ func TestDelayCollector(t *testing.T) {
 		t.Errorf("jitter: n=%d mean=%v", d.Jitter.n, d.Jitter.Mean())
 	}
 }
+
+// TestDelayCollectorMeasuresPacketSentAtZero pins that a packet sent at
+// t = 0 is measured whatever its id: a nil pool's packets carry id 0,
+// and the delay is now minus SentAt for every matching packet.
+func TestDelayCollectorMeasuresPacketSentAtZero(t *testing.T) {
+	clk := &fakeClock{now: 5 * units.Millisecond}
+	d := &DelayCollector{Clock: clk}
+	d.Handle(&packet.Packet{Size: 100})
+	if n := d.Delay.n(); n != 1 {
+		t.Fatalf("delay samples = %d, want 1", n)
+	}
+	if got := d.Delay.Mean(); math.Abs(got-0.005) > 1e-12 {
+		t.Errorf("delay = %v s, want 0.005", got)
+	}
+}

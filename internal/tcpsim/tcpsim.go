@@ -131,7 +131,7 @@ func (t *Sender) trySend() {
 
 func (t *Sender) sendSegment(seq int64, size int, retrans bool) {
 	p := t.Pool.Get()
-	p.ID, p.Flow, p.Proto = packet.NewID(), t.Flow, packet.TCP
+	p.Flow, p.Proto = t.Flow, packet.TCP
 	p.Size, p.Seq = size+HeaderSize, seq
 	p.SentAt, p.FrameSeq = t.Sim.Now(), -1
 	t.Sent++
@@ -424,7 +424,7 @@ func (r *Receiver) Handle(p *packet.Packet) {
 func (r *Receiver) sendAck() {
 	r.Acked++
 	ack := r.Pool.Get()
-	ack.ID, ack.Flow, ack.Proto = packet.NewID(), r.Flow, packet.TCP
+	ack.Flow, ack.Proto = r.Flow, packet.TCP
 	ack.Size, ack.Ack, ack.IsAck = HeaderSize, r.rcvNxt, true
 	ack.SentAt, ack.FrameSeq = r.Sim.Now(), -1
 	r.AckOut.Handle(ack)

@@ -81,7 +81,7 @@ type starter interface{ Start() }
 // disabled path).
 type Env struct {
 	Sim   *sim.Simulator   // Reset to the seed: bit-identical to sim.New(seed)
-	Pool  *packet.Pool     // every element's packet and ring arena
+	Pool  *packet.Pool     // every element's packet and ring arena; numbers packets from 1
 	Recv  *client.Scratch  // receive storage lent to the receivers
 	Trace *ptrace.Recorder // records each traceable element under its name
 }
@@ -131,6 +131,8 @@ func NewBuilder(seed uint64, env Env) *Builder {
 	}
 	if env.Pool == nil {
 		env.Pool = packet.NewPool()
+	} else {
+		env.Pool.Rewind()
 	}
 	if env.Trace != nil {
 		env.Trace.SetClock(env.Sim)

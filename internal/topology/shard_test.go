@@ -5,20 +5,19 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/ptrace"
 	"repro/internal/units"
 	"repro/internal/video"
 )
 
-// traceBytes encodes a recorder's capture with packet ids
-// canonicalized — absolute ids come from process-global counters, so
-// only the relabeled form is comparable across runs.
+// traceBytes encodes a recorder's capture as a .ptrace file would hold
+// it; packet ids are numbered by the run's pool, so equivalent runs
+// encode to equal bytes.
 func traceBytes(t *testing.T, rec *ptrace.Recorder) []byte {
 	t.Helper()
-	d := rec.Data()
-	ptrace.CanonicalizePacketIDs(d)
 	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
+	if _, err := rec.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -62,7 +61,7 @@ func compareMultiFlow(t *testing.T, label string, ref, got *MultiFlow, refTrace,
 			ref.Bottleneck.Sent, ref.Bottleneck.SentBytes)
 	}
 	if !bytes.Equal(refTrace, gotTrace) {
-		t.Errorf("%s: canonicalized traces are not byte-identical (%d vs %d bytes)",
+		t.Errorf("%s: traces are not byte-identical (%d vs %d bytes)",
 			label, len(refTrace), len(gotTrace))
 	}
 }
@@ -86,16 +85,20 @@ func runMultiFlow(t *testing.T, cfg MultiFlowConfig) (*MultiFlow, []byte) {
 // TestShardedBatchedMultiFlowMatchesSerial pins the tentpole contract
 // on the batched topology: the three-stage pipeline (shard arrival
 // walks → serial jitter sequencer → border replay) is bit-identical to
-// the serial run at every shard count.
+// the serial run at every shard count. The sharded runs share one pool
+// that nothing resets between them, so the trace bytes also pin that a
+// build rewinds the pool it is lent: each run numbers its packets
+// from 1, as the serial run on its fresh pool does.
 func TestShardedBatchedMultiFlowMatchesSerial(t *testing.T) {
 	t.Parallel()
 	ref, refTrace := runMultiFlow(t, multiFlowShardConfig(true, 6))
 	if ref.Stats.Shards != 1 {
 		t.Fatalf("serial run reported %d shards", ref.Stats.Shards)
 	}
+	pool := packet.NewPool()
 	for _, shards := range []int{2, 3, 4} {
 		cfg := multiFlowShardConfig(true, 6)
-		cfg.Shards = shards
+		cfg.Shards, cfg.Pool = shards, pool
 		got, gotTrace := runMultiFlow(t, cfg)
 		if got.Stats.Injected == 0 {
 			t.Errorf("shards=%d: no injections recorded", shards)

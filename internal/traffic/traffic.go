@@ -44,7 +44,7 @@ func (c *CBR) Start() {
 
 func (c *CBR) emit() {
 	p := c.Pool.Get()
-	p.ID, p.Flow, p.Size = packet.NewID(), c.Flow, c.Size
+	p.Flow, p.Size = c.Flow, c.Size
 	p.DSCP, p.SentAt, p.FrameSeq = c.DSCP, c.Sim.Now(), -1
 	c.Sent++
 	c.Next.Handle(p)
@@ -89,7 +89,7 @@ func (p *Poisson) scheduleNext() {
 
 func (p *Poisson) arrive() {
 	pkt := p.Pool.Get()
-	pkt.ID, pkt.Flow, pkt.Size = packet.NewID(), p.Flow, p.Size
+	pkt.Flow, pkt.Size = p.Flow, p.Size
 	pkt.DSCP, pkt.SentAt, pkt.FrameSeq = p.DSCP, p.Sim.Now(), -1
 	p.Sent++
 	p.Next.Handle(pkt)

@@ -77,23 +77,24 @@ func TestPoissonInterArrivalVariability(t *testing.T) {
 	}
 }
 
-// TestPacketIDsUnique: two sources interleaving in one run stamp
-// non-zero ids that rise in emission order, so none repeats. The
-// counter is process-wide and never reset, so only relative ids are
-// asserted.
+// TestPacketIDsUnique: two sources interleaving in one run take ids
+// from the run's pool, which numbers packets 1, 2, 3, … in emission
+// order, so none repeats.
 func TestPacketIDsUnique(t *testing.T) {
 	s := sim.New(1)
+	pool := packet.NewPool()
 	var last uint64
 	n := 0
 	next := packet.HandlerFunc(func(p *packet.Packet) {
-		if p.ID <= last {
+		if p.ID != last+1 {
 			t.Fatalf("packet %d: id %d after id %d", n, p.ID, last)
 		}
 		last = p.ID
 		n++
+		pool.Put(p)
 	})
-	(&CBR{Sim: s, Rate: 2 * units.Mbps, Size: 1500, Flow: 1, Next: next}).Start()
-	(&Poisson{Sim: s, Rate: 2 * units.Mbps, Size: 1500, Flow: 2, Next: next}).Start()
+	(&CBR{Sim: s, Rate: 2 * units.Mbps, Size: 1500, Flow: 1, Next: next, Pool: pool}).Start()
+	(&Poisson{Sim: s, Rate: 2 * units.Mbps, Size: 1500, Flow: 2, Next: next, Pool: pool}).Start()
 	s.RunUntil(3 * units.Second)
 	if n < 1000 {
 		t.Fatalf("only %d packets emitted", n)
