@@ -142,12 +142,20 @@
 // latency (lookaheadScale) so each hand-off carries a meaningful batch.
 //
 // Ordering inside a window is established by sorting, not by a merge
-// heap. Each stage's keys are unique total orders — at most one arrival
-// per (time, flow), because per-flow arrival times strictly increase,
-// and deliveries carry a per-flow draw index as the final tie-break —
-// so one radix sort of the window's batch yields the exact global
-// sequence, several times cheaper than the log-N sift per element a
-// merge heap pays (the heap was the top profile entry at N = 512).
+// heap. Every record that crosses the pipeline is one 64-bit word,
+// (at − windowStart) << fb | flow, with fb the bit width of the run's
+// largest flow index: a window is at most 100 ms (< 2^27 ns) and flow
+// indices fit 32 bits, so every run packs, and the words order as
+// (time, flow) keys. Arrivals are unique per key, because per-flow
+// arrival times strictly increase, so one radix sort of the window's
+// words yields the exact global sequence, several times cheaper than
+// the log-N sift per element a merge heap pays (the heap was the top
+// profile entry at N = 512). Deliveries need no tie-break past the
+// flow: the jitter clamp makes a flow's delivery instants
+// non-decreasing in draw order, so two same-instant deliveries of one
+// flow may share a word, and the border restores the per-flow FIFO by
+// numbering each flow's packets itself — inject plays entry Sent[g]
+// next, as the serial walk does.
 //
 // Before applying a delivery at t the border fires every event strictly
 // before t and advances its clock to exactly t. Same-instant ties

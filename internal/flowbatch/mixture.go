@@ -91,7 +91,6 @@ type BatchedMixture struct {
 	classOf      []int32        // global flow -> class index
 	start        []units.Time   // global flow -> start instant
 	base         [][]units.Time // class -> arrival walk of a flow started at 0 (baseArrivals)
-	drawn        []int32        // global flow -> jitter draws taken, the next entry to arrive
 	lastDelivery []units.Time   // global flow -> the jitter clamp
 	// rng is Sim.RNG(), read once: the sharded pipeline draws on the
 	// sequencer's goroutine, and the pointer shares a cache line with
@@ -100,10 +99,10 @@ type BatchedMixture struct {
 	rng *sim.RNG
 
 	// The serial walk's own state; startArmed lays it out.
-	delivered []int
-	nextArr   []units.Time
-	nextDel   []units.Time
-	pending   timeFIFOs
+	drawn   []int32 // global flow -> jitter draws taken, the next entry to arrive
+	nextArr []units.Time
+	nextDel []units.Time
+	pending timeFIFOs
 
 	arrWheel flowWheel
 	delWheel flowWheel
@@ -233,7 +232,6 @@ func (s *BatchedMixture) init() int {
 	s.classOf = make([]int32, n)
 	s.start = make([]units.Time, n)
 	s.base = make([][]units.Time, len(s.Classes))
-	s.drawn = make([]int32, n)
 	s.lastDelivery = make([]units.Time, n)
 	s.rng = s.Sim.RNG()
 	now := s.Sim.Now()
@@ -262,7 +260,7 @@ func (s *BatchedMixture) startArmed(perPacket bool) {
 	}
 	n := s.init()
 	s.perPacket = perPacket
-	s.delivered = make([]int, n)
+	s.drawn = make([]int32, n)
 	s.nextArr = make([]units.Time, n)
 	s.nextDel = make([]units.Time, n)
 	s.pending = newTimeFIFOs(n)
@@ -324,13 +322,13 @@ func baseArrivals(sched *Schedule, chain ChainSpec) []units.Time {
 }
 
 // draw takes the jitter of flow g's packet arriving at a and returns
-// its delivery instant and draw index — the one jitter draw of both run
-// modes: link.Jitter.Handle's uniform draw from the root RNG plus its
+// its delivery instant — the one jitter draw of both run modes:
+// link.Jitter.Handle's uniform draw from the root RNG plus its
 // order-preserving clamp, with the element's state held per virtual
-// flow. The clamp makes a flow's delivery instants non-decreasing, so
-// the draw index is also the flow's delivery order and, since every
-// entry is drawn once, the schedule entry the packet carries.
-func (s *BatchedMixture) draw(g int32, a units.Time) (units.Time, int32) {
+// flow. The clamp makes a flow's delivery instants non-decreasing in
+// draw order, and every entry is drawn once, so a flow's k-th delivery
+// carries its k-th entry: inject reads it from Sent[g] in both modes.
+func (s *BatchedMixture) draw(g int32, a units.Time) units.Time {
 	t := a
 	if jm := s.Classes[s.classOf[g]].Chain.JitterMax; jm > 0 {
 		t = a + units.Time(s.rng.Float64()*float64(jm))
@@ -339,9 +337,7 @@ func (s *BatchedMixture) draw(g int32, a units.Time) (units.Time, int32) {
 		t = s.lastDelivery[g]
 	}
 	s.lastDelivery[g] = t
-	k := s.drawn[g]
-	s.drawn[g]++
-	return t, k
+	return t
 }
 
 // processArrivals draws jitter for every packet arriving now, in
@@ -354,7 +350,7 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 		if s.nextArr[g] > now {
 			break
 		}
-		t, _ := s.draw(g, s.nextArr[g])
+		t := s.draw(g, s.nextArr[g])
 		if s.pending.empty(g) {
 			s.nextDel[g] = t
 			s.delWheel.push(g)
@@ -363,6 +359,7 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 		if s.perPacket {
 			s.Sim.AtTimer(t, s.deliver)
 		}
+		s.drawn[g]++
 		if base := s.base[s.classOf[g]]; int(s.drawn[g]) < len(base) {
 			s.nextArr[g] = s.start[g] + base[s.drawn[g]]
 			s.arrWheel.fixMin()
@@ -402,9 +399,7 @@ func (s *BatchedMixture) deliverDue(now units.Time) {
 			break
 		}
 		s.pending.pop(g)
-		k := s.delivered[g]
-		s.delivered[g]++
-		s.inject(g, int32(k))
+		s.inject(g)
 		if !s.pending.empty(g) {
 			s.nextDel[g] = s.pending.peek(g)
 			s.delWheel.fixMin()
@@ -415,14 +410,15 @@ func (s *BatchedMixture) deliverDue(now units.Time) {
 	s.armDeliver()
 }
 
-// inject materializes entry k of global flow g at the current clock and
-// forwards it to the flow's next hop — the body of the serial delivery
-// loop, and the whole of the sharded border replay, whose caller must
-// have advanced the border simulator to the delivery instant so packet
-// ids, taps and downstream elements observe the serial timeline.
-func (s *BatchedMixture) inject(g, k int32) {
+// inject materializes global flow g's next delivery, entry Sent[g] of
+// its class schedule, at the current clock and forwards it to the
+// flow's next hop — the body of the serial delivery loop, and the whole
+// of the sharded border replay, whose caller must have advanced the
+// border simulator to the delivery instant so packet ids, taps and
+// downstream elements observe the serial timeline.
+func (s *BatchedMixture) inject(g int32) {
 	c := &s.Classes[s.classOf[g]]
-	e := &c.Sched.Entries[k]
+	e := &c.Sched.Entries[s.Sent[g]]
 	p := s.Pool.Get()
 	p.Flow = s.BaseFlow + packet.FlowID(g)
 	p.Proto = packet.UDP

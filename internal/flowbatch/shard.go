@@ -14,20 +14,58 @@ import (
 // constructor that builds both from a mixture; the package comment
 // describes the design.
 
-// arrival is one packet leaving a virtual flow's folded access chain:
-// at is its instant at the jitter element, flow its global virtual
-// flow and entry its index in the flow's class schedule.
-type arrival struct {
-	at    units.Time
-	flow  int32
-	entry int32
+// Records are packed words, (at − windowStart) << fb | flow, ordered
+// as (time, flow) keys; the package comment gives the layout's bounds.
+// A chunk carries one lookahead window [windowStart, windowStart+w).
+type (
+	// arrival is one packet leaving a virtual flow's folded access
+	// chain, at its instant at the jitter element.
+	arrival = uint64
+	// delivery is one packet whose jittered delivery instant is final:
+	// no arrival still unprocessed anywhere can deliver at or before it.
+	// It names no schedule entry: a flow's delivery instants are
+	// non-decreasing in draw order, so the border's k-th delivery of a
+	// flow is its k-th entry, and two same-instant deliveries of one
+	// flow may share a word.
+	delivery = uint64
+)
+
+// maxWindow caps the lookahead window, and so a record's offset field.
+const maxWindow = 100 * units.Millisecond
+
+// packing is a run's record layout: the window width every chunk
+// covers and the width fb of the flow field below the offset.
+type packing struct {
+	w  units.Time
+	fb uint
 }
 
-// delivery is one packet whose jittered delivery instant is final: no
-// arrival still unprocessed anywhere can deliver at or before it. It is
-// the arrival record with at moved to the jittered instant and entry
-// the flow's draw index, so both stages share one window sort.
-type delivery = arrival
+// newPacking lays out the records of a run of n flows in windows of w.
+func newPacking(w units.Time, n int) packing {
+	return packing{w: w, fb: uint(bits.Len32(uint32(n - 1)))}
+}
+
+func (pk packing) pack(at, start units.Time, flow uint32) uint64 {
+	return uint64(at-start)<<pk.fb | uint64(flow)
+}
+
+func (pk packing) unpack(r uint64, start units.Time) (units.Time, uint32) {
+	return start + units.Time(r>>pk.fb), uint32(r & (1<<pk.fb - 1))
+}
+
+// replay injects one released window of deliveries on the border in
+// their (time, flow) order: before each one the border fires every
+// event strictly before its instant and advances its clock to exactly
+// that instant, so packets, taps and downstream elements observe the
+// serial timeline.
+func (pk packing) replay(border *sim.Simulator, dels []delivery, start units.Time, inject func(flow int32)) {
+	for _, d := range dels {
+		at, flow := pk.unpack(d, start)
+		border.RunBefore(at)
+		border.AdvanceTo(at)
+		inject(int32(flow))
+	}
+}
 
 // shardArrivals generates the merged arrival sequence of a subset of
 // a mixture's virtual flows, window by window: the serial walk's
@@ -39,6 +77,7 @@ type shardArrivals struct {
 	mix     *BatchedMixture
 	flows   []int32    // owned global virtual-flow indices, ascending
 	horizon units.Time // arrivals after this never fire serially; 0 = unbounded
+	packing
 
 	// out collects the arrivals of the current window in (time, flow)
 	// order. The worker swaps it out after each window.
@@ -78,24 +117,27 @@ func (sa *shardArrivals) init() {
 // the end (or past the horizon).
 func (sa *shardArrivals) done() bool { return len(sa.live) == 0 }
 
-// advanceTo appends to out every arrival strictly before frontier, in
-// (time, global flow) order: each live flow contributes a contiguous
-// run of its shifted base sequence, and one sort of the window batch
-// interleaves the runs. Arrivals past the horizon are never produced:
-// the serial run's event loop would never fire them, and per-flow
-// arrival times are strictly increasing, so a flow whose next arrival
-// passes the horizon is finished.
+// advanceTo appends to out every arrival of the window that ends at
+// frontier, in (time, global flow) order: each live flow contributes a
+// contiguous run of its shifted base sequence, and one sort of the
+// window batch interleaves the runs. The walk advances window by
+// window, so every arrival it appends lies in [frontier−w, frontier).
+// Arrivals past the horizon are never produced: the serial run's event
+// loop would never fire them, and per-flow arrival times are strictly
+// increasing, so a flow whose next arrival passes the horizon is
+// finished.
 func (sa *shardArrivals) advanceTo(frontier units.Time) {
 	mark := len(sa.out)
+	start := frontier - sa.w
 	w := 0
 	m := sa.mix
 	for _, loc := range sa.live {
 		flow := sa.flows[loc]
-		start, base := m.start[flow], m.base[m.classOf[flow]]
+		first, base := m.start[flow], m.base[m.classOf[flow]]
 		n := int32(len(base))
 		k := sa.pos[loc]
 		for k < n {
-			at := start + base[k]
+			at := first + base[k]
 			if sa.horizon > 0 && at > sa.horizon {
 				k = n
 				break
@@ -103,7 +145,7 @@ func (sa *shardArrivals) advanceTo(frontier units.Time) {
 			if at >= frontier {
 				break
 			}
-			sa.out = append(sa.out, arrival{at: at, flow: flow, entry: k})
+			sa.out = append(sa.out, sa.pack(at, start, uint32(flow)))
 			k++
 		}
 		sa.pos[loc] = k
@@ -117,61 +159,37 @@ func (sa *shardArrivals) advanceTo(frontier units.Time) {
 	sa.scratch = sortWindow(sa.out[mark:], sa.scratch)
 }
 
-// sortWindow orders one window batch of either stage by
-// (time, flow, entry). The hot path is a stable LSD radix sort on the
-// packed key (at − min(at)) << fb | flow, where fb is the bit width of
-// the batch's largest flow index — sized per batch so six-figure flow
-// counts radix-sort just like small ones, and small ones pay no extra
-// passes for headroom they don't use. Arrivals are unique per
-// (time, flow); for deliveries stability supplies the draw-index
-// tie-break for free, because draws of one flow enter the buffer in
-// draw order and the partition in release preserves it. One window
-// spans at most the lookahead width, so the key fits a few bytes and
-// the sort is a handful of counting passes over contiguous records
-// instead of m·log m branchy comparisons. Returns the scratch buffer
-// for reuse; it grows geometrically, so a ramp of ever-longer windows
-// re-makes it a few times rather than once per new high water.
-func sortWindow(batch []arrival, scratch []arrival) []arrival {
+// sortWindow orders one window's records ascending, which is (time,
+// flow) order, by an LSD radix sort over the words themselves: one
+// counting pass per byte up to the highest bit any record sets, over
+// contiguous words instead of m·log m branchy comparisons. A window
+// spans at most maxWindow and fb is sized to the run's flows, so a few
+// passes cover it. Returns the scratch buffer for reuse; it grows
+// geometrically, so a ramp of ever-longer windows re-makes it a few
+// times rather than once per new high water.
+func sortWindow(batch, scratch []uint64) []uint64 {
 	if len(batch) < radixMinLen {
-		slices.SortFunc(batch, compareArrivals)
+		slices.Sort(batch)
 		return scratch
 	}
-	minAt, maxAt := batch[0].at, batch[0].at
-	var maxFlow int32
-	for i := range batch {
-		a := &batch[i]
-		if a.at < minAt {
-			minAt = a.at
-		}
-		if a.at > maxAt {
-			maxAt = a.at
-		}
-		if a.flow > maxFlow {
-			maxFlow = a.flow
-		}
-	}
-	fb := bits.Len32(uint32(maxFlow))
-	if uint64(maxAt-minAt) >= 1<<(64-fb) {
-		slices.SortFunc(batch, compareArrivals)
-		return scratch
+	var set uint64
+	for _, r := range batch {
+		set |= r
 	}
 	scratch = slices.Grow(scratch[:0], len(batch))[:len(batch)]
-	maxKey := uint64(maxAt-minAt)<<fb | (1<<fb - 1)
 	src, dst := batch, scratch
-	for shift := 0; maxKey>>shift != 0; shift += 8 {
+	for shift := 0; set>>shift != 0; shift += 8 {
 		var count [256]int
-		for i := range src {
-			k := uint64(src[i].at-minAt)<<fb | uint64(src[i].flow)
-			count[(k>>shift)&0xff]++
+		for _, r := range src {
+			count[r>>shift&0xff]++
 		}
 		pos := 0
 		for b := range count {
 			pos, count[b] = pos+count[b], pos
 		}
-		for i := range src {
-			k := uint64(src[i].at-minAt)<<fb | uint64(src[i].flow)
-			b := (k >> shift) & 0xff
-			dst[count[b]] = src[i]
+		for _, r := range src {
+			b := r >> shift & 0xff
+			dst[count[b]] = r
 			count[b]++
 		}
 		src, dst = dst, src
@@ -182,22 +200,9 @@ func sortWindow(batch []arrival, scratch []arrival) []arrival {
 	return scratch
 }
 
-// radixMinLen is the batch size below which the comparator sort's
+// radixMinLen is the batch size below which the comparison sort's
 // lower constant wins over the radix passes.
 const radixMinLen = 64
-
-func compareArrivals(a, b arrival) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	}
-	if a.flow != b.flow {
-		return int(a.flow) - int(b.flow)
-	}
-	return int(a.entry) - int(b.entry)
-}
 
 // jitterSequencer is the serialization point of a sharded run. It
 // consumes the shards' arrival chunks window by window, merges them
@@ -207,26 +212,45 @@ func compareArrivals(a, b arrival) int {
 // releases a delivery once the frontier proves nothing can precede it:
 // every arrival still unprocessed is at or after the frontier, and
 // jitter and clamping only move times later, so any pending delivery
-// strictly before the frontier is final. Released deliveries are
-// ordered by one sort of the window's finalized batch — the per-flow
-// draw index makes the key unique and reproduces the serial per-flow
-// FIFO on same-instant deliveries.
+// strictly before the frontier is final. A window's released
+// deliveries are packed straight into its outgoing chunk and sorted
+// there; those not yet final wait in pending, in absolute time.
 type jitterSequencer struct {
 	mix     *BatchedMixture
 	horizon units.Time // deliveries after this are dropped (the serial horizon)
+	packing
 
-	buf     []delivery // drawn, not yet final; unsorted
-	rel     []delivery // per-window release scratch
-	scratch []delivery // radix-sort ping-pong buffer
+	pending []pendingDelivery // drawn, not yet final; unsorted
+	scratch []delivery        // radix-sort ping-pong buffer
 	pos     []int
 }
 
-// feed merges one window's arrival chunks — every arrival strictly
-// before frontier, one sorted chunk per shard — draws their jitter in
-// global order, and appends to out every delivery that became final.
-// It returns the extended out slice; released deliveries are in exact
-// (time, flow) order across calls.
+// pendingDelivery is a drawn delivery at or past the frontier of the
+// window that drew it.
+type pendingDelivery struct {
+	at   units.Time
+	flow uint32
+}
+
+// feed closes the window that ends at frontier. It merges the window's
+// arrival chunks — one sorted chunk per shard, none once every shard is
+// done — draws their jitter in global order, and fills the empty out
+// with every delivery that became final, sorted, in [frontier−w,
+// frontier). Deliveries past the horizon are drawn but never emitted:
+// the serial run's event loop would never fire them. Feeding every
+// window in turn releases the serial walk's sequence up to the border
+// ties the package comment describes.
 func (q *jitterSequencer) feed(chunks [][]arrival, frontier units.Time, out []delivery) []delivery {
+	start := frontier - q.w
+	keep := q.pending[:0]
+	for _, d := range q.pending {
+		if d.at < frontier {
+			out = append(out, q.pack(d.at, start, d.flow))
+		} else {
+			keep = append(keep, d) // in-place compaction; write index trails read
+		}
+	}
+	q.pending = keep
 	if cap(q.pos) < len(chunks) {
 		q.pos = make([]int, len(chunks))
 	}
@@ -237,65 +261,26 @@ func (q *jitterSequencer) feed(chunks [][]arrival, frontier units.Time, out []de
 	for {
 		best := -1
 		for s := range chunks {
-			if pos[s] >= len(chunks[s]) {
-				continue
-			}
-			h := &chunks[s][pos[s]]
-			if best < 0 {
-				best = s
-				continue
-			}
-			b := &chunks[best][pos[best]]
-			if h.at < b.at || (h.at == b.at && h.flow < b.flow) {
+			if pos[s] < len(chunks[s]) && (best < 0 || chunks[s][pos[s]] < chunks[best][pos[best]]) {
 				best = s
 			}
 		}
 		if best < 0 {
 			break
 		}
-		a := chunks[best][pos[best]]
+		a, flow := q.unpack(chunks[best][pos[best]], start)
 		pos[best]++
-		t, k := q.mix.draw(a.flow, a.at)
-		q.buf = append(q.buf, delivery{at: t, flow: a.flow, entry: k})
-	}
-	return q.release(frontier, out)
-}
-
-// release emits every pending delivery strictly before frontier in
-// (time, flow, draw-index) order — the serial walk's sequence up to the
-// border ties the package comment describes, since same-instant
-// deliveries of one flow leave in FIFO draw order there too. Deliveries past the horizon are consumed but not emitted: the
-// serial run's event loop would never fire them. Deliveries at or
-// after the frontier are carried; everything drawn later is at or
-// after the frontier as well, so ordering holds across calls.
-func (q *jitterSequencer) release(frontier units.Time, out []delivery) []delivery {
-	if len(q.buf) == 0 {
-		return out
-	}
-	rel := q.rel[:0]
-	keep := q.buf[:0]
-	for _, d := range q.buf {
-		if d.at < frontier {
-			rel = append(rel, d)
-		} else {
-			keep = append(keep, d) // in-place compaction; write index trails read
+		t := q.mix.draw(int32(flow), a)
+		switch {
+		case q.horizon > 0 && t > q.horizon:
+		case t < frontier:
+			out = append(out, q.pack(t, start, flow))
+		default:
+			q.pending = append(q.pending, pendingDelivery{at: t, flow: flow})
 		}
 	}
-	q.buf, q.rel = keep, rel
-	q.scratch = sortWindow(rel, q.scratch)
-	for _, d := range rel {
-		if q.horizon <= 0 || d.at <= q.horizon {
-			out = append(out, d)
-		}
-	}
+	q.scratch = sortWindow(out, q.scratch)
 	return out
-}
-
-// flush releases every remaining pending delivery (the final frontier
-// is past every drawn time).
-func (q *jitterSequencer) flush(out []delivery) []delivery {
-	const never = units.Time(int64(^uint64(0) >> 1))
-	return q.release(never, out)
 }
 
 // ShardStats describes a sharded run's pipeline.
@@ -345,11 +330,7 @@ func lookaheadWindow(rate units.BitRate, delay units.Time, minSize int) units.Ti
 	if l <= 0 {
 		l = units.Millisecond
 	}
-	w := l * lookaheadScale
-	if w > 100*units.Millisecond {
-		w = 100 * units.Millisecond
-	}
-	return w
+	return min(l*lookaheadScale, maxWindow)
 }
 
 // minEntrySize scans a schedule for its smallest wire size.
@@ -400,22 +381,13 @@ func giveBuf[T any](free chan []T, b []T) {
 // on the grids the package comment names; past them the two can
 // deliver differently.
 func (s *BatchedMixture) RunSharded(shards int, horizon units.Time) ShardStats {
-	sas, seq, w := s.stages(shards, horizon)
-	return runPipeline(s.Sim, sas, seq, w, horizon, s.inject)
+	sas, seq := s.stages(shards, horizon, s.lookahead())
+	return runPipeline(s.Sim, sas, seq, horizon, s.inject)
 }
 
-// stages readies the mixture for border replay and builds the
-// pipeline's stages: one arrival walk per shard, the sequencer and the
-// lookahead window. Flows are dealt round-robin so staggered starts
-// spread evenly across workers; any ascending per-shard assignment
-// preserves the global (time, flow) merge order. The window is the
-// narrowest any class requires, so every class's arrivals are final at
-// the shared frontier.
-func (s *BatchedMixture) stages(shards int, horizon units.Time) ([]*shardArrivals, *jitterSequencer, units.Time) {
-	n := s.init()
-	if shards > n {
-		shards = n
-	}
+// lookahead is the pipeline's window: the narrowest any class
+// requires, so every class's arrivals are final at the shared frontier.
+func (s *BatchedMixture) lookahead() units.Time {
 	var w units.Time
 	for ci := range s.Classes {
 		c := &s.Classes[ci]
@@ -424,28 +396,45 @@ func (s *BatchedMixture) stages(shards int, horizon units.Time) ([]*shardArrival
 			w = cw
 		}
 	}
+	return w
+}
+
+// stages readies the mixture for border replay and builds the
+// pipeline's stages for windows of w: one arrival walk per shard and
+// the sequencer. Flows are dealt round-robin so staggered starts
+// spread evenly across workers; any ascending per-shard assignment
+// preserves the global (time, flow) merge order.
+func (s *BatchedMixture) stages(shards int, horizon, w units.Time) ([]*shardArrivals, *jitterSequencer) {
+	n := s.init()
+	if shards > n {
+		shards = n
+	}
+	pk := newPacking(w, n)
 	sas := make([]*shardArrivals, shards)
 	for i := range sas {
-		sa := &shardArrivals{mix: s, horizon: horizon, flows: make([]int32, 0, (n-i+shards-1)/shards)}
+		sa := &shardArrivals{mix: s, horizon: horizon, packing: pk, flows: make([]int32, 0, (n-i+shards-1)/shards)}
 		for g := i; g < n; g += shards {
 			sa.flows = append(sa.flows, int32(g))
 		}
 		sa.init()
 		sas[i] = sa
 	}
-	return sas, &jitterSequencer{mix: s, horizon: horizon}, w
+	return sas, &jitterSequencer{mix: s, horizon: horizon, packing: pk}
 }
 
 // runPipeline runs the stages on goroutines: each shard's arrival walk
-// advances in lookahead windows w on its own, a sequencer goroutine
-// merges and jitters their chunks, and the calling goroutine replays
-// the released deliveries through inject on the border simulator in
-// the sequencer's (time, flow) order, the serial order up to border
-// ties, then runs the border to horizon.
+// advances in the sequencer's lookahead windows on its own, a sequencer
+// goroutine merges and jitters their chunks, and the calling goroutine
+// replays the released deliveries through inject on the border
+// simulator in the sequencer's (time, flow) order, the serial order up
+// to border ties, then runs the border to horizon. Every stream carries
+// one chunk per window, the k-th covering [k·w, (k+1)·w); the sequencer
+// goes on past the last arrivals until its pending tail is released.
 func runPipeline(border *sim.Simulator, sas []*shardArrivals, seq *jitterSequencer,
-	w, horizon units.Time, inject func(flow, entry int32)) ShardStats {
+	horizon units.Time, inject func(flow int32)) ShardStats {
 
-	s := len(sas)
+	s, pk := len(sas), seq.packing
+	w := pk.w
 	g := runner.NewGroup()
 	arrCh := make([]chan []arrival, s)
 	arrFree := make([]chan []arrival, s)
@@ -479,17 +468,9 @@ func runPipeline(border *sim.Simulator, sas []*shardArrivals, seq *jitterSequenc
 	g.Go(s, func() {
 		defer close(delCh)
 		chunks := make([][]arrival, s)
-		emit := func(dels []delivery) bool {
-			select {
-			case delCh <- dels:
-				return true
-			case <-g.Quit():
-				return false
-			}
-		}
 		live := s
-		for frontier := w; live > 0; frontier += w {
-			want := 0
+		for frontier := w; live > 0 || len(seq.pending) > 0; frontier += w {
+			want := len(seq.pending) // grows by the arrivals: the most the window can release
 			for i := 0; i < s; i++ {
 				chunks[i] = nil
 				if arrCh[i] == nil {
@@ -508,31 +489,28 @@ func runPipeline(border *sim.Simulator, sas []*shardArrivals, seq *jitterSequenc
 					return
 				}
 			}
-			if !emit(seq.feed(chunks, frontier, takeBuf(delFree, want))) {
+			select {
+			case delCh <- seq.feed(chunks, frontier, takeBuf(delFree, want)):
+			case <-g.Quit():
 				return
 			}
 			for i := 0; i < s; i++ {
 				giveBuf(arrFree[i], chunks[i])
 			}
 		}
-		emit(seq.flush(takeBuf(delFree, 0)))
 	})
 
 	st := ShardStats{Shards: s}
 	var stall time.Duration
 	wall := time.Now()
-	for {
+	for start := units.Time(0); ; start += w {
 		t0 := time.Now()
 		dels, ok := <-delCh
 		stall += time.Since(t0)
 		if !ok {
 			break
 		}
-		for _, d := range dels {
-			border.RunBefore(d.at)
-			border.AdvanceTo(d.at)
-			inject(d.flow, d.entry)
-		}
+		pk.replay(border, dels, start, inject)
 		st.Injected += len(dels)
 		giveBuf(delFree, dels)
 	}

@@ -2,6 +2,7 @@ package flowbatch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -59,64 +60,44 @@ type syncPipeline struct {
 	mix      *BatchedMixture
 	sas      []*shardArrivals
 	seq      *jitterSequencer
+	inject   func(flow int32)
 	chunks   [][]arrival
 	dels     []delivery
 	frontier units.Time
-	window   units.Time
 }
 
 func newSyncPipeline(mix *BatchedMixture, shards int, horizon, window units.Time) *syncPipeline {
-	sas, seq, _ := mix.stages(shards, horizon)
-	return &syncPipeline{mix: mix, sas: sas, seq: seq, window: window,
+	sas, seq := mix.stages(shards, horizon, window)
+	return &syncPipeline{mix: mix, sas: sas, seq: seq, inject: mix.inject,
 		chunks: make([][]arrival, len(sas))}
 }
 
-// step walks, sequences and replays one window and reports whether
-// every shard's walk is done.
-func (p *syncPipeline) step() bool {
-	p.frontier += p.window
-	done := true
+// stepBorder walks, sequences and replays one window, then runs the
+// border up to the frontier.
+func (p *syncPipeline) stepBorder() {
+	p.frontier += p.seq.w
 	for i, sa := range p.sas {
 		sa.advanceTo(p.frontier)
 		p.chunks[i] = sa.out
-		done = done && sa.done()
 	}
-	p.replay(p.seq.feed(p.chunks, p.frontier, p.dels[:0]))
+	p.dels = p.seq.feed(p.chunks, p.frontier, p.dels[:0])
+	p.seq.replay(p.mix.Sim, p.dels, p.frontier-p.seq.w, p.inject)
 	for _, sa := range p.sas {
 		sa.out = sa.out[:0]
 	}
-	return done
+	p.mix.Sim.RunBefore(p.frontier)
 }
 
-// replay injects released deliveries on the mixture's simulator, the
-// border, at their instants.
-func (p *syncPipeline) replay(dels []delivery) {
-	p.dels = dels
-	border := p.mix.Sim
-	for i := range dels {
-		d := &dels[i]
-		border.RunBefore(d.at)
-		border.AdvanceTo(d.at)
-		p.mix.inject(d.flow, d.entry)
-	}
-}
-
-// runSharded drives a one-class mixture through the stages in windows
-// of the given width to the horizon (0 = drain).
+// runSharded runs a one-class mixture on the pipeline, goroutines
+// included, in windows of the given width to the horizon (0 = drain).
 func runSharded(t *testing.T, sched *Schedule, chain ChainSpec, n, shards int, offset, horizon, window units.Time) (*recorder, *BatchedMixture) {
 	t.Helper()
 	border := sim.New(99)
 	pool := packet.NewPool()
 	rec := &recorder{sim: border, pool: pool}
 	bp := oneClass(border, sched, n, 100, offset, chain, rec, pool)
-	p := newSyncPipeline(bp, shards, horizon, window)
-	for !p.step() {
-	}
-	p.replay(p.seq.flush(p.dels[:0]))
-	if horizon > 0 {
-		border.SetHorizon(horizon)
-	}
-	border.Run()
+	sas, seq := bp.stages(shards, horizon, window)
+	runPipeline(border, sas, seq, horizon, bp.inject)
 	return rec, bp
 }
 
@@ -124,23 +105,27 @@ func runSharded(t *testing.T, sched *Schedule, chain ChainSpec, n, shards int, o
 // counts 1–4 and several window widths, the sharded pipeline delivers
 // the identical packet sequence (instants, flows, sizes, frame
 // metadata, send stamps) and identical per-flow counters as the serial
-// mixture with the same seed.
+// mixture with the same seed. The 250 ms jitter is wider than
+// maxWindow, so in the narrower windows the sequencer releases its
+// pending tail over many windows after the last arrival, and the clamp
+// gives many same-instant deliveries of one flow.
 func TestShardedPipelineMatchesSerial(t *testing.T) {
 	sched := clumpedSchedule(42, 300)
-	chain := ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond,
-		JitterMax: 3 * units.Millisecond}
 	const n = 5
 	offset := units.Time(1_712_345)
-
-	ref, refSrc := runSerial(sched, chain, n, offset, 0)
-	for _, shards := range []int{1, 2, 3, 4} {
-		for _, window := range []units.Time{700 * units.Microsecond, 10 * units.Millisecond, units.FromSeconds(1)} {
-			got, gotSrc := runSharded(t, sched, chain, n, shards, offset, 0, window)
-			compareEmissions(t, ref, got, shards, window)
-			for i := 0; i < n; i++ {
-				if refSrc.Sent[i] != gotSrc.Sent[i] || refSrc.SentBytes[i] != gotSrc.SentBytes[i] {
-					t.Errorf("shards=%d window=%v flow %d: sent %d/%d bytes, serial %d/%d",
-						shards, window, i, gotSrc.Sent[i], gotSrc.SentBytes[i], refSrc.Sent[i], refSrc.SentBytes[i])
+	for _, jitter := range []units.Time{3 * units.Millisecond, 250 * units.Millisecond} {
+		chain := ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond, JitterMax: jitter}
+		ref, refSrc := runSerial(sched, chain, n, offset, 0)
+		for _, shards := range []int{1, 2, 3, 4} {
+			for _, window := range []units.Time{700 * units.Microsecond, 10 * units.Millisecond, units.FromSeconds(1)} {
+				label := fmt.Sprintf("jitter=%v shards=%d window=%v", jitter, shards, window)
+				got, gotSrc := runSharded(t, sched, chain, n, shards, offset, 0, window)
+				compareEmissions(t, ref, got, label)
+				for i := 0; i < n; i++ {
+					if refSrc.Sent[i] != gotSrc.Sent[i] || refSrc.SentBytes[i] != gotSrc.SentBytes[i] {
+						t.Errorf("%s flow %d: sent %d/%d bytes, serial %d/%d",
+							label, i, gotSrc.Sent[i], gotSrc.SentBytes[i], refSrc.Sent[i], refSrc.SentBytes[i])
+					}
 				}
 			}
 		}
@@ -148,24 +133,37 @@ func TestShardedPipelineMatchesSerial(t *testing.T) {
 }
 
 // TestShardedPipelineHorizonParity pins the truncation semantics: a
-// horizon that cuts the run mid-schedule must drop exactly the same
-// tail in both modes (the serial event loop stops firing deliveries
-// past the horizon; the sequencer drops them explicitly).
+// horizon that cuts the run must drop exactly the same tail in both
+// modes (the serial event loop stops firing deliveries past the
+// horizon; the sequencer drops them explicitly). Under 3 ms of jitter
+// the cut falls mid-schedule. Under 250 ms, wider than maxWindow, it
+// falls inside the jitter tail: more than a window after the last
+// arrival and 100 ms before the last delivery, where the sequencer is
+// releasing its pending deliveries window by window.
 func TestShardedPipelineHorizonParity(t *testing.T) {
 	sched := clumpedSchedule(7, 400)
-	chain := ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond,
-		JitterMax: 3 * units.Millisecond}
 	const n = 4
 	offset := units.Time(1_712_345)
-	span := sched.Entries[len(sched.Entries)-1].At
-	horizon := span / 2 // mid-schedule cut
-
-	ref, _ := runSerial(sched, chain, n, offset, horizon)
-	if len(ref.got) == 0 {
-		t.Fatal("horizon truncated everything; test is vacuous")
+	for _, jitter := range []units.Time{3 * units.Millisecond, 250 * units.Millisecond} {
+		chain := ChainSpec{AccessRate: 9_700_000, AccessDelay: 500 * units.Microsecond, JitterMax: jitter}
+		horizon := sched.Entries[len(sched.Entries)-1].At / 2
+		if jitter > maxWindow {
+			full, src := runSerial(sched, chain, n, offset, 0)
+			lastArrival := src.start[n-1] + src.base[0][len(sched.Entries)-1]
+			horizon = full.got[len(full.got)-1].at - 100*units.Millisecond
+			if horizon <= lastArrival+maxWindow {
+				t.Fatalf("jitter=%v: cut %v is not a window past the last arrival %v", jitter, horizon, lastArrival)
+			}
+		}
+		ref, _ := runSerial(sched, chain, n, offset, horizon)
+		if len(ref.got) == 0 || len(ref.got) == n*len(sched.Entries) {
+			t.Fatalf("jitter=%v: horizon kept %d of %d packets; test is vacuous", jitter, len(ref.got), n*len(sched.Entries))
+		}
+		for _, window := range []units.Time{5 * units.Millisecond, 40 * units.Millisecond} {
+			got, _ := runSharded(t, sched, chain, n, 3, offset, horizon, window)
+			compareEmissions(t, ref, got, fmt.Sprintf("jitter=%v horizon=%v window=%v", jitter, horizon, window))
+		}
 	}
-	got, _ := runSharded(t, sched, chain, n, 3, offset, horizon, 5*units.Millisecond)
-	compareEmissions(t, ref, got, 3, 5*units.Millisecond)
 }
 
 // TestShardedZeroJitter pins the degenerate chain (no RNG draws at
@@ -177,53 +175,54 @@ func TestShardedZeroJitter(t *testing.T) {
 	const n = 4
 	ref, _ := runSerial(sched, chain, n, 0, 0) // zero offset: maximal ties
 	got, _ := runSharded(t, sched, chain, n, 4, 0, 0, 3*units.Millisecond)
-	compareEmissions(t, ref, got, 4, 3*units.Millisecond)
+	compareEmissions(t, ref, got, "shards=4 window=3ms")
 }
 
-func compareEmissions(t *testing.T, ref, got *recorder, shards int, window units.Time) {
+func compareEmissions(t *testing.T, ref, got *recorder, label string) {
 	t.Helper()
 	if len(got.got) != len(ref.got) {
-		t.Fatalf("shards=%d window=%v: delivered %d packets, serial %d",
-			shards, window, len(got.got), len(ref.got))
+		t.Fatalf("%s: delivered %d packets, serial %d", label, len(got.got), len(ref.got))
 	}
 	for i := range ref.got {
 		w, g := ref.got[i], got.got[i]
 		if w != g {
-			t.Fatalf("shards=%d window=%v packet %d diverged:\nserial  %+v\nsharded %+v",
-				shards, window, i, w, g)
+			t.Fatalf("%s packet %d diverged:\nserial  %+v\nsharded %+v", label, i, w, g)
 		}
 	}
 }
 
 // TestSortWindowScratchReuse is a property test of sortWindow over
-// both branches — radix at or above radixMinLen, comparator below it
-// and for spans too wide to pack — with a scratch that is nil, shorter
-// than, as long as or longer than the batch. The result must equal a
-// stable sort by (At, Flow, Entry): records of one flow enter in draw
-// order, as in the sequencer. The returned scratch must not alias the
-// batch, must hold a radix-sized batch without growing, and must sort
-// the next batch correctly.
+// both branches — radix at or above radixMinLen, comparison sort below
+// it — with a scratch that is nil, shorter than, as long as or longer
+// than the batch. The records are packed (offset, flow) words of random
+// layouts, duplicates included (two same-instant deliveries of one
+// flow share a word), and every tenth trial uses full 64-bit words so
+// all eight radix passes run. The result must be the batch in
+// ascending order. The returned scratch must not alias the batch, must
+// hold a radix-sized batch without growing, and must sort the next
+// batch correctly.
 func TestSortWindowScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	batch := func(n int, span units.Time, flows int32) []arrival {
-		b := make([]arrival, n)
-		drawn := make(map[int32]int32)
+	batch := func(n int, pk packing, wide bool) []uint64 {
+		b := make([]uint64, n)
 		for i := range b {
-			f := rng.Int31n(flows)
-			b[i] = arrival{at: units.Time(rng.Int63n(int64(span))), flow: f, entry: drawn[f]}
-			drawn[f]++
+			if wide {
+				b[i] = rng.Uint64()
+			} else {
+				b[i] = pk.pack(units.Time(rng.Int63n(int64(pk.w))), 0, uint32(rng.Int63n(1<<pk.fb)))
+			}
 		}
 		return b
 	}
-	check := func(label string, b, scratch []arrival, radix bool) []arrival {
+	check := func(label string, b, scratch []uint64) []uint64 {
 		t.Helper()
 		want := slices.Clone(b)
-		slices.SortStableFunc(want, compareArrivals)
+		slices.Sort(want)
 		got := sortWindow(b, scratch)
 		if !slices.Equal(b, want) {
-			t.Fatalf("%s: order differs from the stable (At, Flow, Entry) sort", label)
+			t.Fatalf("%s: batch not in ascending order", label)
 		}
-		if radix && len(b) >= radixMinLen && cap(got) < len(b) {
+		if len(b) >= radixMinLen && cap(got) < len(b) {
 			t.Fatalf("%s: returned scratch cap %d cannot hold the batch of %d", label, cap(got), len(b))
 		}
 		if cap(got) > 0 && len(b) > 0 && &got[:1][0] == &b[0] {
@@ -231,22 +230,63 @@ func TestSortWindowScratchReuse(t *testing.T) {
 		}
 		return got
 	}
-	wide := units.Time(1) << 62
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(4*radixMinLen)
-		span, flows := units.Time(1+rng.Intn(50_000)), int32(1+rng.Intn(1<<17))
-		if trial%10 == 0 {
-			span = wide // forces the comparator fallback at any length
-		}
+		pk := packing{w: units.Time(1 + rng.Intn(50_000)), fb: uint(rng.Intn(33))}
+		wide := trial%10 == 0
 		for _, sc := range []int{-1, 0, n / 2, n, 2 * n} {
-			var scratch []arrival
+			var scratch []uint64
 			if sc >= 0 {
-				scratch = make([]arrival, sc, sc+rng.Intn(3))
+				scratch = make([]uint64, sc, sc+rng.Intn(3))
 			}
-			label := fmt.Sprintf("trial %d n=%d span=%d flows=%d scratch=%d", trial, n, span, flows, sc)
-			scratch = check(label, batch(n, span, flows), scratch, span != wide)
+			label := fmt.Sprintf("trial %d n=%d w=%d fb=%d wide=%v scratch=%d", trial, n, pk.w, pk.fb, wide, sc)
+			scratch = check(label, batch(n, pk, wide), scratch)
 			next := 1 + rng.Intn(cap(scratch)+radixMinLen)
-			check(label+" reused", batch(next, span, flows), scratch, span != wide)
+			check(label+" reused", batch(next, pk, wide), scratch)
+		}
+	}
+}
+
+// TestPackingBound states the record layout's precondition once: an
+// offset is below maxWindow < 2^27 ns and a flow field is at most 32
+// bits wide, so 27 + 32 ≤ 64 and the extreme record — the window's
+// last nanosecond on flow 2^32 − 1 — round-trips without touching the
+// top bits, and still orders after every earlier instant. No chain,
+// zero-rate and zero-delay included, gets a window past the cap.
+func TestPackingBound(t *testing.T) {
+	if maxWindow >= 1<<27 {
+		t.Fatalf("maxWindow %v does not fit a 27-bit offset", maxWindow)
+	}
+	if fb := newPacking(maxWindow, math.MaxInt32).fb; fb > 32 {
+		t.Fatalf("flow field of the largest run is %d bits, want ≤ 32", fb)
+	}
+	pk := packing{w: maxWindow, fb: 32}
+	start := units.Time(1) << 50
+	at, flow := start+maxWindow-1, uint32(math.MaxUint32)
+	r := pk.pack(at, start, flow)
+	if r>>(27+32) != 0 {
+		t.Errorf("extreme record %#x sets bits above 59", r)
+	}
+	if gotAt, gotFlow := pk.unpack(r, start); gotAt != at || gotFlow != flow {
+		t.Errorf("extreme record round-trips to (%v, %d), want (%v, %d)", gotAt, gotFlow, at, flow)
+	}
+	if earlier := pk.pack(at-1, start, flow); earlier >= r {
+		t.Errorf("record one ns earlier packs to %#x ≥ %#x", earlier, r)
+	}
+	for _, c := range []struct {
+		rate  units.BitRate
+		delay units.Time
+		size  int
+	}{
+		{0, 0, 0},
+		{0, 0, units.EthernetMTU},
+		{1, 0, units.EthernetMTU},
+		{100 * units.Mbps, 500 * units.Microsecond, 28},
+		{100 * units.Mbps, units.FromSeconds(3), 28},
+		{1_000_000 * units.Mbps, 1, 1},
+	} {
+		if w := lookaheadWindow(c.rate, c.delay, c.size); w <= 0 || w > maxWindow {
+			t.Errorf("lookaheadWindow(%v, %v, %d) = %v, want in (0, %v]", c.rate, c.delay, c.size, w, maxWindow)
 		}
 	}
 }
@@ -282,12 +322,6 @@ func denseBorderFixture(tap *ptrace.Recorder) *syncPipeline {
 		p.stepBorder()
 	}
 	return p
-}
-
-// stepBorder is one step that also runs the border up to the frontier.
-func (p *syncPipeline) stepBorder() {
-	p.step()
-	p.mix.Sim.RunBefore(p.frontier)
 }
 
 // TestShardBorderMergeAllocationBudget pins the sharded border-merge
@@ -339,12 +373,13 @@ func rampPipelineAlloc(t *testing.T, n int, startWindow, play units.Time) (bytes
 			Chain: ChainSpec{AccessRate: 100 * units.Mbps, AccessDelay: 500 * units.Microsecond,
 				JitterMax: 3 * units.Millisecond}}}}
 	horizon := units.Time(int64(n))*offset + sched.Entries[len(sched.Entries)-1].At + units.FromSeconds(5)
-	sas, seq, w := mix.stages(2, horizon)
+	sas, seq := mix.stages(2, horizon, mix.lookahead())
+	w := seq.w
 	border := sim.New(1)
 	counts := make([]int, horizon/w+1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	st := runPipeline(border, sas, seq, w, horizon, func(flow, entry int32) {
+	st := runPipeline(border, sas, seq, horizon, func(int32) {
 		counts[border.Now()/w]++
 	})
 	runtime.ReadMemStats(&after)
@@ -362,13 +397,13 @@ func rampPipelineAlloc(t *testing.T, n int, startWindow, play units.Time) (bytes
 // allocates in proportion (~90 peak windows' worth of records on the
 // longer ramp), and chunk buffers grown by append from nil pay a dozen
 // small steps per buffer (~380 objects). Sized from the windows already
-// seen, each buffer is re-made a few times over the whole ramp: ~40–47
-// peak windows in ~150–170 objects at either ramp length. The bounds
+// seen, each buffer is re-made a few times over the whole ramp: ~36
+// peak windows in ~120–140 objects at either ramp length. The bounds
 // are 64 windows, 220 objects and 25 % growth from the shorter ramp.
 func TestShardedRampAllocationFollowsPeak(t *testing.T) {
 	const n = 1500
 	play := 1500 * units.Millisecond
-	rec := uint64(unsafe.Sizeof(arrival{}))
+	rec := uint64(unsafe.Sizeof(arrival(0)))
 	var short uint64
 	for _, ramp := range []units.Time{play / 4, play} {
 		bytes, mallocs, peak := rampPipelineAlloc(t, n, ramp, play)
