@@ -111,10 +111,10 @@ func denseMixture(s *sim.Simulator, pool *packet.Pool, next packet.Handler) *flo
 // with the given jitter bound, terminal pooled sink — ready for
 // allocation measurement. With zero jitter the steady state is exactly
 // periodic. With jitter it is not, and still pins at zero: calendar
-// buckets and wheel buckets are chains with no capacity to outgrow, and
-// what does have a high-water mark — pooled events and pending-delivery
-// nodes, at most one per packet inside the jitter bound — reaches it
-// during the warm-up.
+// buckets are chains with no capacity to outgrow, and what does have a
+// high-water mark — pooled events, the arrival window buffers and the
+// pending-delivery heap, at most one entry per packet inside the
+// jitter bound — reaches it during the warm-up.
 func batchedFixture(tap *ptrace.Recorder, jitterMax units.Time) (*sim.Simulator, *flowbatch.BatchedMixture) {
 	s := sim.New(1)
 	pool := packet.NewPool()
@@ -126,13 +126,13 @@ func batchedFixture(tap *ptrace.Recorder, jitterMax units.Time) (*sim.Simulator,
 		src.Tap, src.Hop = tap, tap.Hop("vflows")
 	}
 	src.Start()
-	s.RunUntil(200 * units.Millisecond) // warm the event pool, the pending-delivery slab and the packet arena
+	s.RunUntil(200 * units.Millisecond) // warm the event pool, the pending-delivery heap and the packet arena
 	return s, src
 }
 
 // TestBatchedSourceAllocationBudget pins the batched fan-out's hot
 // path at zero allocations, with the folded jitter off and on: once
-// the pending-delivery slab, the event pool and the packet arena are
+// the pending-delivery heap, the event pool and the packet arena are
 // warm, emitting N virtual flows' packets through the folded chain
 // allocates nothing.
 func TestBatchedSourceAllocationBudget(t *testing.T) {
@@ -154,13 +154,12 @@ func TestBatchedSourceAllocationBudget(t *testing.T) {
 
 // TestBatchedSourceWholeRunAllocationsIndependentOfN states the
 // fan-out's allocation invariant for a whole run, set-up included:
-// Start makes a fixed number of per-flow arrays and two arrays per
-// wheel, the pending-delivery slab grows O(log) times, and nothing is
-// allocated per flow or per wheel bucket — so a 500-flow and a
-// 4,000-flow run on fresh simulators, sharing one warmed packet pool,
-// differ by a few dozen allocations (event-pool and slab high-water
-// marks), where the bucket-of-slices wheels differed by about ten per
-// flow.
+// Start makes a fixed number of per-flow arrays, sizes the arrival
+// window buffers and the pending-delivery heap from the event density,
+// and nothing is allocated per flow or per window — so a 500-flow and
+// a 4,000-flow run on fresh simulators, sharing one warmed packet pool,
+// differ by a few dozen allocations (event-pool, window and heap
+// high-water marks).
 func TestBatchedSourceWholeRunAllocationsIndependentOfN(t *testing.T) {
 	sched := &flowbatch.Schedule{}
 	for i := 0; i < 25; i++ {

@@ -19,10 +19,10 @@ import (
 // .ptrace capture. This is the contract that makes
 // `dsbench -shards` a pure throughput knob: the figure a sharded run
 // assembles is the figure a serial run assembles, at every shard
-// count. The tie standard is the flow-batching one (see
-// internal/flowbatch): exact same-instant collisions between an
-// injected delivery and a native border event are measure-zero on the
-// tested grids.
+// count on these grids. A same-instant tie between an injected
+// delivery and a native border event resolves by event sequence in the
+// serial walk and injection-first in the pipeline (see
+// internal/flowbatch); the tested grids realize no such tie.
 
 // shardTrace builds the bounded verdict-masked recorder every harness
 // run records into. Packet ids are numbered by the run's own pool, so

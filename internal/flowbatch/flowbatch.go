@@ -12,26 +12,24 @@
 // BatchedMixture is the only batched video source. It streams K
 // equivalence classes (MixtureClass: a cached schedule, a folded access
 // chain, a phase and a stagger), with global flow indices laid out
-// class-major; a homogeneous population is the K = 1 case. One arrival
-// wheel and one delivery wheel (flowWheel, a calendar of time buckets
-// over flow indices — O(1) amortized where a binary heap pays a
-// cache-hostile O(log N) sift; the heap survives in wheel_test.go as
-// the differential oracle) interleave the classes in exact global
-// (time, flow) order. TruncateSchedule caps a class's schedule to a
-// clip prefix for fleet-scale sweeps.
+// class-major; a homogeneous population is the K = 1 case. It has two
+// run modes, the serial walk (Start) and the sharded pipeline
+// (RunSharded), and one arrival order: a shard walk (shardArrivals)
+// emits each lookahead window's arrivals as packed (time, flow) words,
+// and one radix sort of the window (sortWindow) interleaves the classes
+// in exact global (time, flow) order. The serial walk runs a single
+// shard walk over every flow inline, draws the sorted words in order on
+// its arrival timer, and keeps the drawn deliveries in one (time, flow)
+// min-heap (deliveryHeap). TruncateSchedule caps a class's schedule to
+// a clip prefix for fleet-scale sweeps.
 //
-// None of the fan-out's structures allocates per bucket or per flow. A
-// wheel's buckets and its overflow are intrusive chains over two fixed
-// arrays — one head per bucket, one successor link per flow — which is
-// sufficient on the precondition that a flow is in a given wheel at
-// most once (every caller re-files a flow only by popping it first),
-// and singly linked is enough because only the located minimum, whose
-// predecessor min() remembers, is ever removed. The drawn-but-undelivered
-// jitter times of all flows are FIFOs chained through one shared,
-// free-listed slab (timeFIFOs), sized by how many deliveries are
-// pending at once rather than by N. A run's allocation count is
-// therefore Start's fixed set of arrays plus O(log) slab growth,
-// whatever the flow count.
+// The serial walk allocates nothing per packet and nothing per window.
+// Start makes a fixed set of per-flow arrays, and sizes the window
+// buffer, its sort scratch and the heap from twice the mean event
+// density over the fan-out's span; past that they grow by append to
+// their high-water marks (a window's arrivals, the deliveries pending
+// within the jitter bound). A run's allocation count therefore does not
+// depend on the flow count.
 //
 // # Exactness
 //
@@ -77,7 +75,7 @@
 // BatchedPaced armed one simulator timer per packet at the instant its
 // jitter was drawn — the scheduling sequence number a real jitter
 // element's delivery event takes — while the mixture kept a single
-// timer at the delivery wheel's minimum. The paper's token buckets are
+// timer at the earliest pending delivery. The paper's token buckets are
 // two or three packets deep, so one same-nanosecond reorder against a
 // native border event (a link's tx-done, a cross-traffic arrival) flips
 // a policer or EF-queue verdict: sending the 320-flow `wide-batched`
@@ -91,8 +89,8 @@
 // per-packet arming everywhere. Measured when the sources were merged,
 // ten alternating benchmark pairs against the parent commit:
 // `wide-batched` wall 1.22 → 1.07 s (ahead in 10 of 10, unclaimed),
-// mallocs 204,081 → 208,439 (+2.1 %, bound 4 %: the wheels' lazily
-// grown buckets), sim.events unchanged at 5,085,299.
+// mallocs 204,081 → 208,439 (+2.1 %, bound 4 %: the lazily grown
+// delivery structures of that time), sim.events unchanged at 5,085,299.
 //
 // # Sharded execution
 //
@@ -103,9 +101,9 @@
 // shift-invariant — max(a+c, b+c) = max(a, b)+c — so a flow started at
 // s arrives with entry k at exactly s + base[k], where base, one array
 // per class that init computes, is the walk of a flow started at 0.
-// The serial arrival wheel and the shard walks both read arrivals that
-// way, and the serial walk and the sequencer both take jitter through
-// the mixture's one draw, into the mixture's own per-flow clamp state.
+// Both modes read arrivals that way, through the same shard walk, and
+// the serial walk and the sequencer both take jitter through the
+// mixture's one draw, into the mixture's own per-flow clamp state.
 //
 // The pipeline has three stages:
 //
@@ -157,14 +155,20 @@
 // numbering each flow's packets itself — inject plays entry Sent[g]
 // next, as the serial walk does.
 //
-// Before applying a delivery at t the border fires every event strictly
-// before t and advances its clock to exactly t. Same-instant ties
-// between an injected packet and a native border event resolve
-// injection-first where a serial run resolves them in event-sequence
-// order. The tie set was taken to be measure-zero (jittered delivery
-// instants against lattice-valued link events), the standard batching
-// set above; the harness pins its absence on the tested grids, and the
-// larger runs named above realize it.
+// The two modes break a same-instant tie between a delivery and a
+// native border event (a link's tx-done, a cross-traffic arrival) by
+// different rules. The serial walk delivers from simulator timers, so
+// the tie resolves by event sequence: the sequence a real jitter
+// element's delivery event would take under per-packet arming, the
+// single timer's under the other rule. The pipeline injects first:
+// before applying a delivery at t the border fires every event strictly
+// before t, advances its clock to exactly t and injects. On an
+// integer-nanosecond clock such ties occur, and finding (a) in
+// ROADMAP.md shows both rules realized: the larger runs named above
+// deliver differently, and both modes draw and order their deliveries
+// identically, so the tie rules are the only place their timelines can
+// part. The harness pins the two modes equal on grids where no tie is
+// realized.
 //
 // Only a batched mixture has flows to partition. An unbatched build
 // given more than one shard runs serially; chain-clone sharding of

@@ -2,6 +2,7 @@ package flowbatch
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -256,97 +257,60 @@ func TestMixtureWidthInvariant(t *testing.T) {
 	}
 }
 
-// TestFlowHeapOrdering property-tests the wheel's oracle (wheel_test.go):
-// pops come out in (key, index) order under interleaved pushes and key
-// advances.
-func TestFlowHeapOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	keys := make([]units.Time, 64)
-	h := flowHeap{idx: make([]int32, 0, len(keys)), key: keys}
-	for i := range keys {
-		keys[i] = units.Time(rng.Intn(1000))
-		h.push(int32(i))
-	}
-	var prevKey units.Time = -1
-	var prevIdx int32 = -1
-	for h.len() > 0 {
-		i := h.min()
-		if keys[i] < prevKey || (keys[i] == prevKey && i < prevIdx) {
-			t.Fatalf("heap order violated: (%d,%d) after (%d,%d)", keys[i], i, prevKey, prevIdx)
+// TestDeliveryHeapMatchesSortedReference drives the serial walk's
+// pending-delivery heap and a sorted slice through the same random
+// interleaved push/pop sequence. Instants come from a narrow range over
+// eight flows, so same-instant entries of different flows and duplicate
+// (at, flow) pairs are common. Every pop must return the reference's
+// least pair, the heap must hold exactly the pending entries, and its
+// backing array must stay within twice the high-water mark of
+// simultaneously pending entries.
+func TestDeliveryHeapMatchesSortedReference(t *testing.T) {
+	less := func(a, b pendingDelivery) int {
+		if a.at != b.at {
+			return int(a.at - b.at)
 		}
-		prevKey, prevIdx = keys[i], i
-		if rng.Intn(3) == 0 {
-			// Advance the root's key in place, as the arrival walk does.
-			keys[i] += units.Time(rng.Intn(500))
-			h.fixMin()
-			prevKey, prevIdx = -1, -1
-			continue
-		}
-		h.pop()
+		return int(a.flow) - int(b.flow)
 	}
-}
-
-// TestTimeFIFOsMatchSlices drives the shared-slab per-flow FIFOs and
-// plain per-flow slices through the same random interleaved push/pop
-// sequence over 64 flows, and pins node reuse: the slab never grows
-// past the high-water mark of simultaneously pending entries.
-func TestTimeFIFOsMatchSlices(t *testing.T) {
-	const flows = 64
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		f := newTimeFIFOs(flows)
-		ref := make([][]units.Time, flows)
-		pending, highWater := 0, 0
-		// Phases alternate between filling and draining so the free
-		// chain is exercised at every depth, including fully drained.
+		var h deliveryHeap
+		var ref []pendingDelivery
+		highWater, dups, ties := 0, 0, 0
+		// Phases alternate between filling and draining, so the heap is
+		// exercised at every depth, including empty.
 		for step := 0; step < 20_000; step++ {
-			g := int32(rng.Intn(flows))
 			fill := (step/500)%2 == 0
-			if len(ref[g]) == 0 || (fill && rng.Intn(3) > 0) || (!fill && rng.Intn(3) == 0) {
-				at := units.Time(rng.Int63n(1 << 40))
-				f.push(g, at)
-				ref[g] = append(ref[g], at)
-				pending++
-				if pending > highWater {
-					highWater = pending
+			if len(ref) == 0 || (fill && rng.Intn(3) > 0) || (!fill && rng.Intn(3) == 0) {
+				d := pendingDelivery{at: units.Time(step/8 + rng.Intn(64)), flow: uint32(rng.Intn(8))}
+				i, found := slices.BinarySearchFunc(ref, d, less)
+				if found {
+					dups++
+				} else if i < len(ref) && ref[i].at == d.at || i > 0 && ref[i-1].at == d.at {
+					ties++
 				}
+				h.push(d)
+				ref = slices.Insert(ref, i, d)
+				highWater = max(highWater, len(ref))
 			} else {
-				if got := f.peek(g); got != ref[g][0] {
-					t.Fatalf("seed %d step %d: peek(%d) = %v, want %v", seed, step, g, got, ref[g][0])
+				if h[0] != ref[0] {
+					t.Fatalf("seed %d step %d: root %+v, want %+v", seed, step, h[0], ref[0])
 				}
-				if got := f.pop(g); got != ref[g][0] {
-					t.Fatalf("seed %d step %d: pop(%d) = %v, want %v", seed, step, g, got, ref[g][0])
+				if got := h.pop(); got != ref[0] {
+					t.Fatalf("seed %d step %d: pop %+v, want %+v", seed, step, got, ref[0])
 				}
-				ref[g] = ref[g][1:]
-				pending--
+				ref = ref[1:]
 			}
-			if f.empty(g) != (len(ref[g]) == 0) {
-				t.Fatalf("seed %d step %d: empty(%d) = %v with %d pending", seed, step, g, f.empty(g), len(ref[g]))
+			if len(h) != len(ref) {
+				t.Fatalf("seed %d step %d: heap holds %d, %d pending", seed, step, len(h), len(ref))
 			}
-			if len(f.nodes) > highWater {
-				t.Fatalf("seed %d step %d: slab holds %d nodes, high-water of pending entries is %d",
-					seed, step, len(f.nodes), highWater)
+			if cap(h) > 2*highWater {
+				t.Fatalf("seed %d step %d: heap capacity %d, high-water of pending entries is %d",
+					seed, step, cap(h), highWater)
 			}
 		}
-		// Every node is on exactly one chain: a flow's FIFO or the free
-		// chain.
-		seen := make([]bool, len(f.nodes))
-		walk := func(what string, i int32) {
-			for ; i >= 0; i = f.nodes[i].next {
-				if seen[i] {
-					t.Fatalf("seed %d: node %d reached twice (%s)", seed, i, what)
-				}
-				seen[i] = true
-			}
-		}
-		for g := range f.ends {
-			walk("fifo", f.ends[g].head)
-		}
-		walk("free", f.free)
-		for i, ok := range seen {
-			if !ok {
-				t.Fatalf("seed %d: node %d is on no chain", seed, i)
-			}
+		if dups == 0 || ties == 0 {
+			t.Fatalf("seed %d: %d duplicate pairs and %d cross-flow ties pushed, want both", seed, dups, ties)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // (time, flow) order. The interleaving is what makes a mixture exact:
 // the jitter draws of every class come from the simulator's root RNG in
 // the identical sequence N real per-flow jitter elements would consume,
-// which K independent sources — each walking its own arrival wheel —
+// which K independent sources — each walking its own arrivals —
 // could not reproduce.
 
 // TruncateSchedule returns the prefix of sched strictly before cutoff
@@ -62,14 +62,14 @@ type MixtureClass struct {
 // bit-exactly, and jitter is drawn from the root RNG in global
 // (time, flow) arrival order across all classes.
 //
-// Two pre-bound Timers drive the whole fan-out: an arrival timer that
-// walks the merged (per-flow serialized) arrival sequence, drawing
-// each packet's jitter at its arrival instant, and a delivery timer
-// that hands materialized packets to the per-flow next hops at their
-// jittered times. Steady-state emission allocates nothing: packets
-// come from Pool, the wheels are chains over fixed arrays, pending
-// timestamps recycle the nodes of one shared slab, and the simulator
-// recycles both timer events.
+// Two pre-bound Timers drive the serial walk: an arrival timer that
+// reads the merged (per-flow serialized) arrival sequence window by
+// window from one shard walk, drawing each packet's jitter at its
+// arrival instant, and a delivery timer that hands materialized
+// packets to the per-flow next hops at their jittered times.
+// Steady-state emission allocates nothing: packets come from Pool, the
+// window buffers and the pending heap are reused at their high-water
+// marks, and the simulator recycles both timer events.
 type BatchedMixture struct {
 	Sim      *sim.Simulator
 	Classes  []MixtureClass
@@ -98,14 +98,14 @@ type BatchedMixture struct {
 	// per draw cost the two-shard fleet ~10 % of its wall time).
 	rng *sim.RNG
 
-	// The serial walk's own state; startArmed lays it out.
-	drawn   []int32 // global flow -> jitter draws taken, the next entry to arrive
-	nextArr []units.Time
-	nextDel []units.Time
-	pending timeFIFOs
-
-	arrWheel flowWheel
-	delWheel flowWheel
+	// The serial walk's own state; startArmed lays it out. Arrivals
+	// come from one shard walk that owns every flow: arrivals.out holds
+	// the sorted lookahead window that starts at window, and
+	// arrivals.out[next] is the next arrival to draw.
+	arrivals shardArrivals
+	window   units.Time
+	next     int
+	pending  deliveryHeap
 
 	// perPacket selects the delivery-timer arming rule (see
 	// armPerPacketMax). Under the single-timer rule delArmed is the
@@ -127,8 +127,8 @@ type BatchedMixture struct {
 // link.Jitter's delivery event would take, so same-nanosecond ties
 // against native border events resolve exactly as in the unbatched
 // build, and it keeps only ≈ rate × jitter resident events (≈ 40 at 320
-// flows). Above it one timer rides the delivery wheel's minimum: the
-// wheel already orders every pending packet, and per-packet arming
+// flows). Above it one timer rides the pending heap's root: the heap
+// already orders every pending packet, and per-packet arming
 // would keep ≈ 2,000 resident calendar events at 16k flows whose only
 // effect is lengthening every bucket scan in the hot loop. The two
 // rules emit the identical sequence into a sink but break topology ties
@@ -136,65 +136,61 @@ type BatchedMixture struct {
 // (320 flows) sits below the boundary, `fleet-mix` (16,000) above it.
 const armPerPacketMax = 1024
 
-// timeFIFOs holds one FIFO of timestamps per virtual flow — the
-// drawn-but-undelivered jitter delivery times — as chains through a
-// single slab of nodes. Popped nodes go on a free chain and are reused
-// before the slab grows, so its length is the high-water mark of
-// simultaneously pending deliveries across all flows (≈ rate × jitter),
-// not a per-flow allocation, and steady-state push/pop never allocates.
-type timeFIFOs struct {
-	ends  []fifoEnds // per flow
-	nodes []timeNode
-	free  int32 // head of the recycled-node chain; -1 when none
+// deliveryHeap is the serial walk's drawn-but-undelivered
+// deliveries, a binary min-heap ordered by (at, flow): the order the
+// pipeline releases them in. A flow's delivery instants are
+// non-decreasing in draw order (the jitter clamp), so the least pending
+// pair is always the least of the flows' oldest pending deliveries,
+// and two pairs of one (at, flow) need no order between them: inject
+// plays entry Sent[g] whichever is popped first.
+type deliveryHeap []pendingDelivery
+
+func (d pendingDelivery) before(e pendingDelivery) bool {
+	return d.at < e.at || d.at == e.at && d.flow < e.flow
 }
 
-// fifoEnds is one flow's oldest and newest node; head is -1 when the
-// flow has nothing pending (tail is then meaningless).
-type fifoEnds struct{ head, tail int32 }
-
-type timeNode struct {
-	t    units.Time
-	next int32 // following node of the same FIFO, or of the free chain
+func (h *deliveryHeap) push(d pendingDelivery) {
+	*h = append(*h, d)
+	h.up(len(*h)-1, d)
 }
 
-func newTimeFIFOs(flows int) timeFIFOs {
-	ends := make([]fifoEnds, flows)
-	for i := range ends {
-		ends[i].head = -1
+// pop removes and returns the least delivery; the heap must be
+// non-empty. The hole the root leaves walks down the lesser children
+// to a leaf, and the last entry, which belongs near the bottom, sifts
+// up from there: one comparison per level instead of two.
+func (h *deliveryHeap) pop() pendingDelivery {
+	q := *h
+	top, last := q[0], len(q)-1
+	d := q[last]
+	q = q[:last]
+	*h = q
+	if last == 0 {
+		return top
 	}
-	return timeFIFOs{ends: ends, free: -1}
+	i := 0
+	for c := 1; c < last; c = 2*i + 1 {
+		if c+1 < last && q[c+1].before(q[c]) {
+			c++
+		}
+		q[i] = q[c]
+		i = c
+	}
+	h.up(i, d)
+	return top
 }
 
-func (f *timeFIFOs) empty(g int32) bool { return f.ends[g].head < 0 }
-
-func (f *timeFIFOs) peek(g int32) units.Time { return f.nodes[f.ends[g].head].t }
-
-func (f *timeFIFOs) push(g int32, t units.Time) {
-	i := f.free
-	if i >= 0 {
-		f.free = f.nodes[i].next
-		f.nodes[i] = timeNode{t: t, next: -1}
-	} else {
-		i = int32(len(f.nodes))
-		f.nodes = append(f.nodes, timeNode{t: t, next: -1})
+// up places d in the hole at i, moving the hole's ancestors that d
+// precedes down a level.
+func (h deliveryHeap) up(i int, d pendingDelivery) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !d.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	e := &f.ends[g]
-	if e.head < 0 {
-		e.head = i
-	} else {
-		f.nodes[e.tail].next = i
-	}
-	e.tail = i
-}
-
-func (f *timeFIFOs) pop(g int32) units.Time {
-	e := &f.ends[g]
-	i := e.head
-	n := &f.nodes[i]
-	e.head = n.next
-	n.next = f.free
-	f.free = i
-	return n.t
+	h[i] = d
 }
 
 // mixArriveTimer and mixDeliverTimer give the mixture two Fire methods
@@ -260,16 +256,22 @@ func (s *BatchedMixture) startArmed(perPacket bool) {
 	}
 	n := s.init()
 	s.perPacket = perPacket
-	s.drawn = make([]int32, n)
-	s.nextArr = make([]units.Time, n)
-	s.nextDel = make([]units.Time, n)
-	s.pending = newTimeFIFOs(n)
-	// Size the merge wheels from the mixture's event density: total
-	// scheduled packets spread over the fan-out's full span.
+	s.delArmed = -1
+	s.arrive = (*mixArriveTimer)(s)
+	s.deliver = (*mixDeliverTimer)(s)
+	w := s.lookahead()
+	s.arrivals = shardArrivals{mix: s, stride: 1, packing: newPacking(w, n)}
+	s.arrivals.init()
+	s.window, s.next = s.Sim.Now()-w, 0
+	// Size the window buffers and the heap from the mixture's event
+	// density, total scheduled packets spread over the fan-out's full
+	// span, at twice its mean: windows of w carry that many arrivals,
+	// and the heap holds the deliveries of about JitterMax.
 	var events int64
-	var span units.Time
+	var span, jitter units.Time
 	for ci := range s.Classes {
 		c := &s.Classes[ci]
+		jitter = max(jitter, c.Chain.JitterMax)
 		if c.N == 0 || len(c.Sched.Entries) == 0 {
 			continue
 		}
@@ -279,19 +281,15 @@ func (s *BatchedMixture) startArmed(perPacket bool) {
 			span = end
 		}
 	}
-	s.arrWheel = newFlowWheel(s.nextArr, events, span)
-	s.delWheel = newFlowWheel(s.nextDel, events, span)
-	s.delArmed = -1
-	s.arrive = (*mixArriveTimer)(s)
-	s.deliver = (*mixDeliverTimer)(s)
-	for g := int32(0); g < int32(n); g++ {
-		if base := s.base[s.classOf[g]]; len(base) > 0 {
-			s.nextArr[g] = s.start[g] + base[0]
-			s.arrWheel.push(g)
-		}
+	if span > 0 {
+		perNS := 2 * float64(events) / float64(span)
+		win := int(min(perNS*float64(w), float64(events)))
+		s.arrivals.out = make([]arrival, 0, win)
+		s.arrivals.scratch = make([]arrival, 0, win)
+		s.pending = make(deliveryHeap, 0, int(min(perNS*float64(jitter), float64(events))))
 	}
-	if s.arrWheel.len() > 0 {
-		s.Sim.AtTimer(s.nextArr[s.arrWheel.min()], s.arrive)
+	if a, _, ok := s.nextArrival(); ok {
+		s.Sim.AtTimer(a, s.arrive)
 	}
 }
 
@@ -340,49 +338,54 @@ func (s *BatchedMixture) draw(g int32, a units.Time) units.Time {
 	return t
 }
 
+// nextArrival returns the earliest arrival not yet drawn, walking the
+// next lookahead window when the current one is used up; ok is false
+// once every flow's schedule is exhausted.
+func (s *BatchedMixture) nextArrival() (at units.Time, g uint32, ok bool) {
+	sa := &s.arrivals
+	for s.next == len(sa.out) {
+		if sa.done() {
+			return 0, 0, false
+		}
+		sa.out, s.next = sa.out[:0], 0
+		s.window += sa.w
+		sa.advanceTo(s.window + sa.w)
+	}
+	at, g = sa.unpack(sa.out[s.next], s.window)
+	return at, g, true
+}
+
 // processArrivals draws jitter for every packet arriving now, in
 // global (time, flow) order across all classes — the same root-RNG
 // consumption order N real jitter elements would produce — and
 // schedules each packet's delivery at its jittered instant.
 func (s *BatchedMixture) processArrivals(now units.Time) {
-	for s.arrWheel.len() > 0 {
-		g := s.arrWheel.min()
-		if s.nextArr[g] > now {
-			break
-		}
-		t := s.draw(g, s.nextArr[g])
-		if s.pending.empty(g) {
-			s.nextDel[g] = t
-			s.delWheel.push(g)
-		}
-		s.pending.push(g, t)
+	a, g, ok := s.nextArrival()
+	for ok && a <= now {
+		t := s.draw(int32(g), a)
+		s.pending.push(pendingDelivery{at: t, flow: g})
 		if s.perPacket {
 			s.Sim.AtTimer(t, s.deliver)
 		}
-		s.drawn[g]++
-		if base := s.base[s.classOf[g]]; int(s.drawn[g]) < len(base) {
-			s.nextArr[g] = s.start[g] + base[s.drawn[g]]
-			s.arrWheel.fixMin()
-		} else {
-			s.arrWheel.pop()
-		}
+		s.next++
+		a, g, ok = s.nextArrival()
 	}
 	s.armDeliver()
-	if s.arrWheel.len() > 0 {
-		s.Sim.AtTimer(s.nextArr[s.arrWheel.min()], s.arrive)
+	if ok {
+		s.Sim.AtTimer(a, s.arrive)
 	}
 }
 
 // armDeliver, under the single-timer rule, keeps exactly one delivery
-// timer armed at the wheel's minimum, cancelling the previous one when
-// the minimum moved earlier (the handle of a timer that already fired
-// is stale, so Cancel is a no-op in the common re-arm-after-fire case).
+// timer armed at the heap's least delivery, cancelling the previous one
+// when that moved earlier (the handle of a timer that already fired is
+// stale, so Cancel is a no-op in the common re-arm-after-fire case).
 // Under per-packet arming every pending delivery already has its timer.
 func (s *BatchedMixture) armDeliver() {
-	if s.perPacket || s.delWheel.len() == 0 {
+	if s.perPacket || len(s.pending) == 0 {
 		return
 	}
-	if t := s.nextDel[s.delWheel.min()]; s.delArmed < 0 || t < s.delArmed {
+	if t := s.pending[0].at; s.delArmed < 0 || t < s.delArmed {
 		s.delTimer.Cancel()
 		s.delTimer = s.Sim.AtTimer(t, s.deliver)
 		s.delArmed = t
@@ -393,19 +396,8 @@ func (s *BatchedMixture) armDeliver() {
 // delivery instant is now, in (time, flow) order.
 func (s *BatchedMixture) deliverDue(now units.Time) {
 	s.delArmed = -1
-	for s.delWheel.len() > 0 {
-		g := s.delWheel.min()
-		if s.nextDel[g] > now {
-			break
-		}
-		s.pending.pop(g)
-		s.inject(g)
-		if !s.pending.empty(g) {
-			s.nextDel[g] = s.pending.peek(g)
-			s.delWheel.fixMin()
-		} else {
-			s.delWheel.pop()
-		}
+	for len(s.pending) > 0 && s.pending[0].at <= now {
+		s.inject(int32(s.pending.pop().flow))
 	}
 	s.armDeliver()
 }

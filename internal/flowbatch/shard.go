@@ -74,9 +74,11 @@ func (pk packing) replay(border *sim.Simulator, dels []delivery, start units.Tim
 // Arrivals accumulate in out; the shard worker drains lookahead windows
 // with advanceTo and hands out chunks to the sequencer.
 type shardArrivals struct {
-	mix     *BatchedMixture
-	flows   []int32    // owned global virtual-flow indices, ascending
-	horizon units.Time // arrivals after this never fire serially; 0 = unbounded
+	mix *BatchedMixture
+	// The walk owns global virtual flows first, first+stride, …: the
+	// owned flow at local index loc is first + loc·stride.
+	first, stride int32
+	horizon       units.Time // arrivals after this never fire serially; 0 = unbounded
 	packing
 
 	// out collects the arrivals of the current window in (time, flow)
@@ -88,20 +90,21 @@ type shardArrivals struct {
 	produced uint64
 
 	pos     []int32   // next schedule entry per owned flow
-	live    []int32   // owned-flow indices not yet exhausted
+	live    []int32   // local indices of owned flows not yet exhausted
 	scratch []arrival // radix-sort ping-pong buffer
 }
 
 // init seeds the per-flow walk state.
 func (sa *shardArrivals) init() {
-	n := len(sa.flows)
-	if n == 0 {
+	m := sa.mix
+	n := (int32(len(m.classOf)) - sa.first + sa.stride - 1) / sa.stride
+	if n <= 0 {
 		return
 	}
 	sa.pos = make([]int32, n)
 	sa.live = make([]int32, 0, n)
-	m := sa.mix
-	for i, g := range sa.flows {
+	for i := int32(0); i < n; i++ {
+		g := sa.first + i*sa.stride
 		base := m.base[m.classOf[g]]
 		if len(base) == 0 {
 			continue
@@ -109,7 +112,7 @@ func (sa *shardArrivals) init() {
 		if first := m.start[g] + base[0]; sa.horizon > 0 && first > sa.horizon {
 			continue
 		}
-		sa.live = append(sa.live, int32(i))
+		sa.live = append(sa.live, i)
 	}
 }
 
@@ -132,7 +135,7 @@ func (sa *shardArrivals) advanceTo(frontier units.Time) {
 	w := 0
 	m := sa.mix
 	for _, loc := range sa.live {
-		flow := sa.flows[loc]
+		flow := sa.first + loc*sa.stride
 		first, base := m.start[flow], m.base[m.classOf[flow]]
 		n := int32(len(base))
 		k := sa.pos[loc]
@@ -412,10 +415,7 @@ func (s *BatchedMixture) stages(shards int, horizon, w units.Time) ([]*shardArri
 	pk := newPacking(w, n)
 	sas := make([]*shardArrivals, shards)
 	for i := range sas {
-		sa := &shardArrivals{mix: s, horizon: horizon, packing: pk, flows: make([]int32, 0, (n-i+shards-1)/shards)}
-		for g := i; g < n; g += shards {
-			sa.flows = append(sa.flows, int32(g))
-		}
+		sa := &shardArrivals{mix: s, first: int32(i), stride: int32(shards), horizon: horizon, packing: pk}
 		sa.init()
 		sas[i] = sa
 	}

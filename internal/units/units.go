@@ -22,8 +22,7 @@ type Time int64
 
 // Common simulated durations.
 const (
-	Nanosecond  Time = 1
-	Microsecond      = 1000 * Nanosecond
+	Microsecond Time = 1000
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
 )
