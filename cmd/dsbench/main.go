@@ -13,6 +13,10 @@
 //	dsbench -scenario tandem -trace traces/   # dump per-point packet traces
 //	dsbench -scenario-file dumbbell.scenario.json   # compile + run a config-file scenario
 //
+// With -json - the JSON document is all of stdout; the figure text
+// goes to stderr. -list takes no flag but -scenario-file: a flag only
+// a run reads exits 2 naming it.
+//
 // With -trace DIR every scenario point writes a bounded packet-level
 // trace (<scenario>-<point>.ptrace) that cmd/dstrace summarizes.
 // Tracing is pure observation: figure output is byte-identical with
@@ -36,20 +40,24 @@
 // Figure scenarios come from the experiment scenario registry and are
 // executed on the deterministic runner pool: -parallel changes only
 // wall-clock time, never a byte of output. -scenario-file compiles a
-// JSON scenario file (internal/scenfile) into the same registry and
-// runs it under the identical contract — -shards is honored when the
-// file's declared capabilities allow it and rejected up front
-// otherwise.
+// JSON scenario file (internal/scenfile) beside the registry, not into
+// it: the file's scenario joins this invocation's artifact table at
+// its listing position and runs under the identical contract — -shards
+// is honored when the file's declared capabilities allow it and
+// rejected up front otherwise. A file may not reuse a registered name.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -64,51 +72,43 @@ import (
 	"repro/internal/video"
 )
 
-type artifact struct {
-	name string
-	desc string
-	run  func(scale int) string
-}
-
-// plotMode is set by the -plot flag: render figures as ASCII charts
-// in addition to the numeric tables.
-var plotMode bool
-
-// parallelism is set by the -parallel flag; 0 means GOMAXPROCS.
-var parallelism int
-
-// shardCount is set by the -shards flag: the requested shard workers
-// per simulation. Effective workers = min(requested, partitionable
-// batched flows), reported per run — an unbatched point has none and
-// runs serially. The knob trades cores-per-point against
-// points-in-flight. Output is not identical at every value: the
-// shardeq harness pins sharded runs equal to serial ones only on small
-// grids (nflow-wide at 16 and 64 flows, fleet points of 1,000 and 2,000
-// flows), and nflow-wide's 256-flow point and 16 k-flow fleets differ
-// at full scale (see experiment.Ctx.Shards). Scenarios that declare no
-// shard capability are rejected up front rather than silently ignoring
-// the flag.
-var shardCount int
-
-// jsonPath is set by the -json flag; scenario artifacts then record
-// machine-readable results (points, wall time, parallelism) that main
-// writes out at exit, so BENCH_*.json perf trajectories can accumulate
-// across runs.
-var jsonPath string
-
-// jsonRecords collects one record per scenario artifact that ran.
-var jsonRecords []scenarioRecord
-
-// traceDir and traceCfg are set by the -trace* flags; when traceDir is
-// non-empty every scenario artifact dumps per-point packet traces.
-// traceSpill streams complete captures during the run, and
-// traceDigest writes a behavioral .digest beside each sealed trace.
-var (
+// options is one invocation's run settings, read from its flags. The
+// artifacts run under it, and scenario artifacts append their -json
+// records to it.
+type options struct {
+	scale int // token-sweep thinning factor (-scale)
+	plot  bool
+	// parallel is the worker-pool size; 0 means GOMAXPROCS.
+	parallel int
+	// shards is the requested shard workers per simulation: effective
+	// workers = min(requested, partitionable batched flows), reported
+	// per run. Output equals -shards 1 only on the grids the shardeq
+	// harness pins (see experiment.Ctx.Shards), and scenarios that
+	// declare no shard capability are refused up front.
+	shards int
+	// jsonPath, when set, makes scenario artifacts collect records
+	// (points, wall time, parallelism) that run writes out at the end,
+	// so BENCH_*.json perf trajectories can accumulate across runs.
+	jsonPath string
+	records  []scenarioRecord
+	// traceDir, when set, makes every scenario artifact dump per-point
+	// packet traces shaped by traceCfg; traceSpill streams complete
+	// captures during the run, and traceDigest writes a behavioral
+	// .digest beside each sealed trace.
 	traceDir    string
 	traceCfg    ptrace.Config
 	traceSpill  bool
 	traceDigest bool
-)
+}
+
+// artifact is one entry of the table -list prints: a static table or
+// figure that text renders, or a scenario that the runner pool runs.
+type artifact struct {
+	name     string
+	desc     string
+	text     func(scale int) string
+	scenario experiment.Scenario
+}
 
 type jsonPoint struct {
 	TokenRateBps float64 `json:"token_rate_bps"`
@@ -184,10 +184,10 @@ type scenarioRecord struct {
 	Runs []jsonRun `json:"runs"`
 }
 
-func makeRecord(name string, fig *experiment.Figure, wall time.Duration, scale int, allocs uint64) scenarioRecord {
+func makeRecord(o *options, name string, fig *experiment.Figure, wall time.Duration, allocs uint64) scenarioRecord {
 	rec := scenarioRecord{
-		Name: name, Title: fig.Title, Parallel: parallelism, Scale: scale,
-		Shards: shardCount,
+		Name: name, Title: fig.Title, Parallel: o.parallel, Scale: o.scale,
+		Shards: o.shards,
 		WallMS: float64(wall.Microseconds()) / 1000,
 	}
 	for _, s := range fig.Series {
@@ -244,73 +244,74 @@ func makeRecord(name string, fig *experiment.Figure, wall time.Duration, scale i
 	return rec
 }
 
-// writeJSON dumps the collected records ("-" means stdout).
-func writeJSON(path string) error {
+// writeJSON dumps the collected records to o.jsonPath ("-" means
+// stdout).
+func writeJSON(o *options, stdout io.Writer) error {
 	out := struct {
 		Parallel  int              `json:"parallel"`
 		Scenarios []scenarioRecord `json:"scenarios"`
-	}{Parallel: parallelism, Scenarios: jsonRecords}
+	}{Parallel: o.parallel, Scenarios: o.records}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
+	if o.jsonPath == "-" {
+		_, err = stdout.Write(data)
 		return err
 	}
 	// Atomic like every other artifact: a reader polling for the
 	// trajectory file never observes a torn JSON document.
-	return atomicfile.WriteFile(path, data)
+	return atomicfile.WriteFile(o.jsonPath, data)
 }
 
-func render(f *experiment.Figure) string {
-	out := f.Format()
-	if plot := f.Plot(64, 16, false); plotMode && plot != "" {
-		out += "\n" + plot
+// runArtifact renders one artifact under o. A scenario runs on the
+// deterministic runner pool and, with -json, appends its record to o.
+// The error is a trace that failed to write mid-run; the figure text
+// comes back intact beside it.
+func runArtifact(a artifact, o *options) (string, error) {
+	if a.scenario == nil {
+		return a.text(o.scale), nil
 	}
-	return out
+	sc := experiment.Scaled(a.scenario, o.scale)
+	var msBefore runtime.MemStats
+	if o.jsonPath != "" {
+		runtime.ReadMemStats(&msBefore)
+	}
+	var tr *experiment.TraceRequest
+	if o.traceDir != "" {
+		tr = &experiment.TraceRequest{Dir: o.traceDir, Config: o.traceCfg,
+			Spill: o.traceSpill, Digest: o.traceDigest}
+	}
+	start := time.Now()
+	fig := experiment.RunScenarioOpts(sc, experiment.RunOptions{
+		Parallel: o.parallel, Trace: tr, Shards: o.shards,
+	})
+	wall := time.Since(start)
+	if o.jsonPath != "" {
+		var msAfter runtime.MemStats
+		runtime.ReadMemStats(&msAfter)
+		o.records = append(o.records, makeRecord(o, sc.Name(), fig, wall, msAfter.Mallocs-msBefore.Mallocs))
+	}
+	out := fig.Format()
+	if o.plot {
+		if plot := fig.Plot(64, 16, false); plot != "" {
+			out += "\n" + plot
+		}
+	}
+	if tr != nil {
+		if err := tr.Err(); err != nil {
+			return out, err
+		}
+		out += fmt.Sprintf("\n[%d packet traces written to %s]\n", len(tr.Files()), o.traceDir)
+	}
+	return out, nil
 }
 
-// scenarioArtifact adapts a registered scenario to the artifact table,
-// recording a JSON result when -json is set.
-func scenarioArtifact(s experiment.Scenario) artifact {
-	return artifact{s.Name(), s.Describe(), func(scale int) string {
-		sc := experiment.Scaled(s, scale)
-		var msBefore runtime.MemStats
-		if jsonPath != "" {
-			runtime.ReadMemStats(&msBefore)
-		}
-		var tr *experiment.TraceRequest
-		if traceDir != "" {
-			tr = &experiment.TraceRequest{Dir: traceDir, Config: traceCfg,
-				Spill: traceSpill, Digest: traceDigest}
-		}
-		start := time.Now()
-		fig := experiment.RunScenarioOpts(sc, experiment.RunOptions{
-			Parallel: parallelism, Trace: tr, Shards: shardCount,
-		})
-		wall := time.Since(start)
-		if jsonPath != "" {
-			var msAfter runtime.MemStats
-			runtime.ReadMemStats(&msAfter)
-			jsonRecords = append(jsonRecords,
-				makeRecord(sc.Name(), fig, wall, scale, msAfter.Mallocs-msBefore.Mallocs))
-		}
-		out := render(fig)
-		if tr != nil {
-			if err := tr.Err(); err != nil {
-				fmt.Println(out)
-				fmt.Fprintf(os.Stderr, "dsbench: %v\n", err)
-				os.Exit(1)
-			}
-			out += fmt.Sprintf("\n[%d packet traces written to %s]\n", len(tr.Files()), traceDir)
-		}
-		return out
-	}}
-}
-
-func artifacts() []artifact {
+// artifacts is the artifact table: the static tables and figures, then
+// scenarios, which experiment.Scenarios lists in order: fig7 … fig16
+// and the scaling scenarios, then the ablations.
+func artifacts(scenarios []experiment.Scenario) []artifact {
 	all := []artifact{
 		{"table1", "Frame Relay interface configuration", func(int) string {
 			var b strings.Builder
@@ -320,90 +321,54 @@ func artifacts() []artifact {
 				fmt.Fprintf(&b, "%-14s %-10.0f %-10d %-6d %-6s\n", c.Name, float64(c.CIR), c.Bc, c.Be, c.Kind)
 			}
 			return b.String()
-		}},
+		}, nil},
 		{"table2", "MPEG encoding properties of Lost and Dark", func(int) string {
 			return video.FormatTable2("Lost", video.Table2(video.Lost())) + "\n" +
 				video.FormatTable2("Dark", video.Table2(video.Dark()))
-		}},
+		}, nil},
 		{"table3", "Windows Media encoded clip properties", func(int) string {
 			return video.FormatTable3([]video.WMVRow{
 				video.Table3(video.Lost()), video.Table3(video.Dark()),
 			})
-		}},
+		}, nil},
 		{"table4", "Summary of experimental configurations", func(int) string {
 			return experiment.Table4()
-		}},
+		}, nil},
 		{"fig6", "Instantaneous transmission rates of the MPEG clips", func(scale int) string {
 			every := 31 * scale
 			return experiment.Figure6(video.Lost(), every) + "\n" + experiment.Figure6(video.Dark(), every)
-		}},
+		}, nil},
 	}
-	// Scenarios() is in listing order: fig7 … fig16 and the scaling
-	// scenarios, then the ablations.
-	for _, s := range experiment.Scenarios() {
-		all = append(all, scenarioArtifact(s))
+	for _, s := range scenarios {
+		all = append(all, artifact{name: s.Name(), desc: s.Describe(), scenario: s})
 	}
 	return all
 }
 
-// rejectUnshardable exits with a clear error when -shards > 1 was
-// combined with scenarios whose jobs would silently ignore it. Only
-// the scenarios actually selected for this invocation are checked, so
-// e.g. `-run nflow-fleet -shards 4` never trips over fig7.
-func rejectUnshardable(names map[string]bool, runAll bool) {
-	if shardCount <= 1 {
-		return
-	}
-	var bad []string
-	for _, s := range experiment.Scenarios() {
-		if (runAll || names[s.Name()]) && !s.Grid().Shards {
-			bad = append(bad, s.Name())
-		}
-	}
-	if len(bad) > 0 {
-		fmt.Fprintf(os.Stderr,
-			"-shards %d is not supported by: %s (these scenarios run single-simulator jobs; drop -shards or select shard-capable scenarios such as %s)\n",
-			shardCount, strings.Join(bad, ", "), strings.Join(shardableNames(), ", "))
-		os.Exit(2)
-	}
-}
-
-// shardableNames lists the registered scenarios whose jobs dispatch to
-// the intra-run sharded pipeline.
-func shardableNames() []string {
-	var out []string
-	for _, s := range experiment.Scenarios() {
-		if s.Grid().Shards {
-			out = append(out, s.Name())
-		}
-	}
-	return out
-}
-
-// validateSelection rejects -scenario together with an explicit -run:
-// both select what to run, and neither may silently win.
-func validateSelection(explicit map[string]bool) error {
-	if explicit["scenario"] && explicit["run"] {
-		return fmt.Errorf("-scenario and -run both select what to run; give one of them")
-	}
-	return nil
-}
-
-// validateTraceFlags rejects a -trace-* flag given without -trace DIR:
-// every one of them shapes the traces -trace writes, so without a
-// directory the run would silently go untraced. The error names the
-// first such flag in alphabetical order.
-func validateTraceFlags(explicit map[string]bool, dir string) error {
-	first := ""
-	for name := range explicit {
-		if strings.HasPrefix(name, "trace-") && (first == "" || name < first) {
-			first = name
-		}
-	}
-	if dir != "" || first == "" {
+// rejectUnshardable refuses -shards > 1 when a selected scenario's jobs
+// would silently ignore it. Only the artifacts actually selected are
+// checked, so e.g. `-run nflow-fleet -shards 4` never trips over fig7;
+// the error suggests the shard-capable scenarios among all.
+func rejectUnshardable(shards int, selected, all []artifact) error {
+	if shards <= 1 {
 		return nil
 	}
-	return fmt.Errorf("-%s requires -trace DIR (it shapes the traces written there)", first)
+	var bad, capable []string
+	for _, a := range selected {
+		if a.scenario != nil && !a.scenario.Grid().Shards {
+			bad = append(bad, a.name)
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	for _, a := range all {
+		if a.scenario != nil && a.scenario.Grid().Shards {
+			capable = append(capable, a.name)
+		}
+	}
+	return fmt.Errorf("-shards %d is not supported by: %s (these scenarios run single-simulator jobs; drop -shards or select shard-capable scenarios such as %s)",
+		shards, strings.Join(bad, ", "), strings.Join(capable, ", "))
 }
 
 // validateRunFlags rejects integer flag values a run would otherwise
@@ -477,66 +442,101 @@ func probeJSONPath(path string) error {
 }
 
 func main() {
-	list := flag.Bool("list", false, "list available artifacts")
-	run := flag.String("run", "all", "comma-separated artifact names, or 'all'")
-	scenario := flag.String("scenario", "", "run one registered scenario by name (see -list)")
-	scenarioFile := flag.String("scenario-file", "",
-		"compile and register a JSON scenario file (see internal/scenfile); runs it unless -run/-scenario selects otherwise")
-	parallel := flag.Int("parallel", 0, "simulation worker-pool size (0 = all cores, 1 = serial)")
-	shards := flag.Int("shards", 1,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with injectable args and streams, so the whole flag
+// contract is testable in-process (the same pattern dsstream, dstrace
+// and vqmtool use). It returns the process exit code: 0 success, 1 a
+// trace or -json write that failed after the run, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list available artifacts")
+	runNames := fs.String("run", "all", "comma-separated artifact names, or 'all'")
+	scenario := fs.String("scenario", "", "run one registered scenario by name (see -list)")
+	scenarioFile := fs.String("scenario-file", "",
+		"compile a JSON scenario file (see internal/scenfile) into the artifact table; runs it unless -run/-scenario selects otherwise")
+	parallel := fs.Int("parallel", 0, "simulation worker-pool size (0 = all cores, 1 = serial)")
+	shards := fs.Int("shards", 1,
 		"requested intra-run shard workers per simulation; effective workers = min(requested, partitionable batched flows), reported per run (output can differ from -shards 1 on large batched points)")
-	scale := flag.Int("scale", 1, "token-sweep thinning factor (1 = full resolution)")
-	plot := flag.Bool("plot", false, "render figures as ASCII charts too")
-	jsonFlag := flag.String("json", "", "write per-scenario results as JSON to this file (\"-\" = stdout)")
-	trace := flag.String("trace", "", "write per-point packet traces (.ptrace) into this directory")
-	traceCap := flag.Int("trace-cap", 1<<17, "max events retained per trace")
-	traceHead := flag.Int("trace-head", 4096, "events pinned from the start of each run")
-	traceSample := flag.Int("trace-sample", 1, "keep 1 event in N after the head fills")
-	traceVerdicts := flag.Bool("trace-verdicts", false,
+	scale := fs.Int("scale", 1, "token-sweep thinning factor (1 = full resolution)")
+	plot := fs.Bool("plot", false, "render figures as ASCII charts too")
+	jsonPath := fs.String("json", "", "write per-scenario results as JSON to this file (\"-\" = stdout, the figure text then goes to stderr)")
+	trace := fs.String("trace", "", "write per-point packet traces (.ptrace) into this directory")
+	traceCap := fs.Int("trace-cap", 1<<17, "max events retained per trace")
+	traceHead := fs.Int("trace-head", 4096, "events pinned from the start of each run")
+	traceSample := fs.Int("trace-sample", 1, "keep 1 event in N after the head fills")
+	traceVerdicts := fs.Bool("trace-verdicts", false,
 		"capture only conditioner verdicts, drops, deliveries and TCP events")
-	traceFlow := flag.Int("trace-flow", 0, "capture only this flow id (0 = every flow)")
-	traceSpillFlag := flag.Bool("trace-spill", false,
+	traceFlow := fs.Int("trace-flow", 0, "capture only this flow id (0 = every flow)")
+	traceSpill := fs.Bool("trace-spill", false,
 		"stream the complete filtered capture to disk during the run, unbounded by -trace-cap; the file is the capture and no ring is kept in RAM")
-	traceDigestFlag := flag.Bool("trace-digest", false,
+	traceDigest := fs.Bool("trace-digest", false,
 		"write a behavioral .digest beside each sealed trace (requires -trace; input to dstrace -compare-golden)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	// explicit records which flags the user actually set, so defaults
-	// and deliberate choices can be told apart (scenario-file
-	// auto-selection).
-	explicit := map[string]bool{}
-	flag.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
-	plotMode = *plot
-	parallelism = *parallel
-	shardCount = *shards
+	// and deliberate choices can be told apart. Visit goes in
+	// alphabetical order, so misplaced and traceFlag name the first
+	// offender: a flag -list does not read (it reads none but
+	// -scenario-file), and a -trace-* flag, which without -trace DIR
+	// would shape no trace and leave the run silently untraced.
+	explicit, misplaced, traceFlag := map[string]bool{}, "", ""
+	fs.Visit(func(fl *flag.Flag) {
+		explicit[fl.Name] = true
+		if *list && misplaced == "" && fl.Name != "list" && fl.Name != "scenario-file" {
+			misplaced = fl.Name
+		}
+		if traceFlag == "" && strings.HasPrefix(fl.Name, "trace-") {
+			traceFlag = fl.Name
+		}
+	})
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if misplaced != "" {
+		return usage(fmt.Errorf("-%s does not apply to -list", misplaced))
+	}
 	if err := validateRunFlags(*parallel, *shards, *scale, *traceCap, *traceHead, *traceSample, *traceFlow); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usage(err)
 	}
-	if err := validateSelection(explicit); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	// -scenario and -run both select what runs; neither may silently win.
+	if explicit["scenario"] && explicit["run"] {
+		return usage(errors.New("-scenario and -run both select what to run; give one of them"))
 	}
-	if err := validateTraceFlags(explicit, *trace); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if traceFlag != "" && *trace == "" {
+		return usage(fmt.Errorf("-%s requires -trace DIR (it shapes the traces written there)", traceFlag))
 	}
-	jsonPath = *jsonFlag
-	traceDir = *trace
-	traceCfg = ptrace.Config{Capacity: *traceCap, Head: *traceHead, Sample: *traceSample}
+	o := &options{
+		scale: *scale, plot: *plot, parallel: *parallel, shards: *shards,
+		jsonPath: *jsonPath, traceDir: *trace,
+		traceCfg:   ptrace.Config{Capacity: *traceCap, Head: *traceHead, Sample: *traceSample},
+		traceSpill: *traceSpill, traceDigest: *traceDigest,
+	}
 	if *traceVerdicts {
-		traceCfg.Kinds = ptrace.VerdictKinds()
+		o.traceCfg.Kinds = ptrace.VerdictKinds()
 	}
 	if *traceFlow > 0 {
-		traceCfg.Flows = []packet.FlowID{packet.FlowID(*traceFlow)}
+		o.traceCfg.Flows = []packet.FlowID{packet.FlowID(*traceFlow)}
 	}
-	traceSpill = *traceSpillFlag
-	traceDigest = *traceDigestFlag
+	// A scenario file is compiled beside the registry, never into it:
+	// it joins this invocation's artifact table at its listing position.
+	var extra []experiment.Scenario
 	if *scenarioFile != "" {
-		s, err := scenfile.LoadAndRegister(*scenarioFile)
+		s, err := scenfile.LoadScenario(*scenarioFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usage(err)
 		}
+		if experiment.Lookup(s.Name()) != nil {
+			return usage(fmt.Errorf("%s: scenario name %q is already registered; rename the file's \"name\" field", *scenarioFile, s.Name()))
+		}
+		extra = append(extra, s)
 		// A scenario file names one workload; run it by default. An
 		// explicit -scenario/-run selection still wins, so a preset
 		// re-expressed as a file can be compared against its Go twin
@@ -545,66 +545,73 @@ func main() {
 			*scenario = s.Name()
 		}
 	}
-
-	all := artifacts()
+	names := experiment.Names(extra...)
+	all := artifacts(experiment.Scenarios(extra...))
 	if *list {
 		for _, a := range all {
-			fmt.Printf("%-8s %s\n", a.name, a.desc)
+			fmt.Fprintf(stdout, "%-8s %s\n", a.name, a.desc)
 		}
-		fmt.Printf("\nscenarios (runnable via -scenario): %s\n",
-			strings.Join(experiment.Names(), ", "))
-		return
+		fmt.Fprintf(stdout, "\nscenarios (runnable via -scenario): %s\n", strings.Join(names, ", "))
+		return 0
 	}
-	if traceDir != "" {
-		if err := probeTraceDir(traceDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	if o.traceDir != "" {
+		if err := probeTraceDir(o.traceDir); err != nil {
+			return usage(err)
 		}
 	}
-	if jsonPath != "" {
-		if err := probeJSONPath(jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	if o.jsonPath != "" {
+		if err := probeJSONPath(o.jsonPath); err != nil {
+			return usage(err)
 		}
 	}
-	if *scenario != "" {
-		s := experiment.Lookup(*scenario)
-		if s == nil {
-			fmt.Fprintf(os.Stderr, "unknown scenario %q (known: %s)\n",
-				*scenario, strings.Join(experiment.Names(), ", "))
-			os.Exit(2)
+	selected, banner := all, true
+	switch {
+	case *scenario != "":
+		i := slices.IndexFunc(all, func(a artifact) bool { return a.scenario != nil && a.name == *scenario })
+		if i < 0 {
+			return usage(fmt.Errorf("unknown scenario %q (known: %s)", *scenario, strings.Join(names, ", ")))
 		}
-		rejectUnshardable(map[string]bool{s.Name(): true}, false)
-		fmt.Println(scenarioArtifact(s).run(*scale))
-	} else {
-		want := map[string]bool{}
-		if *run != "all" {
-			var known []string
-			for _, a := range all {
-				known = append(known, a.name)
-			}
-			sort.Strings(known)
-			for _, n := range strings.Split(*run, ",") {
-				n = strings.TrimSpace(n)
-				if i := sort.SearchStrings(known, n); i == len(known) || known[i] != n {
-					fmt.Fprintf(os.Stderr, "unknown artifact %q (known: %s)\n", n, strings.Join(known, ", "))
-					os.Exit(2)
-				}
-				want[n] = true
-			}
-		}
-		rejectUnshardable(want, *run == "all")
+		selected, banner = all[i:i+1], false
+	case *runNames != "all":
+		var known []string
 		for _, a := range all {
-			if *run == "all" || want[a.name] {
-				fmt.Println(strings.Repeat("=", 72))
-				fmt.Println(a.run(*scale))
+			known = append(known, a.name)
+		}
+		sort.Strings(known)
+		want := map[string]bool{}
+		for _, n := range strings.Split(*runNames, ",") {
+			n = strings.TrimSpace(n)
+			if !slices.Contains(known, n) {
+				return usage(fmt.Errorf("unknown artifact %q (known: %s)", n, strings.Join(known, ", ")))
 			}
+			want[n] = true
+		}
+		selected = slices.DeleteFunc(slices.Clone(all), func(a artifact) bool { return !want[a.name] })
+	}
+	if err := rejectUnshardable(o.shards, selected, all); err != nil {
+		return usage(err)
+	}
+	// With -json - stdout carries the JSON document alone.
+	figures := stdout
+	if o.jsonPath == "-" {
+		figures = stderr
+	}
+	for _, a := range selected {
+		if banner {
+			fmt.Fprintln(figures, strings.Repeat("=", 72))
+		}
+		text, err := runArtifact(a, o)
+		fmt.Fprintln(figures, text)
+		if err != nil {
+			fmt.Fprintf(stderr, "dsbench: %v\n", err)
+			return 1
 		}
 	}
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	if o.jsonPath != "" {
+		if err := writeJSON(o, stdout); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -17,14 +18,24 @@ import (
 	"repro/internal/units"
 )
 
+// dumbbellFile is the config-file-only scenario the scenfile tests pin.
+const dumbbellFile = "../../internal/scenfile/testdata/dumbbell.scenario.json"
+
+func runCapture(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code := run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
 func TestArtifactRegistry(t *testing.T) {
-	all := artifacts()
+	all := artifacts(experiment.Scenarios())
 	if len(all) < 15 {
 		t.Fatalf("only %d artifacts registered", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {
-		if a.name == "" || a.desc == "" || a.run == nil {
+		if a.name == "" || a.desc == "" || (a.text == nil) == (a.scenario == nil) {
 			t.Errorf("malformed artifact %+v", a)
 		}
 		if seen[a.name] {
@@ -62,14 +73,15 @@ func TestArtifactRegistry(t *testing.T) {
 // order — so `-run X` and `-scenario X` reach the same code — with the
 // figures in natural order and the ablations last.
 func TestScenarioArtifactsComeFromRegistry(t *testing.T) {
-	all, scenarios := artifacts(), experiment.Scenarios()
+	scenarios := experiment.Scenarios()
+	all := artifacts(scenarios)
 	if len(all) != 5+len(scenarios) {
 		t.Fatalf("%d artifacts for %d scenarios and 5 static artifacts", len(all), len(scenarios))
 	}
 	pos := map[string]int{}
 	for i, s := range scenarios {
 		a := all[5+i]
-		if a.name != s.Name() || a.desc != s.Describe() {
+		if a.name != s.Name() || a.desc != s.Describe() || a.scenario == nil {
 			t.Errorf("artifact %d is %s (%q), scenario is %s (%q)", 5+i, a.name, a.desc, s.Name(), s.Describe())
 		}
 		pos[s.Name()] = i
@@ -82,10 +94,10 @@ func TestScenarioArtifactsComeFromRegistry(t *testing.T) {
 }
 
 func TestStaticArtifactsRender(t *testing.T) {
-	for _, a := range artifacts() {
+	for _, a := range artifacts(nil) {
 		switch a.name {
 		case "table1", "table2", "table3", "table4":
-			if out := a.run(1); len(out) < 40 {
+			if out := a.text(1); len(out) < 40 {
 				t.Errorf("%s output suspiciously short: %q", a.name, out)
 			}
 		}
@@ -96,14 +108,12 @@ func TestStaticArtifactsRender(t *testing.T) {
 // path: each job runs a small scripted simulation, and Assemble places
 // every result in two series — what nflow, nflow-wide and every graph
 // file do.
-type fakeScenario struct{}
-
-// fakeEvents is how many events each fake job fires; fakeQueue is the
-// calendar-queue telemetry its simulator then reported.
-var (
-	fakeEvents = []int{1000, 250}
-	fakeQueue  [2]sim.QueueStats
-)
+type fakeScenario struct {
+	// events is how many events each fake job fires; queue receives the
+	// calendar-queue telemetry each job's simulator then reported.
+	events []int
+	queue  []sim.QueueStats
+}
 
 // fakeTick fires once a millisecond until left events have fired.
 type fakeTick struct {
@@ -119,9 +129,9 @@ func (f *fakeTick) Fire(units.Time) {
 
 func (fakeScenario) Name() string     { return "fake" }
 func (fakeScenario) Describe() string { return "fake scenario" }
-func (fakeScenario) Jobs() []experiment.Job {
+func (f fakeScenario) Jobs() []experiment.Job {
 	var jobs []experiment.Job
-	for i, n := range fakeEvents {
+	for i, n := range f.events {
 		i, n := i, n
 		jobs = append(jobs, func(ctx *experiment.Ctx) experiment.Point {
 			// 1 ms event spacing: the run outlives its first calendar
@@ -129,7 +139,7 @@ func (fakeScenario) Jobs() []experiment.Job {
 			s := sim.New(1)
 			s.AfterTimer(units.Millisecond, &fakeTick{s, n})
 			s.Run()
-			fakeQueue[i] = s.QueueStats()
+			f.queue[i] = s.QueueStats()
 			ctx.Finish("job", nil, s, topology.ShardStats{Shards: 1}, 2, time.Time{})
 			return experiment.Point{
 				TokenRate: 1.5e6, Depth: 3000, Label: fmt.Sprintf("N=%d", 2+i),
@@ -139,8 +149,8 @@ func (fakeScenario) Jobs() []experiment.Job {
 	}
 	return jobs
 }
-func (fakeScenario) Grid() *experiment.Grid {
-	return &experiment.Grid{Key: "fake", Points: len(fakeEvents)}
+func (f fakeScenario) Grid() *experiment.Grid {
+	return &experiment.Grid{Key: "fake", Points: len(f.events)}
 }
 func (fakeScenario) Assemble(results []experiment.Point) *experiment.Figure {
 	return &experiment.Figure{ID: "F", Title: "fake title", XLabel: "Flows",
@@ -153,22 +163,19 @@ func (fakeScenario) Assemble(results []experiment.Point) *experiment.Figure {
 // series would count its simulation twice — and the scenario-level
 // totals equal to the sums over runs[].
 func TestJSONRecording(t *testing.T) {
-	oldPath, oldRecords, oldParallel := jsonPath, jsonRecords, parallelism
-	defer func() { jsonPath, jsonRecords, parallelism = oldPath, oldRecords, oldParallel }()
-	jsonPath = filepath.Join(t.TempDir(), "bench.json")
-	jsonRecords = nil
-	parallelism = 2
-
-	if out := scenarioArtifact(fakeScenario{}).run(1); !strings.Contains(out, "fake title") {
-		t.Fatalf("artifact did not render: %q", out)
+	o := &options{scale: 1, parallel: 2, jsonPath: filepath.Join(t.TempDir(), "bench.json")}
+	fake := fakeScenario{events: []int{1000, 250}, queue: make([]sim.QueueStats, 2)}
+	out, err := runArtifact(artifact{name: "fake", desc: "fake scenario", scenario: fake}, o)
+	if err != nil || !strings.Contains(out, "fake title") {
+		t.Fatalf("artifact did not render: %q (err %v)", out, err)
 	}
-	if len(jsonRecords) != 1 {
-		t.Fatalf("recorded %d scenarios, want 1", len(jsonRecords))
+	if len(o.records) != 1 {
+		t.Fatalf("recorded %d scenarios, want 1", len(o.records))
 	}
-	if err := writeJSON(jsonPath); err != nil {
+	if err := writeJSON(o, nil); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonPath)
+	data, err := os.ReadFile(o.jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +193,7 @@ func TestJSONRecording(t *testing.T) {
 	if rec.Name != "fake" || rec.Parallel != 2 || rec.Scale != 1 || rec.WallMS < 0 {
 		t.Errorf("bad record: %+v", rec)
 	}
-	if len(rec.Series) != 2 || len(rec.Series[1].Points) != len(fakeEvents) {
+	if len(rec.Series) != 2 || len(rec.Series[1].Points) != len(fake.events) {
 		t.Fatalf("bad series shape: %+v", rec.Series)
 	}
 	p := rec.Series[1].Points[0]
@@ -195,16 +202,16 @@ func TestJSONRecording(t *testing.T) {
 		t.Errorf("bad point: %+v", p)
 	}
 
-	if len(rec.Runs) != len(fakeEvents) {
-		t.Fatalf("recorded %d runs for %d jobs", len(rec.Runs), len(fakeEvents))
+	if len(rec.Runs) != len(fake.events) {
+		t.Fatalf("recorded %d runs for %d jobs", len(rec.Runs), len(fake.events))
 	}
 	var events uint64
 	for i, r := range rec.Runs {
-		if r.Events != uint64(fakeEvents[i]) || r.Label != fmt.Sprintf("N=%d", 2+i) ||
+		if r.Events != uint64(fake.events[i]) || r.Label != fmt.Sprintf("N=%d", 2+i) ||
 			r.TokenRateBps != 1.5e6 || r.DepthBytes != 3000 {
 			t.Errorf("run %d is not job %d's: %+v", i, i, r)
 		}
-		q := fakeQueue[i]
+		q := fake.queue[i]
 		if r.QueueRebases == 0 || r.QueueRebases != q.Rebases ||
 			r.QueueWidthUS != float64(q.Width)/float64(units.Microsecond) ||
 			r.VirtualFlows != 2 || r.Shards != 1 {
@@ -241,44 +248,30 @@ func TestJSONRecording(t *testing.T) {
 	}
 }
 
-// runFlagsMin holds each integer run flag at its minimum, in
-// validateRunFlags' parameter order: parallel, shards, scale,
-// trace-cap, trace-head, trace-sample, trace-flow.
-var runFlagsMin = [7]int{0, 1, 1, 1, 0, 1, 0}
-
-// validateRunFlag validates the minimum values with flag i set to n.
-func validateRunFlag(i, n int) error {
-	v := runFlagsMin
-	v[i] = n
-	return validateRunFlags(v[0], v[1], v[2], v[3], v[4], v[5], v[6])
-}
-
-// TestScaleValidation pins the parse-time -scale contract: a thinning
-// factor below 1 is a usage error, never an empty sweep.
+// TestScaleValidation pins the accepting side of the -scale contract:
+// any thinning factor from 1 up runs (a factor below 1 is a usage error
+// in TestRunFlagValidation, never an empty sweep).
 func TestScaleValidation(t *testing.T) {
-	for _, n := range []int{1, 2, 1000} {
-		if err := validateRunFlag(2, n); err != nil {
-			t.Errorf("-scale %d rejected: %v", n, err)
-		}
-	}
-	for _, n := range []int{0, -1, -1000} {
-		if err := validateRunFlag(2, n); err == nil {
-			t.Errorf("-scale %d accepted", n)
+	for _, n := range []string{"1", "2", "1000"} {
+		if code, _, errOut := runCapture(t, "-run", "table4", "-scale", n); code != 0 {
+			t.Errorf("-scale %s: exit %d: %s", n, code, errOut)
 		}
 	}
 }
 
-// TestTraceFlowValidation pins the parse-time -trace-flow contract:
-// 0 means every flow, negatives are rejected instead of silently
-// meaning the same thing.
+// TestTraceFlowValidation pins the accepting side of the -trace-flow
+// contract: 0 means every flow, and any id up to the largest flow id
+// (past 32 bits it once wrapped onto a small one) is a flow to capture.
 func TestTraceFlowValidation(t *testing.T) {
-	for _, n := range []int{0, 1, 7} {
-		if err := validateRunFlag(6, n); err != nil {
-			t.Errorf("-trace-flow %d rejected: %v", n, err)
-		}
+	flows := []string{"0", "1", "7"}
+	if strconv.IntSize == 64 {
+		flows = append(flows, strconv.FormatUint(math.MaxUint32, 10))
 	}
-	if err := validateRunFlag(6, -1); err == nil {
-		t.Error("-trace-flow -1 accepted")
+	for _, n := range flows {
+		code, _, errOut := runCapture(t, "-run", "table4", "-trace", t.TempDir(), "-trace-flow", n)
+		if code != 0 {
+			t.Errorf("-trace-flow %s: exit %d: %s", n, code, errOut)
+		}
 	}
 }
 
@@ -286,14 +279,9 @@ func TestTraceFlowValidation(t *testing.T) {
 // whole under its final name with no temp debris, and a failed write
 // (unwritable directory) leaves no destination file at all.
 func TestWriteJSONAtomic(t *testing.T) {
-	oldPath, oldRecords, oldParallel := jsonPath, jsonRecords, parallelism
-	defer func() { jsonPath, jsonRecords, parallelism = oldPath, oldRecords, oldParallel }()
-	jsonRecords = nil
-	parallelism = 1
-
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")
-	if err := writeJSON(path); err != nil {
+	if err := writeJSON(&options{parallel: 1, jsonPath: path}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var envelope struct {
@@ -315,7 +303,7 @@ func TestWriteJSONAtomic(t *testing.T) {
 	}
 
 	missing := filepath.Join(dir, "no-such-subdir", "bench.json")
-	if err := writeJSON(missing); err == nil {
+	if err := writeJSON(&options{parallel: 1, jsonPath: missing}, nil); err == nil {
 		t.Error("writeJSON into a missing directory succeeded")
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
@@ -326,7 +314,7 @@ func TestWriteJSONAtomic(t *testing.T) {
 // TestProbeTraceDir pins the up-front -trace check: a creatable
 // directory passes and is left empty, and a path that cannot be a
 // directory (here, one under a regular file) is an error naming it —
-// main turns that into exit 2 before any job can panic on it.
+// run turns that into exit 2 before any job can panic on it.
 func TestProbeTraceDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "traces", "nested")
 	if err := probeTraceDir(dir); err != nil {
@@ -353,7 +341,7 @@ func TestProbeTraceDir(t *testing.T) {
 // TestProbeJSONPath pins the up-front -json check: a path in a
 // writable directory passes and leaves nothing behind, stdout needs no
 // probe, and a path whose directory is missing, or which is itself a
-// directory, is an error naming -json and the path — main turns that
+// directory, is an error naming -json and the path — run turns that
 // into exit 2 before any job runs, where the write used to fail only
 // after the whole run.
 func TestProbeJSONPath(t *testing.T) {
@@ -375,100 +363,149 @@ func TestProbeJSONPath(t *testing.T) {
 	}
 }
 
-// TestRunFlagValidation pins the parse-time contract of the integer
-// run flags: a value below the flag's minimum is a usage error naming
-// the flag and the value, never a silently rewritten run.
+// TestRunFlagValidation pins the usage-error contract of run: each
+// refused invocation exits 2 with nothing on stdout, and stderr names
+// the flag (with its value, where it has one) or the path at fault —
+// never a silently rewritten, untraced or unrun invocation. No row
+// reaches a simulation.
 func TestRunFlagValidation(t *testing.T) {
-	if err := validateRunFlag(0, runFlagsMin[0]); err != nil {
-		t.Errorf("minimum values rejected: %v", err)
+	dir := t.TempDir()
+	file := filepath.Join(dir, "plain-file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := validateRunFlags(8, 4, 4, 1<<17, 4096, 10, 3); err != nil {
-		t.Errorf("ordinary values rejected: %v", err)
+	src, err := os.ReadFile(dumbbellFile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, tc := range []struct {
-		flag string
-		bad  int
+	collide := filepath.Join(dir, "fig7.scenario.json")
+	if err := os.WriteFile(collide, bytes.Replace(src, []byte(`"name": "dumbbell"`), []byte(`"name": "fig7"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	traces := filepath.Join(dir, "traces")
+	wideFlow := strconv.FormatUint(math.MaxUint32+2, 10)
+	rows := []struct {
+		args []string
+		want string
 	}{
-		{"-parallel", -1},
-		{"-shards", 0},
-		{"-scale", 0},
-		{"-trace-cap", 0},
-		{"-trace-head", -9},
-		{"-trace-sample", 0},
-		{"-trace-flow", -1},
-	} {
-		err := validateRunFlag(i, tc.bad)
-		if err == nil {
-			t.Errorf("%s %d accepted", tc.flag, tc.bad)
-			continue
-		}
-		if msg := err.Error(); !strings.HasPrefix(msg, tc.flag+" ") || !strings.HasSuffix(msg, fmt.Sprintf("got %d", tc.bad)) {
-			t.Errorf("%s %d: error does not name flag and value: %v", tc.flag, tc.bad, err)
+		// Integer flags below their minimum: ptrace would rewrite a
+		// non-positive -trace-cap to its default and clamp -trace-head /
+		// -trace-sample, -parallel and -shards would run serially or on
+		// all cores, -scale < 1 would empty the sweep and a negative
+		// -trace-flow would mean every flow.
+		{[]string{"-parallel", "-1"}, "-parallel must be >= 0, got -1"},
+		{[]string{"-shards", "0"}, "-shards must be >= 1, got 0"},
+		{[]string{"-scale", "0"}, "-scale must be >= 1, got 0"},
+		{[]string{"-scale", "-1000"}, "-scale must be >= 1, got -1000"},
+		{[]string{"-trace", traces, "-trace-cap", "0"}, "-trace-cap must be >= 1, got 0"},
+		{[]string{"-trace", traces, "-trace-head", "-9"}, "-trace-head must be >= 0, got -9"},
+		{[]string{"-trace", traces, "-trace-sample", "0"}, "-trace-sample must be >= 1, got 0"},
+		{[]string{"-trace", traces, "-trace-flow", "-1"}, "-trace-flow must be >= 0, got -1"},
+		// Past 32 bits a flow id once wrapped onto a small one; a 32-bit
+		// int cannot even parse it, which names the flag as well.
+		{[]string{"-trace", traces, "-trace-flow", wideFlow}, "-trace-flow "},
+		// -scenario and an explicit -run both select what runs.
+		{[]string{"-scenario", "fig7", "-run", "fig7"}, "-scenario and -run both select what to run"},
+		// A -trace-* flag without -trace DIR shapes no trace; two name
+		// the first alphabetically.
+		{[]string{"-trace-cap", "5"}, "-trace-cap requires -trace DIR"},
+		{[]string{"-trace-head", "5"}, "-trace-head requires -trace DIR"},
+		{[]string{"-trace-sample", "5"}, "-trace-sample requires -trace DIR"},
+		{[]string{"-trace-verdicts"}, "-trace-verdicts requires -trace DIR"},
+		{[]string{"-trace-flow", "5"}, "-trace-flow requires -trace DIR"},
+		{[]string{"-trace-spill"}, "-trace-spill requires -trace DIR"},
+		{[]string{"-trace-digest"}, "-trace-digest requires -trace DIR"},
+		{[]string{"-trace-spill", "-trace-digest"}, "-trace-digest requires -trace DIR"},
+		// Output paths are probed before any job starts.
+		{[]string{"-trace", filepath.Join(file, "traces")}, "-trace " + filepath.Join(file, "traces") + ": "},
+		{[]string{"-json", filepath.Join(dir, "missing", "out.json")}, "-json " + filepath.Join(dir, "missing", "out.json") + ": "},
+		{[]string{"-json", dir}, "-json " + dir + ": is a directory"},
+		// Selections of nothing that exists.
+		{[]string{"-scenario", "nope"}, `unknown scenario "nope" (known: abl-af,`},
+		{[]string{"-scenario", "table4"}, `unknown scenario "table4"`},
+		{[]string{"-run", "table4,nope"}, `unknown artifact "nope" (known: abl-af,`},
+		// -shards on scenarios that cannot take it, named.
+		{[]string{"-scenario", "fig7", "-shards", "2"}, "-shards 2 is not supported by: fig7 ("},
+		{[]string{"-run", "table4,fig7,nflow", "-shards", "2"}, "-shards 2 is not supported by: fig7 ("},
+		{[]string{"-scenario-file", dumbbellFile, "-shards", "2"}, "-shards 2 is not supported by: dumbbell ("},
+		// A scenario file that cannot be read, or reuses a registered name.
+		{[]string{"-scenario-file", filepath.Join(dir, "absent.json")}, filepath.Join(dir, "absent.json")},
+		{[]string{"-scenario-file", collide}, collide + `: scenario name "fig7" is already registered`},
+		// -list reads no run flag.
+		{[]string{"-list", "-run", "fig7"}, "-run does not apply to -list"},
+		{[]string{"-list", "-scenario", "fig7"}, "-scenario does not apply to -list"},
+		{[]string{"-list", "-parallel", "2"}, "-parallel does not apply to -list"},
+		{[]string{"-list", "-shards", "2"}, "-shards does not apply to -list"},
+		{[]string{"-list", "-scale", "2"}, "-scale does not apply to -list"},
+		{[]string{"-list", "-plot"}, "-plot does not apply to -list"},
+		{[]string{"-list", "-json", "out.json"}, "-json does not apply to -list"},
+		{[]string{"-list", "-trace", traces}, "-trace does not apply to -list"},
+		{[]string{"-list", "-trace", traces, "-trace-digest"}, "-trace does not apply to -list"},
+		{[]string{"-list", "-scenario-file", dumbbellFile, "-trace-cap", "5"}, "-trace-cap does not apply to -list"},
+		{[]string{"-nope"}, "-nope"},
+	}
+	for _, r := range rows {
+		code, out, errOut := runCapture(t, r.args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, r.want) {
+			t.Errorf("dsbench %s: exit %d, stdout %d bytes, stderr %q; want exit 2, no stdout, stderr naming %q",
+				strings.Join(r.args, " "), code, len(out), errOut, r.want)
 		}
 	}
-	// A flow id past 32 bits once wrapped onto a small one: 1<<32 + 1
-	// captured flow 1. Only a 64-bit int can hold one.
-	if strconv.IntSize == 64 {
-		largest := uint64(math.MaxUint32)
-		if err := validateRunFlag(6, int(largest)); err != nil {
-			t.Errorf("-trace-flow at the largest flow id rejected: %v", err)
-		}
-		wide := largest + 2
-		err := validateRunFlag(6, int(wide))
-		if err == nil || !strings.HasPrefix(err.Error(), "-trace-flow ") || !strings.HasSuffix(err.Error(), fmt.Sprintf("got %d", wide)) {
-			t.Errorf("-trace-flow %d: err = %v, want a usage error naming flag and value", wide, err)
-		}
-	}
-
-	// A -trace-* flag without -trace DIR would shape no trace: the run
-	// used to go untraced and exit 0. Each one alone is a usage error
-	// naming it; with -trace DIR, or with no trace flag, all pass.
-	for _, name := range []string{"trace-cap", "trace-head", "trace-sample",
-		"trace-verdicts", "trace-flow", "trace-spill", "trace-digest"} {
-		explicit := map[string]bool{name: true, "scenario": true, "scale": true}
-		err := validateTraceFlags(explicit, "")
-		if err == nil || !strings.HasPrefix(err.Error(), "-"+name+" requires -trace DIR") {
-			t.Errorf("-%s without -trace: err = %v, want a usage error naming it", name, err)
-		}
-		explicit["trace"] = true
-		if err := validateTraceFlags(explicit, "traces"); err != nil {
-			t.Errorf("-%s with -trace traces rejected: %v", name, err)
-		}
-	}
-	if err := validateTraceFlags(map[string]bool{"scenario": true, "parallel": true}, ""); err != nil {
-		t.Errorf("an untraced run rejected: %v", err)
-	}
-	err := validateTraceFlags(map[string]bool{"trace-spill": true, "trace-digest": true}, "")
-	if err == nil || !strings.HasPrefix(err.Error(), "-trace-digest ") {
-		t.Errorf("two trace flags without -trace: err = %v, want the first by name, -trace-digest", err)
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 2 {
+		t.Errorf("a refused invocation left files behind in %s: %v (err %v)", dir, ents, err)
 	}
 }
 
-// TestSelectionValidation pins that -scenario and an explicit -run
-// cannot both select what runs (-scenario used to win silently), while
-// -scenario-file's default selection still gives way to -run.
+// TestSelectionValidation pins that -scenario-file's default selection
+// gives way to an explicit -run or -scenario (only the two together
+// are refused, in TestRunFlagValidation).
 func TestSelectionValidation(t *testing.T) {
-	for _, c := range []struct {
-		set []string
-		bad bool
-	}{
-		{nil, false},
-		{[]string{"run"}, false},
-		{[]string{"scenario"}, false},
-		{[]string{"scenario-file", "run"}, false},
-		{[]string{"scenario-file", "scenario"}, false},
-		{[]string{"scenario", "run"}, true},
-	} {
-		explicit := map[string]bool{}
-		for _, f := range c.set {
-			explicit[f] = true
+	code, out, errOut := runCapture(t, "-scenario-file", dumbbellFile, "-run", "table4")
+	if code != 0 || !strings.Contains(out, "Table 4") || strings.Contains(out, "Dumbbell") {
+		t.Errorf("-scenario-file with -run table4: exit %d, stderr %q, stdout:\n%s", code, errOut, out)
+	}
+	// -scenario fig7 wins over the file: fig7, not the dumbbell, is
+	// then refused -shards, before any job runs.
+	code, _, errOut = runCapture(t, "-scenario-file", dumbbellFile, "-scenario", "fig7", "-shards", "2")
+	if code != 2 || !strings.Contains(errOut, "not supported by: fig7 (") {
+		t.Errorf("-scenario-file with -scenario fig7: exit %d, stderr %q", code, errOut)
+	}
+}
+
+// TestScenarioFileListsTwice: a scenario file is compiled beside the
+// registry, so one process can load it again — the second load once
+// collided with the first one's registration.
+func TestScenarioFileListsTwice(t *testing.T) {
+	var first string
+	for i := 0; i < 2; i++ {
+		code, out, errOut := runCapture(t, "-scenario-file", dumbbellFile, "-list")
+		if code != 0 || !strings.Contains(out, "\ndumbbell Dumbbell: ") || !strings.Contains(out, ", dumbbell, ") {
+			t.Fatalf("load %d: exit %d, stderr %q, stdout:\n%s", i+1, code, errOut, out)
 		}
-		err := validateSelection(explicit)
-		if (err != nil) != c.bad {
-			t.Errorf("flags %v: err = %v, want error %v", c.set, err, c.bad)
+		if i == 1 && out != first {
+			t.Errorf("second listing differs:\n%s\nfirst:\n%s", out, first)
 		}
-		if err != nil && !(strings.Contains(err.Error(), "-scenario") && strings.Contains(err.Error(), "-run")) {
-			t.Errorf("flags %v: error does not name both flags: %v", c.set, err)
-		}
+		first = out
+	}
+	if code, out, _ := runCapture(t, "-list"); code != 0 || strings.Contains(out, "dumbbell") {
+		t.Errorf("the file's scenario outlived its invocation: exit %d\n%s", code, out)
+	}
+}
+
+// TestJSONStdoutIsOneDocument: with -json - the figure text goes to
+// stderr, and stdout decodes as one JSON document.
+func TestJSONStdoutIsOneDocument(t *testing.T) {
+	code, out, errOut := runCapture(t, "-run", "table4", "-json", "-")
+	if code != 0 || !strings.Contains(errOut, "Table 4") {
+		t.Fatalf("exit %d, stderr:\n%s", code, errOut)
+	}
+	var doc struct {
+		Parallel  *int             `json:"parallel"`
+		Scenarios []scenarioRecord `json:"scenarios"`
+	}
+	dec := json.NewDecoder(strings.NewReader(out))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil || doc.Parallel == nil || dec.More() {
+		t.Errorf("stdout is not one JSON document (err %v):\n%s", err, out)
 	}
 }

@@ -25,7 +25,7 @@ var ablations = []Scenario{
 
 func init() {
 	for _, a := range ablations {
-		Register(a)
+		register(a)
 	}
 }
 

@@ -18,16 +18,16 @@ const DefaultSeed uint64 = 2001
 // simulation work — encodings happen lazily via the cache when a job
 // first asks for one.
 func init() {
-	Register(Figure7Spec())
-	Register(figure8Spec())
-	Register(figure9Spec())
-	Register(figure10Spec())
-	Register(figure11Spec())
-	Register(figure12Spec())
-	Register(figure13Spec())
-	Register(figure14Spec())
-	Register(Figure15Spec())
-	Register(Figure16Spec())
+	register(Figure7Spec())
+	register(figure8Spec())
+	register(figure9Spec())
+	register(figure10Spec())
+	register(figure11Spec())
+	register(figure12Spec())
+	register(figure13Spec())
+	register(figure14Spec())
+	register(Figure15Spec())
+	register(Figure16Spec())
 }
 
 // standardDepths are the two APS burst sizes of the QBone experiments.

@@ -20,7 +20,7 @@ import (
 // transmits at most a pipe's worth no matter how many flows feed it.
 
 func init() {
-	Register(nflowFleetSpec().Grid())
+	register(nflowFleetSpec().Grid())
 }
 
 // FleetClass parameterizes one equivalence class of the fleet: its

@@ -149,10 +149,10 @@ func TestNaturalLess(t *testing.T) {
 func TestRegisterRejectsDuplicates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("duplicate Register did not panic")
+			t.Error("duplicate register did not panic")
 		}
 	}()
-	Register(Figure7Spec())
+	register(Figure7Spec())
 }
 
 func TestScaledReturnsThinnedCopy(t *testing.T) {

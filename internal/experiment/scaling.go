@@ -16,9 +16,9 @@ import (
 // runner exactly like the paper figures.
 
 func init() {
-	Register(nflowSweepSpec().Grid())
-	Register(nflowWideSpec().Grid())
-	Register(SchedCompareSpecDefault())
+	register(nflowSweepSpec().Grid())
+	register(nflowWideSpec().Grid())
+	register(SchedCompareSpecDefault())
 }
 
 // evaluateMultiFlow runs one multi-flow simulation and folds the

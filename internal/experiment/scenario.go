@@ -567,22 +567,19 @@ func meanPoint(ps []Point) Point {
 	return acc
 }
 
-// The scenario registry. Scenarios register at init time (figures.go);
-// commands list and select them by name.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Scenario{}
-)
+// The scenario registry. This package's inits register the presets
+// (figures.go) and nothing writes it afterwards; a command that compiles
+// a scenario at run time keeps it beside the registry and passes it to
+// Names and Scenarios as an extra.
+var registry = map[string]Scenario{}
 
-// Register adds a scenario under its Name. Registering an empty or
+// register adds a scenario under its Name. Registering an empty or
 // duplicate name panics: both are wiring bugs worth failing loudly on.
-func Register(s Scenario) {
+func register(s Scenario) {
 	name := s.Name()
 	if name == "" {
-		panic("experiment: Register with empty scenario name")
+		panic("experiment: register with empty scenario name")
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("experiment: duplicate scenario %q", name))
 	}
@@ -591,19 +588,19 @@ func Register(s Scenario) {
 
 // Lookup returns the scenario registered under name, or nil.
 func Lookup(name string) Scenario {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	return registry[name]
 }
 
-// Names lists the registered scenario names in natural order: "fig7"
-// sorts before "fig10", so listings read in paper order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
+// Names lists the registered scenario names and those of extra in
+// natural order: "fig7" sorts before "fig10", so listings read in paper
+// order. No extra may share a registered name.
+func Names(extra ...Scenario) []string {
+	out := make([]string, 0, len(registry)+len(extra))
 	for n := range registry {
 		out = append(out, n)
+	}
+	for _, s := range extra {
+		out = append(out, s.Name())
 	}
 	sort.Slice(out, func(i, j int) bool { return naturalLess(out[i], out[j]) })
 	return out
@@ -634,15 +631,20 @@ func splitTrailingInt(s string) (prefix string, n int, ok bool) {
 	return s[:i], n, true
 }
 
-// Scenarios returns the registered scenarios in listing order: by
-// name as Names sorts them, except that the ablations come last, in
-// their own order.
-func Scenarios() []Scenario {
+// Scenarios returns the registered scenarios and extra in listing
+// order: by name as Names sorts them, except that the ablations come
+// last, in their own order.
+func Scenarios(extra ...Scenario) []Scenario {
 	var out []Scenario
-	for _, n := range Names() {
-		if !slices.ContainsFunc(ablations, func(a Scenario) bool { return a.Name() == n }) {
-			out = append(out, Lookup(n))
+	for _, n := range Names(extra...) {
+		if slices.ContainsFunc(ablations, func(a Scenario) bool { return a.Name() == n }) {
+			continue
 		}
+		s := Lookup(n)
+		if s == nil {
+			s = extra[slices.IndexFunc(extra, func(e Scenario) bool { return e.Name() == n })]
+		}
+		out = append(out, s)
 	}
 	return append(out, ablations...)
 }

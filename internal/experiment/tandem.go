@@ -16,7 +16,7 @@ import (
 // or dropped what.
 
 func init() {
-	Register(tandemSweepSpec().Grid())
+	register(tandemSweepSpec().Grid())
 }
 
 // TandemSpec sweeps the APS token rate through the two-border tandem

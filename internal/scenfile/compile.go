@@ -9,8 +9,8 @@ import (
 	"repro/internal/video"
 )
 
-// This file holds the preset-shape compilers and the load/register
-// entry points. The preset shapes do not re-implement anything: they
+// This file holds the preset-shape compilers and the load
+// entry point. The preset shapes do not re-implement anything: they
 // populate the exact parameter structs the Go presets construct
 // (experiment.MultiFlowSpec / FleetSpec / TandemSpec), which produce
 // the scenario's grid, so a scenario file that spells out a preset's
@@ -92,8 +92,9 @@ func load(path string) (*File, error) {
 	return f, nil
 }
 
-// LoadScenario loads and compiles a scenario file without
-// registering it.
+// LoadScenario loads and compiles a scenario file. The result is the
+// caller's: it is never written into experiment's registry, so loading
+// the same file twice yields two equal scenarios.
 func LoadScenario(path string) (experiment.Scenario, error) {
 	f, err := load(path)
 	if err != nil {
@@ -103,22 +104,5 @@ func LoadScenario(path string) (experiment.Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return s, nil
-}
-
-// LoadAndRegister loads, compiles, and registers a scenario file so
-// the usual registry-driven machinery (dsbench -scenario/-run/-list,
-// the shard capability probe) sees it like any preset. A name
-// collision with an already registered scenario is an error, not a
-// panic: the file's "name" field is user input.
-func LoadAndRegister(path string) (experiment.Scenario, error) {
-	s, err := LoadScenario(path)
-	if err != nil {
-		return nil, err
-	}
-	if experiment.Lookup(s.Name()) != nil {
-		return nil, fmt.Errorf("%s: scenario name %q is already registered; rename the file's \"name\" field", path, s.Name())
-	}
-	experiment.Register(s)
 	return s, nil
 }

@@ -2,7 +2,7 @@
 // scenario file declares a workload — links, routers, policer/marker
 // contracts, source populations (including batched mixtures), sweep
 // axes, truncation, and capability flags — and the package compiles it
-// into a registered experiment.Scenario, either by targeting one of
+// into an experiment.Scenario, either by targeting one of
 // the existing preset spec types (shapes "multiflow", "fleet",
 // "tandem") or by compiling an arbitrary element graph onto a
 // topology.Builder program (shape "graph").
@@ -41,7 +41,7 @@ const version = 1
 // matching the Shape selector — must be present.
 type File struct {
 	Version int    `json:"version"`
-	Name    string `json:"name"`  // registry key (experiment.Register)
+	Name    string `json:"name"`  // scenario name; may not be a registered one
 	ID      string `json:"id"`    // figure ID, e.g. "Scaling A"
 	Title   string `json:"title"` // figure title / Describe() text
 
