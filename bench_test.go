@@ -344,7 +344,7 @@ func BenchmarkCalendarBucketWidth(b *testing.B) {
 // 24 Mbps bottleneck, 53 ms stagger) at increasing intra-run shard
 // counts. The shards=1 row is the serial baseline; the speedup at 4
 // shards on N=512 is the headline number BENCH_PR6.json records, with
-// byte-identical output pinned by the shardeq harness.
+// byte-identical output pinned by the equivalence harness.
 func BenchmarkNFlowWideSharded(b *testing.B) {
 	enc := video.CachedCBR(video.Lost(), 1.0e6)
 	for _, n := range []int{128, 512} {

@@ -15,7 +15,8 @@
 //
 // With -json - the JSON document is all of stdout; the figure text
 // goes to stderr. -list takes no flag but -scenario-file: a flag only
-// a run reads exits 2 naming it.
+// a run reads exits 2 naming it. dsbench takes no positional argument:
+// "dsbench fig7" exits 2 naming fig7 instead of running everything.
 //
 // With -trace DIR every scenario point writes a bounded packet-level
 // trace (<scenario>-<point>.ptrace) that cmd/dstrace summarizes.
@@ -30,7 +31,8 @@
 // -trace-digest additionally writes a <point>.digest behavioral
 // summary beside each sealed trace, the currency of the `dstrace
 // -compare-golden` gate, folded while the trace is written. Any
-// -trace-* flag without -trace DIR exits 2 naming it. Trace files
+// -trace-* flag without -trace DIR exits 2 naming it, and so does
+// -trace with only static artifacts (tables, fig6) selected. Trace files
 // are written atomically (temp file + rename), so an interrupted run
 // never leaves a torn .ptrace; DIR is probed for writability before
 // any job starts, and an unwritable one exits 2 naming the path. A
@@ -82,7 +84,7 @@ type options struct {
 	parallel int
 	// shards is the requested shard workers per simulation: effective
 	// workers = min(requested, partitionable batched flows), reported
-	// per run. Output equals -shards 1 only on the grids the shardeq
+	// per run. Output equals -shards 1 only on the grids the equivalence
 	// harness pins (see experiment.Ctx.Shards), and scenarios that
 	// declare no shard capability are refused up front.
 	shards int
@@ -480,6 +482,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// dsbench reads no positional argument: "dsbench fig7" would
+	// otherwise run every artifact.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q: dsbench takes flags only (to run one artifact: -run %s)\n", fs.Arg(0), fs.Arg(0))
+		return 2
+	}
 	// explicit records which flags the user actually set, so defaults
 	// and deliberate choices can be told apart. Visit goes in
 	// alphabetical order, so misplaced and traceFlag name the first
@@ -554,16 +562,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nscenarios (runnable via -scenario): %s\n", strings.Join(names, ", "))
 		return 0
 	}
-	if o.traceDir != "" {
-		if err := probeTraceDir(o.traceDir); err != nil {
-			return usage(err)
-		}
-	}
-	if o.jsonPath != "" {
-		if err := probeJSONPath(o.jsonPath); err != nil {
-			return usage(err)
-		}
-	}
 	selected, banner := all, true
 	switch {
 	case *scenario != "":
@@ -590,6 +588,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := rejectUnshardable(o.shards, selected, all); err != nil {
 		return usage(err)
+	}
+	if o.traceDir != "" {
+		// Static artifacts run no simulation: the probe would make DIR
+		// and nothing would write into it.
+		if !slices.ContainsFunc(selected, func(a artifact) bool { return a.scenario != nil }) {
+			var static []string
+			for _, a := range selected {
+				static = append(static, a.name)
+			}
+			return usage(fmt.Errorf("-trace %s: %s run no simulation, so there is nothing to trace", o.traceDir, strings.Join(static, ",")))
+		}
+		if err := probeTraceDir(o.traceDir); err != nil {
+			return usage(err)
+		}
+	}
+	if o.jsonPath != "" {
+		if err := probeJSONPath(o.jsonPath); err != nil {
+			return usage(err)
+		}
 	}
 	// With -json - stdout carries the JSON document alone.
 	figures := stdout

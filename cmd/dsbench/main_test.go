@@ -262,15 +262,22 @@ func TestScaleValidation(t *testing.T) {
 // TestTraceFlowValidation pins the accepting side of the -trace-flow
 // contract: 0 means every flow, and any id up to the largest flow id
 // (past 32 bits it once wrapped onto a small one) is a flow to capture.
+// With only table4 selected there is nothing to trace, so each
+// invocation is refused, but by -trace, after -trace-flow's value was
+// accepted, and before DIR is made.
 func TestTraceFlowValidation(t *testing.T) {
 	flows := []string{"0", "1", "7"}
 	if strconv.IntSize == 64 {
 		flows = append(flows, strconv.FormatUint(math.MaxUint32, 10))
 	}
 	for _, n := range flows {
-		code, _, errOut := runCapture(t, "-run", "table4", "-trace", t.TempDir(), "-trace-flow", n)
-		if code != 0 {
-			t.Errorf("-trace-flow %s: exit %d: %s", n, code, errOut)
+		dir := filepath.Join(t.TempDir(), "traces")
+		code, out, errOut := runCapture(t, "-run", "table4", "-trace", dir, "-trace-flow", n)
+		if code != 2 || out != "" || !strings.HasPrefix(errOut, "-trace "+dir+": table4 run no simulation") {
+			t.Errorf("-trace-flow %s: exit %d, stdout %d bytes, stderr %q; want exit 2 naming -trace", n, code, len(out), errOut)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("-trace-flow %s: the refused invocation made %s (stat err %v)", n, dir, err)
 		}
 	}
 }
@@ -443,6 +450,13 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-list", "-trace", traces, "-trace-digest"}, "-trace does not apply to -list"},
 		{[]string{"-list", "-scenario-file", dumbbellFile, "-trace-cap", "5"}, "-trace-cap does not apply to -list"},
 		{[]string{"-nope"}, "-nope"},
+		// dsbench reads no positional argument; "dsbench fig7" once ran
+		// every artifact.
+		{[]string{"fig7"}, `unexpected argument "fig7": dsbench takes flags only (to run one artifact: -run fig7)`},
+		{[]string{"-list", "fig7", "fig9"}, `unexpected argument "fig7"`},
+		// -trace with only static artifacts selected traces nothing.
+		{[]string{"-run", "table4,fig6", "-trace", traces}, "-trace " + traces + ": table4,fig6 run no simulation"},
+		{[]string{"-run", "table1", "-trace", traces, "-trace-digest"}, "-trace " + traces + ": table1 run no simulation"},
 	}
 	for _, r := range rows {
 		code, out, errOut := runCapture(t, r.args...)

@@ -57,6 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q: dsstream takes flags only\n", fs.Arg(0))
+		return 2
+	}
 	// A flag the chosen testbed has no use for is an error, not a no-op.
 	misplaced := ""
 	fs.Visit(func(f *flag.Flag) {

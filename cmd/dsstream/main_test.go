@@ -40,6 +40,7 @@ func TestFlagValidation(t *testing.T) {
 		{"token rate past float64", []string{"-token", "1e306G"}, `-token: units: bit rate "1e306G" is not finite`},
 		{"negative encoding rate", []string{"-testbed", "qbone", "-rate", "-1M"}, `-rate: units: negative bit rate "-1M"`},
 		{"bad token rate named", []string{"-token", "fast"}, `-token: units: bad bit rate "fast"`},
+		{"stray argument", []string{"-testbed", "qbone", "stray", "more"}, `unexpected argument "stray": dsstream takes flags only`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

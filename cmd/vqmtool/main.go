@@ -47,6 +47,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q: vqmtool takes flags only\n", fs.Arg(0))
+		return 2
+	}
 
 	if *in == "" {
 		fmt.Fprintln(stderr, "vqmtool: -in is required")

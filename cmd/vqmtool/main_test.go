@@ -76,6 +76,7 @@ func TestFlagValidation(t *testing.T) {
 		// exited 0.
 		{"Lost trace as Dark", []string{"-in", tracePath, "-clip", "Dark", "-rate", "1.5M"},
 			fmt.Sprintf("-clip Dark has %d frames, but %s traces a %d-frame clip", dark, tracePath, lost)},
+		{"stray argument", []string{"-in", tracePath, "-rate", "1.0M", "stray"}, `unexpected argument "stray": vqmtool takes flags only`},
 		{"Dark trace as Lost", []string{"-in", darkPath, "-clip", "Lost", "-rate", "1.5M"},
 			fmt.Sprintf("-clip Lost has %d frames, but %s traces a %d-frame clip", lost, darkPath, dark)},
 	}

@@ -37,7 +37,7 @@
 // one multi-flow build (MultiFlowConfig.Classes). Virtual flows keep
 // distinct flow ids, policers, taps and per-flow statistics, and a
 // batched build is byte-identical to N real servers — pinned by the
-// batcheq and mixeq differential harnesses in internal/experiment —
+// multi-flow rows of the equivalence harness in internal/experiment —
 // while paying the source-side cost once; the fold is exact for the
 // multi-flow topology and unavailable for random (Poisson) sources.
 // This is what lets the nflow-wide scenario sweep N ∈ {16..512} with
@@ -59,7 +59,7 @@
 // (time, flow) order, firing its own events strictly before each
 // emission instant. Figures, per-flow statistics, policer verdicts and
 // the merged packet trace are bit-equal to the serial run on the grids
-// the shardeq differential harness in internal/experiment pins (up to
+// the equivalence harness in internal/experiment pins (up to
 // 64 flows byte for byte, fleet series at 1,000 and 2,000 flows); at
 // 320 and 16 k flows a same-instant tie at the border has been seen to
 // resolve differently (ROADMAP.md, finding (a)). Only batched flows

@@ -118,22 +118,26 @@ func TestGoldenAFPreset(t *testing.T) {
 // TestGoldenAblations pins each remaining ablation on a reduced grid.
 // The files were written by the serial ablation functions the
 // scenarios replaced, with only their grids cut down, so they prove
-// the scenarios print what those functions printed.
+// the scenarios print what those functions printed. Two grids are rows
+// of the settings table, whose serial reference run they read.
 func TestGoldenAblations(t *testing.T) {
+	serial := func(s Scenario) func() *Figure {
+		return func() *Figure { return RunScenarioOpts(s, RunOptions{Parallel: 1}) }
+	}
 	for _, c := range []struct {
-		file string
-		s    Scenario
+		file, name string
+		run        func() *Figure
 	}{
-		{"golden_abl_shape.txt", shapeAblation(TokenSweep(1500, 1900, 400))},
-		{"golden_abl_hops.txt", hopsAblation([]int{1, 2})},
-		{"golden_abl_jitter.txt", jitterAblation([]int{1, 8})},
-		{"golden_abl_tcp.txt", tcpAblation(TokenSweep(1300, 2100, 800))},
-		{"golden_ef_service.txt", efServiceAblation([]float64{0.02, 0.8})},
+		{"golden_abl_shape.txt", "abl-shape", serial(shapeAblation(TokenSweep(1500, 1900, 400)))},
+		{"golden_abl_hops.txt", "abl-hops", serial(hopsAblation([]int{1, 2}))},
+		{"golden_abl_jitter.txt", "abl-jitter", serial(jitterAblation([]int{1, 8}))},
+		{"golden_abl_tcp.txt", "abl-tcp", func() *Figure { return tableRow("abl-tcp").reference().fig }},
+		{"golden_ef_service.txt", "ef-service", func() *Figure { return tableRow("ef-service").reference().fig }},
 	} {
 		c := c
-		t.Run(c.s.Name(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			checkGolden(t, c.file, RunScenarioOpts(c.s, RunOptions{Parallel: 1}).Format())
+			checkGolden(t, c.file, c.run().Format())
 		})
 	}
 }

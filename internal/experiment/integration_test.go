@@ -76,21 +76,3 @@ func TestSeedRobustness(t *testing.T) {
 		t.Errorf("B=4500 beat B=3000 in only %d of %d seeds", wins, seeds)
 	}
 }
-
-// TestDeterministicFigures: the same spec run twice gives identical
-// output, byte for byte — the property that makes every figure dsbench
-// prints reproducible.
-func TestDeterministicFigures(t *testing.T) {
-	t.Parallel()
-	spec := figure9Spec()
-	spec.Tokens = Scale(spec.Tokens, 8)
-	spec.Runs = 1
-	if testing.Short() {
-		spec.Tokens = spec.Tokens[:1]
-	}
-	a := RunScenarioOpts(spec, RunOptions{}).Format()
-	b := RunScenarioOpts(spec, RunOptions{}).Format()
-	if a != b {
-		t.Errorf("figure not reproducible:\n%s\nvs\n%s", a, b)
-	}
-}

@@ -1,65 +1,13 @@
 package experiment
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/units"
-	"repro/internal/video"
 )
 
-// The determinism contract of the runner-based experiment layer: for a
-// fixed spec and seed, the assembled figure is byte-identical at every
-// parallelism level. These tests are the acceptance criterion for
-// `-parallel 1` vs `-parallel N`.
-
-// quickQBone is a thinned QBone scenario small enough to run (twice)
-// even under -short.
-func quickQBone() Scenario {
-	spec := figure9Spec()
-	spec.Tokens = []units.BitRate{1.05e6}
-	spec.Runs = 1
-	return spec
-}
-
-func TestRunScenarioParallelMatchesSerial(t *testing.T) {
-	t.Parallel()
-	s := quickQBone()
-	serial := RunScenarioOpts(s, RunOptions{Parallel: 1}).Format()
-	parallel := RunScenarioOpts(s, RunOptions{Parallel: 8}).Format()
-	if serial != parallel {
-		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
-	}
-}
-
-func TestRunScenarioParallelMatchesSerialLocal(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("full simulation")
-	}
-	spec := Figure15Spec()
-	spec.Tokens = []units.BitRate{1.3e6}
-	serial := RunScenarioOpts(spec, RunOptions{Parallel: 1}).Format()
-	parallel := RunScenarioOpts(spec, RunOptions{Parallel: 8}).Format()
-	if serial != parallel {
-		t.Errorf("local testbed parallel output differs from serial:\n%s\nvs\n%s", serial, parallel)
-	}
-}
-
-func TestRunScenarioParallelMatchesSerialRelative(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("full simulation")
-	}
-	fig13 := figure13Spec()
-	// one relative series beside the reference's own
-	spec := relativeGrid(fig13.Key, fig13.ID, fig13.Title, video.Dark(), relativeEncRates[1:], []units.BitRate{1.2e6})
-	serial := RunScenarioOpts(spec, RunOptions{Parallel: 1}).Format()
-	parallel := RunScenarioOpts(spec, RunOptions{Parallel: 8}).Format()
-	if serial != parallel {
-		t.Errorf("relative parallel output differs from serial:\n%s\nvs\n%s", serial, parallel)
-	}
-}
+// The runner's grid and registry plumbing. That the figure does not
+// depend on the job-pool size is TestRunSettingsEquivalence's.
 
 // TestJobsAssembleGridShape pins the job-index ↔ grid-cell mapping the
 // Assemble implementations rely on: one job per (point, seed), and one
@@ -163,36 +111,5 @@ func TestScaledReturnsThinnedCopy(t *testing.T) {
 	}
 	if len(Figure7Spec().Tokens) != len(spec.Tokens) {
 		t.Error("Scaled mutated the source spec")
-	}
-}
-
-// TestSeedFoldIndependentOfParallelism pins the runner's seed fold: a
-// point's seeds run as separate jobs, on whichever workers take them,
-// and fold in seed order, so the figure and the per-point telemetry do
-// not depend on the job-pool size, and Figure.Runs holds one entry per
-// grid point, not one per seed.
-func TestSeedFoldIndependentOfParallelism(t *testing.T) {
-	t.Parallel()
-	spec := Figure7Spec()
-	spec.Tokens, spec.Depths, spec.Runs = spec.Tokens[:1], spec.Depths[:1], 3
-	var ref *Figure
-	for _, parallel := range []int{1, 2, 8} {
-		fig := RunScenarioOpts(spec, RunOptions{Parallel: parallel})
-		if len(fig.Runs) != spec.Grid().Points {
-			t.Fatalf("parallel=%d: %d runs filed for %d grid points", parallel, len(fig.Runs), spec.Grid().Points)
-		}
-		for i := range fig.Runs {
-			fig.Runs[i].RunMS = 0
-		}
-		if ref == nil {
-			ref = fig
-			continue
-		}
-		if got, want := fig.Format(), ref.Format(); got != want {
-			t.Errorf("parallel=%d: figure diverged from parallel=1:\n%s\nvs\n%s", parallel, got, want)
-		}
-		if !reflect.DeepEqual(fig.Runs, ref.Runs) {
-			t.Errorf("parallel=%d: runs diverged from parallel=1:\n%+v\nvs\n%+v", parallel, fig.Runs, ref.Runs)
-		}
 	}
 }

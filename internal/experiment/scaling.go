@@ -82,7 +82,7 @@ type MultiFlowSpec struct {
 	// servers. Batched points pay the source-side cost once, which is
 	// what lets the wide sweep reach hundreds of flows. They are
 	// byte-identical to unbatched ones below flowbatch's tie boundary
-	// (batcheq_test.go pins N ≤ 32; N = 128 is the first point that
+	// (equivalence_test.go pins N ≤ 32; N = 128 is the first point that
 	// diverges).
 	Batch bool
 	// Stagger replaces the per-flow start offset (0 keeps the

@@ -186,10 +186,11 @@ type Ctx struct {
 	// its topology (dsbench -shards). Effective workers =
 	// min(requested, partitionable batched flows), reported per run.
 	// The knob trades cores-per-job against jobs-in-flight, and on the
-	// grids the shardeq harness runs it leaves results alone: a sharded
-	// run is byte-identical to the serial one on nflow-wide at 16 flows
-	// (64 without -short), and the figure series match on fleet points
-	// of 1,000 and 2,000 flows. Past those grids nothing pins it, and a
+	// grids the equivalence harness (equivalence_test.go) runs it leaves
+	// results alone: a sharded run is byte-identical to the serial one on
+	// nflow-wide at 16 flows (64 without -short), and every job's Point
+	// matches on nflow-wide points of 4 and 8 flows and fleet points of
+	// 1,000 and 2,000 flows. Past those grids nothing pins it, and a
 	// 16 k-flow fleet run or nflow-wide's 256-flow point at full scale
 	// assembles differently sharded and serial (see package flowbatch).
 	Shards int

@@ -173,15 +173,10 @@ func TestShapeShapingHelps(t *testing.T) {
 func TestFigureSpecsRunScaled(t *testing.T) {
 	t.Parallel()
 	// Every figure spec must run end to end (scaled down) and produce
-	// well-formed, plottable output. Under -short the grid shrinks to
-	// the sweep endpoints with a single seed, so the path still runs.
-	spec := figure9Spec()
-	spec.Tokens = Scale(spec.Tokens, 4)
-	if testing.Short() {
-		spec.Tokens = Scale(spec.Tokens, len(spec.Tokens))
-		spec.Runs = 1
-	}
-	fig := RunScenarioOpts(spec, RunOptions{})
+	// well-formed, plottable output. The grid is the settings table's
+	// fig9 row, the sweep endpoints at one seed, and so is the run.
+	row := tableRow("fig9")
+	spec, fig := row.s.(QBoneSpec), row.reference().fig
 	if len(fig.Series) != 2 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -203,12 +198,8 @@ func TestFigureSpecsRunScaled(t *testing.T) {
 
 func TestLocalSpecRunScaled(t *testing.T) {
 	t.Parallel()
-	spec := Figure15Spec()
-	spec.Tokens = Scale(spec.Tokens, 5)
-	if testing.Short() {
-		spec.Tokens = Scale(spec.Tokens, len(spec.Tokens))
-	}
-	fig := RunScenarioOpts(spec, RunOptions{})
+	// The settings table's fig15 row: the sweep endpoints.
+	fig := tableRow("fig15").reference().fig
 	if len(fig.Series) != 2 || len(fig.Series[0].Points) == 0 {
 		t.Fatal("malformed local figure")
 	}
@@ -216,15 +207,9 @@ func TestLocalSpecRunScaled(t *testing.T) {
 
 func TestRelativeSpecRunScaled(t *testing.T) {
 	t.Parallel()
-	fig14 := figure14Spec()
-	tokens, encRates := []units.BitRate{900 * units.Kbps, 2.1e6}, relativeEncRates
-	if testing.Short() {
-		tokens = tokens[:1]
-		encRates = encRates[1:]
-	}
-	spec := relativeGrid(fig14.Key, fig14.ID, fig14.Title, video.Lost(), encRates, tokens)
-	fig := RunScenarioOpts(spec, RunOptions{})
-	if len(fig.Series) != len(encRates) {
+	// The settings table's fig14 row: two encodings at one token rate.
+	fig := tableRow("fig14").reference().fig
+	if len(fig.Series) != len(relativeRowRates) {
 		t.Fatalf("series = %d, want one per encoding", len(fig.Series))
 	}
 }

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +26,7 @@ func reducedTandem() TandemSpec {
 
 func TestTandemScenarioShape(t *testing.T) {
 	t.Parallel()
-	fig := RunScenarioOpts(reducedTandem().Grid(), RunOptions{})
+	fig := tableRow("tandem").reference().fig
 	if len(fig.Series) != 2 || fig.Series[0].Label != "1border" || fig.Series[1].Label != "2border" {
 		t.Fatalf("series = %+v", fig.Series)
 	}
@@ -62,71 +64,107 @@ func TestTandemScenarioRegisteredAndScalable(t *testing.T) {
 }
 
 // TestTandemTraceFiles drives the dsbench -trace plumbing end to end:
-// a traced scenario run writes one readable .ptrace file per grid
-// point, and the figure is byte-identical to the untraced run. The
-// same points spilled must give the same files byte for byte: with no
-// sampling and a ring that overwrote nothing, the ring save and the
-// spill are one capture through one writer. The spilled side runs
-// serially and the ring side on two workers, so the comparison also
-// pins that a run's packet ids, numbered by its own pool, do not
-// depend on what the worker pool runs beside it.
+// a traced run on two workers writes one readable .ptrace per grid
+// point, and its ring is large enough that none overwrote.
 func TestTandemTraceFiles(t *testing.T) {
 	t.Parallel()
-	spec := reducedTandem().Grid()
-	dir := t.TempDir()
-	const ringCap = 1 << 15
-	tr := &TraceRequest{Dir: dir, Config: ptrace.Config{
-		Capacity: ringCap, Kinds: ptrace.VerdictKinds(), Flows: []packet.FlowID{topology.VideoFlow},
-	}}
-	traced := RunScenarioOpts(spec, RunOptions{Parallel: 2, Trace: tr})
-	plain := RunScenarioOpts(spec, RunOptions{})
-	if traced.Format() != plain.Format() {
-		t.Errorf("tracing changed the figure:\n%s\nvs\n%s", traced.Format(), plain.Format())
+	for name, tr := range traceTandem(t, false) {
+		if len(tr.d.Events) >= tandemRingCap {
+			t.Errorf("%s: %d events fill the %d-event ring, so it may have overwritten some", name, len(tr.d.Events), tandemRingCap)
+		}
+	}
+}
+
+// TestTandemTraceSpill: the tandem points spilled give the ring save's
+// files byte for byte (with no sampling and a ring that overwrote
+// nothing, ring save and spill are one capture through one writer), and
+// as the spill's ring is far below the verdict counts, they show that a
+// spill holds the complete capture, in time order. The spill runs
+// serially and the ring save on two workers: a run's packet ids,
+// numbered by its own pool, do not depend on what the worker pool runs
+// beside it.
+func TestTandemTraceSpill(t *testing.T) {
+	t.Parallel()
+	ring, spilled := traceTandem(t, false), traceTandem(t, true)
+	spilledPastCap := false
+	for name, tr := range spilled {
+		ev := tr.d.Events
+		spilledPastCap = spilledPastCap || len(ev) > tandemSpillCap
+		for i := 1; i < len(ev); i++ {
+			if ev[i].T < ev[i-1].T {
+				t.Fatalf("%s: event %d out of order", name, i)
+			}
+		}
+		if !bytes.Equal(ring[name].raw, tr.raw) {
+			t.Errorf("%s: ring-saved and spilled traces differ (%d vs %d bytes)", name, len(ring[name].raw), len(tr.raw))
+		}
+	}
+	if !spilledPastCap {
+		t.Error("no spilled capture exceeded the ring capacity; spill bound untested")
+	}
+}
+
+// The tandem trace tests' ring sizes: the ring save's holds every
+// verdict of a point, the spill's is far below them.
+const tandemRingCap, tandemSpillCap = 1 << 15, 512
+
+// traceTandem runs the tandem row with the video flow's verdicts
+// traced, ring-saved on two workers or spilled serially, and checks
+// what every traced run holds: the untraced figure, and one
+// scenario-prefixed, non-empty trace per grid point, published
+// atomically (no .spill-* or .ptrace-* temporary left). It returns the
+// traces by file name.
+func traceTandem(t *testing.T, spill bool) map[string]sealedTrace {
+	t.Helper()
+	row := tableRow("tandem")
+	cfg := ptrace.Config{Capacity: tandemRingCap, Kinds: ptrace.VerdictKinds(), Flows: []packet.FlowID{topology.VideoFlow}}
+	parallel := 2
+	if spill {
+		cfg.Capacity, parallel = tandemSpillCap, 1
+	}
+	tr := &TraceRequest{Dir: t.TempDir(), Config: cfg, Spill: spill}
+	if traced, plain := RunScenarioOpts(row.s, RunOptions{Parallel: parallel, Trace: tr}).Format(), row.reference().fig.Format(); traced != plain {
+		t.Errorf("spill=%v: tracing changed the figure:\n%s\nvs\n%s", spill, traced, plain)
 	}
 	files := tr.Files()
 	if len(files) != 4 { // 2 variants × 2 tokens
-		t.Fatalf("wrote %d trace files, want 4: %v", len(files), files)
+		t.Fatalf("spill=%v: wrote %d trace files, want 4: %v", spill, len(files), files)
 	}
+	if ents, err := os.ReadDir(tr.Dir); err != nil || len(ents) != 4 {
+		t.Errorf("spill=%v: trace dir holds %v (err %v), want exactly the 4 sealed traces", spill, ents, err)
+	}
+	traces := make(map[string]sealedTrace, len(files))
 	for _, name := range files {
+		raw, d := readTrace(t, filepath.Join(tr.Dir, name))
 		if !strings.HasPrefix(name, "tandem-") {
 			t.Errorf("trace file %q not scenario-prefixed", name)
-		}
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := ptrace.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
 		}
 		if len(d.Events) == 0 || d.Seen == 0 {
 			t.Errorf("%s: empty capture", name)
 		}
-		if len(d.Events) >= ringCap {
-			t.Errorf("%s: %d events fill the %d-event ring, so it may have overwritten some", name, len(d.Events), ringCap)
-		}
+		traces[name] = sealedTrace{raw, d}
 	}
+	return traces
+}
 
-	spillDir := t.TempDir()
-	spilled := &TraceRequest{Dir: spillDir, Config: tr.Config, Spill: true}
-	RunScenarioOpts(spec, RunOptions{Parallel: 1, Trace: spilled})
-	if got := spilled.Files(); len(got) != len(files) {
-		t.Fatalf("spilled %d files, ring saved %d", len(got), len(files))
+// sealedTrace is a trace file's bytes and its capture.
+type sealedTrace struct {
+	raw []byte
+	d   *ptrace.Data
+}
+
+// readTrace returns the bytes and the capture of the trace at path.
+func readTrace(t *testing.T, path string) ([]byte, *ptrace.Data) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range files {
-		ring, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		spill, err := os.ReadFile(filepath.Join(spillDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ring, spill) {
-			t.Errorf("%s: ring-saved and spilled traces differ (%d vs %d bytes)", name, len(ring), len(spill))
-		}
+	d, err := ptrace.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
+	return raw, d
 }
 
 // TestTraceDirFailureIsReported: a trace directory that cannot be
@@ -135,13 +173,14 @@ func TestTandemTraceFiles(t *testing.T) {
 // the figure of the untraced run.
 func TestTraceDirFailureIsReported(t *testing.T) {
 	t.Parallel()
-	spec := reducedTandem().Grid()
+	row := tableRow("tandem")
+	spec := row.s
 	file := filepath.Join(t.TempDir(), "afile")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(file, "traces")
-	plain := RunScenarioOpts(spec, RunOptions{}).Format()
+	plain := row.reference().fig.Format()
 	for _, spill := range []bool{false, true} {
 		tr := &TraceRequest{Dir: dir, Spill: spill}
 		if traced := RunScenarioOpts(spec, RunOptions{Parallel: 2, Trace: tr}).Format(); traced != plain {
@@ -171,137 +210,116 @@ func TestTraceDirFailureIsReported(t *testing.T) {
 	}
 }
 
-// TestTandemTraceSpill drives the spill plumbing end to end: with
-// Spill set, every trace file holds the *complete* filtered capture —
-// past the tiny configured ring — written atomically (no temporary
-// files survive), and the figure stays byte-identical to the untraced
-// run.
-func TestTandemTraceSpill(t *testing.T) {
-	t.Parallel()
-	spec := reducedTandem().Grid()
-	dir := t.TempDir()
-	const ringCap = 512 // far below the runs' verdict counts
-	tr := &TraceRequest{Dir: dir, Config: ptrace.Config{
-		Capacity: ringCap, Kinds: ptrace.VerdictKinds(),
-	}, Spill: true}
-	traced := RunScenarioOpts(spec, RunOptions{Parallel: 2, Trace: tr})
-	plain := RunScenarioOpts(spec, RunOptions{})
-	if traced.Format() != plain.Format() {
-		t.Errorf("spill tracing changed the figure:\n%s\nvs\n%s", traced.Format(), plain.Format())
-	}
-	files := tr.Files()
-	if len(files) != 4 {
-		t.Fatalf("wrote %d trace files, want 4: %v", len(files), files)
-	}
-	spilledPastCap := false
-	for _, name := range files {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := ptrace.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(d.Events) > ringCap {
-			spilledPastCap = true
-		}
-		// The spill is the complete filtered capture: with no sampling
-		// configured, every filter-surviving event must be present, and
-		// timestamps must be monotone (stream order).
-		var last units.Time
-		for i, e := range d.Events {
-			if e.T < last {
-				t.Fatalf("%s: event %d out of order", name, i)
-			}
-			last = e.T
-		}
-	}
-	if !spilledPastCap {
-		t.Error("no capture exceeded the ring capacity; spill bound untested")
-	}
-	// Atomicity: only the four sealed .ptrace files remain — no .spill-*
-	// or .ptrace-* temporaries.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 4 {
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Errorf("trace dir holds %v, want exactly the 4 sealed traces", names)
-	}
-}
-
 // TestRunDigestMatchesSealedTrace: the .digest a traced run writes is
 // folded while the trace is encoded, never read back from the file, so
 // it must be exactly the digest of the sealed file — byte for byte what
-// `dstrace` computes from it. It covers ring-saved and spilled traces,
-// with and without sampling and a pinned head, on the tandem's
-// conditioner verdicts and every event kind of a batched nflow point.
-// The ring is small enough to overwrite, so a digest of the events
-// emitted rather than the events written would differ too.
+// `dstrace` computes from it. One traced run per spill mode pins the
+// plumbing that writes each .digest beside its .ptrace. The spilled run
+// keeps every event of the kinds the replays keep (the tandem's
+// conditioner verdicts, every kind of a batched nflow point; unfiltered,
+// a tandem point is 2.3 M events), and fresh clockless recorders, which
+// keep each event's recorded time, replay it ring saved and spilled,
+// with and without sampling and a pinned head. The ring is small enough
+// to overwrite, so a digest of the events emitted rather than written
+// would differ too.
 func TestRunDigestMatchesSealedTrace(t *testing.T) {
 	t.Parallel()
 	tandem := reducedTandem()
 	tandem.Tokens = tandem.Tokens[:1]
 	nflow := nflowSweepSpec()
 	nflow.Ns, nflow.Batch = []int{4}, true
-	for _, spill := range []bool{false, true} {
-		for _, sample := range []int{1, 3} {
-			for _, head := range []int{0, 512} {
-				for _, s := range []Scenario{tandem.Grid(), nflow.Grid()} {
-					cfg := ptrace.Config{Capacity: 4096, Head: head, Sample: sample}
-					if s.Name() == "tandem" {
-						cfg.Kinds = ptrace.VerdictKinds()
-					}
-					dir := t.TempDir()
-					tr := &TraceRequest{Dir: dir, Config: cfg, Spill: spill, Digest: true}
-					RunScenarioOpts(s, RunOptions{Parallel: 2, Trace: tr})
-					if err := tr.Err(); err != nil {
-						t.Fatal(err)
-					}
-					files := tr.Files()
-					if len(files) != s.Grid().Points {
-						t.Fatalf("%s spill=%v: %d trace files for %d grid points", s.Name(), spill, len(files), s.Grid().Points)
-					}
-					for _, name := range files {
-						path := filepath.Join(dir, name)
-						got, err := os.ReadFile(strings.TrimSuffix(path, ".ptrace") + ".digest")
+	overwrote := false
+	for _, s := range []Scenario{tandem.Grid(), nflow.Grid()} {
+		var kinds uint32
+		if s.Name() == "tandem" {
+			kinds = ptrace.VerdictKinds()
+		}
+		digestedRun(t, s, ptrace.Config{Capacity: 4096, Head: 512, Sample: 3, Kinds: kinds}, false)
+		for _, d := range digestedRun(t, s, ptrace.Config{Kinds: kinds}, true) {
+			if kinds == 0 && uint64(len(d.Events)) != d.Seen {
+				t.Fatalf("%s: the capture holds %d of the run's %d events", s.Name(), len(d.Events), d.Seen)
+			}
+			for _, spill := range []bool{false, true} {
+				for _, sample := range []int{1, 3} {
+					for _, head := range []int{0, 512} {
+						rec := ptrace.NewRecorder(ptrace.Config{Capacity: 4096, Head: head, Sample: sample, Kinds: kinds})
+						for _, h := range d.Hops {
+							rec.Hop(h)
+						}
+						rec.DigestWrites()
+						var sealed, folded bytes.Buffer
+						if spill {
+							rec.SpillTo(&sealed)
+						}
+						for _, e := range d.Events {
+							rec.Emit(e)
+						}
+						err := rec.FinishSpill()
+						if !spill {
+							_, err = rec.WriteTo(&sealed)
+						}
+						if err == nil {
+							err = ptrace.WriteSummary(&folded, rec.Summary())
+						}
 						if err != nil {
 							t.Fatal(err)
 						}
-						if want := sealedDigest(t, path); !bytes.Equal(got, want) {
-							g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-							i := 0
-							for i < len(g) && i < len(w) && g[i] == w[i] {
-								i++
-							}
-							t.Errorf("%s spill=%v sample=%d head=%d: the run's digest is not the sealed file's; first difference at line %d:\n%q\nwant\n%q",
-								name, spill, sample, head, i+1, strings.Join(g[i:min(i+3, len(g))], "\n"), strings.Join(w[i:min(i+3, len(w))], "\n"))
-						}
+						overwrote = overwrote || rec.Overwritten() > 0
+						compareDigests(t, fmt.Sprintf("%s replayed spill=%v sample=%d head=%d", s.Name(), spill, sample, head),
+							folded.Bytes(), sealedDigest(t, s.Name(), &sealed))
 					}
 				}
 			}
 		}
 	}
+	if !overwrote {
+		t.Error("no replayed ring overwrote, so the digest of a partial capture went untested")
+	}
+}
+
+// digestedRun runs s traced with cfg and a digest, ring saved or
+// spilled, checks every point's .digest against its sealed .ptrace, and
+// returns the captures.
+func digestedRun(t *testing.T, s Scenario, cfg ptrace.Config, spill bool) []*ptrace.Data {
+	t.Helper()
+	tr := &TraceRequest{Dir: t.TempDir(), Config: cfg, Spill: spill, Digest: true}
+	RunScenarioOpts(s, RunOptions{Parallel: 2, Trace: tr})
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	files := tr.Files()
+	if len(files) != s.Grid().Points {
+		t.Fatalf("%s spill=%v: %d trace files for %d grid points", s.Name(), spill, len(files), s.Grid().Points)
+	}
+	var captures []*ptrace.Data
+	for _, name := range files {
+		path := filepath.Join(tr.Dir, name)
+		got, err := os.ReadFile(strings.TrimSuffix(path, ".ptrace") + ".digest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, d := readTrace(t, path)
+		compareDigests(t, fmt.Sprintf("%s spill=%v", name, spill), got, sealedDigest(t, name, bytes.NewReader(raw)))
+		captures = append(captures, d)
+	}
+	return captures
+}
+
+// compareDigests fails t where a folded digest is not the sealed one.
+func compareDigests(t *testing.T, label string, got, want []byte) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: the folded digest is not the sealed capture's:\n%s\nwant\n%s", label, got, want)
+	}
 }
 
 // sealedDigest is what dstrace reads off a sealed trace: one streaming
 // pass to a Summary, serialized as a .digest.
-func sealedDigest(t *testing.T, path string) []byte {
+func sealedDigest(t *testing.T, name string, r io.Reader) []byte {
 	t.Helper()
-	f, err := os.Open(path)
+	s, _, err := ptrace.AnalyzeStream(r, 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	s, _, err := ptrace.AnalyzeStream(f, 0)
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	var buf bytes.Buffer
 	if err := ptrace.WriteSummary(&buf, s); err != nil {

@@ -51,7 +51,7 @@
 // consumers of the simulator's root RNG stream during the run (forks
 // taken at build time do not matter) and no two same-instant events
 // race across virtual flows. The multi-flow topology satisfies both;
-// internal/experiment's differential harnesses pin the equivalence at
+// internal/experiment's equivalence harness pins the equivalence at
 // N ≤ 8 on the nflow grid, through N = 32 on the wide configuration
 // (empirically exact through N = 96) and on two-class mixtures. At
 // larger N the phase-offset lattice eventually realizes an exact
@@ -81,12 +81,12 @@
 // a policer or EF-queue verdict: sending the 320-flow `wide-batched`
 // benchmark workload through the single-timer rule delivered 206,454
 // packets where its golden pins 206,066. Each golden pins its own
-// tie-break — `wide-batched` and every batcheq grid pin per-packet
-// arming, `fleet-mix` / `fleet-shards2` pin the single timer — so the
-// surviving source keeps both rules behind armPerPacketMax and picks
-// one at Start from the flow count alone. A benchmark-archetype PR that
-// re-pins the two fleet goldens would let the branch collapse to
-// per-packet arming everywhere. Measured when the sources were merged,
+// tie-break — `wide-batched` and every batched row of the equivalence
+// harness pin per-packet arming, `fleet-mix` / `fleet-shards2` pin the
+// single timer — so the surviving source keeps both rules behind
+// armPerPacketMax and picks one at Start from the flow count alone. A
+// benchmark-archetype PR that re-pins the two fleet goldens would let
+// the branch collapse to per-packet arming everywhere. Measured when the sources were merged,
 // ten alternating benchmark pairs against the parent commit:
 // `wide-batched` wall 1.22 → 1.07 s (ahead in 10 of 10, unclaimed),
 // mallocs 204,081 → 208,439 (+2.1 %, bound 4 %: the lazily grown
@@ -122,9 +122,9 @@
 //     serial timeline.
 //
 // Sharding therefore moves work, not decisions — up to the border
-// ties described below. The shardeq harness in internal/experiment
+// ties described below. The equivalence harness in internal/experiment
 // pins a sharded run byte-identical to the serial one on nflow-wide at
-// 16 flows (64 without -short) and the figure series identical on
+// 16 flows (64 without -short) and every job's Point identical on
 // fleet points of 1,000 and 2,000 flows. Past that nothing pins it, and
 // it does not hold everywhere: a 16 k-flow fleet run and the 320-flow
 // wide-batched workload at seed 117 deliver differently sharded and
@@ -203,42 +203,22 @@ type Schedule struct {
 	Bytes   int64 // total wire bytes per flow
 }
 
-// paceSpread is server.Paced's: the fraction of the frame interval a
-// frame's fragments are spread across.
-const paceSpread = 0.95
-
 // pacedSchedule computes the emission plan of a server.Paced streaming
-// enc: frame i starts at i*FrameInterval, its MTU-payload fragments
-// spread across paceSpread of the interval with the exact integer
-// arithmetic the server uses.
+// enc: frame i starts at i*FrameInterval, and its fragments follow
+// server.PacedPlan, the server's own plan.
 func pacedSchedule(enc *video.Encoding) *Schedule {
-	const msgSize = server.MaxUDPPayload
 	interval := video.FrameInterval()
-	spread := units.Time(float64(interval) * paceSpread)
 	sched := &Schedule{}
 	for i := range enc.Frames {
-		size := enc.Frames[i].Size
-		frags := (size + msgSize - 1) / msgSize
-		if frags == 0 {
-			frags = 1
-		}
 		frameAt := units.Time(int64(i)) * interval
-		for j := 0; j < frags; j++ {
-			payload := msgSize
-			if j == frags-1 {
-				payload = size - (frags-1)*msgSize
-			}
-			var at units.Time
-			if frags > 1 {
-				at = units.Time(int64(spread) * int64(j) / int64(frags))
-			}
+		server.PacedPlan(enc.Frames[i].Size, func(j, frags, payload int, at units.Time) {
 			wire := payload + server.UDPHeader
 			sched.Entries = append(sched.Entries, Entry{
 				At: frameAt + at, Size: wire,
 				FrameSeq: int32(i), FragIndex: int32(j), FragCount: int32(frags),
 			})
 			sched.Bytes += int64(wire)
-		}
+		})
 	}
 	return sched
 }

@@ -379,10 +379,10 @@ func giveBuf[T any](free chan []T, b []T) {
 }
 
 // RunSharded executes the mixture on the sharded pipeline and runs its
-// simulator, the border, to horizon. The shardeq harness pins the run
-// bit-identical to Start followed by a serial run to the same horizon
-// on the grids the package comment names; past them the two can
-// deliver differently.
+// simulator, the border, to horizon. The equivalence harness in
+// internal/experiment pins the run bit-identical to Start followed by
+// a serial run to the same horizon on the grids the package comment
+// names; past them the two can deliver differently.
 func (s *BatchedMixture) RunSharded(shards int, horizon units.Time) ShardStats {
 	sas, seq := s.stages(shards, horizon, s.lookahead())
 	return runPipeline(s.Sim, sas, seq, horizon, s.inject)

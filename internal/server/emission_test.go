@@ -18,8 +18,8 @@ type emission struct {
 // packetSizes splits a frame into MTU-bounded packets, headers included.
 func packetSizes(frame int) []int {
 	var sizes []int
-	for rem := frame; rem > 0; rem -= MaxUDPPayload {
-		sizes = append(sizes, min(rem, MaxUDPPayload)+UDPHeader)
+	for rem := frame; rem > 0; rem -= maxUDPPayload {
+		sizes = append(sizes, min(rem, maxUDPPayload)+UDPHeader)
 	}
 	return sizes
 }

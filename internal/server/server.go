@@ -50,8 +50,8 @@ import (
 // UDPHeader is the IP+UDP overhead added to each application message.
 const UDPHeader = 28
 
-// MaxUDPPayload is the payload that fits one Ethernet MTU.
-const MaxUDPPayload = units.EthernetMTU - UDPHeader
+// maxUDPPayload is the payload that fits one Ethernet MTU.
+const maxUDPPayload = units.EthernetMTU - UDPHeader
 
 // stepper is what a clock drives.
 type stepper interface{ step(i int) }
@@ -131,10 +131,16 @@ func (r *sendRing) Fire(now units.Time) {
 // pushPaced cuts a size-byte frame into msg-byte messages and spaces
 // their sends evenly across spread.
 func (r *sendRing) pushPaced(frame, size, msg int, spread units.Time) {
+	pace(size, msg, spread, func(j, frags, payload int, at units.Time) { r.push(frame, j, frags, payload, at) })
+}
+
+// pace calls emit, in order, for message j of the frags msg-byte
+// messages that carry a size-byte frame, with its payload and its send
+// offset from the frame's start: spread·j/frags in integer nanoseconds.
+func pace(size, msg int, spread units.Time, emit func(j, frags, payload int, at units.Time)) {
 	frags := fragments(size, msg)
 	for j := 0; j < frags; j++ {
-		r.push(frame, j, frags, fragPayload(size, msg, j, frags),
-			units.Time(int64(spread)*int64(j)/int64(frags)))
+		emit(j, frags, fragPayload(size, msg, j, frags), units.Time(int64(spread)*int64(j)/int64(frags)))
 	}
 }
 
@@ -179,8 +185,15 @@ type Paced struct {
 // A frame's fragments finish before the next frame starts, as they do
 // for any spread ≤ 1: the last fragment leaves at
 // spread·(frags-1)/frags of the interval, strictly inside it.
-// flowbatch's pacedSchedule precomputes the same plan.
 const paceSpread = 0.95
+
+// PacedPlan calls emit, in order, for each packet Paced sends of a
+// size-byte frame, with its fragment index, the fragment count, its UDP
+// payload and its send offset from the frame's start. Package flowbatch
+// precomputes its batched schedules from it.
+func PacedPlan(size int, emit func(j, frags, payload int, at units.Time)) {
+	pace(size, maxUDPPayload, units.Time(float64(video.FrameInterval())*paceSpread), emit)
+}
 
 // Start schedules the whole clip's transmission from now.
 func (s *Paced) Start() { s.StartAt(s.Sim.Now()) }
@@ -192,8 +205,7 @@ func (s *Paced) StartAt(t units.Time) {
 }
 
 func (s *Paced) step(i int) {
-	s.out.pushPaced(i, s.Enc.Frames[i].Size, MaxUDPPayload,
-		units.Time(float64(video.FrameInterval())*paceSpread))
+	PacedPlan(s.Enc.Frames[i].Size, func(j, frags, payload int, at units.Time) { s.out.push(i, j, frags, payload, at) })
 }
 
 // maxDatagram is the largest application datagram the bursty servers
@@ -291,7 +303,7 @@ func (b *burst) step(i int) {
 		if dg > maxDatagram {
 			dg = maxDatagram
 		}
-		frags += (dg + MaxUDPPayload - 1) / MaxUDPPayload
+		frags += (dg + maxUDPPayload - 1) / maxUDPPayload
 		remaining -= dg
 	}
 	var at units.Time
@@ -299,8 +311,8 @@ func (b *burst) step(i int) {
 	remaining = size
 	for remaining > 0 {
 		payload := remaining
-		if payload > MaxUDPPayload {
-			payload = MaxUDPPayload
+		if payload > maxUDPPayload {
+			payload = maxUDPPayload
 		}
 		b.out.push(i, sent, frags, payload, at)
 		at += b.HostRate.TxTime(payload + UDPHeader)
@@ -339,10 +351,10 @@ func (s *WMTUDP) Start() {
 
 func (s *WMTUDP) step(i int) {
 	size := s.Enc.Frames[i].Size
-	frags := fragments(size, MaxUDPPayload)
+	frags := fragments(size, maxUDPPayload)
 	var at units.Time
 	for j := 0; j < frags; j++ {
-		n := fragPayload(size, MaxUDPPayload, j, frags)
+		n := fragPayload(size, maxUDPPayload, j, frags)
 		s.out.push(i, j, frags, n, at)
 		at += s.HostRate.TxTime(n + UDPHeader)
 	}
@@ -450,5 +462,5 @@ func (a *adaptive) adaptTick() {
 }
 
 func (a *adaptive) step(i int) {
-	a.out.pushPaced(i, a.Encs[a.level].Frames[i].Size, MaxUDPPayload, video.FrameInterval()*8/10)
+	a.out.pushPaced(i, a.Encs[a.level].Frames[i].Size, maxUDPPayload, video.FrameInterval()*8/10)
 }

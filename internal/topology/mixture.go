@@ -20,7 +20,8 @@ import (
 // virtual-flow set with its own policing profile; the classes' arrival
 // sequences interleave in exact global (time, flow) order inside
 // flowbatch.BatchedMixture, so the batched/unbatched and sharded/serial
-// differential harnesses cover homogeneous runs and mixtures alike.
+// rows of the equivalence harness cover homogeneous runs and mixtures
+// alike.
 //
 // Two receive-side modes:
 //

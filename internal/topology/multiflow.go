@@ -110,9 +110,10 @@ type MultiFlowConfig struct {
 	// and the per-flow clients are declared identically, and the
 	// source-side cost is paid once instead of N times. A batched build
 	// is byte-identical to an unbatched one below the tie boundary
-	// package flowbatch describes: the batcheq harness pins it at N ≤ 8
-	// on nflow and through N = 32 on nflow-wide, and N = 128 is the
-	// first nflow-wide point where the two diverge.
+	// package flowbatch describes: the equivalence harness in
+	// internal/experiment pins it at N ≤ 8 on nflow and through N = 32
+	// on nflow-wide, and N = 128 is the first nflow-wide point where the
+	// two diverge.
 	Batch bool
 
 	// Shards > 1 executes a batched run on the mixture's sharded
@@ -120,7 +121,7 @@ type MultiFlowConfig struct {
 	// flows' arrival walks advance on shard workers under conservative
 	// lookahead windows and the border replays their emissions in exact
 	// serial order, so a sharded run is bit-identical to a serial one on
-	// the grids the shardeq harness pins (the flowbatch package comment
+	// the grids the equivalence harness pins (the flowbatch package comment
 	// says where it is not). Effective workers =
 	// min(Shards, partitionable batched flows), reported in Stats: an
 	// unbatched build has no partitionable flows and runs serially.
