@@ -43,12 +43,16 @@ func TestRunQBonePointAvgReducesVariance(t *testing.T) {
 	}
 	enc := video.EncodeCBR(video.Lost(), 1.0e6)
 	// Averages over overlapping windows move less than single seeds.
-	singles := make([]float64, 4)
-	for i := range singles {
-		singles[i] = qbonePoint(enc, enc, 1.0e6, 3000, DefaultSeed+uint64(i), 0, 1).Quality
+	// The four single-seed runs are simulated once; avg1 and avg2 fold
+	// seeds 0–2 and 1–3 exactly as qbonePoint(…, 3) would.
+	points := make([]Point, 4)
+	singles := make([]float64, len(points))
+	for i := range points {
+		points[i] = qbonePoint(enc, enc, 1.0e6, 3000, DefaultSeed+uint64(i), 0, 1)
+		singles[i] = points[i].Quality
 	}
-	avg1 := qbonePoint(enc, enc, 1.0e6, 3000, DefaultSeed, 0, 3).Quality
-	avg2 := qbonePoint(enc, enc, 1.0e6, 3000, DefaultSeed+1, 0, 3).Quality
+	avg1 := meanPoint(points[0:3]).Quality
+	avg2 := meanPoint(points[1:4]).Quality
 	spreadSingles := maxMin(singles)
 	spreadAvgs := avg1 - avg2
 	if spreadAvgs < 0 {

@@ -56,8 +56,9 @@ type MixtureClass struct {
 // BatchedMixture streams K class schedules as one interleaved fan-out.
 // Global virtual-flow indices are class-major: class 0 owns flows
 // [0, N0), class 1 owns [N0, N0+N1), and so on; flow g carries packet
-// flow id BaseFlow+g and delivers into Next[g] (or Next[0] when one
-// shared next hop is given). The exactness contract of the package
+// flow id BaseFlow+g and delivers into Next[0], the one next hop every
+// flow shares (a fleet's is a policer bank that indexes its per-flow
+// policers by flow id). The exactness contract of the package
 // comment holds per class: per-flow access-link serialization is folded
 // bit-exactly, and jitter is drawn from the root RNG in global
 // (time, flow) arrival order across all classes.
@@ -74,7 +75,7 @@ type BatchedMixture struct {
 	Sim      *sim.Simulator
 	Classes  []MixtureClass
 	BaseFlow packet.FlowID
-	Next     []packet.Handler // per-global-flow next hop; a single entry is shared
+	Next     []packet.Handler // exactly one entry: the next hop every flow shares
 	Pool     *packet.Pool
 
 	// Tap, when set, receives one LinkDeliver event per packet as it
@@ -220,8 +221,8 @@ func (s *BatchedMixture) TotalFlows() int {
 // the per-flow jitter state.
 func (s *BatchedMixture) init() int {
 	n := s.TotalFlows()
-	if len(s.Next) != n && len(s.Next) != 1 {
-		panic(fmt.Sprintf("flowbatch: %d next hops for %d mixture flows (want N or 1)", len(s.Next), n))
+	if len(s.Next) != 1 {
+		panic(fmt.Sprintf("flowbatch: %d next hops for a mixture (want 1)", len(s.Next)))
 	}
 	s.Sent = make([]int, n)
 	s.SentBytes = make([]int64, n)
@@ -425,11 +426,7 @@ func (s *BatchedMixture) inject(g int32) {
 			Size: int32(p.Size), DSCP: p.DSCP, FrameSeq: e.FrameSeq,
 		})
 	}
-	next := s.Next[0]
-	if len(s.Next) > 1 {
-		next = s.Next[g]
-	}
-	next.Handle(p)
+	s.Next[0].Handle(p)
 }
 
 // TotalSent sums the per-virtual-flow emission counters.

@@ -244,9 +244,10 @@ type Recorder struct {
 	count       int
 	seen        uint64
 	overwritten uint64
-	// kindSeen counts filter-surviving events per kind, the stride
-	// basis for per-kind sampling.
-	kindSeen [numKinds]uint64
+	// kindSkipped counts, per kind, the filter-surviving events
+	// sampled away since that kind's last kept one: every Sample-th
+	// event of a kind is kept, with no division on the hot path.
+	kindSkipped [numKinds]int
 
 	hops    []string
 	hopByID map[string]HopID
@@ -320,11 +321,12 @@ func (r *Recorder) Emit(e Event) {
 		r.head = append(r.head, e)
 		return
 	}
-	if e.Kind < numKinds { // out-of-range kinds fall through unsampled
-		r.kindSeen[e.Kind]++
-		if r.cfg.Sample > 1 && r.kindSeen[e.Kind]%uint64(r.cfg.Sample) != 0 {
+	if r.cfg.Sample > 1 && e.Kind < numKinds { // out-of-range kinds fall through unsampled
+		if n := r.kindSkipped[e.Kind] + 1; n < r.cfg.Sample {
+			r.kindSkipped[e.Kind] = n
 			return
 		}
+		r.kindSkipped[e.Kind] = 0
 	}
 	// The spill stream gets every event the ring would be offered,
 	// including the ones a full ring would overwrite, so a spilled

@@ -7,7 +7,7 @@ import "repro/internal/units"
 
 // Tokens reports the whole bytes of credit available at time now.
 func (b *bucket) Tokens(now units.Time) int64 {
-	b.refill(now)
+	b.refill(&b.credit, now)
 	return b.scaled / tokenScale
 }
 

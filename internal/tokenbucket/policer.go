@@ -13,63 +13,99 @@ type Clock interface {
 	Now() units.Time
 }
 
-// Policer enforces a token-bucket profile the way the paper's router 1
-// and the QBone's Cisco CAR did for the EF service: conformant packets
-// are re-marked with the EF code point and forwarded; non-conformant
-// packets are dropped ("hard" policing, §3.2.1.2).
-type Policer struct {
+// Profile is the configuration a class of policers shares: the paper's
+// EF service polices every flow of a class against one (r, b), with
+// credit kept per flow. A profile holds everything but that credit and
+// the per-flow counters, so a fleet of N policers costs N cache lines
+// plus one profile per class instead of N copies of the configuration.
+type Profile struct {
 	clock Clock
-	// The bucket is embedded by value: a conformance check touches one
-	// object, not a policer plus a pointed-to bucket — at six-figure
-	// flow counts, where the policer working set is far past cache,
-	// that second dependent line is measurable.
-	bucket bucket
-	mark   packet.DSCP
-	next   packet.Handler
-	drop   packet.Handler // optional observer for dropped packets
+	bucketConfig
+	mark packet.DSCP
+	next packet.Handler
+	drop packet.Handler // optional observer for dropped packets
 
 	// Pool, when set, receives dropped packets — the policer owns its
 	// drops. The drop observer is called first and only borrows the
 	// packet (copy-on-retain).
 	Pool *packet.Pool
 
-	// Tap, when set, receives a verdict event per packet.
+	// Tap, when set, receives a verdict event per packet, under the
+	// policer's own Hop.
 	Tap ptrace.Tap
-	Hop ptrace.HopID
+}
+
+// Init (re)initializes pr in place as the profile (rate, depth) that
+// marks conformant traffic with mark and forwards it to next.
+func (pr *Profile) Init(clock Clock, rate units.BitRate, depth units.ByteSize, mark packet.DSCP, next packet.Handler) {
+	*pr = Profile{clock: clock, mark: mark, next: next}
+	pr.set(rate, depth)
+}
+
+// SetNext redirects conformant traffic to h for every policer on pr
+// (topology-builder wiring; not for use once packets are flowing).
+func (pr *Profile) SetNext(h packet.Handler) { pr.next = h }
+
+// Policer enforces a token-bucket profile the way the paper's router 1
+// and the QBone's Cisco CAR did for the EF service: conformant packets
+// are re-marked with the EF code point and forwarded; non-conformant
+// packets are dropped ("hard" policing, §3.2.1.2).
+//
+// A Policer is the per-flow part — the profile pointer, the bucket's
+// credit, the hop and the counters, one 64-byte cache line on amd64 —
+// and the profile it points to may be shared by every policer of a
+// class, so a conformance check over a fleet of contiguous policers
+// touches the flow's own line and a profile that stays in cache.
+type Policer struct {
+	*Profile
+	credit
 
 	Passed       int
 	Dropped      int
 	PassedBytes  int64
 	DroppedBytes int64
+
+	Hop ptrace.HopID
 }
 
 // NewPolicer returns a dropping policer with the given profile that
-// marks conformant traffic with mark and forwards it to next.
+// marks conformant traffic with mark and forwards it to next. The
+// policer and its own profile are one allocation.
 func NewPolicer(clock Clock, rate units.BitRate, depth units.ByteSize, mark packet.DSCP, next packet.Handler) *Policer {
-	p := new(Policer)
-	p.Init(clock, rate, depth, mark, next)
-	return p
+	own := new(struct {
+		pol  Policer
+		prof Profile
+	})
+	own.prof.Init(clock, rate, depth, mark, next)
+	own.pol.InitShared(&own.prof)
+	return &own.pol
 }
 
-// Init (re)initializes p in place — NewPolicer for fleets that
-// allocate their policers as one contiguous slice instead of N
-// scattered objects.
+// Init (re)initializes p in place with a profile of its own —
+// NewPolicer over caller-owned storage. Policers that share a profile
+// use InitShared.
 func (p *Policer) Init(clock Clock, rate units.BitRate, depth units.ByteSize, mark packet.DSCP, next packet.Handler) {
-	*p = Policer{clock: clock, mark: mark, next: next}
-	p.bucket.reset(rate, depth)
+	pr := new(Profile)
+	pr.Init(clock, rate, depth, mark, next)
+	p.InitShared(pr)
 }
 
-// OnDrop registers an observer that receives each dropped packet.
-func (p *Policer) OnDrop(h packet.Handler) { p.drop = h }
+// InitShared (re)initializes p in place as a full bucket policed by
+// pr, which other policers may share — for fleets that lay a class's
+// policers out as one contiguous slice under one profile.
+func (p *Policer) InitShared(pr *Profile) {
+	*p = Policer{Profile: pr}
+	pr.fill(&p.credit)
+}
 
-// SetNext redirects conformant traffic to h (topology-builder wiring;
-// not for use once packets are flowing).
-func (p *Policer) SetNext(h packet.Handler) { p.next = h }
+// OnDrop registers an observer that receives each dropped packet — of
+// every policer that shares p's profile.
+func (p *Policer) OnDrop(h packet.Handler) { p.drop = h }
 
 // Handle applies the profile to pkt.
 func (p *Policer) Handle(pkt *packet.Packet) {
 	now := p.clock.Now()
-	if p.bucket.conform(now, pkt.Size) {
+	if p.conform(&p.credit, now, pkt.Size) {
 		pkt.DSCP = p.mark
 		p.Passed++
 		p.PassedBytes += int64(pkt.Size)

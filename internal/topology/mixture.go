@@ -53,25 +53,47 @@ type FlowClass struct {
 	Stagger units.Time // intra-class start stagger; default cfg.Stagger
 }
 
-// classDemux routes delivered packets to their class aggregate in O(1):
-// video flows carry class-major indices off base, anything else (cross
-// traffic) is absorbed by the sink.
+// classDemux routes delivered packets to their class aggregate: video
+// flows carry class-major indices off base, so a flow's class is the
+// first whose end bound exceeds its index — a search over the K class
+// bounds, with no per-flow table. Anything else (cross traffic) is
+// absorbed by the sink.
 type classDemux struct {
-	base    packet.FlowID
-	classOf []int32
-	aggs    []*client.Aggregate
-	sink    packet.Handler
+	base packet.FlowID
+	ends []int64 // class ci owns flow indices [ends[ci-1], ends[ci])
+	aggs []*client.Aggregate
+	sink packet.Handler
 }
 
 // Handle implements packet.Handler.
 func (d *classDemux) Handle(p *packet.Packet) {
 	i := int64(p.Flow - d.base)
-	if i < 0 || i >= int64(len(d.classOf)) {
+	if i < 0 || i >= d.ends[len(d.ends)-1] {
 		d.sink.Handle(p)
 		return
 	}
-	d.aggs[d.classOf[i]].Handle(p)
+	lo, hi := 0, len(d.ends)-1
+	for lo < hi {
+		if mid := (lo + hi) / 2; i < d.ends[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	d.aggs[lo].Handle(p)
 }
+
+// policerBank is a batched mixture's one next hop: it hands each
+// virtual flow's packet to that flow's policer in the contiguous
+// class-major slice, indexed off base, so the fan-out keeps no
+// per-flow handler table.
+type policerBank struct {
+	base packet.FlowID
+	pols []tokenbucket.Policer
+}
+
+// Handle implements packet.Handler.
+func (b *policerBank) Handle(p *packet.Packet) { b.pols[p.Flow-b.base].Handle(p) }
 
 // buildMixtureMultiFlow is the body of BuildMultiFlow: the
 // bottleneck/demux/cross-traffic graph around a class mixture, with —
@@ -86,6 +108,7 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	classes := make([]flowbatch.MixtureClass, k)
 	names := make([]string, k)
 	total := 0
+	var drained units.Time
 	for ci, fc := range cfg.Classes {
 		if fc.Enc == nil || fc.N <= 0 {
 			panic(fmt.Sprintf("topology: mixture class %d needs Enc and N > 0", ci))
@@ -106,34 +129,16 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 			names[ci] = fmt.Sprintf("class%d", ci)
 		}
 		total += fc.N
-	}
-
-	// Class-major flow layout and per-flow start table. A flow's
-	// encoding is its class's, read through classOf by the two branches
-	// that need it (exact receive, unbatched servers); the fleet never
-	// does.
-	classOf := make([]int32, total)
-	starts := make([]units.Time, total)
-	var drained units.Time
-	g := 0
-	for ci := range classes {
-		c := &classes[ci]
-		span := units.Time(0)
-		if n := len(c.Sched.Entries); n > 0 {
-			span = c.Sched.Entries[n-1].At
-		}
 		// +5 s drains in-flight delivery after the last emission (access
 		// chain + jitter + bottleneck queue + propagation are all
 		// millisecond-scale; a 30 s tail would be paid in cross-traffic
 		// events at every point of a fleet sweep).
-		end := c.Phase + units.Time(int64(c.N))*c.Offset + span + units.FromSeconds(5)
-		if end > drained {
-			drained = end
+		span := units.Time(0)
+		if n := len(sched.Entries); n > 0 {
+			span = sched.Entries[n-1].At
 		}
-		for j := 0; j < c.N; j++ {
-			classOf[g] = int32(ci)
-			starts[g] = c.Phase + units.Time(int64(j))*c.Offset
-			g++
+		if end := fc.Phase + units.Time(int64(fc.N))*stagger + span + units.FromSeconds(5); end > drained {
+			drained = end
 		}
 	}
 	if horizon == 0 {
@@ -141,12 +146,13 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	}
 
 	b := NewBuilder(cfg.Seed, Env{Sim: cfg.Sim, Pool: cfg.Pool, Recv: cfg.Recv, Trace: cfg.Trace})
-	m := &MultiFlow{Sim: b.Sim(), shards: cfg.Shards, ClassNames: names,
-		starts: starts, horizon: horizon}
+	m := &MultiFlow{Sim: b.Sim(), shards: cfg.Shards, ClassNames: names, horizon: horizon}
 
 	// Hop ids follow declaration order: the receivers (one aggregate
 	// per class, or one client per flow), the policers, sink, demux and
-	// bottleneck, then the unbatched access chains.
+	// bottleneck, then the unbatched access chains. Flows are
+	// class-major, and per-flow tables are laid out only where a branch
+	// reads them: the batched mixture keeps its own flow layout.
 	var clientNames []string
 	if cfg.AggregateStats {
 		m.Aggregates = make([]*client.Aggregate, k)
@@ -157,10 +163,14 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	} else {
 		m.Clients = make([]*client.UDP, total)
 		clientNames = make([]string, total)
-		for i := range m.Clients {
-			m.Clients[i] = client.NewUDP(b.Sim(), cfg.Classes[classOf[i]].Enc.Clip.FrameCount())
-			clientNames[i] = fmt.Sprintf("client%d", i)
-			b.Handler(clientNames[i], m.Clients[i])
+		i := 0
+		for _, fc := range cfg.Classes {
+			frames := fc.Enc.Clip.FrameCount()
+			for j := 0; j < fc.N; j, i = j+1, i+1 {
+				m.Clients[i] = client.NewUDP(b.Sim(), frames)
+				clientNames[i] = fmt.Sprintf("client%d", i)
+				b.Handler(clientNames[i], m.Clients[i])
+			}
 		}
 	}
 
@@ -171,29 +181,38 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	// with a builder declaration. A batched build therefore lends and
 	// taps them by hand; an unbatched one declares each by name, since
 	// its per-flow access chain targets it. Their next hop (the
-	// bottleneck) is wired after Build. The policers live in one
-	// contiguous slice (with their buckets embedded) — class-major flow
+	// bottleneck) is wired after Build. Each class's policers share one
+	// profile (rate, depth, mark, next hop, pool, tap) and live in one
+	// contiguous slice of one-cache-line policers — class-major flow
 	// order means a burst of near-simultaneous arrivals from
-	// neighbouring flows hits adjacent cache lines, which at 200k flows
-	// is the difference between a policer check that costs a cache miss
-	// and one that doesn't.
-	m.Policers = make([]*tokenbucket.Policer, total)
+	// neighbouring flows hits adjacent lines, and the check touches the
+	// flow's own line and a profile that stays in cache.
+	profs := make([]tokenbucket.Profile, k)
 	pols := make([]tokenbucket.Policer, total)
-	for i := 0; i < total; i++ {
-		fc := &cfg.Classes[classOf[i]]
+	m.Policers = make([]*tokenbucket.Policer, total)
+	i := 0
+	for ci := range cfg.Classes {
+		fc := &cfg.Classes[ci]
 		depth := fc.Depth
 		if depth == 0 {
 			depth = cfg.Depth
 		}
-		pol := &pols[i]
-		pol.Init(b.Sim(), fc.TokenRate, depth, packet.EF, nil)
-		pol.Pool = b.Pool()
-		m.Policers[i] = pol
-		switch {
-		case !cfg.Batch:
-			b.Handler(fmt.Sprintf("policer%d", i), pol)
-		case cfg.Trace != nil:
-			pol.Tap, pol.Hop = cfg.Trace, cfg.Trace.Hop(fmt.Sprintf("policer%d", i))
+		prof := &profs[ci]
+		prof.Init(b.Sim(), fc.TokenRate, depth, packet.EF, nil)
+		prof.Pool = b.Pool()
+		if cfg.Batch && cfg.Trace != nil {
+			prof.Tap = cfg.Trace
+		}
+		for j := 0; j < fc.N; j, i = j+1, i+1 {
+			pol := &pols[i]
+			pol.InitShared(prof)
+			m.Policers[i] = pol
+			switch {
+			case !cfg.Batch:
+				b.Handler(fmt.Sprintf("policer%d", i), pol)
+			case cfg.Trace != nil:
+				pol.Hop = cfg.Trace.Hop(fmt.Sprintf("policer%d", i))
+			}
 		}
 	}
 
@@ -202,8 +221,13 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	sink := packet.Sink{Pool: b.Pool()}
 	b.Handler("sink", &sink)
 	if cfg.AggregateStats {
+		ends := make([]int64, k)
+		for ci, end := 0, int64(0); ci < k; ci++ {
+			end += int64(cfg.Classes[ci].N)
+			ends[ci] = end
+		}
 		b.Handler("demux", &classDemux{
-			base: VideoFlow, classOf: classOf, aggs: m.Aggregates, sink: &sink,
+			base: VideoFlow, ends: ends, aggs: m.Aggregates, sink: &sink,
 		})
 	} else {
 		b.Router("demux", "sink")
@@ -250,26 +274,27 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	m.Net = net
 	m.Bottleneck = net.Link("bottleneck")
 	bottleneck := net.Handler("bottleneck")
-	for _, pol := range m.Policers {
-		pol.SetNext(bottleneck)
+	for ci := range profs {
+		profs[ci].SetNext(bottleneck)
 	}
 
 	if cfg.Batch {
-		nexts := make([]packet.Handler, total)
-		for i := range nexts {
-			nexts[i] = m.Policers[i]
-		}
 		m.Mixture = &flowbatch.BatchedMixture{
 			Sim: m.Sim, Classes: classes, BaseFlow: VideoFlow,
-			Next: nexts, Pool: net.Pool,
+			Next: []packet.Handler{&policerBank{base: VideoFlow, pols: pols}}, Pool: net.Pool,
 		}
 		if cfg.Trace != nil {
 			m.Mixture.Tap, m.Mixture.Hop = cfg.Trace, cfg.Trace.Hop("vflows")
 		}
-	} else {
-		for i := 0; i < total; i++ {
+		return m
+	}
+	m.starts = make([]units.Time, 0, total)
+	for ci, c := range classes {
+		for j := 0; j < c.N; j++ {
+			i := len(m.Servers)
+			m.starts = append(m.starts, c.Phase+units.Time(int64(j))*c.Offset)
 			m.Servers = append(m.Servers, &server.Paced{
-				Sim: m.Sim, Enc: cfg.Classes[classOf[i]].Enc, Flow: flowID(i),
+				Sim: m.Sim, Enc: cfg.Classes[ci].Enc, Flow: flowID(i),
 				Next: net.Handler(fmt.Sprintf("hub%d", i)),
 				Pool: net.Pool,
 			})
