@@ -3,8 +3,8 @@ package repro_test
 // Allocation budget for the per-packet hot path: once the event pool,
 // the FIFO rings and the pre-bound link Timers are warm, pushing a
 // packet through enqueue → serialization → propagation → delivery
-// must not allocate at all. This is the short-mode guard behind
-// BenchmarkLinkHotPath's 0 allocs/op.
+// must not allocate at all. "go run ./benchmark" times the same path
+// as its link.kernel_ns kernel.
 
 import (
 	"io"

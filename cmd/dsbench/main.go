@@ -28,6 +28,8 @@
 // the complete filtered capture to disk during the run, unbounded by
 // -trace-cap (sampling still applies, so -trace-sample bounds the file
 // size); the file is then the capture, and no ring is kept in RAM.
+// -trace-cap together with -trace-spill exits 2, and so does a
+// -trace-head above the capture's -trace-cap.
 // -trace-digest additionally writes a <point>.digest behavioral
 // summary beside each sealed trace, the currency of the `dstrace
 // -compare-golden` gate, folded while the trace is written. Any
@@ -520,6 +522,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if traceFlag != "" && *trace == "" {
 		return usage(fmt.Errorf("-%s requires -trace DIR (it shapes the traces written there)", traceFlag))
+	}
+	// Two trace settings ptrace would otherwise rewrite: a head is pinned
+	// inside the capture, so one above the cap is clamped to it, and a
+	// spilled capture is the whole filtered run, so the cap bounds nothing.
+	if explicit["trace-head"] && *traceHead > *traceCap {
+		return usage(fmt.Errorf("-trace-head %d exceeds the %d-event capture (-trace-cap) it is pinned in", *traceHead, *traceCap))
+	}
+	if explicit["trace-cap"] && *traceSpill {
+		return usage(errors.New("-trace-cap does not bound a -trace-spill capture (the file is the whole filtered run); bound it with -trace-sample or drop -trace-cap"))
 	}
 	o := &options{
 		scale: *scale, plot: *plot, parallel: *parallel, shards: *shards,

@@ -423,6 +423,11 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-trace-spill"}, "-trace-spill requires -trace DIR"},
 		{[]string{"-trace-digest"}, "-trace-digest requires -trace DIR"},
 		{[]string{"-trace-spill", "-trace-digest"}, "-trace-digest requires -trace DIR"},
+		// A head above the cap was clamped to it, and a cap beside
+		// -trace-spill bounded nothing: the spilled file held every event.
+		{[]string{"-trace", traces, "-trace-cap", "100", "-trace-head", "4096"}, "-trace-head 4096 exceeds the 100-event capture (-trace-cap)"},
+		{[]string{"-trace", traces, "-trace-head", "200000"}, "-trace-head 200000 exceeds the 131072-event capture (-trace-cap)"},
+		{[]string{"-trace", traces, "-trace-spill", "-trace-cap", "10"}, "-trace-cap does not bound a -trace-spill capture"},
 		// Output paths are probed before any job starts.
 		{[]string{"-trace", filepath.Join(file, "traces")}, "-trace " + filepath.Join(file, "traces") + ": "},
 		{[]string{"-json", filepath.Join(dir, "missing", "out.json")}, "-json " + filepath.Join(dir, "missing", "out.json") + ": "},

@@ -74,7 +74,7 @@
 // such a mixture to N = 200,000 virtual flows across the
 // bottleneck's provisioning knee, recording events per virtual flow
 // falling and bytes per virtual flow ~flat as N grows
-// (BENCH_PR7.json).
+// (CHANGES.md, PR 7; the fleet-mix workload of "go run ./benchmark").
 //
 // The event queue tunes itself: the calendar's bucket width adapts to
 // the mean firing spacing the queue serves, re-derived only at window
@@ -89,8 +89,8 @@
 // benchmark. Per-run telemetry (rebases, final width, overflow ratio)
 // is filed as experiment.RunStats — one per job, in Figure.Runs and
 // under "runs" in "dsbench -json", never on the figure's Points — and
-// BENCH_PR8.json records the bake-off that settled it: the adaptive
-// policy tracks the best hand-tuned width per workload.
+// README.md's bake-off tables (CHANGES.md, PR 8) record what settled
+// it: the adaptive policy tracks the best hand-tuned width per workload.
 //
 // Below the frame layer, the packet tracing subsystem (ptrace) makes
 // the datapath observable: every component carries a nil-by-default
@@ -147,8 +147,9 @@
 // experiment.RunScenarioOpts), cmd/dsstream runs one experiment,
 // cmd/vqmtool scores stored frame traces, and cmd/dstrace analyzes
 // packet traces. internal/experiment's Example walks one stream from
-// server to VQM score. bench_test.go in this directory carries one
-// benchmark per paper artifact. census_test.go runs three passes over
+// server to VQM score. "go run ./benchmark" is the performance
+// instrument: six workloads against golden digests plus per-layer
+// kernels (benchmark/README.md). census_test.go runs three passes over
 // internal/: every package-level name and exported method is reached by
 // product code, every exported configuration field is set by it, and
 // every exported name is reached from outside its package or exposed

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,13 +18,30 @@ import (
 // docs/measurements/pr24.md, benchmark/README.md.
 var mdCitation = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
 
+// funcCitation matches a test, benchmark or fuzz function named in
+// prose: TestV2Density, BenchmarkCalendarBucketWidth, or a prefix that
+// stands for several: TestCalendar…, TestCalendar..., TestRED* or the
+// pattern of "-run TestGolden".
+var funcCitation = regexp.MustCompile(`(-run )?\b((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(…|\.\.\.|\*)?`)
+
 // TestMarkdownCitationsResolve: every *.md path a Go comment cites
-// exists, either beside the citing file or from the repository root. A
-// comment that sends the reader to a document nobody wrote is worse
-// than no pointer at all.
+// exists, either beside the citing file or from the repository root,
+// and every Test…, Benchmark… or Fuzz… name a Go comment or README.md
+// cites is a function in the tree (a name ending in an ellipsis or *,
+// or following -run, is a prefix of one). A comment that sends the
+// reader to a document or a test nobody wrote is worse than no pointer
+// at all.
 func TestMarkdownCitationsResolve(t *testing.T) {
 	fset := token.NewFileSet()
 	files, cites := 0, 0
+	var funcs []string
+	type funcCite struct{ where, name, mark string } // mark: "-run " or the ellipsis or *
+	var funcCites []funcCite
+	citeFuncs := func(where, text string) {
+		for _, m := range funcCitation.FindAllStringSubmatch(text, -1) {
+			funcCites = append(funcCites, funcCite{where, m[2], m[1] + m[3]})
+		}
+	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -42,8 +60,14 @@ func TestMarkdownCitationsResolve(t *testing.T) {
 			return err
 		}
 		files++
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs = append(funcs, fn.Name.Name)
+			}
+		}
 		for _, g := range f.Comments {
 			for _, c := range g.List {
+				citeFuncs(fset.Position(c.Pos()).String(), c.Text)
 				for _, cite := range mdCitation.FindAllString(c.Text, -1) {
 					cites++
 					if !exists(filepath.Join(filepath.Dir(path), cite)) && !exists(cite) {
@@ -58,8 +82,23 @@ func TestMarkdownCitationsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if files < 100 || cites == 0 {
-		t.Fatalf("scanned %d Go files and %d citations — the walk missed the tree", files, cites)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(readme), "\n") {
+		citeFuncs("README.md:"+strconv.Itoa(i+1), line)
+	}
+	if files < 100 || cites == 0 || len(funcCites) < 100 {
+		t.Fatalf("scanned %d Go files, %d document and %d function citations — the walk missed the tree",
+			files, cites, len(funcCites))
+	}
+	for _, c := range funcCites {
+		if !slices.ContainsFunc(funcs, func(f string) bool {
+			return f == c.name || c.mark != "" && strings.HasPrefix(f, c.name)
+		}) {
+			t.Errorf("%s: cites %s, which names no function in the tree", c.where, c.name)
+		}
 	}
 }
 

@@ -164,9 +164,8 @@ func meanAndWorst(results []Point) []Series {
 // Every point runs on one batched source, so wall time and
 // simulator events grow sublinearly in N (past the knee the
 // bottleneck transmits at most a pipe's worth no matter how many
-// flows feed it, and queue drops cost no events) — the
-// BENCH_PR5.json trajectory records events per virtual flow falling
-// as N grows.
+// flows feed it, and queue drops cost no events) — CHANGES.md's
+// PR 5 entry records events per virtual flow falling as N grows.
 func nflowWideSpec() MultiFlowSpec {
 	return MultiFlowSpec{
 		Key: "nflow-wide", ID: "Scaling A2",

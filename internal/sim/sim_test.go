@@ -193,27 +193,13 @@ func TestCancelInterleavedKeepsOrdering(t *testing.T) {
 	}
 }
 
-type countTimer struct {
-	n     int
-	s     *Simulator
-	limit int
-	every units.Time
-}
-
-func (c *countTimer) Fire(now units.Time) {
-	c.n++
-	if c.n < c.limit {
-		c.s.AfterTimer(c.every, c)
-	}
-}
-
 func TestTimerScheduling(t *testing.T) {
 	s := New(1)
-	ct := &countTimer{s: s, limit: 10, every: units.Millisecond}
-	s.AfterTimer(units.Millisecond, ct)
+	ct := &benchTicker{s: s, limit: 10, gap: func(int) units.Time { return units.Millisecond }}
+	ct.arm(0)
 	s.Run()
-	if ct.n != 10 {
-		t.Fatalf("timer fired %d times, want 10", ct.n)
+	if ct.fired != 10 {
+		t.Fatalf("timer fired %d times, want 10", ct.fired)
 	}
 	if s.Now() != 10*units.Millisecond {
 		t.Errorf("Now = %v", s.Now())
@@ -222,14 +208,13 @@ func TestTimerScheduling(t *testing.T) {
 
 func TestTimerSteadyStateAllocFree(t *testing.T) {
 	s := New(1)
-	ct := &countTimer{s: s, limit: 1 << 30, every: units.Microsecond}
+	ct := &benchTicker{s: s, limit: 100, gap: func(int) units.Time { return units.Microsecond }}
 	// Warm the free list and bucket slices.
-	ct.limit = 100
-	s.AfterTimer(0, ct)
+	ct.arm(0)
 	s.Run()
 	allocs := testing.AllocsPerRun(100, func() {
-		ct.limit = ct.n + 10
-		s.AfterTimer(units.Microsecond, ct)
+		ct.limit = ct.scheduled + 10
+		ct.arm(0)
 		s.Run()
 	})
 	if allocs != 0 {

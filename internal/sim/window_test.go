@@ -125,3 +125,95 @@ func TestBucketWidthIsNotSemantic(t *testing.T) {
 		}
 	}
 }
+
+// benchTicker is a self-re-arming Timer: each firing schedules the
+// next by the pattern's inter-event gap until limit events have been
+// scheduled in all, however many copies of it are pending at once.
+type benchTicker struct {
+	s                *Simulator
+	gap              func(i int) units.Time
+	fired, scheduled int
+	limit            int
+}
+
+func (t *benchTicker) arm(i int) {
+	t.scheduled++
+	t.s.AfterTimer(t.gap(i), t)
+}
+
+func (t *benchTicker) Fire(units.Time) {
+	t.fired++
+	if t.scheduled < t.limit {
+		t.arm(t.scheduled + 1)
+	}
+}
+
+// benchBucketWidth keeps a 512-event working set live in a simulator
+// built with an explicit calendar bucket width, each firing event
+// rescheduling itself by the pattern's next inter-event gap. The
+// matrix (pattern × width) maps where the calendar degrades: dense
+// patterns punish wide buckets (long intra-bucket scans), sparse ones
+// punish narrow buckets (empty-bucket walks), bimodal ones stress the
+// overflow path. Width is a pure performance knob — firing order is
+// identical at every width (TestBucketWidthIsNotSemantic pins that) —
+// so this matrix is the evidence behind the default.
+func benchBucketWidth(b *testing.B, width units.Time, gap func(i int) units.Time) {
+	s := NewWithBucketWidth(1, width)
+	const working = 512
+	t := &benchTicker{s: s, limit: b.N, gap: gap}
+	b.ResetTimer()
+	for i := 0; i < working && t.scheduled < b.N; i++ {
+		t.arm(i)
+	}
+	s.Run()
+	if t.fired != t.scheduled {
+		b.Fatalf("fired %d of %d", t.fired, t.scheduled)
+	}
+}
+
+// BenchmarkCalendarBucketWidth is the pattern × width matrix.
+func BenchmarkCalendarBucketWidth(b *testing.B) {
+	patterns := []struct {
+		name string
+		gap  func(i int) units.Time
+	}{
+		// Dense: sub-bucket gaps at the default width — many events per
+		// bucket, the intra-bucket ordered-insert path dominates.
+		{"dense", func(i int) units.Time {
+			return units.Time(i%23+1) * units.Microsecond
+		}},
+		// Sparse: multi-millisecond gaps — most buckets empty, the
+		// empty-bucket advance path dominates.
+		{"sparse", func(i int) units.Time {
+			return units.Time(i%11+5) * units.Millisecond
+		}},
+		// Bimodal: microsecond bursts separated by 20 ms silences — the
+		// link-lattice-plus-frame-interval shape real runs produce.
+		{"bimodal", func(i int) units.Time {
+			if i%64 == 0 {
+				return 20 * units.Millisecond
+			}
+			return units.Time(i%3+1) * units.Microsecond
+		}},
+	}
+	widths := []struct {
+		name string
+		w    units.Time
+	}{
+		{"w=1us", units.Microsecond},
+		{"w=50us", 50 * units.Microsecond},
+		{"w=default", New(0).QueueStats().Width},
+		{"w=4ms", 4 * units.Millisecond},
+		// Width 0 = the density-adaptive policy: it should track the
+		// best pinned column of each pattern once the width converges.
+		{"w=adaptive", 0},
+	}
+	for _, p := range patterns {
+		for _, w := range widths {
+			p, w := p, w
+			b.Run(p.name+"/"+w.name, func(b *testing.B) {
+				benchBucketWidth(b, w.w, p.gap)
+			})
+		}
+	}
+}
