@@ -428,6 +428,10 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-trace", traces, "-trace-cap", "100", "-trace-head", "4096"}, "-trace-head 4096 exceeds the 100-event capture (-trace-cap)"},
 		{[]string{"-trace", traces, "-trace-head", "200000"}, "-trace-head 200000 exceeds the 131072-event capture (-trace-cap)"},
 		{[]string{"-trace", traces, "-trace-spill", "-trace-cap", "10"}, "-trace-cap does not bound a -trace-spill capture"},
+		// A spilled capture is not bounded by the cap, so its head is
+		// not either: the head is accepted, and with table4 alone the
+		// invocation is refused by -trace.
+		{[]string{"-run", "table4", "-trace", traces, "-trace-spill", "-trace-head", "200000"}, "-trace " + traces + ": table4 run no simulation"},
 		// Output paths are probed before any job starts.
 		{[]string{"-trace", filepath.Join(file, "traces")}, "-trace " + filepath.Join(file, "traces") + ": "},
 		{[]string{"-json", filepath.Join(dir, "missing", "out.json")}, "-json " + filepath.Join(dir, "missing", "out.json") + ": "},

@@ -151,7 +151,7 @@ func (p mfPoint) outcome() *outcome {
 		g := 0
 		for _, c := range m.Mixture.Classes {
 			for j := 0; j < c.N; j++ {
-				if sent, want := m.Mixture.Sent[g], len(c.Sched.Entries); sent != want {
+				if sent, want := int(m.Mixture.Sent[g]), len(c.Sched.Entries); sent != want {
 					o.unsent = append(o.unsent, fmt.Sprintf("virtual flow %d emitted %d of %d scheduled packets", g, sent, want))
 				}
 				g++

@@ -23,13 +23,18 @@
 // min-heap (deliveryHeap). TruncateSchedule caps a class's schedule to
 // a clip prefix for fleet-scale sweeps.
 //
-// The serial walk allocates nothing per packet and nothing per window.
-// Start makes a fixed set of per-flow arrays, and sizes the window
-// buffer, its sort scratch and the heap from twice the mean event
-// density over the fan-out's span; past that they grow by append to
-// their high-water marks (a window's arrivals, the deliveries pending
-// within the jitter bound). A run's allocation count therefore does not
-// depend on the flow count.
+// Neither run mode allocates per packet or per window. A virtual flow
+// keeps 12 B of mixture state, its delivery count Sent and its jitter
+// clamp: its class is a search over the class bounds (ClassBounds) and
+// its start is the class lattice. Every buffer either mode keeps is
+// sized once by one rule (records), twice the mean event density over
+// the fan-out's span: the serial walk's window buffer and sort scratch
+// at a window of it and its heap at the jitter bound, each pipeline
+// stream's chunk buffers and sort scratch at its share of a window (a
+// shard's split across the shards, the sequencer's whole). A buffer
+// grows past that, by append, only in a window that runs over it, so a
+// run's allocation count does not depend on the flow count and the
+// pipeline's memory does not follow its ramp.
 //
 // # Exactness
 //

@@ -53,6 +53,45 @@ type MixtureClass struct {
 	Chain  ChainSpec
 }
 
+// ClassBounds is a class-major flow layout kept in O(classes) state:
+// class ci owns flow indices [b[ci], b[ci+1]), so b[0] is 0 and the
+// last bound is the population. A flow's class is a search over the
+// bounds where a per-flow class table would keep 4 B a flow; the
+// batched mixture and the topology's per-class receive demux both look
+// classes up this way.
+type ClassBounds []int32
+
+// ClassLayout returns the bounds of classes laid out class-major. The
+// bounds are made with room for 16, so a small layout owns its cache
+// line: every stage of the sharded pipeline reads it per record, and
+// unpadded it cost the bare two-shard fleet pipeline about 4 % of its
+// CPU (docs/measurements/pr49.md).
+func ClassLayout(classes []MixtureClass) ClassBounds {
+	b := make(ClassBounds, len(classes)+1, max(len(classes)+1, 16))
+	for ci := range classes {
+		b[ci+1] = b[ci] + int32(classes[ci].N)
+	}
+	return b
+}
+
+// Flows returns the population.
+func (b ClassBounds) Flows() int32 { return b[len(b)-1] }
+
+// Of returns the class owning flow index g, 0 ≤ g < Flows(): the count
+// of classes that end at or before it, so an empty class owns none. The
+// scan compiles branch-free, and over the handful of classes a mixture
+// has it beats a binary search, whose branches mispredict on flows in
+// random order: 4 against 7 ns at 2 classes, 10 against 30 at 16.
+func (b ClassBounds) Of(g int32) int {
+	ci := 0
+	for _, end := range b[1 : len(b)-1] {
+		if g >= end {
+			ci++
+		}
+	}
+	return ci
+}
+
 // BatchedMixture streams K class schedules as one interleaved fan-out.
 // Global virtual-flow indices are class-major: class 0 owns flows
 // [0, N0), class 1 owns [N0, N0+N1), and so on; flow g carries packet
@@ -83,14 +122,16 @@ type BatchedMixture struct {
 	Tap ptrace.Tap
 	Hop ptrace.HopID
 
-	// Per-virtual-flow emission counters (delivery-ordered), indexed by
-	// global flow.
-	Sent      []int
-	SentBytes []int64
+	// Sent counts each virtual flow's deliveries, indexed by global
+	// flow: the flow's next delivery plays entry Sent[g] of its class
+	// schedule. 32 bits, as flow counts and schedule lengths are.
+	Sent []int32
 
-	// Shared by both run modes; init lays them out.
-	classOf      []int32        // global flow -> class index
-	start        []units.Time   // global flow -> start instant
+	// Shared by both run modes; init lays them out. A flow's class and
+	// start are derived, not stored (locate), so a flow keeps 12 B: Sent
+	// and its jitter clamp.
+	bounds       ClassBounds
+	t0           units.Time     // the mixture's start: flow j of class c starts at t0 + c.Phase + j·c.Offset
 	base         [][]units.Time // class -> arrival walk of a flow started at 0 (baseArrivals)
 	lastDelivery []units.Time   // global flow -> the jitter clamp
 	// rng is Sim.RNG(), read once: the sharded pipeline draws on the
@@ -217,32 +258,53 @@ func (s *BatchedMixture) TotalFlows() int {
 }
 
 // init lays out the state both run modes share, in class-major flow
-// order: the counters, the flow layout, each class's base arrivals and
-// the per-flow jitter state.
+// order: the counters, the class bounds, each class's base arrivals
+// and the per-flow jitter state.
 func (s *BatchedMixture) init() int {
 	n := s.TotalFlows()
 	if len(s.Next) != 1 {
 		panic(fmt.Sprintf("flowbatch: %d next hops for a mixture (want 1)", len(s.Next)))
 	}
-	s.Sent = make([]int, n)
-	s.SentBytes = make([]int64, n)
-	s.classOf = make([]int32, n)
-	s.start = make([]units.Time, n)
+	s.Sent = make([]int32, n)
+	s.bounds = ClassLayout(s.Classes)
+	s.t0 = s.Sim.Now()
 	s.base = make([][]units.Time, len(s.Classes))
+	for ci := range s.Classes {
+		s.base[ci] = baseArrivals(s.Classes[ci].Sched, s.Classes[ci].Chain)
+	}
 	s.lastDelivery = make([]units.Time, n)
 	s.rng = s.Sim.RNG()
-	now := s.Sim.Now()
-	g := 0
+	return n
+}
+
+// locate returns global flow g's class and start instant.
+func (s *BatchedMixture) locate(g int32) (int, units.Time) {
+	ci := s.bounds.Of(g)
+	c := &s.Classes[ci]
+	return ci, s.t0 + c.Phase + units.Time(int64(g-s.bounds[ci]))*c.Offset
+}
+
+// records is the one sizing rule of every buffer both run modes keep:
+// about the most records an interval of d carries across the whole
+// fan-out, the mixture's scheduled packets spread over its full span
+// at twice their mean density, and never more than the run's total. A
+// buffer is made at that size once and grows past it only when one
+// window runs over it.
+func (s *BatchedMixture) records(d units.Time) int {
+	var events int64
+	var span units.Time
 	for ci := range s.Classes {
 		c := &s.Classes[ci]
-		s.base[ci] = baseArrivals(c.Sched, c.Chain)
-		for j := 0; j < c.N; j++ {
-			s.classOf[g] = int32(ci)
-			s.start[g] = now + c.Phase + units.Time(int64(j))*c.Offset
-			g++
+		if c.N == 0 || len(c.Sched.Entries) == 0 {
+			continue
 		}
+		events += int64(c.N) * int64(len(c.Sched.Entries))
+		span = max(span, c.Phase+units.Time(int64(c.N-1))*c.Offset+c.Sched.Entries[len(c.Sched.Entries)-1].At)
 	}
-	return n
+	if span <= 0 {
+		return 0
+	}
+	return int(min(2*float64(events)/float64(span)*float64(d), float64(events)))
 }
 
 // Start schedules the interleaved fan-out. Each flow's first packet
@@ -261,34 +323,15 @@ func (s *BatchedMixture) startArmed(perPacket bool) {
 	s.arrive = (*mixArriveTimer)(s)
 	s.deliver = (*mixDeliverTimer)(s)
 	w := s.lookahead()
-	s.arrivals = shardArrivals{mix: s, stride: 1, packing: newPacking(w, n)}
+	s.arrivals = shardArrivals{mix: s, stride: 1, packing: newPacking(w, n), size: s.records(w)}
 	s.arrivals.init()
 	s.window, s.next = s.Sim.Now()-w, 0
-	// Size the window buffers and the heap from the mixture's event
-	// density, total scheduled packets spread over the fan-out's full
-	// span, at twice its mean: windows of w carry that many arrivals,
-	// and the heap holds the deliveries of about JitterMax.
-	var events int64
-	var span, jitter units.Time
+	// The heap holds the deliveries drawn within about one jitter bound.
+	var jitter units.Time
 	for ci := range s.Classes {
-		c := &s.Classes[ci]
-		jitter = max(jitter, c.Chain.JitterMax)
-		if c.N == 0 || len(c.Sched.Entries) == 0 {
-			continue
-		}
-		events += int64(c.N) * int64(len(c.Sched.Entries))
-		end := c.Phase + units.Time(int64(c.N-1))*c.Offset + c.Sched.Entries[len(c.Sched.Entries)-1].At
-		if end > span {
-			span = end
-		}
+		jitter = max(jitter, s.Classes[ci].Chain.JitterMax)
 	}
-	if span > 0 {
-		perNS := 2 * float64(events) / float64(span)
-		win := int(min(perNS*float64(w), float64(events)))
-		s.arrivals.out = make([]arrival, 0, win)
-		s.arrivals.scratch = make([]arrival, 0, win)
-		s.pending = make(deliveryHeap, 0, int(min(perNS*float64(jitter), float64(events))))
-	}
+	s.pending = make(deliveryHeap, 0, s.records(jitter))
 	if a, _, ok := s.nextArrival(); ok {
 		s.Sim.AtTimer(a, s.arrive)
 	}
@@ -329,7 +372,7 @@ func baseArrivals(sched *Schedule, chain ChainSpec) []units.Time {
 // carries its k-th entry: inject reads it from Sent[g] in both modes.
 func (s *BatchedMixture) draw(g int32, a units.Time) units.Time {
 	t := a
-	if jm := s.Classes[s.classOf[g]].Chain.JitterMax; jm > 0 {
+	if jm := s.Classes[s.bounds.Of(g)].Chain.JitterMax; jm > 0 {
 		t = a + units.Time(s.rng.Float64()*float64(jm))
 	}
 	if t < s.lastDelivery[g] {
@@ -410,16 +453,15 @@ func (s *BatchedMixture) deliverDue(now units.Time) {
 // border simulator to the delivery instant so packet ids, taps and
 // downstream elements observe the serial timeline.
 func (s *BatchedMixture) inject(g int32) {
-	c := &s.Classes[s.classOf[g]]
-	e := &c.Sched.Entries[s.Sent[g]]
+	ci, start := s.locate(g)
+	e := &s.Classes[ci].Sched.Entries[s.Sent[g]]
 	p := s.Pool.Get()
 	p.Flow = s.BaseFlow + packet.FlowID(g)
 	p.Proto = packet.UDP
 	p.Size = e.Size
 	p.FrameSeq, p.FragIndex, p.FragCount = int(e.FrameSeq), int(e.FragIndex), int(e.FragCount)
-	p.SentAt = s.start[g] + e.At
+	p.SentAt = start + e.At
 	s.Sent[g]++
-	s.SentBytes[g] += int64(e.Size)
 	if s.Tap != nil {
 		s.Tap.Emit(ptrace.Event{
 			Kind: ptrace.LinkDeliver, Hop: s.Hop, Flow: p.Flow, PktID: p.ID,
@@ -433,7 +475,7 @@ func (s *BatchedMixture) inject(g int32) {
 func (s *BatchedMixture) TotalSent() int {
 	total := 0
 	for _, n := range s.Sent {
-		total += n
+		total += int(n)
 	}
 	return total
 }

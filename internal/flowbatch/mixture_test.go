@@ -1,6 +1,7 @@
 package flowbatch
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/packet"
@@ -77,7 +78,8 @@ func TestArmingRulesEmitIdentically(t *testing.T) {
 }
 
 // TestMixtureClassLayout pins the class-major global flow indexing and
-// per-class start lattice.
+// per-class start lattice, as locate derives them from the class
+// bounds, with an empty class in the middle owning no flow.
 func TestMixtureClassLayout(t *testing.T) {
 	t.Parallel()
 	enc := video.CachedCBR(video.Lost(), 1.0e6)
@@ -87,21 +89,47 @@ func TestMixtureClassLayout(t *testing.T) {
 	sink := &captureHandler{sim: s, pool: pool}
 	mix := &BatchedMixture{Sim: s, Classes: []MixtureClass{
 		{Sched: sched, N: 3, Offset: 10 * units.Millisecond, Chain: ChainSpec{AccessRate: units.Mbps}},
+		{Sched: sched, N: 0, Phase: units.Second / 2, Offset: units.Millisecond, Chain: ChainSpec{AccessRate: units.Mbps}},
 		{Sched: sched, N: 2, Phase: units.Second, Offset: 20 * units.Millisecond, Chain: ChainSpec{AccessRate: units.Mbps}},
 	}, Next: []packet.Handler{sink}, Pool: pool}
 	if got := mix.init(); got != 5 {
 		t.Fatalf("init laid out %d flows, want 5", got)
 	}
-	wantClass := []int32{0, 0, 0, 1, 1}
+	wantClass := []int{0, 0, 0, 2, 2}
 	wantStart := []units.Time{0, 10 * units.Millisecond, 20 * units.Millisecond,
 		units.Second, units.Second + 20*units.Millisecond}
-	for g := 0; g < 5; g++ {
-		if mix.classOf[g] != wantClass[g] {
-			t.Errorf("classOf[%d] = %d, want %d", g, mix.classOf[g], wantClass[g])
+	for g := int32(0); g < 5; g++ {
+		if ci, start := mix.locate(g); ci != wantClass[g] || start != wantStart[g] {
+			t.Errorf("flow %d: class %d starting %v, want class %d starting %v", g, ci, start, wantClass[g], wantStart[g])
 		}
-		if mix.start[g] != wantStart[g] {
-			t.Errorf("start[%d] = %v, want %v", g, mix.start[g], wantStart[g])
-		}
+	}
+}
+
+// TestMixtureInitBytesPerFlow pins a virtual flow's mixture state at
+// 12 B — its delivery count and its jitter clamp — plus O(classes):
+// the class bounds and base arrivals are per class, and a flow's class
+// and start are derived from them. A class and a start instant stored
+// per flow, with a byte counter, made it 36 B.
+func TestMixtureInitBytesPerFlow(t *testing.T) {
+	const n = 100_000
+	sched := TruncateSchedule(CachedPacedSchedule(video.CachedCBR(video.Lost(), 1.0e6)), 100*units.Millisecond)
+	chain := ChainSpec{AccessRate: 100 * units.Mbps, AccessDelay: 500 * units.Microsecond, JitterMax: 3 * units.Millisecond}
+	mix := &BatchedMixture{Sim: sim.New(1), Next: []packet.Handler{&packet.Sink{}},
+		Classes: []MixtureClass{
+			{Sched: sched, N: n / 4, Offset: 1_712_345, Chain: chain},
+			{Sched: sched, N: n - n/4, Phase: 170 * units.Microsecond, Offset: 2_170_001, Chain: chain},
+		}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mix.init()
+	runtime.ReadMemStats(&after)
+	// Per class: a base arrival walk, plus a page of rounding for each
+	// large per-flow array.
+	perClass := uint64(len(sched.Entries))*8 + 8<<10
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("init of %d flows allocated %d B (%.2f B per flow)", n, bytes, float64(bytes)/n)
+	if limit := 12*n + uint64(len(mix.Classes))*perClass; bytes > limit {
+		t.Errorf("init of %d flows allocated %d B, want ≤ %d (12 B per flow + %d B per class)", n, bytes, limit, perClass)
 	}
 }
 

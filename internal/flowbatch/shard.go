@@ -84,6 +84,9 @@ type shardArrivals struct {
 	// out collects the arrivals of the current window in (time, flow)
 	// order. The worker swaps it out after each window.
 	out []arrival
+	// size is the records a window buffer of this walk is made for:
+	// its share of the mixture's records per window (records).
+	size int
 
 	// produced counts arrivals generated so far — the shard-side work
 	// metric ShardStats aggregates.
@@ -94,22 +97,26 @@ type shardArrivals struct {
 	scratch []arrival // radix-sort ping-pong buffer
 }
 
-// init seeds the per-flow walk state.
+// init seeds the per-flow walk state and makes the window buffer and
+// its sort scratch at size.
 func (sa *shardArrivals) init() {
 	m := sa.mix
-	n := (int32(len(m.classOf)) - sa.first + sa.stride - 1) / sa.stride
+	n := (m.bounds.Flows() - sa.first + sa.stride - 1) / sa.stride
 	if n <= 0 {
 		return
 	}
+	sa.out = make([]arrival, 0, sa.size)
+	sa.scratch = make([]arrival, 0, sa.size)
 	sa.pos = make([]int32, n)
 	sa.live = make([]int32, 0, n)
 	for i := int32(0); i < n; i++ {
 		g := sa.first + i*sa.stride
-		base := m.base[m.classOf[g]]
+		ci, start := m.locate(g)
+		base := m.base[ci]
 		if len(base) == 0 {
 			continue
 		}
-		if first := m.start[g] + base[0]; sa.horizon > 0 && first > sa.horizon {
+		if first := start + base[0]; sa.horizon > 0 && first > sa.horizon {
 			continue
 		}
 		sa.live = append(sa.live, i)
@@ -136,7 +143,8 @@ func (sa *shardArrivals) advanceTo(frontier units.Time) {
 	m := sa.mix
 	for _, loc := range sa.live {
 		flow := sa.first + loc*sa.stride
-		first, base := m.start[flow], m.base[m.classOf[flow]]
+		ci, first := m.locate(flow)
+		base := m.base[ci]
 		n := int32(len(base))
 		k := sa.pos[loc]
 		for k < n {
@@ -167,9 +175,9 @@ func (sa *shardArrivals) advanceTo(frontier units.Time) {
 // counting pass per byte up to the highest bit any record sets, over
 // contiguous words instead of m·log m branchy comparisons. A window
 // spans at most maxWindow and fb is sized to the run's flows, so a few
-// passes cover it. Returns the scratch buffer for reuse; it grows
-// geometrically, so a ramp of ever-longer windows re-makes it a few
-// times rather than once per new high water.
+// passes cover it. Returns the scratch buffer for reuse. Each stage
+// makes its scratch at its window buffers' size, so it grows, and then
+// geometrically, only in a window that runs over that size.
 func sortWindow(batch, scratch []uint64) []uint64 {
 	if len(batch) < radixMinLen {
 		slices.Sort(batch)
@@ -226,6 +234,7 @@ type jitterSequencer struct {
 	pending []pendingDelivery // drawn, not yet final; unsorted
 	scratch []delivery        // radix-sort ping-pong buffer
 	pos     []int
+	size    int // the records a delivery buffer is made for: the mixture's records per window
 }
 
 // pendingDelivery is a drawn delivery at or past the frontier of the
@@ -255,7 +264,8 @@ func (q *jitterSequencer) feed(chunks [][]arrival, frontier units.Time, out []de
 	}
 	q.pending = keep
 	if cap(q.pos) < len(chunks) {
-		q.pos = make([]int, len(chunks))
+		// A cache line of its own: pos is written per record.
+		q.pos = make([]int, len(chunks), max(len(chunks), 8))
 	}
 	pos := q.pos[:len(chunks)]
 	for i := range pos {
@@ -313,15 +323,20 @@ const lookaheadScale = 64
 // Each chunk stream — a shard's arrivals, the sequencer's deliveries —
 // keeps at most chunkChanCap+3 buffers alive: chunkChanCap queued, one
 // being filled, one blocked in the send and one being drained. Buffers
-// are made only when the free list is empty or its head is short, so
-// the free list has room for every buffer not in flight and giveBuf
-// drops none. By the takeBuf rule each buffer has room for about twice
-// the longest window seen so far, so a stream's memory follows its
-// peak window, not the ramp that led to it. Four queued windows: two
-// saved a further 10 % of the fleet workload's allocation but raised
-// the border's stall ratio and the run's CPU time.
+// are made only when the free list is empty, so the free list has room
+// for every buffer not in flight and giveBuf drops none. One queued
+// window: the border is the bottleneck (its stall ratio is ≈ 0.005 on
+// the fleet workload), so deeper queues only hold memory. Medians of 8
+// alternating runs each of that workload on two cores
+// (docs/measurements/pr49.md), whose wall and CPU quartiles span
+// ±5 %:
+//
+//	queued  alloc_mb  mallocs  stall_ratio  wall_s  cpu_s
+//	1       3.74      279      0.0042       0.544   0.742
+//	2       4.10      283      0.0047       0.533   0.735
+//	4       4.82      289      0.0082       0.539   0.751
 const (
-	chunkChanCap = 4
+	chunkChanCap = 1
 	freeChanCap  = chunkChanCap + 2
 )
 
@@ -347,27 +362,22 @@ func minEntrySize(sched *Schedule) int {
 	return min
 }
 
-// takeBuf recycles a chunk buffer from a free-list channel for a
-// window expected to hold about want records: a shard's previous
-// chunk, or the arrivals the sequencer is about to draw. A buffer that
-// already fits is reused as is. A short one, or none when the list is
-// empty, is replaced by a fresh buffer of twice want, so during a ramp
-// of widening windows each buffer is re-made once per doubling instead
-// of re-grown by append from zero or in small steps.
-func takeBuf[T any](free chan []T, want int) []T {
+// takeBuf recycles a chunk buffer from a free-list channel, or makes
+// one for size records when the list is empty. A stream's buffers are
+// so made once, at the size its share of the fleet's packet density
+// implies (records); a buffer grows past that, by append, only in a
+// window that runs over it, and keeps what it grew.
+func takeBuf[T any](free chan []T, size int) []T {
 	select {
 	case b := <-free:
-		if cap(b) >= want {
-			return b[:0]
-		}
+		return b[:0]
 	default:
+		return make([]T, 0, size)
 	}
-	return make([]T, 0, 2*want)
 }
 
 // giveBuf returns a drained chunk buffer to the free list with its
-// capacity, the high water of the windows it carried, for takeBuf to
-// reuse. A full list drops it.
+// capacity for takeBuf to reuse. A full list drops it.
 func giveBuf[T any](free chan []T, b []T) {
 	if b == nil {
 		return
@@ -413,13 +423,16 @@ func (s *BatchedMixture) stages(shards int, horizon, w units.Time) ([]*shardArri
 		shards = n
 	}
 	pk := newPacking(w, n)
+	recs := s.records(w)
 	sas := make([]*shardArrivals, shards)
 	for i := range sas {
-		sa := &shardArrivals{mix: s, first: int32(i), stride: int32(shards), horizon: horizon, packing: pk}
+		sa := &shardArrivals{mix: s, first: int32(i), stride: int32(shards), horizon: horizon, packing: pk,
+			size: (recs + shards - 1) / shards}
 		sa.init()
 		sas[i] = sa
 	}
-	return sas, &jitterSequencer{mix: s, horizon: horizon, packing: pk}
+	return sas, &jitterSequencer{mix: s, horizon: horizon, packing: pk, size: recs,
+		scratch: make([]delivery, 0, recs)}
 }
 
 // runPipeline runs the stages on goroutines: each shard's arrival walk
@@ -453,7 +466,7 @@ func runPipeline(border *sim.Simulator, sas []*shardArrivals, seq *jitterSequenc
 			for frontier := w; ; frontier += w {
 				sa.advanceTo(frontier)
 				chunk := sa.out
-				sa.out = takeBuf(arrFree[i], len(chunk))
+				sa.out = takeBuf(arrFree[i], sa.size)
 				select {
 				case arrCh[i] <- chunk:
 				case <-g.Quit():
@@ -470,7 +483,6 @@ func runPipeline(border *sim.Simulator, sas []*shardArrivals, seq *jitterSequenc
 		chunks := make([][]arrival, s)
 		live := s
 		for frontier := w; live > 0 || len(seq.pending) > 0; frontier += w {
-			want := len(seq.pending) // grows by the arrivals: the most the window can release
 			for i := 0; i < s; i++ {
 				chunks[i] = nil
 				if arrCh[i] == nil {
@@ -484,13 +496,12 @@ func runPipeline(border *sim.Simulator, sas []*shardArrivals, seq *jitterSequenc
 						continue
 					}
 					chunks[i] = c
-					want += len(c)
 				case <-g.Quit():
 					return
 				}
 			}
 			select {
-			case delCh <- seq.feed(chunks, frontier, takeBuf(delFree, want)):
+			case delCh <- seq.feed(chunks, frontier, takeBuf(delFree, seq.size)):
 			case <-g.Quit():
 				return
 			}

@@ -173,7 +173,9 @@ type Config struct {
 	// Capacity is the maximum number of retained events (default 65536).
 	Capacity int
 	// Head pins the first Head events of the run; the remaining
-	// capacity rings over the tail. Clamped to Capacity.
+	// capacity rings over the tail. A ring capture clamps it to
+	// Capacity; a spilled one pins all Head events, since its stream
+	// is not bounded by Capacity.
 	Head int
 	// Sample keeps one event in Sample once the head is full; <= 1
 	// keeps every event. Sampling is per kind (every kind keeps its
@@ -220,9 +222,6 @@ func (c Config) withDefaults() Config {
 	if c.Head < 0 {
 		c.Head = 0
 	}
-	if c.Head > c.Capacity {
-		c.Head = c.Capacity
-	}
 	if c.Sample < 1 {
 		c.Sample = 1
 	}
@@ -237,7 +236,8 @@ type Recorder struct {
 	clock Clock
 	cfg   Config
 
-	pinned      int     // head-phase events taken, at most cfg.Head
+	pin         int     // head-phase events to take: cfg.Head, within Capacity unless spilling
+	pinned      int     // head-phase events taken, at most pin
 	head        []Event // the pinned events, in RAM mode
 	ring        []Event // circular tail over the rest of the capacity
 	start       int
@@ -264,7 +264,8 @@ type Recorder struct {
 // never allocates them. Attach a clock with SetClock before the run
 // starts.
 func NewRecorder(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg.withDefaults(), hopByID: make(map[string]HopID)}
+	cfg = cfg.withDefaults()
+	return &Recorder{cfg: cfg, pin: min(cfg.Head, cfg.Capacity), hopByID: make(map[string]HopID)}
 }
 
 // SetClock attaches the time source that stamps Event.T. The topology
@@ -309,14 +310,14 @@ func (r *Recorder) Emit(e Event) {
 	if r.clock != nil {
 		e.T = r.clock.Now()
 	}
-	if r.pinned < r.cfg.Head {
+	if r.pinned < r.pin {
 		r.pinned++
 		if r.spill != nil {
 			r.spill.add(e)
 			return
 		}
 		if r.head == nil {
-			r.head = make([]Event, 0, r.cfg.Head)
+			r.head = make([]Event, 0, r.pin)
 		}
 		r.head = append(r.head, e)
 		return
@@ -336,7 +337,7 @@ func (r *Recorder) Emit(e Event) {
 		return
 	}
 	if r.ring == nil {
-		n := r.cfg.Capacity - r.cfg.Head
+		n := r.cfg.Capacity - r.pin
 		if n == 0 {
 			return // head-only capture
 		}
@@ -410,12 +411,13 @@ func (r *Recorder) Summary() *Summary {
 // encoded to it in the binary v2 encoding as it is emitted, unbounded
 // by Config.Capacity, and nothing is kept in RAM (events and retained
 // report none). The spill honors the Kind and Flow filters and the
-// per-kind sampling stride (head-phase events are always written), so
-// -trace-sample still bounds a fleet-scale spill file's size. Call
-// before the run starts, and seal the stream with FinishSpill after it
-// ends; w should be buffered — add writes it one small block at a
-// time.
+// per-kind sampling stride (all Config.Head head-phase events are
+// written, even past Capacity), so -trace-sample still bounds a
+// fleet-scale spill file's size. Call before the run starts, and seal
+// the stream with FinishSpill after it ends; w should be buffered —
+// add writes it one small block at a time.
 func (r *Recorder) SpillTo(w io.Writer) {
+	r.pin = r.cfg.Head
 	r.spill = newV2Writer(w)
 	r.spill.fold = r.fold
 }

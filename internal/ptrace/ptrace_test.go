@@ -166,6 +166,46 @@ func TestSpillingRecorderRetainsNothing(t *testing.T) {
 	}
 }
 
+// TestSpilledHeadPastCapacity pins that a spilled capture's head is
+// bounded by Head alone: the stream is not bounded by Capacity, so a
+// Head above it pins every one of its events before sampling starts,
+// where a ring capture clamps it to the ring.
+func TestSpilledHeadPastCapacity(t *testing.T) {
+	const head, emitted = 200_000, 250_000
+	var buf bytes.Buffer
+	r := NewRecorder(Config{Capacity: 1 << 17, Head: head, Sample: 2})
+	r.SpillTo(&buf)
+	for i := 0; i < emitted; i++ {
+		r.Emit(Event{PktID: uint64(i)})
+	}
+	if err := r.FinishSpill(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := head + (emitted-head)/2; len(d.Events) != want {
+		t.Fatalf("spilled %d events, want %d (%d pinned + every 2nd of the rest)", len(d.Events), want, head)
+	}
+	for i, e := range d.Events {
+		want := uint64(i)
+		if i >= head {
+			want = uint64(head + 2*(i-head) + 1)
+		}
+		if e.PktID != want {
+			t.Fatalf("spilled event %d has id %d, want %d", i, e.PktID, want)
+		}
+	}
+	ring := NewRecorder(Config{Capacity: 8, Head: 20})
+	for i := 0; i < 30; i++ {
+		ring.Emit(Event{PktID: uint64(i)})
+	}
+	if got := ring.retained(); got != 8 || len(ring.head) != 8 {
+		t.Errorf("ring capture retained %d with a head of %d, want 8 and 8 (Head clamped to Capacity)", got, len(ring.head))
+	}
+}
+
 func TestEmitDoesNotAllocate(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 1024})
 	clk := &fakeClock{}

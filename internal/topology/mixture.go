@@ -54,33 +54,25 @@ type FlowClass struct {
 }
 
 // classDemux routes delivered packets to their class aggregate: video
-// flows carry class-major indices off base, so a flow's class is the
-// first whose end bound exceeds its index — a search over the K class
-// bounds, with no per-flow table. Anything else (cross traffic) is
+// flows carry class-major indices off base, so a flow's class is a
+// search over the K class bounds, with no per-flow table — the lookup
+// the batched mixture itself makes. Anything else (cross traffic) is
 // absorbed by the sink.
 type classDemux struct {
-	base packet.FlowID
-	ends []int64 // class ci owns flow indices [ends[ci-1], ends[ci])
-	aggs []*client.Aggregate
-	sink packet.Handler
+	base   packet.FlowID
+	bounds flowbatch.ClassBounds
+	aggs   []*client.Aggregate
+	sink   packet.Handler
 }
 
 // Handle implements packet.Handler.
 func (d *classDemux) Handle(p *packet.Packet) {
 	i := int64(p.Flow - d.base)
-	if i < 0 || i >= d.ends[len(d.ends)-1] {
+	if i < 0 || i >= int64(d.bounds.Flows()) {
 		d.sink.Handle(p)
 		return
 	}
-	lo, hi := 0, len(d.ends)-1
-	for lo < hi {
-		if mid := (lo + hi) / 2; i < d.ends[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	d.aggs[lo].Handle(p)
+	d.aggs[d.bounds.Of(int32(i))].Handle(p)
 }
 
 // policerBank is a batched mixture's one next hop: it hands each
@@ -221,13 +213,8 @@ func buildMixtureMultiFlow(cfg MultiFlowConfig, horizon units.Time) *MultiFlow {
 	sink := packet.Sink{Pool: b.Pool()}
 	b.Handler("sink", &sink)
 	if cfg.AggregateStats {
-		ends := make([]int64, k)
-		for ci, end := 0, int64(0); ci < k; ci++ {
-			end += int64(cfg.Classes[ci].N)
-			ends[ci] = end
-		}
 		b.Handler("demux", &classDemux{
-			base: VideoFlow, ends: ends, aggs: m.Aggregates, sink: &sink,
+			base: VideoFlow, bounds: flowbatch.ClassLayout(classes), aggs: m.Aggregates, sink: &sink,
 		})
 	} else {
 		b.Router("demux", "sink")
