@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -344,7 +343,7 @@ type TraceRequest struct {
 	scenario string
 	mu       sync.Mutex
 	files    []string
-	spills   map[*ptrace.Recorder]*spillState
+	spills   map[*ptrace.Recorder]*os.File // open spill files, until save seals and renames them
 	err      error
 }
 
@@ -364,28 +363,21 @@ func (tr *TraceRequest) fail(err error) {
 	tr.mu.Unlock()
 }
 
-// spillState is one recorder's open spill file, held until Finish
-// seals and renames it.
-type spillState struct {
-	f  *os.File
-	bw *bufio.Writer
-}
-
 // startSpill opens a temporary spill file next to the final trace
 // location (same directory, so the sealing rename stays atomic) and
-// attaches it to the recorder.
+// attaches it to the recorder. The file takes the recorder's writes
+// unbuffered: each is one whole block of the trace, or its trailer.
 func (tr *TraceRequest) startSpill(rec *ptrace.Recorder) error {
 	f, err := os.CreateTemp(tr.Dir, ".spill-*")
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	rec.SpillTo(bw)
+	rec.SpillTo(f)
 	tr.mu.Lock()
 	if tr.spills == nil {
-		tr.spills = map[*ptrace.Recorder]*spillState{}
+		tr.spills = map[*ptrace.Recorder]*os.File{}
 	}
-	tr.spills[rec] = &spillState{f: f, bw: bw}
+	tr.spills[rec] = f
 	tr.mu.Unlock()
 	return nil
 }
@@ -422,23 +414,20 @@ func (tr *TraceRequest) save(label string, rec *ptrace.Recorder) error {
 	path := filepath.Join(tr.Dir, name)
 
 	tr.mu.Lock()
-	sp := tr.spills[rec]
+	f := tr.spills[rec]
 	delete(tr.spills, rec)
 	tr.mu.Unlock()
 
-	if sp != nil {
+	if f != nil {
 		err := rec.FinishSpill()
-		if ferr := sp.bw.Flush(); err == nil {
-			err = ferr
-		}
-		if cerr := sp.f.Close(); err == nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err == nil {
-			err = os.Rename(sp.f.Name(), path)
+			err = os.Rename(f.Name(), path)
 		}
 		if err != nil {
-			os.Remove(sp.f.Name())
+			os.Remove(f.Name())
 			return err
 		}
 	} else {

@@ -77,6 +77,11 @@ type timelineKey struct {
 	t   int64
 }
 
+// verdictCounts is one timeline bucket's tally, held by value in the
+// digester's map: the timeline's memory follows the buckets hit, with
+// no object per bucket.
+type verdictCounts struct{ pass, demote, drops int }
+
 // digester folds a trace into a Summary one event at a time. Feed it
 // with add (any order the trace supplies) and seal it with summarize;
 // AnalyzeStream is a thin wrapper over it.
@@ -88,7 +93,7 @@ type digester struct {
 
 	hops     []hopDigest // indexed by HopID, grown on demand
 	flows    map[packet.FlowID]*flowDigest
-	timeline map[timelineKey]*VerdictBucket
+	timeline map[timelineKey]verdictCounts
 }
 
 // newDigester returns an empty digester; bucket sets the
@@ -100,7 +105,7 @@ func newDigester(bucket units.Time) *digester {
 	return &digester{
 		bucket:   bucket,
 		flows:    map[packet.FlowID]*flowDigest{},
-		timeline: map[timelineKey]*VerdictBucket{},
+		timeline: map[timelineKey]verdictCounts{},
 	}
 }
 
@@ -147,19 +152,16 @@ func (g *digester) add(e Event) {
 		f.oneWay.add(e.Delay)
 	case PolicerPass, PolicerDemote, PolicerDrop, ShaperRelease, ShaperDrop:
 		k := timelineKey{e.Hop, int64(e.T / g.bucket)}
-		b := g.timeline[k]
-		if b == nil {
-			b = &VerdictBucket{Start: units.Time(k.t) * g.bucket}
-			g.timeline[k] = b
-		}
+		c := g.timeline[k]
 		switch e.Kind {
 		case PolicerPass, ShaperRelease:
-			b.Pass++
+			c.pass++
 		case PolicerDemote:
-			b.Demote++
+			c.demote++
 		default:
-			b.Drops++
+			c.drops++
 		}
+		g.timeline[k] = c
 	}
 }
 
@@ -200,9 +202,12 @@ func (g *digester) summarize(hopNames []string, seen uint64) *Summary {
 			OneWay: f.oneWay.quantiles(),
 		})
 	}
-	for k, b := range g.timeline {
-		b.Hop = hopName(hopNames, k.hop)
-		s.Timeline = append(s.Timeline, *b)
+	if len(g.timeline) > 0 {
+		s.Timeline = make([]VerdictBucket, 0, len(g.timeline))
+	}
+	for k, c := range g.timeline {
+		s.Timeline = append(s.Timeline, VerdictBucket{Hop: hopName(hopNames, k.hop),
+			Start: units.Time(k.t) * g.bucket, Pass: c.pass, Demote: c.demote, Drops: c.drops})
 	}
 	sort.Slice(s.Timeline, func(i, j int) bool {
 		if s.Timeline[i].Hop != s.Timeline[j].Hop {

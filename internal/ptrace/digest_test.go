@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -170,5 +171,52 @@ func TestDigestMemoryBoundedByState(t *testing.T) {
 	// must stay well under materializing 3M 48-byte events would cost.
 	if large > 100<<20 {
 		t.Errorf("digesting 3M events allocated %d MiB, want << event-slice cost", large>>20)
+	}
+}
+
+// TestTimelineSparseAtFineBuckets pins the verdict timeline at the
+// finest bucket a flag reaches (dstrace -bucket 1ns): streaming the
+// tandem capture gives the materialised analysis's timeline, and the
+// timeline's memory follows the buckets hit, not the span they cover —
+// the same verdicts spread a million times wider allocate the same.
+func TestTimelineSparseAtFineBuckets(t *testing.T) {
+	const oneNS units.Time = 1
+	seed := tandemSeed()
+	d, err := ptrace.Read(bytes.NewReader(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ptrace.DigestEvents(d.Events, oneNS, d.Hops, d.Seen)
+	got, _, err := ptrace.AnalyzeStream(bytes.NewReader(seed), oneNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Timeline) == 0 || !reflect.DeepEqual(got.Timeline, want.Timeline) {
+		t.Fatalf("1 ns timeline: streamed %d buckets, materialised %d, or they differ",
+			len(got.Timeline), len(want.Timeline))
+	}
+
+	const verdicts = 20000
+	cost := func(spacing units.Time) (uint64, int) {
+		evs := make([]ptrace.Event, verdicts)
+		for i := range evs {
+			evs[i] = ptrace.Event{T: units.Time(i) * spacing, Kind: ptrace.PolicerPass}
+		}
+		var s *ptrace.Summary
+		b := allocated(func() { s = ptrace.DigestEvents(evs, oneNS, []string{"border"}, verdicts) })
+		return b, len(s.Timeline)
+	}
+	dense, denseN := cost(oneNS)
+	sparse, sparseN := cost(units.Millisecond)
+	t.Logf("%d one-verdict buckets over %d ns: %d B; over %d ns: %d B",
+		verdicts, verdicts, dense, verdicts*int64(units.Millisecond), sparse)
+	if denseN != verdicts || sparseN != verdicts {
+		t.Fatalf("timelines hold %d and %d buckets, want %d each", denseN, sparseN, verdicts)
+	}
+	if sparse > dense+dense/10 {
+		t.Errorf("a 10^6 times wider span allocated %d B against %d B: the timeline grows with its span", sparse, dense)
+	}
+	if perBucket := dense / verdicts; perBucket > 256 {
+		t.Errorf("the timeline allocated %d B per bucket hit, want <= 256", perBucket)
 	}
 }

@@ -1,7 +1,6 @@
 package ptrace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 )
@@ -28,19 +27,15 @@ func hopName(hops []string, id HopID) string {
 }
 
 // WriteTo emits the capture in the binary v2 encoding (encode_v2.go),
-// through the same block writer the Recorder's spill mode uses.
+// through the same block writer the Recorder's spill mode uses: w
+// takes the magic, then one Write per block and one for the trailer.
 func (d *Data) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	v := newV2Writer(bw)
+	v := newV2Writer(w)
 	v.fold = d.fold
 	for _, e := range d.Events {
 		v.add(e)
 	}
-	n, err := v.finish(d.Hops, d.Seen)
-	if err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	return v.finish(d.Hops, d.Seen)
 }
 
 // Read decodes a whole v2 trace into memory.

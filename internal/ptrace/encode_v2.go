@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/packet"
 	"repro/internal/units"
@@ -85,12 +86,14 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // one-shot Data.WriteTo and the Recorder's spill mode, so it is the one
 // place every written event passes, and where a Recorder that digests
 // its writes folds them; after the last event, finish seals the
-// trailer. All state is O(1): the block
-// buffer tops out around blockEvents packed records and is reused.
+// trailer. Its block buffer is made once, at working size, with room
+// for the frame header reserved in front of the records, so each block
+// leaves in one Write of header and records, and the trailer in one
+// more: w needs no buffering of its own. All state is O(1): the buffer
+// holds one block of about blockEvents packed records and is reused.
 type v2Writer struct {
 	w       io.Writer
-	buf     []byte // packed records of the open block
-	scratch []byte // block framing scratch
+	buf     []byte // frameReserve header bytes, then the open block's packed records
 	n       int    // events in the open block
 	total   uint64
 	written int64
@@ -103,8 +106,20 @@ type v2Writer struct {
 	fold *digester
 }
 
+const (
+	// frameReserve is the room in front of a block's records for its
+	// header: two uvarints, the event count and the payload length.
+	frameReserve = 2 * binary.MaxVarintLen64
+	// blockBytes is the block buffer's working size, frame header
+	// included, and the reader's: blockEvents steady-state records pack
+	// into about 40-45 KiB (TestV2Density). A wider block grows the
+	// writer's buffer for the rest of the file, and the reader copies it
+	// out (readGrowing). A power of two, so the buffer fills its pages.
+	blockBytes = 1 << 16
+)
+
 func newV2Writer(w io.Writer) *v2Writer {
-	v := &v2Writer{w: w, buf: make([]byte, 0, 1<<14)}
+	v := &v2Writer{w: w, buf: make([]byte, frameReserve, blockBytes)}
 	v.write(magicV2[:])
 	return v
 }
@@ -200,44 +215,47 @@ func (v *v2Writer) add(e Event) {
 	}
 }
 
-// flushBlock frames and writes the open block.
+// flushBlock frames the open block in the room reserved in front of
+// its records and writes header and records in one Write.
 func (v *v2Writer) flushBlock() {
 	if v.n == 0 {
 		return
 	}
-	v.scratch = v.scratch[:0]
-	v.scratch = binary.AppendUvarint(v.scratch, uint64(v.n))
-	v.scratch = binary.AppendUvarint(v.scratch, uint64(len(v.buf)))
-	v.write(v.scratch)
-	v.write(v.buf)
-	v.buf = v.buf[:0]
+	var hdr [frameReserve]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(v.n))
+	h = binary.AppendUvarint(h, uint64(len(v.buf)-frameReserve))
+	start := frameReserve - len(h)
+	copy(v.buf[start:], h)
+	v.write(v.buf[start:])
+	v.buf = v.buf[:frameReserve]
 	v.n = 0
 }
 
-// finish flushes the open block and seals the trailer.
+// finish flushes the open block and seals the trailer, which it packs
+// into the block buffer and writes in one Write.
 func (v *v2Writer) finish(hops []string, seen uint64) (int64, error) {
 	v.flushBlock()
-	v.scratch = v.scratch[:0]
-	v.scratch = binary.AppendUvarint(v.scratch, 0) // trailer marker
-	v.scratch = binary.AppendUvarint(v.scratch, uint64(len(hops)))
-	v.write(v.scratch)
+	b := binary.AppendUvarint(v.buf[:0], 0) // trailer marker
+	b = binary.AppendUvarint(b, uint64(len(hops)))
 	for _, h := range hops {
-		v.scratch = binary.AppendUvarint(v.scratch[:0], uint64(len(h)))
-		v.write(v.scratch)
-		v.write([]byte(h))
+		b = binary.AppendUvarint(b, uint64(len(h)))
+		b = append(b, h...)
 	}
-	v.scratch = binary.AppendUvarint(v.scratch[:0], seen)
-	v.scratch = binary.AppendUvarint(v.scratch, v.total)
-	v.write(v.scratch)
+	b = binary.AppendUvarint(b, seen)
+	b = binary.AppendUvarint(b, v.total)
+	v.write(b)
 	return v.written, v.err
 }
 
 // streamV2 decodes a trace, feeding each event to fn in order: Read,
 // AnalyzeStream and AttributeFrameLoss are all one pass through it. The
 // hop table and totals arrive only with the trailer, so they are
-// returned rather than available up front; fn must not need them.
+// returned rather than available up front; fn must not need them, nor
+// read r. A block is decoded in place in the read buffer; only one
+// longer than that buffer is copied out, into one payload buffer per
+// trace (readGrowing).
 func streamV2(r io.Reader, fn func(Event)) (hops []string, seen uint64, err error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, blockBytes)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != magicV2 {
 		if magic[0] == '{' { // the one foreign input users hold: a pre-v2 recording
@@ -248,7 +266,7 @@ func streamV2(r io.Reader, fn func(Event)) (hops []string, seen uint64, err erro
 	var (
 		prevT    int64
 		prevKind [256]Event
-		payload  []byte
+		payload  []byte // blocks longer than br's buffer
 		decoded  uint64
 	)
 	for {
@@ -266,14 +284,20 @@ func streamV2(r io.Reader, fn func(Event)) (hops []string, seen uint64, err erro
 		if byteLen > maxBlockBytes || count > byteLen {
 			return nil, 0, fmt.Errorf("ptrace: corrupt v2 block (%d events in %d bytes)", count, byteLen)
 		}
-		if uint64(cap(payload)) < byteLen {
-			payload = make([]byte, byteLen)
+		var p []byte
+		inPlace := int(byteLen) <= br.Size()
+		if inPlace {
+			if p, err = br.Peek(int(byteLen)); err == io.EOF && len(p) > 0 {
+				err = io.ErrUnexpectedEOF // as readGrowing reports a short block
+			}
+		} else {
+			payload, err = readGrowing(br, payload, int(byteLen))
+			p = payload
 		}
-		payload = payload[:byteLen]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if err != nil {
 			return nil, 0, fmt.Errorf("ptrace: truncated v2 block: %w", err)
 		}
-		c := fieldCursor{p: payload, ok: true}
+		c := fieldCursor{p: p, ok: true}
 		for i := uint64(0); i < count; i++ {
 			if len(c.p) == 0 {
 				return nil, 0, fmt.Errorf("ptrace: v2 block underruns its payload")
@@ -312,26 +336,24 @@ func streamV2(r io.Reader, fn func(Event)) (hops []string, seen uint64, err erro
 		if len(c.p) != 0 {
 			return nil, 0, fmt.Errorf("ptrace: v2 block has %d trailing payload bytes", len(c.p))
 		}
+		if inPlace {
+			br.Discard(len(p)) // cannot fail: Peek buffered all of p
+		}
 	}
 	nHops, err := binary.ReadUvarint(br)
 	if err != nil || nHops > maxHopNames {
 		return nil, 0, fmt.Errorf("ptrace: corrupt v2 trailer (hop count)")
 	}
 	hops = make([]string, 0, min(nHops, 256))
-	name := make([]byte, 0, 64)
 	for i := uint64(0); i < nHops; i++ {
 		ln, err := binary.ReadUvarint(br)
 		if err != nil || ln > maxHopNameLen {
 			return nil, 0, fmt.Errorf("ptrace: corrupt v2 trailer (hop name length)")
 		}
-		if uint64(cap(name)) < ln {
-			name = make([]byte, ln)
-		}
-		name = name[:ln]
-		if _, err := io.ReadFull(br, name); err != nil {
+		if payload, err = readGrowing(br, payload, int(ln)); err != nil {
 			return nil, 0, fmt.Errorf("ptrace: truncated v2 trailer (hop names): %w", err)
 		}
-		hops = append(hops, string(name))
+		hops = append(hops, string(payload))
 	}
 	if seen, err = binary.ReadUvarint(br); err != nil {
 		return nil, 0, fmt.Errorf("ptrace: truncated v2 trailer (seen): %w", err)
@@ -347,6 +369,27 @@ func streamV2(r io.Reader, fn func(Event)) (hops []string, seen uint64, err erro
 		return nil, 0, fmt.Errorf("ptrace: trailing data after v2 trailer")
 	}
 	return hops, seen, nil
+}
+
+// readGrowing reads the next n bytes of br into buf, reusing its
+// storage, and grows it only as bytes actually arrive: at most
+// doubling what has been read so far, one read buffer at first. So a
+// corrupt length in a short file costs the bytes the file holds, not
+// the bytes it claims.
+func readGrowing(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		buf = slices.Grow(buf, min(n-len(buf), max(len(buf), br.Size())))
+		k, err := io.ReadFull(br, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull of all n bytes reports it
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // fieldCursor walks a block payload's varint fields, latching the

@@ -2,15 +2,23 @@ package ptrace_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/packet"
 	"repro/internal/ptrace"
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/units"
+	"repro/internal/video"
 )
 
 // corpusData decodes the tandem fuzz seed — the representative real
@@ -238,4 +246,182 @@ func BenchmarkTraceDecodeV2(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+}
+
+// countingHash hashes what it is written and counts the Write calls.
+type countingHash struct {
+	hash.Hash
+	n      int64
+	writes int
+}
+
+func (h *countingHash) Write(p []byte) (int, error) {
+	h.writes++
+	h.n += int64(len(p))
+	return h.Hash.Write(p)
+}
+
+// TestV2BytesPinned pins the writer's output byte for byte on one
+// fixed tandem run (Lost at 1.0 Mb/s, a 1.1 Mb/s 3000 B second border,
+// every event offered to a 128 Ki-event ring with a 256-event head),
+// both as a ring save (Recorder.WriteTo) and as a spill (SpillTo +
+// FinishSpill): how the writer frames its writes may change, the
+// bytes may not. The writer takes no buffering from its caller: w gets
+// the magic, one Write per block of 4096 events and one for the
+// trailer.
+func TestV2BytesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the tandem scenario twice")
+	}
+	cfg := ptrace.Config{Capacity: 1 << 17, Head: 256, Sample: 1}
+	run := func(rec *ptrace.Recorder) {
+		topology.BuildTandem(topology.TandemConfig{
+			Seed: 1, Enc: video.CachedCBR(video.Lost(), 1.0e6), TokenRate: 1.1e6, Depth: 3000,
+			SecondBorder: true, Trace: rec,
+		}).Run()
+	}
+	ring := ptrace.NewRecorder(cfg)
+	run(ring)
+	saved := &countingHash{Hash: sha256.New()}
+	if _, err := ring.WriteTo(saved); err != nil {
+		t.Fatal(err)
+	}
+	spill := ptrace.NewRecorder(cfg)
+	spilled := &countingHash{Hash: sha256.New()}
+	spill.SpillTo(spilled)
+	run(spill)
+	spilledEvents := spill.Spilled()
+	if err := spill.FinishSpill(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		h      *countingHash
+		events uint64
+		sum    string
+		n      int64
+	}{
+		{"ring-saved", saved, uint64(len(ring.Data().Events)),
+			"d545931021b37adbb256dc271659fabecd893404391921f69f2ef35e032cb7f2", 1_247_510},
+		{"spilled", spilled, spilledEvents,
+			"82b4e2aa30cf49e8ddc9e5d7706c4a03bc6162f95aa4d54d0bd38c2f1fd7dc44", 23_342_794},
+	} {
+		if got := hex.EncodeToString(c.h.Sum(nil)); got != c.sum || c.h.n != c.n {
+			t.Errorf("%s capture: sha256 %s, %d B; want %s, %d B", c.name, got, c.h.n, c.sum, c.n)
+		}
+		if want := 2 + int(c.events+4095)/4096; c.h.writes != want {
+			t.Errorf("%s capture: %d events in %d writes, want %d (magic, one a block, trailer)",
+				c.name, c.events, c.h.writes, want)
+		}
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestV2CorruptLengthAllocatesWhatArrives pins that a block length is
+// not trusted before its bytes arrive: a 13-byte file claiming a 60 MiB
+// block fails as a truncated block after allocating well under 1 MB,
+// where one allocation of the claimed length cost 63 MB.
+func TestV2CorruptLengthAllocatesWhatArrives(t *testing.T) {
+	in := append([]byte("\x89PTRC2\r\n"), binary.AppendUvarint([]byte{1}, 60<<20)...)
+	if len(in) != 13 {
+		t.Fatalf("corrupt trace is %d bytes, want 13", len(in))
+	}
+	for name, decode := range map[string]func() error{
+		"Read": func() error { _, err := ptrace.Read(bytes.NewReader(in)); return err },
+		"AnalyzeStream": func() error {
+			_, _, err := ptrace.AnalyzeStream(bytes.NewReader(in), 0)
+			return err
+		},
+	} {
+		var err error
+		b := allocated(func() { err = decode() })
+		if err == nil || !strings.Contains(err.Error(), "truncated v2 block") {
+			t.Errorf("%s: err %v, want a truncated v2 block", name, err)
+		}
+		if b >= 1<<20 {
+			t.Errorf("%s allocated %d B on a 13-byte trace, want < 1 MiB", name, b)
+		}
+	}
+}
+
+// TestV2LongBlockFallback pins the decoder's path for a block longer
+// than its read buffer: 4096 records of full-range deltas pack into one
+// block several times the buffer's 64 KiB, which must round-trip.
+func TestV2LongBlockFallback(t *testing.T) {
+	d := randomData(rand.New(rand.NewSource(5)), 4096)
+	enc := encodeV2(t, d)
+	count, n := binary.Uvarint(enc[8:])
+	if byteLen, _ := binary.Uvarint(enc[8+n:]); count != 4096 || byteLen <= 1<<16 {
+		t.Fatalf("first block holds %d events in %d B, want 4096 in more than 64 KiB", count, byteLen)
+	}
+	got, err := ptrace.Read(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dataEqual(d, got) {
+		t.Fatal("a block longer than the read buffer did not round-trip")
+	}
+}
+
+// TestV2AllocatesPerFile pins that neither side of the encoding
+// allocates per block: writing or decoding 200 blocks of steady
+// records (decoded in place) costs no more than 2 blocks, and decoding
+// 16 blocks longer than the read buffer no more than 2, plus a fixed
+// slack.
+func TestV2AllocatesPerFile(t *testing.T) {
+	spill := func(w io.Writer, blocks int) {
+		rec := ptrace.NewRecorder(ptrace.Config{})
+		rec.SpillTo(w)
+		hop := rec.Hop("hop")
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < blocks*4096; i++ {
+			rec.Emit(ptrace.Event{T: units.Time(i) * units.Microsecond, Kind: ptrace.Deliver, Hop: hop,
+				Flow: 1, PktID: uint64(i), Size: 1200, Delay: units.Time(rng.Intn(1e7))})
+		}
+		if err := rec.FinishSpill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AttributeFrameLoss against a frame trace of no frames is a bare
+	// decoding pass: it keeps no state per event.
+	decode := func(enc []byte) uint64 {
+		var err error
+		b := allocated(func() { _, err = ptrace.AttributeFrameLoss(bytes.NewReader(enc), &trace.Trace{}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	const slack = 16 << 10
+	var few, many bytes.Buffer
+	spill(&few, 2)
+	spill(&many, 200)
+	writeFew := allocated(func() { spill(io.Discard, 2) })
+	writeMany := allocated(func() { spill(io.Discard, 200) })
+	readFew, readMany := decode(few.Bytes()), decode(many.Bytes())
+	rng := rand.New(rand.NewSource(5))
+	longFew := decode(encodeV2(t, randomData(rng, 2*4096)))
+	longMany := decode(encodeV2(t, randomData(rng, 16*4096)))
+	t.Logf("steady blocks: write 2 %d B, 200 %d B; decode 2 %d B, 200 %d B; long blocks: decode 2 %d B, 16 %d B",
+		writeFew, writeMany, readFew, readMany, longFew, longMany)
+	for _, c := range []struct {
+		what      string
+		few, many uint64
+	}{
+		{"writing steady blocks", writeFew, writeMany},
+		{"decoding steady blocks", readFew, readMany},
+		{"decoding long blocks", longFew, longMany},
+	} {
+		if c.many > c.few+slack {
+			t.Errorf("%s: the longer trace allocated %d B against %d B, more than %d B apart", c.what, c.many, c.few, slack)
+		}
+	}
 }

@@ -414,8 +414,9 @@ func (r *Recorder) Summary() *Summary {
 // per-kind sampling stride (all Config.Head head-phase events are
 // written, even past Capacity), so -trace-sample still bounds a
 // fleet-scale spill file's size. Call before the run starts, and seal
-// the stream with FinishSpill after it ends; w should be buffered —
-// add writes it one small block at a time.
+// the stream with FinishSpill after it ends. w needs no buffering: it
+// takes the magic, then each block of about 4096 events in one Write,
+// and the trailer in one more.
 func (r *Recorder) SpillTo(w io.Writer) {
 	r.pin = r.cfg.Head
 	r.spill = newV2Writer(w)
