@@ -152,6 +152,7 @@ type jsonRun struct {
 	QueueRebases       uint64  `json:"queue_rebases,omitempty"`
 	QueueWidthUS       float64 `json:"queue_width_us,omitempty"`
 	QueueOverflowRatio float64 `json:"queue_overflow_ratio,omitempty"`
+	Ties               int     `json:"ties,omitempty"`
 }
 
 type jsonSeries struct {
@@ -228,6 +229,7 @@ func makeRecord(o *options, name string, fig *experiment.Figure, wall time.Durat
 			QueueRebases:       r.QRebases,
 			QueueWidthUS:       float64(r.QWidth) / float64(units.Microsecond),
 			QueueOverflowRatio: r.QOverflow,
+			Ties:               r.Ties,
 		}
 		if r.VFlows > 0 && r.HeapBytes > 0 {
 			jr.BytesPerVFlow = float64(r.HeapBytes) / float64(r.VFlows)

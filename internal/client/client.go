@@ -190,13 +190,7 @@ func (c *UDP) Trace() *trace.Trace { return c.tr }
 // accounting copies everything it needs.
 func (c *UDP) Handle(p *packet.Packet) {
 	now := c.clock.Now()
-	if !c.started {
-		c.started = true
-		c.base = now
-		c.Scratch.lendUDP(c)
-	}
-	c.Packets++
-	c.PacketsBytes += int64(p.Size)
+	c.CountArrival(now, p.Size)
 	if c.Tap != nil {
 		c.Tap.Emit(ptrace.Event{
 			Kind: ptrace.Deliver, Hop: c.Hop, Flow: p.Flow, PktID: p.ID,
@@ -230,6 +224,22 @@ func (c *UDP) Handle(p *packet.Packet) {
 		// Fully reassembled: the arrival time is final.
 		st.got |= fragDone
 	}
+}
+
+// CountArrival counts a packet of size bytes that reached the receiver
+// at instant at without being carried there: a best-effort packet a
+// lazy port computed (link.Sink). It moves the counters, and sets the
+// presentation base on the first arrival, as Handle does for a carried
+// packet. So every such packet that arrives before the first Handle call
+// must be counted before that call.
+func (c *UDP) CountArrival(at units.Time, size int) {
+	if !c.started {
+		c.started = true
+		c.base = at
+		c.Scratch.lendUDP(c)
+	}
+	c.Packets++
+	c.PacketsBytes += int64(size)
 }
 
 // Finish resolves partially received frames through the Tolerance

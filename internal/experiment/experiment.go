@@ -264,6 +264,7 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, cfg topology.QBoneConfig
 	q := topology.BuildQBone(cfg)
 	q.Run()
 	ctx.Finish(labelPrefix+pointLabel(cfg.TokenRate, cfg.Depth, cfg.Seed), rec, q.Sim, topology.ShardStats{}, 0, time.Time{})
+	ctx.Run.Ties += q.Ties()
 	ev := ctx.Eval.Evaluate(q.Client.Trace(), cfg.Enc, ref)
 	if q.Policer != nil {
 		ev.PacketLoss = q.Policer.LossFraction()

@@ -58,8 +58,35 @@ func goldenQBoneSpec() QBoneSpec {
 	}
 }
 
+// checkNoTies fails a golden whose QBone points met a same-instant tie
+// the lazy ports could not order (topology.QBone.Ties): their output
+// would then not be proven equal to the per-packet path's.
+func checkNoTies(t *testing.T, fig *Figure) {
+	t.Helper()
+	for _, r := range fig.Runs {
+		if r.Ties != 0 {
+			t.Errorf("point %s: lazy ports counted %d unresolvable ties", r.Label, r.Ties)
+		}
+	}
+}
+
 func TestGoldenQBonePreset(t *testing.T) {
-	checkGolden(t, "golden_qbone.txt", RunScenarioOpts(goldenQBoneSpec(), RunOptions{}).Format())
+	fig := RunScenarioOpts(goldenQBoneSpec(), RunOptions{})
+	checkNoTies(t, fig)
+	checkGolden(t, "golden_qbone.txt", fig.Format())
+}
+
+// TestQBoneFigsNoTies runs the benchmark's qbone-figs grid (Figure 7's
+// first and last token rate at both depths, one seed a point) at its
+// default seed and the two it is also judged at: no point may meet a
+// tie the lazy ports cannot order.
+func TestQBoneFigsNoTies(t *testing.T) {
+	for _, seed := range []uint64{DefaultSeed, 7, 117} {
+		spec := Figure7Spec()
+		spec.Seed, spec.Runs = seed, 1
+		spec.Tokens = []units.BitRate{spec.Tokens[0], spec.Tokens[len(spec.Tokens)-1]}
+		checkNoTies(t, RunScenarioOpts(spec, RunOptions{Parallel: 2}))
+	}
 }
 
 func TestGoldenQBoneShapedPreset(t *testing.T) {
@@ -69,6 +96,9 @@ func TestGoldenQBoneShapedPreset(t *testing.T) {
 	})
 	q.Client.Tolerance = client.SliceTolerance
 	q.Run()
+	if n := q.Ties(); n != 0 {
+		t.Errorf("lazy ports counted %d unresolvable ties", n)
+	}
 	ev := Evaluate(q.Client.Trace(), enc, enc)
 	got := fmt.Sprintf(
 		"Golden QBone shaped — Lost @ 1.0M, token 1.05M, B=3000\n"+
@@ -137,7 +167,9 @@ func TestGoldenAblations(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			checkGolden(t, c.file, c.run().Format())
+			fig := c.run()
+			checkNoTies(t, fig)
+			checkGolden(t, c.file, fig.Format())
 		})
 	}
 }

@@ -231,6 +231,10 @@ type RunStats struct {
 	QRebases  uint64
 	QWidth    units.Time
 	QOverflow float64
+	// Ties counts the same-instant orderings the lazy ports of a QBone
+	// run could not resolve (topology.QBone.Ties): 0 means the run is
+	// the per-packet one, event for event.
+	Ties int
 
 	sims int // simulations finished into this record
 }
@@ -296,13 +300,14 @@ func (c *Ctx) Finish(label string, rec *ptrace.Recorder, s *sim.Simulator, shard
 
 // add folds one simulation's record r into acc, the one rule for
 // several simulations finished into one job's record and for a grid
-// point's seeds: Events, QRebases and RunMS sum, StallRatio is the
+// point's seeds: Events, QRebases, RunMS and Ties sum, StallRatio is the
 // running mean, and the rest are r's (HeapBytes where r sampled it).
 func (acc *RunStats) add(r RunStats) {
 	acc.sims++
 	acc.Events += r.Events
 	acc.QRebases += r.QRebases
 	acc.RunMS += r.RunMS
+	acc.Ties += r.Ties
 	acc.StallRatio += (r.StallRatio - acc.StallRatio) / float64(acc.sims)
 	acc.VFlows, acc.Shards, acc.QWidth, acc.QOverflow = r.VFlows, r.Shards, r.QWidth, r.QOverflow
 	if r.HeapBytes != 0 {

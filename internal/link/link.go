@@ -3,6 +3,31 @@
 // a Frame Relay interface emulation (CIR/Bc/Be) matching Table 1 of
 // the paper, and a jitter element standing in for the uncontrolled
 // campus segments upstream of the QBone policer.
+//
+// # Lazy ports
+//
+// A strict-priority port whose best-effort class is nothing but
+// MTU-sized cross traffic, read only as counts, can compute that class
+// instead of carrying it (NewLazy, LazyBestEffort). Best effort never
+// preempts EF and never shares its queue, so the EF packets feel it only
+// through the one best-effort packet on the wire when they arrive. A lazy
+// port keeps the class as a queued count, the instant the wire frees and
+// a short ring of departure instants, which the next port of the line
+// pulls at +Delay. Its own cross source is drawn, not scheduled. EF
+// packets keep their calendar events, and the port computes every
+// best-effort event that precedes one before taking it: at each EF
+// arrival, at each EF transmission end, at a wake-up where an EF packet
+// waits behind a best-effort one, and at Flush.
+//
+// The same-instant rule: events at one nanosecond fire in the order of
+// the instants they were scheduled at, and two that one element
+// scheduled at the same instant in the order it scheduled them. The
+// calendar's (time, sequence) order is this order, since the sequence
+// grows with the scheduling instant. A lazy port applies it to its
+// computed events and, through sim.Simulator.ScheduledAt, to the EF
+// arrivals the calendar hands it. The one case it cannot order, two
+// events at one time scheduled at one instant by different elements, it
+// resolves port first and counts (Ties).
 package link
 
 import (
@@ -42,6 +67,7 @@ type Link struct {
 	// for zero-value construction).
 	txDone  sim.Timer
 	deliver sim.Timer
+	wakeUp  sim.Timer // a lazy port's wake-up (see the package comment)
 
 	// inflight holds packets in propagation, delivery order. Constant
 	// Delay means deliveries complete FIFO, so a ring suffices.
@@ -51,14 +77,18 @@ type Link struct {
 	SentBytes int64
 	// BusyTime accumulates transmission time for utilization stats.
 	BusyTime units.Time
+
+	be *bestEffort // a lazy port's computed best-effort class (NewLazy)
 }
 
-// txDoneTimer and deliverTimer give the link two Fire methods without
-// per-schedule closures: a *Link pointer-converted to either type is
-// the Timer, so the interface values in bind() never allocate.
+// txDoneTimer, deliverTimer and wakeTimer give the link three Fire
+// methods without per-schedule closures: a *Link pointer-converted to
+// any of them is the Timer, so the interface values in bind() never
+// allocate.
 type (
 	txDoneTimer  Link
 	deliverTimer Link
+	wakeTimer    Link
 )
 
 // Fire completes the current serialization.
@@ -67,15 +97,24 @@ func (t *txDoneTimer) Fire(units.Time) { (*Link)(t).finishTx() }
 // Fire completes the oldest propagation.
 func (d *deliverTimer) Fire(units.Time) { (*Link)(d).deliverHead() }
 
+// Fire ends the best-effort transmission an EF packet waits behind.
+func (w *wakeTimer) Fire(units.Time) { (*Link)(w).wake() }
+
 // New returns a link with the given rate, propagation delay, scheduler
 // and next hop.
 func New(s *sim.Simulator, rate units.BitRate, delay units.Time, sched queue.Scheduler, next packet.Handler) *Link {
+	l := new(Link)
+	l.init(s, rate, delay, sched, next)
+	return l
+}
+
+// init sets up a new link for New and NewLazy.
+func (l *Link) init(s *sim.Simulator, rate units.BitRate, delay units.Time, sched queue.Scheduler, next packet.Handler) {
 	if sched == nil {
 		sched = queue.NewSingleFIFO(0)
 	}
-	l := &Link{Sim: s, Rate: rate, Delay: delay, Sched: sched, Next: next}
+	l.Sim, l.Rate, l.Delay, l.Sched, l.Next = s, rate, delay, sched, next
 	l.bind()
-	return l
 }
 
 // SetPool makes pl the link's packet arena: the release target of its
@@ -93,11 +132,16 @@ func (l *Link) SetPool(pl *packet.Pool) {
 func (l *Link) bind() {
 	l.txDone = (*txDoneTimer)(l)
 	l.deliver = (*deliverTimer)(l)
+	l.wakeUp = (*wakeTimer)(l)
 }
 
 // Handle enqueues p for transmission. A scheduler rejection is a
 // terminal drop owned by the link: the packet is released to Pool.
 func (l *Link) Handle(p *packet.Packet) {
+	if l.be != nil && l.be.on {
+		l.handleLazy(p)
+		return
+	}
 	p.EnqueuedAt = l.Sim.Now()
 	if !l.Sched.Enqueue(p) {
 		if l.Tap != nil {
@@ -145,6 +189,10 @@ func (l *Link) transmitNext() {
 // propagation (or directly to Next on a zero-delay link), and start
 // the next transmission.
 func (l *Link) finishTx() {
+	if l.be != nil && l.be.on {
+		l.finishEF()
+		return
+	}
 	p := l.cur
 	l.cur = nil
 	l.Sent++
@@ -168,6 +216,12 @@ func (l *Link) finishTx() {
 
 // deliverHead completes propagation of the oldest in-flight packet.
 func (l *Link) deliverHead() {
+	if b := l.be; b != nil && b.sink != nil && !b.based {
+		// The sink's first carried packet: what reached it before sets
+		// its base.
+		b.based = true
+		l.drainSink(l.Sim.Now())
+	}
 	p := l.inflight.Pop()
 	if l.Tap != nil {
 		l.Tap.Emit(l.event(ptrace.LinkDeliver, p))

@@ -129,9 +129,8 @@ func (g *digester) add(e Event) {
 	}
 	g.last = e.T
 	g.count++
-	for int(e.Hop) >= len(g.hops) {
-		g.hops = append(g.hops, hopDigest{})
-		g.hops[len(g.hops)-1].residence.init()
+	if n := int(e.Hop) + 1; n > len(g.hops) {
+		g.growHops(n)
 	}
 	h := &g.hops[e.Hop]
 	h.counts[e.Kind]++
@@ -163,6 +162,19 @@ func (g *digester) add(e Event) {
 		}
 		g.timeline[k] = c
 	}
+}
+
+// growHops extends the hop table to n entries. A trace's first event
+// usually names its highest hop id (a topology declares its source side
+// last), so this mostly runs once, at the table's final size; a hop
+// digest is ~700 B, too big to add one at a time.
+func (g *digester) growHops(n int) {
+	hops := make([]hopDigest, n, max(n, 2*len(g.hops)))
+	copy(hops, g.hops)
+	for i := len(g.hops); i < n; i++ {
+		hops[i].residence.init()
+	}
+	g.hops = hops
 }
 
 // events reports how many events have been digested.

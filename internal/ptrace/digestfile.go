@@ -9,9 +9,11 @@ package ptrace
 // (Seen, Retained), so the gate keys on behavior, not on trace length.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 )
 
 // digestFormat identifies a digest file; digestVersion is bumped on
@@ -48,11 +50,30 @@ func WriteSummary(w io.Writer, s *Summary) error {
 	return err
 }
 
+// readSized reads r to its end into one buffer, sized up front when r
+// reports its length (a file, or an in-memory reader), where io.ReadAll
+// would double its way there.
+func readSized(r io.Reader) ([]byte, error) {
+	n := int64(0)
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		n = int64(s.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil {
+			n = fi.Size()
+		}
+	}
+	var b bytes.Buffer
+	b.Grow(int(n) + bytes.MinRead)
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}
+
 // ReadSummary deserializes a digest written by WriteSummary,
 // validating the envelope so a stale or foreign file fails loudly
 // instead of producing a nonsense comparison.
 func ReadSummary(r io.Reader) (*Summary, error) {
-	data, err := io.ReadAll(r)
+	data, err := readSized(r)
 	if err != nil {
 		return nil, err
 	}

@@ -30,6 +30,9 @@ type FIFO struct {
 
 	ring  packet.Ring
 	bytes int64
+	// counted is the packets queued as a count only (see Admit): a
+	// lazily computed class holds no packet objects.
+	counted int
 
 	Enqueued      int
 	Dropped       int
@@ -38,20 +41,47 @@ type FIFO struct {
 }
 
 // len reports the number of queued packets.
-func (q *FIFO) len() int { return q.ring.Len() }
+func (q *FIFO) len() int { return q.ring.Len() + q.counted }
 
 // push appends p, or drops it (returning false) if the queue is full.
 func (q *FIFO) push(p *packet.Packet) bool {
-	if q.MaxPackets > 0 && q.ring.Len() >= q.MaxPackets {
-		q.Dropped++
-		q.DroppedBytes += int64(p.Size)
+	if !q.admit(p.Size) {
 		return false
 	}
 	q.ring.Push(p)
-	q.bytes += int64(p.Size)
-	q.Enqueued++
-	q.EnqueuedBytes += int64(p.Size)
 	return true
+}
+
+// admit does push's accounting for a packet of size bytes, or counts
+// its drop (returning false) if the queue is full.
+func (q *FIFO) admit(size int) bool {
+	if q.MaxPackets > 0 && q.len() >= q.MaxPackets {
+		q.Dropped++
+		q.DroppedBytes += int64(size)
+		return false
+	}
+	q.bytes += int64(size)
+	q.Enqueued++
+	q.EnqueuedBytes += int64(size)
+	return true
+}
+
+// Admit queues a packet of size bytes as a count, or counts its drop
+// (returning false) if the queue is full. A port that computes a class
+// instead of carrying its packets (link.Link.LazyBestEffort) queues
+// them this way.
+func (q *FIFO) Admit(size int) bool {
+	if !q.admit(size) {
+		return false
+	}
+	q.counted++
+	return true
+}
+
+// Release removes one packet of size bytes that Admit counted in.
+func (q *FIFO) Release(size int) {
+	q.counted--
+	q.bytes -= int64(size)
 }
 
 // pop removes and returns the head packet, or nil if empty.

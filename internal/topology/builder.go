@@ -200,6 +200,9 @@ func (b *Builder) lend(name string, obj any) {
 	}
 }
 
+// declared returns the element declared under name, before Build.
+func (b *Builder) declared(name string) any { return b.elems[b.byName[name]].obj }
+
 // declare adds an element the builder built, to be wired at Build to
 // the element named to.
 func (b *Builder) declare(name, to string, obj any) {
@@ -222,12 +225,20 @@ func (b *Builder) Handler(name string, h packet.Handler) {
 }
 
 // Link declares a serializing link.
-func (b *Builder) Link(name string, spec LinkSpec) {
+func (b *Builder) Link(name string, spec LinkSpec) { b.link(name, spec, false) }
+
+// link declares a serializing link; a lazy one can be made a lazy port
+// (link.NewLazy).
+func (b *Builder) link(name string, spec LinkSpec, lazy bool) {
 	sched := spec.Sched
 	if sched == nil {
 		sched = queue.NewSingleFIFO(0)
 	}
-	l := link.New(b.env.Sim, spec.Rate, spec.Delay, sched, nil)
+	newLink := link.New
+	if lazy {
+		newLink = link.NewLazy
+	}
+	l := newLink(b.env.Sim, spec.Rate, spec.Delay, sched, nil)
 	l.SetPool(b.env.Pool)
 	b.declare(name, spec.To, l)
 }

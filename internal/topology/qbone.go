@@ -45,7 +45,11 @@ type QBoneConfig struct {
 
 	Hops         int        // backbone hops; default 4
 	CampusJitter units.Time // pre-policer jitter (§3.2); default campusJitter
-	CrossLoad    float64    // best-effort load fraction per hop; default crossLoad
+	// CrossLoad is each cross source's own rate as a fraction of a hop's
+	// (default crossLoad). The sources add up downstream: hop k carries
+	// those of hops 0…k, so the sum, not CrossLoad, is what a hop serves
+	// (see crossLoad).
+	CrossLoad float64
 }
 
 // The wide-area path's fixed parameters (Fig. 5), shared by the tandem
@@ -54,8 +58,14 @@ const (
 	hopRate      = 45 * units.Mbps       // backbone hop
 	hopDelay     = 5 * units.Millisecond // propagation per backbone hop
 	campusJitter = 5 * units.Millisecond // campus segment ahead of the border
-	crossLoad    = 0.15                  // best-effort load fraction per hop
 	clientAccess = 10 * units.Mbps       // client access link
+
+	// crossLoad is each hop's cross source's own rate as a fraction of
+	// the hop rate. Every source's packets ride every later hop to the
+	// client, so hop k is offered (k+1) × 15 %: hop 3 of the default
+	// four runs ~60 % best effort, and the 10 Mb/s access link is offered
+	// ~27 Mb/s (4 × 6.75 Mb/s) and drops most of it.
+	crossLoad = 0.15
 )
 
 func (c QBoneConfig) withDefaults() QBoneConfig {
@@ -75,6 +85,14 @@ func (c QBoneConfig) withDefaults() QBoneConfig {
 // are both indexed ingress-first: Hops[0] is the first backbone hop
 // after the border conditioner and Cross[i] is the source injecting at
 // Hops[i] (flow id 1000+i).
+//
+// An untraced QBone with cross traffic computes its best effort: every
+// hop and the access link is a lazy port (see package link), each
+// Cross source is Pulled, and the client counts the best effort that
+// reaches it without receiving it. A traced one carries every packet,
+// since its trace records them; so it is the per-packet reference the
+// lazy ports are checked against. Both leave the same counters, client
+// trace and clock when Run returns.
 type QBone struct {
 	Sim     *sim.Simulator
 	Net     *Network
@@ -89,6 +107,8 @@ type QBone struct {
 	// the client — the network-level EF service quality (§2: EF's
 	// promise is low loss, low delay, low jitter).
 	Delay *stats.DelayCollector
+
+	access *link.Link // the line's last port, when the ports are lazy
 }
 
 // BuildQBone declares Fig. 5 on the Builder: the Video Charger server
@@ -98,12 +118,13 @@ type QBone struct {
 // its access link.
 func BuildQBone(cfg QBoneConfig) *QBone {
 	cfg = cfg.withDefaults()
+	lazy := cfg.Trace == nil && cfg.CrossLoad > 0
 	b := NewBuilder(cfg.Seed, Env{Sim: cfg.Sim, Pool: cfg.Pool, Recv: cfg.Recv, Trace: cfg.Trace})
 	q := &QBone{Sim: b.Sim(), Client: client.NewUDP(b.Sim(), cfg.Enc.Clip.FrameCount())}
 	b.Handler("client", q.Client)
 	b.delayTap("delay", func(p *packet.Packet) bool { return p.Flow == VideoFlow }, "client")
-	b.Link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
-		Sched: queue.NewEFPriority(0, 200), To: "delay"})
+	b.link("access", LinkSpec{Rate: clientAccess, Delay: units.Millisecond,
+		Sched: queue.NewEFPriority(0, 200), To: "delay"}, lazy)
 
 	// Backbone hops, declared client-side first so cross sources start
 	// in the same order the hand-wired constructor used. Core routers
@@ -115,15 +136,17 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 		if i < cfg.Hops-1 {
 			to = hopName(i + 1)
 		}
-		b.Link(hopName(i), LinkSpec{Rate: hopRate, Delay: hopDelay,
-			Sched: queue.NewEFPriority(400, 400), To: to})
+		b.link(hopName(i), LinkSpec{Rate: hopRate, Delay: hopDelay,
+			Sched: queue.NewEFPriority(400, 400), To: to}, lazy)
 		if cfg.CrossLoad > 0 {
-			b.Source(crossName(i), SourceSpec{
+			cross := crossName(i)
+			b.Source(cross, SourceSpec{
 				Kind: PoissonSource,
 				Rate: units.BitRate(cfg.CrossLoad * float64(hopRate)),
 				Size: units.EthernetMTU, Flow: packet.FlowID(1000 + i),
 				DSCP: packet.BestEffort, To: hopName(i),
 			})
+			b.declared(cross).(*traffic.Poisson).Pulled = lazy
 		}
 	}
 
@@ -159,6 +182,15 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 			q.Cross = append(q.Cross, net.Poisson(crossName(i)))
 		}
 	}
+	if lazy {
+		var up *link.Link
+		for i, h := range q.Hops {
+			h.LazyBestEffort(up, q.Cross[i], nil)
+			up = h
+		}
+		q.access = net.Link("access")
+		q.access.LazyBestEffort(up, nil, q.Client)
+	}
 
 	q.Server = &server.Paced{
 		Sim: q.Sim, Enc: cfg.Enc, Flow: VideoFlow,
@@ -171,11 +203,34 @@ func hopName(i int) string   { return fmt.Sprintf("hop%d", i) }
 func crossName(i int) string { return fmt.Sprintf("cross%d", i) }
 
 // Run starts the server and executes the simulation to completion,
-// returning the client's sorted frame trace.
+// then resolves the client's frame trace.
 func (q *QBone) Run() {
 	q.Server.Start()
-	horizon := units.FromSeconds(q.Server.Enc.Clip.DurationSeconds() + 30)
+	q.run(units.FromSeconds(q.Server.Enc.Clip.DurationSeconds() + 30))
+	q.Client.Finish()
+}
+
+// run executes the simulation up to horizon and leaves the clock there.
+// Lazy ports are then flushed to it: their cross sources schedule
+// nothing, so the calendar may empty before it.
+func (q *QBone) run(horizon units.Time) {
 	q.Sim.SetHorizon(horizon)
 	q.Sim.Run()
-	q.Client.Finish()
+	if q.access != nil {
+		q.Sim.AdvanceTo(horizon)
+		q.access.Flush(horizon)
+	}
+}
+
+// Ties counts the same-instant orderings the lazy ports could not
+// resolve (link.Link.Ties); 0 on a per-packet run.
+func (q *QBone) Ties() int {
+	if q.access == nil {
+		return 0
+	}
+	n := q.access.Ties()
+	for _, h := range q.Hops {
+		n += h.Ties()
+	}
+	return n
 }

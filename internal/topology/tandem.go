@@ -52,7 +52,7 @@ const (
 	// traffic out of profile at border 2.
 	interJitter   = 3 * units.Millisecond
 	hopsPerDomain = 2                                           // backbone hops per domain
-	crossRate     = units.BitRate(crossLoad * float64(hopRate)) // best-effort load per hop
+	crossRate     = units.BitRate(crossLoad * float64(hopRate)) // each hop's own cross source; the sources add up downstream (see crossLoad)
 )
 
 // Tandem is a built two-domain experiment.

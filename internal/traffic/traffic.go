@@ -62,7 +62,14 @@ type Poisson struct {
 	Next packet.Handler
 	Pool *packet.Pool
 
+	// Pulled, set before Start, makes the source schedule nothing and
+	// build no packet: Start still forks its stream, and the port it
+	// feeds draws each arrival with Gap and counts it with Emit (see
+	// link.Arrivals).
+	Pulled bool
+
 	rng  *sim.RNG
+	mean float64 // mean gap in nanoseconds: the packet's transmission time at Rate
 	Sent int
 }
 
@@ -72,19 +79,30 @@ type poissonTimer Poisson
 // Fire emits one arrival and schedules the next.
 func (p *poissonTimer) Fire(units.Time) { (*Poisson)(p).arrive() }
 
-// Start forks a dedicated RNG stream and schedules the first arrival.
+// Start forks a dedicated RNG stream and, unless the source is
+// Pulled, schedules the first arrival.
 func (p *Poisson) Start() {
 	if p.Size <= 0 {
 		p.Size = units.EthernetMTU
 	}
 	p.rng = p.Sim.RNG().Fork()
-	p.scheduleNext()
+	p.mean = float64(p.Rate.TxTime(p.Size))
+	if !p.Pulled {
+		p.scheduleNext()
+	}
 }
 
+// Gap draws the time from one arrival to the next from the source's
+// own stream.
+func (p *Poisson) Gap() units.Time {
+	return units.Time(p.rng.Exp(p.mean))
+}
+
+// Emit counts one arrival of a Pulled source.
+func (p *Poisson) Emit() { p.Sent++ }
+
 func (p *Poisson) scheduleNext() {
-	mean := float64(p.Rate.TxTime(p.Size))
-	d := units.Time(p.rng.Exp(mean))
-	p.Sim.AfterTimer(d, (*poissonTimer)(p))
+	p.Sim.AfterTimer(p.Gap(), (*poissonTimer)(p))
 }
 
 func (p *Poisson) arrive() {
