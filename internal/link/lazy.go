@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/packet"
 	"repro/internal/queue"
@@ -19,8 +20,21 @@ const beSize = units.EthernetMTU
 // Delay/tx + 1 of them.
 const depCap = 32
 
+// ownCap is how many arrivals of its own source a lazy port draws
+// ahead. The source draws from a stream nothing else reads, so drawing
+// ahead changes no value.
+const ownCap = 32
+
 // maxTime orders after every instant an event can be scheduled at.
 const maxTime = units.Time(1<<63 - 1)
+
+// The wire's best-effort end when no best-effort packet is on it: free,
+// or held by an EF packet. Both order after every instant an event can
+// fire at, so no best-effort transmission ends before them.
+const (
+	free = maxTime
+	held = maxTime - 1
+)
 
 // Arrivals is a best-effort source a lazy port draws from instead of
 // being handed packets (traffic.Poisson with Pulled set).
@@ -38,6 +52,7 @@ type Sink interface {
 // key places one event of a lazy port in firing order: by time, then by
 // the instant it was scheduled at, then, between two events the port
 // itself scheduled at one instant, by the order it scheduled them in.
+// The port builds keys only where two instants are equal.
 type key struct {
 	t, at units.Time
 	ord   uint64
@@ -56,15 +71,28 @@ type bestEffort struct {
 	based bool
 	src   Arrivals // the port's own cross source, or nil
 	low   *queue.FIFO
+	limit int        // low's packet limit; no limit is the largest int
 	tx    units.Time // a best-effort packet's transmission time
 
 	// hi and queued are the EF and best-effort packets queued: the
 	// scheduler's class lengths, kept here off its interface.
 	hi, queued int
 
-	next  key    // the source's next arrival
-	wire  bool   // a best-effort packet is on the wire,
-	done  key    // ending here
+	// own holds the source's next arrivals, drawn ahead; own[oi] is the
+	// next one. It was scheduled at prev, in the port's order ownOrd:
+	// when the arrival before it fired. A port without a source holds
+	// maxTime there.
+	own    [ownCap]units.Time
+	oi     int
+	prev   units.Time
+	ownOrd uint64
+
+	// done is the end of the best-effort transmission on the wire,
+	// started at done - tx in the port's order doneOrd; or free, or held
+	// while an EF packet is on it (Link.busy).
+	done    units.Time
+	doneOrd uint64
+
 	ef    key    // the end of the EF packet on the wire, while Link.busy
 	wake  key    // the best-effort end an armed wake-up stands for
 	armed bool   // a wake-up is scheduled
@@ -76,7 +104,6 @@ type bestEffort struct {
 	// nothing the port does can make a packet leave sooner.
 	floor units.Time
 
-	feeds   bool               // a consumer takes the departures: down or sink
 	deps    [depCap]units.Time // departures the consumer has not taken, oldest at head
 	head, n int
 
@@ -111,17 +138,24 @@ func (l *Link) LazyBestEffort(up *Link, src Arrivals, sink Sink) {
 	}
 	b := l.be
 	b.on, b.up, b.src, b.sink, b.low = true, up, src, sink, &pr.Low
+	b.limit = pr.Low.MaxPackets
+	if b.limit <= 0 {
+		b.limit = math.MaxInt
+	}
 	b.tx = l.Rate.TxTime(beSize)
 	if int(l.Delay/b.tx)+2 >= depCap {
 		panic(fmt.Sprintf("link: %v of propagation holds too many %v departures for a lazy port", l.Delay, b.tx))
 	}
-	b.feeds = sink != nil
+	b.done = free
 	if up != nil {
-		up.be.down, up.be.feeds = l, true
+		up.be.down = l
 	}
+	b.own[0] = maxTime
 	if src != nil {
-		now := l.Sim.Now()
-		b.next = key{t: now + src.Gap(), at: now, ord: b.tick()}
+		b.prev = l.Sim.Now()
+		b.ownOrd = b.tick()
+		b.own[ownCap-1] = b.prev
+		b.draw()
 	}
 }
 
@@ -171,101 +205,243 @@ func (b *bestEffort) before(x, y key) bool {
 	return x.ord < y.ord
 }
 
+// draw refills own with the source's next arrivals, after the last one
+// drawn.
+func (b *bestEffort) draw() {
+	t := b.own[ownCap-1]
+	for i := range b.own {
+		t += b.src.Gap()
+		b.own[i] = t
+	}
+	b.oi = 0
+}
+
 // catchUp fires every computed event that comes before target.
 func (l *Link) catchUp(target key) { l.run(target, 0) }
 
+// Why advance stopped: it fired every event before its target, or its
+// consumer holds fill departures, or it needs run to unload a full
+// ring or put an EF packet on the wire.
+const (
+	reached = iota
+	filled
+	full
+	toEF
+)
+
+// Where advance's next arrival comes from: the port's source, the
+// upstream port, or nowhere before target.
+const (
+	fromOwn = iota
+	fromUp
+	fromTarget
+)
+
 // run fires the port's computed events that come before target, in
 // order. With fill > 0 it stops early, once the consumer has fill
-// departures to take.
+// departures to take. advance fires them; run does what advance
+// leaves to it between two events.
 func (l *Link) run(target key, fill int) {
-	const (
-		none = iota
-		own
-		fromUp
-	)
 	b := l.be
-	up := b.up
 	for {
-		// The earliest arrival: the source's or the upstream port's.
-		kind := none
-		var a key
-		if b.src != nil {
-			a, kind = b.next, own
+		stop, t := l.advance(target, fill)
+		if b.n == depCap {
+			l.unload(b.deps[(b.head+depCap-1)&(depCap-1)])
 		}
-		if up != nil {
-			d, ok := up.be.deps[up.be.head], up.be.n > 0
-			if !ok {
-				d, ok = up.departure(target.t - up.Delay)
+		switch stop {
+		case reached:
+			if target.at == maxTime && target.t >= b.floor {
+				b.floor = target.t + 1
 			}
-			if u := (key{t: d + up.Delay, at: d, up: true}); ok && (kind == none || b.before(u, a)) {
-				a, kind = u, fromUp
-			}
-		}
-		// The transmissions that end before it, or before target.
-		lim, last := target, true
-		if kind != none && b.before(a, target) {
-			lim, last = a, false
-		}
-		for b.wire && b.before(b.done, lim) {
-			t := b.done.t
-			l.Sent++
-			l.SentBytes += beSize
-			if b.feeds {
-				b.deps[(b.head+b.n)&(depCap-1)] = t
-				if b.n++; b.n == depCap {
-					l.unload(t)
-				}
-			}
-			b.wire = false
-			l.startNext(t)
-			if b.feeds && b.n == fill {
+			return
+		case filled:
+			return
+		case toEF:
+			l.startEF(t)
+			if b.n == fill {
 				return
 			}
 		}
-		if last {
-			l.reached(target)
-			return
-		}
-		if kind == own {
-			b.src.Emit()
-			l.arrive(a.t)
-			b.next = key{t: a.t + b.src.Gap(), at: a.t, ord: b.tick()}
-		} else {
-			up.takeDeparture()
-			l.arrive(a.t)
-		}
 	}
 }
 
-// reached notes that run got to target: every event at or before an
-// inclusive target's time has fired.
-func (l *Link) reached(target key) {
-	if target.at == maxTime && target.t >= l.be.floor {
-		l.be.floor = target.t + 1
-	}
-}
-
-// arrive queues a best-effort packet arriving at t, or counts its drop,
-// and puts it on an idle wire.
-func (l *Link) arrive(t units.Time) {
+// advance is run's loop: Lindley's recursion for a FIFO with a fixed
+// transmission time, each transmission ending at max(arrival, previous
+// end) + tx, over the port's two arrival streams merged in time order:
+// its own arrivals, drawn ahead into own, and the upstream port's
+// departures, read in place from its ring at +Delay (the upstream port
+// is pulled where its ring runs dry). It keeps the wire, the queue and
+// the streams' positions in locals, compares instants alone, and builds
+// keys only where two are equal. It stops between two events: before
+// target, once the ring holds fill or depCap departures, or at a
+// transmission end that hands the wire to EF, whose instant it returns.
+func (l *Link) advance(target key, fill int) (stop int, at units.Time) {
 	b := l.be
-	if !b.low.Admit(beSize) {
-		return
+	tx, tt := b.tx, target.t
+	stopN := depCap
+	if fill > 0 {
+		stopN = fill
 	}
-	if l.busy || b.wire {
-		b.queued++
-		return
+	done, queued, oi, n := b.done, b.queued, b.oi, b.n
+	ownNext := b.own[oi]
+	var ub *bestEffort
+	var delay, ulim units.Time
+	var uh, un int
+	if up := b.up; up != nil {
+		ub, delay = up.be, up.Delay
+		ulim = tt - delay
+		uh, un = ub.head, ub.n
 	}
-	b.low.Release(beSize)
-	l.sendBE(t)
+	uNext := maxTime // when the upstream port's next departure arrives
+	if un > 0 {
+		uNext = ub.deps[uh] + delay
+	}
+	// What the loop does not count it reads off its positions: nothing
+	// drains the ring until it returns, and a pull or a draw moves the
+	// bases it counts from.
+	done0, oi0, n0, un0 := done, oi, n, un
+	drops := 0
+loop:
+	for {
+		if un == 0 && ub != nil && ub.floor <= ulim {
+			// The upstream port steps on its own state alone, so it
+			// runs while this one holds its state in locals.
+			ub.head, ub.n = uh, 0
+			b.up.pull(ulim)
+			if un = ub.n; un > 0 {
+				un0 += un
+				uNext = ub.deps[uh] + delay
+			}
+		}
+		// The next arrival: the source's, the upstream port's, or target.
+		a, from := ownNext, fromOwn
+		if uNext <= a {
+			if uNext < a || a != maxTime && l.upFirst(a) {
+				a, from = uNext, fromUp
+			}
+		}
+		if a >= tt {
+			if a > tt || !b.before(l.arrival(a, from, target), target) {
+				a, from = tt, fromTarget
+			}
+		}
+		// The transmissions that end before it.
+		for done <= a {
+			if done == a {
+				// An upstream departure arriving at a was scheduled when
+				// it left, Delay before; the end, when its transmission
+				// started, tx before.
+				if from == fromUp && tx != delay {
+					if tx < delay {
+						break
+					}
+				} else if !l.endsFirst(a, from, target) {
+					break
+				}
+			}
+			b.deps[(b.head+n)&(depCap-1)] = done
+			n++
+			if b.hi > 0 {
+				stop, at, done = toEF, done, held
+				break loop
+			}
+			if queued > 0 {
+				queued--
+				b.doneOrd = b.tick()
+				done += tx
+			} else {
+				done = free
+			}
+			if n == stopN {
+				stop = filled
+				if n == depCap {
+					stop = full
+				}
+				break loop
+			}
+		}
+		if from == fromTarget {
+			break
+		}
+		// The arrival: dropped at a full queue, queued behind the wire,
+		// or put on a free one.
+		if queued >= b.limit {
+			drops++
+		} else if done == free {
+			b.doneOrd = b.tick()
+			done = a + tx
+		} else {
+			queued++
+		}
+		if from == fromUp {
+			uh = (uh + 1) & (depCap - 1)
+			if un--; un > 0 {
+				uNext = ub.deps[uh] + delay
+			} else {
+				uNext = maxTime
+			}
+			continue
+		}
+		b.prev, b.ownOrd = a, b.tick()
+		if oi++; oi == ownCap {
+			b.draw()
+			oi, oi0 = 0, oi0-ownCap
+		}
+		ownNext = b.own[oi]
+	}
+	sent, emits := n-n0, oi-oi0
+	starts := sent
+	if done < held {
+		starts++
+	}
+	if done0 < held {
+		starts--
+	}
+	b.done, b.queued, b.oi, b.n = done, queued, oi, n
+	if ub != nil {
+		ub.head, ub.n = uh, un
+	}
+	l.Sent += sent
+	l.SentBytes += int64(sent) * beSize
+	l.BusyTime += units.Time(starts) * tx
+	b.low.Account(emits+un0-un-drops, drops, queued, beSize)
+	for ; emits > 0; emits-- {
+		b.src.Emit()
+	}
+	return stop, at
+}
+
+// endsFirst reports whether the best-effort transmission ending at a
+// fires before advance's next arrival at the same instant.
+func (l *Link) endsFirst(a units.Time, from int, target key) bool {
+	b := l.be
+	return b.before(key{t: a, at: a - b.tx, ord: b.doneOrd}, l.arrival(a, from, target))
+}
+
+// upFirst reports whether an upstream departure reaching the port at u
+// fires before its own arrival at the same instant.
+func (l *Link) upFirst(u units.Time) bool {
+	return l.be.before(l.arrival(u, fromUp, key{}), l.arrival(u, fromOwn, key{}))
+}
+
+// arrival is the key of advance's next arrival at a, by where it comes
+// from; target is fromTarget's.
+func (l *Link) arrival(a units.Time, from int, target key) key {
+	b := l.be
+	switch from {
+	case fromOwn:
+		return key{t: a, at: b.prev, ord: b.ownOrd}
+	case fromUp:
+		return key{t: a, at: a - b.up.Delay, up: true}
+	}
+	return target
 }
 
 // sendBE puts the head best-effort packet on the wire at t.
 func (l *Link) sendBE(t units.Time) {
 	b := l.be
 	l.BusyTime += b.tx
-	b.wire = true
-	b.done = key{t: t + b.tx, at: t, ord: b.tick()}
+	b.done, b.doneOrd = t+b.tx, b.tick()
 }
 
 // sendEF puts EF packet p on the wire now; its end is a calendar event.
@@ -275,13 +451,15 @@ func (l *Link) sendEF(p *packet.Packet) {
 	l.cur = p
 	tx := l.Rate.TxTime(p.Size)
 	l.BusyTime += tx
+	l.be.done = held
 	l.be.ef = key{t: now + tx, at: now, ord: l.be.tick()}
 	l.Sim.AfterTimer(tx, l.txDone)
 }
 
-// startNext hands the wire, free at t, to the next packet: EF first.
-// An EF transmission is scheduled, so it may only start inside an event
-// firing at t; the wake-up armed in handleLazy guarantees one.
+// startNext hands the free wire to the next packet at t, which must be
+// now: EF first. An EF transmission is scheduled, so it may only start
+// inside an event firing at t; the wake-up armed in handleLazy
+// guarantees one.
 func (l *Link) startNext(t units.Time) {
 	b := l.be
 	switch {
@@ -289,7 +467,7 @@ func (l *Link) startNext(t units.Time) {
 		l.startEF(t)
 	case b.queued > 0:
 		b.queued--
-		b.low.Release(beSize)
+		b.low.Account(0, 0, b.queued, beSize)
 		l.sendBE(t)
 	}
 }
@@ -318,20 +496,16 @@ func (l *Link) unload(t units.Time) {
 	}
 }
 
-// departure returns the oldest departure the consumer has not taken.
-// Holding none, the port first runs its events up to limit, which must
-// lie before the current instant, until it holds half a ring.
-func (l *Link) departure(limit units.Time) (units.Time, bool) {
+// pull has a port whose consumer took every departure run its events up
+// to limit, which must lie before the current instant, until it holds
+// half a ring; unless its floor shows it departs nothing by then.
+func (l *Link) pull(limit units.Time) {
 	b := l.be
 	if b.n == 0 && limit >= b.floor {
 		if b.floor = max(b.floor, l.earliest()); b.floor <= limit {
 			l.run(key{t: limit, at: maxTime}, depCap/2)
 		}
 	}
-	if b.n == 0 {
-		return 0, false
-	}
-	return b.deps[b.head], true
 }
 
 // earliest bounds the port's next departure from below, from its state
@@ -342,15 +516,12 @@ func (l *Link) earliest() units.Time {
 	switch {
 	case b.n > 0:
 		return b.deps[b.head]
-	case b.wire:
-		return b.done.t
+	case b.done < held:
+		return b.done
 	case b.queued > 0: // behind the EF packet on the wire
 		return b.ef.t + b.tx
 	}
-	t := maxTime
-	if b.src != nil {
-		t = b.next.t
-	}
+	t := b.own[b.oi]
 	if up := b.up; up != nil {
 		if u := up.earliest(); u < t-up.Delay {
 			t = u + up.Delay
@@ -365,23 +536,25 @@ func (l *Link) earliest() units.Time {
 	return t + b.tx
 }
 
-// takeDeparture consumes the departure departure returned.
-func (l *Link) takeDeparture() {
-	b := l.be
-	b.head = (b.head + 1) & (depCap - 1)
-	b.n--
-}
-
 // drainSink counts into the sink every best-effort packet that reaches
 // it before bound.
 func (l *Link) drainSink(bound units.Time) {
+	b := l.be
 	for {
-		d, ok := l.departure(bound - 1 - l.Delay)
-		if !ok || d+l.Delay >= bound {
+		if b.n == 0 {
+			if l.pull(bound - 1 - l.Delay); b.n == 0 {
+				return
+			}
+		}
+		d := b.deps[b.head]
+		if d+l.Delay >= bound {
 			return
 		}
-		l.takeDeparture()
-		l.be.sink.CountArrival(d+l.Delay, beSize)
+		b.head = (b.head + 1) & (depCap - 1)
+		b.n--
+		if b.sink != nil {
+			b.sink.CountArrival(d+l.Delay, beSize)
+		}
 	}
 }
 
@@ -403,10 +576,10 @@ func (l *Link) handleLazy(p *packet.Packet) {
 	switch {
 	case l.busy:
 		// The EF transmission's end takes it.
-	case b.wire:
+	case b.done < held:
 		if !b.armed {
-			b.armed, b.wake = true, b.done
-			l.Sim.AtTimer(b.done.t, l.wakeUp)
+			b.armed, b.wake = true, key{t: b.done, at: b.done - b.tx, ord: b.doneOrd}
+			l.Sim.AtTimer(b.done, l.wakeUp)
 		}
 	default:
 		l.startNext(now)
@@ -419,6 +592,7 @@ func (l *Link) finishEF() {
 	p := l.cur
 	l.cur = nil
 	l.busy = false
+	l.be.done = free
 	l.Sent++
 	l.SentBytes += int64(p.Size)
 	l.inflight.Push(p)

@@ -384,3 +384,55 @@ func TestLazyLineRandomGrid(t *testing.T) {
 		t.Errorf("only %d runs free of unresolvable ties: the grid no longer exercises the rule", compared)
 	}
 }
+
+// TestLazyUpstreamFullRing: port 0 computes exactly a ring of
+// best-effort departures between two EF arrivals, and one more than a
+// ring. Its consumer has not run since the first EF packet, so the ring
+// fills inside port 0's catch-up, and port 1 takes what reaches it
+// before the newest departure there.
+func TestLazyUpstreamFullRing(t *testing.T) {
+	for _, k := range []int{depCap, depCap + 1} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			// Port 0's source sends at 1, 2, …, k ms, each one leaving a
+			// transmission time later; the second EF packet arrives after.
+			gaps := make([]units.Time, k)
+			for i := range gaps {
+				gaps[i] = ms(1)
+			}
+			r := lineSpec{
+				delays:  []units.Time{ms(2), ms(2)},
+				low:     4,
+				gaps:    [][]units.Time{gaps, nil},
+				ef:      []efShot{{t: 500 * units.Microsecond, size: 375}, {t: ms(k + 5), size: 375}},
+				horizon: ms(k + 20),
+			}.check(t)
+			if r.Sent[0] != k+2 || r.BE != k {
+				t.Fatalf("port 0 sent %d, the end counted %d best effort; want %d and %d", r.Sent[0], r.BE, k+2, k)
+			}
+		})
+	}
+}
+
+// TestLazyReadAheadPastHorizon: a lazy port draws its source's arrivals
+// ownCap at a time, so the arrivals it holds reach past the horizon,
+// once in the first draw and once in the second. The source counts only
+// those that arrived by the horizon.
+func TestLazyReadAheadPastHorizon(t *testing.T) {
+	gaps := make([]units.Time, 3*ownCap)
+	for i := range gaps {
+		gaps[i] = ms(2)
+	}
+	for _, n := range []int{ownCap / 2, ownCap + 3} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			r := lineSpec{
+				delays:  []units.Time{ms(2)},
+				low:     4,
+				gaps:    [][]units.Time{gaps},
+				horizon: ms(2*n + 1),
+			}.check(t)
+			if r.SrcSent[0] != n {
+				t.Fatalf("source counted %d arrivals by the horizon, want %d", r.SrcSent[0], n)
+			}
+		})
+	}
+}

@@ -13,11 +13,15 @@
 // through the one best-effort packet on the wire when they arrive. A lazy
 // port keeps the class as a queued count, the instant the wire frees and
 // a short ring of departure instants, which the next port of the line
-// pulls at +Delay. Its own cross source is drawn, not scheduled. EF
-// packets keep their calendar events, and the port computes every
-// best-effort event that precedes one before taking it: at each EF
-// arrival, at each EF transmission end, at a wake-up where an EF packet
-// waits behind a best-effort one, and at Flush.
+// reads in place at +Delay. Its own cross source is drawn a buffer ahead,
+// not scheduled. Between two EF events a port is a FIFO with one
+// transmission time, so it advances by Lindley's recursion (an end is
+// max(arrival, previous end) + tx) over its two arrival streams merged
+// in time order, in a loop over those arrays. EF packets keep their
+// calendar events, and the port computes every best-effort event that
+// precedes one before taking it: at each EF arrival, at each EF
+// transmission end, at a wake-up where an EF packet waits behind a
+// best-effort one, and at Flush.
 //
 // The same-instant rule: events at one nanosecond fire in the order of
 // the instants they were scheduled at, and two that one element
@@ -25,7 +29,8 @@
 // calendar's (time, sequence) order is this order, since the sequence
 // grows with the scheduling instant. A lazy port applies it to its
 // computed events and, through sim.Simulator.ScheduledAt, to the EF
-// arrivals the calendar hands it. The one case it cannot order, two
+// arrivals the calendar hands it, comparing instants alone and the full
+// rule only where two are equal. The one case it cannot order, two
 // events at one time scheduled at one instant by different elements, it
 // resolves port first and counts (Ties).
 package link

@@ -30,7 +30,7 @@ type FIFO struct {
 
 	ring  packet.Ring
 	bytes int64
-	// counted is the packets queued as a count only (see Admit): a
+	// counted is the packets queued as a count only (see Account): a
 	// lazily computed class holds no packet objects.
 	counted int
 
@@ -66,22 +66,18 @@ func (q *FIFO) admit(size int) bool {
 	return true
 }
 
-// Admit queues a packet of size bytes as a count, or counts its drop
-// (returning false) if the queue is full. A port that computes a class
-// instead of carrying its packets (link.Link.LazyBestEffort) queues
-// them this way.
-func (q *FIFO) Admit(size int) bool {
-	if !q.admit(size) {
-		return false
-	}
-	q.counted++
-	return true
-}
-
-// Release removes one packet of size bytes that Admit counted in.
-func (q *FIFO) Release(size int) {
-	q.counted--
-	q.bytes -= int64(size)
+// Account adds admitted packets and dropped ones, each of size bytes,
+// to the counters, and leaves queued of them held as a count. A port
+// that computes a class instead of carrying its packets
+// (link.Link.LazyBestEffort) keeps its queue this way: it decides each
+// admission itself, against MaxPackets.
+func (q *FIFO) Account(admitted, dropped, queued, size int) {
+	q.Enqueued += admitted
+	q.EnqueuedBytes += int64(admitted) * int64(size)
+	q.Dropped += dropped
+	q.DroppedBytes += int64(dropped) * int64(size)
+	q.bytes += int64(queued-q.counted) * int64(size)
+	q.counted = queued
 }
 
 // pop removes and returns the head packet, or nil if empty.

@@ -78,8 +78,8 @@ func runQBone(cfg QBoneConfig, horizon units.Time, traced bool) (qboneState, int
 
 // TestLazyCrossEquivalence runs every path length of 1–6 hops at each
 // cross load, alternating drop and shape, over twelve seeds, to a
-// horizon a few seconds into the clip; and two whole-clip points on the
-// paper's four-hop path. Traced (per packet) and untraced (lazy) runs
+// horizon a few seconds into the clip; and four whole-clip points on the
+// paper's four-hop path, two at 2 % load and two at the default 15 %. Traced (per packet) and untraced (lazy) runs
 // must agree on every port's classes and counters, the cross sources,
 // the client's counters and frame trace, the delay collector and the
 // clock.
@@ -104,6 +104,10 @@ func TestLazyCrossEquivalence(t *testing.T) {
 	}
 	for _, seed := range []uint64{117, 2001} {
 		rows = append(rows, row{cfg: QBoneConfig{Seed: seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Hops: 4, CrossLoad: 0.02}})
+	}
+	// The whole clip at the default load: the qbone-figs configuration.
+	for _, seed := range []uint64{2001, 117} {
+		rows = append(rows, row{cfg: QBoneConfig{Seed: seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Hops: 4, CrossLoad: crossLoad}})
 	}
 	for _, r := range rows {
 		c := r.cfg
@@ -131,8 +135,15 @@ func TestLazyCrossEquivalence(t *testing.T) {
 // best effort is computed: with cross load ≈ 0 the video path alone
 // fires 155,678 events, and the lazy ports add only the wake-ups where an
 // EF packet waits behind a best-effort one, so it must fire at most a
-// fifth of the traced count.
+// fifth of the traced count. The work the lazy ports compute instead is
+// pinned from their own counters: the best-effort arrivals (admitted or
+// dropped), the best-effort transmission ends, and every transmission.
 func TestLazyCrossEventBudget(t *testing.T) {
+	const (
+		beArrivals = 801734
+		beEnds     = 647366
+		sent       = 701696
+	)
 	const traced = 1679522
 	cfg := QBoneConfig{Seed: 1, Enc: video.CachedCBR(video.Lost(), 1.7e6), TokenRate: 1.9e6, Depth: 3000}
 	ref := cfg
@@ -151,5 +162,16 @@ func TestLazyCrossEventBudget(t *testing.T) {
 	}
 	if n := lazy.Ties(); n != 0 {
 		t.Errorf("lazy ports counted %d unresolvable ties", n)
+	}
+	var arrivals, ends, all int
+	for _, l := range append(append([]*link.Link{}, lazy.Hops...), lazy.Net.Link("access")) {
+		c := l.Sched.Classes()
+		arrivals += c[1].Enqueued + c[1].Dropped
+		ends += l.Sent - c[0].Enqueued
+		all += l.Sent
+	}
+	if arrivals != beArrivals || ends != beEnds || all != sent {
+		t.Errorf("lazy ports computed %d best-effort arrivals, %d best-effort transmission ends and %d transmissions, want %d, %d and %d",
+			arrivals, ends, all, beArrivals, beEnds, sent)
 	}
 }
