@@ -87,9 +87,10 @@ type options struct {
 	parallel int
 	// shards is the requested shard workers per simulation: effective
 	// workers = min(requested, partitionable batched flows), reported
-	// per run. Output equals -shards 1 only on the grids the equivalence
-	// harness pins (see experiment.Ctx.Shards), and scenarios that
-	// declare no shard capability are refused up front.
+	// per run. Output equals -shards 1 at every batched point of at
+	// most 1,024 flows, and can differ above that (see
+	// experiment.Ctx.Shards); scenarios that declare no shard capability
+	// are refused up front.
 	shards int
 	// jsonPath, when set, makes scenario artifacts collect records
 	// (points, wall time, parallelism) that run writes out at the end,
@@ -466,7 +467,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"compile a JSON scenario file (see internal/scenfile) into the artifact table; runs it unless -run/-scenario selects otherwise")
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size (0 = all cores, 1 = serial)")
 	shards := fs.Int("shards", 1,
-		"requested intra-run shard workers per simulation; effective workers = min(requested, partitionable batched flows), reported per run (output can differ from -shards 1 on large batched points)")
+		"requested intra-run shard workers per simulation; effective workers = min(requested, partitionable batched flows), reported per run (output equals -shards 1 up to 1,024 batched flows and can differ above)")
 	scale := fs.Int("scale", 1, "token-sweep thinning factor (1 = full resolution)")
 	plot := fs.Bool("plot", false, "render figures as ASCII charts too")
 	jsonPath := fs.String("json", "", "write per-scenario results as JSON to this file (\"-\" = stdout, the figure text then goes to stderr)")

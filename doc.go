@@ -43,28 +43,29 @@
 // This is what lets the nflow-wide scenario sweep N ∈ {16..512} with
 // events per virtual flow falling as N grows.
 //
-// MultiFlow.Run has two paths. Serial: the source (or the N paced
-// servers of an unbatched build) runs on the one simulator. Sharded
-// ("dsbench -shards K", MultiFlowConfig.Shards), through
-// flowbatch.BatchedMixture.RunSharded: the batched virtual flows
-// partition round-robin into min(K, flows) shard workers and advance
-// as time-shifted copies of their class's base arrival sequence — the
-// same per-class arrays the serial walk reads, since the access-chain
-// recurrence is shift-invariant — under a conservative lookahead
-// window derived from the minimum latency of the access chain feeding
-// the shared border, which is sound because the topology is
-// feed-forward. A central sequencer takes every jitter through the
-// mixture's one draw, at exactly the serial root-RNG positions, and
-// the border simulator replays shard emissions in exact global
-// (time, flow) order, firing its own events strictly before each
-// emission instant. Figures, per-flow statistics, policer verdicts and
-// the merged packet trace are bit-equal to the serial run on the grids
-// the equivalence harness in internal/experiment pins (up to
-// 64 flows byte for byte, fleet series at 1,000 and 2,000 flows); at
-// 320 and 16 k flows a same-instant tie at the border has been seen to
-// resolve differently (ROADMAP.md, finding (a)). Only batched flows
-// are partitionable: an unbatched or tandem point asked for K shards
-// runs serially and reports one effective worker.
+// A batched MultiFlow.Run has two paths, and flowbatch's
+// BatchedMixture.Run picks one. The pipeline runs every batched
+// population of at most 1,024 flows, and a larger one given
+// "dsbench -shards K" (MultiFlowConfig.Shards) above 1: the batched
+// virtual flows partition round-robin into min(K, flows) shard
+// workers, K = 1 by default, and advance as time-shifted copies of
+// their class's base arrival sequence (the access-chain recurrence is
+// shift-invariant) under a conservative lookahead window derived from
+// the minimum latency of the access chain feeding the shared border,
+// which is sound because the topology is feed-forward. A central
+// sequencer takes every jitter through the mixture's one draw, in
+// global arrival order, and the border simulator replays the
+// deliveries in exact global (time, flow) order, firing its own events
+// strictly before each delivery instant. Figures, per-flow statistics,
+// policer verdicts and the merged packet trace therefore do not depend
+// on K; the equivalence harness in internal/experiment pins that over
+// seeds. The serial walk runs a larger population given no K, on the
+// same arrival arrays, with one delivery timer on the simulator; it
+// resolves a same-instant tie at the border by event sequence, so at
+// 16 k flows it has been seen to deliver differently from the pipeline
+// (ROADMAP.md, finding (a)). Only batched flows are partitionable: an
+// unbatched or tandem point, whose servers run on the one simulator,
+// reports one effective worker at any K.
 //
 // Six-figure fleets pair a batched mixture with aggregated statistics
 // (MultiFlowConfig.AggregateStats): one client.Aggregate per class — delivered counts, streaming delay

@@ -20,34 +20,34 @@ import (
 // result the plain way gives. TestRunSettingsEquivalence checks the
 // execution settings (job-pool size, shard count, tracing) on a reduced
 // grid of each scenario family. The multi-flow rows check one point run
-// batched against unbatched, or sharded against serial: per flow the
-// delivered packets and bytes, the policer verdicts and the quality
-// figures must agree, and so must the bottleneck's totals; two runs of
-// one build (sharded against serial) must also write the same .ptrace.
+// batched against unbatched, or at one shard count against another:
+// per flow the delivered packets and bytes, the policer verdicts and
+// the quality figures must agree, and so must the bottleneck's totals;
+// two runs of one build (two shard counts) must also write the same
+// .ptrace.
 //
-// Runs are deterministic, and the ways of running a multi-flow point
-// differ only in how they break two kinds of same-instant tie:
-//
-//  1. Between two virtual flows: the batched fan-out orders arrivals
-//     and deliveries by (time, flow), where N real jitter elements
-//     deliver in event-scheduling order.
-//  2. Between a delivery and a native border event (a link's tx-done, a
-//     cross-traffic arrival): the sharded pipeline injects the delivery
-//     first, where the serial walk goes by event sequence.
-//
-// The rows run grids on which neither tie is realized, so every pair is
-// identical; TestBatchedWideTieDivergence pins the first wide point
-// where rule 1 is (package flowbatch says where rule 2 is). Each point
-// is simulated once per test binary, and the rows that compare against
-// it share that run and only read it.
+// Runs are deterministic. Every batched point here has at most 1,024
+// flows, so it runs on the fan-out pipeline at every shard count, and
+// the shard count moves no decision: the shard rows hold at every seed
+// they run. Batched and unbatched runs differ only in how they break a
+// same-instant tie between two virtual flows: the pipeline orders
+// arrivals and deliveries by (time, flow), where N real jitter
+// elements deliver in event-scheduling order (package flowbatch states
+// the pipeline's whole delivery order). The batched rows run grids on
+// which no such tie is realized, so every pair is identical;
+// TestBatchedWideTieDivergence pins the first wide point where one is.
+// Each point is simulated once per test binary, and the rows that
+// compare against it share that run and only read it.
 
 // mfPoint is one multi-flow grid point: n flows of the nflow or the
 // nflow-wide scenario, or n flows per class of the two-class mixture
-// ("mix"), or of the mixture at the wide density ("mix-dense"). aggregate
-// and truncate apply to the mixtures only.
+// ("mix"), or of the mixture at the wide density ("mix-dense"), at seed
+// (0: DefaultSeed, the seed of all four). aggregate and truncate apply
+// to the mixtures only.
 type mfPoint struct {
 	pop       string // "nflow", "nflow-wide", "mix" or "mix-dense"
 	n         int
+	seed      uint64
 	batch     bool
 	shards    int
 	aggregate bool
@@ -74,20 +74,21 @@ func mixClasses(n int, truncate units.Time) []topology.FlowClass {
 // overload it and exercise queue drops; at the wide density both
 // classes start 53 ms apart into 24 Mbps.
 func (p mfPoint) config() topology.MultiFlowConfig {
+	seed := p.seedOrDefault()
 	if p.pop == "nflow" || p.pop == "nflow-wide" {
 		spec := nflowSweepSpec()
 		if p.pop == "nflow-wide" {
 			spec = nflowWideSpec()
 		}
 		return topology.MultiFlowConfig{
-			Seed: spec.Seed, Enc: video.CachedCBR(spec.Clip, spec.EncRate), N: p.n,
+			Seed: seed, Enc: video.CachedCBR(spec.Clip, spec.EncRate), N: p.n,
 			TokenRate: spec.TokenRate, Depth: spec.Depth,
 			BottleneckRate: spec.BottleneckRate, Sched: spec.Sched,
 			BELoad: spec.BELoad, Batch: p.batch, Stagger: spec.Stagger, Shards: p.shards,
 		}
 	}
 	cfg := topology.MultiFlowConfig{
-		Seed: DefaultSeed, Classes: mixClasses(p.n, p.truncate),
+		Seed: seed, Classes: mixClasses(p.n, p.truncate),
 		Depth: 4500, BottleneckRate: 12e6, Sched: topology.PriorityBottleneck,
 		BELoad: 0.15, Batch: p.batch, Shards: p.shards, AggregateStats: p.aggregate,
 	}
@@ -96,6 +97,14 @@ func (p mfPoint) config() topology.MultiFlowConfig {
 		cfg.BottleneckRate = 24e6
 	}
 	return cfg
+}
+
+// seedOrDefault is the seed the point runs at.
+func (p mfPoint) seedOrDefault() uint64 {
+	if p.seed == 0 {
+		return DefaultSeed
+	}
+	return p.seed
 }
 
 // run builds and runs the point, recording into rec (nil records
@@ -209,23 +218,32 @@ func diffOutcomes(t *testing.T, refName, gotName string, ref, got *outcome, same
 }
 
 // mfRow compares a point with itself at each listed shard count or,
-// when shards is empty, unbatched with batched. test is the test
-// function that runs the row, name its subtest ("" runs it inline).
+// when shards is empty, unbatched with batched, at the point's seed and
+// at each of seeds. test is the test function that runs the row, name
+// its subtest ("" runs it inline).
 type mfRow struct {
 	test, name string
 	ref        mfPoint
 	shards     []int
+	seeds      []uint64
 	long       bool // skipped under -short
 }
+
+// invarianceSeeds are the seeds, besides DefaultSeed (2001), at which
+// the batched shard-count rows run: 117 is the seed at which the
+// serial walk once delivered the 320-flow wide-batched workload
+// differently from the pipeline.
+var invarianceSeeds = []uint64{7, 117}
 
 // mfRows is the multi-flow table.
 var mfRows = []mfRow{
 	// Batched ≡ unbatched on nflow, nflow-wide and the mixture at both
-	// densities. The wide density realizes delivery/border-event ties,
-	// and batched runs match because populations this small arm one
-	// delivery timer per packet (flowbatch's armPerPacketMax): forced
-	// onto the single timer, the dense mixture diverges in most flows
-	// and the homogeneous N=32 wide point loses one packet in each of two.
+	// densities. The wide density realizes ties between a delivery and
+	// a border event, and batched runs match because the pipeline
+	// injects a delivery before the border events of its instant: the
+	// serial walk's one delivery timer, which orders such a tie by event
+	// sequence, made the dense mixture diverge in most flows and the
+	// homogeneous N=32 wide point lose one packet in each of two.
 	{test: "TestBatchedNFlowEquivalence", name: "N=2", ref: mfPoint{pop: "nflow", n: 2}},
 	{test: "TestBatchedNFlowEquivalence", name: "N=4", ref: mfPoint{pop: "nflow", n: 4}},
 	{test: "TestBatchedNFlowEquivalence", name: "N=8", ref: mfPoint{pop: "nflow", n: 8}},
@@ -236,14 +254,16 @@ var mfRows = []mfRow{
 	{test: "TestMixtureBatchedEquivalence", name: "N=8", ref: mfPoint{pop: "mix", n: 8}},
 	{test: "TestMixtureWideDensityBatchedEquivalence", ref: mfPoint{pop: "mix-dense", n: 16}},
 
-	// Sharded ≡ serial: on the batched pipeline at several shard counts,
-	// and on unbatched builds, which have nothing to partition and run
+	// Shard-count invariance: on the batched pipeline, whose reference
+	// runs one shard worker, at several shard counts and (on the N=16
+	// wide point and the batched mixture) at three seeds, and on
+	// unbatched builds, which have nothing to partition and run
 	// serially on one effective worker.
 	{test: "TestShardedNFlowEquivalence", name: "N=3", ref: mfPoint{pop: "nflow", n: 3}, shards: []int{4}},
 	{test: "TestShardedNFlowEquivalence", name: "N=6", ref: mfPoint{pop: "nflow", n: 6}, shards: []int{4}},
-	{test: "TestShardedNFlowWideEquivalence", name: "N=16", ref: mfPoint{pop: "nflow-wide", n: 16, batch: true}, shards: []int{2, 4, 8}},
+	{test: "TestShardedNFlowWideEquivalence", name: "N=16", ref: mfPoint{pop: "nflow-wide", n: 16, batch: true}, shards: []int{2, 4, 8}, seeds: invarianceSeeds},
 	{test: "TestShardedNFlowWideEquivalence", name: "N=64", ref: mfPoint{pop: "nflow-wide", n: 64, batch: true}, shards: []int{2, 4, 8}, long: true},
-	{test: "TestMixtureShardedEquivalence", name: "batched", ref: mfPoint{pop: "mix", n: 4, batch: true}, shards: []int{2, 5}},
+	{test: "TestMixtureShardedEquivalence", name: "batched", ref: mfPoint{pop: "mix", n: 4, batch: true}, shards: []int{2, 5}, seeds: invarianceSeeds},
 	{test: "TestMixtureShardedEquivalence", name: "unbatched", ref: mfPoint{pop: "mix", n: 4}, shards: []int{3}},
 }
 
@@ -258,13 +278,10 @@ func runMFRows(t *testing.T) {
 			continue
 		}
 		r := r
-		check := func(t *testing.T) {
-			if r.long && testing.Short() {
-				t.Skip("large run; run without -short")
-			}
-			ref := simulated(r.ref)
+		check := func(t *testing.T, pt mfPoint) {
+			ref := simulated(pt)
 			if len(r.shards) == 0 {
-				b := r.ref
+				b := pt
 				b.batch = true
 				got := simulated(b)
 				diffOutcomes(t, "unbatched", "batched", ref, got, false)
@@ -275,16 +292,16 @@ func runMFRows(t *testing.T) {
 					t.Error(u)
 				}
 				if got.shards != 1 || ref.shards != 1 {
-					t.Errorf("serial runs report %d (unbatched) and %d (batched) shard workers, want 1", ref.shards, got.shards)
+					t.Errorf("default runs report %d (unbatched) and %d (batched) shard workers, want 1", ref.shards, got.shards)
 				}
 				return
 			}
 			for _, shards := range r.shards {
-				p := r.ref
+				p := pt
 				p.shards = shards
 				got := simulated(p)
-				label := fmt.Sprintf("shards=%d", shards)
-				diffOutcomes(t, "serial", label, ref, got, true)
+				label := fmt.Sprintf("seed %d shards=%d", pt.seedOrDefault(), shards)
+				diffOutcomes(t, "default", label, ref, got, true)
 				want := 1
 				if p.batch {
 					want = min(shards, len(ref.flows))
@@ -294,13 +311,24 @@ func runMFRows(t *testing.T) {
 				}
 			}
 		}
+		checkSeeds := func(t *testing.T) {
+			if r.long && testing.Short() {
+				t.Skip("large run; run without -short")
+			}
+			check(t, r.ref)
+			for _, seed := range r.seeds {
+				pt := r.ref
+				pt.seed = seed
+				check(t, pt)
+			}
+		}
 		if r.name == "" {
-			check(t)
+			checkSeeds(t)
 			continue
 		}
 		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
-			check(t)
+			checkSeeds(t)
 		})
 	}
 }
@@ -315,9 +343,9 @@ func TestMixtureShardedEquivalence(t *testing.T)            { runMFRows(t) }
 
 // TestBatchedWideTieDivergence turns the documented large-N divergence
 // from prose into a regression pin. On the wide config with the default
-// seed, N=128 is the first scanned grid point where tie rule 1 is
-// realized and matters: the bottleneck totals diverge (by a dozen
-// packets out of ~192k). N=96 — also past the N ≤ 32 exactness rows —
+// seed, N=128 is the first scanned grid point where a tie between two
+// virtual flows is realized and matters: the bottleneck totals diverge
+// (by a dozen packets out of ~192k). N=96 — also past the N ≤ 32 exactness rows —
 // still matches exactly. Both facts are deterministic given the seed;
 // if either flips, the equivalence boundary documented in the flowbatch
 // package comment has moved and the docs (and possibly the row range)

@@ -184,14 +184,13 @@ type Ctx struct {
 	// Shards is the intra-run shard count each job should request from
 	// its topology (dsbench -shards). Effective workers =
 	// min(requested, partitionable batched flows), reported per run.
-	// The knob trades cores-per-job against jobs-in-flight, and on the
-	// grids the equivalence harness (equivalence_test.go) runs it leaves
-	// results alone: a sharded run is byte-identical to the serial one on
-	// nflow-wide at 16 flows (64 without -short), and every job's Point
-	// matches on nflow-wide points of 4 and 8 flows and fleet points of
-	// 1,000 and 2,000 flows. Past those grids nothing pins it, and a
-	// 16 k-flow fleet run or nflow-wide's 256-flow point at full scale
-	// assembles differently sharded and serial (see package flowbatch).
+	// The knob trades cores-per-job against jobs-in-flight. A batched
+	// point of at most 1,024 flows runs on the pipeline at any value,
+	// and there the value moves work, not output: every nflow-wide
+	// point does, and the equivalence harness (equivalence_test.go)
+	// pins it over seeds. A larger point runs on the serial walk unless
+	// asked for more than one shard, and the two paths can deliver
+	// differently: a 16 k-flow fleet run does (see package flowbatch).
 	Shards int
 }
 

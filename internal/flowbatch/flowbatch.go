@@ -13,15 +13,17 @@
 // equivalence classes (MixtureClass: a cached schedule, a folded access
 // chain, a phase and a stagger), with global flow indices laid out
 // class-major; a homogeneous population is the K = 1 case. It has two
-// run modes, the serial walk (Start) and the sharded pipeline
-// (RunSharded), and one arrival order: a shard walk (shardArrivals)
-// emits each lookahead window's arrivals as packed (time, flow) words,
-// and one radix sort of the window (sortWindow) interleaves the classes
-// in exact global (time, flow) order. The serial walk runs a single
-// shard walk over every flow inline, draws the sorted words in order on
-// its arrival timer, and keeps the drawn deliveries in one (time, flow)
-// min-heap (deliveryHeap). TruncateSchedule caps a class's schedule to
-// a clip prefix for fleet-scale sweeps.
+// run paths, and Run picks one: the pipeline (runSharded) whenever a
+// shard count above 1 asks for it or the population is at most
+// pipelineMaxFlows (1,024 flows), the serial walk (Start) otherwise.
+// Both read one arrival order: a shard walk (shardArrivals) emits each
+// lookahead window's arrivals as packed (time, flow) words, and one
+// radix sort of the window (sortWindow) interleaves the classes in
+// exact global (time, flow) order. The serial walk runs a single shard
+// walk over every flow inline, draws the sorted words in order on its
+// arrival timer, and keeps the drawn deliveries in one (time, flow)
+// min-heap (deliveryHeap) behind one delivery timer. TruncateSchedule
+// caps a class's schedule to a clip prefix for fleet-scale sweeps.
 //
 // Neither run mode allocates per packet or per window. A virtual flow
 // keeps 12 B of mixture state, its delivery count Sent and its jitter
@@ -72,34 +74,31 @@
 // traffic, and unsupported for random (Poisson) sources,
 // whose per-flow RNG forks cannot be reproduced by one shared stream.
 //
-// # Why the delivery timer has two arming rules
+// # Delivery order
 //
-// Until PR 12 a second source, BatchedPaced, served homogeneous
-// populations. Into a bare sink the two sources emitted the identical
-// packet sequence, but inside a topology they differed in one decision:
-// BatchedPaced armed one simulator timer per packet at the instant its
-// jitter was drawn — the scheduling sequence number a real jitter
-// element's delivery event takes — while the mixture kept a single
-// timer at the earliest pending delivery. The paper's token buckets are
-// two or three packets deep, so one same-nanosecond reorder against a
-// native border event (a link's tx-done, a cross-traffic arrival) flips
-// a policer or EF-queue verdict: sending the 320-flow `wide-batched`
-// benchmark workload through the single-timer rule delivered 206,454
-// packets where its golden pins 206,066. Each golden pins its own
-// tie-break — `wide-batched` and every batched row of the equivalence
-// harness pin per-packet arming, `fleet-mix` / `fleet-shards2` pin the
-// single timer — so the surviving source keeps both rules behind
-// armPerPacketMax and picks one at Start from the flow count alone. A
-// benchmark-archetype PR that re-pins the two fleet goldens would let
-// the branch collapse to per-packet arming everywhere. Measured when the sources were merged,
-// ten alternating benchmark pairs against the parent commit:
-// `wide-batched` wall 1.22 → 1.07 s (ahead in 10 of 10, unclaimed),
-// mallocs 204,081 → 208,439 (+2.1 %, bound 4 %: the lazily grown
-// delivery structures of that time), sim.events unchanged at 5,085,299.
+// One rule orders what reaches the border, and every batched run of at
+// most 1,024 flows, or at any size with more than one shard, follows
+// it. Arrivals and deliveries sort by (time, flow), each as one packed
+// word. Each flow's FIFO is restored at the border by its delivery
+// count (inject plays entry Sent[g] next). A delivery at t is injected
+// before any native border event at t (a link's tx-done, a
+// cross-traffic arrival): the border fires every event strictly before
+// t, advances its clock to exactly t and injects. The paper's token
+// buckets are two or three packets deep, so that tie order decides
+// policer and EF-queue verdicts; the equivalence harness's batched
+// rows show it giving what the unbatched build gives on their grids.
+//
+// The serial walk is kept only for populations above 1,024 flows run
+// with no shard count, because the `fleet-mix` benchmark golden
+// (16,000 flows) pins its tie order: its one delivery timer resolves a
+// tie with a border event by event sequence, so such a run can
+// deliver differently from the pipeline (finding (a) in ROADMAP.md).
+// Into a bare sink, with no border events, the two paths emit the
+// identical sequence (TestRunPathsEmitIdentically).
 //
 // # Sharded execution
 //
-// BatchedMixture.RunSharded partitions one big batched run across
+// BatchedMixture.runSharded partitions one big batched run across
 // cores. Both run modes share one arrival arithmetic and one jitter
 // draw. Every virtual flow of a class plays the same schedule through
 // the same folded access link, and the serialization recurrence is
@@ -126,14 +125,13 @@
 //     (inject), so policers, taps and everything downstream observe the
 //     serial timeline.
 //
-// Sharding therefore moves work, not decisions — up to the border
-// ties described below. The equivalence harness in internal/experiment
-// pins a sharded run byte-identical to the serial one on nflow-wide at
-// 16 flows (64 without -short) and every job's Point identical on
-// fleet points of 1,000 and 2,000 flows. Past that nothing pins it, and
-// it does not hold everywhere: a 16 k-flow fleet run and the 320-flow
-// wide-batched workload at seed 117 deliver differently sharded and
-// serial (finding (a) in ROADMAP.md).
+// Sharding therefore moves work, not decisions. The equivalence
+// harness in internal/experiment pins shard-count invariance: a
+// batched nflow-wide point of 16 flows and a two-class mixture, each at
+// seeds 2001, 7 and 117, and a 64-flow nflow-wide point (without
+// -short) are byte-identical at 1 to 8 shards. On fleet points of
+// 1,000 flows (the pipeline both ways) and 2,000 flows (the serial walk
+// against the pipeline) every job's Point matches at 4 shards.
 //
 // Windows are sized from the minimum latency of an access chain: a
 // packet emitted at t cannot reach the border before t + minLatency
@@ -157,23 +155,7 @@
 // flow: the jitter clamp makes a flow's delivery instants
 // non-decreasing in draw order, so two same-instant deliveries of one
 // flow may share a word, and the border restores the per-flow FIFO by
-// numbering each flow's packets itself — inject plays entry Sent[g]
-// next, as the serial walk does.
-//
-// The two modes break a same-instant tie between a delivery and a
-// native border event (a link's tx-done, a cross-traffic arrival) by
-// different rules. The serial walk delivers from simulator timers, so
-// the tie resolves by event sequence: the sequence a real jitter
-// element's delivery event would take under per-packet arming, the
-// single timer's under the other rule. The pipeline injects first:
-// before applying a delivery at t the border fires every event strictly
-// before t, advances its clock to exactly t and injects. On an
-// integer-nanosecond clock such ties occur, and finding (a) in
-// ROADMAP.md shows both rules realized: the larger runs named above
-// deliver differently, and both modes draw and order their deliveries
-// identically, so the tie rules are the only place their timelines can
-// part. The harness pins the two modes equal on grids where no tie is
-// realized.
+// numbering each flow's packets itself (see Delivery order).
 //
 // Only a batched mixture has flows to partition. An unbatched build
 // given more than one shard runs serially; chain-clone sharding of

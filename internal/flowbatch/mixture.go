@@ -102,14 +102,16 @@ func (b ClassBounds) Of(g int32) int {
 // bit-exactly, and jitter is drawn from the root RNG in global
 // (time, flow) arrival order across all classes.
 //
-// Two pre-bound Timers drive the serial walk: an arrival timer that
-// reads the merged (per-flow serialized) arrival sequence window by
-// window from one shard walk, drawing each packet's jitter at its
-// arrival instant, and a delivery timer that hands materialized
-// packets to the per-flow next hops at their jittered times.
-// Steady-state emission allocates nothing: packets come from Pool, the
-// window buffers and the pending heap are reused at their high-water
-// marks, and the simulator recycles both timer events.
+// Run picks the run path from the shard count and the population
+// (pipelineMaxFlows). Two pre-bound Timers drive the serial walk: an
+// arrival timer that reads the merged (per-flow serialized) arrival
+// sequence window by window from one shard walk, drawing each packet's
+// jitter at its arrival instant, and one delivery timer, armed at the
+// pending heap's least delivery, that hands materialized packets to
+// the per-flow next hops at their jittered times. Steady-state emission
+// allocates nothing: packets come from Pool, the window buffers and
+// the pending heap are reused at their high-water marks, and the
+// simulator recycles both timer events.
 type BatchedMixture struct {
 	Sim      *sim.Simulator
 	Classes  []MixtureClass
@@ -140,7 +142,7 @@ type BatchedMixture struct {
 	// per draw cost the two-shard fleet ~10 % of its wall time).
 	rng *sim.RNG
 
-	// The serial walk's own state; startArmed lays it out. Arrivals
+	// The serial walk's own state; Start lays it out. Arrivals
 	// come from one shard walk that owns every flow: arrivals.out holds
 	// the sorted lookahead window that starts at window, and
 	// arrivals.out[next] is the next arrival to draw.
@@ -149,34 +151,24 @@ type BatchedMixture struct {
 	next     int
 	pending  deliveryHeap
 
-	// perPacket selects the delivery-timer arming rule (see
-	// armPerPacketMax). Under the single-timer rule delArmed is the
-	// earliest instant a delivery timer is armed for (-1: none) and
-	// delTimer its handle; when a new jitter draw undercuts the armed
-	// instant the stale timer is cancelled, not abandoned: abandoned
-	// timers re-arm on every no-op fire and accumulate without bound.
-	perPacket bool
-	delArmed  units.Time
-	delTimer  sim.Handle
+	// delArmed is the earliest instant the delivery timer is armed for
+	// (-1: none) and delTimer its handle; when a new jitter draw
+	// undercuts the armed instant the stale timer is cancelled, not
+	// abandoned: abandoned timers re-arm on every no-op fire and
+	// accumulate without bound.
+	delArmed units.Time
+	delTimer sim.Handle
 
 	arrive  sim.Timer
 	deliver sim.Timer
 }
 
-// armPerPacketMax is the largest population whose deliveries are armed
-// one simulator timer per packet, at the instant the packet's jitter is
-// drawn. That timer takes the scheduling sequence number a real
-// link.Jitter's delivery event would take, so same-nanosecond ties
-// against native border events resolve exactly as in the unbatched
-// build, and it keeps only ≈ rate × jitter resident events (≈ 40 at 320
-// flows). Above it one timer rides the pending heap's root: the heap
-// already orders every pending packet, and per-packet arming
-// would keep ≈ 2,000 resident calendar events at 16k flows whose only
-// effect is lengthening every bucket scan in the hot loop. The two
-// rules emit the identical sequence into a sink but break topology ties
-// differently, and the benchmark goldens pin one each: `wide-batched`
-// (320 flows) sits below the boundary, `fleet-mix` (16,000) above it.
-const armPerPacketMax = 1024
+// pipelineMaxFlows is the largest population Run sends to the pipeline
+// at any shard count. Above it, with no shard count asking for the
+// pipeline, Run keeps the serial walk, because the fleet benchmark
+// golden (`fleet-mix`, 16,000 flows) pins that walk's border tie
+// order; the pipeline's tie order is stated in the package comment.
+const pipelineMaxFlows = 1024
 
 // deliveryHeap is the serial walk's drawn-but-undelivered
 // deliveries, a binary min-heap ordered by (at, flow): the order the
@@ -307,18 +299,28 @@ func (s *BatchedMixture) records(d units.Time) int {
 	return int(min(2*float64(events)/float64(span)*float64(d), float64(events)))
 }
 
-// Start schedules the interleaved fan-out. Each flow's first packet
-// follows the same chain timing a freshly started server.Paced would
-// produce.
-func (s *BatchedMixture) Start() { s.startArmed(s.TotalFlows() <= armPerPacketMax) }
+// Run executes the mixture and runs its simulator, the border, to
+// horizon: on the pipeline (runSharded) when shards > 1 or the
+// population is at most pipelineMaxFlows, on the serial walk (Start)
+// otherwise. The stats' Shards is 1 after a serial run.
+func (s *BatchedMixture) Run(shards int, horizon units.Time) ShardStats {
+	if shards > 1 || s.TotalFlows() <= pipelineMaxFlows {
+		return s.runSharded(max(shards, 1), horizon)
+	}
+	s.Start()
+	s.Sim.SetHorizon(horizon)
+	s.Sim.Run()
+	return ShardStats{Shards: 1}
+}
 
-// startArmed is Start under an explicit arming rule.
-func (s *BatchedMixture) startArmed(perPacket bool) {
+// Start schedules the interleaved fan-out on the serial walk. Each
+// flow's first packet follows the same chain timing a freshly started
+// server.Paced would produce.
+func (s *BatchedMixture) Start() {
 	if s.TotalFlows() <= 0 {
 		return
 	}
 	n := s.init()
-	s.perPacket = perPacket
 	s.delArmed = -1
 	s.arrive = (*mixArriveTimer)(s)
 	s.deliver = (*mixDeliverTimer)(s)
@@ -408,9 +410,6 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 	for ok && a <= now {
 		t := s.draw(int32(g), a)
 		s.pending.push(pendingDelivery{at: t, flow: g})
-		if s.perPacket {
-			s.Sim.AtTimer(t, s.deliver)
-		}
 		s.next++
 		a, g, ok = s.nextArrival()
 	}
@@ -420,13 +419,12 @@ func (s *BatchedMixture) processArrivals(now units.Time) {
 	}
 }
 
-// armDeliver, under the single-timer rule, keeps exactly one delivery
-// timer armed at the heap's least delivery, cancelling the previous one
-// when that moved earlier (the handle of a timer that already fired is
-// stale, so Cancel is a no-op in the common re-arm-after-fire case).
-// Under per-packet arming every pending delivery already has its timer.
+// armDeliver keeps exactly one delivery timer armed at the heap's
+// least delivery, cancelling the previous one when that moved earlier
+// (the handle of a timer that already fired is stale, so Cancel is a
+// no-op in the common re-arm-after-fire case).
 func (s *BatchedMixture) armDeliver() {
-	if s.perPacket || len(s.pending) == 0 {
+	if len(s.pending) == 0 {
 		return
 	}
 	if t := s.pending[0].at; s.delArmed < 0 || t < s.delArmed {

@@ -30,18 +30,18 @@ func (c *captureHandler) Handle(p *packet.Packet) {
 	c.pool.Put(p)
 }
 
-// TestArmingRulesEmitIdentically pins the one decision the source keeps
-// two forms of: into a bare sink — no native border events to tie with
-// — per-packet and single-timer delivery arming emit the identical
-// packet sequence, on either side of armPerPacketMax, and Start picks
-// the rule from the flow count alone. (Inside a topology the rules
-// break same-instant ties differently; see the package comment.)
-func TestArmingRulesEmitIdentically(t *testing.T) {
+// TestRunPathsEmitIdentically pins the two run paths against each
+// other on either side of pipelineMaxFlows: into a bare sink — no
+// native border events to tie with — the serial walk (Start) and the
+// pipeline at 1 and 3 shards emit the identical packet sequence.
+// (Inside a topology the paths break same-instant ties differently;
+// see the package comment.)
+func TestRunPathsEmitIdentically(t *testing.T) {
 	t.Parallel()
 	sched := TruncateSchedule(CachedPacedSchedule(video.CachedCBR(video.Lost(), 1.0e6)), units.Second)
 	chain := ChainSpec{AccessRate: 100 * units.Mbps,
 		AccessDelay: 500 * units.Microsecond, JitterMax: 3 * units.Millisecond}
-	run := func(n int, start func(*BatchedMixture)) ([]capRec, bool) {
+	run := func(n int, start func(*BatchedMixture)) []capRec {
 		s := sim.New(7)
 		pool := packet.NewPool()
 		sink := &captureHandler{sim: s, pool: pool}
@@ -51,26 +51,23 @@ func TestArmingRulesEmitIdentically(t *testing.T) {
 				{Sched: sched, N: n - n/2, Phase: 170 * units.Microsecond, Offset: 2_170_001, Chain: chain},
 			}}
 		start(mix)
-		s.Run()
 		if got, want := mix.TotalSent(), n*len(sched.Entries); got != want {
 			t.Fatalf("N=%d emitted %d of %d scheduled packets", n, got, want)
 		}
-		return sink.recs, mix.perPacket
+		return sink.recs
 	}
-	for _, n := range []int{armPerPacketMax, armPerPacketMax + 1} {
-		chosen, perPacket := run(n, (*BatchedMixture).Start)
-		if want := n <= armPerPacketMax; perPacket != want {
-			t.Errorf("N=%d: Start armed per packet = %v, want %v", n, perPacket, want)
-		}
-		for _, rule := range []bool{true, false} {
-			forced, _ := run(n, func(m *BatchedMixture) { m.startArmed(rule) })
-			if len(forced) != len(chosen) {
-				t.Fatalf("N=%d perPacket=%v: %d emissions, Start's rule %d", n, rule, len(forced), len(chosen))
+	const horizon = 10 * units.Second
+	for _, n := range []int{pipelineMaxFlows, pipelineMaxFlows + 1} {
+		serial := run(n, func(m *BatchedMixture) { m.Start(); m.Sim.Run() })
+		for _, shards := range []int{1, 3} {
+			piped := run(n, func(m *BatchedMixture) { m.runSharded(shards, horizon) })
+			if len(piped) != len(serial) {
+				t.Fatalf("N=%d shards=%d: %d emissions, serial walk %d", n, shards, len(piped), len(serial))
 			}
-			for i := range chosen {
-				if forced[i] != chosen[i] {
-					t.Fatalf("N=%d perPacket=%v: emission %d differs: %+v vs %+v",
-						n, rule, i, forced[i], chosen[i])
+			for i := range serial {
+				if piped[i] != serial[i] {
+					t.Fatalf("N=%d shards=%d: emission %d differs: %+v vs serial %+v",
+						n, shards, i, piped[i], serial[i])
 				}
 			}
 		}

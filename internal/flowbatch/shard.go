@@ -388,12 +388,11 @@ func giveBuf[T any](free chan []T, b []T) {
 	}
 }
 
-// RunSharded executes the mixture on the sharded pipeline and runs its
-// simulator, the border, to horizon. The equivalence harness in
-// internal/experiment pins the run bit-identical to Start followed by
-// a serial run to the same horizon on the grids the package comment
-// names; past them the two can deliver differently.
-func (s *BatchedMixture) RunSharded(shards int, horizon units.Time) ShardStats {
+// runSharded executes the mixture on the pipeline with min(shards,
+// flows) shard walks and runs its simulator, the border, to horizon.
+// The shard count moves work, never output (package comment, Sharded
+// execution).
+func (s *BatchedMixture) runSharded(shards int, horizon units.Time) ShardStats {
 	sas, seq := s.stages(shards, horizon, s.lookahead())
 	return runPipeline(s.Sim, sas, seq, horizon, s.inject)
 }

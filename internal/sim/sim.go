@@ -154,8 +154,8 @@ func bucketCount(width units.Time) int {
 	return n
 }
 
-// defaultBucketWidth is the default calendar bucket granularity. The
-// bucket-width microbenchmarks in the repo root sweep widths around
+// defaultBucketWidth is the default calendar bucket granularity.
+// BenchmarkCalendarBucketWidth (window_test.go) sweeps widths around
 // this value over dense, sparse and bimodal schedules; 250 µs sits on
 // the flat part of all three curves.
 const defaultBucketWidth = 250 * units.Microsecond

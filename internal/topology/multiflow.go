@@ -113,18 +113,20 @@ type MultiFlowConfig struct {
 	// package flowbatch describes: the equivalence harness in
 	// internal/experiment pins it at N ≤ 8 on nflow and through N = 32
 	// on nflow-wide, and N = 128 is the first nflow-wide point where the
-	// two diverge.
+	// two diverge. A batched build of at most 1,024 flows runs on the
+	// mixture's pipeline at any Shards; package flowbatch states its
+	// delivery order.
 	Batch bool
 
-	// Shards > 1 executes a batched run on the mixture's sharded
-	// pipeline (flowbatch.BatchedMixture.RunSharded): the virtual
-	// flows' arrival walks advance on shard workers under conservative
-	// lookahead windows and the border replays their emissions in exact
-	// serial order, so a sharded run is bit-identical to a serial one on
-	// the grids the equivalence harness pins (the flowbatch package comment
-	// says where it is not). Effective workers =
-	// min(Shards, partitionable batched flows), reported in Stats: an
-	// unbatched build has no partitionable flows and runs serially.
+	// Shards > 1 executes a batched run on the mixture's pipeline with
+	// that many shard workers (flowbatch.BatchedMixture.Run): the
+	// virtual flows' arrival walks advance on shard workers under
+	// conservative lookahead windows and the border replays their
+	// emissions in (time, flow) order, so the shard count moves work,
+	// not output. Effective workers = min(Shards, batched flows),
+	// reported in Stats. It picks the pipeline over the serial walk
+	// only above 1,024 flows, where the two can deliver differently; an
+	// unbatched build has no flows to partition and runs serially.
 	Shards int
 
 	// Classes, when non-empty, replaces the homogeneous N-flow
@@ -185,8 +187,8 @@ type MultiFlow struct {
 	Aggregates []*client.Aggregate
 	ClassNames []string
 
-	// Stats describes the sharded pipeline after Run when Shards > 1
-	// (Stats.Shards is 1 after a serial run).
+	// Stats describes the pipeline after Run (Stats.Shards is 1, and
+	// nothing is injected, after a serial run).
 	Stats ShardStats
 
 	shards  int
@@ -228,16 +230,13 @@ const (
 )
 
 // Run starts every flow (staggered) and executes the simulation to
-// completion — on the fan-out pipeline when the config asked for
-// Shards > 1 and the build has a batched mixture to partition,
-// serially otherwise.
+// completion. A batched build runs its mixture (BatchedMixture.Run
+// picks the pipeline or the serial walk); an unbatched one runs its
+// servers serially.
 func (m *MultiFlow) Run() {
-	if m.shards > 1 && m.Mixture != nil {
-		m.Stats = m.Mixture.RunSharded(m.shards, m.horizon)
+	if m.Mixture != nil {
+		m.Stats = m.Mixture.Run(m.shards, m.horizon)
 	} else {
-		if m.Mixture != nil {
-			m.Mixture.Start()
-		}
 		for i, srv := range m.Servers {
 			srv.StartAt(m.starts[i])
 		}

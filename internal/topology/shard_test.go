@@ -107,6 +107,27 @@ func TestShardedBatchedMultiFlowMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBatchedRunPicksPath pins where a batched build given no shard
+// count runs: a population of at most 1,024 flows on the pipeline,
+// which injects every emission at the border, and a larger one on the
+// serial walk, which injects none.
+func TestBatchedRunPicksPath(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{1024, 1025} {
+		m := BuildMultiFlow(MultiFlowConfig{Seed: 11, Batch: true, AggregateStats: true,
+			Classes: []FlowClass{{Enc: video.CachedCBR(video.Lost(), 1.0e6), N: n, TokenRate: 1.2e6,
+				Truncate: 100 * units.Millisecond, Stagger: units.Millisecond}}})
+		m.Run()
+		emitted, injected := m.Mixture.TotalSent(), 0
+		if n <= 1024 {
+			injected = emitted
+		}
+		if emitted == 0 || m.Stats.Shards != 1 || m.Stats.Injected != injected {
+			t.Errorf("N=%d: %d emitted, stats %+v; want 1 shard worker and %d injected", n, emitted, m.Stats, injected)
+		}
+	}
+}
+
 // TestShardedUnbatchedMultiFlowMatchesSerial pins the capping rule on a
 // build with nothing to partition: an unbatched run asked for Shards: 4
 // runs serially — one effective worker, nothing injected — and leaves
