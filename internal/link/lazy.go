@@ -28,13 +28,13 @@ const ownCap = 32
 // maxTime orders after every instant an event can be scheduled at.
 const maxTime = units.Time(1<<63 - 1)
 
-// The wire's best-effort end when no best-effort packet is on it: free,
-// or held by an EF packet. Both order after every instant an event can
-// fire at, so no best-effort transmission ends before them.
-const (
-	free = maxTime
-	held = maxTime - 1
-)
+// free is the wire's end while nothing is on it: it orders after every
+// instant an event can fire at, so no transmission ends before it.
+const free = maxTime
+
+// efCap is how many EF packets a lazy port holds before its EF ring
+// first grows: a port rarely holds more than a few.
+const efCap = 16
 
 // Arrivals is a best-effort source a lazy port draws from instead of
 // being handed packets (traffic.Poisson with Pulled set).
@@ -59,12 +59,12 @@ type key struct {
 	up    bool // scheduled by another element than the port
 }
 
-// bestEffort is a lazy port's computed best-effort class (see the
-// package comment). NewLazy allocates it with its Link, in one object.
+// bestEffort is a lazy port's computed state (see the package comment).
+// NewLazy allocates it with its Link, in one object.
 type bestEffort struct {
 	on   bool
 	up   *Link // the lazy port feeding this one; nil at the line's head
-	down *Link // the lazy port this one feeds
+	down *Link // the lazy port this one feeds; nil at the line's end
 	sink Sink  // what the line delivers past this port, on its last one
 	// based is set once the sink took its first carried packet, whose
 	// arrival fixed its presentation base.
@@ -74,9 +74,9 @@ type bestEffort struct {
 	limit int        // low's packet limit; no limit is the largest int
 	tx    units.Time // a best-effort packet's transmission time
 
-	// hi and queued are the EF and best-effort packets queued: the
-	// scheduler's class lengths, kept here off its interface.
-	hi, queued int
+	// queued is the best-effort packets queued: the scheduler's low
+	// class length, kept here off its interface.
+	queued int
 
 	// own holds the source's next arrivals, drawn ahead; own[oi] is the
 	// next one. It was scheduled at prev, in the port's order ownOrd:
@@ -87,16 +87,26 @@ type bestEffort struct {
 	prev   units.Time
 	ownOrd uint64
 
-	// done is the end of the best-effort transmission on the wire,
-	// started at done - tx in the port's order doneOrd; or free, or held
-	// while an EF packet is on it (Link.busy).
+	// done is the end of the transmission on the wire, started at
+	// done - cur in the port's order doneOrd; or free. onEF says whose
+	// it is: the head of efs, or a best-effort packet's. pub says a
+	// best-effort end is already in deps (see publish).
 	done    units.Time
+	cur     units.Time
 	doneOrd uint64
+	onEF    bool
+	pub     bool
 
-	ef    key    // the end of the EF packet on the wire, while Link.busy
-	wake  key    // the best-effort end an armed wake-up stands for
-	armed bool   // a wake-up is scheduled
-	ord   uint64 // the port's scheduling order
+	// efs holds the EF packets at the port, oldest first: the one on the
+	// wire (onEF), then those queued. The ring is efBuf until a burst
+	// outgrows it. efTail is when the newest of them leaves.
+	efs         []efPacket
+	efHead, efN int
+	efTail      units.Time
+	high        *queue.FIFO
+	highLimit   int // high's packet limit; 0 for none
+	efBuf       [efCap]efPacket
+	ord         uint64 // the port's scheduling order
 
 	// floor bounds the next departure the ring does not hold from
 	// below: run raises it past each instant it fires every event up to,
@@ -104,15 +114,22 @@ type bestEffort struct {
 	// nothing the port does can make a packet leave sooner.
 	floor units.Time
 
-	deps    [depCap]units.Time // departures the consumer has not taken, oldest at head
+	deps    [depCap]units.Time // best-effort departures the consumer has not taken, oldest at head
 	head, n int
 
 	ties int
 }
 
+// efPacket is what a lazy port keeps of an EF packet it holds: the
+// packet itself has moved on down the line.
+type efPacket struct {
+	size int
+	tx   units.Time
+}
+
 // NewLazy is New for a port that LazyBestEffort will make lazy: the
-// link and its best-effort state are one allocation, and a link from
-// New carries no such state. Until LazyBestEffort it is a plain link.
+// link and its computed state are one allocation, and a link from New
+// carries no such state. Until LazyBestEffort it is a plain link.
 func NewLazy(s *sim.Simulator, rate units.BitRate, delay units.Time, sched queue.Scheduler, next packet.Handler) *Link {
 	p := new(struct {
 		Link
@@ -124,29 +141,34 @@ func NewLazy(s *sim.Simulator, rate units.BitRate, delay units.Time, sched queue
 }
 
 // LazyBestEffort makes l a lazy port: its best-effort class is computed,
-// not carried (see the package comment). up is the lazy port whose
-// best-effort departures reach l after up.Delay (nil at the head of the
-// line), src is l's own cross source (nil for none), and sink counts what
-// l delivers (nil unless l is the line's last port). Ports are made lazy
-// head first, after the sources started and before the simulation runs;
-// l must come from NewLazy, untapped, with a propagation delay and a
-// queue.Priority whose high class takes EF. From then on only EF packets may reach l.Handle.
+// not carried, and its EF packets pass through it inside the call that
+// hands them to the line's head (see the package comment). up is the
+// lazy port whose best-effort departures reach l after up.Delay (nil at
+// the head of the line), src is l's own cross source (nil for none), and
+// sink counts the best effort l delivers (nil unless l is the line's
+// last port, whose Next takes the EF packets). Ports are made lazy head
+// first, after the sources started and before the simulation runs; l
+// must come from NewLazy, untapped, with a propagation delay and a
+// queue.Priority whose high class takes EF. From then on only EF packets
+// may reach the head's Handle, and nothing may reach another port's.
 func (l *Link) LazyBestEffort(up *Link, src Arrivals, sink Sink) {
 	pr, ok := l.Sched.(*queue.Priority)
 	if !ok || l.be == nil || l.Tap != nil || l.Delay <= 0 {
 		panic("link: a lazy port needs an untapped priority port made by NewLazy, with a propagation delay")
 	}
 	b := l.be
-	b.on, b.up, b.src, b.sink, b.low = true, up, src, sink, &pr.Low
+	b.on, b.up, b.src, b.sink, b.low, b.high = true, up, src, sink, &pr.Low, &pr.High
 	b.limit = pr.Low.MaxPackets
 	if b.limit <= 0 {
 		b.limit = math.MaxInt
 	}
+	b.highLimit = pr.High.MaxPackets
 	b.tx = l.Rate.TxTime(beSize)
 	if int(l.Delay/b.tx)+2 >= depCap {
 		panic(fmt.Sprintf("link: %v of propagation holds too many %v departures for a lazy port", l.Delay, b.tx))
 	}
-	b.done = free
+	b.done, b.cur = free, b.tx
+	b.efs = b.efBuf[:]
 	if up != nil {
 		up.be.down = l
 	}
@@ -171,9 +193,9 @@ func (l *Link) Ties() int {
 	return l.be.ties
 }
 
-// Flush computes every best-effort event of the lazy line that ends at l
-// up to and including t, and counts into the sink what reaches it by t.
-// Call it once the simulation has stopped with its clock at t.
+// Flush computes every event of the lazy line that ends at l up to and
+// including t, and counts into the sink what reaches it by t. Call it
+// once the simulation has stopped with its clock at t.
 func (l *Link) Flush(t units.Time) {
 	if up := l.be.up; up != nil {
 		up.Flush(t)
@@ -216,17 +238,131 @@ func (b *bestEffort) draw() {
 	b.oi = 0
 }
 
+// handleLazy carries an EF packet from the line's head to its end in
+// one call. At each port it fires every event that precedes the
+// packet's arrival, then works out when the packet leaves: after the
+// best-effort packet on the wire, if any, and the EF packets ahead of
+// it. The next port takes it its propagation delay later, and the last
+// hands it to Next at that instant (sim.Simulator.FireAt). A packet
+// still in the line at the simulator's horizon stays there, as it would
+// in flight.
+func (l *Link) handleLazy(p *packet.Packet) {
+	if p.DSCP != packet.EF || l.be.up != nil {
+		panic("link: a lazy line takes only EF packets, at its head")
+	}
+	horizon := l.Sim.Horizon()
+	if horizon == 0 {
+		horizon = maxTime
+	}
+	k := key{t: l.Sim.Now(), at: l.Sim.ScheduledAt(), up: true}
+	for port := l; ; port = port.be.down {
+		end, ok := port.takeEF(p.Size, k)
+		if !ok {
+			port.Pool.Put(p) // queue drop, counted by the scheduler
+			return
+		}
+		k = key{t: end + port.Delay, at: end, up: true}
+		if k.t > horizon {
+			return
+		}
+		if port.be.down == nil {
+			port.inflight.Push(p)
+			port.Sim.FireAt(k.t, k.at, port.deliver)
+			return
+		}
+	}
+}
+
+// takeEF takes an EF packet of size bytes arriving at k into the port,
+// after every event that precedes it, and returns the instant it leaves;
+// ok is false if the EF class is full and drops it.
+func (l *Link) takeEF(size int, k key) (leaves units.Time, ok bool) {
+	l.catchUp(k)
+	b := l.be
+	queued := b.efN
+	if b.onEF {
+		queued--
+	}
+	if b.highLimit > 0 && queued >= b.highLimit {
+		b.high.Account(0, 1, queued, size)
+		return 0, false
+	}
+	b.high.Account(1, 0, queued+1, size)
+	tx := l.Rate.TxTime(size)
+	b.pushEF(efPacket{size: size, tx: tx})
+	switch {
+	case b.efN > 1: // behind the EF packets the port holds
+		leaves = b.efTail + tx
+	case b.done != free: // behind the best-effort packet on the wire
+		leaves = b.done + tx
+		l.publish()
+	default: // onto the free wire
+		leaves = k.t + tx
+		l.startEF()
+		b.done, b.cur, b.onEF, b.doneOrd = leaves, tx, true, b.tick()
+	}
+	b.efTail = leaves
+	return leaves, true
+}
+
+// pushEF appends an EF packet to the port's ring, doubling it if full.
+func (b *bestEffort) pushEF(e efPacket) {
+	if b.efN == len(b.efs) {
+		grown := make([]efPacket, 2*len(b.efs))
+		for i := 0; i < b.efN; i++ {
+			grown[i] = b.efs[(b.efHead+i)&(len(b.efs)-1)]
+		}
+		b.efs, b.efHead = grown, 0
+	}
+	b.efs[(b.efHead+b.efN)&(len(b.efs)-1)] = e
+	b.efN++
+}
+
+// startEF accounts the head queued EF packet's start and returns its
+// transmission time.
+func (l *Link) startEF() units.Time {
+	b := l.be
+	e := b.efs[b.efHead]
+	b.high.Account(0, 0, b.efN-1, e.size)
+	l.BusyTime += e.tx
+	return e.tx
+}
+
+// endEF accounts the end of the EF packet on the wire.
+func (l *Link) endEF() {
+	b := l.be
+	e := b.efs[b.efHead]
+	b.efHead = (b.efHead + 1) & (len(b.efs) - 1)
+	b.efN--
+	l.Sent++
+	l.SentBytes += int64(e.size)
+}
+
+// publish puts the departure of the best-effort packet on the wire in
+// the ring before it fires. An EF packet now waits behind it, so the end
+// cannot move, and the next port needs it to take that packet: the
+// events in between, which this port cannot fire yet, can only queue
+// best effort behind the EF packet.
+func (l *Link) publish() {
+	b := l.be
+	b.deps[(b.head+b.n)&(depCap-1)] = b.done
+	b.n++
+	b.pub = true
+	if b.n == depCap {
+		l.unload(b.done)
+	}
+}
+
 // catchUp fires every computed event that comes before target.
 func (l *Link) catchUp(target key) { l.run(target, 0) }
 
 // Why advance stopped: it fired every event before its target, or its
 // consumer holds fill departures, or it needs run to unload a full
-// ring or put an EF packet on the wire.
+// ring.
 const (
 	reached = iota
 	filled
 	full
-	toEF
 )
 
 // Where advance's next arrival comes from: the port's source, the
@@ -239,12 +375,12 @@ const (
 
 // run fires the port's computed events that come before target, in
 // order. With fill > 0 it stops early, once the consumer has fill
-// departures to take. advance fires them; run does what advance
-// leaves to it between two events.
+// departures to take. advance fires them; run unloads a full ring
+// between two events.
 func (l *Link) run(target key, fill int) {
 	b := l.be
 	for {
-		stop, t := l.advance(target, fill)
+		stop := l.advance(target, fill)
 		if b.n == depCap {
 			l.unload(b.deps[(b.head+depCap-1)&(depCap-1)])
 		}
@@ -256,11 +392,6 @@ func (l *Link) run(target key, fill int) {
 			return
 		case filled:
 			return
-		case toEF:
-			l.startEF(t)
-			if b.n == fill {
-				return
-			}
 		}
 	}
 }
@@ -270,19 +401,20 @@ func (l *Link) run(target key, fill int) {
 // end) + tx, over the port's two arrival streams merged in time order:
 // its own arrivals, drawn ahead into own, and the upstream port's
 // departures, read in place from its ring at +Delay (the upstream port
-// is pulled where its ring runs dry). It keeps the wire, the queue and
-// the streams' positions in locals, compares instants alone, and builds
-// keys only where two are equal. It stops between two events: before
-// target, once the ring holds fill or depCap departures, or at a
-// transmission end that hands the wire to EF, whose instant it returns.
-func (l *Link) advance(target key, fill int) (stop int, at units.Time) {
+// is pulled where its ring runs dry). An EF packet the port holds takes
+// the wire at the first transmission end, for its own transmission
+// time. It keeps the wire, the queue and the streams' positions in
+// locals, compares instants alone, and builds keys only where two are
+// equal. It stops between two events: before target, or once the ring
+// holds fill or depCap departures.
+func (l *Link) advance(target key, fill int) (stop int) {
 	b := l.be
 	tx, tt := b.tx, target.t
 	stopN := depCap
 	if fill > 0 {
 		stopN = fill
 	}
-	done, queued, oi, n := b.done, b.queued, b.oi, b.n
+	done, cur, queued, oi, head, n, ord := b.done, b.cur, b.queued, b.oi, b.head, b.n, b.ord
 	ownNext := b.own[oi]
 	var ub *bestEffort
 	var delay, ulim units.Time
@@ -299,8 +431,8 @@ func (l *Link) advance(target key, fill int) (stop int, at units.Time) {
 	// What the loop does not count it reads off its positions: nothing
 	// drains the ring until it returns, and a pull or a draw moves the
 	// bases it counts from.
-	done0, oi0, n0, un0 := done, oi, n, un
-	drops := 0
+	oi0, un0 := oi, un
+	ends, starts, drops := 0, 0, 0
 loop:
 	for {
 		if un == 0 && ub != nil && ub.floor <= ulim {
@@ -330,27 +462,57 @@ loop:
 			if done == a {
 				// An upstream departure arriving at a was scheduled when
 				// it left, Delay before; the end, when its transmission
-				// started, tx before.
-				if from == fromUp && tx != delay {
-					if tx < delay {
+				// started, cur before.
+				if from == fromUp && cur != delay {
+					if cur < delay {
 						break
 					}
-				} else if !l.endsFirst(a, from, target) {
+				} else if !l.endsFirst(a, cur, from, target) {
 					break
 				}
 			}
-			b.deps[(b.head+n)&(depCap-1)] = done
-			n++
-			if b.hi > 0 {
-				stop, at, done = toEF, done, held
-				break loop
-			}
-			if queued > 0 {
-				queued--
-				b.doneOrd = b.tick()
-				done += tx
+			if b.efN == 0 {
+				// A best-effort end with no EF packet at the port: the
+				// wire carries best effort (cur is tx) or nothing.
+				b.deps[(head+n)&(depCap-1)] = done
+				n++
+				ends++
+				if queued > 0 {
+					queued--
+					starts++
+					ord++
+					b.doneOrd = ord
+					done += tx
+				} else {
+					done = free
+				}
 			} else {
-				done = free
+				// The EF packet on the wire ends, or the best-effort
+				// one it waited behind, whose departure is in the ring
+				// already (publish); the next EF packet, if any, takes
+				// the wire.
+				if b.onEF {
+					l.endEF()
+				} else {
+					b.pub = false
+					ends++
+				}
+				b.onEF = b.efN > 0
+				ord++
+				b.doneOrd = ord
+				switch {
+				case b.onEF:
+					cur = l.startEF()
+				case queued > 0:
+					queued--
+					starts++
+					cur = tx
+				default:
+					cur, done = tx, free
+				}
+				if done != free {
+					done += cur
+				}
 			}
 			if n == stopN {
 				stop = filled
@@ -368,7 +530,9 @@ loop:
 		if queued >= b.limit {
 			drops++
 		} else if done == free {
-			b.doneOrd = b.tick()
+			starts++
+			ord++
+			b.doneOrd = ord
 			done = a + tx
 		} else {
 			queued++
@@ -382,40 +546,34 @@ loop:
 			}
 			continue
 		}
-		b.prev, b.ownOrd = a, b.tick()
+		ord++
+		b.prev, b.ownOrd = a, ord
 		if oi++; oi == ownCap {
 			b.draw()
 			oi, oi0 = 0, oi0-ownCap
 		}
 		ownNext = b.own[oi]
 	}
-	sent, emits := n-n0, oi-oi0
-	starts := sent
-	if done < held {
-		starts++
-	}
-	if done0 < held {
-		starts--
-	}
-	b.done, b.queued, b.oi, b.n = done, queued, oi, n
+	emits := oi - oi0
+	b.done, b.cur, b.queued, b.oi, b.n, b.ord = done, cur, queued, oi, n, ord
 	if ub != nil {
 		ub.head, ub.n = uh, un
 	}
-	l.Sent += sent
-	l.SentBytes += int64(sent) * beSize
+	l.Sent += ends
+	l.SentBytes += int64(ends) * beSize
 	l.BusyTime += units.Time(starts) * tx
 	b.low.Account(emits+un0-un-drops, drops, queued, beSize)
 	for ; emits > 0; emits-- {
 		b.src.Emit()
 	}
-	return stop, at
+	return stop
 }
 
-// endsFirst reports whether the best-effort transmission ending at a
-// fires before advance's next arrival at the same instant.
-func (l *Link) endsFirst(a units.Time, from int, target key) bool {
+// endsFirst reports whether the transmission of cur ending at a fires
+// before advance's next arrival at the same instant.
+func (l *Link) endsFirst(a, cur units.Time, from int, target key) bool {
 	b := l.be
-	return b.before(key{t: a, at: a - b.tx, ord: b.doneOrd}, l.arrival(a, from, target))
+	return b.before(key{t: a, at: a - cur, ord: b.doneOrd}, l.arrival(a, from, target))
 }
 
 // upFirst reports whether an upstream departure reaching the port at u
@@ -437,50 +595,6 @@ func (l *Link) arrival(a units.Time, from int, target key) key {
 	return target
 }
 
-// sendBE puts the head best-effort packet on the wire at t.
-func (l *Link) sendBE(t units.Time) {
-	b := l.be
-	l.BusyTime += b.tx
-	b.done, b.doneOrd = t+b.tx, b.tick()
-}
-
-// sendEF puts EF packet p on the wire now; its end is a calendar event.
-func (l *Link) sendEF(p *packet.Packet) {
-	now := l.Sim.Now()
-	l.busy = true
-	l.cur = p
-	tx := l.Rate.TxTime(p.Size)
-	l.BusyTime += tx
-	l.be.done = held
-	l.be.ef = key{t: now + tx, at: now, ord: l.be.tick()}
-	l.Sim.AfterTimer(tx, l.txDone)
-}
-
-// startNext hands the free wire to the next packet at t, which must be
-// now: EF first. An EF transmission is scheduled, so it may only start
-// inside an event firing at t; the wake-up armed in handleLazy
-// guarantees one.
-func (l *Link) startNext(t units.Time) {
-	b := l.be
-	switch {
-	case b.hi > 0:
-		l.startEF(t)
-	case b.queued > 0:
-		b.queued--
-		b.low.Account(0, 0, b.queued, beSize)
-		l.sendBE(t)
-	}
-}
-
-// startEF puts the head EF packet on the wire at t, which must be now.
-func (l *Link) startEF(t units.Time) {
-	if t != l.Sim.Now() {
-		panic(fmt.Sprintf("link: lazy port frees its wire for EF at %v outside an event (now %v)", t, l.Sim.Now()))
-	}
-	l.be.hi--
-	l.sendEF(l.Sched.Dequeue())
-}
-
 // unload has the consumer of a full ring take what reaches it before t,
 // the newest departure. It reads the ring without stepping the port,
 // since t itself stays queued.
@@ -497,8 +611,8 @@ func (l *Link) unload(t units.Time) {
 }
 
 // pull has a port whose consumer took every departure run its events up
-// to limit, which must lie before the current instant, until it holds
-// half a ring; unless its floor shows it departs nothing by then.
+// to limit, until it holds half a ring; unless its floor shows it
+// departs nothing by then.
 func (l *Link) pull(limit units.Time) {
 	b := l.be
 	if b.n == 0 && limit >= b.floor {
@@ -508,18 +622,23 @@ func (l *Link) pull(limit units.Time) {
 	}
 }
 
-// earliest bounds the port's next departure from below, from its state
-// alone: the end of the best-effort packet on the wire, or a
-// transmission time after the wire or the next arrival frees it.
+// earliest bounds the port's next best-effort departure from below,
+// from its state alone: the end of the best-effort packet on the wire,
+// or a transmission time after the wire or the next arrival frees it.
+// While the port holds EF packets no best effort leaves before they
+// all have, so a port never runs past the EF packet it took last, whose
+// successor it does not know yet.
 func (l *Link) earliest() units.Time {
 	b := l.be
 	switch {
 	case b.n > 0:
 		return b.deps[b.head]
-	case b.done < held:
+	case b.efN > 0:
+		if b.queued > 0 {
+			return b.efTail + b.tx
+		}
+	case b.done != free:
 		return b.done
-	case b.queued > 0: // behind the EF packet on the wire
-		return b.ef.t + b.tx
 	}
 	t := b.own[b.oi]
 	if up := b.up; up != nil {
@@ -527,8 +646,8 @@ func (l *Link) earliest() units.Time {
 			t = u + up.Delay
 		}
 	}
-	if l.busy && t < b.ef.t {
-		t = b.ef.t
+	if b.efN > 0 && t < b.efTail {
+		t = b.efTail
 	}
 	if t > maxTime-b.tx {
 		return maxTime
@@ -556,56 +675,4 @@ func (l *Link) drainSink(bound units.Time) {
 			b.sink.CountArrival(d+l.Delay, beSize)
 		}
 	}
-}
-
-// handleLazy takes an EF packet into a lazy port, after the computed
-// events that precede its arrival.
-func (l *Link) handleLazy(p *packet.Packet) {
-	if p.DSCP != packet.EF {
-		panic("link: a lazy port takes only EF packets")
-	}
-	b := l.be
-	now := l.Sim.Now()
-	l.catchUp(key{t: now, at: l.Sim.ScheduledAt(), up: true})
-	p.EnqueuedAt = now
-	if !l.Sched.Enqueue(p) {
-		l.Pool.Put(p) // queue drop, counted by the scheduler
-		return
-	}
-	b.hi++
-	switch {
-	case l.busy:
-		// The EF transmission's end takes it.
-	case b.done < held:
-		if !b.armed {
-			b.armed, b.wake = true, key{t: b.done, at: b.done - b.tx, ord: b.doneOrd}
-			l.Sim.AtTimer(b.done, l.wakeUp)
-		}
-	default:
-		l.startNext(now)
-	}
-}
-
-// finishEF is finishTx on a lazy port.
-func (l *Link) finishEF() {
-	l.catchUp(l.be.ef)
-	p := l.cur
-	l.cur = nil
-	l.busy = false
-	l.be.done = free
-	l.Sent++
-	l.SentBytes += int64(p.Size)
-	l.inflight.Push(p)
-	l.Sim.AfterTimer(l.Delay, l.deliver)
-	l.startNext(l.Sim.Now())
-}
-
-// wake fires at the end of the best-effort transmission an EF packet
-// waits behind, so the EF one starts inside an event at that instant.
-func (l *Link) wake() {
-	b := l.be
-	b.armed = false
-	w := b.wake
-	w.ord++ // through the transmission end itself
-	l.catchUp(w)
 }

@@ -436,3 +436,51 @@ func TestLazyReadAheadPastHorizon(t *testing.T) {
 		})
 	}
 }
+
+// TestLazyLineSchedulesNothing: no port of a lazy line schedules a
+// calendar event. Three ports with their sources, fed a burst of EF
+// packets that queue behind each other and behind best effort, fire
+// exactly the events that hand the EF packets to the head, and the line
+// end takes each EF packet at the instant the per-packet line delivers
+// it.
+func TestLazyLineSchedulesNothing(t *testing.T) {
+	us := units.Microsecond
+	sp := lineSpec{
+		delays: []units.Time{ms(2), ms(3), ms(1)},
+		low:    3,
+		gaps:   [][]units.Time{{300 * us, 700 * us, 0, 900 * us}, {ms(1), 0, 0, 450 * us}, {100 * us, 1250 * us}},
+		ef: []efShot{{t: 400 * us, size: 750}, {t: 400 * us, size: units.EthernetMTU}, {t: 500 * us, size: 375},
+			{t: ms(4), size: 375}, {t: 4100 * us, size: 750}},
+		horizon: ms(30),
+	}
+	want, _ := sp.run(false)
+	s := sim.New(1)
+	end := &lineEnd{sim: s}
+	ports := make([]*Link, len(sp.delays))
+	var next packet.Handler = end
+	for i := len(ports) - 1; i >= 0; i-- {
+		ports[i] = NewLazy(s, lineRate, sp.delays[i], queue.NewEFPriority(0, sp.low), next)
+		next = ports[i]
+	}
+	for k, shot := range sp.ef {
+		p := &packet.Packet{ID: uint64(k + 1), Size: shot.size, DSCP: packet.EF}
+		s.AtTimer(shot.t, timerFunc(func() { ports[0].Handle(p) }))
+	}
+	var up *Link
+	for i, l := range ports {
+		var sink Sink
+		if i == len(ports)-1 {
+			sink = end
+		}
+		l.LazyBestEffort(up, &script{sim: s, gaps: slices.Clone(sp.gaps[i])}, sink)
+		up = l
+	}
+	s.SetHorizon(sp.horizon)
+	s.Run()
+	if got := s.Fired(); got != uint64(len(sp.ef)) {
+		t.Fatalf("lazy line fired %d events, want the %d that hand it EF packets", got, len(sp.ef))
+	}
+	if !reflect.DeepEqual(end.ef, want.EF) {
+		t.Fatalf("lazy line delivered EF %v, want %v", end.ef, want.EF)
+	}
+}

@@ -6,22 +6,35 @@
 //
 // # Lazy ports
 //
-// A strict-priority port whose best-effort class is nothing but
+// A line of strict-priority ports whose best-effort class is nothing but
 // MTU-sized cross traffic, read only as counts, can compute that class
-// instead of carrying it (NewLazy, LazyBestEffort). Best effort never
-// preempts EF and never shares its queue, so the EF packets feel it only
-// through the one best-effort packet on the wire when they arrive. A lazy
-// port keeps the class as a queued count, the instant the wire frees and
-// a short ring of departure instants, which the next port of the line
-// reads in place at +Delay. Its own cross source is drawn a buffer ahead,
-// not scheduled. Between two EF events a port is a FIFO with one
-// transmission time, so it advances by Lindley's recursion (an end is
-// max(arrival, previous end) + tx) over its two arrival streams merged
-// in time order, in a loop over those arrays. EF packets keep their
-// calendar events, and the port computes every best-effort event that
-// precedes one before taking it: at each EF arrival, at each EF
-// transmission end, at a wake-up where an EF packet waits behind a
-// best-effort one, and at Flush.
+// instead of carrying it (NewLazy, LazyBestEffort), and with it the
+// passage of every EF packet. Best effort never preempts EF and never
+// shares its queue, so an EF packet feels it only through the one
+// best-effort packet on the wire when it arrives, and later EF packets
+// not at all. A lazy port keeps its best-effort class as a queued count,
+// the instant the wire frees and a short ring of departure instants,
+// which the next port reads in place at +Delay. Its own cross source is
+// drawn a buffer ahead, not scheduled. A port advances by Lindley's
+// recursion (an end is max(arrival, previous end) + tx) over its two
+// arrival streams merged in time order, in a loop over those arrays; an
+// EF packet it holds takes the wire at the next transmission end, for
+// its own transmission time.
+//
+// No port of a line schedules a calendar event. The call that hands an
+// EF packet to the line's head carries it to the end: at each port it
+// fires every event that precedes the packet's arrival, and the packet
+// leaves after the best-effort packet on the wire, the EF packets ahead
+// of it and its own transmission. It reaches the next port a propagation
+// delay later, and the last port hands it on at that instant
+// (sim.Simulator.FireAt). The departure of the best-effort packet it
+// waited behind goes into the ring at once: the next port needs it, and
+// nothing can move it. A port never runs past the departure of the EF
+// packet it took last, since what follows it depends on EF packets not
+// yet handed to the line. The rest is computed when a later EF packet
+// arrives, when the next port pulls departures, and at Flush, which
+// stops every port at the horizon; a packet still in the line there
+// leaves the counters a carried one would.
 //
 // The same-instant rule: events at one nanosecond fire in the order of
 // the instants they were scheduled at, and two that one element
@@ -29,10 +42,10 @@
 // calendar's (time, sequence) order is this order, since the sequence
 // grows with the scheduling instant. A lazy port applies it to its
 // computed events and, through sim.Simulator.ScheduledAt, to the EF
-// arrivals the calendar hands it, comparing instants alone and the full
-// rule only where two are equal. The one case it cannot order, two
-// events at one time scheduled at one instant by different elements, it
-// resolves port first and counts (Ties).
+// packets the calendar hands the line's head, comparing instants alone
+// and the full rule only where two are equal. The one case it cannot
+// order, two events at one time scheduled at one instant by different
+// elements, it resolves port first and counts (Ties).
 package link
 
 import (
@@ -72,7 +85,6 @@ type Link struct {
 	// for zero-value construction).
 	txDone  sim.Timer
 	deliver sim.Timer
-	wakeUp  sim.Timer // a lazy port's wake-up (see the package comment)
 
 	// inflight holds packets in propagation, delivery order. Constant
 	// Delay means deliveries complete FIFO, so a ring suffices.
@@ -86,14 +98,12 @@ type Link struct {
 	be *bestEffort // a lazy port's computed best-effort class (NewLazy)
 }
 
-// txDoneTimer, deliverTimer and wakeTimer give the link three Fire
-// methods without per-schedule closures: a *Link pointer-converted to
-// any of them is the Timer, so the interface values in bind() never
-// allocate.
+// txDoneTimer and deliverTimer give the link two Fire methods without
+// per-schedule closures: a *Link pointer-converted to either is the
+// Timer, so the interface values in bind() never allocate.
 type (
 	txDoneTimer  Link
 	deliverTimer Link
-	wakeTimer    Link
 )
 
 // Fire completes the current serialization.
@@ -101,9 +111,6 @@ func (t *txDoneTimer) Fire(units.Time) { (*Link)(t).finishTx() }
 
 // Fire completes the oldest propagation.
 func (d *deliverTimer) Fire(units.Time) { (*Link)(d).deliverHead() }
-
-// Fire ends the best-effort transmission an EF packet waits behind.
-func (w *wakeTimer) Fire(units.Time) { (*Link)(w).wake() }
 
 // New returns a link with the given rate, propagation delay, scheduler
 // and next hop.
@@ -137,7 +144,6 @@ func (l *Link) SetPool(pl *packet.Pool) {
 func (l *Link) bind() {
 	l.txDone = (*txDoneTimer)(l)
 	l.deliver = (*deliverTimer)(l)
-	l.wakeUp = (*wakeTimer)(l)
 }
 
 // Handle enqueues p for transmission. A scheduler rejection is a
@@ -194,10 +200,6 @@ func (l *Link) transmitNext() {
 // propagation (or directly to Next on a zero-delay link), and start
 // the next transmission.
 func (l *Link) finishTx() {
-	if l.be != nil && l.be.on {
-		l.finishEF()
-		return
-	}
 	p := l.cur
 	l.cur = nil
 	l.Sent++

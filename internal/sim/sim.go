@@ -284,6 +284,25 @@ func (s *Simulator) RNG() *RNG { return s.rng }
 // calendar's (see package link).
 func (s *Simulator) ScheduledAt() units.Time { return s.firingAt }
 
+// FireAt fires tm at t as the calendar would fire an event scheduled at
+// instant at, without scheduling one: while tm runs, Now reads t and
+// ScheduledAt reads at, and both are put back after. A component that
+// computes an event ahead of the clock hands it on this way (package
+// link's lazy line delivers each EF packet so). t may not lie before
+// now, and tm must schedule nothing: the calendar is still at now.
+func (s *Simulator) FireAt(t, at units.Time, tm Timer) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: firing at %v before now %v", t, s.now))
+	}
+	now, firing, seq := s.now, s.firingAt, s.seq
+	s.now, s.firingAt = t, at
+	tm.Fire(t)
+	if s.seq != seq {
+		panic("sim: a timer fired ahead of the clock scheduled an event")
+	}
+	s.now, s.firingAt = now, firing
+}
+
 // Fired reports how many events have executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
@@ -475,6 +494,9 @@ func (s *Simulator) popMin() *event {
 // SetHorizon makes Run stop once the clock would pass t. Zero removes
 // the horizon.
 func (s *Simulator) SetHorizon(t units.Time) { s.maxT = t }
+
+// Horizon reports the horizon SetHorizon set, 0 for none.
+func (s *Simulator) Horizon() units.Time { return s.maxT }
 
 // Run executes events until none remain pending, the horizon passes,
 // or Halt is called. It returns the final simulated time.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/link"
+	"repro/internal/packet"
 	"repro/internal/ptrace"
 	"repro/internal/queue"
 	"repro/internal/stats"
@@ -43,12 +44,11 @@ type qboneState struct {
 	Now       units.Time
 }
 
-// runQBone builds cfg, per packet when traced, runs it to horizon (0:
-// the whole clip, through Run) and reads its state and tie count.
-func runQBone(cfg QBoneConfig, horizon units.Time, traced bool) (qboneState, int) {
-	if traced {
-		cfg.Trace = ptrace.NewRecorder(ptrace.Config{Capacity: 256})
-	}
+// runQBone builds cfg, per packet when rec is set (which then records
+// the run), runs it to horizon (0: the whole clip, through Run) and reads
+// its state and tie count.
+func runQBone(cfg QBoneConfig, horizon units.Time, rec *ptrace.Recorder) (qboneState, int) {
+	cfg.Trace = rec
 	q := BuildQBone(cfg)
 	if horizon == 0 {
 		q.Run()
@@ -76,19 +76,74 @@ func runQBone(cfg QBoneConfig, horizon units.Time, traced bool) (qboneState, int
 	return st, q.Ties()
 }
 
+// videoRecorder records a reference run's video packets, all of them.
+func videoRecorder() *ptrace.Recorder {
+	return ptrace.NewRecorder(ptrace.Config{Capacity: 1 << 16, Flows: []packet.FlowID{VideoFlow}})
+}
+
+// videoPassage reads a reference run's video trace (videoRecorder):
+// whether an EF packet reached hop 0 while another was still there,
+// queued or on the wire, and how many reached hop 0 but neither the
+// client nor a queue drop by the end of the run.
+func videoPassage(t *testing.T, rec *ptrace.Recorder) (behindEF bool, inLine int) {
+	t.Helper()
+	if rec.Overwritten() != 0 {
+		t.Fatalf("video trace overwrote %d events", rec.Overwritten())
+	}
+	hop0 := rec.Hop(hopName(0))
+	held, line := 0, map[uint64]bool{}
+	for _, e := range rec.Data().Events {
+		switch {
+		case e.Hop == hop0 && e.Kind == ptrace.LinkEnqueue:
+			behindEF = behindEF || held > 0
+			held++
+			line[e.PktID] = true
+		case e.Hop == hop0 && e.Kind == ptrace.LinkTx:
+			held--
+		case e.Kind == ptrace.Deliver || e.Kind == ptrace.QueueDrop:
+			delete(line, e.PktID)
+		}
+	}
+	return behindEF, len(line)
+}
+
+// lastHop0Arrival is the instant the last video packet to reach hop 0 by
+// t did so, on the per-packet run of cfg.
+func lastHop0Arrival(t *testing.T, cfg QBoneConfig, by units.Time) units.Time {
+	t.Helper()
+	rec := videoRecorder()
+	runQBone(cfg, by, rec)
+	hop0, last := rec.Hop(hopName(0)), units.Time(-1)
+	for _, e := range rec.Data().Events {
+		if e.Hop == hop0 && e.Kind == ptrace.LinkEnqueue {
+			last = e.T
+		}
+	}
+	if last < 0 {
+		t.Fatalf("no video packet reached hop 0 by %v", by)
+	}
+	return last
+}
+
 // TestLazyCrossEquivalence runs every path length of 1–6 hops at each
 // cross load, alternating drop and shape, over twelve seeds, to a
-// horizon a few seconds into the clip; and four whole-clip points on the
-// paper's four-hop path, two at 2 % load and two at the default 15 %. Traced (per packet) and untraced (lazy) runs
-// must agree on every port's classes and counters, the cross sources,
-// the client's counters and frame trace, the delay collector and the
-// clock.
+// horizon a few seconds into the clip; and five whole-clip points on the
+// paper's four-hop path, two at 2 % load and three at the default 15 %,
+// one of them shaped. Forced rows, at every path length in both border
+// modes and at seeds 117 and 2001, bunch the video with a 100 ms campus
+// jitter and pass the bunches through a deep bucket, so EF packets queue
+// behind EF at hop 0, and stop 1 ms after an EF packet reached hop 0, so
+// it is still in the line; the per-packet run must show both. Traced
+// (per packet) and untraced (lazy) runs must agree on every port's
+// classes and counters, the cross sources, the client's counters and
+// frame trace, the delay collector and the clock.
 func TestLazyCrossEquivalence(t *testing.T) {
 	enc := video.CachedCBR(video.Lost(), 1.0e6)
 	seeds := []uint64{117, 2001, 7, 1, 2, 3, 5, 11, 42, 99, 1234, 31337}
 	type row struct {
 		cfg     QBoneConfig
 		horizon units.Time
+		forced  bool
 	}
 	var rows []row
 	i := 0
@@ -105,16 +160,37 @@ func TestLazyCrossEquivalence(t *testing.T) {
 	for _, seed := range []uint64{117, 2001} {
 		rows = append(rows, row{cfg: QBoneConfig{Seed: seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Hops: 4, CrossLoad: 0.02}})
 	}
-	// The whole clip at the default load: the qbone-figs configuration.
+	// The whole clip at the default load: the qbone-figs configuration,
+	// and the shaped border.
 	for _, seed := range []uint64{2001, 117} {
 		rows = append(rows, row{cfg: QBoneConfig{Seed: seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Hops: 4, CrossLoad: crossLoad}})
+	}
+	rows = append(rows, row{cfg: QBoneConfig{Seed: 117, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Shape: true, Hops: 4, CrossLoad: crossLoad}})
+	for hops := 1; hops <= 6; hops++ {
+		for si, seed := range []uint64{117, 2001} {
+			rows = append(rows, row{cfg: QBoneConfig{Seed: seed, Enc: enc, TokenRate: 4e6, Depth: 30000,
+				Shape: (hops+si)%2 == 1, Hops: hops, CampusJitter: 100 * units.Millisecond, CrossLoad: crossLoad}, forced: true})
+		}
 	}
 	for _, r := range rows {
 		c := r.cfg
 		name := fmt.Sprintf("seed%d/hops%d/load%.2f/shape=%v/horizon%v", c.Seed, c.Hops, c.CrossLoad, c.Shape, r.horizon)
+		if r.forced {
+			name = fmt.Sprintf("seed%d/hops%d/shape=%v/forced", c.Seed, c.Hops, c.Shape)
+		}
 		t.Run(name, func(t *testing.T) {
-			want, _ := runQBone(c, r.horizon, true)
-			got, ties := runQBone(c, r.horizon, false)
+			horizon := r.horizon
+			if r.forced {
+				horizon = lastHop0Arrival(t, c, 1500*units.Millisecond) + units.Millisecond
+			}
+			rec := videoRecorder()
+			want, _ := runQBone(c, horizon, rec)
+			got, ties := runQBone(c, horizon, nil)
+			if r.forced {
+				if behindEF, inLine := videoPassage(t, rec); !behindEF || inLine == 0 {
+					t.Fatalf("per-packet run to %v: EF queued behind EF at hop 0 %v, %d EF packets in the line at the horizon; want both", horizon, behindEF, inLine)
+				}
+			}
 			if ties != 0 {
 				t.Errorf("lazy ports counted %d unresolvable ties", ties)
 			}
@@ -132,19 +208,21 @@ func TestLazyCrossEquivalence(t *testing.T) {
 // finding (h) — seed 1, Lost at 1.7 Mb/s, token 1.9 Mb/s, B = 3000, the
 // default four hops and 15 % cross load. Traced, it runs per packet and
 // must fire exactly the 1,679,522 events it always has. Untraced, its
-// best effort is computed: with cross load ≈ 0 the video path alone
-// fires 155,678 events, and the lazy ports add only the wake-ups where an
-// EF packet waits behind a best-effort one, so it must fire at most a
-// fifth of the traced count. The work the lazy ports compute instead is
-// pinned from their own counters: the best-effort arrivals (admitted or
-// dropped), the best-effort transmission ends, and every transmission.
+// line is computed: no port schedules an event, so it fires exactly the
+// 47,018 events of its server, campus link and jitter (the border acts
+// inside the jitter's), at most a fifth of the traced count. The count
+// must not move with the line's length, load or seed either, which a
+// port firing any event of its own would make it do. The work the lazy
+// ports compute instead is pinned from their own counters: the
+// best-effort arrivals (admitted or dropped), the best-effort
+// transmission ends, and every transmission.
 func TestLazyCrossEventBudget(t *testing.T) {
 	const (
 		beArrivals = 801734
 		beEnds     = 647366
 		sent       = 701696
 	)
-	const traced = 1679522
+	const traced, untraced = 1679522, 47018
 	cfg := QBoneConfig{Seed: 1, Enc: video.CachedCBR(video.Lost(), 1.7e6), TokenRate: 1.9e6, Depth: 3000}
 	ref := cfg
 	ref.Trace = ptrace.NewRecorder(ptrace.Config{Capacity: 256})
@@ -159,6 +237,22 @@ func TestLazyCrossEventBudget(t *testing.T) {
 	t.Logf("untraced run fired %d events, %.1f× fewer", got, float64(traced)/float64(got))
 	if got*5 > traced {
 		t.Errorf("untraced run fired %d events, want at most %d (a fifth of the per-packet run)", got, traced/5)
+	}
+	if got != untraced {
+		t.Errorf("untraced run fired %d events, want exactly %d", got, untraced)
+	}
+	for _, c := range []QBoneConfig{
+		{Seed: 117, Hops: 1, CrossLoad: 0.8},
+		{Seed: 2001, Hops: 6, CrossLoad: 0.02},
+		{Seed: 7, Hops: 3, CrossLoad: 0.3},
+	} {
+		c.Enc, c.TokenRate, c.Depth = cfg.Enc, cfg.TokenRate, cfg.Depth
+		other := BuildQBone(c)
+		other.Run()
+		if n := other.Sim.Fired(); n != untraced {
+			t.Errorf("seed %d, %d hops, load %.2f fired %d events, want the probe point's %d: a port of the line schedules events",
+				c.Seed, c.Hops, c.CrossLoad, n, untraced)
+		}
 	}
 	if n := lazy.Ties(); n != 0 {
 		t.Errorf("lazy ports counted %d unresolvable ties", n)

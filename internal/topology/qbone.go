@@ -86,13 +86,16 @@ func (c QBoneConfig) withDefaults() QBoneConfig {
 // after the border conditioner and Cross[i] is the source injecting at
 // Hops[i] (flow id 1000+i).
 //
-// An untraced QBone with cross traffic computes its best effort: every
-// hop and the access link is a lazy port (see package link), each
-// Cross source is Pulled, and the client counts the best effort that
-// reaches it without receiving it. A traced one carries every packet,
-// since its trace records them; so it is the per-packet reference the
-// lazy ports are checked against. Both leave the same counters, client
-// trace and clock when Run returns.
+// An untraced QBone with cross traffic computes its line: every hop and
+// the access link is a lazy port (see package link), each Cross source
+// is Pulled, and the client counts the best effort that reaches it
+// without receiving it. The border's hand-off of an EF packet to
+// Hops[0] carries it through every port to the delay tap and the client,
+// which take it at its computed arrival instant; no port schedules an
+// event. A traced QBone carries every packet, since its trace records
+// them; so it is the per-packet reference the lazy line is checked
+// against. Both leave the same counters, client trace, delay samples and
+// clock when Run returns.
 type QBone struct {
 	Sim     *sim.Simulator
 	Net     *Network

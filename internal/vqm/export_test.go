@@ -11,3 +11,10 @@ import "repro/internal/units"
 func (r *Result) MOS() float64 {
 	return units.Clamp(5-4*r.Index, 1, 5)
 }
+
+// correlation is the Pearson correlation of two equal-length vectors,
+// as scoreSegment computes it one alignment shift at a time.
+func correlation(a, b []float64) float64 {
+	ma, va := moments(a)
+	return correlationWith(a, ma, va, b)
+}

@@ -93,24 +93,38 @@ func featureStreams(d *render.Displayed, clip *video.Clip, outTI []float64) {
 	}
 }
 
-// correlation computes the Pearson correlation of two equal-length
-// vectors; degenerate (constant) inputs yield 0.
-func correlation(a, b []float64) float64 {
+// moments is the half of a Pearson correlation that depends on a
+// alone: its mean and its sum of squared deviations from it.
+func moments(a []float64) (mean, dev float64) {
+	var sa float64
+	for _, v := range a {
+		sa += v
+	}
+	mean = sa / float64(len(a))
+	for _, v := range a {
+		d := v - mean
+		dev += d * d
+	}
+	return mean, dev
+}
+
+// correlationWith computes the Pearson correlation of two equal-length
+// vectors given moments(a), so a caller that correlates one vector
+// against many computes them once; degenerate (constant) inputs yield 0.
+func correlationWith(a []float64, ma, va float64, b []float64) float64 {
 	n := len(a)
 	if n == 0 || n != len(b) {
 		return 0
 	}
-	var sa, sb float64
+	var sb float64
 	for i := 0; i < n; i++ {
-		sa += a[i]
 		sb += b[i]
 	}
-	ma, mb := sa/float64(n), sb/float64(n)
-	var cov, va, vb float64
+	mb := sb / float64(n)
+	var cov, vb float64
 	for i := 0; i < n; i++ {
 		da, db := a[i]-ma, b[i]-mb
 		cov += da * db
-		va += da * da
 		vb += db * db
 	}
 	if va <= 1e-12 || vb <= 1e-12 {
@@ -221,13 +235,21 @@ func (sc *Scorer) scoreSegment(d *render.Displayed, recv, ref *video.Encoding, s
 		calLen = segLen
 	}
 	out := outTI[start : start+calLen]
-	refVec := sc.refVec[:calLen]
+	mOut, vOut := moments(out)
 	for delta := -alignUncertainty; delta <= alignUncertainty; delta++ {
 		shift := anchor + delta
-		for s := 0; s < calLen; s++ {
-			refVec[s] = refTIAt(clip, start+s-shift)
+		// The reference frames the calibration slots show at this
+		// shift, clamped to the clip at either end.
+		from := start - shift
+		refVec := sc.refVec[:calLen]
+		if from >= 0 && from+calLen <= len(clip.TI) {
+			refVec = clip.TI[from : from+calLen]
+		} else {
+			for s := range refVec {
+				refVec[s] = refTIAt(clip, from+s)
+			}
 		}
-		c := correlation(out, refVec)
+		c := correlationWith(out, mOut, vOut, refVec)
 		if c > best {
 			best = c
 			bestShift = shift
