@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed: *seed, Enc: enc, TokenRate: token,
 			Depth: units.ByteSize(*depth), Shape: *shape,
 		})
-		q.Run()
+		q.RunVideo()
 		tr = q.Client.Trace()
 		if q.Policer != nil {
 			pktLoss = q.Policer.LossFraction()

@@ -262,7 +262,7 @@ func runQBonePointLabeled(ctx *Ctx, labelPrefix string, cfg topology.QBoneConfig
 	rec := ctx.NewRecorder()
 	cfg.Pool, cfg.Sim, cfg.Recv, cfg.Trace = ctx.Pool, ctx.Sim, ctx.Recv, rec
 	q := topology.BuildQBone(cfg)
-	q.Run()
+	q.RunVideo()
 	ctx.Finish(labelPrefix+pointLabel(cfg.TokenRate, cfg.Depth, cfg.Seed), rec, q.Sim, topology.ShardStats{}, 0, time.Time{})
 	ctx.Run.Ties += q.Ties()
 	ev := ctx.Eval.Evaluate(q.Client.Trace(), cfg.Enc, ref)

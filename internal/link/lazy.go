@@ -195,7 +195,8 @@ func (l *Link) Ties() int {
 
 // Flush computes every event of the lazy line that ends at l up to and
 // including t, and counts into the sink what reaches it by t. Call it
-// once the simulation has stopped with its clock at t.
+// once the simulation has stopped with its clock at t, for counters
+// that read as a per-packet run's: it moves no EF packet's outcome.
 func (l *Link) Flush(t units.Time) {
 	if up := l.be.up; up != nil {
 		up.Flush(t)

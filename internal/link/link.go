@@ -34,7 +34,10 @@
 // yet handed to the line. The rest is computed when a later EF packet
 // arrives, when the next port pulls departures, and at Flush, which
 // stops every port at the horizon; a packet still in the line there
-// leaves the counters a carried one would.
+// leaves the counters a carried one would. Flush is for counters: every
+// EF packet's passage is fixed when it is handed to the line, so a
+// caller that reads only the EF packets' outcome need not call it, and
+// the best-effort counters then stop where the last EF packet left them.
 //
 // The same-instant rule: events at one nanosecond fire in the order of
 // the instants they were scheduled at, and two that one element

@@ -54,9 +54,14 @@ func runQBone(cfg QBoneConfig, horizon units.Time, rec *ptrace.Recorder) (qboneS
 		q.Run()
 	} else {
 		q.Server.Start()
-		q.run(horizon)
+		q.run(horizon, true)
 		q.Client.Finish()
 	}
+	return readQBone(q), q.Ties()
+}
+
+// readQBone reads the state a run of q left.
+func readQBone(q *QBone) qboneState {
 	st := qboneState{Packets: q.Client.Packets, Bytes: q.Client.PacketsBytes,
 		Records: q.Client.Trace().Records, Delay: q.Delay.Delay, Jitter: q.Delay.Jitter, Now: q.Sim.Now()}
 	for _, l := range append(append([]*link.Link{}, q.Hops...), q.Net.Link("access"), q.Net.Link("campus")) {
@@ -73,7 +78,7 @@ func runQBone(cfg QBoneConfig, horizon units.Time, rec *ptrace.Recorder) (qboneS
 	} else {
 		st.Border = fmt.Sprintf("shaper %d/%d/%d", q.Shaper.Passed, q.Shaper.Delayed, q.Shaper.Dropped)
 	}
-	return st, q.Ties()
+	return st
 }
 
 // videoRecorder records a reference run's video packets, all of them.
@@ -125,6 +130,20 @@ func lastHop0Arrival(t *testing.T, cfg QBoneConfig, by units.Time) units.Time {
 	return last
 }
 
+// wholeClipConfigs are the whole-clip points of TestLazyCrossEquivalence
+// on the paper's four-hop path: two at 2 % load and three at the default
+// 15 %, the qbone-figs configuration and the shaped border among them.
+func wholeClipConfigs(enc *video.Encoding) []QBoneConfig {
+	var cs []QBoneConfig
+	for _, seed := range []uint64{117, 2001} {
+		cs = append(cs, QBoneConfig{Seed: seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Hops: 4, CrossLoad: 0.02})
+	}
+	for _, seed := range []uint64{2001, 117} {
+		cs = append(cs, QBoneConfig{Seed: seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Hops: 4, CrossLoad: crossLoad})
+	}
+	return append(cs, QBoneConfig{Seed: 117, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Shape: true, Hops: 4, CrossLoad: crossLoad})
+}
+
 // TestLazyCrossEquivalence runs every path length of 1–6 hops at each
 // cross load, alternating drop and shape, over twelve seeds, to a
 // horizon a few seconds into the clip; and five whole-clip points on the
@@ -157,15 +176,9 @@ func TestLazyCrossEquivalence(t *testing.T) {
 			i++
 		}
 	}
-	for _, seed := range []uint64{117, 2001} {
-		rows = append(rows, row{cfg: QBoneConfig{Seed: seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Hops: 4, CrossLoad: 0.02}})
+	for _, c := range wholeClipConfigs(enc) {
+		rows = append(rows, row{cfg: c})
 	}
-	// The whole clip at the default load: the qbone-figs configuration,
-	// and the shaped border.
-	for _, seed := range []uint64{2001, 117} {
-		rows = append(rows, row{cfg: QBoneConfig{Seed: seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Hops: 4, CrossLoad: crossLoad}})
-	}
-	rows = append(rows, row{cfg: QBoneConfig{Seed: 117, Enc: enc, TokenRate: 1.1e6, Depth: 3000, Shape: true, Hops: 4, CrossLoad: crossLoad}})
 	for hops := 1; hops <= 6; hops++ {
 		for si, seed := range []uint64{117, 2001} {
 			rows = append(rows, row{cfg: QBoneConfig{Seed: seed, Enc: enc, TokenRate: 4e6, Depth: 30000,
@@ -204,6 +217,106 @@ func TestLazyCrossEquivalence(t *testing.T) {
 	}
 }
 
+// videoOutcome is what a run leaves of the video: the client's frame
+// trace, the delay collector, the border's counts, the clock, and each
+// port's EF class (admitted, dropped, bytes).
+type videoOutcome struct {
+	Records []trace.FrameRecord
+	Delay   stats.Summary
+	Jitter  stats.RunningMean
+	Border  string
+	Now     units.Time
+	EF      []queue.ClassStats
+}
+
+// video reads the video's outcome off a run's state.
+func (st qboneState) video() videoOutcome {
+	v := videoOutcome{Records: st.Records, Delay: st.Delay, Jitter: st.Jitter, Border: st.Border, Now: st.Now}
+	for _, cs := range st.Classes[:len(st.Classes)-1] { // not the campus link
+		ef := cs[0]
+		ef.Queued, ef.QueuedBytes = 0, 0
+		v.EF = append(v.EF, ef)
+	}
+	return v
+}
+
+// notAbove lists every cumulative counter of got that exceeds want's.
+func notAbove(got, want qboneState) []string {
+	var over []string
+	check := func(name string, g, w int64) {
+		if g > w {
+			over = append(over, fmt.Sprintf("%s %d > %d", name, g, w))
+		}
+	}
+	for i := range want.Classes {
+		for j, w := range want.Classes[i] {
+			g := got.Classes[i][j]
+			check(fmt.Sprintf("port %d %s enqueued", i, w.Name), int64(g.Enqueued), int64(w.Enqueued))
+			check(fmt.Sprintf("port %d %s dropped", i, w.Name), int64(g.Dropped), int64(w.Dropped))
+			check(fmt.Sprintf("port %d %s bytes", i, w.Name), g.Bytes, w.Bytes)
+		}
+		check(fmt.Sprintf("port %d sent", i), int64(got.Sent[i]), int64(want.Sent[i]))
+		check(fmt.Sprintf("port %d sent bytes", i), got.SentBytes[i], want.SentBytes[i])
+		check(fmt.Sprintf("port %d busy", i), int64(got.Busy[i]), int64(want.Busy[i]))
+	}
+	for i := range want.Cross {
+		check(fmt.Sprintf("cross %d sent", i), int64(got.Cross[i]), int64(want.Cross[i]))
+	}
+	check("client packets", int64(got.Packets), int64(want.Packets))
+	check("client bytes", got.Bytes, want.Bytes)
+	return over
+}
+
+// TestRunVideoEquivalence runs whole clips three ways: per packet, and
+// lazy through Run and through RunVideo, which stops computing the best
+// effort at the last video packet. The configurations are the whole-clip
+// points of TestLazyCrossEquivalence and seven more, over seeds 117, 2001
+// and 7, every path length of 1–6 hops, loads of 2–80 % and both border
+// modes. RunVideo must leave the video's outcome (frame trace, delay
+// samples, jitter, border counts, each port's EF class) and the clock
+// equal to both other runs, with no tie, and no cumulative counter above
+// Run's.
+func TestRunVideoEquivalence(t *testing.T) {
+	enc := video.CachedCBR(video.Lost(), 1.0e6)
+	cfgs := wholeClipConfigs(enc)
+	for _, r := range []struct {
+		seed  uint64
+		hops  int
+		load  float64
+		shape bool
+	}{
+		{7, 1, 0.8, false}, {117, 2, 0.3, true}, {2001, 3, 0.8, true}, {7, 3, 0.15, false},
+		{7, 5, 0.15, true}, {2001, 6, 0.3, false}, {7, 6, 0.02, true},
+	} {
+		cfgs = append(cfgs, QBoneConfig{Seed: r.seed, Enc: enc, TokenRate: 1.1e6, Depth: 3000,
+			Shape: r.shape, Hops: r.hops, CrossLoad: r.load})
+	}
+	for _, c := range cfgs {
+		t.Run(fmt.Sprintf("seed%d/hops%d/load%.2f/shape=%v", c.Seed, c.Hops, c.CrossLoad, c.Shape), func(t *testing.T) {
+			ref, _ := runQBone(c, 0, ptrace.NewRecorder(ptrace.Config{Capacity: 256}))
+			full, _ := runQBone(c, 0, nil)
+			q := BuildQBone(c)
+			q.RunVideo()
+			got := readQBone(q)
+			if n := q.Ties(); n != 0 {
+				t.Errorf("RunVideo counted %d unresolvable ties", n)
+			}
+			if len(ref.Records) == 0 || ref.Packets == len(ref.Records) {
+				t.Fatalf("reference run carried %d packets for %d frames: no cross traffic or no video reached the client", ref.Packets, len(ref.Records))
+			}
+			if !reflect.DeepEqual(got.video(), full.video()) {
+				t.Errorf("RunVideo's video outcome diverged from Run's\n got %+v\nwant %+v", got.video(), full.video())
+			}
+			if !reflect.DeepEqual(got.video(), ref.video()) {
+				t.Errorf("RunVideo's video outcome diverged from the per-packet run's\n got %+v\nwant %+v", got.video(), ref.video())
+			}
+			if over := notAbove(got, full); len(over) > 0 {
+				t.Errorf("RunVideo computed more than Run: %v", over)
+			}
+		})
+	}
+}
+
 // TestLazyCrossEventBudget pins the event count of the probe point of
 // finding (h) — seed 1, Lost at 1.7 Mb/s, token 1.9 Mb/s, B = 3000, the
 // default four hops and 15 % cross load. Traced, it runs per packet and
@@ -215,12 +328,19 @@ func TestLazyCrossEquivalence(t *testing.T) {
 // port firing any event of its own would make it do. The work the lazy
 // ports compute instead is pinned from their own counters: the
 // best-effort arrivals (admitted or dropped), the best-effort
-// transmission ends, and every transmission.
+// transmission ends, and every transmission. RunVideo, the figure path,
+// fires the same events and computes the line only up to the last video
+// packet: at most three quarters of Run's best-effort arrivals, since it
+// leaves out the 30 s after the clip.
 func TestLazyCrossEventBudget(t *testing.T) {
 	const (
 		beArrivals = 801734
 		beEnds     = 647366
 		sent       = 701696
+
+		videoArrivals = 564946
+		videoEnds     = 453313
+		videoSent     = 507643
 	)
 	const traced, untraced = 1679522, 47018
 	cfg := QBoneConfig{Seed: 1, Enc: video.CachedCBR(video.Lost(), 1.7e6), TokenRate: 1.9e6, Depth: 3000}
@@ -257,15 +377,41 @@ func TestLazyCrossEventBudget(t *testing.T) {
 	if n := lazy.Ties(); n != 0 {
 		t.Errorf("lazy ports counted %d unresolvable ties", n)
 	}
-	var arrivals, ends, all int
-	for _, l := range append(append([]*link.Link{}, lazy.Hops...), lazy.Net.Link("access")) {
+	if arrivals, ends, all := lineWork(lazy); arrivals != beArrivals || ends != beEnds || all != sent {
+		t.Errorf("lazy ports computed %d best-effort arrivals, %d best-effort transmission ends and %d transmissions, want %d, %d and %d",
+			arrivals, ends, all, beArrivals, beEnds, sent)
+	}
+
+	// The figure path: RunVideo fires the same calendar and stops the
+	// line at the last video packet, short of the 30 s tail.
+	fig := BuildQBone(cfg)
+	fig.RunVideo()
+	if got := fig.Sim.Fired(); got != untraced {
+		t.Errorf("RunVideo fired %d events, want Run's %d", got, untraced)
+	}
+	if n := fig.Ties(); n != 0 {
+		t.Errorf("RunVideo counted %d unresolvable ties", n)
+	}
+	arrivals, ends, all := lineWork(fig)
+	t.Logf("RunVideo computed %d best-effort arrivals (%.1f %% of Run's)", arrivals, 100*float64(arrivals)/beArrivals)
+	if arrivals != videoArrivals || ends != videoEnds || all != videoSent {
+		t.Errorf("RunVideo computed %d best-effort arrivals, %d best-effort transmission ends and %d transmissions, want %d, %d and %d",
+			arrivals, ends, all, videoArrivals, videoEnds, videoSent)
+	}
+	if arrivals*4 > beArrivals*3 {
+		t.Errorf("RunVideo computed %d best-effort arrivals, want at most %d (three quarters of Run's)", arrivals, beArrivals*3/4)
+	}
+}
+
+// lineWork reads what q's lazy ports computed: the best-effort arrivals
+// (admitted or dropped), the best-effort transmission ends (every
+// transmission but one per EF packet admitted) and every transmission.
+func lineWork(q *QBone) (arrivals, ends, all int) {
+	for _, l := range append(append([]*link.Link{}, q.Hops...), q.Net.Link("access")) {
 		c := l.Sched.Classes()
 		arrivals += c[1].Enqueued + c[1].Dropped
 		ends += l.Sent - c[0].Enqueued
 		all += l.Sent
 	}
-	if arrivals != beArrivals || ends != beEnds || all != sent {
-		t.Errorf("lazy ports computed %d best-effort arrivals, %d best-effort transmission ends and %d transmissions, want %d, %d and %d",
-			arrivals, ends, all, beArrivals, beEnds, sent)
-	}
+	return arrivals, ends, all
 }

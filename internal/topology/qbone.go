@@ -95,7 +95,9 @@ func (c QBoneConfig) withDefaults() QBoneConfig {
 // event. A traced QBone carries every packet, since its trace records
 // them; so it is the per-packet reference the lazy line is checked
 // against. Both leave the same counters, client trace, delay samples and
-// clock when Run returns.
+// clock when Run returns. RunVideo leaves the same client trace, delay
+// samples, border counts and clock, and stops a lazy line's best effort
+// at the last video packet.
 type QBone struct {
 	Sim     *sim.Simulator
 	Net     *Network
@@ -205,28 +207,46 @@ func BuildQBone(cfg QBoneConfig) *QBone {
 func hopName(i int) string   { return fmt.Sprintf("hop%d", i) }
 func crossName(i int) string { return fmt.Sprintf("cross%d", i) }
 
-// Run starts the server and executes the simulation to completion,
-// then resolves the client's frame trace.
-func (q *QBone) Run() {
+// Run starts the server, runs the simulation to its horizon (the clip
+// plus 30 s) and resolves the client's frame trace. On a lazy line it
+// computes every port up to the horizon, so each counter, the best
+// effort's included, reads as a per-packet run's.
+func (q *QBone) Run() { q.runClip(true) }
+
+// RunVideo is Run for a caller that reads only the video's outcome: the
+// client's frame trace, the delay collector and the border's counts. A
+// lazy line fixes each EF packet's whole passage when the border hands
+// it to hop 0, so once the calendar empties every video outcome is
+// final; RunVideo then leaves the clock at the horizon without
+// computing the best effort that is left. The best-effort counters of
+// the ports, cross sources and client stop at the last video packet,
+// each at most Run's. On a per-packet QBone it is Run.
+func (q *QBone) RunVideo() { q.runClip(false) }
+
+func (q *QBone) runClip(flush bool) {
 	q.Server.Start()
-	q.run(units.FromSeconds(q.Server.Enc.Clip.DurationSeconds() + 30))
+	q.run(units.FromSeconds(q.Server.Enc.Clip.DurationSeconds()+30), flush)
 	q.Client.Finish()
 }
 
 // run executes the simulation up to horizon and leaves the clock there.
-// Lazy ports are then flushed to it: their cross sources schedule
-// nothing, so the calendar may empty before it.
-func (q *QBone) run(horizon units.Time) {
+// A lazy line's cross sources schedule nothing, so the calendar may
+// empty before it; with flush, its ports are then computed up to it.
+func (q *QBone) run(horizon units.Time, flush bool) {
 	q.Sim.SetHorizon(horizon)
 	q.Sim.Run()
 	if q.access != nil {
 		q.Sim.AdvanceTo(horizon)
-		q.access.Flush(horizon)
+		if flush {
+			q.access.Flush(horizon)
+		}
 	}
 }
 
 // Ties counts the same-instant orderings the lazy ports could not
-// resolve (link.Link.Ties); 0 on a per-packet run.
+// resolve (link.Link.Ties); 0 on a per-packet run. After RunVideo it
+// counts only those up to the last video packet: a later one could move
+// only best-effort counters, which RunVideo does not compute.
 func (q *QBone) Ties() int {
 	if q.access == nil {
 		return 0
